@@ -1,12 +1,14 @@
 # Tier-1 verification and perf tooling for the Zoomer reproduction.
 
-.PHONY: verify verify-purego test race chaos ingest-chaos bench bench-compare docs-check compose-check gateway-smoke experiments-check ci
+.PHONY: verify verify-purego test race chaos ingest-chaos bench bench-compare docs-check compose-check gateway-smoke experiments-check rig-check fuzz-smoke ci
 
 # The full CI gate: tier-1 verify (both kernel dispatches), race hammer,
 # fault-injection suite, ingest crash-recovery equivalence, perf
 # regression check, documentation link check, deploy topology lint, the
-# multi-process gateway smoke run, and the experiments-harness smoke.
-ci: verify verify-purego race chaos ingest-chaos bench-compare docs-check compose-check gateway-smoke experiments-check
+# multi-process gateway smoke run, the experiments-harness smoke, the
+# benchmark rig's compile-and-self-test, and a short fuzz pass over the
+# wire decoders.
+ci: verify verify-purego race chaos ingest-chaos bench-compare docs-check compose-check gateway-smoke experiments-check rig-check fuzz-smoke
 
 # The tier-1 loop: vet + build + test. vet's asmdecl check covers the
 # AVX2 kernel frames in internal/tensor.
@@ -37,7 +39,7 @@ race:
 # degradation, dynamic membership, stalled-member refresh, circuit
 # breaker (open/decay/waiter adoption), mux in-flight kill.
 chaos:
-	go test -race -count=1 -run 'TestShardFailureAndReconnect|TestNoPartialResultsUnderChurn|TestClientPoolConcurrency|TestMuxInFlightFailure|TestMuxSharedConnectionHammer|TestKillReplicaMidBatch|TestZeroHealthyReplicasTyped|TestRollingUpgrade|TestMembershipDiscovery|TestRefreshSkipsStalledServer|TestReplicatedClusterSpreadsLoad|TestCircuit' ./internal/rpc/
+	go test -race -count=1 -run 'TestShardFailureAndReconnect|TestNoPartialResultsUnderChurn|TestClientPoolConcurrency|TestMuxInFlightFailure|TestMuxSharedConnectionHammer|TestKillReplicaMidBatch|TestKillReplicaMidBulkRead|TestLiveHandoffBulkRead|TestZeroHealthyReplicasTyped|TestRollingUpgrade|TestMembershipDiscovery|TestRefreshSkipsStalledServer|TestReplicatedClusterSpreadsLoad|TestCircuit' ./internal/rpc/
 	go test -race -count=1 -run 'TestReplica' ./internal/engine/
 
 # Durable-ingest crash suite under the race detector: kill -9 a child
@@ -80,3 +82,16 @@ experiments-check:
 	go run ./cmd/zoomer-experiments -exp table2,table4,fig13 -quick -seed 7 | tee /tmp/experiments-check.out
 	@grep -q "Table II" /tmp/experiments-check.out && grep -q "Table IV" /tmp/experiments-check.out && grep -q "Fig 13" /tmp/experiments-check.out \
 		|| { echo "experiments-check: missing expected table/figure output"; exit 1; }
+
+# The benchmark rig (benchmark/) is its own module, so the root
+# `go build ./... && go test ./...` never sees it: compile it against
+# this tree and run its self-test, so an interface change here cannot
+# break benchmark/run.sh silently.
+rig-check:
+	cd benchmark && go vet ./... && go test ./...
+
+# A few seconds of native fuzzing per wire decoder on top of the
+# checked-in seed corpora (which every plain `go test` already replays).
+fuzz-smoke:
+	go test -run '^$$' -fuzz 'FuzzDecodeReadNodesRequest' -fuzztime 5s ./internal/rpc/
+	go test -run '^$$' -fuzz 'FuzzDecodeReadNodesResponse' -fuzztime 5s ./internal/rpc/

@@ -46,6 +46,13 @@ go test -run '^$' -bench 'BenchmarkDot|BenchmarkMatVec|BenchmarkAxpy' -benchmem 
 # (serial + concurrent callers on the shared multiplexed pool) and the
 # multi-shard remote tree.
 go test -run '^$' -bench 'BenchmarkRPCRoundTrip|BenchmarkRemoteBatch$|BenchmarkRemoteBatchParallel|BenchmarkRemoteTree' -benchmem -count "$COUNT" ./internal/rpc/ | tee -a "$TMP" >&2
+# The bulk node read and what training gains from it: one scatter-gather
+# attribute read (64 / 512 ids, 4 shards on 2 servers, 0 allocs/op), a
+# 2-hop focal-biased ROI tree over the wire through a read set, and a
+# whole 32-example training step over the in-memory graph and over the
+# cluster (fixed iteration count — a step is ~0.1 s).
+go test -run '^$' -bench 'BenchmarkRemoteReadNodes|BenchmarkBuildTreeRemote' -benchmem -count "$COUNT" ./internal/rpc/ 2>/dev/null | tee -a "$TMP" >&2
+go test -run '^$' -bench 'BenchmarkTrainStep' -benchtime 20x -benchmem -count "$COUNT" ./internal/rpc/ 2>/dev/null | tee -a "$TMP" >&2
 # Failover latency: first draw after a replica kill (fixed iteration
 # count — every iteration rebuilds a 2-server cluster outside the timer)
 # and steady-state draws with one replica dead.

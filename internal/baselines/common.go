@@ -40,6 +40,10 @@ type gnnModel struct {
 	g    core.GraphView
 	fe   *core.FeatureEmbedder
 
+	// reads is the current forward pass's read set (m.g points at it for
+	// the duration); nil between passes.
+	reads *sampling.ReadSet
+
 	towerUQ, towerItem *nn.MLP
 	extra              []*nn.Param
 
@@ -67,6 +71,18 @@ func (m *gnnModel) Name() string { return m.name }
 // lookups without touching trained weights.
 func (m *gnnModel) BindView(g core.GraphView) { m.g = g }
 
+// stepView puts the bound view behind the read set of one forward pass
+// (core.NewStepView) — the same helper Zoomer reads through — and
+// returns the call that takes it off again. Every closure reads through
+// m.g, so for the duration each graph read is fetched once, and
+// sampling.BuildTree reads its frontiers in bulk.
+func (m *gnnModel) stepView() (done func()) {
+	g := m.g
+	m.reads = core.NewStepView(g)
+	m.g = m.reads
+	return func() { m.g, m.reads = g, nil }
+}
+
 // nodeEmb returns the mean of a node's feature latent vectors (1 x d).
 func (m *gnnModel) nodeEmb(t *ad.Tape, id graph.NodeID) *ad.Node {
 	return t.MeanRows(m.fe.FeatureMatrix(t, m.g, id))
@@ -78,6 +94,7 @@ func (m *gnnModel) itemVec(t *ad.Tape, item graph.NodeID) *ad.Node {
 
 // Logits implements core.Model.
 func (m *gnnModel) Logits(t *ad.Tape, batch []core.Instance, r *rng.RNG) *ad.Node {
+	defer m.stepView()()
 	rows := make([]*ad.Node, len(batch))
 	for i, ex := range batch {
 		uq := m.uqFn(t, ex.User, ex.Query, r)
@@ -100,6 +117,7 @@ func (m *gnnModel) Tables() []*nn.EmbeddingTable { return m.fe.Tables() }
 
 // UserQueryEmbedding implements core.Model.
 func (m *gnnModel) UserQueryEmbedding(u, q graph.NodeID, r *rng.RNG) tensor.Vec {
+	defer m.stepView()()
 	t := ad.NewTape()
 	return tensor.Copy(m.uqFn(t, u, q, r).Val.Row(0))
 }
@@ -133,6 +151,7 @@ func samplerUQ(m *gnnModel, s sampling.Sampler, aggW *nn.Linear, focalFromConten
 	// and eval are single-goroutine), and the walk samplers' slice-backed
 	// visit counters are only cheap when the scratch is reused.
 	sc := sampling.NewScratch()
+	var nodes []graph.NodeID
 	return func(t *ad.Tape, u, q graph.NodeID, r *rng.RNG) *ad.Node {
 		sc.Reset()
 		var focal tensor.Vec
@@ -147,6 +166,8 @@ func samplerUQ(m *gnnModel, s sampling.Sampler, aggW *nn.Linear, focalFromConten
 		}
 		treeU := sampling.BuildTree(m.g, u, focal, m.cfg.Hops, m.cfg.FanOut, s, r, sc)
 		treeQ := sampling.BuildTree(m.g, q, focal, m.cfg.Hops, m.cfg.FanOut, s, r, sc)
+		nodes = treeQ.AppendNodes(treeU.AppendNodes(nodes[:0]))
+		m.reads.Prefetch(nodes, graph.ReadFeatures)
 		hu := meanTree(t, m, treeU, aggW)
 		hq := meanTree(t, m, treeQ, aggW)
 		return m.towerUQ.Forward(t, t.ConcatCols(hu, hq))

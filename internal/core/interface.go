@@ -26,6 +26,13 @@ type GraphView interface {
 	Type(id graph.NodeID) graph.NodeType
 }
 
+// NewStepView wraps g in the read set of one forward pass: a GraphView
+// that fetches each attribute of each node from g at most once and takes
+// the reads the pass can foresee in bulk (sampling.ReadSet). Models
+// create one per Logits or embedding call and drop it at the end — the
+// graph may change between steps, never inside one.
+func NewStepView(g GraphView) *sampling.ReadSet { return sampling.NewReadSet(g, g.Type) }
+
 // ViewBinder is implemented by models whose graph view can be swapped
 // after construction — the same trained weights then serve against a
 // different topology (e.g. per-arm engine configs in an A/B test).

@@ -1,0 +1,129 @@
+package core
+
+import (
+	"testing"
+
+	"zoomer/internal/ad"
+	"zoomer/internal/engine"
+	"zoomer/internal/graph"
+	"zoomer/internal/partition"
+	"zoomer/internal/rng"
+	"zoomer/internal/sampling"
+	"zoomer/internal/tensor"
+)
+
+// perNodeView serves a bulk read as the single-node reads it replaced,
+// in request order: the read pattern every view had before ReadNodes.
+type perNodeView struct{ *graph.Graph }
+
+func (v perNodeView) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, into *graph.NodeBlock) {
+	into.Resize(len(ids), fields)
+	for i, id := range ids {
+		if fields&graph.ReadNeighbors != 0 {
+			into.Neighbors[i] = v.Neighbors(id)
+		}
+		if fields&graph.ReadFeatures != 0 {
+			into.Features[i] = v.Features(id)
+		}
+		if fields&graph.ReadContent != 0 {
+			into.Content[i] = v.Content(id)
+		}
+	}
+}
+
+// legacyZoomer is the reference the read-set path is pinned against: the
+// forward pass as it ran before — request by request, every graph read a
+// single-node call straight on the bound view, trees embedded as soon as
+// they are built, the scratch arena recycled per request.
+type legacyZoomer struct{ *Zoomer }
+
+func (l legacyZoomer) uq(t *ad.Tape, u, q graph.NodeID, r *rng.RNG, sc *sampling.Scratch) *ad.Node {
+	z := l.Zoomer
+	C := z.focalVector(t, z.g, u, q)
+	fc := samplingFocal(z.g, u, q)
+	sc.Reset()
+	treeU := sampling.BuildTree(z.g, u, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
+	treeQ := sampling.BuildTree(z.g, q, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
+	hu := z.embedTree(t, z.g, treeU, C, z.attnUser.Node(t))
+	hq := z.embedTree(t, z.g, treeQ, C, z.attnQuery.Node(t))
+	return z.towerUQ.Forward(t, t.ConcatCols(hu, hq))
+}
+
+func (l legacyZoomer) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
+	sc := sampling.NewScratch()
+	rows := make([]*ad.Node, len(batch))
+	for i, ex := range batch {
+		uq := l.uq(t, ex.User, ex.Query, r, sc)
+		it := l.itemBase(t, l.g, ex.Item)
+		rows[i] = t.Scale(l.cfg.LogitScale, t.CosineSim(uq, it))
+	}
+	return t.ConcatRows(rows...)
+}
+
+func (l legacyZoomer) UserQueryEmbedding(u, q graph.NodeID, r *rng.RNG) tensor.Vec {
+	out := l.uq(ad.NewTape(), u, q, r, sampling.NewScratch())
+	return tensor.Copy(out.Val.Row(0))
+}
+
+// stepTrace is what a short training run leaves behind.
+type stepTrace struct {
+	losses []float64
+	uq     tensor.Vec
+	rng    [4]uint64
+}
+
+func traceRun(m Model, w *tinyWorld) stepTrace {
+	tc := DefaultTrainConfig()
+	tc.Seed, tc.Epochs, tc.MaxSteps, tc.BatchSize = 5, 1, 6, 8
+	var tr stepTrace
+	tc.OnStep = func(_ int, loss float64) { tr.losses = append(tr.losses, loss) }
+	Train(m, w.train, nil, tc)
+	r := rng.New(6)
+	tr.uq = m.UserQueryEmbedding(w.test[0].User, w.test[0].Query, r)
+	tr.rng = r.State()
+	return tr
+}
+
+// TestStepViewMatchesPerNodeReads pins the read-set forward pass
+// bit-for-bit against the per-node reference, for every sampler —
+// the RNG-consuming ones included — and for one- and three-hop regions:
+// same loss trace, same exported embedding, same RNG state afterwards,
+// over the monolithic graph and over a sharded engine.
+func TestStepViewMatchesPerNodeReads(t *testing.T) {
+	w := buildTinyWorld(t, 3)
+	g := w.res.Graph
+	eng := engine.New(g, engine.Config{Shards: 3, Replicas: 1, Strategy: partition.DegreeBalanced})
+	defer eng.Close()
+	views := map[string]GraphView{"graph": g, "engine": EngineView{Engine: eng, M: w.res.Mapping}}
+
+	samplers := []sampling.Sampler{
+		sampling.NewFocalBiased(), sampling.Uniform{}, sampling.Weighted{},
+		sampling.NewImportanceWalk(), sampling.NewBiasedWalk(), sampling.NewClusterImportance(),
+	}
+	for _, s := range samplers {
+		for _, hops := range []int{1, 3} {
+			cfg := tinyModelConfig()
+			cfg.Sampler, cfg.Hops, cfg.FanOut = s, hops, 3
+			want := traceRun(legacyZoomer{NewZoomer(perNodeView{g}, w.logs.Vocab(), cfg, 7)}, w)
+			if len(want.losses) == 0 {
+				t.Fatalf("%s: empty reference trace", s.Name())
+			}
+			for name, view := range views {
+				got := traceRun(NewZoomer(view, w.logs.Vocab(), cfg, 7), w)
+				for i := range want.losses {
+					if got.losses[i] != want.losses[i] {
+						t.Fatalf("%s hops=%d over %s: step %d loss %v != %v", s.Name(), hops, name, i, got.losses[i], want.losses[i])
+					}
+				}
+				for i := range want.uq {
+					if got.uq[i] != want.uq[i] {
+						t.Fatalf("%s hops=%d over %s: embedding dim %d differs", s.Name(), hops, name, i)
+					}
+				}
+				if got.rng != want.rng {
+					t.Fatalf("%s hops=%d over %s: RNG consumed differently", s.Name(), hops, name)
+				}
+			}
+		}
+	}
+}

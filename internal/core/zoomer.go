@@ -137,12 +137,12 @@ func (z *Zoomer) Tables() []*nn.EmbeddingTable { return z.fe.Tables() }
 // focal points' content features, used to score neighbors during ROI
 // construction (no learned parameters — sampling happens outside the
 // training graph).
-func (z *Zoomer) samplingFocal(u, q graph.NodeID) tensor.Vec {
-	fc := tensor.NewVec(z.g.ContentDim())
-	if c := z.g.Content(u); c != nil {
+func samplingFocal(g GraphView, u, q graph.NodeID) tensor.Vec {
+	fc := tensor.NewVec(g.ContentDim())
+	if c := g.Content(u); c != nil {
 		tensor.Axpy(1, c, fc)
 	}
-	if c := z.g.Content(q); c != nil {
+	if c := g.Content(q); c != nil {
 		tensor.Axpy(1, c, fc)
 	}
 	return fc
@@ -150,9 +150,9 @@ func (z *Zoomer) samplingFocal(u, q graph.NodeID) tensor.Vec {
 
 // focalVector computes the learned focal vector (§V-A): per-type space
 // mapping of the focal points' embeddings, then summation.
-func (z *Zoomer) focalVector(t *ad.Tape, u, q graph.NodeID) *ad.Node {
-	eu := t.MeanRows(z.fe.FeatureMatrix(t, z.g, u))
-	eq := t.MeanRows(z.fe.FeatureMatrix(t, z.g, q))
+func (z *Zoomer) focalVector(t *ad.Tape, g GraphView, u, q graph.NodeID) *ad.Node {
+	eu := t.MeanRows(z.fe.FeatureMatrix(t, g, u))
+	eq := t.MeanRows(z.fe.FeatureMatrix(t, g, q))
 	return t.Add(z.mapUser.Forward(t, eu), z.mapQuery.Forward(t, eq))
 }
 
@@ -217,8 +217,8 @@ func (z *Zoomer) semanticLevel(t *ad.Tape, zf *ad.Node, perType []*ad.Node) *ad.
 // interior nodes aggregate children per type with edge attention and
 // combine types semantically, with a residual connection to the ego's own
 // feature embedding.
-func (z *Zoomer) embedTree(t *ad.Tape, tree *sampling.Tree, C, a *ad.Node) *ad.Node {
-	H := z.fe.FeatureMatrix(t, z.g, tree.Node)
+func (z *Zoomer) embedTree(t *ad.Tape, g GraphView, tree *sampling.Tree, C, a *ad.Node) *ad.Node {
+	H := z.fe.FeatureMatrix(t, g, tree.Node)
 	zf := z.featureLevel(t, H, C)
 	if len(tree.Children) == 0 {
 		return zf
@@ -226,8 +226,8 @@ func (z *Zoomer) embedTree(t *ad.Tape, tree *sampling.Tree, C, a *ad.Node) *ad.N
 	// Group children by neighbor type (eq. 8 normalizes within type).
 	var byType [graph.NumNodeTypes][]*ad.Node
 	for i, child := range tree.Children {
-		emb := z.embedTree(t, child, C, a)
-		nt := z.g.Type(tree.Edges[i].To)
+		emb := z.embedTree(t, g, child, C, a)
+		nt := g.Type(tree.Edges[i].To)
 		byType[nt] = append(byType[nt], emb)
 	}
 	var perType []*ad.Node
@@ -242,35 +242,69 @@ func (z *Zoomer) embedTree(t *ad.Tape, tree *sampling.Tree, C, a *ad.Node) *ad.N
 
 // itemBase is the base item model of §V-B: feature embedding through the
 // item tower, no graph attention (matching the online deployment).
-func (z *Zoomer) itemBase(t *ad.Tape, item graph.NodeID) *ad.Node {
-	emb := t.MeanRows(z.fe.FeatureMatrix(t, z.g, item))
+func (z *Zoomer) itemBase(t *ad.Tape, g GraphView, item graph.NodeID) *ad.Node {
+	emb := t.MeanRows(z.fe.FeatureMatrix(t, g, item))
 	return z.towerItem.Forward(t, emb)
 }
 
-// uqForward runs the user and query towers for one request and returns
-// the combined user-query vector. sc backs the ROI construction; it is
-// reset here, so trees from the previous request must no longer be in
-// use.
-func (z *Zoomer) uqForward(t *ad.Tape, u, q graph.NodeID, r *rng.RNG, sc *sampling.Scratch) *ad.Node {
-	C := z.focalVector(t, u, q)
-	fc := z.samplingFocal(u, q)
-	sc.Reset()
-	treeU := sampling.BuildTree(z.g, u, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
-	treeQ := sampling.BuildTree(z.g, q, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
-	hu := z.embedTree(t, treeU, C, z.attnUser.Node(t))
-	hq := z.embedTree(t, treeQ, C, z.attnQuery.Node(t))
+// roi is one request's pair of sampled regions.
+type roi struct{ user, query *sampling.Tree }
+
+// sampleROIs is the one ROI-construction path of training and inference,
+// over every kind of view. All graph reads of the pass go through rs: the
+// focal points' content and adjacency arrive in one bulk read, the region
+// trees are built request by request in the order — and so with the RNG
+// stream — they always were (BuildTree reads one level ahead of its
+// depth-first walk), and the features of every node the embedding will
+// touch — the trees' nodes plus extra, the batch's items — arrive in one
+// last bulk read. What follows runs on slice lookups. The trees live in
+// sc until its next Reset.
+func (z *Zoomer) sampleROIs(rs *sampling.ReadSet, batch []Instance, extra []graph.NodeID, r *rng.RNG, sc *sampling.Scratch) []roi {
+	ids := make([]graph.NodeID, 0, 3*len(batch))
+	for _, ex := range batch {
+		ids = append(ids, ex.User, ex.Query)
+	}
+	rs.Prefetch(ids, graph.ReadNeighbors|graph.ReadContent)
+	if z.cfg.Hops > 0 {
+		rs.Expand(ids, z.sampler.NeighborReads())
+	}
+	rois := make([]roi, len(batch))
+	for i, ex := range batch {
+		fc := samplingFocal(rs, ex.User, ex.Query)
+		rois[i].user = sampling.BuildTree(rs, ex.User, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
+		rois[i].query = sampling.BuildTree(rs, ex.Query, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
+	}
+	ids = append(ids[:0], extra...)
+	for _, roi := range rois {
+		ids = roi.query.AppendNodes(roi.user.AppendNodes(ids))
+	}
+	rs.Prefetch(ids, graph.ReadFeatures)
+	return rois
+}
+
+// uqForward runs the user and query towers over one request's regions
+// and returns the combined user-query vector.
+func (z *Zoomer) uqForward(t *ad.Tape, g GraphView, u, q graph.NodeID, roi roi) *ad.Node {
+	C := z.focalVector(t, g, u, q)
+	hu := z.embedTree(t, g, roi.user, C, z.attnUser.Node(t))
+	hq := z.embedTree(t, g, roi.query, C, z.attnQuery.Node(t))
 	return z.towerUQ.Forward(t, t.ConcatCols(hu, hq))
 }
 
 // Logits implements Model: per-example twin-tower cosine scores scaled
-// into logits. One sampling scratch serves the whole batch, so ROI
-// construction allocates only on the first examples.
+// into logits. The batch's regions are sampled first, through a read set
+// that lives for this call, then embedded.
 func (z *Zoomer) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
-	sc := sampling.NewScratch()
+	rs := NewStepView(z.g)
+	items := make([]graph.NodeID, len(batch))
+	for i, ex := range batch {
+		items[i] = ex.Item
+	}
+	rois := z.sampleROIs(rs, batch, items, r, sampling.NewScratch())
 	rows := make([]*ad.Node, len(batch))
 	for i, ex := range batch {
-		uq := z.uqForward(t, ex.User, ex.Query, r, sc)
-		it := z.itemBase(t, ex.Item)
+		uq := z.uqForward(t, rs, ex.User, ex.Query, rois[i])
+		it := z.itemBase(t, rs, ex.Item)
 		rows[i] = t.Scale(z.cfg.LogitScale, t.CosineSim(uq, it))
 	}
 	return t.ConcatRows(rows...)
@@ -278,15 +312,16 @@ func (z *Zoomer) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
 
 // UserQueryEmbedding implements Model (inference path: forward only).
 func (z *Zoomer) UserQueryEmbedding(u, q graph.NodeID, r *rng.RNG) tensor.Vec {
-	t := ad.NewTape()
-	out := z.uqForward(t, u, q, r, sampling.NewScratch())
+	rs := NewStepView(z.g)
+	rois := z.sampleROIs(rs, []Instance{{User: u, Query: q}}, nil, r, sampling.NewScratch())
+	out := z.uqForward(ad.NewTape(), rs, u, q, rois[0])
 	return tensor.Copy(out.Val.Row(0))
 }
 
 // ItemEmbedding implements Model.
 func (z *Zoomer) ItemEmbedding(item graph.NodeID, _ *rng.RNG) tensor.Vec {
 	t := ad.NewTape()
-	out := z.itemBase(t, item)
+	out := z.itemBase(t, z.g, item)
 	return tensor.Copy(out.Val.Row(0))
 }
 
@@ -296,7 +331,7 @@ func (z *Zoomer) ItemEmbedding(item graph.NodeID, _ *rng.RNG) tensor.Vec {
 // neighbor. Weights are softmax-normalized over the provided set.
 func (z *Zoomer) EdgeAttentionWeights(ego graph.NodeID, focalU, focalQ graph.NodeID, neighbors []graph.NodeID) []float32 {
 	t := ad.NewTape()
-	C := z.focalVector(t, focalU, focalQ)
+	C := z.focalVector(t, z.g, focalU, focalQ)
 	H := z.fe.FeatureMatrix(t, z.g, ego)
 	zf := z.featureLevel(t, H, C)
 	a := z.attnUser.Node(t)

@@ -144,12 +144,19 @@ type GraphService interface {
 // sub-stream derived from (base, idx[j]) so results are bit-identical
 // however entries are grouped. On error the backend's writes to out/ns
 // are unspecified; the Engine re-zeroes ns before surfacing the error.
+//
+// ReadNodesInto is the group call of the attribute reads — one per owning
+// shard per Engine.ReadNodes, one round trip over an RPC backend: the
+// requested attributes of node gids[j] go to entry pos[j] of into's
+// columns (entry j when pos is nil), which the caller has sized. A
+// backend that copies carves the copies from into's arenas.
 type ShardBackend interface {
 	SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error)
 	SampleBatchInto(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (int, error)
 	NeighborsOf(id graph.NodeID) ([]graph.Edge, error)
 	FeaturesOf(id graph.NodeID) ([]int32, error)
 	ContentOf(id graph.NodeID) (tensor.Vec, error)
+	ReadNodesInto(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) error
 }
 
 // BatchStarter is optionally implemented by backends that can issue a
@@ -179,9 +186,9 @@ type BatchHandle interface {
 // batchStarted is the optional Started() facet of a BatchHandle.
 type batchStarted interface{ Started() bool }
 
-// handleStarted reports whether a handle's visit is already on the wire
-// (true for handles that do not expose the facet).
-func handleStarted(h BatchHandle) bool {
+// handleStarted reports whether a batch or read handle's visit is already
+// on the wire (true for handles that do not expose the facet).
+func handleStarted(h any) bool {
 	if s, ok := h.(batchStarted); ok {
 		return s.Started()
 	}
@@ -405,6 +412,8 @@ type Engine struct {
 	fanoutOnce sync.Once
 	fanoutCh   chan visitJob
 	closeOnce  sync.Once
+
+	readPool sync.Pool // *readScratch, reused across ReadNodes calls
 }
 
 // visitJob is one per-shard batch visit handed to a fan-out worker. The

@@ -55,6 +55,19 @@ func (sb *slowBackend) NeighborsOf(id graph.NodeID) ([]graph.Edge, error) { retu
 func (sb *slowBackend) FeaturesOf(id graph.NodeID) ([]int32, error)       { return nil, nil }
 func (sb *slowBackend) ContentOf(id graph.NodeID) (tensor.Vec, error)     { return nil, nil }
 
+// ReadNodesInto answers after the delay with one feature per node: its
+// own id, so position addressing is checkable.
+func (sb *slowBackend) ReadNodesInto(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) error {
+	time.Sleep(sb.delay)
+	if sb.fail != nil {
+		return sb.fail
+	}
+	for j, id := range gids {
+		into.Features[pos[j]] = []int32{id}
+	}
+	return nil
+}
+
 // slowStarterBackend additionally implements BatchStarter, exercising
 // the async overlap path: Start launches the visit, Await joins it.
 type slowStarterBackend struct {
@@ -76,6 +89,20 @@ func (sb *slowStarterBackend) StartSampleBatch(gids []graph.NodeID, idx []int32,
 	h := &slowHandle{done: make(chan struct{})}
 	go func() {
 		h.n, h.err = sb.SampleBatchInto(gids, idx, base, k, out, ns)
+		close(h.done)
+	}()
+	return h
+}
+
+func (h *slowHandle) AwaitRead() error {
+	<-h.done
+	return h.err
+}
+
+func (sb *slowStarterBackend) StartReadNodes(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) ReadHandle {
+	h := &slowHandle{done: make(chan struct{})}
+	go func() {
+		h.err = sb.ReadNodesInto(gids, pos, fields, into)
 		close(h.done)
 	}()
 	return h

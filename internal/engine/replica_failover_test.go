@@ -52,6 +52,14 @@ func (fb *flakyBackend) NeighborsOf(id graph.NodeID) ([]graph.Edge, error) {
 	return fb.sh.NeighborsOf(id)
 }
 
+func (fb *flakyBackend) ReadNodesInto(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) error {
+	fb.calls.Add(1)
+	if fb.failing.Load() {
+		return fb.transportErr()
+	}
+	return fb.sh.ReadNodesInto(gids, pos, fields, into)
+}
+
 func (fb *flakyBackend) FeaturesOf(id graph.NodeID) ([]int32, error) {
 	fb.calls.Add(1)
 	if fb.failing.Load() {

@@ -15,6 +15,7 @@ import (
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
 	"zoomer/internal/rpc"
+	"zoomer/internal/sampling"
 	"zoomer/internal/tensor"
 )
 
@@ -279,4 +280,136 @@ func TestForwardEquivalenceAllModels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSamplerEquivalenceAcrossTopologies pins the read-set path for every
+// sampler — the RNG-consuming ones included — at three hops: the loss
+// trace and the exported embedding of a Zoomer trained over the sharded
+// and the remote view are bit-identical to the monolithic graph's. (The
+// graph leg is itself pinned against the per-node read order by
+// core's TestStepViewMatchesPerNodeReads.)
+func TestSamplerEquivalenceAcrossTopologies(t *testing.T) {
+	w, topos, cleanup := equivalenceTopologies(t)
+	defer cleanup()
+	samplers := []sampling.Sampler{
+		sampling.NewFocalBiased(), sampling.Uniform{}, sampling.Weighted{},
+		sampling.NewImportanceWalk(), sampling.NewBiasedWalk(), sampling.NewClusterImportance(),
+	}
+	run := func(s sampling.Sampler, g core.GraphView) (losses []float64, emb tensor.Vec) {
+		cfg := core.DefaultConfig()
+		cfg.EmbedDim, cfg.OutDim, cfg.Hops, cfg.FanOut, cfg.Sampler = 16, 16, 3, 3, s
+		m := core.NewZoomer(g, w.logs.Vocab(), cfg, 31)
+		tc := core.DefaultTrainConfig()
+		tc.Seed, tc.Epochs, tc.MaxSteps, tc.BatchSize = 71, 1, 5, 8
+		tc.OnStep = func(_ int, loss float64) { losses = append(losses, loss) }
+		core.Train(m, w.train, nil, tc)
+		return losses, m.UserQueryEmbedding(w.test[0].User, w.test[0].Query, rng.New(74))
+	}
+	for _, s := range samplers {
+		wantLoss, wantEmb := run(s, topos[0].view)
+		for _, topo := range topos[1:] {
+			if topo.name != "hash-4-locality" && topo.name != "degree-2" && topo.name != "remote-2servers" {
+				continue
+			}
+			gotLoss, gotEmb := run(s, topo.view)
+			for i := range wantLoss {
+				if gotLoss[i] != wantLoss[i] {
+					t.Fatalf("%s/%s: step %d loss %v != %v", s.Name(), topo.name, i, gotLoss[i], wantLoss[i])
+				}
+			}
+			for i := range wantEmb {
+				if gotEmb[i] != wantEmb[i] {
+					t.Fatalf("%s/%s: embedding dim %d differs", s.Name(), topo.name, i)
+				}
+			}
+		}
+	}
+}
+
+// contentCounter is a decorator in the shape of the benchmark rig's: it
+// embeds the view — so the bulk read reaches the engine through the
+// promoted method — and counts how often each node's content is read.
+type contentCounter struct {
+	core.GraphView
+	content map[graph.NodeID]int
+}
+
+func (v *contentCounter) Content(id graph.NodeID) tensor.Vec {
+	v.content[id]++
+	return v.GraphView.Content(id)
+}
+
+func (v *contentCounter) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, into *graph.NodeBlock) {
+	if fields&graph.ReadContent != 0 {
+		for _, id := range ids {
+			v.content[id]++
+		}
+	}
+	v.GraphView.ReadNodes(ids, fields, into)
+}
+
+// TestRemoteStepReadBudget pins where the remote training step's saving
+// sits, at the benchmark rig's configuration (large world, four hash
+// shards on two servers, default model, 32-example batches): a step is
+// served by at most 2 000 read requests of any kind — it used to take
+// ~325 000 — the count is exactly repeatable, and no node's content
+// crosses the wire twice within a step.
+func TestRemoteStepReadBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the large world")
+	}
+	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleLarge, 1))
+	w := buildWorldFromLogs(logs, 1)
+	var servers []*rpc.Server
+	var addrs []string
+	for _, owned := range [][]int{{0, 1}, {2, 3}} {
+		srv := rpc.NewServer(w.res.Graph, rpc.ServerConfig{Shards: 4, Strategy: partition.Hash, Owned: owned, Replicas: 1})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		srv.Start(ln)
+		defer srv.Close()
+		servers, addrs = append(servers, srv), append(addrs, ln.Addr().String())
+	}
+	cluster, err := rpc.DialCluster(addrs...)
+	if err != nil {
+		t.Fatalf("dial cluster: %v", err)
+	}
+	defer cluster.Close()
+	reads := func() (n int64) {
+		for _, srv := range servers {
+			for _, op := range []rpc.Op{rpc.OpNeighbors, rpc.OpFeatures, rpc.OpContent, rpc.OpReadNodes} {
+				n += srv.OpCount(op)
+			}
+		}
+		return n
+	}
+
+	view := &contentCounter{GraphView: core.EngineView{Engine: cluster.Engine, M: w.res.Mapping}}
+	m := core.NewZoomer(view, logs.Vocab(), core.DefaultConfig(), 3)
+	var perStep []int64
+	for rep := 0; rep < 2; rep++ {
+		r := rng.New(9)
+		for step := 0; step < 3; step++ {
+			view.content = map[graph.NodeID]int{}
+			before := reads()
+			m.Logits(ad.NewTape(), w.train[step*32:(step+1)*32], r)
+			d := reads() - before
+			if d > 2000 {
+				t.Fatalf("step %d took %d read requests, budget 2000", step, d)
+			}
+			for id, n := range view.content {
+				if n > 1 {
+					t.Fatalf("step %d: node %d's content was read %d times", step, id, n)
+				}
+			}
+			if rep == 0 {
+				perStep = append(perStep, d)
+			} else if d != perStep[step] {
+				t.Fatalf("step %d took %d read requests, %d the first time", step, d, perStep[step])
+			}
+		}
+	}
+	t.Logf("read requests per 32-example remote step: %v", perStep)
 }

@@ -56,6 +56,7 @@ type Server struct {
 	shards []*psShard
 
 	pulls, pushes, applied atomic.Int64
+	enqueued               atomic.Int64 // updates handed to a shard queue; Flush waits for applied to catch up
 	maxQueue               atomic.Int64
 
 	wg      sync.WaitGroup
@@ -156,21 +157,18 @@ func (s *Server) Push(updates []Update) {
 		if d := int64(len(sh.queue)); d > s.maxQueue.Load() {
 			s.maxQueue.Store(d)
 		}
+		s.enqueued.Add(1)
 		sh.queue <- u
 	}
 }
 
-// Flush blocks until all queued updates have been applied.
+// Flush blocks until every update pushed before the call has been
+// applied. It waits on the applied count, not on queue lengths: an update
+// leaves its queue before the apply loop takes the row lock, so an empty
+// queue does not mean an applied update.
 func (s *Server) Flush() {
-	for _, sh := range s.shards {
-		for len(sh.queue) > 0 {
-			runtime.Gosched()
-		}
-	}
-	// One more lock round ensures the last dequeued update finished.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.mu.Unlock() //lint:ignore SA2001 barrier only
+	for want := s.enqueued.Load(); s.applied.Load() < want; {
+		runtime.Gosched()
 	}
 }
 

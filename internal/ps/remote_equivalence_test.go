@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -79,6 +80,39 @@ func requireEqualMF(t *testing.T, want, got GraphMFResult, leg string) {
 	}
 }
 
+// exampleNodes lists every node the examples mention (with repeats).
+func exampleNodes(examples []GraphMFExample) []graph.NodeID {
+	ids := make([]graph.NodeID, 0, 2*len(examples))
+	for _, ex := range examples {
+		ids = append(ids, ex.User, ex.Item)
+	}
+	return ids
+}
+
+// requireSameNodes asserts the bulk node read — what a remote worker
+// pulls a step's adjacency, features and content through — returns the
+// same bits from the remote cluster as from the local engine and the
+// graph itself.
+func requireSameNodes(t *testing.T, g *graph.Graph, local, remote *engine.Engine, examples []GraphMFExample, leg string) {
+	t.Helper()
+	ids := exampleNodes(examples)
+	var want, got graph.NodeBlock
+	if err := local.TryReadNodes(ids, graph.ReadAll, &want); err != nil {
+		t.Fatalf("%s: local bulk read: %v", leg, err)
+	}
+	if err := remote.TryReadNodes(ids, graph.ReadAll, &got); err != nil {
+		t.Fatalf("%s: remote bulk read: %v", leg, err)
+	}
+	for i, id := range ids {
+		if !slices.Equal(want.Neighbors[i], got.Neighbors[i]) || !slices.Equal(g.Neighbors(id), got.Neighbors[i]) {
+			t.Fatalf("%s: node %d adjacency differs", leg, id)
+		}
+		if !slices.Equal(want.Features[i], got.Features[i]) || !slices.Equal(want.Content[i], got.Content[i]) {
+			t.Fatalf("%s: node %d attributes differ", leg, id)
+		}
+	}
+}
+
 // killAfter wraps a NeighborSource and fires kill() once, just before
 // the Nth sample call — deterministic mid-training server death.
 type killAfter struct {
@@ -146,6 +180,7 @@ func TestTrainRemoteEquivalence(t *testing.T) {
 		t.Fatalf("remote run: %v", err)
 	}
 	requireEqualMF(t, want, got, "remote == local")
+	requireSameNodes(t, res.Graph, local, cluster.Engine, examples, "remote == local")
 
 	// Kill leg: server 1 dies just before the 10th neighbor sample. The
 	// run must abort with the engine's typed error.
@@ -156,6 +191,13 @@ func TestTrainRemoteEquivalence(t *testing.T) {
 	}
 	if !errors.Is(err, engine.ErrShardUnavailable) {
 		t.Fatalf("expected typed engine.ErrShardUnavailable, got: %v", err)
+	}
+	// A bulk read spanning the dead server's shards fails the same typed
+	// way — no panic, no partially filled block handed back as a result.
+	var blk graph.NodeBlock
+	err = cluster.Engine.TryReadNodes(exampleNodes(examples), graph.ReadNeighbors|graph.ReadContent, &blk)
+	if !errors.Is(err, engine.ErrShardUnavailable) {
+		t.Fatalf("bulk read over a dead server: expected typed engine.ErrShardUnavailable, got: %v", err)
 	}
 
 	// Restart leg: a fresh server on the same address re-serves shards
@@ -175,4 +217,5 @@ func TestTrainRemoteEquivalence(t *testing.T) {
 		t.Fatalf("post-restart run: %v", err)
 	}
 	requireEqualMF(t, want, again, "post-restart == local")
+	requireSameNodes(t, res.Graph, local, cluster.Engine, examples, "post-restart == local")
 }

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -164,9 +165,15 @@ func TestAppendIdempotencyAndResync(t *testing.T) {
 	}
 }
 
-// A v4 client dialing a v3 server must fail loudly naming BOTH versions,
-// so a skewed rollout reads as "upgrade the server", not a mystery
-// timeout. Extends the TestVersionMismatch* family.
+// A client dialing a server one protocol version behind must fail loudly
+// naming BOTH versions, so a skewed rollout reads as "upgrade the
+// server", not a mystery timeout. Extends the TestVersionMismatch*
+// family.
+var (
+	thisVersion = fmt.Sprintf("v%d", ProtocolVersion)
+	oldVersion  = fmt.Sprintf("v%d", ProtocolVersion-1)
+)
+
 func TestVersionSkewOldServerNamesBothVersions(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -182,8 +189,8 @@ func TestVersionSkewOldServerNamesBothVersions(t *testing.T) {
 			go func() {
 				buf := make([]byte, prefaceLen)
 				if _, err := io.ReadFull(c, buf); err == nil {
-					// A v3 server echoes its own preface before rejecting.
-					c.Write(appendPreface(buf[:0], 3))
+					// An older server echoes its own preface before rejecting.
+					c.Write(appendPreface(buf[:0], ProtocolVersion-1))
 				}
 			}()
 		}
@@ -193,17 +200,17 @@ func TestVersionSkewOldServerNamesBothVersions(t *testing.T) {
 	defer cl.Close()
 	_, err = cl.Info()
 	if err == nil {
-		t.Fatalf("v4 client accepted v3 server")
+		t.Fatalf("client accepted a server one version behind")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, "version mismatch") || !strings.Contains(msg, "v3") || !strings.Contains(msg, "v4") {
+	if !strings.Contains(msg, "version mismatch") || !strings.Contains(msg, oldVersion) || !strings.Contains(msg, thisVersion) {
 		t.Fatalf("skew error must name both versions, got: %v", err)
 	}
 }
 
-// The reverse direction: a v3 client (simulated with a raw preface)
-// hitting a v4 server gets an error frame naming both versions before
-// the connection drops.
+// The reverse direction: an older client (simulated with a raw preface)
+// hitting a current server gets an error frame naming both versions
+// before the connection drops.
 func TestVersionSkewOldClientNamesBothVersions(t *testing.T) {
 	g := buildGraph(t)
 	_, addr := startServer(t, g, ServerConfig{Shards: 1, Strategy: partition.Hash, Replicas: 1})
@@ -212,20 +219,20 @@ func TestVersionSkewOldClientNamesBothVersions(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(appendPreface(nil, 3)); err != nil {
+	if _, err := conn.Write(appendPreface(nil, ProtocolVersion-1)); err != nil {
 		t.Fatalf("write preface: %v", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
 	var fs frameScratch
 	body, err := fs.readFrame(conn)
 	if err != nil {
-		t.Fatalf("v3 client got no error frame, just %v", err)
+		t.Fatalf("old client got no error frame, just %v", err)
 	}
 	if len(body) == 0 || body[0] != statusErr {
-		t.Fatalf("v3 client got a non-error reply (% x)", body)
+		t.Fatalf("old client got a non-error reply (% x)", body)
 	}
 	msg := string(body[1:])
-	if !strings.Contains(msg, "version mismatch") || !strings.Contains(msg, "v3") || !strings.Contains(msg, "v4") {
+	if !strings.Contains(msg, "version mismatch") || !strings.Contains(msg, oldVersion) || !strings.Contains(msg, thisVersion) {
 		t.Fatalf("skew error must name both versions, got: %q", msg)
 	}
 }

@@ -1,13 +1,18 @@
 package rpc
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
+	"zoomer/internal/core"
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
+	"zoomer/internal/graphbuild"
+	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
+	"zoomer/internal/sampling"
 )
 
 // BenchmarkRPCRoundTrip measures one single-sample request over a
@@ -126,4 +131,82 @@ func BenchmarkRemoteTree(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRemoteReadNodes measures one bulk node read — neighbors,
+// features and content of 64 or 512 nodes — against four shards on two
+// servers: every shard's visit is on the wire before the first response
+// is decoded, and decoding lands in the caller's reused block, so
+// allocs/op is the pin that the steady state allocates nothing.
+func BenchmarkRemoteReadNodes(b *testing.B) {
+	g := buildGraph(b)
+	_, cluster := startCluster(b, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}}, 1)
+	remote := cluster.Engine
+	for _, n := range []int{64, 512} {
+		b.Run(fmt.Sprintf("ids-%d", n), func(b *testing.B) {
+			ids := randomIDs(g, n, 4)
+			var blk graph.NodeBlock
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blk.Reset()
+				if err := remote.TryReadNodes(ids, graph.ReadAll, &blk); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// trainWorld is the training benchmarks' shared world: the small-scale
+// graph, its CTR instances, and the same four shards on two servers.
+func trainWorld(b *testing.B) (*graphbuild.Result, *loggen.Logs, []core.Instance, *Cluster) {
+	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleSmall, 1))
+	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
+	ds := loggen.BuildExamples(logs, 1, 0.2, 2)
+	_, cluster := startCluster(b, res.Graph, 4, partition.Hash, [][]int{{0, 1}, {2, 3}}, 1)
+	return res, logs, core.InstancesFromExamples(ds.Train, res.Mapping), cluster
+}
+
+// BenchmarkBuildTreeRemote measures one 2-hop, k=10 focal-biased ROI
+// tree over the remote cluster through a read set, as a training step
+// builds it: the tree's reads are a handful of overlapped bulk reads
+// instead of one round trip per scored neighbor.
+func BenchmarkBuildTreeRemote(b *testing.B) {
+	res, _, train, cluster := trainWorld(b)
+	view := core.EngineView{Engine: cluster.Engine, M: res.Mapping}
+	fb, sc, r := sampling.NewFocalBiased(), sampling.NewScratch(), rng.New(5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ex := train[i%len(train)]
+		rs := core.NewStepView(view)
+		sc.Reset()
+		sampling.BuildTree(rs, ex.User, rs.Content(ex.Query), 2, 10, fb, r, sc)
+	}
+}
+
+// benchTrainSteps times whole training steps (32 examples, default model
+// config: sampling, forward, backward, optimizer) over one view.
+func benchTrainSteps(b *testing.B, view core.GraphView, logs *loggen.Logs, train []core.Instance) {
+	m := core.NewZoomer(view, logs.Vocab(), core.DefaultConfig(), 3)
+	tc := core.DefaultTrainConfig()
+	tc.Epochs, tc.MaxSteps = 1<<20, b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	core.Train(m, train, nil, tc)
+}
+
+// BenchmarkTrainStepLocal is the step over the in-memory graph: what the
+// read set costs when every read is already a slice index.
+func BenchmarkTrainStepLocal(b *testing.B) {
+	res, logs, train, _ := trainWorld(b)
+	benchTrainSteps(b, res.Graph, logs, train)
+}
+
+// BenchmarkTrainStepRemote is the same step with every graph read
+// crossing the wire to the two-server cluster.
+func BenchmarkTrainStepRemote(b *testing.B) {
+	res, logs, train, cluster := trainWorld(b)
+	benchTrainSteps(b, core.EngineView{Engine: cluster.Engine, M: res.Mapping}, logs, train)
 }

@@ -451,6 +451,51 @@ func (cl *Client) sample(id graph.NodeID, k int, st [4]uint64, out []graph.NodeI
 	return 0, st, cl.unavailable(lastErr)
 }
 
+// visit is one scatter-gather shard visit as it crosses the wire: a
+// sample batch (OpBatch) or a bulk node read (OpReadNodes). The two share
+// the whole request lifecycle — circuit admission, retry on a fresh
+// connection, the send/await split the engine overlaps visits with — and
+// differ only in how the payload is encoded and where the response lands.
+type visit struct {
+	op   Op
+	gids []graph.NodeID
+	idx  []int32 // entry j's batch index (OpBatch) or block position (OpReadNodes; nil = j)
+
+	// OpBatch: draws go to out[idx[j]*k:...], counts to ns[idx[j]].
+	base uint64
+	k    int
+	out  []graph.NodeID
+	ns   []int32
+
+	// OpReadNodes: attributes go to entry idx[j] of blk's columns.
+	fields graph.ReadFields
+	blk    *graph.NodeBlock
+}
+
+func (v *visit) encode(req []byte) []byte {
+	if v.op == OpReadNodes {
+		return appendReadNodesRequest(req, v.gids, v.fields)
+	}
+	return appendBatch(req, v.gids, v.idx, v.base, v.k)
+}
+
+// decode lands the response where the visit's caller wants it and
+// releases the slot. A malformed body kills the connection and reports a
+// permanent (non-transport) error.
+func (v *visit) decode(mc *muxConn, sl *muxSlot, body []byte) (total int, err error) {
+	if v.op == OpReadNodes {
+		err = decodeReadNodesResponse(body, v.idx, len(v.gids), v.fields, v.blk)
+	} else {
+		total, err = decodeBatch(body, v.gids, v.idx, v.k, v.out, v.ns)
+	}
+	mc.release(sl)
+	if err != nil {
+		mc.fail(err)
+		return 0, err
+	}
+	return total, nil
+}
+
 // appendBatch encodes an OpBatch payload.
 func appendBatch(req []byte, gids []graph.NodeID, idx []int32, base uint64, k int) []byte {
 	req = appendU64(req, base)
@@ -463,10 +508,8 @@ func appendBatch(req []byte, gids []graph.NodeID, idx []int32, base uint64, k in
 	return req
 }
 
-// decodeBatch scatters an OpBatch response into out/ns and releases the
-// slot. A malformed body kills the connection and reports a permanent
-// (non-transport) error.
-func decodeBatch(mc *muxConn, sl *muxSlot, body []byte, gids []graph.NodeID, idx []int32, k int, out []graph.NodeID, ns []int32) (int, error) {
+// decodeBatch scatters an OpBatch response into out/ns.
+func decodeBatch(body []byte, gids []graph.NodeID, idx []int32, k int, out []graph.NodeID, ns []int32) (int, error) {
 	cu := cursor{b: body}
 	total := int(cu.u32())
 	good := true
@@ -483,54 +526,49 @@ func decodeBatch(mc *muxConn, sl *muxSlot, body []byte, gids []graph.NodeID, idx
 			out[lo+d] = graph.NodeID(cu.u32())
 		}
 	}
-	good = good && !cu.bad
-	mc.release(sl)
-	if !good {
-		err := fmt.Errorf("rpc: malformed batch response (%d bytes)", len(body))
-		mc.fail(err)
-		return 0, err
+	if !good || cu.bad {
+		return 0, fmt.Errorf("%w: batch response (%d bytes)", ErrMalformedFrame, len(body))
 	}
 	return total, nil
 }
 
-// batchAttempt runs one full synchronous OpBatch attempt. transport
+// visitAttempt runs one full synchronous attempt of a visit. transport
 // reports whether a failure was a transport-level one (retryable, counts
 // against the health circuit) as opposed to a server-answered or
 // malformed-response error.
-func (cl *Client) batchAttempt(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (total int, transport bool, err error) {
+func (cl *Client) visitAttempt(v *visit) (total int, transport bool, err error) {
 	mc, err := cl.conn()
 	if err != nil {
 		return 0, true, err
 	}
 	ct := getTimer()
 	defer putTimer(ct)
-	sl, req, err := mc.acquire(OpBatch, ct, cl.cfg.Timeout)
+	sl, req, err := mc.acquire(v.op, ct, cl.cfg.Timeout)
 	if err != nil {
 		return 0, true, err
 	}
-	req = appendBatch(req, gids, idx, base, k)
-	body, err := mc.roundTrip(sl, req, ct, cl.cfg.Timeout)
+	body, err := mc.roundTrip(sl, v.encode(req), ct, cl.cfg.Timeout)
 	if err != nil {
 		if permanent(err) {
 			return 0, false, err
 		}
 		return 0, true, err
 	}
-	total, err = decodeBatch(mc, sl, body, gids, idx, k, out, ns)
+	total, err = v.decode(mc, sl, body)
 	return total, false, err
 }
 
-// sampleBatch runs one OpBatch request — one scatter-gather shard visit,
-// with the ShardBackend.SampleBatchInto contract: entry j's draws land
-// in out[idx[j]*k:...] and its count in ns[idx[j]].
-func (cl *Client) sampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (int, error) {
+// runVisit runs one visit synchronously — one round trip, retried once on
+// a fresh connection after a transport failure (every visit is an
+// idempotent read: seeds travel in the request).
+func (cl *Client) runVisit(v *visit) (int, error) {
 	probe, gerr := cl.gate()
 	if gerr != nil {
 		return 0, gerr
 	}
-	total, transport, err := cl.batchAttempt(gids, idx, base, k, out, ns)
+	total, transport, err := cl.visitAttempt(v)
 	if err != nil && transport {
-		total, transport, err = cl.batchAttempt(gids, idx, base, k, out, ns)
+		total, transport, err = cl.visitAttempt(v)
 	}
 	cl.settle(probe, err != nil && transport)
 	if err != nil && transport {
@@ -591,10 +629,10 @@ func (cl *Client) appendOnce(shard int, seq uint64, edges []ingest.Edge, fanout 
 	return result, lastSeq, nil
 }
 
-// pendingBatch is one started (sent, not yet awaited) batch visit — the
-// engine.BatchHandle the stub hands the scatter-gather fan-out. Pooled;
-// returned to the pool when awaited.
-type pendingBatch struct {
+// pendingVisit is one started (sent, not yet awaited) visit — the
+// engine.BatchHandle / engine.ReadHandle the stub hands the scatter-
+// gather fan-out. Pooled; returned to the pool when awaited.
+type pendingVisit struct {
 	cl       *Client
 	mc       *muxConn // nil when the start attempt failed before the wire
 	sl       *muxSlot
@@ -603,29 +641,23 @@ type pendingBatch struct {
 	deferred bool          // window was full: nothing sent, await runs the call
 	wait     chan struct{} // non-nil: circuit open behind another probe; await resolves
 	serr     error         // non-nil: start-side transport failure (await retries)
-
-	gids []graph.NodeID
-	idx  []int32
-	base uint64
-	k    int
-	out  []graph.NodeID
-	ns   []int32
+	v        visit
 }
 
-var pendingPool = sync.Pool{New: func() any { return new(pendingBatch) }}
+var pendingPool = sync.Pool{New: func() any { return new(pendingVisit) }}
 
-// startBatch gates the circuit, composes the request and puts it on the
+// startVisit gates the circuit, composes the request and puts it on the
 // wire without waiting. It never blocks on another call's probe — a
 // caller may hold several un-awaited handles on one client (the engine
 // fan-out does), and the probe they would wait for can be one of those
-// very handles, so the wait is deferred to AwaitBatch, which runs after
+// very handles, so the wait is deferred to the await, which runs after
 // every earlier-started handle has settled. Every other failure mode is
 // deferred too, so concurrently started sibling visits are never
 // abandoned mid-flight. The returned handle must be awaited exactly
 // once.
-func (cl *Client) startBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) *pendingBatch {
-	p := pendingPool.Get().(*pendingBatch)
-	*p = pendingBatch{cl: cl, gids: gids, idx: idx, base: base, k: k, out: out, ns: ns}
+func (cl *Client) startVisit(v visit) *pendingVisit {
+	p := pendingPool.Get().(*pendingVisit)
+	*p = pendingVisit{cl: cl, v: v}
 	probe, wait := cl.admit()
 	if wait != nil {
 		// Behind another probe: the await adopts its outcome. Marked
@@ -648,7 +680,7 @@ func (cl *Client) startBatch(gids []graph.NodeID, idx []int32, base uint64, k in
 	// blocking on each other is a deadlock. A full window defers this
 	// group (Started() false); the engine runs it synchronously after
 	// awaiting — and thereby releasing — its started visits.
-	sl, req, ok := mc.tryAcquire(OpBatch)
+	sl, req, ok := mc.tryAcquire(v.op)
 	if !ok {
 		if p.probe {
 			// The probe reservation must not outlive the start phase: a
@@ -662,8 +694,7 @@ func (cl *Client) startBatch(gids []graph.NodeID, idx []int32, base uint64, k in
 		p.deferred = true
 		return p
 	}
-	req = appendBatch(req, gids, idx, base, k)
-	if err := mc.send(sl, req); err != nil {
+	if err := mc.send(sl, p.v.encode(req)); err != nil {
 		p.serr = err
 		return p
 	}
@@ -675,13 +706,22 @@ func (cl *Client) startBatch(gids []graph.NodeID, idx []int32, base uint64, k in
 // awaits started handles first: an unstarted handle's await issues a
 // fresh synchronous call, which may block for window capacity that only
 // the caller's own started handles will free.
-func (p *pendingBatch) Started() bool { return !p.deferred }
+func (p *pendingVisit) Started() bool { return !p.deferred }
 
-// AwaitBatch collects a started visit: waits for the response, decodes
-// it, retries once synchronously on a transport failure (the same
+// AwaitBatch implements engine.BatchHandle.
+func (p *pendingVisit) AwaitBatch() (int, error) { return p.await() }
+
+// AwaitRead implements engine.ReadHandle.
+func (p *pendingVisit) AwaitRead() error {
+	_, err := p.await()
+	return err
+}
+
+// await collects a started visit: waits for the response, decodes it,
+// retries once synchronously on a transport failure (the same
 // reconnect-and-serve semantics as the synchronous path) and settles the
-// health circuit. It implements engine.BatchHandle.
-func (p *pendingBatch) AwaitBatch() (int, error) {
+// health circuit.
+func (p *pendingVisit) await() (int, error) {
 	cl := p.cl
 	if p.wait != nil {
 		// Start found the circuit open behind another probe. That probe
@@ -689,13 +729,13 @@ func (p *pendingBatch) AwaitBatch() (int, error) {
 		// another caller whose calls are time-bounded); adopt its
 		// outcome: fail typed while the circuit stays open, or run the
 		// whole call synchronously now that the shard is back.
-		wait, gids, idx, base, k, out, ns := p.wait, p.gids, p.idx, p.base, p.k, p.out, p.ns
+		wait, v := p.wait, p.v
 		p.recycle()
 		<-wait
 		if cl.open() {
 			return 0, cl.unavailable(nil)
 		}
-		return cl.sampleBatch(gids, idx, base, k, out, ns)
+		return cl.runVisit(&v)
 	}
 	var total int
 	transport, err := false, error(nil)
@@ -704,7 +744,7 @@ func (p *pendingBatch) AwaitBatch() (int, error) {
 		// Nothing was sent; run the call now with the usual two attempts.
 		// The caller holds no window slots at this point (its started
 		// handles were awaited first), so blocking for capacity is safe.
-		total, transport, err = cl.batchAttempt(p.gids, p.idx, p.base, p.k, p.out, p.ns)
+		total, transport, err = cl.visitAttempt(&p.v)
 	case p.mc == nil:
 		transport, err = true, p.serr
 	default:
@@ -717,11 +757,11 @@ func (p *pendingBatch) AwaitBatch() (int, error) {
 				transport, err = true, aerr
 			}
 		} else {
-			total, err = decodeBatch(p.mc, p.sl, body, p.gids, p.idx, p.k, p.out, p.ns)
+			total, err = p.v.decode(p.mc, p.sl, body)
 		}
 	}
 	if err != nil && transport {
-		total, transport, err = cl.batchAttempt(p.gids, p.idx, p.base, p.k, p.out, p.ns)
+		total, transport, err = cl.visitAttempt(&p.v)
 	}
 	cl.settle(p.probe, err != nil && transport)
 	p.recycle()
@@ -732,8 +772,8 @@ func (p *pendingBatch) AwaitBatch() (int, error) {
 }
 
 // recycle returns the handle to the pool.
-func (p *pendingBatch) recycle() {
-	*p = pendingBatch{}
+func (p *pendingVisit) recycle() {
+	*p = pendingVisit{}
 	pendingPool.Put(p)
 }
 
@@ -742,7 +782,7 @@ func (p *pendingBatch) recycle() {
 // retry-once-on-fresh-connection, short-circuit on a server-answered
 // error. encode appends the request payload (nil for payload-free ops);
 // decode reads the response body while the slot is still held. The
-// zero-allocation hot paths (sample, sampleBatch) keep hand-rolled
+// zero-allocation hot paths (sample, runVisit) keep hand-rolled
 // copies of this scaffold because the closures here cost heap
 // allocations — fine for handshakes and attribute reads, not for the
 // per-request cycle.
@@ -794,13 +834,8 @@ func (cl *Client) call(op Op, encode func([]byte) []byte, decode func(body []byt
 }
 
 // nodeRead runs one single-id read op.
-func (cl *Client) nodeRead(op Op, id graph.NodeID, decode func(cu *cursor) error) error {
-	return cl.call(op,
-		func(b []byte) []byte { return appendU32(b, uint32(id)) },
-		func(body []byte) error {
-			cu := cursor{b: body}
-			return decode(&cu)
-		})
+func (cl *Client) nodeRead(op Op, id graph.NodeID, decode func(body []byte) error) error {
+	return cl.call(op, func(b []byte) []byte { return appendU32(b, uint32(id)) }, decode)
 }
 
 // ShardInfo describes one partition a server owns. Ingest is the
@@ -1020,6 +1055,7 @@ var (
 	_ engine.ShardBackend    = (*RemoteShard)(nil)
 	_ engine.BackendStats    = (*RemoteShard)(nil)
 	_ engine.BatchStarter    = (*RemoteShard)(nil)
+	_ engine.ReadStarter     = (*RemoteShard)(nil)
 	_ engine.HealthReporter  = (*RemoteShard)(nil)
 	_ engine.DeadlineSampler = (*RemoteShard)(nil)
 	_ engine.EdgeAppender    = (*RemoteShard)(nil)
@@ -1085,7 +1121,7 @@ func (rs *RemoteShard) SampleBatchInto(gids []graph.NodeID, idx []int32, base ui
 		return 0, nil
 	}
 	rs.requests.Add(int64(len(gids)))
-	return rs.cl.sampleBatch(gids, idx, base, k, out, ns)
+	return rs.cl.runVisit(&visit{op: OpBatch, gids: gids, idx: idx, base: base, k: k, out: out, ns: ns})
 }
 
 // StartSampleBatch puts one scatter-gather visit on the wire without
@@ -1093,7 +1129,26 @@ func (rs *RemoteShard) SampleBatchInto(gids []graph.NodeID, idx []int32, base ui
 // parallel batch path. The returned handle must be awaited.
 func (rs *RemoteShard) StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) engine.BatchHandle {
 	rs.requests.Add(int64(len(gids)))
-	return rs.cl.startBatch(gids, idx, base, k, out, ns)
+	return rs.cl.startVisit(visit{op: OpBatch, gids: gids, idx: idx, base: base, k: k, out: out, ns: ns})
+}
+
+// ReadNodesInto serves one bulk-read visit in one round trip; see
+// engine.ShardBackend for the contract. The response is decoded into
+// the block's arenas.
+func (rs *RemoteShard) ReadNodesInto(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) error {
+	if len(gids) == 0 {
+		return nil
+	}
+	rs.requests.Add(int64(len(gids)))
+	_, err := rs.cl.runVisit(&visit{op: OpReadNodes, gids: gids, idx: pos, fields: fields, blk: into})
+	return err
+}
+
+// StartReadNodes puts one bulk-read visit on the wire without waiting
+// for it (engine.ReadStarter). The returned handle must be awaited.
+func (rs *RemoteShard) StartReadNodes(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) engine.ReadHandle {
+	rs.requests.Add(int64(len(gids)))
+	return rs.cl.startVisit(visit{op: OpReadNodes, gids: gids, idx: pos, fields: fields, blk: into})
 }
 
 // AppendEdges implements engine.EdgeAppender over the graph-append op:
@@ -1170,76 +1225,81 @@ func (rs *RemoteShard) setIngest(st *engine.IngestStats) {
 
 // NeighborsOf fetches and decodes id's adjacency list (a fresh copy; the
 // remote CSR slice cannot be shared).
-func (rs *RemoteShard) NeighborsOf(id graph.NodeID) ([]graph.Edge, error) {
+func (rs *RemoteShard) NeighborsOf(id graph.NodeID) (nbrs []graph.Edge, err error) {
 	rs.requests.Add(1)
-	var nbrs []graph.Edge
-	err := rs.cl.nodeRead(OpNeighbors, id, func(cu *cursor) error {
-		n := int(cu.u32())
-		if cu.bad || n < 0 || n > maxFrame/12 {
-			return fmt.Errorf("rpc: malformed neighbors response")
-		}
-		if n > 0 {
-			nbrs = make([]graph.Edge, n)
-		}
-		for i := range nbrs {
-			nbrs[i] = graph.Edge{
-				To:     graph.NodeID(cu.u32()),
-				Type:   graph.EdgeType(cu.u32()),
-				Weight: math.Float32frombits(cu.u32()),
-			}
-		}
-		return cu.err()
+	err = rs.cl.nodeRead(OpNeighbors, id, func(body []byte) (derr error) {
+		nbrs, derr = decodeNeighbors(body)
+		return derr
 	})
-	if err != nil {
-		return nil, err
+	return nbrs, err
+}
+
+// FeaturesOf fetches id's categorical features.
+func (rs *RemoteShard) FeaturesOf(id graph.NodeID) (fs []int32, err error) {
+	rs.requests.Add(1)
+	err = rs.cl.nodeRead(OpFeatures, id, func(body []byte) (derr error) {
+		fs, derr = decodeFeatures(body)
+		return derr
+	})
+	return fs, err
+}
+
+// ContentOf fetches id's content vector (nil when the node has none).
+func (rs *RemoteShard) ContentOf(id graph.NodeID) (v tensor.Vec, err error) {
+	rs.requests.Add(1)
+	err = rs.cl.nodeRead(OpContent, id, func(body []byte) (derr error) {
+		v, derr = decodeContent(body)
+		return derr
+	})
+	return v, err
+}
+
+// The single-node response decoders. Each count is checked against the
+// bytes the frame actually carries before the slice is made, so a short
+// reply cannot demand a large allocation.
+
+func decodeNeighbors(body []byte) ([]graph.Edge, error) {
+	cu := cursor{b: body}
+	n := cu.count(12)
+	if cu.bad || n == 0 {
+		return nil, cu.err()
+	}
+	nbrs := make([]graph.Edge, n)
+	for i := range nbrs {
+		nbrs[i] = graph.Edge{
+			To:     graph.NodeID(cu.u32()),
+			Type:   graph.EdgeType(cu.u32()),
+			Weight: math.Float32frombits(cu.u32()),
+		}
 	}
 	return nbrs, nil
 }
 
-// FeaturesOf fetches id's categorical features.
-func (rs *RemoteShard) FeaturesOf(id graph.NodeID) ([]int32, error) {
-	rs.requests.Add(1)
-	var fs []int32
-	err := rs.cl.nodeRead(OpFeatures, id, func(cu *cursor) error {
-		n := int(cu.u32())
-		if cu.bad || n < 0 || n > maxFrame/4 {
-			return fmt.Errorf("rpc: malformed features response")
-		}
-		if n > 0 {
-			fs = make([]int32, n)
-		}
-		for i := range fs {
-			fs[i] = int32(cu.u32())
-		}
-		return cu.err()
-	})
-	if err != nil {
-		return nil, err
+func decodeFeatures(body []byte) ([]int32, error) {
+	cu := cursor{b: body}
+	n := cu.count(4)
+	if cu.bad || n == 0 {
+		return nil, cu.err()
+	}
+	fs := make([]int32, n)
+	for i := range fs {
+		fs[i] = int32(cu.u32())
 	}
 	return fs, nil
 }
 
-// ContentOf fetches id's content vector (nil when the node has none).
-func (rs *RemoteShard) ContentOf(id graph.NodeID) (tensor.Vec, error) {
-	rs.requests.Add(1)
-	var v tensor.Vec
-	err := rs.cl.nodeRead(OpContent, id, func(cu *cursor) error {
-		present := cu.u32()
-		if present == 0 {
-			return cu.err()
-		}
-		n := int(cu.u32())
-		if cu.bad || n < 0 || n > maxFrame/4 {
-			return fmt.Errorf("rpc: malformed content response")
-		}
-		v = make(tensor.Vec, n)
-		for i := range v {
-			v[i] = math.Float32frombits(cu.u32())
-		}
-		return cu.err()
-	})
-	if err != nil {
-		return nil, err
+func decodeContent(body []byte) (tensor.Vec, error) {
+	cu := cursor{b: body}
+	if present := cu.u32(); present == 0 {
+		return nil, cu.err()
+	}
+	n := cu.count(4)
+	if cu.bad {
+		return nil, cu.err()
+	}
+	v := make(tensor.Vec, n)
+	for i := range v {
+		v[i] = math.Float32frombits(cu.u32())
 	}
 	return v, nil
 }

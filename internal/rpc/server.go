@@ -558,6 +558,11 @@ type serverConn struct {
 	ns    []int32
 	edges []ingest.Edge
 	r     rng.RNG
+
+	// read-nodes staging: the request's ids and the block the store's
+	// views land in before encoding.
+	readIDs []graph.NodeID
+	blk     graph.NodeBlock
 }
 
 // reqSlot is one buffered request: its id and a copy of [op | payload]
@@ -757,6 +762,8 @@ func (s *Server) dispatch(op Op, payload []byte, sc *serverConn) ([]byte, error)
 		return s.handleMembers(payload, sc)
 	case OpAppend:
 		return s.handleAppend(o, payload, sc)
+	case OpReadNodes:
+		return s.handleReadNodes(o, payload, sc)
 	default:
 		return nil, fmt.Errorf("rpc: unknown op %d", byte(op))
 	}

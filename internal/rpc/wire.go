@@ -6,10 +6,11 @@
 // those stores into the Engine routing layer behind the same
 // engine.ShardBackend seam the in-process shards use.
 //
-// The protocol (version 2) is a compact binary framing over TCP with
-// full-duplex multiplexing. A connection opens with an 8-byte preface
-// exchange (magic + version, rejected loudly on mismatch); after that a
-// frame is a little-endian uint32 body length followed by the body, and
+// The protocol (ProtocolVersion; both ends must speak exactly it) is a
+// compact binary framing over TCP with full-duplex multiplexing. A
+// connection opens with an 8-byte preface exchange — magic + version,
+// and a mismatch fails the dial with one typed error naming both
+// versions; after that a frame is a little-endian uint32 body length followed by the body, and
 // every body starts with a uint64 request id: a request body is
 // [u64 id | op byte | payload], a response body is
 // [u64 id | status byte | payload] where status 0 carries the op's
@@ -34,13 +35,15 @@
 // (single samples) or the derived-sub-stream base (batches) travels in
 // the request and every draw happens shard-side, so a remote engine is
 // bit-identical to an in-process one — the loopback equivalence tests pin
-// this down. The scatter-gather batch call maps one shard visit onto one
-// round trip, and both ends reuse per-slot encode/decode scratch so the
-// steady-state sample/batch path performs no heap allocation.
+// this down. The scatter-gather calls — the sample batch and the bulk
+// node read — map one shard visit onto one round trip, and both ends
+// reuse per-slot encode/decode scratch so the steady-state paths perform
+// no heap allocation.
 package rpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -49,20 +52,20 @@ import (
 // Protocol preface: immediately after dialing, the client writes the
 // 8-byte preface (magic + little-endian version) and the server answers
 // with its own. Either side failing the exchange closes the connection
-// with a loud error instead of exchanging misframed bytes: a version-1
-// client hitting a version-2 server receives an old-style error frame
-// (its own framing) naming the mismatch, and a version-2 client hitting
-// a pre-preface server fails the handshake instead of hanging.
+// with a loud error instead of exchanging misframed bytes.
 const (
-	// ProtocolVersion is the wire protocol version this build speaks.
-	// Version 3 added the members op, the member list in routing-epoch
-	// responses and the member addresses in wrong-epoch redirects.
-	// Version 4 adds the idempotent graph-append op and the per-shard
-	// ingest-stats section of the routing-epoch response; the framing is
-	// unchanged from version 2.
-	ProtocolVersion = 4
+	// ProtocolVersion is the wire protocol version this build speaks; a
+	// peer on any other version is refused at the preface. Version 5
+	// added the read-nodes op.
+	ProtocolVersion = 5
 	prefaceLen      = 8
 )
+
+// ErrMalformedFrame is the typed decode failure: a frame whose declared
+// counts do not fit the bytes it actually carries, or whose fields are
+// out of range. Every decoder checks a count against the bytes left in
+// the frame before allocating for it.
+var ErrMalformedFrame = errors.New("rpc: malformed frame")
 
 var prefaceMagic = [4]byte{'Z', 'M', 'R', 'P'}
 
@@ -85,11 +88,13 @@ func parsePreface(p []byte) (uint32, error) {
 // monitoring can read per-op server counters.
 type Op byte
 
-// The request vocabulary: the four GraphService methods, the batch call
-// mirroring SampleNeighborsBatchInto, the two handshake reads (metadata
-// and the routing table), and the live-handoff pair — reassign (an admin
-// command: acquire or drain one partition) and routing-epoch (the cheap
-// ownership poll clients refresh from after a redirect).
+// The request vocabulary: the four GraphService methods, the two
+// scatter-gather visits (the batch call mirroring
+// SampleNeighborsBatchInto and the bulk node read), the two handshake
+// reads (metadata and the routing table), the live-handoff pair —
+// reassign (an admin command: acquire or drain one partition) and
+// routing-epoch (the cheap ownership poll clients refresh from after a
+// redirect) — membership, and the durable append.
 const (
 	OpInfo Op = iota + 1
 	OpRouting
@@ -100,13 +105,13 @@ const (
 	OpContent
 	OpReassign
 	OpEpoch
-	// OpMembers is the membership exchange (protocol v3): the request
+	// OpMembers is the membership exchange: the request
 	// optionally announces the caller's advertised address, the response
 	// lists every server address this server knows. Servers announce to
 	// each other with it; clients poll it to discover servers that joined
 	// after dial.
 	OpMembers
-	// OpAppend is the idempotent durable write (protocol v4): append a
+	// OpAppend is the idempotent durable write: append a
 	// batch of edges to one owned shard at an exact per-shard sequence
 	// number. The request is [u8 flags | u32 shard | u64 seq | edge
 	// payload]; flag bit 0 marks a replica fan-out copy, which the
@@ -116,6 +121,10 @@ const (
 	// caller resyncs from lastSeq). A non-owner answers with the
 	// wrong-epoch redirect like any other shard-targeted op.
 	OpAppend
+	// OpReadNodes is the bulk node read: neighbors and/or
+	// features and/or content of a list of nodes of one partition in one
+	// frame — see readnodes.go for the layout.
+	OpReadNodes
 	numOps
 )
 
@@ -161,6 +170,8 @@ func (o Op) String() string {
 		return "members"
 	case OpAppend:
 		return "graph-append"
+	case OpReadNodes:
+		return "read-nodes"
 	default:
 		return fmt.Sprintf("op(%d)", byte(o))
 	}
@@ -182,8 +193,8 @@ const (
 	statusErr = 1
 	// statusMoved is the wrong-epoch redirect: the target partition is
 	// not (or no longer) owned by this server. The payload is the
-	// server's current routing epoch (u64), the shard id (u32) and —
-	// protocol v3 onward — the server's member address list, so a
+	// server's current routing epoch (u64), the shard id (u32) and the
+	// server's member address list, so a
 	// redirected client learns where the partition might have gone
 	// without a separate round trip. The client surfaces the redirect as
 	// engine.ErrWrongEpoch, which triggers the engine's one-shot
@@ -212,7 +223,7 @@ type frameScratch struct {
 	wbuf []byte
 }
 
-// begin starts composing a version-2 frame body in the reusable write
+// begin starts composing a frame body in the reusable write
 // buffer, leaving the 4-byte length hole and the 8-byte request-id hole
 // at the front. Append payload bytes to the returned slice, then hand it
 // to writeFrame with the id the frame answers.
@@ -292,6 +303,18 @@ func (cu *cursor) u64() uint64 {
 	return v
 }
 
+// count decodes a u32 element count and checks that that many elements
+// of elem bytes each are actually left in the frame — the bound that
+// keeps a short frame from demanding a large allocation.
+func (cu *cursor) count(elem int) int {
+	n := cu.u32()
+	if cu.bad || uint64(n)*uint64(elem) > uint64(len(cu.b)-cu.off) {
+		cu.bad = true
+		return 0
+	}
+	return int(n)
+}
+
 // rest returns the undecoded tail of the body.
 func (cu *cursor) rest() []byte {
 	if cu.bad {
@@ -314,7 +337,7 @@ func (cu *cursor) str() string {
 
 func (cu *cursor) err() error {
 	if cu.bad {
-		return fmt.Errorf("rpc: truncated frame (%d bytes)", len(cu.b))
+		return fmt.Errorf("%w: truncated or oversized count (%d bytes)", ErrMalformedFrame, len(cu.b))
 	}
 	return nil
 }

@@ -31,11 +31,18 @@ import (
 // satisfy it, so ROI construction runs identically over a local graph
 // and over a sharded store — the property the cross-shard equivalence
 // tests pin down.
+//
+// ReadNodes is the bulk form of the single-node reads: the requested
+// attributes of every listed node in one call, which a sharded store
+// serves with one overlapped visit per owning shard instead of one round
+// trip per node. It is part of the interface — not an optional facet —
+// so a decorator that embeds a GraphView forwards it.
 type GraphView interface {
 	NumNodes() int
 	ContentDim() int
 	Neighbors(id graph.NodeID) []graph.Edge
 	Content(id graph.NodeID) tensor.Vec
+	ReadNodes(ids []graph.NodeID, fields graph.ReadFields, into *graph.NodeBlock)
 }
 
 // Sampler selects up to k neighbors of ego. focal is the summed focal
@@ -43,8 +50,15 @@ type GraphView interface {
 // reusable buffers (nil allowed); when non-nil, the returned slice is
 // backed by it and is valid only until the sampler's next call with the
 // same scratch — callers that retain edges must copy them.
+//
+// NeighborReads reports which attributes of the ego's neighbors Sample
+// reads beyond the adjacency list itself (the content vectors a
+// relevance score needs, say), so BuildTree can fetch them for a whole
+// frontier in one bulk read instead of leaving each Sample call to its
+// own.
 type Sampler interface {
 	Name() string
+	NeighborReads() graph.ReadFields
 	Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge
 }
 
@@ -73,6 +87,9 @@ func NewFocalBiased() *FocalBiased { return &FocalBiased{} }
 // Name implements Sampler.
 func (s *FocalBiased) Name() string { return "focal-biased" }
 
+// NeighborReads implements Sampler: every neighbor's content is scored.
+func (s *FocalBiased) NeighborReads() graph.ReadFields { return graph.ReadContent }
+
 // Sample implements Sampler. With a nil focal it degrades to weight-ranked
 // selection (relevance indistinguishable), keeping behavior total.
 func (s *FocalBiased) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
@@ -88,19 +105,18 @@ func (s *FocalBiased) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k 
 		return append(sc.outBuf(len(nbrs)), nbrs...)
 	}
 	ss := sc.scoredBuf(len(nbrs))
-	switch {
-	case focal == nil:
+	if focal == nil {
 		for i, e := range nbrs {
 			ss[i] = scoredEdge{e, e.Weight}
 		}
-	case s.Relevance == nil:
+	} else if content := sc.neighborContent(g, nbrs); s.Relevance == nil {
 		fsq := tensor.SqNorm(focal)
 		for i, e := range nbrs {
-			ss[i] = scoredEdge{e, tensor.TanimotoWithSqNorm(focal, fsq, g.Content(e.To))}
+			ss[i] = scoredEdge{e, tensor.TanimotoWithSqNorm(focal, fsq, content[i])}
 		}
-	default:
+	} else {
 		for i, e := range nbrs {
-			ss[i] = scoredEdge{e, s.Relevance(focal, g.Content(e.To))}
+			ss[i] = scoredEdge{e, s.Relevance(focal, content[i])}
 		}
 	}
 	topKScored(ss, k)
@@ -117,6 +133,9 @@ type Uniform struct{}
 
 // Name implements Sampler.
 func (Uniform) Name() string { return "uniform" }
+
+// NeighborReads implements Sampler: the adjacency list is all it reads.
+func (Uniform) NeighborReads() graph.ReadFields { return 0 }
 
 // Sample implements Sampler.
 func (Uniform) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
@@ -153,6 +172,9 @@ type Weighted struct{}
 
 // Name implements Sampler.
 func (Weighted) Name() string { return "weighted" }
+
+// NeighborReads implements Sampler: the adjacency list is all it reads.
+func (Weighted) NeighborReads() graph.ReadFields { return 0 }
 
 // Sample implements Sampler.
 func (Weighted) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
@@ -198,6 +220,10 @@ func NewImportanceWalk() *ImportanceWalk { return &ImportanceWalk{Walks: 30, Len
 
 // Name implements Sampler.
 func (s *ImportanceWalk) Name() string { return "importance-walk" }
+
+// NeighborReads implements Sampler: the walks read adjacency lists the
+// RNG picks, which no frontier read can anticipate.
+func (s *ImportanceWalk) NeighborReads() graph.ReadFields { return 0 }
 
 // visitCounter counts walk visits: slice-backed (O(1), zero-alloc at
 // steady state) when a reused scratch is available, and a small sparse
@@ -289,6 +315,10 @@ func NewBiasedWalk() *BiasedWalk { return &BiasedWalk{Walks: 30, Length: 4, Bias
 // Name implements Sampler.
 func (s *BiasedWalk) Name() string { return "biased-walk" }
 
+// NeighborReads implements Sampler: like ImportanceWalk, what a walk
+// reads depends on the draws.
+func (s *BiasedWalk) NeighborReads() graph.ReadFields { return 0 }
+
 // Sample implements Sampler.
 func (s *BiasedWalk) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
 	if k <= 0 {
@@ -353,6 +383,9 @@ func NewClusterImportance() *ClusterImportance { return &ClusterImportance{SimTh
 // Name implements Sampler.
 func (s *ClusterImportance) Name() string { return "cluster-importance" }
 
+// NeighborReads implements Sampler: every neighbor's content is clustered.
+func (s *ClusterImportance) NeighborReads() graph.ReadFields { return graph.ReadContent }
+
 // Sample implements Sampler. Clustering is inherently allocation-heavy
 // (centroids are materialized per call); this sampler is an offline
 // baseline, not a serving-path component, so it only borrows the
@@ -375,8 +408,9 @@ func (s *ClusterImportance) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, 
 		weight   float64
 	}
 	var clusters []*cluster
-	for _, e := range nbrs {
-		c := g.Content(e.To)
+	content := sc.neighborContent(g, nbrs)
+	for i, e := range nbrs {
+		c := content[i]
 		if c == nil {
 			c = tensor.NewVec(g.ContentDim())
 		}
@@ -445,6 +479,16 @@ func (t *Tree) Size() int {
 	return n
 }
 
+// AppendNodes appends every node of the tree (with multiplicity, parents
+// before children) to ids.
+func (t *Tree) AppendNodes(ids []graph.NodeID) []graph.NodeID {
+	ids = append(ids, t.Node)
+	for _, c := range t.Children {
+		ids = c.AppendNodes(ids)
+	}
+	return ids
+}
+
 // BuildTree expands hops levels from ego with the given sampler and
 // per-hop budget k. Focal biasing (when the sampler uses it) applies at
 // every hop, matching the paper's ROI construction where relevance to the
@@ -453,12 +497,18 @@ func (t *Tree) Size() int {
 // With a non-nil scratch the tree is carved out of the scratch's arena:
 // steady-state construction allocates nothing, and the tree stays valid
 // until sc.Reset(). With nil sc the tree is independently heap-allocated.
+//
+// Over a *ReadSet the expansion reads one level ahead: once a node's
+// edges are sampled, everything its children's Sample calls will read is
+// fetched in bulk before the first child is visited. The depth-first
+// Sample order — and with it the RNG stream — is the same over any view.
 func BuildTree(g GraphView, ego graph.NodeID, focal tensor.Vec, hops, k int, s Sampler, r *rng.RNG, sc *Scratch) *Tree {
 	sc = sc.orNew()
-	return buildTree(g, ego, focal, hops, k, s, r, sc)
+	rs, _ := g.(*ReadSet)
+	return buildTree(g, rs, ego, focal, hops, k, s, r, sc)
 }
 
-func buildTree(g GraphView, ego graph.NodeID, focal tensor.Vec, hops, k int, s Sampler, r *rng.RNG, sc *Scratch) *Tree {
+func buildTree(g GraphView, rs *ReadSet, ego graph.NodeID, focal tensor.Vec, hops, k int, s Sampler, r *rng.RNG, sc *Scratch) *Tree {
 	t := sc.newTree(ego)
 	if hops == 0 {
 		return t
@@ -467,8 +517,11 @@ func buildTree(g GraphView, ego graph.NodeID, focal tensor.Vec, hops, k int, s S
 	// calls below will clobber; move it into the arena first.
 	t.Edges = sc.cloneEdges(s.Sample(g, ego, focal, k, r, sc))
 	t.Children = sc.kidSlice(len(t.Edges))
+	if rs != nil && hops > 1 {
+		rs.Expand(sc.edgeTargets(t.Edges), s.NeighborReads())
+	}
 	for i, e := range t.Edges {
-		t.Children[i] = buildTree(g, e.To, focal, hops-1, k, s, r, sc)
+		t.Children[i] = buildTree(g, rs, e.To, focal, hops-1, k, s, r, sc)
 	}
 	return t
 }

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"zoomer/internal/graph"
+	"zoomer/internal/tensor"
 )
 
 // scoredEdge pairs an adjacency edge with its selection score. Walk
@@ -33,6 +34,11 @@ type Scratch struct {
 	// zero between calls; touched lists the ids to reset.
 	visits  []int32
 	touched []graph.NodeID
+
+	// Bulk-read staging: the ids of an adjacency list and the block their
+	// attributes land in.
+	ids []graph.NodeID
+	blk graph.NodeBlock
 
 	// Weighted-sampler alias workspace.
 	weights []float64
@@ -107,6 +113,24 @@ func (sc *Scratch) seenBuf(n int) []bool {
 	return s
 }
 
+// edgeTargets lists the neighbor ids of an adjacency list (valid until
+// the next call).
+func (sc *Scratch) edgeTargets(es []graph.Edge) []graph.NodeID {
+	sc.ids = sc.ids[:0]
+	for _, e := range es {
+		sc.ids = append(sc.ids, e.To)
+	}
+	return sc.ids
+}
+
+// neighborContent reads the content vector of every neighbor in one bulk
+// read; entry i belongs to nbrs[i]. Valid until the next call.
+func (sc *Scratch) neighborContent(g GraphView, nbrs []graph.Edge) []tensor.Vec {
+	sc.blk.Reset()
+	g.ReadNodes(sc.edgeTargets(nbrs), graph.ReadContent, &sc.blk)
+	return sc.blk.Content
+}
+
 // visitsFor returns the zeroed visit-counter slice for an n-node graph.
 // Callers must bump counters via visit and reset them with resetVisits
 // before returning.
@@ -144,17 +168,19 @@ func (sc *Scratch) aliasBufs(n int) (weights, prob []float64, aliasIx, stack []i
 }
 
 // newTree hands out a pooled tree node. Pointers stay valid across pool
-// growth; Reset recycles them.
+// growth; Reset recycles them. The pool grows a slab at a time — a batch
+// of trees that all stay live until Reset costs a handful of
+// allocations, not one per node.
 func (sc *Scratch) newTree(id graph.NodeID) *Tree {
-	if sc.treesUsed < len(sc.trees) {
-		t := sc.trees[sc.treesUsed]
-		sc.treesUsed++
-		*t = Tree{Node: id}
-		return t
+	if sc.treesUsed == len(sc.trees) {
+		slab := make([]Tree, max(16, len(sc.trees)))
+		for i := range slab {
+			sc.trees = append(sc.trees, &slab[i])
+		}
 	}
-	t := &Tree{Node: id}
-	sc.trees = append(sc.trees, t)
+	t := sc.trees[sc.treesUsed]
 	sc.treesUsed++
+	*t = Tree{Node: id}
 	return t
 }
 

@@ -7,8 +7,10 @@ package servestack
 // and the worker-pool server — one call, one Close.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"zoomer/internal/ann"
 	"zoomer/internal/core"
@@ -38,6 +40,10 @@ type Config struct {
 	Serve serve.Config // worker pool / cache sizing; zero fields defaulted
 }
 
+// ErrWorldSkew reports that the dialed shard servers hold a different
+// world than the one this process generated (checked by node count).
+var ErrWorldSkew = errors.New("servestack: remote cluster serves a different world")
+
 // Stack is a fully wired serving stack. Close releases everything in
 // reverse bring-up order.
 type Stack struct {
@@ -50,7 +56,8 @@ type Stack struct {
 
 	Users, Queries []graph.NodeID
 
-	cluster *rpc.Cluster
+	cluster   *rpc.Cluster
+	closeOnce sync.Once
 }
 
 // BuildStack brings up a serving stack from cfg. logf (may be nil)
@@ -79,12 +86,13 @@ func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
 	g := res.Graph
 	ds := loggen.BuildExamples(logs, 1, 0.2, cfg.Seed+1)
 	train := core.InstancesFromExamples(ds.Train, res.Mapping)
-	test := core.InstancesFromExamples(ds.Test, res.Mapping)
 
 	model := core.NewZoomer(g, logs.Vocab(), core.DefaultConfig(), cfg.Seed+2)
 	tc := core.DefaultTrainConfig()
 	tc.MaxSteps = cfg.TrainSteps
-	core.Train(model, train, test, tc)
+	// No test split: Train's closing full-split AUC is never read here,
+	// and scoring it used to dominate bring-up.
+	core.Train(model, train, nil, tc)
 
 	logf("exporting serving weights and building index...")
 	emb := serve.NewEmbedder(model.ExportServing())
@@ -101,8 +109,8 @@ func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
 		}
 		if cluster.Info.NumNodes != g.NumNodes() {
 			cluster.Close()
-			return nil, fmt.Errorf("servestack: remote cluster serves %d nodes, local world has %d — start zoomer-shard with the same -scale/-seed",
-				cluster.Info.NumNodes, g.NumNodes())
+			return nil, fmt.Errorf("%w: remote cluster serves %d nodes, local world has %d — start zoomer-shard with the same -scale/-seed",
+				ErrWorldSkew, cluster.Info.NumNodes, g.NumNodes())
 		}
 		st.cluster = cluster
 		st.Engine = cluster.Engine
@@ -175,14 +183,17 @@ func (st *Stack) IngestStats() []engine.IngestStats {
 // Close tears the stack down in reverse bring-up order: the worker pool
 // first (no new cache/engine reads), then the cache refreshers, then the
 // RPC cluster when the shards are remote.
+// Safe to call more than once.
 func (st *Stack) Close() {
-	if st.Server != nil {
-		st.Server.Close()
-	}
-	if st.Cache != nil {
-		st.Cache.Close()
-	}
-	if st.cluster != nil {
-		st.cluster.Close()
-	}
+	st.closeOnce.Do(func() {
+		if st.Server != nil {
+			st.Server.Close()
+		}
+		if st.Cache != nil {
+			st.Cache.Close()
+		}
+		if st.cluster != nil {
+			st.cluster.Close()
+		}
+	})
 }

@@ -1,0 +1,107 @@
+package servestack
+
+import (
+	"errors"
+	"net"
+	"testing"
+	"time"
+
+	"zoomer/internal/graph"
+	"zoomer/internal/graphbuild"
+	"zoomer/internal/loggen"
+	"zoomer/internal/partition"
+	"zoomer/internal/rpc"
+	"zoomer/internal/serve"
+)
+
+func tinyConfig() Config {
+	return Config{Scale: "tiny", Seed: 1, TrainSteps: 5, Shards: 2, Replicas: 1, Strategy: "hash"}
+}
+
+// retrieve pushes one request through the stack's server.
+func retrieve(t *testing.T, st *Stack) serve.Response {
+	t.Helper()
+	resp := make(chan serve.Response, 1)
+	if !st.Server.Submit(st.Users[0], st.Queries[0], resp) {
+		t.Fatal("request dropped by an idle server")
+	}
+	select {
+	case r := <-resp:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatal("no response")
+	}
+	panic("unreachable")
+}
+
+// startShards serves g's two hash partitions from one loopback server.
+func startShards(t *testing.T, g *graph.Graph) string {
+	t.Helper()
+	srv := rpc.NewServer(g, rpc.ServerConfig{Shards: 2, Strategy: partition.Hash, Replicas: 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv.Start(ln)
+	t.Cleanup(func() { srv.Close() })
+	return ln.Addr().String()
+}
+
+func TestBuildLocal(t *testing.T) {
+	var lines int
+	st, err := Build(tinyConfig(), func(string, ...any) { lines++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines == 0 {
+		t.Fatal("bring-up reported no progress")
+	}
+	if st.Engine.NumShards() != 2 || st.Engine.NumNodes() != st.Graph.NumNodes() {
+		t.Fatalf("engine has %d shards over %d nodes", st.Engine.NumShards(), st.Engine.NumNodes())
+	}
+	if r := retrieve(t, st); r.Err != nil || len(r.Items) == 0 {
+		t.Fatalf("retrieval: %d items, err %v", len(r.Items), r.Err)
+	}
+	st.Close()
+	st.Close() // idempotent
+}
+
+func TestBuildRemote(t *testing.T) {
+	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
+	addr := startShards(t, graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph)
+	cfg := tinyConfig()
+	cfg.Remote = []string{" " + addr + " "} // flag values arrive untrimmed
+	st, err := Build(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Engine.Backend(0) == nil || st.Engine.Shard(0) != nil {
+		t.Fatal("remote stack is serving from in-process shards")
+	}
+	if r := retrieve(t, st); r.Err != nil || len(r.Items) == 0 {
+		t.Fatalf("retrieval: %d items, err %v", len(r.Items), r.Err)
+	}
+	if len(st.IngestStats()) != 2 {
+		t.Fatalf("ingest rows for %d shards, want 2", len(st.IngestStats()))
+	}
+	st.Close()
+	st.Close()
+}
+
+// Shard servers holding another world are refused with a typed error
+// naming both node counts.
+func TestBuildRemoteWorldSkew(t *testing.T) {
+	b := graph.NewBuilder()
+	for i := 0; i < 10; i++ {
+		b.AddNode(graph.Item, []int32{int32(i)}, nil)
+	}
+	cfg := tinyConfig()
+	cfg.Remote = []string{startShards(t, b.Build())}
+	st, err := Build(cfg, nil)
+	if !errors.Is(err, ErrWorldSkew) || st != nil {
+		t.Fatalf("got stack %v, err %v; want ErrWorldSkew", st, err)
+	}
+	if _, err := Build(Config{Scale: "galactic"}, nil); err == nil {
+		t.Fatal("unknown scale accepted")
+	}
+}
