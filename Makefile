@@ -93,5 +93,6 @@ rig-check:
 # A few seconds of native fuzzing per wire decoder on top of the
 # checked-in seed corpora (which every plain `go test` already replays).
 fuzz-smoke:
+	go test -run '^$$' -fuzz 'FuzzDecodeBatchRequest' -fuzztime 5s ./internal/rpc/
 	go test -run '^$$' -fuzz 'FuzzDecodeReadNodesRequest' -fuzztime 5s ./internal/rpc/
 	go test -run '^$$' -fuzz 'FuzzDecodeReadNodesResponse' -fuzztime 5s ./internal/rpc/

@@ -33,8 +33,8 @@ echo "== simd dispatch: $SIMD" >&2
 
 echo "== hot-path benchmarks" >&2
 go test -run '^$' -bench 'BenchmarkHotPath' -benchmem -count "$COUNT" . | tee -a "$TMP" >&2
-# BenchmarkSampleNeighbors also matches the Parallel (multi-core
-# contention) and Batch (scatter-gather) variants.
+# BenchmarkSampleNeighbors matches the Parallel (multi-core contention)
+# and Batch (scatter-gather) variants.
 go test -run '^$' -bench 'BenchmarkSampleNeighbors|BenchmarkSampleTree' -benchmem -count "$COUNT" ./internal/engine/ | tee -a "$TMP" >&2
 go test -run '^$' -bench 'BenchmarkFocalBiased|BenchmarkBuildTree' -benchmem -count "$COUNT" ./internal/sampling/ | tee -a "$TMP" >&2
 go test -run '^$' -bench 'BenchmarkServingEmbedding|BenchmarkEndToEndRequest|BenchmarkCacheRefresh' -benchmem -count "$COUNT" ./internal/serve/ | tee -a "$TMP" >&2
@@ -103,31 +103,6 @@ END {
 }
 ' "$TMP" > "$OUT.new"
 
-# Preserve the committed "baseline" section (the pre-refactor numbers PR 1
-# recorded) so every regeneration keeps the comparison anchor. Refuse to
-# clobber it silently when the merge tool is missing.
-if [ -f "$OUT" ] && grep -q '"baseline"' "$OUT" && ! command -v python3 >/dev/null; then
-    echo "error: $OUT has a baseline section but python3 is unavailable to preserve it; aborting" >&2
-    exit 1
-fi
-if [ -f "$OUT" ] && command -v python3 >/dev/null; then
-    python3 - "$OUT" "$OUT.new" <<'PY'
-import json, sys
-old_path, new_path = sys.argv[1], sys.argv[2]
-try:
-    with open(old_path) as f:
-        old = json.load(f)
-except Exception:
-    old = {}
-with open(new_path) as f:
-    new = json.load(f)
-if "baseline" in old:
-    new["baseline"] = old["baseline"]
-with open(new_path, "w") as f:
-    json.dump(new, f, indent=2)
-    f.write("\n")
-PY
-fi
 mv "$OUT.new" "$OUT"
 
 echo "wrote $OUT" >&2

@@ -12,7 +12,7 @@
 # threshold and must stay allocation-free — a kernel that silently falls
 # back to a slower path or starts allocating fails here. Comparison is
 # refused outright when the baseline was recorded under a different simd
-# dispatch than the current run.
+# dispatch or on a box with a different CPU count than the current run.
 #
 # Noise handling, in two layers (this container's scheduler/timer noise
 # can swing an untouched bench 0.6x-1.6x between single samples):
@@ -63,13 +63,15 @@ with open(now_path) as f:
     now_doc = json.load(f)
 base, now = base_doc["benchmarks"], now_doc["benchmarks"]
 
-# Kernel numbers from different dispatches (avx2 vs purego) are not a
-# regression signal — refuse the comparison instead of failing it.
-base_simd, now_simd = base_doc.get("simd"), now_doc.get("simd")
-if base_simd and now_simd and base_simd != now_simd:
-    print(f"error: baseline recorded with simd={base_simd}, current run is simd={now_simd}; "
-          "regenerate the baseline with ./bench.sh under the same build", file=sys.stderr)
-    sys.exit(1)
+# Numbers from different kernel dispatches (avx2 vs purego) or boxes with
+# different CPU counts are not a regression signal — refuse the
+# comparison instead of failing it.
+for key in ("simd", "num_cpu"):
+    was, now_is = base_doc.get(key), now_doc.get(key)
+    if was and now_is and was != now_is:
+        print(f"error: baseline recorded with {key}={was}, current run is {key}={now_is}; "
+              "regenerate the baseline with ./bench.sh on this box and build", file=sys.stderr)
+        sys.exit(1)
 
 RPC_PREFIXES = ("BenchmarkRPCRoundTrip", "BenchmarkRemote")
 KERNEL_PREFIXES = ("BenchmarkDot", "BenchmarkMatVec", "BenchmarkAxpy", "BenchmarkQuantizedScan")

@@ -49,8 +49,9 @@ func buildHotPathWorld(b *testing.B) *hotPathWorld {
 		user:  g.NodesOfType(graph.User)[0],
 		query: g.NodesOfType(graph.Query)[0],
 	}
-	w.nbrsU = eng.SampleNeighbors(w.user, 30, r)
-	w.nbrsQ = eng.SampleNeighbors(w.query, 30, r)
+	w.nbrsU, w.nbrsQ = make([]graph.NodeID, 30), make([]graph.NodeID, 30)
+	w.nbrsU = w.nbrsU[:eng.SampleNeighborsInto(w.user, w.nbrsU, r)]
+	w.nbrsQ = w.nbrsQ[:eng.SampleNeighborsInto(w.query, w.nbrsQ, r)]
 	return w
 }
 

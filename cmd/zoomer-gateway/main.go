@@ -52,7 +52,6 @@ func main() {
 	topK := flag.Int("topk", 100, "retrieved items per request")
 	queueSize := flag.Int("queue", 4096, "serve queue depth")
 	shards := flag.Int("shards", 4, "graph engine partitions (in-process mode)")
-	replicas := flag.Int("replicas", 2, "replicas per shard (in-process mode)")
 	strategy := flag.String("partition", "hash", "node-to-shard assignment: hash | degree-balanced")
 	remote := flag.String("remote", "", "comma-separated zoomer-shard addresses (empty: in-process shards)")
 	rpcConns := flag.Int("rpc-conns", 0, "multiplexed connections per shard server (0 = default)")
@@ -77,7 +76,7 @@ func main() {
 	}
 	stack, err := servestack.Build(servestack.Config{
 		Scale: *scale, Seed: *seed, TrainSteps: *trainSteps,
-		Shards: *shards, Replicas: *replicas, Strategy: *strategy,
+		Shards: *shards, Strategy: *strategy,
 		Remote: addrs, RPCConns: *rpcConns, RPCWindow: *rpcWindow,
 		Serve: serve.Config{Workers: *workers, CacheK: *cacheK, TopK: *topK, QueueSize: *queueSize},
 	}, func(format string, args ...any) {

@@ -57,8 +57,7 @@ func main() {
 	duration := flag.Duration("duration", 400*time.Millisecond, "measurement window per point")
 	workers := flag.Int("workers", 4, "serving workers")
 	cacheK := flag.Int("cachek", 30, "cached neighbors per node")
-	shards := flag.Int("shards", 4, "graph engine partitions (capacity axis)")
-	replicas := flag.Int("replicas", 2, "replicas per shard (throughput axis)")
+	shards := flag.Int("shards", 4, "graph engine partitions")
 	strategy := flag.String("partition", "hash", "node-to-shard assignment: hash | degree-balanced")
 	remote := flag.String("remote", "", "comma-separated zoomer-shard addresses (empty: in-process shards)")
 	rpcConns := flag.Int("rpc-conns", 0, "multiplexed connections per shard server (0 = default 2)")
@@ -132,11 +131,11 @@ func main() {
 		fmt.Printf("engine: %d remote shards (%s partitioning, routing epoch %d) behind %d servers\n",
 			eng.NumShards(), cluster.Info.Strategy, eng.Routing().Epoch(), len(addrs))
 	} else {
-		eng = engine.New(g, engine.Config{Shards: *shards, Replicas: *replicas, Strategy: strat, Locality: true})
+		eng = engine.New(g, engine.Config{Shards: *shards, Strategy: strat, Locality: true})
 	}
 	st := eng.Stats()
-	fmt.Printf("engine: %d shards x %d replicas, nodes/shard %v, edges/shard %v\n",
-		st.Shards, st.Replicas, st.NodesPerShard, st.EdgesPerShard)
+	fmt.Printf("engine: %d shards, replicas/shard %v, nodes/shard %v, edges/shard %v\n",
+		st.Shards, st.ReplicasPerShard, st.NodesPerShard, st.EdgesPerShard)
 	cache := serve.NewNeighborCache(eng, *cacheK, *seed+3)
 	defer cache.Close()
 
@@ -188,6 +187,5 @@ func main() {
 	hits, misses, refreshes := cache.Stats()
 	fmt.Printf("cache: %d hits / %d misses / %d async refreshes\n", hits, misses, refreshes)
 	final := eng.Stats()
-	fmt.Printf("engine: per-shard requests %v (max/mean imbalance %.2f), per-replica %v\n",
-		final.RequestsPerShard, final.Imbalance, final.RequestsPerRep)
+	fmt.Printf("engine: per-shard requests %v (max/mean imbalance %.2f)\n", final.RequestsPerShard, final.Imbalance)
 }

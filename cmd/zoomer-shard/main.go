@@ -15,7 +15,7 @@
 // -out) instead of regenerated, so every server — and the serving tier —
 // is guaranteed the identical graph.
 //
-// The wire protocol (version 4) multiplexes many in-flight requests per
+// The wire protocol (rpc.ProtocolVersion) multiplexes many in-flight requests per
 // connection; -rpc-workers bounds how many of one connection's requests
 // are dispatched concurrently and -rpc-window how many may queue behind
 // them. A client that speaks the old one-request-per-connection protocol
@@ -103,7 +103,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "world seed (must match the serving tier's)")
 	shards := flag.Int("shards", 4, "total graph partitions")
 	own := flag.String("own", "", "comma-separated shard ids this server owns (default: all)")
-	replicas := flag.Int("replicas", 2, "replicas per owned shard")
 	strategy := flag.String("partition", "hash", "node-to-shard assignment: hash | degree-balanced")
 	locality := flag.Bool("locality", true, "BFS-reorder each shard's rows for cache locality (must match across the cluster)")
 	rpcWorkers := flag.Int("rpc-workers", 0, "concurrent request dispatch per connection (0 = default 4)")
@@ -184,7 +183,6 @@ func main() {
 		Shards:      *shards,
 		Strategy:    strat,
 		Owned:       owned,
-		Replicas:    *replicas,
 		Locality:    *locality,
 		Advertise:   *advertise,
 		ConnWorkers: *rpcWorkers,
@@ -196,8 +194,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("serving shards %v of %d on %s (%d replicas each)\n",
-		srv.OwnedShards(), *shards, srv.Addr(), *replicas)
+	fmt.Printf("serving shards %v of %d on %s\n", srv.OwnedShards(), *shards, srv.Addr())
 	if *walDir != "" {
 		for _, st := range srv.IngestStats() {
 			if st.Seq > 0 {

@@ -50,7 +50,6 @@ func main() {
 	shards := flag.Int("shards", 0, "train over a local sharded engine with this many partitions (0 = monolithic graph)")
 	strategy := flag.String("partition", "hash", "node-to-shard assignment: hash | degree-balanced")
 	locality := flag.Bool("locality", true, "BFS shard-locality reordering (sharded engine only)")
-	replicas := flag.Int("replicas", 1, "replica copies per shard (sharded engine only)")
 	remote := flag.String("remote", "", "comma-separated zoomer-shard addresses (train over the RPC engine)")
 	flag.Parse()
 
@@ -106,11 +105,10 @@ func main() {
 		fmt.Printf("engine: %d remote shards (%s partitioning) behind %d servers\n",
 			eng.NumShards(), cluster.Info.Strategy, len(addrs))
 	case *shards > 0:
-		eng := engine.New(res.Graph, engine.Config{Shards: *shards, Replicas: *replicas, Strategy: strat, Locality: *locality})
+		eng := engine.New(res.Graph, engine.Config{Shards: *shards, Strategy: strat, Locality: *locality})
 		defer eng.Close()
 		view = core.EngineView{Engine: eng, M: res.Mapping}
-		fmt.Printf("engine: %d local shards x %d replicas (%s partitioning, locality %v)\n",
-			*shards, *replicas, strat, *locality)
+		fmt.Printf("engine: %d local shards (%s partitioning, locality %v)\n", *shards, strat, *locality)
 	}
 
 	v := logs.Vocab()

@@ -37,10 +37,10 @@ GW=127.0.0.1:8491
 
 # The world must match across every process: tiny scale, seed 1, two
 # hash partitions, one per server.
-"$WORK/zoomer-shard" -scale tiny -seed 1 -shards 2 -own 0 -replicas 1 \
+"$WORK/zoomer-shard" -scale tiny -seed 1 -shards 2 -own 0 \
 	-listen "$S0" >"$WORK/shard0.log" 2>&1 &
 SHARD0_PID=$!
-"$WORK/zoomer-shard" -scale tiny -seed 1 -shards 2 -own 1 -replicas 1 \
+"$WORK/zoomer-shard" -scale tiny -seed 1 -shards 2 -own 1 \
 	-listen "$S1" >"$WORK/shard1.log" 2>&1 &
 SHARD1_PID=$!
 

@@ -1,12 +1,22 @@
 #!/bin/sh
-# docs-check: fail on broken intra-repo links in tracked Markdown files.
+# docs-check: fail on broken intra-repo links in tracked Markdown files
+# and on flag tables that disagree with the binaries.
 #
 # Every inline Markdown link target [text](target) that is not an
 # external URL or a pure in-page anchor must resolve to a file or
 # directory relative to the linking file (anchors are stripped before
 # the check). Chained into `make ci` so a doc move or rename cannot
 # silently orphan references.
+#
+# Every backticked -flag in the first column of a table under a
+# "### <binary> ..." heading of the operations runbook must be defined by
+# a flag.*("name", ...) call in cmd/<binary>/main.go, and every flag
+# defined there must have a row under one of that binary's headings.
+#
+# Usage: ./docs_check.sh [operations.md]   (default docs/OPERATIONS.md)
 set -eu
+
+ops=${1:-docs/OPERATIONS.md}
 
 fail=0
 for f in $(git ls-files '*.md'); do
@@ -26,8 +36,38 @@ for f in $(git ls-files '*.md'); do
 	done
 done
 
+# "binary flag" pairs, one per line, from the runbook's flag tables.
+documented=$(awk '
+	/^#/ { bin = ""; if ($1 == "###") bin = $2 }
+	bin != "" && /^\| *`-/ {
+		split($0, cols, "|")
+		n = split(cols[2], toks, "`")
+		for (i = 2; i <= n; i += 2) {
+			f = toks[i]
+			sub(/ .*/, "", f) # `-admin addr` documents -admin
+			if (f ~ /^-/) print bin, substr(f, 2)
+		}
+	}' "$ops" | sort -u)
+for bin in $(echo "$documented" | cut -d' ' -f1 | sort -u); do
+	main=cmd/$bin/main.go
+	[ -f "$main" ] || continue
+	defined=$(grep -oE 'flag\.[A-Za-z0-9]+\("[^"]+"' "$main" | sed -e 's/.*("//' -e 's/"$//' | sort -u)
+	for f in $(echo "$documented" | sed -n "s/^$bin //p"); do
+		if ! echo "$defined" | grep -qx -- "$f"; then
+			echo "docs-check: $ops documents -$f for $bin, but $main defines no such flag" >&2
+			fail=1
+		fi
+	done
+	for f in $defined; do
+		if ! echo "$documented" | grep -qx -- "$bin $f"; then
+			echo "docs-check: $main defines -$f, but $ops has no row for it under a \"### $bin\" heading" >&2
+			fail=1
+		fi
+	done
+done
+
 if [ "$fail" -ne 0 ]; then
 	echo "docs-check: FAILED" >&2
 	exit 1
 fi
-echo "docs-check: all intra-repo Markdown links resolve"
+echo "docs-check: all intra-repo Markdown links resolve and the flag tables match the binaries"

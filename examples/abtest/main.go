@@ -20,7 +20,7 @@ func main() {
 	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 51))
 	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
 	// Both models train through a sharded engine view of the graph.
-	eng := engine.New(res.Graph, engine.Config{Shards: 4, Replicas: 1, Strategy: partition.Hash, Locality: true})
+	eng := engine.New(res.Graph, engine.Config{Shards: 4, Strategy: partition.Hash, Locality: true})
 	defer eng.Close()
 	g := core.EngineView{Engine: eng, M: res.Mapping}
 	ds := loggen.BuildExamples(logs, 1, 0.2, 52)
@@ -52,7 +52,7 @@ func main() {
 
 	// Each arm serves from its own live engine config; the read surfaces
 	// are bit-identical, so the lift isolates the models.
-	controlEng := engine.New(res.Graph, engine.Config{Shards: 2, Replicas: 1, Strategy: partition.DegreeBalanced, Locality: false})
+	controlEng := engine.New(res.Graph, engine.Config{Shards: 2, Strategy: partition.DegreeBalanced, Locality: false})
 	defer controlEng.Close()
 	out := abtest.RunArms(g, traffic,
 		abtest.Arm{Channel: control, View: core.EngineView{Engine: controlEng, M: res.Mapping}},

@@ -1,9 +1,8 @@
 // Serving: the Fig. 9 scenario in miniature — run the online retrieval
 // service (trimmed model, async neighbor cache, IVF index) under rising
 // offered load and watch response time climb as the worker pool
-// saturates. The graph sits behind the partitioned engine: -shards /
-// -replicas size the store, and the sweep prints how load spreads over
-// the shards. With -remote the partitions are served by two in-process
+// saturates. The graph sits behind the partitioned engine: -shards sizes
+// the store, and the sweep prints how load spreads over the shards. With -remote the partitions are served by two in-process
 // TCP shard servers and the serving tier talks to them over loopback —
 // the full distributed deployment in one binary, returning bit-identical
 // samples to the in-process engine.
@@ -29,7 +28,6 @@ import (
 
 func main() {
 	shards := flag.Int("shards", 4, "graph engine partitions")
-	replicas := flag.Int("replicas", 2, "replicas per shard")
 	remote := flag.Bool("remote", false, "serve the shards over loopback TCP instead of in-process")
 	flag.Parse()
 
@@ -54,7 +52,7 @@ func main() {
 			if len(owned) == 0 {
 				continue
 			}
-			srv := rpc.NewServer(g, rpc.ServerConfig{Shards: *shards, Owned: owned, Replicas: *replicas})
+			srv := rpc.NewServer(g, rpc.ServerConfig{Shards: *shards, Owned: owned})
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -74,11 +72,10 @@ func main() {
 		fmt.Printf("engine: %d remote shards behind %d loopback servers %v\n",
 			eng.NumShards(), len(addrs), addrs)
 	} else {
-		eng = engine.New(g, engine.Config{Shards: *shards, Replicas: *replicas})
+		eng = engine.New(g, engine.Config{Shards: *shards})
 	}
 	es := eng.Stats()
-	fmt.Printf("engine: %d shards x %d replicas, nodes/shard %v\n",
-		es.Shards, es.Replicas, es.NodesPerShard)
+	fmt.Printf("engine: %d shards, nodes/shard %v\n", es.Shards, es.NodesPerShard)
 	cache := serve.NewNeighborCache(eng, 30, 33)
 	defer cache.Close()
 

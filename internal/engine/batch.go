@@ -161,7 +161,7 @@ func (e *Engine) SampleNeighborsBatchInto(ids []graph.NodeID, k int, out []graph
 // ns is zeroed before the error is returned.
 func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k int, out []graph.NodeID, ns []int32, bs *BatchScratch) (int, error) {
 	// Counting sort entry indices (and their node ids) by owning shard.
-	counts, order, gids := bs.groupBufs(len(ids), len(set.backends))
+	counts, order, gids := bs.groupBufs(len(ids), len(set.groups))
 	for _, id := range ids {
 		counts[e.routing.Owner(id)+1]++
 	}
@@ -181,7 +181,7 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 	remoteGroups := 0
 	if set.hasRemote {
 		start := int32(0)
-		for si := range set.backends {
+		for si := range set.groups {
 			end := counts[si]
 			if end > start && set.locals[si] == nil {
 				remoteGroups++
@@ -198,7 +198,7 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 		total := 0
 		failover := false
 		start := int32(0)
-		for si := range set.backends {
+		for si := range set.groups {
 			end := counts[si]
 			if end == start {
 				continue
@@ -230,10 +230,10 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 	// disjoint regions of out/ns, so no synchronization beyond the
 	// barrier/awaits is needed and the merged result is bit-identical to
 	// the sequential path.
-	visits, handles, bes := bs.visitBufs(len(set.backends))
+	visits, handles, bes := bs.visitBufs(len(set.groups))
 	pooled := 0
 	start := int32(0)
-	for si := range set.backends {
+	for si := range set.groups {
 		end := counts[si]
 		if end > start && set.locals[si] == nil {
 			// One replica is picked (load-aware) and charged per group per
@@ -257,7 +257,7 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 		e.startFanout()
 		bs.wg.Add(pooled)
 		start = 0
-		for si := range set.backends {
+		for si := range set.groups {
 			end := counts[si]
 			if end > start && set.locals[si] == nil && handles[si] == nil {
 				e.fanoutCh <- visitJob{
@@ -276,7 +276,7 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 		}
 	}
 	start = 0
-	for si := range set.backends {
+	for si := range set.groups {
 		end := counts[si]
 		if end > start && set.locals[si] != nil {
 			visits[si].n, visits[si].err = set.locals[si].SampleBatchInto(gids[start:end], order[start:end], base, k, out, ns)
@@ -311,7 +311,7 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 	// regions exclusively and the merged result stays bit-identical.
 	failover := false
 	start = 0
-	for si := range set.backends {
+	for si := range set.groups {
 		end := counts[si]
 		if end > start && len(set.groups[si]) > 1 && visits[si].err != nil && errors.Is(visits[si].err, ErrShardUnavailable) {
 			visits[si].n, _, visits[si].err = set.visitShard(si, gids[start:end], order[start:end], base, k, out, ns)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,31 +12,16 @@ import (
 	"zoomer/internal/rng"
 )
 
-// deadlineBackend wraps a shard store and records whether the
-// deadline-aware facet or the plain path was used.
-type deadlineBackend struct {
-	flakyBackend
-	byCalls atomic.Int64
-	lastDL  atomic.Int64 // unix nanos of the last deadline seen
-}
-
-func (db *deadlineBackend) SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
-	db.byCalls.Add(1)
-	db.lastDL.Store(deadline.UnixNano())
-	return db.flakyBackend.SampleInto(id, out, r)
-}
-
-func deadlineFixture(t *testing.T, shards int) (*Engine, [][]*deadlineBackend) {
+func deadlineFixture(t *testing.T, shards int) (*Engine, [][]*flakyBackend) {
 	t.Helper()
 	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
 	g := graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
 	part := partition.Split(g, shards, partition.Hash)
 	groups := make([][]ShardBackend, shards)
-	backs := make([][]*deadlineBackend, shards)
+	backs := make([][]*flakyBackend, shards)
 	for id := 0; id < shards; id++ {
-		sh := BuildShard(part, id, 1)
-		a := &deadlineBackend{flakyBackend: flakyBackend{sh: sh}}
-		backs[id] = []*deadlineBackend{a}
+		a := &flakyBackend{sh: BuildShard(part, id, 1)}
+		backs[id] = []*flakyBackend{a}
 		groups[id] = []ShardBackend{a}
 	}
 	e := NewWithReplicaSets(part.RoutingTable(), groups, g.ContentDim())
@@ -61,46 +45,31 @@ func TestExpiredDeadlineFailsTypedWithoutWork(t *testing.T) {
 	}
 	for _, g := range backs {
 		for _, b := range g {
-			if n := b.calls.Load() + b.byCalls.Load(); n != 0 {
+			if n := b.calls.Load(); n != 0 {
 				t.Fatalf("expired call reached a backend (%d calls)", n)
 			}
 		}
 	}
 }
 
-// A live deadline routes through the DeadlineSampler facet (so a remote
-// stub can shrink its per-call wire budget), while the zero deadline
-// keeps the plain path.
-func TestDeadlineRoutesThroughFacet(t *testing.T) {
+// The deadline travels through the ShardBackend seam as given (so a
+// remote stub can shrink its per-call wire budget), and the convenience
+// wrapper passes the zero deadline.
+func TestDeadlineReachesBackend(t *testing.T) {
 	e, backs := deadlineFixture(t, 2)
 	r := rng.New(9)
 	out := make([]graph.NodeID, 4)
+	be := backs[e.ShardOf(1)][0]
 	dl := time.Now().Add(time.Minute)
 	if _, err := e.TrySampleNeighborsIntoBy(1, out, r, dl); err != nil {
 		t.Fatalf("bounded sample: %v", err)
 	}
-	var by, plain int64
-	for _, g := range backs {
-		for _, b := range g {
-			by += b.byCalls.Load()
-			plain += b.calls.Load()
-		}
+	if be.calls.Load() != 1 || !be.lastDL.Equal(dl) {
+		t.Fatalf("bounded call reached the backend %d times with deadline %v, want once with %v", be.calls.Load(), be.lastDL, dl)
 	}
-	if by != 1 || plain != 1 { // facet wraps the store's SampleInto
-		t.Fatalf("bounded call used byCalls=%d calls=%d, want the facet path", by, plain)
-	}
-
-	if _, err := e.TrySampleNeighborsInto(1, out, r); err != nil {
-		t.Fatalf("unbounded sample: %v", err)
-	}
-	var by2 int64
-	for _, g := range backs {
-		for _, b := range g {
-			by2 += b.byCalls.Load()
-		}
-	}
-	if by2 != by {
-		t.Fatal("unbounded call took the deadline facet")
+	e.SampleNeighborsInto(1, out, r)
+	if be.calls.Load() != 2 || !be.lastDL.IsZero() {
+		t.Fatalf("unbounded call reached the backend with deadline %v, want the zero deadline", be.lastDL)
 	}
 }
 
@@ -113,7 +82,7 @@ func TestDeadlineDrawsBitIdentical(t *testing.T) {
 	b := make([]graph.NodeID, 5)
 	dl := time.Now().Add(time.Minute)
 	for id := 0; id < e.NumNodes(); id += 13 {
-		na, err := e.TrySampleNeighborsInto(graph.NodeID(id), a, ra)
+		na, err := e.TrySampleNeighborsIntoBy(graph.NodeID(id), a, ra, time.Time{})
 		if err != nil {
 			t.Fatalf("node %d unbounded: %v", id, err)
 		}

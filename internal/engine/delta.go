@@ -404,14 +404,6 @@ func (s *Shard) overlayFor(id graph.NodeID) *nodeOverlay {
 	return dv.overlays[id]
 }
 
-// deltaDegree returns the number of appended edges for id.
-func (s *Shard) deltaDegree(id graph.NodeID) int {
-	if ov := s.overlayFor(id); ov != nil {
-		return len(ov.all)
-	}
-	return 0
-}
-
 // ensure the facets stay implemented.
 var (
 	_ EdgeAppender   = (*Shard)(nil)

@@ -20,7 +20,7 @@ func deltaWorld(t testing.TB, shards int) (*Engine, graph.NodeID, graph.NodeID, 
 	lone := b.AddNode(graph.Item, nil, nil)
 	b.AddEdge(ego, heavy, graph.Click, 9)
 	b.AddEdge(ego, light, graph.Click, 1)
-	return New(b.Build(), Config{Shards: shards, Replicas: 1}), ego, heavy, light, lone
+	return New(b.Build(), Config{Shards: shards}), ego, heavy, light, lone
 }
 
 func TestAppendSamplingSeesNewEdges(t *testing.T) {
@@ -53,9 +53,8 @@ func TestAppendSamplingSeesNewEdges(t *testing.T) {
 }
 
 func TestAppendUntouchedNodesDrawBitIdentical(t *testing.T) {
-	e1 := buildEngine(t)
-	e2 := buildEngine(t)
-	g := e1.Graph()
+	e1, g := buildEngine(t)
+	e2, _ := buildEngine(t)
 	// Append to node 0's shard only; every other node's stream must be
 	// untouched relative to the pristine engine.
 	if _, err := e1.Append([]ingest.Edge{{Src: 0, Dst: 1, Type: graph.Click, Weight: 2}}); err != nil {
@@ -82,14 +81,14 @@ func TestAppendUntouchedNodesDrawBitIdentical(t *testing.T) {
 func TestAppendIsolatedNodeGainsEdges(t *testing.T) {
 	e, ego, _, _, lone := deltaWorld(t, 1)
 	r := rng.New(5)
-	if got := e.SampleNeighbors(lone, 3, r); got != nil {
-		t.Fatalf("isolated node sampled %v before append", got)
+	got := make([]graph.NodeID, 3)
+	if n := e.SampleNeighborsInto(lone, got, r); n != 0 {
+		t.Fatalf("isolated node sampled %d draws before append", n)
 	}
 	if _, err := e.Append([]ingest.Edge{{Src: lone, Dst: ego, Type: graph.Session, Weight: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	got := e.SampleNeighbors(lone, 3, r)
-	if len(got) != 3 || got[0] != ego || got[1] != ego || got[2] != ego {
+	if n := e.SampleNeighborsInto(lone, got, r); n != 3 || got[0] != ego || got[1] != ego || got[2] != ego {
 		t.Fatalf("isolated node after append sampled %v, want [ego ego ego]", got)
 	}
 	if nbrs := e.Neighbors(lone); len(nbrs) != 1 || nbrs[0].To != ego {

@@ -3,41 +3,41 @@
 // internal/partition into disjoint per-shard CSR slices; each shard owns
 // its partition's offsets, edges, feature/content rows and per-adjacency
 // alias tables (built in parallel at New), and serves reads only for the
-// nodes it owns. Replicas multiply a shard's read throughput and carry
-// only atomic load counters.
+// nodes it owns.
 //
 // The Engine itself is the routing layer: a single-node call is directed
 // to the owning shard with one arithmetic or array-index lookup, and
 // multi-node calls (cache refresh batches, SampleTree frontiers) are
-// scatter-gathered so each shard is visited exactly once per batch. Both
-// the Engine and the in-process Shard implement GraphService, and the
-// Engine holds its per-shard stores behind the ShardBackend interface —
-// the seam where an RPC-backed shard plugs in (internal/rpc.RemoteShard):
-// NewWithBackends accepts any mix of local *Shards and remote stubs, and
-// each per-shard batch visit maps onto exactly one RPC round trip.
+// scatter-gathered so each shard is visited exactly once per batch. The
+// Engine holds every partition as a replica group of stores behind the
+// ShardBackend interface — the seam where an RPC-backed shard plugs in
+// (internal/rpc.RemoteShard): NewWithReplicaSets accepts any mix of local
+// *Shards and remote stubs, and each per-shard visit maps onto exactly
+// one RPC round trip.
 //
 // The hot path is lock- and allocation-free: routing is O(1) arithmetic,
 // every shard's alias arrays are immutable after New and read without
 // locks, and SampleNeighborsInto / SampleNeighborsBatchInto write into
-// caller-owned buffers. Shards either live in-process (each replica an
-// independently counted region, as in the single-box benchmarks) or on
-// separate shard servers over TCP, exactly as in the paper's deployment.
+// caller-owned buffers. Shards either live in-process (the single-box
+// benchmarks) or on separate shard servers over TCP, exactly as in the
+// paper's deployment.
 //
 // Shard ownership is dynamic: the Engine publishes its per-shard
 // backends as an immutable set behind an atomic, epoch-checked pointer,
 // so a live handoff (a partition migrating between shard servers) swaps
-// the set with InstallBackends while the hot path keeps reading it with
+// the set with InstallReplicaSets while the hot path keeps reading it with
 // a single load. In-flight calls complete against the set they loaded;
 // a call that lands on a drained shard gets the typed ErrWrongEpoch
 // redirect, which triggers the installed RefreshFunc once and a bounded
 // retry — handoffs never surface to callers (see docs/ARCHITECTURE.md).
 //
-// Error contract: batch calls (SampleNeighborsBatchInto, SampleTree) and
-// TrySampleNeighborsInto return transport failures as typed errors with
-// no partial-result corruption. The error-free GraphService surface
-// (Neighbors, Features, Content, SampleNeighborsInto) panics on a remote
-// transport failure — it exists for in-process use and for healthy
-// clusters; fault-tolerant callers go through the error-returning calls.
+// Error contract: batch calls (SampleNeighborsBatchInto, SampleTree),
+// TrySampleNeighborsIntoBy and TryReadNodes return transport failures as
+// typed errors with no partial-result corruption. The error-free surface
+// (Neighbors, Features, Content, ReadNodes, SampleNeighborsInto) panics
+// on a remote transport failure — it exists for in-process use and for
+// healthy clusters; fault-tolerant callers go through the error-returning
+// calls.
 package engine
 
 import (
@@ -119,24 +119,17 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrWrongEpoch) || errors.Is(err, ErrShardUnavailable)
 }
 
-// GraphService is the read surface of one graph store: weighted neighbor
-// sampling plus the node attribute reads the samplers and the serving
-// embedder need. The in-process *Shard implements it over its partition;
-// *Engine implements it as the routing layer over all shards. An
-// RPC-backed shard implements the same four methods over the wire (plus,
-// in practice, a batch sampling call mirroring SampleNeighborsBatchInto).
-type GraphService interface {
-	SampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) int
-	Neighbors(id graph.NodeID) []graph.Edge
-	Features(id graph.NodeID) []int32
-	Content(id graph.NodeID) tensor.Vec
-}
-
-// ShardBackend is one partition's store as the routing layer sees it:
-// the GraphService read surface with explicit error returns (a remote
-// store can fail; the in-process *Shard never does) plus the group call
-// the scatter-gather batch path issues — one SampleBatchInto per owning
-// shard per batch, which an RPC backend serves in one round trip.
+// ShardBackend is one partition's store as the routing layer sees it —
+// the in-process *Shard over its partition's arrays (which never fails)
+// or an RPC stub over the wire (which can): the single-sample read, and
+// the two group calls the scatter-gather paths issue once per owning
+// shard, each of which an RPC backend serves in one round trip.
+//
+// SampleIntoBy fills out with weighted neighbor draws of id from r's
+// stream and returns len(out), or 0 for an isolated node. deadline bounds
+// the call (zero: unbounded): a backend that can block shrinks its I/O
+// budget to what is left and fails with ErrDeadlineExceeded once it is
+// spent. Any failure reports 0 draws and must not consume r.
 //
 // SampleBatchInto's contract: entry j is node gids[j] at global batch
 // index idx[j]; its k draws go to out[idx[j]*k:(idx[j]+1)*k] and its
@@ -151,11 +144,8 @@ type GraphService interface {
 // columns (entry j when pos is nil), which the caller has sized. A
 // backend that copies carves the copies from into's arenas.
 type ShardBackend interface {
-	SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error)
+	SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error)
 	SampleBatchInto(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (int, error)
-	NeighborsOf(id graph.NodeID) ([]graph.Edge, error)
-	FeaturesOf(id graph.NodeID) ([]int32, error)
-	ContentOf(id graph.NodeID) (tensor.Vec, error)
 	ReadNodesInto(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) error
 }
 
@@ -196,26 +186,12 @@ func handleStarted(h any) bool {
 }
 
 // BackendStats is optionally implemented by backends that can report
-// their served-request count and partition size (remote stubs do, from
-// their client-side counter and the server handshake); Stats folds these
-// into its per-shard view.
+// their served-request count and partition size (the in-process Shard
+// does, and remote stubs do from their client-side counter and the server
+// handshake); Stats folds these into its per-shard view.
 type BackendStats interface {
 	Requests() int64
 	ShardSize() (nodes, edges int)
-}
-
-// DeadlineSampler is optionally implemented by backends that can bound
-// one single-sample read by an absolute per-call deadline — the seam the
-// serving tier's request deadlines travel through. The RPC stub
-// implements it by shrinking its per-call I/O timers to the remaining
-// budget (rpc.ClientConfig.Timeout stays the ceiling); the in-process
-// Shard does not need to (a local read cannot block), so the engine
-// falls back to the plain SampleInto for backends without the facet
-// after checking the deadline itself. The contract matches SampleInto's
-// with one addition: a deadline failure reports 0 draws, wraps
-// ErrDeadlineExceeded, and must not consume r.
-type DeadlineSampler interface {
-	SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error)
 }
 
 // HealthReporter is optionally implemented by backends that track their
@@ -228,18 +204,14 @@ type DeadlineSampler interface {
 // single-probe recovery path still sees traffic.
 type HealthReporter interface{ Healthy() bool }
 
-// Both the routing layer and the in-process shard serve the same surface,
-// and the in-process shard is a (never-failing) backend.
 var (
-	_ GraphService = (*Engine)(nil)
-	_ GraphService = (*Shard)(nil)
 	_ ShardBackend = (*Shard)(nil)
+	_ BackendStats = (*Shard)(nil)
 )
 
 // Config sizes the engine.
 type Config struct {
-	Shards   int                // graph partitions (capacity axis)
-	Replicas int                // copies per shard (throughput axis)
+	Shards   int                // graph partitions
 	Strategy partition.Strategy // node-to-shard assignment
 	// Locality renumbers each shard's rows in BFS order over its induced
 	// subgraph (partition.Options.Locality) so co-sampled adjacencies sit
@@ -250,7 +222,7 @@ type Config struct {
 
 // DefaultConfig mirrors a small production deployment.
 func DefaultConfig() Config {
-	return Config{Shards: 4, Replicas: 2, Strategy: partition.Hash, Locality: true}
+	return Config{Shards: 4, Strategy: partition.Hash, Locality: true}
 }
 
 // backendSet is one immutable view of shard ownership: which stores
@@ -270,8 +242,7 @@ func DefaultConfig() Config {
 // with a cursor sized for another.
 type backendSet struct {
 	epoch     uint64           // local install counter; bumps on every swap
-	groups    [][]ShardBackend // replica group per partition, never empty
-	backends  []ShardBackend   // groups[i][0]; the single-owner accessors' view
+	groups    [][]ShardBackend // replica group per partition, never empty; groups[i][0] is the primary
 	locals    []*Shard         // locals[i] non-nil iff partition i is one in-process shard
 	hasRemote bool
 	cursors   []atomic.Uint32 // per-partition replica rotation
@@ -304,18 +275,6 @@ func deadlinePassed(deadline time.Time) bool {
 	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
-// sampleOne issues one single-sample attempt against one backend,
-// threading the per-call deadline through the DeadlineSampler facet when
-// the backend has it. A zero deadline always takes the plain call.
-func sampleOne(be ShardBackend, id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
-	if !deadline.IsZero() {
-		if ds, ok := be.(DeadlineSampler); ok {
-			return ds.SampleIntoBy(id, out, r, deadline)
-		}
-	}
-	return be.SampleInto(id, out, r)
-}
-
 // sampleShard runs one replicated single-sample read against partition
 // si of this view: the picked replica first, then — on a transport
 // failure — each surviving replica in turn. Failover is invisible to the
@@ -326,11 +285,11 @@ func sampleOne(be ShardBackend, id graph.NodeID, out []graph.NodeID, r *rng.RNG,
 // that rebinds the dead replica out of the view. A non-zero deadline
 // bounds the whole replicated read: it is checked before each failover
 // attempt (walking the rotation must not multiply an exhausted budget)
-// and threaded into deadline-capable backends.
+// and passed to every backend.
 func (set *backendSet) sampleShard(si int, id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (n int, failover bool, err error) {
 	g := set.groups[si]
 	if len(g) == 1 {
-		n, err = sampleOne(g[0], id, out, r, deadline)
+		n, err = g[0].SampleIntoBy(id, out, r, deadline)
 		return n, false, err
 	}
 	start := set.pick(si, g)
@@ -342,7 +301,7 @@ func (set *backendSet) sampleShard(si int, id graph.NodeID, out []graph.NodeID, 
 		if t > 0 && deadlinePassed(deadline) {
 			return 0, true, fmt.Errorf("engine: shard %d failover: %w", si, ErrDeadlineExceeded)
 		}
-		n, err = sampleOne(g[i], id, out, r, deadline)
+		n, err = g[i].SampleIntoBy(id, out, r, deadline)
 		if err == nil || !errors.Is(err, ErrShardUnavailable) {
 			return n, t > 0, err
 		}
@@ -350,17 +309,14 @@ func (set *backendSet) sampleShard(si int, id graph.NodeID, out []graph.NodeID, 
 	return 0, true, &replicasExhaustedError{shard: si, replicas: len(g), last: err}
 }
 
-// visitShard is sampleShard for one scatter-gather batch visit: same
-// replica rotation, same transport-failover loop. Safe for the same
-// reason batches are deterministic at all — the visit's draws derive
-// from (base, entry index) carried in the request, and a failed visit's
-// writes to out/ns are fully overwritten by the retried one (same
-// disjoint regions).
-func (set *backendSet) visitShard(si int, gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (n int, failover bool, err error) {
+// walk is sampleShard's rotation and transport-failover loop for the
+// calls that carry no deadline — a batch visit, a bulk-read visit, an
+// append: call runs against the picked replica first, then against each
+// sibling in turn while it fails at the transport level.
+func (set *backendSet) walk(si int, call func(ShardBackend) error) (failover bool, err error) {
 	g := set.groups[si]
 	if len(g) == 1 {
-		n, err = g[0].SampleBatchInto(gids, idx, base, k, out, ns)
-		return n, false, err
+		return false, call(g[0])
 	}
 	start := set.pick(si, g)
 	for t := 0; t < len(g); t++ {
@@ -368,27 +324,38 @@ func (set *backendSet) visitShard(si int, gids []graph.NodeID, idx []int32, base
 		if i >= len(g) {
 			i -= len(g)
 		}
-		n, err = g[i].SampleBatchInto(gids, idx, base, k, out, ns)
+		err = call(g[i])
 		if err == nil || !errors.Is(err, ErrShardUnavailable) {
-			return n, t > 0, err
+			return t > 0, err
 		}
 	}
-	return 0, true, &replicasExhaustedError{shard: si, replicas: len(g), last: err}
+	return true, &replicasExhaustedError{shard: si, replicas: len(g), last: err}
+}
+
+// visitShard runs one scatter-gather batch visit against partition si,
+// failing over across its replicas. Safe for the same reason batches are
+// deterministic at all — the visit's draws derive from (base, entry
+// index) carried in the request, and a failed visit's writes to out/ns
+// are fully overwritten by the retried one (same disjoint regions).
+func (set *backendSet) visitShard(si int, gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (n int, failover bool, err error) {
+	failover, err = set.walk(si, func(be ShardBackend) (err error) {
+		n, err = be.SampleBatchInto(gids, idx, base, k, out, ns)
+		return err
+	})
+	return n, failover, err
 }
 
 // RefreshFunc re-resolves shard ownership after a wrong-epoch redirect,
 // typically by querying every shard server's routing epoch and calling
-// InstallBackends with the new binding (internal/rpc's Cluster installs
+// InstallReplicaSets with the new binding (internal/rpc's Cluster installs
 // exactly that). It must be safe to call from multiple engine paths; the
 // engine itself single-flights it per stale snapshot.
 type RefreshFunc func() error
 
 // Engine is the routing layer over the per-shard stores.
 type Engine struct {
-	g        *graph.Graph // nil when every backend is remote
-	routing  *partition.Routing
-	bset     atomic.Pointer[backendSet] // current shard-ownership view
-	replicas int
+	routing *partition.Routing
+	bset    atomic.Pointer[backendSet] // current shard-ownership view
 
 	numNodes   int
 	contentDim int
@@ -485,52 +452,32 @@ func (e *Engine) Close() {
 // New partitions g and builds one in-process store per shard,
 // precomputing every owned adjacency's alias table into the shard's flat
 // arrays with a worker pool (up to GOMAXPROCS across all shards). It
-// panics on non-positive shard or replica counts.
+// panics on a non-positive shard count.
 func New(g *graph.Graph, cfg Config) *Engine {
-	if cfg.Shards <= 0 || cfg.Replicas <= 0 {
+	if cfg.Shards <= 0 {
 		panic(fmt.Sprintf("engine: invalid config %+v", cfg))
 	}
 	part := partition.SplitOpts(g, cfg.Shards, cfg.Strategy, partition.Options{Locality: cfg.Locality})
-	e := &Engine{
-		g:          g,
-		routing:    part.RoutingTable(),
-		replicas:   cfg.Replicas,
-		numNodes:   g.NumNodes(),
-		contentDim: g.ContentDim(),
-	}
 	locals := make([]*Shard, cfg.Shards)
-	backends := make([]ShardBackend, cfg.Shards)
+	groups := make([][]ShardBackend, cfg.Shards)
 	for i := range locals {
-		locals[i] = newShard(i, part, cfg.Replicas)
-		backends[i] = locals[i]
+		locals[i] = newShard(i, part)
+		groups[i] = []ShardBackend{locals[i]}
 	}
 	buildShardTables(locals)
-	e.bset.Store(newBackendSet(0, backends))
-	return e
+	return NewWithReplicaSets(part.RoutingTable(), groups, g.ContentDim())
 }
 
-// NewWithBackends assembles the routing layer over pre-built stores — any
-// mix of in-process *Shards (BuildShard) and remote stubs
+// NewWithReplicaSets assembles the routing layer over pre-built stores —
+// any mix of in-process *Shards (BuildShard) and remote stubs
 // (internal/rpc.RemoteShard). routing is the partition's table (fetched
 // from a shard server or built locally); contentDim describes the graph
-// behind the backends (reported by the server handshake). The engine has
-// no local *graph.Graph: Graph() returns nil and whole-graph offline
-// access is unavailable, exactly as for a serving client in the paper's
-// deployment.
-func NewWithBackends(routing *partition.Routing, backends []ShardBackend, contentDim int) *Engine {
-	groups := make([][]ShardBackend, len(backends))
-	for i, be := range backends {
-		groups[i] = []ShardBackend{be}
-	}
-	return NewWithReplicaSets(routing, groups, contentDim)
-}
-
-// NewWithReplicaSets is NewWithBackends for an N-way replicated cluster:
-// groups[i] holds every interchangeable store of partition i (at least
-// one; typically the stubs of every server claiming the partition at the
+// behind the backends (reported by the server handshake). groups[i]
+// holds every interchangeable store of partition i (at least one;
+// typically the stubs of every server claiming the partition at the
 // current epoch). Reads rotate across a group's healthy members and fail
 // over within the group on a transport failure — a single replica death
-// is absorbed below the GraphService surface; only a whole group failing
+// is absorbed below the engine's surface; only a whole group failing
 // surfaces, typed (ErrNoReplicas, still matching ErrShardUnavailable).
 func NewWithReplicaSets(routing *partition.Routing, groups [][]ShardBackend, contentDim int) *Engine {
 	if routing.NumShards() != len(groups) {
@@ -538,49 +485,27 @@ func NewWithReplicaSets(routing *partition.Routing, groups [][]ShardBackend, con
 	}
 	e := &Engine{
 		routing:    routing,
-		replicas:   1,
 		numNodes:   routing.NumNodes(),
 		contentDim: contentDim,
 	}
-	set := newReplicaSet(0, groups)
-	for i, s := range set.locals {
-		if s != nil && len(s.replicas) > e.replicas {
-			e.replicas = len(s.replicas)
-		}
-		if n := len(set.groups[i]); n > e.replicas {
-			e.replicas = n
-		}
-	}
-	e.bset.Store(set)
+	e.bset.Store(newReplicaSet(0, groups))
 	return e
-}
-
-// newBackendSet wraps single-owner backends into one-member replica
-// groups — the unreplicated ownership view.
-func newBackendSet(epoch uint64, backends []ShardBackend) *backendSet {
-	groups := make([][]ShardBackend, len(backends))
-	for i := range backends {
-		groups[i] = backends[i : i+1 : i+1]
-	}
-	return newReplicaSet(epoch, groups)
 }
 
 // newReplicaSet classifies replica groups into an immutable ownership
 // view. Every partition must have at least one backend; the first member
-// of each group is its primary (the view of the single-owner accessors).
+// of each group is its primary.
 func newReplicaSet(epoch uint64, groups [][]ShardBackend) *backendSet {
 	set := &backendSet{
-		epoch:    epoch,
-		groups:   groups,
-		backends: make([]ShardBackend, len(groups)),
-		locals:   make([]*Shard, len(groups)),
-		cursors:  make([]atomic.Uint32, len(groups)),
+		epoch:   epoch,
+		groups:  groups,
+		locals:  make([]*Shard, len(groups)),
+		cursors: make([]atomic.Uint32, len(groups)),
 	}
 	for i, g := range groups {
 		if len(g) == 0 {
 			panic(fmt.Sprintf("engine: empty replica group for shard %d", i))
 		}
-		set.backends[i] = g[0]
 		if s, ok := g[0].(*Shard); ok && len(g) == 1 {
 			set.locals[i] = s
 		}
@@ -593,33 +518,17 @@ func newReplicaSet(epoch uint64, groups [][]ShardBackend) *backendSet {
 	return set
 }
 
-// InstallBackends atomically replaces the engine's per-shard backends —
-// the client half of a live shard handoff. backends must have one entry
-// per partition of the routing table (the node-to-shard assignment never
-// changes; only which store serves a shard does). Calls already in
-// flight complete against the set they loaded; every subsequent call
-// routes through the new one. The slice is copied; the caller may reuse
-// it. Safe for concurrent use: the epoch advances by exactly one per
-// install (CAS loop), so concurrent installers never collapse onto one
-// epoch.
-func (e *Engine) InstallBackends(backends []ShardBackend) {
-	if len(backends) != e.routing.NumShards() {
-		panic(fmt.Sprintf("engine: InstallBackends with %d backends for %d shards",
-			len(backends), e.routing.NumShards()))
-	}
-	copied := append([]ShardBackend(nil), backends...)
-	groups := make([][]ShardBackend, len(copied))
-	for i := range copied {
-		groups[i] = copied[i : i+1 : i+1]
-	}
-	e.installSet(newReplicaSet(0, groups))
-}
-
-// InstallReplicaSets is InstallBackends for replica groups: it atomically
-// replaces the whole N-way binding (rpc.Cluster.Refresh installs the
-// claimant set of every partition through it after polling the cluster).
-// The outer slice is copied; the inner group slices transfer to the
-// engine and must not be mutated afterwards.
+// InstallReplicaSets atomically replaces the engine's per-partition
+// replica groups — the client half of a live shard handoff
+// (rpc.Cluster.Refresh installs the claimant set of every partition
+// through it after polling the cluster). groups must have one entry per
+// partition of the routing table (the node-to-shard assignment never
+// changes; only which stores serve a shard does). Calls already in flight
+// complete against the set they loaded; every subsequent call routes
+// through the new one. The outer slice is copied; the inner group slices
+// transfer to the engine and must not be mutated afterwards. Safe for
+// concurrent use: the epoch advances by exactly one per install (CAS
+// loop), so concurrent installers never collapse onto one epoch.
 func (e *Engine) InstallReplicaSets(groups [][]ShardBackend) {
 	if len(groups) != e.routing.NumShards() {
 		panic(fmt.Sprintf("engine: InstallReplicaSets with %d groups for %d shards",
@@ -650,7 +559,7 @@ func (e *Engine) SetRefresh(fn RefreshFunc) {
 }
 
 // Epoch returns the engine's local backend-install counter: 0 at
-// construction, +1 per InstallBackends. Tests and monitoring use it to
+// construction, +1 per InstallReplicaSets. Tests and monitoring use it to
 // observe that a handoff-triggered refresh actually happened.
 func (e *Engine) Epoch() uint64 { return e.bset.Load().epoch }
 
@@ -706,12 +615,15 @@ func (e *Engine) kickRefresh(stale *backendSet) {
 
 // BuildShard constructs the in-process store for one partition of part
 // and precomputes its alias tables (parallel across GOMAXPROCS chunks).
-// Shard servers use it to build only the partitions they own.
-func BuildShard(part *partition.Partition, id, replicas int) *Shard {
-	if id < 0 || id >= part.NumShards() || replicas <= 0 {
-		panic(fmt.Sprintf("engine: BuildShard(%d, %d) of %d shards", id, replicas, part.NumShards()))
+// Shard servers use it to build only the partitions they own. The third
+// parameter is ignored: it was the in-shard replica count, kept only
+// because benchmark/ compiles against this signature — drop it in the
+// next benchmark-only PR.
+func BuildShard(part *partition.Partition, id, _ int) *Shard {
+	if id < 0 || id >= part.NumShards() {
+		panic(fmt.Sprintf("engine: BuildShard(%d) of %d shards", id, part.NumShards()))
 	}
-	s := newShard(id, part, replicas)
+	s := newShard(id, part)
 	buildShardTables([]*Shard{s})
 	return s
 }
@@ -747,11 +659,6 @@ func buildShardTables(shards []*Shard) {
 	wg.Wait()
 }
 
-// Graph returns the underlying immutable graph (whole-graph metadata and
-// offline access; serving reads go through the shards). It is nil for an
-// engine assembled over remote backends.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
 // NumNodes returns the total node count across all shards.
 func (e *Engine) NumNodes() int { return e.numNodes }
 
@@ -774,19 +681,18 @@ func (e *Engine) Shard(i int) *Shard { return e.bset.Load().locals[i] }
 
 // Backend returns partition i's primary store as the routing layer
 // currently holds it (the live ownership view; a handoff swaps it).
-func (e *Engine) Backend(i int) ShardBackend { return e.bset.Load().backends[i] }
+func (e *Engine) Backend(i int) ShardBackend { return e.bset.Load().groups[i][0] }
 
 // ReplicaSet returns partition i's current replica group (primary
 // first). The slice is shared with the live ownership view — read-only.
 func (e *Engine) ReplicaSet(i int) []ShardBackend { return e.bset.Load().groups[i] }
 
-// must surfaces a backend failure on the error-free GraphService surface;
-// see the package comment's error contract.
-func must[T any](v T, err error) T {
+// must surfaces a backend failure on the error-free surface; see the
+// package comment's error contract.
+func must(err error) {
 	if err != nil {
-		panic(fmt.Sprintf("engine: remote backend failed on the error-free GraphService surface: %v", err))
+		panic(fmt.Sprintf("engine: remote backend failed on the error-free surface: %v", err))
 	}
-	return v
 }
 
 // maxEpochRetries bounds how many ownership views one call will chase: a
@@ -796,81 +702,40 @@ func must[T any](v T, err error) T {
 // that keeps moving the same shard out from under it.
 const maxEpochRetries = 3
 
-// readShard runs one replicated single-node read against partition si of
-// one ownership view — the attribute-read sibling of sampleShard, with
-// the same rotation and transport-failover loop.
-func readShard[T any](set *backendSet, si int, call func(ShardBackend) (T, error)) (v T, failover bool, err error) {
-	g := set.groups[si]
-	if len(g) == 1 {
-		v, err = call(g[0])
-		return v, false, err
-	}
-	start := set.pick(si, g)
-	for t := 0; t < len(g); t++ {
-		i := start + t
-		if i >= len(g) {
-			i -= len(g)
-		}
-		v, err = call(g[i])
-		if err == nil || !errors.Is(err, ErrShardUnavailable) {
-			return v, t > 0, err
-		}
-	}
-	var zero T
-	return zero, true, &replicasExhaustedError{shard: si, replicas: len(g), last: err}
-}
-
-// retryRead runs one single-node backend read against the current
-// ownership view — failing over across the owning partition's replicas —
-// and refreshes the view and retries (bounded) when the shard moved or
-// every replica was unreachable. All other errors pass through
-// untouched.
-func retryRead[T any](e *Engine, id graph.NodeID, call func(ShardBackend) (T, error)) (T, error) {
-	owner := e.routing.Owner(id)
-	set := e.bset.Load()
-	v, failover, err := readShard(set, owner, call)
-	for retry := 0; retry < maxEpochRetries && err != nil && retryable(err) && e.refresh(set); retry++ {
-		set = e.bset.Load()
-		v, failover, err = readShard(set, owner, call)
-	}
-	if failover && err == nil {
-		e.kickRefresh(set)
-	}
-	return v, err
+// readOne serves a single-node attribute read of a partition that is not
+// one in-process shard: a 1-id bulk read into a fresh block, so it fails
+// over and follows handoffs exactly as ReadNodes does. The result is a
+// decoded copy the caller owns.
+func (e *Engine) readOne(id graph.NodeID, fields graph.ReadFields) *graph.NodeBlock {
+	blk := new(graph.NodeBlock)
+	e.ReadNodes([]graph.NodeID{id}, fields, blk)
+	return blk
 }
 
 // Neighbors returns the adjacency list of id, read from its owning
 // shard's CSR slice (an immutable view in-process; a decoded copy from a
 // remote backend).
 func (e *Engine) Neighbors(id graph.NodeID) []graph.Edge {
-	return must(retryRead(e, id, func(be ShardBackend) ([]graph.Edge, error) { return be.NeighborsOf(id) }))
+	if sh := e.bset.Load().locals[e.routing.Owner(id)]; sh != nil {
+		return sh.Neighbors(id)
+	}
+	return e.readOne(id, graph.ReadNeighbors).Neighbors[0]
 }
 
 // Content returns the node's content vector from its owning shard.
 func (e *Engine) Content(id graph.NodeID) tensor.Vec {
-	return must(retryRead(e, id, func(be ShardBackend) (tensor.Vec, error) { return be.ContentOf(id) }))
+	if sh := e.bset.Load().locals[e.routing.Owner(id)]; sh != nil {
+		return sh.Content(id)
+	}
+	return e.readOne(id, graph.ReadContent).Content[0]
 }
 
 // Features returns the node's categorical features from its owning shard.
 func (e *Engine) Features(id graph.NodeID) []int32 {
-	return must(retryRead(e, id, func(be ShardBackend) ([]int32, error) { return be.FeaturesOf(id) }))
-}
-
-// SampleNeighbors draws k neighbors of id with replacement, weighted by
-// edge weight, in O(1) per draw via the owning shard's precomputed alias
-// table. An isolated node yields nil.
-func (e *Engine) SampleNeighbors(id graph.NodeID, k int, r *rng.RNG) []graph.NodeID {
-	if k <= 0 {
-		return nil
+	if sh := e.bset.Load().locals[e.routing.Owner(id)]; sh != nil {
+		return sh.Features(id)
 	}
-	if sh := e.bset.Load().locals[e.routing.Owner(id)]; sh != nil && sh.degree(id) == 0 {
-		return nil // skip the allocation for a local isolated node
-	}
-	out := make([]graph.NodeID, k)
-	if n := e.SampleNeighborsInto(id, out, r); n == 0 {
-		return nil
-	}
-	return out
+	return e.readOne(id, graph.ReadFeatures).Features[0]
 }
 
 // SampleNeighborsInto routes to the owning shard and fills out with
@@ -878,42 +743,36 @@ func (e *Engine) SampleNeighbors(id graph.NodeID, k int, r *rng.RNG) []graph.Nod
 // written: len(out), or 0 for an isolated node. Over in-process shards it
 // performs no heap allocation and takes no locks beyond one atomic load
 // of the ownership view — the steady-state serving path; over a remote
-// backend it is one RPC round trip.
+// backend it is one RPC round trip. It is TrySampleNeighborsIntoBy
+// without a deadline, panicking on a backend failure.
 func (e *Engine) SampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) int {
-	return must(e.TrySampleNeighborsInto(id, out, r))
+	n, err := e.TrySampleNeighborsIntoBy(id, out, r, time.Time{})
+	must(err)
+	return n
 }
 
-// TrySampleNeighborsInto is SampleNeighborsInto surfacing transport
-// failures instead of panicking: on error 0 draws are reported, out is
-// unspecified and r is not consumed. A wrong-epoch redirect (the shard
-// moved servers) is absorbed by a one-shot ownership refresh and retry —
-// safe because a redirected call never consumes r. A replica's transport
-// failure is absorbed the same way one level down: the call fails over
-// to the partition's surviving replicas (none of which saw r consumed
-// either), and only a whole group failing escalates to the refresh-and-
-// retry loop, then surfaces typed. The serving cache's synchronous miss
-// path uses this call to degrade to an empty neighbor set during a full
-// shard outage.
+// TrySampleNeighborsIntoBy is the single-sample primitive: it surfaces
+// backend failures instead of panicking — on error 0 draws are reported,
+// out is unspecified and r is not consumed — and is bounded by an
+// absolute per-call deadline (zero: unbounded). A wrong-epoch redirect
+// (the shard moved servers) is absorbed by a one-shot ownership refresh
+// and retry — safe because a redirected call never consumes r. A
+// replica's transport failure is absorbed the same way one level down:
+// the call fails over to the partition's surviving replicas (none of
+// which saw r consumed either), and only a whole group failing escalates
+// to the refresh-and-retry loop, then surfaces typed. The serving cache's
+// synchronous miss path uses this call to degrade to an empty neighbor
+// set during a full shard outage.
 //
-// The retry loop is a hand-rolled copy of retryRead: this is the
-// single-sample hot path with a 0 allocs/op pin, and the closure
-// retryRead takes would risk a heap allocation per call. Keep the two
-// loops in sync.
-func (e *Engine) TrySampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error) {
-	return e.TrySampleNeighborsIntoBy(id, out, r, time.Time{})
-}
-
-// TrySampleNeighborsIntoBy is TrySampleNeighborsInto bounded by an
-// absolute per-call deadline (zero: unbounded, the plain call). The
-// deadline travels through the ShardBackend seam: deadline-capable
-// backends (the RPC stub) shrink their per-call I/O timers to the
-// remaining budget, and the engine itself refuses to start — or to keep
-// failing over / chasing ownership refreshes — once the budget is gone.
-// A deadline failure reports 0 draws, wraps ErrDeadlineExceeded, never
-// consumes r, and deliberately skips the refresh-and-retry loop: the
-// shard did not move and its replicas are not down; the caller is out of
-// time. Passing a deadline adds no heap allocation — the serving
-// request path stays 0 allocs/op.
+// The deadline travels through the ShardBackend seam: a backend that can
+// block (the RPC stub) shrinks its per-call I/O timers to the remaining
+// budget, and the engine itself refuses to start — or to keep failing
+// over / chasing ownership refreshes — once the budget is gone. A
+// deadline failure wraps ErrDeadlineExceeded and deliberately skips the
+// refresh-and-retry loop: the shard did not move and its replicas are not
+// down; the caller is out of time. The call performs no heap allocation,
+// with or without a deadline — the serving request path stays 0
+// allocs/op.
 func (e *Engine) TrySampleNeighborsIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
 	if deadlinePassed(deadline) {
 		return 0, ErrDeadlineExceeded
@@ -931,11 +790,11 @@ func (e *Engine) TrySampleNeighborsIntoBy(id graph.NodeID, out []graph.NodeID, r
 	return n, err
 }
 
-// Stats reports per-replica and per-shard request counts plus the static
-// partition shape.
+// Stats reports per-shard request counts, replica-group sizes and the
+// static partition shape.
 type Stats struct {
-	Shards, Replicas int
-	RequestsPerRep   []int64 // flattened shard-major
+	Shards           int
+	ReplicasPerShard []int // replica-group size of each partition
 	RequestsPerShard []int64
 	NodesPerShard    []int
 	EdgesPerShard    []int
@@ -945,42 +804,32 @@ type Stats struct {
 	CachedTables int
 }
 
-// Stats snapshots load counters. CachedTables counts the precomputed
+// Stats snapshots load counters. A partition's request count is the sum
+// over its replica group of what each member reports through
+// BackendStats (an in-process shard its own counter, a remote stub its
+// client-side one; zero for a backend without the facet), and its size is
+// the first one a member reports. CachedTables counts the precomputed
 // per-adjacency tables (every owned node with degree > 0) of in-process
-// shards. A remote shard contributes its client-side request counter as a
-// single replica and the partition size its server reported (zeros when
-// the backend implements neither).
+// shards.
 func (e *Engine) Stats() Stats {
 	set := e.bset.Load()
-	st := Stats{Shards: len(set.backends), Replicas: e.replicas}
+	st := Stats{Shards: len(set.groups)}
 	var total, maxShard int64
-	for i := range set.backends {
+	for i, g := range set.groups {
 		var perShard int64
 		var nodes, edges int
-		if s := set.locals[i]; s != nil {
-			for _, rep := range s.replicas {
-				c := rep.requests.Load()
-				st.RequestsPerRep = append(st.RequestsPerRep, c)
-				perShard += c
-			}
-			nodes, edges = s.store.NumNodes(), s.store.NumEdges()
-			st.CachedTables += s.Tables()
-		} else {
-			// A replicated partition reports one entry per server replica;
-			// the per-shard count is the sum over the group.
-			for _, be := range set.groups[i] {
-				if bs, ok := be.(BackendStats); ok {
-					c := bs.Requests()
-					st.RequestsPerRep = append(st.RequestsPerRep, c)
-					perShard += c
-					if nodes == 0 && edges == 0 {
-						nodes, edges = bs.ShardSize()
-					}
-				} else {
-					st.RequestsPerRep = append(st.RequestsPerRep, 0)
+		for _, be := range g {
+			if bs, ok := be.(BackendStats); ok {
+				perShard += bs.Requests()
+				if nodes == 0 && edges == 0 {
+					nodes, edges = bs.ShardSize()
 				}
 			}
 		}
+		if s := set.locals[i]; s != nil {
+			st.CachedTables += s.Tables()
+		}
+		st.ReplicasPerShard = append(st.ReplicasPerShard, len(g))
 		st.RequestsPerShard = append(st.RequestsPerShard, perShard)
 		st.NodesPerShard = append(st.NodesPerShard, nodes)
 		st.EdgesPerShard = append(st.EdgesPerShard, edges)
@@ -990,7 +839,7 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	if total > 0 {
-		mean := float64(total) / float64(len(set.backends))
+		mean := float64(total) / float64(len(set.groups))
 		st.Imbalance = float64(maxShard) / mean
 	}
 	return st
@@ -1022,7 +871,7 @@ func (e *Engine) Append(edges []ingest.Edge) (int, error) {
 		if len(batch) == 0 {
 			continue
 		}
-		if _, err := appendShard(e, si, batch); err != nil {
+		if err := appendShard(e, si, batch); err != nil {
 			return appended, err
 		}
 		appended += len(batch)
@@ -1031,25 +880,26 @@ func (e *Engine) Append(edges []ingest.Edge) (int, error) {
 }
 
 // appendShard writes one owner-grouped batch through the partition's
-// EdgeAppender facet — retryRead's write sibling.
-func appendShard(e *Engine, si int, batch []ingest.Edge) (uint64, error) {
-	call := func(be ShardBackend) (uint64, error) {
+// EdgeAppender facet, with the reads' failover and refresh-and-retry.
+func appendShard(e *Engine, si int, batch []ingest.Edge) error {
+	call := func(be ShardBackend) error {
 		ap, ok := be.(EdgeAppender)
 		if !ok {
-			return 0, fmt.Errorf("engine: shard %d: %w", si, ErrAppendUnsupported)
+			return fmt.Errorf("engine: shard %d: %w", si, ErrAppendUnsupported)
 		}
-		return ap.AppendEdges(batch)
+		_, err := ap.AppendEdges(batch)
+		return err
 	}
 	set := e.bset.Load()
-	v, failover, err := readShard(set, si, call)
+	failover, err := set.walk(si, call)
 	for retry := 0; retry < maxEpochRetries && err != nil && retryable(err) && e.refresh(set); retry++ {
 		set = e.bset.Load()
-		v, failover, err = readShard(set, si, call)
+		failover, err = set.walk(si, call)
 	}
 	if failover && err == nil {
 		e.kickRefresh(set)
 	}
-	return v, err
+	return err
 }
 
 // IngestStats reports the write-path state of every partition whose
@@ -1057,9 +907,9 @@ func appendShard(e *Engine, si int, batch []ingest.Edge) (uint64, error) {
 // always do; remote stubs once their server spoke).
 func (e *Engine) IngestStats() []IngestStats {
 	set := e.bset.Load()
-	out := make([]IngestStats, 0, len(set.backends))
-	for si, be := range set.backends {
-		ir, ok := be.(IngestReporter)
+	out := make([]IngestStats, 0, len(set.groups))
+	for si, g := range set.groups {
+		ir, ok := g[0].(IngestReporter)
 		if !ok {
 			continue
 		}

@@ -19,13 +19,13 @@ func equivalenceEngines(t testing.TB) (*graph.Graph, map[string]*Engine) {
 	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
 	g := graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
 	return g, map[string]*Engine{
-		"single":          New(g, Config{Shards: 1, Replicas: 1}),
-		"hash-4":          New(g, Config{Shards: 4, Replicas: 2, Strategy: partition.Hash}),
-		"degree-balanced": New(g, Config{Shards: 3, Replicas: 2, Strategy: partition.DegreeBalanced}),
+		"single":          New(g, Config{Shards: 1}),
+		"hash-4":          New(g, Config{Shards: 4, Strategy: partition.Hash}),
+		"degree-balanced": New(g, Config{Shards: 3, Strategy: partition.DegreeBalanced}),
 		// Locality layouts must be draw-for-draw identical to the plain
 		// ones: BFS renumbering moves rows in memory, never on the wire.
-		"hash-4-locality": New(g, Config{Shards: 4, Replicas: 2, Strategy: partition.Hash, Locality: true}),
-		"degree-locality": New(g, Config{Shards: 3, Replicas: 2, Strategy: partition.DegreeBalanced, Locality: true}),
+		"hash-4-locality": New(g, Config{Shards: 4, Strategy: partition.Hash, Locality: true}),
+		"degree-locality": New(g, Config{Shards: 3, Strategy: partition.DegreeBalanced, Locality: true}),
 	}
 }
 

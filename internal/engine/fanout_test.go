@@ -9,7 +9,6 @@ import (
 	"zoomer/internal/graph"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
-	"zoomer/internal/tensor"
 )
 
 // slowBackend is a ShardBackend whose batch visit takes a fixed delay —
@@ -24,7 +23,7 @@ type slowBackend struct {
 
 var errInjected = errors.New("injected backend failure")
 
-func (sb *slowBackend) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error) {
+func (sb *slowBackend) SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, _ time.Time) (int, error) {
 	if sb.fail != nil {
 		return 0, sb.fail
 	}
@@ -50,10 +49,6 @@ func (sb *slowBackend) SampleBatchInto(gids []graph.NodeID, idx []int32, base ui
 	}
 	return total, nil
 }
-
-func (sb *slowBackend) NeighborsOf(id graph.NodeID) ([]graph.Edge, error) { return nil, nil }
-func (sb *slowBackend) FeaturesOf(id graph.NodeID) ([]int32, error)       { return nil, nil }
-func (sb *slowBackend) ContentOf(id graph.NodeID) (tensor.Vec, error)     { return nil, nil }
 
 // ReadNodesInto answers after the delay with one feature per node: its
 // own id, so position addressing is checkable.
@@ -119,11 +114,11 @@ func fanoutWorld(t *testing.T, mk func(delay time.Duration) ShardBackend, delay 
 	}
 	g := b.Build()
 	routing := partition.Split(g, shards, partition.Hash).RoutingTable()
-	backends := make([]ShardBackend, shards)
-	for i := range backends {
-		backends[i] = mk(delay)
+	groups := make([][]ShardBackend, shards)
+	for i := range groups {
+		groups[i] = []ShardBackend{mk(delay)}
 	}
-	e := NewWithBackends(routing, backends, 0)
+	e := NewWithReplicaSets(routing, groups, 0)
 	t.Cleanup(e.Close)
 	ids := make([]graph.NodeID, 16)
 	for i := range ids {

@@ -54,10 +54,10 @@ type readScratch struct {
 
 // ReadNodesInto serves one bulk-read visit from the in-process store:
 // views of the partition's own arrays, no copies (a node with appended
-// edges gets a combined adjacency copy, as Neighbors does). One replica
-// is charged for the visit with the group size as its load.
+// edges gets a combined adjacency copy, as Neighbors does). The visit is
+// charged the group size.
 func (s *Shard) ReadNodesInto(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) error {
-	s.pick().requests.Add(int64(len(gids)))
+	s.requests.Add(int64(len(gids)))
 	for j, id := range gids {
 		i := j
 		if pos != nil {
@@ -76,33 +76,16 @@ func (s *Shard) ReadNodesInto(gids []graph.NodeID, pos []int32, fields graph.Rea
 	return nil
 }
 
-// readNodesShard is visitShard for one bulk-read visit: the picked
-// replica first, then each sibling in turn on a transport failure.
+// readNodesShard runs one bulk-read visit against partition si, failing
+// over across its replicas.
 func (set *backendSet) readNodesShard(si int, gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) (failover bool, err error) {
-	g := set.groups[si]
-	if len(g) == 1 {
-		return false, g[0].ReadNodesInto(gids, pos, fields, into)
-	}
-	start := set.pick(si, g)
-	for t := 0; t < len(g); t++ {
-		i := start + t
-		if i >= len(g) {
-			i -= len(g)
-		}
-		err = g[i].ReadNodesInto(gids, pos, fields, into)
-		if err == nil || !errors.Is(err, ErrShardUnavailable) {
-			return t > 0, err
-		}
-	}
-	return true, &replicasExhaustedError{shard: si, replicas: len(g), last: err}
+	return set.walk(si, func(be ShardBackend) error { return be.ReadNodesInto(gids, pos, fields, into) })
 }
 
 // ReadNodes implements sampling.GraphView's bulk read on the error-free
 // surface: like Neighbors it panics when a remote backend fails for good.
 func (e *Engine) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, into *graph.NodeBlock) {
-	if err := e.TryReadNodes(ids, fields, into); err != nil {
-		panic(fmt.Sprintf("engine: remote backend failed on the error-free GraphService surface: %v", err))
-	}
+	must(e.TryReadNodes(ids, fields, into))
 }
 
 // TryReadNodes fills into with the requested attributes of ids — entry i

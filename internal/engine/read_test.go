@@ -23,9 +23,9 @@ func TestReadNodesMatchesSingleReads(t *testing.T) {
 		ids = append(ids, graph.NodeID(id), graph.NodeID((id*7)%g.NumNodes()))
 	}
 	for _, cfg := range []Config{
-		{Shards: 1, Replicas: 1, Strategy: partition.Hash},
-		{Shards: 4, Replicas: 2, Strategy: partition.Hash, Locality: true},
-		{Shards: 3, Replicas: 1, Strategy: partition.DegreeBalanced},
+		{Shards: 1, Strategy: partition.Hash},
+		{Shards: 4, Strategy: partition.Hash, Locality: true},
+		{Shards: 3, Strategy: partition.DegreeBalanced},
 	} {
 		e := New(g, cfg)
 		if _, err := e.Append([]ingest.Edge{{Src: 0, Dst: 5, Type: graph.Click, Weight: 2}, {Src: 3, Dst: 1, Type: graph.Session, Weight: 1}}); err != nil {

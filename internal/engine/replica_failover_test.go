@@ -3,15 +3,16 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"zoomer/internal/graph"
 	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
-	"zoomer/internal/tensor"
 )
 
 // flakyBackend wraps a real in-process shard store behind the
@@ -22,18 +23,20 @@ type flakyBackend struct {
 	failing   atomic.Bool // calls return a transport failure
 	unhealthy atomic.Bool // HealthReporter says avoid me
 	calls     atomic.Int64
+	lastDL    time.Time // deadline of the last sample (single-goroutine tests only)
 }
 
 func (fb *flakyBackend) transportErr() error {
 	return fmt.Errorf("flaky: %w", ErrShardUnavailable)
 }
 
-func (fb *flakyBackend) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error) {
+func (fb *flakyBackend) SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
 	fb.calls.Add(1)
+	fb.lastDL = deadline
 	if fb.failing.Load() {
 		return 0, fb.transportErr()
 	}
-	return fb.sh.SampleInto(id, out, r)
+	return fb.sh.SampleIntoBy(id, out, r, deadline)
 }
 
 func (fb *flakyBackend) SampleBatchInto(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (int, error) {
@@ -44,36 +47,12 @@ func (fb *flakyBackend) SampleBatchInto(gids []graph.NodeID, idx []int32, base u
 	return fb.sh.SampleBatchInto(gids, idx, base, k, out, ns)
 }
 
-func (fb *flakyBackend) NeighborsOf(id graph.NodeID) ([]graph.Edge, error) {
-	fb.calls.Add(1)
-	if fb.failing.Load() {
-		return nil, fb.transportErr()
-	}
-	return fb.sh.NeighborsOf(id)
-}
-
 func (fb *flakyBackend) ReadNodesInto(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) error {
 	fb.calls.Add(1)
 	if fb.failing.Load() {
 		return fb.transportErr()
 	}
 	return fb.sh.ReadNodesInto(gids, pos, fields, into)
-}
-
-func (fb *flakyBackend) FeaturesOf(id graph.NodeID) ([]int32, error) {
-	fb.calls.Add(1)
-	if fb.failing.Load() {
-		return nil, fb.transportErr()
-	}
-	return fb.sh.FeaturesOf(id)
-}
-
-func (fb *flakyBackend) ContentOf(id graph.NodeID) (tensor.Vec, error) {
-	fb.calls.Add(1)
-	if fb.failing.Load() {
-		return nil, fb.transportErr()
-	}
-	return fb.sh.ContentOf(id)
 }
 
 func (fb *flakyBackend) Healthy() bool { return !fb.unhealthy.Load() }
@@ -85,7 +64,7 @@ func replicaFixture(t *testing.T, shards int) (*Engine, *Engine, [][]*flakyBacke
 	t.Helper()
 	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
 	g := graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
-	local := New(g, Config{Shards: 1, Replicas: 1})
+	local := New(g, Config{Shards: 1})
 	part := partition.Split(g, shards, partition.Hash)
 	groups := make([][]ShardBackend, shards)
 	flaky := make([][]*flakyBackend, shards)
@@ -116,7 +95,7 @@ func TestReplicaFailoverTransparent(t *testing.T) {
 	for id := 0; id < e.NumNodes(); id += 7 {
 		nid := graph.NodeID(id)
 		nw := local.SampleNeighborsInto(nid, want, rl)
-		ng, err := e.TrySampleNeighborsInto(nid, got, rr)
+		ng, err := e.TrySampleNeighborsIntoBy(nid, got, rr, time.Time{})
 		if err != nil {
 			t.Fatalf("node %d: failover leaked error: %v", id, err)
 		}
@@ -164,9 +143,9 @@ func TestReplicaFailoverTransparent(t *testing.T) {
 		}
 	}
 
-	// Attribute reads fail over too (Neighbors panics if they don't).
-	if got, want := len(e.Neighbors(0)), len(local.Neighbors(0)); got != want {
-		t.Fatalf("neighbors failover: %d edges, want %d", got, want)
+	// Single-node attribute reads fail over too (they panic if they don't).
+	if !slices.Equal(e.Neighbors(0), local.Neighbors(0)) || !slices.Equal(e.Features(0), local.Features(0)) || !slices.Equal(e.Content(0), local.Content(0)) {
+		t.Fatal("single-node reads differ from the undisturbed engine after failover")
 	}
 }
 
@@ -183,7 +162,7 @@ func TestReplicasExhaustedTyped(t *testing.T) {
 	}
 	r := rng.New(3)
 	out := make([]graph.NodeID, 4)
-	_, err := e.TrySampleNeighborsInto(0, out, r)
+	_, err := e.TrySampleNeighborsIntoBy(0, out, r, time.Time{})
 	if err == nil {
 		t.Fatal("zero healthy replicas answered a sample")
 	}
@@ -222,7 +201,7 @@ func TestReplicaPickSkipsUnhealthy(t *testing.T) {
 	r := rng.New(5)
 	out := make([]graph.NodeID, 4)
 	for id := 0; id < 64; id++ {
-		if _, err := e.TrySampleNeighborsInto(graph.NodeID(id%e.NumNodes()), out, r); err != nil {
+		if _, err := e.TrySampleNeighborsIntoBy(graph.NodeID(id%e.NumNodes()), out, r, time.Time{}); err != nil {
 			t.Fatalf("node %d: %v", id, err)
 		}
 	}
@@ -239,7 +218,7 @@ func TestReplicaRotationSpreadsLoad(t *testing.T) {
 	r := rng.New(11)
 	out := make([]graph.NodeID, 4)
 	for id := 0; id < 100; id++ {
-		if _, err := e.TrySampleNeighborsInto(graph.NodeID(id%e.NumNodes()), out, r); err != nil {
+		if _, err := e.TrySampleNeighborsIntoBy(graph.NodeID(id%e.NumNodes()), out, r, time.Time{}); err != nil {
 			t.Fatalf("node %d: %v", id, err)
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"zoomer/internal/alias"
 	"zoomer/internal/graph"
@@ -16,10 +17,9 @@ import (
 // edge array (node with local index li has its table in
 // prob/alias[Offsets[li]:Offsets[li+1]], alias indices local to the
 // adjacency). The base arrays are immutable after New and read without
-// locks; replicas carry only atomic load counters. Online appends layer
-// per-node overlays on top via the atomically swapped delta view (see
-// delta.go) — the read path loads it once per call and never locks.
-// Shard implements GraphService for global node ids it owns — calls for
+// locks. Online appends layer per-node overlays on top via the atomically
+// swapped delta view (see delta.go) — the read path loads it once per
+// call and never locks. Shard serves global node ids it owns — calls for
 // foreign ids are a routing bug and will read another node's rows or
 // index out of range.
 type Shard struct {
@@ -38,26 +38,14 @@ type Shard struct {
 	delta   atomic.Pointer[deltaView]
 	deltaMu sync.Mutex
 
-	replicas []*replica
-	rr       atomic.Uint32 // round-robin replica cursor
+	requests atomic.Int64 // nodes served: one per sample, the group size per visit
 }
 
-// replica carries only its load counter: the tables it serves are the
-// shard's immutable arrays, so adding replicas adds sampling capacity
-// without duplicating state or taking locks.
-type replica struct {
-	requests atomic.Int64
-}
-
-func newShard(id int, part *partition.Partition, replicas int) *Shard {
+func newShard(id int, part *partition.Partition) *Shard {
 	s := &Shard{
-		id:       id,
-		part:     part,
-		store:    &part.Shards[id],
-		replicas: make([]*replica, replicas),
-	}
-	for i := range s.replicas {
-		s.replicas[i] = &replica{}
+		id:    id,
+		part:  part,
+		store: &part.Shards[id],
 	}
 	s.prob = make([]float64, s.store.NumEdges())
 	s.alias = make([]int32, s.store.NumEdges())
@@ -104,18 +92,11 @@ func (s *Shard) buildTables(lo, hi int) {
 // Tables returns the number of precomputed per-adjacency alias tables.
 func (s *Shard) Tables() int { return int(s.tableCount.Load()) }
 
-// pick selects a replica round-robin, spreading load evenly.
-func (s *Shard) pick() *replica {
-	n := s.rr.Add(1)
-	return s.replicas[int(n)%len(s.replicas)]
-}
+// Requests reports the shard's served-node count (BackendStats).
+func (s *Shard) Requests() int64 { return s.requests.Load() }
 
-// degree returns the out-degree of an owned node, appended edges
-// included.
-func (s *Shard) degree(id graph.NodeID) int {
-	li := s.part.Local(id)
-	return int(s.store.Offsets[li+1]-s.store.Offsets[li]) + s.deltaDegree(id)
-}
+// ShardSize reports the partition's size (BackendStats).
+func (s *Shard) ShardSize() (nodes, edges int) { return s.store.NumNodes(), s.store.NumEdges() }
 
 // Neighbors returns the adjacency list of an owned node. Without live
 // deltas this is an immutable zero-copy view into the shard's CSR
@@ -144,9 +125,8 @@ func (s *Shard) Features(id graph.NodeID) []int32 {
 
 // SampleNeighborsInto fills out with weighted neighbor draws of an owned
 // node (with replacement) and returns the number written: len(out), or 0
-// for an isolated node. One replica is charged per call. It performs no
-// heap allocation; the only shared writes are the replica load counter
-// and round-robin cursor.
+// for an isolated node. It performs no heap allocation; the only shared
+// write is the request counter.
 func (s *Shard) SampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) int {
 	li := s.part.Local(id)
 	lo, hi := s.store.Offsets[li], s.store.Offsets[li+1]
@@ -157,7 +137,7 @@ func (s *Shard) SampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.
 			if len(out) == 0 {
 				return 0
 			}
-			s.pick().requests.Add(1)
+			s.requests.Add(1)
 			s.sampleOverlay(ov, lo, hi, out, r)
 			return len(out)
 		}
@@ -165,7 +145,7 @@ func (s *Shard) SampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.
 	if lo == hi || len(out) == 0 {
 		return 0
 	}
-	s.pick().requests.Add(1)
+	s.requests.Add(1)
 	s.sampleLocal(lo, hi, out, r)
 	return len(out)
 }
@@ -174,20 +154,21 @@ func (s *Shard) SampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.
 // returns exist so the routing layer can hold local shards and remote
 // stubs behind one interface.
 
-// SampleInto is SampleNeighborsInto with the ShardBackend signature.
-func (s *Shard) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error) {
+// SampleIntoBy is SampleNeighborsInto with the ShardBackend signature; a
+// local read cannot block, so the deadline is not consulted.
+func (s *Shard) SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, _ time.Time) (int, error) {
 	return s.SampleNeighborsInto(id, out, r), nil
 }
 
 // SampleBatchInto serves one scatter-gather group: entry j is node
 // gids[j] at global batch index idx[j], drawing k weighted neighbors from
 // the sub-stream derived from (base, idx[j]) into out[idx[j]*k:...] with
-// the count in ns[idx[j]]. One replica is charged for the whole visit
-// with the group size as its load. The derived-RNG contract makes the
+// the count in ns[idx[j]]. The visit is charged the group size. The
+// derived-RNG contract makes the
 // result independent of grouping, so a remote backend serving the same
 // partition returns bit-identical draws. No heap allocation.
 func (s *Shard) SampleBatchInto(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (int, error) {
-	s.pick().requests.Add(int64(len(gids)))
+	s.requests.Add(int64(len(gids)))
 	dv := s.delta.Load()
 	var sub rng.RNG
 	total := 0
@@ -216,18 +197,9 @@ func (s *Shard) SampleBatchInto(gids []graph.NodeID, idx []int32, base uint64, k
 	return total, nil
 }
 
-// NeighborsOf is Neighbors with the ShardBackend signature.
-func (s *Shard) NeighborsOf(id graph.NodeID) ([]graph.Edge, error) { return s.Neighbors(id), nil }
-
-// FeaturesOf is Features with the ShardBackend signature.
-func (s *Shard) FeaturesOf(id graph.NodeID) ([]int32, error) { return s.Features(id), nil }
-
-// ContentOf is Content with the ShardBackend signature.
-func (s *Shard) ContentOf(id graph.NodeID) (tensor.Vec, error) { return s.Content(id), nil }
-
 // sampleLocal draws len(out) alias samples from the adjacency spanning
-// [lo, hi) in the shard's edge array. Callers have already charged a
-// replica for the visit.
+// [lo, hi) in the shard's edge array. Callers have already charged the
+// visit.
 func (s *Shard) sampleLocal(lo, hi int32, out []graph.NodeID, r *rng.RNG) {
 	prob := s.prob[lo:hi]
 	aliasIdx := s.alias[lo:hi]

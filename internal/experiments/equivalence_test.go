@@ -54,18 +54,18 @@ func equivalenceTopologies(t testing.TB) (*world, []topology, func()) {
 		closers = append(closers, eng.Close)
 		topos = append(topos, topology{name: name, view: core.EngineView{Engine: eng, M: res.res.Mapping}})
 	}
-	add("hash-1", engine.Config{Shards: 1, Replicas: 1, Strategy: partition.Hash, Locality: false})
-	add("hash-2", engine.Config{Shards: 2, Replicas: 1, Strategy: partition.Hash, Locality: false})
-	add("hash-4-locality", engine.Config{Shards: 4, Replicas: 2, Strategy: partition.Hash, Locality: true})
-	add("degree-2", engine.Config{Shards: 2, Replicas: 1, Strategy: partition.DegreeBalanced, Locality: false})
-	add("degree-4-locality", engine.Config{Shards: 4, Replicas: 1, Strategy: partition.DegreeBalanced, Locality: true})
+	add("hash-1", engine.Config{Shards: 1, Strategy: partition.Hash, Locality: false})
+	add("hash-2", engine.Config{Shards: 2, Strategy: partition.Hash, Locality: false})
+	add("hash-4-locality", engine.Config{Shards: 4, Strategy: partition.Hash, Locality: true})
+	add("degree-2", engine.Config{Shards: 2, Strategy: partition.DegreeBalanced, Locality: false})
+	add("degree-4-locality", engine.Config{Shards: 4, Strategy: partition.DegreeBalanced, Locality: true})
 
 	// Loopback remote: four hash shards behind two TCP servers.
 	layout := [][]int{{0, 2}, {1, 3}}
 	addrs := make([]string, len(layout))
 	for i, owned := range layout {
 		srv := rpc.NewServer(res.res.Graph, rpc.ServerConfig{
-			Shards: 4, Strategy: partition.Hash, Owned: owned, Replicas: 1, Locality: true,
+			Shards: 4, Strategy: partition.Hash, Owned: owned, Locality: true,
 		})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -363,7 +363,7 @@ func TestRemoteStepReadBudget(t *testing.T) {
 	var servers []*rpc.Server
 	var addrs []string
 	for _, owned := range [][]int{{0, 1}, {2, 3}} {
-		srv := rpc.NewServer(w.res.Graph, rpc.ServerConfig{Shards: 4, Strategy: partition.Hash, Owned: owned, Replicas: 1})
+		srv := rpc.NewServer(w.res.Graph, rpc.ServerConfig{Shards: 4, Strategy: partition.Hash, Owned: owned})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen: %v", err)
@@ -379,9 +379,7 @@ func TestRemoteStepReadBudget(t *testing.T) {
 	defer cluster.Close()
 	reads := func() (n int64) {
 		for _, srv := range servers {
-			for _, op := range []rpc.Op{rpc.OpNeighbors, rpc.OpFeatures, rpc.OpContent, rpc.OpReadNodes} {
-				n += srv.OpCount(op)
-			}
+			n += srv.OpCount(rpc.OpReadNodes) // the only attribute read on the wire
 		}
 		return n
 	}

@@ -63,7 +63,7 @@ func buildWorld(cfg loggen.Config, negPerPos int, seed uint64) *world {
 	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
 	ds := loggen.BuildExamples(logs, negPerPos, 0.2, seed+100)
 	eng := engine.New(res.Graph, engine.Config{
-		Shards: 4, Replicas: 1, Strategy: partition.Hash, Locality: true,
+		Shards: 4, Strategy: partition.Hash, Locality: true,
 	})
 	return &world{
 		logs:  logs,

@@ -152,25 +152,18 @@ func TestFig12(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	var zoomerRel float64
-	for _, row := range res.Rows {
-		if row.Model == "zoomer" {
-			zoomerRel = row.RelativeTime
+	zoomer := res.Rows[0]
+	if zoomer.Model != "zoomer" || zoomer.RelativeTime != 1 {
+		t.Fatalf("first row = %+v, want zoomer at relative time 1.0", zoomer)
+	}
+	// Zoomer's downscaled ROI must make every step embed a smaller
+	// subgraph than the full-fan-out baselines do (the §VII-E claim). The
+	// assertion is on counted work: the wall-clock ratios in the table sit
+	// near 1 at -quick budgets and flip from run to run.
+	for _, row := range res.Rows[1:] {
+		if row.NodesPerStep <= zoomer.NodesPerStep {
+			t.Fatalf("%s embeds %.1f nodes/step, zoomer %.1f — the downscaled ROI is not smaller", row.Model, row.NodesPerStep, zoomer.NodesPerStep)
 		}
-	}
-	if zoomerRel != 1 {
-		t.Fatalf("zoomer relative time = %v, want 1.0", zoomerRel)
-	}
-	// Zoomer's 1/10-scale ROI must make it faster than the 30-sample
-	// baselines (the headline 10x claim; exact factor varies).
-	faster := 0
-	for _, row := range res.Rows {
-		if row.Model != "zoomer" && row.RelativeTime > 1 {
-			faster++
-		}
-	}
-	if faster < 3 {
-		t.Fatalf("zoomer faster than only %d/4 baselines", faster)
 	}
 	_ = res.String()
 }

@@ -64,7 +64,7 @@ func Table4(o Options) Table4Result {
 	// Each arm serves from its own live engine config (the paper's
 	// deployment runs channels on separate serving stacks); the views are
 	// bit-identical read surfaces, so the comparison isolates the models.
-	controlEng := engine.New(w.res.Graph, engine.Config{Shards: 2, Replicas: 1, Strategy: partition.DegreeBalanced, Locality: false})
+	controlEng := engine.New(w.res.Graph, engine.Config{Shards: 2, Strategy: partition.DegreeBalanced, Locality: false})
 	defer controlEng.Close()
 	res := abtest.RunArms(g, traffic,
 		abtest.Arm{Channel: control, View: core.EngineView{Engine: controlEng, M: w.res.Mapping}},

@@ -3,6 +3,7 @@ package ps
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"zoomer/internal/eval"
 	"zoomer/internal/graph"
@@ -17,7 +18,7 @@ import (
 // consuming the RNG — the property that makes a retried or restarted
 // run bit-identical instead of silently training on corrupted draws.
 type NeighborSource interface {
-	TrySampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error)
+	TrySampleNeighborsIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error)
 }
 
 // GraphMFExample is one CTR example in graph-node space for the
@@ -112,7 +113,7 @@ func TrainMFGraph(src NeighborSource, examples []GraphMFExample, cfg GraphMFConf
 			// Sample the user's neighborhood through the engine seam. On a
 			// transport failure the RNG was not consumed and nothing was
 			// pushed — the typed error aborts the run cleanly.
-			n, err := src.TrySampleNeighborsInto(ex.User, nbrBuf, sampleRNG)
+			n, err := src.TrySampleNeighborsIntoBy(ex.User, nbrBuf, sampleRNG, time.Time{})
 			if err != nil {
 				return res, fmt.Errorf("ps: sample neighbors of node %d (epoch %d, example %d): %w", ex.User, epoch, i, err)
 			}

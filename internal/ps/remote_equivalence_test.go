@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
@@ -122,11 +123,11 @@ type killAfter struct {
 	kill  func()
 }
 
-func (k *killAfter) TrySampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error) {
+func (k *killAfter) TrySampleNeighborsIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
 	if k.calls.Add(1) == k.n {
 		k.kill()
 	}
-	return k.src.TrySampleNeighborsInto(id, out, r)
+	return k.src.TrySampleNeighborsIntoBy(id, out, r, deadline)
 }
 
 // TestTrainRemoteEquivalence pins the distributed-training contract: a
@@ -139,7 +140,7 @@ func TestTrainRemoteEquivalence(t *testing.T) {
 	cfg := mfConfig()
 
 	// Local leg: 4-shard in-process engine.
-	local := engine.New(res.Graph, engine.Config{Shards: 4, Replicas: 1, Strategy: partition.Hash, Locality: true})
+	local := engine.New(res.Graph, engine.Config{Shards: 4, Strategy: partition.Hash, Locality: true})
 	defer local.Close()
 	want, err := TrainMFGraph(local, examples, cfg)
 	if err != nil {
@@ -155,7 +156,7 @@ func TestTrainRemoteEquivalence(t *testing.T) {
 	addrs := make([]string, len(layout))
 	for i, owned := range layout {
 		servers[i] = rpc.NewServer(res.Graph, rpc.ServerConfig{
-			Shards: 4, Strategy: partition.Hash, Owned: owned, Replicas: 1, Locality: true,
+			Shards: 4, Strategy: partition.Hash, Owned: owned, Locality: true,
 		})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -208,7 +209,7 @@ func TestTrainRemoteEquivalence(t *testing.T) {
 		t.Fatalf("relisten %s: %v", addrs[1], err)
 	}
 	servers[1] = rpc.NewServer(res.Graph, rpc.ServerConfig{
-		Shards: 4, Strategy: partition.Hash, Owned: layout[1], Replicas: 1, Locality: true,
+		Shards: 4, Strategy: partition.Hash, Owned: layout[1], Locality: true,
 	})
 	servers[1].Start(ln2)
 

@@ -49,9 +49,9 @@ func hasEdge(adj []graph.Edge, dst graph.NodeID) bool {
 func TestRemoteAppendRoundTrip(t *testing.T) {
 	g := buildGraph(t)
 	const shards = 2
-	_, cluster := startCluster(t, g, shards, partition.Hash, [][]int{{0, 1}}, 1)
+	_, cluster := startCluster(t, g, shards, partition.Hash, [][]int{{0, 1}})
 	remote := cluster.Engine
-	local := engine.New(g, engine.Config{Shards: shards, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: shards})
 
 	var batch []ingest.Edge
 	for i := 0; i < 24; i++ {
@@ -117,7 +117,7 @@ func TestRemoteAppendRoundTrip(t *testing.T) {
 // double-applying.
 func TestAppendIdempotencyAndResync(t *testing.T) {
 	g := buildGraph(t)
-	_, addr := startServer(t, g, ServerConfig{Shards: 1, Strategy: partition.Hash, Replicas: 1})
+	_, addr := startServer(t, g, ServerConfig{Shards: 1, Strategy: partition.Hash})
 	cl := NewClient(addr)
 	t.Cleanup(func() { cl.Close() })
 	if _, err := cl.Info(); err != nil {
@@ -213,7 +213,7 @@ func TestVersionSkewOldServerNamesBothVersions(t *testing.T) {
 // before the connection drops.
 func TestVersionSkewOldClientNamesBothVersions(t *testing.T) {
 	g := buildGraph(t)
-	_, addr := startServer(t, g, ServerConfig{Shards: 1, Strategy: partition.Hash, Replicas: 1})
+	_, addr := startServer(t, g, ServerConfig{Shards: 1, Strategy: partition.Hash})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -248,7 +248,7 @@ func startDurableServer(t testing.TB, g *graph.Graph, shards int, owned []int, w
 	addr := ln.Addr().String()
 	s := NewServer(g, ServerConfig{
 		Shards: shards, Strategy: partition.Hash, Owned: owned,
-		Replicas: 1, Advertise: addr, WALDir: walDir, Fsync: true,
+		Advertise: addr, WALDir: walDir, Fsync: true,
 	})
 	s.Start(ln)
 	return s, addr
@@ -289,7 +289,7 @@ func TestAppendRecoveryAfterRestart(t *testing.T) {
 		t.Fatalf("after replay: stats %+v, want seq %d", rows, records)
 	}
 
-	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: 1})
 	if n, err := local.Append(all); err != nil || n != len(all) {
 		t.Fatalf("local control append: %d err %v", n, err)
 	}
@@ -364,7 +364,7 @@ func TestServingSurvivesWriterCrash(t *testing.T) {
 			default:
 			}
 			id := graph.NodeID(i % g.NumNodes())
-			if _, err := remote.TrySampleNeighborsInto(id, out, r); err != nil {
+			if _, err := remote.TrySampleNeighborsIntoBy(id, out, r, time.Time{}); err != nil {
 				failed.Add(1)
 			}
 		}
@@ -445,7 +445,7 @@ func TestAppendWALWriteFailureKeepsServing(t *testing.T) {
 	r := rng.New(5)
 	out := make([]graph.NodeID, 8)
 	for i := 0; i < 50; i++ {
-		if _, err := cluster.Engine.TrySampleNeighborsInto(graph.NodeID(i%g.NumNodes()), out, r); err != nil {
+		if _, err := cluster.Engine.TrySampleNeighborsIntoBy(graph.NodeID(i%g.NumNodes()), out, r, time.Time{}); err != nil {
 			t.Fatalf("read %d failed after WAL fault: %v", i, err)
 		}
 	}

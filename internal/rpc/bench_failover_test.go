@@ -39,13 +39,13 @@ func BenchmarkFailoverFirstDraw(b *testing.B) {
 		// Warm both replicas' connections so the timed draw pays only for
 		// the failure, not a first dial.
 		for w := 0; w < 4; w++ {
-			if _, err := cluster.Engine.TrySampleNeighborsInto(ego, out, r); err != nil {
+			if _, err := cluster.Engine.TrySampleNeighborsIntoBy(ego, out, r, time.Time{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 		srvA.Close()
 		b.StartTimer()
-		if _, err := cluster.Engine.TrySampleNeighborsInto(ego, out, r); err != nil {
+		if _, err := cluster.Engine.TrySampleNeighborsIntoBy(ego, out, r, time.Time{}); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -86,7 +86,7 @@ func BenchmarkFailoverDeadReplica(b *testing.B) {
 	// replica's circuit and kick the refresh that drops it from the
 	// group; then settle.
 	for w := 0; w < 64; w++ {
-		if _, err := remote.TrySampleNeighborsInto(ego, out, r); err != nil {
+		if _, err := remote.TrySampleNeighborsIntoBy(ego, out, r, time.Time{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func BenchmarkFailoverDeadReplica(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := remote.TrySampleNeighborsInto(ego, out, r); err != nil {
+		if _, err := remote.TrySampleNeighborsIntoBy(ego, out, r, time.Time{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"zoomer/internal/core"
 	"zoomer/internal/engine"
@@ -23,7 +24,7 @@ import (
 // this process).
 func BenchmarkRPCRoundTrip(b *testing.B) {
 	g := buildGraph(b)
-	_, cluster := startCluster(b, g, 2, partition.Hash, [][]int{{0, 1}}, 1)
+	_, cluster := startCluster(b, g, 2, partition.Hash, [][]int{{0, 1}})
 	remote := cluster.Engine
 	var ego graph.NodeID
 	for id := 0; id < g.NumNodes(); id++ {
@@ -37,7 +38,7 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := remote.TrySampleNeighborsInto(ego, out, r); err != nil {
+		if _, err := remote.TrySampleNeighborsIntoBy(ego, out, r, time.Time{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +54,7 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 // network sits in between.)
 func BenchmarkRemoteBatch(b *testing.B) {
 	g := buildGraph(b)
-	_, cluster := startCluster(b, g, 2, partition.Hash, [][]int{{0}, {1}}, 1)
+	_, cluster := startCluster(b, g, 2, partition.Hash, [][]int{{0}, {1}})
 	remote := cluster.Engine
 	const batch, k = 64, 10
 	r := rng.New(2)
@@ -82,7 +83,7 @@ func BenchmarkRemoteBatch(b *testing.B) {
 // serialize on connection ownership.
 func BenchmarkRemoteBatchParallel(b *testing.B) {
 	g := buildGraph(b)
-	_, cluster := startCluster(b, g, 2, partition.Hash, [][]int{{0}, {1}}, 1)
+	_, cluster := startCluster(b, g, 2, partition.Hash, [][]int{{0}, {1}})
 	remote := cluster.Engine
 	const batch, k = 64, 10
 	b.ReportAllocs()
@@ -113,7 +114,7 @@ func BenchmarkRemoteBatchParallel(b *testing.B) {
 // frontier touches.
 func BenchmarkRemoteTree(b *testing.B) {
 	g := buildGraph(b)
-	_, cluster := startCluster(b, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}}, 1)
+	_, cluster := startCluster(b, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}})
 	remote := cluster.Engine
 	var ego graph.NodeID
 	for id := 0; id < g.NumNodes(); id++ {
@@ -140,7 +141,7 @@ func BenchmarkRemoteTree(b *testing.B) {
 // allocs/op is the pin that the steady state allocates nothing.
 func BenchmarkRemoteReadNodes(b *testing.B) {
 	g := buildGraph(b)
-	_, cluster := startCluster(b, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}}, 1)
+	_, cluster := startCluster(b, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}})
 	remote := cluster.Engine
 	for _, n := range []int{64, 512} {
 		b.Run(fmt.Sprintf("ids-%d", n), func(b *testing.B) {
@@ -164,7 +165,7 @@ func trainWorld(b *testing.B) (*graphbuild.Result, *loggen.Logs, []core.Instance
 	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleSmall, 1))
 	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
 	ds := loggen.BuildExamples(logs, 1, 0.2, 2)
-	_, cluster := startCluster(b, res.Graph, 4, partition.Hash, [][]int{{0, 1}, {2, 3}}, 1)
+	_, cluster := startCluster(b, res.Graph, 4, partition.Hash, [][]int{{0, 1}, {2, 3}})
 	return res, logs, core.InstancesFromExamples(ds.Train, res.Mapping), cluster
 }
 

@@ -21,7 +21,7 @@ func TestCircuitAcrossServerRestart(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	addr := ln.Addr().String()
-	srv := NewServer(g, ServerConfig{Shards: 2, Strategy: partition.Hash, Replicas: 1})
+	srv := NewServer(g, ServerConfig{Shards: 2, Strategy: partition.Hash})
 	srv.Start(ln)
 
 	cl := NewClientWith(addr, ClientConfig{Conns: 1, Timeout: 500 * time.Millisecond, FailThreshold: 3})
@@ -58,7 +58,7 @@ func TestCircuitAcrossServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("relisten on %s: %v", addr, err)
 	}
-	srv2 := NewServer(g, ServerConfig{Shards: 2, Strategy: partition.Hash, Replicas: 1})
+	srv2 := NewServer(g, ServerConfig{Shards: 2, Strategy: partition.Hash})
 	srv2.Start(ln2)
 	t.Cleanup(func() { srv2.Close() })
 

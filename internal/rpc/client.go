@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -16,7 +15,6 @@ import (
 	"zoomer/internal/ingest"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
-	"zoomer/internal/tensor"
 )
 
 // ErrShardUnavailable is the typed transport failure: the shard server
@@ -784,7 +782,7 @@ func (p *pendingVisit) recycle() {
 // decode reads the response body while the slot is still held. The
 // zero-allocation hot paths (sample, runVisit) keep hand-rolled
 // copies of this scaffold because the closures here cost heap
-// allocations — fine for handshakes and attribute reads, not for the
+// allocations — fine for handshakes and admin calls, not for the
 // per-request cycle.
 func (cl *Client) call(op Op, encode func([]byte) []byte, decode func(body []byte) error) error {
 	probe, gerr := cl.gate()
@@ -831,11 +829,6 @@ func (cl *Client) call(op Op, encode func([]byte) []byte, decode func(body []byt
 		return nil
 	}
 	return cl.unavailable(lastErr)
-}
-
-// nodeRead runs one single-id read op.
-func (cl *Client) nodeRead(op Op, id graph.NodeID, decode func(body []byte) error) error {
-	return cl.call(op, func(b []byte) []byte { return appendU32(b, uint32(id)) }, decode)
 }
 
 // ShardInfo describes one partition a server owns. Ingest is the
@@ -1052,14 +1045,13 @@ type RemoteShard struct {
 // shard, and advertises the async seam the parallel scatter-gather path
 // prefers.
 var (
-	_ engine.ShardBackend    = (*RemoteShard)(nil)
-	_ engine.BackendStats    = (*RemoteShard)(nil)
-	_ engine.BatchStarter    = (*RemoteShard)(nil)
-	_ engine.ReadStarter     = (*RemoteShard)(nil)
-	_ engine.HealthReporter  = (*RemoteShard)(nil)
-	_ engine.DeadlineSampler = (*RemoteShard)(nil)
-	_ engine.EdgeAppender    = (*RemoteShard)(nil)
-	_ engine.IngestReporter  = (*RemoteShard)(nil)
+	_ engine.ShardBackend   = (*RemoteShard)(nil)
+	_ engine.BackendStats   = (*RemoteShard)(nil)
+	_ engine.BatchStarter   = (*RemoteShard)(nil)
+	_ engine.ReadStarter    = (*RemoteShard)(nil)
+	_ engine.HealthReporter = (*RemoteShard)(nil)
+	_ engine.EdgeAppender   = (*RemoteShard)(nil)
+	_ engine.IngestReporter = (*RemoteShard)(nil)
 )
 
 // NewRemoteShard returns a stub for partition shard behind cl. nodes and
@@ -1082,20 +1074,14 @@ func (rs *RemoteShard) ShardSize() (nodes, edges int) { return rs.nodes, rs.edge
 // picker steers reads away from an unhealthy stub.
 func (rs *RemoteShard) Healthy() bool { return rs.cl.Healthy() }
 
-// SampleInto draws len(out) weighted neighbors of id shard-side,
+// SampleIntoBy draws len(out) weighted neighbors of id shard-side,
 // consuming r's stream exactly as an in-process shard would: the state
 // travels in the request and the advanced state is restored from the
-// response. On error r is not consumed and out is unspecified.
-func (rs *RemoteShard) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error) {
-	return rs.SampleIntoBy(id, out, r, time.Time{})
-}
-
-// SampleIntoBy is SampleInto bounded by a per-call deadline
-// (engine.DeadlineSampler). The remaining budget shrinks the wire
-// timeout for this one call; once spent, the call fails with the typed
-// engine.ErrDeadlineExceeded without consuming r and without charging
-// the client's health circuit. The zero deadline means unbounded and
-// costs no clock read.
+// response. On error r is not consumed and out is unspecified. The
+// remaining budget of a non-zero deadline shrinks the wire timeout for
+// this one call; once spent, the call fails with the typed
+// engine.ErrDeadlineExceeded without charging the client's health
+// circuit. The zero deadline means unbounded and costs no clock read.
 func (rs *RemoteShard) SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
 	if len(out) == 0 {
 		return 0, nil
@@ -1223,85 +1209,16 @@ func (rs *RemoteShard) setIngest(st *engine.IngestStats) {
 	}
 }
 
-// NeighborsOf fetches and decodes id's adjacency list (a fresh copy; the
-// remote CSR slice cannot be shared).
-func (rs *RemoteShard) NeighborsOf(id graph.NodeID) (nbrs []graph.Edge, err error) {
-	rs.requests.Add(1)
-	err = rs.cl.nodeRead(OpNeighbors, id, func(body []byte) (derr error) {
-		nbrs, derr = decodeNeighbors(body)
-		return derr
-	})
-	return nbrs, err
-}
-
-// FeaturesOf fetches id's categorical features.
-func (rs *RemoteShard) FeaturesOf(id graph.NodeID) (fs []int32, err error) {
-	rs.requests.Add(1)
-	err = rs.cl.nodeRead(OpFeatures, id, func(body []byte) (derr error) {
-		fs, derr = decodeFeatures(body)
-		return derr
-	})
-	return fs, err
-}
-
-// ContentOf fetches id's content vector (nil when the node has none).
-func (rs *RemoteShard) ContentOf(id graph.NodeID) (v tensor.Vec, err error) {
-	rs.requests.Add(1)
-	err = rs.cl.nodeRead(OpContent, id, func(body []byte) (derr error) {
-		v, derr = decodeContent(body)
-		return derr
-	})
-	return v, err
-}
-
-// The single-node response decoders. Each count is checked against the
-// bytes the frame actually carries before the slice is made, so a short
-// reply cannot demand a large allocation.
-
-func decodeNeighbors(body []byte) ([]graph.Edge, error) {
-	cu := cursor{b: body}
-	n := cu.count(12)
-	if cu.bad || n == 0 {
-		return nil, cu.err()
+// NeighborsOf fetches id's adjacency list as a 1-id ReadNodesInto (a fresh
+// copy; the remote CSR slice cannot be shared). It is kept only because
+// benchmark/ compiles against it — drop it in the next benchmark-only PR.
+func (rs *RemoteShard) NeighborsOf(id graph.NodeID) ([]graph.Edge, error) {
+	var blk graph.NodeBlock
+	blk.Resize(1, graph.ReadNeighbors)
+	if err := rs.ReadNodesInto([]graph.NodeID{id}, nil, graph.ReadNeighbors, &blk); err != nil {
+		return nil, err
 	}
-	nbrs := make([]graph.Edge, n)
-	for i := range nbrs {
-		nbrs[i] = graph.Edge{
-			To:     graph.NodeID(cu.u32()),
-			Type:   graph.EdgeType(cu.u32()),
-			Weight: math.Float32frombits(cu.u32()),
-		}
-	}
-	return nbrs, nil
-}
-
-func decodeFeatures(body []byte) ([]int32, error) {
-	cu := cursor{b: body}
-	n := cu.count(4)
-	if cu.bad || n == 0 {
-		return nil, cu.err()
-	}
-	fs := make([]int32, n)
-	for i := range fs {
-		fs[i] = int32(cu.u32())
-	}
-	return fs, nil
-}
-
-func decodeContent(body []byte) (tensor.Vec, error) {
-	cu := cursor{b: body}
-	if present := cu.u32(); present == 0 {
-		return nil, cu.err()
-	}
-	n := cu.count(4)
-	if cu.bad {
-		return nil, cu.err()
-	}
-	v := make(tensor.Vec, n)
-	for i := range v {
-		v[i] = math.Float32frombits(cu.u32())
-	}
-	return v, nil
+	return blk.Neighbors[0], nil
 }
 
 // Logf is where the cluster logs skipped servers and rejected member

@@ -15,7 +15,7 @@ import (
 func startShardServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	g := buildGraph(t)
-	srv := NewServer(g, ServerConfig{Shards: 1, Strategy: partition.Hash, Replicas: 1})
+	srv := NewServer(g, ServerConfig{Shards: 1, Strategy: partition.Hash})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -50,7 +50,7 @@ func TestRemoteSampleDeadlineExpiredIsTypedAndUncharged(t *testing.T) {
 		t.Fatal("expired deadlines tripped the health circuit")
 	}
 	// The stub still serves normally afterwards.
-	if _, err := rs.SampleInto(1, out, r); err != nil {
+	if _, err := rs.SampleIntoBy(1, out, r, time.Time{}); err != nil {
 		t.Fatalf("post-deadline sample: %v", err)
 	}
 }
@@ -67,7 +67,7 @@ func TestRemoteSampleDeadlineBitIdentical(t *testing.T) {
 	a := make([]graph.NodeID, 5)
 	b := make([]graph.NodeID, 5)
 	for id := 0; id < 40; id += 3 {
-		na, err := rs.SampleInto(graph.NodeID(id), a, ra)
+		na, err := rs.SampleIntoBy(graph.NodeID(id), a, ra, time.Time{})
 		if err != nil {
 			t.Fatalf("unbounded: %v", err)
 		}

@@ -20,9 +20,9 @@ import (
 func TestShardFailureAndReconnect(t *testing.T) {
 	g := buildGraph(t)
 	const shards = 2
-	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: 1})
 
-	srv := NewServer(g, ServerConfig{Shards: shards, Strategy: partition.Hash, Replicas: 1})
+	srv := NewServer(g, ServerConfig{Shards: shards, Strategy: partition.Hash})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -79,7 +79,7 @@ func TestShardFailureAndReconnect(t *testing.T) {
 	// consuming the caller's stream.
 	rr := rng.New(77)
 	st := rr.State()
-	if _, err := remote.TrySampleNeighborsInto(ids[0], out[:k], rr); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := remote.TrySampleNeighborsIntoBy(ids[0], out[:k], rr, time.Time{}); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("single sample error %v is not ErrShardUnavailable", err)
 	}
 	if rr.State() != st {
@@ -88,7 +88,7 @@ func TestShardFailureAndReconnect(t *testing.T) {
 
 	// Restart on the same address: the next call redials and must again
 	// be bit-identical to the in-process engine.
-	srv2 := NewServer(g, ServerConfig{Shards: shards, Strategy: partition.Hash, Replicas: 1})
+	srv2 := NewServer(g, ServerConfig{Shards: shards, Strategy: partition.Hash})
 	ln2, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatalf("relisten on %s: %v", addr, err)
@@ -121,7 +121,7 @@ func TestShardFailureAndReconnect(t *testing.T) {
 // fail typed with every count zeroed — never a half-written batch.
 func TestNoPartialResultsUnderChurn(t *testing.T) {
 	g := buildGraph(t)
-	srv := NewServer(g, ServerConfig{Shards: 2, Strategy: partition.Hash, Replicas: 1})
+	srv := NewServer(g, ServerConfig{Shards: 2, Strategy: partition.Hash})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -155,7 +155,7 @@ func TestNoPartialResultsUnderChurn(t *testing.T) {
 				cur.Close()
 				alive = false
 			} else {
-				cur = NewServer(g, ServerConfig{Shards: 2, Strategy: partition.Hash, Replicas: 1})
+				cur = NewServer(g, ServerConfig{Shards: 2, Strategy: partition.Hash})
 				var err error
 				curLn, err = net.Listen("tcp", addr)
 				if err != nil {
@@ -214,7 +214,7 @@ func TestNoPartialResultsUnderChurn(t *testing.T) {
 // singles and attribute reads share the pool without corruption.
 func TestClientPoolConcurrency(t *testing.T) {
 	g := buildGraph(t)
-	_, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}}, 2)
+	_, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}})
 	remote := cluster.Engine
 
 	const workers, iters, batch, k = 8, 60, 24, 4
@@ -245,7 +245,7 @@ func TestClientPoolConcurrency(t *testing.T) {
 						}
 					}
 				}
-				if _, err := remote.TrySampleNeighborsInto(ids[0], single, r); err != nil {
+				if _, err := remote.TrySampleNeighborsIntoBy(ids[0], single, r, time.Time{}); err != nil {
 					t.Errorf("single: %v", err)
 					return
 				}

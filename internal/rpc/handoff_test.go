@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,9 +36,9 @@ func migrate(t *testing.T, shard int, src, dst *Server) {
 func TestLiveHandoffDeterministic(t *testing.T) {
 	g := buildGraph(t)
 	const shards, k, moved = 4, 5, 1
-	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: 1})
 	servers, cluster := startCluster(t, g, shards, partition.Hash,
-		[][]int{{0, 1}, {2, 3}}, 1)
+		[][]int{{0, 1}, {2, 3}})
 	remote := cluster.Engine
 	srcSrv, dstSrv := servers[0], servers[1]
 
@@ -59,7 +60,7 @@ func TestLiveHandoffDeterministic(t *testing.T) {
 			}
 			nid := graph.NodeID(id)
 			nw := local.SampleNeighborsInto(nid, want, rl)
-			ng, err := remote.TrySampleNeighborsInto(nid, got, rr)
+			ng, err := remote.TrySampleNeighborsIntoBy(nid, got, rr, time.Time{})
 			if err != nil {
 				samplerErr <- err
 				return
@@ -159,11 +160,11 @@ func TestLiveHandoffDeterministic(t *testing.T) {
 // wrong-epoch redirect over a healthy connection: it satisfies
 // errors.Is(err, engine.ErrWrongEpoch), is not ErrShardUnavailable, does
 // not kill the connection, and does not count against the health
-// circuit.
+// circuit. Neither does the refusal of a retired op byte.
 func TestDrainedShardRedirectsTyped(t *testing.T) {
 	g := buildGraph(t)
 	const shards = 2
-	srv, addr := startServer(t, g, ServerConfig{Shards: shards, Strategy: partition.Hash, Replicas: 1})
+	srv, addr := startServer(t, g, ServerConfig{Shards: shards, Strategy: partition.Hash})
 	cl := NewClient(addr)
 	t.Cleanup(func() { cl.Close() })
 
@@ -194,18 +195,32 @@ func TestDrainedShardRedirectsTyped(t *testing.T) {
 		t.Fatalf("redirect %v mislabeled as a transport failure", err)
 	}
 	r := rng.New(1)
-	if _, err := rs.SampleInto(onShard1, out, r); !errors.Is(err, engine.ErrWrongEpoch) {
+	if _, err := rs.SampleIntoBy(onShard1, out, r, time.Time{}); !errors.Is(err, engine.ErrWrongEpoch) {
 		t.Fatalf("single-sample redirect: %v", err)
+	}
+
+	// The retired single-node read ops (bytes 5-7) are answered the same
+	// way — the unknown-op error frame over a healthy connection — and
+	// counted against nothing.
+	for op := Op(5); op <= 7; op++ {
+		err := cl.call(op, func(b []byte) []byte { return appendU32(b, uint32(onShard0)) }, func([]byte) error { return nil })
+		var re *remoteError
+		if !errors.As(err, &re) || !strings.Contains(err.Error(), "unknown op") {
+			t.Fatalf("retired op %d: got %v, want the server's unknown-op error", byte(op), err)
+		}
+		if n := srv.OpCount(op); n != 0 {
+			t.Fatalf("retired op %d counted %d served requests", byte(op), n)
+		}
 	}
 
 	// The connection survived and the circuit never opened: an owned-shard
 	// read on the same client succeeds immediately, even after enough
-	// redirects to trip a failure threshold.
+	// redirects and refusals to trip a failure threshold.
 	for i := 0; i < 5; i++ {
 		rs.SampleBatchInto([]graph.NodeID{onShard1}, []int32{0}, 9, 4, out, ns)
 	}
 	rs0 := NewRemoteShard(cl, 0, 0, 0)
-	if _, err := rs0.SampleInto(onShard0, out, r); err != nil {
+	if _, err := rs0.SampleIntoBy(onShard0, out, r, time.Time{}); err != nil {
 		t.Fatalf("healthy shard read after redirects: %v", err)
 	}
 
@@ -236,12 +251,12 @@ func TestDrainedShardRedirectsTyped(t *testing.T) {
 func TestHandoffRacingInFlightWindows(t *testing.T) {
 	g := buildGraph(t)
 	const shards, moved = 4, 2
-	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: 1})
 	servers := make([]*Server, 2)
 	addrs := make([]string, 2)
 	for i, owned := range [][]int{{0, 1}, {2, 3}} {
 		servers[i], addrs[i] = startServer(t, g, ServerConfig{
-			Shards: shards, Strategy: partition.Hash, Owned: owned, Replicas: 1,
+			Shards: shards, Strategy: partition.Hash, Owned: owned,
 			ConnWorkers: 2, ConnWindow: 8,
 		})
 	}
@@ -321,7 +336,7 @@ func TestHandoffRacingInFlightWindows(t *testing.T) {
 					}
 				}
 				nw := local.SampleNeighborsInto(ids[0], wantSingle, rl)
-				ng, err := remote.TrySampleNeighborsInto(ids[0], single, rr)
+				ng, err := remote.TrySampleNeighborsIntoBy(ids[0], single, rr, time.Time{})
 				if err != nil {
 					t.Errorf("single sample failed during handoff churn: %v", err)
 					return
@@ -359,7 +374,7 @@ func TestServeCacheFollowsHandoff(t *testing.T) {
 	g := buildGraph(t)
 	const shards, cacheK, moved = 4, 8, 3
 	servers, cluster := startCluster(t, g, shards, partition.Hash,
-		[][]int{{0, 1}, {2, 3}}, 1)
+		[][]int{{0, 1}, {2, 3}})
 	remote := cluster.Engine
 	cache := serve.NewNeighborCache(remote, cacheK, 77)
 	defer cache.Close()

@@ -123,7 +123,7 @@ func TestMuxInFlightFailure(t *testing.T) {
 	// A real server on the same address serves the same client again —
 	// the probe call reconnects and closes the failure circuit — and its
 	// draws are bit-identical to a local store's.
-	srv := NewServer(g, ServerConfig{Shards: 1, Strategy: partition.Hash, Replicas: 1})
+	srv := NewServer(g, ServerConfig{Shards: 1, Strategy: partition.Hash})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatalf("relisten: %v", err)
@@ -131,7 +131,7 @@ func TestMuxInFlightFailure(t *testing.T) {
 	srv.Start(ln)
 	defer srv.Close()
 
-	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: 1})
 	var id graph.NodeID
 	for i := 0; i < g.NumNodes(); i++ {
 		if g.Degree(graph.NodeID(i)) > 0 {
@@ -178,7 +178,7 @@ func TestMuxInFlightFailure(t *testing.T) {
 // dropped, never silently misframed.
 func TestVersionMismatchOldClientLoudError(t *testing.T) {
 	g := buildGraph(t)
-	_, addr := startServer(t, g, ServerConfig{Shards: 1, Strategy: partition.Hash, Replicas: 1})
+	_, addr := startServer(t, g, ServerConfig{Shards: 1, Strategy: partition.Hash})
 	c, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -279,7 +279,7 @@ func TestVersionMismatchFutureServer(t *testing.T) {
 // to a local engine consuming the same stream (run under -race).
 func TestMuxSharedConnectionHammer(t *testing.T) {
 	g := buildGraph(t)
-	srv := NewServer(g, ServerConfig{Shards: 2, Strategy: partition.Hash, Replicas: 1})
+	srv := NewServer(g, ServerConfig{Shards: 2, Strategy: partition.Hash})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -297,13 +297,13 @@ func TestMuxSharedConnectionHammer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("routing: %v", err)
 	}
-	backends := make([]engine.ShardBackend, info.NumShards)
+	groups := make([][]engine.ShardBackend, info.NumShards)
 	for _, sh := range info.Owned {
-		backends[sh.ID] = NewRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)
+		groups[sh.ID] = []engine.ShardBackend{NewRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)}
 	}
-	remote := engine.NewWithBackends(routing, backends, info.ContentDim)
+	remote := engine.NewWithReplicaSets(routing, groups, info.ContentDim)
 	t.Cleanup(remote.Close)
-	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: 1})
 
 	const workers, iters, k = 16, 80, 5
 	var wg sync.WaitGroup
@@ -322,7 +322,7 @@ func TestMuxSharedConnectionHammer(t *testing.T) {
 			wantNs := make([]int32, len(ids))
 			for it := 0; it < iters; it++ {
 				id := graph.NodeID((int(seed)*131 + it*17) % g.NumNodes())
-				ng, err := remote.TrySampleNeighborsInto(id, got, rRemote)
+				ng, err := remote.TrySampleNeighborsIntoBy(id, got, rRemote, time.Time{})
 				if err != nil {
 					t.Errorf("sample: %v", err)
 					return

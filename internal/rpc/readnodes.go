@@ -8,8 +8,8 @@ import (
 	"zoomer/internal/tensor"
 )
 
-// The read-nodes op is the bulk form of the neighbors/features/content
-// reads: any subset of the three attributes for a list of nodes of one
+// The read-nodes op is the attribute read: any subset of neighbors,
+// features and content for a list of nodes (one or many) of one
 // partition, in one frame each way.
 //
 //	request : u8 fields | u32 count | count × u32 node id

@@ -53,14 +53,32 @@ func requireBlockEqual(t testing.TB, g *graph.Graph, ids []graph.NodeID, fields 
 	}
 }
 
+// requireSingleReadsEqual asserts the engine's single-node reads (1-id
+// bulk reads over a remote backend; they panic on a failed call) return
+// exactly what the graph holds for each of ids.
+func requireSingleReadsEqual(t testing.TB, g *graph.Graph, eng *engine.Engine, ids []graph.NodeID) {
+	t.Helper()
+	for _, id := range ids {
+		if got, want := eng.Neighbors(id), g.Neighbors(id); !slices.Equal(want, got) {
+			t.Fatalf("node %d: edges %+v, want %+v", id, got, want)
+		}
+		if got, want := eng.Features(id), g.Features(id); !slices.Equal(want, got) {
+			t.Fatalf("node %d: features %v, want %v", id, got, want)
+		}
+		if got, want := eng.Content(id), g.Content(id); (want == nil) != (got == nil) || !slices.Equal(want, got) {
+			t.Fatalf("node %d: content %v, want %v", id, got, want)
+		}
+	}
+}
+
 // The bulk read over the wire returns exactly what the graph holds, for
 // every combination of attributes, with repeated ids, across a
 // multi-server layout — and a block reused across reads is not corrupted
 // by the next one.
 func TestReadNodesMatchesGraph(t *testing.T) {
 	g := buildGraph(t)
-	_, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 2}, {1, 3}}, 1)
-	local := engine.New(g, engine.Config{Shards: 3, Replicas: 1, Strategy: partition.DegreeBalanced})
+	_, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 2}, {1, 3}})
+	local := engine.New(g, engine.Config{Shards: 3, Strategy: partition.DegreeBalanced})
 	defer local.Close()
 	for name, eng := range map[string]*engine.Engine{"remote": cluster.Engine, "local": local} {
 		var blk graph.NodeBlock
@@ -85,7 +103,7 @@ func TestReadNodesAbsentAttributes(t *testing.T) {
 	bare := b.AddNode(graph.Item, nil, nil)
 	b.AddEdge(full, bare, graph.Click, 2)
 	g := b.Build()
-	_, cluster := startCluster(t, g, 1, partition.Hash, [][]int{{0}}, 1)
+	_, cluster := startCluster(t, g, 1, partition.Hash, [][]int{{0}})
 	ids := []graph.NodeID{bare, full, bare}
 	var blk graph.NodeBlock
 	if err := cluster.Engine.TryReadNodes(ids, graph.ReadAll, &blk); err != nil {
@@ -103,7 +121,7 @@ func TestReadNodesAbsentAttributes(t *testing.T) {
 // over a connection that stays healthy.
 func TestReadNodesChunksLargeGroups(t *testing.T) {
 	g := buildGraph(t)
-	servers, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 2}, {1, 3}}, 1)
+	servers, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 2}, {1, 3}})
 	eng := cluster.Engine
 	reads := func() int64 { return servers[0].OpCount(OpReadNodes) + servers[1].OpCount(OpReadNodes) }
 
@@ -152,11 +170,12 @@ func TestReadNodesChunksLargeGroups(t *testing.T) {
 // A bulk read that runs into a drained partition refreshes ownership and
 // re-sends only that partition's visit: no failed call, identical
 // results, and the request count shows the other three visits were not
-// repeated. Then the same under a migration loop racing the reads.
+// repeated. Then the same — single-node reads included — under a
+// migration loop racing the reads.
 func TestLiveHandoffBulkRead(t *testing.T) {
 	g := buildGraph(t)
 	const moved = 1
-	servers, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}}, 1)
+	servers, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}})
 	eng := cluster.Engine
 	srcSrv, dstSrv := servers[0], servers[1]
 	reads := func() int64 { return srcSrv.OpCount(OpReadNodes) + dstSrv.OpCount(OpReadNodes) }
@@ -215,14 +234,16 @@ func TestLiveHandoffBulkRead(t *testing.T) {
 			t.Fatalf("round %d: bulk read failed under the migration loop: %v", round, err)
 		}
 		requireBlockEqual(t, g, ids, graph.ReadAll, &blk)
+		requireSingleReadsEqual(t, g, eng, ids[:8])
 	}
 	close(stop)
 	wg.Wait()
 }
 
 // Killing one replica of every partition while bulk reads run surfaces
-// nothing: the visits that were headed for the dead server fail over to
-// the survivor and the block is what an undisturbed cluster returns.
+// nothing: the visits (and single-node reads) that were headed for the
+// dead server fail over to the survivor and return what an undisturbed
+// cluster returns.
 func TestKillReplicaMidBulkRead(t *testing.T) {
 	g := buildGraph(t)
 	all := []int{0, 1, 2, 3}
@@ -250,6 +271,7 @@ func TestKillReplicaMidBulkRead(t *testing.T) {
 		if d := srvB.OpCount(OpReadNodes) - before; d > 4 {
 			t.Fatalf("round %d: survivor served %d requests for a 4-shard read — a visit was repeated", round, d)
 		}
+		requireSingleReadsEqual(t, g, eng, ids[:8])
 	}
 }
 
@@ -261,7 +283,7 @@ func TestRemoteReadNodesDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
 	g := buildGraph(t)
-	_, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}}, 1)
+	_, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}})
 	eng := cluster.Engine
 	ids := randomIDs(g, 64, 5)
 	var blk graph.NodeBlock
@@ -289,19 +311,21 @@ func allocatedBy(fn func()) uint64 {
 	return b.TotalAlloc - a.TotalAlloc
 }
 
-// A reply of a dozen bytes that declares a quarter-gigabyte payload is
-// refused typed before anything is allocated for it — in the single-node
-// decoders and in both directions of the bulk op.
+// A frame of a few dozen bytes that declares a quarter-gigabyte payload
+// is refused typed before anything is allocated for it — in the batch
+// request decoder and in both directions of the bulk op.
 func TestDecodersBoundCountsByFrameBytes(t *testing.T) {
 	huge := appendU32(nil, 1<<24)
-	present := appendU32(appendU32(nil, 1), 1<<24)
 	totals := appendU32(appendU32(appendU32(nil, 1<<24), 1<<24), 1<<24)
 	var blk graph.NodeBlock
 	blk.Resize(1, graph.ReadAll)
 	cases := map[string]func() error{
-		"neighbors": func() error { _, err := decodeNeighbors(append(huge, 0)); return err },
-		"features":  func() error { _, err := decodeFeatures(append(huge, 0)); return err },
-		"content":   func() error { _, err := decodeContent(append(present, 0)); return err },
+		"batch request": func() error {
+			// maxFrame/8 entries declared, two carried.
+			payload := appendBatch(nil, []graph.NodeID{1, 2}, []int32{0, 1}, 7, 1)
+			copy(payload[12:], appendU32(nil, maxFrame/8))
+			return decodeBatchRequest(payload, new(batchRequest))
+		},
 		"read-nodes request": func() error {
 			_, _, err := decodeReadNodesRequest(append([]byte{byte(graph.ReadAll)}, huge...), nil)
 			return err
@@ -342,6 +366,31 @@ func readNodesSeeds(t testing.TB) (request, response []byte) {
 		t.Fatal(err)
 	}
 	return appendReadNodesRequest(nil, ids, graph.ReadAll), response
+}
+
+// FuzzDecodeBatchRequest: the server-side batch decoder never panics,
+// never sizes its staging past the frame's own bytes, and fails typed.
+func FuzzDecodeBatchRequest(f *testing.F) {
+	f.Add(appendBatch(nil, []graph.NodeID{4, 0, 8}, []int32{2, 0, 5}, 99, 3))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var req batchRequest
+		var err error
+		if got := allocatedBy(func() { err = decodeBatchRequest(payload, &req) }); got > uint64(len(payload))+1<<14 {
+			t.Fatalf("allocated %d bytes decoding a %d-byte frame", got, len(payload))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformedFrame) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if len(req.gids) == 0 || len(req.gids) != len(req.idx) || req.k <= 0 || (int64(req.maxIdx)+1)*int64(req.k) > maxFrame/4 {
+			t.Fatalf("accepted %d entries, k=%d, max index %d from %d bytes", len(req.gids), req.k, req.maxIdx, len(payload))
+		}
+		if again := appendBatch(nil, req.gids, req.idx, req.base, req.k); string(again) != string(payload) {
+			t.Fatal("accepted request does not re-encode to itself")
+		}
+	})
 }
 
 // FuzzDecodeReadNodesRequest: the server-side decoder never panics,

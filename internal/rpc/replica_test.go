@@ -26,7 +26,7 @@ func startReplicaServer(t testing.TB, g *graph.Graph, shards int, owned []int) (
 	addr := ln.Addr().String()
 	s := NewServer(g, ServerConfig{
 		Shards: shards, Strategy: partition.Hash, Owned: owned,
-		Replicas: 1, Advertise: addr,
+		Advertise: addr,
 	})
 	s.Start(ln)
 	t.Cleanup(func() { s.Close() })
@@ -54,14 +54,14 @@ func TestReplicatedClusterSpreadsLoad(t *testing.T) {
 		}
 	}
 
-	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: 1})
 	rl, rr := rng.New(42), rng.New(42)
 	want := make([]graph.NodeID, 6)
 	got := make([]graph.NodeID, 6)
 	for id := 0; id < 200; id++ {
 		nid := graph.NodeID(id % g.NumNodes())
 		nw := local.SampleNeighborsInto(nid, want, rl)
-		ng, err := remote.TrySampleNeighborsInto(nid, got, rr)
+		ng, err := remote.TrySampleNeighborsIntoBy(nid, got, rr, time.Time{})
 		if err != nil {
 			t.Fatalf("node %d: %v", id, err)
 		}
@@ -97,7 +97,7 @@ func TestKillReplicaMidBatch(t *testing.T) {
 	t.Cleanup(func() { cluster.Close() })
 	cluster.SetPollTimeout(300 * time.Millisecond)
 	remote := cluster.Engine
-	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: 1})
 
 	const k = 5
 	r := rng.New(9)
@@ -135,7 +135,7 @@ func TestKillReplicaMidBatch(t *testing.T) {
 		}
 		nid := graph.NodeID((round * 13) % g.NumNodes())
 		nw := local.SampleNeighborsInto(nid, singleWant, rl)
-		ng, err := remote.TrySampleNeighborsInto(nid, single, rr)
+		ng, err := remote.TrySampleNeighborsIntoBy(nid, single, rr, time.Time{})
 		if err != nil {
 			t.Fatalf("round %d: single draw after replica kill: %v", round, err)
 		}
@@ -168,13 +168,13 @@ func TestZeroHealthyReplicasTyped(t *testing.T) {
 
 	r := rng.New(5)
 	out := make([]graph.NodeID, 4)
-	if _, err := remote.TrySampleNeighborsInto(0, out, r); err != nil {
+	if _, err := remote.TrySampleNeighborsIntoBy(0, out, r, time.Time{}); err != nil {
 		t.Fatalf("warm draw: %v", err)
 	}
 	srvA.Close()
 	srvB.Close()
 
-	_, err = remote.TrySampleNeighborsInto(0, out, r)
+	_, err = remote.TrySampleNeighborsIntoBy(0, out, r, time.Time{})
 	if err == nil {
 		t.Fatal("draw against a fully dead cluster succeeded")
 	}
@@ -238,14 +238,14 @@ func TestMembershipDiscovery(t *testing.T) {
 
 	// The original server dies; the adopted one keeps the cluster alive.
 	srvA.Close()
-	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: 1})
 	rl, rr := rng.New(21), rng.New(21)
 	want := make([]graph.NodeID, 4)
 	got := make([]graph.NodeID, 4)
 	for id := 0; id < 50; id++ {
 		nid := graph.NodeID(id % g.NumNodes())
 		nw := local.SampleNeighborsInto(nid, want, rl)
-		ng, err := remote.TrySampleNeighborsInto(nid, got, rr)
+		ng, err := remote.TrySampleNeighborsIntoBy(nid, got, rr, time.Time{})
 		if err != nil {
 			t.Fatalf("draw %d after founder death: %v", id, err)
 		}
@@ -277,7 +277,7 @@ func TestRollingUpgrade(t *testing.T) {
 	t.Cleanup(func() { cluster.Close() })
 	cluster.SetPollTimeout(500 * time.Millisecond)
 	remote := cluster.Engine
-	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: 1})
 
 	var (
 		stop     = make(chan struct{})
@@ -308,7 +308,7 @@ func TestRollingUpgrade(t *testing.T) {
 			}
 			nid := graph.NodeID(id % g.NumNodes())
 			nw := local.SampleNeighborsInto(nid, want, rl)
-			ng, err := remote.TrySampleNeighborsInto(nid, got, rr)
+			ng, err := remote.TrySampleNeighborsIntoBy(nid, got, rr, time.Time{})
 			if err != nil {
 				fail("sampler: " + err.Error())
 				return
@@ -426,7 +426,7 @@ func TestRefreshSkipsStalledServer(t *testing.T) {
 	// The healthy binding still serves.
 	r := rng.New(6)
 	out := make([]graph.NodeID, 4)
-	if _, err := cluster.Engine.TrySampleNeighborsInto(0, out, r); err != nil {
+	if _, err := cluster.Engine.TrySampleNeighborsIntoBy(0, out, r, time.Time{}); err != nil {
 		t.Fatalf("draw after refresh: %v", err)
 	}
 }

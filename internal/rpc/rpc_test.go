@@ -3,6 +3,7 @@ package rpc
 import (
 	"net"
 	"testing"
+	"time"
 
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
@@ -35,13 +36,13 @@ func startServer(t testing.TB, g *graph.Graph, cfg ServerConfig) (*Server, strin
 
 // startCluster spins one server per owned-set and dials them into a
 // remote engine.
-func startCluster(t testing.TB, g *graph.Graph, shards int, strat partition.Strategy, layout [][]int, replicas int) ([]*Server, *Cluster) {
+func startCluster(t testing.TB, g *graph.Graph, shards int, strat partition.Strategy, layout [][]int) ([]*Server, *Cluster) {
 	t.Helper()
 	servers := make([]*Server, len(layout))
 	addrs := make([]string, len(layout))
 	for i, owned := range layout {
 		servers[i], addrs[i] = startServer(t, g, ServerConfig{
-			Shards: shards, Strategy: strat, Owned: owned, Replicas: replicas,
+			Shards: shards, Strategy: strat, Owned: owned,
 		})
 	}
 	cluster, err := DialCluster(addrs...)
@@ -54,12 +55,12 @@ func startCluster(t testing.TB, g *graph.Graph, shards int, strat partition.Stra
 
 // The loopback equivalence pin: an Engine whose shards sit behind TCP
 // must be bit-identical to the in-process single-store engine — single
-// draws, scatter-gather batches, multi-hop trees and full ROI
-// construction — across both partition strategies and a multi-server
+// draws, scatter-gather batches, multi-hop trees, full ROI construction
+// and single-node attribute reads — across both partition strategies and a multi-server
 // layout. This is what makes the distributed backend trustworthy.
 func TestLoopbackEquivalence(t *testing.T) {
 	g := buildGraph(t)
-	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
+	local := engine.New(g, engine.Config{Shards: 1})
 
 	cases := []struct {
 		name   string
@@ -72,7 +73,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, cluster := startCluster(t, g, tc.shards, tc.strat, tc.layout, 2)
+			_, cluster := startCluster(t, g, tc.shards, tc.strat, tc.layout)
 			remote := cluster.Engine
 			if remote.NumNodes() != g.NumNodes() || remote.ContentDim() != g.ContentDim() {
 				t.Fatalf("handshake shape %d/%d, want %d/%d",
@@ -177,45 +178,15 @@ func TestLoopbackEquivalence(t *testing.T) {
 				got := sampling.BuildTree(remote, nid, focal, 2, 4, s, rng.New(31), sampling.NewScratch())
 				compare(want, got)
 			}
-		})
-	}
-}
 
-// Node attribute reads over the wire must return exactly the source
-// graph's rows.
-func TestRemoteReadsMatchGraph(t *testing.T) {
-	g := buildGraph(t)
-	_, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}}, 1)
-	remote := cluster.Engine
-	for id := 0; id < g.NumNodes(); id += 5 {
-		nid := graph.NodeID(id)
-		want, got := g.Neighbors(nid), remote.Neighbors(nid)
-		if len(want) != len(got) {
-			t.Fatalf("node %d: %d edges remote, %d local", id, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("node %d edge %d: %+v vs %+v", id, i, got[i], want[i])
+			// Single-node attribute reads of every node: exactly the source
+			// graph's rows.
+			all := make([]graph.NodeID, g.NumNodes())
+			for i := range all {
+				all[i] = graph.NodeID(i)
 			}
-		}
-		wf, gf := g.Features(nid), remote.Features(nid)
-		if len(wf) != len(gf) {
-			t.Fatalf("node %d: feature rows differ", id)
-		}
-		for i := range wf {
-			if wf[i] != gf[i] {
-				t.Fatalf("node %d feature %d differs", id, i)
-			}
-		}
-		wc, gc := g.Content(nid), remote.Content(nid)
-		if len(wc) != len(gc) {
-			t.Fatalf("node %d: content rows differ (%d vs %d)", id, len(gc), len(wc))
-		}
-		for i := range wc {
-			if wc[i] != gc[i] {
-				t.Fatalf("node %d content %d differs", id, i)
-			}
-		}
+			requireSingleReadsEqual(t, g, remote, all)
+		})
 	}
 }
 
@@ -224,10 +195,10 @@ func TestRemoteReadsMatchGraph(t *testing.T) {
 func TestMixedLocalRemoteBackends(t *testing.T) {
 	g := buildGraph(t)
 	const shards = 4
-	local := engine.New(g, engine.Config{Shards: shards, Replicas: 1, Strategy: partition.Hash})
+	local := engine.New(g, engine.Config{Shards: shards, Strategy: partition.Hash})
 
 	// Shards 1 and 3 live behind a server; 0 and 2 are in-process.
-	_, addr := startServer(t, g, ServerConfig{Shards: shards, Strategy: partition.Hash, Owned: []int{1, 3}, Replicas: 1})
+	_, addr := startServer(t, g, ServerConfig{Shards: shards, Strategy: partition.Hash, Owned: []int{1, 3}})
 	cl := NewClient(addr)
 	t.Cleanup(func() { cl.Close() })
 	info, err := cl.Info()
@@ -239,13 +210,13 @@ func TestMixedLocalRemoteBackends(t *testing.T) {
 		t.Fatalf("routing: %v", err)
 	}
 	part := partition.Split(g, shards, partition.Hash)
-	backends := make([]engine.ShardBackend, shards)
-	backends[0] = engine.BuildShard(part, 0, 1)
-	backends[2] = engine.BuildShard(part, 2, 1)
+	groups := make([][]engine.ShardBackend, shards)
+	groups[0] = []engine.ShardBackend{engine.BuildShard(part, 0, 1)}
+	groups[2] = []engine.ShardBackend{engine.BuildShard(part, 2, 1)}
 	for _, sh := range info.Owned {
-		backends[sh.ID] = NewRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)
+		groups[sh.ID] = []engine.ShardBackend{NewRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)}
 	}
-	mixed := engine.NewWithBackends(routing, backends, info.ContentDim)
+	mixed := engine.NewWithReplicaSets(routing, groups, info.ContentDim)
 
 	r := rng.New(17)
 	const k = 5
@@ -283,7 +254,7 @@ func TestBatchRoundTripBudget(t *testing.T) {
 	g := buildGraph(t)
 	const shards = 4
 	servers, cluster := startCluster(t, g, shards, partition.Hash,
-		[][]int{{0}, {1}, {2}, {3}}, 1)
+		[][]int{{0}, {1}, {2}, {3}})
 	remote := cluster.Engine
 
 	// A batch spanning every shard: exactly one round trip per shard.
@@ -339,7 +310,7 @@ func TestBatchRoundTripBudget(t *testing.T) {
 // counters and the handshake's partition sizes.
 func TestRemoteStats(t *testing.T) {
 	g := buildGraph(t)
-	_, cluster := startCluster(t, g, 3, partition.DegreeBalanced, [][]int{{0, 1, 2}}, 1)
+	_, cluster := startCluster(t, g, 3, partition.DegreeBalanced, [][]int{{0, 1, 2}})
 	remote := cluster.Engine
 	r := rng.New(4)
 	out := make([]graph.NodeID, 4)
@@ -372,7 +343,7 @@ func TestRemoteHotPathDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
 	g := buildGraph(t)
-	_, cluster := startCluster(t, g, 2, partition.Hash, [][]int{{0, 1}}, 1)
+	_, cluster := startCluster(t, g, 2, partition.Hash, [][]int{{0, 1}})
 	remote := cluster.Engine
 	const batch, k = 32, 6
 	r := rng.New(8)
@@ -390,7 +361,7 @@ func TestRemoteHotPathDoesNotAllocate(t *testing.T) {
 		if _, err := remote.SampleNeighborsBatchInto(ids, k, out, ns, r, bs); err != nil {
 			t.Fatalf("warm batch: %v", err)
 		}
-		remote.TrySampleNeighborsInto(ids[0], single, r)
+		remote.TrySampleNeighborsIntoBy(ids[0], single, r, time.Time{})
 	}
 	if avg := testing.AllocsPerRun(50, func() {
 		remote.SampleNeighborsBatchInto(ids, k, out, ns, r, bs)
@@ -398,7 +369,7 @@ func TestRemoteHotPathDoesNotAllocate(t *testing.T) {
 		t.Fatalf("remote batch allocates %.1f objects/op at steady state", avg)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
-		remote.TrySampleNeighborsInto(ids[0], single, r)
+		remote.TrySampleNeighborsIntoBy(ids[0], single, r, time.Time{})
 	}); avg > 0.5 {
 		t.Fatalf("remote single sample allocates %.1f objects/op at steady state", avg)
 	}

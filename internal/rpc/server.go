@@ -26,7 +26,10 @@ type ServerConfig struct {
 	Shards   int                // total partitions of the graph
 	Strategy partition.Strategy // node-to-shard assignment
 	Owned    []int              // shard ids served at start (nil = all); handoffs move them later
-	Replicas int                // replicas per owned shard (initial and acquired alike)
+	// Replicas is ignored: it was the in-shard replica count, kept only
+	// because benchmark/ sets it — drop it in the next benchmark-only PR.
+	// Replication is servers claiming the same partition (replica groups).
+	Replicas int
 	// Locality enables BFS row renumbering within each shard
 	// (partition.Options.Locality). Every server of one cluster must
 	// agree on it — local indices travel in the routing blob, and the
@@ -76,8 +79,7 @@ const (
 // loop feeding a bounded per-connection worker group: pipelined requests
 // dispatch concurrently and responses return tagged by request id, in
 // completion order. The shard stores themselves are immutable and read
-// lock-free, so dispatch concurrency scales like in-process replica
-// concurrency.
+// lock-free, so dispatch concurrency scales with the worker count.
 //
 // Ownership is dynamic: AcquirePartition and ReleasePartition (driven by
 // the reassign op, i.e. zoomer-shard's admin mode) move partitions in
@@ -95,7 +97,6 @@ type Server struct {
 	contentDim  int
 	workers     int
 	window      int
-	replicas    int
 	advertise   string
 	ownMu       sync.Mutex // serializes ownership transitions
 
@@ -165,9 +166,6 @@ func NewServer(g *graph.Graph, cfg ServerConfig) *Server {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
-	}
 	if cfg.ConnWorkers <= 0 {
 		cfg.ConnWorkers = defaultConnWorkers
 	}
@@ -193,7 +191,6 @@ func NewServer(g *graph.Graph, cfg ServerConfig) *Server {
 		contentDim: g.ContentDim(),
 		workers:    cfg.ConnWorkers,
 		window:     cfg.ConnWindow,
-		replicas:   cfg.Replicas,
 		advertise:  cfg.Advertise,
 		walDir:     cfg.WALDir,
 		fsync:      cfg.Fsync,
@@ -209,7 +206,7 @@ func NewServer(g *graph.Graph, cfg ServerConfig) *Server {
 		if id < 0 || id >= cfg.Shards {
 			panic(fmt.Sprintf("rpc: owned shard %d of %d", id, cfg.Shards))
 		}
-		shards[id] = engine.BuildShard(part, id, cfg.Replicas)
+		shards[id] = engine.BuildShard(part, id, 0)
 		if err := s.openIngest(id, shards[id]); err != nil {
 			// An unreadable WAL directory at boot is a deployment fault on
 			// par with an invalid config; refusing to start beats serving a
@@ -324,7 +321,7 @@ func (s *Server) AcquirePartition(id int) (uint64, error) {
 	if o := s.own.Load(); o.shards[id] != nil {
 		return o.epoch, nil
 	}
-	sh := engine.BuildShard(s.part, id, s.replicas)
+	sh := engine.BuildShard(s.part, id, 0)
 	s.ownMu.Lock()
 	defer s.ownMu.Unlock()
 	o := s.own.Load()
@@ -552,8 +549,7 @@ func (s *Server) OwnedShards() []int {
 // sample/batch request cycle allocates nothing server-side.
 type serverConn struct {
 	frameScratch
-	gids  []graph.NodeID
-	idx   []int32
+	batch batchRequest
 	out   []graph.NodeID
 	ns    []int32
 	edges []ingest.Edge
@@ -692,10 +688,10 @@ func (s *Server) handle(c net.Conn) {
 // carrying the current epoch; any other error with a statusErr frame.
 func (s *Server) serve(c net.Conn, sl *reqSlot, sc *serverConn, wmu *sync.Mutex) {
 	op := Op(sl.buf[0])
-	if op < numOps {
+	resp, err := s.dispatch(op, sl.buf[1:], sc)
+	if op < numOps && !errors.Is(err, errUnknownOp) {
 		s.opCounts[op].Add(1)
 	}
-	resp, err := s.dispatch(op, sl.buf[1:], sc)
 	if err != nil {
 		var mv *errShardMoved
 		if errors.As(err, &mv) {
@@ -735,6 +731,11 @@ func (s *Server) shardFor(o *ownership, id graph.NodeID) (*engine.Shard, error) 
 	return sh, nil
 }
 
+// errUnknownOp answers an op byte outside the served vocabulary — the
+// retired single-node read ops included — with a plain error frame; such
+// a request is not counted against any op.
+var errUnknownOp = errors.New("rpc: unknown op")
+
 func (s *Server) dispatch(op Op, payload []byte, sc *serverConn) ([]byte, error) {
 	// One ownership snapshot per request: the store it resolves stays
 	// valid for the whole dispatch even if a reassignment lands meanwhile.
@@ -748,12 +749,6 @@ func (s *Server) dispatch(op Op, payload []byte, sc *serverConn) ([]byte, error)
 		return s.handleSample(o, payload, sc)
 	case OpBatch:
 		return s.handleBatch(o, payload, sc)
-	case OpNeighbors:
-		return s.handleNeighbors(o, payload, sc)
-	case OpFeatures:
-		return s.handleFeatures(o, payload, sc)
-	case OpContent:
-		return s.handleContent(o, payload, sc)
 	case OpReassign:
 		return s.handleReassign(payload, sc)
 	case OpEpoch:
@@ -765,7 +760,7 @@ func (s *Server) dispatch(op Op, payload []byte, sc *serverConn) ([]byte, error)
 	case OpReadNodes:
 		return s.handleReadNodes(o, payload, sc)
 	default:
-		return nil, fmt.Errorf("rpc: unknown op %d", byte(op))
+		return nil, fmt.Errorf("%w %d", errUnknownOp, byte(op))
 	}
 }
 
@@ -920,39 +915,57 @@ func (s *Server) handleSample(o *ownership, payload []byte, sc *serverConn) ([]b
 	return b, nil
 }
 
-func (s *Server) handleBatch(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
+// batchRequest is a decoded OpBatch payload: entry j is node gids[j] at
+// the client's batch index idx[j] (never negative; maxIdx is the largest).
+type batchRequest struct {
+	base   uint64
+	k      int
+	gids   []graph.NodeID
+	idx    []int32
+	maxIdx int32
+}
+
+// decodeBatchRequest decodes an OpBatch payload into req, reusing its
+// gids/idx storage. The entry count is checked against the bytes the
+// frame actually carries before anything is sized for it, and the staging
+// the entry indices imply — a legitimate response carries ~(maxIdx+1)*k
+// draws — against the frame budget.
+func decodeBatchRequest(payload []byte, req *batchRequest) error {
 	cu := cursor{b: payload}
-	base := cu.u64()
-	k := int(cu.u32())
-	count := int(cu.u32())
-	if cu.bad || k <= 0 || k > 1<<20 || count <= 0 || count > maxFrame/8 {
-		return nil, fmt.Errorf("rpc: bad batch header k=%d count=%d", k, count)
+	req.base = cu.u64()
+	req.k = int(cu.u32())
+	count := cu.count(8)
+	if cu.bad || req.k <= 0 || req.k > 1<<20 || count == 0 {
+		return fmt.Errorf("%w: batch header k=%d count=%d in %d bytes", ErrMalformedFrame, req.k, count, len(payload))
 	}
-	if cap(sc.gids) < count {
-		sc.gids = make([]graph.NodeID, count)
-		sc.idx = make([]int32, count)
+	if cap(req.gids) < count {
+		req.gids = make([]graph.NodeID, count)
+		req.idx = make([]int32, count)
 	}
-	gids, idx := sc.gids[:count], sc.idx[:count]
-	maxIdx := int32(0)
+	req.gids, req.idx, req.maxIdx = req.gids[:count], req.idx[:count], 0
 	for j := 0; j < count; j++ {
-		idx[j] = int32(cu.u32())
-		gids[j] = graph.NodeID(cu.u32())
-		if idx[j] > maxIdx {
-			maxIdx = idx[j]
+		req.idx[j] = int32(cu.u32())
+		req.gids[j] = graph.NodeID(cu.u32())
+		if req.idx[j] < 0 {
+			return fmt.Errorf("%w: negative batch index %d", ErrMalformedFrame, req.idx[j])
 		}
-		if idx[j] < 0 {
-			return nil, fmt.Errorf("rpc: negative batch index %d", idx[j])
-		}
+		req.maxIdx = max(req.maxIdx, req.idx[j])
 	}
-	if err := cu.err(); err != nil {
+	if len(cu.rest()) != 0 {
+		return fmt.Errorf("%w: %d bytes after the batch entries", ErrMalformedFrame, len(cu.rest()))
+	}
+	if (int64(req.maxIdx)+1)*int64(req.k) > maxFrame/4 {
+		return fmt.Errorf("%w: batch index %d with k=%d exceeds frame budget", ErrMalformedFrame, req.maxIdx, req.k)
+	}
+	return nil
+}
+
+func (s *Server) handleBatch(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
+	req := &sc.batch
+	if err := decodeBatchRequest(payload, req); err != nil {
 		return nil, err
 	}
-	// Bound the staging the client's entry indices imply: a legitimate
-	// batch response carries ~(maxIdx+1)*k draws, so anything past the
-	// frame budget is a malformed request, not a big batch.
-	if (int64(maxIdx)+1)*int64(k) > maxFrame/4 {
-		return nil, fmt.Errorf("rpc: batch index %d with k=%d exceeds frame budget", maxIdx, k)
-	}
+	k, gids, idx := req.k, req.gids, req.idx
 	// One batch request is one shard visit: every entry must live on the
 	// same owned shard (the client stub groups per shard before calling).
 	sh, err := s.shardFor(o, gids[0])
@@ -968,67 +981,27 @@ func (s *Server) handleBatch(o *ownership, payload []byte, sc *serverConn) ([]by
 	// Stage draws in the global-batch layout the shard method writes
 	// (idx are the client's entry indices, so seeds — and therefore
 	// draws — are bit-identical to an in-process scatter-gather visit).
-	need := (int(maxIdx) + 1) * k
-	if cap(sc.out) < need {
-		sc.out = make([]graph.NodeID, need)
+	entries := int(req.maxIdx) + 1
+	if cap(sc.out) < entries*k {
+		sc.out = make([]graph.NodeID, entries*k)
 	}
-	if cap(sc.ns) < int(maxIdx)+1 {
-		sc.ns = make([]int32, maxIdx+1)
+	if cap(sc.ns) < entries {
+		sc.ns = make([]int32, entries)
 	}
-	out, ns := sc.out[:need], sc.ns[:maxIdx+1]
-	total, err := sh.SampleBatchInto(gids, idx, base, k, out, ns)
+	out, ns := sc.out[:entries*k], sc.ns[:entries]
+	total, err := sh.SampleBatchInto(gids, idx, req.base, k, out, ns)
 	if err != nil {
 		return nil, err
 	}
 	b := sc.begin(statusOK)
 	b = appendU32(b, uint32(total))
-	for j := 0; j < count; j++ {
-		n := ns[idx[j]]
+	for _, i := range idx {
+		n := ns[i]
 		b = appendU32(b, uint32(n))
-		lo := int(idx[j]) * k
+		lo := int(i) * k
 		for _, v := range out[lo : lo+int(n)] {
 			b = appendU32(b, uint32(v))
 		}
-	}
-	return b, nil
-}
-
-func (s *Server) handleNeighbors(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
-	cu := cursor{b: payload}
-	id := graph.NodeID(cu.u32())
-	if err := cu.err(); err != nil {
-		return nil, err
-	}
-	sh, err := s.shardFor(o, id)
-	if err != nil {
-		return nil, err
-	}
-	nbrs := sh.Neighbors(id)
-	b := sc.begin(statusOK)
-	b = appendU32(b, uint32(len(nbrs)))
-	for _, e := range nbrs {
-		b = appendU32(b, uint32(e.To))
-		b = appendU32(b, uint32(e.Type))
-		b = appendU32(b, math.Float32bits(e.Weight))
-	}
-	return b, nil
-}
-
-func (s *Server) handleFeatures(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
-	cu := cursor{b: payload}
-	id := graph.NodeID(cu.u32())
-	if err := cu.err(); err != nil {
-		return nil, err
-	}
-	sh, err := s.shardFor(o, id)
-	if err != nil {
-		return nil, err
-	}
-	fs := sh.Features(id)
-	b := sc.begin(statusOK)
-	b = appendU32(b, uint32(len(fs)))
-	for _, f := range fs {
-		b = appendU32(b, uint32(f))
 	}
 	return b, nil
 }
@@ -1222,28 +1195,4 @@ func (s *Server) fanoutAppend(shard int, seq uint64, edges []ingest.Edge) {
 			Logf("rpc: append fan-out to %s (shard %d, seq %d) failed: %v", peer, shard, seq, lastErr)
 		}
 	}
-}
-
-func (s *Server) handleContent(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
-	cu := cursor{b: payload}
-	id := graph.NodeID(cu.u32())
-	if err := cu.err(); err != nil {
-		return nil, err
-	}
-	sh, err := s.shardFor(o, id)
-	if err != nil {
-		return nil, err
-	}
-	content := sh.Content(id)
-	b := sc.begin(statusOK)
-	if content == nil {
-		b = appendU32(b, 0)
-		return b, nil
-	}
-	b = appendU32(b, 1)
-	b = appendU32(b, uint32(len(content)))
-	for _, v := range content {
-		b = appendU32(b, math.Float32bits(v))
-	}
-	return b, nil
 }

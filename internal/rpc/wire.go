@@ -55,9 +55,10 @@ import (
 // with a loud error instead of exchanging misframed bytes.
 const (
 	// ProtocolVersion is the wire protocol version this build speaks; a
-	// peer on any other version is refused at the preface. Version 5
-	// added the read-nodes op.
-	ProtocolVersion = 5
+	// peer on any other version is refused at the preface. Version 6
+	// retired the single-node neighbors/features/content ops: read-nodes
+	// is the only attribute read.
+	ProtocolVersion = 6
 	prefaceLen      = 8
 )
 
@@ -88,11 +89,11 @@ func parsePreface(p []byte) (uint32, error) {
 // monitoring can read per-op server counters.
 type Op byte
 
-// The request vocabulary: the four GraphService methods, the two
-// scatter-gather visits (the batch call mirroring
-// SampleNeighborsBatchInto and the bulk node read), the two handshake
-// reads (metadata and the routing table), the live-handoff pair —
-// reassign (an admin command: acquire or drain one partition) and
+// The request vocabulary: the three engine.ShardBackend calls — the
+// single sample and the two scatter-gather visits (the batch call
+// mirroring SampleNeighborsBatchInto and the bulk node read) — the two
+// handshake reads (metadata and the routing table), the live-handoff
+// pair — reassign (an admin command: acquire or drain one partition) and
 // routing-epoch (the cheap ownership poll clients refresh from after a
 // redirect) — membership, and the durable append.
 const (
@@ -100,6 +101,11 @@ const (
 	OpRouting
 	OpSample
 	OpBatch
+	// OpNeighbors, OpFeatures and OpContent (bytes 5-7) are retired: a
+	// single-node read is a 1-id read-nodes request. A server answers
+	// these bytes with the unknown-op error frame and counts nothing for
+	// them. The names remain only because benchmark/ compiles against
+	// them — drop them in the next benchmark-only PR.
 	OpNeighbors
 	OpFeatures
 	OpContent
@@ -156,12 +162,6 @@ func (o Op) String() string {
 		return "sample"
 	case OpBatch:
 		return "batch"
-	case OpNeighbors:
-		return "neighbors"
-	case OpFeatures:
-		return "features"
-	case OpContent:
-		return "content"
 	case OpReassign:
 		return "reassign"
 	case OpEpoch:

@@ -22,7 +22,7 @@ type ReadSet struct {
 	typeOf func(graph.NodeID) graph.NodeType
 
 	slot  []int32 // node id -> 1 + index into nodes; 0 = nothing read yet
-	nodes []nodeReads
+	nodes []nodeAttrs
 
 	// blk receives every bulk fetch. Its arenas are never reset, which
 	// is what keeps the slices copied out of it valid for the set's life.
@@ -31,9 +31,9 @@ type ReadSet struct {
 	nbrs []graph.NodeID
 }
 
-// nodeReads is what the set holds for one node; have marks which of the
+// nodeAttrs is what the set holds for one node; have marks which of the
 // attributes are present (an absent content vector is a present nil).
-type nodeReads struct {
+type nodeAttrs struct {
 	have     graph.ReadFields
 	nbrs     []graph.Edge
 	features []int32
@@ -49,11 +49,11 @@ func NewReadSet(g GraphView, typeOf func(graph.NodeID) graph.NodeType) *ReadSet 
 
 // at returns id's entry, creating it on first touch. The pointer is
 // valid until the next at call for an untouched id.
-func (rs *ReadSet) at(id graph.NodeID) *nodeReads {
+func (rs *ReadSet) at(id graph.NodeID) *nodeAttrs {
 	if s := rs.slot[id]; s != 0 {
 		return &rs.nodes[s-1]
 	}
-	rs.nodes = append(rs.nodes, nodeReads{})
+	rs.nodes = append(rs.nodes, nodeAttrs{})
 	rs.slot[id] = int32(len(rs.nodes))
 	return &rs.nodes[len(rs.nodes)-1]
 }

@@ -27,7 +27,7 @@ import (
 
 // GraphView is the read surface the samplers traverse. Both the
 // in-memory *graph.Graph and the partitioned engine's routing layer
-// (engine.Engine, whose shard stores sit behind its GraphService seam)
+// (engine.Engine, whose shard stores sit behind its ShardBackend seam)
 // satisfy it, so ROI construction runs identically over a local graph
 // and over a sharded store — the property the cross-shard equivalence
 // tests pin down.

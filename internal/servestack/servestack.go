@@ -31,11 +31,11 @@ type Config struct {
 	Seed       uint64
 	TrainSteps int // warm-up training steps before export
 
-	Shards, Replicas int
-	Strategy         string   // hash | degree-balanced
-	Remote           []string // zoomer-shard addresses; empty = in-process
-	RPCConns         int
-	RPCWindow        int
+	Shards    int
+	Strategy  string   // hash | degree-balanced
+	Remote    []string // zoomer-shard addresses; empty = in-process
+	RPCConns  int
+	RPCWindow int
 
 	Serve serve.Config // worker pool / cache sizing; zero fields defaulted
 }
@@ -117,9 +117,8 @@ func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
 		logf("engine: %d remote shards (%s partitioning, routing epoch %d) behind %d servers",
 			st.Engine.NumShards(), cluster.Info.Strategy, st.Engine.Routing().Epoch(), len(addrs))
 	} else {
-		st.Engine = engine.New(g, engine.Config{Shards: cfg.Shards, Replicas: cfg.Replicas, Strategy: strat, Locality: true})
-		es := st.Engine.Stats()
-		logf("engine: %d shards x %d replicas in-process", es.Shards, es.Replicas)
+		st.Engine = engine.New(g, engine.Config{Shards: cfg.Shards, Strategy: strat, Locality: true})
+		logf("engine: %d shards in-process", cfg.Shards)
 	}
 
 	scfg := serve.DefaultConfig()

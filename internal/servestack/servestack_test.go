@@ -15,7 +15,7 @@ import (
 )
 
 func tinyConfig() Config {
-	return Config{Scale: "tiny", Seed: 1, TrainSteps: 5, Shards: 2, Replicas: 1, Strategy: "hash"}
+	return Config{Scale: "tiny", Seed: 1, TrainSteps: 5, Shards: 2, Strategy: "hash"}
 }
 
 // retrieve pushes one request through the stack's server.
@@ -37,7 +37,7 @@ func retrieve(t *testing.T, st *Stack) serve.Response {
 // startShards serves g's two hash partitions from one loopback server.
 func startShards(t *testing.T, g *graph.Graph) string {
 	t.Helper()
-	srv := rpc.NewServer(g, rpc.ServerConfig{Shards: 2, Strategy: partition.Hash, Replicas: 1})
+	srv := rpc.NewServer(g, rpc.ServerConfig{Shards: 2, Strategy: partition.Hash})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
