@@ -1,14 +1,14 @@
 # Tier-1 verification and perf tooling for the Zoomer reproduction.
 
-.PHONY: verify verify-purego test race chaos ingest-chaos bench bench-compare docs-check compose-check gateway-smoke experiments-check rig-check fuzz-smoke ci
+.PHONY: verify verify-purego test race chaos ingest-chaos bench bench-compare docs-check compose-check gateway-smoke experiments-check rig-check fuzz-smoke world-check ci
 
 # The full CI gate: tier-1 verify (both kernel dispatches), race hammer,
 # fault-injection suite, ingest crash-recovery equivalence, perf
 # regression check, documentation link check, deploy topology lint, the
 # multi-process gateway smoke run, the experiments-harness smoke, the
-# benchmark rig's compile-and-self-test, and a short fuzz pass over the
-# wire decoders.
-ci: verify verify-purego race chaos ingest-chaos bench-compare docs-check compose-check gateway-smoke experiments-check rig-check fuzz-smoke
+# benchmark rig's compile-and-self-test, a short fuzz pass over the
+# wire decoders, and the cross-process world determinism check.
+ci: verify verify-purego race chaos ingest-chaos bench-compare docs-check compose-check gateway-smoke experiments-check rig-check fuzz-smoke world-check
 
 # The tier-1 loop: vet + build + test. vet's asmdecl check covers the
 # AVX2 kernel frames in internal/tensor.
@@ -59,7 +59,9 @@ bench:
 bench-compare:
 	./bench_compare.sh
 
-# Fail on broken intra-repo links in *.md (docs/, READMEs, ROADMAP...).
+# Fail on broken intra-repo links in *.md (docs/, READMEs, ROADMAP...),
+# on flag tables that disagree with the binaries, and on docs naming a
+# binary that has no cmd/<name>/.
 docs-check:
 	./docs_check.sh
 
@@ -96,3 +98,14 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz 'FuzzDecodeBatchRequest' -fuzztime 5s ./internal/rpc/
 	go test -run '^$$' -fuzz 'FuzzDecodeReadNodesRequest' -fuzztime 5s ./internal/rpc/
 	go test -run '^$$' -fuzz 'FuzzDecodeReadNodesResponse' -fuzztime 5s ./internal/rpc/
+
+# The world is a function of (scale, seed) across processes: every
+# binary of a deployment regenerates it, so two graphgen processes must
+# write byte-identical files. An in-process test cannot see this — Go
+# randomizes map iteration per process.
+world-check:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	go build -o "$$d/graphgen" ./cmd/graphgen && \
+	"$$d/graphgen" -scale small -seed 1 -out "$$d/a.zmrg" >/dev/null && \
+	"$$d/graphgen" -scale small -seed 1 -out "$$d/b.zmrg" >/dev/null && \
+	cmp "$$d/a.zmrg" "$$d/b.zmrg" && echo "world-check: two processes wrote the same graph ($$(sha256sum < "$$d/a.zmrg" | cut -c1-16))"

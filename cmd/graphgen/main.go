@@ -14,8 +14,8 @@ import (
 	"os"
 	"sort"
 
+	"zoomer/internal/core"
 	"zoomer/internal/graph"
-	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
 )
 
@@ -26,25 +26,19 @@ func main() {
 	flag.Parse()
 
 	var cfg loggen.Config
-	switch *scale {
-	case "tiny":
-		cfg = loggen.TaobaoConfig(loggen.ScaleTiny, *seed)
-	case "small":
-		cfg = loggen.TaobaoConfig(loggen.ScaleSmall, *seed)
-	case "medium":
-		cfg = loggen.TaobaoConfig(loggen.ScaleMedium, *seed)
-	case "large":
-		cfg = loggen.TaobaoConfig(loggen.ScaleLarge, *seed)
-	case "movielens":
+	if *scale == "movielens" {
 		cfg = loggen.MovieLensConfig(*seed)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(2)
+	} else {
+		sc, err := loggen.ParseScale(*scale)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		cfg = loggen.TaobaoConfig(sc, *seed)
 	}
 
-	logs := loggen.MustGenerate(cfg)
-	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
-	g := res.Graph
+	w := core.BuildWorld(cfg)
+	logs, g := w.Logs, w.Graph
 	st := g.Stats()
 
 	if *out != "" {

@@ -17,7 +17,7 @@
 //	GET /v1/retrieve.bin?...                                binary answer (ZGR1 frame)
 //	POST /v1/append                                         JSON edge batch into the delta layer
 //	GET /healthz                                            200 ok / 503 draining
-//	GET /metrics                                            Prometheus text format (incl. ingest rows)
+//	GET /metrics                                            Prometheus text format (incl. ingest, cache and per-shard request rows)
 //
 // SIGINT/SIGTERM starts the graceful drain: healthz flips to 503, new
 // retrievals are refused, in-flight requests finish, then the HTTP

@@ -3,13 +3,13 @@
 // owns, and serves them over TCP with the internal/rpc protocol — the
 // server side of the paper's distributed graph engine (§VI). A serving
 // tier started with the same world parameters connects with
-// zoomer-serve -remote.
+// zoomer-gateway -remote, a trainer with zoomer-train -remote.
 //
 // Usage (a two-server cluster over four partitions):
 //
 //	zoomer-shard -scale small -seed 1 -shards 4 -own 0,1 -listen :7001 &
 //	zoomer-shard -scale small -seed 1 -shards 4 -own 2,3 -listen :7002 &
-//	zoomer-serve -scale small -seed 1 -remote localhost:7001,localhost:7002
+//	zoomer-gateway -scale small -seed 1 -remote localhost:7001,localhost:7002
 //
 // With -graph the graph is loaded from a compact binary file (graphgen
 // -out) instead of regenerated, so every server — and the serving tier —
@@ -71,7 +71,7 @@
 // refused/failed, 2 usage error, 3 server unreachable within the
 // deadline (rpc.ErrAdminDeadline).
 //
-// A serving tier attached with zoomer-serve -remote follows the move on
+// A serving tier attached with zoomer-gateway -remote follows the move on
 // its own: the first request that hits the drained server is answered
 // with a wrong-epoch redirect, the tier re-resolves ownership across its
 // servers and retries — no restart, no failed requests, bit-identical
@@ -89,8 +89,8 @@ import (
 	"syscall"
 	"time"
 
+	"zoomer/internal/core"
 	"zoomer/internal/graph"
-	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/rpc"
@@ -164,18 +164,13 @@ func main() {
 		}
 		fmt.Printf("loaded graph from %s: %d nodes, %d edges\n", *graphFile, g.NumNodes(), g.NumEdges())
 	} else {
-		scales := map[string]loggen.Scale{
-			"tiny": loggen.ScaleTiny, "small": loggen.ScaleSmall,
-			"medium": loggen.ScaleMedium, "large": loggen.ScaleLarge,
-		}
-		sc, ok := scales[*scale]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+		sc, err := loggen.ParseScale(*scale)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		fmt.Printf("building world (scale %s, seed %d)...\n", *scale, *seed)
-		logs := loggen.MustGenerate(loggen.TaobaoConfig(sc, *seed))
-		g = graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
+		g = core.BuildWorld(loggen.TaobaoConfig(sc, *seed)).Graph
 	}
 
 	fmt.Printf("partitioning into %d shards (%s) and building alias tables...\n", *shards, strat)

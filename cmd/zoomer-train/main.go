@@ -30,10 +30,10 @@ import (
 	"zoomer/internal/core"
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
-	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/rpc"
+	"zoomer/internal/servestack"
 )
 
 func main() {
@@ -53,13 +53,9 @@ func main() {
 	remote := flag.String("remote", "", "comma-separated zoomer-shard addresses (train over the RPC engine)")
 	flag.Parse()
 
-	scales := map[string]loggen.Scale{
-		"tiny": loggen.ScaleTiny, "small": loggen.ScaleSmall,
-		"medium": loggen.ScaleMedium, "large": loggen.ScaleLarge,
-	}
-	sc, ok := scales[*scale]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := loggen.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	strat, err := partition.ParseStrategy(*strategy)
@@ -69,49 +65,33 @@ func main() {
 	}
 
 	fmt.Printf("generating %s world...\n", sc)
-	logs := loggen.MustGenerate(loggen.TaobaoConfig(sc, *seed))
-	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
-	st := res.Graph.Stats()
+	w := core.BuildWorld(loggen.TaobaoConfig(sc, *seed))
+	st := w.Graph.Stats()
 	fmt.Printf("graph: %d nodes (%d users / %d queries / %d items), %d edges\n",
 		st.Nodes, st.NodesByType[graph.User], st.NodesByType[graph.Query], st.NodesByType[graph.Item], st.Edges)
-	ds := loggen.BuildExamples(logs, 1, 0.2, *seed+1)
-	train := core.InstancesFromExamples(ds.Train, res.Mapping)
-	test := core.InstancesFromExamples(ds.Test, res.Mapping)
+	train, test := w.Instances(1, *seed+1)
 	fmt.Printf("examples: %d train / %d test\n", len(train), len(test))
 
 	// The graph view training samples through: monolithic graph by
 	// default, a local sharded engine with -shards, a dialed cluster of
 	// zoomer-shard servers with -remote.
-	var view core.GraphView = res.Graph
-	switch {
-	case *remote != "":
-		addrs := strings.Split(*remote, ",")
-		for i := range addrs {
-			addrs[i] = strings.TrimSpace(addrs[i])
+	var view core.GraphView = w.Graph
+	if *remote != "" || *shards > 0 {
+		var addrs []string
+		if *remote != "" {
+			addrs = strings.Split(*remote, ",")
 		}
-		cluster, err := rpc.DialCluster(addrs...)
+		b, err := servestack.Connect(w.Graph, engine.Config{Shards: *shards, Strategy: strat, Locality: *locality}, addrs, rpc.ClientConfig{})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dial cluster: %v\n", err)
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer cluster.Close()
-		eng := cluster.Engine
-		if eng.NumNodes() != res.Graph.NumNodes() {
-			fmt.Fprintf(os.Stderr, "remote cluster serves %d nodes, local world has %d — start zoomer-shard with the same -scale/-seed\n",
-				eng.NumNodes(), res.Graph.NumNodes())
-			os.Exit(1)
-		}
-		view = core.EngineView{Engine: eng, M: res.Mapping}
-		fmt.Printf("engine: %d remote shards (%s partitioning) behind %d servers\n",
-			eng.NumShards(), cluster.Info.Strategy, len(addrs))
-	case *shards > 0:
-		eng := engine.New(res.Graph, engine.Config{Shards: *shards, Strategy: strat, Locality: *locality})
-		defer eng.Close()
-		view = core.EngineView{Engine: eng, M: res.Mapping}
-		fmt.Printf("engine: %d local shards (%s partitioning, locality %v)\n", *shards, strat, *locality)
+		defer b.Close()
+		view = core.EngineView{Engine: b.Engine, M: w.Mapping}
+		fmt.Printf("engine: %s\n", b)
 	}
 
-	v := logs.Vocab()
+	v := w.Logs.Vocab()
 	var m core.Model
 	switch *model {
 	case "zoomer", "gcn", "zoomer-fe", "zoomer-fs", "zoomer-es":

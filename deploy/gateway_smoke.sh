@@ -97,6 +97,16 @@ grep -q '^zoomer_gateway_requests_total' "$WORK/metrics.txt" || {
 	echo "gateway-smoke: metrics endpoint missing request counters" >&2
 	exit 1
 }
+# The sweep must have been served through the neighbor cache and both
+# remote shards: cache hits > 0 and one request row per shard.
+awk '
+	$1 == "zoomer_cache_hits_total" { hits = $2 }
+	/^zoomer_engine_shard_requests_total\{/ { shards++ }
+	END {
+		if (hits + 0 == 0) { print "gateway-smoke: zoomer_cache_hits_total missing or 0 after the sweep"; exit 1 }
+		if (shards != 2) { print "gateway-smoke: " shards + 0 " zoomer_engine_shard_requests_total rows, want 2"; exit 1 }
+	}
+' "$WORK/metrics.txt" >&2
 
 echo "gateway-smoke: draining gateway (SIGTERM)..."
 kill -TERM "$GATEWAY_PID"

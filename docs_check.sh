@@ -11,7 +11,12 @@
 # Every backticked -flag in the first column of a table under a
 # "### <binary> ..." heading of the operations runbook must be defined by
 # a flag.*("name", ...) call in cmd/<binary>/main.go, and every flag
-# defined there must have a row under one of that binary's headings.
+# defined there must have a row under one of that binary's headings. A
+# table for a binary that no longer exists is a failure, not a skip.
+#
+# Every `zoomer-<name>` or `graphgen` named in the runbook, docs/*.md,
+# the examples' READMEs, deploy/* or a cmd/*/main.go doc comment must
+# have a cmd/<name>/ — a deleted binary cannot linger in the docs.
 #
 # Usage: ./docs_check.sh [operations.md]   (default docs/OPERATIONS.md)
 set -eu
@@ -50,7 +55,11 @@ documented=$(awk '
 	}' "$ops" | sort -u)
 for bin in $(echo "$documented" | cut -d' ' -f1 | sort -u); do
 	main=cmd/$bin/main.go
-	[ -f "$main" ] || continue
+	if [ ! -f "$main" ]; then
+		echo "docs-check: $ops has a flag table for $bin, but there is no $main" >&2
+		fail=1
+		continue
+	fi
 	defined=$(grep -oE 'flag\.[A-Za-z0-9]+\("[^"]+"' "$main" | sed -e 's/.*("//' -e 's/"$//' | sort -u)
 	for f in $(echo "$documented" | sed -n "s/^$bin //p"); do
 		if ! echo "$defined" | grep -qx -- "$f"; then
@@ -66,8 +75,24 @@ for bin in $(echo "$documented" | cut -d' ' -f1 | sort -u); do
 	done
 done
 
+# Every binary the docs name must exist. Go sources contribute only
+# their doc comment (everything above the package clause), so model
+# names like "zoomer-fe" in code do not count.
+for f in $(printf '%s\n' "$ops" docs/*.md $(git ls-files 'examples/*/README.md' 'deploy/*' 'cmd/*/main.go') | sort -u); do
+	case "$f" in
+	*.go) text=$(sed '/^package /q' "$f") ;;
+	*) text=$(cat "$f") ;;
+	esac
+	for name in $(echo "$text" | grep -owE 'zoomer-[a-z]+|graphgen' | sort -u); do
+		if [ ! -d "cmd/$name" ]; then
+			echo "docs-check: $f names $name, but there is no cmd/$name/" >&2
+			fail=1
+		fi
+	done
+done
+
 if [ "$fail" -ne 0 ]; then
 	echo "docs-check: FAILED" >&2
 	exit 1
 fi
-echo "docs-check: all intra-repo Markdown links resolve and the flag tables match the binaries"
+echo "docs-check: all intra-repo Markdown links resolve, the flag tables match the binaries and every named binary exists"

@@ -11,21 +11,18 @@ import (
 	"zoomer/internal/core"
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
-	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 )
 
 func main() {
-	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 51))
-	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
+	res := core.BuildWorld(loggen.TaobaoConfig(loggen.ScaleTiny, 51))
+	logs := res.Logs
 	// Both models train through a sharded engine view of the graph.
 	eng := engine.New(res.Graph, engine.Config{Shards: 4, Strategy: partition.Hash, Locality: true})
 	defer eng.Close()
 	g := core.EngineView{Engine: eng, M: res.Mapping}
-	ds := loggen.BuildExamples(logs, 1, 0.2, 52)
-	train := core.InstancesFromExamples(ds.Train, res.Mapping)
-	test := core.InstancesFromExamples(ds.Test, res.Mapping)
+	train, test := res.Instances(1, 52)
 
 	zcfg := core.DefaultConfig()
 	zcfg.EmbedDim, zcfg.OutDim = 16, 16

@@ -10,7 +10,6 @@ import (
 	"zoomer/internal/baselines"
 	"zoomer/internal/core"
 	"zoomer/internal/engine"
-	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 )
@@ -21,14 +20,12 @@ func main() {
 	// harness (cmd/zoomer-experiments -exp table2).
 	cfg.Users, cfg.Queries, cfg.Items = 300, 60, 400
 	cfg.Topics = 8
-	logs := loggen.MustGenerate(cfg)
-	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
+	res := core.BuildWorld(cfg)
+	logs := res.Logs
 	fmt.Printf("movielens world: %d users, %d tags, %d movies\n",
 		len(logs.Users), len(logs.Queries), len(logs.Items))
 
-	ds := loggen.BuildExamples(logs, 1, 0.2, 22)
-	train := core.InstancesFromExamples(ds.Train, res.Mapping)
-	test := core.InstancesFromExamples(ds.Test, res.Mapping)
+	train, test := res.Instances(1, 22)
 	fmt.Printf("examples: %d train / %d test\n", len(train), len(test))
 
 	// Train through the sharded engine — the same read path the serving

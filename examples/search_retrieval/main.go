@@ -7,24 +7,19 @@ package main
 import (
 	"fmt"
 
-	"zoomer/internal/ann"
 	"zoomer/internal/core"
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
-	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
 	"zoomer/internal/rng"
 	"zoomer/internal/serve"
-	"zoomer/internal/tensor"
+	"zoomer/internal/servestack"
 )
 
 func main() {
-	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 7))
-	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
-	g := res.Graph
-	ds := loggen.BuildExamples(logs, 1, 0.2, 8)
-	train := core.InstancesFromExamples(ds.Train, res.Mapping)
-	test := core.InstancesFromExamples(ds.Test, res.Mapping)
+	res := core.BuildWorld(loggen.TaobaoConfig(loggen.ScaleTiny, 7))
+	logs, g := res.Logs, res.Graph
+	train, test := res.Instances(1, 8)
 
 	cfg := core.DefaultConfig()
 	cfg.EmbedDim, cfg.OutDim = 16, 16
@@ -39,15 +34,9 @@ func main() {
 	// aggregation (§VII-E's trimmed online model).
 	emb := serve.NewEmbedder(model.ExportServing())
 
-	// Index all item embeddings in the IVF index (iGraph stand-in).
-	items := g.NodesOfType(graph.Item)
-	ids := make([]int64, len(items))
-	vecs := make([]tensor.Vec, len(items))
-	for i, it := range items {
-		ids[i] = int64(it)
-		vecs[i] = emb.Item(it)
-	}
-	index := ann.Build(ids, vecs, ann.Config{NumLists: 8, Iters: 6, Seed: 10})
+	// Index all item embeddings in the IVF index (iGraph stand-in),
+	// sized by the serving tier's rule.
+	index := servestack.ItemIndex(g.NodesOfType(graph.Item), emb.Item, 10)
 	fmt.Printf("indexed %d items into %d inverted lists\n", index.Len(), index.NumLists())
 
 	// Serving stack: sharded graph engine + async neighbor cache.

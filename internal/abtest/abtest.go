@@ -20,6 +20,7 @@ import (
 	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
 	"zoomer/internal/rng"
+	"zoomer/internal/servestack"
 	"zoomer/internal/tensor"
 )
 
@@ -43,17 +44,7 @@ type ModelChannel struct {
 // retrieval channel.
 func NewModelChannel(name string, m core.Model, items []graph.NodeID, seed uint64) *ModelChannel {
 	r := rng.New(seed)
-	ids := make([]int64, len(items))
-	vecs := make([]tensor.Vec, len(items))
-	for i, it := range items {
-		ids[i] = int64(it)
-		vecs[i] = m.ItemEmbedding(it, r)
-	}
-	nlist := len(items) / 64
-	if nlist < 4 {
-		nlist = 4
-	}
-	ix := ann.Build(ids, vecs, ann.Config{NumLists: nlist, Iters: 6, Seed: seed + 1})
+	ix := servestack.ItemIndex(items, func(it graph.NodeID) tensor.Vec { return m.ItemEmbedding(it, r) }, seed+1)
 	return &ModelChannel{name: name, model: m, index: ix, r: r, nprobe: 4}
 }
 

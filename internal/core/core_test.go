@@ -1,7 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"math"
+	"slices"
 	"testing"
 
 	"zoomer/internal/ad"
@@ -293,6 +295,32 @@ func TestInstancesFromExamples(t *testing.T) {
 		if g.Type(in.User) != graph.User || g.Type(in.Query) != graph.Query || g.Type(in.Item) != graph.Item {
 			t.Fatal("instance node types wrong")
 		}
+	}
+}
+
+// TestBuildWorldDeterministic pins what a (config, seed) names: two
+// builds yield the same graph bytes (graphbuild's TestBuildDeterministic
+// through the builder every binary calls) and the same instance splits.
+func TestBuildWorldDeterministic(t *testing.T) {
+	build := func() ([sha256.Size]byte, []Instance, []Instance) {
+		w := BuildWorld(loggen.TaobaoConfig(loggen.ScaleSmall, 1))
+		h := sha256.New()
+		if _, err := w.Graph.WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+		train, test := w.Instances(1, 2)
+		return [sha256.Size]byte(h.Sum(nil)), train, test
+	}
+	sum, train, test := build()
+	sum2, train2, test2 := build()
+	if sum != sum2 {
+		t.Fatalf("two builds of one config wrote different graphs: %x vs %x", sum, sum2)
+	}
+	if !slices.Equal(train, train2) || !slices.Equal(test, test2) {
+		t.Fatal("two builds of one config drew different instances")
+	}
+	if len(train) == 0 || len(test) == 0 || len(test) > len(train) {
+		t.Fatalf("split %d train / %d test", len(train), len(test))
 	}
 }
 

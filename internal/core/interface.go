@@ -76,6 +76,32 @@ func InstancesFromExamples(examples []loggen.Example, m graphbuild.Mapping) []In
 	return out
 }
 
+// World is what a (loggen.Config, seed) names: the generated logs and
+// the graph built from them under graphbuild.DefaultConfig. Every
+// process of a deployment — shard servers, trainers, the serving tier —
+// holds the same World by calling BuildWorld with the same cfg, so
+// anything that decides "which graph is this" belongs here.
+type World struct {
+	Logs *loggen.Logs
+	*graphbuild.Result
+}
+
+// BuildWorld generates cfg's logs and builds their graph. It panics on
+// an invalid cfg, as loggen.MustGenerate does.
+func BuildWorld(cfg loggen.Config) *World {
+	logs := loggen.MustGenerate(cfg)
+	return &World{Logs: logs, Result: graphbuild.Build(logs, graphbuild.DefaultConfig())}
+}
+
+// Instances draws the world's labeled train/test instances: negPerPos
+// negatives per click, a fifth of the user-query pairs held out. The
+// seed is a parameter because the binaries and the experiments harness
+// have always drawn their negatives from different streams.
+func (w *World) Instances(negPerPos int, seed uint64) (train, test []Instance) {
+	ds := loggen.BuildExamples(w.Logs, negPerPos, 0.2, seed)
+	return InstancesFromExamples(ds.Train, w.Mapping), InstancesFromExamples(ds.Test, w.Mapping)
+}
+
 // Model is the contract shared by Zoomer and every baseline: batched logit
 // computation for training, parameter/table enumeration for optimizers,
 // and embedding export for retrieval (hit-rate and ANN serving).

@@ -59,19 +59,18 @@ func (w *world) Close() {
 }
 
 func buildWorld(cfg loggen.Config, negPerPos int, seed uint64) *world {
-	logs := loggen.MustGenerate(cfg)
-	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
-	ds := loggen.BuildExamples(logs, negPerPos, 0.2, seed+100)
-	eng := engine.New(res.Graph, engine.Config{
+	cw := core.BuildWorld(cfg)
+	train, test := cw.Instances(negPerPos, seed+100)
+	eng := engine.New(cw.Graph, engine.Config{
 		Shards: 4, Strategy: partition.Hash, Locality: true,
 	})
 	return &world{
-		logs:  logs,
-		res:   res,
+		logs:  cw.Logs,
+		res:   cw.Result,
 		eng:   eng,
-		view:  core.EngineView{Engine: eng, M: res.Mapping},
-		train: core.InstancesFromExamples(ds.Train, res.Mapping),
-		test:  core.InstancesFromExamples(ds.Test, res.Mapping),
+		view:  core.EngineView{Engine: eng, M: cw.Mapping},
+		train: train,
+		test:  test,
 	}
 }
 

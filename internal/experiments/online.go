@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"zoomer/internal/abtest"
-	"zoomer/internal/ann"
 	"zoomer/internal/baselines"
 	"zoomer/internal/core"
 	"zoomer/internal/engine"
@@ -13,7 +12,7 @@ import (
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/serve"
-	"zoomer/internal/tensor"
+	"zoomer/internal/servestack"
 )
 
 // Table4Result is the production A/B comparison: Zoomer channel vs
@@ -118,24 +117,12 @@ func Fig9(o Options) Fig9Result {
 	tc.MaxSteps = min(tc.MaxSteps, 100)
 	core.Train(model, w.train, w.test, tc)
 
-	emb := serve.NewEmbedder(model.ExportServing())
-	eng := engine.New(w.res.Graph, engine.DefaultConfig())
-	cache := serve.NewNeighborCache(eng, 30, o.Seed+2)
-	defer cache.Close()
-
-	items := w.res.Mapping.NodesOfType(graph.Item)
-	ids := make([]int64, len(items))
-	vecs := make([]tensor.Vec, len(items))
-	for i, it := range items {
-		ids[i] = int64(it)
-		vecs[i] = emb.Item(it)
-	}
-	nlist := max(4, len(items)/64)
-	index := ann.Build(ids, vecs, ann.Config{NumLists: nlist, Iters: 6, Seed: o.Seed + 3})
-
-	scfg := serve.DefaultConfig()
-	srv := serve.NewServer(emb, cache, index, scfg)
-	defer srv.Close()
+	// The tier stands over the world's own engine (engine.DefaultConfig's
+	// topology).
+	st := servestack.Assemble(&servestack.Backend{Engine: w.eng}, serve.NewEmbedder(model.ExportServing()),
+		w.res.Mapping.NodesOfType(graph.Item), serve.DefaultConfig(), o.Seed+2)
+	defer st.Close()
+	srv := st.Server
 
 	users := w.res.Mapping.NodesOfType(graph.User)
 	queries := w.res.Mapping.NodesOfType(graph.Query)

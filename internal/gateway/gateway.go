@@ -124,6 +124,13 @@ type ingestReporter interface {
 	IngestStats() []engine.IngestStats
 }
 
+// shardLoadReporter is the other optional facet of an Appender: the
+// engine's load counters, from which /metrics takes the per-shard
+// request rows.
+type shardLoadReporter interface {
+	Stats() engine.Stats
+}
+
 // New wires a gateway over a running serve.Server. users/queries are
 // the id pools the rand=1 mode draws from (so load generators need no
 // world knowledge); numNodes bounds id validation for explicit ids.
@@ -146,13 +153,20 @@ func New(srv *serve.Server, users, queries []graph.NodeID, numNodes int, cfg Con
 // EnableIngest turns on the write path: POST /v1/append routes batches
 // through app, and — when cache is non-nil — each accepted batch's
 // source nodes are invalidated so cached neighbor samples heal to the
-// new adjacency. When app also reports ingest stats (the engine does),
-// /metrics gains the per-shard write-path rows.
+// new adjacency. /metrics gains the cache's hit/miss/refresh counters
+// and, when app also reports ingest stats and engine load (the engine
+// does both), the per-shard write-path and request rows.
 func (g *Gateway) EnableIngest(app Appender, cache *serve.NeighborCache) {
 	g.app = app
 	g.cache = cache
+	if cache != nil {
+		g.met.cache = cache.Stats
+	}
 	if ir, ok := app.(ingestReporter); ok {
 		g.met.ingest = ir.IngestStats
+	}
+	if lr, ok := app.(shardLoadReporter); ok {
+		g.met.load = lr.Stats
 	}
 }
 

@@ -262,6 +262,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"zoomer_gateway_inflight",
 		`zoomer_gateway_shed_total{kind="inflight_cap"}`,
 		"zoomer_gateway_qps",
+		// One retrieval is two cache lookups, both misses filled by the
+		// engine.
+		"zoomer_cache_hits_total 0",
+		"zoomer_cache_misses_total 2",
+		"zoomer_cache_refreshes_total",
+		`zoomer_engine_shard_requests_total{shard="3"}`,
 	} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("metrics page missing %q:\n%s", want, page)

@@ -154,7 +154,12 @@ type metrics struct {
 	// sequence, delta sizes, compactions, fsync latency) scraped live
 	// from the engine on each /metrics read.
 	ingest func() []engine.IngestStats
-	start  time.Time
+	// cache and load, when set, supply the neighbor cache's counters and
+	// the engine's per-shard request counts, read on each scrape.
+	cache func() (hits, misses, refreshes int64)
+	load  func() engine.Stats
+	start time.Time
+
 	scrapeMu         sync.Mutex
 	lastScrape       time.Time
 	lastServedAtScan int64
@@ -219,6 +224,25 @@ func (m *metrics) writeTo(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE zoomer_gateway_appended_edges_total counter\n")
 	fmt.Fprintf(w, "zoomer_gateway_appended_edges_total %d\n", m.appendedEdges.Load())
 	m.writeIngest(w)
+	if m.cache != nil {
+		hits, misses, refreshes := m.cache()
+		fmt.Fprintf(w, "# HELP zoomer_cache_hits_total Neighbor-cache lookups answered from a cached entry.\n")
+		fmt.Fprintf(w, "# TYPE zoomer_cache_hits_total counter\n")
+		fmt.Fprintf(w, "zoomer_cache_hits_total %d\n", hits)
+		fmt.Fprintf(w, "# HELP zoomer_cache_misses_total Neighbor-cache lookups filled synchronously from the engine.\n")
+		fmt.Fprintf(w, "# TYPE zoomer_cache_misses_total counter\n")
+		fmt.Fprintf(w, "zoomer_cache_misses_total %d\n", misses)
+		fmt.Fprintf(w, "# HELP zoomer_cache_refreshes_total Asynchronous neighbor-cache refreshes completed.\n")
+		fmt.Fprintf(w, "# TYPE zoomer_cache_refreshes_total counter\n")
+		fmt.Fprintf(w, "zoomer_cache_refreshes_total %d\n", refreshes)
+	}
+	if m.load != nil {
+		fmt.Fprintf(w, "# HELP zoomer_engine_shard_requests_total Sampling and read requests served per graph shard (summed over its replica group).\n")
+		fmt.Fprintf(w, "# TYPE zoomer_engine_shard_requests_total counter\n")
+		for shard, n := range m.load().RequestsPerShard {
+			fmt.Fprintf(w, "zoomer_engine_shard_requests_total{shard=\"%d\"} %d\n", shard, n)
+		}
+	}
 
 	// QPS over the scrape interval: successful answers since the last
 	// /metrics read divided by the elapsed wall time. First scrape

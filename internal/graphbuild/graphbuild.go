@@ -242,8 +242,20 @@ func addSimilarityEdges(b *graph.Builder, sigs []minhash.Signature, ids []graph.
 		}
 	}
 
-	// Strongest-first with a per-node degree cap.
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].sim > candidates[j].sim })
+	// Strongest-first with a per-node degree cap. MinHash similarities
+	// are heavily tied and the cap is first-come, so the order must be
+	// total: the candidate set does not depend on the bucket map's
+	// iteration order (seen dedups it), but its slice order does.
+	sort.Slice(candidates, func(i, j int) bool {
+		p, q := candidates[i], candidates[j]
+		if p.sim != q.sim {
+			return p.sim > q.sim
+		}
+		if p.a != q.a {
+			return p.a < q.a
+		}
+		return p.c < q.c
+	})
 	degree := make(map[graph.NodeID]int)
 	for _, p := range candidates {
 		if degree[p.a] >= cfg.MaxSimEdgesPerNode || degree[p.c] >= cfg.MaxSimEdgesPerNode {

@@ -1,6 +1,7 @@
 package graphbuild
 
 import (
+	"crypto/sha256"
 	"testing"
 
 	"zoomer/internal/graph"
@@ -217,5 +218,26 @@ func BenchmarkBuildSmall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Build(l, cfg)
+	}
+}
+
+// TestBuildDeterministic pins the world as a function of its logs: the
+// similarity pass ranges over a map of LSH buckets, and the small world
+// has enough tied MinHash similarities at the per-node degree cap that
+// any order dependence changes which edges survive.
+func TestBuildDeterministic(t *testing.T) {
+	l := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleSmall, 1))
+	hash := func() [sha256.Size]byte {
+		h := sha256.New()
+		if _, err := Build(l, DefaultConfig()).Graph.WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+		return [sha256.Size]byte(h.Sum(nil))
+	}
+	want := hash()
+	for i := 1; i < 3; i++ {
+		if got := hash(); got != want {
+			t.Fatalf("build %d of the same logs wrote a different graph: %x vs %x", i, got, want)
+		}
 	}
 }

@@ -13,6 +13,7 @@ package loggen
 
 import (
 	"fmt"
+	"strings"
 
 	"zoomer/internal/rng"
 	"zoomer/internal/tensor"
@@ -70,20 +71,34 @@ const (
 	ScaleLarge
 )
 
+// scaleNames is the one name table: the -scale flag value and the
+// paper's name (§VII-A) of each scale.
+var scaleNames = [...]struct{ flag, paper string }{
+	ScaleTiny:   {"tiny", "tiny"},
+	ScaleSmall:  {"small", "million-scale"},
+	ScaleMedium: {"medium", "hundred-million-scale"},
+	ScaleLarge:  {"large", "billion-scale"},
+}
+
 // String names the scale as the paper does.
 func (s Scale) String() string {
-	switch s {
-	case ScaleTiny:
-		return "tiny"
-	case ScaleSmall:
-		return "million-scale"
-	case ScaleMedium:
-		return "hundred-million-scale"
-	case ScaleLarge:
-		return "billion-scale"
-	default:
+	if s < 0 || int(s) >= len(scaleNames) {
 		return fmt.Sprintf("scale(%d)", int(s))
 	}
+	return scaleNames[s].paper
+}
+
+// ParseScale maps a flag value (or the paper's name, so String
+// round-trips) to a Scale.
+func ParseScale(name string) (Scale, error) {
+	var flags []string
+	for s, n := range scaleNames {
+		if name == n.flag || name == n.paper {
+			return Scale(s), nil
+		}
+		flags = append(flags, n.flag)
+	}
+	return ScaleTiny, fmt.Errorf("loggen: unknown scale %q (want one of %s)", name, strings.Join(flags, ", "))
 }
 
 // TaobaoConfig returns the generator preset for one of the paper's graph

@@ -2,6 +2,7 @@ package loggen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"zoomer/internal/tensor"
@@ -222,9 +223,35 @@ func TestScalesOrdered(t *testing.T) {
 	}
 }
 
-func TestScaleStrings(t *testing.T) {
-	if ScaleSmall.String() != "million-scale" || ScaleLarge.String() != "billion-scale" {
-		t.Fatal("scale names wrong")
+func TestScaleNames(t *testing.T) {
+	for _, c := range []struct {
+		flag, paper string
+		want        Scale
+	}{
+		{"tiny", "tiny", ScaleTiny},
+		{"small", "million-scale", ScaleSmall},
+		{"medium", "hundred-million-scale", ScaleMedium},
+		{"large", "billion-scale", ScaleLarge},
+	} {
+		got, err := ParseScale(c.flag)
+		if err != nil || got != c.want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", c.flag, got, err, c.want)
+		}
+		if got.String() != c.paper {
+			t.Errorf("%v.String() = %q, want %q", c.want, got.String(), c.paper)
+		}
+		if back, err := ParseScale(got.String()); err != nil || back != c.want {
+			t.Errorf("ParseScale(%q) = %v, %v; String does not round-trip", got.String(), back, err)
+		}
+	}
+	_, err := ParseScale("bogus")
+	if err == nil {
+		t.Fatal("ParseScale accepted an unknown scale")
+	}
+	for _, name := range []string{"bogus", "tiny", "small", "medium", "large"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %q", err, name)
+		}
 	}
 }
 

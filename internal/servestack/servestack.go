@@ -1,10 +1,13 @@
+// Package servestack is the one bring-up path over a world's graph.
+// Connect reaches the graph store — in-process partitions or a dialed
+// zoomer-shard cluster — and carries the only world-skew check in the
+// tree; Assemble stands the serving tier up over a connected store
+// (neighbor cache, item-tower ANN index, worker pool); Build is the
+// whole of it for zoomer-gateway: world, warm-up training and export,
+// Connect, Assemble — one call, one Close. zoomer-train connects its
+// sharded and remote views through Connect; the Fig. 9 experiment and
+// examples/serving stand their tiers up through Assemble.
 package servestack
-
-// Package servestack is the shared bring-up path of every serving binary
-// (zoomer-serve, zoomer-gateway). Builds the synthetic world, trains and
-// exports the trimmed model, stands up the engine (in-process partitions
-// or a dialed zoomer-shard cluster), the neighbor cache, the ANN index
-// and the worker-pool server — one call, one Close.
 
 import (
 	"errors"
@@ -16,8 +19,6 @@ import (
 	"zoomer/internal/core"
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
-	"zoomer/internal/graphbuild"
-	"zoomer/internal/ingest"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/rpc"
@@ -25,7 +26,7 @@ import (
 	"zoomer/internal/tensor"
 )
 
-// StackConfig sizes a full serving stack.
+// Config sizes a full serving stack.
 type Config struct {
 	Scale      string // tiny | small | medium | large
 	Seed       uint64
@@ -44,36 +45,121 @@ type Config struct {
 // world than the one this process generated (checked by node count).
 var ErrWorldSkew = errors.New("servestack: remote cluster serves a different world")
 
-// Stack is a fully wired serving stack. Close releases everything in
-// reverse bring-up order.
+// Backend is a connected graph store: the engine every read goes
+// through, plus the cluster connections behind it when the shards are
+// remote. Close and IngestStats shadow the engine's so one value does
+// the right thing for both topologies.
+type Backend struct {
+	*engine.Engine
+	cluster *rpc.Cluster // nil when the shards are in-process
+}
+
+// Connect reaches g's graph store. With remote addresses it dials the
+// zoomer-shard cluster (ccfg bounds the per-server connection pool) and
+// refuses one that holds a different world than g; without, it
+// partitions g in-process under ecfg.
+func Connect(g *graph.Graph, ecfg engine.Config, remote []string, ccfg rpc.ClientConfig) (*Backend, error) {
+	if len(remote) == 0 {
+		return &Backend{Engine: engine.New(g, ecfg)}, nil
+	}
+	addrs := make([]string, len(remote))
+	for i, a := range remote {
+		addrs[i] = strings.TrimSpace(a)
+	}
+	cluster, err := rpc.DialClusterWith(ccfg, addrs...)
+	if err != nil {
+		return nil, err
+	}
+	if cluster.Info.NumNodes != g.NumNodes() {
+		cluster.Close()
+		return nil, fmt.Errorf("%w: it holds %d nodes, the local world has %d — start zoomer-shard with the same -scale/-seed",
+			ErrWorldSkew, cluster.Info.NumNodes, g.NumNodes())
+	}
+	return &Backend{Engine: cluster.Engine, cluster: cluster}, nil
+}
+
+// String describes the store for bring-up logs.
+func (b *Backend) String() string {
+	if b.cluster == nil {
+		return fmt.Sprintf("%d shards in-process", b.NumShards())
+	}
+	return fmt.Sprintf("%d remote shards (%s partitioning, routing epoch %d)",
+		b.NumShards(), b.cluster.Info.Strategy, b.Routing().Epoch())
+}
+
+// IngestStats reports the per-shard write-path rows. Remote shards are
+// polled live (the cluster's routing-epoch sweep carries the rows), so
+// a /metrics scrape sees write progress without waiting for an
+// ownership refresh; in-process shards read their engine directly.
+func (b *Backend) IngestStats() []engine.IngestStats {
+	if b.cluster != nil {
+		return b.cluster.IngestStats()
+	}
+	return b.Engine.IngestStats()
+}
+
+// Close releases the engine's workers and, when the shards are remote,
+// the cluster's connections.
+func (b *Backend) Close() {
+	if b.cluster != nil {
+		b.cluster.Close() // closes the engine it assembled
+		return
+	}
+	b.Engine.Close()
+}
+
+// Stack is a wired serving tier over a connected store. It embeds the
+// Backend, so it is the gateway's write-path and metrics facet
+// (Append, IngestStats, Stats) for both topologies. Close releases
+// everything in reverse bring-up order.
 type Stack struct {
-	Graph    *graph.Graph
+	*Backend
 	Embedder *serve.Embedder
-	Engine   *engine.Engine
 	Cache    *serve.NeighborCache
 	Index    *ann.Index
 	Server   *serve.Server
 
+	// Set by Build only.
+	Graph          *graph.Graph
 	Users, Queries []graph.NodeID
 
-	cluster   *rpc.Cluster
 	closeOnce sync.Once
 }
 
-// BuildStack brings up a serving stack from cfg. logf (may be nil)
-// receives progress lines — world building and training dominate
-// bring-up time, and the caller's logger should say so.
+// ItemIndex builds the ANN index over the item tower — embed(item) for
+// every item, in order — under the one sizing rule: a list per 64
+// items, never fewer than 4.
+func ItemIndex(items []graph.NodeID, embed func(graph.NodeID) tensor.Vec, seed uint64) *ann.Index {
+	ids := make([]int64, len(items))
+	vecs := make([]tensor.Vec, len(items))
+	for i, it := range items {
+		ids[i] = int64(it)
+		vecs[i] = embed(it)
+	}
+	return ann.Build(ids, vecs, ann.Config{NumLists: max(4, len(items)/64), Iters: 6, Seed: seed})
+}
+
+// Assemble stands the serving tier up over b: the neighbor cache
+// (seeded seed), the item-tower index (seed+1) and scfg's worker pool.
+// The returned Stack owns b.
+func Assemble(b *Backend, emb *serve.Embedder, items []graph.NodeID, scfg serve.Config, seed uint64) *Stack {
+	st := &Stack{Backend: b, Embedder: emb}
+	st.Cache = serve.NewNeighborCache(b.Engine, scfg.CacheK, seed)
+	st.Index = ItemIndex(items, emb.Item, seed+1)
+	st.Server = serve.NewServer(emb, st.Cache, st.Index, scfg)
+	return st
+}
+
+// Build brings up a serving stack from cfg. logf (may be nil) receives
+// progress lines — world building and training dominate bring-up time,
+// and the caller's logger should say so.
 func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	scales := map[string]loggen.Scale{
-		"tiny": loggen.ScaleTiny, "small": loggen.ScaleSmall,
-		"medium": loggen.ScaleMedium, "large": loggen.ScaleLarge,
-	}
-	sc, ok := scales[cfg.Scale]
-	if !ok {
-		return nil, fmt.Errorf("servestack: unknown scale %q", cfg.Scale)
+	sc, err := loggen.ParseScale(cfg.Scale)
+	if err != nil {
+		return nil, err
 	}
 	strat, err := partition.ParseStrategy(cfg.Strategy)
 	if err != nil {
@@ -81,45 +167,23 @@ func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
 	}
 
 	logf("building world and model (scale=%s seed=%d)...", cfg.Scale, cfg.Seed)
-	logs := loggen.MustGenerate(loggen.TaobaoConfig(sc, cfg.Seed))
-	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
-	g := res.Graph
-	ds := loggen.BuildExamples(logs, 1, 0.2, cfg.Seed+1)
-	train := core.InstancesFromExamples(ds.Train, res.Mapping)
-
-	model := core.NewZoomer(g, logs.Vocab(), core.DefaultConfig(), cfg.Seed+2)
-	tc := core.DefaultTrainConfig()
-	tc.MaxSteps = cfg.TrainSteps
+	w := core.BuildWorld(loggen.TaobaoConfig(sc, cfg.Seed))
 	// No test split: Train's closing full-split AUC is never read here,
 	// and scoring it used to dominate bring-up.
+	train, _ := w.Instances(1, cfg.Seed+1)
+	model := core.NewZoomer(w.Graph, w.Logs.Vocab(), core.DefaultConfig(), cfg.Seed+2)
+	tc := core.DefaultTrainConfig()
+	tc.MaxSteps = cfg.TrainSteps
 	core.Train(model, train, nil, tc)
 
 	logf("exporting serving weights and building index...")
 	emb := serve.NewEmbedder(model.ExportServing())
-
-	st := &Stack{Graph: g, Embedder: emb}
-	if len(cfg.Remote) > 0 {
-		addrs := make([]string, len(cfg.Remote))
-		for i, a := range cfg.Remote {
-			addrs[i] = strings.TrimSpace(a)
-		}
-		cluster, err := rpc.DialClusterWith(rpc.ClientConfig{Conns: cfg.RPCConns, Window: cfg.RPCWindow}, addrs...)
-		if err != nil {
-			return nil, err
-		}
-		if cluster.Info.NumNodes != g.NumNodes() {
-			cluster.Close()
-			return nil, fmt.Errorf("%w: remote cluster serves %d nodes, local world has %d — start zoomer-shard with the same -scale/-seed",
-				ErrWorldSkew, cluster.Info.NumNodes, g.NumNodes())
-		}
-		st.cluster = cluster
-		st.Engine = cluster.Engine
-		logf("engine: %d remote shards (%s partitioning, routing epoch %d) behind %d servers",
-			st.Engine.NumShards(), cluster.Info.Strategy, st.Engine.Routing().Epoch(), len(addrs))
-	} else {
-		st.Engine = engine.New(g, engine.Config{Shards: cfg.Shards, Strategy: strat, Locality: true})
-		logf("engine: %d shards in-process", cfg.Shards)
+	b, err := Connect(w.Graph, engine.Config{Shards: cfg.Shards, Strategy: strat, Locality: true},
+		cfg.Remote, rpc.ClientConfig{Conns: cfg.RPCConns, Window: cfg.RPCWindow})
+	if err != nil {
+		return nil, err
 	}
+	logf("engine: %s", b)
 
 	scfg := serve.DefaultConfig()
 	if cfg.Serve.Workers > 0 {
@@ -138,61 +202,20 @@ func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
 		scfg.QueueSize = cfg.Serve.QueueSize
 	}
 	scfg.Seed = cfg.Seed + 10
-
-	st.Cache = serve.NewNeighborCache(st.Engine, scfg.CacheK, cfg.Seed+3)
-
-	items := g.NodesOfType(graph.Item)
-	ids := make([]int64, len(items))
-	vecs := make([]tensor.Vec, len(items))
-	for i, it := range items {
-		ids[i] = int64(it)
-		vecs[i] = emb.Item(it)
-	}
-	nlist := len(items) / 64
-	if nlist < 4 {
-		nlist = 4
-	}
-	st.Index = ann.Build(ids, vecs, ann.Config{NumLists: nlist, Iters: 6, Seed: cfg.Seed + 4})
-
-	st.Server = serve.NewServer(emb, st.Cache, st.Index, scfg)
-	st.Users = g.NodesOfType(graph.User)
-	st.Queries = g.NodesOfType(graph.Query)
+	st := Assemble(b, emb, w.Graph.NodesOfType(graph.Item), scfg, cfg.Seed+3)
+	st.Graph = w.Graph
+	st.Users = w.Graph.NodesOfType(graph.User)
+	st.Queries = w.Graph.NodesOfType(graph.Query)
 	return st, nil
-}
-
-// Append routes an edge batch into the graph's delta layer (over the
-// durable append op when the shards are remote). The Stack is the
-// gateway's write-path facet, so `gateway.EnableIngest(stack, ...)`
-// works for both topologies.
-func (st *Stack) Append(edges []ingest.Edge) (int, error) {
-	return st.Engine.Append(edges)
-}
-
-// IngestStats reports the per-shard write-path rows. Remote shards are
-// polled live (the cluster's routing-epoch sweep carries the rows), so
-// a /metrics scrape sees write progress without waiting for an
-// ownership refresh; in-process shards read their engine directly.
-func (st *Stack) IngestStats() []engine.IngestStats {
-	if st.cluster != nil {
-		return st.cluster.IngestStats()
-	}
-	return st.Engine.IngestStats()
 }
 
 // Close tears the stack down in reverse bring-up order: the worker pool
 // first (no new cache/engine reads), then the cache refreshers, then the
-// RPC cluster when the shards are remote.
-// Safe to call more than once.
+// store. Safe to call more than once.
 func (st *Stack) Close() {
 	st.closeOnce.Do(func() {
-		if st.Server != nil {
-			st.Server.Close()
-		}
-		if st.Cache != nil {
-			st.Cache.Close()
-		}
-		if st.cluster != nil {
-			st.cluster.Close()
-		}
+		st.Server.Close()
+		st.Cache.Close()
+		st.Backend.Close()
 	})
 }

@@ -6,8 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"zoomer/internal/core"
+	"zoomer/internal/engine"
 	"zoomer/internal/graph"
-	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/rpc"
@@ -67,8 +68,7 @@ func TestBuildLocal(t *testing.T) {
 }
 
 func TestBuildRemote(t *testing.T) {
-	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
-	addr := startShards(t, graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph)
+	addr := startShards(t, core.BuildWorld(loggen.TaobaoConfig(loggen.ScaleTiny, 1)).Graph)
 	cfg := tinyConfig()
 	cfg.Remote = []string{" " + addr + " "} // flag values arrive untrimmed
 	st, err := Build(cfg, nil)
@@ -100,6 +100,12 @@ func TestBuildRemoteWorldSkew(t *testing.T) {
 	st, err := Build(cfg, nil)
 	if !errors.Is(err, ErrWorldSkew) || st != nil {
 		t.Fatalf("got stack %v, err %v; want ErrWorldSkew", st, err)
+	}
+	// The trainer's path: Connect alone refuses the same way.
+	w := core.BuildWorld(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
+	be, err := Connect(w.Graph, engine.Config{}, cfg.Remote, rpc.ClientConfig{})
+	if !errors.Is(err, ErrWorldSkew) || be != nil {
+		t.Fatalf("Connect: got backend %v, err %v; want ErrWorldSkew", be, err)
 	}
 	if _, err := Build(Config{Scale: "galactic"}, nil); err == nil {
 		t.Fatal("unknown scale accepted")
