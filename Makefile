@@ -96,6 +96,7 @@ rig-check:
 # checked-in seed corpora (which every plain `go test` already replays).
 fuzz-smoke:
 	go test -run '^$$' -fuzz 'FuzzDecodeBatchRequest' -fuzztime 5s ./internal/rpc/
+	go test -run '^$$' -fuzz 'FuzzDecodeBatchResponse' -fuzztime 5s ./internal/rpc/
 	go test -run '^$$' -fuzz 'FuzzDecodeReadNodesRequest' -fuzztime 5s ./internal/rpc/
 	go test -run '^$$' -fuzz 'FuzzDecodeReadNodesResponse' -fuzztime 5s ./internal/rpc/
 

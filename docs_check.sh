@@ -18,6 +18,11 @@
 # the examples' READMEs, deploy/* or a cmd/*/main.go doc comment must
 # have a cmd/<name>/ — a deleted binary cannot linger in the docs.
 #
+# Every backticked `<pkg>.<Name>` or `<pkg>.<Type>.<Member>` in the
+# architecture doc and the runbook whose <pkg> is a directory under
+# internal/ must resolve with `go doc zoomer/internal/<pkg> <Name>` — a
+# deleted or renamed type, function, method or field cannot linger.
+#
 # Usage: ./docs_check.sh [operations.md]   (default docs/OPERATIONS.md)
 set -eu
 
@@ -91,8 +96,22 @@ for f in $(printf '%s\n' "$ops" docs/*.md $(git ls-files 'examples/*/README.md' 
 	done
 done
 
+# Every Go name the design docs quote must exist. One backticked span per
+# line; a trailing call's argument list is dropped before the lookup.
+for f in docs/ARCHITECTURE.md "$ops"; do
+	for ref in $(grep -oE '`[^`]+`' "$f" | tr -d '`' | sed -e 's/(.*$//' |
+		grep -E '^[a-z][a-z0-9]*\.[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?$' | sort -u); do
+		pkg=${ref%%.*}
+		[ -d "internal/$pkg" ] || continue
+		if ! go doc -u "zoomer/internal/$pkg" "${ref#*.}" >/dev/null 2>&1; then
+			echo "docs-check: $f names $ref, but go doc finds no such name in internal/$pkg" >&2
+			fail=1
+		fi
+	done
+done
+
 if [ "$fail" -ne 0 ]; then
 	echo "docs-check: FAILED" >&2
 	exit 1
 fi
-echo "docs-check: all intra-repo Markdown links resolve, the flag tables match the binaries and every named binary exists"
+echo "docs-check: all intra-repo Markdown links resolve, the flag tables match the binaries, every named binary exists and every quoted internal Go name resolves"

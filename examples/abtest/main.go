@@ -20,7 +20,6 @@ func main() {
 	logs := res.Logs
 	// Both models train through a sharded engine view of the graph.
 	eng := engine.New(res.Graph, engine.Config{Shards: 4, Strategy: partition.Hash, Locality: true})
-	defer eng.Close()
 	g := core.EngineView{Engine: eng, M: res.Mapping}
 	train, test := res.Instances(1, 52)
 
@@ -50,7 +49,6 @@ func main() {
 	// Each arm serves from its own live engine config; the read surfaces
 	// are bit-identical, so the lift isolates the models.
 	controlEng := engine.New(res.Graph, engine.Config{Shards: 2, Strategy: partition.DegreeBalanced, Locality: false})
-	defer controlEng.Close()
 	out := abtest.RunArms(g, traffic,
 		abtest.Arm{Channel: control, View: core.EngineView{Engine: controlEng, M: res.Mapping}},
 		abtest.Arm{Channel: treatment, View: g},

@@ -31,7 +31,6 @@ func main() {
 	// Train through the sharded engine — the same read path the serving
 	// tier uses; draws are bit-identical to the monolithic graph.
 	eng := engine.New(res.Graph, engine.Config{Shards: 2, Strategy: partition.Hash, Locality: true})
-	defer eng.Close()
 	view := core.EngineView{Engine: eng, M: res.Mapping}
 
 	v := logs.Vocab()

@@ -93,7 +93,6 @@ func TestStepViewMatchesPerNodeReads(t *testing.T) {
 	w := buildTinyWorld(t, 3)
 	g := w.res.Graph
 	eng := engine.New(g, engine.Config{Shards: 3, Strategy: partition.DegreeBalanced})
-	defer eng.Close()
 	views := map[string]GraphView{"graph": g, "engine": EngineView{Engine: eng, M: w.res.Mapping}}
 
 	samplers := []sampling.Sampler{

@@ -25,7 +25,6 @@ func deadlineFixture(t *testing.T, shards int) (*Engine, [][]*flakyBackend) {
 		groups[id] = []ShardBackend{a}
 	}
 	e := NewWithReplicaSets(part.RoutingTable(), groups, g.ContentDim())
-	t.Cleanup(func() { e.Close() })
 	return e, backs
 }
 
@@ -119,7 +118,6 @@ func TestDeadlineStopsFailoverWalk(t *testing.T) {
 	// unless the deadline stops it first, which is what we assert.
 	good.unhealthy.Store(true)
 	e := NewWithReplicaSets(part.RoutingTable(), [][]ShardBackend{{bad, good}}, g.ContentDim())
-	t.Cleanup(func() { e.Close() })
 
 	r := rng.New(3)
 	out := make([]graph.NodeID, 4)

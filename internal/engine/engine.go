@@ -7,13 +7,16 @@
 //
 // The Engine itself is the routing layer: a single-node call is directed
 // to the owning shard with one arithmetic or array-index lookup, and
-// multi-node calls (cache refresh batches, SampleTree frontiers) are
-// scatter-gathered so each shard is visited exactly once per batch. The
-// Engine holds every partition as a replica group of stores behind the
-// ShardBackend interface — the seam where an RPC-backed shard plugs in
-// (internal/rpc.RemoteShard): NewWithReplicaSets accepts any mix of local
-// *Shards and remote stubs, and each per-shard visit maps onto exactly
-// one RPC round trip.
+// multi-node calls (cache refresh batches, SampleTree frontiers, bulk
+// attribute reads) are scatter-gathered by one visit plan (plan.go):
+// group by owner, one visit per owning shard, visits that can start
+// overlapped on the wire, the rest served inline, failures retried per
+// visit. The Engine holds every partition as a replica group of stores
+// behind the ShardBackend interface — the seam where an RPC-backed shard
+// plugs in (internal/rpc.RemoteShard): NewWithReplicaSets accepts any mix
+// of local *Shards and remote stubs, and each per-shard visit maps onto
+// exactly one RPC round trip. The engine starts no goroutine on a call
+// path and owns nothing that needs closing.
 //
 // The hot path is lock- and allocation-free: routing is O(1) arithmetic,
 // every shard's alias arrays are immutable after New and read without
@@ -149,42 +152,6 @@ type ShardBackend interface {
 	ReadNodesInto(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) error
 }
 
-// BatchStarter is optionally implemented by backends that can issue a
-// scatter-gather visit without blocking for its result — the seam the
-// parallel batch path prefers: the caller starts every remote group
-// back-to-back, so the visits overlap on the wire with no goroutine
-// handoff at all, then collects them in shard order. Arguments are
-// exactly SampleBatchInto's; the visit's writes land in the same
-// disjoint out/ns regions. The returned handle must always be awaited —
-// the backend may still be writing into out/ns until AwaitBatch returns.
-type BatchStarter interface {
-	StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) BatchHandle
-}
-
-// BatchHandle is one in-flight started visit. AwaitBatch blocks until
-// the visit completes and reports it exactly as SampleBatchInto would
-// (including the retry-once and typed-failure semantics of a remote
-// backend). A handle may additionally report Started() false, meaning
-// the backend could not put the visit on the wire without blocking (its
-// connection window was full) and AwaitBatch will issue the whole call
-// synchronously; the batch path awaits all started handles — releasing
-// the window capacity this caller holds — before awaiting those.
-type BatchHandle interface {
-	AwaitBatch() (int, error)
-}
-
-// batchStarted is the optional Started() facet of a BatchHandle.
-type batchStarted interface{ Started() bool }
-
-// handleStarted reports whether a batch or read handle's visit is already
-// on the wire (true for handles that do not expose the facet).
-func handleStarted(h any) bool {
-	if s, ok := h.(batchStarted); ok {
-		return s.Started()
-	}
-	return true
-}
-
 // BackendStats is optionally implemented by backends that can report
 // their served-request count and partition size (the in-process Shard
 // does, and remote stubs do from their client-side counter and the server
@@ -275,45 +242,17 @@ func deadlinePassed(deadline time.Time) bool {
 	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
-// sampleShard runs one replicated single-sample read against partition
-// si of this view: the picked replica first, then — on a transport
-// failure — each surviving replica in turn. Failover is invisible to the
-// caller and bit-exact: a failed attempt never consumes r (the
-// ShardBackend contract), so the retry on a sibling replica draws from
-// identical state. failover reports whether any replica failed under
-// this call, so the caller can kick an asynchronous ownership refresh
-// that rebinds the dead replica out of the view. A non-zero deadline
-// bounds the whole replicated read: it is checked before each failover
-// attempt (walking the rotation must not multiply an exhausted budget)
-// and passed to every backend.
-func (set *backendSet) sampleShard(si int, id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (n int, failover bool, err error) {
-	g := set.groups[si]
-	if len(g) == 1 {
-		n, err = g[0].SampleIntoBy(id, out, r, deadline)
-		return n, false, err
-	}
-	start := set.pick(si, g)
-	for t := 0; t < len(g); t++ {
-		i := start + t
-		if i >= len(g) {
-			i -= len(g)
-		}
-		if t > 0 && deadlinePassed(deadline) {
-			return 0, true, fmt.Errorf("engine: shard %d failover: %w", si, ErrDeadlineExceeded)
-		}
-		n, err = g[i].SampleIntoBy(id, out, r, deadline)
-		if err == nil || !errors.Is(err, ErrShardUnavailable) {
-			return n, t > 0, err
-		}
-	}
-	return 0, true, &replicasExhaustedError{shard: si, replicas: len(g), last: err}
-}
-
-// walk is sampleShard's rotation and transport-failover loop for the
-// calls that carry no deadline — a batch visit, a bulk-read visit, an
-// append: call runs against the picked replica first, then against each
-// sibling in turn while it fails at the transport level.
-func (set *backendSet) walk(si int, call func(ShardBackend) error) (failover bool, err error) {
+// walk runs one call against partition si of this view: the picked
+// replica first, then — while it fails at the transport level — each
+// sibling in turn. Every replicated call goes through it: a single
+// sample, a visit of a multi-shard call, an append. failover reports
+// whether any replica failed under the call, so the caller can kick an
+// asynchronous ownership refresh that rebinds the dead replica out of the
+// view. A non-zero deadline (zero: unbounded, the ShardBackend
+// convention) bounds the whole walk: it is checked before each failover
+// attempt, because walking the rotation must not multiply an exhausted
+// budget.
+func (set *backendSet) walk(si int, deadline time.Time, call func(ShardBackend) error) (failover bool, err error) {
 	g := set.groups[si]
 	if len(g) == 1 {
 		return false, call(g[0])
@@ -324,6 +263,9 @@ func (set *backendSet) walk(si int, call func(ShardBackend) error) (failover boo
 		if i >= len(g) {
 			i -= len(g)
 		}
+		if t > 0 && deadlinePassed(deadline) {
+			return true, fmt.Errorf("engine: shard %d failover: %w", si, ErrDeadlineExceeded)
+		}
 		err = call(g[i])
 		if err == nil || !errors.Is(err, ErrShardUnavailable) {
 			return t > 0, err
@@ -332,14 +274,14 @@ func (set *backendSet) walk(si int, call func(ShardBackend) error) (failover boo
 	return true, &replicasExhaustedError{shard: si, replicas: len(g), last: err}
 }
 
-// visitShard runs one scatter-gather batch visit against partition si,
-// failing over across its replicas. Safe for the same reason batches are
-// deterministic at all — the visit's draws derive from (base, entry
-// index) carried in the request, and a failed visit's writes to out/ns
-// are fully overwritten by the retried one (same disjoint regions).
-func (set *backendSet) visitShard(si int, gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (n int, failover bool, err error) {
-	failover, err = set.walk(si, func(be ShardBackend) (err error) {
-		n, err = be.SampleBatchInto(gids, idx, base, k, out, ns)
+// sampleShard runs one replicated single-sample read against partition
+// si. Failover is invisible to the caller and bit-exact: a failed attempt
+// never consumes r (the ShardBackend contract), so the retry on a sibling
+// replica draws from identical state. The deadline bounds the walk and is
+// passed to every backend.
+func (set *backendSet) sampleShard(si int, id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (n int, failover bool, err error) {
+	failover, err = set.walk(si, deadline, func(be ShardBackend) (err error) {
+		n, err = be.SampleIntoBy(id, out, r, deadline)
 		return err
 	})
 	return n, failover, err
@@ -373,80 +315,7 @@ type Engine struct {
 	refreshFailedAt time.Time
 	refreshKick     atomic.Bool
 
-	// Parallel scatter-gather state (engines with remote backends only):
-	// a lazily started, bounded pool of fan-out workers that dispatch a
-	// batch's per-shard visits concurrently, plus lifecycle guards.
-	fanoutOnce sync.Once
-	fanoutCh   chan visitJob
-	closeOnce  sync.Once
-
-	readPool sync.Pool // *readScratch, reused across ReadNodes calls
-}
-
-// visitJob is one per-shard batch visit handed to a fan-out worker. The
-// result lands in res (owned by the caller's BatchScratch) and wg is the
-// caller's completion barrier — the job struct itself travels by value
-// through the channel, so dispatch allocates nothing.
-type visitJob struct {
-	be   ShardBackend
-	gids []graph.NodeID
-	idx  []int32
-	base uint64
-	k    int
-	out  []graph.NodeID
-	ns   []int32
-	res  *visitRes
-	wg   *sync.WaitGroup
-}
-
-// visitRes is one visit's outcome slot.
-type visitRes struct {
-	n   int
-	err error
-}
-
-// maxFanoutWorkers bounds the shared fan-out pool; visits are
-// network-bound, so the pool is sized for overlap, not CPU.
-const maxFanoutWorkers = 64
-
-// startFanout lazily starts the bounded worker pool that overlaps remote
-// shard visits. Sized so one batch spanning every shard fans out fully
-// and a few callers overlap, capped to keep goroutine count bounded.
-func (e *Engine) startFanout() {
-	e.fanoutOnce.Do(func() {
-		n := 4 * e.routing.NumShards()
-		if n < 4 {
-			n = 4
-		}
-		if n > maxFanoutWorkers {
-			n = maxFanoutWorkers
-		}
-		e.fanoutCh = make(chan visitJob, n)
-		for i := 0; i < n; i++ {
-			go func() {
-				for j := range e.fanoutCh {
-					j.res.n, j.res.err = j.be.SampleBatchInto(j.gids, j.idx, j.base, j.k, j.out, j.ns)
-					j.wg.Done()
-				}
-			}()
-		}
-	})
-}
-
-// Close stops the fan-out workers of an engine with remote backends (a
-// no-op for local-only engines, which never start any). Safe to call
-// more than once, but must not race in-flight batch calls — quiesce
-// callers first, as rpc.Cluster.Close (which calls it for engines it
-// assembled) does at teardown.
-func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		// Ensure fanoutOnce is spent so no worker pool can start after
-		// the channel close decision.
-		e.fanoutOnce.Do(func() {})
-		if e.fanoutCh != nil {
-			close(e.fanoutCh)
-		}
-	})
+	planPool sync.Pool // *visitPlan, reused across ReadNodes calls
 }
 
 // New partitions g and builds one in-process store per shard,
@@ -851,8 +720,12 @@ func (e *Engine) Stats() Stats {
 // group rides the same epoch-checked retry/failover loop as reads: a
 // moved shard refreshes the ownership view, an unreachable primary
 // fails over to a replica-group sibling (whose server re-replicates).
-// On error the earlier groups may already be applied — appends are
-// idempotent at the sequence layer, so the caller simply retries.
+// On error the groups of earlier shards are already applied and stay
+// applied: the returned count says how many edges landed. Re-submitting
+// the whole batch would apply those groups a second time under fresh
+// sequence numbers (the sequence layer makes one group's retry idempotent,
+// not a new call's), so a caller that retries re-sends only what failed,
+// and invalidates whatever it caches for the sources that did land.
 func (e *Engine) Append(edges []ingest.Edge) (int, error) {
 	if len(edges) == 0 {
 		return 0, nil
@@ -891,10 +764,10 @@ func appendShard(e *Engine, si int, batch []ingest.Edge) error {
 		return err
 	}
 	set := e.bset.Load()
-	failover, err := set.walk(si, call)
+	failover, err := set.walk(si, time.Time{}, call)
 	for retry := 0; retry < maxEpochRetries && err != nil && retryable(err) && e.refresh(set); retry++ {
 		set = e.bset.Load()
-		failover, err = set.walk(si, call)
+		failover, err = set.walk(si, time.Time{}, call)
 	}
 	if failover && err == nil {
 		e.kickRefresh(set)

@@ -14,8 +14,8 @@ import (
 // slowBackend is a ShardBackend whose batch visit takes a fixed delay —
 // a stand-in for a remote shard server across a real network. Draws are
 // deterministic (entry i draws its own id) so results are checkable.
-// It deliberately does NOT implement BatchStarter, exercising the
-// bounded worker-pool fan-out path.
+// It deliberately does NOT implement VisitStarter: the plan visits it
+// inline, in shard order.
 type slowBackend struct {
 	delay time.Duration
 	fail  error
@@ -63,7 +63,7 @@ func (sb *slowBackend) ReadNodesInto(gids []graph.NodeID, pos []int32, fields gr
 	return nil
 }
 
-// slowStarterBackend additionally implements BatchStarter, exercising
+// slowStarterBackend additionally implements VisitStarter, exercising
 // the async overlap path: Start launches the visit, Await joins it.
 type slowStarterBackend struct {
 	slowBackend
@@ -75,12 +75,14 @@ type slowHandle struct {
 	err  error
 }
 
-func (h *slowHandle) AwaitBatch() (int, error) {
+func (h *slowHandle) Started() bool { return true }
+
+func (h *slowHandle) Await() (int, error) {
 	<-h.done
 	return h.n, h.err
 }
 
-func (sb *slowStarterBackend) StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) BatchHandle {
+func (sb *slowStarterBackend) StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) VisitHandle {
 	h := &slowHandle{done: make(chan struct{})}
 	go func() {
 		h.n, h.err = sb.SampleBatchInto(gids, idx, base, k, out, ns)
@@ -89,12 +91,7 @@ func (sb *slowStarterBackend) StartSampleBatch(gids []graph.NodeID, idx []int32,
 	return h
 }
 
-func (h *slowHandle) AwaitRead() error {
-	<-h.done
-	return h.err
-}
-
-func (sb *slowStarterBackend) StartReadNodes(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) ReadHandle {
+func (sb *slowStarterBackend) StartReadNodes(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) VisitHandle {
 	h := &slowHandle{done: make(chan struct{})}
 	go func() {
 		h.err = sb.ReadNodesInto(gids, pos, fields, into)
@@ -102,6 +99,8 @@ func (sb *slowStarterBackend) StartReadNodes(gids []graph.NodeID, pos []int32, f
 	}()
 	return h
 }
+
+var _ VisitStarter = (*slowStarterBackend)(nil)
 
 // fanoutWorld assembles an engine over four mock remote backends and a
 // batch spanning all of them.
@@ -119,7 +118,6 @@ func fanoutWorld(t *testing.T, mk func(delay time.Duration) ShardBackend, delay 
 		groups[i] = []ShardBackend{mk(delay)}
 	}
 	e := NewWithReplicaSets(routing, groups, 0)
-	t.Cleanup(e.Close)
 	ids := make([]graph.NodeID, 16)
 	for i := range ids {
 		ids[i] = graph.NodeID(i) // hash partitioning: i%4 spreads over all shards
@@ -162,15 +160,7 @@ func checkFanoutBatch(t *testing.T, e *Engine, ids []graph.NodeID, delay time.Du
 	}
 }
 
-// The worker-pool fan-out must overlap visits to backends without async
-// support: latency approaches max-of-shards, not sum-of-shards.
-func TestFanoutOverlapsWorkerPoolVisits(t *testing.T) {
-	const delay = 30 * time.Millisecond
-	e, ids := fanoutWorld(t, func(d time.Duration) ShardBackend { return &slowBackend{delay: d} }, delay)
-	checkFanoutBatch(t, e, ids, delay)
-}
-
-// The async BatchStarter path must overlap visits the same way.
+// Started visits overlap: four delayed shards cost about one delay.
 func TestFanoutOverlapsStartedVisits(t *testing.T) {
 	const delay = 30 * time.Millisecond
 	e, ids := fanoutWorld(t, func(d time.Duration) ShardBackend { return &slowStarterBackend{slowBackend{delay: d}} }, delay)
@@ -196,9 +186,9 @@ func TestFanoutOverlapsTreeHops(t *testing.T) {
 	}
 }
 
-// A failing visit in a parallel fan-out must zero every count and
-// surface the failure, exactly like the sequential path — no partial
-// results regardless of which shard failed or how late.
+// A failing visit must zero every count and surface the failure,
+// whether it was started or served inline — no partial results
+// regardless of which shard failed or how late.
 func TestFanoutFailureZeroesAllCounts(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {

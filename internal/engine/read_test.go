@@ -58,7 +58,6 @@ func TestReadNodesMatchesSingleReads(t *testing.T) {
 		if st := e.Stats(); st.Imbalance == 0 {
 			t.Fatalf("%+v: bulk read left the per-shard request counters untouched", cfg)
 		}
-		e.Close()
 	}
 }
 
@@ -102,7 +101,7 @@ func TestBulkReadFailureAndSplit(t *testing.T) {
 		func(d time.Duration) ShardBackend { return &slowStarterBackend{slowBackend{delay: d}} },
 	} {
 		e, ids := fanoutWorld(t, mk, 0)
-		big := make([]graph.NodeID, 0, 2*maxReadVisit+3)
+		big := make([]graph.NodeID, 0, 2*maxVisit+3)
 		for len(big) < cap(big) {
 			big = append(big, ids[(len(big)%4)*4]) // ids 0,4,8,12: all on shard 0
 		}

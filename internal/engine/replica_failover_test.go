@@ -75,7 +75,6 @@ func replicaFixture(t *testing.T, shards int) (*Engine, *Engine, [][]*flakyBacke
 		groups[id] = []ShardBackend{a, b}
 	}
 	e := NewWithReplicaSets(part.RoutingTable(), groups, g.ContentDim())
-	t.Cleanup(func() { e.Close() })
 	return e, local, flaky
 }
 

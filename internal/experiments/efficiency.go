@@ -84,7 +84,6 @@ func Fig10(o Options) Fig10Result {
 			})
 			o.logf("fig10 %s/%s %.2fs (AUC %.3f)", m.Name(), sc, res.Duration.Seconds(), res.TestAUC)
 		}
-		w.Close()
 	}
 	return out
 }
@@ -146,7 +145,6 @@ func (r Fig11Result) String() string {
 // sampler baselines trained at each per-hop budget K.
 func Fig11(o Options) Fig11Result {
 	w := o.taobaoWorld(loggen.ScaleSmall)
-	defer w.Close()
 	v := w.logs.Vocab()
 	g := w.view
 	ks := []int{5, 10, 15, 20, 25, 30}
@@ -242,7 +240,6 @@ func (c *embedCounter) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, in
 // AUC.
 func Fig12(o Options) Fig12Result {
 	w := o.taobaoWorld(loggen.ScaleSmall)
-	defer w.Close()
 	v := w.logs.Vocab()
 	g := &embedCounter{GraphView: w.view}
 

@@ -51,7 +51,6 @@ func equivalenceTopologies(t testing.TB) (*world, []topology, func()) {
 	topos := []topology{{name: "graph", view: res.res.Graph}}
 	add := func(name string, cfg engine.Config) {
 		eng := engine.New(res.res.Graph, cfg)
-		closers = append(closers, eng.Close)
 		topos = append(topos, topology{name: name, view: core.EngineView{Engine: eng, M: res.res.Mapping}})
 	}
 	add("hash-1", engine.Config{Shards: 1, Strategy: partition.Hash, Locality: false})

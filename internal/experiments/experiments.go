@@ -51,13 +51,6 @@ type world struct {
 	test  []core.Instance
 }
 
-// Close releases the world's engine.
-func (w *world) Close() {
-	if w.eng != nil {
-		w.eng.Close()
-	}
-}
-
 func buildWorld(cfg loggen.Config, negPerPos int, seed uint64) *world {
 	cw := core.BuildWorld(cfg)
 	train, test := cw.Instances(negPerPos, seed+100)

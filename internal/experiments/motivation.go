@@ -43,7 +43,6 @@ func (r Fig4aResult) String() string {
 // explodes with neighborhood size.
 func Fig4a(o Options) Fig4aResult {
 	w := o.taobaoWorld(loggen.ScaleSmall)
-	defer w.Close()
 	ks := []int{5, 10, 20, 30, 40, 50}
 	iters := 6
 	if o.Quick {
@@ -119,7 +118,6 @@ func (r Fig4bResult) String() string {
 // quickly even within a session.
 func Fig4b(o Options) Fig4bResult {
 	w := o.taobaoWorld(loggen.ScaleSmall)
-	defer w.Close()
 	var sims []float64
 	for _, s := range w.logs.Sessions {
 		for i := 1; i < len(s.Events); i++ {

@@ -76,7 +76,6 @@ func Table2(o Options) Table2Result {
 		cfg.Topics = 6
 	}
 	w := buildWorld(cfg, 1, o.Seed)
-	defer w.Close()
 	v := w.logs.Vocab()
 	g := w.view
 
@@ -152,7 +151,6 @@ func (r Table3Result) Best() Table3Row {
 // million-scale-analog Taobao graph, scored by AUC and HitRate@K.
 func Table3(o Options) Table3Result {
 	w := o.taobaoWorld(loggen.ScaleSmall)
-	defer w.Close()
 	v := w.logs.Vocab()
 	g := w.view
 	bcfg := o.baselineConfig()
@@ -261,7 +259,6 @@ func Fig8(o Options) Fig8Result {
 			out.Cells = append(out.Cells, Fig8Cell{Variant: v.name, Scale: sc.String(), AUC: auc})
 			o.logf("fig8 %s/%s AUC %.3f", v.name, sc, auc)
 		}
-		w.Close()
 	}
 	return out
 }

@@ -41,7 +41,6 @@ func (r Table4Result) String() string {
 // held-out traffic through both under the same click and pricing model.
 func Table4(o Options) Table4Result {
 	w := o.taobaoWorld(loggen.ScaleSmall)
-	defer w.Close()
 	v := w.logs.Vocab()
 	g := w.view
 
@@ -64,7 +63,6 @@ func Table4(o Options) Table4Result {
 	// deployment runs channels on separate serving stacks); the views are
 	// bit-identical read surfaces, so the comparison isolates the models.
 	controlEng := engine.New(w.res.Graph, engine.Config{Shards: 2, Strategy: partition.DegreeBalanced, Locality: false})
-	defer controlEng.Close()
 	res := abtest.RunArms(g, traffic,
 		abtest.Arm{Channel: control, View: core.EngineView{Engine: controlEng, M: w.res.Mapping}},
 		abtest.Arm{Channel: treatment, View: w.view},
@@ -107,7 +105,6 @@ func (r Fig9Result) String() string {
 // inverted index, under an open-loop load sweep.
 func Fig9(o Options) Fig9Result {
 	w := o.taobaoWorld(loggen.ScaleSmall)
-	defer w.Close()
 	v := w.logs.Vocab()
 
 	model := core.NewZoomer(w.view, v, o.modelConfig(), o.Seed+1)
@@ -203,7 +200,6 @@ func (r Fig13Result) String() string {
 // item neighbors — the paper's interpretability visualization.
 func Fig13(o Options) Fig13Result {
 	w := o.taobaoWorld(loggen.ScaleSmall)
-	defer w.Close()
 	v := w.logs.Vocab()
 	g := w.view
 	model := core.NewZoomer(g, v, o.modelConfig(), o.Seed+1)

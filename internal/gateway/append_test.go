@@ -2,10 +2,24 @@ package gateway
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+
+	"zoomer/internal/engine"
+	"zoomer/internal/ingest"
+	"zoomer/internal/rng"
 )
+
+// partialAppender lands n edges, then fails — Engine.Append's answer when
+// a later shard's group could not be written.
+type partialAppender struct {
+	n   int
+	err error
+}
+
+func (p partialAppender) Append([]ingest.Edge) (int, error) { return p.n, p.err }
 
 func postJSON(t *testing.T, url, body string) (*http.Response, string) {
 	t.Helper()
@@ -30,7 +44,7 @@ func postJSON(t *testing.T, url, body string) (*http.Response, string) {
 // with the accepted count; bad batches fail 400 with the engine's typed
 // validation message, and non-POST methods are refused.
 func TestAppendEndpoint(t *testing.T) {
-	_, ts := buildGateway(t, Config{})
+	gw, ts := buildGateway(t, Config{})
 
 	resp, body := postJSON(t, ts.URL+"/v1/append",
 		`{"edges":[{"src":0,"dst":5,"type":0,"weight":2.5},{"src":1,"dst":6,"type":1,"weight":1.0}]}`)
@@ -65,6 +79,23 @@ func TestAppendEndpoint(t *testing.T) {
 		t.Fatalf("GET append: %d", getResp.StatusCode)
 	}
 
+	// A partial append — earlier shard groups landed, a later one found
+	// no reachable owner — is still a 503, but the landed edges are
+	// counted, reported to the client and their cached samples invalidated.
+	gw.cache.Get(0, rng.New(1)).Release()
+	invalidated := gw.cache.Invalidations()
+	gw.app = partialAppender{n: 32, err: fmt.Errorf("shard 3: %w", engine.ErrShardUnavailable)}
+	resp, body = postJSON(t, ts.URL+"/v1/append", `{"edges":[{"src":0,"dst":5,"weight":1}]}`)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("partial append: %d %s (Retry-After %q)", resp.StatusCode, body, resp.Header.Get("Retry-After"))
+	}
+	if got := resp.Header.Get("X-Zoomer-Appended"); got != "32" {
+		t.Fatalf("partial append reported X-Zoomer-Appended %q, want 32", got)
+	}
+	if gw.cache.Invalidations() != invalidated+1 {
+		t.Fatal("partial append left the landed source's cached sample un-invalidated")
+	}
+
 	// The write path shows up on /metrics: accepted-edge counter, the
 	// append route rows, and the per-shard ingest section scraped live
 	// from the engine.
@@ -74,9 +105,10 @@ func TestAppendEndpoint(t *testing.T) {
 	}
 	page := string(mBody)
 	for _, want := range []string{
-		"zoomer_gateway_appended_edges_total 2",
+		"zoomer_gateway_appended_edges_total 34",
 		`zoomer_gateway_requests_total{route="append",code="200"} 1`,
 		`zoomer_gateway_requests_total{route="append",code="400"} 3`,
+		`zoomer_gateway_requests_total{route="append",code="503"} 1`,
 		`zoomer_ingest_seq{shard="0"}`,
 		"zoomer_ingest_delta_edges",
 		"zoomer_ingest_compactions_total",

@@ -394,7 +394,9 @@ const maxAppendBody = 4 << 20
 // neighbor samples of the touched source nodes. Appends share the
 // retrieval tier's admission control (draining refusal and the hard
 // in-flight cap) but never degrade to cache-only — a write either lands
-// durably or fails typed.
+// durably or fails typed. A batch whose earlier shard groups landed
+// before a later one failed is both: the error status, with the landed
+// count in X-Zoomer-Appended.
 func (g *Gateway) handleAppend(w http.ResponseWriter, r *http.Request) {
 	rm := g.met.route("append")
 	start := time.Now()
@@ -447,6 +449,23 @@ func (g *Gateway) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 
 	appended, err := g.app.Append(edges)
+	if appended > 0 {
+		// Also when a later shard's group then failed: the earlier groups
+		// are durable, so they are counted and their cached samples are
+		// stale. Invalidating every source of the batch over-approximates
+		// which landed; a spurious invalidation is one best-effort refresh.
+		g.met.appendedEdges.Add(int64(appended))
+		if g.cache != nil {
+			for _, e := range edges {
+				g.cache.InvalidateNodes(e.Src)
+			}
+		}
+		if err != nil {
+			// A client that re-POSTs the whole batch would apply the landed
+			// groups a second time; the count tells it something landed.
+			w.Header().Set("X-Zoomer-Appended", strconv.Itoa(appended))
+		}
+	}
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrBadAppend):
@@ -463,12 +482,6 @@ func (g *Gateway) handleAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		rm.lat.observe(time.Since(start))
 		return
-	}
-	g.met.appendedEdges.Add(int64(appended))
-	if g.cache != nil {
-		for _, e := range edges {
-			g.cache.InvalidateNodes(e.Src)
-		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(&appendReply{Appended: appended, LatencyUs: time.Since(start).Microseconds()}); err != nil {

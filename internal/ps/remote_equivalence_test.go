@@ -141,7 +141,6 @@ func TestTrainRemoteEquivalence(t *testing.T) {
 
 	// Local leg: 4-shard in-process engine.
 	local := engine.New(res.Graph, engine.Config{Shards: 4, Strategy: partition.Hash, Locality: true})
-	defer local.Close()
 	want, err := TrainMFGraph(local, examples, cfg)
 	if err != nil {
 		t.Fatalf("local run: %v", err)

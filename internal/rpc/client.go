@@ -506,10 +506,14 @@ func appendBatch(req []byte, gids []graph.NodeID, idx []int32, base uint64, k in
 	return req
 }
 
-// decodeBatch scatters an OpBatch response into out/ns.
+// decodeBatch scatters an OpBatch response into out/ns. Nothing in the
+// frame is trusted: every per-entry count is bounded by k and the
+// caller's buffers, the header's total must equal their sum (it is what
+// SampleNeighborsBatchInto reports, and must agree with ns), and no byte
+// may follow the last entry.
 func decodeBatch(body []byte, gids []graph.NodeID, idx []int32, k int, out []graph.NodeID, ns []int32) (int, error) {
 	cu := cursor{b: body}
-	total := int(cu.u32())
+	total, sum := int(cu.u32()), 0
 	good := true
 	for j := range gids {
 		n := int32(cu.u32())
@@ -519,12 +523,13 @@ func decodeBatch(body []byte, gids []graph.NodeID, idx []int32, k int, out []gra
 			break
 		}
 		ns[i] = n
+		sum += int(n)
 		lo := i * k
 		for d := 0; d < int(n); d++ {
 			out[lo+d] = graph.NodeID(cu.u32())
 		}
 	}
-	if !good || cu.bad {
+	if !good || cu.bad || total != sum || len(cu.rest()) != 0 {
 		return 0, fmt.Errorf("%w: batch response (%d bytes)", ErrMalformedFrame, len(body))
 	}
 	return total, nil
@@ -628,8 +633,8 @@ func (cl *Client) appendOnce(shard int, seq uint64, edges []ingest.Edge, fanout 
 }
 
 // pendingVisit is one started (sent, not yet awaited) visit — the
-// engine.BatchHandle / engine.ReadHandle the stub hands the scatter-
-// gather fan-out. Pooled; returned to the pool when awaited.
+// engine.VisitHandle the stub hands the engine's visit plan. Pooled;
+// returned to the pool when awaited.
 type pendingVisit struct {
 	cl       *Client
 	mc       *muxConn // nil when the start attempt failed before the wire
@@ -646,8 +651,8 @@ var pendingPool = sync.Pool{New: func() any { return new(pendingVisit) }}
 
 // startVisit gates the circuit, composes the request and puts it on the
 // wire without waiting. It never blocks on another call's probe — a
-// caller may hold several un-awaited handles on one client (the engine
-// fan-out does), and the probe they would wait for can be one of those
+// caller may hold several un-awaited handles on one client (the engine's
+// visit plan does), and the probe they would wait for can be one of those
 // very handles, so the wait is deferred to the await, which runs after
 // every earlier-started handle has settled. Every other failure mode is
 // deferred too, so concurrently started sibling visits are never
@@ -706,20 +711,11 @@ func (cl *Client) startVisit(v visit) *pendingVisit {
 // the caller's own started handles will free.
 func (p *pendingVisit) Started() bool { return !p.deferred }
 
-// AwaitBatch implements engine.BatchHandle.
-func (p *pendingVisit) AwaitBatch() (int, error) { return p.await() }
-
-// AwaitRead implements engine.ReadHandle.
-func (p *pendingVisit) AwaitRead() error {
-	_, err := p.await()
-	return err
-}
-
-// await collects a started visit: waits for the response, decodes it,
+// Await collects a started visit: waits for the response, decodes it,
 // retries once synchronously on a transport failure (the same
 // reconnect-and-serve semantics as the synchronous path) and settles the
-// health circuit.
-func (p *pendingVisit) await() (int, error) {
+// health circuit. It reports the draw count of a batch, 0 for a read.
+func (p *pendingVisit) Await() (int, error) {
 	cl := p.cl
 	if p.wait != nil {
 		// Start found the circuit open behind another probe. That probe
@@ -1042,13 +1038,12 @@ type RemoteShard struct {
 }
 
 // The stub plugs into the routing layer exactly like an in-process
-// shard, and advertises the async seam the parallel scatter-gather path
-// prefers.
+// shard, and advertises the facet the engine's visit plan overlaps
+// visits with.
 var (
 	_ engine.ShardBackend   = (*RemoteShard)(nil)
 	_ engine.BackendStats   = (*RemoteShard)(nil)
-	_ engine.BatchStarter   = (*RemoteShard)(nil)
-	_ engine.ReadStarter    = (*RemoteShard)(nil)
+	_ engine.VisitStarter   = (*RemoteShard)(nil)
 	_ engine.HealthReporter = (*RemoteShard)(nil)
 	_ engine.EdgeAppender   = (*RemoteShard)(nil)
 	_ engine.IngestReporter = (*RemoteShard)(nil)
@@ -1111,9 +1106,9 @@ func (rs *RemoteShard) SampleBatchInto(gids []graph.NodeID, idx []int32, base ui
 }
 
 // StartSampleBatch puts one scatter-gather visit on the wire without
-// waiting for it — engine.BatchStarter, the overlap mechanism of the
-// parallel batch path. The returned handle must be awaited.
-func (rs *RemoteShard) StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) engine.BatchHandle {
+// waiting for it — half of engine.VisitStarter, the overlap mechanism of
+// the engine's visit plan. The returned handle must be awaited.
+func (rs *RemoteShard) StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) engine.VisitHandle {
 	rs.requests.Add(int64(len(gids)))
 	return rs.cl.startVisit(visit{op: OpBatch, gids: gids, idx: idx, base: base, k: k, out: out, ns: ns})
 }
@@ -1131,8 +1126,9 @@ func (rs *RemoteShard) ReadNodesInto(gids []graph.NodeID, pos []int32, fields gr
 }
 
 // StartReadNodes puts one bulk-read visit on the wire without waiting
-// for it (engine.ReadStarter). The returned handle must be awaited.
-func (rs *RemoteShard) StartReadNodes(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) engine.ReadHandle {
+// for it (the other half of engine.VisitStarter). The returned handle
+// must be awaited.
+func (rs *RemoteShard) StartReadNodes(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) engine.VisitHandle {
 	rs.requests.Add(int64(len(gids)))
 	return rs.cl.startVisit(visit{op: OpReadNodes, gids: gids, idx: pos, fields: fields, blk: into})
 }
@@ -1593,12 +1589,8 @@ func (c *Cluster) IngestStats() []engine.IngestStats {
 // Refresh (default 2s). Not concurrency-safe; set before first use.
 func (c *Cluster) SetPollTimeout(d time.Duration) { c.pollTimeout = d }
 
-// Close shuts down the remote engine's fan-out workers and closes every
-// client in the cluster.
+// Close closes every client in the cluster.
 func (c *Cluster) Close() error {
-	if c.Engine != nil {
-		c.Engine.Close()
-	}
 	for _, cl := range c.snapshotClients() {
 		cl.Close()
 	}

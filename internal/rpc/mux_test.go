@@ -302,7 +302,6 @@ func TestMuxSharedConnectionHammer(t *testing.T) {
 		groups[sh.ID] = []engine.ShardBackend{NewRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)}
 	}
 	remote := engine.NewWithReplicaSets(routing, groups, info.ContentDim)
-	t.Cleanup(remote.Close)
 	local := engine.New(g, engine.Config{Shards: 1})
 
 	const workers, iters, k = 16, 80, 5

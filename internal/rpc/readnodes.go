@@ -28,7 +28,7 @@ import (
 // redirect or error frame.
 
 // maxReadNodes caps the ids of one read-nodes request. It must stay at
-// least the engine's visit size (engine.maxReadVisit), which
+// least the engine's visit size (engine.maxVisit), which
 // TestReadNodesChunksLargeGroups pins from the outside.
 const maxReadNodes = 4096
 

@@ -79,7 +79,6 @@ func TestReadNodesMatchesGraph(t *testing.T) {
 	g := buildGraph(t)
 	_, cluster := startCluster(t, g, 4, partition.Hash, [][]int{{0, 2}, {1, 3}})
 	local := engine.New(g, engine.Config{Shards: 3, Strategy: partition.DegreeBalanced})
-	defer local.Close()
 	for name, eng := range map[string]*engine.Engine{"remote": cluster.Engine, "local": local} {
 		var blk graph.NodeBlock
 		for fields := graph.ReadFields(1); fields <= graph.ReadAll; fields++ {
@@ -319,7 +318,14 @@ func TestDecodersBoundCountsByFrameBytes(t *testing.T) {
 	totals := appendU32(appendU32(appendU32(nil, 1<<24), 1<<24), 1<<24)
 	var blk graph.NodeBlock
 	blk.Resize(1, graph.ReadAll)
+	reply, n, k := batchReplySeed(t)
+	copy(reply, appendU32(nil, uint32(n*k+1))) // the header claims more draws than the entries carry
+	out, ns := make([]graph.NodeID, 2*n*k), make([]int32, 2*n)
 	cases := map[string]func() error{
+		"batch response total": func() error {
+			_, err := decodeBatch(reply, make([]graph.NodeID, n), fuzzBatchIdx(n), k, out, ns)
+			return err
+		},
 		"batch request": func() error {
 			// maxFrame/8 entries declared, two carried.
 			payload := appendBatch(nil, []graph.NodeID{1, 2}, []int32{0, 1}, 7, 1)
@@ -437,6 +443,90 @@ func FuzzDecodeReadNodesResponse(f *testing.F) {
 		again, err := appendReadNodesResponse(nil, &blk, int(n), fields)
 		if err != nil || string(again) != string(body) {
 			t.Fatalf("accepted response does not re-encode to itself (%v)", err)
+		}
+	})
+}
+
+// fuzzBatchIdx is the entry-index layout FuzzDecodeBatchResponse decodes
+// under: n entries at the even positions of a 2n-entry batch, in reverse
+// order — so the odd positions belong to other visits and must never be
+// written.
+func fuzzBatchIdx(n int) []int32 {
+	idx := make([]int32, n)
+	for j := range idx {
+		idx[j] = int32(2 * (n - 1 - j))
+	}
+	return idx
+}
+
+// batchReplySeed is the body of a real handleBatch reply: a 3-entry k=3
+// visit (one entry isolated) to a server over a three-node graph.
+func batchReplySeed(t testing.TB) (body []byte, n, k int) {
+	b := graph.NewBuilder()
+	a := b.AddNode(graph.User, nil, nil)
+	c := b.AddNode(graph.Item, nil, nil)
+	lone := b.AddNode(graph.Item, nil, nil)
+	b.AddUndirected(a, c, graph.Click, 1.5)
+	s := NewServer(b.Build(), ServerConfig{})
+	gids := []graph.NodeID{a, lone, c}
+	frame, err := s.handleBatch(s.own.Load(), appendBatch(nil, gids, fuzzBatchIdx(len(gids)), 99, 3), &serverConn{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame[4+8+1:], len(gids), 3 // past the length, request id and status
+}
+
+// FuzzDecodeBatchResponse: the client-side batch decoder never panics,
+// never writes outside the visit's own regions of out/ns, fails typed,
+// and reports a total that agrees with the counts it wrote.
+func FuzzDecodeBatchResponse(f *testing.F) {
+	body, n, k := batchReplySeed(f)
+	f.Add(body, uint8(n), uint8(k))
+	f.Fuzz(func(t *testing.T, body []byte, entries, k8 uint8) {
+		n, k := int(entries), int(k8)
+		const canary = -7
+		out := make([]graph.NodeID, 2*n*k)
+		ns := make([]int32, 2*n)
+		for i := range out {
+			out[i] = canary
+		}
+		for i := range ns {
+			ns[i] = canary
+		}
+		idx := fuzzBatchIdx(n)
+		total, err := decodeBatch(body, make([]graph.NodeID, n), idx, k, out, ns)
+		for i := 1; i < len(ns); i += 2 {
+			if ns[i] != canary {
+				t.Fatalf("wrote ns[%d], another visit's entry", i)
+			}
+			for _, v := range out[i*k : (i+1)*k] {
+				if v != canary {
+					t.Fatalf("wrote entry %d's draws, another visit's region", i)
+				}
+			}
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformedFrame) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		again, sum := appendU32(nil, uint32(total)), 0
+		for _, i := range idx {
+			if ns[i] < 0 || int(ns[i]) > k {
+				t.Fatalf("accepted count %d for k=%d", ns[i], k)
+			}
+			sum += int(ns[i])
+			again = appendU32(again, uint32(ns[i]))
+			for _, v := range out[int(i)*k : int(i)*k+int(ns[i])] {
+				again = appendU32(again, uint32(v))
+			}
+		}
+		if total != sum {
+			t.Fatalf("reported %d draws, wrote %d", total, sum)
+		}
+		if string(again) != string(body) {
+			t.Fatal("accepted response does not re-encode to itself")
 		}
 	})
 }

@@ -98,14 +98,12 @@ func (b *Backend) IngestStats() []engine.IngestStats {
 	return b.Engine.IngestStats()
 }
 
-// Close releases the engine's workers and, when the shards are remote,
-// the cluster's connections.
+// Close releases the cluster's connections when the shards are remote;
+// an in-process engine owns nothing to release.
 func (b *Backend) Close() {
 	if b.cluster != nil {
-		b.cluster.Close() // closes the engine it assembled
-		return
+		b.cluster.Close()
 	}
-	b.Engine.Close()
 }
 
 // Stack is a wired serving tier over a connected store. It embeds the
