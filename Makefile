@@ -94,11 +94,12 @@ rig-check:
 
 # A few seconds of native fuzzing per wire decoder on top of the
 # checked-in seed corpora (which every plain `go test` already replays).
+# The targets are found by listing, so a new one cannot be forgotten.
 fuzz-smoke:
-	go test -run '^$$' -fuzz 'FuzzDecodeBatchRequest' -fuzztime 5s ./internal/rpc/
-	go test -run '^$$' -fuzz 'FuzzDecodeBatchResponse' -fuzztime 5s ./internal/rpc/
-	go test -run '^$$' -fuzz 'FuzzDecodeReadNodesRequest' -fuzztime 5s ./internal/rpc/
-	go test -run '^$$' -fuzz 'FuzzDecodeReadNodesResponse' -fuzztime 5s ./internal/rpc/
+	@targets=$$(go test -list '^Fuzz' ./internal/rpc/ | grep '^Fuzz') && test -n "$$targets" && \
+	for f in $$targets; do \
+		echo "fuzz-smoke: $$f" && go test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s ./internal/rpc/ || exit 1; \
+	done
 
 # The world is a function of (scale, seed) across processes: every
 # binary of a deployment regenerates it, so two graphgen processes must

@@ -54,11 +54,6 @@ func (e *remoteError) Is(target error) bool {
 type movedError struct {
 	shard int
 	epoch uint64
-	// addrs is the redirecting server's member view (protocol v3): where
-	// the partition might have gone. The cluster feeds it into membership
-	// discovery so a redirect to a server the engine has never dialed
-	// still resolves.
-	addrs []string
 }
 
 func (e *movedError) Error() string {
@@ -129,16 +124,17 @@ const breakerDecay = time.Second
 // share a small bounded pool of pipelined connections: a call picks a
 // connection round-robin, occupies one in-flight window slot on it, and
 // overlaps on the wire with every other caller's requests — no
-// connection is ever checked out exclusively. A connection that sees a
+// connection is ever checked out exclusively. Every op runs the one
+// request lifecycle of do and attempt: a connection that sees a
 // transport error is discarded (failing its in-flight requests with
-// typed errors, never with another request's bytes) and the call retried
-// once on a freshly dialed one — all reads are idempotent (seeds travel
-// in the request), so the retry is safe, and it is what makes a
+// typed errors, never with another request's bytes) and an idempotent
+// call retried once on a freshly dialed one, which is what makes a
 // restarted server transparently reconnect-and-serve. Repeated failures
 // open a health circuit: one probe call dials at a time while every
 // other caller adopts the probe's outcome, replacing redial-per-call
-// dial storms. Safe for concurrent use; the steady-state sample/batch
-// path reuses per-slot scratch and performs no heap allocation.
+// dial storms. Safe for concurrent use; the steady-state
+// sample/batch/read-nodes path reuses per-slot scratch and performs no
+// heap allocation.
 type Client struct {
 	addr string
 	cfg  ClientConfig
@@ -154,8 +150,8 @@ type Client struct {
 	lastErr   time.Time
 
 	// onMoved, when set, receives the member address list carried by
-	// wrong-epoch redirects (protocol v3) — the cluster's membership
-	// discovery hook. Set before first use; called from decode paths.
+	// wrong-epoch redirects — the cluster's membership discovery hook.
+	// Set before first use; called from decode paths.
 	onMoved func(addrs []string)
 }
 
@@ -168,10 +164,6 @@ func NewClientWith(addr string, cfg ClientConfig) *Client {
 	cfg = cfg.withDefaults()
 	return &Client{addr: addr, cfg: cfg, conns: make([]*muxConn, cfg.Conns)}
 }
-
-// SetTimeout overrides the per-call I/O and dial deadline (default
-// DefaultTimeout). Not concurrency-safe; set before first use.
-func (cl *Client) SetTimeout(d time.Duration) { cl.cfg.Timeout = d }
 
 // SetDiscover installs the membership-discovery hook: fn receives the
 // member address list carried by wrong-epoch redirects. Not
@@ -335,11 +327,6 @@ func (cl *Client) unavailable(err error) error {
 	return fmt.Errorf("%w: %s: %v", ErrShardUnavailable, cl.addr, err)
 }
 
-// deadlineExpired reports whether a non-zero deadline has passed.
-func deadlineExpired(deadline time.Time) bool {
-	return !time.Now().Before(deadline)
-}
-
 // errDeadline wraps the typed per-call deadline failure for this server.
 // It is not a transport failure: the circuit is not charged and the
 // engine neither fails over nor refreshes ownership for it.
@@ -367,99 +354,23 @@ func (cl *Client) budget(deadline time.Time) (d time.Duration, ok bool) {
 	return d, true
 }
 
-// sample runs one OpSample request: k weighted draws for id, the
-// caller's RNG state travelling out and the advanced state travelling
-// back. n is k, or 0 for an isolated node. A non-zero deadline shrinks
-// the per-attempt I/O bound to the remaining budget and converts
-// post-expiry failures into the typed deadline error (not charged to the
-// health circuit — a slow answer is not a dead server). Hand-rolled (no
-// closures) to keep the hot path allocation-free.
-func (cl *Client) sample(id graph.NodeID, k int, st [4]uint64, out []graph.NodeID, deadline time.Time) (n int, newSt [4]uint64, err error) {
-	probe, gerr := cl.gate()
-	if gerr != nil {
-		return 0, st, gerr
-	}
-	var lastErr error
-	failed := true
-	defer func() { cl.settle(probe, failed) }()
-	for attempt := 0; attempt < 2; attempt++ {
-		d, ok := cl.budget(deadline)
-		if !ok {
-			failed = false
-			return 0, st, cl.errDeadline()
-		}
-		mc, err := cl.conn()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		ct := getTimer()
-		sl, req, err := mc.acquire(OpSample, ct, d)
-		if err != nil {
-			putTimer(ct)
-			if !deadline.IsZero() && deadlineExpired(deadline) {
-				// The window stayed full for the whole remaining budget:
-				// backpressure, not a dead peer. Nothing was sent.
-				failed = false
-				return 0, st, cl.errDeadline()
-			}
-			lastErr = err
-			continue
-		}
-		req = appendU32(req, uint32(id))
-		req = appendU32(req, uint32(k))
-		for _, w := range st {
-			req = appendU64(req, w)
-		}
-		body, err := mc.roundTrip(sl, req, ct, d)
-		putTimer(ct)
-		if err != nil {
-			if permanent(err) {
-				failed = false
-				return 0, st, err
-			}
-			if !deadline.IsZero() && deadlineExpired(deadline) {
-				failed = false
-				return 0, st, fmt.Errorf("%v: %w", err, engine.ErrDeadlineExceeded)
-			}
-			lastErr = err
-			continue
-		}
-		cu := cursor{b: body}
-		for i := range newSt {
-			newSt[i] = cu.u64()
-		}
-		n := int(cu.u32())
-		bad := cu.bad || n < 0 || n > k || n > len(out)
-		if !bad {
-			for i := 0; i < n; i++ {
-				out[i] = graph.NodeID(cu.u32())
-			}
-			bad = cu.bad
-		}
-		mc.release(sl)
-		if bad {
-			mc.fail(fmt.Errorf("rpc: malformed sample response (%d bytes)", len(body)))
-			failed = false
-			return 0, st, fmt.Errorf("rpc: sample returned %d draws for k=%d", n, k)
-		}
-		failed = false
-		return n, newSt, nil
-	}
-	return 0, st, cl.unavailable(lastErr)
-}
-
-// visit is one scatter-gather shard visit as it crosses the wire: a
-// sample batch (OpBatch) or a bulk node read (OpReadNodes). The two share
-// the whole request lifecycle — circuit admission, retry on a fresh
-// connection, the send/await split the engine overlaps visits with — and
-// differ only in how the payload is encoded and where the response lands.
+// visit is the one request descriptor every op builds: the op, its
+// payload, where the response lands, and the deadline. The four data ops
+// encode and decode by switch, so a descriptor on the caller's stack costs
+// no allocation; the cold admin ops carry a func pair instead (see call).
 type visit struct {
-	op   Op
+	op       Op
+	deadline time.Time // zero: bounded by the client's Timeout alone
+
+	// OpBatch and OpReadNodes — one scatter-gather shard visit.
 	gids []graph.NodeID
 	idx  []int32 // entry j's batch index (OpBatch) or block position (OpReadNodes; nil = j)
 
-	// OpBatch: draws go to out[idx[j]*k:...], counts to ns[idx[j]].
+	// OpSample: k draws for id go to out, the RNG state st travels out and
+	// comes back advanced. OpBatch: entry j's draws go to
+	// out[idx[j]*k:...], its count to ns[idx[j]].
+	id   graph.NodeID
+	st   [4]uint64
 	base uint64
 	k    int
 	out  []graph.NodeID
@@ -468,30 +379,81 @@ type visit struct {
 	// OpReadNodes: attributes go to entry idx[j] of blk's columns.
 	fields graph.ReadFields
 	blk    *graph.NodeBlock
+
+	// OpAppend: edges for shard at seq; fanout marks a replica fan-out copy
+	// the receiver must not forward again. The answer is result, lastSeq.
+	shard   int
+	seq     uint64
+	edges   []ingest.Edge
+	fanout  bool
+	result  byte
+	lastSeq uint64
+
+	// Every other op: enc appends the payload (nil: none), dec reads the body.
+	enc func([]byte) []byte
+	dec func(body []byte) error
+}
+
+// tries is the attempt budget: two for the reads and admin ops, which are
+// idempotent (seeds travel in the request); one for a graph-append —
+// after a transport failure the record may or may not have been applied,
+// and only the sequence cache in RemoteShard.AppendEdges can disambiguate
+// (a dup answer to a same-seq retry means the lost attempt landed).
+func (v *visit) tries() int {
+	if v.op == OpAppend {
+		return 1
+	}
+	return 2
+}
+
+// late reports whether the visit carries a deadline that has passed.
+func (v *visit) late() bool {
+	return !v.deadline.IsZero() && !time.Now().Before(v.deadline)
 }
 
 func (v *visit) encode(req []byte) []byte {
-	if v.op == OpReadNodes {
+	switch v.op {
+	case OpSample:
+		req = appendU32(req, uint32(v.id))
+		req = appendU32(req, uint32(v.k))
+		for _, w := range v.st {
+			req = appendU64(req, w)
+		}
+		return req
+	case OpBatch:
+		return appendBatch(req, v.gids, v.idx, v.base, v.k)
+	case OpReadNodes:
 		return appendReadNodesRequest(req, v.gids, v.fields)
+	case OpAppend:
+		var flags byte
+		if v.fanout {
+			flags = appendFlagFanout
+		}
+		req = append(req, flags)
+		req = appendU32(req, uint32(v.shard))
+		return ingest.AppendPayload(req, v.seq, v.edges) // on-wire == on-disk encoding
 	}
-	return appendBatch(req, v.gids, v.idx, v.base, v.k)
+	if v.enc != nil {
+		req = v.enc(req)
+	}
+	return req
 }
 
-// decode lands the response where the visit's caller wants it and
-// releases the slot. A malformed body kills the connection and reports a
-// permanent (non-transport) error.
-func (v *visit) decode(mc *muxConn, sl *muxSlot, body []byte) (total int, err error) {
-	if v.op == OpReadNodes {
-		err = decodeReadNodesResponse(body, v.idx, len(v.gids), v.fields, v.blk)
-	} else {
-		total, err = decodeBatch(body, v.gids, v.idx, v.k, v.out, v.ns)
-	}
-	mc.release(sl)
-	if err != nil {
-		mc.fail(err)
+// decode lands the response where the visit's caller wants it. It reports
+// the draw count of a sample or batch, 0 for every other op.
+func (v *visit) decode(body []byte) (total int, err error) {
+	switch v.op {
+	case OpSample:
+		return decodeSample(body, v.k, v.out, &v.st)
+	case OpBatch:
+		return decodeBatch(body, v.gids, v.idx, v.k, v.out, v.ns)
+	case OpReadNodes:
+		return 0, decodeReadNodesResponse(body, v.idx, len(v.gids), v.fields, v.blk)
+	case OpAppend:
+		v.result, v.lastSeq, err = decodeAppendResult(body)
 		return 0, err
 	}
-	return total, nil
+	return 0, v.dec(body)
 }
 
 // appendBatch encodes an OpBatch payload.
@@ -535,43 +497,113 @@ func decodeBatch(body []byte, gids []graph.NodeID, idx []int32, k int, out []gra
 	return total, nil
 }
 
-// visitAttempt runs one full synchronous attempt of a visit. transport
-// reports whether a failure was a transport-level one (retryable, counts
-// against the health circuit) as opposed to a server-answered or
-// malformed-response error.
-func (cl *Client) visitAttempt(v *visit) (total int, transport bool, err error) {
+// decodeSample decodes an OpSample response: the advanced RNG state, which
+// goes to st, then n ≤ k draws, which go to out, and nothing after them.
+// A malformed frame writes neither.
+func decodeSample(body []byte, k int, out []graph.NodeID, st *[4]uint64) (int, error) {
+	cu := cursor{b: body}
+	var adv [4]uint64
+	for i := range adv {
+		adv[i] = cu.u64()
+	}
+	n := cu.count(4)
+	if cu.bad || n > k || n > len(out) || len(cu.rest()) != 4*n {
+		return 0, fmt.Errorf("%w: sample response (%d bytes for k=%d)", ErrMalformedFrame, len(body), k)
+	}
+	for i := 0; i < n; i++ {
+		out[i] = graph.NodeID(cu.u32())
+	}
+	*st = adv
+	return n, nil
+}
+
+// decodeAppendResult decodes an OpAppend response: the result code and
+// the shard's sequence watermark.
+func decodeAppendResult(body []byte) (result byte, lastSeq uint64, err error) {
+	cu := cursor{b: body}
+	result, lastSeq = cu.u8(), cu.u64()
+	if cu.bad || result > appendGap || len(cu.rest()) != 0 {
+		return 0, 0, fmt.Errorf("%w: append response (%d bytes)", ErrMalformedFrame, len(body))
+	}
+	return result, lastSeq, nil
+}
+
+// attempt runs one synchronous attempt of v: pick a pooled connection,
+// win a window slot within min(Timeout, remaining deadline), encode, send,
+// await, decode while the slot is held, release. transport reports a
+// failure of the path to the server — the dial, a window that stayed full,
+// a connection that died or went silent — as opposed to an outcome the
+// server or the caller's own deadline decided.
+func (cl *Client) attempt(v *visit) (total int, transport bool, err error) {
+	d, ok := cl.budget(v.deadline)
+	if !ok {
+		return 0, false, cl.errDeadline()
+	}
 	mc, err := cl.conn()
 	if err != nil {
 		return 0, true, err
 	}
 	ct := getTimer()
 	defer putTimer(ct)
-	sl, req, err := mc.acquire(v.op, ct, cl.cfg.Timeout)
-	if err != nil {
-		return 0, true, err
+	sl, req, err := mc.acquire(v.op, ct, d)
+	if err != nil { // the window stayed full and nothing was sent
+		return v.collect(mc, nil, nil, err)
 	}
-	body, err := mc.roundTrip(sl, v.encode(req), ct, cl.cfg.Timeout)
+	body, err := mc.roundTrip(sl, v.encode(req), ct, d)
+	return v.collect(mc, sl, body, err)
+}
+
+// collect turns what came back for a request into the attempt's outcome.
+// A server-answered error or redirect arrived over a healthy connection,
+// and a wait that outran the caller's deadline is not a dead server:
+// neither is a transport failure. Nor is a body that does not decode, but
+// it kills the connection — the stream itself is suspect — under an untyped
+// cause: to the requests in flight beside it that is a transport failure.
+func (v *visit) collect(mc *muxConn, sl *muxSlot, body []byte, err error) (total int, transport bool, _ error) {
 	if err != nil {
-		if permanent(err) {
+		switch {
+		case permanent(err) || errors.Is(err, ErrMalformedFrame):
 			return 0, false, err
+		case v.late():
+			return 0, false, fmt.Errorf("%v: %w", err, engine.ErrDeadlineExceeded)
 		}
 		return 0, true, err
 	}
-	total, err = v.decode(mc, sl, body)
-	return total, false, err
+	total, err = v.decode(body)
+	mc.release(sl)
+	if err != nil {
+		if !errors.Is(err, ErrMalformedFrame) {
+			err = fmt.Errorf("%w: %v response: %v", ErrMalformedFrame, v.op, err)
+		}
+		mc.fail(fmt.Errorf("rpc: connection killed: %v", err))
+		return 0, false, err
+	}
+	return total, false, nil
 }
 
-// runVisit runs one visit synchronously — one round trip, retried once on
-// a fresh connection after a transport failure (every visit is an
-// idempotent read: seeds travel in the request).
-func (cl *Client) runVisit(v *visit) (int, error) {
-	probe, gerr := cl.gate()
-	if gerr != nil {
-		return 0, gerr
+// do runs v through the whole request lifecycle: circuit admission, the
+// attempts, settlement. It reports what v.decode reports. A spent deadline
+// is refused before admission, or the call could be taken for the probe
+// and close an open circuit without having touched the wire.
+func (cl *Client) do(v *visit) (int, error) {
+	if v.late() {
+		return 0, cl.errDeadline()
 	}
-	total, transport, err := cl.visitAttempt(v)
-	if err != nil && transport {
-		total, transport, err = cl.visitAttempt(v)
+	probe, err := cl.gate()
+	if err != nil {
+		return 0, err
+	}
+	total, transport, err := cl.attempt(v)
+	return cl.finish(v, probe, total, transport, err)
+}
+
+// finish takes a call from its first attempt's outcome to its result.
+// Only a transport failure is retried — on a fresh connection, since the
+// failure killed its own — and only one that outlives v's attempt budget
+// is charged to the circuit and surfaces as ErrShardUnavailable.
+func (cl *Client) finish(v *visit, probe bool, total int, transport bool, err error) (int, error) {
+	for n := 1; err != nil && transport && n < v.tries(); n++ {
+		total, transport, err = cl.attempt(v)
 	}
 	cl.settle(probe, err != nil && transport)
 	if err != nil && transport {
@@ -580,56 +612,27 @@ func (cl *Client) runVisit(v *visit) (int, error) {
 	return total, err
 }
 
-// appendOnce runs exactly one OpAppend attempt. Unlike every read path
-// it is never retried internally: after a transport failure the record
-// may or may not have been applied server-side, and only the caller's
-// sequence cache can disambiguate (the dup result on a same-seq retry
-// means the lost attempt landed). fanout marks the request a replica
-// fan-out copy the receiver must not forward again.
+// sample runs one OpSample request: k weighted draws for id, the
+// caller's RNG state travelling out and the advanced state travelling
+// back (st unchanged on error). n is k, or 0 for an isolated node.
+func (cl *Client) sample(id graph.NodeID, k int, st [4]uint64, out []graph.NodeID, deadline time.Time) (n int, newSt [4]uint64, err error) {
+	v := visit{op: OpSample, deadline: deadline, id: id, k: k, st: st, out: out}
+	n, err = cl.do(&v)
+	return n, v.st, err
+}
+
+// appendOnce runs exactly one OpAppend attempt (see visit.tries).
 func (cl *Client) appendOnce(shard int, seq uint64, edges []ingest.Edge, fanout bool) (result byte, lastSeq uint64, err error) {
-	probe, gerr := cl.gate()
-	if gerr != nil {
-		return 0, 0, gerr
-	}
-	failed := true
-	defer func() { cl.settle(probe, failed) }()
-	mc, err := cl.conn()
-	if err != nil {
-		return 0, 0, cl.unavailable(err)
-	}
-	ct := getTimer()
-	defer putTimer(ct)
-	sl, req, err := mc.acquire(OpAppend, ct, cl.cfg.Timeout)
-	if err != nil {
-		return 0, 0, cl.unavailable(err)
-	}
-	var flags byte
-	if fanout {
-		flags = appendFlagFanout
-	}
-	req = append(req, flags)
-	req = appendU32(req, uint32(shard))
-	req = ingest.AppendPayload(req, seq, edges) // on-wire == on-disk encoding
-	body, err := mc.roundTrip(sl, req, ct, cl.cfg.Timeout)
-	if err != nil {
-		if permanent(err) {
-			failed = false
-			return 0, 0, err
-		}
-		return 0, 0, cl.unavailable(err)
-	}
-	cu := cursor{b: body}
-	result = cu.u8()
-	lastSeq = cu.u64()
-	bad := cu.bad || result > appendGap
-	mc.release(sl)
-	if bad {
-		mc.fail(fmt.Errorf("rpc: malformed append response (%d bytes)", len(body)))
-		failed = false
-		return 0, 0, fmt.Errorf("rpc: malformed append response")
-	}
-	failed = false
-	return result, lastSeq, nil
+	v := visit{op: OpAppend, shard: shard, seq: seq, edges: edges, fanout: fanout}
+	_, err = cl.do(&v)
+	return v.result, v.lastSeq, err
+}
+
+// call runs a handshake or admin op, whose payload and response are
+// composed by closures — the one path through do that allocates.
+func (cl *Client) call(op Op, encode func([]byte) []byte, decode func(body []byte) error) error {
+	_, err := cl.do(&visit{op: op, enc: encode, dec: decode})
+	return err
 }
 
 // pendingVisit is one started (sent, not yet awaited) visit — the
@@ -649,13 +652,14 @@ type pendingVisit struct {
 
 var pendingPool = sync.Pool{New: func() any { return new(pendingVisit) }}
 
-// startVisit gates the circuit, composes the request and puts it on the
-// wire without waiting. It never blocks on another call's probe — a
-// caller may hold several un-awaited handles on one client (the engine's
-// visit plan does), and the probe they would wait for can be one of those
-// very handles, so the wait is deferred to the await, which runs after
-// every earlier-started handle has settled. Every other failure mode is
-// deferred too, so concurrently started sibling visits are never
+// startVisit is the first half of an attempt, split off so the caller can
+// overlap visits: it gates the circuit, composes the request and puts it
+// on the wire without waiting. It never blocks on another call's probe —
+// a caller may hold several un-awaited handles on one client (the
+// engine's visit plan does), and the probe they would wait for can be one
+// of those very handles, so the wait is deferred to the await, which runs
+// after every earlier-started handle has settled. Every other failure
+// mode is deferred too, so concurrently started sibling visits are never
 // abandoned mid-flight. The returned handle must be awaited exactly
 // once.
 func (cl *Client) startVisit(v visit) *pendingVisit {
@@ -711,10 +715,11 @@ func (cl *Client) startVisit(v visit) *pendingVisit {
 // the caller's own started handles will free.
 func (p *pendingVisit) Started() bool { return !p.deferred }
 
-// Await collects a started visit: waits for the response, decodes it,
-// retries once synchronously on a transport failure (the same
-// reconnect-and-serve semantics as the synchronous path) and settles the
-// health circuit. It reports the draw count of a batch, 0 for a read.
+// Await is the second half of the attempt startVisit began: it collects
+// the response of a visit that is on the wire — or, for one that never
+// got there, runs or charges the first attempt now — and hands the
+// outcome to the same finish every synchronous call ends in. It reports
+// the draw count of a batch, 0 for a read.
 func (p *pendingVisit) Await() (int, error) {
 	cl := p.cl
 	if p.wait != nil {
@@ -729,39 +734,23 @@ func (p *pendingVisit) Await() (int, error) {
 		if cl.open() {
 			return 0, cl.unavailable(nil)
 		}
-		return cl.runVisit(&v)
+		return cl.do(&v)
 	}
 	var total int
-	transport, err := false, error(nil)
+	transport, err := true, p.serr // a start that failed before the wire was the first attempt
 	switch {
 	case p.deferred:
-		// Nothing was sent; run the call now with the usual two attempts.
-		// The caller holds no window slots at this point (its started
-		// handles were awaited first), so blocking for capacity is safe.
-		total, transport, err = cl.visitAttempt(&p.v)
-	case p.mc == nil:
-		transport, err = true, p.serr
-	default:
+		// Nothing was sent. The caller holds no window slots at this point
+		// (its started handles were awaited first), so blocking for
+		// capacity is safe.
+		total, transport, err = cl.attempt(&p.v)
+	case p.mc != nil:
 		body, aerr := p.mc.await(p.sl, p.ct, cl.cfg.Timeout)
 		putTimer(p.ct)
-		if aerr != nil {
-			if permanent(aerr) {
-				err = aerr
-			} else {
-				transport, err = true, aerr
-			}
-		} else {
-			total, err = p.v.decode(p.mc, p.sl, body)
-		}
+		total, transport, err = p.v.collect(p.mc, p.sl, body, aerr)
 	}
-	if err != nil && transport {
-		total, transport, err = cl.visitAttempt(&p.v)
-	}
-	cl.settle(p.probe, err != nil && transport)
+	total, err = cl.finish(&p.v, p.probe, total, transport, err)
 	p.recycle()
-	if err != nil && transport {
-		return 0, cl.unavailable(err)
-	}
 	return total, err
 }
 
@@ -771,64 +760,8 @@ func (p *pendingVisit) recycle() {
 	pendingPool.Put(p)
 }
 
-// call runs one request/response cycle through the shared lifecycle —
-// circuit admission, slot acquisition on a pooled connection,
-// retry-once-on-fresh-connection, short-circuit on a server-answered
-// error. encode appends the request payload (nil for payload-free ops);
-// decode reads the response body while the slot is still held. The
-// zero-allocation hot paths (sample, runVisit) keep hand-rolled
-// copies of this scaffold because the closures here cost heap
-// allocations — fine for handshakes and admin calls, not for the
-// per-request cycle.
-func (cl *Client) call(op Op, encode func([]byte) []byte, decode func(body []byte) error) error {
-	probe, gerr := cl.gate()
-	if gerr != nil {
-		return gerr
-	}
-	var lastErr error
-	failed := true
-	defer func() { cl.settle(probe, failed) }()
-	for attempt := 0; attempt < 2; attempt++ {
-		mc, err := cl.conn()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		ct := getTimer()
-		sl, req, err := mc.acquire(op, ct, cl.cfg.Timeout)
-		if err != nil {
-			putTimer(ct)
-			lastErr = err
-			continue
-		}
-		if encode != nil {
-			req = encode(req)
-		}
-		body, err := mc.roundTrip(sl, req, ct, cl.cfg.Timeout)
-		putTimer(ct)
-		if err != nil {
-			if permanent(err) {
-				failed = false
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		derr := decode(body)
-		mc.release(sl)
-		failed = false
-		if derr != nil {
-			// Undecodable response: the stream itself is suspect.
-			mc.fail(fmt.Errorf("rpc: malformed %v response: %v", op, derr))
-			return derr
-		}
-		return nil
-	}
-	return cl.unavailable(lastErr)
-}
-
 // ShardInfo describes one partition a server owns. Ingest is the
-// shard's write-path row from a protocol-v4 epoch response (nil from the
+// shard's write-path row from a routing-epoch response (nil from the
 // info handshake, which does not carry the section).
 type ShardInfo struct {
 	ID, Nodes, Edges int
@@ -845,6 +778,17 @@ type Info struct {
 	Owned      []ShardInfo
 }
 
+// sameGraph is the one check that two servers serve the same partitioned
+// graph: nil when o's shape matches in's, else the mismatch.
+func (in Info) sameGraph(o Info) error {
+	if o.NumShards != in.NumShards || o.NumNodes != in.NumNodes ||
+		o.Strategy != in.Strategy || o.ContentDim != in.ContentDim {
+		return fmt.Errorf("serves a different graph (%d/%d shards, %d/%d nodes)",
+			o.NumShards, in.NumShards, o.NumNodes, in.NumNodes)
+	}
+	return nil
+}
+
 // Info fetches the server handshake.
 func (cl *Client) Info() (Info, error) {
 	var info Info
@@ -854,12 +798,8 @@ func (cl *Client) Info() (Info, error) {
 		info.ContentDim = int(cu.u32())
 		info.NumShards = int(cu.u32())
 		info.Strategy = partition.Strategy(cu.u32())
-		if cu.bad {
-			return fmt.Errorf("rpc: malformed info response")
-		}
-		var derr error
-		info.Owned, derr = decodeOwned(&cu, info.NumShards)
-		return derr
+		info.Owned = decodeOwned(&cu)
+		return cu.err()
 	})
 	return info, err
 }
@@ -881,21 +821,16 @@ func (cl *Client) Routing() (*partition.Routing, error) {
 }
 
 // decodeOwned decodes the (count, then id/nodes/edges triples) tail both
-// the info and routing-epoch responses carry.
-func decodeOwned(cu *cursor, numShards int) ([]ShardInfo, error) {
-	owned := int(cu.u32())
-	if cu.bad || owned < 0 || owned > numShards {
-		return nil, fmt.Errorf("rpc: malformed owned-shard list")
-	}
-	out := make([]ShardInfo, owned)
+// the info and routing-epoch responses carry, sorted by shard id. The
+// count is checked against the bytes left in the frame before anything
+// is sized for it; a bad list latches the cursor's bad flag.
+func decodeOwned(cu *cursor) []ShardInfo {
+	out := make([]ShardInfo, cu.count(12))
 	for i := range out {
 		out[i] = ShardInfo{ID: int(cu.u32()), Nodes: int(cu.u32()), Edges: int(cu.u32())}
 	}
-	if err := cu.err(); err != nil {
-		return nil, err
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
+	return out
 }
 
 // Reassign commands the server to acquire or release one partition — the
@@ -923,47 +858,45 @@ func (cl *Client) Reassign(shard int, acquire bool) (uint64, error) {
 }
 
 // RoutingEpoch polls the server's current routing epoch, the partitions
-// it serves and (protocol v3) its member view — the cheap ownership
-// read a client refreshes from after a wrong-epoch redirect, without
-// re-fetching the (possibly node-sized) routing blob.
-func (cl *Client) RoutingEpoch() (uint64, []ShardInfo, []string, error) {
-	var epoch uint64
-	var owned []ShardInfo
-	var members []string
-	err := cl.call(OpEpoch, nil, func(body []byte) error {
-		cu := cursor{b: body}
-		epoch = cu.u64()
-		var derr error
-		owned, derr = decodeOwned(&cu, 1<<20)
-		if derr != nil {
-			return derr
-		}
-		if len(cu.rest()) > 0 { // v3 servers append their member view
-			members = decodeAddrList(&cu)
-		}
-		if len(cu.rest()) > 0 { // v4 servers append per-shard ingest rows
-			decodeIngest(&cu, owned)
-		}
-		return cu.err()
+// it serves — each with its ingest row — and its member view: the cheap
+// ownership read a client refreshes from after a wrong-epoch redirect,
+// without re-fetching the (possibly node-sized) routing blob.
+func (cl *Client) RoutingEpoch() (epoch uint64, owned []ShardInfo, members []string, err error) {
+	err = cl.call(OpEpoch, nil, func(body []byte) (derr error) {
+		epoch, owned, members, derr = decodeEpoch(body)
+		return derr
 	})
-	if err != nil {
-		return 0, nil, nil, err
+	return epoch, owned, members, err
+}
+
+// decodeEpoch decodes a routing-epoch response: the epoch, the owned
+// triples, the member view and one ingest row per owned shard, with
+// nothing after them.
+func decodeEpoch(body []byte) (epoch uint64, owned []ShardInfo, members []string, err error) {
+	cu := cursor{b: body}
+	epoch = cu.u64()
+	owned = decodeOwned(&cu)
+	members = decodeAddrList(&cu)
+	decodeIngest(&cu, owned)
+	if cu.bad || len(cu.rest()) != 0 {
+		return 0, nil, nil, fmt.Errorf("%w: routing-epoch response (%d bytes)", ErrMalformedFrame, len(body))
 	}
 	return epoch, owned, members, nil
 }
 
-// decodeIngest decodes the protocol-v4 ingest section of an epoch
-// response and attaches each row to its shard's entry in owned.
+// ingestRowSize is the fixed part of one encoded ingest row: shard, seq,
+// delta nodes/edges, compactions, WAL segments, fsync count and nanos,
+// and the histogram's bucket count.
+const ingestRowSize = 4 + 8 + 4 + 8 + 8 + 4 + 8 + 8 + 4
+
+// decodeIngest decodes the ingest section of an epoch response and
+// attaches each row to its shard's entry in owned.
 func decodeIngest(cu *cursor, owned []ShardInfo) {
 	byID := make(map[int]int, len(owned))
 	for i := range owned {
 		byID[owned[i].ID] = i
 	}
-	count := int(cu.u32())
-	if cu.bad || count < 0 || count > 1<<20 {
-		cu.bad = true
-		return
-	}
+	count := cu.count(ingestRowSize)
 	for n := 0; n < count; n++ {
 		var st engine.IngestStats
 		st.Shard = int(cu.u32())
@@ -974,8 +907,8 @@ func decodeIngest(cu *cursor, owned []ShardInfo) {
 		st.WALSegments = int(cu.u32())
 		st.Fsyncs = cu.u64()
 		st.FsyncNanos = cu.u64()
-		hl := int(cu.u32())
-		if cu.bad || hl < 0 || hl > 64 {
+		hl := cu.count(8)
+		if cu.bad || hl > 64 {
 			cu.bad = true
 			return
 		}
@@ -985,9 +918,6 @@ func decodeIngest(cu *cursor, owned []ShardInfo) {
 				st.FsyncHist[i] = cu.u64()
 			}
 		}
-		if cu.bad {
-			return
-		}
 		if i, ok := byID[st.Shard]; ok {
 			row := st
 			owned[i].Ingest = &row
@@ -995,9 +925,9 @@ func decodeIngest(cu *cursor, owned []ShardInfo) {
 	}
 }
 
-// Members runs the membership exchange (protocol v3): announce, when
-// non-empty, registers the caller's advertised address with the server;
-// the response lists every server address the server knows, announce
+// Members runs the membership exchange: announce, when non-empty,
+// registers the caller's advertised address with the server; the
+// response lists every server address the server knows, announce
 // included. A serving-tier client polls with an empty announce.
 func (cl *Client) Members(announce string) ([]string, error) {
 	var members []string
@@ -1031,7 +961,7 @@ type RemoteShard struct {
 	// write facet: appendMu serializes this stub's appends; nextSeq
 	// caches the server's sequence watermark (0 = unknown, resynced from
 	// dup/gap answers). ingStats is the shard's last observed ingest row
-	// (fed by cluster refreshes decoding v4 epoch responses).
+	// (fed by cluster refreshes decoding epoch responses).
 	appendMu sync.Mutex
 	nextSeq  uint64
 	ingStats atomic.Pointer[engine.IngestStats]
@@ -1081,9 +1011,6 @@ func (rs *RemoteShard) SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.
 	if len(out) == 0 {
 		return 0, nil
 	}
-	if !deadline.IsZero() && deadlineExpired(deadline) {
-		return 0, rs.cl.errDeadline()
-	}
 	rs.requests.Add(1)
 	n, st, err := rs.cl.sample(id, len(out), r.State(), out, deadline)
 	if err != nil {
@@ -1102,7 +1029,7 @@ func (rs *RemoteShard) SampleBatchInto(gids []graph.NodeID, idx []int32, base ui
 		return 0, nil
 	}
 	rs.requests.Add(int64(len(gids)))
-	return rs.cl.runVisit(&visit{op: OpBatch, gids: gids, idx: idx, base: base, k: k, out: out, ns: ns})
+	return rs.cl.do(&visit{op: OpBatch, gids: gids, idx: idx, base: base, k: k, out: out, ns: ns})
 }
 
 // StartSampleBatch puts one scatter-gather visit on the wire without
@@ -1121,7 +1048,7 @@ func (rs *RemoteShard) ReadNodesInto(gids []graph.NodeID, pos []int32, fields gr
 		return nil
 	}
 	rs.requests.Add(int64(len(gids)))
-	_, err := rs.cl.runVisit(&visit{op: OpReadNodes, gids: gids, idx: pos, fields: fields, blk: into})
+	_, err := rs.cl.do(&visit{op: OpReadNodes, gids: gids, idx: pos, fields: fields, blk: into})
 	return err
 }
 
@@ -1341,14 +1268,11 @@ func (c *Cluster) adoptPending() {
 		probe := NewClientWith(addr, ClientConfig{Conns: 1, Timeout: c.pollTimeout})
 		info, err := probe.Info()
 		probe.Close()
+		if err == nil {
+			err = c.Info.sameGraph(info)
+		}
 		if err != nil {
 			Logf("rpc: cluster: dropping discovered member %s: %v", addr, err)
-			continue
-		}
-		if info.NumShards != c.Info.NumShards || info.NumNodes != c.Info.NumNodes ||
-			info.Strategy != c.Info.Strategy || info.ContentDim != c.Info.ContentDim {
-			Logf("rpc: cluster: dropping discovered member %s: serves a different graph (%d/%d shards, %d/%d nodes)",
-				addr, info.NumShards, c.Info.NumShards, info.NumNodes, c.Info.NumNodes)
 			continue
 		}
 		c.addClient(addr)
@@ -1524,7 +1448,7 @@ func DialClusterWith(cfg ClientConfig, addrs ...string) (*Cluster, error) {
 				return fail(fmt.Errorf("rpc: routing from %s: %w", addr, err))
 			}
 			groups = make([][]engine.ShardBackend, info.NumShards)
-			// A v3 routing blob may carry replica placement: advertised
+			// The routing blob may carry replica placement: advertised
 			// addresses of the servers serving each shard. Note them for
 			// discovery — addresses we were not dialed with are validated
 			// and adopted on the first refresh.
@@ -1533,10 +1457,8 @@ func DialClusterWith(cfg ClientConfig, addrs ...string) (*Cluster, error) {
 					cluster.noteMembers(routing.Placement(sh))
 				}
 			}
-		} else if info.NumShards != cluster.Info.NumShards || info.NumNodes != cluster.Info.NumNodes ||
-			info.Strategy != cluster.Info.Strategy || info.ContentDim != cluster.Info.ContentDim {
-			return fail(fmt.Errorf("rpc: %s serves a different graph (%d/%d shards, %d/%d nodes)",
-				addr, info.NumShards, cluster.Info.NumShards, info.NumNodes, cluster.Info.NumNodes))
+		} else if err := cluster.Info.sameGraph(info); err != nil {
+			return fail(fmt.Errorf("rpc: %s %w", addr, err))
 		}
 		for _, sh := range info.Owned {
 			if sh.ID < 0 || sh.ID >= len(groups) {

@@ -411,19 +411,17 @@ func (mc *muxConn) finish(sl *muxSlot) ([]byte, error) {
 		cu := cursor{b: body[1:]}
 		epoch := cu.u64()
 		shard := int(cu.u32())
-		var addrs []string
-		if !cu.bad && len(cu.rest()) > 0 { // v3 servers append their member view
-			addrs = decodeAddrList(&cu)
-		}
-		bad := cu.bad
+		addrs := decodeAddrList(&cu)
+		err := cu.err()
 		mc.release(sl)
-		if bad {
-			return nil, &remoteError{msg: "malformed shard-moved redirect"}
+		if err != nil {
+			mc.fail(fmt.Errorf("rpc: connection killed: %v", err)) // typed for this slot only
+			return nil, err
 		}
 		if mc.onMoved != nil && len(addrs) > 0 {
 			mc.onMoved(addrs)
 		}
-		return nil, &movedError{shard: shard, epoch: epoch, addrs: addrs}
+		return nil, &movedError{shard: shard, epoch: epoch}
 	}
 	return body[1:], nil
 }

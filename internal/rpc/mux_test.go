@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -16,9 +17,18 @@ import (
 	"zoomer/internal/rng"
 )
 
-// blackholeServer speaks the v2 preface and then swallows every request
-// frame without answering — the deterministic way to hold K requests in
-// flight. Kill severs the listener and every accepted connection.
+// script is what a scripted server does with every request frame: swallow
+// it without answering (the zero value), drop the connection, or answer
+// with a fixed [status | payload] body.
+type script struct {
+	drop  bool
+	reply []byte
+}
+
+// blackholeServer speaks the preface and then treats every request frame
+// as its script says; the zero script swallows them all — the
+// deterministic way to hold K requests in flight. Kill severs the
+// listener and every accepted connection.
 type blackholeServer struct {
 	ln     net.Listener
 	mu     sync.Mutex
@@ -27,6 +37,10 @@ type blackholeServer struct {
 }
 
 func startBlackhole(t *testing.T, addr string) *blackholeServer {
+	return startScripted(t, addr, script{})
+}
+
+func startScripted(t *testing.T, addr string, sc script) *blackholeServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -53,10 +67,19 @@ func startBlackhole(t *testing.T, addr string) *blackholeServer {
 				c.Write(appendPreface(pre[:0], ProtocolVersion))
 				var fs frameScratch
 				for {
-					if _, err := fs.readFrame(c); err != nil {
+					body, err := fs.readFrame(c)
+					if err != nil || len(body) < 9 {
 						return
 					}
 					b.frames.Add(1)
+					switch {
+					case sc.drop:
+						c.Close()
+						return
+					case sc.reply != nil:
+						out := append(fs.begin(sc.reply[0]), sc.reply[1:]...)
+						fs.writeFrame(c, out, binary.LittleEndian.Uint64(body[:8]))
+					}
 				}
 			}()
 		}

@@ -11,6 +11,7 @@ import (
 
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
+	"zoomer/internal/ingest"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
 	"zoomer/internal/tensor"
@@ -339,6 +340,15 @@ func TestDecodersBoundCountsByFrameBytes(t *testing.T) {
 		"read-nodes response": func() error {
 			return decodeReadNodesResponse(append(totals, 0), nil, 1, graph.ReadAll, &blk)
 		},
+		"routing-epoch owned triples": func() error {
+			_, _, _, err := decodeEpoch(appendU32(appendU64(nil, 1), 1<<20)) // a 12-byte frame
+			return err
+		},
+		"routing-epoch ingest rows": func() error {
+			// No shards, no members, a million ingest rows and not one byte of them.
+			_, _, _, err := decodeEpoch(appendU32(appendU32(appendU32(appendU64(nil, 1), 0), 0), 1<<20))
+			return err
+		},
 	}
 	for name, decode := range cases {
 		var err error
@@ -527,6 +537,114 @@ func FuzzDecodeBatchResponse(f *testing.F) {
 		}
 		if string(again) != string(body) {
 			t.Fatal("accepted response does not re-encode to itself")
+		}
+	})
+}
+
+// seedServer is a server over a two-node, one-edge graph — the source of
+// the real replies the response fuzz targets start from. body strips a
+// reply frame's length, request id and status.
+func seedServer(cfg ServerConfig) (s *Server, a, c graph.NodeID, body func(frame []byte, err error) []byte) {
+	b := graph.NewBuilder()
+	a = b.AddNode(graph.User, nil, nil)
+	c = b.AddNode(graph.Item, nil, nil)
+	b.AddUndirected(a, c, graph.Click, 1.5)
+	return NewServer(b.Build(), cfg), a, c, func(frame []byte, err error) []byte {
+		if err != nil {
+			panic(err)
+		}
+		return frame[4+8+1:]
+	}
+}
+
+// FuzzDecodeSampleResponse: the client-side sample decoder never panics,
+// writes the RNG state only when it accepts the frame and no draw past
+// the ones it carries, and fails typed.
+func FuzzDecodeSampleResponse(f *testing.F) {
+	s, a, _, body := seedServer(ServerConfig{})
+	req := (&visit{op: OpSample, id: a, k: 3, st: [4]uint64{1, 2, 3, 4}}).encode(nil)
+	f.Add(body(s.handleSample(s.own.Load(), req, &serverConn{})), uint8(3))
+	f.Fuzz(func(t *testing.T, body []byte, k uint8) {
+		const canary = -7
+		out := make([]graph.NodeID, k)
+		for i := range out {
+			out[i] = canary
+		}
+		untouched := [4]uint64{^uint64(0)}
+		st := untouched
+		n, err := decodeSample(body, int(k), out, &st)
+		if err != nil {
+			if !errors.Is(err, ErrMalformedFrame) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			if st != untouched {
+				t.Fatal("a refused frame advanced the RNG state")
+			}
+			return
+		}
+		again := make([]byte, 0, len(body))
+		for _, w := range st {
+			again = appendU64(again, w)
+		}
+		again = appendU32(again, uint32(n))
+		for _, v := range out[:n] {
+			again = appendU32(again, uint32(v))
+		}
+		if string(again) != string(body) {
+			t.Fatal("accepted response does not re-encode to itself")
+		}
+		for _, v := range out[n:] {
+			if v != canary {
+				t.Fatalf("wrote past the %d draws the frame carries", n)
+			}
+		}
+	})
+}
+
+// FuzzDecodeAppendResponse: the append-result decoder never panics,
+// accepts only the three result codes, and fails typed.
+func FuzzDecodeAppendResponse(f *testing.F) {
+	s, a, c, body := seedServer(ServerConfig{})
+	req := (&visit{op: OpAppend, seq: 1, edges: []ingest.Edge{{Src: a, Dst: c, Type: graph.Click, Weight: 2}}}).encode(nil)
+	f.Add(body(s.handleAppend(s.own.Load(), req, &serverConn{})))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		result, lastSeq, err := decodeAppendResult(body)
+		if err != nil {
+			if !errors.Is(err, ErrMalformedFrame) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if result > appendGap {
+			t.Fatalf("accepted result code %d", result)
+		}
+		if again := appendU64([]byte{result}, lastSeq); string(again) != string(body) {
+			t.Fatal("accepted response does not re-encode to itself")
+		}
+	})
+}
+
+// FuzzDecodeEpochResponse: the ownership-poll decoder never panics, never
+// allocates past a constant factor of the frame, and fails typed.
+func FuzzDecodeEpochResponse(f *testing.F) {
+	s, _, _, body := seedServer(ServerConfig{Shards: 2, Advertise: "10.0.0.1:7000"})
+	s.AddMembers("10.0.0.2:7000")
+	f.Add(body(s.handleEpoch(&serverConn{}), nil))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var owned []ShardInfo
+		var members []string
+		var err error
+		if got := allocatedBy(func() { _, owned, members, err = decodeEpoch(body) }); got > 16*uint64(len(body))+1<<14 {
+			t.Fatalf("allocated %d bytes decoding a %d-byte frame", got, len(body))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformedFrame) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if 12*len(owned)+4*len(members) > len(body) {
+			t.Fatalf("accepted %d shards and %d members from %d bytes", len(owned), len(members), len(body))
 		}
 	})
 }

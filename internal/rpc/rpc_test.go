@@ -368,9 +368,15 @@ func TestRemoteHotPathDoesNotAllocate(t *testing.T) {
 	}); avg > 0.5 {
 		t.Fatalf("remote batch allocates %.1f objects/op at steady state", avg)
 	}
-	if avg := testing.AllocsPerRun(50, func() {
-		remote.TrySampleNeighborsIntoBy(ids[0], single, r, time.Time{})
-	}); avg > 0.5 {
-		t.Fatalf("remote single sample allocates %.1f objects/op at steady state", avg)
+	for _, budget := range []time.Duration{0, time.Minute} {
+		if avg := testing.AllocsPerRun(50, func() {
+			var deadline time.Time
+			if budget > 0 {
+				deadline = time.Now().Add(budget)
+			}
+			remote.TrySampleNeighborsIntoBy(ids[0], single, r, deadline)
+		}); avg > 0.5 {
+			t.Fatalf("remote single sample (deadline budget %v) allocates %.1f objects/op at steady state", budget, avg)
+		}
 	}
 }

@@ -695,9 +695,9 @@ func (s *Server) serve(c net.Conn, sl *reqSlot, sc *serverConn, wmu *sync.Mutex)
 	if err != nil {
 		var mv *errShardMoved
 		if errors.As(err, &mv) {
-			// The redirect carries the member view (protocol v3): the
-			// partition went *somewhere*, and these addresses are where a
-			// redirected client should look.
+			// The redirect carries the member view: the partition went
+			// *somewhere*, and these addresses are where a redirected
+			// client should look.
 			b := sc.begin(statusMoved)
 			b = appendU64(b, mv.epoch)
 			b = appendU32(b, uint32(mv.shard))
@@ -816,9 +816,9 @@ func (s *Server) handleReassign(payload []byte, sc *serverConn) ([]byte, error) 
 
 // handleEpoch answers the ownership poll: current epoch plus the served
 // partitions — enough for a client to rebind moved shards without
-// re-fetching the routing blob — the member view (protocol v3), so every
-// poll doubles as membership discovery, and the per-shard ingest rows
-// (protocol v4), so every poll doubles as write-path observability.
+// re-fetching the routing blob — the member view, so every poll doubles
+// as membership discovery, and the per-shard ingest rows, so every poll
+// doubles as write-path observability.
 func (s *Server) handleEpoch(sc *serverConn) []byte {
 	o := s.own.Load()
 	b := sc.begin(statusOK)
@@ -828,10 +828,10 @@ func (s *Server) handleEpoch(sc *serverConn) []byte {
 	return s.appendIngest(b, o)
 }
 
-// appendIngest encodes the protocol-v4 ingest section of the epoch
-// response: one row per owned shard, in shard order — sequence watermark,
-// delta-layer shape, and (when durable) WAL segment/fsync counters with
-// the fsync latency histogram.
+// appendIngest encodes the ingest section of the epoch response: one row
+// per owned shard, in shard order — sequence watermark, delta-layer
+// shape, and (when durable) WAL segment/fsync counters with the fsync
+// latency histogram.
 func (s *Server) appendIngest(b []byte, o *ownership) []byte {
 	ids := make([]int, 0, len(o.shards))
 	for id := range o.shards {
@@ -1030,10 +1030,10 @@ func (s *Server) IngestStats() []engine.IngestStats {
 	return out
 }
 
-// handleAppend serves the idempotent durable write (protocol v4):
-// validate, WAL-log, apply to the delta layer, fan out to replica
-// siblings, then group-commit — acknowledging only once the record is as
-// durable as the configuration promises. The dup/gap check and the
+// handleAppend serves the idempotent durable write: validate, WAL-log,
+// apply to the delta layer, fan out to replica siblings, then
+// group-commit — acknowledging only once the record is as durable as the
+// configuration promises. The dup/gap check and the
 // WAL+apply run as a unit under the shard's ingest mutex, so concurrent
 // writers serialize into one strictly sequenced history; fan-out chains
 // to its own mutex and the fsync wait happens last so syncs coalesce.

@@ -363,7 +363,7 @@ func appendAddrList(b []byte, addrs []string) []byte {
 // decodeAddrList decodes a member address list written by
 // appendAddrList, latching the cursor's bad flag on implausible shapes.
 func decodeAddrList(cu *cursor) []string {
-	count := cu.u32()
+	count := cu.count(4) // every address carries at least its length
 	if cu.bad || count > maxMembers {
 		cu.bad = true
 		return nil
@@ -372,7 +372,7 @@ func decodeAddrList(cu *cursor) []string {
 		return nil
 	}
 	addrs := make([]string, 0, count)
-	for i := uint32(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		a := cu.str()
 		if cu.bad || len(a) > 256 {
 			cu.bad = true
