@@ -6,8 +6,8 @@
 # fault-injection suite, ingest crash-recovery equivalence, perf
 # regression check, documentation link check, deploy topology lint, the
 # multi-process gateway smoke run, the experiments-harness smoke, the
-# benchmark rig's compile-and-self-test, a short fuzz pass over the
-# wire decoders, and the cross-process world determinism check.
+# benchmark rig's compile-and-self-test, a short fuzz pass over every
+# decoder of untrusted bytes, and the cross-process world determinism check.
 ci: verify verify-purego race chaos ingest-chaos bench-compare docs-check compose-check gateway-smoke experiments-check rig-check fuzz-smoke world-check
 
 # The tier-1 loop: vet + build + test. vet's asmdecl check covers the
@@ -92,14 +92,16 @@ experiments-check:
 rig-check:
 	cd benchmark && go vet ./... && go test ./...
 
-# A few seconds of native fuzzing per wire decoder on top of the
-# checked-in seed corpora (which every plain `go test` already replays).
-# The targets are found by listing, so a new one cannot be forgotten.
+# A few seconds of native fuzzing per decoder of untrusted bytes, on top
+# of the checked-in seed corpora (which every plain `go test` already
+# replays). The targets are found by listing every package under
+# internal/, so a new decoder's target cannot be forgotten.
 fuzz-smoke:
-	@targets=$$(go test -list '^Fuzz' ./internal/rpc/ | grep '^Fuzz') && test -n "$$targets" && \
-	for f in $$targets; do \
-		echo "fuzz-smoke: $$f" && go test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s ./internal/rpc/ || exit 1; \
-	done
+	@found=0; for pkg in $$(go list ./internal/...); do \
+		for f in $$(go test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			found=1; echo "fuzz-smoke: $$pkg $$f" && go test -run '^$$' -fuzz "^$$f\$$" -fuzztime 3s $$pkg || exit 1; \
+		done; \
+	done; test $$found = 1
 
 # The world is a function of (scale, seed) across processes: every
 # binary of a deployment regenerates it, so two graphgen processes must

@@ -45,6 +45,7 @@ import (
 	"zoomer/internal/ingest"
 	"zoomer/internal/rng"
 	"zoomer/internal/serve"
+	"zoomer/internal/wire"
 )
 
 // Config tunes the front door. Zero fields take the stated defaults.
@@ -532,22 +533,20 @@ func (g *Gateway) writeBinary(w http.ResponseWriter, degraded bool, items []ann.
 }
 
 // DecodeBinary parses the binary wire format — the loadgen's (and any
-// native client's) counterpart to /v1/retrieve.bin.
+// native client's) counterpart to /v1/retrieve.bin. Every failure is
+// wire.ErrMalformed.
 func DecodeBinary(b []byte) (items []Item, degraded bool, err error) {
-	if len(b) < len(binMagic)+5 || string(b[:4]) != binMagic {
-		return nil, false, errors.New("gateway: bad binary frame")
+	cu := wire.Cursor{B: b}
+	if magic := cu.Bytes(len(binMagic)); string(magic) != binMagic {
+		return nil, false, fmt.Errorf("%w: gateway: not a %s frame", wire.ErrMalformed, binMagic)
 	}
-	degraded = b[4]&1 != 0
-	n := binary.LittleEndian.Uint32(b[5:9])
-	if uint64(len(b)) != uint64(len(binMagic)+5)+uint64(n)*12 {
-		return nil, false, fmt.Errorf("gateway: binary frame length %d does not match %d items", len(b), n)
-	}
-	items = make([]Item, n)
-	off := 9
+	degraded = cu.U8()&1 != 0
+	items = make([]Item, cu.Count(12))
 	for i := range items {
-		items[i].ID = int64(binary.LittleEndian.Uint64(b[off:]))
-		items[i].Score = math.Float32frombits(binary.LittleEndian.Uint32(b[off+8:]))
-		off += 12
+		items[i] = Item{ID: int64(cu.U64()), Score: cu.F32()}
+	}
+	if err := cu.Err(wire.ErrMalformed); err != nil {
+		return nil, false, err
 	}
 	return items, degraded, nil
 }

@@ -284,13 +284,6 @@ func (b *Builder) Build() *Graph {
 		features:   b.features,
 		content:    b.content,
 		contentDim: b.contentDim,
-		localIndex: make([]int32, n),
-	}
-	var perType [NumNodeTypes]int32
-	for id, t := range b.types {
-		g.localIndex[id] = perType[t]
-		perType[t]++
-		g.countByType[t]++
 	}
 
 	// Counting sort edges into CSR.
@@ -335,10 +328,21 @@ func (b *Builder) Build() *Graph {
 	}
 	g.edges = out
 	g.offsets = newOffsets
-	for _, e := range g.edges {
-		g.edgesByType[e.Type]++
-	}
+	g.index()
 	// Release builder staging.
 	b.srcs, b.adds = nil, nil
 	return g
+}
+
+// index derives the per-type counts and embedding rows from the node
+// types and edges — what a graph carries beyond its serialized arrays.
+func (g *Graph) index() {
+	g.localIndex = make([]int32, len(g.types))
+	for id, t := range g.types {
+		g.localIndex[id] = int32(g.countByType[t])
+		g.countByType[t]++
+	}
+	for _, e := range g.edges {
+		g.edgesByType[e.Type]++
+	}
 }

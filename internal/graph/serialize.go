@@ -3,9 +3,13 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+
+	"zoomer/internal/tensor"
+	"zoomer/internal/wire"
 )
 
 // The on-disk format of §VI ("the graphs are stored using compact
@@ -84,126 +88,93 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Read deserializes a graph written by WriteTo.
+// ErrCorruptFile is the typed failure of Read: the bytes are not a graph
+// file this build's WriteTo wrote — wrong magic or version, truncated, a
+// count the file is too short for, an id or type out of range, or bytes
+// after the last edge.
+var ErrCorruptFile = errors.New("graph: corrupt graph file")
+
+// Read deserializes a graph written by WriteTo, straight into the CSR
+// arrays the file already is. It accepts exactly what WriteTo writes —
+// WriteTo of the result reproduces the input byte for byte — and sizes
+// everything from the bytes it was given, never from the header alone.
 func Read(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	get := func() (uint32, error) {
-		var buf [4]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(buf[:]), nil
-	}
-	magic, err := get()
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("graph: reading header: %w", err)
+		return nil, fmt.Errorf("graph: reading graph file: %w", err)
 	}
-	if magic != serialMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", magic)
+	cu := wire.Cursor{B: data}
+	if magic := cu.U32(); magic != serialMagic {
+		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorruptFile, magic)
 	}
-	version, err := get()
-	if err != nil {
-		return nil, err
+	if version := cu.U32(); !cu.Bad && version != serialVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptFile, version)
 	}
-	if version != serialVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", version)
+	// A node costs at least its type, feature count, content flag and
+	// offset; an edge is three words.
+	numNodes, numEdges, contentDim := cu.Count(16), cu.Count(12), int(cu.U32())
+	g := &Graph{
+		types:      make([]NodeType, numNodes),
+		features:   make([][]int32, numNodes),
+		content:    make([]tensor.Vec, numNodes),
+		offsets:    make([]int32, numNodes+1),
+		edges:      make([]Edge, numEdges),
+		contentDim: contentDim,
 	}
-	numNodes, err := get()
-	if err != nil {
-		return nil, err
+	for i := range g.types {
+		t := cu.U32()
+		cu.Bad = cu.Bad || t >= uint32(numNodeTypes)
+		g.types[i] = NodeType(t)
 	}
-	numEdges, err := get()
-	if err != nil {
-		return nil, err
-	}
-	contentDim, err := get()
-	if err != nil {
-		return nil, err
-	}
-
-	b := NewBuilder()
-	// Stage nodes first (types read in order), then content/features.
-	types := make([]NodeType, numNodes)
-	for i := range types {
-		v, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if v >= uint32(numNodeTypes) {
-			return nil, fmt.Errorf("graph: invalid node type %d", v)
-		}
-		types[i] = NodeType(v)
-	}
-	features := make([][]int32, numNodes)
-	for i := range features {
-		ln, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if ln > 1<<20 {
-			return nil, fmt.Errorf("graph: implausible feature count %d", ln)
-		}
-		if ln > 0 {
-			f := make([]int32, ln)
+	for i := range g.features {
+		if n := cu.Count(4); n > 0 {
+			f := make([]int32, n)
 			for j := range f {
-				v, err := get()
-				if err != nil {
-					return nil, err
-				}
-				f[j] = int32(v)
+				f[j] = int32(cu.U32())
 			}
-			features[i] = f
+			g.features[i] = f
 		}
 	}
-	for i := uint32(0); i < numNodes; i++ {
-		present, err := get()
-		if err != nil {
-			return nil, err
-		}
-		var content []float32
-		if present == 1 {
-			content = make([]float32, contentDim)
-			for j := range content {
-				v, err := get()
-				if err != nil {
-					return nil, err
-				}
-				content[j] = math.Float32frombits(v)
+	// WriteTo declares the dimension of the rows it wrote: with no row
+	// present it writes 0.
+	dimUnused := contentDim != 0
+	for i := range g.content {
+		switch present := cu.U32(); {
+		case present == 1 && cu.Fits(contentDim, 4):
+			c := make(tensor.Vec, contentDim)
+			for j := range c {
+				c[j] = cu.F32()
 			}
-		}
-		b.AddNode(types[i], features[i], content)
-	}
-
-	offsets := make([]int32, numNodes+1)
-	for i := range offsets {
-		v, err := get()
-		if err != nil {
-			return nil, err
-		}
-		offsets[i] = int32(v)
-	}
-	if uint32(offsets[numNodes]) != numEdges {
-		return nil, fmt.Errorf("graph: offset/edge mismatch %d vs %d", offsets[numNodes], numEdges)
-	}
-	for node := uint32(0); node < numNodes; node++ {
-		for e := offsets[node]; e < offsets[node+1]; e++ {
-			to, err := get()
-			if err != nil {
-				return nil, err
-			}
-			et, err := get()
-			if err != nil {
-				return nil, err
-			}
-			wbits, err := get()
-			if err != nil {
-				return nil, err
-			}
-			if to >= numNodes || et >= uint32(numEdgeTypes) {
-				return nil, fmt.Errorf("graph: invalid edge %d -> %d type %d", node, to, et)
-			}
-			b.AddEdge(NodeID(node), NodeID(to), EdgeType(et), math.Float32frombits(wbits))
+			g.content[i], dimUnused = c, false
+		case present != 0:
+			cu.Bad = true
 		}
 	}
-	return b.Build(), nil
+	for i := range g.offsets {
+		g.offsets[i] = int32(cu.U32())
+		cu.Bad = cu.Bad || g.offsets[i] < 0 || (i > 0 && g.offsets[i] < g.offsets[i-1])
+	}
+	// The offsets index the edge array below, so they are settled first.
+	if cu.Bad || dimUnused || g.offsets[0] != 0 || int(g.offsets[numNodes]) != numEdges {
+		cu.Bad = true
+		return nil, cu.Err(ErrCorruptFile)
+	}
+	for node := range g.types {
+		run := g.edges[g.offsets[node]:g.offsets[node+1]]
+		for j := range run {
+			to, et, w := cu.U32(), cu.U32(), cu.F32()
+			cu.Bad = cu.Bad || to >= uint32(numNodes) || et >= uint32(numEdgeTypes) || w < 0
+			e := Edge{To: NodeID(to), Type: EdgeType(et), Weight: w}
+			if j > 0 { // Build leaves a run sorted by (To, Type), duplicates merged
+				p := run[j-1]
+				cu.Bad = cu.Bad || p.To > e.To || (p.To == e.To && p.Type >= e.Type)
+			}
+			run[j] = e
+		}
+	}
+	if err := cu.Err(ErrCorruptFile); err != nil {
+		return nil, err
+	}
+	g.index()
+	return g, nil
 }

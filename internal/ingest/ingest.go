@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"zoomer/internal/graph"
+	"zoomer/internal/wire"
 )
 
 // Edge is one appended adjacency fact: a directed src->dst edge with the
@@ -266,25 +267,24 @@ func readSegment(path string, lastSeq uint64) (recs []Record, validOff, size int
 		return nil, 0, 0, fmt.Errorf("ingest: read segment: %w", err)
 	}
 	size = int64(len(b))
-	off := int64(0)
-	for int64(len(b))-off > 0 {
-		rest := b[off:]
-		if len(rest) < frameHeaderSize {
+	cu := wire.Cursor{B: b}
+	for len(cu.Rest()) > 0 {
+		off := size - int64(len(cu.Rest()))
+		plen, crc := cu.U32(), cu.U32()
+		if cu.Bad {
 			return recs, off, size, fmt.Errorf("%w: partial frame header", io.ErrUnexpectedEOF)
 		}
-		plen := binary.LittleEndian.Uint32(rest)
-		crc := binary.LittleEndian.Uint32(rest[4:])
 		if plen > maxRecordBytes {
 			return recs, off, size, fmt.Errorf("%w: frame length %d exceeds limit", ErrCorrupt, plen)
 		}
-		if uint32(len(rest)-frameHeaderSize) < plen {
+		payload := cu.Bytes(int(plen))
+		if cu.Bad {
 			return recs, off, size, fmt.Errorf("%w: partial frame payload", io.ErrUnexpectedEOF)
 		}
-		payload := rest[frameHeaderSize : frameHeaderSize+int(plen)]
 		if crc32.ChecksumIEEE(payload) != crc {
 			return recs, off, size, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 		}
-		rec, derr := decodePayload(payload)
+		rec, derr := DecodeRecord(payload, nil)
 		if derr != nil {
 			return recs, off, size, derr
 		}
@@ -293,30 +293,33 @@ func readSegment(path string, lastSeq uint64) (recs []Record, validOff, size int
 		}
 		lastSeq = rec.Seq
 		recs = append(recs, rec)
-		off += frameHeaderSize + int64(plen)
 	}
-	return recs, off, size, nil
+	return recs, size, size, nil
 }
 
-func decodePayload(p []byte) (Record, error) {
-	if len(p) < 12 {
-		return Record{}, fmt.Errorf("%w: short payload", ErrCorrupt)
+// DecodeRecord is the one decoder of the record payload AppendPayload
+// writes — WAL replay and the RPC graph-append handler both call it, so
+// the on-disk and on-wire encodings cannot drift. The edges land in buf
+// when it is large enough (a server worker's reused scratch), else in a
+// fresh slice (replay, which keeps them). Every failure is ErrCorrupt.
+func DecodeRecord(p []byte, buf []Edge) (Record, error) {
+	cu := wire.Cursor{B: p}
+	seq := cu.U64()
+	n := cu.Count(edgeWireSize)
+	if cu.Bad || n > MaxRecordEdges || len(cu.Rest()) != n*edgeWireSize {
+		return Record{}, fmt.Errorf("%w: edge count %d does not match payload of %d bytes", ErrCorrupt, n, len(p))
 	}
-	seq := binary.LittleEndian.Uint64(p)
-	n := binary.LittleEndian.Uint32(p[8:])
-	if n > MaxRecordEdges || int(n)*edgeWireSize != len(p)-12 {
-		return Record{}, fmt.Errorf("%w: edge count %d does not match payload", ErrCorrupt, n)
+	if cap(buf) < n {
+		buf = make([]Edge, n)
 	}
-	edges := make([]Edge, n)
-	b := p[12:]
+	edges := buf[:n]
 	for i := range edges {
 		edges[i] = Edge{
-			Src:    graph.NodeID(binary.LittleEndian.Uint32(b)),
-			Dst:    graph.NodeID(binary.LittleEndian.Uint32(b[4:])),
-			Type:   graph.EdgeType(b[8]),
-			Weight: math.Float32frombits(binary.LittleEndian.Uint32(b[9:])),
+			Src:    graph.NodeID(cu.U32()),
+			Dst:    graph.NodeID(cu.U32()),
+			Type:   graph.EdgeType(cu.U8()),
+			Weight: cu.F32(),
 		}
-		b = b[edgeWireSize:]
 	}
 	return Record{Seq: seq, Edges: edges}, nil
 }

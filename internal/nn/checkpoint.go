@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"zoomer/internal/wire"
 )
 
 // Checkpoint format: magic, version, then each dense parameter and each
@@ -45,42 +47,6 @@ func (cw *ckptWriter) str(s string) {
 	}
 }
 
-type ckptReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (cr *ckptReader) u32() uint32 {
-	if cr.err != nil {
-		return 0
-	}
-	var buf [4]byte
-	_, cr.err = io.ReadFull(cr.r, buf[:])
-	return binary.LittleEndian.Uint32(buf[:])
-}
-
-func (cr *ckptReader) f32s(dst []float32) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(cr.u32())
-	}
-}
-
-func (cr *ckptReader) str() string {
-	n := cr.u32()
-	if cr.err != nil || n > 1<<16 {
-		if cr.err == nil {
-			cr.err = fmt.Errorf("nn: implausible name length %d", n)
-		}
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(cr.r, buf); err != nil {
-		cr.err = err
-		return ""
-	}
-	return string(buf)
-}
-
 // SaveCheckpoint writes params and tables to w.
 func SaveCheckpoint(w io.Writer, params []*Param, tables []*EmbeddingTable) error {
 	cw := &ckptWriter{w: bufio.NewWriter(w)}
@@ -107,50 +73,56 @@ func SaveCheckpoint(w io.Writer, params []*Param, tables []*EmbeddingTable) erro
 }
 
 // LoadCheckpoint restores params and tables from r. The checkpoint's
-// names, shapes, and ordering must match the live model exactly.
+// names, shapes, and ordering must match the live model exactly, and
+// nothing may follow the last table; every failure is wire.ErrMalformed.
 // Optimizer state (Adam moments) is not checkpointed; training resumes
 // with fresh moments, as XDL's sparse path does after failover.
 func LoadCheckpoint(r io.Reader, params []*Param, tables []*EmbeddingTable) error {
-	cr := &ckptReader{r: bufio.NewReader(r)}
-	if m := cr.u32(); cr.err == nil && m != ckptMagic {
-		return fmt.Errorf("nn: bad checkpoint magic %#x", m)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("nn: reading checkpoint: %w", err)
 	}
-	if v := cr.u32(); cr.err == nil && v != ckptVersion {
-		return fmt.Errorf("nn: unsupported checkpoint version %d", v)
+	cu := &wire.Cursor{B: data}
+	if m := cu.U32(); m != ckptMagic {
+		return ckptMismatch(cu, "bad magic %#x", m)
 	}
-	if n := cr.u32(); cr.err == nil && int(n) != len(params) {
-		return fmt.Errorf("nn: checkpoint has %d params, model has %d", n, len(params))
+	if v := cu.U32(); v != ckptVersion {
+		return ckptMismatch(cu, "unsupported version %d", v)
 	}
-	if n := cr.u32(); cr.err == nil && int(n) != len(tables) {
-		return fmt.Errorf("nn: checkpoint has %d tables, model has %d", n, len(tables))
+	if np, nt := cu.U32(), cu.U32(); int(np) != len(params) || int(nt) != len(tables) {
+		return ckptMismatch(cu, "%d params and %d tables, model has %d and %d", np, nt, len(params), len(tables))
 	}
 	for _, p := range params {
-		name := cr.str()
-		rows, cols := cr.u32(), cr.u32()
-		if cr.err != nil {
-			return cr.err
+		if err := loadSection(cu, "param", p.Name, p.Val.Rows, p.Val.Cols, p.Val.Data); err != nil {
+			return err
 		}
-		if name != p.Name {
-			return fmt.Errorf("nn: checkpoint param %q, model expects %q", name, p.Name)
-		}
-		if int(rows) != p.Val.Rows || int(cols) != p.Val.Cols {
-			return fmt.Errorf("nn: param %q shape %dx%d, model has %dx%d", name, rows, cols, p.Val.Rows, p.Val.Cols)
-		}
-		cr.f32s(p.Val.Data)
 	}
 	for _, t := range tables {
-		name := cr.str()
-		vocab, dim := cr.u32(), cr.u32()
-		if cr.err != nil {
-			return cr.err
+		if err := loadSection(cu, "table", t.Name, t.Vocab(), t.Dim, t.rows.Data); err != nil {
+			return err
 		}
-		if name != t.Name {
-			return fmt.Errorf("nn: checkpoint table %q, model expects %q", name, t.Name)
-		}
-		if int(vocab) != t.Vocab() || int(dim) != t.Dim {
-			return fmt.Errorf("nn: table %q shape %dx%d, model has %dx%d", name, vocab, dim, t.Vocab(), t.Dim)
-		}
-		cr.f32s(t.rows.Data)
 	}
-	return cr.err
+	return cu.Err(wire.ErrMalformed)
+}
+
+// loadSection restores one named rows×cols block into dst.
+func loadSection(cu *wire.Cursor, kind, name string, rows, cols int, dst []float32) error {
+	gotName, gotRows, gotCols := cu.Str(), cu.U32(), cu.U32()
+	if gotName != name || int(gotRows) != rows || int(gotCols) != cols {
+		return ckptMismatch(cu, "%s %q %dx%d, model expects %q %dx%d", kind, gotName, gotRows, gotCols, name, rows, cols)
+	}
+	for i := range dst {
+		dst[i] = cu.F32()
+	}
+	return nil
+}
+
+// ckptMismatch types a checkpoint field that disagrees with the live
+// model — unless the field was read past the end of the input, which is
+// reported as the truncation it is.
+func ckptMismatch(cu *wire.Cursor, format string, args ...any) error {
+	if cu.Bad {
+		return cu.Err(wire.ErrMalformed)
+	}
+	return fmt.Errorf("%w: checkpoint: %s", wire.ErrMalformed, fmt.Sprintf(format, args...))
 }

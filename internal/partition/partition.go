@@ -22,6 +22,7 @@ import (
 
 	"zoomer/internal/graph"
 	"zoomer/internal/tensor"
+	"zoomer/internal/wire"
 )
 
 // Strategy selects how nodes are assigned to shards.
@@ -393,6 +394,11 @@ const (
 // papered over.
 var ErrRoutingVersion = errors.New("partition: unsupported routing table version")
 
+// ErrCorruptRouting is UnmarshalRouting's typed failure for everything
+// that is not version skew: wrong magic, truncated, a count the blob is
+// too short for, an owner out of range, or bytes after the last field.
+var ErrCorruptRouting = errors.New("partition: corrupt routing table")
+
 // MarshalBinary serializes the routing table (format version 3). Hash
 // tables without placement are 36 bytes regardless of graph size;
 // DegreeBalanced tables carry 8 bytes per node on top, and a placement
@@ -464,115 +470,51 @@ func PatchEpoch(blob []byte, epoch uint64) error {
 // UnmarshalRouting deserializes a table written by MarshalBinary. A blob
 // of a different format version — e.g. from a pre-epoch build — fails
 // with ErrRoutingVersion (wrapped with the versions involved) rather
-// than misparsing.
+// than misparsing; every other failure is ErrCorruptRouting.
 func UnmarshalRouting(data []byte) (*Routing, error) {
-	off := 0
-	get := func() (uint32, error) {
-		if off+4 > len(data) {
-			return 0, fmt.Errorf("partition: truncated routing table at byte %d", off)
-		}
-		v := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		return v, nil
+	cu := wire.Cursor{B: data}
+	if magic := cu.U32(); magic != routingMagic {
+		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorruptRouting, magic)
 	}
-	magic, err := get()
-	if err != nil {
-		return nil, err
-	}
-	if magic != routingMagic {
-		return nil, fmt.Errorf("partition: bad routing magic %#x", magic)
-	}
-	version, err := get()
-	if err != nil {
-		return nil, err
-	}
-	if version != routingVersion {
+	if version := cu.U32(); !cu.Bad && version != routingVersion {
 		return nil, fmt.Errorf("%w: blob is version %d, this build reads version %d",
 			ErrRoutingVersion, version, routingVersion)
 	}
-	strat, err := get()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := get()
-	if err != nil {
-		return nil, err
-	}
-	numNodes, err := get()
-	if err != nil {
-		return nil, err
-	}
-	if shards == 0 || shards > 1<<20 || numNodes > 1<<31-2 {
-		return nil, fmt.Errorf("partition: implausible routing shape shards=%d nodes=%d", shards, numNodes)
-	}
-	if off+8 > len(data) {
-		return nil, fmt.Errorf("partition: truncated routing table at byte %d", off)
-	}
-	epoch := binary.LittleEndian.Uint64(data[off:])
-	off += 8
-	hasTable, err := get()
-	if err != nil {
-		return nil, err
-	}
+	strat, shards, numNodes, epoch := cu.U32(), cu.U32(), cu.U32(), cu.U64()
+	cu.Bad = cu.Bad || strat > uint32(DegreeBalanced) || shards == 0
 	r := &Routing{strategy: Strategy(strat), shards: int(shards), numNodes: int(numNodes), epoch: epoch}
-	if hasTable != 0 {
-		// Check the payload actually carries the table before allocating
-		// numNodes-sized arrays from an attacker-controlled header.
-		if int64(len(data)-off) < 8*int64(numNodes) {
-			return nil, fmt.Errorf("partition: routing table truncated: %d bytes for %d nodes", len(data)-off, numNodes)
-		}
-		r.owner = make([]int32, numNodes)
-		r.local = make([]int32, numNodes)
+	switch hasTable := cu.U32(); {
+	case hasTable == 1 && cu.Fits(r.numNodes, 8):
+		r.owner = make([]int32, r.numNodes)
+		r.local = make([]int32, r.numNodes)
 		for i := range r.owner {
-			v, err := get()
-			if err != nil {
-				return nil, err
-			}
-			if v >= shards {
-				return nil, fmt.Errorf("partition: node %d routed to shard %d of %d", i, v, shards)
-			}
-			r.owner[i] = int32(v)
+			r.owner[i] = int32(cu.U32())
+			cu.Bad = cu.Bad || uint32(r.owner[i]) >= shards
 		}
 		for i := range r.local {
-			v, err := get()
-			if err != nil {
-				return nil, err
-			}
-			r.local[i] = int32(v)
+			r.local[i] = int32(cu.U32())
 		}
+	case hasTable != 0:
+		cu.Bad = true
 	}
-	hasPlacement, err := get()
-	if err != nil {
+	switch hasPlacement := cu.U32(); {
+	case hasPlacement == 1 && cu.Fits(r.shards, 4): // every shard carries at least its replica count
+		r.placement = make([][]string, r.shards)
+		for s := range r.placement {
+			count := cu.Count(4) // every address carries at least its length
+			cu.Bad = cu.Bad || count > maxReplicas
+			g := make([]string, count)
+			for i := range g {
+				g[i] = cu.Str()
+				cu.Bad = cu.Bad || len(g[i]) > maxAddrLen
+			}
+			r.placement[s] = g
+		}
+	case hasPlacement != 0:
+		cu.Bad = true
+	}
+	if err := cu.Err(ErrCorruptRouting); err != nil {
 		return nil, err
-	}
-	if hasPlacement == 0 {
-		return r, nil
-	}
-	r.placement = make([][]string, shards)
-	for s := range r.placement {
-		count, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if count > maxReplicas {
-			return nil, fmt.Errorf("partition: shard %d claims %d replicas (limit %d)", s, count, maxReplicas)
-		}
-		g := make([]string, 0, count)
-		for i := uint32(0); i < count; i++ {
-			n, err := get()
-			if err != nil {
-				return nil, err
-			}
-			if n > maxAddrLen {
-				return nil, fmt.Errorf("partition: shard %d replica address of %d bytes (limit %d)", s, n, maxAddrLen)
-			}
-			if off+int(n) > len(data) {
-				return nil, fmt.Errorf("partition: truncated routing table at byte %d", off)
-			}
-			g = append(g, string(data[off:off+int(n)]))
-			off += int(n)
-		}
-		r.placement[s] = g
 	}
 	return r, nil
 }

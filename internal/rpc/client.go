@@ -15,6 +15,7 @@ import (
 	"zoomer/internal/ingest"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
+	"zoomer/internal/wire"
 )
 
 // ErrShardUnavailable is the typed transport failure: the shard server
@@ -474,11 +475,11 @@ func appendBatch(req []byte, gids []graph.NodeID, idx []int32, base uint64, k in
 // SampleNeighborsBatchInto reports, and must agree with ns), and no byte
 // may follow the last entry.
 func decodeBatch(body []byte, gids []graph.NodeID, idx []int32, k int, out []graph.NodeID, ns []int32) (int, error) {
-	cu := cursor{b: body}
-	total, sum := int(cu.u32()), 0
+	cu := wire.Cursor{B: body}
+	total, sum := int(cu.U32()), 0
 	good := true
 	for j := range gids {
-		n := int32(cu.u32())
+		n := int32(cu.U32())
 		i := int(idx[j])
 		if n < 0 || int(n) > k || (i+1)*k > len(out) || i >= len(ns) {
 			good = false
@@ -488,10 +489,10 @@ func decodeBatch(body []byte, gids []graph.NodeID, idx []int32, k int, out []gra
 		sum += int(n)
 		lo := i * k
 		for d := 0; d < int(n); d++ {
-			out[lo+d] = graph.NodeID(cu.u32())
+			out[lo+d] = graph.NodeID(cu.U32())
 		}
 	}
-	if !good || cu.bad || total != sum || len(cu.rest()) != 0 {
+	if !good || cu.Bad || total != sum || len(cu.Rest()) != 0 {
 		return 0, fmt.Errorf("%w: batch response (%d bytes)", ErrMalformedFrame, len(body))
 	}
 	return total, nil
@@ -501,17 +502,17 @@ func decodeBatch(body []byte, gids []graph.NodeID, idx []int32, k int, out []gra
 // goes to st, then n ≤ k draws, which go to out, and nothing after them.
 // A malformed frame writes neither.
 func decodeSample(body []byte, k int, out []graph.NodeID, st *[4]uint64) (int, error) {
-	cu := cursor{b: body}
+	cu := wire.Cursor{B: body}
 	var adv [4]uint64
 	for i := range adv {
-		adv[i] = cu.u64()
+		adv[i] = cu.U64()
 	}
-	n := cu.count(4)
-	if cu.bad || n > k || n > len(out) || len(cu.rest()) != 4*n {
+	n := cu.Count(4)
+	if cu.Bad || n > k || n > len(out) || len(cu.Rest()) != 4*n {
 		return 0, fmt.Errorf("%w: sample response (%d bytes for k=%d)", ErrMalformedFrame, len(body), k)
 	}
 	for i := 0; i < n; i++ {
-		out[i] = graph.NodeID(cu.u32())
+		out[i] = graph.NodeID(cu.U32())
 	}
 	*st = adv
 	return n, nil
@@ -520,9 +521,9 @@ func decodeSample(body []byte, k int, out []graph.NodeID, st *[4]uint64) (int, e
 // decodeAppendResult decodes an OpAppend response: the result code and
 // the shard's sequence watermark.
 func decodeAppendResult(body []byte) (result byte, lastSeq uint64, err error) {
-	cu := cursor{b: body}
-	result, lastSeq = cu.u8(), cu.u64()
-	if cu.bad || result > appendGap || len(cu.rest()) != 0 {
+	cu := wire.Cursor{B: body}
+	result, lastSeq = cu.U8(), cu.U64()
+	if cu.Bad || result > appendGap || len(cu.Rest()) != 0 {
 		return 0, 0, fmt.Errorf("%w: append response (%d bytes)", ErrMalformedFrame, len(body))
 	}
 	return result, lastSeq, nil
@@ -573,7 +574,7 @@ func (v *visit) collect(mc *muxConn, sl *muxSlot, body []byte, err error) (total
 	mc.release(sl)
 	if err != nil {
 		if !errors.Is(err, ErrMalformedFrame) {
-			err = fmt.Errorf("%w: %v response: %v", ErrMalformedFrame, v.op, err)
+			err = fmt.Errorf("%w: %v response: %w", ErrMalformedFrame, v.op, err)
 		}
 		mc.fail(fmt.Errorf("rpc: connection killed: %v", err))
 		return 0, false, err
@@ -793,13 +794,13 @@ func (in Info) sameGraph(o Info) error {
 func (cl *Client) Info() (Info, error) {
 	var info Info
 	err := cl.call(OpInfo, nil, func(body []byte) error {
-		cu := cursor{b: body}
-		info.NumNodes = int(cu.u32())
-		info.ContentDim = int(cu.u32())
-		info.NumShards = int(cu.u32())
-		info.Strategy = partition.Strategy(cu.u32())
+		cu := wire.Cursor{B: body}
+		info.NumNodes = int(cu.U32())
+		info.ContentDim = int(cu.U32())
+		info.NumShards = int(cu.U32())
+		info.Strategy = partition.Strategy(cu.U32())
 		info.Owned = decodeOwned(&cu)
-		return cu.err()
+		return cu.Err(ErrMalformedFrame)
 	})
 	return info, err
 }
@@ -824,10 +825,10 @@ func (cl *Client) Routing() (*partition.Routing, error) {
 // the info and routing-epoch responses carry, sorted by shard id. The
 // count is checked against the bytes left in the frame before anything
 // is sized for it; a bad list latches the cursor's bad flag.
-func decodeOwned(cu *cursor) []ShardInfo {
-	out := make([]ShardInfo, cu.count(12))
+func decodeOwned(cu *wire.Cursor) []ShardInfo {
+	out := make([]ShardInfo, cu.Count(12))
 	for i := range out {
-		out[i] = ShardInfo{ID: int(cu.u32()), Nodes: int(cu.u32()), Edges: int(cu.u32())}
+		out[i] = ShardInfo{ID: int(cu.U32()), Nodes: int(cu.U32()), Edges: int(cu.U32())}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -850,9 +851,9 @@ func (cl *Client) Reassign(shard int, acquire bool) (uint64, error) {
 			return appendU32(b, uint32(shard))
 		},
 		func(body []byte) error {
-			cu := cursor{b: body}
-			epoch = cu.u64()
-			return cu.err()
+			cu := wire.Cursor{B: body}
+			epoch = cu.U64()
+			return cu.Err(ErrMalformedFrame)
 		})
 	return epoch, err
 }
@@ -873,12 +874,12 @@ func (cl *Client) RoutingEpoch() (epoch uint64, owned []ShardInfo, members []str
 // triples, the member view and one ingest row per owned shard, with
 // nothing after them.
 func decodeEpoch(body []byte) (epoch uint64, owned []ShardInfo, members []string, err error) {
-	cu := cursor{b: body}
-	epoch = cu.u64()
+	cu := wire.Cursor{B: body}
+	epoch = cu.U64()
 	owned = decodeOwned(&cu)
 	members = decodeAddrList(&cu)
 	decodeIngest(&cu, owned)
-	if cu.bad || len(cu.rest()) != 0 {
+	if cu.Bad || len(cu.Rest()) != 0 {
 		return 0, nil, nil, fmt.Errorf("%w: routing-epoch response (%d bytes)", ErrMalformedFrame, len(body))
 	}
 	return epoch, owned, members, nil
@@ -891,31 +892,31 @@ const ingestRowSize = 4 + 8 + 4 + 8 + 8 + 4 + 8 + 8 + 4
 
 // decodeIngest decodes the ingest section of an epoch response and
 // attaches each row to its shard's entry in owned.
-func decodeIngest(cu *cursor, owned []ShardInfo) {
+func decodeIngest(cu *wire.Cursor, owned []ShardInfo) {
 	byID := make(map[int]int, len(owned))
 	for i := range owned {
 		byID[owned[i].ID] = i
 	}
-	count := cu.count(ingestRowSize)
+	count := cu.Count(ingestRowSize)
 	for n := 0; n < count; n++ {
 		var st engine.IngestStats
-		st.Shard = int(cu.u32())
-		st.Seq = cu.u64()
-		st.DeltaNodes = int(cu.u32())
-		st.DeltaEdges = cu.u64()
-		st.Compactions = cu.u64()
-		st.WALSegments = int(cu.u32())
-		st.Fsyncs = cu.u64()
-		st.FsyncNanos = cu.u64()
-		hl := cu.count(8)
-		if cu.bad || hl > 64 {
-			cu.bad = true
+		st.Shard = int(cu.U32())
+		st.Seq = cu.U64()
+		st.DeltaNodes = int(cu.U32())
+		st.DeltaEdges = cu.U64()
+		st.Compactions = cu.U64()
+		st.WALSegments = int(cu.U32())
+		st.Fsyncs = cu.U64()
+		st.FsyncNanos = cu.U64()
+		hl := cu.Count(8)
+		if cu.Bad || hl > 64 {
+			cu.Bad = true
 			return
 		}
 		if hl > 0 {
 			st.FsyncHist = make([]uint64, hl)
 			for i := range st.FsyncHist {
-				st.FsyncHist[i] = cu.u64()
+				st.FsyncHist[i] = cu.U64()
 			}
 		}
 		if i, ok := byID[st.Shard]; ok {
@@ -937,9 +938,9 @@ func (cl *Client) Members(announce string) ([]string, error) {
 			return append(b, announce...)
 		},
 		func(body []byte) error {
-			cu := cursor{b: body}
+			cu := wire.Cursor{B: body}
 			members = decodeAddrList(&cu)
-			return cu.err()
+			return cu.Err(ErrMalformedFrame)
 		})
 	if err != nil {
 		return nil, err

@@ -12,6 +12,7 @@ import (
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
 	"zoomer/internal/ingest"
+	"zoomer/internal/partition"
 )
 
 // The request-lifecycle policy as a table: every kind of op against every
@@ -122,6 +123,31 @@ func TestRequestLifecyclePolicy(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// The lifecycle's one decode step keeps the decoder's own error identity:
+// a server whose routing blob is of another format version fails the dial
+// as a malformed response and as the version skew it is — the sentinel
+// docs/OPERATIONS.md tells an operator to match.
+func TestDecodeErrorKeepsIdentity(t *testing.T) {
+	blob, err := partition.Split(buildGraph(t), 2, partition.Hash).RoutingTable().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(blob[4:], 4) // the format version field
+	info := []byte{statusOK}
+	for _, v := range []uint32{100, 8, 2, uint32(partition.Hash), 0} { // nodes, content dim, shards, strategy, no owned shards
+		info = appendU32(info, v)
+	}
+	srv := startScripted(t, "127.0.0.1:0", script{byOp: map[Op][]byte{
+		OpInfo:    info,
+		OpRouting: append([]byte{statusOK}, blob...),
+	}})
+	defer srv.kill()
+	_, err = DialClusterWith(ClientConfig{Timeout: 5 * time.Second}, srv.ln.Addr().String())
+	if !errors.Is(err, ErrMalformedFrame) || !errors.Is(err, partition.ErrRoutingVersion) {
+		t.Fatalf("dial against a version-4 routing blob: %v, want ErrMalformedFrame and partition.ErrRoutingVersion", err)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"zoomer/internal/wire"
 )
 
 // muxConn is one full-duplex multiplexed connection: a fixed window of
@@ -408,11 +410,11 @@ func (mc *muxConn) finish(sl *muxSlot) ([]byte, error) {
 		return nil, err
 	}
 	if body[0] == statusMoved {
-		cu := cursor{b: body[1:]}
-		epoch := cu.u64()
-		shard := int(cu.u32())
+		cu := wire.Cursor{B: body[1:]}
+		epoch := cu.U64()
+		shard := int(cu.U32())
 		addrs := decodeAddrList(&cu)
-		err := cu.err()
+		err := cu.Err(ErrMalformedFrame)
 		mc.release(sl)
 		if err != nil {
 			mc.fail(fmt.Errorf("rpc: connection killed: %v", err)) // typed for this slot only

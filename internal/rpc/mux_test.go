@@ -19,10 +19,12 @@ import (
 
 // script is what a scripted server does with every request frame: swallow
 // it without answering (the zero value), drop the connection, or answer
-// with a fixed [status | payload] body.
+// with a fixed [status | payload] body — byOp's for the request's op when
+// it has one, else reply.
 type script struct {
 	drop  bool
 	reply []byte
+	byOp  map[Op][]byte
 }
 
 // blackholeServer speaks the preface and then treats every request frame
@@ -72,12 +74,16 @@ func startScripted(t *testing.T, addr string, sc script) *blackholeServer {
 						return
 					}
 					b.frames.Add(1)
+					reply := sc.reply
+					if r, ok := sc.byOp[Op(body[8])]; ok {
+						reply = r
+					}
 					switch {
 					case sc.drop:
 						c.Close()
 						return
-					case sc.reply != nil:
-						out := append(fs.begin(sc.reply[0]), sc.reply[1:]...)
+					case reply != nil:
+						out := append(fs.begin(reply[0]), reply[1:]...)
 						fs.writeFrame(c, out, binary.LittleEndian.Uint64(body[:8]))
 					}
 				}

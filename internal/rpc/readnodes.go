@@ -6,6 +6,7 @@ import (
 
 	"zoomer/internal/graph"
 	"zoomer/internal/tensor"
+	"zoomer/internal/wire"
 )
 
 // The read-nodes op is the attribute read: any subset of neighbors,
@@ -47,11 +48,11 @@ func appendReadNodesRequest(req []byte, gids []graph.NodeID, fields graph.ReadFi
 // decodeReadNodesRequest decodes a request payload, reusing gids'
 // storage for the id list.
 func decodeReadNodesRequest(payload []byte, gids []graph.NodeID) (graph.ReadFields, []graph.NodeID, error) {
-	cu := cursor{b: payload}
-	fields := graph.ReadFields(cu.u8())
-	count := cu.count(4)
-	if cu.bad {
-		return 0, nil, cu.err()
+	cu := wire.Cursor{B: payload}
+	fields := graph.ReadFields(cu.U8())
+	count := cu.Count(4)
+	if cu.Bad {
+		return 0, nil, cu.Err(ErrMalformedFrame)
 	}
 	if fields == 0 || fields&^graph.ReadAll != 0 {
 		return 0, nil, fmt.Errorf("%w: read-nodes fields %#x", ErrMalformedFrame, byte(fields))
@@ -61,10 +62,10 @@ func decodeReadNodesRequest(payload []byte, gids []graph.NodeID) (graph.ReadFiel
 	}
 	gids = gids[:0]
 	for j := 0; j < count; j++ {
-		gids = append(gids, graph.NodeID(cu.u32()))
+		gids = append(gids, graph.NodeID(cu.U32()))
 	}
-	if len(cu.rest()) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d bytes after the read-nodes id list", ErrMalformedFrame, len(cu.rest()))
+	if len(cu.Rest()) != 0 {
+		return 0, nil, fmt.Errorf("%w: %d bytes after the read-nodes id list", ErrMalformedFrame, len(cu.Rest()))
 	}
 	return fields, gids, nil
 }
@@ -125,53 +126,53 @@ func appendReadNodesResponse(b []byte, blk *graph.NodeBlock, n int, fields graph
 // when pos is nil), carved from blk's arenas. The columns must already be
 // sized by the caller.
 func decodeReadNodesResponse(body []byte, pos []int32, n int, fields graph.ReadFields, blk *graph.NodeBlock) error {
-	cu := cursor{b: body}
-	edges, feats, floats := uint64(cu.u32()), uint64(cu.u32()), uint64(cu.u32())
-	if cu.bad || wireEdgeSize*edges+4*feats+4*floats > uint64(len(cu.rest())) {
+	cu := wire.Cursor{B: body}
+	edges, feats, floats := uint64(cu.U32()), uint64(cu.U32()), uint64(cu.U32())
+	if cu.Bad || wireEdgeSize*edges+4*feats+4*floats > uint64(len(cu.Rest())) {
 		return fmt.Errorf("%w: read-nodes response totals exceed its %d bytes", ErrMalformedFrame, len(body))
 	}
 	edgeArena := blk.CarveEdges(int(edges))
 	featArena := blk.CarveInts(int(feats))
 	floatArena := blk.CarveFloats(int(floats))
-	for j := 0; j < n && !cu.bad; j++ {
+	for j := 0; j < n && !cu.Bad; j++ {
 		i := j
 		if pos != nil {
 			i = int(pos[j])
 		}
 		if fields&graph.ReadNeighbors != 0 {
-			deg := int(cu.u32())
+			deg := int(cu.U32())
 			if deg > len(edgeArena) || i >= len(blk.Neighbors) {
-				cu.bad = true
+				cu.Bad = true
 				break
 			}
 			nbrs := edgeArena[:deg:deg]
 			edgeArena = edgeArena[deg:]
 			for d := range nbrs {
 				nbrs[d] = graph.Edge{
-					To:     graph.NodeID(cu.u32()),
-					Type:   graph.EdgeType(cu.u8()),
-					Weight: math.Float32frombits(cu.u32()),
+					To:     graph.NodeID(cu.U32()),
+					Type:   graph.EdgeType(cu.U8()),
+					Weight: cu.F32(),
 				}
 			}
 			blk.Neighbors[i] = nbrs
 		}
 		if fields&graph.ReadFeatures != 0 {
-			m := int(cu.u32())
+			m := int(cu.U32())
 			if m > len(featArena) || i >= len(blk.Features) {
-				cu.bad = true
+				cu.Bad = true
 				break
 			}
 			fs := featArena[:m:m]
 			featArena = featArena[m:]
 			for d := range fs {
-				fs[d] = int32(cu.u32())
+				fs[d] = int32(cu.U32())
 			}
 			blk.Features[i] = fs
 		}
 		if fields&graph.ReadContent != 0 {
-			m := int(cu.u32())
+			m := int(cu.U32())
 			if m-1 > len(floatArena) || i >= len(blk.Content) {
-				cu.bad = true
+				cu.Bad = true
 				break
 			}
 			if m == 0 {
@@ -181,7 +182,7 @@ func decodeReadNodesResponse(body []byte, pos []int32, n int, fields graph.ReadF
 			c := floatArena[: m-1 : m-1]
 			floatArena = floatArena[m-1:]
 			for d := range c {
-				c[d] = math.Float32frombits(cu.u32())
+				c[d] = cu.F32()
 			}
 			if c == nil {
 				c = tensor.Vec{} // present but empty: distinct from no vector at all
@@ -189,7 +190,7 @@ func decodeReadNodesResponse(body []byte, pos []int32, n int, fields graph.ReadF
 			blk.Content[i] = c
 		}
 	}
-	if cu.bad || len(cu.rest()) != 0 || len(edgeArena)+len(featArena)+len(floatArena) != 0 {
+	if cu.Bad || len(cu.Rest()) != 0 || len(edgeArena)+len(featArena)+len(floatArena) != 0 {
 		return fmt.Errorf("%w: read-nodes response (%d bytes for %d nodes)", ErrMalformedFrame, len(body), n)
 	}
 	return nil

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"path/filepath"
 	"sort"
@@ -19,6 +18,7 @@ import (
 	"zoomer/internal/ingest"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
+	"zoomer/internal/wire"
 )
 
 // ServerConfig sizes a shard server.
@@ -789,13 +789,9 @@ func (s *Server) handleInfo(o *ownership, sc *serverConn) []byte {
 // handleReassign executes an admin acquire/release command and answers
 // with the resulting epoch.
 func (s *Server) handleReassign(payload []byte, sc *serverConn) ([]byte, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("rpc: empty reassign request")
-	}
-	action := payload[0]
-	cu := cursor{b: payload[1:]}
-	shard := int(cu.u32())
-	if err := cu.err(); err != nil {
+	cu := wire.Cursor{B: payload}
+	action, shard := cu.U8(), int(cu.U32())
+	if err := cu.Err(ErrMalformedFrame); err != nil {
 		return nil, err
 	}
 	var epoch uint64
@@ -867,9 +863,9 @@ func (s *Server) appendIngest(b []byte, o *ownership) []byte {
 // handleMembers runs the membership exchange: a non-empty announce joins
 // the registry, and the response is the current member view.
 func (s *Server) handleMembers(payload []byte, sc *serverConn) ([]byte, error) {
-	cu := cursor{b: payload}
-	announce := cu.str()
-	if err := cu.err(); err != nil {
+	cu := wire.Cursor{B: payload}
+	announce := cu.Str()
+	if err := cu.Err(ErrMalformedFrame); err != nil {
 		return nil, err
 	}
 	if announce != "" {
@@ -879,14 +875,14 @@ func (s *Server) handleMembers(payload []byte, sc *serverConn) ([]byte, error) {
 }
 
 func (s *Server) handleSample(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
-	cu := cursor{b: payload}
-	id := graph.NodeID(cu.u32())
-	k := int(cu.u32())
+	cu := wire.Cursor{B: payload}
+	id := graph.NodeID(cu.U32())
+	k := int(cu.U32())
 	var st [4]uint64
 	for i := range st {
-		st[i] = cu.u64()
+		st[i] = cu.U64()
 	}
-	if err := cu.err(); err != nil {
+	if err := cu.Err(ErrMalformedFrame); err != nil {
 		return nil, err
 	}
 	if k <= 0 || k > 1<<20 {
@@ -931,11 +927,11 @@ type batchRequest struct {
 // the entry indices imply — a legitimate response carries ~(maxIdx+1)*k
 // draws — against the frame budget.
 func decodeBatchRequest(payload []byte, req *batchRequest) error {
-	cu := cursor{b: payload}
-	req.base = cu.u64()
-	req.k = int(cu.u32())
-	count := cu.count(8)
-	if cu.bad || req.k <= 0 || req.k > 1<<20 || count == 0 {
+	cu := wire.Cursor{B: payload}
+	req.base = cu.U64()
+	req.k = int(cu.U32())
+	count := cu.Count(8)
+	if cu.Bad || req.k <= 0 || req.k > 1<<20 || count == 0 {
 		return fmt.Errorf("%w: batch header k=%d count=%d in %d bytes", ErrMalformedFrame, req.k, count, len(payload))
 	}
 	if cap(req.gids) < count {
@@ -944,15 +940,15 @@ func decodeBatchRequest(payload []byte, req *batchRequest) error {
 	}
 	req.gids, req.idx, req.maxIdx = req.gids[:count], req.idx[:count], 0
 	for j := 0; j < count; j++ {
-		req.idx[j] = int32(cu.u32())
-		req.gids[j] = graph.NodeID(cu.u32())
+		req.idx[j] = int32(cu.U32())
+		req.gids[j] = graph.NodeID(cu.U32())
 		if req.idx[j] < 0 {
 			return fmt.Errorf("%w: negative batch index %d", ErrMalformedFrame, req.idx[j])
 		}
 		req.maxIdx = max(req.maxIdx, req.idx[j])
 	}
-	if len(cu.rest()) != 0 {
-		return fmt.Errorf("%w: %d bytes after the batch entries", ErrMalformedFrame, len(cu.rest()))
+	if len(cu.Rest()) != 0 {
+		return fmt.Errorf("%w: %d bytes after the batch entries", ErrMalformedFrame, len(cu.Rest()))
 	}
 	if (int64(req.maxIdx)+1)*int64(req.k) > maxFrame/4 {
 		return fmt.Errorf("%w: batch index %d with k=%d exceeds frame budget", ErrMalformedFrame, req.maxIdx, req.k)
@@ -1038,31 +1034,16 @@ func (s *Server) IngestStats() []engine.IngestStats {
 // writers serialize into one strictly sequenced history; fan-out chains
 // to its own mutex and the fsync wait happens last so syncs coalesce.
 func (s *Server) handleAppend(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("rpc: empty append request")
-	}
-	flags := payload[0]
-	cu := cursor{b: payload[1:]}
-	shard := int(cu.u32())
-	seq := cu.u64()
-	count := int(cu.u32())
-	if cu.bad || count <= 0 || count > ingest.MaxRecordEdges {
-		return nil, fmt.Errorf("rpc: bad append header (%d edges)", count)
-	}
-	if cap(sc.edges) < count {
-		sc.edges = make([]ingest.Edge, count)
-	}
-	edges := sc.edges[:count]
-	for i := range edges {
-		edges[i] = ingest.Edge{
-			Src:    graph.NodeID(cu.u32()),
-			Dst:    graph.NodeID(cu.u32()),
-			Type:   graph.EdgeType(cu.u8()),
-			Weight: math.Float32frombits(cu.u32()),
-		}
-	}
-	if err := cu.err(); err != nil {
+	cu := wire.Cursor{B: payload}
+	flags, shard := cu.U8(), int(cu.U32())
+	rec, err := ingest.DecodeRecord(cu.Rest(), sc.edges) // nothing, and so corrupt, after a short header
+	if err != nil {
 		return nil, err
+	}
+	seq, edges := rec.Seq, rec.Edges
+	sc.edges = edges
+	if len(edges) == 0 {
+		return nil, fmt.Errorf("rpc: append of zero edges")
 	}
 	if shard < 0 || shard >= s.part.NumShards() {
 		return nil, fmt.Errorf("rpc: append shard %d out of range [0,%d)", shard, s.part.NumShards())

@@ -47,6 +47,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+
+	"zoomer/internal/wire"
 )
 
 // Protocol preface: immediately after dialing, the client writes the
@@ -264,84 +266,6 @@ func (fs *frameScratch) readFrame(c io.Reader) ([]byte, error) {
 	return fs.rbuf, nil
 }
 
-// cursor decodes a frame body sequentially; out-of-bounds reads latch the
-// bad flag (checked once at the end) instead of returning per-read
-// errors, keeping decode loops branch-light and allocation-free.
-type cursor struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (cu *cursor) u32() uint32 {
-	if cu.off+4 > len(cu.b) {
-		cu.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(cu.b[cu.off:])
-	cu.off += 4
-	return v
-}
-
-func (cu *cursor) u8() byte {
-	if cu.off+1 > len(cu.b) {
-		cu.bad = true
-		return 0
-	}
-	v := cu.b[cu.off]
-	cu.off++
-	return v
-}
-
-func (cu *cursor) u64() uint64 {
-	if cu.off+8 > len(cu.b) {
-		cu.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(cu.b[cu.off:])
-	cu.off += 8
-	return v
-}
-
-// count decodes a u32 element count and checks that that many elements
-// of elem bytes each are actually left in the frame — the bound that
-// keeps a short frame from demanding a large allocation.
-func (cu *cursor) count(elem int) int {
-	n := cu.u32()
-	if cu.bad || uint64(n)*uint64(elem) > uint64(len(cu.b)-cu.off) {
-		cu.bad = true
-		return 0
-	}
-	return int(n)
-}
-
-// rest returns the undecoded tail of the body.
-func (cu *cursor) rest() []byte {
-	if cu.bad {
-		return nil
-	}
-	return cu.b[cu.off:]
-}
-
-// str decodes a length-prefixed string (u32 length + raw bytes).
-func (cu *cursor) str() string {
-	n := cu.u32()
-	if cu.bad || cu.off+int(n) > len(cu.b) {
-		cu.bad = true
-		return ""
-	}
-	s := string(cu.b[cu.off : cu.off+int(n)])
-	cu.off += int(n)
-	return s
-}
-
-func (cu *cursor) err() error {
-	if cu.bad {
-		return fmt.Errorf("%w: truncated or oversized count (%d bytes)", ErrMalformedFrame, len(cu.b))
-	}
-	return nil
-}
-
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
@@ -362,10 +286,10 @@ func appendAddrList(b []byte, addrs []string) []byte {
 
 // decodeAddrList decodes a member address list written by
 // appendAddrList, latching the cursor's bad flag on implausible shapes.
-func decodeAddrList(cu *cursor) []string {
-	count := cu.count(4) // every address carries at least its length
-	if cu.bad || count > maxMembers {
-		cu.bad = true
+func decodeAddrList(cu *wire.Cursor) []string {
+	count := cu.Count(4) // every address carries at least its length
+	if cu.Bad || count > maxMembers {
+		cu.Bad = true
 		return nil
 	}
 	if count == 0 {
@@ -373,9 +297,9 @@ func decodeAddrList(cu *cursor) []string {
 	}
 	addrs := make([]string, 0, count)
 	for i := 0; i < count; i++ {
-		a := cu.str()
-		if cu.bad || len(a) > 256 {
-			cu.bad = true
+		a := cu.Str()
+		if cu.Bad || len(a) > 256 {
+			cu.Bad = true
 			return nil
 		}
 		addrs = append(addrs, a)
