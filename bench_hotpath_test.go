@@ -2,6 +2,7 @@ package main_test
 
 import (
 	"testing"
+	"time"
 
 	"zoomer/internal/ann"
 	"zoomer/internal/core"
@@ -205,6 +206,23 @@ func BenchmarkHotPathDeltaSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.eng.SampleNeighborsInto(ids[i%len(ids)], buf, r)
+	}
+}
+
+// BenchmarkHotPathCacheHit measures a neighbor-cache hit on a resident
+// id: segment lookup, reference acquire, the refresh due check (and,
+// once the entry has aged, the one hit that queues its refresh) and
+// Release. Must report 0 allocs/op.
+func BenchmarkHotPathCacheHit(b *testing.B) {
+	w := buildHotPathWorld(b)
+	cache := serve.NewNeighborCache(w.eng, 30, 7)
+	defer cache.Close()
+	r := rng.New(7)
+	cache.Get(w.user, r).Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache.GetBy(w.user, r, time.Time{}).Release()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"zoomer/internal/alias"
 	"zoomer/internal/graph"
@@ -19,7 +20,10 @@ import (
 // samples a two-component mixture (base adjacency vs. pending deltas by
 // weight mass). Once a node's pending list reaches compactThreshold the
 // apply path folds base + deltas into one merged alias table, keeping
-// per-draw cost flat as a node keeps growing.
+// per-draw cost flat as a node keeps growing. A view indexes overlays
+// by local row in fixed chunks shared between views, so an apply copies
+// the chunks it touches — not every live overlay — and a read indexes
+// two slices.
 //
 // Applies are strictly sequenced (seq = last+1) and every structure the
 // apply builds is a pure function of the applied record stream, so
@@ -90,12 +94,33 @@ type IngestReporter interface {
 	IngestStats() (IngestStats, bool)
 }
 
+// overlayChunkBits sizes the chunks of a view's overlay table: 64 local
+// rows, 512 bytes of pointers, per chunk.
+const (
+	overlayChunkBits = 6
+	overlayChunkMask = 1<<overlayChunkBits - 1
+)
+
+// overlayChunk is one fixed run of a shard's local rows; a nil slot is a
+// row with no appended edges.
+type overlayChunk [1 << overlayChunkBits]*nodeOverlay
+
+// noOverlays is the all-nil chunk every untouched run of rows points at,
+// so a read never checks for a missing chunk. Never written.
+var noOverlays overlayChunk
+
 // deltaView is one immutable snapshot of a shard's overlay state.
 type deltaView struct {
 	seq         uint64
 	compactions uint64
 	edges       uint64
-	overlays    map[graph.NodeID]*nodeOverlay
+	nodes       int             // rows with a live overlay
+	chunks      []*overlayChunk // row li lives in chunks[li>>overlayChunkBits]
+}
+
+// overlay returns local row li's overlay in this view, or nil.
+func (dv *deltaView) overlay(li int32) *nodeOverlay {
+	return dv.chunks[li>>overlayChunkBits][li&overlayChunkMask]
 }
 
 // nodeOverlay is one node's delta state. All fields are immutable after
@@ -149,7 +174,7 @@ func (s *Shard) DeltaStats() DeltaStats {
 	if dv == nil {
 		return DeltaStats{}
 	}
-	return DeltaStats{Seq: dv.seq, Nodes: len(dv.overlays), Edges: dv.edges, Compactions: dv.compactions}
+	return DeltaStats{Seq: dv.seq, Nodes: dv.nodes, Edges: dv.edges, Compactions: dv.compactions}
 }
 
 // ApplyAppend applies one sequenced edge batch to the shard's delta
@@ -229,50 +254,56 @@ func (s *Shard) applyLocked(seq uint64, edges []ingest.Edge) error {
 	}
 
 	old := s.delta.Load()
-	next := &deltaView{seq: seq}
-	if old != nil {
-		next.compactions = old.compactions
-		next.edges = old.edges
-		next.overlays = make(map[graph.NodeID]*nodeOverlay, len(old.overlays)+len(edges))
-		for id, ov := range old.overlays {
-			next.overlays[id] = ov
+	if old == nil {
+		old = &deltaView{chunks: make([]*overlayChunk, (s.store.NumNodes()+overlayChunkMask)>>overlayChunkBits)}
+		for i := range old.chunks {
+			old.chunks[i] = &noOverlays
 		}
-	} else {
-		next.overlays = make(map[graph.NodeID]*nodeOverlay, len(edges))
 	}
+	next := *old
+	next.seq = seq
+	next.chunks = slices.Clone(old.chunks)
 
-	// Copy-on-write per touched node: untouched overlays are shared with
-	// the old view; touched ones are re-derived so in-flight readers of
-	// the old view never observe a mutation.
-	touched := make(map[graph.NodeID]*nodeOverlay, len(edges))
+	// Copy-on-write per touched chunk and node: untouched chunks and
+	// overlays are shared with the old view; touched ones are re-derived
+	// so in-flight readers of the old view never observe a mutation.
+	touched := make([]int32, 0, len(edges))
 	for _, e := range edges {
-		ov := touched[e.Src]
-		if ov == nil {
-			ov = s.cloneOverlay(e.Src, next.overlays[e.Src])
-			touched[e.Src] = ov
-			next.overlays[e.Src] = ov
+		li := s.part.Local(e.Src)
+		ci := li >> overlayChunkBits
+		if next.chunks[ci] == old.chunks[ci] {
+			cp := *old.chunks[ci]
+			next.chunks[ci] = &cp
 		}
-		ov.all = append(ov.all, graph.Edge{To: e.Dst, Type: e.Type, Weight: e.Weight})
+		slot := &next.chunks[ci][li&overlayChunkMask]
+		if *slot == old.overlay(li) { // first edge of this row in the batch
+			if *slot == nil {
+				next.nodes++
+			}
+			*slot = s.cloneOverlay(li, *slot)
+			touched = append(touched, li)
+		}
+		(*slot).all = append((*slot).all, graph.Edge{To: e.Dst, Type: e.Type, Weight: e.Weight})
 		next.edges++
 	}
-	for id, ov := range touched {
+	for _, li := range touched {
+		ov := next.overlay(li)
 		if len(ov.pending()) >= compactThreshold {
-			s.compactOverlay(id, ov)
+			s.compactOverlay(li, ov)
 			next.compactions++
 		}
 		s.rebuildPending(ov)
 	}
-	s.delta.Store(next)
+	s.delta.Store(&next)
 	return nil
 }
 
-// cloneOverlay copies the published fields of an overlay (or derives a
-// fresh one for a node's first delta). The `all` slice is shared — the
-// apply path only appends past the published length, which readers of
-// older views never index.
-func (s *Shard) cloneOverlay(id graph.NodeID, old *nodeOverlay) *nodeOverlay {
+// cloneOverlay copies the published fields of local row li's overlay (or
+// derives a fresh one for a node's first delta). The `all` slice is
+// shared — the apply path only appends past the published length, which
+// readers of older views never index.
+func (s *Shard) cloneOverlay(li int32, old *nodeOverlay) *nodeOverlay {
 	if old == nil {
-		li := s.part.Local(id)
 		lo, hi := s.store.Offsets[li], s.store.Offsets[li+1]
 		return &nodeOverlay{baseW: s.baseWeightSpan(lo, hi)}
 	}
@@ -317,8 +348,7 @@ func (s *Shard) baseWeightSpan(lo, hi int32) float64 {
 // compactOverlay folds base + every applied delta into one merged alias
 // table; subsequent draws stop consulting the base CSR table for this
 // node. Deterministic: depends only on the base arrays and ov.all.
-func (s *Shard) compactOverlay(id graph.NodeID, ov *nodeOverlay) {
-	li := s.part.Local(id)
+func (s *Shard) compactOverlay(li int32, ov *nodeOverlay) {
 	lo, hi := s.store.Offsets[li], s.store.Offsets[li+1]
 	base := s.store.Edges[lo:hi]
 
@@ -394,14 +424,14 @@ func (s *Shard) drawOverlay(ov *nodeOverlay, lo, hi int32, r *rng.RNG) graph.Nod
 	return pend[alias.SampleFrom(ov.pendProb, ov.pendAlias, r)].To
 }
 
-// overlayFor returns the node's live overlay, or nil. One atomic load;
-// free when the shard has never seen an append.
-func (s *Shard) overlayFor(id graph.NodeID) *nodeOverlay {
+// overlayAt returns local row li's live overlay, or nil. One atomic
+// load; free when the shard has never seen an append.
+func (s *Shard) overlayAt(li int32) *nodeOverlay {
 	dv := s.delta.Load()
 	if dv == nil {
 		return nil
 	}
-	return dv.overlays[id]
+	return dv.overlay(li)
 }
 
 // ensure the facets stay implemented.

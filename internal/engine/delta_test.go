@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"zoomer/internal/graph"
@@ -275,20 +276,47 @@ func TestAppendBatchPathConsistent(t *testing.T) {
 }
 
 // BenchmarkDeltaApply measures the copy-on-write apply path (including
-// periodic compactions).
+// periodic compactions) of one 2-edge record on a 4096-node shard that
+// already carries `live` overlays. Every 256 applies the shard is reset
+// to that starting view outside the timer, so the two touched nodes'
+// growth — and with it the compaction cost — stays bounded and the
+// cases differ only in how many other overlays are live.
 func BenchmarkDeltaApply(b *testing.B) {
-	e, ego, _, _, lone := deltaWorld(b, 1)
-	sh := e.Shard(0)
-	rec := []ingest.Edge{
-		{Src: ego, Dst: lone, Type: graph.Click, Weight: 1.5},
-		{Src: lone, Dst: ego, Type: graph.Click, Weight: 1.5},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sh.ApplyAppend(uint64(i)+1, rec); err != nil {
-			b.Fatal(err)
-		}
+	const nodes, reset = 4096, 256
+	for _, live := range []int{2, 2000} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			gb := graph.NewBuilder()
+			for i := 0; i < nodes; i++ {
+				gb.AddNode(graph.User, nil, nil)
+			}
+			for i := 0; i < nodes; i++ {
+				gb.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%nodes), graph.Click, 1)
+			}
+			sh := New(gb.Build(), Config{Shards: 1}).Shard(0)
+			for id := 0; id < live; id++ {
+				rec := []ingest.Edge{{Src: graph.NodeID(id), Dst: graph.NodeID(nodes - 1 - id), Type: graph.Click, Weight: 1}}
+				if _, err := sh.AppendEdges(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			start := sh.delta.Load()
+			rec := []ingest.Edge{
+				{Src: 0, Dst: 1, Type: graph.Click, Weight: 1.5},
+				{Src: 1, Dst: 0, Type: graph.Click, Weight: 1.5},
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%reset == 0 {
+					b.StopTimer()
+					sh.delta.Store(start)
+					b.StartTimer()
+				}
+				if _, _, err := sh.ApplyAppend(start.seq+uint64(i%reset)+1, rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -104,7 +104,7 @@ func (s *Shard) ShardSize() (nodes, edges int) { return s.store.NumNodes(), s.st
 func (s *Shard) Neighbors(id graph.NodeID) []graph.Edge {
 	li := s.part.Local(id)
 	base := s.store.Edges[s.store.Offsets[li]:s.store.Offsets[li+1]]
-	ov := s.overlayFor(id)
+	ov := s.overlayAt(li)
 	if ov == nil {
 		return base
 	}
@@ -133,7 +133,7 @@ func (s *Shard) SampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.
 	// The overlay check precedes the isolated-node early return: a node
 	// born isolated can gain edges online.
 	if dv := s.delta.Load(); dv != nil {
-		if ov := dv.overlays[id]; ov != nil {
+		if ov := dv.overlay(li); ov != nil {
 			if len(out) == 0 {
 				return 0
 			}
@@ -177,7 +177,7 @@ func (s *Shard) SampleBatchInto(gids []graph.NodeID, idx []int32, base uint64, k
 		li := s.part.Local(id)
 		lo, hi := s.store.Offsets[li], s.store.Offsets[li+1]
 		if dv != nil {
-			if ov := dv.overlays[id]; ov != nil {
+			if ov := dv.overlay(li); ov != nil {
 				sub.Reseed(entrySeed(base, i))
 				s.sampleOverlay(ov, lo, hi, out[i*k:(i+1)*k], &sub)
 				ns[i] = int32(k)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"zoomer/internal/engine"
+	"zoomer/internal/graph"
 	"zoomer/internal/ingest"
 	"zoomer/internal/rng"
 )
@@ -116,6 +117,29 @@ func TestAppendEndpoint(t *testing.T) {
 		if !strings.Contains(page, want) {
 			t.Fatalf("metrics page missing %q:\n%s", want, page)
 		}
+	}
+}
+
+// A batch invalidates each distinct source once, however many of its
+// edges leave that source: 64 edges over 3 cached sources are at most 3
+// invalidations, not 64 queued refreshes.
+func TestAppendInvalidatesEachSourceOnce(t *testing.T) {
+	gw, ts := buildGateway(t, Config{})
+	srcs := []int{0, 1, 2}
+	for _, src := range srcs {
+		gw.cache.Get(graph.NodeID(src), rng.New(1)).Release()
+	}
+	edges := make([]string, 64)
+	for i := range edges {
+		edges[i] = fmt.Sprintf(`{"src":%d,"dst":%d,"weight":1}`, srcs[i%len(srcs)], 10+i)
+	}
+	before := gw.cache.Invalidations()
+	resp, body := postJSON(t, ts.URL+"/v1/append", `{"edges":[`+strings.Join(edges, ",")+`]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("append: %d %s", resp.StatusCode, body)
+	}
+	if got := gw.cache.Invalidations() - before; got < 1 || got > int64(len(srcs)) {
+		t.Fatalf("64-edge batch over %d sources raised Invalidations by %d, want 1..%d", len(srcs), got, len(srcs))
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -455,11 +456,16 @@ func (g *Gateway) handleAppend(w http.ResponseWriter, r *http.Request) {
 		// are durable, so they are counted and their cached samples are
 		// stale. Invalidating every source of the batch over-approximates
 		// which landed; a spurious invalidation is one best-effort refresh.
+		// A hot source appears many times in one batch but is invalidated
+		// once.
 		g.met.appendedEdges.Add(int64(appended))
 		if g.cache != nil {
-			for _, e := range edges {
-				g.cache.InvalidateNodes(e.Src)
+			srcs := make([]graph.NodeID, len(edges))
+			for i, e := range edges {
+				srcs[i] = e.Src
 			}
+			slices.Sort(srcs)
+			g.cache.InvalidateNodes(slices.Compact(srcs)...)
 		}
 		if err != nil {
 			// A client that re-POSTs the whole batch would apply the landed

@@ -8,9 +8,11 @@
 //
 // The hot path is engineered for contention- and allocation-freedom: the
 // neighbor cache is split into independently locked segments keyed so
-// each segment's ids live on a single engine shard (its refresher drains
-// misses and refreshes through one scatter-gather batch per wake, i.e.
-// one shard visit), synchronous miss fills are single-flighted per id,
+// each segment's ids live on a single engine shard, entries are
+// refreshed by age (a hit schedules a resample only once its entry has
+// served for refreshAfter, and each segment's refresher gathers what is
+// due into one scatter-gather batch per wake, i.e. one shard visit),
+// synchronous miss fills are single-flighted per id,
 // and every server worker owns an EmbedScratch and an ann.SearchScratch
 // so request embedding and index search perform zero heap allocations at
 // steady state. Over remote shards, every refresher and miss fill shares
@@ -35,6 +37,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -164,6 +167,27 @@ const minCacheSegments = 16
 // single scatter-gather batch call.
 const refreshBatch = 64
 
+// refreshAfter is how long an installed entry serves hits before the
+// next hit schedules its resample. It bounds staleness from age, not
+// traffic: a hot id costs one refresh per interval however often it is
+// read. Appended edges do not wait for it (see InvalidateNodes).
+const refreshAfter = time.Second
+
+// refreshWindow is how long a woken refresher keeps gathering its queue
+// before it issues the batch (unless refreshBatch ids arrive first), so
+// ids falling due together share one shard visit.
+const refreshWindow = 5 * time.Millisecond
+
+// Claim sentinels of Entry.due, above every clock reading so a hit never
+// finds them due. claimed marks an entry whose refresh is queued or in
+// flight; claimedStale one invalidated meanwhile, whose replacement may
+// be sampled from before the invalidating append and is therefore
+// installed already due.
+const (
+	claimed      = math.MaxInt64
+	claimedStale = math.MaxInt64 - 1
+)
+
 // fillCall is one in-flight synchronous miss fill; concurrent misses on
 // the same id wait on done instead of sampling redundantly. waiters is
 // written under the segment lock before done closes; the filler reads it
@@ -184,11 +208,17 @@ type fillCall struct {
 // buffer. This is what makes the steady-state refresh path
 // allocation-free: refreshed neighbor sets are copied into recycled
 // buffers instead of freshly allocated slices.
+//
+// due is the refresh schedule: the cache-clock reading at which the next
+// hit claims the entry for a refresh (set to now + refreshAfter when the
+// entry is installed, 0 for a degraded miss fill), or a claim sentinel
+// while that refresh is pending.
 type Entry struct {
 	seg  *cacheSegment
 	buf  []graph.NodeID // len CacheK, reused across generations
 	n    int
 	refs atomic.Int32
+	due  atomic.Int64
 }
 
 // Neighbors returns the cached neighbor set (valid until Release).
@@ -238,6 +268,9 @@ type cacheSegment struct {
 // enqueue an asynchronous refresh on the segment's own queue, decoupling
 // the sampling path from the request path exactly as §VII-E describes
 // ("cache updating is fully asynchronous from users' timely requests").
+// Refresh is by age, not by hit: a hit on an entry younger than
+// refreshAfter does no refresh work at all, and the first hit after that
+// claims the entry so it is queued once however many requests read it.
 // Entries are refcounted (see Entry) so refreshes recycle buffers from a
 // per-segment pool instead of allocating per refreshed id.
 type NeighborCache struct {
@@ -247,11 +280,23 @@ type NeighborCache struct {
 	perShard int // segments per engine shard
 	done     chan struct{}
 	wg       sync.WaitGroup
+
+	// The refresh policy's time base: now reads a monotonic clock in
+	// nanoseconds, a woken refresher gathers for window, and a receive on
+	// flush (nil, so never, outside tests) closes the window early.
+	now    func() int64
+	window time.Duration
+	flush  chan struct{}
 }
 
 // NewNeighborCache starts a cache over eng with per-node budget k and one
 // background refresher per segment. Close must be called.
 func NewNeighborCache(eng *engine.Engine, k int, seed uint64) *NeighborCache {
+	start := time.Now()
+	return newNeighborCache(eng, k, seed, func() int64 { return int64(time.Since(start)) }, refreshWindow, nil)
+}
+
+func newNeighborCache(eng *engine.Engine, k int, seed uint64, now func() int64, window time.Duration, flush chan struct{}) *NeighborCache {
 	shards := eng.NumShards()
 	perShard := (minCacheSegments + shards - 1) / shards
 	c := &NeighborCache{
@@ -260,6 +305,9 @@ func NewNeighborCache(eng *engine.Engine, k int, seed uint64) *NeighborCache {
 		segs:     make([]cacheSegment, shards*perShard),
 		perShard: perShard,
 		done:     make(chan struct{}),
+		now:      now,
+		window:   window,
+		flush:    flush,
 	}
 	for i := range c.segs {
 		seg := &c.segs[i]
@@ -283,13 +331,13 @@ func (c *NeighborCache) newEntry(seg *cacheSegment) *Entry {
 	return &Entry{seg: seg, buf: make([]graph.NodeID, c.k)}
 }
 
-// refresher drains one segment's queue, batching up to refreshBatch ids
-// into a single engine batch call. The segment's ids all live on one
-// shard, so each drained batch is exactly one shard visit — over a
-// remote shard, one request pipelined onto the shared multiplexed
-// connections, overlapping with every other segment's refreshes and
-// with synchronous miss fills instead of serializing behind a
-// checked-out connection.
+// refresher drains one segment's queue: woken by one id, it gathers for
+// the cache's window or until it holds refreshBatch ids, then resamples
+// them in a single engine batch call. The segment's ids all live on one
+// shard, so each batch is exactly one shard visit — over a remote shard,
+// one request pipelined onto the shared multiplexed connections,
+// overlapping with every other segment's refreshes and with synchronous
+// miss fills instead of serializing behind a checked-out connection.
 func (c *NeighborCache) refresher(seg *cacheSegment, seed uint64) {
 	defer c.wg.Done()
 	r := rng.New(seed)
@@ -297,33 +345,64 @@ func (c *NeighborCache) refresher(seg *cacheSegment, seed uint64) {
 	ids := make([]graph.NodeID, 0, refreshBatch)
 	out := make([]graph.NodeID, refreshBatch*c.k)
 	ns := make([]int32, refreshBatch)
+	window := time.NewTimer(c.window)
+	stopTimer(window)
 	for {
 		select {
 		case <-c.done:
 			return
 		case id := <-seg.refresh:
 			ids = append(ids[:0], id)
-		drain:
+			window.Reset(c.window)
+		gather:
 			for len(ids) < refreshBatch {
 				select {
 				case next := <-seg.refresh:
 					ids = append(ids, next)
-				default:
-					break drain
+				case <-window.C:
+					break gather
+				case <-c.flush:
+					break gather
+				case <-c.done:
+					return
 				}
 			}
+			stopTimer(window)
 			c.refreshIDs(seg, ids, out, ns, r, bs)
 		}
 	}
 }
 
+// stopTimer stops t and discards a fire that raced the stop, so the next
+// Reset opens a clean window (the module's go directive selects the
+// buffered-channel timer semantics).
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+}
+
 // refreshIDs resamples ids through one scatter-gather batch and installs
-// the results into recycled entries — the steady-state refresh path
-// performs no heap allocation. On a backend failure (a remote shard
-// down) the previous entries are kept: stale reads beat corrupted or
-// missing ones, and the refresh is simply dropped.
+// the results into recycled entries, each due refreshAfter from now —
+// the steady-state refresh path performs no heap allocation. On a
+// backend failure (a remote shard down) the previous entries are kept:
+// stale reads beat corrupted or missing ones. Their claims are released
+// as due refreshAfter from now, so an outage costs one failed batch per
+// entry per interval rather than one per hit.
 func (c *NeighborCache) refreshIDs(seg *cacheSegment, ids []graph.NodeID, out []graph.NodeID, ns []int32, r *rng.RNG, bs *engine.BatchScratch) {
-	if _, err := c.eng.SampleNeighborsBatchInto(ids, c.k, out, ns, r, bs); err != nil {
+	_, err := c.eng.SampleNeighborsBatchInto(ids, c.k, out, ns, r, bs)
+	due := c.now() + int64(refreshAfter)
+	if err != nil {
+		seg.mu.RLock()
+		for _, id := range ids {
+			if e := seg.entries[id]; e != nil {
+				e.due.Store(due)
+			}
+		}
+		seg.mu.RUnlock()
 		return
 	}
 	seg.mu.Lock()
@@ -333,13 +412,39 @@ func (c *NeighborCache) refreshIDs(seg *cacheSegment, ids []graph.NodeID, out []
 		copy(e.buf[:n], out[i*c.k:i*c.k+n])
 		e.n = n
 		e.refs.Store(1) // the cache's own reference
+		e.due.Store(due)
 		if old := seg.entries[id]; old != nil {
+			if old.due.Load() == claimedStale {
+				e.due.Store(0)
+			}
 			old.releaseLocked()
 		}
 		seg.entries[id] = e
 	}
 	seg.mu.Unlock()
 	seg.refreshes.Add(int64(len(ids)))
+}
+
+// refreshIfDue claims e for a refresh once it is due and queues its id;
+// the compare-and-swap makes concurrent hits queue it once. Callers hold
+// seg.mu (either mode), so the claim lands on the entry the refresher
+// will replace.
+func (c *NeighborCache) refreshIfDue(seg *cacheSegment, id graph.NodeID, e *Entry) {
+	if d := e.due.Load(); d <= c.now() && e.due.CompareAndSwap(d, claimed) {
+		c.enqueue(seg, id, e)
+	}
+}
+
+// enqueue hands a claimed entry's id to the segment's refresher. A full
+// queue releases the claim as due now, so the next hit retries.
+func (c *NeighborCache) enqueue(seg *cacheSegment, id graph.NodeID, e *Entry) bool {
+	select {
+	case seg.refresh <- id:
+		return true
+	default:
+		e.due.Store(0)
+		return false
+	}
 }
 
 // seg maps an id to its segment: the owning shard selects the segment
@@ -374,9 +479,10 @@ func (c *NeighborCache) GetCached(id graph.NodeID) *Entry {
 
 // Get returns the cached neighbor entry for id, sampling synchronously
 // on a miss; the caller reads Neighbors() and calls Release when done.
-// Hits schedule an asynchronous refresh (best effort) and acquire the
-// reader's reference under the segment's read lock, so a refresh can
-// never recycle a buffer out from under a reader. Misses are
+// Hits acquire the reader's reference under the segment's read lock, so
+// a refresh can never recycle a buffer out from under a reader, and a
+// hit on an entry that has served for refreshAfter schedules its
+// asynchronous refresh (best effort, once per entry). Misses are
 // single-flighted per id: concurrent requests for the same cold id share
 // one sample — each waiter's reference is granted by the filler at
 // install time. Only the id's own segment is locked, so requests for
@@ -391,20 +497,17 @@ func (c *NeighborCache) Get(id graph.NodeID, r *rng.RNG) *Entry {
 // fill carries the deadline down into the engine (and from there into
 // the per-call RPC budget). When the budget runs out mid-fill the miss
 // degrades exactly like an outage — an empty neighbor set is installed
-// and the next hit's asynchronous refresh heals it — because every
-// coalesced waiter needs an entry regardless of whose deadline expired.
-// The zero deadline means unbounded.
+// already due, so the next hit's asynchronous refresh heals it — because
+// every coalesced waiter needs an entry regardless of whose deadline
+// expired. The zero deadline means unbounded.
 func (c *NeighborCache) GetBy(id graph.NodeID, r *rng.RNG, deadline time.Time) *Entry {
 	seg := c.seg(id)
 	seg.mu.RLock()
 	if e, ok := seg.entries[id]; ok {
 		e.refs.Add(1)
+		c.refreshIfDue(seg, id, e)
 		seg.mu.RUnlock()
 		seg.hits.Add(1)
-		select {
-		case seg.refresh <- id:
-		default: // refresher busy; skip
-		}
 		return e
 	}
 	seg.mu.RUnlock()
@@ -412,6 +515,7 @@ func (c *NeighborCache) GetBy(id graph.NodeID, r *rng.RNG, deadline time.Time) *
 	seg.mu.Lock()
 	if e, ok := seg.entries[id]; ok { // filled while upgrading the lock
 		e.refs.Add(1)
+		c.refreshIfDue(seg, id, e)
 		seg.mu.Unlock()
 		seg.hits.Add(1)
 		return e
@@ -430,10 +534,14 @@ func (c *NeighborCache) GetBy(id graph.NodeID, r *rng.RNG, deadline time.Time) *
 
 	seg.misses.Add(1)
 	n, err := c.eng.TrySampleNeighborsIntoBy(id, e.buf[:c.k], r, deadline)
+	due := c.now() + int64(refreshAfter)
 	if err != nil {
-		n = 0 // shard unavailable: serve the request with no neighbors
+		// Shard unavailable or budget spent: serve the request with no
+		// neighbors, and let the next hit heal the entry.
+		n, due = 0, 0
 	}
 	e.n = n
+	e.due.Store(due)
 
 	seg.mu.Lock()
 	// cache + filler + every waiter registered before the install.
@@ -452,23 +560,39 @@ func (c *NeighborCache) GetBy(id graph.NodeID, r *rng.RNG, deadline time.Time) *
 // distribution. Invalidation is deliberately not eviction: the stale
 // entry keeps serving (stale beats a synchronous refill stampede, the
 // same policy refreshers apply during an outage) while the segment's
-// refresher resamples it through the normal batch path. Ids with no
-// cached entry are skipped — there is nothing stale to heal. Best
-// effort: a refresher whose queue is full drops the hint, and the next
-// hit on the entry re-enqueues it anyway.
+// refresher resamples it through the normal batch path. It bypasses the
+// refresh interval through the hit path's claim: an unclaimed entry is
+// queued now, and one whose refresh is already pending is marked so its
+// replacement — possibly sampled before the append — is installed
+// already due. Ids with no cached entry are skipped — there is nothing
+// stale to heal. Best effort: a refresher whose queue is full drops the
+// hint, leaving the entry due so the next hit queues it.
 func (c *NeighborCache) InvalidateNodes(ids ...graph.NodeID) {
 	for _, id := range ids {
 		seg := c.seg(id)
 		seg.mu.RLock()
-		_, cached := seg.entries[id]
-		seg.mu.RUnlock()
-		if !cached {
-			continue
-		}
-		select {
-		case seg.refresh <- id:
+		if e := seg.entries[id]; e != nil && c.invalidate(seg, id, e) {
 			seg.invalidations.Add(1)
-		default: // refresher saturated; the next hit re-enqueues
+		}
+		seg.mu.RUnlock()
+	}
+}
+
+// invalidate claims e (or marks its pending claim stale) and reports
+// whether the hint was accepted. Callers hold seg.mu.
+func (c *NeighborCache) invalidate(seg *cacheSegment, id graph.NodeID, e *Entry) bool {
+	for {
+		switch d := e.due.Load(); d {
+		case claimedStale:
+			return false // already marked; one pending refresh covers it
+		case claimed:
+			if e.due.CompareAndSwap(claimed, claimedStale) {
+				return true
+			}
+		default:
+			if e.due.CompareAndSwap(d, claimed) {
+				return c.enqueue(seg, id, e)
+			}
 		}
 	}
 }
@@ -484,8 +608,8 @@ func (c *NeighborCache) Stats() (hits, misses, refreshes int64) {
 	return hits, misses, refreshes
 }
 
-// Invalidations reports how many invalidation hints were accepted onto
-// refresh queues (all time).
+// Invalidations reports how many invalidation hints were accepted — queued
+// for refresh, or marked onto an already pending one (all time).
 func (c *NeighborCache) Invalidations() int64 {
 	var n int64
 	for i := range c.segs {

@@ -113,23 +113,27 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	}
 }
 
+// A due hit answers from the cached entry at once and leaves the
+// resample to the segment's refresher: the reader never waits on the
+// shard, and the entry is replaced behind it.
 func TestCacheAsyncRefreshRuns(t *testing.T) {
-	h := buildHarness(t)
+	pc := newPolicyCache(t, ringGraph(64), 1)
 	r := rng.New(8)
-	id := h.users[2]
-	h.cache.Get(id, r)
-	for i := 0; i < 50; i++ {
-		h.cache.Get(id, r)
+	id := graph.NodeID(2)
+	first := pc.Get(id, r)
+	defer first.Release()
+	pc.advance(refreshAfter)
+	hit := pc.Get(id, r)
+	defer hit.Release()
+	if hit != first {
+		t.Fatal("a due hit waited for its refresh instead of serving the cached entry")
 	}
-	// Give the refresher a moment.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, _, refreshes := h.cache.Stats(); refreshes > 0 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	pc.settle(id, 1)
+	cur := pc.GetCached(id)
+	defer cur.Release()
+	if cur == first {
+		t.Fatal("asynchronous refresh never replaced the entry")
 	}
-	t.Fatal("asynchronous refresh never ran")
 }
 
 func TestServerServesRequests(t *testing.T) {
@@ -438,36 +442,44 @@ func TestCacheSegmentsAlignWithShards(t *testing.T) {
 	}
 }
 
-// The refresher path must batch: after many hits on cached ids, entries
-// are refreshed (asynchronously) through the scatter-gather call without
-// corrupting them.
+// The refresher path must batch: once the interval has passed, the first
+// hit on each cached id queues it (the other hits queue nothing), the
+// segment's refresher resamples them all through one scatter-gather
+// call, and the replacements hold real neighbors.
 func TestBatchedRefreshKeepsEntriesValid(t *testing.T) {
 	h := buildHarness(t)
+	pc := newPolicyCache(t, h.g, 4)
 	r := rng.New(9)
-	ids := h.users[:4]
-	for _, id := range ids {
-		h.cache.Get(id, r) // fill
-	}
-	for i := 0; i < 200; i++ {
-		h.cache.Get(ids[i%len(ids)], r) // hits enqueue refreshes
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, _, refreshes := h.cache.Stats(); refreshes > 0 {
-			break
+	seg := pc.seg(h.users[0])
+	var ids []graph.NodeID
+	for id := 0; id < h.g.NumNodes(); id++ {
+		if nid := graph.NodeID(id); pc.seg(nid) == seg && h.g.Degree(nid) > 0 {
+			ids = append(ids, nid)
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	for _, id := range ids {
+		pc.Get(id, r).Release() // fill
+	}
+	pc.advance(refreshAfter)
+	for i := 0; i < 200; i++ {
+		pc.Get(ids[i%len(ids)], r).Release() // the first hit per id queues it
+	}
+	pc.settle(ids[0], int64(len(ids)))
+	if n, b := pc.refreshes(), pc.batches.Load(); n != int64(len(ids)) || b != 1 {
+		t.Fatalf("%d due ids: %d refreshes in %d batches, want %d in 1", len(ids), n, b, len(ids))
 	}
 	for _, id := range ids {
 		nbrSet := map[graph.NodeID]bool{}
 		for _, e := range h.g.Neighbors(id) {
 			nbrSet[e.To] = true
 		}
-		for _, nb := range h.cache.Get(id, r).Neighbors() {
+		e := pc.GetCached(id)
+		for _, nb := range e.Neighbors() {
 			if !nbrSet[nb] {
 				t.Fatalf("refreshed entry for %d contains non-neighbor %d", id, nb)
 			}
 		}
+		e.Release()
 	}
 }
 
