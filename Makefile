@@ -29,10 +29,11 @@ test:
 
 # Race-exercise the concurrent serving stack (scatter-gather and the RPC
 # client connection pool included) plus the full training stack: nn
-# optimizers, the parameter server, the experiments harness (incl. the
-# cross-topology equivalence suite), and the A/B replay.
+# optimizers, the experiments harness (incl. the cross-topology
+# equivalence suite and the dead-cluster training test), and the A/B
+# replay.
 race:
-	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/ps/... ./internal/experiments/... ./internal/abtest/...
+	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/...
 
 # Fault-injection suite under the race detector: server kill/restart and
 # churn, replica failover mid-batch, rolling upgrade, zero-replica
@@ -60,8 +61,9 @@ bench-compare:
 	./bench_compare.sh
 
 # Fail on broken intra-repo links in *.md (docs/, READMEs, ROADMAP...),
-# on flag tables that disagree with the binaries, and on docs naming a
-# binary that has no cmd/<name>/.
+# on flag tables that disagree with the binaries, on docs naming a
+# binary that has no cmd/<name>/, and on an internal/ package that no
+# binary, example or benchmark-rig package reaches.
 docs-check:
 	./docs_check.sh
 

@@ -7,14 +7,12 @@ package main_test
 
 import (
 	"testing"
-	"time"
 
 	"zoomer/internal/alias"
 	"zoomer/internal/experiments"
 	"zoomer/internal/graph"
 	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
-	"zoomer/internal/ps"
 	"zoomer/internal/rng"
 	"zoomer/internal/sampling"
 	"zoomer/internal/tensor"
@@ -198,58 +196,6 @@ func BenchmarkAblationAlias(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationAsyncPS compares asynchronous against synchronous
-// parameter-server updates on the distributed MF trainer.
-func BenchmarkAblationAsyncPS(b *testing.B) {
-	r := rng.New(4)
-	var examples []ps.MFExample
-	for i := 0; i < 2000; i++ {
-		u := int32(r.Intn(40))
-		it := int32(r.Intn(40))
-		label := float32(0)
-		if (u < 20) == (it < 20) {
-			label = 1
-		}
-		examples = append(examples, ps.MFExample{User: u, Item: it, Label: label})
-	}
-	for _, mode := range []struct {
-		name string
-		sync bool
-	}{{"async", false}, {"sync", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := ps.TrainMF(examples, ps.MFConfig{
-					Dim: 8, Workers: 4, Epochs: 2, LR: 0.1, Sync: mode.sync, Seed: 5,
-				})
-				if res.TrainAUC < 0.5 {
-					b.Fatal("training diverged")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPipeline compares the 3-stage asynchronous training
-// pipeline of §VI against sequential stage execution.
-func BenchmarkAblationPipeline(b *testing.B) {
-	items := make([]any, 24)
-	for i := range items {
-		items[i] = i
-	}
-	stage := func(v any) any { time.Sleep(200 * time.Microsecond); return v }
-	stages := []ps.Stage{stage, stage, stage}
-	b.Run("pipelined", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = ps.RunPipeline(items, stages, 4)
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = ps.RunSequential(items, stages)
-		}
-	})
 }
 
 func formatInt(prefix string, v int) string {

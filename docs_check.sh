@@ -23,6 +23,10 @@
 # internal/ must resolve with `go doc zoomer/internal/<pkg> <Name>` — a
 # deleted or renamed type, function, method or field cannot linger.
 #
+# Every package under internal/ must be reached by a binary or example
+# (go list -deps ./cmd/... ./examples/...) or by the benchmark rig, a
+# separate module under benchmark/ — a package nothing runs cannot stay.
+#
 # Usage: ./docs_check.sh [operations.md]   (default docs/OPERATIONS.md)
 set -eu
 
@@ -110,8 +114,17 @@ for f in docs/ARCHITECTURE.md "$ops"; do
 	done
 done
 
+# Every internal package must be reachable from something that runs.
+reached=$({ go list -deps ./cmd/... ./examples/... && (cd benchmark && go list -deps ./...); } | sort -u)
+for pkg in $(go list ./internal/...); do
+	if ! echo "$reached" | grep -qx -- "$pkg"; then
+		echo "docs-check: $pkg is reached by no cmd/, examples/ or benchmark/ package" >&2
+		fail=1
+	fi
+done
+
 if [ "$fail" -ne 0 ]; then
 	echo "docs-check: FAILED" >&2
 	exit 1
 fi
-echo "docs-check: all intra-repo Markdown links resolve, the flag tables match the binaries, every named binary exists and every quoted internal Go name resolves"
+echo "docs-check: all intra-repo Markdown links resolve, the flag tables match the binaries, every named binary exists, every quoted internal Go name resolves and every internal package is reached"

@@ -138,18 +138,15 @@ type Arm struct {
 	View    core.GraphView
 }
 
-// Run replays traffic through both channels under the same click and
+// RunArms replays traffic through both arms under the same click and
 // pricing models. Relevance ground truth comes from the generator's
 // latent content vectors: rel = cos(user⊕query intent, item content).
 // Click probability is position-biased (1/log2(pos+2)) and sigmoidal in
 // relevance; ad prices are deterministic per item (hash-based), so the
-// two channels face identical economics. g is the ground-truth view
-// scoring relevance (monolithic graph or engine — identical reads).
-func Run(g core.GraphView, traffic []Request, control, treatment Channel, cfg Config) Result {
-	return RunArms(g, traffic, Arm{Channel: control}, Arm{Channel: treatment}, cfg)
-}
-
-// RunArms is Run with per-arm live serving configs: before an arm
+// two arms face identical economics. g is the ground-truth view scoring
+// relevance (monolithic graph or engine — identical reads).
+//
+// Each arm may carry its own live serving config: before an arm
 // replays, its view (when set) is bound into the channel's model, so
 // control and treatment can serve from different engine topologies.
 // Because every view is a bit-identical read surface, arms that differ

@@ -83,11 +83,6 @@ func (t *Tape) Const(m *tensor.Matrix) *Node {
 	return t.record(m, false, nil)
 }
 
-// ConstVec introduces a 1xN constant row vector view of v.
-func (t *Tape) ConstVec(v tensor.Vec) *Node {
-	return t.Const(&tensor.Matrix{Rows: 1, Cols: len(v), Data: v})
-}
-
 // Watch introduces a parameter: val is the parameter storage and grad the
 // persistent gradient buffer gradients accumulate into. Both must share a
 // shape. Optimizers own zeroing grad between steps.

@@ -157,12 +157,3 @@ func (t *Table) Sample(r *rng.RNG) int {
 	}
 	return SampleFrom(t.prob, t.alias, r)
 }
-
-// SampleMany draws k outcomes with replacement into a new slice.
-func (t *Table) SampleMany(r *rng.RNG, k int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = t.Sample(r)
-	}
-	return out
-}

@@ -110,20 +110,6 @@ func TestPropertyDistribution(t *testing.T) {
 	}
 }
 
-func TestSampleMany(t *testing.T) {
-	tab := MustNew([]float64{1, 1})
-	r := rng.New(5)
-	out := tab.SampleMany(r, 64)
-	if len(out) != 64 {
-		t.Fatalf("SampleMany returned %d items", len(out))
-	}
-	for _, v := range out {
-		if v != 0 && v != 1 {
-			t.Fatalf("out-of-range sample %d", v)
-		}
-	}
-}
-
 // TestConstantTime pins the O(1) property loosely: sampling cost must not
 // scale with table size (allowing generous noise).
 func TestLargeTable(t *testing.T) {

@@ -38,9 +38,10 @@
 // TrySampleNeighborsIntoBy and TryReadNodes return transport failures as
 // typed errors with no partial-result corruption. The error-free surface
 // (Neighbors, Features, Content, ReadNodes, SampleNeighborsInto) panics
-// on a remote transport failure — it exists for in-process use and for
-// healthy clusters; fault-tolerant callers go through the error-returning
-// calls.
+// on a remote transport failure with an error that wraps the typed one,
+// so a recovered value still satisfies errors.Is(v.(error),
+// ErrShardUnavailable) — it exists for in-process use and for healthy
+// clusters; fault-tolerant callers go through the error-returning calls.
 package engine
 
 import (
@@ -560,7 +561,7 @@ func (e *Engine) ReplicaSet(i int) []ShardBackend { return e.bset.Load().groups[
 // package comment's error contract.
 func must(err error) {
 	if err != nil {
-		panic(fmt.Sprintf("engine: remote backend failed on the error-free surface: %v", err))
+		panic(fmt.Errorf("engine: remote backend failed on the error-free surface: %w", err))
 	}
 }
 

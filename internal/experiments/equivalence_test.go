@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"net"
 	"testing"
 
@@ -60,23 +61,9 @@ func equivalenceTopologies(t testing.TB) (*world, []topology, func()) {
 	add("degree-4-locality", engine.Config{Shards: 4, Strategy: partition.DegreeBalanced, Locality: true})
 
 	// Loopback remote: four hash shards behind two TCP servers.
-	layout := [][]int{{0, 2}, {1, 3}}
-	addrs := make([]string, len(layout))
-	for i, owned := range layout {
-		srv := rpc.NewServer(res.res.Graph, rpc.ServerConfig{
-			Shards: 4, Strategy: partition.Hash, Owned: owned, Locality: true,
-		})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		srv.Start(ln)
-		addrs[i] = ln.Addr().String()
+	servers, cluster := loopbackCluster(t, res.res.Graph, remoteLayout, true)
+	for _, srv := range servers {
 		closers = append(closers, func() { srv.Close() })
-	}
-	cluster, err := rpc.DialCluster(addrs...)
-	if err != nil {
-		t.Fatalf("dial cluster: %v", err)
 	}
 	closers = append(closers, func() { cluster.Close() })
 	topos = append(topos, topology{name: "remote-2servers", view: core.EngineView{Engine: cluster.Engine, M: res.res.Mapping}})
@@ -87,6 +74,35 @@ func equivalenceTopologies(t testing.TB) (*world, []topology, func()) {
 		}
 	}
 	return res, topos, cleanup
+}
+
+// remoteLayout is the loopback cluster's shard placement: four hash
+// shards, two per server.
+var remoteLayout = [][]int{{0, 2}, {1, 3}}
+
+// loopbackCluster starts one TCP server per layout entry, each owning
+// its entry's shards of a 4-way hash partition of g, and dials a cluster
+// over them. The caller closes the servers and the cluster.
+func loopbackCluster(t testing.TB, g *graph.Graph, layout [][]int, locality bool) ([]*rpc.Server, *rpc.Cluster) {
+	t.Helper()
+	servers := make([]*rpc.Server, len(layout))
+	addrs := make([]string, len(layout))
+	for i, owned := range layout {
+		servers[i] = rpc.NewServer(g, rpc.ServerConfig{
+			Shards: 4, Strategy: partition.Hash, Owned: owned, Locality: locality,
+		})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		servers[i].Start(ln)
+		addrs[i] = ln.Addr().String()
+	}
+	cluster, err := rpc.DialCluster(addrs...)
+	if err != nil {
+		t.Fatalf("dial cluster: %v", err)
+	}
+	return servers, cluster
 }
 
 // buildWorldFromLogs mirrors buildWorld without constructing an engine
@@ -325,6 +341,77 @@ func TestSamplerEquivalenceAcrossTopologies(t *testing.T) {
 	}
 }
 
+// killAfterReads is a view that closes a shard server just before its
+// nth bulk read — a deterministic server death mid-training.
+type killAfterReads struct {
+	core.GraphView
+	n    int
+	kill func()
+}
+
+func (v *killAfterReads) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, into *graph.NodeBlock) {
+	if v.n--; v.n == 0 {
+		v.kill()
+	}
+	v.GraphView.ReadNodes(ids, fields, into)
+}
+
+// TestTrainDeadClusterFailsLoudAndRestarts pins core.Train over a
+// cluster that loses a server: the run aborts with a panic that still
+// carries the engine's typed engine.ErrShardUnavailable, never a
+// gradient computed from a partial read; a bulk read spanning the dead
+// server's shards fails the same typed way; and once a server relistens
+// on the same address, a from-scratch run is bit-identical to the local
+// engine's again.
+func TestTrainDeadClusterFailsLoudAndRestarts(t *testing.T) {
+	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
+	w := buildWorldFromLogs(logs, 1)
+	g, v, mp := w.res.Graph, logs.Vocab(), w.res.Mapping
+	local := engine.New(g, engine.Config{Shards: 4, Strategy: partition.Hash, Locality: true})
+	want := runTrainingTrace(w, "zoomer", core.EngineView{Engine: local, M: mp}, v, mp)
+
+	servers, cluster := loopbackCluster(t, g, remoteLayout, true)
+	defer func() {
+		for _, srv := range servers {
+			srv.Close()
+		}
+	}()
+	defer cluster.Close()
+	remote := core.EngineView{Engine: cluster.Engine, M: mp}
+
+	// Kill leg: server 1 dies just before the 10th bulk read.
+	addr := servers[1].Addr().String()
+	dying := &killAfterReads{GraphView: remote, n: 10, kill: func() { servers[1].Close() }}
+	recovered := func() (p any) {
+		defer func() { p = recover() }()
+		runTrainingTrace(w, "zoomer", dying, v, mp)
+		return nil
+	}()
+	if recovered == nil {
+		t.Fatal("training survived a dead shard server")
+	}
+	if err, _ := recovered.(error); !errors.Is(err, engine.ErrShardUnavailable) {
+		t.Fatalf("training panicked with %v (%T), want an error wrapping engine.ErrShardUnavailable", recovered, recovered)
+	}
+	var blk graph.NodeBlock
+	err := cluster.Engine.TryReadNodes(mp.NodesOfType(graph.Item), graph.ReadNeighbors|graph.ReadContent, &blk)
+	if !errors.Is(err, engine.ErrShardUnavailable) {
+		t.Fatalf("bulk read over a dead server: got %v, want engine.ErrShardUnavailable", err)
+	}
+
+	// Restart leg: a fresh server on the same address re-serves the dead
+	// one's shards; the client redials on demand.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("relisten %s: %v", addr, err)
+	}
+	servers[1] = rpc.NewServer(g, rpc.ServerConfig{
+		Shards: 4, Strategy: partition.Hash, Owned: remoteLayout[1], Locality: true,
+	})
+	servers[1].Start(ln)
+	requireTraceEqual(t, "zoomer", "post-restart", want, runTrainingTrace(w, "zoomer", remote, v, mp))
+}
+
 // contentCounter is a decorator in the shape of the benchmark rig's: it
 // embeds the view — so the bulk read reaches the engine through the
 // promoted method — and counts how often each node's content is read.
@@ -359,21 +446,9 @@ func TestRemoteStepReadBudget(t *testing.T) {
 	}
 	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleLarge, 1))
 	w := buildWorldFromLogs(logs, 1)
-	var servers []*rpc.Server
-	var addrs []string
-	for _, owned := range [][]int{{0, 1}, {2, 3}} {
-		srv := rpc.NewServer(w.res.Graph, rpc.ServerConfig{Shards: 4, Strategy: partition.Hash, Owned: owned})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		srv.Start(ln)
+	servers, cluster := loopbackCluster(t, w.res.Graph, [][]int{{0, 1}, {2, 3}}, false)
+	for _, srv := range servers {
 		defer srv.Close()
-		servers, addrs = append(servers, srv), append(addrs, ln.Addr().String())
-	}
-	cluster, err := rpc.DialCluster(addrs...)
-	if err != nil {
-		t.Fatalf("dial cluster: %v", err)
 	}
 	defer cluster.Close()
 	reads := func() (n int64) {

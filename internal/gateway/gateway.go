@@ -188,9 +188,6 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// Draining reports whether drain has started.
-func (g *Gateway) Draining() bool { return g.draining.Load() }
-
 // InFlight reports the requests currently inside admission.
 func (g *Gateway) InFlight() int64 { return g.inflight.Load() }
 
@@ -556,7 +553,3 @@ func DecodeBinary(b []byte) (items []Item, degraded bool, err error) {
 	}
 	return items, degraded, nil
 }
-
-// IsDeadlineExceeded reports whether err is the typed per-request
-// deadline failure, at whatever layer it was noticed.
-func IsDeadlineExceeded(err error) bool { return errors.Is(err, engine.ErrDeadlineExceeded) }

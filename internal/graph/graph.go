@@ -141,11 +141,6 @@ func (g *Graph) Offsets() []int32 { return g.offsets }
 // with Offsets. The view is shared and must not be mutated.
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// EdgeRange returns the [lo, hi) bounds of id's adjacency within Edges.
-func (g *Graph) EdgeRange(id NodeID) (lo, hi int32) {
-	return g.offsets[id], g.offsets[id+1]
-}
-
 // Features returns the sparse categorical feature ids of id.
 func (g *Graph) Features(id NodeID) []int32 { return g.features[id] }
 

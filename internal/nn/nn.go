@@ -1,6 +1,6 @@
 // Package nn provides the neural-network building blocks used by Zoomer
 // and every baseline: dense parameters, linear/MLP layers, sparse
-// embedding tables, and SGD/Adam optimizers with sparse updates.
+// embedding tables, and Adam optimizers with sparse updates.
 //
 // It mirrors the split in the paper's XDL training stack: dense model
 // parameters (attention vectors, projection matrices) are small and
@@ -227,17 +227,6 @@ func (e *EmbeddingTable) TouchedRows() int { return len(e.grads) }
 // ZeroGrad discards pending sparse gradients.
 func (e *EmbeddingTable) ZeroGrad() { clear(e.grads) }
 
-// StepSGD applies pending sparse gradients with plain SGD and clears them.
-func (e *EmbeddingTable) StepSGD(lr float32) {
-	for id, g := range e.grads {
-		row := e.rows.Row(int(id))
-		for j := range row {
-			row[j] -= lr * g[j]
-		}
-	}
-	clear(e.grads)
-}
-
 // StepAdam applies pending sparse gradients with Adam (lazy per-row
 // moments, table-global bias correction) and clears them.
 func (e *EmbeddingTable) StepAdam(lr float32, beta1, beta2, eps float64) {
@@ -268,33 +257,6 @@ func (e *EmbeddingTable) StepAdam(lr float32, beta1, beta2, eps float64) {
 		}
 	}
 	clear(e.grads)
-}
-
-// ApplyDelta adds delta to row id directly; the parameter-server path uses
-// this to install worker-pushed updates.
-func (e *EmbeddingTable) ApplyDelta(id int32, delta []float32) {
-	row := e.rows.Row(int(id))
-	for j := range row {
-		row[j] += delta[j]
-	}
-}
-
-// SGD is a plain stochastic-gradient-descent optimizer with optional L2
-// weight decay (the paper's "regulation loss").
-type SGD struct {
-	LR          float32
-	WeightDecay float32
-}
-
-// Step applies and clears gradients for the given dense parameters.
-func (s *SGD) Step(params ...*Param) {
-	for _, p := range params {
-		for i := range p.Val.Data {
-			g := p.Grad.Data[i] + s.WeightDecay*p.Val.Data[i]
-			p.Val.Data[i] -= s.LR * g
-			p.Grad.Data[i] = 0
-		}
-	}
 }
 
 // Adam is the Adam optimizer for dense parameters, with state keyed by

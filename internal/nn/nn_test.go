@@ -171,36 +171,13 @@ func TestEmbeddingSparseGradAccumulation(t *testing.T) {
 	}
 }
 
-func TestEmbeddingStepSGD(t *testing.T) {
-	r := rng.New(9)
-	e := NewEmbeddingTable("emb", 4, 2, r)
-	before := tensor.Copy(e.Row(1))
-	otherBefore := tensor.Copy(e.Row(0))
-	tp := ad.NewTape()
-	n := e.LookupOne(tp, 1)
-	tp.Backward(tp.SumAll(n))
-	e.StepSGD(0.1)
-	after := e.Row(1)
-	for j := range after {
-		want := before[j] - 0.1
-		if math.Abs(float64(after[j]-want)) > 1e-6 {
-			t.Fatalf("SGD row update wrong: %v -> %v", before, after)
-		}
-	}
-	for j := range otherBefore {
-		if e.Row(0)[j] != otherBefore[j] {
-			t.Fatal("SGD touched an unrelated row")
-		}
-	}
-	if e.TouchedRows() != 0 {
-		t.Fatal("StepSGD did not clear gradients")
-	}
-}
-
+// A sparse Adam step moves only the rows that carry gradients, against
+// the gradient, and clears the pending gradients.
 func TestEmbeddingStepAdamMovesAgainstGradient(t *testing.T) {
 	r := rng.New(10)
 	e := NewEmbeddingTable("emb", 4, 3, r)
 	before := tensor.Copy(e.Row(2))
+	otherBefore := tensor.Copy(e.Row(0))
 	tp := ad.NewTape()
 	tp.Backward(tp.SumAll(e.LookupOne(tp, 2)))
 	e.StepAdam(0.01, 0.9, 0.999, 1e-8)
@@ -209,6 +186,14 @@ func TestEmbeddingStepAdamMovesAgainstGradient(t *testing.T) {
 		if after[j] >= before[j] {
 			t.Fatalf("Adam did not decrease value against positive grad: %v -> %v", before[j], after[j])
 		}
+	}
+	for j := range otherBefore {
+		if e.Row(0)[j] != otherBefore[j] {
+			t.Fatal("Adam touched a row without a gradient")
+		}
+	}
+	if e.TouchedRows() != 0 {
+		t.Fatal("StepAdam did not clear gradients")
 	}
 }
 
@@ -241,20 +226,11 @@ func TestEmbeddingTrainsToSeparateClasses(t *testing.T) {
 	}
 }
 
-func TestApplyDelta(t *testing.T) {
-	r := rng.New(12)
-	e := NewEmbeddingTable("emb", 3, 2, r)
-	before := tensor.Copy(e.Row(1))
-	e.ApplyDelta(1, []float32{0.5, -0.5})
-	if e.Row(1)[0] != before[0]+0.5 || e.Row(1)[1] != before[1]-0.5 {
-		t.Fatal("ApplyDelta wrong")
-	}
-}
-
-func TestSGDWeightDecayShrinks(t *testing.T) {
+func TestAdamWeightDecayShrinks(t *testing.T) {
 	p := NewParam("w", 1, 1)
 	p.Val.Data[0] = 1
-	opt := &SGD{LR: 0.1, WeightDecay: 0.5}
+	opt := NewAdam(0.1)
+	opt.WeightDecay = 0.5
 	opt.Step(p) // grad 0, decay pulls toward zero
 	if p.Val.Data[0] >= 1 {
 		t.Fatalf("weight decay did not shrink: %v", p.Val.Data[0])
