@@ -171,13 +171,10 @@ func TestEmbeddingSparseGradAccumulation(t *testing.T) {
 	}
 }
 
-// A sparse Adam step moves only the rows that carry gradients, against
-// the gradient, and clears the pending gradients.
 func TestEmbeddingStepAdamMovesAgainstGradient(t *testing.T) {
 	r := rng.New(10)
 	e := NewEmbeddingTable("emb", 4, 3, r)
 	before := tensor.Copy(e.Row(2))
-	otherBefore := tensor.Copy(e.Row(0))
 	tp := ad.NewTape()
 	tp.Backward(tp.SumAll(e.LookupOne(tp, 2)))
 	e.StepAdam(0.01, 0.9, 0.999, 1e-8)
@@ -185,6 +182,26 @@ func TestEmbeddingStepAdamMovesAgainstGradient(t *testing.T) {
 	for j := range after {
 		if after[j] >= before[j] {
 			t.Fatalf("Adam did not decrease value against positive grad: %v -> %v", before[j], after[j])
+		}
+	}
+}
+
+// A sparse Adam step moves only the rows that carry gradients and clears
+// the pending gradients. With bias correction, the first step on a unit
+// gradient moves each coordinate by exactly lr/(1+eps).
+func TestEmbeddingStepAdamTouchesOnlyGradientRows(t *testing.T) {
+	r := rng.New(9)
+	e := NewEmbeddingTable("emb", 4, 2, r)
+	before := tensor.Copy(e.Row(1))
+	otherBefore := tensor.Copy(e.Row(0))
+	tp := ad.NewTape()
+	tp.Backward(tp.SumAll(e.LookupOne(tp, 1)))
+	e.StepAdam(0.1, 0.9, 0.999, 1e-8)
+	after := e.Row(1)
+	for j := range after {
+		want := before[j] - 0.1
+		if math.Abs(float64(after[j]-want)) > 1e-6 {
+			t.Fatalf("Adam row update wrong: %v -> %v", before, after)
 		}
 	}
 	for j := range otherBefore {
