@@ -46,9 +46,11 @@ chaos:
 # Durable-ingest crash suite under the race detector: kill -9 a child
 # writer mid-append and prove WAL replay reconverges bit-identically
 # (torn tail, corrupt record and disk-full paths included), plus the
-# rpc-layer crash/restart, skew and replicated-append tests.
+# rpc-layer crash/restart, skew and replicated-append tests, and a
+# multi-shard append with one shard's replica group dark.
 ingest-chaos:
 	go test -race -count=1 -run 'TestWALCrashRecoveryEquivalence|TestWALTornTailTruncated|TestWALCorrupt|TestWALDiskFull' ./internal/ingest/
+	go test -race -count=1 -run 'TestAppendDarkShardLandsOtherShards' ./internal/engine/
 	go test -race -count=1 -run 'TestAppendRecoveryAfterRestart|TestServingSurvivesWriterCrash|TestAppendWALWriteFailureKeepsServing|TestAppendIdempotencyAndResync|TestVersionSkew' ./internal/rpc/
 
 # Hot-path benchmarks -> BENCH_hotpath.json (perf trajectory across PRs).

@@ -46,6 +46,9 @@ go test -run '^$' -bench 'BenchmarkDot|BenchmarkMatVec|BenchmarkAxpy' -benchmem 
 # (serial + concurrent callers on the shared multiplexed pool) and the
 # multi-shard remote tree.
 go test -run '^$' -bench 'BenchmarkRPCRoundTrip|BenchmarkRemoteBatch$|BenchmarkRemoteBatchParallel|BenchmarkRemoteTree' -benchmem -count "$COUNT" ./internal/rpc/ | tee -a "$TMP" >&2
+# One 64-edge append over the 4 shards of 2 servers, no WAL (fixed
+# iteration count — every append grows the delta overlays it lands in).
+go test -run '^$' -bench 'BenchmarkRemoteAppend' -benchtime 1000x -benchmem -count "$COUNT" ./internal/rpc/ | tee -a "$TMP" >&2
 # The bulk node read and what training gains from it: one scatter-gather
 # attribute read (64 / 512 ids, 4 shards on 2 servers, 0 allocs/op), a
 # 2-hop focal-biased ROI tree over the wire through a read set, and a

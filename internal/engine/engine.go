@@ -8,15 +8,16 @@
 // The Engine itself is the routing layer: a single-node call is directed
 // to the owning shard with one arithmetic or array-index lookup, and
 // multi-node calls (cache refresh batches, SampleTree frontiers, bulk
-// attribute reads) are scatter-gathered by one visit plan (plan.go):
-// group by owner, one visit per owning shard, visits that can start
-// overlapped on the wire, the rest served inline, failures retried per
-// visit. The Engine holds every partition as a replica group of stores
-// behind the ShardBackend interface — the seam where an RPC-backed shard
-// plugs in (internal/rpc.RemoteShard): NewWithReplicaSets accepts any mix
-// of local *Shards and remote stubs, and each per-shard visit maps onto
-// exactly one RPC round trip. The engine starts no goroutine on a call
-// path and owns nothing that needs closing.
+// attribute reads, edge appends) are scatter-gathered by one visit plan
+// (plan.go): group by owner, one visit per owning shard, read visits that
+// can start overlapped on the wire, the rest (appends among them) served
+// inline, failures retried per visit. The Engine holds every partition as
+// a replica group of stores behind the ShardBackend interface — the seam
+// where an RPC-backed shard plugs in (internal/rpc.RemoteShard):
+// NewWithReplicaSets accepts any mix of local *Shards and remote stubs,
+// and each per-shard visit maps onto exactly one RPC round trip. The
+// engine starts no goroutine on a call path and owns nothing that needs
+// closing.
 //
 // The hot path is lock- and allocation-free: routing is O(1) arithmetic,
 // every shard's alias arrays are immutable after New and read without
@@ -246,10 +247,10 @@ func deadlinePassed(deadline time.Time) bool {
 // walk runs one call against partition si of this view: the picked
 // replica first, then — while it fails at the transport level — each
 // sibling in turn. Every replicated call goes through it: a single
-// sample, a visit of a multi-shard call, an append. failover reports
-// whether any replica failed under the call, so the caller can kick an
-// asynchronous ownership refresh that rebinds the dead replica out of the
-// view. A non-zero deadline (zero: unbounded, the ShardBackend
+// sample, or a served visit of a batch, a bulk read or an append.
+// failover reports whether any replica failed under the call, so the
+// caller can kick an asynchronous ownership refresh that rebinds the dead
+// replica out of the view. A non-zero deadline (zero: unbounded, the ShardBackend
 // convention) bounds the whole walk: it is checked before each failover
 // attempt, because walking the rotation must not multiply an exhausted
 // budget.
@@ -316,7 +317,7 @@ type Engine struct {
 	refreshFailedAt time.Time
 	refreshKick     atomic.Bool
 
-	planPool sync.Pool // *visitPlan, reused across ReadNodes calls
+	planPool sync.Pool // *visitPlan, reused across ReadNodes and Append calls
 }
 
 // New partitions g and builds one in-process store per shard,
@@ -357,6 +358,7 @@ func NewWithReplicaSets(routing *partition.Routing, groups [][]ShardBackend, con
 		routing:    routing,
 		numNodes:   routing.NumNodes(),
 		contentDim: contentDim,
+		planPool:   sync.Pool{New: func() any { return new(visitPlan) }},
 	}
 	e.bset.Store(newReplicaSet(0, groups))
 	return e
@@ -715,65 +717,31 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// Append routes an edge batch to the owning shards' write facets and
-// returns the number of edges applied. Edges are grouped by owner
-// (shard order, so multi-shard batches apply deterministically) and each
-// group rides the same epoch-checked retry/failover loop as reads: a
-// moved shard refreshes the ownership view, an unreachable primary
-// fails over to a replica-group sibling (whose server re-replicates).
-// On error the groups of earlier shards are already applied and stay
-// applied: the returned count says how many edges landed. Re-submitting
-// the whole batch would apply those groups a second time under fresh
-// sequence numbers (the sequence layer makes one group's retry idempotent,
-// not a new call's), so a caller that retries re-sends only what failed,
-// and invalidates whatever it caches for the sources that did land.
+// Append routes an edge batch to the owning shards' write facets, one run
+// of the visit plan, and returns the number of edges applied. Each owner's
+// edges, in batch order, are one visit and one record under one sequence
+// number, served inline in shard order with the reads' failover and
+// per-visit refresh-and-retry. A failing shard does not stop the others:
+// on error every other reachable owner's edges have landed and stay
+// applied, and the count says how many. Re-submitting the whole batch
+// would apply those a second time under fresh sequence numbers (the
+// sequence layer makes one visit's retry idempotent, not a new call's), so
+// a caller that retries re-sends only what failed, and invalidates
+// whatever it caches for the sources that did land.
 func (e *Engine) Append(edges []ingest.Edge) (int, error) {
 	if len(edges) == 0 {
 		return 0, nil
 	}
-	numShards := e.routing.NumShards()
-	groups := make([][]ingest.Edge, numShards)
-	for _, ed := range edges {
+	srcs := make([]graph.NodeID, len(edges))
+	for i, ed := range edges {
 		if ed.Src < 0 || int(ed.Src) >= e.numNodes {
 			return 0, fmt.Errorf("%w: src %d out of range [0, %d)", ErrBadAppend, ed.Src, e.numNodes)
 		}
-		si := e.routing.Owner(ed.Src)
-		groups[si] = append(groups[si], ed)
+		srcs[i] = ed.Src
 	}
-	appended := 0
-	for si, batch := range groups {
-		if len(batch) == 0 {
-			continue
-		}
-		if err := appendShard(e, si, batch); err != nil {
-			return appended, err
-		}
-		appended += len(batch)
-	}
-	return appended, nil
-}
-
-// appendShard writes one owner-grouped batch through the partition's
-// EdgeAppender facet, with the reads' failover and refresh-and-retry.
-func appendShard(e *Engine, si int, batch []ingest.Edge) error {
-	call := func(be ShardBackend) error {
-		ap, ok := be.(EdgeAppender)
-		if !ok {
-			return fmt.Errorf("engine: shard %d: %w", si, ErrAppendUnsupported)
-		}
-		_, err := ap.AppendEdges(batch)
-		return err
-	}
-	set := e.bset.Load()
-	failover, err := set.walk(si, time.Time{}, call)
-	for retry := 0; retry < maxEpochRetries && err != nil && retryable(err) && e.refresh(set); retry++ {
-		set = e.bset.Load()
-		failover, err = set.walk(si, time.Time{}, call)
-	}
-	if failover && err == nil {
-		e.kickRefresh(set)
-	}
-	return err
+	p := e.planPool.Get().(*visitPlan)
+	defer e.planPool.Put(p)
+	return e.scatter(p, srcs, &payload{edges: edges})
 }
 
 // IngestStats reports the write-path state of every partition whose

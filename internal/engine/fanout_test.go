@@ -3,10 +3,12 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"zoomer/internal/graph"
+	"zoomer/internal/ingest"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
 )
@@ -17,8 +19,10 @@ import (
 // It deliberately does NOT implement VisitStarter: the plan visits it
 // inline, in shard order.
 type slowBackend struct {
-	delay time.Duration
-	fail  error
+	delay    time.Duration
+	fail     error
+	appended []ingest.Edge // every edge AppendEdges applied, in call order
+	starts   int           // slowStarterBackend's Start calls, made on the caller's goroutine
 }
 
 var errInjected = errors.New("injected backend failure")
@@ -63,6 +67,16 @@ func (sb *slowBackend) ReadNodesInto(gids []graph.NodeID, pos []int32, fields gr
 	return nil
 }
 
+// AppendEdges applies a batch after the delay by recording it.
+func (sb *slowBackend) AppendEdges(edges []ingest.Edge) (uint64, error) {
+	time.Sleep(sb.delay)
+	if sb.fail != nil {
+		return 0, sb.fail
+	}
+	sb.appended = append(sb.appended, edges...)
+	return uint64(len(sb.appended)), nil
+}
+
 // slowStarterBackend additionally implements VisitStarter, exercising
 // the async overlap path: Start launches the visit, Await joins it.
 type slowStarterBackend struct {
@@ -83,6 +97,7 @@ func (h *slowHandle) Await() (int, error) {
 }
 
 func (sb *slowStarterBackend) StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) VisitHandle {
+	sb.starts++
 	h := &slowHandle{done: make(chan struct{})}
 	go func() {
 		h.n, h.err = sb.SampleBatchInto(gids, idx, base, k, out, ns)
@@ -92,6 +107,7 @@ func (sb *slowStarterBackend) StartSampleBatch(gids []graph.NodeID, idx []int32,
 }
 
 func (sb *slowStarterBackend) StartReadNodes(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) VisitHandle {
+	sb.starts++
 	h := &slowHandle{done: make(chan struct{})}
 	go func() {
 		h.err = sb.ReadNodesInto(gids, pos, fields, into)
@@ -221,5 +237,30 @@ func TestFanoutFailureZeroesAllCounts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Append visits are served inline even over backends that can start a
+// visit: no Start* call is made, and every owner applies its own edges,
+// in batch order, in one call.
+func TestAppendVisitsAreNeverStarted(t *testing.T) {
+	e, ids := fanoutWorld(t, func(d time.Duration) ShardBackend { return &slowStarterBackend{slowBackend{delay: d}} }, 0)
+	edges := make([]ingest.Edge, len(ids))
+	want := make([][]ingest.Edge, e.NumShards())
+	for i, id := range ids {
+		edges[i] = ingest.Edge{Src: id, Dst: id, Type: graph.Click, Weight: float32(i + 1)}
+		want[e.ShardOf(id)] = append(want[e.ShardOf(id)], edges[i])
+	}
+	if n, err := e.Append(edges); err != nil || n != len(edges) {
+		t.Fatalf("applied %d of %d edges: %v", n, len(edges), err)
+	}
+	for si := range want {
+		sb := e.Backend(si).(*slowStarterBackend)
+		if sb.starts != 0 {
+			t.Fatalf("shard %d: an append made %d Start calls", si, sb.starts)
+		}
+		if !slices.Equal(sb.appended, want[si]) {
+			t.Fatalf("shard %d applied %v, want its own edges in batch order %v", si, sb.appended, want[si])
+		}
 	}
 }

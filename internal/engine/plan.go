@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"zoomer/internal/graph"
+	"zoomer/internal/ingest"
 )
 
 // VisitStarter is optionally implemented by backends that can put a
@@ -34,11 +35,12 @@ type VisitHandle interface {
 	Await() (int, error)
 }
 
-// maxVisit bounds the entries of one visit: a larger shard group is cut
-// into several visits (all started before any is awaited), which keeps
-// every request and response frame far below the wire's frame limit
-// whatever the caller passes. Shard servers reject bulk reads above the
-// same bound.
+// maxVisit bounds the entries of one read or sample-batch visit: a larger
+// shard group is cut into several visits (all started before any is
+// awaited), which keeps every request and response frame far below the
+// wire's frame limit whatever the caller passes. Shard servers reject bulk
+// reads above the same bound. An append visit is never cut: one owner's
+// edges are one record under one sequence number.
 const maxVisit = 4096
 
 // visit is one (shard, entry range) unit of a multi-shard call.
@@ -53,8 +55,8 @@ type visit struct {
 
 // visitPlan holds the grouping arrays and visit list of one multi-shard
 // call. SampleNeighborsBatchInto keeps one in the caller's BatchScratch,
-// TryReadNodes takes one from the engine's pool; either way a call
-// allocates nothing at steady state.
+// TryReadNodes and Append take one from the engine's pool; either way the
+// plan allocates nothing at steady state.
 type visitPlan struct {
 	counts []int32
 	idx    []int32        // entry indices, reordered by owning shard
@@ -62,10 +64,11 @@ type visitPlan struct {
 	visits []visit
 }
 
-// payload is what the visits of one call carry — the only thing the two
+// payload is what the visits of one call carry — the only thing the three
 // scatter-gather operations differ in: a sample batch draws into out/ns
 // from sub-streams keyed by (base, entry index); a bulk read (into != nil)
-// fills the entries of a graph.NodeBlock.
+// fills the entries of a graph.NodeBlock; an append (edges != nil) hands
+// each visit's edges, in batch order, to the partition's EdgeAppender.
 type payload struct {
 	base uint64
 	k    int
@@ -74,18 +77,37 @@ type payload struct {
 
 	fields graph.ReadFields
 	into   *graph.NodeBlock
+
+	edges []ingest.Edge
 }
 
 func (c *payload) op() string {
-	if c.into != nil {
+	switch {
+	case c.into != nil:
 		return "bulk read"
+	case c.edges != nil:
+		return "append"
 	}
 	return "batch"
 }
 
+// run serves one visit inline; its count is a batch's draws or an
+// append's edges (ignored on error).
 func (c *payload) run(be ShardBackend, gids []graph.NodeID, idx []int32) (int, error) {
-	if c.into != nil {
+	switch {
+	case c.into != nil:
 		return 0, be.ReadNodesInto(gids, idx, c.fields, c.into)
+	case c.edges != nil:
+		ap, ok := be.(EdgeAppender)
+		if !ok {
+			return 0, ErrAppendUnsupported
+		}
+		batch := make([]ingest.Edge, len(idx))
+		for j, i := range idx {
+			batch[j] = c.edges[i]
+		}
+		_, err := ap.AppendEdges(batch)
+		return len(batch), err
 	}
 	return be.SampleBatchInto(gids, idx, c.base, c.k, c.out, c.ns)
 }
@@ -104,33 +126,41 @@ func (c *payload) start(st VisitStarter, gids []graph.NodeID, idx []int32) Visit
 // re-run alone against the new view — visits that succeeded are never
 // repeated. Each visit writes only its own entries' position-addressed
 // regions, so the merged result does not depend on grouping, dispatch
-// order, topology or how many views the call chased. It returns the sum
-// of the visits' counts; on error the payload's buffers are unspecified.
+// order, topology or how many views the call chased. It returns the
+// summed counts of the visits that succeeded, on error too (an append's
+// are the edges that landed); on error a batch's or a read's buffers are
+// unspecified.
 func (e *Engine) scatter(p *visitPlan, ids []graph.NodeID, c *payload) (int, error) {
-	e.group(p, ids)
+	cut := int32(maxVisit)
+	if c.edges != nil {
+		cut = int32(len(ids)) // never cut an append: one owner, one record
+	}
+	e.group(p, ids, cut)
 	set := e.bset.Load()
 	pending, total := p.visits, 0
 	for retry := 0; ; retry++ {
 		failover := set.visit(p, pending, c)
-		failed := pending[:0]
+		failed, err := pending[:0], error(nil)
 		for _, v := range pending {
 			switch {
 			case v.err == nil:
 				total += v.n
-			case !retryable(v.err):
-				return 0, fmt.Errorf("engine: %s visit to shard %d: %w", c.op(), v.shard, v.err)
-			default:
+			case retryable(v.err):
 				failed = append(failed, v)
+			case err == nil: // the first failure that no refresh can cure
+				err = fmt.Errorf("engine: %s visit to shard %d: %w", c.op(), v.shard, v.err)
 			}
 		}
-		if len(failed) == 0 {
+		switch {
+		case err != nil:
+			return total, err
+		case len(failed) == 0:
 			if failover {
 				e.kickRefresh(set)
 			}
 			return total, nil
-		}
-		if retry == maxEpochRetries || !e.refresh(set) {
-			return 0, fmt.Errorf("engine: %s visit to shard %d: %w", c.op(), failed[0].shard, failed[0].err)
+		case retry == maxEpochRetries || !e.refresh(set):
+			return total, fmt.Errorf("engine: %s visit to shard %d: %w", c.op(), failed[0].shard, failed[0].err)
 		}
 		set = e.bset.Load()
 		pending = failed
@@ -138,8 +168,9 @@ func (e *Engine) scatter(p *visitPlan, ids []graph.NodeID, c *payload) (int, err
 }
 
 // group counting-sorts ids by owning shard into p.gids (with each id's
-// original index in p.idx) and cuts the groups into visits.
-func (e *Engine) group(p *visitPlan, ids []graph.NodeID) {
+// original index in p.idx, ascending within a group) and cuts the groups
+// into visits of at most cut entries.
+func (e *Engine) group(p *visitPlan, ids []graph.NodeID, cut int32) {
 	shards := e.routing.NumShards()
 	if cap(p.counts) < shards+1 {
 		p.counts = make([]int32, shards+1)
@@ -167,8 +198,8 @@ func (e *Engine) group(p *visitPlan, ids []graph.NodeID) {
 	p.visits = p.visits[:0]
 	start := int32(0)
 	for si := 0; si < shards; si++ {
-		for lo := start; lo < counts[si]; lo += maxVisit {
-			p.visits = append(p.visits, visit{shard: si, lo: lo, hi: min(lo+maxVisit, counts[si])})
+		for lo := start; lo < counts[si]; lo += cut {
+			p.visits = append(p.visits, visit{shard: si, lo: lo, hi: min(lo+cut, counts[si])})
 		}
 		start = counts[si]
 	}
@@ -179,13 +210,13 @@ func (e *Engine) group(p *visitPlan, ids []graph.NodeID) {
 // succeeded only by failing over to a sibling replica. A view of
 // in-process shards touches no handle.
 func (set *backendSet) visit(p *visitPlan, visits []visit, c *payload) (failover bool) {
-	// Put every visit that can go out without blocking on the wire. One
-	// replica is picked (load-aware) per visit.
+	// Put every visit that can go out without blocking on the wire, one
+	// replica picked (load-aware) per visit. An append is never started.
 	started := 0
 	for i := range visits {
 		v := &visits[i]
 		v.h, v.async, v.n, v.err = nil, false, 0, nil
-		if set.locals[v.shard] != nil {
+		if set.locals[v.shard] != nil || c.edges != nil {
 			continue
 		}
 		g := set.groups[v.shard]
@@ -198,8 +229,8 @@ func (set *backendSet) visit(p *visitPlan, visits []visit, c *payload) (failover
 			started++
 		}
 	}
-	// In-process shards, and backends that cannot start, are visited
-	// inline in shard order while the started visits are in flight.
+	// In-process shards, appends and backends that cannot start are
+	// visited inline in shard order while the started visits are in flight.
 	for i := range visits {
 		if v := &visits[i]; !v.async {
 			failover = set.serve(p, v, c) || failover

@@ -7,6 +7,7 @@ import (
 
 	"zoomer/internal/graph"
 	"zoomer/internal/graphbuild"
+	"zoomer/internal/ingest"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
@@ -50,6 +51,29 @@ func (pb *planBackend) ReadNodesInto(gids []graph.NodeID, pos []int32, fields gr
 	return pb.Shard.ReadNodesInto(gids, pos, fields, into)
 }
 
+// AppendEdges records an append visit as its sources and their batch
+// positions, which appendOf's edges carry in their weights.
+func (pb *planBackend) AppendEdges(edges []ingest.Edge) (uint64, error) {
+	gids, idx := make([]graph.NodeID, len(edges)), make([]int32, len(edges))
+	for j, ed := range edges {
+		gids[j], idx[j] = ed.Src, int32(ed.Weight)-1
+	}
+	if err := pb.record(gids, idx); err != nil {
+		return 0, err
+	}
+	return pb.Shard.AppendEdges(edges)
+}
+
+// appendOf is an append batch with one edge per id; edge i weighs i+1,
+// so a backend can tell each edge's batch position.
+func appendOf(ids []graph.NodeID) []ingest.Edge {
+	edges := make([]ingest.Edge, len(ids))
+	for i, id := range ids {
+		edges[i] = ingest.Edge{Src: id, Dst: id, Type: graph.Click, Weight: float32(i + 1)}
+	}
+	return edges
+}
+
 // planFixture builds an engine over one planBackend per partition. Its
 // refresher reinstalls the same backends, which is all a redirected call
 // needs to be allowed its retry.
@@ -67,9 +91,11 @@ func planFixture(t *testing.T, g *graph.Graph, shards int, strat partition.Strat
 	return e, backs
 }
 
-// The plan's grouping, for both operations: every entry lands in exactly
-// one visit of the shard that owns it, at its own position, and no visit
-// exceeds the cap — whatever the shard count, strategy or call size.
+// The plan's grouping, for all three operations: every entry lands in
+// exactly one visit of the shard that owns it, at its own position and in
+// batch order, and no read or batch visit exceeds the cap — while an
+// append is one uncut visit per owning shard — whatever the shard count,
+// strategy or call size.
 func TestPlanVisitsPartitionEntries(t *testing.T) {
 	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
 	g := graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
@@ -80,6 +106,10 @@ func TestPlanVisitsPartitionEntries(t *testing.T) {
 		},
 		"read": func(e *Engine, ids []graph.NodeID) error {
 			return e.TryReadNodes(ids, graph.ReadFeatures, new(graph.NodeBlock))
+		},
+		"append": func(e *Engine, ids []graph.NodeID) error {
+			_, err := e.Append(appendOf(ids))
+			return err
 		},
 	}
 	for _, shards := range []int{1, 2, 4, 7} {
@@ -94,11 +124,17 @@ func TestPlanVisitsPartitionEntries(t *testing.T) {
 					if err := op(e, ids); err != nil {
 						t.Fatalf("%s shards=%d strategy=%v n=%d: %v", name, shards, strat, n, err)
 					}
-					seen := make([]int, n)
+					seen, limit := make([]int, n), maxVisit
+					if name == "append" {
+						limit = n
+					}
 					for shard, pb := range backs {
+						if name == "append" && len(pb.visits) > 1 {
+							t.Fatalf("append shards=%d strategy=%v n=%d: shard %d's edges cut into %d visits", shards, strat, n, shard, len(pb.visits))
+						}
 						for _, v := range pb.visits {
-							if len(v.gids) == 0 || len(v.gids) > maxVisit || len(v.gids) != len(v.idx) {
-								t.Fatalf("%s shards=%d strategy=%v n=%d: shard %d got a visit of %d ids / %d positions", name, shards, strat, n, shard, len(v.gids), len(v.idx))
+							if len(v.gids) == 0 || len(v.gids) > limit || len(v.gids) != len(v.idx) || !slices.IsSorted(v.idx) {
+								t.Fatalf("%s shards=%d strategy=%v n=%d: shard %d got a visit of %d ids / %d positions (batch order: %v)", name, shards, strat, n, shard, len(v.gids), len(v.idx), slices.IsSorted(v.idx))
 							}
 							for j, id := range v.gids {
 								if e.ShardOf(id) != shard || ids[v.idx[j]] != id {
@@ -157,5 +193,55 @@ func TestRedirectedBatchRevisitsOnlyFailedShard(t *testing.T) {
 	}
 	if e.Epoch() != 1 {
 		t.Fatalf("engine epoch %d after one redirect, want 1", e.Epoch())
+	}
+}
+
+// An append redirected by one shard re-runs that shard's visit alone
+// against the refreshed view: every owner's edges are applied exactly
+// once, as one record.
+func TestRedirectedAppendRevisitsOnlyFailedShard(t *testing.T) {
+	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
+	g := graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
+	e, backs := planFixture(t, g, 4, partition.Hash)
+	backs[2].moved = 1
+
+	ids := make([]graph.NodeID, 64)
+	for i := range ids {
+		ids[i] = graph.NodeID((i * 5) % g.NumNodes())
+	}
+	if n, err := e.Append(appendOf(ids)); err != nil || n != len(ids) {
+		t.Fatalf("redirected append applied %d of %d edges: %v", n, len(ids), err)
+	}
+	for shard, wantVisits := range []int{1, 1, 2, 1} {
+		if n := len(backs[shard].visits); n != wantVisits {
+			t.Fatalf("shard %d visited %d times, want %d (only the redirected visit is re-run)", shard, n, wantVisits)
+		}
+		if seq := backs[shard].LastAppliedSeq(); seq != 1 {
+			t.Fatalf("shard %d applied %d records, want 1", shard, seq)
+		}
+	}
+	if e.Epoch() != 1 {
+		t.Fatalf("engine epoch %d after one redirect, want 1", e.Epoch())
+	}
+}
+
+// One source's edges are one record however many there are: the visit
+// plan cuts reads at maxVisit entries but never an append.
+func TestAppendOneRecordPerOwner(t *testing.T) {
+	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
+	g := graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
+	e := New(g, Config{Shards: 4})
+	const src = graph.NodeID(3)
+	edges := make([]ingest.Edge, 5000)
+	for i := range edges {
+		edges[i] = ingest.Edge{Src: src, Dst: graph.NodeID(i % g.NumNodes()), Type: graph.Click, Weight: 1}
+	}
+	sh := e.Shard(e.ShardOf(src))
+	before := sh.LastAppliedSeq()
+	if n, err := e.Append(edges); err != nil || n != len(edges) {
+		t.Fatalf("applied %d of %d edges: %v", n, len(edges), err)
+	}
+	if got := sh.LastAppliedSeq() - before; got != 1 {
+		t.Fatalf("a %d-edge single-source append advanced the shard's sequence by %d, want 1", len(edges), got)
 	}
 }

@@ -50,10 +50,7 @@ func (e *Engine) TryReadNodes(ids []graph.NodeID, fields graph.ReadFields, into 
 	if len(ids) == 0 || fields == 0 {
 		return nil
 	}
-	p, _ := e.planPool.Get().(*visitPlan)
-	if p == nil {
-		p = &visitPlan{}
-	}
+	p := e.planPool.Get().(*visitPlan)
 	defer e.planPool.Put(p)
 	_, err := e.scatter(p, ids, &payload{fields: fields, into: into})
 	return err

@@ -10,6 +10,7 @@ import (
 
 	"zoomer/internal/graph"
 	"zoomer/internal/graphbuild"
+	"zoomer/internal/ingest"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
@@ -53,6 +54,14 @@ func (fb *flakyBackend) ReadNodesInto(gids []graph.NodeID, pos []int32, fields g
 		return fb.transportErr()
 	}
 	return fb.sh.ReadNodesInto(gids, pos, fields, into)
+}
+
+func (fb *flakyBackend) AppendEdges(edges []ingest.Edge) (uint64, error) {
+	fb.calls.Add(1)
+	if fb.failing.Load() {
+		return 0, fb.transportErr()
+	}
+	return fb.sh.AppendEdges(edges)
 }
 
 func (fb *flakyBackend) Healthy() bool { return !fb.unhealthy.Load() }
@@ -225,6 +234,55 @@ func TestReplicaRotationSpreadsLoad(t *testing.T) {
 		a, b := flaky[id][0].calls.Load(), flaky[id][1].calls.Load()
 		if a == 0 || b == 0 {
 			t.Fatalf("shard %d: load not spread (replica calls %d / %d)", id, a, b)
+		}
+	}
+}
+
+// A multi-shard append with one partition's whole replica group dark
+// still lands every other owner's edges in the same call: the error is
+// typed, the count is theirs, they read back, and the dark shard applied
+// nothing.
+func TestAppendDarkShardLandsOtherShards(t *testing.T) {
+	e, _, flaky := replicaFixture(t, 4)
+	const dark = 1
+	for _, fb := range flaky[dark] {
+		fb.failing.Store(true)
+	}
+	edges := make([]ingest.Edge, 32)
+	landed := make([]int, e.NumShards())
+	for i := range edges {
+		src := graph.NodeID(i)
+		edges[i] = ingest.Edge{Src: src, Dst: graph.NodeID((i + 1) % e.NumNodes()), Type: graph.Click, Weight: 2}
+		landed[e.ShardOf(src)]++
+	}
+	want := len(edges) - landed[dark]
+	if slices.Contains(landed, 0) {
+		t.Fatalf("fixture batch misses a shard: %v edges per shard", landed)
+	}
+
+	n, err := e.Append(edges)
+	if !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("append with shard %d dark: got %v, want ErrShardUnavailable", dark, err)
+	}
+	if n != want {
+		t.Fatalf("append with shard %d dark applied %d edges, want the other shards' %d", dark, n, want)
+	}
+	for si, fbs := range flaky {
+		wantSeq := uint64(1)
+		if si == dark {
+			wantSeq = 0
+		}
+		if seq := fbs[0].sh.LastAppliedSeq(); seq != wantSeq {
+			t.Fatalf("shard %d applied %d records, want %d", si, seq, wantSeq)
+		}
+	}
+	for _, ed := range edges {
+		if e.ShardOf(ed.Src) == dark {
+			continue
+		}
+		nb := e.Neighbors(ed.Src)
+		if last := nb[len(nb)-1]; last != (graph.Edge{To: ed.Dst, Type: ed.Type, Weight: ed.Weight}) {
+			t.Fatalf("node %d: appended edge reads back as %+v", ed.Src, last)
 		}
 	}
 }

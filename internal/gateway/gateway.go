@@ -393,9 +393,9 @@ const maxAppendBody = 4 << 20
 // neighbor samples of the touched source nodes. Appends share the
 // retrieval tier's admission control (draining refusal and the hard
 // in-flight cap) but never degrade to cache-only — a write either lands
-// durably or fails typed. A batch whose earlier shard groups landed
-// before a later one failed is both: the error status, with the landed
-// count in X-Zoomer-Appended.
+// durably or fails typed. A batch one of whose owning shards failed while
+// the others landed is both: the error status, with the landed count in
+// X-Zoomer-Appended.
 func (g *Gateway) handleAppend(w http.ResponseWriter, r *http.Request) {
 	rm := g.met.route("append")
 	start := time.Now()
@@ -449,7 +449,7 @@ func (g *Gateway) handleAppend(w http.ResponseWriter, r *http.Request) {
 
 	appended, err := g.app.Append(edges)
 	if appended > 0 {
-		// Also when a later shard's group then failed: the earlier groups
+		// Also when another shard's group failed: the groups that landed
 		// are durable, so they are counted and their cached samples are
 		// stale. Invalidating every source of the batch over-approximates
 		// which landed; a spurious invalidation is one best-effort refresh.

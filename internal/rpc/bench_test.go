@@ -10,6 +10,7 @@ import (
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
 	"zoomer/internal/graphbuild"
+	"zoomer/internal/ingest"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
@@ -156,6 +157,30 @@ func BenchmarkRemoteReadNodes(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRemoteAppend measures one 64-edge Engine.Append spanning the
+// four shards of a two-server cluster with no WAL: one graph-append round
+// trip per owning shard, served inline in shard order. Sources rotate
+// through every node, but every append still grows the delta overlays it
+// lands in, so ns/op depends on the iteration count: compare runs of one
+// fixed -benchtime (bench.sh uses 1000x).
+func BenchmarkRemoteAppend(b *testing.B) {
+	g := buildGraph(b)
+	_, cluster := startCluster(b, g, 4, partition.Hash, [][]int{{0, 1}, {2, 3}})
+	remote := cluster.Engine
+	edges := make([]ingest.Edge, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range edges {
+			src := (i*len(edges) + j) % g.NumNodes()
+			edges[j] = ingest.Edge{Src: graph.NodeID(src), Dst: graph.NodeID((src + 1) % g.NumNodes()), Type: graph.Click, Weight: 1}
+		}
+		if _, err := remote.Append(edges); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

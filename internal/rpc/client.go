@@ -415,12 +415,7 @@ func (v *visit) late() bool {
 func (v *visit) encode(req []byte) []byte {
 	switch v.op {
 	case OpSample:
-		req = appendU32(req, uint32(v.id))
-		req = appendU32(req, uint32(v.k))
-		for _, w := range v.st {
-			req = appendU64(req, w)
-		}
-		return req
+		return appendSampleRequest(req, v.id, v.k, v.st)
 	case OpBatch:
 		return appendBatch(req, v.gids, v.idx, v.base, v.k)
 	case OpReadNodes:
@@ -841,15 +836,8 @@ func decodeOwned(cu *wire.Cursor) []ShardInfo {
 // no-op that returns the current epoch.
 func (cl *Client) Reassign(shard int, acquire bool) (uint64, error) {
 	var epoch uint64
-	action := byte(ReassignRelease)
-	if acquire {
-		action = ReassignAcquire
-	}
 	err := cl.call(OpReassign,
-		func(b []byte) []byte {
-			b = append(b, action)
-			return appendU32(b, uint32(shard))
-		},
+		func(b []byte) []byte { return appendReassignRequest(b, shard, acquire) },
 		func(body []byte) error {
 			cu := wire.Cursor{B: body}
 			epoch = cu.U64()
@@ -933,10 +921,7 @@ func decodeIngest(cu *wire.Cursor, owned []ShardInfo) {
 func (cl *Client) Members(announce string) ([]string, error) {
 	var members []string
 	err := cl.call(OpMembers,
-		func(b []byte) []byte {
-			b = appendU32(b, uint32(len(announce)))
-			return append(b, announce...)
-		},
+		func(b []byte) []byte { return appendMembersRequest(b, announce) },
 		func(body []byte) error {
 			cu := wire.Cursor{B: body}
 			members = decodeAddrList(&cu)

@@ -400,10 +400,86 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 			}
 			return
 		}
-		if len(req.gids) == 0 || len(req.gids) != len(req.idx) || req.k <= 0 || (int64(req.maxIdx)+1)*int64(req.k) > maxFrame/4 {
-			t.Fatalf("accepted %d entries, k=%d, max index %d from %d bytes", len(req.gids), req.k, req.maxIdx, len(payload))
+		if len(req.gids) == 0 || len(req.gids) != len(req.idx) || req.k <= 0 || req.k > maxK || int64(len(req.gids))*int64(req.k) > maxFrame/4 || slices.ContainsFunc(req.idx, func(i int32) bool { return i < 0 }) {
+			t.Fatalf("accepted %d entries, k=%d, indices %v from %d bytes", len(req.gids), req.k, req.idx, len(payload))
 		}
 		if again := appendBatch(nil, req.gids, req.idx, req.base, req.k); string(again) != string(payload) {
+			t.Fatal("accepted request does not re-encode to itself")
+		}
+	})
+}
+
+// FuzzDecodeSampleRequest: the server-side sample decoder never panics,
+// allocates no more than the frame carries, fails typed, and accepts only
+// an in-range k that re-encodes to the frame.
+func FuzzDecodeSampleRequest(f *testing.F) {
+	f.Add(appendSampleRequest(nil, 3, 5, [4]uint64{1, 2, 3, 4}))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var id graph.NodeID
+		var k int
+		var st [4]uint64
+		var err error
+		if got := allocatedBy(func() { id, k, st, err = decodeSampleRequest(payload) }); got > uint64(len(payload))+1<<14 {
+			t.Fatalf("allocated %d bytes decoding a %d-byte frame", got, len(payload))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformedFrame) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if k <= 0 || k > maxK {
+			t.Fatalf("accepted k=%d", k)
+		}
+		if again := appendSampleRequest(nil, id, k, st); string(again) != string(payload) {
+			t.Fatal("accepted request does not re-encode to itself")
+		}
+	})
+}
+
+// FuzzDecodeReassignRequest: the admin-command decoder never panics,
+// allocates no more than the frame carries, fails typed, and accepts only
+// the two actions.
+func FuzzDecodeReassignRequest(f *testing.F) {
+	f.Add(appendReassignRequest(nil, 2, true))
+	f.Add(appendReassignRequest(nil, 0, false))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var shard int
+		var acquire bool
+		var err error
+		if got := allocatedBy(func() { shard, acquire, err = decodeReassignRequest(payload) }); got > uint64(len(payload))+1<<14 {
+			t.Fatalf("allocated %d bytes decoding a %d-byte frame", got, len(payload))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformedFrame) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if again := appendReassignRequest(nil, shard, acquire); string(again) != string(payload) {
+			t.Fatal("accepted request does not re-encode to itself")
+		}
+	})
+}
+
+// FuzzDecodeMembersRequest: the membership decoder never panics,
+// allocates no more than the frame carries, and fails typed.
+func FuzzDecodeMembersRequest(f *testing.F) {
+	f.Add(appendMembersRequest(nil, "10.0.0.2:7000"))
+	f.Add(appendMembersRequest(nil, ""))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var announce string
+		var err error
+		if got := allocatedBy(func() { announce, err = decodeMembersRequest(payload) }); got > uint64(len(payload))+1<<14 {
+			t.Fatalf("allocated %d bytes decoding a %d-byte frame", got, len(payload))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformedFrame) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if again := appendMembersRequest(nil, announce); string(again) != string(payload) {
 			t.Fatal("accepted request does not re-encode to itself")
 		}
 	})

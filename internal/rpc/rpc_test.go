@@ -2,12 +2,14 @@ package rpc
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
 	"zoomer/internal/graphbuild"
+	"zoomer/internal/ingest"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
@@ -303,6 +305,68 @@ func TestBatchRoundTripBudget(t *testing.T) {
 		if got := srv.OpCount(OpBatch) - before[si]; got > hops {
 			t.Fatalf("shard %d served %d batch round trips for a %d-hop tree", si, got, hops)
 		}
+	}
+}
+
+// A 24-byte batch request — one entry at batch index 2^24−1 with k = 4 —
+// is staged for the draws its response carries, not for the client's
+// batch layout up to that index.
+func TestBatchRequestStagingBoundedByResponse(t *testing.T) {
+	s, a, _, _ := seedServer(ServerConfig{})
+	req := appendBatch(nil, []graph.NodeID{a}, []int32{1<<24 - 1}, 7, 4)
+	if len(req) != 24 {
+		t.Fatalf("request is %d bytes, want 24", len(req))
+	}
+	var err error
+	if n := allocatedBy(func() { _, err = s.handleBatch(s.own.Load(), req, &serverConn{}) }); n > 64<<10 {
+		t.Fatalf("a %d-byte batch request allocated %d bytes", len(req), n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A batch visit answers entries at any batch indices with the draws the
+// in-process shard draws for them: bit-identical, appended-to and
+// isolated nodes included.
+func TestBatchVisitMatchesInProcess(t *testing.T) {
+	g := buildGraph(t)
+	s := NewServer(g, ServerConfig{Shards: 2})
+	o := s.own.Load()
+	sh := o.shards[0]
+	var gids []graph.NodeID
+	isolated := false
+	for id := graph.NodeID(0); int(id) < g.NumNodes() && len(gids) < 16; id++ {
+		if s.part.Owner(id) == 0 && (g.Degree(id) > 0 || !isolated) {
+			isolated = isolated || g.Degree(id) == 0
+			gids = append(gids, id)
+		}
+	}
+	if _, err := sh.AppendEdges([]ingest.Edge{{Src: gids[1], Dst: gids[2], Type: graph.Click, Weight: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]int32, len(gids))
+	for j := range idx {
+		idx[j] = int32(1<<16 + 997*(len(gids)-j)) // far past the visit's size, descending
+	}
+	const k, base = 5, 42
+	n := int(slices.Max(idx)) + 1
+	want, wantNS := make([]graph.NodeID, n*k), make([]int32, n)
+	got, gotNS := make([]graph.NodeID, n*k), make([]int32, n)
+	wantTotal, err := sh.SampleBatchInto(gids, idx, base, k, want, wantNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := s.handleBatch(o, appendBatch(nil, gids, idx, base, k), &serverConn{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTotal, err := decodeBatch(frame[4+8+1:], gids, idx, k, got, gotNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotTotal != wantTotal || !slices.Equal(gotNS, wantNS) || !slices.Equal(got, want) {
+		t.Fatalf("batch visit drew %d draws, the in-process shard %d (or their draws differ)", gotTotal, wantTotal)
 	}
 }
 

@@ -551,7 +551,6 @@ type serverConn struct {
 	frameScratch
 	batch batchRequest
 	out   []graph.NodeID
-	ns    []int32
 	edges []ingest.Edge
 	r     rng.RNG
 
@@ -789,20 +788,15 @@ func (s *Server) handleInfo(o *ownership, sc *serverConn) []byte {
 // handleReassign executes an admin acquire/release command and answers
 // with the resulting epoch.
 func (s *Server) handleReassign(payload []byte, sc *serverConn) ([]byte, error) {
-	cu := wire.Cursor{B: payload}
-	action, shard := cu.U8(), int(cu.U32())
-	if err := cu.Err(ErrMalformedFrame); err != nil {
+	shard, acquire, err := decodeReassignRequest(payload)
+	if err != nil {
 		return nil, err
 	}
 	var epoch uint64
-	var err error
-	switch action {
-	case ReassignAcquire:
+	if acquire {
 		epoch, err = s.AcquirePartition(shard)
-	case ReassignRelease:
+	} else {
 		epoch, err = s.ReleasePartition(shard)
-	default:
-		return nil, fmt.Errorf("rpc: unknown reassign action %d", action)
 	}
 	if err != nil {
 		return nil, err
@@ -863,9 +857,8 @@ func (s *Server) appendIngest(b []byte, o *ownership) []byte {
 // handleMembers runs the membership exchange: a non-empty announce joins
 // the registry, and the response is the current member view.
 func (s *Server) handleMembers(payload []byte, sc *serverConn) ([]byte, error) {
-	cu := wire.Cursor{B: payload}
-	announce := cu.Str()
-	if err := cu.Err(ErrMalformedFrame); err != nil {
+	announce, err := decodeMembersRequest(payload)
+	if err != nil {
 		return nil, err
 	}
 	if announce != "" {
@@ -875,18 +868,9 @@ func (s *Server) handleMembers(payload []byte, sc *serverConn) ([]byte, error) {
 }
 
 func (s *Server) handleSample(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
-	cu := wire.Cursor{B: payload}
-	id := graph.NodeID(cu.U32())
-	k := int(cu.U32())
-	var st [4]uint64
-	for i := range st {
-		st[i] = cu.U64()
-	}
-	if err := cu.Err(ErrMalformedFrame); err != nil {
+	id, k, st, err := decodeSampleRequest(payload)
+	if err != nil {
 		return nil, err
-	}
-	if k <= 0 || k > 1<<20 {
-		return nil, fmt.Errorf("rpc: sample k=%d out of range", k)
 	}
 	sh, err := s.shardFor(o, id)
 	if err != nil {
@@ -912,48 +896,49 @@ func (s *Server) handleSample(o *ownership, payload []byte, sc *serverConn) ([]b
 }
 
 // batchRequest is a decoded OpBatch payload: entry j is node gids[j] at
-// the client's batch index idx[j] (never negative; maxIdx is the largest).
+// the client's batch index idx[j] (never negative).
 type batchRequest struct {
-	base   uint64
-	k      int
-	gids   []graph.NodeID
-	idx    []int32
-	maxIdx int32
+	base uint64
+	k    int
+	gids []graph.NodeID
+	idx  []int32
 }
 
 // decodeBatchRequest decodes an OpBatch payload into req, reusing its
 // gids/idx storage. The entry count is checked against the bytes the
-// frame actually carries before anything is sized for it, and the staging
-// the entry indices imply — a legitimate response carries ~(maxIdx+1)*k
-// draws — against the frame budget.
+// frame actually carries before anything is sized for it, and the draws
+// the response carries — count×k — against the frame budget.
 func decodeBatchRequest(payload []byte, req *batchRequest) error {
 	cu := wire.Cursor{B: payload}
 	req.base = cu.U64()
 	req.k = int(cu.U32())
 	count := cu.Count(8)
-	if cu.Bad || req.k <= 0 || req.k > 1<<20 || count == 0 {
+	if cu.Bad || req.k <= 0 || req.k > maxK || count == 0 || int64(count)*int64(req.k) > maxFrame/4 {
 		return fmt.Errorf("%w: batch header k=%d count=%d in %d bytes", ErrMalformedFrame, req.k, count, len(payload))
 	}
 	if cap(req.gids) < count {
 		req.gids = make([]graph.NodeID, count)
 		req.idx = make([]int32, count)
 	}
-	req.gids, req.idx, req.maxIdx = req.gids[:count], req.idx[:count], 0
+	req.gids, req.idx = req.gids[:count], req.idx[:count]
 	for j := 0; j < count; j++ {
 		req.idx[j] = int32(cu.U32())
 		req.gids[j] = graph.NodeID(cu.U32())
 		if req.idx[j] < 0 {
 			return fmt.Errorf("%w: negative batch index %d", ErrMalformedFrame, req.idx[j])
 		}
-		req.maxIdx = max(req.maxIdx, req.idx[j])
 	}
 	if len(cu.Rest()) != 0 {
 		return fmt.Errorf("%w: %d bytes after the batch entries", ErrMalformedFrame, len(cu.Rest()))
 	}
-	if (int64(req.maxIdx)+1)*int64(req.k) > maxFrame/4 {
-		return fmt.Errorf("%w: batch index %d with k=%d exceeds frame budget", ErrMalformedFrame, req.maxIdx, req.k)
-	}
 	return nil
+}
+
+// entrySeed is the engine's batch sub-stream rule: the seed entry i of a
+// batch drawn from base reseeds its generator with. It must equal the
+// in-process shard's (TestBatchVisitMatchesInProcess pins the two).
+func entrySeed(base uint64, i int32) uint64 {
+	return base + (uint64(i)+1)*0x9e3779b97f4a7c15
 }
 
 func (s *Server) handleBatch(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
@@ -974,31 +959,27 @@ func (s *Server) handleBatch(o *ownership, payload []byte, sc *serverConn) ([]by
 			return nil, fmt.Errorf("rpc: batch mixes shards (%d and node %d)", owner, id)
 		}
 	}
-	// Stage draws in the global-batch layout the shard method writes
-	// (idx are the client's entry indices, so seeds — and therefore
-	// draws — are bit-identical to an in-process scatter-gather visit).
-	entries := int(req.maxIdx) + 1
-	if cap(sc.out) < entries*k {
-		sc.out = make([]graph.NodeID, entries*k)
+	// Each entry is drawn from its own (base, idx[j]) sub-stream — so the
+	// draws are bit-identical to an in-process visit's — and encoded at
+	// once: staging is one entry's k draws, whatever batch indices the
+	// client sends.
+	if cap(sc.out) < k {
+		sc.out = make([]graph.NodeID, k)
 	}
-	if cap(sc.ns) < entries {
-		sc.ns = make([]int32, entries)
-	}
-	out, ns := sc.out[:entries*k], sc.ns[:entries]
-	total, err := sh.SampleBatchInto(gids, idx, req.base, k, out, ns)
-	if err != nil {
-		return nil, err
-	}
+	draws := sc.out[:k]
 	b := sc.begin(statusOK)
-	b = appendU32(b, uint32(total))
-	for _, i := range idx {
-		n := ns[i]
+	at, total := len(b), 0
+	b = appendU32(b, 0) // the total, known once every entry is drawn
+	for j, id := range gids {
+		sc.r.Reseed(entrySeed(req.base, idx[j]))
+		n := sh.SampleNeighborsInto(id, draws, &sc.r)
+		total += n
 		b = appendU32(b, uint32(n))
-		lo := int(i) * k
-		for _, v := range out[lo : lo+int(n)] {
+		for _, v := range draws[:n] {
 			b = appendU32(b, uint32(v))
 		}
 	}
+	binary.LittleEndian.PutUint32(b[at:], uint32(total))
 	return b, nil
 }
 

@@ -48,6 +48,7 @@ import (
 	"io"
 	"net"
 
+	"zoomer/internal/graph"
 	"zoomer/internal/wire"
 )
 
@@ -205,8 +206,8 @@ const (
 
 	// maxFrame bounds a frame body; anything larger is a protocol error,
 	// not a legitimate message (the largest real payloads are batch
-	// responses of ~batch×k×4 bytes and degree-balanced routing tables of
-	// 8 bytes per node).
+	// responses of ~entries×k×4 bytes and degree-balanced routing tables
+	// of 8 bytes per node).
 	maxFrame = 1 << 28
 
 	// readBufSize sizes the buffered reader both ends put in front of the
@@ -273,6 +274,9 @@ func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUin
 // than any plausible cluster is a protocol error, not a membership view.
 const maxMembers = 1024
 
+// maxK bounds the draws per node a sample or batch request may ask for.
+const maxK = 1 << 20
+
 // appendAddrList encodes a member address list: u32 count, then each
 // address as u32 length + raw bytes.
 func appendAddrList(b []byte, addrs []string) []byte {
@@ -305,4 +309,72 @@ func decodeAddrList(cu *wire.Cursor) []string {
 		addrs = append(addrs, a)
 	}
 	return addrs
+}
+
+// The request codecs of the three ops whose requests are a few fixed
+// fields; each encoder is the client's, each decoder the server's.
+
+// appendSampleRequest encodes an OpSample payload: the node, k, and the
+// caller's RNG state.
+func appendSampleRequest(b []byte, id graph.NodeID, k int, st [4]uint64) []byte {
+	b = appendU32(b, uint32(id))
+	b = appendU32(b, uint32(k))
+	for _, w := range st {
+		b = appendU64(b, w)
+	}
+	return b
+}
+
+// decodeSampleRequest decodes an OpSample payload; a k outside (0, maxK]
+// is malformed.
+func decodeSampleRequest(payload []byte) (id graph.NodeID, k int, st [4]uint64, err error) {
+	cu := wire.Cursor{B: payload}
+	id, k = graph.NodeID(cu.U32()), int(cu.U32())
+	for i := range st {
+		st[i] = cu.U64()
+	}
+	if err := cu.Err(ErrMalformedFrame); err != nil {
+		return 0, 0, st, err
+	}
+	if k <= 0 || k > maxK {
+		return 0, 0, st, fmt.Errorf("%w: sample k=%d out of range", ErrMalformedFrame, k)
+	}
+	return id, k, st, nil
+}
+
+// appendReassignRequest encodes an OpReassign payload: the action, then
+// the partition.
+func appendReassignRequest(b []byte, shard int, acquire bool) []byte {
+	action := byte(ReassignRelease)
+	if acquire {
+		action = ReassignAcquire
+	}
+	return appendU32(append(b, action), uint32(shard))
+}
+
+// decodeReassignRequest decodes an OpReassign payload; an action other
+// than acquire or release is malformed.
+func decodeReassignRequest(payload []byte) (shard int, acquire bool, err error) {
+	cu := wire.Cursor{B: payload}
+	action, shard := cu.U8(), int(cu.U32())
+	if err := cu.Err(ErrMalformedFrame); err != nil {
+		return 0, false, err
+	}
+	if action != ReassignAcquire && action != ReassignRelease {
+		return 0, false, fmt.Errorf("%w: unknown reassign action %d", ErrMalformedFrame, action)
+	}
+	return shard, action == ReassignAcquire, nil
+}
+
+// appendMembersRequest encodes an OpMembers payload: the announced
+// address, empty for a plain poll.
+func appendMembersRequest(b []byte, announce string) []byte {
+	return append(appendU32(b, uint32(len(announce))), announce...)
+}
+
+// decodeMembersRequest decodes an OpMembers payload.
+func decodeMembersRequest(payload []byte) (announce string, err error) {
+	cu := wire.Cursor{B: payload}
+	announce = cu.Str()
+	return announce, cu.Err(ErrMalformedFrame)
 }
