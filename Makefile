@@ -80,14 +80,17 @@ compose-check:
 gateway-smoke:
 	./deploy/gateway_smoke.sh
 
-# Smoke the experiments harness end to end on CI-sized budgets: a fixed
-# seed over the tiny world, exercising the offline (table2), online A/B
-# (table4), and interpretability (fig13) paths — all of which now read
-# through the sharded engine view.
+# Run the experiments harness end to end on CI-sized budgets — a fixed
+# seed over the tiny world through the offline (table2, table3), online
+# A/B (table4) and interpretability (fig13) paths — and diff its output,
+# with the per-experiment timings stripped, against the checked-in
+# golden file: every printed figure is seed-determined, so any change
+# to a draw, an embedding or a ranking fails here.
+EXPERIMENTS_GOLDEN := internal/experiments/testdata/experiments-check.golden
 experiments-check:
-	go run ./cmd/zoomer-experiments -exp table2,table4,fig13 -quick -seed 7 | tee /tmp/experiments-check.out
-	@grep -q "Table II" /tmp/experiments-check.out && grep -q "Table IV" /tmp/experiments-check.out && grep -q "Fig 13" /tmp/experiments-check.out \
-		|| { echo "experiments-check: missing expected table/figure output"; exit 1; }
+	go run ./cmd/zoomer-experiments -exp table2,table3,table4,fig13 -quick -seed 7 > /tmp/experiments-check.out
+	sed -E 's/^(== .*) \([0-9.]+s\) ==$$/\1 ==/' /tmp/experiments-check.out | diff -u $(EXPERIMENTS_GOLDEN) - \
+		|| { echo "experiments-check: output differs from $(EXPERIMENTS_GOLDEN)"; exit 1; }
 
 # The benchmark rig (benchmark/) is its own module, so the root
 # `go build ./... && go test ./...` never sees it: compile it against

@@ -228,6 +228,10 @@ func BenchmarkHotPathCacheHit(b *testing.B) {
 
 // BenchmarkHotPathSearchInto measures the zero-allocation ANN probe with
 // a per-worker scratch over the serving index. Must report 0 allocs/op.
+// Its shape is the tiny world's: 120 items in 16 lists, so nprobe 4
+// scores ~30 candidates (33 for this query) — far below the rig's large
+// world (14 250 items, 222 lists, ~253 candidates) and
+// internal/ann's BenchmarkSearchInto (10 000 vectors, 32 lists, ~1 250).
 func BenchmarkHotPathSearchInto(b *testing.B) {
 	w := buildHotPathWorld(b)
 	items := w.g.NodesOfType(graph.Item)
@@ -239,7 +243,7 @@ func BenchmarkHotPathSearchInto(b *testing.B) {
 	}
 	index := ann.Build(ids, vecs, ann.Config{NumLists: 16, Iters: 4, Seed: 6})
 	sc := index.NewSearchScratch()
-	q := w.emb.UserQuery(w.user, w.query, w.nbrsU, w.nbrsQ, nil)
+	q := w.emb.UserQuery(w.user, w.query, w.nbrsU, w.nbrsQ, w.emb.NewScratch())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -159,8 +159,9 @@ func BenchmarkAblationRelevanceScore(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			s := &sampling.FocalBiased{Relevance: bc.rel}
 			r := rng.New(2)
+			sc := sampling.NewScratch()
 			for i := 0; i < b.N; i++ {
-				_ = s.Sample(g, ego, focal, 5, r, nil)
+				_ = s.Sample(g, ego, focal, 5, r, sc)
 			}
 		})
 	}

@@ -46,16 +46,17 @@ func main() {
 
 	// Retrieve for a few real requests from the logs.
 	r := rng.New(12)
+	esc, ssc := emb.NewScratch(), index.NewSearchScratch()
 	traffic := 0
 	for _, s := range logs.Sessions {
 		for _, ev := range s.Events {
 			u := res.Mapping.UserNode(s.User)
 			q := res.Mapping.QueryNode(ev.Query)
 			eu, eq2 := cache.Get(u, r), cache.Get(q, r)
-			uq := emb.UserQuery(u, q, eu.Neighbors(), eq2.Neighbors(), nil)
+			uq := emb.UserQuery(u, q, eu.Neighbors(), eq2.Neighbors(), esc)
 			eu.Release()
 			eq2.Release()
-			top := index.Search(uq, 5, 4)
+			top := index.SearchInto(uq, 5, 4, ssc)
 			fmt.Printf("user %d query %d ->", s.User, ev.Query)
 			for _, t := range top {
 				fmt.Printf(" item%d(%.2f)", g.LocalIndex(graph.NodeID(t.ID)), t.Score)

@@ -31,12 +31,14 @@ type Channel interface {
 }
 
 // ModelChannel serves retrieval from a trained model through an ANN
-// index over its item embeddings.
+// index over its item embeddings. Like its RNG, its search scratch makes
+// a channel single-goroutine.
 type ModelChannel struct {
 	name   string
 	model  core.Model
 	index  *ann.Index
 	r      *rng.RNG
+	sc     *ann.SearchScratch
 	nprobe int
 }
 
@@ -45,7 +47,7 @@ type ModelChannel struct {
 func NewModelChannel(name string, m core.Model, items []graph.NodeID, seed uint64) *ModelChannel {
 	r := rng.New(seed)
 	ix := servestack.ItemIndex(items, func(it graph.NodeID) tensor.Vec { return m.ItemEmbedding(it, r) }, seed+1)
-	return &ModelChannel{name: name, model: m, index: ix, r: r, nprobe: 4}
+	return &ModelChannel{name: name, model: m, index: ix, r: r, sc: ix.NewSearchScratch(), nprobe: 4}
 }
 
 // Name implements Channel.
@@ -54,7 +56,7 @@ func (c *ModelChannel) Name() string { return c.name }
 // Retrieve implements Channel.
 func (c *ModelChannel) Retrieve(u, q graph.NodeID, k int) []graph.NodeID {
 	uq := c.model.UserQueryEmbedding(u, q, c.r)
-	res := c.index.Search(uq, k, c.nprobe)
+	res := c.index.SearchInto(uq, k, c.nprobe, c.sc)
 	out := make([]graph.NodeID, len(res))
 	for i, r := range res {
 		out[i] = graph.NodeID(r.ID)

@@ -278,20 +278,13 @@ func quantizeQuery(q tensor.Vec, qq []int8) float32 {
 	return scale
 }
 
-// Search probes the nprobe closest coarse centroids and returns the topK
-// highest-cosine results among their posting lists, best first. The
-// returned slice is independently owned. Serving workers should prefer
-// SearchInto with a per-worker scratch, which allocates nothing.
-func (ix *Index) Search(query tensor.Vec, topK, nprobe int) []Result {
-	return ix.SearchInto(query, topK, nprobe, nil)
-}
-
-// SearchInto is Search with caller-supplied scratch: with a non-nil sc
-// the whole probe — query normalization, the int8-quantized coarse scan
-// that ranks centroids, full-precision candidate scoring and top-K
-// selection (a bounded min-heap, O(C log K) over C candidates) —
-// performs zero heap allocations, and the returned slice is backed by
-// sc. A nil sc falls back to per-call allocation.
+// SearchInto probes the nprobe closest coarse centroids and returns the
+// topK highest-cosine results among their posting lists, best first.
+// The caller's scratch is required (one per worker): the whole probe —
+// query normalization, the int8-quantized coarse scan that ranks
+// centroids, full-precision candidate scoring and top-K selection (a
+// bounded min-heap, O(C log K) over C candidates) — performs zero heap
+// allocations, and the returned slice is backed by sc.
 func (ix *Index) SearchInto(query tensor.Vec, topK, nprobe int, sc *SearchScratch) []Result {
 	if len(query) != ix.dim {
 		panic(fmt.Sprintf("ann: query dim %d, index dim %d", len(query), ix.dim))
@@ -304,9 +297,6 @@ func (ix *Index) SearchInto(query tensor.Vec, topK, nprobe int, sc *SearchScratc
 	}
 	if nprobe > len(ix.centroids) {
 		nprobe = len(ix.centroids)
-	}
-	if sc == nil {
-		sc = ix.NewSearchScratch()
 	}
 	copy(sc.q, query)
 	q := sc.q
@@ -403,7 +393,8 @@ func siftDownResult(h []Result, i int) {
 }
 
 // SearchExact scans every vector — the brute-force reference used to
-// measure recall in tests and benchmarks.
+// measure recall in tests and benchmarks. It probes every list through a
+// fresh scratch, so the returned slice is independently owned.
 func (ix *Index) SearchExact(query tensor.Vec, topK int) []Result {
-	return ix.Search(query, topK, len(ix.centroids))
+	return ix.SearchInto(query, topK, len(ix.centroids), ix.NewSearchScratch())
 }

@@ -61,11 +61,12 @@ func TestQuantizedCoarseRecall(t *testing.T) {
 	ix := Build(ids, vecs, Config{NumLists: 32, Iters: 6, Seed: 7})
 
 	const topK, nprobe, queries = 10, 4, 200
+	sc := ix.NewSearchScratch()
 	var hit, total int
 	for qi := 0; qi < queries; qi++ {
 		q := vecs[r.Intn(len(vecs))]
 		want := searchFullCoarse(ix, q, topK, nprobe)
-		got := ix.Search(q, topK, nprobe)
+		got := ix.SearchInto(q, topK, nprobe, sc)
 		inWant := make(map[int64]bool, len(want))
 		for _, res := range want {
 			inWant[res.ID] = true
@@ -85,8 +86,8 @@ func TestQuantizedCoarseRecall(t *testing.T) {
 }
 
 // TestQuantizedSelectionDeterministic pins ranking stability: repeated
-// probes of the same query — across scratches, including the nil-scratch
-// allocation path — return identical ids, scores and order. Combined
+// probes of the same query — on a reused and on a fresh scratch — return
+// identical ids, scores and order. Combined
 // with the tensor-level bit-identity of DotI8 across dispatch, this
 // makes SearchInto's output independent of which kernel build serves it.
 func TestQuantizedSelectionDeterministic(t *testing.T) {
@@ -97,14 +98,13 @@ func TestQuantizedSelectionDeterministic(t *testing.T) {
 	for qi := 0; qi < 50; qi++ {
 		q := vecs[r.Intn(len(vecs))]
 		a := append([]Result(nil), ix.SearchInto(q, 10, 3, sc)...)
-		b := append([]Result(nil), ix.SearchInto(q, 10, 3, ix.NewSearchScratch())...)
-		c := ix.Search(q, 10, 3)
-		if len(a) != len(b) || len(a) != len(c) {
-			t.Fatalf("query %d: result lengths diverge %d/%d/%d", qi, len(a), len(b), len(c))
+		b := ix.SearchInto(q, 10, 3, ix.NewSearchScratch())
+		if len(a) != len(b) {
+			t.Fatalf("query %d: result lengths diverge %d/%d", qi, len(a), len(b))
 		}
 		for i := range a {
-			if a[i] != b[i] || a[i] != c[i] {
-				t.Fatalf("query %d pos %d: %v / %v / %v", qi, i, a[i], b[i], c[i])
+			if a[i] != b[i] {
+				t.Fatalf("query %d pos %d: %v / %v", qi, i, a[i], b[i])
 			}
 		}
 	}
@@ -160,8 +160,8 @@ func TestZeroQueryQuantized(t *testing.T) {
 	ids, vecs, _ := clusteredData(r, 200, 16, 4)
 	ix := Build(ids, vecs, Config{NumLists: 4, Iters: 3, Seed: 5})
 	zero := make(tensor.Vec, 16)
-	a := ix.Search(zero, 5, 2)
-	b := ix.Search(zero, 5, 2)
+	a := ix.SearchInto(zero, 5, 2, ix.NewSearchScratch())
+	b := ix.SearchInto(zero, 5, 2, ix.NewSearchScratch())
 	if len(a) != len(b) {
 		t.Fatalf("zero query nondeterministic: %d vs %d results", len(a), len(b))
 	}

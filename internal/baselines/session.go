@@ -69,10 +69,11 @@ func NewHAN(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Mode
 		return t.Add(self, combined)
 	}
 
-	s := sampling.Uniform{}
+	s, sc := sampling.Uniform{}, sampling.NewScratch()
 	m.uqFn = func(t *ad.Tape, u, q graph.NodeID, r *rng.RNG) *ad.Node {
-		treeU := sampling.BuildTree(m.g, u, nil, cfg.Hops, cfg.FanOut, s, r, nil)
-		treeQ := sampling.BuildTree(m.g, q, nil, cfg.Hops, cfg.FanOut, s, r, nil)
+		sc.Reset()
+		treeU := sampling.BuildTree(m.g, u, nil, cfg.Hops, cfg.FanOut, s, r, sc)
+		treeQ := sampling.BuildTree(m.g, q, nil, cfg.Hops, cfg.FanOut, s, r, sc)
 		return m.towerUQ.Forward(t, t.ConcatCols(embed(t, treeU), embed(t, treeQ)))
 	}
 	return m
@@ -90,7 +91,7 @@ func NewGCEGNN(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.M
 	fuse := nn.NewLinear("gce.fuse", 2*d, d, r.Split())
 	m.extra = fuse.Params()
 
-	s := sampling.Uniform{}
+	s, sc := sampling.Uniform{}, sampling.NewScratch()
 	channel := func(t *ad.Tape, tree *sampling.Tree, keep func(graph.EdgeType) bool) *ad.Node {
 		self := m.nodeEmb(t, tree.Node)
 		var kept []*ad.Node
@@ -105,12 +106,13 @@ func NewGCEGNN(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.M
 		return t.Add(self, t.MeanRows(t.ConcatRows(kept...)))
 	}
 	embed := func(t *ad.Tape, id graph.NodeID, r *rng.RNG) *ad.Node {
-		tree := sampling.BuildTree(m.g, id, nil, 1, 2*cfg.FanOut, s, r, nil)
+		tree := sampling.BuildTree(m.g, id, nil, 1, 2*cfg.FanOut, s, r, sc)
 		local := channel(t, tree, func(e graph.EdgeType) bool { return e != graph.Similarity })
 		global := channel(t, tree, func(graph.EdgeType) bool { return true })
 		return t.ReLU(fuse.Forward(t, t.ConcatCols(local, global)))
 	}
 	m.uqFn = func(t *ad.Tape, u, q graph.NodeID, r *rng.RNG) *ad.Node {
+		sc.Reset()
 		return m.towerUQ.Forward(t, t.ConcatCols(embed(t, u, r), embed(t, q, r)))
 	}
 	return m
@@ -128,11 +130,11 @@ func NewFGNN(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Mod
 	gate := nn.NewLinear("fgnn.gate", 2*d, d, r.Split())
 	m.extra = gate.Params()
 
-	s := sampling.Weighted{}
+	s, sc := sampling.Weighted{}, sampling.NewScratch()
 	const decay = 0.7
 	embed := func(t *ad.Tape, id graph.NodeID, r *rng.RNG) *ad.Node {
 		self := m.nodeEmb(t, id)
-		tree := sampling.BuildTree(m.g, id, nil, 1, cfg.FanOut, s, r, nil)
+		tree := sampling.BuildTree(m.g, id, nil, 1, cfg.FanOut, s, r, sc)
 		if len(tree.Children) == 0 {
 			return self
 		}
@@ -166,6 +168,7 @@ func NewFGNN(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Mod
 		return t.Add(t.Mul(gv, self), t.Mul(t.Sub(one, gv), agg))
 	}
 	m.uqFn = func(t *ad.Tape, u, q graph.NodeID, r *rng.RNG) *ad.Node {
+		sc.Reset()
 		return m.towerUQ.Forward(t, t.ConcatCols(embed(t, u, r), embed(t, q, r)))
 	}
 	return m
@@ -227,10 +230,10 @@ func NewMCCF(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Mod
 	compQ := nn.NewParam("mccf.q", d, 1).XavierInit(r.Split())
 	m.extra = append(m.extra, compQ)
 
-	s := sampling.Uniform{}
+	s, sc := sampling.Uniform{}, sampling.NewScratch()
 	embed := func(t *ad.Tape, id graph.NodeID, r *rng.RNG) *ad.Node {
 		self := m.nodeEmb(t, id)
-		tree := sampling.BuildTree(m.g, id, nil, 1, cfg.FanOut, s, r, nil)
+		tree := sampling.BuildTree(m.g, id, nil, 1, cfg.FanOut, s, r, sc)
 		if len(tree.Children) == 0 {
 			return self
 		}
@@ -249,6 +252,7 @@ func NewMCCF(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Mod
 		return t.Add(self, t.MatMul(beta, t.ConcatRows(pooled...)))
 	}
 	m.uqFn = func(t *ad.Tape, u, q graph.NodeID, r *rng.RNG) *ad.Node {
+		sc.Reset()
 		return m.towerUQ.Forward(t, t.ConcatCols(embed(t, u, r), embed(t, q, r)))
 	}
 	return m

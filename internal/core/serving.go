@@ -13,13 +13,6 @@ type ServingLayer struct {
 	ReLU bool
 }
 
-// Apply computes the layer output for a single row vector.
-func (l ServingLayer) Apply(x tensor.Vec) tensor.Vec {
-	out := tensor.NewVec(l.W.Cols)
-	l.ApplyInto(x, out)
-	return out
-}
-
 // ApplyInto computes the layer output into out (length l.W.Cols), which
 // must not alias x. It performs no allocation — the serving hot path.
 func (l ServingLayer) ApplyInto(x, out tensor.Vec) {
@@ -32,14 +25,6 @@ func (l ServingLayer) ApplyInto(x, out tensor.Vec) {
 			}
 		}
 	}
-}
-
-// ApplyMLP chains exported layers.
-func ApplyMLP(layers []ServingLayer, x tensor.Vec) tensor.Vec {
-	for _, l := range layers {
-		x = l.Apply(x)
-	}
-	return x
 }
 
 // MaxLayerWidth returns the widest output dimension across the given

@@ -10,8 +10,8 @@ import (
 // BatchScratch holds the reusable buffers of the sample scatter-gather:
 // the visit plan (grouping arrays and visit list) of a batch, and the
 // SampleTree frontier/output storage. Not safe for concurrent use — one
-// per caller, like *rng.RNG. A nil *BatchScratch is accepted everywhere
-// and falls back to per-call allocation.
+// per caller, like *rng.RNG. The scratch is required: a nil *BatchScratch
+// panics at first use.
 type BatchScratch struct {
 	plan visitPlan
 
@@ -26,13 +26,6 @@ type BatchScratch struct {
 // NewBatchScratch returns an empty scratch; buffers are grown on first
 // use and reused afterwards.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
-
-func (bs *BatchScratch) orNew() *BatchScratch {
-	if bs == nil {
-		return &BatchScratch{}
-	}
-	return bs
-}
 
 // entrySeed derives the deterministic RNG seed of batch entry i from the
 // batch base. The mapping depends only on (base, i) — not on the entry's
@@ -62,7 +55,7 @@ func entrySeed(base uint64, i int) uint64 {
 // process boundaries, and dispatch order.
 //
 // out must hold at least len(ids)*k entries and ns at least len(ids);
-// the call panics otherwise. With a non-nil bs the call performs no heap
+// the call panics otherwise. bs is required; the call performs no heap
 // allocation at steady state.
 //
 // On a backend failure (a remote shard down mid-batch) every count in ns
@@ -89,7 +82,7 @@ func (e *Engine) SampleNeighborsBatchInto(ids []graph.NodeID, k int, out []graph
 	if len(out) < len(ids)*k || len(ns) < len(ids) {
 		panic(fmt.Sprintf("engine: batch buffers %d/%d for %d ids × k=%d", len(out), len(ns), len(ids), k))
 	}
-	total, err := e.scatter(&bs.orNew().plan, ids, &payload{base: r.Uint64(), k: k, out: out, ns: ns})
+	total, err := e.scatter(&bs.plan, ids, &payload{base: r.Uint64(), k: k, out: out, ns: ns})
 	if err != nil {
 		clear(ns[:len(ids)])
 		return 0, err
@@ -114,11 +107,10 @@ type TreeNode struct {
 // The returned slice is backed by bs (valid until its next SampleTree
 // call) and the expansion is deterministic given (r state, ego, hops, k),
 // independent of shard count, partition strategy and process boundaries.
-// With a non-nil bs steady-state construction performs no heap allocation
+// bs is required; steady-state construction performs no heap allocation
 // over in-process shards. A backend failure aborts the expansion with a
 // nil tree and the typed batch error — no partial tree survives.
 func (e *Engine) SampleTree(ego graph.NodeID, hops, k int, r *rng.RNG, bs *BatchScratch) ([]TreeNode, error) {
-	bs = bs.orNew()
 	bs.tree = append(bs.tree[:0], TreeNode{ID: ego, Parent: -1})
 	if k <= 0 {
 		return bs.tree, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -225,6 +226,50 @@ func TestSampleTreeNonPositiveKOnReusedScratch(t *testing.T) {
 	}
 }
 
+// One BatchScratch reused across batches and trees of changing shape —
+// batch size, k, hops, shard count — must return exactly what a fresh
+// scratch returns on every call.
+func TestReusedBatchScratchMatchesFresh(t *testing.T) {
+	g, engines := equivalenceEngines(t)
+	bs := NewBatchScratch()
+	for name, e := range engines {
+		for trial := 0; trial < 8; trial++ {
+			seed := uint64(100 + trial)
+			r := rng.New(seed)
+			ids := make([]graph.NodeID, 1+r.Intn(200))
+			for i := range ids {
+				ids[i] = graph.NodeID(r.Intn(g.NumNodes()))
+			}
+			k := 1 + r.Intn(8)
+			want, wantNS := make([]graph.NodeID, len(ids)*k), make([]int32, len(ids))
+			got, gotNS := make([]graph.NodeID, len(ids)*k), make([]int32, len(ids))
+			wn, err := e.SampleNeighborsBatchInto(ids, k, want, wantNS, rng.New(seed), NewBatchScratch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			gn, err := e.SampleNeighborsBatchInto(ids, k, got, gotNS, rng.New(seed), bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wn != gn || !slices.Equal(want, got) || !slices.Equal(wantNS, gotNS) {
+				t.Fatalf("%s trial %d: batch of %d ids k=%d on a reused scratch differs from a fresh one", name, trial, len(ids), k)
+			}
+			hops := 1 + trial%3
+			wantTree, err := e.SampleTree(ids[0], hops, k, rng.New(seed), NewBatchScratch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotTree, err := e.SampleTree(ids[0], hops, k, rng.New(seed), bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(wantTree, gotTree) {
+				t.Fatalf("%s trial %d: %d-hop tree k=%d on a reused scratch differs from a fresh one", name, trial, hops, k)
+			}
+		}
+	}
+}
+
 // A batch charges exactly one replica per shard it touches, with the
 // group size as the load — the per-shard accounting Stats reports.
 func TestBatchChargesOneVisitPerShard(t *testing.T) {
@@ -242,7 +287,7 @@ func TestBatchChargesOneVisitPerShard(t *testing.T) {
 	const k = 3
 	out := make([]graph.NodeID, len(ids)*k)
 	ns := make([]int32, len(ids))
-	e.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(3), nil)
+	e.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(3), NewBatchScratch())
 	st := e.Stats()
 	for s, want := range perShard {
 		if st.RequestsPerShard[s] != want {
@@ -278,7 +323,7 @@ func TestBuildTreeOverEngineMatchesGraph(t *testing.T) {
 	}
 	for _, ego := range egos {
 		focal := g.Content(ego)
-		want := sampling.BuildTree(g, ego, focal, 2, 4, s, rng.New(31), nil)
+		want := sampling.BuildTree(g, ego, focal, 2, 4, s, rng.New(31), sampling.NewScratch())
 		for name, e := range engines {
 			got := sampling.BuildTree(e, ego, focal, 2, 4, s, rng.New(31), sampling.NewScratch())
 			compare(name, want, got)

@@ -227,7 +227,7 @@ func TestFanoutFailureZeroesAllCounts(t *testing.T) {
 			for i := range ns {
 				ns[i] = 9 // sentinel
 			}
-			_, err := e.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(3), nil)
+			_, err := e.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(3), NewBatchScratch())
 			if !errors.Is(err, errInjected) {
 				t.Fatalf("parallel batch error %v does not wrap the backend failure", err)
 			}

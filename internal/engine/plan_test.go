@@ -101,7 +101,7 @@ func TestPlanVisitsPartitionEntries(t *testing.T) {
 	g := graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
 	ops := map[string]func(e *Engine, ids []graph.NodeID) error{
 		"batch": func(e *Engine, ids []graph.NodeID) error {
-			_, err := e.SampleNeighborsBatchInto(ids, 1, make([]graph.NodeID, len(ids)), make([]int32, len(ids)), rng.New(1), nil)
+			_, err := e.SampleNeighborsBatchInto(ids, 1, make([]graph.NodeID, len(ids)), make([]int32, len(ids)), rng.New(1), NewBatchScratch())
 			return err
 		},
 		"read": func(e *Engine, ids []graph.NodeID) error {
@@ -170,11 +170,11 @@ func TestRedirectedBatchRevisitsOnlyFailedShard(t *testing.T) {
 	const k = 4
 	want, wantNS := make([]graph.NodeID, len(ids)*k), make([]int32, len(ids))
 	got, gotNS := make([]graph.NodeID, len(ids)*k), make([]int32, len(ids))
-	wantTotal, err := static.SampleNeighborsBatchInto(ids, k, want, wantNS, rng.New(9), nil)
+	wantTotal, err := static.SampleNeighborsBatchInto(ids, k, want, wantNS, rng.New(9), NewBatchScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTotal, err := e.SampleNeighborsBatchInto(ids, k, got, gotNS, rng.New(9), nil)
+	gotTotal, err := e.SampleNeighborsBatchInto(ids, k, got, gotNS, rng.New(9), NewBatchScratch())
 	if err != nil {
 		t.Fatalf("redirect leaked: %v", err)
 	}

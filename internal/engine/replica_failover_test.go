@@ -128,11 +128,11 @@ func TestReplicaFailoverTransparent(t *testing.T) {
 	nsw := make([]int32, len(ids))
 	nsg := make([]int32, len(ids))
 	for round := 0; round < 3; round++ {
-		nw, err := local.SampleNeighborsBatchInto(ids, k, bw, nsw, rl, nil)
+		nw, err := local.SampleNeighborsBatchInto(ids, k, bw, nsw, rl, NewBatchScratch())
 		if err != nil {
 			t.Fatalf("local batch: %v", err)
 		}
-		ng, err := e.SampleNeighborsBatchInto(ids, k, bg, nsg, rr, nil)
+		ng, err := e.SampleNeighborsBatchInto(ids, k, bg, nsg, rr, NewBatchScratch())
 		if err != nil {
 			t.Fatalf("round %d: batch failover leaked error: %v", round, err)
 		}
@@ -184,7 +184,7 @@ func TestReplicasExhaustedTyped(t *testing.T) {
 	ids := []graph.NodeID{0, 1, 2, 3}
 	bout := make([]graph.NodeID, len(ids)*4)
 	ns := []int32{9, 9, 9, 9}
-	if _, err := e.SampleNeighborsBatchInto(ids, 4, bout, ns, r, nil); err == nil {
+	if _, err := e.SampleNeighborsBatchInto(ids, 4, bout, ns, r, NewBatchScratch()); err == nil {
 		t.Fatal("zero healthy replicas answered a batch")
 	} else if !errors.Is(err, ErrNoReplicas) || !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("batch error %v lacks the typed chain", err)

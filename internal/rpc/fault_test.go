@@ -45,7 +45,7 @@ func TestShardFailureAndReconnect(t *testing.T) {
 	}
 	out := make([]graph.NodeID, len(ids)*k)
 	ns := make([]int32, len(ids))
-	if _, err := remote.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(1), nil); err != nil {
+	if _, err := remote.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(1), engine.NewBatchScratch()); err != nil {
 		t.Fatalf("warm batch: %v", err)
 	}
 
@@ -56,7 +56,7 @@ func TestShardFailureAndReconnect(t *testing.T) {
 		ns[i] = 7 // sentinel: must be zeroed on failure
 	}
 	start := time.Now()
-	n, err := remote.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(2), nil)
+	n, err := remote.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(2), engine.NewBatchScratch())
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("batch against a dead shard succeeded")
@@ -98,10 +98,10 @@ func TestShardFailureAndReconnect(t *testing.T) {
 
 	want := make([]graph.NodeID, len(ids)*k)
 	wantNs := make([]int32, len(ids))
-	if _, err := local.SampleNeighborsBatchInto(ids, k, want, wantNs, rng.New(3), nil); err != nil {
+	if _, err := local.SampleNeighborsBatchInto(ids, k, want, wantNs, rng.New(3), engine.NewBatchScratch()); err != nil {
 		t.Fatalf("local batch: %v", err)
 	}
-	if _, err := remote.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(3), nil); err != nil {
+	if _, err := remote.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(3), engine.NewBatchScratch()); err != nil {
 		t.Fatalf("post-restart batch: %v", err)
 	}
 	for i := range ids {
@@ -181,7 +181,7 @@ func TestNoPartialResultsUnderChurn(t *testing.T) {
 		for i := range ns {
 			ns[i] = 7
 		}
-		_, err := remote.SampleNeighborsBatchInto(ids, k, out, ns, r, nil)
+		_, err := remote.SampleNeighborsBatchInto(ids, k, out, ns, r, engine.NewBatchScratch())
 		if err != nil {
 			failCalls++
 			if !errors.Is(err, ErrShardUnavailable) {

@@ -375,7 +375,7 @@ func TestMuxSharedConnectionHammer(t *testing.T) {
 					return
 				}
 				baseL := rng.New(seed + uint64(it))
-				if _, err := local.SampleNeighborsBatchInto(ids, k, wantOut, wantNs, baseL, nil); err != nil {
+				if _, err := local.SampleNeighborsBatchInto(ids, k, wantOut, wantNs, baseL, engine.NewBatchScratch()); err != nil {
 					t.Errorf("local batch: %v", err)
 					return
 				}

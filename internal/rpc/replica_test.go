@@ -117,10 +117,10 @@ func TestKillReplicaMidBatch(t *testing.T) {
 		if round == 3 {
 			srvA.Close() // one replica of every group dies mid-run
 		}
-		if _, err := local.SampleNeighborsBatchInto(ids, k, wantOut, wantNs, rl, nil); err != nil {
+		if _, err := local.SampleNeighborsBatchInto(ids, k, wantOut, wantNs, rl, engine.NewBatchScratch()); err != nil {
 			t.Fatalf("local batch: %v", err)
 		}
-		if _, err := remote.SampleNeighborsBatchInto(ids, k, gotOut, gotNs, rr, nil); err != nil {
+		if _, err := remote.SampleNeighborsBatchInto(ids, k, gotOut, gotNs, rr, engine.NewBatchScratch()); err != nil {
 			t.Fatalf("round %d: batch after replica kill: %v", round, err)
 		}
 		for i := range ids {
@@ -188,7 +188,7 @@ func TestZeroHealthyReplicasTyped(t *testing.T) {
 	ids := []graph.NodeID{0, 1, 2, 3}
 	bout := make([]graph.NodeID, len(ids)*4)
 	ns := make([]int32, len(ids))
-	if _, err := remote.SampleNeighborsBatchInto(ids, 4, bout, ns, r, nil); err == nil {
+	if _, err := remote.SampleNeighborsBatchInto(ids, 4, bout, ns, r, engine.NewBatchScratch()); err == nil {
 		t.Fatal("batch against a fully dead cluster succeeded")
 	} else if !errors.Is(err, engine.ErrNoReplicas) || !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("batch error %v lacks the typed chain", err)
@@ -347,11 +347,11 @@ func TestRollingUpgrade(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := local.SampleNeighborsBatchInto(ids, k, wantOut, wantNs, rl, nil); err != nil {
+			if _, err := local.SampleNeighborsBatchInto(ids, k, wantOut, wantNs, rl, engine.NewBatchScratch()); err != nil {
 				fail("batcher local: " + err.Error())
 				return
 			}
-			if _, err := remote.SampleNeighborsBatchInto(ids, k, gotOut, gotNs, rr, nil); err != nil {
+			if _, err := remote.SampleNeighborsBatchInto(ids, k, gotOut, gotNs, rr, engine.NewBatchScratch()); err != nil {
 				fail("batcher: " + err.Error())
 				return
 			}

@@ -176,7 +176,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 			for id := 0; id < g.NumNodes() && id < 100; id += 17 {
 				nid := graph.NodeID(id)
 				focal := g.Content(nid)
-				want := sampling.BuildTree(g, nid, focal, 2, 4, s, rng.New(31), nil)
+				want := sampling.BuildTree(g, nid, focal, 2, 4, s, rng.New(31), sampling.NewScratch())
 				got := sampling.BuildTree(remote, nid, focal, 2, 4, s, rng.New(31), sampling.NewScratch())
 				compare(want, got)
 			}
@@ -230,10 +230,10 @@ func TestMixedLocalRemoteBackends(t *testing.T) {
 	wantNs := make([]int32, len(ids))
 	gotOut := make([]graph.NodeID, len(ids)*k)
 	gotNs := make([]int32, len(ids))
-	if _, err := local.SampleNeighborsBatchInto(ids, k, wantOut, wantNs, rng.New(5), nil); err != nil {
+	if _, err := local.SampleNeighborsBatchInto(ids, k, wantOut, wantNs, rng.New(5), engine.NewBatchScratch()); err != nil {
 		t.Fatalf("local batch: %v", err)
 	}
-	if _, err := mixed.SampleNeighborsBatchInto(ids, k, gotOut, gotNs, rng.New(5), nil); err != nil {
+	if _, err := mixed.SampleNeighborsBatchInto(ids, k, gotOut, gotNs, rng.New(5), engine.NewBatchScratch()); err != nil {
 		t.Fatalf("mixed batch: %v", err)
 	}
 	for i := range ids {
@@ -268,7 +268,7 @@ func TestBatchRoundTripBudget(t *testing.T) {
 	}
 	out := make([]graph.NodeID, len(ids)*k)
 	ns := make([]int32, len(ids))
-	if _, err := remote.SampleNeighborsBatchInto(ids, k, out, ns, r, nil); err != nil {
+	if _, err := remote.SampleNeighborsBatchInto(ids, k, out, ns, r, engine.NewBatchScratch()); err != nil {
 		t.Fatalf("batch: %v", err)
 	}
 	owned := make([]bool, shards)
@@ -298,7 +298,7 @@ func TestBatchRoundTripBudget(t *testing.T) {
 			break
 		}
 	}
-	if _, err := remote.SampleTree(ego, hops, 5, r, nil); err != nil {
+	if _, err := remote.SampleTree(ego, hops, 5, r, engine.NewBatchScratch()); err != nil {
 		t.Fatalf("tree: %v", err)
 	}
 	for si, srv := range servers {

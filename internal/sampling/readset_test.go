@@ -150,7 +150,7 @@ func TestBuildTreeOverReadSetIsBitIdentical(t *testing.T) {
 		for hops := 1; hops <= 3; hops++ {
 			for _, ego := range []graph.NodeID{0, 17, 5, 123} {
 				rw, rg := rng.New(uint64(ego)+9), rng.New(uint64(ego)+9)
-				want := BuildTree(g, ego, focal, hops, 4, s, rw, nil)
+				want := BuildTree(g, ego, focal, hops, 4, s, rw, NewScratch())
 				cv := newCountingView(g)
 				got := BuildTree(NewReadSet(cv, nil), ego, focal, hops, 4, s, rg, NewScratch())
 				if !treesEqual(want, got) {

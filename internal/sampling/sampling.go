@@ -9,11 +9,11 @@
 // focal vector, and a budget k, which neighbors enter the sampled
 // subgraph? Multi-hop ROI construction is layered on top by BuildTree.
 //
-// Every sampler threads a *Scratch (see scratch.go) through its hot path;
-// with a non-nil scratch the steady state allocates nothing, and with nil
-// it falls back to per-call allocation. Top-k selection is a bounded
-// min-heap (O(d log k)) rather than a full sort, and the walk samplers
-// count visits in a slice indexed by node id rather than a map.
+// Every sampler threads a caller-owned *Scratch (see scratch.go) through
+// its hot path, so the steady state allocates nothing; the scratch is
+// required. Top-k selection is a bounded min-heap (O(d log k)) rather
+// than a full sort, and the walk samplers count visits in a slice
+// indexed by node id rather than a map.
 package sampling
 
 import (
@@ -47,9 +47,9 @@ type GraphView interface {
 
 // Sampler selects up to k neighbors of ego. focal is the summed focal
 // vector of the request (nil for focal-agnostic samplers). sc supplies
-// reusable buffers (nil allowed); when non-nil, the returned slice is
-// backed by it and is valid only until the sampler's next call with the
-// same scratch — callers that retain edges must copy them.
+// the reusable buffers and is required; the returned slice is backed by
+// it and is valid only until the sampler's next call with the same
+// scratch — callers that retain edges must copy them.
 //
 // NeighborReads reports which attributes of the ego's neighbors Sample
 // reads beyond the adjacency list itself (the content vectors a
@@ -100,7 +100,6 @@ func (s *FocalBiased) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k 
 	if len(nbrs) == 0 {
 		return nil
 	}
-	sc = sc.orNew()
 	if len(nbrs) <= k {
 		return append(sc.outBuf(len(nbrs)), nbrs...)
 	}
@@ -119,12 +118,7 @@ func (s *FocalBiased) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k 
 			ss[i] = scoredEdge{e, s.Relevance(focal, content[i])}
 		}
 	}
-	topKScored(ss, k)
-	out := sc.outBuf(k)
-	for i := 0; i < k; i++ {
-		out = append(out, ss[i].e)
-	}
-	return out
+	return sc.topEdges(ss, k)
 }
 
 // Uniform is GraphSAGE's sampler: k neighbors uniformly without
@@ -146,7 +140,6 @@ func (Uniform) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng
 	if len(nbrs) == 0 {
 		return nil
 	}
-	sc = sc.orNew()
 	if len(nbrs) <= k {
 		return append(sc.outBuf(len(nbrs)), nbrs...)
 	}
@@ -185,7 +178,6 @@ func (Weighted) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rn
 	if len(nbrs) == 0 {
 		return nil
 	}
-	sc = sc.orNew()
 	if len(nbrs) <= k {
 		return append(sc.outBuf(len(nbrs)), nbrs...)
 	}
@@ -225,44 +217,6 @@ func (s *ImportanceWalk) Name() string { return "importance-walk" }
 // RNG picks, which no frontier read can anticipate.
 func (s *ImportanceWalk) NeighborReads() graph.ReadFields { return 0 }
 
-// visitCounter counts walk visits: slice-backed (O(1), zero-alloc at
-// steady state) when a reused scratch is available, and a small sparse
-// map for the nil-scratch path — a throwaway scratch must not pay an
-// O(NumNodes) zeroed allocation for a walk touching ~Walks×Length nodes.
-type visitCounter struct {
-	sc     *Scratch
-	sparse map[graph.NodeID]int32
-}
-
-func newVisitCounter(sc *Scratch, g GraphView, walkBudget int) visitCounter {
-	if sc != nil {
-		sc.visitsFor(g.NumNodes())
-		return visitCounter{sc: sc}
-	}
-	return visitCounter{sparse: make(map[graph.NodeID]int32, walkBudget)}
-}
-
-func (v visitCounter) bump(id graph.NodeID) {
-	if v.sc != nil {
-		v.sc.visit(id)
-		return
-	}
-	v.sparse[id]++
-}
-
-func (v visitCounter) count(id graph.NodeID) int32 {
-	if v.sc != nil {
-		return v.sc.visits[id]
-	}
-	return v.sparse[id]
-}
-
-func (v visitCounter) done() {
-	if v.sc != nil {
-		v.sc.resetVisits()
-	}
-}
-
 // Sample implements Sampler.
 func (s *ImportanceWalk) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
 	if k <= 0 {
@@ -272,11 +226,10 @@ func (s *ImportanceWalk) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k i
 	if len(nbrs) == 0 {
 		return nil
 	}
-	out := sc.orNew()
 	if len(nbrs) <= k {
-		return append(out.outBuf(len(nbrs)), nbrs...)
+		return append(sc.outBuf(len(nbrs)), nbrs...)
 	}
-	visits := newVisitCounter(sc, g, s.Walks*s.Length)
+	sc.visitsFor(g.NumNodes())
 	for w := 0; w < s.Walks; w++ {
 		cur := ego
 		for step := 0; step < s.Length; step++ {
@@ -285,20 +238,10 @@ func (s *ImportanceWalk) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k i
 				break
 			}
 			cur = cn[r.Intn(len(cn))].To
-			visits.bump(cur)
+			sc.visit(cur)
 		}
 	}
-	ss := out.scoredBuf(len(nbrs))
-	for i, e := range nbrs {
-		ss[i] = scoredEdge{e, float32(visits.count(e.To))}
-	}
-	visits.done()
-	topKScored(ss, k)
-	res := out.outBuf(k)
-	for i := 0; i < k; i++ {
-		res = append(res, ss[i].e)
-	}
-	return res
+	return sc.topVisited(nbrs, k)
 }
 
 // BiasedWalk is Pixie's sampler: random walks whose edge choices are
@@ -328,11 +271,10 @@ func (s *BiasedWalk) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k i
 	if len(nbrs) == 0 {
 		return nil
 	}
-	out := sc.orNew()
 	if len(nbrs) <= k {
-		return append(out.outBuf(len(nbrs)), nbrs...)
+		return append(sc.outBuf(len(nbrs)), nbrs...)
 	}
-	visits := newVisitCounter(sc, g, s.Walks*s.Length)
+	sc.visitsFor(g.NumNodes())
 	for w := 0; w < s.Walks; w++ {
 		cur := ego
 		steps := 1 + r.Intn(s.Length) // early stopping
@@ -352,20 +294,10 @@ func (s *BiasedWalk) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k i
 				}
 			}
 			cur = pick.To
-			visits.bump(cur)
+			sc.visit(cur)
 		}
 	}
-	ss := out.scoredBuf(len(nbrs))
-	for i, e := range nbrs {
-		ss[i] = scoredEdge{e, float32(visits.count(e.To))}
-	}
-	visits.done()
-	topKScored(ss, k)
-	res := out.outBuf(k)
-	for i := 0; i < k; i++ {
-		res = append(res, ss[i].e)
-	}
-	return res
+	return sc.topVisited(nbrs, k)
 }
 
 // ClusterImportance is PinnerSage's sampler: neighbors are greedily
@@ -398,7 +330,6 @@ func (s *ClusterImportance) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, 
 	if len(nbrs) == 0 {
 		return nil
 	}
-	sc = sc.orNew()
 	if len(nbrs) <= k {
 		return append(sc.outBuf(len(nbrs)), nbrs...)
 	}
@@ -494,16 +425,15 @@ func (t *Tree) AppendNodes(ids []graph.NodeID) []graph.NodeID {
 // every hop, matching the paper's ROI construction where relevance to the
 // focal governs the whole sampled region.
 //
-// With a non-nil scratch the tree is carved out of the scratch's arena:
-// steady-state construction allocates nothing, and the tree stays valid
-// until sc.Reset(). With nil sc the tree is independently heap-allocated.
+// The tree is carved out of the caller's scratch arena, which is
+// required: steady-state construction allocates nothing, and the tree
+// stays valid until sc.Reset().
 //
 // Over a *ReadSet the expansion reads one level ahead: once a node's
 // edges are sampled, everything its children's Sample calls will read is
 // fetched in bulk before the first child is visited. The depth-first
 // Sample order — and with it the RNG stream — is the same over any view.
 func BuildTree(g GraphView, ego graph.NodeID, focal tensor.Vec, hops, k int, s Sampler, r *rng.RNG, sc *Scratch) *Tree {
-	sc = sc.orNew()
 	rs, _ := g.(*ReadSet)
 	return buildTree(g, rs, ego, focal, hops, k, s, r, sc)
 }

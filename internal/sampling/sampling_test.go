@@ -47,7 +47,7 @@ func TestSamplerContracts(t *testing.T) {
 	for _, s := range allSamplers() {
 		r := rng.New(1)
 		for _, k := range []int{1, 5, 19, 20, 50} {
-			out := s.Sample(g, ego, focal, k, r, nil)
+			out := s.Sample(g, ego, focal, k, r, NewScratch())
 			if len(out) > k && k < 20 {
 				t.Fatalf("%s returned %d > k=%d", s.Name(), len(out), k)
 			}
@@ -74,7 +74,7 @@ func TestFocalBiasedPicksRelevant(t *testing.T) {
 	g, ego, focal := starGraph(20)
 	s := NewFocalBiased()
 	r := rng.New(2)
-	out := s.Sample(g, ego, focal, 5, r, nil)
+	out := s.Sample(g, ego, focal, 5, r, NewScratch())
 	for _, e := range out {
 		c := g.Content(e.To)
 		if c[0] < c[1] {
@@ -105,8 +105,8 @@ func TestFocalBiasedIsFocalSensitive(t *testing.T) {
 	g, ego, _ := starGraph(20)
 	s := NewFocalBiased()
 	r := rng.New(3)
-	a := s.Sample(g, ego, tensor.Vec{1, 0}, 5, r, nil)
-	b := s.Sample(g, ego, tensor.Vec{0, 1}, 5, r, nil)
+	a := s.Sample(g, ego, tensor.Vec{1, 0}, 5, r, NewScratch())
+	b := s.Sample(g, ego, tensor.Vec{0, 1}, 5, r, NewScratch())
 	aSet := map[graph.NodeID]bool{}
 	for _, e := range a {
 		aSet[e.To] = true
@@ -128,7 +128,7 @@ func TestUniformCoverage(t *testing.T) {
 	r := rng.New(4)
 	seen := map[graph.NodeID]bool{}
 	for i := 0; i < 200; i++ {
-		for _, e := range (Uniform{}).Sample(g, ego, nil, 3, r, nil) {
+		for _, e := range (Uniform{}).Sample(g, ego, nil, 3, r, NewScratch()) {
 			seen[e.To] = true
 		}
 	}
@@ -153,7 +153,7 @@ func TestWeightedPrefersHeavyEdges(t *testing.T) {
 	r := rng.New(5)
 	heavyHit := 0
 	for i := 0; i < 100; i++ {
-		for _, e := range (Weighted{}).Sample(g, ego, nil, 2, r, nil) {
+		for _, e := range (Weighted{}).Sample(g, ego, nil, 2, r, NewScratch()) {
 			if e.To == heavy {
 				heavyHit++
 			}
@@ -182,7 +182,7 @@ func TestImportanceWalkFindsHub(t *testing.T) {
 	g := b.Build()
 	s := NewImportanceWalk()
 	r := rng.New(6)
-	out := s.Sample(g, ego, nil, 1, r, nil)
+	out := s.Sample(g, ego, nil, 1, r, NewScratch())
 	if len(out) != 1 || out[0].To != hub {
 		t.Fatalf("importance walk picked %v, want hub %d", out, hub)
 	}
@@ -208,7 +208,7 @@ func TestClusterImportanceIsMultiModal(t *testing.T) {
 	g := b.Build()
 	s := NewClusterImportance()
 	r := rng.New(7)
-	out := s.Sample(g, ego, nil, 4, r, nil)
+	out := s.Sample(g, ego, nil, 4, r, NewScratch())
 	foundB := false
 	for _, e := range out {
 		for _, bn := range bNodes {
@@ -228,7 +228,7 @@ func TestBiasedWalkRespectsFocal(t *testing.T) {
 	r := rng.New(8)
 	// Just a contract check plus determinism-of-name; walk bias is
 	// statistical and covered by the contract test.
-	out := s.Sample(g, ego, focal, 5, r, nil)
+	out := s.Sample(g, ego, focal, 5, r, NewScratch())
 	if len(out) != 5 {
 		t.Fatalf("biased walk returned %d edges", len(out))
 	}
@@ -237,7 +237,7 @@ func TestBiasedWalkRespectsFocal(t *testing.T) {
 func TestBuildTreeShape(t *testing.T) {
 	g, ego, focal := starGraph(20)
 	r := rng.New(9)
-	tree := BuildTree(g, ego, focal, 2, 3, NewFocalBiased(), r, nil)
+	tree := BuildTree(g, ego, focal, 2, 3, NewFocalBiased(), r, NewScratch())
 	if tree.Node != ego {
 		t.Fatal("root is not ego")
 	}
@@ -261,7 +261,7 @@ func TestBuildTreeShape(t *testing.T) {
 
 func TestBuildTreeZeroHops(t *testing.T) {
 	g, ego, focal := starGraph(5)
-	tree := BuildTree(g, ego, focal, 0, 3, NewFocalBiased(), rng.New(10), nil)
+	tree := BuildTree(g, ego, focal, 0, 3, NewFocalBiased(), rng.New(10), NewScratch())
 	if tree.Size() != 1 || len(tree.Edges) != 0 {
 		t.Fatal("zero-hop tree must be the bare ego")
 	}
@@ -272,30 +272,10 @@ func TestIsolatedNode(t *testing.T) {
 	iso := b.AddNode(graph.User, nil, tensor.Vec{1})
 	g := b.Build()
 	for _, s := range allSamplers() {
-		out := s.Sample(g, iso, tensor.Vec{1}, 5, rng.New(11), nil)
+		out := s.Sample(g, iso, tensor.Vec{1}, 5, rng.New(11), NewScratch())
 		if len(out) != 0 {
 			t.Fatalf("%s sampled from isolated node", s.Name())
 		}
-	}
-}
-
-func BenchmarkFocalBiasedK10(b *testing.B) {
-	g, ego, focal := starGraph(200)
-	s := NewFocalBiased()
-	r := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Sample(g, ego, focal, 10, r, nil)
-	}
-}
-
-func BenchmarkBuildTree2Hop(b *testing.B) {
-	g, ego, focal := starGraph(200)
-	s := NewFocalBiased()
-	r := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = BuildTree(g, ego, focal, 2, 10, s, r, nil)
 	}
 }
 
@@ -305,79 +285,84 @@ func TestNonPositiveKReturnsNil(t *testing.T) {
 	g, ego, focal := starGraph(20)
 	for _, s := range allSamplers() {
 		for _, k := range []int{0, -1, -100} {
-			if out := s.Sample(g, ego, focal, k, rng.New(12), nil); out != nil {
+			if out := s.Sample(g, ego, focal, k, rng.New(12), NewScratch()); out != nil {
 				t.Fatalf("%s with k=%d returned %v, want nil", s.Name(), k, out)
 			}
 		}
 	}
-	if tree := BuildTree(g, ego, focal, 2, -3, NewFocalBiased(), rng.New(12), nil); tree.Size() != 1 {
+	if tree := BuildTree(g, ego, focal, 2, -3, NewFocalBiased(), rng.New(12), NewScratch()); tree.Size() != 1 {
 		t.Fatalf("BuildTree with negative k expanded to size %d", tree.Size())
 	}
 }
 
-// A reused scratch must produce the same samples as the nil-scratch path
-// for the deterministic sampler, and valid contract-respecting samples
-// for the stochastic ones.
+// One scratch reused across interleaved calls — every sampler, a 30-node
+// and a 3 000-node star, so buffers and visit counters change size
+// between calls — must return exactly what a fresh scratch per call
+// returns, and the walk samplers must leave every visit counter zero.
 func TestScratchParity(t *testing.T) {
-	g, ego, focal := starGraph(30)
 	sc := NewScratch()
-	for _, s := range allSamplers() {
-		want := s.Sample(g, ego, focal, 7, rng.New(13), nil)
-		wantCopy := append([]graph.Edge(nil), want...)
-		got := s.Sample(g, ego, focal, 7, rng.New(13), sc)
-		if len(got) != len(wantCopy) {
-			t.Fatalf("%s: scratch len %d vs nil len %d", s.Name(), len(got), len(wantCopy))
-		}
-		for i := range got {
-			if got[i] != wantCopy[i] {
-				t.Fatalf("%s: scratch result diverges at %d: %v vs %v", s.Name(), i, got[i], wantCopy[i])
-			}
-		}
-	}
-	// Repeated reuse of the same scratch must stay correct.
-	nbrSet := map[graph.NodeID]bool{}
-	for _, e := range g.Neighbors(ego) {
-		nbrSet[e.To] = true
-	}
-	r := rng.New(14)
-	for i := 0; i < 50; i++ {
-		for _, s := range allSamplers() {
-			for _, e := range s.Sample(g, ego, focal, 5, r, sc) {
-				if !nbrSet[e.To] {
-					t.Fatalf("%s returned non-neighbor under scratch reuse", s.Name())
+	stars := parityStars()
+	for round := 0; round < 4; round++ {
+		for si, st := range stars {
+			for _, s := range allSamplers() {
+				k := 3 + 4*round + si
+				seed := uint64(100*round + 10*si + 13)
+				want := s.Sample(st.g, st.ego, st.focal, k, rng.New(seed), NewScratch())
+				got := s.Sample(st.g, st.ego, st.focal, k, rng.New(seed), sc)
+				if len(got) != len(want) {
+					t.Fatalf("round %d star %d %s: reused scratch len %d vs fresh len %d", round, si, s.Name(), len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("round %d star %d %s: reused scratch diverges at %d: %v vs %v", round, si, s.Name(), i, got[i], want[i])
+					}
+				}
+				for id, v := range sc.visits {
+					if v != 0 {
+						t.Fatalf("round %d star %d %s: visit counter of node %d left at %d", round, si, s.Name(), id, v)
+					}
 				}
 			}
 		}
 	}
 }
 
-// Scratch-built trees must match nil-scratch trees node for node, and
-// survive arena growth; Reset must recycle without corrupting a tree
-// built afterwards.
+// BuildTree on a scratch recycled by Reset must equal a tree built on a
+// fresh scratch, node for node, for every sampler and across graphs of
+// different sizes.
 func TestBuildTreeScratchParity(t *testing.T) {
-	g, ego, focal := starGraph(40)
-	s := NewFocalBiased()
-	var walk func(a, b *Tree) bool
-	walk = func(a, b *Tree) bool {
-		if a.Node != b.Node || len(a.Edges) != len(b.Edges) {
-			return false
-		}
-		for i := range a.Edges {
-			if a.Edges[i] != b.Edges[i] || !walk(a.Children[i], b.Children[i]) {
-				return false
+	sc := NewScratch()
+	stars := parityStars()
+	for round := 0; round < 3; round++ {
+		for si, st := range stars {
+			for _, s := range allSamplers() {
+				sc.Reset()
+				seed := uint64(15 + round)
+				want := BuildTree(st.g, st.ego, st.focal, 2, 6, s, rng.New(seed), NewScratch())
+				got := BuildTree(st.g, st.ego, st.focal, 2, 6, s, rng.New(seed), sc)
+				if !treesEqual(want, got) {
+					t.Fatalf("round %d star %d %s: tree on a reset scratch diverges from a fresh-scratch tree", round, si, s.Name())
+				}
 			}
 		}
-		return true
 	}
-	sc := NewScratch()
-	for round := 0; round < 3; round++ {
-		sc.Reset()
-		want := BuildTree(g, ego, focal, 2, 6, s, rng.New(15), nil)
-		got := BuildTree(g, ego, focal, 2, 6, s, rng.New(15), sc)
-		if !walk(want, got) {
-			t.Fatalf("round %d: scratch tree diverges from nil-scratch tree", round)
-		}
+}
+
+type star struct {
+	g     *graph.Graph
+	ego   graph.NodeID
+	focal tensor.Vec
+}
+
+// parityStars are the graphs the scratch-reuse tests interleave: a
+// 30-node and a 3 000-node star.
+func parityStars() []star {
+	var stars []star
+	for _, n := range []int{30, 3000} {
+		g, ego, focal := starGraph(n)
+		stars = append(stars, star{g, ego, focal})
 	}
+	return stars
 }
 
 // The bounded-heap partial selection must agree with a full sort.

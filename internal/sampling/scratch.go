@@ -22,8 +22,8 @@ type scoredEdge struct {
 // exactly like *rng.RNG. Slices returned by Sample are backed by the
 // Scratch and remain valid only until its next Sample call; trees
 // returned by BuildTree are backed by the arena and remain valid until
-// Reset. A nil *Scratch is accepted everywhere and falls back to
-// per-call allocation.
+// Reset. The scratch is required: every call takes one the caller owns,
+// and a nil *Scratch panics at first use.
 type Scratch struct {
 	scored []scoredEdge
 	out    []graph.Edge
@@ -58,22 +58,10 @@ type Scratch struct {
 // reused afterwards.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// orNew substitutes a throwaway scratch for a nil receiver, giving the
-// no-scratch call path the exact allocation behavior it always had.
-func (sc *Scratch) orNew() *Scratch {
-	if sc == nil {
-		return &Scratch{}
-	}
-	return sc
-}
-
 // Reset recycles the tree arena. All trees previously returned from
 // BuildTree with this scratch are invalidated; per-sampler buffers need
 // no reset and are excluded.
 func (sc *Scratch) Reset() {
-	if sc == nil {
-		return
-	}
 	sc.treesUsed = 0
 	sc.edgeArena = sc.edgeArena[:0]
 	sc.kidArena = sc.kidArena[:0]
@@ -131,16 +119,15 @@ func (sc *Scratch) neighborContent(g GraphView, nbrs []graph.Edge) []tensor.Vec 
 	return sc.blk.Content
 }
 
-// visitsFor returns the zeroed visit-counter slice for an n-node graph.
-// Callers must bump counters via visit and reset them with resetVisits
-// before returning.
-func (sc *Scratch) visitsFor(n int) []int32 {
+// visitsFor sizes the zeroed visit counters for an n-node graph. A walk
+// bumps them via visit and hands them to topVisited, which zeroes them
+// again before the sampler returns.
+func (sc *Scratch) visitsFor(n int) {
 	if cap(sc.visits) < n {
 		sc.visits = make([]int32, n)
 	}
 	sc.visits = sc.visits[:n]
 	sc.touched = sc.touched[:0]
-	return sc.visits
 }
 
 func (sc *Scratch) visit(id graph.NodeID) {
@@ -150,11 +137,29 @@ func (sc *Scratch) visit(id graph.NodeID) {
 	sc.visits[id]++
 }
 
-func (sc *Scratch) resetVisits() {
+// topVisited returns the k most-visited of nbrs (len(nbrs) > k), best
+// first, and resets every counter the walk touched.
+func (sc *Scratch) topVisited(nbrs []graph.Edge, k int) []graph.Edge {
+	ss := sc.scoredBuf(len(nbrs))
+	for i, e := range nbrs {
+		ss[i] = scoredEdge{e, float32(sc.visits[e.To])}
+	}
 	for _, id := range sc.touched {
 		sc.visits[id] = 0
 	}
 	sc.touched = sc.touched[:0]
+	return sc.topEdges(ss, k)
+}
+
+// topEdges selects the k highest-scoring entries of ss and returns their
+// edges, best first, in the output buffer.
+func (sc *Scratch) topEdges(ss []scoredEdge, k int) []graph.Edge {
+	topKScored(ss, k)
+	out := sc.outBuf(k)
+	for i := 0; i < k; i++ {
+		out = append(out, ss[i].e)
+	}
+	return out
 }
 
 func (sc *Scratch) aliasBufs(n int) (weights, prob []float64, aliasIx, stack []int32) {

@@ -134,13 +134,9 @@ func (e *Embedder) aggregateInto(dst tensor.Vec, ego graph.NodeID, nbrs []graph.
 }
 
 // UserQuery embeds a request given cached neighbor sets for the user and
-// query nodes. With a non-nil scratch the returned vector is backed by it
-// and valid until the next call — zero allocations; with nil a throwaway
-// scratch is used and the result is independently owned.
+// query nodes. The caller's scratch is required; the returned vector is
+// backed by it and valid until the next call — zero allocations.
 func (e *Embedder) UserQuery(u, q graph.NodeID, nbrsU, nbrsQ []graph.NodeID, sc *EmbedScratch) tensor.Vec {
-	if sc == nil {
-		sc = e.NewScratch()
-	}
 	sw := e.sw
 	d := sw.Dim
 	sw.MapUser.ApplyInto(sw.Base[u], sc.c)
@@ -153,9 +149,12 @@ func (e *Embedder) UserQuery(u, q graph.NodeID, nbrsU, nbrsQ []graph.NodeID, sc 
 	return core.ApplyMLPInto(sw.TowerUQ, sc.cat, sc.ping, sc.pong)
 }
 
-// Item embeds an item through the exported item tower.
+// Item embeds an item through the exported item tower (index build, not
+// the request path); the returned vector is independently owned.
 func (e *Embedder) Item(id graph.NodeID) tensor.Vec {
-	return core.ApplyMLP(e.sw.TowerItem, e.sw.Base[id])
+	w := core.MaxLayerWidth(e.sw.TowerItem)
+	buf := tensor.NewVec(2 * w)
+	return tensor.Copy(core.ApplyMLPInto(e.sw.TowerItem, e.sw.Base[id], buf[:w], buf[w:]))
 }
 
 // minCacheSegments is the floor on independently locked cache segments;

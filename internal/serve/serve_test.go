@@ -70,7 +70,7 @@ func TestEmbedderShapesAndFiniteness(t *testing.T) {
 	u, q := h.users[0], h.queries[0]
 	nbrsU := h.cache.Get(u, r).Neighbors()
 	nbrsQ := h.cache.Get(q, r).Neighbors()
-	uq := h.emb.UserQuery(u, q, nbrsU, nbrsQ, nil)
+	uq := h.emb.UserQuery(u, q, nbrsU, nbrsQ, h.emb.NewScratch())
 	if len(uq) != 16 {
 		t.Fatalf("uq dim %d", len(uq))
 	}
@@ -208,18 +208,6 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 	}
 }
 
-func BenchmarkServingEmbedding(b *testing.B) {
-	h := buildHarness(b)
-	r := rng.New(1)
-	u, q := h.users[0], h.queries[0]
-	nbrsU := h.cache.Get(u, r).Neighbors()
-	nbrsQ := h.cache.Get(q, r).Neighbors()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = h.emb.UserQuery(u, q, nbrsU, nbrsQ, nil)
-	}
-}
-
 func BenchmarkEndToEndRequest(b *testing.B) {
 	h := buildHarness(b)
 	cfg := DefaultConfig()
@@ -233,8 +221,8 @@ func BenchmarkEndToEndRequest(b *testing.B) {
 	}
 }
 
-// A reused per-worker scratch must reproduce the nil-scratch embedding
-// bit for bit, across repeated calls.
+// A reused per-worker scratch must reproduce a fresh scratch's embedding
+// bit for bit, across repeated calls with changing neighbor sets.
 func TestUserQueryScratchParity(t *testing.T) {
 	h := buildHarness(t)
 	r := rng.New(30)
@@ -244,7 +232,7 @@ func TestUserQueryScratchParity(t *testing.T) {
 		q := h.queries[i%len(h.queries)]
 		nbrsU := h.cache.Get(u, r).Neighbors()
 		nbrsQ := h.cache.Get(q, r).Neighbors()
-		want := h.emb.UserQuery(u, q, nbrsU, nbrsQ, nil)
+		want := h.emb.UserQuery(u, q, nbrsU, nbrsQ, h.emb.NewScratch())
 		got := h.emb.UserQuery(u, q, nbrsU, nbrsQ, sc)
 		if len(got) != len(want) {
 			t.Fatalf("len %d vs %d", len(got), len(want))
