@@ -169,32 +169,38 @@ func (s *Shard) SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, _ 
 // partition returns bit-identical draws. No heap allocation.
 func (s *Shard) SampleBatchInto(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (int, error) {
 	s.requests.Add(int64(len(gids)))
-	dv := s.delta.Load()
 	var sub rng.RNG
 	total := 0
 	for j, id := range gids {
 		i := int(idx[j])
-		li := s.part.Local(id)
-		lo, hi := s.store.Offsets[li], s.store.Offsets[li+1]
-		if dv != nil {
-			if ov := dv.overlay(li); ov != nil {
-				sub.Reseed(entrySeed(base, i))
-				s.sampleOverlay(ov, lo, hi, out[i*k:(i+1)*k], &sub)
-				ns[i] = int32(k)
-				total += k
-				continue
-			}
-		}
-		if lo == hi {
-			ns[i] = 0
-			continue
-		}
-		sub.Reseed(entrySeed(base, i))
-		s.sampleLocal(lo, hi, out[i*k:(i+1)*k], &sub)
-		ns[i] = int32(k)
-		total += k
+		n := s.SampleEntryInto(id, base, idx[j], out[i*k:(i+1)*k], &sub)
+		ns[i] = int32(n)
+		total += n
 	}
 	return total, nil
+}
+
+// SampleEntryInto draws batch entry i — owned node id — into out: r is
+// reseeded from the entry's sub-stream of base, and the count written is
+// len(out), or 0 for an isolated node. It is the one spelling of the
+// batch sub-stream rule, shared by SampleBatchInto and a shard server's
+// batch handler; it charges nothing and performs no heap allocation.
+func (s *Shard) SampleEntryInto(id graph.NodeID, base uint64, i int32, out []graph.NodeID, r *rng.RNG) int {
+	li := s.part.Local(id)
+	lo, hi := s.store.Offsets[li], s.store.Offsets[li+1]
+	// The overlay check precedes the isolated-node return: a node born
+	// isolated can gain edges online.
+	if ov := s.overlayAt(li); ov != nil {
+		r.Reseed(entrySeed(base, int(i)))
+		s.sampleOverlay(ov, lo, hi, out, r)
+		return len(out)
+	}
+	if lo == hi {
+		return 0
+	}
+	r.Reseed(entrySeed(base, int(i)))
+	s.sampleLocal(lo, hi, out, r)
+	return len(out)
 }
 
 // sampleLocal draws len(out) alias samples from the adjacency spanning

@@ -15,7 +15,6 @@ import (
 	"zoomer/internal/ingest"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
-	"zoomer/internal/wire"
 )
 
 // ErrShardUnavailable is the typed transport failure: the shard server
@@ -44,14 +43,14 @@ func (e *remoteError) Is(target error) bool {
 	return target == engine.ErrBadAppend && strings.Contains(e.msg, engine.ErrBadAppend.Error())
 }
 
-// movedError is the wrong-epoch redirect decoded from a statusMoved
-// response: the server answered — over a healthy connection — that it no
-// longer (or never) owned the target partition, and reported its current
-// routing epoch. It matches engine.ErrWrongEpoch under errors.Is, which
-// is what makes the engine refresh its ownership view and retry instead
-// of surfacing the failure; like remoteError it is not a transport
-// failure, so it neither trips the health circuit nor burns the
-// retry-on-fresh-connection attempt.
+// movedError is the wrong-epoch redirect: the server's answer — over a
+// healthy connection — that it no longer (or never) owned the target
+// partition, with its current routing epoch. Handlers return it, serve
+// sends it as a statusMoved frame, and the client decodes it back. It
+// matches engine.ErrWrongEpoch under errors.Is, which is what makes the
+// engine refresh its ownership view and retry instead of surfacing the
+// failure; like remoteError it is not a transport failure, so it neither
+// trips the health circuit nor burns the retry-on-fresh-connection attempt.
 type movedError struct {
 	shard int
 	epoch uint64
@@ -395,17 +394,8 @@ type visit struct {
 	dec func(body []byte) error
 }
 
-// tries is the attempt budget: two for the reads and admin ops, which are
-// idempotent (seeds travel in the request); one for a graph-append —
-// after a transport failure the record may or may not have been applied,
-// and only the sequence cache in RemoteShard.AppendEdges can disambiguate
-// (a dup answer to a same-seq retry means the lost attempt landed).
-func (v *visit) tries() int {
-	if v.op == OpAppend {
-		return 1
-	}
-	return 2
-}
+// tries is the op's attempt budget (see opSpec).
+func (v *visit) tries() int { return v.op.spec().tries }
 
 // late reports whether the visit carries a deadline that has passed.
 func (v *visit) late() bool {
@@ -421,13 +411,7 @@ func (v *visit) encode(req []byte) []byte {
 	case OpReadNodes:
 		return appendReadNodesRequest(req, v.gids, v.fields)
 	case OpAppend:
-		var flags byte
-		if v.fanout {
-			flags = appendFlagFanout
-		}
-		req = append(req, flags)
-		req = appendU32(req, uint32(v.shard))
-		return ingest.AppendPayload(req, v.seq, v.edges) // on-wire == on-disk encoding
+		return appendAppendRequest(req, v.shard, v.seq, v.edges, v.fanout)
 	}
 	if v.enc != nil {
 		req = v.enc(req)
@@ -450,78 +434,6 @@ func (v *visit) decode(body []byte) (total int, err error) {
 		return 0, err
 	}
 	return 0, v.dec(body)
-}
-
-// appendBatch encodes an OpBatch payload.
-func appendBatch(req []byte, gids []graph.NodeID, idx []int32, base uint64, k int) []byte {
-	req = appendU64(req, base)
-	req = appendU32(req, uint32(k))
-	req = appendU32(req, uint32(len(gids)))
-	for j := range gids {
-		req = appendU32(req, uint32(idx[j]))
-		req = appendU32(req, uint32(gids[j]))
-	}
-	return req
-}
-
-// decodeBatch scatters an OpBatch response into out/ns. Nothing in the
-// frame is trusted: every per-entry count is bounded by k and the
-// caller's buffers, the header's total must equal their sum (it is what
-// SampleNeighborsBatchInto reports, and must agree with ns), and no byte
-// may follow the last entry.
-func decodeBatch(body []byte, gids []graph.NodeID, idx []int32, k int, out []graph.NodeID, ns []int32) (int, error) {
-	cu := wire.Cursor{B: body}
-	total, sum := int(cu.U32()), 0
-	good := true
-	for j := range gids {
-		n := int32(cu.U32())
-		i := int(idx[j])
-		if n < 0 || int(n) > k || (i+1)*k > len(out) || i >= len(ns) {
-			good = false
-			break
-		}
-		ns[i] = n
-		sum += int(n)
-		lo := i * k
-		for d := 0; d < int(n); d++ {
-			out[lo+d] = graph.NodeID(cu.U32())
-		}
-	}
-	if !good || cu.Bad || total != sum || len(cu.Rest()) != 0 {
-		return 0, fmt.Errorf("%w: batch response (%d bytes)", ErrMalformedFrame, len(body))
-	}
-	return total, nil
-}
-
-// decodeSample decodes an OpSample response: the advanced RNG state, which
-// goes to st, then n ≤ k draws, which go to out, and nothing after them.
-// A malformed frame writes neither.
-func decodeSample(body []byte, k int, out []graph.NodeID, st *[4]uint64) (int, error) {
-	cu := wire.Cursor{B: body}
-	var adv [4]uint64
-	for i := range adv {
-		adv[i] = cu.U64()
-	}
-	n := cu.Count(4)
-	if cu.Bad || n > k || n > len(out) || len(cu.Rest()) != 4*n {
-		return 0, fmt.Errorf("%w: sample response (%d bytes for k=%d)", ErrMalformedFrame, len(body), k)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = graph.NodeID(cu.U32())
-	}
-	*st = adv
-	return n, nil
-}
-
-// decodeAppendResult decodes an OpAppend response: the result code and
-// the shard's sequence watermark.
-func decodeAppendResult(body []byte) (result byte, lastSeq uint64, err error) {
-	cu := wire.Cursor{B: body}
-	result, lastSeq = cu.U8(), cu.U64()
-	if cu.Bad || result > appendGap || len(cu.Rest()) != 0 {
-		return 0, 0, fmt.Errorf("%w: append response (%d bytes)", ErrMalformedFrame, len(body))
-	}
-	return result, lastSeq, nil
 }
 
 // attempt runs one synchronous attempt of v: pick a pooled connection,
@@ -629,6 +541,16 @@ func (cl *Client) appendOnce(shard int, seq uint64, edges []ingest.Edge, fanout 
 func (cl *Client) call(op Op, encode func([]byte) []byte, decode func(body []byte) error) error {
 	_, err := cl.do(&visit{op: op, enc: encode, dec: decode})
 	return err
+}
+
+// callFor is call for an op whose response decodes to one value.
+func callFor[T any](cl *Client, op Op, encode func([]byte) []byte, decode func(body []byte) (T, error)) (T, error) {
+	var out T
+	err := cl.call(op, encode, func(body []byte) (err error) {
+		out, err = decode(body)
+		return err
+	})
+	return out, err
 }
 
 // pendingVisit is one started (sent, not yet awaited) visit — the
@@ -786,47 +708,13 @@ func (in Info) sameGraph(o Info) error {
 }
 
 // Info fetches the server handshake.
-func (cl *Client) Info() (Info, error) {
-	var info Info
-	err := cl.call(OpInfo, nil, func(body []byte) error {
-		cu := wire.Cursor{B: body}
-		info.NumNodes = int(cu.U32())
-		info.ContentDim = int(cu.U32())
-		info.NumShards = int(cu.U32())
-		info.Strategy = partition.Strategy(cu.U32())
-		info.Owned = decodeOwned(&cu)
-		return cu.Err(ErrMalformedFrame)
-	})
-	return info, err
-}
+func (cl *Client) Info() (Info, error) { return callFor(cl, OpInfo, nil, decodeInfo) }
 
 // Routing fetches the partition's routing table — everything the Engine
 // routing layer needs to direct requests at this cluster. The table
 // carries the server's current routing epoch.
 func (cl *Client) Routing() (*partition.Routing, error) {
-	var r *partition.Routing
-	err := cl.call(OpRouting, nil, func(body []byte) error {
-		var uerr error
-		r, uerr = partition.UnmarshalRouting(body)
-		return uerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// decodeOwned decodes the (count, then id/nodes/edges triples) tail both
-// the info and routing-epoch responses carry, sorted by shard id. The
-// count is checked against the bytes left in the frame before anything
-// is sized for it; a bad list latches the cursor's bad flag.
-func decodeOwned(cu *wire.Cursor) []ShardInfo {
-	out := make([]ShardInfo, cu.Count(12))
-	for i := range out {
-		out[i] = ShardInfo{ID: int(cu.U32()), Nodes: int(cu.U32()), Edges: int(cu.U32())}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return callFor(cl, OpRouting, nil, partition.UnmarshalRouting)
 }
 
 // Reassign commands the server to acquire or release one partition — the
@@ -835,15 +723,8 @@ func decodeOwned(cu *wire.Cursor) []ShardInfo {
 // acquiring an already-owned or releasing a non-owned partition is a
 // no-op that returns the current epoch.
 func (cl *Client) Reassign(shard int, acquire bool) (uint64, error) {
-	var epoch uint64
-	err := cl.call(OpReassign,
-		func(b []byte) []byte { return appendReassignRequest(b, shard, acquire) },
-		func(body []byte) error {
-			cu := wire.Cursor{B: body}
-			epoch = cu.U64()
-			return cu.Err(ErrMalformedFrame)
-		})
-	return epoch, err
+	return callFor(cl, OpReassign, func(b []byte) []byte { return appendReassignRequest(b, shard, acquire) },
+		decodeReassignResponse)
 }
 
 // RoutingEpoch polls the server's current routing epoch, the partitions
@@ -858,79 +739,13 @@ func (cl *Client) RoutingEpoch() (epoch uint64, owned []ShardInfo, members []str
 	return epoch, owned, members, err
 }
 
-// decodeEpoch decodes a routing-epoch response: the epoch, the owned
-// triples, the member view and one ingest row per owned shard, with
-// nothing after them.
-func decodeEpoch(body []byte) (epoch uint64, owned []ShardInfo, members []string, err error) {
-	cu := wire.Cursor{B: body}
-	epoch = cu.U64()
-	owned = decodeOwned(&cu)
-	members = decodeAddrList(&cu)
-	decodeIngest(&cu, owned)
-	if cu.Bad || len(cu.Rest()) != 0 {
-		return 0, nil, nil, fmt.Errorf("%w: routing-epoch response (%d bytes)", ErrMalformedFrame, len(body))
-	}
-	return epoch, owned, members, nil
-}
-
-// ingestRowSize is the fixed part of one encoded ingest row: shard, seq,
-// delta nodes/edges, compactions, WAL segments, fsync count and nanos,
-// and the histogram's bucket count.
-const ingestRowSize = 4 + 8 + 4 + 8 + 8 + 4 + 8 + 8 + 4
-
-// decodeIngest decodes the ingest section of an epoch response and
-// attaches each row to its shard's entry in owned.
-func decodeIngest(cu *wire.Cursor, owned []ShardInfo) {
-	byID := make(map[int]int, len(owned))
-	for i := range owned {
-		byID[owned[i].ID] = i
-	}
-	count := cu.Count(ingestRowSize)
-	for n := 0; n < count; n++ {
-		var st engine.IngestStats
-		st.Shard = int(cu.U32())
-		st.Seq = cu.U64()
-		st.DeltaNodes = int(cu.U32())
-		st.DeltaEdges = cu.U64()
-		st.Compactions = cu.U64()
-		st.WALSegments = int(cu.U32())
-		st.Fsyncs = cu.U64()
-		st.FsyncNanos = cu.U64()
-		hl := cu.Count(8)
-		if cu.Bad || hl > 64 {
-			cu.Bad = true
-			return
-		}
-		if hl > 0 {
-			st.FsyncHist = make([]uint64, hl)
-			for i := range st.FsyncHist {
-				st.FsyncHist[i] = cu.U64()
-			}
-		}
-		if i, ok := byID[st.Shard]; ok {
-			row := st
-			owned[i].Ingest = &row
-		}
-	}
-}
-
 // Members runs the membership exchange: announce, when non-empty,
 // registers the caller's advertised address with the server; the
 // response lists every server address the server knows, announce
 // included. A serving-tier client polls with an empty announce.
 func (cl *Client) Members(announce string) ([]string, error) {
-	var members []string
-	err := cl.call(OpMembers,
-		func(b []byte) []byte { return appendMembersRequest(b, announce) },
-		func(body []byte) error {
-			cu := wire.Cursor{B: body}
-			members = decodeAddrList(&cu)
-			return cu.Err(ErrMalformedFrame)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return members, nil
+	return callFor(cl, OpMembers, func(b []byte) []byte { return appendMembersRequest(b, announce) },
+		decodeMembersResponse)
 }
 
 // RemoteShard is the client-side stub for one partition served by a

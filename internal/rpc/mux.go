@@ -10,8 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"zoomer/internal/wire"
 )
 
 // muxConn is one full-duplex multiplexed connection: a fixed window of
@@ -410,11 +408,7 @@ func (mc *muxConn) finish(sl *muxSlot) ([]byte, error) {
 		return nil, err
 	}
 	if body[0] == statusMoved {
-		cu := wire.Cursor{B: body[1:]}
-		epoch := cu.U64()
-		shard := int(cu.U32())
-		addrs := decodeAddrList(&cu)
-		err := cu.Err(ErrMalformedFrame)
+		epoch, shard, addrs, err := decodeMoved(body[1:])
 		mc.release(sl)
 		if err != nil {
 			mc.fail(fmt.Errorf("rpc: connection killed: %v", err)) // typed for this slot only

@@ -205,17 +205,9 @@ func (s *Server) handleReadNodes(o *ownership, payload []byte, sc *serverConn) (
 		return nil, err
 	}
 	sc.readIDs = gids
-	// One request is one shard visit, like a batch: every id must live on
-	// the same owned shard.
-	sh, err := s.shardFor(o, gids[0])
+	sh, err := s.visitShard(o, OpReadNodes, gids)
 	if err != nil {
 		return nil, err
-	}
-	owner := s.part.Owner(gids[0])
-	for _, id := range gids[1:] {
-		if id < 0 || int(id) >= s.numNodes || s.part.Owner(id) != owner {
-			return nil, fmt.Errorf("rpc: read-nodes mixes shards (%d and node %d)", owner, id)
-		}
 	}
 	sc.blk.Resize(len(gids), fields)
 	if err := sh.ReadNodesInto(gids, nil, fields, &sc.blk); err != nil {

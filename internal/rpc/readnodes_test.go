@@ -603,10 +603,7 @@ func FuzzDecodeBatchResponse(f *testing.F) {
 				t.Fatalf("accepted count %d for k=%d", ns[i], k)
 			}
 			sum += int(ns[i])
-			again = appendU32(again, uint32(ns[i]))
-			for _, v := range out[int(i)*k : int(i)*k+int(ns[i])] {
-				again = appendU32(again, uint32(v))
-			}
+			again = appendDraws(again, out[int(i)*k:int(i)*k+int(ns[i])])
 		}
 		if total != sum {
 			t.Fatalf("reported %d draws, wrote %d", total, sum)
@@ -658,15 +655,7 @@ func FuzzDecodeSampleResponse(f *testing.F) {
 			}
 			return
 		}
-		again := make([]byte, 0, len(body))
-		for _, w := range st {
-			again = appendU64(again, w)
-		}
-		again = appendU32(again, uint32(n))
-		for _, v := range out[:n] {
-			again = appendU32(again, uint32(v))
-		}
-		if string(again) != string(body) {
+		if again := appendSampleResponse(nil, st, out[:n]); string(again) != string(body) {
 			t.Fatal("accepted response does not re-encode to itself")
 		}
 		for _, v := range out[n:] {
@@ -694,7 +683,7 @@ func FuzzDecodeAppendResponse(f *testing.F) {
 		if result > appendGap {
 			t.Fatalf("accepted result code %d", result)
 		}
-		if again := appendU64([]byte{result}, lastSeq); string(again) != string(body) {
+		if again := appendAppendResult(nil, result, lastSeq); string(again) != string(body) {
 			t.Fatal("accepted response does not re-encode to itself")
 		}
 	})
@@ -705,7 +694,7 @@ func FuzzDecodeAppendResponse(f *testing.F) {
 func FuzzDecodeEpochResponse(f *testing.F) {
 	s, _, _, body := seedServer(ServerConfig{Shards: 2, Advertise: "10.0.0.1:7000"})
 	s.AddMembers("10.0.0.2:7000")
-	f.Add(body(s.handleEpoch(&serverConn{}), nil))
+	f.Add(body(s.handleEpoch(s.own.Load(), nil, &serverConn{})))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var owned []ShardInfo
 		var members []string

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,7 +20,6 @@ import (
 	"zoomer/internal/ingest"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
-	"zoomer/internal/wire"
 )
 
 // ServerConfig sizes a shard server.
@@ -142,22 +143,13 @@ type shardIngest struct {
 // (stamped with that epoch, so connecting clients see the current one).
 // Handlers load it once per request, so a request resolves its store and
 // completes against it even while a reassignment installs a successor.
+// ids lists the owned partitions in id order, so every reply that
+// enumerates them is deterministic.
 type ownership struct {
 	epoch   uint64
 	shards  map[int]*engine.Shard
+	ids     []int
 	routing []byte
-}
-
-// errShardMoved is the server-side wrong-epoch outcome: the request
-// targeted a partition outside the current ownership snapshot. serve
-// answers it with a statusMoved redirect frame instead of a plain error.
-type errShardMoved struct {
-	shard int
-	epoch uint64
-}
-
-func (e *errShardMoved) Error() string {
-	return fmt.Sprintf("rpc: shard %d not owned by this server (routing epoch %d)", e.shard, e.epoch)
 }
 
 // NewServer partitions g and builds the owned shards' stores and alias
@@ -274,12 +266,16 @@ func (s *Server) closeIngest(id int) {
 // section changes with ownership (transitions are rare; the re-encode
 // happens at most once per reassignment).
 func (s *Server) newOwnership(epoch uint64, shards map[int]*engine.Shard) *ownership {
+	ids := make([]int, 0, len(shards))
+	for id := 0; id < s.part.NumShards(); id++ {
+		if shards[id] != nil {
+			ids = append(ids, id)
+		}
+	}
 	if s.advertise != "" {
 		placement := make([][]string, s.part.NumShards())
-		for id := range placement {
-			if shards[id] != nil {
-				placement[id] = []string{s.advertise}
-			}
+		for _, id := range ids {
+			placement[id] = []string{s.advertise}
 		}
 		// Safe to mutate the shared table here: transitions serialize
 		// under ownMu (or run before Start), and concurrent request
@@ -291,7 +287,7 @@ func (s *Server) newOwnership(epoch uint64, shards map[int]*engine.Shard) *owner
 		if err != nil {
 			panic(fmt.Sprintf("rpc: marshal routing: %v", err))
 		}
-		return &ownership{epoch: epoch, shards: shards, routing: blob}
+		return &ownership{epoch: epoch, shards: shards, ids: ids, routing: blob}
 	}
 	if s.routingBase == nil {
 		blob, err := s.part.RoutingTable().MarshalBinary()
@@ -304,7 +300,7 @@ func (s *Server) newOwnership(epoch uint64, shards map[int]*engine.Shard) *owner
 	if err := partition.PatchEpoch(blob, epoch); err != nil {
 		panic(fmt.Sprintf("rpc: stamp routing epoch: %v", err))
 	}
-	return &ownership{epoch: epoch, shards: shards, routing: blob}
+	return &ownership{epoch: epoch, shards: shards, ids: ids, routing: blob}
 }
 
 // AcquirePartition loads partition id's CSR slice and alias tables and
@@ -334,10 +330,7 @@ func (s *Server) AcquirePartition(id int) (uint64, error) {
 	if err := s.openIngest(id, sh); err != nil {
 		return 0, err
 	}
-	shards := make(map[int]*engine.Shard, len(o.shards)+1)
-	for k, v := range o.shards {
-		shards[k] = v
-	}
+	shards := maps.Clone(o.shards)
 	shards[id] = sh
 	next := s.newOwnership(o.epoch+1, shards)
 	s.own.Store(next)
@@ -360,12 +353,8 @@ func (s *Server) ReleasePartition(id int) (uint64, error) {
 	if o.shards[id] == nil {
 		return o.epoch, nil
 	}
-	shards := make(map[int]*engine.Shard, len(o.shards)-1)
-	for k, v := range o.shards {
-		if k != id {
-			shards[k] = v
-		}
-	}
+	shards := maps.Clone(o.shards)
+	delete(shards, id)
 	next := s.newOwnership(o.epoch+1, shards)
 	s.own.Store(next)
 	// Appends decoded from now on answer with the redirect (their
@@ -533,16 +522,8 @@ func (s *Server) AnnounceTo(peer string, timeout time.Duration) error {
 	return nil
 }
 
-// OwnedShards returns the shard ids this server currently serves, in
-// map order.
-func (s *Server) OwnedShards() []int {
-	o := s.own.Load()
-	out := make([]int, 0, len(o.shards))
-	for id := range o.shards {
-		out = append(out, id)
-	}
-	return out
-}
+// OwnedShards returns the ids of the partitions served now, in id order.
+func (s *Server) OwnedShards() []int { return slices.Clone(s.own.Load().ids) }
 
 // serverConn is one dispatch worker's scratch: framing buffers plus the
 // decode/sample staging reused across requests, so a healthy
@@ -681,26 +662,30 @@ func (s *Server) handle(c net.Conn) {
 	cwg.Wait()
 }
 
-// serve dispatches one request and writes its response frame. A
-// wrong-epoch outcome (the request targeted a partition outside the
-// ownership snapshot) is answered with a statusMoved redirect frame
-// carrying the current epoch; any other error with a statusErr frame.
+// serve runs one request through its op's handler — counting it exactly
+// when the op has one — and writes the response frame. A wrong-epoch
+// outcome (the request targeted a partition outside the ownership
+// snapshot) is answered with a statusMoved redirect frame; any other
+// error, an unknown op included, with a statusErr frame.
 func (s *Server) serve(c net.Conn, sl *reqSlot, sc *serverConn, wmu *sync.Mutex) {
 	op := Op(sl.buf[0])
-	resp, err := s.dispatch(op, sl.buf[1:], sc)
-	if op < numOps && !errors.Is(err, errUnknownOp) {
+	var resp []byte
+	var err error
+	if handle := op.spec().serve; handle != nil {
 		s.opCounts[op].Add(1)
+		// One ownership snapshot per request: the store it resolves stays
+		// valid for the whole dispatch even if a reassignment lands meanwhile.
+		resp, err = handle(s, s.own.Load(), sl.buf[1:], sc)
+	} else {
+		err = fmt.Errorf("rpc: unknown op %d", byte(op))
 	}
 	if err != nil {
-		var mv *errShardMoved
+		var mv *movedError
 		if errors.As(err, &mv) {
 			// The redirect carries the member view: the partition went
 			// *somewhere*, and these addresses are where a redirected
 			// client should look.
-			b := sc.begin(statusMoved)
-			b = appendU64(b, mv.epoch)
-			b = appendU32(b, uint32(mv.shard))
-			resp = appendAddrList(b, s.Members())
+			resp = appendMoved(sc.begin(statusMoved), mv.epoch, mv.shard, s.Members())
 		} else {
 			resp = append(sc.begin(statusErr), err.Error()...)
 		}
@@ -725,79 +710,80 @@ func (s *Server) shardFor(o *ownership, id graph.NodeID) (*engine.Shard, error) 
 	owner := s.part.Owner(id)
 	sh, ok := o.shards[owner]
 	if !ok {
-		return nil, &errShardMoved{shard: owner, epoch: o.epoch}
+		return nil, &movedError{shard: owner, epoch: o.epoch}
 	}
 	return sh, nil
 }
 
-// errUnknownOp answers an op byte outside the served vocabulary — the
-// retired single-node read ops included — with a plain error frame; such
-// a request is not counted against any op.
-var errUnknownOp = errors.New("rpc: unknown op")
-
-func (s *Server) dispatch(op Op, payload []byte, sc *serverConn) ([]byte, error) {
-	// One ownership snapshot per request: the store it resolves stays
-	// valid for the whole dispatch even if a reassignment lands meanwhile.
-	o := s.own.Load()
-	switch op {
-	case OpInfo:
-		return s.handleInfo(o, sc), nil
-	case OpRouting:
-		return append(sc.begin(statusOK), o.routing...), nil
-	case OpSample:
-		return s.handleSample(o, payload, sc)
-	case OpBatch:
-		return s.handleBatch(o, payload, sc)
-	case OpReassign:
-		return s.handleReassign(payload, sc)
-	case OpEpoch:
-		return s.handleEpoch(sc), nil
-	case OpMembers:
-		return s.handleMembers(payload, sc)
-	case OpAppend:
-		return s.handleAppend(o, payload, sc)
-	case OpReadNodes:
-		return s.handleReadNodes(o, payload, sc)
-	default:
-		return nil, fmt.Errorf("%w %d", errUnknownOp, byte(op))
+// visitShard resolves the store of a scatter-gather request — a batch or
+// a bulk read. One request is one shard visit: every id must live on the
+// same owned shard (the client stub groups per shard before calling).
+func (s *Server) visitShard(o *ownership, op Op, gids []graph.NodeID) (*engine.Shard, error) {
+	sh, err := s.shardFor(o, gids[0])
+	if err != nil {
+		return nil, err
 	}
+	owner := s.part.Owner(gids[0])
+	for _, id := range gids[1:] {
+		if id < 0 || int(id) >= s.numNodes || s.part.Owner(id) != owner {
+			return nil, fmt.Errorf("rpc: %v mixes shards (%d and node %d)", op, owner, id)
+		}
+	}
+	return sh, nil
 }
 
-// appendOwned encodes the snapshot's served-partition triples — count,
-// then (id, nodes, edges) each — the shape both Info and routing-epoch
-// responses carry.
-func (s *Server) appendOwned(b []byte, o *ownership) []byte {
-	b = appendU32(b, uint32(len(o.shards)))
-	for id := range o.shards {
-		b = appendU32(b, uint32(id))
-		b = appendU32(b, uint32(s.part.Shards[id].NumNodes()))
-		b = appendU32(b, uint32(s.part.Shards[id].NumEdges()))
+// owned lists the snapshot's partitions in id order, each with its size
+// and its write-path row: delta-layer shape from the store, WAL counters
+// from the log.
+func (s *Server) owned(o *ownership) []ShardInfo {
+	out := make([]ShardInfo, len(o.ids))
+	for i, id := range o.ids {
+		st, _ := o.shards[id].IngestStats()
+		if ing := s.ingestFor(id); ing != nil && ing.wal != nil {
+			ws := ing.wal.Stats()
+			st.WALSegments, st.Fsyncs, st.FsyncNanos, st.FsyncHist = ws.Segments, ws.Fsyncs, ws.FsyncNanos, ws.FsyncHist
+		}
+		out[i] = ShardInfo{ID: id, Nodes: s.part.Shards[id].NumNodes(), Edges: s.part.Shards[id].NumEdges(), Ingest: &st}
 	}
-	return b
+	return out
 }
 
-func (s *Server) handleInfo(o *ownership, sc *serverConn) []byte {
-	b := sc.begin(statusOK)
-	b = appendU32(b, uint32(s.numNodes))
-	b = appendU32(b, uint32(s.contentDim))
-	b = appendU32(b, uint32(s.part.NumShards()))
-	b = appendU32(b, uint32(s.part.Strategy()))
-	return s.appendOwned(b, o)
+// IngestStats reports every owned shard's write-path state in shard order.
+func (s *Server) IngestStats() []engine.IngestStats {
+	owned := s.owned(s.own.Load())
+	out := make([]engine.IngestStats, len(owned))
+	for i, sh := range owned {
+		out[i] = *sh.Ingest
+	}
+	return out
+}
+
+// The op handlers, one per row of the ops table.
+
+// handleInfo answers the handshake: the graph's shape and the owned
+// partitions.
+func (s *Server) handleInfo(o *ownership, _ []byte, sc *serverConn) ([]byte, error) {
+	return appendInfo(sc.begin(statusOK), Info{NumNodes: s.numNodes, ContentDim: s.contentDim,
+		NumShards: s.part.NumShards(), Strategy: s.part.Strategy(), Owned: s.owned(o)}), nil
+}
+
+// handleRouting answers with the snapshot's routing blob.
+func (s *Server) handleRouting(o *ownership, _ []byte, sc *serverConn) ([]byte, error) {
+	return append(sc.begin(statusOK), o.routing...), nil
 }
 
 // handleReassign executes an admin acquire/release command and answers
 // with the resulting epoch.
-func (s *Server) handleReassign(payload []byte, sc *serverConn) ([]byte, error) {
+func (s *Server) handleReassign(_ *ownership, payload []byte, sc *serverConn) ([]byte, error) {
 	shard, acquire, err := decodeReassignRequest(payload)
 	if err != nil {
 		return nil, err
 	}
-	var epoch uint64
+	move := s.ReleasePartition
 	if acquire {
-		epoch, err = s.AcquirePartition(shard)
-	} else {
-		epoch, err = s.ReleasePartition(shard)
+		move = s.AcquirePartition
 	}
+	epoch, err := move(shard)
 	if err != nil {
 		return nil, err
 	}
@@ -809,54 +795,13 @@ func (s *Server) handleReassign(payload []byte, sc *serverConn) ([]byte, error) 
 // re-fetching the routing blob — the member view, so every poll doubles
 // as membership discovery, and the per-shard ingest rows, so every poll
 // doubles as write-path observability.
-func (s *Server) handleEpoch(sc *serverConn) []byte {
-	o := s.own.Load()
-	b := sc.begin(statusOK)
-	b = appendU64(b, o.epoch)
-	b = s.appendOwned(b, o)
-	b = appendAddrList(b, s.Members())
-	return s.appendIngest(b, o)
-}
-
-// appendIngest encodes the ingest section of the epoch response: one row
-// per owned shard, in shard order — sequence watermark, delta-layer
-// shape, and (when durable) WAL segment/fsync counters with the fsync
-// latency histogram.
-func (s *Server) appendIngest(b []byte, o *ownership) []byte {
-	ids := make([]int, 0, len(o.shards))
-	for id := range o.shards {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	b = appendU32(b, uint32(len(ids)))
-	for _, id := range ids {
-		st, _ := o.shards[id].IngestStats()
-		if ing := s.ingestFor(id); ing != nil && ing.wal != nil {
-			ws := ing.wal.Stats()
-			st.WALSegments = ws.Segments
-			st.Fsyncs = ws.Fsyncs
-			st.FsyncNanos = ws.FsyncNanos
-			st.FsyncHist = ws.FsyncHist
-		}
-		b = appendU32(b, uint32(id))
-		b = appendU64(b, st.Seq)
-		b = appendU32(b, uint32(st.DeltaNodes))
-		b = appendU64(b, st.DeltaEdges)
-		b = appendU64(b, st.Compactions)
-		b = appendU32(b, uint32(st.WALSegments))
-		b = appendU64(b, st.Fsyncs)
-		b = appendU64(b, st.FsyncNanos)
-		b = appendU32(b, uint32(len(st.FsyncHist)))
-		for _, c := range st.FsyncHist {
-			b = appendU64(b, c)
-		}
-	}
-	return b
+func (s *Server) handleEpoch(o *ownership, _ []byte, sc *serverConn) ([]byte, error) {
+	return appendEpoch(sc.begin(statusOK), o.epoch, s.owned(o), s.Members()), nil
 }
 
 // handleMembers runs the membership exchange: a non-empty announce joins
 // the registry, and the response is the current member view.
-func (s *Server) handleMembers(payload []byte, sc *serverConn) ([]byte, error) {
+func (s *Server) handleMembers(_ *ownership, payload []byte, sc *serverConn) ([]byte, error) {
 	announce, err := decodeMembersRequest(payload)
 	if err != nil {
 		return nil, err
@@ -884,61 +829,7 @@ func (s *Server) handleSample(o *ownership, payload []byte, sc *serverConn) ([]b
 	// state back.
 	sc.r.SetState(st)
 	n := sh.SampleNeighborsInto(id, sc.out[:k], &sc.r)
-	b := sc.begin(statusOK)
-	for _, w := range sc.r.State() {
-		b = appendU64(b, w)
-	}
-	b = appendU32(b, uint32(n))
-	for _, v := range sc.out[:n] {
-		b = appendU32(b, uint32(v))
-	}
-	return b, nil
-}
-
-// batchRequest is a decoded OpBatch payload: entry j is node gids[j] at
-// the client's batch index idx[j] (never negative).
-type batchRequest struct {
-	base uint64
-	k    int
-	gids []graph.NodeID
-	idx  []int32
-}
-
-// decodeBatchRequest decodes an OpBatch payload into req, reusing its
-// gids/idx storage. The entry count is checked against the bytes the
-// frame actually carries before anything is sized for it, and the draws
-// the response carries — count×k — against the frame budget.
-func decodeBatchRequest(payload []byte, req *batchRequest) error {
-	cu := wire.Cursor{B: payload}
-	req.base = cu.U64()
-	req.k = int(cu.U32())
-	count := cu.Count(8)
-	if cu.Bad || req.k <= 0 || req.k > maxK || count == 0 || int64(count)*int64(req.k) > maxFrame/4 {
-		return fmt.Errorf("%w: batch header k=%d count=%d in %d bytes", ErrMalformedFrame, req.k, count, len(payload))
-	}
-	if cap(req.gids) < count {
-		req.gids = make([]graph.NodeID, count)
-		req.idx = make([]int32, count)
-	}
-	req.gids, req.idx = req.gids[:count], req.idx[:count]
-	for j := 0; j < count; j++ {
-		req.idx[j] = int32(cu.U32())
-		req.gids[j] = graph.NodeID(cu.U32())
-		if req.idx[j] < 0 {
-			return fmt.Errorf("%w: negative batch index %d", ErrMalformedFrame, req.idx[j])
-		}
-	}
-	if len(cu.Rest()) != 0 {
-		return fmt.Errorf("%w: %d bytes after the batch entries", ErrMalformedFrame, len(cu.Rest()))
-	}
-	return nil
-}
-
-// entrySeed is the engine's batch sub-stream rule: the seed entry i of a
-// batch drawn from base reseeds its generator with. It must equal the
-// in-process shard's (TestBatchVisitMatchesInProcess pins the two).
-func entrySeed(base uint64, i int32) uint64 {
-	return base + (uint64(i)+1)*0x9e3779b97f4a7c15
+	return appendSampleResponse(sc.begin(statusOK), sc.r.State(), sc.out[:n]), nil
 }
 
 func (s *Server) handleBatch(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
@@ -947,17 +838,9 @@ func (s *Server) handleBatch(o *ownership, payload []byte, sc *serverConn) ([]by
 		return nil, err
 	}
 	k, gids, idx := req.k, req.gids, req.idx
-	// One batch request is one shard visit: every entry must live on the
-	// same owned shard (the client stub groups per shard before calling).
-	sh, err := s.shardFor(o, gids[0])
+	sh, err := s.visitShard(o, OpBatch, gids)
 	if err != nil {
 		return nil, err
-	}
-	owner := s.part.Owner(gids[0])
-	for _, id := range gids[1:] {
-		if id < 0 || int(id) >= s.numNodes || s.part.Owner(id) != owner {
-			return nil, fmt.Errorf("rpc: batch mixes shards (%d and node %d)", owner, id)
-		}
 	}
 	// Each entry is drawn from its own (base, idx[j]) sub-stream — so the
 	// draws are bit-identical to an in-process visit's — and encoded at
@@ -971,40 +854,12 @@ func (s *Server) handleBatch(o *ownership, payload []byte, sc *serverConn) ([]by
 	at, total := len(b), 0
 	b = appendU32(b, 0) // the total, known once every entry is drawn
 	for j, id := range gids {
-		sc.r.Reseed(entrySeed(req.base, idx[j]))
-		n := sh.SampleNeighborsInto(id, draws, &sc.r)
+		n := sh.SampleEntryInto(id, req.base, idx[j], draws, &sc.r)
 		total += n
-		b = appendU32(b, uint32(n))
-		for _, v := range draws[:n] {
-			b = appendU32(b, uint32(v))
-		}
+		b = appendDraws(b, draws[:n])
 	}
 	binary.LittleEndian.PutUint32(b[at:], uint32(total))
 	return b, nil
-}
-
-// IngestStats reports every owned shard's write-path state in shard
-// order: delta-layer shape from the store, WAL counters from the log.
-func (s *Server) IngestStats() []engine.IngestStats {
-	o := s.own.Load()
-	ids := make([]int, 0, len(o.shards))
-	for id := range o.shards {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]engine.IngestStats, 0, len(ids))
-	for _, id := range ids {
-		st, _ := o.shards[id].IngestStats()
-		if ing := s.ingestFor(id); ing != nil && ing.wal != nil {
-			ws := ing.wal.Stats()
-			st.WALSegments = ws.Segments
-			st.Fsyncs = ws.Fsyncs
-			st.FsyncNanos = ws.FsyncNanos
-			st.FsyncHist = ws.FsyncHist
-		}
-		out = append(out, st)
-	}
-	return out
 }
 
 // handleAppend serves the idempotent durable write: validate, WAL-log,
@@ -1015,9 +870,7 @@ func (s *Server) IngestStats() []engine.IngestStats {
 // writers serialize into one strictly sequenced history; fan-out chains
 // to its own mutex and the fsync wait happens last so syncs coalesce.
 func (s *Server) handleAppend(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
-	cu := wire.Cursor{B: payload}
-	flags, shard := cu.U8(), int(cu.U32())
-	rec, err := ingest.DecodeRecord(cu.Rest(), sc.edges) // nothing, and so corrupt, after a short header
+	shard, fanout, rec, err := decodeAppendRequest(payload, sc.edges)
 	if err != nil {
 		return nil, err
 	}
@@ -1034,7 +887,7 @@ func (s *Server) handleAppend(o *ownership, payload []byte, sc *serverConn) ([]b
 	}
 	sh, ok := o.shards[shard]
 	if !ok {
-		return nil, &errShardMoved{shard: shard, epoch: o.epoch}
+		return nil, &movedError{shard: shard, epoch: o.epoch}
 	}
 	// Validate before the WAL write: the log must never hold a record
 	// replay would refuse.
@@ -1045,22 +898,18 @@ func (s *Server) handleAppend(o *ownership, payload []byte, sc *serverConn) ([]b
 	if ing == nil {
 		// Released between the snapshot load and here; the current epoch
 		// tells the client its view is stale.
-		return nil, &errShardMoved{shard: shard, epoch: s.own.Load().epoch}
+		return nil, &movedError{shard: shard, epoch: s.own.Load().epoch}
 	}
 
 	ing.mu.Lock()
 	cur := sh.LastAppliedSeq()
 	if seq <= cur {
 		ing.mu.Unlock()
-		b := sc.begin(statusOK)
-		b = append(b, appendDup)
-		return appendU64(b, cur), nil
+		return appendAppendResult(sc.begin(statusOK), appendDup, cur), nil
 	}
 	if seq != cur+1 {
 		ing.mu.Unlock()
-		b := sc.begin(statusOK)
-		b = append(b, appendGap)
-		return appendU64(b, cur), nil
+		return appendAppendResult(sc.begin(statusOK), appendGap, cur), nil
 	}
 	var commit int64
 	if ing.wal != nil {
@@ -1078,7 +927,7 @@ func (s *Server) handleAppend(o *ownership, payload []byte, sc *serverConn) ([]b
 		ing.mu.Unlock()
 		return nil, fmt.Errorf("rpc: apply after WAL write: %w", aerr)
 	}
-	if flags&appendFlagFanout == 0 {
+	if !fanout {
 		// Chain into the fan-out stage before releasing the apply mutex:
 		// copies leave in sequence order, so a healthy sibling never sees
 		// a gap, yet no mutex a fan-out copy needs at the receiver is held
@@ -1100,9 +949,7 @@ func (s *Server) handleAppend(o *ownership, payload []byte, sc *serverConn) ([]b
 			return nil, err
 		}
 	}
-	b := sc.begin(statusOK)
-	b = append(b, appendApplied)
-	return appendU64(b, seq), nil
+	return appendAppendResult(sc.begin(statusOK), appendApplied, seq), nil
 }
 
 // fanClient returns (creating on first use) the cached client for

@@ -47,9 +47,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-
-	"zoomer/internal/graph"
-	"zoomer/internal/wire"
 )
 
 // Protocol preface: immediately after dialing, the client writes the
@@ -98,7 +95,10 @@ type Op byte
 // handshake reads (metadata and the routing table), the live-handoff
 // pair — reassign (an admin command: acquire or drain one partition) and
 // routing-epoch (the cheap ownership poll clients refresh from after a
-// redirect) — membership, and the durable append.
+// redirect) — membership (servers announce to each other with it; clients
+// poll it to discover servers that joined after dial), and the durable
+// append. Each op's row in the ops table (ops.go) declares its name,
+// attempt budget and handler, and its codecs sit beside it.
 const (
 	OpInfo Op = iota + 1
 	OpRouting
@@ -114,25 +114,14 @@ const (
 	OpContent
 	OpReassign
 	OpEpoch
-	// OpMembers is the membership exchange: the request
-	// optionally announces the caller's advertised address, the response
-	// lists every server address this server knows. Servers announce to
-	// each other with it; clients poll it to discover servers that joined
-	// after dial.
 	OpMembers
-	// OpAppend is the idempotent durable write: append a
-	// batch of edges to one owned shard at an exact per-shard sequence
-	// number. The request is [u8 flags | u32 shard | u64 seq | edge
-	// payload]; flag bit 0 marks a replica fan-out copy, which the
-	// receiver applies locally without forwarding further. The response
-	// is [u8 result | u64 lastSeq] — applied, duplicate (seq already
-	// applied; safe retry outcome) or gap (seq beyond lastSeq+1; the
-	// caller resyncs from lastSeq). A non-owner answers with the
-	// wrong-epoch redirect like any other shard-targeted op.
+	// OpAppend is the idempotent durable write: append a batch of edges
+	// to one owned shard at an exact per-shard sequence number. A
+	// non-owner answers with the wrong-epoch redirect like any other
+	// shard-targeted op.
 	OpAppend
-	// OpReadNodes is the bulk node read: neighbors and/or
-	// features and/or content of a list of nodes of one partition in one
-	// frame — see readnodes.go for the layout.
+	// OpReadNodes is the bulk node read: neighbors and/or features and/or
+	// content of a list of nodes of one partition in one frame.
 	OpReadNodes
 	numOps
 )
@@ -154,32 +143,6 @@ const (
 	appendGap = 2
 )
 
-// String returns the lowercase op name.
-func (o Op) String() string {
-	switch o {
-	case OpInfo:
-		return "info"
-	case OpRouting:
-		return "routing"
-	case OpSample:
-		return "sample"
-	case OpBatch:
-		return "batch"
-	case OpReassign:
-		return "reassign"
-	case OpEpoch:
-		return "routing-epoch"
-	case OpMembers:
-		return "members"
-	case OpAppend:
-		return "graph-append"
-	case OpReadNodes:
-		return "read-nodes"
-	default:
-		return fmt.Sprintf("op(%d)", byte(o))
-	}
-}
-
 // Reassign actions (the first payload byte of an OpReassign request).
 const (
 	// ReassignAcquire commands the server to load the partition's
@@ -197,9 +160,8 @@ const (
 	// statusMoved is the wrong-epoch redirect: the target partition is
 	// not (or no longer) owned by this server. The payload is the
 	// server's current routing epoch (u64), the shard id (u32) and the
-	// server's member address list, so a
-	// redirected client learns where the partition might have gone
-	// without a separate round trip. The client surfaces the redirect as
+	// server's member address list, so a redirected client learns where
+	// the partition might have gone without a separate round trip. The client surfaces the redirect as
 	// engine.ErrWrongEpoch, which triggers the engine's one-shot
 	// ownership refresh and retry.
 	statusMoved = 2
@@ -231,8 +193,7 @@ type frameScratch struct {
 // at the front. Append payload bytes to the returned slice, then hand it
 // to writeFrame with the id the frame answers.
 func (fs *frameScratch) begin(tag byte) []byte {
-	b := append(fs.wbuf[:0], 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, tag)
-	return b
+	return append(fs.wbuf[:0], 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, tag)
 }
 
 // writeFrame seals the length header and request id and writes the frame
@@ -269,112 +230,3 @@ func (fs *frameScratch) readFrame(c io.Reader) ([]byte, error) {
 
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-// maxMembers bounds a member address list on the wire; a list larger
-// than any plausible cluster is a protocol error, not a membership view.
-const maxMembers = 1024
-
-// maxK bounds the draws per node a sample or batch request may ask for.
-const maxK = 1 << 20
-
-// appendAddrList encodes a member address list: u32 count, then each
-// address as u32 length + raw bytes.
-func appendAddrList(b []byte, addrs []string) []byte {
-	b = appendU32(b, uint32(len(addrs)))
-	for _, a := range addrs {
-		b = appendU32(b, uint32(len(a)))
-		b = append(b, a...)
-	}
-	return b
-}
-
-// decodeAddrList decodes a member address list written by
-// appendAddrList, latching the cursor's bad flag on implausible shapes.
-func decodeAddrList(cu *wire.Cursor) []string {
-	count := cu.Count(4) // every address carries at least its length
-	if cu.Bad || count > maxMembers {
-		cu.Bad = true
-		return nil
-	}
-	if count == 0 {
-		return nil
-	}
-	addrs := make([]string, 0, count)
-	for i := 0; i < count; i++ {
-		a := cu.Str()
-		if cu.Bad || len(a) > 256 {
-			cu.Bad = true
-			return nil
-		}
-		addrs = append(addrs, a)
-	}
-	return addrs
-}
-
-// The request codecs of the three ops whose requests are a few fixed
-// fields; each encoder is the client's, each decoder the server's.
-
-// appendSampleRequest encodes an OpSample payload: the node, k, and the
-// caller's RNG state.
-func appendSampleRequest(b []byte, id graph.NodeID, k int, st [4]uint64) []byte {
-	b = appendU32(b, uint32(id))
-	b = appendU32(b, uint32(k))
-	for _, w := range st {
-		b = appendU64(b, w)
-	}
-	return b
-}
-
-// decodeSampleRequest decodes an OpSample payload; a k outside (0, maxK]
-// is malformed.
-func decodeSampleRequest(payload []byte) (id graph.NodeID, k int, st [4]uint64, err error) {
-	cu := wire.Cursor{B: payload}
-	id, k = graph.NodeID(cu.U32()), int(cu.U32())
-	for i := range st {
-		st[i] = cu.U64()
-	}
-	if err := cu.Err(ErrMalformedFrame); err != nil {
-		return 0, 0, st, err
-	}
-	if k <= 0 || k > maxK {
-		return 0, 0, st, fmt.Errorf("%w: sample k=%d out of range", ErrMalformedFrame, k)
-	}
-	return id, k, st, nil
-}
-
-// appendReassignRequest encodes an OpReassign payload: the action, then
-// the partition.
-func appendReassignRequest(b []byte, shard int, acquire bool) []byte {
-	action := byte(ReassignRelease)
-	if acquire {
-		action = ReassignAcquire
-	}
-	return appendU32(append(b, action), uint32(shard))
-}
-
-// decodeReassignRequest decodes an OpReassign payload; an action other
-// than acquire or release is malformed.
-func decodeReassignRequest(payload []byte) (shard int, acquire bool, err error) {
-	cu := wire.Cursor{B: payload}
-	action, shard := cu.U8(), int(cu.U32())
-	if err := cu.Err(ErrMalformedFrame); err != nil {
-		return 0, false, err
-	}
-	if action != ReassignAcquire && action != ReassignRelease {
-		return 0, false, fmt.Errorf("%w: unknown reassign action %d", ErrMalformedFrame, action)
-	}
-	return shard, action == ReassignAcquire, nil
-}
-
-// appendMembersRequest encodes an OpMembers payload: the announced
-// address, empty for a plain poll.
-func appendMembersRequest(b []byte, announce string) []byte {
-	return append(appendU32(b, uint32(len(announce))), announce...)
-}
-
-// decodeMembersRequest decodes an OpMembers payload.
-func decodeMembersRequest(payload []byte) (announce string, err error) {
-	cu := wire.Cursor{B: payload}
-	announce = cu.Str()
-	return announce, cu.Err(ErrMalformedFrame)
-}
