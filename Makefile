@@ -30,10 +30,10 @@ test:
 # Race-exercise the concurrent serving stack (scatter-gather and the RPC
 # client connection pool included) plus the full training stack: nn
 # optimizers, the experiments harness (incl. the cross-topology
-# equivalence suite and the dead-cluster training test), and the A/B
-# replay.
+# equivalence suite and the dead-cluster training test), the A/B
+# replay, and the ANN index build's parallel k-means passes.
 race:
-	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/...
+	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/...
 
 # Fault-injection suite under the race detector: server kill/restart and
 # churn, replica failover mid-batch, rolling upgrade, zero-replica

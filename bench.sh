@@ -39,6 +39,9 @@ go test -run '^$' -bench 'BenchmarkSampleNeighbors|BenchmarkSampleTree' -benchme
 go test -run '^$' -bench 'BenchmarkFocalBiased|BenchmarkBuildTree' -benchmem -count "$COUNT" ./internal/sampling/ | tee -a "$TMP" >&2
 go test -run '^$' -bench 'BenchmarkServingEmbedding|BenchmarkEndToEndRequest|BenchmarkCacheRefresh' -benchmem -count "$COUNT" ./internal/serve/ | tee -a "$TMP" >&2
 go test -run '^$' -bench 'BenchmarkSearchInto|BenchmarkQuantizedScan|BenchmarkFullPrecisionScan' -benchmem -count "$COUNT" ./internal/ann/ | tee -a "$TMP" >&2
+# The index build at the rig's retrieve shape (fixed iteration count — a
+# build is ~0.3 s).
+go test -run '^$' -bench 'BenchmarkIndexBuild' -benchtime 3x -benchmem -count "$COUNT" ./internal/ann/ | tee -a "$TMP" >&2
 # Dense kernels behind the dispatch seam: the dispatched and generic
 # variants side by side quantify the SIMD win at serving dims.
 go test -run '^$' -bench 'BenchmarkDot|BenchmarkMatVec|BenchmarkAxpy' -benchmem -count "$COUNT" ./internal/tensor/ | tee -a "$TMP" >&2

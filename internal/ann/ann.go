@@ -14,6 +14,8 @@ package ann
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"zoomer/internal/rng"
 	"zoomer/internal/tensor"
@@ -33,14 +35,15 @@ type Result struct {
 // is qcent[c*dim:(c+1)*dim] with reconstruction c[i] ≈ qcent[i]·qscale[c]
 // — so a centroid score is one int8 dot (int32-accumulated, exact)
 // scaled by two floats. Posting lists are always scored at full
-// precision; quantization only picks which lists to probe.
+// precision, one MatVec per list; quantization only picks which lists
+// to probe.
 type Index struct {
 	dim       int
 	centroids []tensor.Vec
 	qcent     []int8    // flat quantized centroid rows, cache-contiguous
 	qscale    []float32 // per-centroid dequantization scale
 	listIDs   [][]int64
-	listVecs  [][]tensor.Vec
+	lists     []tensor.Matrix // row i of lists[c] is the vector of listIDs[c][i]
 }
 
 // Config tunes index construction.
@@ -54,8 +57,9 @@ type Config struct {
 func DefaultConfig() Config { return Config{NumLists: 32, Iters: 8, Seed: 1} }
 
 // Build constructs the index from ids and their vectors (copied and
-// normalized; zero vectors are assigned to a random list). It panics on
-// length mismatch or empty input.
+// normalized; a zero vector scores 0 against every centroid, so it lands
+// in list 0). It panics on length mismatch or empty input. Scoring runs
+// on every core; sums stay serial, so the bits do not depend on GOMAXPROCS.
 func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 	if len(ids) != len(vecs) {
 		panic(fmt.Sprintf("ann: %d ids vs %d vectors", len(ids), len(vecs)))
@@ -69,17 +73,20 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 	if cfg.NumLists > len(ids) {
 		cfg.NumLists = len(ids)
 	}
-	dim := len(vecs[0])
+	dim, n := len(vecs[0]), len(vecs)
 	r := rng.New(cfg.Seed)
 
-	normed := make([]tensor.Vec, len(vecs))
+	flat := make([]float32, n*dim)
+	normed := make([]tensor.Vec, n)
+	norms := make([]float32, n)
 	for i, v := range vecs {
 		if len(v) != dim {
 			panic("ann: inconsistent vector dimensions")
 		}
-		nv := tensor.Copy(v)
+		nv := flat[i*dim : (i+1)*dim : (i+1)*dim]
+		copy(nv, v)
 		tensor.Normalize(nv)
-		normed[i] = nv
+		normed[i], norms[i] = nv, tensor.Norm2(nv)
 	}
 
 	// k-means++ seeding over cosine distance (= squared Euclidean on the
@@ -88,14 +95,18 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 	centroids = append(centroids, tensor.Copy(normed[r.Intn(len(normed))]))
 	dist := make([]float64, len(normed))
 	for len(centroids) < cfg.NumLists {
-		var total float64
-		last := centroids[len(centroids)-1]
-		for i, v := range normed {
-			d := float64(1 - tensor.Cosine(v, last))
-			if len(centroids) == 1 || d < dist[i] {
-				dist[i] = d
+		last, first := centroids[len(centroids)-1], len(centroids) == 1
+		nl := tensor.Norm2(last)
+		parallelFor(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if d := float64(1 - cosine(normed[i], last, norms[i], nl)); first || d < dist[i] {
+					dist[i] = d
+				}
 			}
-			total += dist[i]
+		})
+		var total float64
+		for _, d := range dist {
+			total += d
 		}
 		if total == 0 {
 			centroids = append(centroids, tensor.Copy(normed[r.Intn(len(normed))]))
@@ -114,26 +125,30 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 	}
 
 	assign := make([]int, len(normed))
+	cnorms := make([]float32, len(centroids))
 	reassign := func() {
-		for i, v := range normed {
-			best, bestSim := 0, float32(-2)
-			for c, cent := range centroids {
-				if s := tensor.Cosine(v, cent); s > bestSim {
-					best, bestSim = c, s
-				}
-			}
-			assign[i] = best
+		for c, cent := range centroids {
+			cnorms[c] = tensor.Norm2(cent)
 		}
+		parallelFor(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				best, bestSim := 0, float32(-2)
+				for c, cent := range centroids {
+					if s := cosine(normed[i], cent, norms[i], cnorms[c]); s > bestSim {
+						best, bestSim = c, s
+					}
+				}
+				assign[i] = best
+			}
+		})
 	}
+	sums, counts := tensor.NewMatrix(len(centroids), dim), make([]int, len(centroids))
 	for iter := 0; iter < cfg.Iters; iter++ {
 		reassign()
-		sums := make([]tensor.Vec, len(centroids))
-		counts := make([]int, len(centroids))
-		for c := range sums {
-			sums[c] = tensor.NewVec(dim)
-		}
+		clear(sums.Data)
+		clear(counts)
 		for i, v := range normed {
-			tensor.Axpy(1, v, sums[assign[i]])
+			tensor.Axpy(1, v, sums.Row(assign[i]))
 			counts[assign[i]]++
 		}
 		for c := range centroids {
@@ -142,8 +157,8 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 				centroids[c] = tensor.Copy(normed[r.Intn(len(normed))])
 				continue
 			}
-			tensor.Normalize(sums[c])
-			centroids[c] = sums[c]
+			tensor.Normalize(sums.Row(c))
+			copy(centroids[c], sums.Row(c))
 		}
 	}
 	reassign()
@@ -152,14 +167,43 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 		dim:       dim,
 		centroids: centroids,
 		listIDs:   make([][]int64, len(centroids)),
-		listVecs:  make([][]tensor.Vec, len(centroids)),
+		lists:     make([]tensor.Matrix, len(centroids)),
+	}
+	clear(counts)
+	for _, c := range assign {
+		counts[c]++
+	}
+	for c, k := range counts {
+		ix.listIDs[c] = make([]int64, 0, k)
+		ix.lists[c] = tensor.Matrix{Cols: dim, Data: make([]float32, 0, k*dim)}
 	}
 	for i, c := range assign {
 		ix.listIDs[c] = append(ix.listIDs[c], ids[i])
-		ix.listVecs[c] = append(ix.listVecs[c], normed[i])
+		ix.lists[c].Data = append(ix.lists[c].Data, normed[i]...)
+		ix.lists[c].Rows++
 	}
 	ix.quantizeCentroids()
 	return ix
+}
+
+// cosine is tensor.Cosine(v, c), bit for bit, with both norms given.
+func cosine(v, c tensor.Vec, nv, nc float32) float32 {
+	if nv == 0 || nc == 0 {
+		return 0
+	}
+	return tensor.Dot(v, c) / (nv * nc)
+}
+
+// parallelFor runs f over [0, n) in one contiguous chunk per core and
+// returns when every chunk is done; f must write only its own indices.
+func parallelFor(n int, f func(lo, hi int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func() { defer wg.Done(); f(w*n/workers, (w+1)*n/workers) }()
+	}
+	wg.Wait()
 }
 
 // quantizeCentroids fills the int8 coarse layer: symmetric per-centroid
@@ -215,21 +259,26 @@ func (ix *Index) Len() int {
 
 // SearchScratch holds the per-worker buffers of the search hot path: the
 // normalized query copy, its int8 quantization for the coarse scan,
-// centroid scores, probe order and the bounded result heap. Not safe for
-// concurrent use — one per worker, like *rng.RNG. Result slices returned
-// by SearchInto are backed by the scratch and valid only until its next
-// use.
+// centroid scores, probe order, one posting list's scores and the
+// bounded result heap. Not safe for concurrent use — one per worker,
+// like *rng.RNG. Result slices returned by SearchInto are backed by the
+// scratch and valid only until its next use.
 type SearchScratch struct {
 	q       tensor.Vec
 	qq      []int8
 	cscore  []float32
 	corder  []int32
+	lscore  []float32
 	results []Result
 }
 
 // NewSearchScratch sizes a scratch for this index.
 func (ix *Index) NewSearchScratch() *SearchScratch {
-	return &SearchScratch{q: make(tensor.Vec, ix.dim)}
+	rows := 0
+	for _, l := range ix.lists {
+		rows = max(rows, l.Rows)
+	}
+	return &SearchScratch{q: make(tensor.Vec, ix.dim), lscore: make([]float32, rows)}
 }
 
 func (sc *SearchScratch) centroidBufs(n int) ([]float32, []int32) {
@@ -340,18 +389,7 @@ func (ix *Index) SearchInto(query tensor.Vec, topK, nprobe int, sc *SearchScratc
 	}
 	h := sc.results[:0]
 	for p := 0; p < nprobe; p++ {
-		c := corder[p]
-		idsList := ix.listIDs[c]
-		for i, v := range ix.listVecs[c] {
-			s := tensor.Dot(q, v)
-			if len(h) < topK {
-				h = append(h, Result{ID: idsList[i], Score: s})
-				siftUpResult(h, len(h)-1)
-			} else if s > h[0].Score {
-				h[0] = Result{ID: idsList[i], Score: s}
-				siftDownResult(h, 0)
-			}
-		}
+		h = ix.scanList(int(corder[p]), q, topK, h, sc.lscore)
 	}
 	// Heap-sort the winners best first: popping the min to the back
 	// leaves the slice in descending score order.
@@ -360,6 +398,24 @@ func (ix *Index) SearchInto(query tensor.Vec, topK, nprobe int, sc *SearchScratc
 		siftDownResult(h[:n], 0)
 	}
 	sc.results = h
+	return h
+}
+
+// scanList scores every row of posting list c against q with one MatVec
+// into scores, then offers each row, in order, to the bounded min-heap h
+// of the best topK and returns the grown heap.
+func (ix *Index) scanList(c int, q tensor.Vec, topK int, h []Result, scores []float32) []Result {
+	scores = scores[:ix.lists[c].Rows]
+	tensor.MatVec(&ix.lists[c], q, scores)
+	for i, s := range scores {
+		if len(h) < topK {
+			h = append(h, Result{ID: ix.listIDs[c][i], Score: s})
+			siftUpResult(h, len(h)-1)
+		} else if s > h[0].Score {
+			h[0] = Result{ID: ix.listIDs[c][i], Score: s}
+			siftDownResult(h, 0)
+		}
+	}
 	return h
 }
 

@@ -241,3 +241,19 @@ func BenchmarkSearchInto(b *testing.B) {
 		ix.SearchInto(q, 100, 4, sc)
 	}
 }
+
+// BenchmarkIndexBuild is Build at the benchmark rig's retrieve shape:
+// 14 250 items of 32 dims in 222 lists (N/64) with 6 k-means
+// iterations, so one op is 7 assignment passes of N·L cosine scores
+// plus the k-means++ seeding.
+func BenchmarkIndexBuild(b *testing.B) {
+	ids, vecs, _ := clusteredData(rng.New(1), 14250, 32, 222)
+	cfg := Config{NumLists: len(ids) / 64, Iters: 6, Seed: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkIndex = Build(ids, vecs, cfg)
+	}
+}
+
+var sinkIndex *Index

@@ -8,9 +8,10 @@ import (
 	"zoomer/internal/tensor"
 )
 
-// searchFullCoarse replicates SearchInto with the pre-quantization
+// searchFullCoarse is SearchInto with the pre-quantization
 // full-precision coarse scan — the reference the quantized probe's
-// recall is pinned against.
+// recall is pinned against. The probed lists are scored by SearchInto's
+// own scanList.
 func searchFullCoarse(ix *Index, query tensor.Vec, topK, nprobe int) []Result {
 	q := tensor.Copy(query)
 	tensor.Normalize(q)
@@ -22,6 +23,7 @@ func searchFullCoarse(ix *Index, query tensor.Vec, topK, nprobe int) []Result {
 		nprobe = len(ix.centroids)
 	}
 	var h []Result
+	scores := ix.NewSearchScratch().lscore
 	for p := 0; p < nprobe; p++ {
 		best := -1
 		bestScore := float32(0)
@@ -31,17 +33,7 @@ func searchFullCoarse(ix *Index, query tensor.Vec, topK, nprobe int) []Result {
 			}
 		}
 		cscore[best] = float32(math.Inf(-1))
-		idsList := ix.listIDs[best]
-		for i, v := range ix.listVecs[best] {
-			s := tensor.Dot(q, v)
-			if len(h) < topK {
-				h = append(h, Result{ID: idsList[i], Score: s})
-				siftUpResult(h, len(h)-1)
-			} else if s > h[0].Score {
-				h[0] = Result{ID: idsList[i], Score: s}
-				siftDownResult(h, 0)
-			}
-		}
+		h = ix.scanList(best, q, topK, h, scores)
 	}
 	for n := len(h) - 1; n > 0; n-- {
 		h[0], h[n] = h[n], h[0]
