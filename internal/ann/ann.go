@@ -405,14 +405,15 @@ func (ix *Index) SearchInto(query tensor.Vec, topK, nprobe int, sc *SearchScratc
 // into scores, then offers each row, in order, to the bounded min-heap h
 // of the best topK and returns the grown heap.
 func (ix *Index) scanList(c int, q tensor.Vec, topK int, h []Result, scores []float32) []Result {
-	scores = scores[:ix.lists[c].Rows]
+	ids := ix.listIDs[c]
+	scores = scores[:len(ids)]
 	tensor.MatVec(&ix.lists[c], q, scores)
 	for i, s := range scores {
 		if len(h) < topK {
-			h = append(h, Result{ID: ix.listIDs[c][i], Score: s})
+			h = append(h, Result{ID: ids[i], Score: s})
 			siftUpResult(h, len(h)-1)
 		} else if s > h[0].Score {
-			h[0] = Result{ID: ix.listIDs[c][i], Score: s}
+			h[0] = Result{ID: ids[i], Score: s}
 			siftDownResult(h, 0)
 		}
 	}

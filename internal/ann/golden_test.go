@@ -14,9 +14,8 @@ import (
 )
 
 // indexGolden is the index Build makes of goldenInput and what SearchInto
-// and SearchExact return over it, as the code wrote them before the
-// build was parallelized and the posting lists made contiguous. A diff
-// there means the index or a search result changed bits.
+// and SearchExact return over it. A diff there means the index or a
+// search result changed bits.
 const indexGolden = "testdata/index.golden"
 
 var update = flag.Bool("update", false, "rewrite "+indexGolden+" from the current code")
