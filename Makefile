@@ -7,7 +7,7 @@
 # regression check, documentation link check, deploy topology lint, the
 # multi-process gateway smoke run, the experiments-harness smoke, the
 # benchmark rig's compile-and-self-test, a short fuzz pass over every
-# decoder of untrusted bytes, and the cross-process world determinism check.
+# decoder of untrusted bytes, and the world checked against its recorded bytes.
 ci: verify verify-purego race chaos ingest-chaos bench-compare docs-check compose-check gateway-smoke experiments-check rig-check fuzz-smoke world-check
 
 # The tier-1 loop: vet + build + test. vet's asmdecl check covers the
@@ -64,10 +64,14 @@ bench-compare:
 
 # Fail on broken intra-repo links in *.md (docs/, READMEs, ROADMAP...),
 # on flag tables that disagree with the binaries, on docs naming a
-# binary that has no cmd/<name>/, and on an internal/ package that no
-# binary, example or benchmark-rig package reaches.
+# binary that has no cmd/<name>/, on an internal/ package that no
+# binary, example or benchmark-rig package reaches, and — the API gate,
+# TestExportedNamesHaveCallers in api_test.go — on an exported internal/
+# name that no non-test file of another package (benchmark/ included)
+# uses and testdata/api-allowlist.txt does not list with a reason.
 docs-check:
 	./docs_check.sh
+	go test -count=1 -run '^TestExportedNamesHaveCallers$$' .
 
 # Lint the containerized topology (docker compose config when a compose
 # plugin exists, structural YAML check otherwise).
@@ -111,12 +115,23 @@ fuzz-smoke:
 	done; test $$found = 1
 
 # The world is a function of (scale, seed) across processes: every
-# binary of a deployment regenerates it, so two graphgen processes must
-# write byte-identical files. An in-process test cannot see this — Go
-# randomizes map iteration per process.
+# binary of a deployment regenerates it, so graphgen must write the bytes
+# and print the per-type counts recorded in WORLD_GOLDEN, at both scales,
+# and two processes must agree on the small world. An in-process test
+# cannot see this — Go randomizes map iteration per process.
+WORLD_GOLDEN := internal/graphbuild/testdata/world.golden
 world-check:
-	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-	go build -o "$$d/graphgen" ./cmd/graphgen && \
-	"$$d/graphgen" -scale small -seed 1 -out "$$d/a.zmrg" >/dev/null && \
-	"$$d/graphgen" -scale small -seed 1 -out "$$d/b.zmrg" >/dev/null && \
-	cmp "$$d/a.zmrg" "$$d/b.zmrg" && echo "world-check: two processes wrote the same graph ($$(sha256sum < "$$d/a.zmrg" | cut -c1-16))"
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	go build -o "$$d/graphgen" ./cmd/graphgen; \
+	"$$d/graphgen" -scale large -seed 1 -out "$$d/large.zmrg" > "$$d/large.out" & large=$$!; \
+	"$$d/graphgen" -scale small -seed 1 -out "$$d/small.zmrg" > "$$d/small.out"; \
+	"$$d/graphgen" -scale small -seed 1 -out "$$d/b.zmrg" >/dev/null; \
+	cmp "$$d/small.zmrg" "$$d/b.zmrg"; \
+	wait $$large; \
+	for s in small large; do \
+		echo "$$s sha256 $$(sha256sum < "$$d/$$s.zmrg" | cut -d' ' -f1)"; \
+		grep -E '^(nodes|edges):' "$$d/$$s.out" | sed "s/^/$$s /"; \
+	done > "$$d/world"; \
+	grep -v '^#' $(WORLD_GOLDEN) | diff -u - "$$d/world" \
+		|| { echo "world-check: graphgen's worlds differ from $(WORLD_GOLDEN)"; exit 1; }; \
+	echo "world-check: graphgen wrote the worlds in $(WORLD_GOLDEN), and two processes agree"

@@ -28,7 +28,7 @@ go vet ./...
 # Which dense-kernel dispatch this machine runs (avx2 | purego) — the
 # header names it so trajectories from different kernel sets are never
 # compared blindly.
-SIMD="$(go run ./cmd/simdprobe)"
+SIMD="$(go run ./cmd/graphgen -scale tiny | sed -n 's/^simd: //p')"
 echo "== simd dispatch: $SIMD" >&2
 
 echo "== hot-path benchmarks" >&2

@@ -153,8 +153,8 @@ func BenchmarkAblationRelevanceScore(b *testing.B) {
 		name string
 		rel  sampling.RelevanceFunc
 	}{
-		{"tanimoto-eq5", sampling.TanimotoRelevance},
-		{"cosine", sampling.CosineRelevance},
+		{"tanimoto-eq5", nil},
+		{"cosine", tensor.Cosine},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := &sampling.FocalBiased{Relevance: bc.rel}
@@ -178,10 +178,11 @@ func BenchmarkAblationAlias(b *testing.B) {
 			weights[i] = r.Float64() + 0.01
 			total += weights[i]
 		}
-		tab := alias.MustNew(weights)
+		prob, aliasIdx := make([]float64, degree), make([]int32, degree)
+		alias.MustBuildInto(prob, aliasIdx, weights, make([]int32, degree))
 		b.Run(formatInt("alias-deg", degree), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = tab.Sample(r)
+				_ = alias.SampleFrom(prob, aliasIdx, r)
 			}
 		})
 		b.Run(formatInt("linear-deg", degree), func(b *testing.B) {

@@ -1,6 +1,9 @@
 // Command graphgen generates a synthetic Taobao-style retrieval graph and
 // prints its statistics — node/edge mixes, degree distribution — so the
 // scaled-down analogs can be compared against the paper's §VII-A numbers.
+// The first line names the dense-kernel dispatch this build selects on
+// this machine ("avx2" or "purego"); bench.sh records it in the
+// BENCH_hotpath.json header.
 //
 // Usage:
 //
@@ -17,6 +20,7 @@ import (
 	"zoomer/internal/core"
 	"zoomer/internal/graph"
 	"zoomer/internal/loggen"
+	"zoomer/internal/tensor"
 )
 
 func main() {
@@ -37,6 +41,7 @@ func main() {
 		cfg = loggen.TaobaoConfig(sc, *seed)
 	}
 
+	fmt.Printf("simd: %s\n", tensor.SIMD())
 	w := core.BuildWorld(cfg)
 	logs, g := w.Logs, w.Graph
 	st := g.Stats()

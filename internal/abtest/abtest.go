@@ -27,7 +27,7 @@ import (
 // Channel retrieves a ranked item list for a request.
 type Channel interface {
 	Name() string
-	Retrieve(u, q graph.NodeID, k int) []graph.NodeID
+	retrieve(u, q graph.NodeID, k int) []graph.NodeID
 }
 
 // ModelChannel serves retrieval from a trained model through an ANN
@@ -53,8 +53,8 @@ func NewModelChannel(name string, m core.Model, items []graph.NodeID, seed uint6
 // Name implements Channel.
 func (c *ModelChannel) Name() string { return c.name }
 
-// Retrieve implements Channel.
-func (c *ModelChannel) Retrieve(u, q graph.NodeID, k int) []graph.NodeID {
+// retrieve implements Channel.
+func (c *ModelChannel) retrieve(u, q graph.NodeID, k int) []graph.NodeID {
 	uq := c.model.UserQueryEmbedding(u, q, c.r)
 	res := c.index.SearchInto(uq, k, c.nprobe, c.sc)
 	out := make([]graph.NodeID, len(res))
@@ -171,11 +171,11 @@ func RunArms(g core.GraphView, traffic []Request, control, treatment Arm, cfg Co
 		ch := arm.Channel
 		if arm.View != nil {
 			if mc, ok := ch.(*ModelChannel); ok {
-				mc.BindView(arm.View)
+				mc.bindView(arm.View)
 			}
 		}
 		for _, req := range traffic {
-			items := ch.Retrieve(req.User, req.Query, cfg.ListSize)
+			items := ch.retrieve(req.User, req.Query, cfg.ListSize)
 			for pos, item := range items {
 				m.Impressions++
 				rel := relevance(req.User, req.Query, item)
@@ -203,10 +203,10 @@ func RunArms(g core.GraphView, traffic []Request, control, treatment Arm, cfg Co
 	return res
 }
 
-// BindView rebinds the channel's model onto a different graph view
+// bindView rebinds the channel's model onto a different graph view
 // (when the model supports it), switching the arm's live serving
 // config without touching trained weights or the ANN index.
-func (c *ModelChannel) BindView(v core.GraphView) {
+func (c *ModelChannel) bindView(v core.GraphView) {
 	if b, ok := c.model.(core.ViewBinder); ok {
 		b.BindView(v)
 	}

@@ -57,7 +57,7 @@ type oracleChannel struct {
 }
 
 func (o *oracleChannel) Name() string { return "oracle" }
-func (o *oracleChannel) Retrieve(u, q graph.NodeID, k int) []graph.NodeID {
+func (o *oracleChannel) retrieve(u, q graph.NodeID, k int) []graph.NodeID {
 	intent := tensor.Copy(o.g.Content(q))
 	tensor.Axpy(0.5, o.g.Content(u), intent)
 	type sc struct {
@@ -88,7 +88,7 @@ type noiseChannel struct {
 }
 
 func (n *noiseChannel) Name() string { return "noise" }
-func (n *noiseChannel) Retrieve(u, q graph.NodeID, k int) []graph.NodeID {
+func (n *noiseChannel) retrieve(u, q graph.NodeID, k int) []graph.NodeID {
 	out := make([]graph.NodeID, k)
 	for i := range out {
 		out[i] = n.items[n.r.Intn(len(n.items))]
@@ -146,7 +146,7 @@ func TestModelChannel(t *testing.T) {
 	if ch.Name() != "zoomer" {
 		t.Fatal("name")
 	}
-	out := ch.Retrieve(g.NodesOfType(graph.User)[0], g.NodesOfType(graph.Query)[0], 10)
+	out := ch.retrieve(g.NodesOfType(graph.User)[0], g.NodesOfType(graph.Query)[0], 10)
 	if len(out) == 0 || len(out) > 10 {
 		t.Fatalf("retrieved %d items", len(out))
 	}

@@ -205,8 +205,7 @@ func (t *Tape) Mul(a, b *Node) *Node {
 	return out
 }
 
-// Div returns the element-wise quotient a / (b + eps·sign(b)) with a small
-// epsilon guard against division by near-zero.
+// divEps guards div's denominators against division by near-zero.
 const divEps = 1e-8
 
 func guardDenom(v float32) float32 {
@@ -219,8 +218,8 @@ func guardDenom(v float32) float32 {
 	return v
 }
 
-// Div returns element-wise a / b with epsilon-guarded denominators.
-func (t *Tape) Div(a, b *Node) *Node {
+// div returns element-wise a / b with epsilon-guarded denominators.
+func (t *Tape) div(a, b *Node) *Node {
 	sameShape(a, b)
 	val := tensor.NewMatrix(a.Rows(), a.Cols())
 	den := make([]float32, len(val.Data))
@@ -390,27 +389,6 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 	return out
 }
 
-// SliceRows returns the view [lo, hi) of m's rows as a new node.
-func (t *Tape) SliceRows(m *Node, lo, hi int) *Node {
-	if lo < 0 || hi > m.Rows() || lo > hi {
-		panic(fmt.Sprintf("ad: SliceRows [%d,%d) of %d rows", lo, hi, m.Rows()))
-	}
-	cols := m.Cols()
-	val := tensor.NewMatrix(hi-lo, cols)
-	copy(val.Data, m.Val.Data[lo*cols:hi*cols])
-	out := t.record(val, m.needsGrad, nil)
-	out.back = func() {
-		if m.needsGrad {
-			g := m.ensureGrad()
-			dst := g.Data[lo*cols : hi*cols]
-			for i := range out.Grad.Data {
-				dst[i] += out.Grad.Data[i]
-			}
-		}
-	}
-	return out
-}
-
 // SoftmaxRows applies softmax independently to each row.
 func (t *Tape) SoftmaxRows(m *Node) *Node {
 	val := tensor.NewMatrix(m.Rows(), m.Cols())
@@ -518,8 +496,8 @@ func (t *Tape) Sqrt(a *Node) *Node {
 		func(_, y float32) float32 { return 1 / (2 * y) })
 }
 
-// SumAll reduces to a 1x1 scalar node holding the sum of all elements.
-func (t *Tape) SumAll(a *Node) *Node {
+// sumAll reduces to a 1x1 scalar node holding the sum of all elements.
+func (t *Tape) sumAll(a *Node) *Node {
 	var s float64
 	for _, v := range a.Val.Data {
 		s += float64(v)
@@ -538,15 +516,6 @@ func (t *Tape) SumAll(a *Node) *Node {
 		}
 	}
 	return out
-}
-
-// MeanAll reduces to a 1x1 scalar node holding the mean of all elements.
-func (t *Tape) MeanAll(a *Node) *Node {
-	n := len(a.Val.Data)
-	if n == 0 {
-		panic("ad: MeanAll of empty node")
-	}
-	return t.Scale(1/float32(n), t.SumAll(a))
 }
 
 // MeanRows returns the 1 x Cols mean over rows (mean pooling).
@@ -583,12 +552,12 @@ func (t *Tape) MeanRows(a *Node) *Node {
 
 // Dot returns the scalar inner product of two 1xN (or Nx1) nodes.
 func (t *Tape) Dot(a, b *Node) *Node {
-	return t.SumAll(t.Mul(a, b))
+	return t.sumAll(t.Mul(a, b))
 }
 
-// Norm returns the scalar Euclidean norm of a node's elements.
-func (t *Tape) Norm(a *Node) *Node {
-	return t.Sqrt(t.SumAll(t.Mul(a, a)))
+// norm returns the scalar Euclidean norm of a node's elements.
+func (t *Tape) norm(a *Node) *Node {
+	return t.Sqrt(t.sumAll(t.Mul(a, a)))
 }
 
 // CosineSim returns the scalar cosine similarity of two same-shape nodes,
@@ -596,7 +565,7 @@ func (t *Tape) Norm(a *Node) *Node {
 // semantic-combination weight of eq. (10).
 func (t *Tape) CosineSim(a, b *Node) *Node {
 	sameShape(a, b)
-	return t.Div(t.Dot(a, b), t.Mul(t.Norm(a), t.Norm(b)))
+	return t.div(t.Dot(a, b), t.Mul(t.norm(a), t.norm(b)))
 }
 
 // Custom introduces a node with a caller-provided value and backward

@@ -58,25 +58,25 @@ func constMat(tp *Tape, r *rng.RNG, rows, cols int) *Node {
 func TestGradAdd(t *testing.T) {
 	checkGrad(t, "add", 2, 3, 1, func(tp *Tape, p *Node) *Node {
 		c := constMat(tp, rng.New(2), 2, 3)
-		return tp.SumAll(tp.Add(p, c))
+		return tp.sumAll(tp.Add(p, c))
 	})
 }
 
 func TestGradSub(t *testing.T) {
 	checkGrad(t, "sub", 2, 3, 3, func(tp *Tape, p *Node) *Node {
 		c := constMat(tp, rng.New(4), 2, 3)
-		return tp.SumAll(tp.Sub(c, p))
+		return tp.sumAll(tp.Sub(c, p))
 	})
 }
 
 func TestGradMul(t *testing.T) {
 	checkGrad(t, "mul", 2, 3, 5, func(tp *Tape, p *Node) *Node {
 		c := constMat(tp, rng.New(6), 2, 3)
-		return tp.SumAll(tp.Mul(p, c))
+		return tp.sumAll(tp.Mul(p, c))
 	})
 	// Self-product exercises gradient accumulation through both inputs.
 	checkGrad(t, "mul-self", 2, 2, 7, func(tp *Tape, p *Node) *Node {
-		return tp.SumAll(tp.Mul(p, p))
+		return tp.sumAll(tp.Mul(p, p))
 	})
 }
 
@@ -86,41 +86,41 @@ func TestGradDiv(t *testing.T) {
 		for i := range den.Data {
 			den.Data[i] = 1.5 + float32(i)*0.25
 		}
-		return tp.SumAll(tp.Div(p, tp.Const(den)))
+		return tp.sumAll(tp.div(p, tp.Const(den)))
 	})
 	checkGrad(t, "div-den", 1, 4, 9, func(tp *Tape, p *Node) *Node {
 		// Shift the denominator away from zero to keep finite diffs valid.
 		shifted := tp.Add(p, tp.Const(&tensor.Matrix{Rows: 1, Cols: 4, Data: []float32{3, 3, 3, 3}}))
 		num := constMat(tp, rng.New(10), 1, 4)
-		return tp.SumAll(tp.Div(num, shifted))
+		return tp.sumAll(tp.div(num, shifted))
 	})
 }
 
 func TestGradScale(t *testing.T) {
 	checkGrad(t, "scale", 3, 2, 11, func(tp *Tape, p *Node) *Node {
-		return tp.SumAll(tp.Scale(-2.5, p))
+		return tp.sumAll(tp.Scale(-2.5, p))
 	})
 }
 
 func TestGradMatMul(t *testing.T) {
 	checkGrad(t, "matmul-left", 3, 4, 12, func(tp *Tape, p *Node) *Node {
 		b := constMat(tp, rng.New(13), 4, 2)
-		return tp.SumAll(tp.MatMul(p, b))
+		return tp.sumAll(tp.MatMul(p, b))
 	})
 	checkGrad(t, "matmul-right", 4, 2, 14, func(tp *Tape, p *Node) *Node {
 		a := constMat(tp, rng.New(15), 3, 4)
-		return tp.SumAll(tp.MatMul(a, p))
+		return tp.sumAll(tp.MatMul(a, p))
 	})
 }
 
 func TestGradAddBias(t *testing.T) {
 	checkGrad(t, "bias", 1, 3, 16, func(tp *Tape, p *Node) *Node {
 		m := constMat(tp, rng.New(17), 4, 3)
-		return tp.SumAll(tp.AddBias(m, p))
+		return tp.sumAll(tp.AddBias(m, p))
 	})
 	checkGrad(t, "bias-matrix", 4, 3, 18, func(tp *Tape, p *Node) *Node {
 		b := constMat(tp, rng.New(19), 1, 3)
-		return tp.SumAll(tp.AddBias(p, b))
+		return tp.sumAll(tp.AddBias(p, b))
 	})
 }
 
@@ -130,21 +130,13 @@ func TestGradConcat(t *testing.T) {
 		// Weight the concat so each side has distinct gradient structure.
 		cat := tp.ConcatCols(p, c, p)
 		w := constMat(tp, rng.New(22), 2, 8)
-		return tp.SumAll(tp.Mul(cat, w))
+		return tp.sumAll(tp.Mul(cat, w))
 	})
 	checkGrad(t, "concat-rows", 2, 3, 23, func(tp *Tape, p *Node) *Node {
 		c := constMat(tp, rng.New(24), 1, 3)
 		cat := tp.ConcatRows(c, p)
 		w := constMat(tp, rng.New(25), 3, 3)
-		return tp.SumAll(tp.Mul(cat, w))
-	})
-}
-
-func TestGradSliceRows(t *testing.T) {
-	checkGrad(t, "slice", 4, 3, 26, func(tp *Tape, p *Node) *Node {
-		s := tp.SliceRows(p, 1, 3)
-		w := constMat(tp, rng.New(27), 2, 3)
-		return tp.SumAll(tp.Mul(s, w))
+		return tp.sumAll(tp.Mul(cat, w))
 	})
 }
 
@@ -152,16 +144,16 @@ func TestGradSoftmaxRows(t *testing.T) {
 	checkGrad(t, "softmax", 2, 4, 28, func(tp *Tape, p *Node) *Node {
 		sm := tp.SoftmaxRows(p)
 		w := constMat(tp, rng.New(29), 2, 4)
-		return tp.SumAll(tp.Mul(sm, w))
+		return tp.sumAll(tp.Mul(sm, w))
 	})
 }
 
 func TestGradActivations(t *testing.T) {
 	checkGrad(t, "sigmoid", 2, 3, 30, func(tp *Tape, p *Node) *Node {
-		return tp.SumAll(tp.Sigmoid(p))
+		return tp.sumAll(tp.Sigmoid(p))
 	})
 	checkGrad(t, "tanh", 2, 3, 31, func(tp *Tape, p *Node) *Node {
-		return tp.SumAll(tp.Tanh(p))
+		return tp.sumAll(tp.Tanh(p))
 	})
 	// ReLU/LeakyReLU: shift inputs off zero to avoid the kink.
 	checkGrad(t, "relu", 2, 3, 32, func(tp *Tape, p *Node) *Node {
@@ -169,14 +161,14 @@ func TestGradActivations(t *testing.T) {
 		for i := range shift.Data {
 			shift.Data[i] = 2.5
 		}
-		return tp.SumAll(tp.ReLU(tp.Add(p, tp.Const(shift))))
+		return tp.sumAll(tp.ReLU(tp.Add(p, tp.Const(shift))))
 	})
 	checkGrad(t, "leakyrelu", 2, 3, 33, func(tp *Tape, p *Node) *Node {
 		shift := tensor.NewMatrix(2, 3)
 		for i := range shift.Data {
 			shift.Data[i] = -2.5
 		}
-		return tp.SumAll(tp.LeakyReLU(0.2, tp.Add(p, tp.Const(shift))))
+		return tp.sumAll(tp.LeakyReLU(0.2, tp.Add(p, tp.Const(shift))))
 	})
 }
 
@@ -188,10 +180,10 @@ func TestGradSqrtNormCosine(t *testing.T) {
 		for i := range one.Data {
 			one.Data[i] = 1
 		}
-		return tp.SumAll(tp.Sqrt(tp.Add(sq, tp.Const(one))))
+		return tp.sumAll(tp.Sqrt(tp.Add(sq, tp.Const(one))))
 	})
 	checkGrad(t, "norm", 1, 4, 35, func(tp *Tape, p *Node) *Node {
-		return tp.Norm(p)
+		return tp.norm(p)
 	})
 	checkGrad(t, "cosine", 1, 4, 36, func(tp *Tape, p *Node) *Node {
 		b := constMat(tp, rng.New(37), 1, 4)
@@ -200,13 +192,10 @@ func TestGradSqrtNormCosine(t *testing.T) {
 }
 
 func TestGradReductions(t *testing.T) {
-	checkGrad(t, "meanall", 3, 3, 38, func(tp *Tape, p *Node) *Node {
-		return tp.MeanAll(p)
-	})
 	checkGrad(t, "meanrows", 3, 3, 39, func(tp *Tape, p *Node) *Node {
 		m := tp.MeanRows(p)
 		w := constMat(tp, rng.New(40), 1, 3)
-		return tp.SumAll(tp.Mul(m, w))
+		return tp.sumAll(tp.Mul(m, w))
 	})
 	checkGrad(t, "dot", 1, 5, 41, func(tp *Tape, p *Node) *Node {
 		b := constMat(tp, rng.New(42), 1, 5)
@@ -269,7 +258,7 @@ func TestSharedSubexpressionAccumulates(t *testing.T) {
 	grad := tensor.NewMatrix(2, 2)
 	tp := NewTape()
 	p := tp.Watch(param, grad)
-	loss := tp.Add(tp.SumAll(p), tp.SumAll(p))
+	loss := tp.Add(tp.sumAll(p), tp.sumAll(p))
 	tp.Backward(loss)
 	for i, g := range grad.Data {
 		if g != 2 {
@@ -292,7 +281,7 @@ func TestBackwardRequiresScalar(t *testing.T) {
 func TestConstHasNoGrad(t *testing.T) {
 	tp := NewTape()
 	c := tp.Const(tensor.NewMatrix(1, 1))
-	out := tp.SumAll(c)
+	out := tp.sumAll(c)
 	tp.Backward(out)
 	if c.Grad != nil {
 		t.Fatal("constant grew a gradient")
@@ -315,7 +304,7 @@ func TestCustomNode(t *testing.T) {
 			p.Grad.Data[i] += out.Grad.Data[i] * 2 * param.Data[i]
 		}
 	})
-	tp.Backward(tp.SumAll(sq))
+	tp.Backward(tp.sumAll(sq))
 	want := []float32{2, 4, 6}
 	for i := range want {
 		if grad.Data[i] != want[i] {
@@ -363,17 +352,17 @@ func BenchmarkForwardBackwardMLP(b *testing.B) {
 func TestGradTranspose(t *testing.T) {
 	checkGrad(t, "transpose", 2, 3, 60, func(tp *Tape, p *Node) *Node {
 		w := constMat(tp, rng.New(61), 3, 2)
-		return tp.SumAll(tp.Mul(tp.Transpose(p), w))
+		return tp.sumAll(tp.Mul(tp.Transpose(p), w))
 	})
 }
 
 func TestGradScaleBy(t *testing.T) {
 	checkGrad(t, "scaleby-scalar", 1, 1, 62, func(tp *Tape, p *Node) *Node {
 		m := constMat(tp, rng.New(63), 2, 3)
-		return tp.SumAll(tp.ScaleBy(p, m))
+		return tp.sumAll(tp.ScaleBy(p, m))
 	})
 	checkGrad(t, "scaleby-matrix", 2, 3, 64, func(tp *Tape, p *Node) *Node {
 		s := constMat(tp, rng.New(65), 1, 1)
-		return tp.SumAll(tp.ScaleBy(s, p))
+		return tp.sumAll(tp.ScaleBy(s, p))
 	})
 }

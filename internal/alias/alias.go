@@ -11,39 +11,13 @@ import (
 	"zoomer/internal/rng"
 )
 
-// Table is an immutable alias table over n outcomes. Construction is O(n);
-// each Sample is O(1). The zero value is an empty table that cannot be
-// sampled from.
-type Table struct {
-	prob  []float64
-	alias []int32
-}
-
-// New builds an alias table from the given non-negative weights. Weights
-// need not be normalized. It returns an error if weights is empty, if any
-// weight is negative, or if all weights are zero.
-func New(weights []float64) (*Table, error) {
-	n := len(weights)
-	if n == 0 {
-		return nil, fmt.Errorf("alias: empty weight vector")
-	}
-	t := &Table{
-		prob:  make([]float64, n),
-		alias: make([]int32, n),
-	}
-	if err := BuildInto(t.prob, t.alias, weights, make([]int32, n)); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // BuildInto constructs an alias table over weights directly into prob and
 // aliasIdx, both of length len(weights), using stack (also length
 // len(weights)) as scratch — no heap allocation. This is the kernel the
 // graph engine uses to precompute one flat, CSR-aligned table for every
 // adjacency list at startup. A slot i is sampled by drawing a uniform
 // index and accepting it with probability prob[i], else taking
-// aliasIdx[i] — exactly Table.Sample over the same arrays.
+// aliasIdx[i] — what SampleFrom does.
 //
 // It returns an error (leaving the output unspecified) if weights is
 // empty, any weight is negative, or all weights are zero.
@@ -127,33 +101,12 @@ func MustBuildInto(prob []float64, aliasIdx []int32, weights []float64, stack []
 
 // SampleFrom draws an outcome index in [0, len(prob)) from arrays built
 // by BuildInto: the one authoritative implementation of the alias draw,
-// shared by Table.Sample and every flat-table consumer. It panics on
-// empty arrays (via Intn).
+// shared by every flat-table consumer. It panics on empty arrays (via
+// Intn).
 func SampleFrom(prob []float64, aliasIdx []int32, r *rng.RNG) int {
 	i := r.Intn(len(prob))
 	if r.Float64() < prob[i] {
 		return i
 	}
 	return int(aliasIdx[i])
-}
-
-// MustNew is New but panics on error; for static tables known to be valid.
-func MustNew(weights []float64) *Table {
-	t, err := New(weights)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// N returns the number of outcomes.
-func (t *Table) N() int { return len(t.prob) }
-
-// Sample draws an outcome index in [0, N()) with probability proportional
-// to its construction weight. It panics on an empty table.
-func (t *Table) Sample(r *rng.RNG) int {
-	if len(t.prob) == 0 {
-		panic("alias: sampling from empty table")
-	}
-	return SampleFrom(t.prob, t.alias, r)
 }

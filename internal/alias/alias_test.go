@@ -8,29 +8,51 @@ import (
 	"zoomer/internal/rng"
 )
 
+// table is one flat alias table, built and drawn from as the engine does.
+type table struct {
+	prob  []float64
+	alias []int32
+}
+
+func newTable(weights []float64) (table, error) {
+	n := len(weights)
+	tab := table{make([]float64, n), make([]int32, n)}
+	return tab, BuildInto(tab.prob, tab.alias, weights, make([]int32, n))
+}
+
+func mustTable(weights []float64) table {
+	tab, err := newTable(weights)
+	if err != nil {
+		panic(err)
+	}
+	return tab
+}
+
+func (tab table) Sample(r *rng.RNG) int { return SampleFrom(tab.prob, tab.alias, r) }
+
 func TestErrors(t *testing.T) {
-	if _, err := New(nil); err == nil {
+	if _, err := newTable(nil); err == nil {
 		t.Fatal("empty weights accepted")
 	}
-	if _, err := New([]float64{1, -1}); err == nil {
+	if _, err := newTable([]float64{1, -1}); err == nil {
 		t.Fatal("negative weight accepted")
 	}
-	if _, err := New([]float64{0, 0}); err == nil {
+	if _, err := newTable([]float64{0, 0}); err == nil {
 		t.Fatal("all-zero weights accepted")
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
+func TestMustBuildIntoPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MustNew did not panic on bad input")
+			t.Fatal("MustBuildInto did not panic on bad input")
 		}
 	}()
-	MustNew(nil)
+	MustBuildInto(nil, nil, nil, nil)
 }
 
 func TestSingleOutcome(t *testing.T) {
-	tab := MustNew([]float64{3.5})
+	tab := mustTable([]float64{3.5})
 	r := rng.New(1)
 	for i := 0; i < 100; i++ {
 		if tab.Sample(r) != 0 {
@@ -40,7 +62,7 @@ func TestSingleOutcome(t *testing.T) {
 }
 
 func TestZeroWeightNeverSampled(t *testing.T) {
-	tab := MustNew([]float64{1, 0, 1})
+	tab := mustTable([]float64{1, 0, 1})
 	r := rng.New(2)
 	for i := 0; i < 20000; i++ {
 		if tab.Sample(r) == 1 {
@@ -53,7 +75,7 @@ func TestZeroWeightNeverSampled(t *testing.T) {
 // the target distribution (chi-square-style tolerance).
 func TestDistributionMatches(t *testing.T) {
 	weights := []float64{1, 2, 3, 4, 10}
-	tab := MustNew(weights)
+	tab := mustTable(weights)
 	r := rng.New(3)
 	const n = 400000
 	counts := make([]int, len(weights))
@@ -94,7 +116,7 @@ func TestPropertyDistribution(t *testing.T) {
 		if sum == 0 {
 			return true
 		}
-		tab, err := New(weights)
+		tab, err := newTable(weights)
 		if err != nil {
 			return false
 		}
@@ -118,7 +140,7 @@ func TestLargeTable(t *testing.T) {
 	for i := range weights {
 		weights[i] = r.Float64() + 0.01
 	}
-	tab := MustNew(weights)
+	tab := mustTable(weights)
 	seen := map[int]bool{}
 	for i := 0; i < 1000; i++ {
 		seen[tab.Sample(r)] = true
@@ -137,7 +159,7 @@ func benchSample(b *testing.B, n int) {
 	for i := range weights {
 		weights[i] = r.Float64() + 0.01
 	}
-	tab := MustNew(weights)
+	tab := mustTable(weights)
 	b.ResetTimer()
 	var sink int
 	for i := 0; i < b.N; i++ {
@@ -150,7 +172,7 @@ func benchSample(b *testing.B, n int) {
 // receives — prob[i]/n directly, plus (1-prob[j])/n from every slot j
 // aliased to it — equals w_i/Σw. Checking that reconstruction against
 // the raw weights validates BuildInto against the algebra rather than
-// against New (which delegates to it and would make the test circular).
+// against the sampling tests above (which draw from it and would make the test circular).
 func TestBuildIntoReconstructsWeights(t *testing.T) {
 	r := rng.New(21)
 	for _, n := range []int{1, 2, 7, 64, 1000} {

@@ -53,9 +53,6 @@ type Config struct {
 	Seed     uint64
 }
 
-// DefaultConfig sizes the index for ~10k-100k items.
-func DefaultConfig() Config { return Config{NumLists: 32, Iters: 8, Seed: 1} }
-
 // Build constructs the index from ids and their vectors (copied and
 // normalized; a zero vector scores 0 against every centroid, so it lands
 // in list 0). It panics on length mismatch or empty input. Scoring runs

@@ -45,8 +45,8 @@ func TestBuildValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic(func() { Build(nil, nil, DefaultConfig()) })
-	mustPanic(func() { Build([]int64{1}, nil, DefaultConfig()) })
+	mustPanic(func() { Build(nil, nil, Config{NumLists: 32, Iters: 8, Seed: 1}) })
+	mustPanic(func() { Build([]int64{1}, nil, Config{NumLists: 32, Iters: 8, Seed: 1}) })
 }
 
 func TestIndexCoversAllVectors(t *testing.T) {
@@ -128,7 +128,7 @@ func TestSearchOrderingAndBounds(t *testing.T) {
 func TestSearchDimPanic(t *testing.T) {
 	r := rng.New(9)
 	ids, vecs, _ := clusteredData(r, 50, 8, 2)
-	ix := Build(ids, vecs, DefaultConfig())
+	ix := Build(ids, vecs, Config{NumLists: 32, Iters: 8, Seed: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on dim mismatch")

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"zoomer/internal/ad"
@@ -108,11 +109,15 @@ func TestForwardBackwardAllBaselines(t *testing.T) {
 			t.Fatalf("%s: no dense gradient", m.Name())
 		}
 		sparseOK := false
-		for _, tab := range m.Tables() {
-			if tab.TouchedRows() > 0 {
-				sparseOK = true
+		for _, tab := range m.Tables() { // an Adam step moves a touched row
+			before := make([][]float32, tab.Vocab())
+			for i := range before {
+				before[i] = slices.Clone(tab.Row(int32(i)))
 			}
-			tab.ZeroGrad()
+			tab.StepAdam(0.01, 0.9, 0.999, 1e-8)
+			for i, row := range before {
+				sparseOK = sparseOK || !slices.Equal(row, tab.Row(int32(i)))
+			}
 		}
 		if !sparseOK {
 			t.Fatalf("%s: no sparse gradient", m.Name())

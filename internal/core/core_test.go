@@ -86,11 +86,16 @@ func TestZoomerBackwardProducesGrads(t *testing.T) {
 	if !anyDense {
 		t.Fatal("no dense gradients after backward")
 	}
-	// Embedding tables must have touched rows.
+	// Embedding tables must have touched rows: an Adam step moves one.
 	anySparse := false
 	for _, tab := range z.Tables() {
-		if tab.TouchedRows() > 0 {
-			anySparse = true
+		before := make([][]float32, tab.Vocab())
+		for i := range before {
+			before[i] = slices.Clone(tab.Row(int32(i)))
+		}
+		tab.StepAdam(0.01, 0.9, 0.999, 1e-8)
+		for i, row := range before {
+			anySparse = anySparse || !slices.Equal(row, tab.Row(int32(i)))
 		}
 	}
 	if !anySparse {
@@ -265,9 +270,16 @@ func TestHitRateAtKs(t *testing.T) {
 	}
 }
 
+// A node's feature matrix has one row per feature slot of its type.
 func TestSlotCount(t *testing.T) {
-	if SlotCount(graph.User) != 3 || SlotCount(graph.Query) != 2 || SlotCount(graph.Item) != 5 {
-		t.Fatal("slot counts wrong")
+	w := buildTinyWorld(t, 10)
+	g := w.res.Graph
+	fe := NewFeatureEmbedder(w.logs.Vocab(), 8, rng.New(1))
+	tp := ad.NewTape()
+	for nt, slots := range map[graph.NodeType]int{graph.User: 3, graph.Query: 2, graph.Item: 5} {
+		if H := fe.FeatureMatrix(tp, g, g.NodesOfType(nt)[0]); H.Rows() != slots {
+			t.Fatalf("%v feature matrix has %d rows, want %d slots", nt, H.Rows(), slots)
+		}
 	}
 }
 
@@ -279,7 +291,7 @@ func TestFeatureMatrixShapes(t *testing.T) {
 	for _, nt := range []graph.NodeType{graph.User, graph.Query, graph.Item} {
 		id := g.NodesOfType(nt)[0]
 		H := fe.FeatureMatrix(tp, g, id)
-		if H.Rows() != SlotCount(nt) || H.Cols() != 8 {
+		if H.Cols() != 8 {
 			t.Fatalf("%v feature matrix %dx%d", nt, H.Rows(), H.Cols())
 		}
 	}

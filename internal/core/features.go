@@ -31,9 +31,9 @@ type FeatureEmbedder struct {
 
 // Feature-slot counts per node type (title terms collapse to one slot).
 const (
-	UserSlots  = 3 // id, gender, membership
-	QuerySlots = 2 // category, terms
-	ItemSlots  = 5 // id, category, brand, shop, terms
+	userSlots  = 3 // id, gender, membership
+	querySlots = 2 // category, terms
+	itemSlots  = 5 // id, category, brand, shop, terms
 )
 
 // NewFeatureEmbedder allocates tables sized by the world's vocabulary.
@@ -59,22 +59,8 @@ func (fe *FeatureEmbedder) Tables() []*nn.EmbeddingTable {
 	}
 }
 
-// SlotCount returns the feature-matrix row count for a node type.
-func SlotCount(t graph.NodeType) int {
-	switch t {
-	case graph.User:
-		return UserSlots
-	case graph.Query:
-		return QuerySlots
-	case graph.Item:
-		return ItemSlots
-	default:
-		panic(fmt.Sprintf("core: unknown node type %v", t))
-	}
-}
-
 // FeatureMatrix gathers node id's feature latent vectors as a
-// SlotCount x Dim node H — the input of the feature-projection level
+// slot-count x Dim node H — the input of the feature-projection level
 // (eq. 6). Term slots average the node's title-term embeddings.
 func (fe *FeatureEmbedder) FeatureMatrix(t *ad.Tape, g GraphView, id graph.NodeID) *ad.Node {
 	feats := g.Features(id)

@@ -117,7 +117,7 @@ func (z *Zoomer) baseEmbedding(id graph.NodeID) tensor.Vec {
 		tensor.Axpy(1, fe.UserID.Row(feats[0]), out)
 		tensor.Axpy(1, fe.Gender.Row(feats[1]), out)
 		tensor.Axpy(1, fe.Member.Row(feats[2]), out)
-		tensor.Scale(1.0/UserSlots, out)
+		tensor.Scale(1.0/userSlots, out)
 	case graph.Query:
 		tensor.Axpy(1, fe.Category.Row(feats[0]), out)
 		terms := feats[1:]
@@ -126,7 +126,7 @@ func (z *Zoomer) baseEmbedding(id graph.NodeID) tensor.Vec {
 			tensor.Axpy(1, fe.Term.Row(tid), tv)
 		}
 		tensor.Axpy(1.0/float32(len(terms)), tv, out)
-		tensor.Scale(1.0/QuerySlots, out)
+		tensor.Scale(1.0/querySlots, out)
 	case graph.Item:
 		tensor.Axpy(1, fe.ItemID.Row(feats[0]), out)
 		tensor.Axpy(1, fe.Category.Row(feats[1]), out)
@@ -138,7 +138,7 @@ func (z *Zoomer) baseEmbedding(id graph.NodeID) tensor.Vec {
 			tensor.Axpy(1, fe.Term.Row(tid), tv)
 		}
 		tensor.Axpy(1.0/float32(len(terms)), tv, out)
-		tensor.Scale(1.0/ItemSlots, out)
+		tensor.Scale(1.0/itemSlots, out)
 	}
 	return out
 }

@@ -16,7 +16,7 @@ func deadlineFixture(t *testing.T, shards int) (*Engine, [][]*flakyBackend) {
 	t.Helper()
 	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
 	g := graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
-	part := partition.Split(g, shards, partition.Hash)
+	part := partition.SplitOpts(g, shards, partition.Hash, partition.Options{})
 	groups := make([][]ShardBackend, shards)
 	backs := make([][]*flakyBackend, shards)
 	for id := 0; id < shards; id++ {
@@ -106,7 +106,7 @@ func TestDeadlineDrawsBitIdentical(t *testing.T) {
 func TestDeadlineStopsFailoverWalk(t *testing.T) {
 	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
 	g := graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
-	part := partition.Split(g, 1, partition.Hash)
+	part := partition.SplitOpts(g, 1, partition.Hash, partition.Options{})
 	sh := BuildShard(part, 0, 1)
 	// First replica fails transport-style; the sibling would serve. With
 	// an expired deadline the walk must stop before touching the sibling.

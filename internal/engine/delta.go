@@ -39,31 +39,31 @@ const compactThreshold = 16
 
 // Typed append failures, matched with errors.Is.
 var (
-	// ErrSeqGap rejects an append whose sequence number skips ahead:
+	// errSeqGap rejects an append whose sequence number skips ahead:
 	// the intervening records must be applied first. The concrete error
-	// is a *SeqGapError carrying the expected number for self-sync.
-	ErrSeqGap = errors.New("engine: append sequence gap")
+	// is a *seqGapError carrying the expected number for self-sync.
+	errSeqGap = errors.New("engine: append sequence gap")
 	// ErrBadAppend rejects malformed edges (foreign src, out-of-range
 	// endpoint, non-positive or non-finite weight, unknown type).
 	ErrBadAppend = errors.New("engine: invalid append edge")
-	// ErrAppendUnsupported marks a backend with no append facet.
-	ErrAppendUnsupported = errors.New("engine: backend does not support append")
+	// errAppendUnsupported marks a backend with no append facet.
+	errAppendUnsupported = errors.New("engine: backend does not support append")
 )
 
-// SeqGapError reports an out-of-order append and the sequence number
+// seqGapError reports an out-of-order append and the sequence number
 // that would have been accepted.
-type SeqGapError struct {
+type seqGapError struct {
 	Shard int
 	Got   uint64
 	Want  uint64
 }
 
-func (e *SeqGapError) Error() string {
+func (e *seqGapError) Error() string {
 	return fmt.Sprintf("engine: append sequence gap on shard %d: got %d, want %d", e.Shard, e.Got, e.Want)
 }
 
-// Is reports errors.Is membership in the ErrSeqGap class.
-func (e *SeqGapError) Is(target error) bool { return target == ErrSeqGap }
+// Is reports errors.Is membership in the errSeqGap class.
+func (e *seqGapError) Is(target error) bool { return target == errSeqGap }
 
 // EdgeAppender is the optional write facet of a ShardBackend: local
 // shards apply directly, remote stubs forward over the graph-append op.
@@ -151,14 +151,6 @@ type nodeOverlay struct {
 
 func (ov *nodeOverlay) pending() []graph.Edge { return ov.all[ov.compactedLen:] }
 
-// DeltaStats snapshots the shard's delta layer.
-type DeltaStats struct {
-	Seq         uint64
-	Nodes       int
-	Edges       uint64
-	Compactions uint64
-}
-
 // LastAppliedSeq returns the sequence number of the newest applied
 // append (0 before any).
 func (s *Shard) LastAppliedSeq() uint64 {
@@ -168,19 +160,10 @@ func (s *Shard) LastAppliedSeq() uint64 {
 	return 0
 }
 
-// DeltaStats snapshots the delta layer without blocking appliers.
-func (s *Shard) DeltaStats() DeltaStats {
-	dv := s.delta.Load()
-	if dv == nil {
-		return DeltaStats{}
-	}
-	return DeltaStats{Seq: dv.seq, Nodes: dv.nodes, Edges: dv.edges, Compactions: dv.compactions}
-}
-
 // ApplyAppend applies one sequenced edge batch to the shard's delta
 // layer. It is idempotent: seq at or below the last applied number is a
 // duplicate (applied=false, nil error); a sequence skipping ahead fails
-// with *SeqGapError carrying the expected number. The returned lastSeq
+// with *seqGapError carrying the expected number. The returned lastSeq
 // is the post-call ingest epoch either way.
 func (s *Shard) ApplyAppend(seq uint64, edges []ingest.Edge) (applied bool, lastSeq uint64, err error) {
 	s.deltaMu.Lock()
@@ -190,7 +173,7 @@ func (s *Shard) ApplyAppend(seq uint64, edges []ingest.Edge) (applied bool, last
 		return false, cur, nil
 	}
 	if seq != cur+1 {
-		return false, cur, &SeqGapError{Shard: s.id, Got: seq, Want: cur + 1}
+		return false, cur, &seqGapError{Shard: s.id, Got: seq, Want: cur + 1}
 	}
 	if err := s.applyLocked(seq, edges); err != nil {
 		return false, cur, err
@@ -213,13 +196,16 @@ func (s *Shard) AppendEdges(edges []ingest.Edge) (uint64, error) {
 // IngestStats implements IngestReporter for the in-process shard (no
 // WAL fields: durability lives with the rpc server when configured).
 func (s *Shard) IngestStats() (IngestStats, bool) {
-	d := s.DeltaStats()
+	dv := s.delta.Load()
+	if dv == nil {
+		return IngestStats{Shard: s.id}, true
+	}
 	return IngestStats{
 		Shard:       s.id,
-		Seq:         d.Seq,
-		DeltaNodes:  d.Nodes,
-		DeltaEdges:  d.Edges,
-		Compactions: d.Compactions,
+		Seq:         dv.seq,
+		DeltaNodes:  dv.nodes,
+		DeltaEdges:  dv.edges,
+		Compactions: dv.compactions,
 	}, true
 }
 

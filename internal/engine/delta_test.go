@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"zoomer/internal/graph"
@@ -19,8 +20,8 @@ func deltaWorld(t testing.TB, shards int) (*Engine, graph.NodeID, graph.NodeID, 
 	heavy := b.AddNode(graph.Item, nil, nil)
 	light := b.AddNode(graph.Item, nil, nil)
 	lone := b.AddNode(graph.Item, nil, nil)
-	b.AddEdge(ego, heavy, graph.Click, 9)
-	b.AddEdge(ego, light, graph.Click, 1)
+	b.AddUndirected(ego, heavy, graph.Click, 9)
+	b.AddUndirected(ego, light, graph.Click, 1)
 	return New(b.Build(), Config{Shards: shards}), ego, heavy, light, lone
 }
 
@@ -48,8 +49,8 @@ func TestAppendSamplingSeesNewEdges(t *testing.T) {
 	if frac < 0.46 || frac > 0.54 {
 		t.Fatalf("appended edge sampled %.3f of draws, want ~0.5", frac)
 	}
-	if d := e.Shard(0).DeltaStats(); d.Seq != 1 || d.Edges != 1 || d.Nodes != 1 {
-		t.Fatalf("DeltaStats = %+v", d)
+	if d, _ := e.Shard(0).IngestStats(); d.Seq != 1 || d.DeltaEdges != 1 || d.DeltaNodes != 1 {
+		t.Fatalf("IngestStats = %+v", d)
 	}
 }
 
@@ -113,10 +114,10 @@ func TestApplyAppendIdempotentAndGapTyped(t *testing.T) {
 	}
 	// A sequence skipping ahead fails typed, carrying the expected next.
 	_, last, err = sh.ApplyAppend(5, edges)
-	if !errors.Is(err, ErrSeqGap) {
-		t.Fatalf("gap apply err = %v, want ErrSeqGap", err)
+	if !errors.Is(err, errSeqGap) {
+		t.Fatalf("gap apply err = %v, want errSeqGap", err)
 	}
-	var gap *SeqGapError
+	var gap *seqGapError
 	if !errors.As(err, &gap) || gap.Want != 2 || gap.Got != 5 || last != 1 {
 		t.Fatalf("gap detail = %+v (last %d), want Want=2 Got=5 last=1", gap, last)
 	}
@@ -191,9 +192,10 @@ func TestAppendReplayBitIdentical(t *testing.T) {
 		}
 	}
 
-	dA, dB := shA.DeltaStats(), shB.DeltaStats()
-	if dA != dB {
-		t.Fatalf("DeltaStats diverged: %+v vs %+v", dA, dB)
+	dA, _ := shA.IngestStats()
+	dB, _ := shB.IngestStats()
+	if !reflect.DeepEqual(dA, dB) {
+		t.Fatalf("IngestStats diverged: %+v vs %+v", dA, dB)
 	}
 	if dA.Compactions == 0 {
 		t.Fatalf("stream of %d records never compacted (threshold %d) — test lost its teeth", len(stream), compactThreshold)
@@ -289,8 +291,8 @@ func BenchmarkDeltaApply(b *testing.B) {
 			for i := 0; i < nodes; i++ {
 				gb.AddNode(graph.User, nil, nil)
 			}
-			for i := 0; i < nodes; i++ {
-				gb.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%nodes), graph.Click, 1)
+			for i := 0; i < nodes; i += 2 {
+				gb.AddUndirected(graph.NodeID(i), graph.NodeID(i+1), graph.Click, 1)
 			}
 			sh := New(gb.Build(), Config{Shards: 1}).Shard(0)
 			for id := 0; id < live; id++ {

@@ -421,7 +421,7 @@ func (e *Engine) installSet(set *backendSet) {
 
 // SetRefresh installs the ownership refresher the engine runs (once per
 // stale view, then retrying the failed call) when a backend answers with
-// ErrWrongEpoch. Engines assembled by rpc.DialCluster get one installed
+// ErrWrongEpoch. Engines assembled by rpc.DialClusterWith get one installed
 // automatically; without one a wrong-epoch redirect surfaces to the
 // caller like any other backend error.
 func (e *Engine) SetRefresh(fn RefreshFunc) {

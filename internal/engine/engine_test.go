@@ -32,8 +32,8 @@ func TestSampleFollowsWeights(t *testing.T) {
 	ego := b.AddNode(graph.User, nil, nil)
 	heavy := b.AddNode(graph.Item, nil, nil)
 	light := b.AddNode(graph.Item, nil, nil)
-	b.AddEdge(ego, heavy, graph.Click, 9)
-	b.AddEdge(ego, light, graph.Click, 1)
+	b.AddUndirected(ego, heavy, graph.Click, 9)
+	b.AddUndirected(ego, light, graph.Click, 1)
 	e := New(b.Build(), Config{Shards: 1})
 	r := rng.New(3)
 	heavyCount := 0
@@ -181,8 +181,8 @@ func TestZeroWeightAdjacencyDegradesToUniform(t *testing.T) {
 	ego := b.AddNode(graph.User, nil, nil)
 	a := b.AddNode(graph.Item, nil, nil)
 	c := b.AddNode(graph.Item, nil, nil)
-	b.AddEdge(ego, a, graph.Click, 0)
-	b.AddEdge(ego, c, graph.Click, 0)
+	b.AddUndirected(ego, a, graph.Click, 0)
+	b.AddUndirected(ego, c, graph.Click, 0)
 	e := New(b.Build(), Config{Shards: 1})
 	r := rng.New(21)
 	counts := map[graph.NodeID]int{}

@@ -128,7 +128,7 @@ func fanoutWorld(t *testing.T, mk func(delay time.Duration) ShardBackend, delay 
 		b.AddNode(graph.Item, nil, nil)
 	}
 	g := b.Build()
-	routing := partition.Split(g, shards, partition.Hash).RoutingTable()
+	routing := partition.SplitOpts(g, shards, partition.Hash, partition.Options{}).RoutingTable()
 	groups := make([][]ShardBackend, shards)
 	for i := range groups {
 		groups[i] = []ShardBackend{mk(delay)}

@@ -100,7 +100,7 @@ func (c *payload) run(be ShardBackend, gids []graph.NodeID, idx []int32) (int, e
 	case c.edges != nil:
 		ap, ok := be.(EdgeAppender)
 		if !ok {
-			return 0, ErrAppendUnsupported
+			return 0, errAppendUnsupported
 		}
 		batch := make([]ingest.Edge, len(idx))
 		for j, i := range idx {

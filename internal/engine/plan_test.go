@@ -79,7 +79,7 @@ func appendOf(ids []graph.NodeID) []ingest.Edge {
 // needs to be allowed its retry.
 func planFixture(t *testing.T, g *graph.Graph, shards int, strat partition.Strategy) (*Engine, []*planBackend) {
 	t.Helper()
-	part := partition.Split(g, shards, strat)
+	part := partition.SplitOpts(g, shards, strat, partition.Options{})
 	backs := make([]*planBackend, shards)
 	groups := make([][]ShardBackend, shards)
 	for id := range backs {

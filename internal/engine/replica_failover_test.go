@@ -74,7 +74,7 @@ func replicaFixture(t *testing.T, shards int) (*Engine, *Engine, [][]*flakyBacke
 	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
 	g := graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
 	local := New(g, Config{Shards: 1})
-	part := partition.Split(g, shards, partition.Hash)
+	part := partition.SplitOpts(g, shards, partition.Hash, partition.Options{})
 	groups := make([][]ShardBackend, shards)
 	flaky := make([][]*flakyBackend, shards)
 	for id := 0; id < shards; id++ {

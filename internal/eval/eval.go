@@ -127,9 +127,6 @@ func NewCDF(values []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
-
 // At returns P(X <= x).
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {
@@ -140,26 +137,6 @@ func (c *CDF) At(x float64) float64 {
 		i++
 	}
 	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-quantile (q in [0,1]).
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	pos := q * float64(len(c.sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(c.sorted) {
-		return c.sorted[lo]
-	}
-	return c.sorted[lo]*(1-frac) + c.sorted[lo+1]*frac
 }
 
 // MeanStd returns the sample mean and (population) standard deviation.

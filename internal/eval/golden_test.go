@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"math"
 	"testing"
 
 	"zoomer/internal/rng"
@@ -105,44 +104,5 @@ func TestMAERMSEGolden(t *testing.T) {
 	same := []float64{1.5, -2.25, 1e9}
 	if MAE(same, same) != 0 || RMSE(same, same) != 0 {
 		t.Fatal("self MAE/RMSE != 0")
-	}
-}
-
-func TestCDFQuantileGolden(t *testing.T) {
-	r := rng.New(45)
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = r.NormFloat64()
-	}
-	c := NewCDF(vals)
-	want := map[float64]float64{
-		0.01: -2.0037106555486313,
-		0.25: -0.9228326178732966,
-		0.5:  -0.25596709366742776,
-		0.75: 0.3747633775528523,
-		0.99: 2.2895365069343843,
-	}
-	for q, w := range want {
-		if got := c.Quantile(q); got != w {
-			t.Fatalf("Quantile(%v) = %v, want %v", q, got, w)
-		}
-	}
-	// Out-of-range q clamps to the extremes; empty CDF is NaN.
-	if c.Quantile(-1) != c.Quantile(0) || c.Quantile(2) != c.Quantile(1) {
-		t.Fatal("out-of-range quantile not clamped")
-	}
-	empty := NewCDF(nil)
-	if !math.IsNaN(empty.Quantile(0.5)) {
-		t.Fatal("empty Quantile not NaN")
-	}
-	if empty.At(0) != 0 {
-		t.Fatal("empty At != 0")
-	}
-	// Single-element CDF: every quantile is that element.
-	one := NewCDF([]float64{7})
-	for _, q := range []float64{0, 0.3, 0.5, 1} {
-		if one.Quantile(q) != 7 {
-			t.Fatalf("single-element Quantile(%v) = %v", q, one.Quantile(q))
-		}
 	}
 }

@@ -111,8 +111,8 @@ func (r Fig11Result) AUC(model string, k int) float64 {
 	return 0
 }
 
-// Models lists the distinct model names in insertion order.
-func (r Fig11Result) Models() []string {
+// models lists the distinct model names in insertion order.
+func (r Fig11Result) models() []string {
 	var out []string
 	seen := map[string]bool{}
 	for _, row := range r.Rows {
@@ -131,7 +131,7 @@ func (r Fig11Result) String() string {
 		header = append(header, fmt.Sprintf("K=%d", k))
 	}
 	var rows [][]string
-	for _, m := range r.Models() {
+	for _, m := range r.models() {
 		cells := []string{m}
 		for _, k := range r.Ks {
 			cells = append(cells, fmt.Sprintf("%.3f", r.AUC(m, k)))

@@ -98,7 +98,7 @@ func loopbackCluster(t testing.TB, g *graph.Graph, layout [][]int, locality bool
 		servers[i].Start(ln)
 		addrs[i] = ln.Addr().String()
 	}
-	cluster, err := rpc.DialCluster(addrs...)
+	cluster, err := rpc.DialClusterWith(rpc.ClientConfig{}, addrs...)
 	if err != nil {
 		t.Fatalf("dial cluster: %v", err)
 	}

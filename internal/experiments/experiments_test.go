@@ -91,7 +91,6 @@ func TestTable2(t *testing.T) {
 		}
 	}
 	_ = res.String()
-	_ = res.Best()
 }
 
 func TestTable3(t *testing.T) {
@@ -138,8 +137,8 @@ func TestFig10(t *testing.T) {
 
 func TestFig11(t *testing.T) {
 	res := Fig11(quick())
-	if len(res.Models()) != 5 {
-		t.Fatalf("models = %v", res.Models())
+	if len(res.models()) != 5 {
+		t.Fatalf("models = %v", res.models())
 	}
 	if len(res.Ks) < 2 {
 		t.Fatal("too few K points")

@@ -55,17 +55,6 @@ func (r Table2Result) String() string {
 	return "Table II: MovieLens benchmark\n" + table([]string{"model", "AUC", "MAE", "RMSE"}, rows)
 }
 
-// Best returns the row with the highest AUC.
-func (r Table2Result) Best() Table2Row {
-	best := r.Rows[0]
-	for _, row := range r.Rows[1:] {
-		if row.AUC > best.AUC {
-			best = row
-		}
-	}
-	return best
-}
-
 // Table2 reproduces Table II: Zoomer vs the five GNN baselines without
 // heuristic samplers, on the MovieLens-mode dataset with one-hop
 // aggregation (the paper's MovieLens setting).
@@ -134,17 +123,6 @@ func (r Table3Result) String() string {
 		rows[i] = cells
 	}
 	return "Table III: Taobao industry graph\n" + table(header, rows)
-}
-
-// Best returns the row with the highest AUC.
-func (r Table3Result) Best() Table3Row {
-	best := r.Rows[0]
-	for _, row := range r.Rows[1:] {
-		if row.AUC > best.AUC {
-			best = row
-		}
-	}
-	return best
 }
 
 // Table3 reproduces Table III: all nine baselines and Zoomer on the

@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
 	"zoomer/internal/ingest"
-	"zoomer/internal/rng"
 )
 
 // partialAppender lands n edges, then fails — Engine.Append's answer when
@@ -83,8 +84,7 @@ func TestAppendEndpoint(t *testing.T) {
 	// A partial append — earlier shard groups landed, a later one found
 	// no reachable owner — is still a 503, but the landed edges are
 	// counted, reported to the client and their cached samples invalidated.
-	gw.cache.Get(0, rng.New(1)).Release()
-	invalidated := gw.cache.Invalidations()
+	hints := recordHints(gw)
 	gw.app = partialAppender{n: 32, err: fmt.Errorf("shard 3: %w", engine.ErrShardUnavailable)}
 	resp, body = postJSON(t, ts.URL+"/v1/append", `{"edges":[{"src":0,"dst":5,"weight":1}]}`)
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
@@ -93,8 +93,8 @@ func TestAppendEndpoint(t *testing.T) {
 	if got := resp.Header.Get("X-Zoomer-Appended"); got != "32" {
 		t.Fatalf("partial append reported X-Zoomer-Appended %q, want 32", got)
 	}
-	if gw.cache.Invalidations() != invalidated+1 {
-		t.Fatal("partial append left the landed source's cached sample un-invalidated")
+	if got := hints(); !slices.Equal(got, []graph.NodeID{0}) {
+		t.Fatalf("partial append invalidated %v, want the landed source [0]", got)
 	}
 
 	// The write path shows up on /metrics: accepted-edge counter, the
@@ -126,20 +126,36 @@ func TestAppendEndpoint(t *testing.T) {
 func TestAppendInvalidatesEachSourceOnce(t *testing.T) {
 	gw, ts := buildGateway(t, Config{})
 	srcs := []int{0, 1, 2}
-	for _, src := range srcs {
-		gw.cache.Get(graph.NodeID(src), rng.New(1)).Release()
-	}
 	edges := make([]string, 64)
 	for i := range edges {
 		edges[i] = fmt.Sprintf(`{"src":%d,"dst":%d,"weight":1}`, srcs[i%len(srcs)], 10+i)
 	}
-	before := gw.cache.Invalidations()
+	hints := recordHints(gw)
 	resp, body := postJSON(t, ts.URL+"/v1/append", `{"edges":[`+strings.Join(edges, ",")+`]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("append: %d %s", resp.StatusCode, body)
 	}
-	if got := gw.cache.Invalidations() - before; got < 1 || got > int64(len(srcs)) {
-		t.Fatalf("64-edge batch over %d sources raised Invalidations by %d, want 1..%d", len(srcs), got, len(srcs))
+	if got := hints(); !slices.Equal(got, []graph.NodeID{0, 1, 2}) {
+		t.Fatalf("64-edge batch over sources %v invalidated %v, want each source once", srcs, got)
+	}
+}
+
+// recordHints wraps the gateway's cache invalidation so a test can read
+// back, in order, every id the append path hinted from then on.
+func recordHints(gw *Gateway) func() []graph.NodeID {
+	var mu sync.Mutex
+	var ids []graph.NodeID
+	next := gw.invalidate
+	gw.invalidate = func(hinted ...graph.NodeID) {
+		mu.Lock()
+		ids = append(ids, hinted...)
+		mu.Unlock()
+		next(hinted...)
+	}
+	return func() []graph.NodeID {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(ids)
 	}
 }
 

@@ -108,9 +108,10 @@ type Gateway struct {
 	pick   *rng.RNG
 
 	// write path (nil until EnableIngest): the engine facet appends go
-	// through, and the cache invalidated after each accepted batch.
-	app   Appender
-	cache *serve.NeighborCache
+	// through, and the cache's InvalidateNodes, called after each accepted
+	// batch.
+	app        Appender
+	invalidate func(ids ...graph.NodeID)
 }
 
 // Appender is the write-path facet the gateway needs from the engine:
@@ -160,8 +161,8 @@ func New(srv *serve.Server, users, queries []graph.NodeID, numNodes int, cfg Con
 // does both), the per-shard write-path and request rows.
 func (g *Gateway) EnableIngest(app Appender, cache *serve.NeighborCache) {
 	g.app = app
-	g.cache = cache
 	if cache != nil {
+		g.invalidate = cache.InvalidateNodes
 		g.met.cache = cache.Stats
 	}
 	if ir, ok := app.(ingestReporter); ok {
@@ -188,13 +189,12 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// InFlight reports the requests currently inside admission.
-func (g *Gateway) InFlight() int64 { return g.inflight.Load() }
-
 // Drain stops admission (healthz turns 503 so balancers eject the
 // instance, new retrievals are refused) and waits for every in-flight
-// request to be answered. Returns nil when in-flight reached zero, or
-// ctx.Err() on timeout — with the count still in flight wrapped in.
+// request to be answered. Returns nil when in-flight reached zero — from
+// then on no request reaches the serve tier, so the caller may close the
+// serve.Server — or ctx.Err() on timeout, with the count still in flight
+// wrapped in.
 func (g *Gateway) Drain(ctx context.Context) error {
 	g.draining.Store(true)
 	g.log.Info("drain started", "inflight", g.inflight.Load())
@@ -212,6 +212,30 @@ func (g *Gateway) Drain(ctx context.Context) error {
 		case <-tick.C:
 		}
 	}
+}
+
+// admit counts a request into in-flight and then refuses it, counted
+// back out with its 503 written, when the gateway is draining or over the
+// hard cap. Counting in before reading draining is what lets Drain trust
+// its zero: a request that still reads draining == false was counted
+// before Drain set it. An admitted request (ok) must leave with
+// g.inflight.Add(-1); n is the in-flight count including it.
+func (g *Gateway) admit(w http.ResponseWriter, rm *routeMetrics) (n int64, ok bool) {
+	n = g.inflight.Add(1)
+	switch {
+	case g.draining.Load():
+		g.met.drainRejects.Add(1)
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+	case n > int64(g.cfg.MaxInFlight):
+		g.met.shedHard.Add(1)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "overloaded: in-flight cap reached", http.StatusServiceUnavailable)
+	default:
+		return n, true
+	}
+	g.inflight.Add(-1)
+	rm.count(http.StatusServiceUnavailable)
+	return n, false
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -266,14 +290,13 @@ func (g *Gateway) deadlineFor(r *http.Request) time.Duration {
 	}
 	d := g.cfg.DefaultDeadline
 	if s != "" {
+		// Clamp before converting: a huge ms overflows Duration to a
+		// negative budget.
 		if ms, err := strconv.ParseFloat(s, 64); err == nil && ms > 0 && !math.IsInf(ms, 0) {
-			d = time.Duration(ms * float64(time.Millisecond))
+			d = time.Duration(math.Min(ms*float64(time.Millisecond), float64(g.cfg.MaxDeadline)))
 		}
 	}
-	if d > g.cfg.MaxDeadline {
-		d = g.cfg.MaxDeadline
-	}
-	return d
+	return min(d, g.cfg.MaxDeadline)
 }
 
 // Item is one scored item in the JSON answer.
@@ -299,21 +322,11 @@ func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, bin boo
 	rm := g.met.route(route)
 	start := time.Now()
 
-	if g.draining.Load() {
-		g.met.drainRejects.Add(1)
-		rm.count(http.StatusServiceUnavailable)
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	n, ok := g.admit(w, rm)
+	if !ok {
 		return
 	}
-	n := g.inflight.Add(1)
 	defer g.inflight.Add(-1)
-	if n > int64(g.cfg.MaxInFlight) {
-		g.met.shedHard.Add(1)
-		rm.count(http.StatusServiceUnavailable)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "overloaded: in-flight cap reached", http.StatusServiceUnavailable)
-		return
-	}
 	user, query, err := g.pickIDs(r)
 	if err != nil {
 		rm.count(http.StatusBadRequest)
@@ -384,8 +397,9 @@ type appendReply struct {
 }
 
 // maxAppendBody bounds the request body: at ~45 bytes of JSON per edge
-// this admits batches far past ingest.MaxRecordEdges, so the engine's
-// own validation — not the transport — is what rejects oversized work.
+// this admits batches far past ingest's per-record edge limit, so the
+// engine's own validation — not the transport — is what rejects
+// oversized work.
 const maxAppendBody = 4 << 20
 
 // handleAppend is the durable write front door: decode the batch, route
@@ -410,21 +424,10 @@ func (g *Gateway) handleAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "append requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	if g.draining.Load() {
-		g.met.drainRejects.Add(1)
-		rm.count(http.StatusServiceUnavailable)
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	if _, ok := g.admit(w, rm); !ok {
 		return
 	}
-	n := g.inflight.Add(1)
 	defer g.inflight.Add(-1)
-	if n > int64(g.cfg.MaxInFlight) {
-		g.met.shedHard.Add(1)
-		rm.count(http.StatusServiceUnavailable)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "overloaded: in-flight cap reached", http.StatusServiceUnavailable)
-		return
-	}
 
 	var req appendRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAppendBody)).Decode(&req); err != nil {
@@ -456,13 +459,13 @@ func (g *Gateway) handleAppend(w http.ResponseWriter, r *http.Request) {
 		// A hot source appears many times in one batch but is invalidated
 		// once.
 		g.met.appendedEdges.Add(int64(appended))
-		if g.cache != nil {
+		if g.invalidate != nil {
 			srcs := make([]graph.NodeID, len(edges))
 			for i, e := range edges {
 				srcs[i] = e.Src
 			}
 			slices.Sort(srcs)
-			g.cache.InvalidateNodes(slices.Compact(srcs)...)
+			g.invalidate(slices.Compact(srcs)...)
 		}
 		if err != nil {
 			// A client that re-POSTs the whole batch would apply the landed

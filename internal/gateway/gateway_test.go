@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,8 +235,8 @@ func TestDrainFinishesInFlight(t *testing.T) {
 			t.Fatalf("request %d finished with %d during drain", i, c)
 		}
 	}
-	if gw.InFlight() != 0 {
-		t.Fatalf("%d requests still in flight after drain", gw.InFlight())
+	if n := gw.inflight.Load(); n != 0 {
+		t.Fatalf("%d requests still in flight after drain", n)
 	}
 
 	resp, _ := get(t, ts.URL+"/healthz")
@@ -245,6 +246,73 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	resp, _ = get(t, ts.URL+"/v1/retrieve?rand=1")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("retrieve after drain: %d, want 503", resp.StatusCode)
+	}
+}
+
+// Drain's nil means nothing more reaches the serve tier: requests that
+// race the drain are either counted before it or refused, so a caller
+// may close the serve.Server as soon as Drain returns.
+func TestDrainIsFinalUnderHammer(t *testing.T) {
+	gw, _ := buildGateway(t, Config{MaxInFlight: 1 << 20})
+	h := gw.Handler()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/retrieve?rand=1", nil))
+			}
+		}()
+	}
+	answered := func() int64 { return gw.srv.Served() + gw.srv.Expired() + gw.srv.Dropped() }
+	for answered() < 50 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := gw.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	at := answered()
+	time.Sleep(20 * time.Millisecond) // the hammer keeps knocking
+	stop.Store(true)
+	wg.Wait()
+	if now := answered(); now != at {
+		t.Fatalf("the serve tier answered %d requests after Drain returned nil", now-at)
+	}
+}
+
+// deadlineFor clamps every parseable budget to MaxDeadline, the ones
+// too large for a Duration included, and ignores the unusable ones.
+func TestDeadlineForClamps(t *testing.T) {
+	g := &Gateway{cfg: Config{DefaultDeadline: 50 * time.Millisecond, MaxDeadline: 2 * time.Second}}
+	for _, tc := range []struct {
+		ms   string
+		want time.Duration
+	}{
+		{"", 50 * time.Millisecond},
+		{"7", 7 * time.Millisecond},
+		{"0.5", 500 * time.Microsecond},
+		{"0", 50 * time.Millisecond},
+		{"-3", 50 * time.Millisecond},
+		{"soon", 50 * time.Millisecond},
+		{"NaN", 50 * time.Millisecond},
+		{"inf", 50 * time.Millisecond},
+		{"60000", 2 * time.Second},
+		{"1e20", 2 * time.Second},
+		{"1e300", 2 * time.Second},
+	} {
+		r := httptest.NewRequest("GET", "/v1/retrieve?deadline_ms="+tc.ms, nil)
+		if got := g.deadlineFor(r); got != tc.want {
+			t.Errorf("deadline_ms=%q: %v, want %v", tc.ms, got, tc.want)
+		}
+		r = httptest.NewRequest("GET", "/v1/retrieve", nil)
+		r.Header.Set("X-Zoomer-Deadline-Ms", tc.ms)
+		if got := g.deadlineFor(r); got != tc.want {
+			t.Errorf("X-Zoomer-Deadline-Ms: %q: %v, want %v", tc.ms, got, tc.want)
+		}
 	}
 }
 

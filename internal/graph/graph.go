@@ -108,12 +108,6 @@ func (g *Graph) NumNodes() int { return len(g.types) }
 // NumEdges returns the total directed edge count.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// NumNodesOfType returns the node count for one type.
-func (g *Graph) NumNodesOfType(t NodeType) int { return g.countByType[t] }
-
-// NumEdgesOfType returns the directed edge count for one edge type.
-func (g *Graph) NumEdgesOfType(t EdgeType) int { return g.edgesByType[t] }
-
 // Type returns the node type of id.
 func (g *Graph) Type(id NodeID) NodeType { return g.types[id] }
 
@@ -157,18 +151,6 @@ func (g *Graph) NodesOfType(t NodeType) []NodeID {
 		if nt == t {
 			out = append(out, NodeID(id))
 		}
-	}
-	return out
-}
-
-// NeighborsByType partitions id's neighbors by neighbor node type.
-// The attention module (eq. 8–11) aggregates per neighbor type; this is
-// its access path.
-func (g *Graph) NeighborsByType(id NodeID) [NumNodeTypes][]Edge {
-	var out [NumNodeTypes][]Edge
-	for _, e := range g.Neighbors(id) {
-		t := g.types[e.To]
-		out[t] = append(out[t], e)
 	}
 	return out
 }
@@ -244,10 +226,10 @@ func (b *Builder) AddNode(t NodeType, features []int32, content tensor.Vec) Node
 // NumNodes returns the number of nodes added so far.
 func (b *Builder) NumNodes() int { return len(b.types) }
 
-// AddEdge appends a directed edge. Weight must be non-negative.
-func (b *Builder) AddEdge(from, to NodeID, t EdgeType, weight float32) {
+// addEdge appends a directed edge. Weight must be non-negative.
+func (b *Builder) addEdge(from, to NodeID, t EdgeType, weight float32) {
 	if b.frozen {
-		panic("graph: AddEdge after Build")
+		panic("graph: addEdge after Build")
 	}
 	if weight < 0 {
 		panic("graph: negative edge weight")
@@ -261,8 +243,8 @@ func (b *Builder) AddEdge(from, to NodeID, t EdgeType, weight float32) {
 
 // AddUndirected appends the edge in both directions.
 func (b *Builder) AddUndirected(a, c NodeID, t EdgeType, weight float32) {
-	b.AddEdge(a, c, t, weight)
-	b.AddEdge(c, a, t, weight)
+	b.addEdge(a, c, t, weight)
+	b.addEdge(c, a, t, weight)
 }
 
 // Build freezes the builder into an immutable CSR graph. Parallel edges

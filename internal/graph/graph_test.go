@@ -34,10 +34,11 @@ func TestBasicTopology(t *testing.T) {
 	if g.Degree(0) != 2 || g.Degree(1) != 2 || g.Degree(2) != 2 {
 		t.Fatal("degrees wrong")
 	}
-	if g.NumNodesOfType(User) != 1 || g.NumNodesOfType(Item) != 1 {
+	st := g.Stats()
+	if st.NodesByType[User] != 1 || st.NodesByType[Item] != 1 {
 		t.Fatal("per-type counts wrong")
 	}
-	if g.NumEdgesOfType(Click) != 4 || g.NumEdgesOfType(Session) != 2 {
+	if st.EdgesByType[Click] != 4 || st.EdgesByType[Session] != 2 {
 		t.Fatal("per-edge-type counts wrong")
 	}
 }
@@ -76,11 +77,11 @@ func TestDuplicateEdgesMerge(t *testing.T) {
 	a := b.AddNode(User, nil, nil)
 	c := b.AddNode(Item, nil, nil)
 	// Three clicks on the same item must merge into weight 3.
-	b.AddEdge(a, c, Click, 1)
-	b.AddEdge(a, c, Click, 1)
-	b.AddEdge(a, c, Click, 1)
+	b.addEdge(a, c, Click, 1)
+	b.addEdge(a, c, Click, 1)
+	b.addEdge(a, c, Click, 1)
 	// A similarity edge to the same node stays separate (different type).
-	b.AddEdge(a, c, Similarity, 0.4)
+	b.addEdge(a, c, Similarity, 0.4)
 	g := b.Build()
 	nbrs := g.Neighbors(a)
 	if len(nbrs) != 2 {
@@ -100,22 +101,6 @@ func TestDuplicateEdgesMerge(t *testing.T) {
 	}
 	if simW != 0.4 {
 		t.Fatalf("similarity weight = %v", simW)
-	}
-}
-
-func TestNeighborsByType(t *testing.T) {
-	b := NewBuilder()
-	q := b.AddNode(Query, nil, nil)
-	u1 := b.AddNode(User, nil, nil)
-	u2 := b.AddNode(User, nil, nil)
-	i1 := b.AddNode(Item, nil, nil)
-	b.AddEdge(q, u1, Click, 1)
-	b.AddEdge(q, u2, Click, 1)
-	b.AddEdge(q, i1, Click, 1)
-	g := b.Build()
-	byType := g.NeighborsByType(q)
-	if len(byType[User]) != 2 || len(byType[Item]) != 1 || len(byType[Query]) != 0 {
-		t.Fatalf("NeighborsByType wrong: %v", byType)
 	}
 }
 
@@ -143,13 +128,13 @@ func TestBuilderPanics(t *testing.T) {
 	b.AddNode(User, nil, nil)
 	b.Build()
 	mustPanic(t, func() { b.AddNode(User, nil, nil) })
-	mustPanic(t, func() { b.AddEdge(0, 0, Click, 1) })
+	mustPanic(t, func() { b.addEdge(0, 0, Click, 1) })
 	mustPanic(t, func() { b.Build() })
 
 	b2 := NewBuilder()
 	b2.AddNode(User, nil, nil)
-	mustPanic(t, func() { b2.AddEdge(0, 5, Click, 1) })
-	mustPanic(t, func() { b2.AddEdge(0, 0, Click, -1) })
+	mustPanic(t, func() { b2.addEdge(0, 5, Click, 1) })
+	mustPanic(t, func() { b2.addEdge(0, 0, Click, -1) })
 
 	b3 := NewBuilder()
 	b3.AddNode(User, nil, tensor.Vec{1, 2})
@@ -199,7 +184,7 @@ func TestCSRInvariants(t *testing.T) {
 			to := NodeID(r.Intn(n))
 			et := EdgeType(r.Intn(NumEdgeTypes))
 			w := r.Float32()
-			b.AddEdge(from, to, et, w)
+			b.addEdge(from, to, et, w)
 			want[key{from, to, et}] += w
 		}
 		g := b.Build()
@@ -243,7 +228,7 @@ func BenchmarkBuild10K(b *testing.B) {
 			bd.AddNode(NodeType(j%NumNodeTypes), nil, nil)
 		}
 		for j := 0; j < 50000; j++ {
-			bd.AddEdge(NodeID(r.Intn(10000)), NodeID(r.Intn(10000)), EdgeType(r.Intn(NumEdgeTypes)), 1)
+			bd.addEdge(NodeID(r.Intn(10000)), NodeID(r.Intn(10000)), EdgeType(r.Intn(NumEdgeTypes)), 1)
 		}
 		_ = bd.Build()
 	}

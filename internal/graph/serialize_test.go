@@ -28,7 +28,7 @@ func randomGraph(seed uint64, n, m int) *Graph {
 		b.AddNode(NodeType(i%NumNodeTypes), feats, content)
 	}
 	for i := 0; i < m; i++ {
-		b.AddEdge(NodeID(r.Intn(n)), NodeID(r.Intn(n)), EdgeType(r.Intn(NumEdgeTypes)), r.Float32()+0.1)
+		b.addEdge(NodeID(r.Intn(n)), NodeID(r.Intn(n)), EdgeType(r.Intn(NumEdgeTypes)), r.Float32()+0.1)
 	}
 	return b.Build()
 }
@@ -229,8 +229,8 @@ func tinyFile(t testing.TB) []byte {
 	b := NewBuilder()
 	u := b.AddNode(User, []int32{7}, tensor.Vec{1, 2})
 	i := b.AddNode(Item, nil, nil)
-	b.AddEdge(u, i, Click, 1)
-	b.AddEdge(i, u, Click, 2)
+	b.addEdge(u, i, Click, 1)
+	b.addEdge(i, u, Click, 2)
 	var buf bytes.Buffer
 	if _, err := b.Build().WriteTo(&buf); err != nil || buf.Len() != 92 {
 		t.Fatalf("tiny file: %d bytes, err %v", buf.Len(), err)
@@ -272,8 +272,8 @@ func unsortedFile(t testing.TB) []byte {
 	for i := 0; i < 3; i++ {
 		b.AddNode(User, nil, nil)
 	}
-	b.AddEdge(0, 1, Click, 1)
-	b.AddEdge(0, 2, Click, 1)
+	b.addEdge(0, 1, Click, 1)
+	b.addEdge(0, 2, Click, 1)
 	var buf bytes.Buffer
 	if _, err := b.Build().WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,10 @@ package graphbuild
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 
 	"zoomer/internal/graph"
@@ -123,7 +127,7 @@ func TestRepeatedClicksAccumulateWeight(t *testing.T) {
 func TestSimilarityEdges(t *testing.T) {
 	_, res := buildTiny(t)
 	g := res.Graph
-	if g.NumEdgesOfType(graph.Similarity) == 0 {
+	if g.Stats().EdgesByType[graph.Similarity] == 0 {
 		t.Fatal("no similarity edges built")
 	}
 	// Similarity weights must respect the threshold and the degree cap.
@@ -238,6 +242,36 @@ func TestBuildDeterministic(t *testing.T) {
 	for i := 1; i < 3; i++ {
 		if got := hash(); got != want {
 			t.Fatalf("build %d of the same logs wrote a different graph: %x vs %x", i, got, want)
+		}
+	}
+}
+
+// TestBuildSameAcrossGOMAXPROCS pins the small world's bytes to the
+// checked-in record, whatever the core count the build runs on.
+func TestBuildSameAcrossGOMAXPROCS(t *testing.T) {
+	golden, err := os.ReadFile("testdata/world.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, line := range strings.Split(string(golden), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "small" && f[1] == "sha256" {
+			want = f[2]
+		}
+	}
+	if want == "" {
+		t.Fatal("testdata/world.golden has no small sha256 line")
+	}
+	l := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleSmall, 1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		h := sha256.New()
+		if _, err := Build(l, DefaultConfig()).Graph.WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Fatalf("GOMAXPROCS=%d: small world sha256 %s, testdata/world.golden has %s", procs, got, want)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestWALCrashRecoveryEquivalence(t *testing.T) {
 			t.Fatalf("round %d: recovery failed: %v", round, err)
 		}
 		verifyPrefix(t, recs)
-		last := w.LastSeq()
+		last := w.Stats().LastSeq
 		if last <= prevSeq {
 			t.Fatalf("round %d: victim made no durable progress (seq %d -> %d)", round, prevSeq, last)
 		}

@@ -50,7 +50,7 @@ func corruptPayloads() map[string][]byte {
 	valid := func() []byte { return AppendPayload(nil, 3, genRecord(3)) }
 	return map[string][]byte{
 		"lying edge count":      count(valid(), 1<<30),
-		"count above the limit": count(valid(), MaxRecordEdges+1),
+		"count above the limit": count(valid(), maxRecordEdges+1),
 		"count one too many":    count(valid(), uint32(len(genRecord(3)))+1),
 		"count one too few":     count(valid(), uint32(len(genRecord(3)))-1),
 		"trailing byte":         append(valid(), 0),

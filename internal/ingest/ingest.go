@@ -27,7 +27,7 @@
 // fsync (the first writer into the window syncs for everyone behind it).
 // A failed write (disk full, I/O error) latches the WAL: the failing and
 // all subsequent appends return a typed error wrapping ErrWALFailed, but
-// reads — Stats, LastSeq, recovery from the directory — keep working.
+// reads — Stats, recovery from the directory — keep working.
 package ingest
 
 import (
@@ -72,23 +72,23 @@ var (
 	// error (disk full, I/O error). The WAL stays readable but refuses
 	// further appends until reopened.
 	ErrWALFailed = errors.New("ingest: WAL write failed; log is read-only until reopened")
-	// ErrSeqOrder rejects an append whose sequence number is not exactly
+	// errSeqOrder rejects an append whose sequence number is not exactly
 	// lastSeq+1 — the caller (rpc.Server) owns dup/gap semantics and must
 	// resolve them before writing.
-	ErrSeqOrder = errors.New("ingest: append sequence not contiguous")
+	errSeqOrder = errors.New("ingest: append sequence not contiguous")
 	// ErrCorrupt marks unverifiable bytes found during recovery.
 	ErrCorrupt = errors.New("ingest: corrupt WAL record")
-	// ErrClosed rejects operations on a closed WAL.
-	ErrClosed = errors.New("ingest: WAL closed")
+	// errClosed rejects operations on a closed WAL.
+	errClosed = errors.New("ingest: WAL closed")
 )
 
 const (
 	frameHeaderSize = 8       // u32 len + u32 crc
 	edgeWireSize    = 13      // u32 src + u32 dst + u8 type + f32 weight
 	maxRecordBytes  = 1 << 24 // sanity bound on one payload; larger lengths are corruption
-	// MaxRecordEdges bounds one record's batch size (derived from the
+	// maxRecordEdges bounds one record's batch size (derived from the
 	// payload bound; also the wire-protocol append limit).
-	MaxRecordEdges = (maxRecordBytes - 12) / edgeWireSize
+	maxRecordEdges = (maxRecordBytes - 12) / edgeWireSize
 )
 
 // FsyncBounds are the upper bounds (seconds) of the fsync latency
@@ -113,7 +113,7 @@ type Options struct {
 }
 
 // WAL is a single shard's write-ahead log. Appends are safe for
-// concurrent use; Stats and LastSeq never block behind an fsync.
+// concurrent use; Stats never blocks behind an fsync.
 type WAL struct {
 	dir  string
 	opts Options
@@ -306,7 +306,7 @@ func DecodeRecord(p []byte, buf []Edge) (Record, error) {
 	cu := wire.Cursor{B: p}
 	seq := cu.U64()
 	n := cu.Count(edgeWireSize)
-	if cu.Bad || n > MaxRecordEdges || len(cu.Rest()) != n*edgeWireSize {
+	if cu.Bad || n > maxRecordEdges || len(cu.Rest()) != n*edgeWireSize {
 		return Record{}, fmt.Errorf("%w: edge count %d does not match payload of %d bytes", ErrCorrupt, n, len(p))
 	}
 	if cap(buf) < n {
@@ -351,7 +351,7 @@ func (w *WAL) openSegment(startSeq uint64) error {
 }
 
 // Append durably writes one record with the next contiguous sequence
-// number (seq must equal LastSeq()+1). With Options.Fsync, it returns
+// number (seq must equal Stats().LastSeq+1). With Options.Fsync, it returns
 // only after the record — batched with any concurrent appends — is
 // synced to disk. Equivalent to Write followed by Sync; callers holding
 // a lock across Write (rpc.Server's per-shard ingest mutex) should call
@@ -366,13 +366,13 @@ func (w *WAL) Append(seq uint64, edges []Edge) error {
 
 // Write frames and buffers one record, returning the commit offset to
 // pass to Sync. It is quick (no fsync) and serialized internally; the
-// sequence number must be exactly LastSeq()+1.
+// sequence number must be exactly Stats().LastSeq+1.
 func (w *WAL) Write(seq uint64, edges []Edge) (int64, error) {
 	if len(edges) == 0 {
 		return 0, errors.New("ingest: empty append record")
 	}
-	if len(edges) > MaxRecordEdges {
-		return 0, fmt.Errorf("ingest: record of %d edges exceeds limit %d", len(edges), MaxRecordEdges)
+	if len(edges) > maxRecordEdges {
+		return 0, fmt.Errorf("ingest: record of %d edges exceeds limit %d", len(edges), maxRecordEdges)
 	}
 
 	payload := AppendPayload(make([]byte, 0, 12+len(edges)*edgeWireSize), seq, edges)
@@ -384,13 +384,13 @@ func (w *WAL) Write(seq uint64, edges []Edge) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	if w.failed != nil {
 		return 0, fmt.Errorf("%w (first failure: %v)", ErrWALFailed, w.failed)
 	}
 	if last := w.lastSeq.Load(); seq != last+1 {
-		return 0, fmt.Errorf("%w: got %d, want %d", ErrSeqOrder, seq, last+1)
+		return 0, fmt.Errorf("%w: got %d, want %d", errSeqOrder, seq, last+1)
 	}
 	if w.segBytes >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(seq); err != nil {
@@ -426,7 +426,7 @@ func (w *WAL) Sync(end int64) error {
 		}
 		if w.closed {
 			w.mu.Unlock()
-			return ErrClosed
+			return errClosed
 		}
 		if w.syncing {
 			w.syncCond.Wait()
@@ -510,13 +510,6 @@ func (w *WAL) observeFsync(d time.Duration) {
 	}
 	w.fsyncHist[i].Add(1)
 }
-
-// LastSeq returns the sequence number of the newest appended record
-// (0 when empty). Never blocks behind an in-flight fsync.
-func (w *WAL) LastSeq() uint64 { return w.lastSeq.Load() }
-
-// Dir returns the WAL directory.
-func (w *WAL) Dir() string { return w.dir }
 
 // Stats snapshots the write-path counters. Segment count and failure
 // state take the lock briefly; counters are lock-free.

@@ -74,8 +74,8 @@ func TestWALAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("fresh WAL recovered %d records", len(recs))
 	}
 	appendN(t, w, 1, 57)
-	if w.LastSeq() != 57 {
-		t.Fatalf("LastSeq = %d, want 57", w.LastSeq())
+	if w.Stats().LastSeq != 57 {
+		t.Fatalf("LastSeq = %d, want 57", w.Stats().LastSeq)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -87,8 +87,8 @@ func TestWALAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("recovered %d records, want 57", len(recs))
 	}
 	verifyPrefix(t, recs)
-	if w2.LastSeq() != 57 {
-		t.Fatalf("recovered LastSeq = %d, want 57", w2.LastSeq())
+	if w2.Stats().LastSeq != 57 {
+		t.Fatalf("recovered LastSeq = %d, want 57", w2.Stats().LastSeq)
 	}
 	// The log keeps accepting contiguous appends after recovery.
 	appendN(t, w2, 58, 60)
@@ -98,11 +98,11 @@ func TestWALSeqContiguityEnforced(t *testing.T) {
 	w, _ := mustOpen(t, t.TempDir(), Options{})
 	defer w.Close()
 	appendN(t, w, 1, 3)
-	if err := w.Append(3, genRecord(3)); !errors.Is(err, ErrSeqOrder) {
-		t.Fatalf("duplicate seq: err = %v, want ErrSeqOrder", err)
+	if err := w.Append(3, genRecord(3)); !errors.Is(err, errSeqOrder) {
+		t.Fatalf("duplicate seq: err = %v, want errSeqOrder", err)
 	}
-	if err := w.Append(5, genRecord(5)); !errors.Is(err, ErrSeqOrder) {
-		t.Fatalf("gapped seq: err = %v, want ErrSeqOrder", err)
+	if err := w.Append(5, genRecord(5)); !errors.Is(err, errSeqOrder) {
+		t.Fatalf("gapped seq: err = %v, want errSeqOrder", err)
 	}
 	appendN(t, w, 4, 4) // the rejected appends must not advance state
 }
@@ -193,8 +193,8 @@ func TestWALCorruptMidFileTruncatesAndLogs(t *testing.T) {
 	if !strings.Contains(out, "corrupt record") || !strings.Contains(out, "dropping") {
 		t.Fatalf("corruption drop not logged; log output:\n%s", out)
 	}
-	if w2.LastSeq() != 9 {
-		t.Fatalf("LastSeq = %d after truncation, want 9", w2.LastSeq())
+	if w2.Stats().LastSeq != 9 {
+		t.Fatalf("LastSeq = %d after truncation, want 9", w2.Stats().LastSeq)
 	}
 	appendN(t, w2, 10, 12)
 }
@@ -219,7 +219,7 @@ func TestWALCorruptionDropsLaterSegments(t *testing.T) {
 	var logged strings.Builder
 	w2, recs := mustOpen(t, dir, Options{SegmentBytes: 256, Logf: func(f string, a ...any) { fmt.Fprintf(&logged, f+"\n", a...) }})
 	verifyPrefix(t, recs)
-	if w2.LastSeq() != recs[len(recs)-1].Seq {
+	if w2.Stats().LastSeq != recs[len(recs)-1].Seq {
 		t.Fatalf("LastSeq mismatch")
 	}
 	if !strings.Contains(logged.String(), "unreachable segment") {
@@ -230,7 +230,7 @@ func TestWALCorruptionDropsLaterSegments(t *testing.T) {
 		t.Fatalf("later segments not removed: %d files before, %d after", len(segs), len(left))
 	}
 	// Appends continue from the truncated prefix.
-	appendN(t, w2, w2.LastSeq()+1, w2.LastSeq()+5)
+	appendN(t, w2, w2.Stats().LastSeq+1, w2.Stats().LastSeq+5)
 	w2.Close()
 }
 
@@ -250,7 +250,7 @@ func TestWALDiskFullFailsTypedWithoutWedging(t *testing.T) {
 	if err := w.Append(11, genRecord(11)); !errors.Is(err, ErrWALFailed) {
 		t.Fatalf("append after failure: err = %v, want ErrWALFailed", err)
 	}
-	if got := w.LastSeq(); got != 10 {
+	if got := w.Stats().LastSeq; got != 10 {
 		t.Fatalf("LastSeq after failed append = %d, want 10", got)
 	}
 	st := w.Stats()
@@ -331,15 +331,15 @@ func TestWALConcurrentAppendGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if w.LastSeq() != total {
-		t.Fatalf("LastSeq = %d, want %d", w.LastSeq(), total)
+	if w.Stats().LastSeq != total {
+		t.Fatalf("LastSeq = %d, want %d", w.Stats().LastSeq, total)
 	}
 	st := w.Stats()
 	if st.Fsyncs == 0 || st.Fsyncs > total {
 		t.Fatalf("Fsyncs = %d, want 1..%d (group commit)", st.Fsyncs, total)
 	}
 	w.Close()
-	w2, recs := mustOpen(t, w.Dir(), Options{})
+	w2, recs := mustOpen(t, w.dir, Options{})
 	defer w2.Close()
 	if len(recs) != total {
 		t.Fatalf("recovered %d, want %d", len(recs), total)

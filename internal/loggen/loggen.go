@@ -37,8 +37,8 @@ type Config struct {
 	PopularityExp float64 // Zipf exponent for item/query popularity
 }
 
-// Validate reports configuration errors.
-func (c *Config) Validate() error {
+// validate reports configuration errors.
+func (c *Config) validate() error {
 	switch {
 	case c.Users <= 0 || c.Queries <= 0 || c.Items <= 0:
 		return fmt.Errorf("loggen: node counts must be positive")
@@ -203,10 +203,10 @@ const (
 	termsPerNode   = 6
 )
 
-// Generate builds a synthetic world from cfg. It is deterministic in
+// generate builds a synthetic world from cfg. It is deterministic in
 // cfg.Seed.
-func Generate(cfg Config) (*Logs, error) {
-	if err := cfg.Validate(); err != nil {
+func generate(cfg Config) (*Logs, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	r := rng.New(cfg.Seed)
@@ -374,10 +374,10 @@ func Generate(cfg Config) (*Logs, error) {
 	return l, nil
 }
 
-// MustGenerate is Generate but panics on config errors; for presets known
+// MustGenerate is generate but panics on config errors; for presets known
 // to be valid.
 func MustGenerate(cfg Config) *Logs {
-	l, err := Generate(cfg)
+	l, err := generate(cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -394,22 +394,6 @@ func (l *Logs) NumInteractions() int {
 	}
 	return n
 }
-
-// ItemsOfTopic returns the item indices whose ground-truth topic is t.
-func (l *Logs) ItemsOfTopic(t int) []int { return l.itemsByTopic[t] }
-
-// QueriesOfTopic returns the query indices whose ground-truth topic is t.
-func (l *Logs) QueriesOfTopic(t int) []int { return l.queriesByTopic[t] }
-
-// Exported vocabulary sizes for the categorical feature spaces, needed by
-// models to size embedding tables.
-const (
-	NumGenders     = numGenders
-	NumMemberships = numMemberships
-	NumBrands      = numBrands
-	NumShops       = numShops
-	TermsPerNode   = termsPerNode
-)
 
 // Vocab reports the size of every categorical id space in this world.
 type Vocab struct {

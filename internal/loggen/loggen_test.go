@@ -21,12 +21,12 @@ func TestValidate(t *testing.T) {
 		{Users: 1, Queries: 1, Items: 1, Topics: 1, ContentDim: 2}, // no sessions
 	}
 	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Fatalf("config %d should be invalid", i)
 		}
 	}
 	good := TaobaoConfig(ScaleTiny, 1)
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("preset invalid: %v", err)
 	}
 }
@@ -258,10 +258,10 @@ func TestScaleNames(t *testing.T) {
 func TestTopicLookups(t *testing.T) {
 	l := tinyLogs(t)
 	for topic := 0; topic < l.Config.Topics; topic++ {
-		if len(l.ItemsOfTopic(topic)) == 0 {
+		if len(l.itemsByTopic[topic]) == 0 {
 			t.Fatalf("topic %d has no items", topic)
 		}
-		if len(l.QueriesOfTopic(topic)) == 0 {
+		if len(l.queriesByTopic[topic]) == 0 {
 			t.Fatalf("topic %d has no queries", topic)
 		}
 	}
@@ -308,7 +308,7 @@ func TestSplitIsGroupedByUserQuery(t *testing.T) {
 
 func TestMovieLensConfig(t *testing.T) {
 	cfg := MovieLensConfig(1)
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Fatalf("MovieLens preset invalid: %v", err)
 	}
 	// Tags (queries) must be far fewer than users and movies, per the

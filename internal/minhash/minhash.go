@@ -5,11 +5,7 @@
 // cold-start nodes with sparse interactions.
 package minhash
 
-import (
-	"hash/fnv"
-
-	"zoomer/internal/rng"
-)
+import "zoomer/internal/rng"
 
 // Signature is a fixed-length MinHash signature. Two signatures are
 // comparable only when produced by the same Hasher.
@@ -39,32 +35,6 @@ func NewHasher(k int, seed uint64) *Hasher {
 
 // K returns the signature length.
 func (h *Hasher) K() int { return len(h.a) }
-
-func tokenHash(tok string) uint64 {
-	f := fnv.New64a()
-	f.Write([]byte(tok))
-	return f.Sum64()
-}
-
-// Sign computes the MinHash signature of the token set. An empty set
-// yields a signature of all-max values, which has zero similarity with
-// every non-empty signature.
-func (h *Hasher) Sign(tokens []string) Signature {
-	sig := make(Signature, len(h.a))
-	for i := range sig {
-		sig[i] = ^uint64(0)
-	}
-	for _, tok := range tokens {
-		x := tokenHash(tok)
-		for i := range sig {
-			v := h.a[i]*x + h.b[i]
-			if v < sig[i] {
-				sig[i] = v
-			}
-		}
-	}
-	return sig
-}
 
 // SignIDs computes the signature of a set of integer tokens (e.g. term or
 // category ids), avoiding string hashing.
@@ -106,18 +76,18 @@ func Similarity(a, b Signature) float64 {
 	return float64(match) / float64(len(a))
 }
 
-// ExactJaccard computes the exact Jaccard similarity of two string sets;
-// used in tests and small-graph paths where estimation is unnecessary.
-func ExactJaccard(a, b []string) float64 {
+// exactJaccard computes the exact Jaccard similarity of two id sets: the
+// reference the signature estimate is tested against.
+func exactJaccard(a, b []uint64) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
-	set := make(map[string]bool, len(a))
+	set := make(map[uint64]bool, len(a))
 	for _, t := range a {
 		set[t] = true
 	}
 	inter := 0
-	bset := make(map[string]bool, len(b))
+	bset := make(map[uint64]bool, len(b))
 	for _, t := range b {
 		if bset[t] {
 			continue

@@ -1,7 +1,6 @@
 package minhash
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -11,8 +10,8 @@ import (
 
 func TestIdenticalSetsSimilarityOne(t *testing.T) {
 	h := NewHasher(64, 1)
-	a := h.Sign([]string{"red", "dress", "summer"})
-	b := h.Sign([]string{"summer", "red", "dress"}) // order must not matter
+	a := h.SignIDs([]uint64{1, 2, 3})
+	b := h.SignIDs([]uint64{3, 1, 2}) // order must not matter
 	if s := Similarity(a, b); s != 1 {
 		t.Fatalf("identical sets similarity = %v, want 1", s)
 	}
@@ -20,8 +19,8 @@ func TestIdenticalSetsSimilarityOne(t *testing.T) {
 
 func TestDisjointSetsNearZero(t *testing.T) {
 	h := NewHasher(128, 2)
-	a := h.Sign([]string{"phone", "huawei", "5g"})
-	b := h.Sign([]string{"sofa", "leather", "brown"})
+	a := h.SignIDs([]uint64{1, 2, 3})
+	b := h.SignIDs([]uint64{4, 5, 6})
 	if s := Similarity(a, b); s > 0.1 {
 		t.Fatalf("disjoint sets similarity = %v, want ~0", s)
 	}
@@ -29,23 +28,23 @@ func TestDisjointSetsNearZero(t *testing.T) {
 
 func TestEmptySet(t *testing.T) {
 	h := NewHasher(32, 3)
-	empty := h.Sign(nil)
-	nonEmpty := h.Sign([]string{"x"})
+	empty := h.SignIDs(nil)
+	nonEmpty := h.SignIDs([]uint64{1})
 	if s := Similarity(empty, nonEmpty); s != 0 {
 		t.Fatalf("empty-vs-nonempty similarity = %v, want 0", s)
 	}
 	// Two empties collide on the all-max sentinel: that is fine because
 	// graph construction never links two featureless nodes; just check it
 	// does not panic.
-	_ = Similarity(empty, h.Sign(nil))
+	_ = Similarity(empty, h.SignIDs(nil))
 }
 
 func TestEstimateTracksExactJaccard(t *testing.T) {
 	h := NewHasher(256, 4)
-	mk := func(lo, hi int) []string {
-		out := make([]string, 0, hi-lo)
+	mk := func(lo, hi int) []uint64 {
+		out := make([]uint64, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			out = append(out, fmt.Sprintf("tok%d", i))
+			out = append(out, uint64(i))
 		}
 		return out
 	}
@@ -57,8 +56,8 @@ func TestEstimateTracksExactJaccard(t *testing.T) {
 	}
 	for _, c := range cases {
 		a, b := mk(c.aLo, c.aHi), mk(c.bLo, c.bHi)
-		exact := ExactJaccard(a, b)
-		est := Similarity(h.Sign(a), h.Sign(b))
+		exact := exactJaccard(a, b)
+		est := Similarity(h.SignIDs(a), h.SignIDs(b))
 		if math.Abs(est-exact) > 0.08 {
 			t.Fatalf("estimate %v too far from exact %v for [%d,%d) vs [%d,%d)",
 				est, exact, c.aLo, c.aHi, c.bLo, c.bHi)
@@ -111,17 +110,17 @@ func TestSimilarityPanicsOnMismatch(t *testing.T) {
 }
 
 func TestExactJaccard(t *testing.T) {
-	if j := ExactJaccard(nil, nil); j != 0 {
+	if j := exactJaccard(nil, nil); j != 0 {
 		t.Fatalf("Jaccard(∅,∅) = %v", j)
 	}
-	if j := ExactJaccard([]string{"a"}, []string{"a"}); j != 1 {
+	if j := exactJaccard([]uint64{1}, []uint64{1}); j != 1 {
 		t.Fatalf("Jaccard identical = %v", j)
 	}
-	if j := ExactJaccard([]string{"a", "b"}, []string{"b", "c"}); math.Abs(j-1.0/3) > 1e-12 {
+	if j := exactJaccard([]uint64{1, 2}, []uint64{2, 3}); math.Abs(j-1.0/3) > 1e-12 {
 		t.Fatalf("Jaccard = %v, want 1/3", j)
 	}
 	// Duplicates must not inflate.
-	if j := ExactJaccard([]string{"a", "a", "b"}, []string{"b", "b", "c"}); math.Abs(j-1.0/3) > 1e-12 {
+	if j := exactJaccard([]uint64{1, 1, 2}, []uint64{2, 2, 3}); math.Abs(j-1.0/3) > 1e-12 {
 		t.Fatalf("Jaccard with dups = %v, want 1/3", j)
 	}
 }

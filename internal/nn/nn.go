@@ -54,9 +54,6 @@ func (p *Param) ZeroGrad() {
 	}
 }
 
-// NumValues returns the number of scalar values in the parameter.
-func (p *Param) NumValues() int { return len(p.Val.Data) }
-
 // Linear is a fully connected layer y = x·W + b.
 type Linear struct {
 	W, B *Param
@@ -85,9 +82,6 @@ type Activation int
 const (
 	ActNone Activation = iota
 	ActReLU
-	ActLeakyReLU
-	ActTanh
-	ActSigmoid
 )
 
 func applyAct(t *ad.Tape, a Activation, x *ad.Node) *ad.Node {
@@ -96,12 +90,6 @@ func applyAct(t *ad.Tape, a Activation, x *ad.Node) *ad.Node {
 		return x
 	case ActReLU:
 		return t.ReLU(x)
-	case ActLeakyReLU:
-		return t.LeakyReLU(0.2, x)
-	case ActTanh:
-		return t.Tanh(x)
-	case ActSigmoid:
-		return t.Sigmoid(x)
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", a))
 	}
@@ -220,9 +208,6 @@ func (e *EmbeddingTable) Lookup(t *ad.Tape, ids []int32) *ad.Node {
 func (e *EmbeddingTable) LookupOne(t *ad.Tape, id int32) *ad.Node {
 	return e.Lookup(t, []int32{id})
 }
-
-// TouchedRows reports how many rows carry pending gradients.
-func (e *EmbeddingTable) TouchedRows() int { return len(e.grads) }
 
 // ZeroGrad discards pending sparse gradients.
 func (e *EmbeddingTable) ZeroGrad() { clear(e.grads) }

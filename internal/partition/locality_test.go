@@ -21,7 +21,7 @@ func TestLocalitySplitCoversGraph(t *testing.T) {
 func TestLocalityPreservesOwnership(t *testing.T) {
 	g := buildGraph(t)
 	for _, strat := range []Strategy{Hash, DegreeBalanced} {
-		plain := Split(g, 4, strat)
+		plain := SplitOpts(g, 4, strat, Options{})
 		loc := SplitOpts(g, 4, strat, Options{Locality: true})
 		for id := 0; id < g.NumNodes(); id++ {
 			nid := graph.NodeID(id)
@@ -124,7 +124,7 @@ func localEdgeGap(g *graph.Graph, p *Partition) float64 {
 func TestLocalityShrinksEdgeGap(t *testing.T) {
 	g := buildGraph(t)
 	for _, strat := range []Strategy{Hash, DegreeBalanced} {
-		plain := Split(g, 4, strat)
+		plain := SplitOpts(g, 4, strat, Options{})
 		loc := SplitOpts(g, 4, strat, Options{Locality: true})
 		gp, gl := localEdgeGap(g, plain), localEdgeGap(g, loc)
 		t.Logf("%s: mean same-shard edge gap %.1f (id order) -> %.1f (BFS)", strat, gp, gl)

@@ -133,13 +133,8 @@ type Options struct {
 	Locality bool
 }
 
-// Split partitions g into the given number of shards. It panics on a
-// non-positive shard count.
-func Split(g *graph.Graph, shards int, strategy Strategy) *Partition {
-	return SplitOpts(g, shards, strategy, Options{})
-}
-
-// SplitOpts is Split with layout options.
+// SplitOpts partitions g into the given number of shards, laid out per
+// opts. It panics on a non-positive shard count.
 func SplitOpts(g *graph.Graph, shards int, strategy Strategy, opts Options) *Partition {
 	if shards <= 0 {
 		panic(fmt.Sprintf("partition: non-positive shard count %d", shards))

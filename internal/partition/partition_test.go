@@ -63,21 +63,21 @@ func testCoversGraph(t *testing.T, g *graph.Graph, p *Partition) {
 func TestHashSplitCoversGraph(t *testing.T) {
 	g := buildGraph(t)
 	for _, shards := range []int{1, 2, 4, 7} {
-		testCoversGraph(t, g, Split(g, shards, Hash))
+		testCoversGraph(t, g, SplitOpts(g, shards, Hash, Options{}))
 	}
 }
 
 func TestDegreeBalancedSplitCoversGraph(t *testing.T) {
 	g := buildGraph(t)
 	for _, shards := range []int{1, 3, 4} {
-		testCoversGraph(t, g, Split(g, shards, DegreeBalanced))
+		testCoversGraph(t, g, SplitOpts(g, shards, DegreeBalanced, Options{}))
 	}
 }
 
 // Hash routing must be the documented arithmetic, with no table.
 func TestHashRoutingIsArithmetic(t *testing.T) {
 	g := buildGraph(t)
-	p := Split(g, 4, Hash)
+	p := SplitOpts(g, 4, Hash, Options{})
 	if p.owner != nil || p.local != nil {
 		t.Fatal("hash partition built a routing table")
 	}
@@ -102,12 +102,12 @@ func TestDegreeBalancedBalancesEdges(t *testing.T) {
 		ids[i] = b.AddNode(graph.Item, nil, nil)
 	}
 	for i := 0; i < n; i += 4 { // heavy nodes: 0, 4, 8, ... all ≡ 0 (mod 4)
-		for j := 1; j < 16; j++ {
-			b.AddEdge(ids[i], ids[(i+j)%n], graph.Click, 1)
+		for j := i + 4; j < n; j += 4 {
+			b.AddUndirected(ids[i], ids[j], graph.Click, 1)
 		}
 	}
 	g := b.Build()
-	p := Split(g, 4, DegreeBalanced)
+	p := SplitOpts(g, 4, DegreeBalanced, Options{})
 	total := g.NumEdges()
 	for s := range p.Shards {
 		frac := float64(p.Shards[s].NumEdges()) / float64(total)
@@ -116,7 +116,7 @@ func TestDegreeBalancedBalancesEdges(t *testing.T) {
 		}
 	}
 	// Sanity: hash really is pathological on this graph.
-	hp := Split(g, 4, Hash)
+	hp := SplitOpts(g, 4, Hash, Options{})
 	if hp.Shards[0].NumEdges() != total {
 		t.Fatalf("expected hash to pile all %d edges on shard 0, got %d", total, hp.Shards[0].NumEdges())
 	}
@@ -128,7 +128,7 @@ func TestSplitPanicsOnBadShardCount(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Split(buildGraph(t), 0, Hash)
+	SplitOpts(buildGraph(t), 0, Hash, Options{})
 }
 
 func TestParseStrategy(t *testing.T) {
@@ -148,10 +148,10 @@ func TestMoreShardsThanNodes(t *testing.T) {
 	b := graph.NewBuilder()
 	a := b.AddNode(graph.User, nil, nil)
 	c := b.AddNode(graph.Item, nil, nil)
-	b.AddEdge(a, c, graph.Click, 1)
+	b.AddUndirected(a, c, graph.Click, 1)
 	g := b.Build()
 	for _, strat := range []Strategy{Hash, DegreeBalanced} {
-		p := Split(g, 8, strat)
+		p := SplitOpts(g, 8, strat, Options{})
 		testCoversGraph(t, g, p)
 		for s := range p.Shards {
 			if got := len(p.Shards[s].Offsets); got != p.Shards[s].NumNodes()+1 {
@@ -168,7 +168,7 @@ func TestRoutingSerializationRoundTrip(t *testing.T) {
 	g := buildGraph(t)
 	for _, strat := range []Strategy{Hash, DegreeBalanced} {
 		for _, shards := range []int{1, 3, 4} {
-			p := Split(g, shards, strat)
+			p := SplitOpts(g, shards, strat, Options{})
 			blob, err := p.RoutingTable().MarshalBinary()
 			if err != nil {
 				t.Fatalf("%s/%d: marshal: %v", strat, shards, err)
@@ -202,7 +202,7 @@ func TestRoutingEpochRoundTrip(t *testing.T) {
 	g := buildGraph(t)
 	for _, strat := range []Strategy{Hash, DegreeBalanced} {
 		for _, epoch := range []uint64{0, 42, 1 << 40} {
-			p := Split(g, 3, strat)
+			p := SplitOpts(g, 3, strat, Options{})
 			rt := p.RoutingTable()
 			if rt.Epoch() != 0 {
 				t.Fatalf("%s: fresh partition has epoch %d, want 0", strat, rt.Epoch())
@@ -236,7 +236,7 @@ func TestRoutingEpochRoundTrip(t *testing.T) {
 func TestPatchEpochMatchesRemarshal(t *testing.T) {
 	g := buildGraph(t)
 	for _, strat := range []Strategy{Hash, DegreeBalanced} {
-		p := Split(g, 3, strat)
+		p := SplitOpts(g, 3, strat, Options{})
 		base, err := p.RoutingTable().MarshalBinary()
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", strat, err)
@@ -274,7 +274,7 @@ func TestPatchEpochMatchesRemarshal(t *testing.T) {
 // versions are rejected the same way.
 func TestRoutingVersionSkew(t *testing.T) {
 	g := buildGraph(t)
-	blob, err := Split(g, 4, Hash).RoutingTable().MarshalBinary()
+	blob, err := SplitOpts(g, 4, Hash, Options{}).RoutingTable().MarshalBinary()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}

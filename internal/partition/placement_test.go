@@ -12,7 +12,7 @@ import (
 func TestPlacementRoundTrip(t *testing.T) {
 	g := buildGraph(t)
 	for _, strat := range []Strategy{Hash, DegreeBalanced} {
-		p := Split(g, 4, strat)
+		p := SplitOpts(g, 4, strat, Options{})
 		rt := p.RoutingTable()
 		rt.SetEpoch(7)
 
@@ -85,7 +85,7 @@ func TestPlacementRoundTrip(t *testing.T) {
 // counts or address lengths are rejected instead of driving allocations.
 func TestPlacementBounds(t *testing.T) {
 	g := buildGraph(t)
-	rt := Split(g, 2, Hash).RoutingTable()
+	rt := SplitOpts(g, 2, Hash, Options{}).RoutingTable()
 
 	func() {
 		defer func() {

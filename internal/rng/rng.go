@@ -165,10 +165,7 @@ func NewZipf(r *RNG, n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf, rng: r}
 }
 
-// N returns the support size of the sampler.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Sample draws a rank in [0, N()) with Zipfian probabilities; rank 0 is the
+// Sample draws a rank in [0, n) with Zipfian probabilities; rank 0 is the
 // most popular.
 func (z *Zipf) Sample() int {
 	u := z.rng.Float64()

@@ -173,8 +173,8 @@ func TestZipfRankOrdering(t *testing.T) {
 func TestZipfBounds(t *testing.T) {
 	r := New(37)
 	z := NewZipf(r, 17, 0.8)
-	if z.N() != 17 {
-		t.Fatalf("N = %d, want 17", z.N())
+	if len(z.cdf) != 17 {
+		t.Fatalf("N = %d, want 17", len(z.cdf))
 	}
 	for i := 0; i < 10000; i++ {
 		v := z.Sample()

@@ -53,7 +53,7 @@ func (cfg AdminConfig) withDefaults() AdminConfig {
 type Admin struct {
 	addr string
 	cfg  AdminConfig
-	cl   *Client // long-deadline client; non-nil after a successful Connect
+	cl   *client // long-deadline client; non-nil after a successful Connect
 }
 
 // NewAdmin returns an unconnected admin session for the server at addr.
@@ -77,11 +77,11 @@ func (a *Admin) Connect() error {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		probe := NewClientWith(a.addr, ClientConfig{Conns: 1, Timeout: a.cfg.ProbeTimeout})
+		probe := newClient(a.addr, ClientConfig{Conns: 1, Timeout: a.cfg.ProbeTimeout})
 		_, err := probe.Info()
 		probe.Close()
 		if err == nil {
-			a.cl = NewClientWith(a.addr, ClientConfig{Conns: 1, Timeout: a.cfg.OpTimeout})
+			a.cl = newClient(a.addr, ClientConfig{Conns: 1, Timeout: a.cfg.OpTimeout})
 			return nil
 		}
 		lastErr = err
@@ -89,7 +89,7 @@ func (a *Admin) Connect() error {
 	return fmt.Errorf("%w: %s after %d probes: %v", ErrAdminDeadline, a.addr, a.cfg.Attempts, lastErr)
 }
 
-// Reassign sends one acquire/release command (see Client.Reassign),
+// Reassign sends one acquire/release command (see client.Reassign),
 // bounded by OpTimeout.
 func (a *Admin) Reassign(shard int, acquire bool) (uint64, error) {
 	if err := a.Connect(); err != nil {
@@ -104,7 +104,7 @@ func (a *Admin) Status() (epoch uint64, owned []ShardInfo, members []string, err
 	if err := a.Connect(); err != nil {
 		return 0, nil, nil, err
 	}
-	return a.cl.RoutingEpoch()
+	return a.cl.routingEpoch()
 }
 
 // Close tears down the session.

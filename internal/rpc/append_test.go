@@ -90,7 +90,7 @@ func TestRemoteAppendRoundTrip(t *testing.T) {
 
 	// The ingest rows travel in the v4 epoch response and surface
 	// through the engine facet.
-	if err := cluster.Refresh(); err != nil {
+	if err := cluster.refresh(); err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
 	rows := remote.IngestStats()
@@ -118,7 +118,7 @@ func TestRemoteAppendRoundTrip(t *testing.T) {
 func TestAppendIdempotencyAndResync(t *testing.T) {
 	g := buildGraph(t)
 	_, addr := startServer(t, g, ServerConfig{Shards: 1, Strategy: partition.Hash})
-	cl := NewClient(addr)
+	cl := newClient(addr, ClientConfig{})
 	t.Cleanup(func() { cl.Close() })
 	if _, err := cl.Info(); err != nil {
 		t.Fatalf("handshake: %v", err)
@@ -142,7 +142,7 @@ func TestAppendIdempotencyAndResync(t *testing.T) {
 
 	// A fresh stub has no idea the shard is at 1: it probes with 1, reads
 	// the dup answer, resynchronizes and lands the record at 2.
-	rs := NewRemoteShard(cl, 0, g.NumNodes(), 0)
+	rs := newRemoteShard(cl, 0, g.NumNodes(), 0)
 	seq, err := rs.AppendEdges(ingestRecord(g, 4))
 	if err != nil || seq != 2 {
 		t.Fatalf("cold-cache append: seq %d err %v", seq, err)
@@ -196,7 +196,7 @@ func TestVersionSkewOldServerNamesBothVersions(t *testing.T) {
 		}
 	}()
 
-	cl := NewClientWith(ln.Addr().String(), ClientConfig{Timeout: 2 * time.Second})
+	cl := newClient(ln.Addr().String(), ClientConfig{Timeout: 2 * time.Second})
 	defer cl.Close()
 	_, err = cl.Info()
 	if err == nil {
@@ -265,8 +265,8 @@ func TestAppendRecoveryAfterRestart(t *testing.T) {
 	walDir := t.TempDir()
 	srv, addr := startDurableServer(t, g, 1, nil, walDir)
 
-	cl := NewClient(addr)
-	rs := NewRemoteShard(cl, 0, g.NumNodes(), 0)
+	cl := newClient(addr, ClientConfig{})
+	rs := newRemoteShard(cl, 0, g.NumNodes(), 0)
 	const records = 30
 	var all []ingest.Edge
 	for i := 0; i < records; i++ {
@@ -294,7 +294,7 @@ func TestAppendRecoveryAfterRestart(t *testing.T) {
 		t.Fatalf("local control append: %d err %v", n, err)
 	}
 
-	cluster, err := DialCluster(addr2)
+	cluster, err := DialClusterWith(ClientConfig{}, addr2)
 	if err != nil {
 		t.Fatalf("dial restarted server: %v", err)
 	}
@@ -318,9 +318,9 @@ func TestAppendRecoveryAfterRestart(t *testing.T) {
 
 	// The restarted server continues the sequence, not a fresh one: a
 	// cold stub resyncs to records+1.
-	cl2 := NewClient(addr2)
+	cl2 := newClient(addr2, ClientConfig{})
 	t.Cleanup(func() { cl2.Close() })
-	rs2 := NewRemoteShard(cl2, 0, g.NumNodes(), 0)
+	rs2 := newRemoteShard(cl2, 0, g.NumNodes(), 0)
 	if seq, err := rs2.AppendEdges(ingestRecord(g, records)); err != nil || seq != records+1 {
 		t.Fatalf("post-restart append: seq %d err %v", seq, err)
 	}
@@ -338,10 +338,10 @@ func TestServingSurvivesWriterCrash(t *testing.T) {
 	srvA, addrA := startDurableServer(t, g, 1, []int{0}, dirA)
 	srvB, addrB := startDurableServer(t, g, 1, []int{0}, dirB)
 	t.Cleanup(func() { srvB.Close() })
-	srvA.AddMembers(addrB)
-	srvB.AddMembers(addrA)
+	srvA.addMembers(addrB)
+	srvB.addMembers(addrA)
 
-	cluster, err := DialCluster(addrA, addrB)
+	cluster, err := DialClusterWith(ClientConfig{}, addrA, addrB)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -420,9 +420,9 @@ func TestAppendWALWriteFailureKeepsServing(t *testing.T) {
 	srv, addr := startDurableServer(t, g, 1, nil, walDir)
 	t.Cleanup(func() { srv.Close() })
 
-	cl := NewClient(addr)
+	cl := newClient(addr, ClientConfig{})
 	t.Cleanup(func() { cl.Close() })
-	rs := NewRemoteShard(cl, 0, g.NumNodes(), 0)
+	rs := newRemoteShard(cl, 0, g.NumNodes(), 0)
 	if seq, err := rs.AppendEdges(ingestRecord(g, 0)); err != nil || seq != 1 {
 		t.Fatalf("seed append: seq %d err %v", seq, err)
 	}
@@ -437,7 +437,7 @@ func TestAppendWALWriteFailureKeepsServing(t *testing.T) {
 	}
 
 	// Reads keep flowing: the durability fault stays on the write path.
-	cluster, err := DialCluster(addr)
+	cluster, err := DialClusterWith(ClientConfig{}, addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

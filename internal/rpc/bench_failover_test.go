@@ -14,7 +14,7 @@ import (
 // detection plus the retry on the surviving sibling. Setup (servers,
 // dial, warm-up) is rebuilt outside the timer each iteration.
 func BenchmarkFailoverFirstDraw(b *testing.B) {
-	Logf = func(string, ...any) {} // refresh skip-logging would corrupt -bench output parsing
+	logf = func(string, ...any) {} // refresh skip-logging would corrupt -bench output parsing
 	g := buildGraph(b)
 	all := []int{0, 1}
 	out := make([]graph.NodeID, 10)
@@ -23,11 +23,11 @@ func BenchmarkFailoverFirstDraw(b *testing.B) {
 		b.StopTimer()
 		srvA, addrA := startReplicaServer(b, g, 2, all)
 		_, addrB := startReplicaServer(b, g, 2, all)
-		cluster, err := DialCluster(addrA, addrB)
+		cluster, err := DialClusterWith(ClientConfig{}, addrA, addrB)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cluster.SetPollTimeout(time.Second)
+		cluster.pollTimeout = time.Second
 		r := rng.New(uint64(i) + 1)
 		var ego graph.NodeID
 		for id := 0; id < g.NumNodes(); id++ {
@@ -60,17 +60,17 @@ func BenchmarkFailoverFirstDraw(b *testing.B) {
 // serving through an outage (it should sit at the healthy round-trip
 // figure, not pay a failed dial per call).
 func BenchmarkFailoverDeadReplica(b *testing.B) {
-	Logf = func(string, ...any) {} // refresh skip-logging would corrupt -bench output parsing
+	logf = func(string, ...any) {} // refresh skip-logging would corrupt -bench output parsing
 	g := buildGraph(b)
 	all := []int{0, 1}
 	srvA, addrA := startReplicaServer(b, g, 2, all)
 	_, addrB := startReplicaServer(b, g, 2, all)
-	cluster, err := DialCluster(addrA, addrB)
+	cluster, err := DialClusterWith(ClientConfig{}, addrA, addrB)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cluster.Close()
-	cluster.SetPollTimeout(time.Second)
+	cluster.pollTimeout = time.Second
 	remote := cluster.Engine
 	var ego graph.NodeID
 	for id := 0; id < g.NumNodes(); id++ {

@@ -24,7 +24,7 @@ func TestCircuitAcrossServerRestart(t *testing.T) {
 	srv := NewServer(g, ServerConfig{Shards: 2, Strategy: partition.Hash})
 	srv.Start(ln)
 
-	cl := NewClientWith(addr, ClientConfig{Conns: 1, Timeout: 500 * time.Millisecond, FailThreshold: 3})
+	cl := newClient(addr, ClientConfig{Conns: 1, Timeout: 500 * time.Millisecond, FailThreshold: 3})
 	t.Cleanup(func() { cl.Close() })
 	if _, err := cl.Info(); err != nil {
 		t.Fatalf("warm info: %v", err)
@@ -81,7 +81,7 @@ func TestCircuitIdleDecay(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // reserve a dead address
 
-	cl := NewClientWith(addr, ClientConfig{Conns: 1, Timeout: 200 * time.Millisecond, FailThreshold: 2})
+	cl := newClient(addr, ClientConfig{Conns: 1, Timeout: 200 * time.Millisecond, FailThreshold: 2})
 	t.Cleanup(func() { cl.Close() })
 	for i := 0; i < 2; i++ {
 		if _, err := cl.Info(); err == nil {
@@ -127,7 +127,7 @@ func TestCircuitWaiterAdoption(t *testing.T) {
 		return len(bh.conns)
 	}
 
-	cl := NewClientWith(addr, ClientConfig{Conns: 1, Timeout: 250 * time.Millisecond, FailThreshold: 1})
+	cl := newClient(addr, ClientConfig{Conns: 1, Timeout: 250 * time.Millisecond, FailThreshold: 1})
 	t.Cleanup(func() { cl.Close() })
 	if _, err := cl.Info(); err == nil {
 		t.Fatal("call against blackhole succeeded")

@@ -73,9 +73,9 @@ func permanent(err error) bool {
 	return errors.As(err, &re) || errors.As(err, &mv)
 }
 
-// DefaultTimeout bounds dial and per-call I/O, guaranteeing a dead peer
+// defaultTimeout bounds dial and per-call I/O, guaranteeing a dead peer
 // surfaces as ErrShardUnavailable instead of a hang.
-const DefaultTimeout = 5 * time.Second
+const defaultTimeout = 5 * time.Second
 
 // ClientConfig bounds the multiplexed connection pool.
 type ClientConfig struct {
@@ -88,7 +88,7 @@ type ClientConfig struct {
 	// one frees — backpressure, bounded by Timeout.
 	Window int
 	// Timeout bounds dialing and each request's in-flight time (default
-	// DefaultTimeout).
+	// defaultTimeout).
 	Timeout time.Duration
 	// FailThreshold is the consecutive-transport-failure count that opens
 	// the health circuit (default 3). While open, a single probe call at
@@ -108,7 +108,7 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 		cfg.Window = 32
 	}
 	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
+		cfg.Timeout = defaultTimeout
 	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
@@ -120,7 +120,7 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 // the consecutive-failure count resets and calls probe freely again.
 const breakerDecay = time.Second
 
-// Client is a multiplexed-connection client to one shard server. Calls
+// client is a multiplexed-connection client to one shard server. Calls
 // share a small bounded pool of pipelined connections: a call picks a
 // connection round-robin, occupies one in-flight window slot on it, and
 // overlaps on the wire with every other caller's requests — no
@@ -135,7 +135,7 @@ const breakerDecay = time.Second
 // dial storms. Safe for concurrent use; the steady-state
 // sample/batch/read-nodes path reuses per-slot scratch and performs no
 // heap allocation.
-type Client struct {
+type client struct {
 	addr string
 	cfg  ClientConfig
 
@@ -155,38 +155,35 @@ type Client struct {
 	onMoved func(addrs []string)
 }
 
-// NewClient returns a client for the shard server at addr with default
-// pool bounds. No connection is made until the first call.
-func NewClient(addr string) *Client { return NewClientWith(addr, ClientConfig{}) }
-
-// NewClientWith returns a client with explicit pool bounds.
-func NewClientWith(addr string, cfg ClientConfig) *Client {
+// newClient returns a client for the shard server at addr with the pool
+// bounds of cfg. No connection is made until the first call.
+func newClient(addr string, cfg ClientConfig) *client {
 	cfg = cfg.withDefaults()
-	return &Client{addr: addr, cfg: cfg, conns: make([]*muxConn, cfg.Conns)}
+	return &client{addr: addr, cfg: cfg, conns: make([]*muxConn, cfg.Conns)}
 }
 
-// SetDiscover installs the membership-discovery hook: fn receives the
+// setDiscover installs the membership-discovery hook: fn receives the
 // member address list carried by wrong-epoch redirects. Not
 // concurrency-safe; set before first use.
-func (cl *Client) SetDiscover(fn func(addrs []string)) { cl.onMoved = fn }
+func (cl *client) setDiscover(fn func(addrs []string)) { cl.onMoved = fn }
 
 // Healthy reports whether the failure circuit would admit a call right
 // now — false while the circuit is open (consecutive transport failures
 // at or over the threshold, with the decay window not yet elapsed). The
 // engine's replica picker uses it to steer reads away from a server
 // that is currently failing without ever blocking on it.
-func (cl *Client) Healthy() bool {
+func (cl *client) Healthy() bool {
 	cl.hmu.Lock()
 	defer cl.hmu.Unlock()
 	return cl.fails < cl.cfg.FailThreshold || time.Since(cl.lastErr) > breakerDecay
 }
 
 // Addr returns the server address this client targets.
-func (cl *Client) Addr() string { return cl.addr }
+func (cl *client) Addr() string { return cl.addr }
 
 // Close tears down the pooled connections; in-flight calls fail with
 // typed errors.
-func (cl *Client) Close() error {
+func (cl *client) Close() error {
 	cl.mu.Lock()
 	cl.closed = true
 	conns := cl.conns
@@ -208,7 +205,7 @@ func (cl *Client) Close() error {
 // dialing. One dial attempt in flight per outage instead of one per
 // caller, and a recovered server admits every waiter the moment the
 // probe succeeds. The probe flag must be handed back through settle.
-func (cl *Client) admit() (probe bool, wait chan struct{}) {
+func (cl *client) admit() (probe bool, wait chan struct{}) {
 	cl.hmu.Lock()
 	defer cl.hmu.Unlock()
 	if cl.fails >= cl.cfg.FailThreshold && time.Since(cl.lastErr) > breakerDecay {
@@ -226,7 +223,7 @@ func (cl *Client) admit() (probe bool, wait chan struct{}) {
 
 // open reports whether the circuit is still refusing calls (a waiter's
 // post-probe check).
-func (cl *Client) open() bool {
+func (cl *client) open() bool {
 	cl.hmu.Lock()
 	defer cl.hmu.Unlock()
 	return cl.fails >= cl.cfg.FailThreshold
@@ -234,7 +231,7 @@ func (cl *Client) open() bool {
 
 // settle records a call's transport outcome in the circuit and releases
 // the probe's waiters.
-func (cl *Client) settle(probe, failed bool) {
+func (cl *client) settle(probe, failed bool) {
 	cl.hmu.Lock()
 	defer cl.hmu.Unlock()
 	if probe && cl.probeDone != nil {
@@ -254,7 +251,7 @@ func (cl *Client) settle(probe, failed bool) {
 // async start path uses it when the probe call cannot actually reach
 // the wire (no free window slot), so no waiter is ever left waiting on
 // a probe whose outcome is deferred behind the waiter's own await.
-func (cl *Client) releaseProbe() {
+func (cl *client) releaseProbe() {
 	cl.hmu.Lock()
 	defer cl.hmu.Unlock()
 	if cl.probeDone != nil {
@@ -266,7 +263,7 @@ func (cl *Client) releaseProbe() {
 // gate combines admission and probe-waiting: it returns the probe flag
 // and nil when the call may proceed, or the typed failure when the
 // circuit refused it.
-func (cl *Client) gate() (probe bool, err error) {
+func (cl *client) gate() (probe bool, err error) {
 	probe, wait := cl.admit()
 	if wait == nil {
 		return probe, nil
@@ -283,7 +280,7 @@ func (cl *Client) gate() (probe bool, err error) {
 // error marks its connection dead, so a retrying caller lands on a
 // fresh one naturally — no forced redial, and no caller ever severs a
 // live connection another caller just dialed.
-func (cl *Client) conn() (*muxConn, error) {
+func (cl *client) conn() (*muxConn, error) {
 	i := int(cl.next.Add(1)) % cl.cfg.Conns
 	cl.mu.Lock()
 	if cl.closed {
@@ -320,7 +317,7 @@ func (cl *Client) conn() (*muxConn, error) {
 }
 
 // unavailable wraps the last transport error as the typed failure.
-func (cl *Client) unavailable(err error) error {
+func (cl *client) unavailable(err error) error {
 	if err == nil {
 		err = errors.New("circuit open, probe in flight")
 	}
@@ -330,7 +327,7 @@ func (cl *Client) unavailable(err error) error {
 // errDeadline wraps the typed per-call deadline failure for this server.
 // It is not a transport failure: the circuit is not charged and the
 // engine neither fails over nor refreshes ownership for it.
-func (cl *Client) errDeadline() error {
+func (cl *client) errDeadline() error {
 	return fmt.Errorf("rpc: %s: %w", cl.addr, engine.ErrDeadlineExceeded)
 }
 
@@ -339,7 +336,7 @@ func (cl *Client) errDeadline() error {
 // smaller. ok is false when the budget is already spent — the caller
 // must fail typed without touching the wire. The zero deadline always
 // returns the full Timeout without reading the clock.
-func (cl *Client) budget(deadline time.Time) (d time.Duration, ok bool) {
+func (cl *client) budget(deadline time.Time) (d time.Duration, ok bool) {
 	d = cl.cfg.Timeout
 	if deadline.IsZero() {
 		return d, true
@@ -380,7 +377,7 @@ type visit struct {
 	fields graph.ReadFields
 	blk    *graph.NodeBlock
 
-	// OpAppend: edges for shard at seq; fanout marks a replica fan-out copy
+	// opAppend: edges for shard at seq; fanout marks a replica fan-out copy
 	// the receiver must not forward again. The answer is result, lastSeq.
 	shard   int
 	seq     uint64
@@ -410,7 +407,7 @@ func (v *visit) encode(req []byte) []byte {
 		return appendBatch(req, v.gids, v.idx, v.base, v.k)
 	case OpReadNodes:
 		return appendReadNodesRequest(req, v.gids, v.fields)
-	case OpAppend:
+	case opAppend:
 		return appendAppendRequest(req, v.shard, v.seq, v.edges, v.fanout)
 	}
 	if v.enc != nil {
@@ -429,7 +426,7 @@ func (v *visit) decode(body []byte) (total int, err error) {
 		return decodeBatch(body, v.gids, v.idx, v.k, v.out, v.ns)
 	case OpReadNodes:
 		return 0, decodeReadNodesResponse(body, v.idx, len(v.gids), v.fields, v.blk)
-	case OpAppend:
+	case opAppend:
 		v.result, v.lastSeq, err = decodeAppendResult(body)
 		return 0, err
 	}
@@ -442,7 +439,7 @@ func (v *visit) decode(body []byte) (total int, err error) {
 // failure of the path to the server — the dial, a window that stayed full,
 // a connection that died or went silent — as opposed to an outcome the
 // server or the caller's own deadline decided.
-func (cl *Client) attempt(v *visit) (total int, transport bool, err error) {
+func (cl *client) attempt(v *visit) (total int, transport bool, err error) {
 	d, ok := cl.budget(v.deadline)
 	if !ok {
 		return 0, false, cl.errDeadline()
@@ -493,7 +490,7 @@ func (v *visit) collect(mc *muxConn, sl *muxSlot, body []byte, err error) (total
 // attempts, settlement. It reports what v.decode reports. A spent deadline
 // is refused before admission, or the call could be taken for the probe
 // and close an open circuit without having touched the wire.
-func (cl *Client) do(v *visit) (int, error) {
+func (cl *client) do(v *visit) (int, error) {
 	if v.late() {
 		return 0, cl.errDeadline()
 	}
@@ -509,7 +506,7 @@ func (cl *Client) do(v *visit) (int, error) {
 // Only a transport failure is retried — on a fresh connection, since the
 // failure killed its own — and only one that outlives v's attempt budget
 // is charged to the circuit and surfaces as ErrShardUnavailable.
-func (cl *Client) finish(v *visit, probe bool, total int, transport bool, err error) (int, error) {
+func (cl *client) finish(v *visit, probe bool, total int, transport bool, err error) (int, error) {
 	for n := 1; err != nil && transport && n < v.tries(); n++ {
 		total, transport, err = cl.attempt(v)
 	}
@@ -523,28 +520,28 @@ func (cl *Client) finish(v *visit, probe bool, total int, transport bool, err er
 // sample runs one OpSample request: k weighted draws for id, the
 // caller's RNG state travelling out and the advanced state travelling
 // back (st unchanged on error). n is k, or 0 for an isolated node.
-func (cl *Client) sample(id graph.NodeID, k int, st [4]uint64, out []graph.NodeID, deadline time.Time) (n int, newSt [4]uint64, err error) {
+func (cl *client) sample(id graph.NodeID, k int, st [4]uint64, out []graph.NodeID, deadline time.Time) (n int, newSt [4]uint64, err error) {
 	v := visit{op: OpSample, deadline: deadline, id: id, k: k, st: st, out: out}
 	n, err = cl.do(&v)
 	return n, v.st, err
 }
 
-// appendOnce runs exactly one OpAppend attempt (see visit.tries).
-func (cl *Client) appendOnce(shard int, seq uint64, edges []ingest.Edge, fanout bool) (result byte, lastSeq uint64, err error) {
-	v := visit{op: OpAppend, shard: shard, seq: seq, edges: edges, fanout: fanout}
+// appendOnce runs exactly one opAppend attempt (see visit.tries).
+func (cl *client) appendOnce(shard int, seq uint64, edges []ingest.Edge, fanout bool) (result byte, lastSeq uint64, err error) {
+	v := visit{op: opAppend, shard: shard, seq: seq, edges: edges, fanout: fanout}
 	_, err = cl.do(&v)
 	return v.result, v.lastSeq, err
 }
 
 // call runs a handshake or admin op, whose payload and response are
 // composed by closures — the one path through do that allocates.
-func (cl *Client) call(op Op, encode func([]byte) []byte, decode func(body []byte) error) error {
+func (cl *client) call(op Op, encode func([]byte) []byte, decode func(body []byte) error) error {
 	_, err := cl.do(&visit{op: op, enc: encode, dec: decode})
 	return err
 }
 
 // callFor is call for an op whose response decodes to one value.
-func callFor[T any](cl *Client, op Op, encode func([]byte) []byte, decode func(body []byte) (T, error)) (T, error) {
+func callFor[T any](cl *client, op Op, encode func([]byte) []byte, decode func(body []byte) (T, error)) (T, error) {
 	var out T
 	err := cl.call(op, encode, func(body []byte) (err error) {
 		out, err = decode(body)
@@ -557,7 +554,7 @@ func callFor[T any](cl *Client, op Op, encode func([]byte) []byte, decode func(b
 // engine.VisitHandle the stub hands the engine's visit plan. Pooled;
 // returned to the pool when awaited.
 type pendingVisit struct {
-	cl       *Client
+	cl       *client
 	mc       *muxConn // nil when the start attempt failed before the wire
 	sl       *muxSlot
 	ct       *callTimer
@@ -580,7 +577,7 @@ var pendingPool = sync.Pool{New: func() any { return new(pendingVisit) }}
 // mode is deferred too, so concurrently started sibling visits are never
 // abandoned mid-flight. The returned handle must be awaited exactly
 // once.
-func (cl *Client) startVisit(v visit) *pendingVisit {
+func (cl *client) startVisit(v visit) *pendingVisit {
 	p := pendingPool.Get().(*pendingVisit)
 	*p = pendingVisit{cl: cl, v: v}
 	probe, wait := cl.admit()
@@ -708,13 +705,13 @@ func (in Info) sameGraph(o Info) error {
 }
 
 // Info fetches the server handshake.
-func (cl *Client) Info() (Info, error) { return callFor(cl, OpInfo, nil, decodeInfo) }
+func (cl *client) Info() (Info, error) { return callFor(cl, opInfo, nil, decodeInfo) }
 
 // Routing fetches the partition's routing table — everything the Engine
 // routing layer needs to direct requests at this cluster. The table
 // carries the server's current routing epoch.
-func (cl *Client) Routing() (*partition.Routing, error) {
-	return callFor(cl, OpRouting, nil, partition.UnmarshalRouting)
+func (cl *client) Routing() (*partition.Routing, error) {
+	return callFor(cl, opRouting, nil, partition.UnmarshalRouting)
 }
 
 // Reassign commands the server to acquire or release one partition — the
@@ -722,39 +719,39 @@ func (cl *Client) Routing() (*partition.Routing, error) {
 // exactly this). It returns the server's routing epoch after the change;
 // acquiring an already-owned or releasing a non-owned partition is a
 // no-op that returns the current epoch.
-func (cl *Client) Reassign(shard int, acquire bool) (uint64, error) {
-	return callFor(cl, OpReassign, func(b []byte) []byte { return appendReassignRequest(b, shard, acquire) },
+func (cl *client) Reassign(shard int, acquire bool) (uint64, error) {
+	return callFor(cl, opReassign, func(b []byte) []byte { return appendReassignRequest(b, shard, acquire) },
 		decodeReassignResponse)
 }
 
-// RoutingEpoch polls the server's current routing epoch, the partitions
+// routingEpoch polls the server's current routing epoch, the partitions
 // it serves — each with its ingest row — and its member view: the cheap
 // ownership read a client refreshes from after a wrong-epoch redirect,
 // without re-fetching the (possibly node-sized) routing blob.
-func (cl *Client) RoutingEpoch() (epoch uint64, owned []ShardInfo, members []string, err error) {
-	err = cl.call(OpEpoch, nil, func(body []byte) (derr error) {
+func (cl *client) routingEpoch() (epoch uint64, owned []ShardInfo, members []string, err error) {
+	err = cl.call(opEpoch, nil, func(body []byte) (derr error) {
 		epoch, owned, members, derr = decodeEpoch(body)
 		return derr
 	})
 	return epoch, owned, members, err
 }
 
-// Members runs the membership exchange: announce, when non-empty,
+// members runs the membership exchange: announce, when non-empty,
 // registers the caller's advertised address with the server; the
 // response lists every server address the server knows, announce
 // included. A serving-tier client polls with an empty announce.
-func (cl *Client) Members(announce string) ([]string, error) {
-	return callFor(cl, OpMembers, func(b []byte) []byte { return appendMembersRequest(b, announce) },
+func (cl *client) members(announce string) ([]string, error) {
+	return callFor(cl, opMembers, func(b []byte) []byte { return appendMembersRequest(b, announce) },
 		decodeMembersResponse)
 }
 
 // RemoteShard is the client-side stub for one partition served by a
 // shard server: an engine.ShardBackend whose reads happen over the wire.
-// Several stubs (one per owned partition) share one Client and its
+// Several stubs (one per owned partition) share one client and its
 // multiplexed connections, so concurrent visits to different partitions
 // of the same server pipeline onto the same sockets.
 type RemoteShard struct {
-	cl           *Client
+	cl           *client
 	shard        int
 	nodes, edges int
 	requests     atomic.Int64
@@ -780,9 +777,9 @@ var (
 	_ engine.IngestReporter = (*RemoteShard)(nil)
 )
 
-// NewRemoteShard returns a stub for partition shard behind cl. nodes and
+// newRemoteShard returns a stub for partition shard behind cl. nodes and
 // edges size the partition for Stats (zero when unknown).
-func NewRemoteShard(cl *Client, shard, nodes, edges int) *RemoteShard {
+func newRemoteShard(cl *client, shard, nodes, edges int) *RemoteShard {
 	return &RemoteShard{cl: cl, shard: shard, nodes: nodes, edges: edges}
 }
 
@@ -945,10 +942,10 @@ func (rs *RemoteShard) NeighborsOf(id graph.NodeID) ([]graph.Edge, error) {
 	return blk.Neighbors[0], nil
 }
 
-// Logf is where the cluster logs skipped servers and rejected member
+// logf is where the cluster logs skipped servers and rejected member
 // addresses during a refresh. Replace it to route into a structured
 // logger; it must be safe for concurrent use.
-var Logf = log.Printf
+var logf = log.Printf
 
 // defaultPollTimeout bounds each server's ownership poll inside Refresh
 // independently of the per-call Timeout, so one stalled server delays
@@ -980,7 +977,7 @@ type Cluster struct {
 	pollTimeout time.Duration // per-server Refresh poll bound (defaultPollTimeout)
 
 	mu      sync.Mutex
-	clients []*Client
+	clients []*client
 	byAddr  map[string]int           // dialed address → clients index
 	pending map[string]struct{}      // discovered addresses awaiting validation
 	stubs   map[stubKey]*RemoteShard // reused across refreshes to keep counters
@@ -1000,7 +997,7 @@ func (c *Cluster) stub(server int, sh ShardInfo) *RemoteShard {
 	key := stubKey{server: server, shard: sh.ID}
 	rs := c.stubs[key]
 	if rs == nil {
-		rs = NewRemoteShard(c.clients[server], sh.ID, sh.Nodes, sh.Edges)
+		rs = newRemoteShard(c.clients[server], sh.ID, sh.Nodes, sh.Edges)
 		c.stubs[key] = rs
 	}
 	rs.setIngest(sh.Ingest)
@@ -1032,8 +1029,8 @@ func (c *Cluster) addClient(addr string) int {
 	if i, ok := c.byAddr[addr]; ok {
 		return i
 	}
-	cl := NewClientWith(addr, c.cfg)
-	cl.SetDiscover(c.noteMembers)
+	cl := newClient(addr, c.cfg)
+	cl.setDiscover(c.noteMembers)
 	c.clients = append(c.clients, cl)
 	c.byAddr[addr] = len(c.clients) - 1
 	return len(c.clients) - 1
@@ -1041,7 +1038,7 @@ func (c *Cluster) addClient(addr string) int {
 
 // snapshotClients returns the current client list (append-only, so the
 // prefix stays valid) for a lock-free poll loop.
-func (c *Cluster) snapshotClients() []*Client {
+func (c *Cluster) snapshotClients() []*client {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.clients[:len(c.clients):len(c.clients)]
@@ -1066,14 +1063,14 @@ func (c *Cluster) adoptPending() {
 	c.mu.Unlock()
 	sort.Strings(pend) // deterministic adoption → deterministic client order
 	for _, addr := range pend {
-		probe := NewClientWith(addr, ClientConfig{Conns: 1, Timeout: c.pollTimeout})
+		probe := newClient(addr, ClientConfig{Conns: 1, Timeout: c.pollTimeout})
 		info, err := probe.Info()
 		probe.Close()
 		if err == nil {
 			err = c.Info.sameGraph(info)
 		}
 		if err != nil {
-			Logf("rpc: cluster: dropping discovered member %s: %v", addr, err)
+			logf("rpc: cluster: dropping discovered member %s: %v", addr, err)
 			continue
 		}
 		c.addClient(addr)
@@ -1092,7 +1089,7 @@ type pollRes struct {
 // stalled server costs the refresh at most pollTimeout, never a hang.
 // A timed-out slot reports the timeout; its goroutine finishes (and is
 // discarded) in the background, writing only its private channel.
-func (c *Cluster) pollServers(clients []*Client) []pollRes {
+func (c *Cluster) pollServers(clients []*client) []pollRes {
 	results := make([]pollRes, len(clients))
 	type landed struct {
 		idx int
@@ -1100,9 +1097,9 @@ func (c *Cluster) pollServers(clients []*Client) []pollRes {
 	}
 	ch := make(chan landed, len(clients))
 	for si, cl := range clients {
-		go func(si int, cl *Client) {
+		go func(si int, cl *client) {
 			var r pollRes
-			_, r.owned, r.members, r.err = cl.RoutingEpoch()
+			_, r.owned, r.members, r.err = cl.routingEpoch()
 			ch <- landed{idx: si, res: r}
 		}(si, cl)
 	}
@@ -1127,7 +1124,7 @@ func (c *Cluster) pollServers(clients []*Client) []pollRes {
 	return results
 }
 
-// Refresh re-resolves which servers own each partition by polling every
+// refresh re-resolves which servers own each partition by polling every
 // client's routing epoch, and installs the new replica binding into the
 // engine. Every reachable claimant of a partition joins its replica
 // group (client order, so the first claimant stays the deterministic
@@ -1143,7 +1140,7 @@ func (c *Cluster) pollServers(clients []*Client) []pollRes {
 // directly (e.g. on an operator's schedule) is also safe — refreshes
 // serialize, so an install always reflects a poll at least as recent as
 // the one it replaces.
-func (c *Cluster) Refresh() error {
+func (c *Cluster) refresh() error {
 	c.refreshMu.Lock()
 	defer c.refreshMu.Unlock()
 	nshards := c.Info.NumShards
@@ -1152,7 +1149,7 @@ func (c *Cluster) Refresh() error {
 	// ownership matters for this very refresh (the partition moved to a
 	// server we had never dialed), so adoption loops until the member set
 	// is stable — at most three rounds, then we bind what we have.
-	var clients []*Client
+	var clients []*client
 	var polls []pollRes
 	for round := 0; ; round++ {
 		c.adoptPending()
@@ -1181,7 +1178,7 @@ func (c *Cluster) Refresh() error {
 			if firstErr == nil {
 				firstErr = err
 			}
-			Logf("rpc: cluster: refresh skipping %s: %v", clients[si].Addr(), err)
+			logf("rpc: cluster: refresh skipping %s: %v", clients[si].Addr(), err)
 			continue
 		}
 		reached++
@@ -1204,14 +1201,9 @@ func (c *Cluster) Refresh() error {
 	return nil
 }
 
-// DialCluster connects to the given shard servers with default pool
-// bounds and assembles the remote engine.
-func DialCluster(addrs ...string) (*Cluster, error) {
-	return DialClusterWith(ClientConfig{}, addrs...)
-}
-
-// DialClusterWith is DialCluster with explicit per-server pool bounds.
-// Every partition must be owned by at least one reachable server; every
+// DialClusterWith connects to the given shard servers with the pool
+// bounds of cfg (zero fields take the defaults) and assembles the remote
+// engine. Every partition must be owned by at least one reachable server; every
 // claimant joins the partition's replica group (dial order, so the
 // first claimant is the primary). The assembled engine re-resolves
 // ownership automatically when a partition later moves — including to
@@ -1234,8 +1226,8 @@ func DialClusterWith(cfg ClientConfig, addrs ...string) (*Cluster, error) {
 	var groups [][]engine.ShardBackend
 	var routing *partition.Routing
 	for i, addr := range addrs {
-		cl := NewClientWith(addr, cfg)
-		cl.SetDiscover(cluster.noteMembers)
+		cl := newClient(addr, cfg)
+		cl.setDiscover(cluster.noteMembers)
 		cluster.clients = append(cluster.clients, cl)
 		cluster.byAddr[addr] = i
 		info, err := cl.Info()
@@ -1274,7 +1266,7 @@ func DialClusterWith(cfg ClientConfig, addrs ...string) (*Cluster, error) {
 		}
 	}
 	cluster.Engine = engine.NewWithReplicaSets(routing, groups, cluster.Info.ContentDim)
-	cluster.Engine.SetRefresh(cluster.Refresh)
+	cluster.Engine.SetRefresh(cluster.refresh)
 	return cluster, nil
 }
 
@@ -1307,10 +1299,6 @@ func (c *Cluster) IngestStats() []engine.IngestStats {
 	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
 	return out
 }
-
-// SetPollTimeout overrides the per-server ownership-poll bound used by
-// Refresh (default 2s). Not concurrency-safe; set before first use.
-func (c *Cluster) SetPollTimeout(d time.Duration) { c.pollTimeout = d }
 
 // Close closes every client in the cluster.
 func (c *Cluster) Close() error {

@@ -30,9 +30,9 @@ func startShardServer(t *testing.T) (*Server, string) {
 // the health circuit. A slow caller budget is not a dead server.
 func TestRemoteSampleDeadlineExpiredIsTypedAndUncharged(t *testing.T) {
 	_, addr := startShardServer(t)
-	cl := NewClientWith(addr, ClientConfig{Timeout: 2 * time.Second})
+	cl := newClient(addr, ClientConfig{Timeout: 2 * time.Second})
 	defer cl.Close()
-	rs := NewRemoteShard(cl, 0, 0, 0)
+	rs := newRemoteShard(cl, 0, 0, 0)
 
 	r := rng.New(21)
 	before := r.State()
@@ -59,9 +59,9 @@ func TestRemoteSampleDeadlineExpiredIsTypedAndUncharged(t *testing.T) {
 // the budget only shrinks the wire timeout, never the sampling stream.
 func TestRemoteSampleDeadlineBitIdentical(t *testing.T) {
 	_, addr := startShardServer(t)
-	cl := NewClientWith(addr, ClientConfig{Timeout: 2 * time.Second})
+	cl := newClient(addr, ClientConfig{Timeout: 2 * time.Second})
 	defer cl.Close()
-	rs := NewRemoteShard(cl, 0, 0, 0)
+	rs := newRemoteShard(cl, 0, 0, 0)
 
 	ra, rb := rng.New(33), rng.New(33)
 	a := make([]graph.NodeID, 5)
@@ -92,9 +92,9 @@ func TestRemoteSampleDeadlineBitIdentical(t *testing.T) {
 func TestRemoteSampleDeadlineBoundsWireWait(t *testing.T) {
 	bh := startBlackhole(t, "127.0.0.1:0")
 	defer bh.kill()
-	cl := NewClientWith(bh.ln.Addr().String(), ClientConfig{Timeout: 30 * time.Second})
+	cl := newClient(bh.ln.Addr().String(), ClientConfig{Timeout: 30 * time.Second})
 	defer cl.Close()
-	rs := NewRemoteShard(cl, 0, 0, 0)
+	rs := newRemoteShard(cl, 0, 0, 0)
 
 	r := rng.New(5)
 	out := make([]graph.NodeID, 4)

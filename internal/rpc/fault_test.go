@@ -30,7 +30,7 @@ func TestShardFailureAndReconnect(t *testing.T) {
 	addr := ln.Addr().String()
 	srv.Start(ln)
 
-	cluster, err := DialCluster(addr)
+	cluster, err := DialClusterWith(ClientConfig{}, addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestNoPartialResultsUnderChurn(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	srv.Start(ln)
-	cluster, err := DialCluster(addr)
+	cluster, err := DialClusterWith(ClientConfig{}, addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

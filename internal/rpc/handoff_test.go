@@ -19,10 +19,10 @@ import (
 // partition is never unowned.
 func migrate(t *testing.T, shard int, src, dst *Server) {
 	t.Helper()
-	if _, err := dst.AcquirePartition(shard); err != nil {
+	if _, err := dst.acquirePartition(shard); err != nil {
 		t.Fatalf("acquire %d: %v", shard, err)
 	}
-	if _, err := src.ReleasePartition(shard); err != nil {
+	if _, err := src.releasePartition(shard); err != nil {
 		t.Fatalf("release %d: %v", shard, err)
 	}
 }
@@ -165,11 +165,11 @@ func TestDrainedShardRedirectsTyped(t *testing.T) {
 	g := buildGraph(t)
 	const shards = 2
 	srv, addr := startServer(t, g, ServerConfig{Shards: shards, Strategy: partition.Hash})
-	cl := NewClient(addr)
+	cl := newClient(addr, ClientConfig{})
 	t.Cleanup(func() { cl.Close() })
 
 	var onShard0, onShard1 graph.NodeID = -1, -1
-	part := partition.Split(g, shards, partition.Hash)
+	part := partition.SplitOpts(g, shards, partition.Hash, partition.Options{})
 	for id := 0; id < g.NumNodes() && (onShard0 < 0 || onShard1 < 0); id++ {
 		if part.Owner(graph.NodeID(id)) == 0 && onShard0 < 0 {
 			onShard0 = graph.NodeID(id)
@@ -178,10 +178,10 @@ func TestDrainedShardRedirectsTyped(t *testing.T) {
 		}
 	}
 
-	if epoch, err := srv.ReleasePartition(1); err != nil || epoch != 1 {
+	if epoch, err := srv.releasePartition(1); err != nil || epoch != 1 {
 		t.Fatalf("release: epoch %d, err %v", epoch, err)
 	}
-	rs := NewRemoteShard(cl, 1, 0, 0)
+	rs := newRemoteShard(cl, 1, 0, 0)
 	out := make([]graph.NodeID, 4)
 	ns := make([]int32, 1)
 	_, err := rs.SampleBatchInto([]graph.NodeID{onShard1}, []int32{0}, 9, 4, out, ns)
@@ -219,7 +219,7 @@ func TestDrainedShardRedirectsTyped(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rs.SampleBatchInto([]graph.NodeID{onShard1}, []int32{0}, 9, 4, out, ns)
 	}
-	rs0 := NewRemoteShard(cl, 0, 0, 0)
+	rs0 := newRemoteShard(cl, 0, 0, 0)
 	if _, err := rs0.SampleIntoBy(onShard0, out, r, time.Time{}); err != nil {
 		t.Fatalf("healthy shard read after redirects: %v", err)
 	}
@@ -232,7 +232,7 @@ func TestDrainedShardRedirectsTyped(t *testing.T) {
 	if epoch, err := cl.Reassign(1, true); err != nil || epoch != 2 {
 		t.Fatalf("remote acquire: epoch %d, err %v", epoch, err)
 	}
-	if epoch, owned, _, err := cl.RoutingEpoch(); err != nil || epoch != 2 || len(owned) != 2 {
+	if epoch, owned, _, err := cl.routingEpoch(); err != nil || epoch != 2 || len(owned) != 2 {
 		t.Fatalf("routing-epoch poll: epoch %d, %d owned, err %v", epoch, len(owned), err)
 	}
 	if n, err := rs.SampleBatchInto([]graph.NodeID{onShard1}, []int32{0}, 9, 4, out, ns); err != nil || n != 4 {
@@ -282,11 +282,11 @@ func TestHandoffRacingInFlightWindows(t *testing.T) {
 				return
 			case <-time.After(15 * time.Millisecond):
 			}
-			if _, err := dst.AcquirePartition(moved); err != nil {
+			if _, err := dst.acquirePartition(moved); err != nil {
 				t.Errorf("acquire: %v", err)
 				return
 			}
-			if _, err := src.ReleasePartition(moved); err != nil {
+			if _, err := src.releasePartition(moved); err != nil {
 				t.Errorf("release: %v", err)
 				return
 			}

@@ -41,10 +41,10 @@ func TestRequestLifecyclePolicy(t *testing.T) {
 			return &visit{op: OpReadNodes, deadline: d, gids: []graph.NodeID{1}, fields: graph.ReadAll, blk: &blk}
 		}},
 		{"graph-append", 1, func(d time.Time) *visit {
-			return &visit{op: OpAppend, deadline: d, seq: 1, edges: []ingest.Edge{{Src: 1, Dst: 2, Weight: 1}}}
+			return &visit{op: opAppend, deadline: d, seq: 1, edges: []ingest.Edge{{Src: 1, Dst: 2, Weight: 1}}}
 		}},
 		{"routing-epoch", 2, func(d time.Time) *visit {
-			return &visit{op: OpEpoch, deadline: d, dec: func(body []byte) error {
+			return &visit{op: opEpoch, deadline: d, dec: func(body []byte) error {
 				_, _, _, err := decodeEpoch(body)
 				return err
 			}}
@@ -81,7 +81,7 @@ func TestRequestLifecyclePolicy(t *testing.T) {
 			t.Run(op.name+"/"+oc.name, func(t *testing.T) {
 				srv := startScripted(t, "127.0.0.1:0", oc.script)
 				defer srv.kill()
-				cl := NewClientWith(srv.ln.Addr().String(),
+				cl := newClient(srv.ln.Addr().String(),
 					ClientConfig{Conns: 1, Window: 1, Timeout: 5 * time.Second, FailThreshold: threshold})
 				defer cl.Close()
 				if oc.deadline > 0 {
@@ -131,7 +131,7 @@ func TestRequestLifecyclePolicy(t *testing.T) {
 // as a malformed response and as the version skew it is — the sentinel
 // docs/OPERATIONS.md tells an operator to match.
 func TestDecodeErrorKeepsIdentity(t *testing.T) {
-	blob, err := partition.Split(buildGraph(t), 2, partition.Hash).RoutingTable().MarshalBinary()
+	blob, err := partition.SplitOpts(buildGraph(t), 2, partition.Hash, partition.Options{}).RoutingTable().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +141,8 @@ func TestDecodeErrorKeepsIdentity(t *testing.T) {
 		info = appendU32(info, v)
 	}
 	srv := startScripted(t, "127.0.0.1:0", script{byOp: map[Op][]byte{
-		OpInfo:    info,
-		OpRouting: append([]byte{statusOK}, blob...),
+		opInfo:    info,
+		opRouting: append([]byte{statusOK}, blob...),
 	}})
 	defer srv.kill()
 	_, err = DialClusterWith(ClientConfig{Timeout: 5 * time.Second}, srv.ln.Addr().String())
@@ -197,7 +197,7 @@ func TestMalformedBodySparesSiblings(t *testing.T) {
 			}()
 		}
 	}()
-	cl := NewClientWith(ln.Addr().String(), ClientConfig{Conns: 1, Window: 2, Timeout: 5 * time.Second})
+	cl := newClient(ln.Addr().String(), ClientConfig{Conns: 1, Window: 2, Timeout: 5 * time.Second})
 	defer cl.Close()
 	errs := make(chan error, 2)
 	for i := int64(0); i < 2; i++ {
@@ -227,7 +227,7 @@ func TestMalformedBodySparesSiblings(t *testing.T) {
 func TestSpentDeadlineDoesNotCloseCircuit(t *testing.T) {
 	srv := startScripted(t, "127.0.0.1:0", script{drop: true})
 	defer srv.kill()
-	cl := NewClientWith(srv.ln.Addr().String(), ClientConfig{Conns: 1, Timeout: time.Second, FailThreshold: 3})
+	cl := newClient(srv.ln.Addr().String(), ClientConfig{Conns: 1, Timeout: time.Second, FailThreshold: 3})
 	defer cl.Close()
 	sample := func(deadline time.Time) error {
 		_, err := cl.do(&visit{op: OpSample, deadline: deadline, id: 1, k: 4, out: make([]graph.NodeID, 4)})

@@ -112,7 +112,7 @@ func TestMuxInFlightFailure(t *testing.T) {
 	bh := startBlackhole(t, "127.0.0.1:0")
 	addr := bh.ln.Addr().String()
 
-	cl := NewClientWith(addr, ClientConfig{Timeout: 3 * time.Second})
+	cl := newClient(addr, ClientConfig{Timeout: 3 * time.Second})
 	defer cl.Close()
 
 	const K = 8
@@ -213,8 +213,8 @@ func TestVersionMismatchOldClientLoudError(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	// A v1 OpInfo request: u32 length, then [op]. No preface.
-	req := []byte{1, 0, 0, 0, byte(OpInfo)}
+	// A v1 opInfo request: u32 length, then [op]. No preface.
+	req := []byte{1, 0, 0, 0, byte(opInfo)}
 	if _, err := c.Write(req); err != nil {
 		t.Fatalf("write v1 frame: %v", err)
 	}
@@ -261,7 +261,7 @@ func TestVersionMismatchOldServerLoudError(t *testing.T) {
 			}()
 		}
 	}()
-	cl := NewClientWith(ln.Addr().String(), ClientConfig{Timeout: 2 * time.Second})
+	cl := newClient(ln.Addr().String(), ClientConfig{Timeout: 2 * time.Second})
 	defer cl.Close()
 	if _, err := cl.Info(); err == nil {
 		t.Fatal("handshake with a preface-less server succeeded")
@@ -293,7 +293,7 @@ func TestVersionMismatchFutureServer(t *testing.T) {
 			}()
 		}
 	}()
-	cl := NewClientWith(ln.Addr().String(), ClientConfig{Timeout: 2 * time.Second})
+	cl := newClient(ln.Addr().String(), ClientConfig{Timeout: 2 * time.Second})
 	defer cl.Close()
 	if _, err := cl.Info(); err == nil {
 		t.Fatal("client accepted protocol version 99")
@@ -316,7 +316,7 @@ func TestMuxSharedConnectionHammer(t *testing.T) {
 	srv.Start(ln)
 	t.Cleanup(func() { srv.Close() })
 
-	cl := NewClientWith(ln.Addr().String(), ClientConfig{Conns: 1, Window: 4})
+	cl := newClient(ln.Addr().String(), ClientConfig{Conns: 1, Window: 4})
 	t.Cleanup(func() { cl.Close() })
 	info, err := cl.Info()
 	if err != nil {
@@ -328,7 +328,7 @@ func TestMuxSharedConnectionHammer(t *testing.T) {
 	}
 	groups := make([][]engine.ShardBackend, info.NumShards)
 	for _, sh := range info.Owned {
-		groups[sh.ID] = []engine.ShardBackend{NewRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)}
+		groups[sh.ID] = []engine.ShardBackend{newRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)}
 	}
 	remote := engine.NewWithReplicaSets(routing, groups, info.ContentDim)
 	local := engine.New(g, engine.Config{Shards: 1})

@@ -33,14 +33,14 @@ var ops [numOps]opSpec
 
 func init() {
 	ops = [numOps]opSpec{
-		OpInfo:      {"info", 2, (*Server).handleInfo},
-		OpRouting:   {"routing", 2, (*Server).handleRouting},
+		opInfo:      {"info", 2, (*Server).handleInfo},
+		opRouting:   {"routing", 2, (*Server).handleRouting},
 		OpSample:    {"sample", 2, (*Server).handleSample},
 		OpBatch:     {"batch", 2, (*Server).handleBatch},
-		OpReassign:  {"reassign", 2, (*Server).handleReassign},
-		OpEpoch:     {"routing-epoch", 2, (*Server).handleEpoch},
-		OpMembers:   {"members", 2, (*Server).handleMembers},
-		OpAppend:    {"graph-append", 1, (*Server).handleAppend},
+		opReassign:  {"reassign", 2, (*Server).handleReassign},
+		opEpoch:     {"routing-epoch", 2, (*Server).handleEpoch},
+		opMembers:   {"members", 2, (*Server).handleMembers},
+		opAppend:    {"graph-append", 1, (*Server).handleAppend},
 		OpReadNodes: {"read-nodes", 2, (*Server).handleReadNodes},
 	}
 }
@@ -265,17 +265,17 @@ func decodeBatch(body []byte, gids []graph.NodeID, idx []int32, k int, out []gra
 	return total, nil
 }
 
-// appendReassignRequest encodes an OpReassign payload: the action, then
+// appendReassignRequest encodes an opReassign payload: the action, then
 // the partition.
 func appendReassignRequest(b []byte, shard int, acquire bool) []byte {
-	action := byte(ReassignRelease)
+	action := byte(reassignRelease)
 	if acquire {
-		action = ReassignAcquire
+		action = reassignAcquire
 	}
 	return appendU32(append(b, action), uint32(shard))
 }
 
-// decodeReassignRequest decodes an OpReassign payload; an action other
+// decodeReassignRequest decodes an opReassign payload; an action other
 // than acquire or release is malformed.
 func decodeReassignRequest(payload []byte) (shard int, acquire bool, err error) {
 	cu := wire.Cursor{B: payload}
@@ -283,13 +283,13 @@ func decodeReassignRequest(payload []byte) (shard int, acquire bool, err error) 
 	if err := cu.Err(ErrMalformedFrame); err != nil {
 		return 0, false, err
 	}
-	if action != ReassignAcquire && action != ReassignRelease {
+	if action != reassignAcquire && action != reassignRelease {
 		return 0, false, fmt.Errorf("%w: unknown reassign action %d", ErrMalformedFrame, action)
 	}
-	return shard, action == ReassignAcquire, nil
+	return shard, action == reassignAcquire, nil
 }
 
-// decodeReassignResponse decodes an OpReassign response: the routing
+// decodeReassignResponse decodes an opReassign response: the routing
 // epoch after the change (appendU64), with nothing after it.
 func decodeReassignResponse(body []byte) (epoch uint64, err error) {
 	cu := wire.Cursor{B: body}
@@ -389,20 +389,20 @@ func decodeIngest(cu *wire.Cursor, owned []ShardInfo) {
 // than any plausible cluster is a protocol error, not a membership view.
 const maxMembers = 1024
 
-// appendMembersRequest encodes an OpMembers payload: the announced
+// appendMembersRequest encodes an opMembers payload: the announced
 // address, empty for a plain poll.
 func appendMembersRequest(b []byte, announce string) []byte {
 	return append(appendU32(b, uint32(len(announce))), announce...)
 }
 
-// decodeMembersRequest decodes an OpMembers payload.
+// decodeMembersRequest decodes an opMembers payload.
 func decodeMembersRequest(payload []byte) (announce string, err error) {
 	cu := wire.Cursor{B: payload}
 	announce = cu.Str()
 	return announce, cu.Err(ErrMalformedFrame)
 }
 
-// decodeMembersResponse decodes an OpMembers response: one address list
+// decodeMembersResponse decodes an opMembers response: one address list
 // (appendAddrList), with nothing after it.
 func decodeMembersResponse(body []byte) (members []string, err error) {
 	cu := wire.Cursor{B: body}
@@ -444,7 +444,7 @@ func decodeAddrList(cu *wire.Cursor) []string {
 	return addrs
 }
 
-// appendAppendRequest encodes an OpAppend payload: u8 flags | u32 shard |
+// appendAppendRequest encodes an opAppend payload: u8 flags | u32 shard |
 // the ingest record (the on-wire encoding is the on-disk one); fanout
 // marks a replica fan-out copy.
 func appendAppendRequest(b []byte, shard int, seq uint64, edges []ingest.Edge, fanout bool) []byte {
@@ -456,7 +456,7 @@ func appendAppendRequest(b []byte, shard int, seq uint64, edges []ingest.Edge, f
 	return ingest.AppendPayload(b, seq, edges)
 }
 
-// decodeAppendRequest decodes an OpAppend payload into edges' storage;
+// decodeAppendRequest decodes an opAppend payload into edges' storage;
 // flag bits other than the fan-out bit are ignored.
 func decodeAppendRequest(payload []byte, edges []ingest.Edge) (shard int, fanout bool, rec ingest.Record, err error) {
 	cu := wire.Cursor{B: payload}
@@ -465,13 +465,13 @@ func decodeAppendRequest(payload []byte, edges []ingest.Edge) (shard int, fanout
 	return shard, flags&appendFlagFanout != 0, rec, err
 }
 
-// appendAppendResult encodes an OpAppend response: u8 result | u64
+// appendAppendResult encodes an opAppend response: u8 result | u64
 // lastSeq.
 func appendAppendResult(b []byte, result byte, lastSeq uint64) []byte {
 	return appendU64(append(b, result), lastSeq)
 }
 
-// decodeAppendResult decodes an OpAppend response: the result code and
+// decodeAppendResult decodes an opAppend response: the result code and
 // the shard's sequence watermark.
 func decodeAppendResult(body []byte) (result byte, lastSeq uint64, err error) {
 	cu := wire.Cursor{B: body}

@@ -18,9 +18,9 @@ import (
 // identical info or routing-epoch requests get identical bytes.
 func TestOwnedRepliesDeterministic(t *testing.T) {
 	s, _, _, _ := seedServer(ServerConfig{Shards: 4, Advertise: "127.0.0.1:7001"})
-	s.AddMembers("127.0.0.1:7002")
+	s.addMembers("127.0.0.1:7002")
 	var wmu sync.Mutex
-	for _, op := range []Op{OpInfo, OpEpoch} {
+	for _, op := range []Op{opInfo, opEpoch} {
 		var first []byte
 		for i := 0; i < 50; i++ {
 			c := &recConn{}
@@ -128,25 +128,25 @@ func sortedTriples(frame []byte) []byte {
 // sorted by id.
 func FuzzDecodeControlResponse(f *testing.F) {
 	s, _, _, body := seedServer(ServerConfig{Shards: 3, Owned: []int{2, 0}, Advertise: "127.0.0.1:7001"})
-	s.AddMembers("127.0.0.1:7002")
+	s.addMembers("127.0.0.1:7002")
 	o := s.own.Load()
-	f.Add(uint8(OpInfo), body(s.handleInfo(o, nil, &serverConn{})))
-	f.Add(uint8(OpReassign), body(s.handleReassign(o, appendReassignRequest(nil, 2, false), &serverConn{})))
-	f.Add(uint8(OpMembers), body(s.handleMembers(o, appendMembersRequest(nil, "127.0.0.1:7003"), &serverConn{})))
+	f.Add(uint8(opInfo), body(s.handleInfo(o, nil, &serverConn{})))
+	f.Add(uint8(opReassign), body(s.handleReassign(o, appendReassignRequest(nil, 2, false), &serverConn{})))
+	f.Add(uint8(opMembers), body(s.handleMembers(o, appendMembersRequest(nil, "127.0.0.1:7003"), &serverConn{})))
 	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
 		var err error
 		var encode func() []byte
 		decode := func() {
 			switch Op(op) {
-			case OpInfo:
+			case opInfo:
 				var info Info
 				info, err = decodeInfo(body)
 				encode = func() []byte { return appendInfo(nil, info) }
-			case OpReassign:
+			case opReassign:
 				var epoch uint64
 				epoch, err = decodeReassignResponse(body)
 				encode = func() []byte { return appendU64(nil, epoch) }
-			case OpMembers:
+			case opMembers:
 				var members []string
 				members, err = decodeMembersResponse(body)
 				encode = func() []byte { return appendAddrList(nil, members) }
@@ -165,7 +165,7 @@ func FuzzDecodeControlResponse(f *testing.F) {
 			return
 		}
 		want := body
-		if Op(op) == OpInfo {
+		if Op(op) == opInfo {
 			want = sortedTriples(body)
 		}
 		if again := encode(); !bytes.Equal(again, want) {

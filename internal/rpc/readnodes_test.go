@@ -101,10 +101,11 @@ func TestReadNodesAbsentAttributes(t *testing.T) {
 	b := graph.NewBuilder()
 	full := b.AddNode(graph.User, []int32{1, 2, 3}, tensor.Vec{0.5, -1})
 	bare := b.AddNode(graph.Item, nil, nil)
-	b.AddEdge(full, bare, graph.Click, 2)
+	lone := b.AddNode(graph.Item, nil, nil)
+	b.AddUndirected(full, bare, graph.Click, 2)
 	g := b.Build()
 	_, cluster := startCluster(t, g, 1, partition.Hash, [][]int{{0}})
-	ids := []graph.NodeID{bare, full, bare}
+	ids := []graph.NodeID{bare, full, lone, bare}
 	var blk graph.NodeBlock
 	if err := cluster.Engine.TryReadNodes(ids, graph.ReadAll, &blk); err != nil {
 		t.Fatal(err)
@@ -217,11 +218,11 @@ func TestLiveHandoffBulkRead(t *testing.T) {
 				return
 			case <-time.After(15 * time.Millisecond):
 			}
-			if _, err := to.AcquirePartition(moved); err != nil {
+			if _, err := to.acquirePartition(moved); err != nil {
 				t.Errorf("acquire: %v", err)
 				return
 			}
-			if _, err := from.ReleasePartition(moved); err != nil {
+			if _, err := from.releasePartition(moved); err != nil {
 				t.Errorf("release: %v", err)
 				return
 			}
@@ -249,12 +250,12 @@ func TestKillReplicaMidBulkRead(t *testing.T) {
 	all := []int{0, 1, 2, 3}
 	srvA, addrA := startReplicaServer(t, g, 4, all)
 	srvB, addrB := startReplicaServer(t, g, 4, all)
-	cluster, err := DialCluster(addrA, addrB)
+	cluster, err := DialClusterWith(ClientConfig{}, addrA, addrB)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	cluster.SetPollTimeout(300 * time.Millisecond)
+	cluster.pollTimeout = 300 * time.Millisecond
 	eng := cluster.Engine
 
 	var blk graph.NodeBlock
@@ -670,7 +671,7 @@ func FuzzDecodeSampleResponse(f *testing.F) {
 // accepts only the three result codes, and fails typed.
 func FuzzDecodeAppendResponse(f *testing.F) {
 	s, a, c, body := seedServer(ServerConfig{})
-	req := (&visit{op: OpAppend, seq: 1, edges: []ingest.Edge{{Src: a, Dst: c, Type: graph.Click, Weight: 2}}}).encode(nil)
+	req := (&visit{op: opAppend, seq: 1, edges: []ingest.Edge{{Src: a, Dst: c, Type: graph.Click, Weight: 2}}}).encode(nil)
 	f.Add(body(s.handleAppend(s.own.Load(), req, &serverConn{})))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		result, lastSeq, err := decodeAppendResult(body)
@@ -693,7 +694,7 @@ func FuzzDecodeAppendResponse(f *testing.F) {
 // allocates past a constant factor of the frame, and fails typed.
 func FuzzDecodeEpochResponse(f *testing.F) {
 	s, _, _, body := seedServer(ServerConfig{Shards: 2, Advertise: "10.0.0.1:7000"})
-	s.AddMembers("10.0.0.2:7000")
+	s.addMembers("10.0.0.2:7000")
 	f.Add(body(s.handleEpoch(s.own.Load(), nil, &serverConn{})))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var owned []ShardInfo

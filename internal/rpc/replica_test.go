@@ -42,7 +42,7 @@ func TestReplicatedClusterSpreadsLoad(t *testing.T) {
 	all := []int{0, 1, 2, 3}
 	srvA, addrA := startReplicaServer(t, g, shards, all)
 	srvB, addrB := startReplicaServer(t, g, shards, all)
-	cluster, err := DialCluster(addrA, addrB)
+	cluster, err := DialClusterWith(ClientConfig{}, addrA, addrB)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -90,12 +90,12 @@ func TestKillReplicaMidBatch(t *testing.T) {
 	all := []int{0, 1, 2, 3}
 	srvA, addrA := startReplicaServer(t, g, shards, all)
 	_, addrB := startReplicaServer(t, g, shards, all)
-	cluster, err := DialCluster(addrA, addrB)
+	cluster, err := DialClusterWith(ClientConfig{}, addrA, addrB)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	cluster.SetPollTimeout(300 * time.Millisecond)
+	cluster.pollTimeout = 300 * time.Millisecond
 	remote := cluster.Engine
 	local := engine.New(g, engine.Config{Shards: 1})
 
@@ -158,12 +158,12 @@ func TestZeroHealthyReplicasTyped(t *testing.T) {
 	all := []int{0, 1}
 	srvA, addrA := startReplicaServer(t, g, 2, all)
 	srvB, addrB := startReplicaServer(t, g, 2, all)
-	cluster, err := DialCluster(addrA, addrB)
+	cluster, err := DialClusterWith(ClientConfig{}, addrA, addrB)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	cluster.SetPollTimeout(300 * time.Millisecond)
+	cluster.pollTimeout = 300 * time.Millisecond
 	remote := cluster.Engine
 
 	r := rng.New(5)
@@ -204,12 +204,12 @@ func TestMembershipDiscovery(t *testing.T) {
 	all := []int{0, 1}
 	srvA, addrA := startReplicaServer(t, g, 2, all)
 
-	cluster, err := DialCluster(addrA) // B does not exist yet
+	cluster, err := DialClusterWith(ClientConfig{}, addrA) // B does not exist yet
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	cluster.SetPollTimeout(500 * time.Millisecond)
+	cluster.pollTimeout = 500 * time.Millisecond
 	remote := cluster.Engine
 	if got := len(remote.ReplicaSet(0)); got != 1 {
 		t.Fatalf("bound %d replicas before join, want 1", got)
@@ -220,14 +220,14 @@ func TestMembershipDiscovery(t *testing.T) {
 	if err := srvB.AnnounceTo(addrA, 0); err != nil {
 		t.Fatalf("announce: %v", err)
 	}
-	members := srvA.Members()
+	members := srvA.memberList()
 	if len(members) != 2 {
 		t.Fatalf("A's member view after join: %v", members)
 	}
 
 	// One refresh discovers B through A's member view, probes it and
 	// binds it into every replica group.
-	if err := cluster.Refresh(); err != nil {
+	if err := cluster.refresh(); err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
 	for id := 0; id < 2; id++ {
@@ -270,12 +270,12 @@ func TestRollingUpgrade(t *testing.T) {
 	all := []int{0, 1, 2, 3}
 	srvA, addrA := startReplicaServer(t, g, shards, all)
 	srvB, addrB := startReplicaServer(t, g, shards, all)
-	cluster, err := DialCluster(addrA, addrB)
+	cluster, err := DialClusterWith(ClientConfig{}, addrA, addrB)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	cluster.SetPollTimeout(500 * time.Millisecond)
+	cluster.pollTimeout = 500 * time.Millisecond
 	remote := cluster.Engine
 	local := engine.New(g, engine.Config{Shards: 1})
 
@@ -381,7 +381,7 @@ func TestRollingUpgrade(t *testing.T) {
 		if err := newSrv.AnnounceTo(survivor, 0); err != nil {
 			t.Fatalf("replacement %d announce: %v", i, err)
 		}
-		if err := cluster.Refresh(); err != nil {
+		if err := cluster.refresh(); err != nil {
 			t.Fatalf("refresh binding replacement %d: %v", i, err)
 		}
 		old.Close()
@@ -397,7 +397,7 @@ func TestRollingUpgrade(t *testing.T) {
 	}
 }
 
-// Refresh is bounded per server: a stalled member (accepts and
+// refresh is bounded per server: a stalled member (accepts and
 // handshakes, then swallows frames) is timed out, logged and skipped —
 // the refresh completes on the healthy server's answer instead of
 // hanging.
@@ -406,17 +406,17 @@ func TestRefreshSkipsStalledServer(t *testing.T) {
 	srvA, addrA := startReplicaServer(t, g, 2, []int{0, 1})
 	bh := startBlackhole(t, "127.0.0.1:0")
 	t.Cleanup(bh.kill)
-	srvA.AddMembers(bh.ln.Addr().String())
+	srvA.addMembers(bh.ln.Addr().String())
 
-	cluster, err := DialCluster(addrA)
+	cluster, err := DialClusterWith(ClientConfig{}, addrA)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	cluster.SetPollTimeout(300 * time.Millisecond)
+	cluster.pollTimeout = 300 * time.Millisecond
 
 	start := time.Now()
-	if err := cluster.Refresh(); err != nil {
+	if err := cluster.refresh(); err != nil {
 		t.Fatalf("refresh with a stalled member: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {

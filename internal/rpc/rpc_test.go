@@ -47,7 +47,7 @@ func startCluster(t testing.TB, g *graph.Graph, shards int, strat partition.Stra
 			Shards: shards, Strategy: strat, Owned: owned,
 		})
 	}
-	cluster, err := DialCluster(addrs...)
+	cluster, err := DialClusterWith(ClientConfig{}, addrs...)
 	if err != nil {
 		t.Fatalf("dial cluster: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestMixedLocalRemoteBackends(t *testing.T) {
 
 	// Shards 1 and 3 live behind a server; 0 and 2 are in-process.
 	_, addr := startServer(t, g, ServerConfig{Shards: shards, Strategy: partition.Hash, Owned: []int{1, 3}})
-	cl := NewClient(addr)
+	cl := newClient(addr, ClientConfig{})
 	t.Cleanup(func() { cl.Close() })
 	info, err := cl.Info()
 	if err != nil {
@@ -211,12 +211,12 @@ func TestMixedLocalRemoteBackends(t *testing.T) {
 	if err != nil {
 		t.Fatalf("routing: %v", err)
 	}
-	part := partition.Split(g, shards, partition.Hash)
+	part := partition.SplitOpts(g, shards, partition.Hash, partition.Options{})
 	groups := make([][]engine.ShardBackend, shards)
 	groups[0] = []engine.ShardBackend{engine.BuildShard(part, 0, 1)}
 	groups[2] = []engine.ShardBackend{engine.BuildShard(part, 2, 1)}
 	for _, sh := range info.Owned {
-		groups[sh.ID] = []engine.ShardBackend{NewRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)}
+		groups[sh.ID] = []engine.ShardBackend{newRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)}
 	}
 	mixed := engine.NewWithReplicaSets(routing, groups, info.ContentDim)
 

@@ -82,7 +82,7 @@ const (
 // completion order. The shard stores themselves are immutable and read
 // lock-free, so dispatch concurrency scales with the worker count.
 //
-// Ownership is dynamic: AcquirePartition and ReleasePartition (driven by
+// Ownership is dynamic: acquirePartition and releasePartition (driven by
 // the reassign op, i.e. zoomer-shard's admin mode) move partitions in
 // and out of the served set at runtime without restarting the server.
 // Each change installs a new immutable ownership snapshot behind an
@@ -112,7 +112,7 @@ type Server struct {
 	ingMu      sync.Mutex
 	ingests    map[int]*shardIngest
 	fanMu      sync.Mutex
-	fanClients map[string]*Client
+	fanClients map[string]*client
 	replicaLag atomic.Int64
 
 	mu     sync.Mutex
@@ -303,14 +303,14 @@ func (s *Server) newOwnership(epoch uint64, shards map[int]*engine.Shard) *owner
 	return &ownership{epoch: epoch, shards: shards, ids: ids, routing: blob}
 }
 
-// AcquirePartition loads partition id's CSR slice and alias tables and
+// acquirePartition loads partition id's CSR slice and alias tables and
 // adds it to the served set, bumping the routing epoch — the destination
 // half of a live shard handoff (reassign/acquire over the wire; run it
 // on the destination before draining the source so the partition never
 // goes unowned). The build happens outside any lock; requests keep being
 // served throughout. Acquiring an already-owned partition is a no-op
 // returning the current epoch.
-func (s *Server) AcquirePartition(id int) (uint64, error) {
+func (s *Server) acquirePartition(id int) (uint64, error) {
 	if id < 0 || id >= s.part.NumShards() {
 		return 0, fmt.Errorf("rpc: partition %d out of range [0,%d)", id, s.part.NumShards())
 	}
@@ -337,13 +337,13 @@ func (s *Server) AcquirePartition(id int) (uint64, error) {
 	return next.epoch, nil
 }
 
-// ReleasePartition drains partition id: it leaves the served set and the
+// releasePartition drains partition id: it leaves the served set and the
 // routing epoch bumps, so requests decoded from now on are answered with
 // the wrong-epoch redirect while requests already dispatched complete
 // against the store they resolved. The source half of a live handoff;
 // releasing a partition this server does not own is a no-op returning
 // the current epoch.
-func (s *Server) ReleasePartition(id int) (uint64, error) {
+func (s *Server) releasePartition(id int) (uint64, error) {
 	if id < 0 || id >= s.part.NumShards() {
 		return 0, fmt.Errorf("rpc: partition %d out of range [0,%d)", id, s.part.NumShards())
 	}
@@ -469,14 +469,10 @@ func (s *Server) OpCount(op Op) int64 {
 	return s.opCounts[op].Load()
 }
 
-// Advertise returns the address this server announces itself at ("" for
-// a non-advertising server).
-func (s *Server) Advertise() string { return s.advertise }
-
-// Members returns the advertised addresses of every server this one
+// memberList returns the advertised addresses of every server this one
 // knows — itself included when it advertises — sorted for deterministic
 // wire encoding.
-func (s *Server) Members() []string {
+func (s *Server) memberList() []string {
 	s.memMu.Lock()
 	out := make([]string, 0, len(s.members))
 	for a := range s.members {
@@ -487,11 +483,11 @@ func (s *Server) Members() []string {
 	return out
 }
 
-// AddMembers merges advertised addresses into the membership registry.
+// addMembers merges advertised addresses into the membership registry.
 // Empty and over-long addresses are dropped; the registry is bounded at
 // maxMembers, beyond which new addresses are ignored (a registry that
 // large signals an announce storm, not a cluster).
-func (s *Server) AddMembers(addrs ...string) {
+func (s *Server) addMembers(addrs ...string) {
 	s.memMu.Lock()
 	defer s.memMu.Unlock()
 	for _, a := range addrs {
@@ -506,19 +502,19 @@ func (s *Server) AddMembers(addrs ...string) {
 // merges the peer's member view back — how a server joining a running
 // cluster becomes discoverable: announce to any live member, and every
 // client refreshing from (or redirected by) that member learns the new
-// address. timeout bounds the exchange; 0 means DefaultTimeout.
+// address. timeout bounds the exchange; 0 means defaultTimeout.
 func (s *Server) AnnounceTo(peer string, timeout time.Duration) error {
 	if s.advertise == "" {
 		return errors.New("rpc: AnnounceTo on a server without an advertise address")
 	}
-	cl := NewClientWith(peer, ClientConfig{Conns: 1, Timeout: timeout})
+	cl := newClient(peer, ClientConfig{Conns: 1, Timeout: timeout})
 	defer cl.Close()
-	theirs, err := cl.Members(s.advertise)
+	theirs, err := cl.members(s.advertise)
 	if err != nil {
 		return fmt.Errorf("rpc: announce to %s: %w", peer, err)
 	}
-	s.AddMembers(peer)
-	s.AddMembers(theirs...)
+	s.addMembers(peer)
+	s.addMembers(theirs...)
 	return nil
 }
 
@@ -685,13 +681,13 @@ func (s *Server) serve(c net.Conn, sl *reqSlot, sc *serverConn, wmu *sync.Mutex)
 			// The redirect carries the member view: the partition went
 			// *somewhere*, and these addresses are where a redirected
 			// client should look.
-			resp = appendMoved(sc.begin(statusMoved), mv.epoch, mv.shard, s.Members())
+			resp = appendMoved(sc.begin(statusMoved), mv.epoch, mv.shard, s.memberList())
 		} else {
 			resp = append(sc.begin(statusErr), err.Error()...)
 		}
 	}
 	wmu.Lock()
-	c.SetWriteDeadline(time.Now().Add(DefaultTimeout))
+	c.SetWriteDeadline(time.Now().Add(defaultTimeout))
 	werr := sc.writeFrame(c, resp, sl.id)
 	wmu.Unlock()
 	if werr != nil {
@@ -779,9 +775,9 @@ func (s *Server) handleReassign(_ *ownership, payload []byte, sc *serverConn) ([
 	if err != nil {
 		return nil, err
 	}
-	move := s.ReleasePartition
+	move := s.releasePartition
 	if acquire {
-		move = s.AcquirePartition
+		move = s.acquirePartition
 	}
 	epoch, err := move(shard)
 	if err != nil {
@@ -796,7 +792,7 @@ func (s *Server) handleReassign(_ *ownership, payload []byte, sc *serverConn) ([
 // as membership discovery, and the per-shard ingest rows, so every poll
 // doubles as write-path observability.
 func (s *Server) handleEpoch(o *ownership, _ []byte, sc *serverConn) ([]byte, error) {
-	return appendEpoch(sc.begin(statusOK), o.epoch, s.owned(o), s.Members()), nil
+	return appendEpoch(sc.begin(statusOK), o.epoch, s.owned(o), s.memberList()), nil
 }
 
 // handleMembers runs the membership exchange: a non-empty announce joins
@@ -807,9 +803,9 @@ func (s *Server) handleMembers(_ *ownership, payload []byte, sc *serverConn) ([]
 		return nil, err
 	}
 	if announce != "" {
-		s.AddMembers(announce)
+		s.addMembers(announce)
 	}
-	return appendAddrList(sc.begin(statusOK), s.Members()), nil
+	return appendAddrList(sc.begin(statusOK), s.memberList()), nil
 }
 
 func (s *Server) handleSample(o *ownership, payload []byte, sc *serverConn) ([]byte, error) {
@@ -954,15 +950,15 @@ func (s *Server) handleAppend(o *ownership, payload []byte, sc *serverConn) ([]b
 
 // fanClient returns (creating on first use) the cached client for
 // fan-out copies to peer.
-func (s *Server) fanClient(peer string) *Client {
+func (s *Server) fanClient(peer string) *client {
 	s.fanMu.Lock()
 	defer s.fanMu.Unlock()
 	if s.fanClients == nil {
-		s.fanClients = make(map[string]*Client)
+		s.fanClients = make(map[string]*client)
 	}
 	cl := s.fanClients[peer]
 	if cl == nil {
-		cl = NewClientWith(peer, ClientConfig{Conns: 1})
+		cl = newClient(peer, ClientConfig{Conns: 1})
 		s.fanClients[peer] = cl
 	}
 	return cl
@@ -979,7 +975,7 @@ func (s *Server) fanoutAppend(shard int, seq uint64, edges []ingest.Edge) {
 	if s.advertise == "" {
 		return
 	}
-	for _, peer := range s.Members() {
+	for _, peer := range s.memberList() {
 		if peer == s.advertise {
 			continue
 		}
@@ -1001,7 +997,7 @@ func (s *Server) fanoutAppend(shard int, seq uint64, edges []ingest.Edge) {
 		}
 		if !delivered {
 			s.replicaLag.Add(1)
-			Logf("rpc: append fan-out to %s (shard %d, seq %d) failed: %v", peer, shard, seq, lastErr)
+			logf("rpc: append fan-out to %s (shard %d, seq %d) failed: %v", peer, shard, seq, lastErr)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func TestOpTranscript(t *testing.T) {
 	b.AddUndirected(n2, n3, graph.Similarity, 2)
 	b.AddUndirected(n5, n0, graph.Click, 1)
 	s := NewServer(b.Build(), ServerConfig{Shards: 2, Owned: []int{0}, Advertise: "127.0.0.1:7001"})
-	s.AddMembers("127.0.0.1:7002")
+	s.addMembers("127.0.0.1:7002")
 
 	var blk graph.NodeBlock
 	blk.Resize(3, graph.ReadAll)
@@ -60,22 +60,22 @@ func TestOpTranscript(t *testing.T) {
 		op   Op
 		req  []byte
 	}{
-		{"info", OpInfo, nil},
-		{"routing", OpRouting, nil},
+		{"info", opInfo, nil},
+		{"routing", opRouting, nil},
 		{"sample", OpSample, (&visit{op: OpSample, id: n0, k: 3, st: [4]uint64{1, 2, 3, 4}}).encode(nil)},
 		{"sample redirect", OpSample, (&visit{op: OpSample, id: n1, k: 3, st: [4]uint64{5, 6, 7, 8}}).encode(nil)},
 		{"batch", OpBatch, (&visit{op: OpBatch, gids: []graph.NodeID{n0, n2, n4}, idx: []int32{2, 0, 1}, base: 99, k: 2,
 			out: batchOut, ns: batchNs}).encode(nil)},
 		{"read-nodes", OpReadNodes, (&visit{op: OpReadNodes, gids: []graph.NodeID{n4, n0, n2}, fields: graph.ReadAll, blk: &blk}).encode(nil)},
-		{"members", OpMembers, appendMembersRequest(nil, "127.0.0.1:7003")},
-		{"graph-append", OpAppend, (&visit{op: OpAppend, shard: 0, seq: 1, fanout: true,
+		{"members", opMembers, appendMembersRequest(nil, "127.0.0.1:7003")},
+		{"graph-append", opAppend, (&visit{op: opAppend, shard: 0, seq: 1, fanout: true,
 			edges: []ingest.Edge{{Src: n0, Dst: n4, Type: graph.Session, Weight: 2}}}).encode(nil)},
-		{"routing-epoch", OpEpoch, nil},
+		{"routing-epoch", opEpoch, nil},
 		{"op 5", Op(5), []byte{1, 2, 3}},
 		{"op 6", Op(6), nil},
 		{"op 7", Op(7), nil},
 		{"op 13", Op(13), nil},
-		{"reassign", OpReassign, appendReassignRequest(nil, 1, true)},
+		{"reassign", opReassign, appendReassignRequest(nil, 1, true)},
 	}
 	var got strings.Builder
 	var wmu sync.Mutex
@@ -101,8 +101,8 @@ func TestOpTranscript(t *testing.T) {
 
 	// Every served op is counted once per request, the redirect included;
 	// the unknown bytes are counted against nothing.
-	counts := map[Op]int64{OpInfo: 1, OpRouting: 1, OpSample: 2, OpBatch: 1, OpReadNodes: 1,
-		OpMembers: 1, OpAppend: 1, OpEpoch: 1, OpReassign: 1, Op(5): 0, Op(6): 0, Op(7): 0, Op(13): 0}
+	counts := map[Op]int64{opInfo: 1, opRouting: 1, OpSample: 2, OpBatch: 1, OpReadNodes: 1,
+		opMembers: 1, opAppend: 1, opEpoch: 1, opReassign: 1, Op(5): 0, Op(6): 0, Op(7): 0, Op(13): 0}
 	for op, want := range counts {
 		if got := s.OpCount(op); got != want {
 			t.Errorf("OpCount(%v) = %d, want %d", op, got, want)

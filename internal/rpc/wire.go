@@ -100,8 +100,8 @@ type Op byte
 // append. Each op's row in the ops table (ops.go) declares its name,
 // attempt budget and handler, and its codecs sit beside it.
 const (
-	OpInfo Op = iota + 1
-	OpRouting
+	opInfo Op = iota + 1
+	opRouting
 	OpSample
 	OpBatch
 	// OpNeighbors, OpFeatures and OpContent (bytes 5-7) are retired: a
@@ -112,26 +112,26 @@ const (
 	OpNeighbors
 	OpFeatures
 	OpContent
-	OpReassign
-	OpEpoch
-	OpMembers
-	// OpAppend is the idempotent durable write: append a batch of edges
+	opReassign
+	opEpoch
+	opMembers
+	// opAppend is the idempotent durable write: append a batch of edges
 	// to one owned shard at an exact per-shard sequence number. A
 	// non-owner answers with the wrong-epoch redirect like any other
 	// shard-targeted op.
-	OpAppend
+	opAppend
 	// OpReadNodes is the bulk node read: neighbors and/or features and/or
 	// content of a list of nodes of one partition in one frame.
 	OpReadNodes
 	numOps
 )
 
-// appendFlagFanout marks an OpAppend request as a replica fan-out copy:
+// appendFlagFanout marks an opAppend request as a replica fan-out copy:
 // the receiver applies it locally and never forwards it again, so a
 // replica group cannot echo appends among itself.
 const appendFlagFanout = 1
 
-// OpAppend response results.
+// opAppend response results.
 const (
 	// appendApplied: the record was WAL-logged and applied; lastSeq == seq.
 	appendApplied = 0
@@ -143,15 +143,15 @@ const (
 	appendGap = 2
 )
 
-// Reassign actions (the first payload byte of an OpReassign request).
+// Reassign actions (the first payload byte of an opReassign request).
 const (
-	// ReassignAcquire commands the server to load the partition's
+	// reassignAcquire commands the server to load the partition's
 	// CSR+alias store and start serving it.
-	ReassignAcquire = 0
-	// ReassignRelease commands the server to drain the partition:
+	reassignAcquire = 0
+	// reassignRelease commands the server to drain the partition:
 	// requests already dispatched complete, subsequent ones are answered
 	// with the wrong-epoch redirect.
-	ReassignRelease = 1
+	reassignRelease = 1
 )
 
 const (

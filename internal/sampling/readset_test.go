@@ -182,8 +182,8 @@ func TestBuildTreeReadsFrontiersInBulk(t *testing.T) {
 	cv := newCountingView(g)
 	rs := NewReadSet(cv, nil)
 	tree := BuildTree(rs, 17, tensor.Vec{1, 0, 0, 1}, 2, 5, NewFocalBiased(), rng.New(4), NewScratch())
-	if tree.Size() < 1+5+5 {
-		t.Fatalf("tree has %d nodes", tree.Size())
+	if len(tree.AppendNodes(nil)) < 1+5+5 {
+		t.Fatalf("tree has %d nodes", len(tree.AppendNodes(nil)))
 	}
 	// Root: its adjacency (single read) and its candidates' content (one
 	// bulk). Then one Expand for the five children: two bulks.

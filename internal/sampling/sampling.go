@@ -65,13 +65,6 @@ type Sampler interface {
 // RelevanceFunc scores a neighbor's content against the focal vector.
 type RelevanceFunc func(focal, neighbor tensor.Vec) float32
 
-// TanimotoRelevance is the paper's eq. (5) score.
-func TanimotoRelevance(focal, nbr tensor.Vec) float32 { return tensor.Tanimoto(focal, nbr) }
-
-// CosineRelevance is the drop-in replacement the paper notes eq. (5)
-// admits; used by the relevance-score ablation.
-func CosineRelevance(focal, nbr tensor.Vec) float32 { return tensor.Cosine(focal, nbr) }
-
 // FocalBiased is Zoomer's sampler: it scores every neighbor's content
 // vector against the focal vector and keeps the top-k, deterministically
 // preserving the neighbors most relevant to the request's focal interest.
@@ -399,15 +392,6 @@ type Tree struct {
 	Node     graph.NodeID
 	Edges    []graph.Edge
 	Children []*Tree
-}
-
-// Size returns the number of nodes in the tree (with multiplicity).
-func (t *Tree) Size() int {
-	n := 1
-	for _, c := range t.Children {
-		n += c.Size()
-	}
-	return n
 }
 
 // AppendNodes appends every node of the tree (with multiplicity, parents

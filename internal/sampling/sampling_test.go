@@ -91,10 +91,10 @@ func TestRelevanceFuncsAgreeOnOrdering(t *testing.T) {
 	far := tensor.Vec{0.1, 0.9}
 	tensor.Normalize(near)
 	tensor.Normalize(far)
-	if !(TanimotoRelevance(focal, near) > TanimotoRelevance(focal, far)) {
+	if !(tensor.TanimotoWithSqNorm(focal, tensor.SqNorm(focal), near) > tensor.TanimotoWithSqNorm(focal, tensor.SqNorm(focal), far)) {
 		t.Fatal("eq.5 ordering wrong")
 	}
-	if !(CosineRelevance(focal, near) > CosineRelevance(focal, far)) {
+	if !(tensor.Cosine(focal, near) > tensor.Cosine(focal, far)) {
 		t.Fatal("cosine ordering wrong")
 	}
 }
@@ -142,12 +142,12 @@ func TestWeightedPrefersHeavyEdges(t *testing.T) {
 	b := graph.NewBuilder()
 	ego := b.AddNode(graph.User, nil, nil)
 	heavy := b.AddNode(graph.Item, nil, nil)
-	b.AddEdge(ego, heavy, graph.Click, 100)
+	b.AddUndirected(ego, heavy, graph.Click, 100)
 	var lights []graph.NodeID
 	for i := 0; i < 10; i++ {
 		l := b.AddNode(graph.Item, nil, nil)
 		lights = append(lights, l)
-		b.AddEdge(ego, l, graph.Click, 1)
+		b.AddUndirected(ego, l, graph.Click, 1)
 	}
 	g := b.Build()
 	r := rng.New(5)
@@ -196,14 +196,14 @@ func TestClusterImportanceIsMultiModal(t *testing.T) {
 	// Cluster A: 8 near-identical items along (1,0), heavy weights.
 	for i := 0; i < 8; i++ {
 		id := b.AddNode(graph.Item, nil, tensor.Vec{1, 0.01 * float32(i)})
-		b.AddEdge(ego, id, graph.Click, 10)
+		b.AddUndirected(ego, id, graph.Click, 10)
 	}
 	// Cluster B: 4 items along (0,1), light weights.
 	var bNodes []graph.NodeID
 	for i := 0; i < 4; i++ {
 		id := b.AddNode(graph.Item, nil, tensor.Vec{0.01 * float32(i), 1})
 		bNodes = append(bNodes, id)
-		b.AddEdge(ego, id, graph.Click, 1)
+		b.AddUndirected(ego, id, graph.Click, 1)
 	}
 	g := b.Build()
 	s := NewClusterImportance()
@@ -254,15 +254,15 @@ func TestBuildTreeShape(t *testing.T) {
 			}
 		}
 	}
-	if tree.Size() < 4 {
-		t.Fatalf("tree size = %d", tree.Size())
+	if len(tree.AppendNodes(nil)) < 4 {
+		t.Fatalf("tree size = %d", len(tree.AppendNodes(nil)))
 	}
 }
 
 func TestBuildTreeZeroHops(t *testing.T) {
 	g, ego, focal := starGraph(5)
 	tree := BuildTree(g, ego, focal, 0, 3, NewFocalBiased(), rng.New(10), NewScratch())
-	if tree.Size() != 1 || len(tree.Edges) != 0 {
+	if len(tree.AppendNodes(nil)) != 1 || len(tree.Edges) != 0 {
 		t.Fatal("zero-hop tree must be the bare ego")
 	}
 }
@@ -290,8 +290,8 @@ func TestNonPositiveKReturnsNil(t *testing.T) {
 			}
 		}
 	}
-	if tree := BuildTree(g, ego, focal, 2, -3, NewFocalBiased(), rng.New(12), NewScratch()); tree.Size() != 1 {
-		t.Fatalf("BuildTree with negative k expanded to size %d", tree.Size())
+	if tree := BuildTree(g, ego, focal, 2, -3, NewFocalBiased(), rng.New(12), NewScratch()); len(tree.AppendNodes(nil)) != 1 {
+		t.Fatalf("BuildTree with negative k expanded to size %d", len(tree.AppendNodes(nil)))
 	}
 }
 

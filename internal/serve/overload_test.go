@@ -79,7 +79,7 @@ func TestLoadTestCountsStuckResponsesAsDrops(t *testing.T) {
 	// blocks the send, so everything LoadTest submits sits in the queue
 	// unanswered until the drain window closes.
 	wedge := make(chan Response)
-	if !srv.Submit(h.users[0], h.queries[0], wedge) {
+	if !srv.SubmitReq(Request{User: h.users[0], Query: h.queries[0]}, wedge) {
 		t.Fatal("wedge submit rejected")
 	}
 	defer func() {

@@ -206,8 +206,8 @@ func TestInvalidateBypassesInterval(t *testing.T) {
 	id := graph.NodeID(3)
 	pc.Get(id, r).Release()
 	pc.InvalidateNodes(id)
-	if got := pc.Invalidations(); got != 1 {
-		t.Fatalf("Invalidations = %d, want 1", got)
+	if d := pc.due(id); d != claimed {
+		t.Fatalf("invalidated entry is due at %d, want queued for refresh", d)
 	}
 	pc.settle(id, 1)
 	if d := pc.due(id); d != pc.clock.Load()+int64(refreshAfter) {
@@ -217,8 +217,8 @@ func TestInvalidateBypassesInterval(t *testing.T) {
 	pc.InvalidateNodes(id) // queued again
 	pc.InvalidateNodes(id) // pending: marked stale
 	pc.InvalidateNodes(id) // already marked
-	if got := pc.Invalidations(); got != 3 {
-		t.Fatalf("Invalidations = %d, want 3", got)
+	if d := pc.due(id); d != claimedStale {
+		t.Fatalf("entry invalidated mid-refresh is due at %d, want marked stale", d)
 	}
 	pc.settle(id, 2)
 	if d := pc.due(id); d > pc.clock.Load() {
@@ -243,7 +243,7 @@ func TestDegradedEntryHeals(t *testing.T) {
 	pc.down.Store(false)
 	pc.Get(id, r).Release()
 	pc.settle(id, 1)
-	e = pc.GetCached(id)
+	e = pc.getCached(id)
 	defer e.Release()
 	if n := len(e.Neighbors()); n != pc.k {
 		t.Fatalf("healed entry holds %d neighbors, want %d", n, pc.k)

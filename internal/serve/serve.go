@@ -255,7 +255,7 @@ type cacheSegment struct {
 	pool    []*Entry // retired entries awaiting reuse
 	refresh chan graph.NodeID
 
-	hits, misses, refreshes, invalidations atomic.Int64
+	hits, misses, refreshes atomic.Int64
 }
 
 // NeighborCache stores the k last-sampled neighbors per node, sharded
@@ -454,13 +454,13 @@ func (c *NeighborCache) seg(id graph.NodeID) *cacheSegment {
 	return &c.segs[c.eng.ShardOf(id)*c.perShard+spread]
 }
 
-// GetCached returns the cached entry for id without filling on a miss
+// getCached returns the cached entry for id without filling on a miss
 // and without generating any backend work — not even an asynchronous
 // refresh. This is the shed path's cache-only read: under overload the
 // gateway degrades to whatever the cache already holds rather than
 // adding load to the engine. Returns nil on a miss; the caller Releases
 // a non-nil entry as usual.
-func (c *NeighborCache) GetCached(id graph.NodeID) *Entry {
+func (c *NeighborCache) getCached(id graph.NodeID) *Entry {
 	seg := c.seg(id)
 	seg.mu.RLock()
 	e, ok := seg.entries[id]
@@ -570,27 +570,28 @@ func (c *NeighborCache) InvalidateNodes(ids ...graph.NodeID) {
 	for _, id := range ids {
 		seg := c.seg(id)
 		seg.mu.RLock()
-		if e := seg.entries[id]; e != nil && c.invalidate(seg, id, e) {
-			seg.invalidations.Add(1)
+		if e := seg.entries[id]; e != nil {
+			c.invalidate(seg, id, e)
 		}
 		seg.mu.RUnlock()
 	}
 }
 
-// invalidate claims e (or marks its pending claim stale) and reports
-// whether the hint was accepted. Callers hold seg.mu.
-func (c *NeighborCache) invalidate(seg *cacheSegment, id graph.NodeID, e *Entry) bool {
+// invalidate claims e (or marks its pending claim stale). Callers hold
+// seg.mu.
+func (c *NeighborCache) invalidate(seg *cacheSegment, id graph.NodeID, e *Entry) {
 	for {
 		switch d := e.due.Load(); d {
 		case claimedStale:
-			return false // already marked; one pending refresh covers it
+			return // already marked; one pending refresh covers it
 		case claimed:
 			if e.due.CompareAndSwap(claimed, claimedStale) {
-				return true
+				return
 			}
 		default:
 			if e.due.CompareAndSwap(d, claimed) {
-				return c.enqueue(seg, id, e)
+				c.enqueue(seg, id, e)
+				return
 			}
 		}
 	}
@@ -605,16 +606,6 @@ func (c *NeighborCache) Stats() (hits, misses, refreshes int64) {
 		refreshes += seg.refreshes.Load()
 	}
 	return hits, misses, refreshes
-}
-
-// Invalidations reports how many invalidation hints were accepted — queued
-// for refresh, or marked onto an already pending one (all time).
-func (c *NeighborCache) Invalidations() int64 {
-	var n int64
-	for i := range c.segs {
-		n += c.segs[i].invalidations.Load()
-	}
-	return n
 }
 
 // Close stops the refreshers.
@@ -719,8 +710,8 @@ func (s *Server) worker(seed uint64) {
 		}
 		var eu, eq *Entry
 		if req.CacheOnly {
-			eu = s.cache.GetCached(req.User)
-			eq = s.cache.GetCached(req.Query)
+			eu = s.cache.getCached(req.User)
+			eq = s.cache.getCached(req.Query)
 		} else {
 			eu = s.cache.GetBy(req.User, r, req.Deadline)
 			eq = s.cache.GetBy(req.Query, r, req.Deadline)
@@ -755,12 +746,6 @@ func (s *Server) worker(seed uint64) {
 		s.served.Add(1)
 		req.resp <- Response{Items: items, Latency: time.Since(req.enqueued), Degraded: req.CacheOnly}
 	}
-}
-
-// Submit enqueues a request; it returns false (drop) when the queue is
-// full — the overload behavior the RT-vs-QPS sweep exposes.
-func (s *Server) Submit(user, query graph.NodeID, resp chan Response) bool {
-	return s.SubmitReq(Request{User: user, Query: query}, resp)
 }
 
 // SubmitReq enqueues a full Request (deadline and shed mode included);
@@ -846,7 +831,7 @@ func LoadTest(s *Server, users, queries []graph.NodeID, qps float64, d time.Dura
 		for time.Now().Before(deadline) {
 			u := users[r.Intn(len(users))]
 			q := queries[r.Intn(len(queries))]
-			if s.Submit(u, q, resp) {
+			if s.SubmitReq(Request{User: u, Query: q}, resp) {
 				sent++
 			}
 			next = next.Add(interval)

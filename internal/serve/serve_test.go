@@ -129,7 +129,7 @@ func TestCacheAsyncRefreshRuns(t *testing.T) {
 		t.Fatal("a due hit waited for its refresh instead of serving the cached entry")
 	}
 	pc.settle(id, 1)
-	cur := pc.GetCached(id)
+	cur := pc.getCached(id)
 	defer cur.Release()
 	if cur == first {
 		t.Fatal("asynchronous refresh never replaced the entry")
@@ -146,7 +146,7 @@ func TestServerServesRequests(t *testing.T) {
 
 	resp := make(chan Response, 16)
 	for i := 0; i < 10; i++ {
-		if !srv.Submit(h.users[i%len(h.users)], h.queries[i%len(h.queries)], resp) {
+		if !srv.SubmitReq(Request{User: h.users[i%len(h.users)], Query: h.queries[i%len(h.queries)]}, resp) {
 			t.Fatal("submit rejected under light load")
 		}
 	}
@@ -216,7 +216,7 @@ func BenchmarkEndToEndRequest(b *testing.B) {
 	resp := make(chan Response, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.Submit(h.users[i%len(h.users)], h.queries[i%len(h.queries)], resp)
+		srv.SubmitReq(Request{User: h.users[i%len(h.users)], Query: h.queries[i%len(h.queries)]}, resp)
 		<-resp
 	}
 }
@@ -293,7 +293,7 @@ func TestServingStackConcurrency(t *testing.T) {
 			for i := 0; i < perSubmitter; i++ {
 				u := h.users[r.Intn(len(h.users))]
 				q := h.queries[r.Intn(len(h.queries))]
-				if srv.Submit(u, q, resp) {
+				if srv.SubmitReq(Request{User: u, Query: q}, resp) {
 					sent++
 				}
 			}
@@ -461,7 +461,7 @@ func TestBatchedRefreshKeepsEntriesValid(t *testing.T) {
 		for _, e := range h.g.Neighbors(id) {
 			nbrSet[e.To] = true
 		}
-		e := pc.GetCached(id)
+		e := pc.getCached(id)
 		for _, nb := range e.Neighbors() {
 			if !nbrSet[nb] {
 				t.Fatalf("refreshed entry for %d contains non-neighbor %d", id, nb)

@@ -23,7 +23,7 @@ func tinyConfig() Config {
 func retrieve(t *testing.T, st *Stack) serve.Response {
 	t.Helper()
 	resp := make(chan serve.Response, 1)
-	if !st.Server.Submit(st.Users[0], st.Queries[0], resp) {
+	if !st.Server.SubmitReq(serve.Request{User: st.Users[0], Query: st.Queries[0]}, resp) {
 		t.Fatal("request dropped by an idle server")
 	}
 	select {

@@ -2,7 +2,7 @@
 
 // The amd64 side of the kernel seam. At init the package probes CPUID
 // for AVX2+FMA (plus OS-enabled YMM state via XGETBV) and routes the
-// five hot kernels — Dot, DotSq, Axpy, DotAxpy and the int8 dot of the
+// five hot kernels — Dot, dotSq, Axpy, DotAxpy and the int8 dot of the
 // quantized ANN scan — to the hand-written vector implementations in
 // kernels_amd64.s. MatVec/MatVecT ride the same seam per row.
 //
@@ -10,7 +10,7 @@
 // kernels' accumulation order exactly — Dot keeps the 4 independent
 // float64 accumulator lanes (one YMM register, lane k summing elements
 // ≡ k mod 4 in index order, scalar tail into lane 0) and the
-// (s0+s1)+(s2+s3) reduction; DotSq/DotAxpy keep the 2-lane layout; the
+// (s0+s1)+(s2+s3) reduction; dotSq/DotAxpy keep the 2-lane layout; the
 // float32 elementwise kernels use separate multiply and add (no FMA —
 // fusing would skip the intermediate rounding the generic code
 // performs). Float64 products of float32 inputs are exact, so FMA in

@@ -50,7 +50,7 @@ func BenchmarkDotSq(b *testing.B) {
 		b.Run(fmt.Sprintf("dim%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkF32, _ = DotSq(a, x)
+				sinkF32, _ = dotSq(a, x)
 			}
 		})
 	}

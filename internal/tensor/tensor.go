@@ -29,17 +29,6 @@ func Dot(a, b Vec) float32 {
 	return dot(a, b)
 }
 
-// DotSq returns (a·b, b·b) in a single pass over b. The focal-biased
-// sampler's Tanimoto scoring needs both the cross product and the
-// neighbor's squared norm per neighbor; fusing them halves memory traffic
-// on the scoring hot path. Bit-identical across dispatch.
-func DotSq(a, b Vec) (dot, bsq float32) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: DotSq length mismatch %d vs %d", len(a), len(b)))
-	}
-	return dotSq(a, b)
-}
-
 // Axpy computes y += alpha*x in place. It panics if lengths differ.
 // Bit-identical across dispatch (elementwise float32, multiply and add
 // rounded separately on both sides of the seam).
@@ -78,42 +67,6 @@ func Scale(alpha float32, x Vec) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// Add returns a+b as a new vector.
-func Add(a, b Vec) Vec {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: Add length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a-b as a new vector.
-func Sub(a, b Vec) Vec {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: Sub length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Mul returns the element-wise product a*b as a new vector.
-func Mul(a, b Vec) Vec {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: Mul length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] * b[i]
-	}
-	return out
 }
 
 // Copy returns a copy of x.
@@ -165,30 +118,36 @@ func Cosine(a, b Vec) float32 {
 	return Dot(a, b) / (na * nb)
 }
 
-// Tanimoto returns the focal-relevance score of the paper's eq. (5):
+// TanimotoWithSqNorm returns the focal-relevance score of the paper's
+// eq. (5), given asq = |a|²:
 //
 //	e = (a·b) / (|a|² + |b|² − a·b)
 //
 // For non-negative vectors it is the continuous Tanimoto coefficient; the
 // paper uses it to score neighbor relevance to the focal vector. When the
 // denominator is not positive (both vectors zero, or pathological float
-// cancellation) it returns 0.
-func Tanimoto(a, b Vec) float32 {
-	d, bsq := DotSq(a, b)
-	den := SqNorm(a) + bsq - d
+// cancellation) it returns 0. The focal-biased sampler scores one fixed
+// focal vector against every neighbor, so |a|² is loop-invariant and the
+// per-neighbor cost is a single fused pass over the neighbor's content
+// vector, (a·b, b·b) at once, bit-identical across dispatch. It panics if
+// lengths differ.
+func TanimotoWithSqNorm(a Vec, asq float32, b Vec) float32 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("tensor: Tanimoto length mismatch %d vs %d", len(a), len(b)))
+	}
+	d, bsq := dotSq(a, b)
+	den := asq + bsq - d
 	if den <= 0 {
 		return 0
 	}
 	return d / den
 }
 
-// TanimotoWithSqNorm is Tanimoto with the first argument's squared norm
-// precomputed. The focal-biased sampler scores one fixed focal vector
-// against every neighbor, so |a|² is loop-invariant and the per-neighbor
-// cost drops to a single fused pass over the neighbor's content vector.
-func TanimotoWithSqNorm(a Vec, asq float32, b Vec) float32 {
-	d, bsq := DotSq(a, b)
-	den := asq + bsq - d
+// tanimoto is eq. (5) from separate Dot and SqNorm passes: the reference
+// TanimotoWithSqNorm's fused kernel is tested against.
+func tanimoto(a, b Vec) float32 {
+	d := Dot(a, b)
+	den := SqNorm(a) + SqNorm(b) - d
 	if den <= 0 {
 		return 0
 	}
@@ -330,29 +289,6 @@ func Transpose(m *Matrix) *Matrix {
 		for j := 0; j < m.Cols; j++ {
 			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
 		}
-	}
-	return out
-}
-
-// Mean returns the arithmetic mean of the rows of vs. All rows must share
-// a length; the mean of no rows is a zero vector of length dim.
-func Mean(vs []Vec, dim int) Vec {
-	out := make(Vec, dim)
-	if len(vs) == 0 {
-		return out
-	}
-	for _, v := range vs {
-		Axpy(1, v, out)
-	}
-	Scale(1/float32(len(vs)), out)
-	return out
-}
-
-// Sum accumulates the rows of vs into a fresh vector of length dim.
-func Sum(vs []Vec, dim int) Vec {
-	out := make(Vec, dim)
-	for _, v := range vs {
-		Axpy(1, v, out)
 	}
 	return out
 }

@@ -50,15 +50,6 @@ func TestAxpyScaleAddSubMul(t *testing.T) {
 	if y[2] != 3.5 {
 		t.Fatalf("Scale: got %v", y)
 	}
-	if s := Add(Vec{1, 2}, Vec{3, 4}); s[0] != 4 || s[1] != 6 {
-		t.Fatalf("Add = %v", s)
-	}
-	if s := Sub(Vec{1, 2}, Vec{3, 4}); s[0] != -2 || s[1] != -2 {
-		t.Fatalf("Sub = %v", s)
-	}
-	if s := Mul(Vec{2, 3}, Vec{3, 4}); s[0] != 6 || s[1] != 12 {
-		t.Fatalf("Mul = %v", s)
-	}
 }
 
 func TestNormAndNormalize(t *testing.T) {
@@ -96,30 +87,30 @@ func TestCosine(t *testing.T) {
 }
 
 func TestTanimotoProperties(t *testing.T) {
-	// Identity: Tanimoto(x, x) = 1 for any non-zero x.
+	// Identity: tanimoto(x, x) = 1 for any non-zero x.
 	r := rng.New(5)
 	for i := 0; i < 100; i++ {
 		v := randVec(r, 8)
 		if SqNorm(v) == 0 {
 			continue
 		}
-		if got := Tanimoto(v, v); !almostEq(got, 1, 1e-4) {
-			t.Fatalf("Tanimoto(x,x) = %v, want 1", got)
+		if got := tanimoto(v, v); !almostEq(got, 1, 1e-4) {
+			t.Fatalf("tanimoto(x,x) = %v, want 1", got)
 		}
 	}
 	// Zero vectors.
-	if got := Tanimoto(Vec{0, 0}, Vec{0, 0}); got != 0 {
-		t.Fatalf("Tanimoto(0,0) = %v", got)
+	if got := tanimoto(Vec{0, 0}, Vec{0, 0}); got != 0 {
+		t.Fatalf("tanimoto(0,0) = %v", got)
 	}
 	// Known value: a=(1,0), b=(0,1): dot 0 -> score 0.
-	if got := Tanimoto(Vec{1, 0}, Vec{0, 1}); got != 0 {
+	if got := tanimoto(Vec{1, 0}, Vec{0, 1}); got != 0 {
 		t.Fatalf("Tanimoto orth = %v", got)
 	}
 	// Monotone in overlap for binary-ish vectors: more shared mass wins.
 	a := Vec{1, 1, 1, 0}
 	closer := Vec{1, 1, 0, 0}
 	farther := Vec{1, 0, 0, 0}
-	if !(Tanimoto(a, closer) > Tanimoto(a, farther)) {
+	if !(tanimoto(a, closer) > tanimoto(a, farther)) {
 		t.Fatal("Tanimoto not monotone in overlap")
 	}
 }
@@ -233,22 +224,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestMeanSum(t *testing.T) {
-	vs := []Vec{{1, 2}, {3, 4}}
-	mean := Mean(vs, 2)
-	if mean[0] != 2 || mean[1] != 3 {
-		t.Fatalf("Mean = %v", mean)
-	}
-	sum := Sum(vs, 2)
-	if sum[0] != 4 || sum[1] != 6 {
-		t.Fatalf("Sum = %v", sum)
-	}
-	empty := Mean(nil, 3)
-	if len(empty) != 3 || empty[0] != 0 {
-		t.Fatalf("Mean(nil) = %v", empty)
-	}
-}
-
 func TestMatrixAccessors(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(1, 0, 7)
@@ -349,12 +324,12 @@ func TestDotSqMatchesSeparate(t *testing.T) {
 			a[i] = float32(i%5) - 2
 			b[i] = float32(i%3) + 0.5
 		}
-		d, bsq := DotSq(a, b)
+		d, bsq := dotSq(a, b)
 		if wd := Dot(a, b); absf(d-wd) > 1e-5 {
-			t.Fatalf("n=%d: DotSq dot %v vs Dot %v", n, d, wd)
+			t.Fatalf("n=%d: dotSq dot %v vs Dot %v", n, d, wd)
 		}
 		if wq := SqNorm(b); absf(bsq-wq) > 1e-5 {
-			t.Fatalf("n=%d: DotSq sqnorm %v vs SqNorm %v", n, bsq, wq)
+			t.Fatalf("n=%d: dotSq sqnorm %v vs SqNorm %v", n, bsq, wq)
 		}
 	}
 }
@@ -385,7 +360,7 @@ func TestDotAxpyFusesBothResults(t *testing.T) {
 func TestTanimotoWithSqNormMatches(t *testing.T) {
 	a := Vec{1, 0.5, -0.25, 2}
 	b := Vec{0.5, 1, 0.75, -1}
-	if got, want := TanimotoWithSqNorm(a, SqNorm(a), b), Tanimoto(a, b); absf(got-want) > 1e-6 {
+	if got, want := TanimotoWithSqNorm(a, SqNorm(a), b), tanimoto(a, b); absf(got-want) > 1e-6 {
 		t.Fatalf("TanimotoWithSqNorm %v vs Tanimoto %v", got, want)
 	}
 }
