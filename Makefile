@@ -31,9 +31,10 @@ test:
 # client connection pool included) plus the full training stack: nn
 # optimizers, the experiments harness (incl. the cross-topology
 # equivalence suite and the dead-cluster training test), the A/B
-# replay, and the ANN index build's parallel k-means passes.
+# replay, the ANN index build's parallel k-means passes, and the world
+# build's parallel MinHash signing and LSH banding.
 race:
-	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/...
+	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/... ./internal/graph/... ./internal/graphbuild/...
 
 # Fault-injection suite under the race detector: server kill/restart and
 # churn, replica failover mid-batch, rolling upgrade, zero-replica
@@ -118,7 +119,9 @@ fuzz-smoke:
 # binary of a deployment regenerates it, so graphgen must write the bytes
 # and print the per-type counts recorded in WORLD_GOLDEN, at both scales,
 # and two processes must agree on the small world. An in-process test
-# cannot see this — Go randomizes map iteration per process.
+# cannot see this — Go randomizes map iteration per process. The build
+# runs on every core, so the large world is also built at GOMAXPROCS 1
+# and 8 and held to the same sha256.
 WORLD_GOLDEN := internal/graphbuild/testdata/world.golden
 world-check:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
@@ -128,10 +131,15 @@ world-check:
 	"$$d/graphgen" -scale small -seed 1 -out "$$d/b.zmrg" >/dev/null; \
 	cmp "$$d/small.zmrg" "$$d/b.zmrg"; \
 	wait $$large; \
+	for p in 1 8; do \
+		GOMAXPROCS=$$p "$$d/graphgen" -scale large -seed 1 -out "$$d/large-$$p.zmrg" >/dev/null; \
+		echo "large sha256 $$(sha256sum < "$$d/large-$$p.zmrg" | cut -d' ' -f1)" | grep -qxF -f - $(WORLD_GOLDEN) \
+			|| { echo "world-check: graphgen at GOMAXPROCS=$$p wrote a large world that differs from $(WORLD_GOLDEN)"; exit 1; }; \
+	done; \
 	for s in small large; do \
 		echo "$$s sha256 $$(sha256sum < "$$d/$$s.zmrg" | cut -d' ' -f1)"; \
 		grep -E '^(nodes|edges):' "$$d/$$s.out" | sed "s/^/$$s /"; \
 	done > "$$d/world"; \
 	grep -v '^#' $(WORLD_GOLDEN) | diff -u - "$$d/world" \
 		|| { echo "world-check: graphgen's worlds differ from $(WORLD_GOLDEN)"; exit 1; }; \
-	echo "world-check: graphgen wrote the worlds in $(WORLD_GOLDEN), and two processes agree"
+	echo "world-check: graphgen wrote the worlds in $(WORLD_GOLDEN), the large one at GOMAXPROCS 1 and 8 too, and two processes agree"

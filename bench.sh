@@ -42,6 +42,9 @@ go test -run '^$' -bench 'BenchmarkSearchInto|BenchmarkQuantizedScan|BenchmarkFu
 # The index build at the rig's retrieve shape (fixed iteration count — a
 # build is ~0.3 s).
 go test -run '^$' -bench 'BenchmarkIndexBuild' -benchtime 3x -benchmem -count "$COUNT" ./internal/ann/ | tee -a "$TMP" >&2
+# The world build every benchmark workload brings up (ScaleLarge; fixed
+# iteration count — a build is ~0.3 s).
+go test -run '^$' -bench 'BenchmarkBuildLarge' -benchtime 3x -benchmem -count "$COUNT" ./internal/graphbuild/ | tee -a "$TMP" >&2
 # Dense kernels behind the dispatch seam: the dispatched and generic
 # variants side by side quantify the SIMD win at serving dims.
 go test -run '^$' -bench 'BenchmarkDot|BenchmarkMatVec|BenchmarkAxpy' -benchmem -count "$COUNT" ./internal/tensor/ | tee -a "$TMP" >&2

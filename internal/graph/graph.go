@@ -12,7 +12,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"zoomer/internal/tensor"
 )
@@ -192,10 +192,21 @@ type Builder struct {
 	types      []NodeType
 	features   [][]int32
 	content    []tensor.Vec
-	srcs       []NodeID
-	adds       []Edge
+	pairs      [][]stagedPair // full blocks of stageBlock pairs, then the open one
 	frozen     bool
 	contentDim int
+}
+
+// Edges are staged in fixed-size blocks, so a growing builder never
+// copies what it already holds.
+const stageBlock = 1 << 14
+
+// stagedPair is one undirected edge as added, before Build splits it into
+// its two directed edges, a→c then c→a.
+type stagedPair struct {
+	a, c   NodeID
+	t      EdgeType
+	weight float32
 }
 
 // NewBuilder returns an empty Builder.
@@ -226,30 +237,30 @@ func (b *Builder) AddNode(t NodeType, features []int32, content tensor.Vec) Node
 // NumNodes returns the number of nodes added so far.
 func (b *Builder) NumNodes() int { return len(b.types) }
 
-// addEdge appends a directed edge. Weight must be non-negative.
-func (b *Builder) addEdge(from, to NodeID, t EdgeType, weight float32) {
+// AddUndirected appends the edge in both directions. Weight must be
+// non-negative.
+func (b *Builder) AddUndirected(a, c NodeID, t EdgeType, weight float32) {
 	if b.frozen {
-		panic("graph: addEdge after Build")
+		panic("graph: AddUndirected after Build")
 	}
 	if weight < 0 {
 		panic("graph: negative edge weight")
 	}
-	if int(from) >= len(b.types) || int(to) >= len(b.types) || from < 0 || to < 0 {
-		panic(fmt.Sprintf("graph: edge (%d,%d) references unknown node (have %d)", from, to, len(b.types)))
+	if n := NodeID(len(b.types)); a >= n || c >= n || a < 0 || c < 0 {
+		panic(fmt.Sprintf("graph: edge (%d,%d) references unknown node (have %d)", a, c, n))
 	}
-	b.srcs = append(b.srcs, from)
-	b.adds = append(b.adds, Edge{To: to, Type: t, Weight: weight})
+	if k := len(b.pairs); k == 0 || len(b.pairs[k-1]) == stageBlock {
+		b.pairs = append(b.pairs, make([]stagedPair, 0, stageBlock))
+	}
+	block := &b.pairs[len(b.pairs)-1]
+	*block = append(*block, stagedPair{a, c, t, weight})
 }
 
-// AddUndirected appends the edge in both directions.
-func (b *Builder) AddUndirected(a, c NodeID, t EdgeType, weight float32) {
-	b.addEdge(a, c, t, weight)
-	b.addEdge(c, a, t, weight)
-}
-
-// Build freezes the builder into an immutable CSR graph. Parallel edges
-// between the same pair with the same type are merged by summing weights
-// (repeated clicks accumulate, matching the paper's click-count weights).
+// Build freezes the builder into an immutable CSR graph in O(E + N).
+// Parallel edges between the same pair with the same type are merged by
+// summing weights (repeated clicks accumulate, matching the paper's
+// click-count weights), in the order the edges were added. Each node's
+// adjacency is ordered by (To, Type).
 func (b *Builder) Build() *Graph {
 	if b.frozen {
 		panic("graph: Build called twice")
@@ -263,51 +274,75 @@ func (b *Builder) Build() *Graph {
 		contentDim: b.contentDim,
 	}
 
-	// Counting sort edges into CSR.
-	counts := make([]int32, n+1)
-	for _, s := range b.srcs {
-		counts[s+1]++
+	// Two stable counting passes order the directed edges by (from, To,
+	// Type). The first scatters them by (To, Type), keeping only each
+	// edge's source and weight, since the position implies the key.
+	numKeys := n * NumEdgeTypes
+	key := func(to NodeID, t EdgeType) int { return int(to)*NumEdgeTypes + int(t) }
+	keyStart := make([]int32, numKeys+1)
+	for _, block := range b.pairs {
+		for _, p := range block {
+			keyStart[key(p.c, p.t)+1]++
+			keyStart[key(p.a, p.t)+1]++
+		}
 	}
-	for i := 0; i < n; i++ {
-		counts[i+1] += counts[i]
+	for k := range numKeys {
+		keyStart[k+1] += keyStart[k]
 	}
-	g.offsets = counts
-	edges := make([]Edge, len(b.adds))
-	cursor := make([]int32, n)
-	copy(cursor, g.offsets[:n])
-	for i, s := range b.srcs {
-		edges[cursor[s]] = b.adds[i]
-		cursor[s]++
+	type half struct {
+		from   NodeID
+		weight float32
 	}
+	byKey := make([]half, keyStart[numKeys])
+	next := slices.Clone(keyStart)
+	for _, block := range b.pairs {
+		for _, p := range block {
+			k := key(p.c, p.t)
+			byKey[next[k]] = half{p.a, p.weight}
+			next[k]++
+			k = key(p.a, p.t)
+			byKey[next[k]] = half{p.c, p.weight}
+			next[k]++
+		}
+	}
+	b.pairs = nil
 
-	// Merge duplicates per node: sort each adjacency run by (To, Type) and
-	// coalesce, then compact the edge array and rebuild offsets.
-	out := edges[:0]
-	newOffsets := make([]int32, n+1)
-	for id := 0; id < n; id++ {
-		lo, hi := g.offsets[id], g.offsets[id+1]
-		run := edges[lo:hi]
-		sort.Slice(run, func(i, j int) bool {
-			if run[i].To != run[j].To {
-				return run[i].To < run[j].To
-			}
-			return run[i].Type < run[j].Type
-		})
-		start := len(out)
-		for _, e := range run {
-			if m := len(out); m > start && out[m-1].To == e.To && out[m-1].Type == e.Type {
-				out[m-1].Weight += e.Weight
-			} else {
-				out = append(out, e)
+	// The second pass scatters by source into CSR rows, merging as it
+	// goes: a node's row fills in key order, so a duplicate always lands
+	// right after the edge it merges into. Each row is sized first, one
+	// edge per distinct key among the node's edges; counted[from] holds
+	// the last key (plus one) that counted from.
+	offsets := make([]int32, n+1)
+	counted := make([]int32, n)
+	for k := range numKeys {
+		for _, h := range byKey[keyStart[k]:keyStart[k+1]] {
+			if counted[h.from] != int32(k+1) {
+				counted[h.from] = int32(k + 1)
+				offsets[h.from+1]++
 			}
 		}
-		newOffsets[id+1] = int32(len(out))
 	}
-	g.edges = out
-	g.offsets = newOffsets
+	for id := range n {
+		offsets[id+1] += offsets[id]
+	}
+	next = next[:n]
+	copy(next, offsets)
+	edges := make([]Edge, offsets[n])
+	for k := range numKeys {
+		e := Edge{To: NodeID(k / NumEdgeTypes), Type: EdgeType(k % NumEdgeTypes)}
+		for _, h := range byKey[keyStart[k]:keyStart[k+1]] {
+			if at := next[h.from]; at > offsets[h.from] && edges[at-1].To == e.To && edges[at-1].Type == e.Type {
+				edges[at-1].Weight += h.weight
+			} else {
+				e.Weight = h.weight
+				edges[at] = e
+				next[h.from]++
+			}
+		}
+	}
+	g.offsets = offsets
+	g.edges = edges
 	g.index()
-	// Release builder staging.
-	b.srcs, b.adds = nil, nil
 	return g
 }
 

@@ -13,6 +13,7 @@ import (
 	"zoomer/internal/tensor"
 )
 
+// randomGraph has n nodes and m undirected edges.
 func randomGraph(seed uint64, n, m int) *Graph {
 	r := rng.New(seed)
 	b := NewBuilder()
@@ -28,7 +29,7 @@ func randomGraph(seed uint64, n, m int) *Graph {
 		b.AddNode(NodeType(i%NumNodeTypes), feats, content)
 	}
 	for i := 0; i < m; i++ {
-		b.addEdge(NodeID(r.Intn(n)), NodeID(r.Intn(n)), EdgeType(r.Intn(NumEdgeTypes)), r.Float32()+0.1)
+		b.AddUndirected(NodeID(r.Intn(n)), NodeID(r.Intn(n)), EdgeType(r.Intn(NumEdgeTypes)), r.Float32()+0.1)
 	}
 	return b.Build()
 }
@@ -229,8 +230,7 @@ func tinyFile(t testing.TB) []byte {
 	b := NewBuilder()
 	u := b.AddNode(User, []int32{7}, tensor.Vec{1, 2})
 	i := b.AddNode(Item, nil, nil)
-	b.addEdge(u, i, Click, 1)
-	b.addEdge(i, u, Click, 2)
+	b.AddUndirected(u, i, Click, 1)
 	var buf bytes.Buffer
 	if _, err := b.Build().WriteTo(&buf); err != nil || buf.Len() != 92 {
 		t.Fatalf("tiny file: %d bytes, err %v", buf.Len(), err)
@@ -272,15 +272,15 @@ func unsortedFile(t testing.TB) []byte {
 	for i := 0; i < 3; i++ {
 		b.AddNode(User, nil, nil)
 	}
-	b.addEdge(0, 1, Click, 1)
-	b.addEdge(0, 2, Click, 1)
+	b.AddUndirected(2, 0, Click, 1)
+	b.AddUndirected(2, 1, Click, 1)
 	var buf bytes.Buffer
 	if _, err := b.Build().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	x := buf.Bytes()
 	edges := x[len(x)-24:]
-	edges[0], edges[12] = edges[12], edges[0] // swap the two To fields' low bytes
+	edges[0], edges[12] = edges[12], edges[0] // swap node 2's two To fields' low bytes
 	return x
 }
 

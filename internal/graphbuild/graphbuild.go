@@ -10,10 +10,19 @@
 //     Jaccard of their clicked-item sets. Candidate pairs come from LSH
 //     banding so construction stays near-linear, as a production graph
 //     generator requires.
+//
+// The signatures are signed and the bands bucketed on every core, with
+// sorts in place of maps, and graph.Builder freezes the edges in O(E + N),
+// so the whole build is near-linear. Its output does not depend on the
+// core count.
 package graphbuild
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 
 	"zoomer/internal/graph"
 	"zoomer/internal/loggen"
@@ -22,7 +31,8 @@ import (
 
 // Config tunes similarity-edge construction.
 type Config struct {
-	// MinHashK is the signature length; Bands must divide it.
+	// MinHashK is the signature length; Bands must divide it, or Build
+	// panics.
 	MinHashK int
 	Bands    int
 	// SimThreshold drops candidate pairs with estimated Jaccard below it.
@@ -103,8 +113,15 @@ type Result struct {
 	Mapping Mapping
 }
 
-// Build constructs the retrieval graph from logs.
+// Build constructs the retrieval graph from logs. It panics if
+// cfg.Bands does not divide cfg.MinHashK.
 func Build(l *loggen.Logs, cfg Config) *Result {
+	switch {
+	case cfg.Bands <= 0:
+		panic(fmt.Sprintf("graphbuild: Bands must be positive, got %d", cfg.Bands))
+	case cfg.MinHashK%cfg.Bands != 0:
+		panic(fmt.Sprintf("graphbuild: Bands (%d) must divide MinHashK (%d)", cfg.Bands, cfg.MinHashK))
+	}
 	b := graph.NewBuilder()
 	m := Mapping{Users: len(l.Users), Queries: len(l.Queries), Items: len(l.Items)}
 
@@ -130,8 +147,19 @@ func Build(l *loggen.Logs, cfg Config) *Result {
 		b.AddNode(graph.Item, withTerms(it.FeatureIDs, it.TitleTerms), it.Content)
 	}
 
-	// Interaction edges.
-	clickedBy := make([][]uint64, len(l.Users)) // item-id sets per user
+	// Interaction edges, and each user's clicked items in click order,
+	// user u's at clicked[clickStart[u]:clickStart[u+1]].
+	clickStart := make([]int, len(l.Users)+1)
+	for _, s := range l.Sessions {
+		for _, ev := range s.Events {
+			clickStart[s.User+1] += len(ev.Clicks)
+		}
+	}
+	for u := range l.Users {
+		clickStart[u+1] += clickStart[u]
+	}
+	clicked := make([]uint64, clickStart[len(l.Users)])
+	next := slices.Clone(clickStart)
 	for _, s := range l.Sessions {
 		un := m.UserNode(s.User)
 		for _, ev := range s.Events {
@@ -146,7 +174,8 @@ func Build(l *loggen.Logs, cfg Config) *Result {
 						b.AddUndirected(prev, in, graph.Session, 1)
 					}
 				}
-				clickedBy[s.User] = append(clickedBy[s.User], uint64(c.Item))
+				clicked[next[s.User]] = uint64(c.Item)
+				next[s.User]++
 			}
 		}
 	}
@@ -155,108 +184,127 @@ func Build(l *loggen.Logs, cfg Config) *Result {
 	// space, so query—item similarity edges arise naturally — the paper
 	// computes Jaccard "between queries and items").
 	hasher := minhash.NewHasher(cfg.MinHashK, cfg.Seed)
-	sigs := make([]minhash.Signature, 0, len(l.Queries)+len(l.Items))
+	sets := make([][]uint64, 0, len(l.Queries)+len(l.Items))
 	ids := make([]graph.NodeID, 0, len(l.Queries)+len(l.Items))
 	for q, meta := range l.Queries {
-		sigs = append(sigs, hasher.SignIDs(meta.TitleTerms))
+		sets = append(sets, meta.TitleTerms)
 		ids = append(ids, m.QueryNode(q))
 	}
 	for i, meta := range l.Items {
-		sigs = append(sigs, hasher.SignIDs(meta.TitleTerms))
+		sets = append(sets, meta.TitleTerms)
 		ids = append(ids, m.ItemNode(i))
 	}
-	addSimilarityEdges(b, sigs, ids, cfg)
+	addSimilarityEdges(b, hasher, sets, ids, cfg)
 
 	if cfg.UserUserEdges {
-		usigs := make([]minhash.Signature, 0, len(l.Users))
-		uids := make([]graph.NodeID, 0, len(l.Users))
-		for u, items := range clickedBy {
-			if len(items) == 0 {
-				continue
+		sets, ids = sets[:0], ids[:0]
+		for u := range l.Users {
+			if clickStart[u] < clickStart[u+1] {
+				sets = append(sets, clicked[clickStart[u]:clickStart[u+1]])
+				ids = append(ids, m.UserNode(u))
 			}
-			usigs = append(usigs, hasher.SignIDs(items))
-			uids = append(uids, m.UserNode(u))
 		}
-		addSimilarityEdges(b, usigs, uids, cfg)
+		addSimilarityEdges(b, hasher, sets, ids, cfg)
 	}
 
 	return &Result{Graph: b.Build(), Mapping: m}
 }
 
-// addSimilarityEdges links candidate pairs found by LSH banding whose
+// addSimilarityEdges links nodes ids[i] and ids[j] whose id sets sets[i]
+// and sets[j] are similar: candidate pairs found by LSH banding whose
 // estimated Jaccard clears the threshold, keeping at most
 // MaxSimEdgesPerNode strongest edges per node.
-func addSimilarityEdges(b *graph.Builder, sigs []minhash.Signature, ids []graph.NodeID, cfg Config) {
-	if len(sigs) == 0 {
+func addSimilarityEdges(b *graph.Builder, hasher *minhash.Hasher, sets [][]uint64, ids []graph.NodeID, cfg Config) {
+	n, k := len(sets), hasher.K()
+	if n == 0 {
 		return
 	}
-	rowsPerBand := cfg.MinHashK / cfg.Bands
+	sigs := make([]uint64, n*k)
+	parallelFor(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			copy(sigs[i*k:], hasher.SignIDs(sets[i]))
+		}
+	})
+	sig := func(i int32) minhash.Signature { return sigs[int(i)*k : int(i+1)*k] }
+
+	// Each band buckets the nodes by sorting (hash, index) pairs, so a
+	// bucket lists its members in index order; every pair inside a bucket
+	// is a candidate, packed as i<<32|j with indices i < j.
+	rows := k / cfg.Bands
+	type member struct {
+		hash uint64
+		i    int32
+	}
+	bands := make([][]uint64, cfg.Bands)
+	parallelFor(cfg.Bands, func(lo, hi int) {
+		bucket := make([]member, n)
+		for band := lo; band < hi; band++ {
+			for i := range bucket {
+				var h uint64 = 1469598103934665603
+				for _, v := range sig(int32(i))[band*rows : (band+1)*rows] {
+					h ^= v
+					h *= 1099511628211
+				}
+				bucket[i] = member{h, int32(i)}
+			}
+			slices.SortFunc(bucket, func(x, y member) int {
+				if c := cmp.Compare(x.hash, y.hash); c != 0 {
+					return c
+				}
+				return cmp.Compare(x.i, y.i)
+			})
+			var keys []uint64
+			for first := 0; first < n; {
+				end := first + 1
+				for end < n && bucket[end].hash == bucket[first].hash {
+					end++
+				}
+				// Cap quadratic blowup inside a hot bucket.
+				run := bucket[first:min(end, first+50)]
+				for x, p := range run {
+					for _, q := range run[x+1:] {
+						keys = append(keys, uint64(p.i)<<32|uint64(q.i))
+					}
+				}
+				first = end
+			}
+			bands[band] = keys
+		}
+	})
+	keys := slices.Concat(bands...)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+
 	type pair struct {
 		a, c graph.NodeID
 		sim  float64
 	}
-	seen := make(map[uint64]bool)
-	candidates := make([]pair, 0, len(sigs)*2)
-
-	for band := 0; band < cfg.Bands; band++ {
-		buckets := make(map[uint64][]int)
-		lo := band * rowsPerBand
-		for i, sig := range sigs {
-			var h uint64 = 1469598103934665603
-			for _, v := range sig[lo : lo+rowsPerBand] {
-				h ^= v
-				h *= 1099511628211
+	candidates := make([]pair, len(keys))
+	parallelFor(len(keys), func(lo, hi int) {
+		for x := lo; x < hi; x++ {
+			i, j := int32(keys[x]>>32), int32(uint32(keys[x]))
+			a, c := ids[i], ids[j]
+			if a > c {
+				a, c = c, a
 			}
-			buckets[h] = append(buckets[h], i)
+			candidates[x] = pair{a, c, minhash.Similarity(sig(i), sig(j))}
 		}
-		for _, bucket := range buckets {
-			if len(bucket) < 2 {
-				continue
-			}
-			// Cap quadratic blowup inside a hot bucket.
-			lim := bucket
-			if len(lim) > 50 {
-				lim = lim[:50]
-			}
-			for x := 0; x < len(lim); x++ {
-				for y := x + 1; y < len(lim); y++ {
-					i, j := lim[x], lim[y]
-					a, c := ids[i], ids[j]
-					if a == c {
-						continue
-					}
-					if a > c {
-						a, c = c, a
-					}
-					key := uint64(a)<<32 | uint64(uint32(c))
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-					sim := minhash.Similarity(sigs[i], sigs[j])
-					if sim >= cfg.SimThreshold {
-						candidates = append(candidates, pair{a, c, sim})
-					}
-				}
-			}
-		}
-	}
+	})
+	candidates = slices.DeleteFunc(candidates, func(p pair) bool { return p.sim < cfg.SimThreshold })
 
 	// Strongest-first with a per-node degree cap. MinHash similarities
 	// are heavily tied and the cap is first-come, so the order must be
-	// total: the candidate set does not depend on the bucket map's
-	// iteration order (seen dedups it), but its slice order does.
-	sort.Slice(candidates, func(i, j int) bool {
-		p, q := candidates[i], candidates[j]
+	// total.
+	slices.SortFunc(candidates, func(p, q pair) int {
 		if p.sim != q.sim {
-			return p.sim > q.sim
+			return cmp.Compare(q.sim, p.sim)
 		}
 		if p.a != q.a {
-			return p.a < q.a
+			return cmp.Compare(p.a, q.a)
 		}
-		return p.c < q.c
+		return cmp.Compare(p.c, q.c)
 	})
-	degree := make(map[graph.NodeID]int)
+	degree := make([]int, b.NumNodes())
 	for _, p := range candidates {
 		if degree[p.a] >= cfg.MaxSimEdgesPerNode || degree[p.c] >= cfg.MaxSimEdgesPerNode {
 			continue
@@ -265,4 +313,16 @@ func addSimilarityEdges(b *graph.Builder, sigs []minhash.Signature, ids []graph.
 		degree[p.a]++
 		degree[p.c]++
 	}
+}
+
+// parallelFor runs f over [0, n) in one contiguous chunk per core and
+// waits for every chunk.
+func parallelFor(n int, f func(lo, hi int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func() { defer wg.Done(); f(w*n/workers, (w+1)*n/workers) }()
+	}
+	wg.Wait()
 }

@@ -202,6 +202,32 @@ func TestSymmetry(t *testing.T) {
 	}
 }
 
+// Config.MinHashK's contract, Bands divides it, is checked up front:
+// zero bands would divide by zero, more bands than rows would hash every
+// node into one bucket per band, and a remainder would ignore rows.
+func TestBuildPanicsUnlessBandsDivideMinHashK(t *testing.T) {
+	l := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 42))
+	for _, tc := range []struct {
+		name  string
+		bands int
+	}{
+		{"zero", 0},
+		{"more than MinHashK", 64},
+		{"leaves rows over", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Bands = tc.bands
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "Bands") {
+					t.Fatalf("Bands %d, MinHashK %d: panic %q, want one naming Bands", cfg.Bands, cfg.MinHashK, msg)
+				}
+			}()
+			Build(l, cfg)
+		})
+	}
+}
+
 func TestContentPreserved(t *testing.T) {
 	l, res := buildTiny(t)
 	g, m := res.Graph, res.Mapping
@@ -225,8 +251,20 @@ func BenchmarkBuildSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildLarge builds the world every benchmark workload brings
+// up (ScaleLarge, 1.86 M edges).
+func BenchmarkBuildLarge(b *testing.B) {
+	l := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleLarge, 1))
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = Build(l, cfg)
+	}
+}
+
 // TestBuildDeterministic pins the world as a function of its logs: the
-// similarity pass ranges over a map of LSH buckets, and the small world
+// similarity pass signs and buckets on every core, and the small world
 // has enough tied MinHash similarities at the per-node degree cap that
 // any order dependence changes which edges survive.
 func TestBuildDeterministic(t *testing.T) {
