@@ -38,7 +38,7 @@ go test -run '^$' -bench 'BenchmarkHotPath' -benchmem -count "$COUNT" . | tee -a
 go test -run '^$' -bench 'BenchmarkSampleNeighbors|BenchmarkSampleTree' -benchmem -count "$COUNT" ./internal/engine/ | tee -a "$TMP" >&2
 go test -run '^$' -bench 'BenchmarkFocalBiased|BenchmarkBuildTree' -benchmem -count "$COUNT" ./internal/sampling/ | tee -a "$TMP" >&2
 go test -run '^$' -bench 'BenchmarkServingEmbedding|BenchmarkEndToEndRequest|BenchmarkCacheRefresh' -benchmem -count "$COUNT" ./internal/serve/ | tee -a "$TMP" >&2
-go test -run '^$' -bench 'BenchmarkSearchInto|BenchmarkQuantizedScan|BenchmarkFullPrecisionScan' -benchmem -count "$COUNT" ./internal/ann/ | tee -a "$TMP" >&2
+go test -run '^$' -bench 'BenchmarkSearchInto|BenchmarkCoarseScan' -benchmem -count "$COUNT" ./internal/ann/ | tee -a "$TMP" >&2
 # The index build at the rig's retrieve shape (fixed iteration count — a
 # build is ~0.3 s).
 go test -run '^$' -bench 'BenchmarkIndexBuild' -benchtime 3x -benchmem -count "$COUNT" ./internal/ann/ | tee -a "$TMP" >&2

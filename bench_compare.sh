@@ -8,11 +8,12 @@
 # behavior is pinned by TestRemoteHotPathDoesNotAllocate instead of here.
 #
 # The dense-kernel benches (BenchmarkDot*, BenchmarkMatVec*,
-# BenchmarkAxpy*, BenchmarkQuantizedScan) are gated at the same default
-# threshold and must stay allocation-free — a kernel that silently falls
-# back to a slower path or starts allocating fails here. Comparison is
-# refused outright when the baseline was recorded under a different simd
-# dispatch or on a box with a different CPU count than the current run.
+# BenchmarkAxpy*, and BenchmarkCoarseScan, the ANN coarse scan) are gated
+# at the same default threshold and must stay allocation-free — a kernel
+# that silently falls back to a slower path or starts allocating fails
+# here. Comparison is refused outright when the baseline was recorded
+# under a different simd dispatch or on a box with a different CPU count
+# than the current run.
 #
 # Noise handling, in two layers (this container's scheduler/timer noise
 # can swing an untouched bench 0.6x-1.6x between single samples):
@@ -74,7 +75,7 @@ for key in ("simd", "num_cpu"):
         sys.exit(1)
 
 RPC_PREFIXES = ("BenchmarkRPCRoundTrip", "BenchmarkRemote")
-KERNEL_PREFIXES = ("BenchmarkDot", "BenchmarkMatVec", "BenchmarkAxpy", "BenchmarkQuantizedScan")
+KERNEL_PREFIXES = ("BenchmarkDot", "BenchmarkMatVec", "BenchmarkAxpy", "BenchmarkCoarseScan")
 
 def is_rpc(name):
     return name.startswith(RPC_PREFIXES)
@@ -126,7 +127,7 @@ PY
 pkg_for() {
     case "$1" in
     BenchmarkRPCRoundTrip* | BenchmarkRemote*) echo ./internal/rpc/ ;;
-    BenchmarkQuantizedScan*) echo ./internal/ann/ ;;
+    BenchmarkCoarseScan*) echo ./internal/ann/ ;;
     BenchmarkDot* | BenchmarkMatVec* | BenchmarkAxpy*) echo ./internal/tensor/ ;;
     *) echo . ;; # BenchmarkHotPath*
     esac

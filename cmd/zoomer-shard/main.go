@@ -137,16 +137,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var owned []int
-	if *own != "" {
-		for _, s := range strings.Split(*own, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -own entry %q: %v\n", s, err)
-				os.Exit(2)
-			}
-			owned = append(owned, id)
-		}
+	owned, err := parseOwned(*own, *shards)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	var g *graph.Graph
@@ -234,6 +228,25 @@ func parseIDList(flagName, s string) ([]int, error) {
 		ids = append(ids, id)
 	}
 	return ids, nil
+}
+
+// parseOwned parses -own against -shards, before the world is built:
+// nil means every partition, and an id outside [0, shards) or a shards
+// below 1 is an error naming the flag.
+func parseOwned(own string, shards int) ([]int, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("-shards %d: need at least 1 partition", shards)
+	}
+	owned, err := parseIDList("-own", own)
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range owned {
+		if id < 0 || id >= shards {
+			return nil, fmt.Errorf("bad -own entry %d: partition ids run 0..%d with -shards %d", id, shards-1, shards)
+		}
+	}
+	return owned, nil
 }
 
 // runAdmin drives a running shard server: acquire partitions first, then

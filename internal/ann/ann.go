@@ -4,16 +4,12 @@
 // k-means centroids over cosine space, and posting lists of items per
 // centroid. A query probes the nprobe closest centroids and scores only
 // their lists, trading a controllable amount of recall for sub-linear
-// search. The coarse layer is scored on int8-quantized centroids
-// (symmetric per-centroid scales, exact int32 dots — see Index); the
-// surviving posting lists are scored at full precision, so quantization
-// costs probe choice, not ranking precision, and the recall tests pin
-// that cost below 1%.
+// search. The coarse layer and the posting lists are float32 matrices
+// scored the same way, one MatVec each.
 package ann
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -27,21 +23,11 @@ type Result struct {
 	Score float32
 }
 
-// Index is an immutable IVF index over unit-normalized vectors.
-//
-// The coarse layer is stored twice: full-precision centroids (k-means
-// construction, SearchExact) and an int8-quantized copy the hot search
-// path scores instead. Quantization is symmetric per centroid — row c
-// is qcent[c*dim:(c+1)*dim] with reconstruction c[i] ≈ qcent[i]·qscale[c]
-// — so a centroid score is one int8 dot (int32-accumulated, exact)
-// scaled by two floats. Posting lists are always scored at full
-// precision, one MatVec per list; quantization only picks which lists
-// to probe.
+// Index is an immutable IVF index over unit-normalized vectors. Row c of
+// centroids is the k-means centroid of list c; a search scores them all
+// with one MatVec, then scores each probed list with one MatVec more.
 type Index struct {
-	dim       int
-	centroids []tensor.Vec
-	qcent     []int8    // flat quantized centroid rows, cache-contiguous
-	qscale    []float32 // per-centroid dequantization scale
+	centroids tensor.Matrix
 	listIDs   [][]int64
 	lists     []tensor.Matrix // row i of lists[c] is the vector of listIDs[c][i]
 }
@@ -88,15 +74,15 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 
 	// k-means++ seeding over cosine distance (= squared Euclidean on the
 	// unit sphere up to scaling).
-	centroids := make([]tensor.Vec, 0, cfg.NumLists)
-	centroids = append(centroids, tensor.Copy(normed[r.Intn(len(normed))]))
+	centroids := tensor.NewMatrix(cfg.NumLists, dim)
+	copy(centroids.Row(0), normed[r.Intn(len(normed))])
 	dist := make([]float64, len(normed))
-	for len(centroids) < cfg.NumLists {
-		last, first := centroids[len(centroids)-1], len(centroids) == 1
+	for k := 1; k < cfg.NumLists; k++ {
+		last, first := centroids.Row(k-1), k == 1
 		nl := tensor.Norm2(last)
 		parallelFor(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				if d := float64(1 - cosine(normed[i], last, norms[i], nl)); first || d < dist[i] {
+				if d := float64(1 - cosine(tensor.Dot(normed[i], last), norms[i], nl)); first || d < dist[i] {
 					dist[i] = d
 				}
 			}
@@ -106,7 +92,7 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 			total += d
 		}
 		if total == 0 {
-			centroids = append(centroids, tensor.Copy(normed[r.Intn(len(normed))]))
+			copy(centroids.Row(k), normed[r.Intn(len(normed))])
 			continue
 		}
 		x := r.Float64() * total
@@ -118,20 +104,22 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 				break
 			}
 		}
-		centroids = append(centroids, tensor.Copy(normed[pick]))
+		copy(centroids.Row(k), normed[pick])
 	}
 
 	assign := make([]int, len(normed))
-	cnorms := make([]float32, len(centroids))
+	cnorms := make([]float32, cfg.NumLists)
 	reassign := func() {
-		for c, cent := range centroids {
-			cnorms[c] = tensor.Norm2(cent)
+		for c := range cnorms {
+			cnorms[c] = tensor.Norm2(centroids.Row(c))
 		}
 		parallelFor(n, func(lo, hi int) {
+			dots := make([]float32, cfg.NumLists)
 			for i := lo; i < hi; i++ {
+				tensor.MatVec(centroids, normed[i], dots)
 				best, bestSim := 0, float32(-2)
-				for c, cent := range centroids {
-					if s := cosine(normed[i], cent, norms[i], cnorms[c]); s > bestSim {
+				for c, nc := range cnorms {
+					if s := cosine(dots[c], norms[i], nc); s > bestSim {
 						best, bestSim = c, s
 					}
 				}
@@ -139,7 +127,7 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 			}
 		})
 	}
-	sums, counts := tensor.NewMatrix(len(centroids), dim), make([]int, len(centroids))
+	sums, counts := tensor.NewMatrix(cfg.NumLists, dim), make([]int, cfg.NumLists)
 	for iter := 0; iter < cfg.Iters; iter++ {
 		reassign()
 		clear(sums.Data)
@@ -148,23 +136,22 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 			tensor.Axpy(1, v, sums.Row(assign[i]))
 			counts[assign[i]]++
 		}
-		for c := range centroids {
-			if counts[c] == 0 {
+		for c, k := range counts {
+			if k == 0 {
 				// Re-seed an empty centroid on a random point.
-				centroids[c] = tensor.Copy(normed[r.Intn(len(normed))])
+				copy(centroids.Row(c), normed[r.Intn(len(normed))])
 				continue
 			}
 			tensor.Normalize(sums.Row(c))
-			copy(centroids[c], sums.Row(c))
+			copy(centroids.Row(c), sums.Row(c))
 		}
 	}
 	reassign()
 
 	ix := &Index{
-		dim:       dim,
-		centroids: centroids,
-		listIDs:   make([][]int64, len(centroids)),
-		lists:     make([]tensor.Matrix, len(centroids)),
+		centroids: *centroids,
+		listIDs:   make([][]int64, cfg.NumLists),
+		lists:     make([]tensor.Matrix, cfg.NumLists),
 	}
 	clear(counts)
 	for _, c := range assign {
@@ -179,16 +166,17 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 		ix.lists[c].Data = append(ix.lists[c].Data, normed[i]...)
 		ix.lists[c].Rows++
 	}
-	ix.quantizeCentroids()
 	return ix
 }
 
-// cosine is tensor.Cosine(v, c), bit for bit, with both norms given.
-func cosine(v, c tensor.Vec, nv, nc float32) float32 {
+// cosine is tensor.Cosine(v, c), bit for bit, given dot = v·c and both
+// norms. MatVec's c·v has Dot's bits: float64 products of float32s are
+// exact, so the operand order does not matter.
+func cosine(dot, nv, nc float32) float32 {
 	if nv == 0 || nc == 0 {
 		return 0
 	}
-	return tensor.Dot(v, c) / (nv * nc)
+	return dot / (nv * nc)
 }
 
 // parallelFor runs f over [0, n) in one contiguous chunk per core and
@@ -203,47 +191,8 @@ func parallelFor(n int, f func(lo, hi int)) {
 	wg.Wait()
 }
 
-// quantizeCentroids fills the int8 coarse layer: symmetric per-centroid
-// quantization q[i] = round(c[i]/scale) with scale = max|c[i]|/127, so
-// the full int8 range is spent on each centroid's own dynamic range and
-// reconstruction error is ≤ scale/2 per component. A zero centroid
-// (possible only degenerately) quantizes to zeros with scale 0.
-// Quantization runs once at build time in pure Go, so both build tags
-// index identical bytes.
-func (ix *Index) quantizeCentroids() {
-	ix.qcent = make([]int8, len(ix.centroids)*ix.dim)
-	ix.qscale = make([]float32, len(ix.centroids))
-	for c, cent := range ix.centroids {
-		var m float32
-		for _, v := range cent {
-			if a := float32(math.Abs(float64(v))); a > m {
-				m = a
-			}
-		}
-		if m == 0 {
-			continue
-		}
-		scale := m / 127
-		row := ix.qcent[c*ix.dim : (c+1)*ix.dim]
-		for i, v := range cent {
-			q := math.Round(float64(v / scale))
-			switch {
-			case q > 127:
-				q = 127
-			case q < -127:
-				q = -127
-			}
-			row[i] = int8(q)
-		}
-		ix.qscale[c] = scale
-	}
-}
-
-// Dim returns the vector dimensionality.
-func (ix *Index) Dim() int { return ix.dim }
-
 // NumLists returns the coarse layer size.
-func (ix *Index) NumLists() int { return len(ix.centroids) }
+func (ix *Index) NumLists() int { return ix.centroids.Rows }
 
 // Len returns the number of indexed vectors.
 func (ix *Index) Len() int {
@@ -255,14 +204,12 @@ func (ix *Index) Len() int {
 }
 
 // SearchScratch holds the per-worker buffers of the search hot path: the
-// normalized query copy, its int8 quantization for the coarse scan,
-// centroid scores, probe order, one posting list's scores and the
-// bounded result heap. Not safe for concurrent use — one per worker,
-// like *rng.RNG. Result slices returned by SearchInto are backed by the
-// scratch and valid only until its next use.
+// normalized query copy, centroid scores, probe order, one posting list's
+// scores and the bounded result heap. Not safe for concurrent use — one
+// per worker, like *rng.RNG. Result slices returned by SearchInto are
+// backed by the scratch and valid only until its next use.
 type SearchScratch struct {
 	q       tensor.Vec
-	qq      []int8
 	cscore  []float32
 	corder  []int32
 	lscore  []float32
@@ -275,108 +222,51 @@ func (ix *Index) NewSearchScratch() *SearchScratch {
 	for _, l := range ix.lists {
 		rows = max(rows, l.Rows)
 	}
-	return &SearchScratch{q: make(tensor.Vec, ix.dim), lscore: make([]float32, rows)}
-}
-
-func (sc *SearchScratch) centroidBufs(n int) ([]float32, []int32) {
-	if cap(sc.cscore) < n {
-		sc.cscore = make([]float32, n)
-		sc.corder = make([]int32, n)
+	return &SearchScratch{
+		q:      make(tensor.Vec, ix.centroids.Cols),
+		cscore: make([]float32, ix.centroids.Rows),
+		corder: make([]int32, ix.centroids.Rows),
+		lscore: make([]float32, rows),
 	}
-	return sc.cscore[:n], sc.corder[:n]
-}
-
-func (sc *SearchScratch) queryQuant(n int) []int8 {
-	if cap(sc.qq) < n {
-		sc.qq = make([]int8, n)
-	}
-	return sc.qq[:n]
-}
-
-// quantizeQuery writes the symmetric int8 quantization of q into qq and
-// returns its dequantization scale (0 for a zero query, whose quantized
-// form is all zeros — every centroid then scores 0, exactly as the
-// full-precision scan of a zero query would).
-func quantizeQuery(q tensor.Vec, qq []int8) float32 {
-	var m float32
-	for _, v := range q {
-		if a := float32(math.Abs(float64(v))); a > m {
-			m = a
-		}
-	}
-	if m == 0 {
-		for i := range qq {
-			qq[i] = 0
-		}
-		return 0
-	}
-	scale := m / 127
-	for i, v := range q {
-		x := math.Round(float64(v / scale))
-		switch {
-		case x > 127:
-			x = 127
-		case x < -127:
-			x = -127
-		}
-		qq[i] = int8(x)
-	}
-	return scale
 }
 
 // SearchInto probes the nprobe closest coarse centroids and returns the
 // topK highest-cosine results among their posting lists, best first.
 // The caller's scratch is required (one per worker): the whole probe —
-// query normalization, the int8-quantized coarse scan that ranks
-// centroids, full-precision candidate scoring and top-K selection (a
-// bounded min-heap, O(C log K) over C candidates) — performs zero heap
-// allocations, and the returned slice is backed by sc.
+// query normalization, the coarse scan that ranks centroids, candidate
+// scoring and top-K selection (a bounded min-heap, O(C log K) over C
+// candidates) — performs zero heap allocations, and the returned slice
+// is backed by sc.
 func (ix *Index) SearchInto(query tensor.Vec, topK, nprobe int, sc *SearchScratch) []Result {
-	if len(query) != ix.dim {
-		panic(fmt.Sprintf("ann: query dim %d, index dim %d", len(query), ix.dim))
+	if len(query) != ix.centroids.Cols {
+		panic(fmt.Sprintf("ann: query dim %d, index dim %d", len(query), ix.centroids.Cols))
 	}
 	if topK <= 0 {
 		return nil
 	}
-	if nprobe <= 0 {
-		nprobe = 1
-	}
-	if nprobe > len(ix.centroids) {
-		nprobe = len(ix.centroids)
-	}
+	nprobe = min(max(nprobe, 1), ix.centroids.Rows)
 	copy(sc.q, query)
 	q := sc.q
 	tensor.Normalize(q)
 
-	// Rank centroids on the quantized coarse layer: one exact int8 dot
-	// per centroid over the cache-contiguous qcent rows, scaled back by
-	// the two dequantization factors. The int32 accumulation is
-	// bit-identical across kernel dispatch, so the probe order — and
-	// with it every result this function returns — is too. Then
-	// partially select the nprobe best (nprobe passes of max-selection;
-	// nprobe is small). The surviving lists are re-ranked at full
-	// precision below.
-	cscore, corder := sc.centroidBufs(len(ix.centroids))
-	qq := sc.queryQuant(ix.dim)
-	if qs := quantizeQuery(q, qq); qs == 0 {
-		for c := range cscore {
-			cscore[c] = 0
-		}
-	} else {
-		for c := range ix.centroids {
-			cscore[c] = float32(tensor.DotI8(qq, ix.qcent[c*ix.dim:(c+1)*ix.dim])) * ix.qscale[c] * qs
-		}
+	// Score every centroid with one MatVec, then move the nprobe best to
+	// the front of corder by selection: the higher score first, the lower
+	// list on a tie, so a zero query probes lists 0 … nprobe-1. A pick is
+	// swapped out of the running, so no list is probed twice whatever the
+	// scores — a NaN query, which scores every list NaN, included.
+	cscore, corder := sc.cscore, sc.corder
+	tensor.MatVec(&ix.centroids, q, cscore)
+	for c := range corder {
+		corder[c] = int32(c)
 	}
-	for p := 0; p < nprobe; p++ {
-		best := -1
-		bestScore := float32(0)
-		for c, s := range cscore {
-			if best < 0 || s > bestScore {
-				best, bestScore = c, s
+	for p := range nprobe {
+		best := p
+		for i := p + 1; i < len(corder); i++ {
+			if s, bs := cscore[corder[i]], cscore[corder[best]]; s > bs || s == bs && corder[i] < corder[best] {
+				best = i
 			}
 		}
-		corder[p] = int32(best)
-		cscore[best] = float32(math.Inf(-1))
+		corder[p], corder[best] = corder[best], corder[p]
 	}
 
 	// Scan the probed posting lists through a bounded min-heap of the
@@ -385,8 +275,8 @@ func (ix *Index) SearchInto(query tensor.Vec, topK, nprobe int, sc *SearchScratc
 		sc.results = make([]Result, 0, topK)
 	}
 	h := sc.results[:0]
-	for p := 0; p < nprobe; p++ {
-		h = ix.scanList(int(corder[p]), q, topK, h, sc.lscore)
+	for _, c := range corder[:nprobe] {
+		h = ix.scanList(int(c), q, topK, h, sc.lscore)
 	}
 	// Heap-sort the winners best first: popping the min to the back
 	// leaves the slice in descending score order.
@@ -450,5 +340,5 @@ func siftDownResult(h []Result, i int) {
 // measure recall in tests and benchmarks. It probes every list through a
 // fresh scratch, so the returned slice is independently owned.
 func (ix *Index) SearchExact(query tensor.Vec, topK int) []Result {
-	return ix.SearchInto(query, topK, len(ix.centroids), ix.NewSearchScratch())
+	return ix.SearchInto(query, topK, ix.centroids.Rows, ix.NewSearchScratch())
 }

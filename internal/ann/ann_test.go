@@ -59,9 +59,6 @@ func TestIndexCoversAllVectors(t *testing.T) {
 	if ix.NumLists() != 10 {
 		t.Fatalf("lists = %d", ix.NumLists())
 	}
-	if ix.Dim() != 16 {
-		t.Fatalf("dim = %d", ix.Dim())
-	}
 }
 
 func TestExactSearchFindsSelf(t *testing.T) {

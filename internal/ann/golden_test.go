@@ -42,21 +42,17 @@ func goldenInput() ([]int64, []tensor.Vec) {
 	return ids, vecs
 }
 
-// renderIndex prints ix one line per list — centroid bits, quantized
-// centroid and the list's ids in order — then SearchInto (nprobe 4,
-// topK 100) for 128 queries and SearchExact for 8, one line per query
-// with each result's id and score bits. A quarter of the queries are
+// renderIndex prints ix one line per list — centroid bits and the
+// list's ids in order — then SearchInto (nprobe 4, topK 100) for 128
+// queries and SearchExact for 8, one line per query with each result's
+// id and score bits. A quarter of the queries are
 // indexed vectors, so their duplicates tie; the rest are perturbed.
 func renderIndex(ix *Index, vecs []tensor.Vec) string {
 	var b strings.Builder
-	for c, cent := range ix.centroids {
+	for c := range ix.centroids.Rows {
 		fmt.Fprintf(&b, "list %d centroid", c)
-		for _, v := range cent {
+		for _, v := range ix.centroids.Row(c) {
 			fmt.Fprintf(&b, " %08x", math.Float32bits(v))
-		}
-		fmt.Fprintf(&b, " qscale %08x qcent", math.Float32bits(ix.qscale[c]))
-		for _, q := range ix.qcent[c*ix.dim : (c+1)*ix.dim] {
-			fmt.Fprintf(&b, " %d", q)
 		}
 		b.WriteString(" ids")
 		for _, id := range ix.listIDs[c] {

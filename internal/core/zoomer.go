@@ -110,15 +110,9 @@ func NewZoomer(g GraphView, v loggen.Vocab, cfg Config, seed uint64) *Zoomer {
 // Name implements Model.
 func (z *Zoomer) Name() string { return z.name }
 
-// View returns the graph view the model reads through.
-func (z *Zoomer) View() GraphView { return z.g }
-
 // BindView implements ViewBinder: rebinding swaps the read path (e.g.
 // onto a different engine topology) without touching trained weights.
 func (z *Zoomer) BindView(g GraphView) { z.g = g }
-
-// Config returns the model configuration.
-func (z *Zoomer) Config() Config { return z.cfg }
 
 // DenseParams implements Model.
 func (z *Zoomer) DenseParams() []*nn.Param {

@@ -24,16 +24,6 @@ type Fig10Result struct {
 	Rows      []Fig10Row
 }
 
-// Time returns the duration for (model, scale), or 0.
-func (r Fig10Result) Time(model, scale string) float64 {
-	for _, row := range r.Rows {
-		if row.Model == model && row.Scale == scale {
-			return row.Seconds
-		}
-	}
-	return 0
-}
-
 // String prints the matrix.
 func (r Fig10Result) String() string {
 	rows := make([][]string, len(r.Rows))

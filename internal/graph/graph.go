@@ -125,16 +125,6 @@ func (g *Graph) Neighbors(id NodeID) []Edge {
 	return g.edges[g.offsets[id]:g.offsets[id+1]]
 }
 
-// Offsets returns the CSR row-offset array (len NumNodes+1): node id's
-// adjacency occupies Edges()[Offsets()[id]:Offsets()[id+1]]. The view is
-// shared and must not be mutated; it exists so the engine can lay
-// per-edge auxiliary state (alias tables) out flat and CSR-aligned.
-func (g *Graph) Offsets() []int32 { return g.offsets }
-
-// Edges returns the contiguous CSR edge array (len NumEdges), aligned
-// with Offsets. The view is shared and must not be mutated.
-func (g *Graph) Edges() []Edge { return g.edges }
-
 // Features returns the sparse categorical feature ids of id.
 func (g *Graph) Features(id NodeID) []int32 { return g.features[id] }
 

@@ -783,9 +783,6 @@ func newRemoteShard(cl *client, shard, nodes, edges int) *RemoteShard {
 	return &RemoteShard{cl: cl, shard: shard, nodes: nodes, edges: edges}
 }
 
-// Shard returns the partition id this stub serves.
-func (rs *RemoteShard) Shard() int { return rs.shard }
-
 // Requests reports the client-side served-call count (engine.BackendStats).
 func (rs *RemoteShard) Requests() int64 { return rs.requests.Load() }
 

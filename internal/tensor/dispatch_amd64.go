@@ -2,9 +2,9 @@
 
 // The amd64 side of the kernel seam. At init the package probes CPUID
 // for AVX2+FMA (plus OS-enabled YMM state via XGETBV) and routes the
-// five hot kernels — Dot, dotSq, Axpy, DotAxpy and the int8 dot of the
-// quantized ANN scan — to the hand-written vector implementations in
-// kernels_amd64.s. MatVec/MatVecT ride the same seam per row.
+// four hot kernels — Dot, dotSq, Axpy and DotAxpy — to the hand-written
+// vector implementations in kernels_amd64.s. MatVec/MatVecT ride the
+// same seam per row.
 //
 // Bit-identity contract: the vector kernels replicate the generic
 // kernels' accumulation order exactly — Dot keeps the 4 independent
@@ -69,7 +69,6 @@ func dotAVX2(a, b Vec) float32
 func dotSqAVX2(a, b Vec) (dot, bsq float32)
 func axpyAVX2(alpha float32, x, y Vec)
 func dotAxpyAVX2(alpha float32, x, w, y Vec) float32
-func dotI8AVX2(a, b []int8) int32
 
 func dot(a, b Vec) float32 {
 	if useAVX2 {
@@ -98,11 +97,4 @@ func dotAxpy(alpha float32, x, w, y Vec) float32 {
 		return dotAxpyAVX2(alpha, x, w, y)
 	}
 	return dotAxpyGeneric(alpha, x, w, y)
-}
-
-func dotI8(a, b []int8) int32 {
-	if useAVX2 {
-		return dotI8AVX2(a, b)
-	}
-	return dotI8Generic(a, b)
 }

@@ -10,8 +10,7 @@ package tensor
 // BENCH_hotpath.json header so perf trajectories name their kernel era.
 func SIMD() string { return "purego" }
 
-func dot(a, b Vec) float32                      { return dotGeneric(a, b) }
-func dotSq(a, b Vec) (float32, float32)         { return dotSqGeneric(a, b) }
-func axpy(alpha float32, x, y Vec)              { axpyGeneric(alpha, x, y) }
+func dot(a, b Vec) float32                       { return dotGeneric(a, b) }
+func dotSq(a, b Vec) (float32, float32)          { return dotSqGeneric(a, b) }
+func axpy(alpha float32, x, y Vec)               { axpyGeneric(alpha, x, y) }
 func dotAxpy(alpha float32, x, w, y Vec) float32 { return dotAxpyGeneric(alpha, x, w, y) }
-func dotI8(a, b []int8) int32                   { return dotI8Generic(a, b) }

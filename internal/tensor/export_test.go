@@ -7,5 +7,4 @@ var (
 	DotSqGeneric   = dotSqGeneric
 	AxpyGeneric    = axpyGeneric
 	DotAxpyGeneric = dotAxpyGeneric
-	DotI8Generic   = dotI8Generic
 )

@@ -1,6 +1,6 @@
 //go:build !purego
 
-// AVX2/FMA implementations of the five hot kernels. Each replicates the
+// AVX2/FMA implementations of the four hot kernels. Each replicates the
 // accumulation order of its generic counterpart in kernels_generic.go —
 // see the bit-identity contract in dispatch_amd64.go. Two invariants the
 // code below leans on:
@@ -192,55 +192,4 @@ da_reduce:
 	VADDSD X1, X0, X0 // s0+s1
 	VCVTSD2SS X0, X0, X0
 	MOVSS X0, ret+80(FP)
-	RET
-
-// func dotI8AVX2(a, b []int8) int32
-//
-// Quantized-ANN coarse-scan kernel: 16 bytes per iteration are
-// sign-extended to int16 (VPMOVSXBW) and pair-multiplied-accumulated
-// into int32 lanes (VPMADDWD — products ≤ 127·127, a pair sum ≤ 32258,
-// no saturation, unlike the VPMADDUBSW path which can saturate int16).
-// Integer accumulation is exact and associative, so the result is
-// bit-identical to dotI8Generic regardless of lane order.
-TEXT ·dotI8AVX2(SB), NOSPLIT, $0-52
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DI
-	MOVQ a_len+8(FP), CX
-	VPXOR Y0, Y0, Y0
-	XORL R8, R8
-	MOVQ CX, BX
-	SHRQ $4, BX
-	JZ   i8_tail_setup
-i8_loop16:
-	VPMOVSXBW (SI), Y1
-	VPMOVSXBW (DI), Y2
-	VPMADDWD Y2, Y1, Y1
-	VPADDD Y1, Y0, Y0
-	ADDQ $16, SI
-	ADDQ $16, DI
-	DECQ BX
-	JNZ  i8_loop16
-i8_tail_setup:
-	ANDQ $15, CX
-	JZ   i8_reduce
-i8_tail:
-	MOVBLSX (SI), AX
-	MOVBLSX (DI), DX
-	IMULL DX, AX
-	ADDL AX, R8
-	INCQ SI
-	INCQ DI
-	DECQ CX
-	JNZ  i8_tail
-i8_reduce:
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD X1, X0, X0
-	VPSHUFD $0x4E, X0, X1
-	VPADDD X1, X0, X0
-	VPSHUFD $0xB1, X0, X1
-	VPADDD X1, X0, X0
-	VMOVD X0, AX
-	ADDL R8, AX
-	VZEROUPPER
-	MOVL AX, ret+48(FP)
 	RET

@@ -24,7 +24,6 @@ func benchVecs(n int) (Vec, Vec) {
 }
 
 var sinkF32 float32
-var sinkI32 int32
 
 func BenchmarkDot(b *testing.B) {
 	for _, n := range []int{32, 64, 256} {
@@ -127,21 +126,4 @@ func BenchmarkMatVec(b *testing.B) {
 			MatVec(m, x, out)
 		}
 	})
-}
-
-func BenchmarkDotI8(b *testing.B) {
-	for _, n := range []int{32, 64, 256} {
-		r := rng.New(uint64(n))
-		a, x := make([]int8, n), make([]int8, n)
-		for i := range a {
-			a[i] = int8(r.Intn(255) - 127)
-			x[i] = int8(r.Intn(255) - 127)
-		}
-		b.Run(fmt.Sprintf("dim%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sinkI32 = DotI8(a, x)
-			}
-		})
-	}
 }

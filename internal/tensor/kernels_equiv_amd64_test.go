@@ -19,8 +19,8 @@ import (
 // the contract holds trivially.
 
 // fuzzLens covers every alignment class of the vector loops: the 4-wide
-// f64 lanes, the 2-wide pairs, the 8-wide f32 blocks and the 16-wide
-// int8 blocks, each with 0..full tails.
+// f64 lanes, the 2-wide pairs and the 8-wide f32 blocks, each with
+// 0..full tails.
 var fuzzLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 15, 16, 17, 23, 24, 31, 32, 33, 47, 63, 64, 65, 100, 127, 128, 129, 255, 256, 1000}
 
 func fuzzVec(r *rng.RNG, n int) Vec {
@@ -116,44 +116,6 @@ func TestDotAxpyAVX2BitIdentical(t *testing.T) {
 				requireSameBits(t, "DotAxpy.y", n, yAsm[i], y[i])
 			}
 		}
-	}
-}
-
-func TestDotI8AVX2Identical(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2 on this host")
-	}
-	r := rng.New(15)
-	for _, n := range fuzzLens {
-		for rep := 0; rep < 8; rep++ {
-			a, b := make([]int8, n), make([]int8, n)
-			for i := range a {
-				a[i] = int8(r.Intn(255) - 127)
-				b[i] = int8(r.Intn(255) - 127)
-			}
-			if got, want := dotI8AVX2(a, b), dotI8Generic(a, b); got != want {
-				t.Fatalf("DotI8 len=%d: asm %d != generic %d", n, got, want)
-			}
-		}
-	}
-}
-
-// TestDotI8AVX2SaturationCase pins the reason the kernel sign-extends to
-// int16 and uses VPMADDWD rather than the VPMADDUBSW idiom: extreme
-// same-sign pairs whose int16 pair-sums would saturate under the latter.
-func TestDotI8AVX2SaturationCase(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2 on this host")
-	}
-	a := make([]int8, 64)
-	b := make([]int8, 64)
-	for i := range a {
-		a[i] = -128
-		b[i] = -128
-	}
-	want := int32(64 * 128 * 128)
-	if got := dotI8AVX2(a, b); got != want {
-		t.Fatalf("DotI8 all -128: asm %d != %d", got, want)
 	}
 }
 

@@ -84,17 +84,3 @@ func dotAxpyGeneric(alpha float32, x, w, y Vec) float32 {
 	}
 	return float32(s0 + s1)
 }
-
-// dotI8Generic is the int8 inner product with int32 accumulation. Every
-// intermediate is exact (products ≤ 127·127, int32 accumulation never
-// overflows below 2^16 elements) and integer addition is associative, so
-// any vectorization is bit-identical by construction — the quantized ANN
-// coarse scan relies on that for identical centroid rankings across
-// dispatch.
-func dotI8Generic(a, b []int8) int32 {
-	var s int32
-	for i := range a {
-		s += int32(a[i]) * int32(b[i])
-	}
-	return s
-}

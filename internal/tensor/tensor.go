@@ -51,17 +51,6 @@ func DotAxpy(alpha float32, x, w, y Vec) float32 {
 	return dotAxpy(alpha, x, w, y)
 }
 
-// DotI8 returns the int32-accumulated inner product of two int8 vectors
-// — the scoring kernel of the quantized ANN coarse scan. Every
-// intermediate is exact, so the vectorized and generic implementations
-// agree bit for bit by construction. It panics if lengths differ.
-func DotI8(a, b []int8) int32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: DotI8 length mismatch %d vs %d", len(a), len(b)))
-	}
-	return dotI8(a, b)
-}
-
 // Scale multiplies x by alpha in place.
 func Scale(alpha float32, x Vec) {
 	for i := range x {
