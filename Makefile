@@ -31,10 +31,11 @@ test:
 # client connection pool included) plus the full training stack: nn
 # optimizers, the experiments harness (incl. the cross-topology
 # equivalence suite and the dead-cluster training test), the A/B
-# replay, the ANN index build's parallel k-means passes, and the world
-# build's parallel MinHash signing and LSH banding.
+# replay, the ANN index build's parallel k-means passes, the world
+# build's parallel MinHash signing and LSH banding, and the open-loop
+# load generator's workers.
 race:
-	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/... ./internal/graph/... ./internal/graphbuild/...
+	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/... ./internal/graph/... ./internal/graphbuild/... ./internal/openloop/...
 
 # Fault-injection suite under the race detector: server kill/restart and
 # churn, replica failover mid-batch, rolling upgrade, zero-replica

@@ -9,47 +9,42 @@
 //
 //	zoomer-loadgen -target http://localhost:8080 -qps 200,500,1000,2000 -duration 3s
 //
-// The sweep is open-loop: requests are launched on the offered
-// schedule regardless of completions, so overload shows up as latency
-// and shed counts, not as a silently reduced offered rate. A bounded
-// launcher pool caps client-side concurrency; launches that find the
-// pool exhausted are counted (local_sat) rather than silently skipped,
-// so client saturation is visible instead of polluting the server-side
-// numbers.
+// The sweep is open-loop (internal/openloop): every point sends
+// exactly qps × duration requests on the offered schedule, regardless
+// of completions, so overload shows up as latency and shed counts, not
+// as a silently reduced offered rate. -concurrency clients send them,
+// each waiting for its answer; a request the clients could only send
+// late is timed from when it was due, so a stalled gateway is charged
+// for every request it held up. late_p99 is the generator's own lag
+// behind the schedule, in ms.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"zoomer/internal/openloop"
 )
 
-type point struct {
-	qps                    float64
-	sent, ok, degraded     int64
-	shed, deadline, failed int64
-	localSat               int64
-	lats                   []time.Duration
-}
+// outcome is how one request ended, on the gateway's degradation ladder.
+type outcome uint8
 
-func pct(lats []time.Duration, p float64) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	i := int(float64(len(lats)) * p)
-	if i >= len(lats) {
-		i = len(lats) - 1
-	}
-	return lats[i]
-}
+const (
+	unsent   outcome = iota // the generator never ran the slot
+	failed                  // transport error or unexpected status
+	ok                      // 200 with a full retrieval
+	degraded                // 200 answered cache-only
+	shed                    // 503
+	deadline                // 504
+	numOutcomes
+)
 
 func main() {
 	target := flag.String("target", "http://localhost:8080", "gateway base URL")
@@ -60,6 +55,15 @@ func main() {
 	binary := flag.Bool("binary", false, "use the binary endpoint instead of JSON")
 	warmup := flag.Duration("warmup", 500*time.Millisecond, "warm-up run before the sweep (0: skip)")
 	flag.Parse()
+
+	if *conc < 1 {
+		fmt.Fprintf(os.Stderr, "bad -concurrency %d: need at least one client\n", *conc)
+		os.Exit(2)
+	}
+	if *duration <= 0 {
+		fmt.Fprintf(os.Stderr, "bad -duration %v: must be positive\n", *duration)
+		os.Exit(2)
+	}
 
 	var qps []float64
 	for _, s := range strings.Split(*qpsList, ",") {
@@ -110,75 +114,54 @@ func main() {
 	}
 
 	fmt.Printf("%-10s %-8s %-8s %-9s %-7s %-9s %-7s %-9s %-12s %-12s %-12s\n",
-		"QPS", "sent", "ok", "degraded", "shed", "deadline", "failed", "local_sat", "p50", "p95", "p99")
+		"QPS", "sent", "ok", "degraded", "shed", "deadline", "failed", "late_p99", "p50", "p95", "p99")
 	for _, q := range qps {
-		pt := runPoint(client, url, q, *duration, *conc)
-		sort.Slice(pt.lats, func(i, j int) bool { return pt.lats[i] < pt.lats[j] })
-		fmt.Printf("%-10.0f %-8d %-8d %-9d %-7d %-9d %-7d %-9d %-12v %-12v %-12v\n",
-			q, pt.sent, pt.ok, pt.degraded, pt.shed, pt.deadline, pt.failed, pt.localSat,
-			pct(pt.lats, 0.50).Round(10*time.Microsecond),
-			pct(pt.lats, 0.95).Round(10*time.Microsecond),
-			pct(pt.lats, 0.99).Round(10*time.Microsecond))
+		outcomes, res := runPoint(client, url, q, *duration, *conc)
+		var c [numOutcomes]int
+		var lats []time.Duration // the 200s only: a fast 503 would flatter the tail
+		for slot, o := range outcomes {
+			c[o]++
+			if o == ok || o == degraded {
+				lats = append(lats, res.Lat[slot])
+			}
+		}
+		p := openloop.Percentiles(lats, 0.50, 0.95, 0.99)
+		fmt.Printf("%-10.0f %-8d %-8d %-9d %-7d %-9d %-7d %-9.2f %-12v %-12v %-12v\n",
+			q, len(outcomes)-c[unsent], c[ok]+c[degraded], c[degraded], c[shed], c[deadline], c[failed],
+			float64(openloop.Percentiles(res.Late, 0.99)[0].Microseconds())/1000,
+			p[0].Round(10*time.Microsecond), p[1].Round(10*time.Microsecond), p[2].Round(10*time.Microsecond))
 	}
 }
 
-func runPoint(client *http.Client, url string, qps float64, d time.Duration, conc int) *point {
-	pt := &point{qps: qps}
-	interval := time.Duration(float64(time.Second) / qps)
-	deadline := time.Now().Add(d)
-	sem := make(chan struct{}, conc)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var ok, degraded, shed, dlx, failed atomic.Int64
+// runPoint offers qps × d requests at qps from workers clients and
+// returns how each slot ended with what the generator measured.
+func runPoint(client *http.Client, url string, qps float64, d time.Duration, workers int) ([]outcome, openloop.Result) {
+	outcomes := make([]outcome, int(math.Round(qps*d.Seconds())))
+	res := openloop.Run(workers, len(outcomes), time.Duration(float64(time.Second)/qps), func(_, slot int) bool {
+		outcomes[slot] = get(client, url)
+		return outcomes[slot] != failed
+	})
+	return outcomes, res
+}
 
-	next := time.Now()
-	for time.Now().Before(deadline) {
-		select {
-		case sem <- struct{}{}:
-			pt.sent++
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				start := time.Now()
-				resp, err := client.Get(url)
-				if err != nil {
-					failed.Add(1)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				lat := time.Since(start)
-				switch resp.StatusCode {
-				case http.StatusOK:
-					ok.Add(1)
-					if resp.Header.Get("X-Zoomer-Degraded") == "1" {
-						degraded.Add(1)
-					}
-					mu.Lock()
-					pt.lats = append(pt.lats, lat)
-					mu.Unlock()
-				case http.StatusServiceUnavailable:
-					shed.Add(1)
-				case http.StatusGatewayTimeout:
-					dlx.Add(1)
-				default:
-					failed.Add(1)
-				}
-			}()
-		default:
-			pt.localSat++
-		}
-		next = next.Add(interval)
-		if sleep := time.Until(next); sleep > 0 {
-			time.Sleep(sleep)
-		}
+// get sends one retrieval and reads the answer to the end.
+func get(client *http.Client, url string) outcome {
+	resp, err := client.Get(url)
+	if err != nil {
+		return failed
 	}
-	wg.Wait()
-	pt.ok = ok.Load()
-	pt.degraded = degraded.Load()
-	pt.shed = shed.Load()
-	pt.deadline = dlx.Load()
-	pt.failed = failed.Load()
-	return pt
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+		if resp.Header.Get("X-Zoomer-Degraded") == "1" {
+			return degraded
+		}
+		return ok
+	case http.StatusServiceUnavailable:
+		return shed
+	case http.StatusGatewayTimeout:
+		return deadline
+	}
+	return failed
 }

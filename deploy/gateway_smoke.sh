@@ -68,17 +68,23 @@ wait_serving "$WORK/shard1.log" shard1
 GATEWAY_PID=$!
 
 echo "gateway-smoke: sweeping (loadgen waits for /healthz)..."
-"$WORK/zoomer-loadgen" -target "http://$GW" -qps 50,4000 -duration 2s \
+SWEEP_S=2 # seconds per sweep point
+"$WORK/zoomer-loadgen" -target "http://$GW" -qps 50,4000 -duration "${SWEEP_S}s" \
 	-warmup 300ms -concurrency 128 | tee "$WORK/sweep.txt"
 
-# Table columns: QPS sent ok degraded shed deadline failed local_sat ...
-awk '
+# Table columns: QPS sent ok degraded shed deadline failed late_p99 p50
+# p95 p99. late_p99 is the generator's own lag behind its schedule, in
+# ms. The sweep is open-loop, so every row sends its whole schedule:
+# sent = QPS × SWEEP_S.
+awk -v secs="$SWEEP_S" '
 	/^QPS/ { header = 1; next }
 	header && NF >= 8 {
 		rows++; ok += $3; degr += $4; shed += $5; dlx += $6; failed += $7
+		if ($2 != $1 * secs) short = short " " $2 "/" $1 * secs " at " $1 " QPS"
 	}
 	END {
 		if (rows < 2) { print "gateway-smoke: expected 2 sweep rows, got " rows; exit 1 }
+		if (short != "") { print "gateway-smoke: the schedule was not sent whole (sent/scheduled):" short; exit 1 }
 		if (ok == 0) { print "gateway-smoke: no successful retrievals"; exit 1 }
 		if (failed != 0) { print "gateway-smoke: " failed " transport failures"; exit 1 }
 		if (degr + shed + dlx == 0) { print "gateway-smoke: overload never engaged the degradation ladder"; exit 1 }

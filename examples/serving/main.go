@@ -7,7 +7,8 @@
 // and the serving tier talks to them over loopback — the full distributed
 // deployment in one binary, returning bit-identical samples to the
 // in-process engine. The tier is stood up by the calls zoomer-gateway
-// makes (servestack.Connect + Assemble).
+// makes (servestack.Connect + Assemble), and swept by the same open-loop
+// driver as the Fig. 9 experiment (servestack's Offer).
 package main
 
 import (
@@ -76,30 +77,24 @@ func main() {
 	scfg.Workers = 2
 	tier := servestack.Assemble(store, serve.NewEmbedder(model.ExportServing()), g.NodesOfType(graph.Item), scfg, 33)
 	defer tier.Close()
-	srv, cache := tier.Server, tier.Cache
 
 	users := g.NodesOfType(graph.User)
 	queries := g.NodesOfType(graph.Query)
-	if _, err := serve.LoadTest(srv, users, queries, 500, 100*time.Millisecond, 35); err != nil { // warm caches
-		panic(err)
-	}
+	tier.Offer(users, queries, 500, 100*time.Millisecond, 35) // warm caches
 
 	fmt.Printf("%-8s  %-12s  %-12s  %-8s  %s\n", "QPS", "mean RT", "p99 RT", "served", "shard load")
 	prev := store.Stats().RequestsPerShard
 	for i, qps := range []float64{500, 2000, 8000, 30000} {
-		st, err := serve.LoadTest(srv, users, queries, qps, 300*time.Millisecond, 36+uint64(i))
-		if err != nil {
-			panic(err)
-		}
+		pt := tier.Offer(users, queries, qps, 300*time.Millisecond, 36+uint64(i))
 		cur := store.Stats().RequestsPerShard
 		loads := make([]int64, len(cur))
 		for s := range loads {
 			loads[s] = cur[s] - prev[s]
 		}
 		prev = cur
-		fmt.Printf("%-8.0f  %-12s  %-12s  %-8d  %v\n", qps, st.MeanRT, st.P99, st.Served, loads)
+		fmt.Printf("%-8.0f  %-12s  %-12s  %-8d  %v\n", qps, pt.MeanRT, pt.P99, pt.Served, loads)
 	}
-	hits, misses, refreshes := cache.Stats()
+	hits, misses, refreshes := tier.Cache.Stats()
 	fmt.Printf("cache: %d hits / %d misses / %d async refreshes\n", hits, misses, refreshes)
 	final := store.Stats()
 	fmt.Printf("engine: per-shard requests %v (imbalance %.2f)\n", final.RequestsPerShard, final.Imbalance)

@@ -47,8 +47,8 @@ func Table4(o Options) Table4Result {
 	zoomer := core.NewZoomer(g, v, o.modelConfig(), o.Seed+1)
 	pinsage := baselines.NewPinSage(g, v, o.baselineConfig(), o.Seed+2)
 	tc := o.trainConfig()
-	core.Train(zoomer, w.train, w.test, tc)
-	core.Train(pinsage, w.train, w.test, tc)
+	core.Train(zoomer, w.train, nil, tc) // no test split: the A/B replay judges the channels
+	core.Train(pinsage, w.train, nil, tc)
 
 	items := w.res.Mapping.NodesOfType(graph.Item)
 	control := abtest.NewModelChannel("pinsage", pinsage, items, o.Seed+3)
@@ -112,14 +112,13 @@ func Fig9(o Options) Fig9Result {
 	// serving latency does not depend on weight values.
 	tc := o.trainConfig()
 	tc.MaxSteps = min(tc.MaxSteps, 100)
-	core.Train(model, w.train, w.test, tc)
+	core.Train(model, w.train, nil, tc)
 
 	// The tier stands over the world's own engine (engine.DefaultConfig's
 	// topology).
 	st := servestack.Assemble(&servestack.Backend{Engine: w.eng}, serve.NewEmbedder(model.ExportServing()),
 		w.res.Mapping.NodesOfType(graph.Item), serve.DefaultConfig(), o.Seed+2)
 	defer st.Close()
-	srv := st.Server
 
 	users := w.res.Mapping.NodesOfType(graph.User)
 	queries := w.res.Mapping.NodesOfType(graph.Query)
@@ -131,24 +130,19 @@ func Fig9(o Options) Fig9Result {
 		dur = 150 * time.Millisecond
 	}
 	// Warm the caches so steady-state latency is measured.
-	if _, err := serve.LoadTest(srv, users, queries, 500, 100*time.Millisecond, o.Seed+4); err != nil {
-		panic(err) // fixed positive warm-up rate; cannot fail
-	}
+	st.Offer(users, queries, 500, 100*time.Millisecond, o.Seed+4)
 
 	var out Fig9Result
 	for i, qps := range qpsPoints {
-		st, err := serve.LoadTest(srv, users, queries, qps, dur, o.Seed+5+uint64(i))
-		if err != nil {
-			panic(err) // sweep points are fixed positive rates
-		}
+		pt := st.Offer(users, queries, qps, dur, o.Seed+5+uint64(i))
 		out.Rows = append(out.Rows, Fig9Row{
 			QPS:          qps,
-			MeanRTMillis: float64(st.MeanRT.Microseconds()) / 1000,
-			P99RTMillis:  float64(st.P99.Microseconds()) / 1000,
-			Served:       st.Served,
-			Dropped:      st.Dropped,
+			MeanRTMillis: float64(pt.MeanRT.Microseconds()) / 1000,
+			P99RTMillis:  float64(pt.P99.Microseconds()) / 1000,
+			Served:       pt.Served,
+			Dropped:      pt.Dropped,
 		})
-		o.logf("fig9 qps=%.0f meanRT=%.3fms", qps, float64(st.MeanRT.Microseconds())/1000)
+		o.logf("fig9 qps=%.0f meanRT=%.3fms", qps, float64(pt.MeanRT.Microseconds())/1000)
 	}
 	return out
 }
@@ -205,7 +199,7 @@ func Fig13(o Options) Fig13Result {
 	model := core.NewZoomer(g, v, o.modelConfig(), o.Seed+1)
 	tc := o.trainConfig()
 	tc.MaxSteps = min(tc.MaxSteps, 200)
-	core.Train(model, w.train, w.test, tc)
+	core.Train(model, w.train, nil, tc) // the heatmaps read the weights, not an AUC
 
 	nQueries, nUsers, nItems := 9, 8, 10
 	if o.Quick {

@@ -3,8 +3,7 @@
 // (edge-level attention only, per the paper's deployment), reads sampled
 // neighbors from a cache of the k last-visited neighbors per node with
 // fully asynchronous refresh, and retrieves items from the two-layer
-// inverted index. A load generator measures response time against offered
-// QPS — the Fig. 9 experiment.
+// inverted index.
 //
 // The hot path is engineered for contention- and allocation-freedom: the
 // neighbor cache is split into independently locked segments keyed so
@@ -36,9 +35,7 @@
 package serve
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -776,122 +773,4 @@ func (s *Server) Expired() int64 { return s.expired.Load() }
 func (s *Server) Close() {
 	close(s.queue)
 	s.wg.Wait()
-}
-
-// LoadStats summarizes a load test. Dropped counts every request that
-// got no timely answer: queue-full rejections plus responses still
-// outstanding when the post-run drain timed out (the latter also
-// reported separately as TimedOut).
-type LoadStats struct {
-	OfferedQPS            float64
-	Served, Dropped       int64
-	TimedOut              int64
-	MeanRT, P50, P95, P99 time.Duration
-}
-
-// loadDrainTimeout bounds the post-submission wait for outstanding
-// responses; responses still missing then are counted into Dropped (and
-// TimedOut). A variable so tests can shorten the window.
-var loadDrainTimeout = 5 * time.Second
-
-// LoadTest offers an open-loop request stream at qps for the duration and
-// reports latency statistics. Requests are (user, query) pairs drawn from
-// the provided pools. Served and Dropped are deltas over this run —
-// counters are snapshotted at the start — so consecutive sweep points do
-// not double-count earlier runs.
-//
-// Responses are collected concurrently with submission. The earlier
-// collect-after-submit design capped a run at the response buffer size:
-// past 65536 outstanding responses the buffer filled, workers blocked on
-// req.resp <- with requests aging in the queue behind them, and the
-// sweep reported that self-inflicted convoy as serving latency — exactly
-// the overload regime Fig. 9 is about. Now the buffer only has to absorb
-// the collector's scheduling jitter, not the whole run.
-//
-// A non-positive qps is rejected: the open-loop submitter derives its
-// inter-arrival gap from it, and a zero/negative gap busy-spins a core
-// while measuring nothing.
-func LoadTest(s *Server, users, queries []graph.NodeID, qps float64, d time.Duration, seed uint64) (LoadStats, error) {
-	if qps <= 0 {
-		return LoadStats{}, fmt.Errorf("serve: load test qps must be positive, got %g", qps)
-	}
-	served0, dropped0 := s.served.Load(), s.dropped.Load()
-	r := rng.New(seed)
-	interval := time.Duration(float64(time.Second) / qps)
-	deadline := time.Now().Add(d)
-	resp := make(chan Response, 4096)
-
-	// sent is written only by the submitter; the collector reads it only
-	// after submitDone closes (the close is the happens-before edge).
-	var sent int64
-	submitDone := make(chan struct{})
-	go func() {
-		defer close(submitDone)
-		next := time.Now()
-		for time.Now().Before(deadline) {
-			u := users[r.Intn(len(users))]
-			q := queries[r.Intn(len(queries))]
-			if s.SubmitReq(Request{User: u, Query: q}, resp) {
-				sent++
-			}
-			next = next.Add(interval)
-			if sleep := time.Until(next); sleep > 0 {
-				time.Sleep(sleep)
-			}
-		}
-	}()
-
-	lats := make([]time.Duration, 0, 4096)
-	for submitting := true; submitting; {
-		select {
-		case rsp := <-resp:
-			lats = append(lats, rsp.Latency)
-		case <-submitDone:
-			submitting = false
-		}
-	}
-	var timedOut int64
-	drain := time.NewTimer(loadDrainTimeout)
-	for int64(len(lats)) < sent {
-		select {
-		case rsp := <-resp:
-			lats = append(lats, rsp.Latency)
-		case <-drain.C:
-			timedOut = sent - int64(len(lats))
-			// Keep a reaper on the channel so workers that do answer
-			// late never block on a full buffer and poison the next
-			// sweep point; it exits once the stragglers (if any) land.
-			go func(remaining int64) {
-				for i := int64(0); i < remaining; i++ {
-					<-resp
-				}
-			}(timedOut)
-		}
-		if timedOut > 0 {
-			break
-		}
-	}
-	drain.Stop()
-
-	st := LoadStats{
-		OfferedQPS: qps,
-		Served:     s.served.Load() - served0,
-		// Timed-out responses got no answer within the drain window;
-		// the caller experienced them as drops, so count them as such.
-		Dropped:  s.dropped.Load() - dropped0 + timedOut,
-		TimedOut: timedOut,
-	}
-	if len(lats) == 0 {
-		return st, nil
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum time.Duration
-	for _, l := range lats {
-		sum += l
-	}
-	st.MeanRT = sum / time.Duration(len(lats))
-	st.P50 = lats[len(lats)/2]
-	st.P95 = lats[len(lats)*95/100]
-	st.P99 = lats[len(lats)*99/100]
-	return st, nil
 }

@@ -6,21 +6,26 @@
 // whole of it for zoomer-gateway: world, warm-up training and export,
 // Connect, Assemble — one call, one Close. zoomer-train connects its
 // sharded and remote views through Connect; the Fig. 9 experiment and
-// examples/serving stand their tiers up through Assemble.
+// examples/serving stand their tiers up through Assemble and sweep them
+// with Offer.
 package servestack
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
+	"time"
 
 	"zoomer/internal/ann"
 	"zoomer/internal/core"
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
 	"zoomer/internal/loggen"
+	"zoomer/internal/openloop"
 	"zoomer/internal/partition"
+	"zoomer/internal/rng"
 	"zoomer/internal/rpc"
 	"zoomer/internal/serve"
 	"zoomer/internal/tensor"
@@ -146,6 +151,47 @@ func Assemble(b *Backend, emb *serve.Embedder, items []graph.NodeID, scfg serve.
 	st.Index = ItemIndex(items, emb.Item, seed+1)
 	st.Server = serve.NewServer(emb, st.Cache, st.Index, scfg)
 	return st
+}
+
+// offerClients caps Offer's requests in flight: enough to keep a worker
+// pool busy, and few enough that the clients' own wake-ups leave the
+// server its cores. More would measure nothing more: past the knee a
+// backlog is charged from its due times whether it waits in the
+// server's queue or for a free client.
+const offerClients = 64
+
+// Offered is one open-loop run against a Stack's server. Served plus
+// Dropped (refused by a full queue, or answered with an error) is the
+// whole schedule. The response times cover every request, a refusal
+// included, timed as openloop.Run times them; with fewer clients than
+// queue slots, as at every caller, nothing is refused.
+type Offered struct {
+	Served, Dropped int64
+	MeanRT, P99     time.Duration
+}
+
+// Offer drives st.Server in-process with qps × d requests, at the
+// positive rate qps, on an open-loop schedule. The (user, query) pairs
+// are drawn from seed before the run starts.
+func (st *Stack) Offer(users, queries []graph.NodeID, qps float64, d time.Duration, seed uint64) Offered {
+	n := int(math.Round(qps * d.Seconds()))
+	reqs := make([]serve.Request, n)
+	r := rng.New(seed)
+	for i := range reqs {
+		reqs[i] = serve.Request{User: users[r.Intn(len(users))], Query: queries[r.Intn(len(queries))]}
+	}
+	resp := make([]chan serve.Response, offerClients)
+	for w := range resp {
+		resp[w] = make(chan serve.Response, 1)
+	}
+	res := openloop.Run(offerClients, n, time.Duration(float64(time.Second)/qps), func(w, slot int) bool {
+		return st.Server.SubmitReq(reqs[slot], resp[w]) && (<-resp[w]).Err == nil
+	})
+	out := Offered{Served: int64(n - res.Failed), Dropped: int64(res.Failed), P99: openloop.Percentiles(res.Lat, 0.99)[0]}
+	for _, l := range res.Lat {
+		out.MeanRT += l / time.Duration(n)
+	}
+	return out
 }
 
 // Build brings up a serving stack from cfg. logf (may be nil) receives

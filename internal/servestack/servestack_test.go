@@ -63,6 +63,11 @@ func TestBuildLocal(t *testing.T) {
 	if r := retrieve(t, st); r.Err != nil || len(r.Items) == 0 {
 		t.Fatalf("retrieval: %d items, err %v", len(r.Items), r.Err)
 	}
+	// The sweep is open-loop: every slot of the schedule is offered and
+	// counted, served or dropped, however far the run falls behind.
+	if pt := st.Offer(st.Users, st.Queries, 2000, 100*time.Millisecond, 4); pt.Served+pt.Dropped != 200 || pt.Served == 0 || pt.MeanRT <= 0 {
+		t.Fatalf("Offer at 2000 QPS for 100ms: %+v, want 200 requests offered and some served", pt)
+	}
 	st.Close()
 	st.Close() // idempotent
 }
