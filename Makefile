@@ -59,8 +59,10 @@ ingest-chaos:
 bench:
 	./bench.sh
 
-# Re-run the suite and fail on >20% ns/op regression (or any new
-# allocation) in the BenchmarkHotPath* benches vs the committed JSON.
+# Compares against the parent, paired: builds the gated benches of the
+# base commit (HEAD, the parent of uncommitted work; pass another rev
+# as ./bench_compare.sh REV) and of the working tree, alternates them
+# over 7 rounds, and fails on a paired regression or any new allocation.
 bench-compare:
 	./bench_compare.sh
 

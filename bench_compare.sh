@@ -1,173 +1,130 @@
 #!/usr/bin/env bash
-# bench_compare.sh — re-run the benchmark suite and fail if any hot-path
-# bench (BenchmarkHotPath*) regresses more than 20% in ns/op against the
-# committed BENCH_hotpath.json, or stops being allocation-free. The
-# remote RPC benches (BenchmarkRPCRoundTrip, BenchmarkRemote*) are gated
-# too, at a looser threshold (RPC_THRESH, default 1.60) because loopback
-# numbers on small containers carry scheduler noise; their allocation
-# behavior is pinned by TestRemoteHotPathDoesNotAllocate instead of here.
+# bench_compare.sh — the microbenchmark gate: runs the gated benches of
+# a base commit beside those of the working tree, on this box in one
+# run, and fails on a paired regression.
 #
-# The dense-kernel benches (BenchmarkDot*, BenchmarkMatVec*,
-# BenchmarkAxpy*, and BenchmarkCoarseScan, the ANN coarse scan) are gated
-# at the same default threshold and must stay allocation-free — a kernel
-# that silently falls back to a slower path or starts allocating fails
-# here. Comparison is refused outright when the baseline was recorded
-# under a different simd dispatch or on a box with a different CPU count
-# than the current run.
+# Both sides' test binaries are built into one temp dir (the base from
+# `git archive`, so the repo's git state is never touched) and run
+# alternately: ROUNDS rounds, the side order flipped each round, each
+# gated bench once per side per round. A bench is judged by its
+# per-round change/base ns/op ratios. A timing regression needs both:
+#   - the median ratio above the row's bound, and
+#   - the change slower in at least ROUNDS-1 of the rounds.
+# On a shared 2-core box an untouched bench swings 0.6x–1.6x between
+# single samples and drifts over tens of seconds. Pairing cancels the
+# drift, the median ignores a burst, and the sign count keeps a bench
+# whose rounds split both ways from failing on its median alone.
+# Per-side minima were tried instead and flagged unchanged benches up
+# to 1.75x there. A planted ~1.3x regression read 1.20x-1.39x over four
+# runs (2 cores), slower in 6-7 of 7 rounds: the gate resolves
+# regressions well above the bound, not at it.
 #
-# Noise handling, in two layers (this container's scheduler/timer noise
-# can swing an untouched bench 0.6x-1.6x between single samples):
-#   1. The suite runs BENCH_COUNT (default 3) samples per bench and
-#      bench.sh folds the per-bench minimum into the JSON.
-#   2. Benches still over threshold get one second-chance pass: each is
-#      re-measured in isolation (its 3 samples no longer back-to-back
-#      with the original noise burst) and the minimum is merged before
-#      the final verdict. A genuine regression is slow in every sample
-#      of both passes; correlated noise is not. Allocation failures are
-#      deterministic and are never retried.
+# Also a failure: an allocating bench in a row with an allocs budget of
+# 0 (any round, change side), and a gated bench that the base has and
+# the change lacks. A bench only the change has is reported, not judged.
+# BENCH_hotpath.json (./bench.sh) is the perf trajectory, not this gate.
 #
-# Usage: ./bench_compare.sh [baseline.json]
-#        (env THRESH=1.20 RPC_THRESH=1.60 KERNEL_THRESH=1.20
-#         BENCH_COUNT=3 to tune)
+# Usage: ./bench_compare.sh [base-rev]
+#        (default: HEAD, the parent of uncommitted work; pass HEAD~1 to
+#        judge the last commit)
 set -euo pipefail
 cd "$(dirname "$0")"
-
-BASE="${1:-BENCH_hotpath.json}"
-THRESH="${THRESH:-1.20}"
-RPC_THRESH="${RPC_THRESH:-1.60}"
-KERNEL_THRESH="${KERNEL_THRESH:-1.20}"
-export GOMAXPROCS="${GOMAXPROCS:-$(nproc 2>/dev/null || echo 1)}"
-if [ ! -f "$BASE" ]; then
-    echo "error: baseline $BASE not found (run ./bench.sh first)" >&2
-    exit 1
-fi
 command -v python3 >/dev/null || { echo "error: python3 required" >&2; exit 1; }
 
-NOW="$(mktemp /tmp/bench_now.XXXXXX.json)"
-FLAGGED="$(mktemp /tmp/bench_flagged.XXXXXX)"
-RETRY="$(mktemp /tmp/bench_retry.XXXXXX)"
-trap 'rm -f "$NOW" "$FLAGGED" "$RETRY"' EXIT
-BENCH_COUNT="${BENCH_COUNT:-3}" ./bench.sh "$NOW"
+# The gated set, one row per package and -bench pattern: the run length
+# per sample, the bound on the median paired ratio, and the allocs/op
+# budget (- = not gated here). The loopback RPC benches carry scheduler
+# noise, hence 1.60; their allocations are pinned by
+# TestRemoteHotPathDoesNotAllocate instead. BenchmarkRemoteAppend grows
+# the delta overlays every iteration, so it runs a fixed count, as in
+# bench.sh.
+GATED='
+.                  ^BenchmarkHotPath                                      200ms  1.20  0
+./internal/tensor  ^Benchmark(Dot|MatVec|Axpy)                            200ms  1.20  0
+./internal/ann     ^BenchmarkCoarseScan$                                  200ms  1.20  0
+./internal/rpc     ^Benchmark(RPCRoundTrip|Remote(Batch|Tree|ReadNodes))  200ms  1.60  -
+./internal/rpc     ^BenchmarkRemoteAppend$                                1000x  1.60  -
+'
+ROUNDS=7
+PROCS="$(nproc 2>/dev/null || echo 1)"
 
-# compare <now.json> <flagged-out|/dev/null>: prints the verdict table;
-# writes ratio-regressed (retryable) bench names one per line.
-compare() {
-    python3 - "$BASE" "$1" "$THRESH" "$RPC_THRESH" "$KERNEL_THRESH" "$2" <<'PY'
-import json, sys
+BASE="${1:-HEAD}"
+BASE="$(git rev-parse --verify --quiet "$BASE^{commit}")" || { echo "error: unknown base ${1:-}" >&2; exit 2; }
+echo "base: $(git log -1 --format='%h %s' "$BASE")"
+echo "change: working tree of $(git log -1 --format='%h %s' HEAD)$(git diff --quiet HEAD || echo ' + uncommitted edits')"
 
-base_path, now_path = sys.argv[1], sys.argv[2]
-thresh, rpc_thresh, kernel_thresh = float(sys.argv[3]), float(sys.argv[4]), float(sys.argv[5])
-flagged_path = sys.argv[6]
-with open(base_path) as f:
-    base_doc = json.load(f)
-with open(now_path) as f:
-    now_doc = json.load(f)
-base, now = base_doc["benchmarks"], now_doc["benchmarks"]
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+trap 'exit 130' INT TERM
+mkdir "$WORK/src"
+git archive "$BASE" | tar -x -C "$WORK/src"
+src() { if [ "$1" = base ]; then echo "$WORK/src"; else pwd; fi; }
+bin() { echo "$WORK/$1$(echo "$2" | tr / _).test"; }
 
-# Numbers from different kernel dispatches (avx2 vs purego) or boxes with
-# different CPU counts are not a regression signal — refuse the
-# comparison instead of failing it.
-for key in ("simd", "num_cpu"):
-    was, now_is = base_doc.get(key), now_doc.get(key)
-    if was and now_is and was != now_is:
-        print(f"error: baseline recorded with {key}={was}, current run is {key}={now_is}; "
-              "regenerate the baseline with ./bench.sh on this box and build", file=sys.stderr)
-        sys.exit(1)
+echo "== building test binaries (base, change)" >&2
+for side in base change; do
+    for pkg in $(awk 'NF { print $1 }' <<<"$GATED" | sort -u); do
+        (cd "$(src "$side")" && go test -c -trimpath -o "$(bin "$side" "$pkg")" "$pkg")
+    done
+done
 
-RPC_PREFIXES = ("BenchmarkRPCRoundTrip", "BenchmarkRemote")
-KERNEL_PREFIXES = ("BenchmarkDot", "BenchmarkMatVec", "BenchmarkAxpy", "BenchmarkCoarseScan")
+# runs: one line per sample — round side bound allocs-budget name ns/op allocs/op.
+for round in $(seq "$ROUNDS"); do
+    order="base change"
+    if [ $((round % 2)) -eq 0 ]; then order="change base"; fi
+    echo "== round $round/$ROUNDS ($order)" >&2
+    while read -r pkg pattern benchtime bound budget <&3; do
+        for side in $order; do
+            out="$(cd "$(src "$side")/$pkg" && "$(bin "$side" "$pkg")" -test.run '^$' -test.bench "$pattern" \
+                -test.benchtime "$benchtime" -test.benchmem -test.cpu "$PROCS" </dev/null 2>&1)" ||
+                { echo "$out" >&2; echo "error: $side benches in $pkg failed" >&2; exit 1; }
+            awk -v pre="$round $side $bound $budget" -v procs="$PROCS" '
+                /^Benchmark/ {
+                    name = $1; ns = ""; allocs = ""
+                    if (procs > 1) sub("-" procs "$", "", name)
+                    for (i = 2; i < NF; i++) {
+                        if ($(i+1) == "ns/op") ns = $i
+                        if ($(i+1) == "allocs/op") allocs = $i
+                    }
+                    if (ns != "" && allocs != "") print pre, name, ns, allocs
+                }' <<<"$out" >>"$WORK/runs"
+        done
+    done 3< <(awk 'NF' <<<"$GATED")
+done
 
-def is_rpc(name):
-    return name.startswith(RPC_PREFIXES)
+python3 - "$WORK/runs" "$ROUNDS" <<'PY'
+import statistics, sys
 
-def is_kernel(name):
-    return name.startswith(KERNEL_PREFIXES)
-
-def gated(name):
-    return name.startswith("BenchmarkHotPath") or is_rpc(name) or is_kernel(name)
+rounds = int(sys.argv[2])
+benches = {}  # name -> {"bound", "budget", "base": {round: (ns, allocs)}, "change": {...}}
+for line in open(sys.argv[1]):
+    rnd, side, bound, budget, name, ns, allocs = line.split()
+    b = benches.setdefault(name, {"bound": float(bound), "budget": budget, "base": {}, "change": {}})
+    b[side][int(rnd)] = (float(ns), int(allocs))
 
 failed = False
-retryable = []
-print(f"{'gated bench':44s} {'baseline':>10s} {'now':>10s}  verdict")
-for name in sorted(n for n in now if gated(n)):
-    cur = now[name]
-    old = base.get(name)
-    if old is None:
-        print(f"{name:44s} {'-':>10s} {cur['ns_op']:>10}  new (no baseline)")
+print(f"{'gated bench':44s} {'base ns':>10s} {'change ns':>10s} {'ratio':>6s} slower  verdict")
+for name, b in benches.items():
+    base, change = b["base"], b["change"]
+    if not change:
+        print(f"{name:44s} dropped from the change  REGRESSION")
+        failed = True
         continue
-    limit = rpc_thresh if is_rpc(name) else kernel_thresh if is_kernel(name) else thresh
-    ratio = cur["ns_op"] / old["ns_op"]
-    verdict = f"{ratio:.2f}x ok"
-    if ratio > limit:
-        verdict = f"{ratio:.2f}x REGRESSION (> {limit:.2f}x)"
+    med_change = statistics.median(ns for ns, _ in change.values())
+    if not base:
+        print(f"{name:44s} {'-':>10s} {med_change:>10.1f}  new (no baseline)")
+        continue
+    ratios = [change[r][0] / base[r][0] for r in base if r in change]
+    ratio, slower = statistics.median(ratios), sum(x > 1 for x in ratios)
+    verdict = "ok"
+    if ratio > b["bound"] and slower >= rounds - 1:
+        verdict = f"REGRESSION (median > {b['bound']:.2f}x, slower in {slower}/{len(ratios)})"
         failed = True
-        retryable.append(name)
-    # Allocation gate: hot-path benches only; the RPC pins live in
-    # TestRemoteHotPathDoesNotAllocate (loopback allocs/op here include
-    # warm-up noise from connection buffers).
-    if not is_rpc(name) and cur.get("allocs_op"):
-        verdict += f" + ALLOCATES ({cur['allocs_op']} allocs/op)"
+    most = max(allocs for _, allocs in change.values())
+    if b["budget"] != "-" and most > int(b["budget"]):
+        verdict += f" + ALLOCATES ({most} allocs/op)"
         failed = True
-        if name in retryable:  # an alloc failure is not noise; no retry
-            retryable.remove(name)
-    print(f"{name:44s} {old['ns_op']:>10} {cur['ns_op']:>10}  {verdict}")
-
-missing = [n for n in base if gated(n) and n not in now]
-for name in missing:
-    print(f"{name:44s} dropped from the suite  REGRESSION")
-    failed = True
-
-if flagged_path != "/dev/null":
-    with open(flagged_path, "w") as f:
-        f.write("".join(n + "\n" for n in retryable))
+    med_base = statistics.median(ns for ns, _ in base.values())
+    print(f"{name:44s} {med_base:>10.1f} {med_change:>10.1f} {ratio:>5.2f}x {slower:>3d}/{len(ratios)}  {verdict}")
 sys.exit(1 if failed else 0)
 PY
-}
-
-pkg_for() {
-    case "$1" in
-    BenchmarkRPCRoundTrip* | BenchmarkRemote*) echo ./internal/rpc/ ;;
-    BenchmarkCoarseScan*) echo ./internal/ann/ ;;
-    BenchmarkDot* | BenchmarkMatVec* | BenchmarkAxpy*) echo ./internal/tensor/ ;;
-    *) echo . ;; # BenchmarkHotPath*
-    esac
-}
-
-if compare "$NOW" "$FLAGGED"; then
-    exit 0
-fi
-if [ ! -s "$FLAGGED" ]; then
-    exit 1 # allocation/dropped-bench failures only: deterministic, no retry
-fi
-
-echo "== second chance: re-measuring flagged benches in isolation" >&2
-sort -u "$FLAGGED" | sed 's|/.*||' | sort -u | while read -r top; do
-    go test -run '^$' -bench "^${top}\$" -benchmem -count 3 "$(pkg_for "$top")"
-done >"$RETRY"
-
-python3 - "$NOW" "$RETRY" "$GOMAXPROCS" <<'PY'
-import json, re, sys
-
-now_path, raw_path, procs = sys.argv[1], sys.argv[2], int(sys.argv[3])
-pat = re.compile(r"^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?")
-with open(now_path) as f:
-    doc = json.load(f)
-bench = doc["benchmarks"]
-for line in open(raw_path):
-    m = pat.match(line)
-    if not m:
-        continue
-    name, ns = m.group(1), float(m.group(2))
-    if procs > 1 and name.endswith(f"-{procs}"):
-        name = name[: -len(f"-{procs}")]
-    cur = bench.get(name)
-    # Merge the minimum ns/op only; the first pass's allocs stand (an
-    # allocation regression must not be retried away).
-    if cur is not None and ns < cur["ns_op"]:
-        cur["ns_op"] = ns
-with open(now_path, "w") as f:
-    json.dump(doc, f, indent=2)
-PY
-
-echo "== final verdict (isolated minima merged)" >&2
-compare "$NOW" /dev/null

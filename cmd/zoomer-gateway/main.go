@@ -38,6 +38,8 @@ import (
 	"time"
 
 	"zoomer/internal/gateway"
+	"zoomer/internal/loggen"
+	"zoomer/internal/partition"
 	"zoomer/internal/serve"
 	"zoomer/internal/servestack"
 )
@@ -64,6 +66,43 @@ func main() {
 	logJSON := flag.Bool("log-json", false, "emit JSON logs instead of text")
 	flag.Parse()
 
+	// Usage errors fail here, before the world is built: one line naming
+	// the flag, exit 2. gateway.Config would silently default the four
+	// admission values; a flag asks for exactly what it says.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		os.Exit(2)
+	}
+	sc, err := loggen.ParseScale(*scale)
+	if err != nil {
+		usage("bad -scale: %v", err)
+	}
+	strat, err := partition.ParseStrategy(*strategy)
+	if err != nil {
+		usage("bad -partition: %v", err)
+	}
+	if *trainSteps < 0 {
+		usage("bad -train %d: must be 0 (export the initial model) or more", *trainSteps)
+	}
+	if *shards < 1 && *remote == "" {
+		usage("bad -shards %d: need at least one in-process partition", *shards)
+	}
+	if *maxInFlight < 1 {
+		usage("bad -max-inflight %d: need at least one admitted request", *maxInFlight)
+	}
+	if !(*shedFrac > 0 && *shedFrac <= 1) {
+		usage("bad -shed-frac %v: must be in (0, 1]", *shedFrac)
+	}
+	if *defDeadline <= 0 {
+		usage("bad -default-deadline %v: must be positive", *defDeadline)
+	}
+	if *maxDeadline <= 0 {
+		usage("bad -max-deadline %v: must be positive", *maxDeadline)
+	}
+	if *drainTimeout <= 0 {
+		usage("bad -drain-timeout %v: must be positive", *drainTimeout)
+	}
+
 	var h slog.Handler = slog.NewTextHandler(os.Stderr, nil)
 	if *logJSON {
 		h = slog.NewJSONHandler(os.Stderr, nil)
@@ -75,8 +114,8 @@ func main() {
 		addrs = strings.Split(*remote, ",")
 	}
 	stack, err := servestack.Build(servestack.Config{
-		Scale: *scale, Seed: *seed, TrainSteps: *trainSteps,
-		Shards: *shards, Strategy: *strategy,
+		Scale: sc, Seed: *seed, TrainSteps: *trainSteps,
+		Shards: *shards, Strategy: strat,
 		Remote: addrs, RPCConns: *rpcConns, RPCWindow: *rpcWindow,
 		Serve: serve.Config{Workers: *workers, CacheK: *cacheK, TopK: *topK, QueueSize: *queueSize},
 	}, func(format string, args ...any) {

@@ -53,14 +53,18 @@ func main() {
 	remote := flag.String("remote", "", "comma-separated zoomer-shard addresses (train over the RPC engine)")
 	flag.Parse()
 
+	if *dim < 1 {
+		fmt.Fprintf(os.Stderr, "bad -dim %d: need at least one embedding dimension\n", *dim)
+		os.Exit(2)
+	}
 	sc, err := loggen.ParseScale(*scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintf(os.Stderr, "bad -scale: %v\n", err)
 		os.Exit(2)
 	}
 	strat, err := partition.ParseStrategy(*strategy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintf(os.Stderr, "bad -partition: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -7,8 +7,10 @@
 # Asserts the full degradation ladder on the overload point (degraded
 # cache-only answers, 503 sheds or 504 deadline misses — never a
 # transport failure), then SIGTERMs the gateway and requires a clean
-# graceful drain (exit 0, "gateway stopped" logged). Chained into
-# `make ci` as the serving tier's acceptance test.
+# graceful drain (exit 0, "gateway stopped" logged). Before any of
+# that, two bad gateway flags must each be a usage error (exit 2 within
+# a second, no world built). Chained into `make ci` as the serving
+# tier's acceptance test.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,6 +31,18 @@ echo "gateway-smoke: building binaries..."
 go build -o "$WORK/zoomer-shard" ./cmd/zoomer-shard
 go build -o "$WORK/zoomer-gateway" ./cmd/zoomer-gateway
 go build -o "$WORK/zoomer-loadgen" ./cmd/zoomer-loadgen
+
+# A bad flag is a usage error at parse time: exit 2 within a second,
+# before any world is built.
+for bad in "-shards 0" "-shed-frac 2"; do
+	rc=0
+	timeout 1 "$WORK/zoomer-gateway" -scale tiny $bad >"$WORK/usage.log" 2>&1 || rc=$?
+	if [ "$rc" -ne 2 ] || grep -q "building world" "$WORK/usage.log"; then
+		echo "gateway-smoke: zoomer-gateway $bad exited $rc (want 2 within 1s, before any world build):" >&2
+		cat "$WORK/usage.log" >&2
+		exit 1
+	fi
+done
 
 # Fixed loopback ports high enough to dodge the usual suspects.
 S0=127.0.0.1:7481

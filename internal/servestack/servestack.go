@@ -33,12 +33,12 @@ import (
 
 // Config sizes a full serving stack.
 type Config struct {
-	Scale      string // tiny | small | medium | large
+	Scale      loggen.Scale
 	Seed       uint64
-	TrainSteps int // warm-up training steps before export
+	TrainSteps int // warm-up training steps before export; 0 exports the initial model
 
 	Shards    int
-	Strategy  string   // hash | degree-balanced
+	Strategy  partition.Strategy
 	Remote    []string // zoomer-shard addresses; empty = in-process
 	RPCConns  int
 	RPCWindow int
@@ -201,28 +201,22 @@ func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	sc, err := loggen.ParseScale(cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := partition.ParseStrategy(cfg.Strategy)
-	if err != nil {
-		return nil, err
-	}
-
 	logf("building world and model (scale=%s seed=%d)...", cfg.Scale, cfg.Seed)
-	w := core.BuildWorld(loggen.TaobaoConfig(sc, cfg.Seed))
-	// No test split: Train's closing full-split AUC is never read here,
-	// and scoring it used to dominate bring-up.
-	train, _ := w.Instances(1, cfg.Seed+1)
+	w := core.BuildWorld(loggen.TaobaoConfig(cfg.Scale, cfg.Seed))
 	model := core.NewZoomer(w.Graph, w.Logs.Vocab(), core.DefaultConfig(), cfg.Seed+2)
-	tc := core.DefaultTrainConfig()
-	tc.MaxSteps = cfg.TrainSteps
-	core.Train(model, train, nil, tc)
+	// Zero steps exports the initial model: core.Train reads MaxSteps 0
+	// as unbounded. No test split: Train's closing full-split AUC is never
+	// read here, and scoring it used to dominate bring-up.
+	if cfg.TrainSteps > 0 {
+		train, _ := w.Instances(1, cfg.Seed+1)
+		tc := core.DefaultTrainConfig()
+		tc.MaxSteps = cfg.TrainSteps
+		core.Train(model, train, nil, tc)
+	}
 
 	logf("exporting serving weights and building index...")
 	emb := serve.NewEmbedder(model.ExportServing())
-	b, err := Connect(w.Graph, engine.Config{Shards: cfg.Shards, Strategy: strat, Locality: true},
+	b, err := Connect(w.Graph, engine.Config{Shards: cfg.Shards, Strategy: cfg.Strategy, Locality: true},
 		cfg.Remote, rpc.ClientConfig{Conns: cfg.RPCConns, Window: cfg.RPCWindow})
 	if err != nil {
 		return nil, err
