@@ -41,7 +41,7 @@ command -v python3 >/dev/null || { echo "error: python3 required" >&2; exit 1; }
 GATED='
 .                  ^BenchmarkHotPath                                      200ms  1.20  0
 ./internal/tensor  ^Benchmark(Dot|MatVec|Axpy)                            200ms  1.20  0
-./internal/ann     ^BenchmarkCoarseScan$                                  200ms  1.20  0
+./internal/ann     ^Benchmark(CoarseScan|SearchInto|SearchIntoRig)$       200ms  1.20  0
 ./internal/rpc     ^Benchmark(RPCRoundTrip|Remote(Batch|Tree|ReadNodes))  200ms  1.60  -
 ./internal/rpc     ^BenchmarkRemoteAppend$                                1000x  1.60  -
 '

@@ -229,9 +229,10 @@ func BenchmarkHotPathCacheHit(b *testing.B) {
 // BenchmarkHotPathSearchInto measures the zero-allocation ANN probe with
 // a per-worker scratch over the serving index. Must report 0 allocs/op.
 // Its shape is the tiny world's: 120 items in 16 lists, so nprobe 4
-// scores ~30 candidates (33 for this query) — far below the rig's large
-// world (14 250 items, 222 lists, ~253 candidates) and
-// internal/ann's BenchmarkSearchInto (10 000 vectors, 32 lists, ~1 250).
+// scores ~30 candidates (33 for this query). The rig's shape (14 250
+// items, 222 lists, ~253 candidates, rotating queries) is
+// internal/ann's BenchmarkSearchIntoRig; its BenchmarkSearchInto scores
+// ~1 250.
 func BenchmarkHotPathSearchInto(b *testing.B) {
 	w := buildHotPathWorld(b)
 	items := w.g.NodesOfType(graph.Item)

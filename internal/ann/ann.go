@@ -5,12 +5,19 @@
 // centroid. A query probes the nprobe closest centroids and scores only
 // their lists, trading a controllable amount of recall for sub-linear
 // search. The coarse layer and the posting lists are float32 matrices
-// scored the same way, one MatVec each.
+// scored the same way, one MatVec each. Results are totally ordered — by
+// score, highest first, then by id, lowest first — and a probe picks its
+// top-K by packed (score, id-rank) uint64 keys: quickselect, then a sort
+// of the K winners.
 package ann
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"zoomer/internal/rng"
@@ -25,11 +32,14 @@ type Result struct {
 
 // Index is an immutable IVF index over unit-normalized vectors. Row c of
 // centroids is the k-means centroid of list c; a search scores them all
-// with one MatVec, then scores each probed list with one MatVec more.
+// with one MatVec, then scores each probed list with one MatVec more. A
+// posting row's id is kept as its rank in ids, which is what a search's
+// keys carry.
 type Index struct {
 	centroids tensor.Matrix
-	listIDs   [][]int64
-	lists     []tensor.Matrix // row i of lists[c] is the vector of listIDs[c][i]
+	ids       []int64    // every indexed id, ascending
+	ranks     [][]uint32 // row i of lists[c] is the vector of ids[ranks[c][i]]
+	lists     []tensor.Matrix
 }
 
 // Config tunes index construction.
@@ -49,6 +59,9 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 	}
 	if len(ids) == 0 {
 		panic("ann: empty input")
+	}
+	if uint64(len(ids)) > math.MaxUint32 {
+		panic("ann: more than 2^32 vectors")
 	}
 	if cfg.NumLists <= 0 {
 		cfg.NumLists = 1
@@ -148,21 +161,33 @@ func Build(ids []int64, vecs []tensor.Vec, cfg Config) *Index {
 	}
 	reassign()
 
+	// Rank every row by (id, input position): a search orders equal
+	// scores by rank, and so by id.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(ids[a], ids[b]), a-b) })
 	ix := &Index{
 		centroids: *centroids,
-		listIDs:   make([][]int64, cfg.NumLists),
+		ids:       make([]int64, n),
+		ranks:     make([][]uint32, cfg.NumLists),
 		lists:     make([]tensor.Matrix, cfg.NumLists),
+	}
+	rank := make([]uint32, n)
+	for r, i := range order {
+		ix.ids[r], rank[i] = ids[i], uint32(r)
 	}
 	clear(counts)
 	for _, c := range assign {
 		counts[c]++
 	}
 	for c, k := range counts {
-		ix.listIDs[c] = make([]int64, 0, k)
+		ix.ranks[c] = make([]uint32, 0, k)
 		ix.lists[c] = tensor.Matrix{Cols: dim, Data: make([]float32, 0, k*dim)}
 	}
 	for i, c := range assign {
-		ix.listIDs[c] = append(ix.listIDs[c], ids[i])
+		ix.ranks[c] = append(ix.ranks[c], rank[i])
 		ix.lists[c].Data = append(ix.lists[c].Data, normed[i]...)
 		ix.lists[c].Rows++
 	}
@@ -195,48 +220,50 @@ func parallelFor(n int, f func(lo, hi int)) {
 func (ix *Index) NumLists() int { return ix.centroids.Rows }
 
 // Len returns the number of indexed vectors.
-func (ix *Index) Len() int {
-	n := 0
-	for _, l := range ix.listIDs {
-		n += len(l)
-	}
-	return n
-}
+func (ix *Index) Len() int { return len(ix.ids) }
 
 // SearchScratch holds the per-worker buffers of the search hot path: the
-// normalized query copy, centroid scores, probe order, one posting list's
-// scores and the bounded result heap. Not safe for concurrent use — one
-// per worker, like *rng.RNG. Result slices returned by SearchInto are
-// backed by the scratch and valid only until its next use.
+// normalized query copy, one score buffer (the coarse layer's, then each
+// posting list's), the probed lists, the candidate keys and the results.
+// Not safe for concurrent use — one per worker, like *rng.RNG. Result
+// slices returned by SearchInto are backed by the scratch and valid only
+// until its next use.
 type SearchScratch struct {
 	q       tensor.Vec
-	cscore  []float32
-	corder  []int32
-	lscore  []float32
+	scores  []float32
+	probe   []int32
+	keys    []uint64
 	results []Result
 }
 
-// NewSearchScratch sizes a scratch for this index.
+// NewSearchScratch sizes a scratch for this index; the buffers that
+// depend on topK grow on first use.
 func (ix *Index) NewSearchScratch() *SearchScratch {
-	rows := 0
+	rows := ix.centroids.Rows
 	for _, l := range ix.lists {
 		rows = max(rows, l.Rows)
 	}
 	return &SearchScratch{
 		q:      make(tensor.Vec, ix.centroids.Cols),
-		cscore: make([]float32, ix.centroids.Rows),
-		corder: make([]int32, ix.centroids.Rows),
-		lscore: make([]float32, rows),
+		scores: make([]float32, rows),
+		probe:  make([]int32, ix.centroids.Rows),
 	}
 }
 
 // SearchInto probes the nprobe closest coarse centroids and returns the
-// topK highest-cosine results among their posting lists, best first.
-// The caller's scratch is required (one per worker): the whole probe —
-// query normalization, the coarse scan that ranks centroids, candidate
-// scoring and top-K selection (a bounded min-heap, O(C log K) over C
-// candidates) — performs zero heap allocations, and the returned slice
-// is backed by sc.
+// topK best results among their posting lists, ordered by score, highest
+// first, then by id, lowest first. Scores compare as floats (-0 ties
+// +0), and NaN ranks after every number. The caller's scratch is
+// required (one per worker): the whole probe performs zero heap
+// allocations, and the returned slice is backed by sc.
+//
+// Each candidate becomes one uint64 key, scoreKey(score)<<32 | rank, the
+// rank being the row's index in the sorted id table, so the result
+// order is the keys' unsigned order. The probe selects the topK smallest
+// keys (quickselect, expected O(C) over C candidates) and sorts only
+// those. Before a list would overflow the key buffer (topK plus the
+// largest list) it first selects down to topK, so scratch memory does
+// not grow with nprobe.
 func (ix *Index) SearchInto(query tensor.Vec, topK, nprobe int, sc *SearchScratch) []Result {
 	if len(query) != ix.centroids.Cols {
 		panic(fmt.Sprintf("ann: query dim %d, index dim %d", len(query), ix.centroids.Cols))
@@ -244,96 +271,152 @@ func (ix *Index) SearchInto(query tensor.Vec, topK, nprobe int, sc *SearchScratc
 	if topK <= 0 {
 		return nil
 	}
-	nprobe = min(max(nprobe, 1), ix.centroids.Rows)
+	nlists := ix.centroids.Rows
+	nprobe = min(max(nprobe, 1), nlists)
 	copy(sc.q, query)
 	q := sc.q
 	tensor.Normalize(q)
-
-	// Score every centroid with one MatVec, then move the nprobe best to
-	// the front of corder by selection: the higher score first, the lower
-	// list on a tie, so a zero query probes lists 0 … nprobe-1. A pick is
-	// swapped out of the running, so no list is probed twice whatever the
-	// scores — a NaN query, which scores every list NaN, included.
-	cscore, corder := sc.cscore, sc.corder
-	tensor.MatVec(&ix.centroids, q, cscore)
-	for c := range corder {
-		corder[c] = int32(c)
+	if cap(sc.keys) < topK+len(sc.scores) {
+		sc.keys = make([]uint64, 0, topK+len(sc.scores))
 	}
-	for p := range nprobe {
-		best := p
-		for i := p + 1; i < len(corder); i++ {
-			if s, bs := cscore[corder[i]], cscore[corder[best]]; s > bs || s == bs && corder[i] < corder[best] {
-				best = i
-			}
-		}
-		corder[p], corder[best] = corder[best], corder[p]
-	}
-
-	// Scan the probed posting lists through a bounded min-heap of the
-	// best topK candidates.
 	if cap(sc.results) < topK {
 		sc.results = make([]Result, 0, topK)
 	}
-	h := sc.results[:0]
-	for _, c := range corder[:nprobe] {
-		h = ix.scanList(int(c), q, topK, h, sc.lscore)
+
+	// Pick the lists to probe in one pass over the centroid scores,
+	// keeping the nprobe smallest keys sorted in the key buffer: the
+	// higher score first, the lower list on a tie, so a zero or NaN query
+	// probes lists 0 … nprobe-1. Keys are distinct, so no list is probed
+	// twice. Probing every list needs no coarse scan: the result does not
+	// depend on the probe order.
+	probe := sc.probe[:nprobe]
+	if nprobe == nlists {
+		for c := range probe {
+			probe[c] = int32(c)
+		}
+	} else {
+		cscore, best := sc.scores[:nlists], sc.keys[:0]
+		tensor.MatVec(&ix.centroids, q, cscore)
+		for c, s := range cscore {
+			k := scoreKey(s)<<32 | uint64(c)
+			if len(best) == nprobe {
+				if k > best[nprobe-1] {
+					continue
+				}
+				best = best[:nprobe-1]
+			}
+			i := len(best)
+			best = best[:i+1]
+			for ; i > 0 && best[i-1] > k; i-- {
+				best[i] = best[i-1]
+			}
+			best[i] = k
+		}
+		for p, k := range best {
+			probe[p] = int32(uint32(k))
+		}
 	}
-	// Heap-sort the winners best first: popping the min to the back
-	// leaves the slice in descending score order.
-	for n := len(h) - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
-		siftDownResult(h[:n], 0)
+
+	keys := sc.keys[:0]
+	for _, c := range probe {
+		ranks := ix.ranks[c]
+		if len(keys)+len(ranks) > cap(keys) {
+			selectSmallest(keys, topK)
+			keys = keys[:topK]
+		}
+		scores := sc.scores[:len(ranks)]
+		tensor.MatVec(&ix.lists[c], q, scores)
+		n := len(keys)
+		keys = keys[:n+len(ranks)]
+		for i, r := range ranks {
+			keys[n+i] = scoreKey(scores[i])<<32 | uint64(r)
+		}
 	}
-	sc.results = h
-	return h
+	if len(keys) > topK {
+		selectSmallest(keys, topK)
+		keys = keys[:topK]
+	}
+	slices.Sort(keys)
+	res := sc.results[:len(keys)]
+	for i, k := range keys {
+		res[i] = Result{ID: ix.ids[uint32(k)], Score: keyScore(uint32(k >> 32))}
+	}
+	return res
 }
 
-// scanList scores every row of posting list c against q with one MatVec
-// into scores, then offers each row, in order, to the bounded min-heap h
-// of the best topK and returns the grown heap.
-func (ix *Index) scanList(c int, q tensor.Vec, topK int, h []Result, scores []float32) []Result {
-	ids := ix.listIDs[c]
-	scores = scores[:len(ids)]
-	tensor.MatVec(&ix.lists[c], q, scores)
-	for i, s := range scores {
-		if len(h) < topK {
-			h = append(h, Result{ID: ids[i], Score: s})
-			siftUpResult(h, len(h)-1)
-		} else if s > h[0].Score {
-			h[0] = Result{ID: ids[i], Score: s}
-			siftDownResult(h, 0)
-		}
+// nanKey is the one key of every NaN score: after -Inf's (0xff800000).
+const nanKey = 0xffffffff
+
+// scoreKey maps a score to 32 bits whose unsigned order is the result
+// order: higher scores to smaller keys, -0 to +0's key, every NaN to
+// nanKey. A sign-set float keeps its bits (more negative, larger bits);
+// a sign-clear one flips its 31 magnitude bits below 0x80000000.
+func scoreKey(s float32) uint64 {
+	if s != s {
+		return nanKey
 	}
-	return h
+	b := math.Float32bits(s + 0) // -0 + 0 is +0
+	return uint64(b ^ ^uint32(int32(b)>>31)>>1)
 }
 
-func siftUpResult(h []Result, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].Score <= h[i].Score {
-			return
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
+// keyScore inverts scoreKey: the score's exact bits, except that -0
+// comes back as +0 (MatVec never yields -0: its sums start at +0) and a
+// NaN as the quiet NaN.
+func keyScore(k uint32) float32 {
+	switch {
+	case k == nanKey:
+		return float32(math.NaN())
+	case k >= 1<<31:
+		return math.Float32frombits(k)
+	default:
+		return math.Float32frombits(k ^ 0x7fffffff)
 	}
 }
 
-func siftDownResult(h []Result, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
+// selectSmallest reorders the distinct keys so that keys[:k] hold the k
+// smallest, in no particular order. It is quickselect with a
+// median-of-three pivot; a range that has not shrunk within
+// 2·log2(len) partitions, or is short, is sorted instead, so the worst
+// case is O(n log n).
+func selectSmallest(keys []uint64, k int) {
+	lo, hi := 0, len(keys)
+	for budget := 2 * bits.Len(uint(len(keys))); hi-lo > 16 && budget > 0; budget-- {
+		p := lo + partition(keys[lo:hi])
+		switch {
+		case p == k || p == k-1:
 			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p
 		}
-		m := l
-		if r := l + 1; r < len(h) && h[r].Score < h[l].Score {
-			m = r
-		}
-		if h[i].Score <= h[m].Score {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
 	}
+	slices.Sort(keys[lo:hi])
+}
+
+// partition moves the median of a's first, middle and last keys to its
+// sorted place i, the smaller keys before it and the larger after, and
+// returns i.
+func partition(a []uint64) int {
+	n, m := len(a), len(a)/2
+	if a[m] < a[0] {
+		a[m], a[0] = a[0], a[m]
+	}
+	if a[n-1] < a[0] {
+		a[n-1], a[0] = a[0], a[n-1]
+	}
+	if a[m] < a[n-1] {
+		a[m], a[n-1] = a[n-1], a[m]
+	}
+	pivot, i := a[n-1], 0
+	for j, v := range a[:n-1] {
+		if v < pivot {
+			a[i], a[j] = v, a[i]
+			i++
+		}
+	}
+	a[i], a[n-1] = pivot, a[i]
+	return i
 }
 
 // SearchExact scans every vector — the brute-force reference used to

@@ -36,6 +36,15 @@ func clusteredData(r *rng.RNG, n, dim, nClusters int) ([]int64, []tensor.Vec, []
 	return ids, vecs, cluster
 }
 
+// listIDs returns list c's ids in row order.
+func listIDs(ix *Index, c int) []int64 {
+	ids := make([]int64, len(ix.ranks[c]))
+	for i, r := range ix.ranks[c] {
+		ids[i] = ix.ids[r]
+	}
+	return ids
+}
+
 func TestBuildValidation(t *testing.T) {
 	mustPanic := func(f func()) {
 		defer func() {
@@ -220,22 +229,46 @@ func BenchmarkSearchExact(b *testing.B) {
 }
 
 // BenchmarkSearchInto measures the zero-allocation serving search with a
-// reused per-worker scratch. Must report 0 allocs/op. Its shape: 10 000
-// vectors in 32 lists at nprobe 4, so a probe scores ~1 250 candidates
-// (1 534 for this query). BenchmarkHotPathSearchInto scores ~30 (the
-// tiny world: 120 items, 16 lists) and the rig ~253 (the large world:
-// 14 250 items, 222 lists, plus a 222-centroid coarse scan); the benches
-// measure different index shapes and neither is wrong.
+// reused per-worker scratch, nprobe 4 and topK 100: 10 000 vectors in 32
+// lists and one fixed query, so a probe scores ~1 250 candidates (1 534
+// for this query). Must report 0 allocs/op. BenchmarkSearchIntoRig is
+// the rig's shape; BenchmarkHotPathSearchInto scores ~30 (the tiny
+// world: 120 items, 16 lists).
 func BenchmarkSearchInto(b *testing.B) {
-	r := rng.New(1)
-	ids, vecs, _ := clusteredData(r, 10000, 32, 32)
+	ids, vecs, _ := clusteredData(rng.New(1), 10000, 32, 32)
 	ix := Build(ids, vecs, Config{NumLists: 32, Iters: 6, Seed: 2})
-	q := vecs[0]
+	benchSearch(b, ix, []tensor.Vec{vecs[0]})
+}
+
+// BenchmarkSearchIntoRig is SearchInto at the benchmark rig's retrieve
+// index: 14 250 vectors of dim 32 in 222 lists (N/64, 6 iterations),
+// nprobe 4, topK 100, the query rotating over 512 perturbed items. A
+// probe is a 222-centroid coarse scan plus ~253 candidates. Must report
+// 0 allocs/op.
+func BenchmarkSearchIntoRig(b *testing.B) {
+	r := rng.New(1)
+	ids, vecs, _ := clusteredData(r, 14250, 32, 222)
+	ix := Build(ids, vecs, Config{NumLists: len(ids) / 64, Iters: 6, Seed: 2})
+	queries := make([]tensor.Vec, 512)
+	for i := range queries {
+		q := tensor.Copy(vecs[r.Intn(len(vecs))])
+		for j := range q {
+			q[j] += 0.1 * float32(r.NormFloat64())
+		}
+		queries[i] = q
+	}
+	benchSearch(b, ix, queries)
+}
+
+// benchSearch times SearchInto over ix, one op per query in turn, on a
+// scratch warmed by one search first.
+func benchSearch(b *testing.B, ix *Index, queries []tensor.Vec) {
 	sc := ix.NewSearchScratch()
+	ix.SearchInto(queries[0], 100, 4, sc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.SearchInto(q, 100, 4, sc)
+		ix.SearchInto(queries[i%len(queries)], 100, 4, sc)
 	}
 }
 

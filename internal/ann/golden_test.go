@@ -55,7 +55,7 @@ func renderIndex(ix *Index, vecs []tensor.Vec) string {
 			fmt.Fprintf(&b, " %08x", math.Float32bits(v))
 		}
 		b.WriteString(" ids")
-		for _, id := range ix.listIDs[c] {
+		for _, id := range listIDs(ix, c) {
 			fmt.Fprintf(&b, " %d", id)
 		}
 		b.WriteByte('\n')
@@ -149,8 +149,8 @@ func TestZeroVectorsLandInListZero(t *testing.T) {
 	}
 	ix := Build(ids, vecs, Config{NumLists: 16, Iters: 5, Seed: 45})
 	found := 0
-	for c, list := range ix.listIDs {
-		for _, id := range list {
+	for c := range ix.lists {
+		for _, id := range listIDs(ix, c) {
 			if zero[id] {
 				found++
 				if c != 0 {

@@ -34,6 +34,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"sync"
@@ -252,11 +253,11 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	g.met.writeTo(w)
 }
 
-// pickIDs resolves the (user, query) pair: rand=1 draws from the pools,
-// otherwise explicit ids are parsed and bounds-checked — an out-of-range
-// id would index past the serving weights.
-func (g *Gateway) pickIDs(r *http.Request) (user, query graph.NodeID, err error) {
-	q := r.URL.Query()
+// pickIDs resolves the (user, query) pair from the request's query
+// parameters: rand=1 draws from the pools, otherwise explicit ids are
+// parsed and bounds-checked — an out-of-range id would index past the
+// serving weights.
+func (g *Gateway) pickIDs(q url.Values) (user, query graph.NodeID, err error) {
 	if q.Get("rand") == "1" {
 		if len(g.users) == 0 || len(g.queries) == 0 {
 			return 0, 0, errors.New("rand mode unavailable: empty id pools")
@@ -281,12 +282,12 @@ func (g *Gateway) pickIDs(r *http.Request) (user, query graph.NodeID, err error)
 	return graph.NodeID(pu), graph.NodeID(pq), nil
 }
 
-// deadlineFor resolves the per-request budget: deadline_ms query param
-// (or X-Zoomer-Deadline-Ms header), defaulted and clamped.
-func (g *Gateway) deadlineFor(r *http.Request) time.Duration {
-	s := r.URL.Query().Get("deadline_ms")
+// deadlineFor resolves the per-request budget: the deadline_ms query
+// parameter (or the X-Zoomer-Deadline-Ms header), defaulted and clamped.
+func (g *Gateway) deadlineFor(q url.Values, h http.Header) time.Duration {
+	s := q.Get("deadline_ms")
 	if s == "" {
-		s = r.Header.Get("X-Zoomer-Deadline-Ms")
+		s = h.Get("X-Zoomer-Deadline-Ms")
 	}
 	d := g.cfg.DefaultDeadline
 	if s != "" {
@@ -327,14 +328,15 @@ func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, bin boo
 		return
 	}
 	defer g.inflight.Add(-1)
-	user, query, err := g.pickIDs(r)
+	params := r.URL.Query() // parsed once: ids, deadline and k
+	user, query, err := g.pickIDs(params)
 	if err != nil {
 		rm.count(http.StatusBadRequest)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	cacheOnly := float64(n) > g.cfg.ShedFraction*float64(g.cfg.MaxInFlight)
-	deadline := start.Add(g.deadlineFor(r))
+	deadline := start.Add(g.deadlineFor(params, r.Header))
 
 	resp := g.respPool.Get().(chan serve.Response)
 	if !g.srv.SubmitReq(serve.Request{User: user, Query: query, Deadline: deadline, CacheOnly: cacheOnly}, resp) {
@@ -359,7 +361,7 @@ func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, bin boo
 		return
 	}
 	items := rsp.Items
-	if ks := r.URL.Query().Get("k"); ks != "" {
+	if ks := params.Get("k"); ks != "" {
 		if k, err := strconv.Atoi(ks); err == nil && k >= 0 && k < len(items) {
 			items = items[:k]
 		}

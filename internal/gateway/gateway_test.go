@@ -305,12 +305,12 @@ func TestDeadlineForClamps(t *testing.T) {
 		{"1e300", 2 * time.Second},
 	} {
 		r := httptest.NewRequest("GET", "/v1/retrieve?deadline_ms="+tc.ms, nil)
-		if got := g.deadlineFor(r); got != tc.want {
+		if got := g.deadlineFor(r.URL.Query(), r.Header); got != tc.want {
 			t.Errorf("deadline_ms=%q: %v, want %v", tc.ms, got, tc.want)
 		}
 		r = httptest.NewRequest("GET", "/v1/retrieve", nil)
 		r.Header.Set("X-Zoomer-Deadline-Ms", tc.ms)
-		if got := g.deadlineFor(r); got != tc.want {
+		if got := g.deadlineFor(r.URL.Query(), r.Header); got != tc.want {
 			t.Errorf("X-Zoomer-Deadline-Ms: %q: %v, want %v", tc.ms, got, tc.want)
 		}
 	}

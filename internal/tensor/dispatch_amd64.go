@@ -2,18 +2,20 @@
 
 // The amd64 side of the kernel seam. At init the package probes CPUID
 // for AVX2+FMA (plus OS-enabled YMM state via XGETBV) and routes the
-// four hot kernels — Dot, dotSq, Axpy and DotAxpy — to the hand-written
-// vector implementations in kernels_amd64.s. MatVec/MatVecT ride the
-// same seam per row.
+// five hot kernels — Dot, dotSq, Axpy, DotAxpy and MatVec — to the
+// hand-written vector implementations in kernels_amd64.s. MatVec scores
+// four rows per kernel pass (matVec4AVX2) and any leftover rows with
+// Dot; MatVecT rides the Axpy kernel per row.
 //
 // Bit-identity contract: the vector kernels replicate the generic
 // kernels' accumulation order exactly — Dot keeps the 4 independent
 // float64 accumulator lanes (one YMM register, lane k summing elements
 // ≡ k mod 4 in index order, scalar tail into lane 0) and the
-// (s0+s1)+(s2+s3) reduction; dotSq/DotAxpy keep the 2-lane layout; the
-// float32 elementwise kernels use separate multiply and add (no FMA —
-// fusing would skip the intermediate rounding the generic code
-// performs). Float64 products of float32 inputs are exact, so FMA in
+// (s0+s1)+(s2+s3) reduction, and so does each of matVec4AVX2's four
+// rows, so every MatVec output is Dot(row, x); dotSq/DotAxpy keep the
+// 2-lane layout; the float32 elementwise kernels use separate multiply
+// and add (no FMA — fusing would skip the intermediate rounding the
+// generic code performs). Float64 products of float32 inputs are exact, so FMA in
 // the float64 reductions is safe. The upshot: a draw, a ranking or an
 // embedding computed under AVX2 dispatch is bit-for-bit the one the
 // purego build computes, pinned by kernels_equiv_amd64_test.go.
@@ -69,6 +71,7 @@ func dotAVX2(a, b Vec) float32
 func dotSqAVX2(a, b Vec) (dot, bsq float32)
 func axpyAVX2(alpha float32, x, y Vec)
 func dotAxpyAVX2(alpha float32, x, w, y Vec) float32
+func matVec4AVX2(m, x, out Vec)
 
 func dot(a, b Vec) float32 {
 	if useAVX2 {
@@ -97,4 +100,22 @@ func dotAxpy(alpha float32, x, w, y Vec) float32 {
 		return dotAxpyAVX2(alpha, x, w, y)
 	}
 	return dotAxpyGeneric(alpha, x, w, y)
+}
+
+func matVec(m *Matrix, x, out Vec) {
+	if useAVX2 {
+		matVecAVX2(m, x, out)
+		return
+	}
+	matVecGeneric(m, x, out)
+}
+
+// matVecAVX2 scores the rows four at a time and the last Rows mod 4 with
+// Dot's kernel.
+func matVecAVX2(m *Matrix, x, out Vec) {
+	quads := m.Rows &^ 3
+	matVec4AVX2(m.Data[:quads*m.Cols], x, out[:quads])
+	for i := quads; i < m.Rows; i++ {
+		out[i] = dotAVX2(m.Data[i*m.Cols:(i+1)*m.Cols], x)
+	}
 }

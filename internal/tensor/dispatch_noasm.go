@@ -14,3 +14,4 @@ func dot(a, b Vec) float32                       { return dotGeneric(a, b) }
 func dotSq(a, b Vec) (float32, float32)          { return dotSqGeneric(a, b) }
 func axpy(alpha float32, x, y Vec)               { axpyGeneric(alpha, x, y) }
 func dotAxpy(alpha float32, x, w, y Vec) float32 { return dotAxpyGeneric(alpha, x, w, y) }
+func matVec(m *Matrix, x, out Vec)               { matVecGeneric(m, x, out) }

@@ -7,4 +7,5 @@ var (
 	DotSqGeneric   = dotSqGeneric
 	AxpyGeneric    = axpyGeneric
 	DotAxpyGeneric = dotAxpyGeneric
+	MatVecGeneric  = matVecGeneric
 )

@@ -1,6 +1,6 @@
 //go:build !purego
 
-// AVX2/FMA implementations of the four hot kernels. Each replicates the
+// AVX2/FMA implementations of the hot kernels. Each replicates the
 // accumulation order of its generic counterpart in kernels_generic.go —
 // see the bit-identity contract in dispatch_amd64.go. Two invariants the
 // code below leans on:
@@ -192,4 +192,102 @@ da_reduce:
 	VADDSD X1, X0, X0 // s0+s1
 	VCVTSD2SS X0, X0, X0
 	MOVSS X0, ret+80(FP)
+	RET
+
+// func matVec4AVX2(m, x, out []float32)
+//
+// out[i] = m row i · x for len(out)/4 quads of rows (the caller passes a
+// multiple of 4; m holds len(out) rows of len(x) floats). Each pass
+// scores four rows: four YMM accumulators, one per row, each holding
+// dotAVX2's 4 float64 lanes, and every 4-float slice of x converted once
+// for all four. Per row the FMA operand order, the scalar tail into
+// lane 0 and the (s0+s1)+(s2+s3) reduction (VHADDPD twice) are
+// dotAVX2's, so each output is Dot(row, x) bit for bit.
+TEXT ·matVec4AVX2(SB), NOSPLIT, $0-72
+	MOVQ m_base+0(FP), SI
+	MOVQ x_base+24(FP), DI
+	MOVQ x_len+32(FP), CX
+	MOVQ out_base+48(FP), DX
+	MOVQ out_len+56(FP), R8
+	SHRQ $2, R8
+	JZ   mv4_done
+	MOVQ CX, R9
+	SHLQ $2, R9 // row stride in bytes
+mv4_quad:
+	MOVQ SI, R10
+	LEAQ (R10)(R9*1), R11
+	LEAQ (R11)(R9*1), R12
+	LEAQ (R12)(R9*1), R13
+	MOVQ DI, AX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ CX, BX
+	SHRQ $2, BX
+	JZ   mv4_tail_setup
+mv4_loop4:
+	VCVTPS2PD (AX), Y4 // x, converted once for the four rows
+	VCVTPS2PD (R10), Y5
+	VFMADD231PD Y4, Y5, Y0
+	VCVTPS2PD (R11), Y6
+	VFMADD231PD Y4, Y6, Y1
+	VCVTPS2PD (R12), Y7
+	VFMADD231PD Y4, Y7, Y2
+	VCVTPS2PD (R13), Y8
+	VFMADD231PD Y4, Y8, Y3
+	ADDQ $16, AX
+	ADDQ $16, R10
+	ADDQ $16, R11
+	ADDQ $16, R12
+	ADDQ $16, R13
+	DECQ BX
+	JNZ  mv4_loop4
+mv4_tail_setup:
+	// Save each row's [s2 s3] first: the scalar VEX adds below zero the
+	// upper half of their YMM register.
+	VEXTRACTF128 $1, Y0, X8
+	VEXTRACTF128 $1, Y1, X9
+	VEXTRACTF128 $1, Y2, X10
+	VEXTRACTF128 $1, Y3, X11
+	MOVQ CX, BX
+	ANDQ $3, BX
+	JZ   mv4_reduce
+mv4_tail:
+	VCVTSS2SD (AX), X4, X4
+	VCVTSS2SD (R10), X5, X5
+	VMULSD X4, X5, X5
+	VADDSD X5, X0, X0 // row 0: s0 += m[i]*x[i]
+	VCVTSS2SD (R11), X6, X6
+	VMULSD X4, X6, X6
+	VADDSD X6, X1, X1
+	VCVTSS2SD (R12), X7, X7
+	VMULSD X4, X7, X7
+	VADDSD X7, X2, X2
+	VCVTSS2SD (R13), X5, X5
+	VMULSD X4, X5, X5
+	VADDSD X5, X3, X3
+	ADDQ $4, AX
+	ADDQ $4, R10
+	ADDQ $4, R11
+	ADDQ $4, R12
+	ADDQ $4, R13
+	DECQ BX
+	JNZ  mv4_tail
+mv4_reduce:
+	VHADDPD X8, X0, X0  // row 0: [s0+s1, s2+s3]
+	VHADDPD X9, X1, X1
+	VHADDPD X10, X2, X2
+	VHADDPD X11, X3, X3
+	VHADDPD X1, X0, X0  // [(s0+s1)+(s2+s3) of row 0, of row 1]
+	VHADDPD X3, X2, X2  // rows 2 and 3
+	VINSERTF128 $1, X2, Y0, Y0
+	VCVTPD2PSY Y0, X0
+	VMOVUPS X0, (DX)
+	ADDQ $16, DX
+	LEAQ (SI)(R9*4), SI // next quad of rows
+	DECQ R8
+	JNZ  mv4_quad
+mv4_done:
+	VZEROUPPER
 	RET

@@ -112,18 +112,30 @@ func BenchmarkMatVecT(b *testing.B) {
 	}
 }
 
+// BenchmarkMatVec runs the dispatched MatVec beside the per-row generic
+// reference at 64x64 and at the ANN shapes: 222x32 is the rig's coarse
+// layer (222 centroids of dim 32), 64x32 about one posting list.
 func BenchmarkMatVec(b *testing.B) {
-	dim := 64
-	m := NewMatrix(dim, dim)
 	r := rng.New(9)
-	for i := range m.Data {
-		m.Data[i] = float32(r.NormFloat64())
-	}
-	x, out := benchVecs(dim)
-	b.Run(fmt.Sprintf("%dx%d", dim, dim), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MatVec(m, x, out)
+	for _, shape := range [][2]int{{64, 64}, {222, 32}, {64, 32}} {
+		rows, cols := shape[0], shape[1]
+		m := NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = float32(r.NormFloat64())
 		}
-	})
+		x, _ := benchVecs(cols)
+		out := make(Vec, rows)
+		b.Run(fmt.Sprintf("%dx%d", rows, cols), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MatVec(m, x, out)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d-generic", rows, cols), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MatVecGeneric(m, x, out)
+			}
+		})
+	}
 }

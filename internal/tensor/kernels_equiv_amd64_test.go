@@ -3,6 +3,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -153,16 +154,50 @@ func TestMatVecTBitIdenticalAcrossDispatch(t *testing.T) {
 	}
 }
 
-// TestMatVecMatchesPerRowDot pins the satellite rework: each output of
-// MatVec is exactly one Dot-kernel evaluation of (row, x).
+// spikyVec draws from {0, ±1, ±1e20}: products of two such vectors
+// cancel exactly or vanish next to one another, so the float32 result
+// shows the order in which lanes were summed, which random values almost
+// never do.
+func spikyVec(r *rng.RNG, n int) Vec {
+	vals := []float32{0, 1, -1, 1e20, -1e20}
+	v := make(Vec, n)
+	for i := range v {
+		v[i] = vals[r.Intn(len(vals))]
+	}
+	return v
+}
+
+// TestMatVecMatchesPerRowDot holds every MatVec path to per-row Dot:
+// the public MatVec, the AVX2 path (four-row kernel plus per-row
+// leftovers) and the generic path, over every row count 0-13 (each
+// remainder mod 4, zero to three full quads) and column counts that
+// cover each tail length of the 4-wide lanes, on fuzzed and on spiky
+// values.
 func TestMatVecMatchesPerRowDot(t *testing.T) {
 	r := rng.New(17)
-	m := NewMatrix(9, 37)
-	copy(m.Data, fuzzVec(r, 9*37))
-	x := fuzzVec(r, 37)
-	out := make(Vec, 9)
-	MatVec(m, x, out)
-	for i := range out {
-		requireSameBits(t, "MatVec", 37, out[i], Dot(m.Data[i*37:(i+1)*37], x))
+	paths := map[string]func(m *Matrix, x, out Vec){"MatVec": MatVec, "generic": matVecGeneric}
+	if useAVX2 {
+		paths["avx2"] = matVecAVX2
+	}
+	for _, gen := range []func(*rng.RNG, int) Vec{fuzzVec, spikyVec} {
+		for rows := 0; rows <= 13; rows++ {
+			for _, cols := range []int{0, 1, 3, 4, 5, 31, 32, 33, 37, 64, 128} {
+				m := NewMatrix(rows, cols)
+				copy(m.Data, gen(r, rows*cols))
+				x := gen(r, cols)
+				for name, mv := range paths {
+					out := make(Vec, rows)
+					for i := range out {
+						out[i] = float32(math.NaN()) // every output must be written
+					}
+					mv(m, x, out)
+					for i := range out {
+						row := m.Data[i*cols : (i+1)*cols]
+						requireSameBits(t, fmt.Sprintf("%s %dx%d row %d vs generic", name, rows, cols, i), cols, out[i], dotGeneric(row, x))
+						requireSameBits(t, fmt.Sprintf("%s %dx%d row %d vs Dot", name, rows, cols, i), cols, out[i], Dot(row, x))
+					}
+				}
+			}
+		}
 	}
 }

@@ -28,6 +28,13 @@ func dotGeneric(a, b Vec) float32 {
 	return float32((s0 + s1) + (s2 + s3))
 }
 
+// matVecGeneric is MatVec's reference: one dotGeneric per row.
+func matVecGeneric(m *Matrix, x, out Vec) {
+	for i := range out {
+		out[i] = dotGeneric(m.Data[i*m.Cols:(i+1)*m.Cols], x)
+	}
+}
+
 // dotSqGeneric fuses a·b with b·b: 2-lane float64 accumulation for both
 // sums (lane k sums elements ≡ k mod 2), tail into lane 0, reduction
 // d0+d1 / q0+q1.

@@ -213,17 +213,15 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// MatVec computes out = m · x. It panics on shape mismatch. Each row is
-// one Dot-kernel call, so the nn/training forward path rides the same
-// 4-lane (and, under dispatch, vectorized) kernel as the serving path
-// instead of the old single-accumulator row loop.
+// MatVec computes out = m · x. It panics on shape mismatch. Every output
+// is Dot(row, x) bit for bit: under AVX2 dispatch one kernel pass scores
+// four rows with Dot's lane order per row, converting each slice of x
+// once for all four; the purego build calls Dot's kernel per row.
 func MatVec(m *Matrix, x, out Vec) {
 	if len(x) != m.Cols || len(out) != m.Rows {
 		panic(fmt.Sprintf("tensor: MatVec shape mismatch (%dx%d)·%d -> %d", m.Rows, m.Cols, len(x), len(out)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		out[i] = dot(m.Data[i*m.Cols:(i+1)*m.Cols], x)
-	}
+	matVec(m, x, out)
 }
 
 // MatVecT computes out = mᵀ · x (x has length Rows, out has length Cols).
