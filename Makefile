@@ -37,13 +37,26 @@ test:
 race:
 	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/... ./internal/graph/... ./internal/graphbuild/... ./internal/openloop/...
 
+# run_listed runs `go test -race -count=1 -run NAMES PKG` after checking
+# that every |-separated name in NAMES matches a test `go test -list`
+# finds in PKG: a -run pattern that matches nothing passes with "[no
+# tests to run]", so a renamed test would drop out of a suite unnoticed.
+define run_listed
+	@listed=$$(go test -race -list '^Test' $(2)) || exit 1; \
+	for name in $$(echo '$(1)' | tr '|' ' '); do \
+		echo "$$listed" | grep -qE -- "$$name" || { echo "$@: no test in $(2) matches $$name"; exit 1; }; \
+	done
+	go test -race -count=1 -run '$(1)' $(2)
+endef
+
 # Fault-injection suite under the race detector: server kill/restart and
 # churn, replica failover mid-batch, rolling upgrade, zero-replica
-# degradation, dynamic membership, stalled-member refresh, circuit
+# degradation, dynamic membership (a partition handed to a server the
+# client never dialed included), stalled-member refresh, circuit
 # breaker (open/decay/waiter adoption), mux in-flight kill.
 chaos:
-	go test -race -count=1 -run 'TestShardFailureAndReconnect|TestNoPartialResultsUnderChurn|TestClientPoolConcurrency|TestMuxInFlightFailure|TestMuxSharedConnectionHammer|TestKillReplicaMidBatch|TestKillReplicaMidBulkRead|TestLiveHandoffBulkRead|TestZeroHealthyReplicasTyped|TestRollingUpgrade|TestMembershipDiscovery|TestRefreshSkipsStalledServer|TestReplicatedClusterSpreadsLoad|TestCircuit' ./internal/rpc/
-	go test -race -count=1 -run 'TestReplica' ./internal/engine/
+	$(call run_listed,TestShardFailureAndReconnect|TestNoPartialResultsUnderChurn|TestClientPoolConcurrency|TestMuxInFlightFailure|TestMuxSharedConnectionHammer|TestKillReplicaMidBatch|TestKillReplicaMidBulkRead|TestLiveHandoffBulkRead|TestZeroHealthyReplicasTyped|TestRollingUpgrade|TestMembershipDiscovery|TestRedirectBindsServerNeverDialed|TestRefreshSkipsStalledServer|TestReplicatedClusterSpreadsLoad|TestCircuit,./internal/rpc/)
+	$(call run_listed,TestReplica,./internal/engine/)
 
 # Durable-ingest crash suite under the race detector: kill -9 a child
 # writer mid-append and prove WAL replay reconverges bit-identically
@@ -51,9 +64,9 @@ chaos:
 # rpc-layer crash/restart, skew and replicated-append tests, and a
 # multi-shard append with one shard's replica group dark.
 ingest-chaos:
-	go test -race -count=1 -run 'TestWALCrashRecoveryEquivalence|TestWALTornTailTruncated|TestWALCorrupt|TestWALDiskFull' ./internal/ingest/
-	go test -race -count=1 -run 'TestAppendDarkShardLandsOtherShards' ./internal/engine/
-	go test -race -count=1 -run 'TestAppendRecoveryAfterRestart|TestServingSurvivesWriterCrash|TestAppendWALWriteFailureKeepsServing|TestAppendIdempotencyAndResync|TestVersionSkew' ./internal/rpc/
+	$(call run_listed,TestWALCrashRecoveryEquivalence|TestWALTornTailTruncated|TestWALCorrupt|TestWALDiskFull,./internal/ingest/)
+	$(call run_listed,TestAppendDarkShardLandsOtherShards,./internal/engine/)
+	$(call run_listed,TestAppendRecoveryAfterRestart|TestServingSurvivesWriterCrash|TestAppendWALWriteFailureKeepsServing|TestAppendIdempotencyAndResync|TestVersionSkew,./internal/rpc/)
 
 # Hot-path benchmarks -> BENCH_hotpath.json (perf trajectory across PRs).
 bench:

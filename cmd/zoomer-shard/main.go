@@ -39,9 +39,9 @@
 // # Replicas and dynamic membership
 //
 // With -advertise the server announces a reachable address to the
-// cluster: its routing blobs carry replica placement, its redirects and
-// epoch polls carry the member list, and a serving tier discovers it
-// even when dialed before it existed. -join names any live member to
+// cluster: its routing-epoch replies carry the member list, so a serving
+// tier discovers it on its next refresh even when dialed before it
+// existed, and its appends fan out to its replica siblings. -join names any live member to
 // announce to at startup — the one step that makes a freshly started
 // server discoverable:
 //
@@ -109,7 +109,7 @@ func main() {
 	rpcWindow := flag.Int("rpc-window", 0, "buffered requests per connection before the read loop blocks (0 = default 64)")
 	walDir := flag.String("wal-dir", "", "journal graph-appends to per-shard WALs under this directory (replayed on startup)")
 	fsync := flag.Bool("fsync", true, "with -wal-dir: fsync each group-committed append before acknowledging")
-	advertise := flag.String("advertise", "", "address to announce to the cluster (enables membership + replica placement)")
+	advertise := flag.String("advertise", "", "address to announce to the cluster (enables membership + append fan-out)")
 	join := flag.String("join", "", "comma-separated addresses of live cluster members to announce to at startup (requires -advertise)")
 	admin := flag.String("admin", "", "admin mode: address of a running zoomer-shard to command instead of serving")
 	acquire := flag.String("acquire", "", "comma-separated partition ids the -admin server should acquire")

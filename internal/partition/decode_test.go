@@ -42,7 +42,7 @@ func checkUnmarshal(t *testing.T, blob []byte) error {
 }
 
 // Field offsets of a marshaled blob; the owner table of tableBlob starts
-// at offTable+4, the first replica count of placedBlob at offTable+8.
+// at offTable+4.
 const (
 	offVersion  = 4
 	offStrategy = 8
@@ -59,16 +59,15 @@ func mustMarshal(t testing.TB, r *Routing) []byte {
 	return blob
 }
 
-// tableBlob is a three-node degree-balanced table over two shards with a
-// placement section; placedBlob a hash table with placement only.
+// tableBlob is a three-node degree-balanced table over two shards;
+// hashBlob a hash table over 2^20 nodes, which carries no arrays.
 func tableBlob(t testing.TB) []byte {
 	return mustMarshal(t, &Routing{strategy: DegreeBalanced, shards: 2, numNodes: 3, epoch: 5,
-		owner: []int32{0, 1, 0}, local: []int32{0, 0, 1}, placement: [][]string{{"a:1", "b:2"}, {}}})
+		owner: []int32{0, 1, 0}, local: []int32{0, 0, 1}})
 }
 
-func placedBlob(t testing.TB) []byte {
-	return mustMarshal(t, &Routing{strategy: Hash, shards: 2, numNodes: 1 << 20, epoch: 1 << 40,
-		placement: [][]string{{"a:1"}, {"b:2"}}})
+func hashBlob(t testing.TB) []byte {
+	return mustMarshal(t, &Routing{strategy: Hash, shards: 2, numNodes: 1 << 20, epoch: 1 << 40})
 }
 
 // corruptBlobs are inputs UnmarshalRouting must refuse with
@@ -79,19 +78,17 @@ func corruptBlobs(t testing.TB) map[string][]byte {
 		return blob
 	}
 	return map[string][]byte{
-		"bad magic":                 patch(tableBlob(t), 0, 7),
-		"unknown strategy":          patch(tableBlob(t), offStrategy, 2),
-		"zero shards":               patch(placedBlob(t), offShards, 0),
-		"lying numNodes":            patch(tableBlob(t), offNodes, 1<<30),
-		"table flag 2":              patch(tableBlob(t), offTable, 2),
-		"owner out of range":        patch(tableBlob(t), offTable+4, 2),
-		"2^20 shards, two placed":   patch(placedBlob(t), offShards, 1<<20),
-		"placement flag 2":          patch(placedBlob(t), offTable+4, 2),
-		"lying replica count":       patch(placedBlob(t), offTable+8, maxReplicas),
-		"replica count over limit":  patch(placedBlob(t), offTable+8, maxReplicas+1),
-		"lying address length":      patch(placedBlob(t), offTable+12, 1<<30),
-		"address length over limit": patch(append(placedBlob(t), make([]byte, maxAddrLen+1)...), offTable+12, maxAddrLen+1),
-		"trailing byte":             append(tableBlob(t), 0),
+		"bad magic":               patch(tableBlob(t), 0, 7),
+		"unknown strategy":        patch(tableBlob(t), offStrategy, 2),
+		"strategy 256":            patch(tableBlob(t), offStrategy, 256), // Hash once narrowed to a byte
+		"zero shards":             patch(hashBlob(t), offShards, 0),
+		"shard count below owner": patch(tableBlob(t), offShards, 1),
+		"lying numNodes":          patch(tableBlob(t), offNodes, 1<<30),
+		"lying table flag":        patch(hashBlob(t), offTable, 1),
+		"table flag 2":            patch(tableBlob(t), offTable, 2),
+		"owner out of range":      patch(tableBlob(t), offTable+4, 2),
+		"owner with the high bit": patch(tableBlob(t), offTable+4, 1<<31),
+		"trailing byte":           append(tableBlob(t), 0),
 	}
 }
 
@@ -101,7 +98,7 @@ func corruptBlobs(t testing.TB) map[string][]byte {
 // a valid blob round-trips byte-identically.
 func TestUnmarshalBoundsAndTypes(t *testing.T) {
 	hash := mustMarshal(t, &Routing{strategy: Hash, shards: 4, numNodes: 99})
-	for _, blob := range [][]byte{hash, tableBlob(t), placedBlob(t)} {
+	for _, blob := range [][]byte{hash, tableBlob(t), hashBlob(t)} {
 		if err := checkUnmarshal(t, blob); err != nil {
 			t.Fatalf("valid blob refused: %v", err)
 		}
@@ -124,13 +121,21 @@ func TestUnmarshalBoundsAndTypes(t *testing.T) {
 }
 
 // FuzzUnmarshalRouting: checkUnmarshal over arbitrary bytes, seeded from
-// real MarshalBinary output and the corrupt rows.
+// real MarshalBinary output, the corrupt rows and two version-skewed
+// blobs. The checked-in corpus keeps its format-v3 entries, written when
+// the blob carried a replica-placement section: each must now fail as
+// version skew.
 func FuzzUnmarshalRouting(f *testing.F) {
 	f.Add(mustMarshal(f, &Routing{strategy: Hash, shards: 4, numNodes: 99}))
 	f.Add(tableBlob(f))
-	f.Add(placedBlob(f))
+	f.Add(hashBlob(f))
 	for _, blob := range corruptBlobs(f) {
 		f.Add(blob)
+	}
+	for _, v := range []uint32{3, routingVersion + 1} {
+		skewed := tableBlob(f)
+		binary.LittleEndian.PutUint32(skewed[offVersion:], v)
+		f.Add(skewed)
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) { checkUnmarshal(t, blob) })
 }

@@ -100,11 +100,6 @@ type Routing struct {
 	// nil under Hash where routing is arithmetic.
 	owner []int32
 	local []int32
-	// placement[s] lists the advertised addresses of the servers serving
-	// shard s — the replica set (format version 3 onward). nil when the
-	// cluster does not advertise placement; an empty inner slice means
-	// "no known server" for that shard.
-	placement [][]string
 }
 
 // Partition is the result of splitting a graph: per-shard stores and the
@@ -323,30 +318,6 @@ func (r *Routing) Epoch() uint64 { return r.epoch }
 // carries changes.
 func (r *Routing) SetEpoch(e uint64) { r.epoch = e }
 
-// Placement returns the advertised server addresses of shard s's replica
-// set, or nil when the table carries no placement section. The returned
-// slice is shared, read-only.
-func (r *Routing) Placement(s int) []string {
-	if r.placement == nil || s < 0 || s >= len(r.placement) {
-		return nil
-	}
-	return r.placement[s]
-}
-
-// HasPlacement reports whether the table carries a placement section.
-func (r *Routing) HasPlacement() bool { return r.placement != nil }
-
-// SetPlacement installs a replica placement: addrs[s] lists the
-// advertised addresses of the servers serving shard s. It panics when
-// the outer length does not match the shard count; pass nil to drop the
-// section. The slice is retained, not copied.
-func (r *Routing) SetPlacement(addrs [][]string) {
-	if addrs != nil && len(addrs) != r.shards {
-		panic(fmt.Sprintf("partition: placement for %d shards on a %d-shard table", len(addrs), r.shards))
-	}
-	r.placement = addrs
-}
-
 // Owner returns the shard owning id: modular arithmetic under Hash, one
 // array read under DegreeBalanced. It performs no allocation.
 func (r *Routing) Owner(id graph.NodeID) int {
@@ -367,18 +338,12 @@ func (r *Routing) Local(id graph.NodeID) int32 {
 // The routing-table wire format: a magic header, then strategy, shard
 // count, node count, the ownership epoch (u64, format version 2 onward)
 // and a table-presence flag, then (when present) the owner and local
-// arrays, then (format version 3 onward) a placement-presence flag
-// followed, when set, by one replica address list per shard. All
-// integers little-endian; u32 unless noted; strings are u32 length +
-// raw bytes.
+// arrays. All integers little-endian; u32 unless noted.
 const (
-	routingMagic   = 0x5a4d5252 // "ZMRR"
-	routingVersion = 3          // v1 lacked the epoch, v2 the placement
-
-	// maxReplicas and maxAddrLen bound a placement section so a corrupt
-	// header can't drive huge allocations.
-	maxReplicas = 64
-	maxAddrLen  = 256
+	routingMagic = 0x5a4d5252 // "ZMRR"
+	// v1 lacked the epoch; v3 appended a replica-placement section that
+	// v4 dropped (clients learn server addresses from the epoch poll).
+	routingVersion = 4
 )
 
 // ErrRoutingVersion is returned by UnmarshalRouting for a blob whose
@@ -394,12 +359,11 @@ var ErrRoutingVersion = errors.New("partition: unsupported routing table version
 // too short for, an owner out of range, or bytes after the last field.
 var ErrCorruptRouting = errors.New("partition: corrupt routing table")
 
-// MarshalBinary serializes the routing table (format version 3). Hash
-// tables without placement are 36 bytes regardless of graph size;
-// DegreeBalanced tables carry 8 bytes per node on top, and a placement
-// section the address bytes.
+// MarshalBinary serializes the routing table (format version 4). Hash
+// tables are 32 bytes regardless of graph size; DegreeBalanced tables
+// carry 8 bytes per node on top.
 func (r *Routing) MarshalBinary() ([]byte, error) {
-	size := 7*4 + 8
+	size := 6*4 + 8
 	if r.owner != nil {
 		size += 8 * r.numNodes
 	}
@@ -422,44 +386,7 @@ func (r *Routing) MarshalBinary() ([]byte, error) {
 			put(uint32(v))
 		}
 	}
-	if r.placement == nil {
-		put(0)
-		return buf, nil
-	}
-	put(1)
-	for _, g := range r.placement {
-		put(uint32(len(g)))
-		for _, addr := range g {
-			put(uint32(len(addr)))
-			buf = append(buf, addr...)
-		}
-	}
 	return buf, nil
-}
-
-// epochOffset is where the u64 epoch sits in a marshaled blob: after
-// the magic, version, strategy, shards and numNodes u32 fields (the
-// same position since format version 2).
-const epochOffset = 5 * 4
-
-// PatchEpoch rewrites the ownership epoch of a marshaled routing
-// blob in place — the epoch is the only field a live handoff changes,
-// and re-marshaling a degree-balanced table costs 8 bytes per node,
-// so shard servers stamp a copied blob instead. The blob must have been
-// written by this build's MarshalBinary (version-checked).
-func PatchEpoch(blob []byte, epoch uint64) error {
-	if len(blob) < epochOffset+8 {
-		return fmt.Errorf("partition: routing blob of %d bytes too short to patch", len(blob))
-	}
-	if magic := binary.LittleEndian.Uint32(blob); magic != routingMagic {
-		return fmt.Errorf("partition: bad routing magic %#x", magic)
-	}
-	if v := binary.LittleEndian.Uint32(blob[4:]); v != routingVersion {
-		return fmt.Errorf("%w: blob is version %d, this build writes version %d",
-			ErrRoutingVersion, v, routingVersion)
-	}
-	binary.LittleEndian.PutUint64(blob[epochOffset:], epoch)
-	return nil
 }
 
 // UnmarshalRouting deserializes a table written by MarshalBinary. A blob
@@ -490,22 +417,6 @@ func UnmarshalRouting(data []byte) (*Routing, error) {
 			r.local[i] = int32(cu.U32())
 		}
 	case hasTable != 0:
-		cu.Bad = true
-	}
-	switch hasPlacement := cu.U32(); {
-	case hasPlacement == 1 && cu.Fits(r.shards, 4): // every shard carries at least its replica count
-		r.placement = make([][]string, r.shards)
-		for s := range r.placement {
-			count := cu.Count(4) // every address carries at least its length
-			cu.Bad = cu.Bad || count > maxReplicas
-			g := make([]string, count)
-			for i := range g {
-				g[i] = cu.Str()
-				cu.Bad = cu.Bad || len(g[i]) > maxAddrLen
-			}
-			r.placement[s] = g
-		}
-	case hasPlacement != 0:
 		cu.Bad = true
 	}
 	if err := cu.Err(ErrCorruptRouting); err != nil {

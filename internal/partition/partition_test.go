@@ -230,55 +230,18 @@ func TestRoutingEpochRoundTrip(t *testing.T) {
 	}
 }
 
-// PatchEpoch must be byte-identical to a full re-marshal with the new
-// epoch — it is what shard servers stamp handoff snapshots with — and
-// must refuse blobs it cannot safely patch.
-func TestPatchEpochMatchesRemarshal(t *testing.T) {
-	g := buildGraph(t)
-	for _, strat := range []Strategy{Hash, DegreeBalanced} {
-		p := SplitOpts(g, 3, strat, Options{})
-		base, err := p.RoutingTable().MarshalBinary()
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", strat, err)
-		}
-		patched := append([]byte(nil), base...)
-		if err := PatchEpoch(patched, 99); err != nil {
-			t.Fatalf("%s: patch: %v", strat, err)
-		}
-		rt := *p.RoutingTable()
-		rt.SetEpoch(99)
-		want, err := rt.MarshalBinary()
-		if err != nil {
-			t.Fatalf("%s: re-marshal: %v", strat, err)
-		}
-		if string(patched) != string(want) {
-			t.Fatalf("%s: patched blob differs from re-marshal", strat)
-		}
-		r, err := UnmarshalRouting(patched)
-		if err != nil || r.Epoch() != 99 {
-			t.Fatalf("%s: patched blob unmarshals to epoch %d, err %v", strat, r.Epoch(), err)
-		}
-	}
-	if err := PatchEpoch([]byte{1, 2, 3}, 1); err == nil {
-		t.Fatal("patched a truncated blob")
-	}
-	bad := make([]byte, 32)
-	if err := PatchEpoch(bad, 1); err == nil {
-		t.Fatal("patched a non-routing blob")
-	}
-}
-
 // Version skew: a version-1 blob (pre-epoch format, shorter fixed
 // header) must fail with the typed ErrRoutingVersion — naming both
 // versions — rather than misparse its table flag as epoch bytes. Future
-// versions are rejected the same way.
+// versions, and v3 blobs with their placement section, are rejected the
+// same way.
 func TestRoutingVersionSkew(t *testing.T) {
 	g := buildGraph(t)
 	blob, err := SplitOpts(g, 4, Hash, Options{}).RoutingTable().MarshalBinary()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	for _, skew := range []uint32{1, 2, 999} {
+	for _, skew := range []uint32{1, 2, 3, 999} {
 		old := append([]byte(nil), blob...)
 		binary.LittleEndian.PutUint32(old[4:8], skew) // forge the version field
 		_, err := UnmarshalRouting(old)

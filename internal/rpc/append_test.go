@@ -208,32 +208,34 @@ func TestVersionSkewOldServerNamesBothVersions(t *testing.T) {
 	}
 }
 
-// The reverse direction: an older client (simulated with a raw preface)
-// hitting a current server gets an error frame naming both versions
-// before the connection drops.
+// The reverse direction: a client one version behind or ahead (simulated
+// with a raw preface) gets the server's own preface back, then EOF. That
+// reply is what dialMux turns into "server speaks vX, client vY" (see
+// the test above), so a skewed client names both versions whichever side
+// is older.
 func TestVersionSkewOldClientNamesBothVersions(t *testing.T) {
 	g := buildGraph(t)
 	_, addr := startServer(t, g, ServerConfig{Shards: 1, Strategy: partition.Hash})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(appendPreface(nil, ProtocolVersion-1)); err != nil {
-		t.Fatalf("write preface: %v", err)
-	}
-	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
-	var fs frameScratch
-	body, err := fs.readFrame(conn)
-	if err != nil {
-		t.Fatalf("old client got no error frame, just %v", err)
-	}
-	if len(body) == 0 || body[0] != statusErr {
-		t.Fatalf("old client got a non-error reply (% x)", body)
-	}
-	msg := string(body[1:])
-	if !strings.Contains(msg, "version mismatch") || !strings.Contains(msg, oldVersion) || !strings.Contains(msg, thisVersion) {
-		t.Fatalf("skew error must name both versions, got: %q", msg)
+	for _, v := range []uint32{ProtocolVersion - 1, ProtocolVersion + 1} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		if _, err := conn.Write(appendPreface(nil, v)); err != nil {
+			t.Fatalf("v%d: write preface: %v", v, err)
+		}
+		conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		pre := make([]byte, prefaceLen)
+		if _, err := io.ReadFull(conn, pre); err != nil {
+			t.Fatalf("v%d client got no preface back: %v", v, err)
+		}
+		if got, err := parsePreface(pre); err != nil || got != ProtocolVersion {
+			t.Fatalf("v%d client read preface v%d (%v), want the server's v%d", v, got, err, ProtocolVersion)
+		}
+		if n, err := conn.Read(pre); err != io.EOF {
+			t.Fatalf("v%d client: read %d bytes (%v) after the preface, want EOF", v, n, err)
+		}
+		conn.Close()
 	}
 }
 

@@ -148,11 +148,6 @@ type client struct {
 	fails     int
 	probeDone chan struct{} // non-nil while a probe call is in flight
 	lastErr   time.Time
-
-	// onMoved, when set, receives the member address list carried by
-	// wrong-epoch redirects — the cluster's membership discovery hook.
-	// Set before first use; called from decode paths.
-	onMoved func(addrs []string)
 }
 
 // newClient returns a client for the shard server at addr with the pool
@@ -161,11 +156,6 @@ func newClient(addr string, cfg ClientConfig) *client {
 	cfg = cfg.withDefaults()
 	return &client{addr: addr, cfg: cfg, conns: make([]*muxConn, cfg.Conns)}
 }
-
-// setDiscover installs the membership-discovery hook: fn receives the
-// member address list carried by wrong-epoch redirects. Not
-// concurrency-safe; set before first use.
-func (cl *client) setDiscover(fn func(addrs []string)) { cl.onMoved = fn }
 
 // Healthy reports whether the failure circuit would admit a call right
 // now — false while the circuit is open (consecutive transport failures
@@ -292,7 +282,7 @@ func (cl *client) conn() (*muxConn, error) {
 		return mc, nil
 	}
 	cl.mu.Unlock()
-	nc, err := dialMux(cl.addr, cl.cfg.Window, cl.cfg.Timeout, cl.onMoved)
+	nc, err := dialMux(cl.addr, cl.cfg.Window, cl.cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -961,9 +951,10 @@ const defaultPollTimeout = 2 * time.Second
 // handoff driven by the reassign op) or a replica dies, the first
 // redirected or failed-over call re-resolves ownership across the
 // cluster's servers and the engine retries — no restart, no error
-// surfaced to callers. Membership is dynamic: servers discovered
-// through redirect address lists, epoch-poll member views and routing
-// placement are validated and adopted on the next refresh, so ownership
+// surfaced to callers. Membership is dynamic, and it has one surface:
+// every refresh polls routing-epoch on each known server, and the member
+// view in each reply names the servers that one knows. Addresses not yet
+// dialed are validated and adopted within the same refresh, so ownership
 // may move to — and replicas may appear on — servers that joined after
 // the cluster was dialed.
 type Cluster struct {
@@ -1001,9 +992,8 @@ func (c *Cluster) stub(server int, sh ShardInfo) *RemoteShard {
 	return rs
 }
 
-// noteMembers records discovered server addresses for validation on the
-// next refresh. Safe for concurrent use; it is the discovery hook every
-// cluster client feeds redirect address lists into.
+// noteMembers records server addresses from a routing-epoch poll's
+// member view for validation within the same refresh.
 func (c *Cluster) noteMembers(addrs []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1026,9 +1016,7 @@ func (c *Cluster) addClient(addr string) int {
 	if i, ok := c.byAddr[addr]; ok {
 		return i
 	}
-	cl := newClient(addr, c.cfg)
-	cl.setDiscover(c.noteMembers)
-	c.clients = append(c.clients, cl)
+	c.clients = append(c.clients, newClient(addr, c.cfg))
 	c.byAddr[addr] = len(c.clients) - 1
 	return len(c.clients) - 1
 }
@@ -1044,7 +1032,7 @@ func (c *Cluster) snapshotClients() []*client {
 // adoptPending validates every noted address with a short-deadline
 // probe — reachability plus the graph-shape handshake — and adopts the
 // ones that check out. Unreachable or mismatched addresses are logged
-// and dropped (a redirect naming a bogus server must not poison the
+// and dropped (a member view naming a bogus server must not poison the
 // cluster); they re-enter pending if discovered again.
 func (c *Cluster) adoptPending() {
 	c.mu.Lock()
@@ -1204,7 +1192,8 @@ func (c *Cluster) refresh() error {
 // claimant joins the partition's replica group (dial order, so the
 // first claimant is the primary). The assembled engine re-resolves
 // ownership automatically when a partition later moves — including to
-// servers that joined the cluster after this call (see Cluster).
+// servers that joined the cluster after this call, which the first
+// refresh learns from the routing-epoch poll (see Cluster).
 func DialClusterWith(cfg ClientConfig, addrs ...string) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("rpc: no shard server addresses")
@@ -1224,7 +1213,6 @@ func DialClusterWith(cfg ClientConfig, addrs ...string) (*Cluster, error) {
 	var routing *partition.Routing
 	for i, addr := range addrs {
 		cl := newClient(addr, cfg)
-		cl.setDiscover(cluster.noteMembers)
 		cluster.clients = append(cluster.clients, cl)
 		cluster.byAddr[addr] = i
 		info, err := cl.Info()
@@ -1238,15 +1226,6 @@ func DialClusterWith(cfg ClientConfig, addrs ...string) (*Cluster, error) {
 				return fail(fmt.Errorf("rpc: routing from %s: %w", addr, err))
 			}
 			groups = make([][]engine.ShardBackend, info.NumShards)
-			// The routing blob may carry replica placement: advertised
-			// addresses of the servers serving each shard. Note them for
-			// discovery — addresses we were not dialed with are validated
-			// and adopted on the first refresh.
-			if routing.HasPlacement() {
-				for sh := 0; sh < info.NumShards; sh++ {
-					cluster.noteMembers(routing.Placement(sh))
-				}
-			}
 		} else if err := cluster.Info.sameGraph(info); err != nil {
 			return fail(fmt.Errorf("rpc: %s %w", addr, err))
 		}

@@ -50,7 +50,7 @@ func TestRequestLifecyclePolicy(t *testing.T) {
 			}}
 		}},
 	}
-	moved := appendAddrList(appendU32(appendU64([]byte{statusMoved}, 7), 0), nil) // epoch 7, shard 0, no members
+	moved := appendMoved([]byte{statusMoved}, 7, 0) // epoch 7, shard 0
 	const wholeBudget = -1
 	outcomes := []struct {
 		name     string
@@ -135,7 +135,7 @@ func TestDecodeErrorKeepsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(blob[4:], 4) // the format version field
+	binary.LittleEndian.PutUint32(blob[4:], 3) // the format version field
 	info := []byte{statusOK}
 	for _, v := range []uint32{100, 8, 2, uint32(partition.Hash), 0} { // nodes, content dim, shards, strategy, no owned shards
 		info = appendU32(info, v)
@@ -147,7 +147,7 @@ func TestDecodeErrorKeepsIdentity(t *testing.T) {
 	defer srv.kill()
 	_, err = DialClusterWith(ClientConfig{Timeout: 5 * time.Second}, srv.ln.Addr().String())
 	if !errors.Is(err, ErrMalformedFrame) || !errors.Is(err, partition.ErrRoutingVersion) {
-		t.Fatalf("dial against a version-4 routing blob: %v, want ErrMalformedFrame and partition.ErrRoutingVersion", err)
+		t.Fatalf("dial against a version-3 routing blob: %v, want ErrMalformedFrame and partition.ErrRoutingVersion", err)
 	}
 }
 

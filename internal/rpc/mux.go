@@ -34,7 +34,6 @@ type muxConn struct {
 	c       net.Conn
 	br      *bufio.Reader // buffered view of c, owned by the lease holder
 	timeout time.Duration
-	onMoved func(addrs []string) // membership hook for redirect addresses; may be nil
 
 	slots []muxSlot
 	free  *slotStack    // indices of slots not in flight (LIFO)
@@ -68,9 +67,8 @@ type muxSlot struct {
 var errMuxTimeout = errors.New("rpc: request timed out")
 
 // dialMux dials addr, performs the preface exchange and starts the
-// reader. window bounds the in-flight requests on this connection;
-// onMoved (may be nil) receives redirect-carried member addresses.
-func dialMux(addr string, window int, timeout time.Duration, onMoved func([]string)) (*muxConn, error) {
+// reader. window bounds the in-flight requests on this connection.
+func dialMux(addr string, window int, timeout time.Duration) (*muxConn, error) {
 	c, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
@@ -102,8 +100,7 @@ func dialMux(addr string, window int, timeout time.Duration, onMoved func([]stri
 	// often several pipelined ones — instead of paying a syscall each for
 	// header and body.
 	mc := &muxConn{c: c, br: bufio.NewReaderSize(c, readBufSize), timeout: timeout,
-		onMoved: onMoved,
-		slots:   make([]muxSlot, window), free: newSlotStack(window),
+		slots: make([]muxSlot, window), free: newSlotStack(window),
 		lease: make(chan struct{}, 1)}
 	for i := range mc.slots {
 		mc.slots[i].idx = int32(i)
@@ -408,14 +405,11 @@ func (mc *muxConn) finish(sl *muxSlot) ([]byte, error) {
 		return nil, err
 	}
 	if body[0] == statusMoved {
-		epoch, shard, addrs, err := decodeMoved(body[1:])
+		epoch, shard, err := decodeMoved(body[1:])
 		mc.release(sl)
 		if err != nil {
 			mc.fail(fmt.Errorf("rpc: connection killed: %v", err)) // typed for this slot only
 			return nil, err
-		}
-		if mc.onMoved != nil && len(addrs) > 0 {
-			mc.onMoved(addrs)
 		}
 		return nil, &movedError{shard: shard, epoch: epoch}
 	}

@@ -484,15 +484,15 @@ func decodeAppendResult(body []byte) (result byte, lastSeq uint64, err error) {
 
 // read-nodes: readnodes.go holds its four codecs.
 
-// appendMoved encodes a wrong-epoch redirect's payload (statusMoved).
-func appendMoved(b []byte, epoch uint64, shard int, members []string) []byte {
-	return appendAddrList(appendU32(appendU64(b, epoch), uint32(shard)), members)
+// appendMoved encodes a wrong-epoch redirect's payload (statusMoved):
+// u64 epoch | u32 shard.
+func appendMoved(b []byte, epoch uint64, shard int) []byte {
+	return appendU32(appendU64(b, epoch), uint32(shard))
 }
 
-// decodeMoved decodes a redirect payload.
-func decodeMoved(body []byte) (epoch uint64, shard int, members []string, err error) {
+// decodeMoved decodes a redirect payload, with nothing after it.
+func decodeMoved(body []byte) (epoch uint64, shard int, err error) {
 	cu := wire.Cursor{B: body}
 	epoch, shard = cu.U64(), int(cu.U32())
-	members = decodeAddrList(&cu)
-	return epoch, shard, members, cu.Err(ErrMalformedFrame)
+	return epoch, shard, cu.Err(ErrMalformedFrame)
 }

@@ -121,18 +121,30 @@ func sortedTriples(frame []byte) []byte {
 	return append(frame[:head:head], bytes.Join(triples, nil)...)
 }
 
+// redirectCase is the fuzz op key of a statusMoved body: no op has byte 0.
+const redirectCase = 0
+
 // FuzzDecodeControlResponse: the info, reassign and members response
-// decoders — op picks one — never panic, allocate at most a constant
-// factor of the frame, fail only typed, and accept only frames they
-// re-encode byte for byte, save that info's owned triples come back
-// sorted by id.
+// decoders and the redirect decoder — op picks one — never panic,
+// allocate at most a constant factor of the frame, fail only typed, and
+// accept only frames they re-encode byte for byte, save that info's
+// owned triples come back sorted by id.
 func FuzzDecodeControlResponse(f *testing.F) {
-	s, _, _, body := seedServer(ServerConfig{Shards: 3, Owned: []int{2, 0}, Advertise: "127.0.0.1:7001"})
+	s, _, c, body := seedServer(ServerConfig{Shards: 3, Owned: []int{2, 0}, Advertise: "127.0.0.1:7001"})
 	s.addMembers("127.0.0.1:7002")
 	o := s.own.Load()
 	f.Add(uint8(opInfo), body(s.handleInfo(o, nil, &serverConn{})))
 	f.Add(uint8(opReassign), body(s.handleReassign(o, appendReassignRequest(nil, 2, false), &serverConn{})))
 	f.Add(uint8(opMembers), body(s.handleMembers(o, appendMembersRequest(nil, "127.0.0.1:7003"), &serverConn{})))
+	// A sample of node c, whose shard 1 the server does not own: serve
+	// answers with the redirect.
+	rc := &recConn{}
+	var wmu sync.Mutex
+	s.serve(rc, &reqSlot{id: 1, buf: (&visit{op: OpSample, id: c, k: 3}).encode([]byte{byte(OpSample)})}, &serverConn{}, &wmu)
+	if rc.buf[4+8] != statusMoved {
+		f.Fatalf("sample of an unowned shard answered with status %d, want the redirect", rc.buf[4+8])
+	}
+	f.Add(uint8(redirectCase), body(rc.buf, nil))
 	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
 		var err error
 		var encode func() []byte
@@ -150,13 +162,18 @@ func FuzzDecodeControlResponse(f *testing.F) {
 				var members []string
 				members, err = decodeMembersResponse(body)
 				encode = func() []byte { return appendAddrList(nil, members) }
+			case redirectCase:
+				var epoch uint64
+				var shard int
+				epoch, shard, err = decodeMoved(body)
+				encode = func() []byte { return appendMoved(nil, epoch, shard) }
 			}
 		}
 		if got := allocatedBy(decode); got > 16*uint64(len(body))+1<<14 {
 			t.Fatalf("allocated %d bytes decoding a %d-byte frame", got, len(body))
 		}
 		if encode == nil {
-			return // not a control op
+			return // neither a control op nor the redirect
 		}
 		if err != nil {
 			if !errors.Is(err, ErrMalformedFrame) {

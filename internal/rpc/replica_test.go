@@ -15,8 +15,8 @@ import (
 
 // startReplicaServer starts one advertising shard server owning the
 // given partitions. The listener is opened first so the advertised
-// address (which travels in routing placement, redirects and member
-// views) is the real dialable one.
+// address (which travels in routing-epoch member views) is the real
+// dialable one.
 func startReplicaServer(t testing.TB, g *graph.Graph, shards int, owned []int) (*Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -257,6 +257,63 @@ func TestMembershipDiscovery(t *testing.T) {
 				t.Fatalf("draw %d sample %d diverged", id, i)
 			}
 		}
+	}
+}
+
+// A partition handed to a server the client was never dialed with is
+// bound on the first redirected batch: the engine's refresh polls the
+// old owner's routing epoch, whose member view names the new server, and
+// no caller sees an error or calls refresh itself.
+func TestRedirectBindsServerNeverDialed(t *testing.T) {
+	g := buildGraph(t)
+	const k = 4
+	srvA, addrA := startReplicaServer(t, g, 2, []int{0, 1})
+	cluster, err := DialClusterWith(ClientConfig{}, addrA)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	cluster.pollTimeout = 500 * time.Millisecond
+	remote := cluster.Engine
+
+	srvB, _ := startReplicaServer(t, g, 2, []int{})
+	if err := srvB.AnnounceTo(addrA, 0); err != nil {
+		t.Fatalf("announce: %v", err)
+	}
+	migrate(t, 1, srvA, srvB)
+
+	local := engine.New(g, engine.Config{Shards: 1})
+	rl, rr := rng.New(404), rng.New(404)
+	idsRNG := rng.New(9)
+	ids := make([]graph.NodeID, 32)
+	want := make([]graph.NodeID, len(ids)*k)
+	wantNs := make([]int32, len(ids))
+	got := make([]graph.NodeID, len(ids)*k)
+	gotNs := make([]int32, len(ids))
+	bsL, bsR := engine.NewBatchScratch(), engine.NewBatchScratch()
+	for step := 0; step < 3; step++ {
+		for i := range ids {
+			ids[i] = graph.NodeID(idsRNG.Intn(g.NumNodes()))
+		}
+		if _, err := local.SampleNeighborsBatchInto(ids, k, want, wantNs, rl, bsL); err != nil {
+			t.Fatalf("step %d: local batch: %v", step, err)
+		}
+		if _, err := remote.SampleNeighborsBatchInto(ids, k, got, gotNs, rr, bsR); err != nil {
+			t.Fatalf("step %d: remote batch: %v", step, err)
+		}
+		for i := range ids {
+			if wantNs[i] != gotNs[i] {
+				t.Fatalf("step %d entry %d: count %d, want %d", step, i, gotNs[i], wantNs[i])
+			}
+			for j := 0; j < int(wantNs[i]); j++ {
+				if want[i*k+j] != got[i*k+j] {
+					t.Fatalf("step %d entry %d draw %d: %d, want %d", step, i, j, got[i*k+j], want[i*k+j])
+				}
+			}
+		}
+	}
+	if n := srvB.OpCount(OpBatch); n == 0 {
+		t.Fatal("the server never dialed served no batch: partition 1 was not bound to it")
 	}
 }
 

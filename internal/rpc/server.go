@@ -39,9 +39,9 @@ type ServerConfig struct {
 
 	// Advertise is the address other cluster members and serving-tier
 	// clients should reach this server at. When set, the server joins the
-	// membership registry (its routing blobs carry a placement section,
-	// redirects and epoch polls carry the member list); when empty the
-	// server is invisible to dynamic discovery, exactly as before.
+	// membership registry (its routing-epoch replies carry the member
+	// list) and fans appends out to its replica siblings; when empty the
+	// server is invisible to dynamic discovery.
 	Advertise string
 
 	// WALDir enables durable ingestion: each owned shard logs appends to
@@ -91,15 +91,14 @@ const (
 // requests for a partition this snapshot does not own are answered with
 // the wrong-epoch redirect that tells clients to re-resolve ownership.
 type Server struct {
-	part        *partition.Partition
-	routingBase []byte                    // epoch-0 routing blob; snapshots copy + patch it
-	own         atomic.Pointer[ownership] // current epoch + served stores
-	numNodes    int
-	contentDim  int
-	workers     int
-	window      int
-	advertise   string
-	ownMu       sync.Mutex // serializes ownership transitions
+	part       *partition.Partition
+	own        atomic.Pointer[ownership] // current epoch + served stores
+	numNodes   int
+	contentDim int
+	workers    int
+	window     int
+	advertise  string
+	ownMu      sync.Mutex // serializes ownership transitions
 
 	memMu   sync.Mutex // membership registry: advertised addresses of known servers
 	members map[string]struct{}
@@ -258,13 +257,9 @@ func (s *Server) closeIngest(id int) {
 }
 
 // newOwnership stamps a served-store set with its epoch and the matching
-// routing blob: a copy of the once-marshaled table with just the epoch
-// field patched, so a reassignment of a large degree-balanced graph
-// does not re-encode 8 bytes per node under the ownership lock. An
-// advertising server re-marshals instead: its blob carries a placement
-// section mapping each owned shard to the advertised address, and that
-// section changes with ownership (transitions are rare; the re-encode
-// happens at most once per reassignment).
+// routing blob: the partition's table marshaled with the epoch set. The
+// table is the same at every epoch, so the blob changes only in its epoch
+// field; transitions are rare, and the copy leaves the shared table as is.
 func (s *Server) newOwnership(epoch uint64, shards map[int]*engine.Shard) *ownership {
 	ids := make([]int, 0, len(shards))
 	for id := 0; id < s.part.NumShards(); id++ {
@@ -272,33 +267,11 @@ func (s *Server) newOwnership(epoch uint64, shards map[int]*engine.Shard) *owner
 			ids = append(ids, id)
 		}
 	}
-	if s.advertise != "" {
-		placement := make([][]string, s.part.NumShards())
-		for _, id := range ids {
-			placement[id] = []string{s.advertise}
-		}
-		// Safe to mutate the shared table here: transitions serialize
-		// under ownMu (or run before Start), and concurrent request
-		// handlers read only the immutable owner/local arrays.
-		rt := s.part.RoutingTable()
-		rt.SetPlacement(placement)
-		rt.SetEpoch(epoch)
-		blob, err := rt.MarshalBinary()
-		if err != nil {
-			panic(fmt.Sprintf("rpc: marshal routing: %v", err))
-		}
-		return &ownership{epoch: epoch, shards: shards, ids: ids, routing: blob}
-	}
-	if s.routingBase == nil {
-		blob, err := s.part.RoutingTable().MarshalBinary()
-		if err != nil {
-			panic(fmt.Sprintf("rpc: marshal routing: %v", err))
-		}
-		s.routingBase = blob
-	}
-	blob := append([]byte(nil), s.routingBase...)
-	if err := partition.PatchEpoch(blob, epoch); err != nil {
-		panic(fmt.Sprintf("rpc: stamp routing epoch: %v", err))
+	rt := *s.part.RoutingTable()
+	rt.SetEpoch(epoch)
+	blob, err := rt.MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("rpc: marshal routing: %v", err))
 	}
 	return &ownership{epoch: epoch, shards: shards, ids: ids, routing: blob}
 }
@@ -501,8 +474,8 @@ func (s *Server) addMembers(addrs ...string) {
 // AnnounceTo registers this server with a peer over the members op and
 // merges the peer's member view back — how a server joining a running
 // cluster becomes discoverable: announce to any live member, and every
-// client refreshing from (or redirected by) that member learns the new
-// address. timeout bounds the exchange; 0 means defaultTimeout.
+// client refreshing from that member learns the new address. timeout
+// bounds the exchange; 0 means defaultTimeout.
 func (s *Server) AnnounceTo(peer string, timeout time.Duration) error {
 	if s.advertise == "" {
 		return errors.New("rpc: AnnounceTo on a server without an advertise address")
@@ -545,10 +518,13 @@ type reqSlot struct {
 	buf []byte
 }
 
-// handshake runs the server side of the preface exchange. A peer that
-// does not speak the preface — a protocol-1 client whose first bytes are
-// a bare frame — is answered with an old-style error frame naming the
-// mismatch (which a v1 client surfaces as a remote error) and dropped.
+// handshake runs the server side of the preface exchange. A prefaced
+// peer always gets this server's preface back, so a client on another
+// version reads the server's version and names both in its dial error;
+// the connection then closes on a mismatch. A peer that does not speak
+// the preface — a protocol-1 client whose first bytes are a bare frame —
+// is answered with an old-style error frame naming the mismatch (which a
+// v1 client surfaces as a remote error) and dropped.
 func (s *Server) handshake(c net.Conn) bool {
 	var pre [prefaceLen]byte
 	c.SetDeadline(time.Now().Add(handshakeTimeout))
@@ -559,19 +535,10 @@ func (s *Server) handshake(c net.Conn) bool {
 	if _, err := io.ReadFull(c, pre[:4]); err != nil {
 		return false
 	}
-	version := uint32(0)
-	if [4]byte{pre[0], pre[1], pre[2], pre[3]} == prefaceMagic {
-		if _, err := io.ReadFull(c, pre[4:]); err != nil {
-			return false
-		}
-		version = binary.LittleEndian.Uint32(pre[4:8])
-	}
-	if version != ProtocolVersion {
-		// Name both sides: "server speaks v4, client v3" tells the operator
-		// exactly which end of a mixed-version fleet is behind.
-		msg := fmt.Sprintf("protocol version mismatch: server speaks v%d, client v%d; upgrade the older side", ProtocolVersion, version)
+	if [4]byte{pre[0], pre[1], pre[2], pre[3]} != prefaceMagic {
 		// Old-style frame: u32 length, status byte, error text — the one
 		// shape a pre-multiplexing client can decode.
+		msg := fmt.Sprintf("protocol version mismatch: server speaks v%d, client v1; upgrade the older side", ProtocolVersion)
 		reply := make([]byte, 4, 5+len(msg))
 		reply = append(reply, statusErr)
 		reply = append(reply, msg...)
@@ -579,8 +546,12 @@ func (s *Server) handshake(c net.Conn) bool {
 		c.Write(reply)
 		return false
 	}
+	if _, err := io.ReadFull(c, pre[4:]); err != nil {
+		return false
+	}
+	version := binary.LittleEndian.Uint32(pre[4:8])
 	_, err := c.Write(appendPreface(pre[:0], ProtocolVersion))
-	return err == nil
+	return err == nil && version == ProtocolVersion
 }
 
 func (s *Server) handle(c net.Conn) {
@@ -678,10 +649,7 @@ func (s *Server) serve(c net.Conn, sl *reqSlot, sc *serverConn, wmu *sync.Mutex)
 	if err != nil {
 		var mv *movedError
 		if errors.As(err, &mv) {
-			// The redirect carries the member view: the partition went
-			// *somewhere*, and these addresses are where a redirected
-			// client should look.
-			resp = appendMoved(sc.begin(statusMoved), mv.epoch, mv.shard, s.memberList())
+			resp = appendMoved(sc.begin(statusMoved), mv.epoch, mv.shard)
 		} else {
 			resp = append(sc.begin(statusErr), err.Error()...)
 		}

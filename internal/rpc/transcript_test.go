@@ -28,7 +28,7 @@ func (c *recConn) SetWriteDeadline(time.Time) error { return nil }
 func (c *recConn) Close() error                     { return nil }
 
 // transcriptGolden is every op's request and response bytes, as the
-// protocol-6 encoders wrote them. A change that moves one byte of it
+// protocol-7 encoders wrote them. A change that moves one byte of it
 // changes the wire format and must bump ProtocolVersion instead.
 const transcriptGolden = "testdata/op_transcript.golden"
 

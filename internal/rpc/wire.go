@@ -29,7 +29,9 @@
 // automatically — the first redirected call refreshes the binding and
 // retries against the new owner, with zero failed calls surfaced and
 // draws bit-identical to an undisturbed cluster (the handoff tests pin
-// this down).
+// this down). That refresh is also how a client learns of servers it was
+// never dialed with: each routing-epoch reply carries the answering
+// server's member list, and no other reply does.
 //
 // Determinism across the wire is the load-bearing property: RNG state
 // (single samples) or the derived-sub-stream base (batches) travels in
@@ -55,10 +57,11 @@ import (
 // with a loud error instead of exchanging misframed bytes.
 const (
 	// ProtocolVersion is the wire protocol version this build speaks; a
-	// peer on any other version is refused at the preface. Version 6
-	// retired the single-node neighbors/features/content ops: read-nodes
-	// is the only attribute read.
-	ProtocolVersion = 6
+	// peer on any other version is refused at the preface. Version 7
+	// dropped the member list from the redirect and the placement
+	// section from the routing blob: clients learn server addresses from
+	// the routing-epoch poll alone.
+	ProtocolVersion = 7
 	prefaceLen      = 8
 )
 
@@ -95,9 +98,9 @@ type Op byte
 // handshake reads (metadata and the routing table), the live-handoff
 // pair — reassign (an admin command: acquire or drain one partition) and
 // routing-epoch (the cheap ownership poll clients refresh from after a
-// redirect) — membership (servers announce to each other with it; clients
-// poll it to discover servers that joined after dial), and the durable
-// append. Each op's row in the ops table (ops.go) declares its name,
+// redirect; its member view is how clients discover servers that joined
+// after dial) — membership (servers announce to each other with it), and
+// the durable append. Each op's row in the ops table (ops.go) declares its name,
 // attempt budget and handler, and its codecs sit beside it.
 const (
 	opInfo Op = iota + 1
@@ -159,11 +162,10 @@ const (
 	statusErr = 1
 	// statusMoved is the wrong-epoch redirect: the target partition is
 	// not (or no longer) owned by this server. The payload is the
-	// server's current routing epoch (u64), the shard id (u32) and the
-	// server's member address list, so a redirected client learns where
-	// the partition might have gone without a separate round trip. The client surfaces the redirect as
-	// engine.ErrWrongEpoch, which triggers the engine's one-shot
-	// ownership refresh and retry.
+	// server's current routing epoch (u64) and the shard id (u32). The
+	// client surfaces the redirect as engine.ErrWrongEpoch, which
+	// triggers the engine's one-shot ownership refresh — whose
+	// routing-epoch poll learns where the partition went — and retry.
 	statusMoved = 2
 
 	// maxFrame bounds a frame body; anything larger is a protocol error,
