@@ -40,7 +40,6 @@ import (
 	"zoomer/internal/gateway"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
-	"zoomer/internal/serve"
 	"zoomer/internal/servestack"
 )
 
@@ -50,14 +49,9 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed (must match zoomer-shard's with -remote)")
 	trainSteps := flag.Int("train", 100, "warm-up training steps before export")
 	workers := flag.Int("workers", 4, "serving workers")
-	cacheK := flag.Int("cachek", 30, "cached neighbors per node")
-	topK := flag.Int("topk", 100, "retrieved items per request")
-	queueSize := flag.Int("queue", 4096, "serve queue depth")
 	shards := flag.Int("shards", 4, "graph engine partitions (in-process mode)")
 	strategy := flag.String("partition", "hash", "node-to-shard assignment: hash | degree-balanced")
 	remote := flag.String("remote", "", "comma-separated zoomer-shard addresses (empty: in-process shards)")
-	rpcConns := flag.Int("rpc-conns", 0, "multiplexed connections per shard server (0 = default)")
-	rpcWindow := flag.Int("rpc-window", 0, "in-flight requests per connection (0 = default)")
 	maxInFlight := flag.Int("max-inflight", 256, "hard admission cap (beyond: 503)")
 	shedFrac := flag.Float64("shed-frac", 0.75, "soft shed threshold as a fraction of max-inflight (beyond: cache-only answers)")
 	defDeadline := flag.Duration("default-deadline", 200*time.Millisecond, "per-request deadline when the client sends none")
@@ -116,8 +110,7 @@ func main() {
 	stack, err := servestack.Build(servestack.Config{
 		Scale: sc, Seed: *seed, TrainSteps: *trainSteps,
 		Shards: *shards, Strategy: strat,
-		Remote: addrs, RPCConns: *rpcConns, RPCWindow: *rpcWindow,
-		Serve: serve.Config{Workers: *workers, CacheK: *cacheK, TopK: *topK, QueueSize: *queueSize},
+		Remote: addrs, Workers: *workers,
 	}, func(format string, args ...any) {
 		log.Info(fmt.Sprintf(format, args...))
 	})

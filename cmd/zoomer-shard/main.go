@@ -15,11 +15,10 @@
 // -out) instead of regenerated, so every server — and the serving tier —
 // is guaranteed the identical graph.
 //
-// The wire protocol (rpc.ProtocolVersion) multiplexes many in-flight requests per
-// connection; -rpc-workers bounds how many of one connection's requests
-// are dispatched concurrently and -rpc-window how many may queue behind
-// them. A client that speaks the old one-request-per-connection protocol
-// is rejected loudly at the preface handshake.
+// The wire protocol (rpc.ProtocolVersion) multiplexes many in-flight
+// requests per connection. A client that speaks the old
+// one-request-per-connection protocol is rejected loudly at the preface
+// handshake.
 //
 // # Durable ingestion
 //
@@ -65,8 +64,8 @@
 //	zoomer-shard -admin localhost:7001 -release 1
 //
 // Admin operations are deadline-bounded: the target server is probed
-// with -admin-retries short-deadline attempts (backing off between
-// them) before any command is sent, so an unreachable server fails
+// with three short-deadline attempts (backing off between them) before
+// any command is sent, so an unreachable server fails
 // within seconds instead of hanging. Exit codes: 0 success, 1 command
 // refused/failed, 2 usage error, 3 server unreachable within the
 // deadline (rpc.ErrAdminDeadline).
@@ -105,8 +104,6 @@ func main() {
 	own := flag.String("own", "", "comma-separated shard ids this server owns (default: all)")
 	strategy := flag.String("partition", "hash", "node-to-shard assignment: hash | degree-balanced")
 	locality := flag.Bool("locality", true, "BFS-reorder each shard's rows for cache locality (must match across the cluster)")
-	rpcWorkers := flag.Int("rpc-workers", 0, "concurrent request dispatch per connection (0 = default 4)")
-	rpcWindow := flag.Int("rpc-window", 0, "buffered requests per connection before the read loop blocks (0 = default 64)")
 	walDir := flag.String("wal-dir", "", "journal graph-appends to per-shard WALs under this directory (replayed on startup)")
 	fsync := flag.Bool("fsync", true, "with -wal-dir: fsync each group-committed append before acknowledging")
 	advertise := flag.String("advertise", "", "address to announce to the cluster (enables membership + append fan-out)")
@@ -117,11 +114,10 @@ func main() {
 	status := flag.Bool("status", false, "with -admin: print the server's routing epoch, owned partitions and member view")
 	adminTimeout := flag.Duration("admin-timeout", 5*time.Minute,
 		"per-command deadline in admin mode (an acquire blocks while the server builds the partition's alias tables)")
-	adminRetries := flag.Int("admin-retries", 3, "reachability probes before an admin command fails with exit code 3")
 	flag.Parse()
 
 	if *admin != "" {
-		os.Exit(runAdmin(*admin, *acquire, *release, *status, *adminTimeout, *adminRetries))
+		os.Exit(runAdmin(*admin, *acquire, *release, *status, *adminTimeout))
 	}
 	if *acquire != "" || *release != "" || *status {
 		fmt.Fprintln(os.Stderr, "-acquire/-release/-status require -admin <addr>")
@@ -169,15 +165,13 @@ func main() {
 
 	fmt.Printf("partitioning into %d shards (%s) and building alias tables...\n", *shards, strat)
 	srv := rpc.NewServer(g, rpc.ServerConfig{
-		Shards:      *shards,
-		Strategy:    strat,
-		Owned:       owned,
-		Locality:    *locality,
-		Advertise:   *advertise,
-		ConnWorkers: *rpcWorkers,
-		ConnWindow:  *rpcWindow,
-		WALDir:      *walDir,
-		Fsync:       *fsync,
+		Shards:    *shards,
+		Strategy:  strat,
+		Owned:     owned,
+		Locality:  *locality,
+		Advertise: *advertise,
+		WALDir:    *walDir,
+		Fsync:     *fsync,
 	})
 	if err := srv.ListenAndServe(*listen); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -257,7 +251,7 @@ func parseOwned(own string, shards int) ([]int, error) {
 // rpc.ErrAdminDeadline) instead of hanging for the operation deadline —
 // which stays generous, covering the server-side alias-table build an
 // acquire blocks on. Returns the process exit code.
-func runAdmin(addr, acquire, release string, status bool, timeout time.Duration, retries int) int {
+func runAdmin(addr, acquire, release string, status bool, timeout time.Duration) int {
 	acq, err := parseIDList("-acquire", acquire)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -278,7 +272,7 @@ func runAdmin(addr, acquire, release string, status bool, timeout time.Duration,
 		}
 		return 1
 	}
-	adm := rpc.NewAdmin(addr, rpc.AdminConfig{Attempts: retries, OpTimeout: timeout})
+	adm := rpc.NewAdmin(addr, timeout)
 	defer adm.Close()
 	for _, id := range acq {
 		epoch, err := adm.Reassign(id, true)

@@ -32,7 +32,6 @@ import (
 	"zoomer/internal/graph"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
-	"zoomer/internal/rpc"
 	"zoomer/internal/servestack"
 )
 
@@ -85,7 +84,7 @@ func main() {
 		if *remote != "" {
 			addrs = strings.Split(*remote, ",")
 		}
-		b, err := servestack.Connect(w.Graph, engine.Config{Shards: *shards, Strategy: strat, Locality: *locality}, addrs, rpc.ClientConfig{})
+		b, err := servestack.Connect(w.Graph, engine.Config{Shards: *shards, Strategy: strat, Locality: *locality}, addrs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -65,7 +65,7 @@ func main() {
 	// The same two calls zoomer-gateway's bring-up makes: connect the
 	// store (dialing the servers above, or partitioning in-process), then
 	// stand the tier up over it — neighbor cache, item index, worker pool.
-	store, err := servestack.Connect(g, engine.Config{Shards: *shards}, addrs, rpc.ClientConfig{})
+	store, err := servestack.Connect(g, engine.Config{Shards: *shards}, addrs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

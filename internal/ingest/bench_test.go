@@ -6,7 +6,7 @@ import "testing"
 // (fsync off: the group-commit sync cost is device-bound and measured by
 // the fsync histogram in production instead).
 func BenchmarkWALAppend(b *testing.B) {
-	w, _, err := Open(b.TempDir(), Options{SegmentBytes: 64 << 20})
+	w, _, err := Open(b.TempDir(), Options{segmentBytes: 64 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestWALChaosChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("victim mode only (set by TestWALCrashRecoveryEquivalence)")
 	}
-	w, recovered, err := Open(dir, Options{Fsync: true, SegmentBytes: 8 << 10})
+	w, recovered, err := Open(dir, Options{Fsync: true, segmentBytes: 8 << 10})
 	if err != nil {
 		t.Fatalf("victim open: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestWALCrashRecoveryEquivalence(t *testing.T) {
 		kill9Victim(t, dir)
 
 		var logged strings.Builder
-		w, recs, err := Open(dir, Options{Logf: func(f string, a ...any) { fmt.Fprintf(&logged, f+"\n", a...) }})
+		w, recs, err := Open(dir, Options{logf: func(f string, a ...any) { fmt.Fprintf(&logged, f+"\n", a...) }})
 		if err != nil {
 			t.Fatalf("round %d: recovery failed: %v", round, err)
 		}

@@ -104,12 +104,11 @@ type Options struct {
 	// success. Off, durability is bounded by the OS page cache — a
 	// process crash loses nothing, a machine crash loses the tail.
 	Fsync bool
-	// SegmentBytes rotates to a new segment file once the current one
-	// reaches this size. Defaults to 4 MiB.
-	SegmentBytes int64
-	// Logf receives recovery and corruption diagnostics. Defaults to
-	// log.Printf.
-	Logf func(format string, args ...any)
+
+	// Tests override the 4 MiB segment rotation size and the recovery
+	// and corruption diagnostics sink (log.Printf).
+	segmentBytes int64
+	logf         func(format string, args ...any)
 }
 
 // WAL is a single shard's write-ahead log. Appends are safe for
@@ -161,11 +160,11 @@ type Stats struct {
 // record and returns them for the caller to re-apply. The returned WAL
 // is positioned to append the next contiguous sequence number.
 func Open(dir string, opts Options) (*WAL, []Record, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 4 << 20
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = 4 << 20
 	}
-	if opts.Logf == nil {
-		opts.Logf = log.Printf
+	if opts.logf == nil {
+		opts.logf = log.Printf
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("ingest: open WAL dir: %w", err)
@@ -194,13 +193,13 @@ func Open(dir string, opts Options) (*WAL, []Record, error) {
 		if !errors.Is(rerr, io.ErrUnexpectedEOF) || i != len(segs)-1 {
 			kind = "corrupt record"
 		}
-		opts.Logf("ingest: %s: %s in %s at offset %d: %v; dropping %d byte(s) after seq %d",
+		opts.logf("ingest: %s: %s in %s at offset %d: %v; dropping %d byte(s) after seq %d",
 			dir, kind, name, validOff, rerr, dropped, w.lastSeqLocal(recovered))
 		if err := os.Truncate(path, validOff); err != nil {
 			return nil, nil, fmt.Errorf("ingest: truncate %s: %w", name, err)
 		}
 		for _, later := range segs[i+1:] {
-			opts.Logf("ingest: %s: dropping unreachable segment %s (follows truncated %s)", dir, later, name)
+			opts.logf("ingest: %s: dropping unreachable segment %s (follows truncated %s)", dir, later, name)
 			if err := os.Remove(filepath.Join(dir, later)); err != nil {
 				return nil, nil, fmt.Errorf("ingest: remove %s: %w", later, err)
 			}
@@ -392,7 +391,7 @@ func (w *WAL) Write(seq uint64, edges []Edge) (int64, error) {
 	if last := w.lastSeq.Load(); seq != last+1 {
 		return 0, fmt.Errorf("%w: got %d, want %d", errSeqOrder, seq, last+1)
 	}
-	if w.segBytes >= w.opts.SegmentBytes {
+	if w.segBytes >= w.opts.segmentBytes {
 		if err := w.rotateLocked(seq); err != nil {
 			w.failLocked(err)
 			return 0, fmt.Errorf("%w (first failure: %v)", ErrWALFailed, err)
@@ -495,7 +494,7 @@ func (w *WAL) writeLocked(frame []byte) error {
 func (w *WAL) failLocked(err error) {
 	if w.failed == nil {
 		w.failed = err
-		w.opts.Logf("ingest: %s: WAL write failed, log is now read-only: %v", w.dir, err)
+		w.opts.logf("ingest: %s: WAL write failed, log is now read-only: %v", w.dir, err)
 	}
 	w.syncCond.Broadcast()
 }

@@ -109,7 +109,7 @@ func TestWALSeqContiguityEnforced(t *testing.T) {
 
 func TestWALSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	w, _ := mustOpen(t, dir, Options{SegmentBytes: 256})
+	w, _ := mustOpen(t, dir, Options{segmentBytes: 256})
 	appendN(t, w, 1, 100)
 	st := w.Stats()
 	if st.Segments < 4 {
@@ -121,7 +121,7 @@ func TestWALSegmentRotation(t *testing.T) {
 	if len(names) != st.Segments {
 		t.Fatalf("%d segment files on disk, stats say %d", len(names), st.Segments)
 	}
-	w2, recs := mustOpen(t, dir, Options{SegmentBytes: 256})
+	w2, recs := mustOpen(t, dir, Options{segmentBytes: 256})
 	defer w2.Close()
 	if len(recs) != 100 {
 		t.Fatalf("recovered %d records across segments, want 100", len(recs))
@@ -144,7 +144,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 
 	var logged strings.Builder
-	w2, recs := mustOpen(t, dir, Options{Logf: func(f string, a ...any) { fmt.Fprintf(&logged, f+"\n", a...) }})
+	w2, recs := mustOpen(t, dir, Options{logf: func(f string, a ...any) { fmt.Fprintf(&logged, f+"\n", a...) }})
 	if len(recs) != 19 {
 		t.Fatalf("recovered %d records after torn tail, want 19", len(recs))
 	}
@@ -165,7 +165,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALCorruptMidFileTruncatesAndLogs(t *testing.T) {
 	dir := t.TempDir()
-	w, _ := mustOpen(t, dir, Options{SegmentBytes: 1 << 20})
+	w, _ := mustOpen(t, dir, Options{segmentBytes: 1 << 20})
 	appendN(t, w, 1, 30)
 	w.Close()
 
@@ -183,7 +183,7 @@ func TestWALCorruptMidFileTruncatesAndLogs(t *testing.T) {
 	}
 
 	var logged strings.Builder
-	w2, recs := mustOpen(t, dir, Options{Logf: func(f string, a ...any) { fmt.Fprintf(&logged, f+"\n", a...) }})
+	w2, recs := mustOpen(t, dir, Options{logf: func(f string, a ...any) { fmt.Fprintf(&logged, f+"\n", a...) }})
 	defer w2.Close()
 	if len(recs) != 9 {
 		t.Fatalf("recovered %d records, want 9 (prefix before corruption)", len(recs))
@@ -201,7 +201,7 @@ func TestWALCorruptMidFileTruncatesAndLogs(t *testing.T) {
 
 func TestWALCorruptionDropsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, _ := mustOpen(t, dir, Options{SegmentBytes: 256})
+	w, _ := mustOpen(t, dir, Options{segmentBytes: 256})
 	appendN(t, w, 1, 60)
 	st := w.Stats()
 	if st.Segments < 3 {
@@ -217,7 +217,7 @@ func TestWALCorruptionDropsLaterSegments(t *testing.T) {
 	os.WriteFile(segs[1], b, 0o644)
 
 	var logged strings.Builder
-	w2, recs := mustOpen(t, dir, Options{SegmentBytes: 256, Logf: func(f string, a ...any) { fmt.Fprintf(&logged, f+"\n", a...) }})
+	w2, recs := mustOpen(t, dir, Options{segmentBytes: 256, logf: func(f string, a ...any) { fmt.Fprintf(&logged, f+"\n", a...) }})
 	verifyPrefix(t, recs)
 	if w2.Stats().LastSeq != recs[len(recs)-1].Seq {
 		t.Fatalf("LastSeq mismatch")
@@ -293,7 +293,7 @@ func TestWALConcurrentAppendGroupCommit(t *testing.T) {
 	// Sequence numbers are handed out under a sequencer mutex (the shape
 	// rpc.Server's per-shard ingest lock produces) but the fsync waits
 	// run concurrently, so many writers coalesce into few syncs.
-	w, _ := mustOpen(t, t.TempDir(), Options{Fsync: true, SegmentBytes: 4096})
+	w, _ := mustOpen(t, t.TempDir(), Options{Fsync: true, segmentBytes: 4096})
 	const total = 200
 	var (
 		seqMu sync.Mutex

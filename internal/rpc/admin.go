@@ -13,84 +13,63 @@ import (
 // can tell "server unreachable" from "server refused the command".
 var ErrAdminDeadline = errors.New("rpc: admin deadline exceeded (server unreachable)")
 
-// AdminConfig bounds an admin session against an unreachable or slow
-// server. The zero value gets sensible defaults.
-type AdminConfig struct {
-	// Attempts is how many reachability probes Connect makes before
-	// failing with ErrAdminDeadline (default 3).
-	Attempts int
-	// ProbeTimeout bounds each reachability probe (default 2s).
-	ProbeTimeout time.Duration
-	// Backoff is the wait after the first failed probe, doubling per
-	// retry (default 250ms).
-	Backoff time.Duration
-	// OpTimeout bounds each admin operation once the server has proven
-	// reachable (default 5m — an acquire blocks while the server builds
-	// the partition's alias tables, far beyond the RPC default).
-	OpTimeout time.Duration
-}
-
-func (cfg AdminConfig) withDefaults() AdminConfig {
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 3
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 250 * time.Millisecond
-	}
-	if cfg.OpTimeout <= 0 {
-		cfg.OpTimeout = 5 * time.Minute
-	}
-	return cfg
-}
+// An admin session proves its server reachable with adminAttempts
+// handshakes, each bounded by adminProbeTimeout, waiting adminBackoff
+// after the first failure and doubling it per retry.
+const (
+	adminAttempts     = 3
+	adminProbeTimeout = 2 * time.Second
+	adminBackoff      = 250 * time.Millisecond
+)
 
 // Admin is a deadline-bounded admin session with one shard server: every
 // operation either completes or fails typed within its bounds, never
 // hanging on an unreachable server. Construct with NewAdmin, then
 // Connect before issuing commands.
 type Admin struct {
-	addr string
-	cfg  AdminConfig
-	cl   *client // long-deadline client; non-nil after a successful Connect
+	addr      string
+	opTimeout time.Duration
+	cl        *client // long-deadline client; non-nil after a successful Connect
 }
 
 // NewAdmin returns an unconnected admin session for the server at addr.
-func NewAdmin(addr string, cfg AdminConfig) *Admin {
-	return &Admin{addr: addr, cfg: cfg.withDefaults()}
+// opTimeout bounds each admin operation once the server has proven
+// reachable; an acquire blocks while the server builds the partition's
+// alias tables, far beyond the RPC default.
+func NewAdmin(addr string, opTimeout time.Duration) *Admin {
+	return &Admin{addr: addr, opTimeout: opTimeout}
 }
 
 // Connect proves the server reachable with bounded, backed-off probes —
-// each a short-deadline handshake, so a dead server costs
-// Attempts×ProbeTimeout plus backoff, not one OpTimeout per command —
-// then opens the long-deadline operation client. Exhausting the probes
+// each a short-deadline handshake, so a dead server costs adminAttempts
+// × adminProbeTimeout plus backoff, not one opTimeout per command — then
+// opens the long-deadline operation client. Exhausting the probes
 // fails with an error matching ErrAdminDeadline.
 func (a *Admin) Connect() error {
 	if a.cl != nil {
 		return nil
 	}
 	var lastErr error
-	backoff := a.cfg.Backoff
-	for attempt := 0; attempt < a.cfg.Attempts; attempt++ {
+	backoff := adminBackoff
+	for attempt := 0; attempt < adminAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		probe := newClient(a.addr, ClientConfig{Conns: 1, Timeout: a.cfg.ProbeTimeout})
+		probe := newClient(a.addr, ClientConfig{conns: 1, Timeout: adminProbeTimeout})
 		_, err := probe.Info()
 		probe.Close()
 		if err == nil {
-			a.cl = newClient(a.addr, ClientConfig{Conns: 1, Timeout: a.cfg.OpTimeout})
+			a.cl = newClient(a.addr, ClientConfig{conns: 1, Timeout: a.opTimeout})
 			return nil
 		}
 		lastErr = err
 	}
-	return fmt.Errorf("%w: %s after %d probes: %v", ErrAdminDeadline, a.addr, a.cfg.Attempts, lastErr)
+	return fmt.Errorf("%w: %s after %d probes: %v", ErrAdminDeadline, a.addr, adminAttempts, lastErr)
 }
 
 // Reassign sends one acquire/release command (see client.Reassign),
-// bounded by OpTimeout.
+// bounded by opTimeout.
 func (a *Admin) Reassign(shard int, acquire bool) (uint64, error) {
 	if err := a.Connect(); err != nil {
 		return 0, err
@@ -99,7 +78,7 @@ func (a *Admin) Reassign(shard int, acquire bool) (uint64, error) {
 }
 
 // Status polls the server's routing epoch, owned partitions and member
-// view, bounded by OpTimeout.
+// view, bounded by opTimeout.
 func (a *Admin) Status() (epoch uint64, owned []ShardInfo, members []string, err error) {
 	if err := a.Connect(); err != nil {
 		return 0, nil, nil, err

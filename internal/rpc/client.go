@@ -76,41 +76,42 @@ func permanent(err error) bool {
 // surfaces as ErrShardUnavailable instead of a hang.
 const defaultTimeout = 5 * time.Second
 
-// ClientConfig bounds the multiplexed connection pool.
+// Every client pools defaultConns multiplexed connections — more spread
+// head-of-line blocking on the kernel socket, not request slots — of
+// defaultWindow in-flight requests each; a caller finding every slot of
+// its connection taken blocks until one frees, bounded by Timeout. The
+// health circuit (see admit) opens after circuitFailures consecutive
+// transport failures.
+const (
+	defaultConns    = 2
+	defaultWindow   = 32
+	circuitFailures = 3
+)
+
+// ClientConfig bounds a client's calls.
 type ClientConfig struct {
-	// Conns is the number of pooled multiplexed connections (default 2).
-	// Each is shared by every concurrent caller; more connections spread
-	// head-of-line blocking on the kernel socket, not request slots.
-	Conns int
-	// Window is the in-flight request limit per connection (default 32).
-	// A caller finding every slot of its connection taken blocks until
-	// one frees — backpressure, bounded by Timeout.
-	Window int
 	// Timeout bounds dialing and each request's in-flight time (default
 	// defaultTimeout).
 	Timeout time.Duration
-	// FailThreshold is the consecutive-transport-failure count that opens
-	// the health circuit (default 3). While open, a single probe call at
-	// a time is allowed to dial; every other caller waits for the probe's
-	// outcome and then either proceeds (shard recovered) or fails with
-	// ErrShardUnavailable without dialing — one dial attempt per outage
-	// instead of one per caller. Any success closes the circuit; an idle
-	// second decays it.
-	FailThreshold int
+
+	// conns, window and failThreshold override the pool constants (zero:
+	// the constant): probe, admin, announce and fan-out clients hold one
+	// connection, and tests shrink the window and the threshold.
+	conns, window, failThreshold int
 }
 
 func (cfg ClientConfig) withDefaults() ClientConfig {
-	if cfg.Conns <= 0 {
-		cfg.Conns = 2
+	if cfg.conns <= 0 {
+		cfg.conns = defaultConns
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 32
+	if cfg.window <= 0 {
+		cfg.window = defaultWindow
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = defaultTimeout
 	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
+	if cfg.failThreshold <= 0 {
+		cfg.failThreshold = circuitFailures
 	}
 	return cfg
 }
@@ -139,7 +140,7 @@ type client struct {
 	cfg  ClientConfig
 
 	mu     sync.Mutex
-	conns  []*muxConn // fixed length cfg.Conns; nil until first use
+	conns  []*muxConn // fixed length cfg.conns; nil until first use
 	closed bool
 	next   atomic.Uint32 // round-robin connection cursor
 
@@ -153,7 +154,7 @@ type client struct {
 // bounds of cfg. No connection is made until the first call.
 func newClient(addr string, cfg ClientConfig) *client {
 	cfg = cfg.withDefaults()
-	return &client{addr: addr, cfg: cfg, conns: make([]*muxConn, cfg.Conns)}
+	return &client{addr: addr, cfg: cfg, conns: make([]*muxConn, cfg.conns)}
 }
 
 // Healthy reports whether the failure circuit would admit a call right
@@ -164,7 +165,7 @@ func newClient(addr string, cfg ClientConfig) *client {
 func (cl *client) Healthy() bool {
 	cl.hmu.Lock()
 	defer cl.hmu.Unlock()
-	return cl.fails < cl.cfg.FailThreshold || time.Since(cl.lastErr) > breakerDecay
+	return cl.fails < cl.cfg.failThreshold || time.Since(cl.lastErr) > breakerDecay
 }
 
 // Addr returns the server address this client targets.
@@ -197,10 +198,10 @@ func (cl *client) Close() error {
 func (cl *client) admit() (probe bool, wait chan struct{}) {
 	cl.hmu.Lock()
 	defer cl.hmu.Unlock()
-	if cl.fails >= cl.cfg.FailThreshold && time.Since(cl.lastErr) > breakerDecay {
+	if cl.fails >= cl.cfg.failThreshold && time.Since(cl.lastErr) > breakerDecay {
 		cl.fails = 0 // decay: the outage information is stale
 	}
-	if cl.fails < cl.cfg.FailThreshold {
+	if cl.fails < cl.cfg.failThreshold {
 		return false, nil
 	}
 	if cl.probeDone != nil {
@@ -215,7 +216,7 @@ func (cl *client) admit() (probe bool, wait chan struct{}) {
 func (cl *client) open() bool {
 	cl.hmu.Lock()
 	defer cl.hmu.Unlock()
-	return cl.fails >= cl.cfg.FailThreshold
+	return cl.fails >= cl.cfg.failThreshold
 }
 
 // settle records a call's transport outcome in the circuit and releases
@@ -270,7 +271,7 @@ func (cl *client) gate() (probe bool, err error) {
 // fresh one naturally — no forced redial, and no caller ever severs a
 // live connection another caller just dialed.
 func (cl *client) conn() (*muxConn, error) {
-	i := int(cl.next.Add(1)) % cl.cfg.Conns
+	i := int(cl.next.Add(1)) % cl.cfg.conns
 	cl.mu.Lock()
 	if cl.closed {
 		cl.mu.Unlock()
@@ -281,7 +282,7 @@ func (cl *client) conn() (*muxConn, error) {
 		return mc, nil
 	}
 	cl.mu.Unlock()
-	nc, err := dialMux(cl.addr, cl.cfg.Window, cl.cfg.Timeout)
+	nc, err := dialMux(cl.addr, cl.cfg.window, cl.cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}

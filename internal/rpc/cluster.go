@@ -125,7 +125,7 @@ func (c *Cluster) adoptPending() {
 	c.mu.Unlock()
 	sort.Strings(pend) // deterministic adoption → deterministic client order
 	for _, addr := range pend {
-		probe := newClient(addr, ClientConfig{Conns: 1, Timeout: c.pollTimeout})
+		probe := newClient(addr, ClientConfig{conns: 1, Timeout: c.pollTimeout})
 		info, err := probe.Info()
 		probe.Close()
 		if err == nil {

@@ -257,10 +257,10 @@ func TestHandoffRacingInFlightWindows(t *testing.T) {
 	for i, owned := range [][]int{{0, 1}, {2, 3}} {
 		servers[i], addrs[i] = startServer(t, g, ServerConfig{
 			Shards: shards, Strategy: partition.Hash, Owned: owned,
-			ConnWorkers: 2, ConnWindow: 8,
+			connWorkers: 2, connWindow: 8,
 		})
 	}
-	cluster, err := DialClusterWith(ClientConfig{Conns: 1, Window: 4}, addrs...)
+	cluster, err := DialClusterWith(ClientConfig{conns: 1, window: 4}, addrs...)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

@@ -17,7 +17,7 @@ import (
 
 // The request-lifecycle policy as a table: every kind of op against every
 // kind of outcome, on a scripted server. Each cell runs the op
-// FailThreshold times and pins how many request frames the server saw per
+// failThreshold times and pins how many request frames the server saw per
 // call (the attempts), the error class, and whether the circuit moved —
 // only a transport failure may charge it, and only an idempotent op may
 // be retried.
@@ -82,7 +82,7 @@ func TestRequestLifecyclePolicy(t *testing.T) {
 				srv := startScripted(t, "127.0.0.1:0", oc.script)
 				defer srv.kill()
 				cl := newClient(srv.ln.Addr().String(),
-					ClientConfig{Conns: 1, Window: 1, Timeout: 5 * time.Second, FailThreshold: threshold})
+					ClientConfig{conns: 1, window: 1, Timeout: 5 * time.Second, failThreshold: threshold})
 				defer cl.Close()
 				if oc.deadline > 0 {
 					// Fill the one-slot window with a request the server never
@@ -197,7 +197,7 @@ func TestMalformedBodySparesSiblings(t *testing.T) {
 			}()
 		}
 	}()
-	cl := newClient(ln.Addr().String(), ClientConfig{Conns: 1, Window: 2, Timeout: 5 * time.Second})
+	cl := newClient(ln.Addr().String(), ClientConfig{conns: 1, window: 2, Timeout: 5 * time.Second})
 	defer cl.Close()
 	errs := make(chan error, 2)
 	for i := int64(0); i < 2; i++ {
@@ -227,7 +227,7 @@ func TestMalformedBodySparesSiblings(t *testing.T) {
 func TestSpentDeadlineDoesNotCloseCircuit(t *testing.T) {
 	srv := startScripted(t, "127.0.0.1:0", script{drop: true})
 	defer srv.kill()
-	cl := newClient(srv.ln.Addr().String(), ClientConfig{Conns: 1, Timeout: time.Second, FailThreshold: 3})
+	cl := newClient(srv.ln.Addr().String(), ClientConfig{conns: 1, Timeout: time.Second, failThreshold: 3})
 	defer cl.Close()
 	sample := func(deadline time.Time) error {
 		_, err := cl.do(&visit{op: OpSample, deadline: deadline, id: 1, k: 4, out: make([]graph.NodeID, 4)})

@@ -316,7 +316,7 @@ func TestMuxSharedConnectionHammer(t *testing.T) {
 	srv.Start(ln)
 	t.Cleanup(func() { srv.Close() })
 
-	cl := newClient(ln.Addr().String(), ClientConfig{Conns: 1, Window: 4})
+	cl := newClient(ln.Addr().String(), ClientConfig{conns: 1, window: 4})
 	t.Cleanup(func() { cl.Close() })
 	info, err := cl.Info()
 	if err != nil {

@@ -55,21 +55,19 @@ type ServerConfig struct {
 	// acknowledged (see ingest.Options.Fsync). Meaningless without WALDir.
 	Fsync bool
 
-	// ConnWorkers bounds the concurrent request dispatch per connection
-	// (default 4): a multiplexing client pipelines many requests onto one
-	// socket, and this many are served at once, their responses written
-	// back tagged by request id in completion order.
-	ConnWorkers int
-	// ConnWindow bounds the decoded-but-unserved requests buffered per
-	// connection (default 64). The read loop blocks once it is full —
-	// backpressure against a client whose window outruns the server.
-	ConnWindow int
+	// connWorkers and connWindow override the dispatch constants (zero:
+	// the constant); tests shrink them.
+	connWorkers, connWindow int
 }
 
+// Each connection's requests are served by dispatchWorkers concurrent
+// workers, with at most dispatchWindow decoded requests buffered behind
+// them; the read loop blocks once they are full — backpressure against a
+// client whose window outruns the server.
 const (
-	defaultConnWorkers = 4
-	defaultConnWindow  = 64
-	handshakeTimeout   = 5 * time.Second
+	dispatchWorkers  = 4
+	dispatchWindow   = 64
+	handshakeTimeout = 5 * time.Second
 )
 
 // Server owns the in-process stores for some partitions of a graph and
@@ -157,16 +155,11 @@ func NewServer(g *graph.Graph, cfg ServerConfig) *Server {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.ConnWorkers <= 0 {
-		cfg.ConnWorkers = defaultConnWorkers
+	if cfg.connWorkers <= 0 {
+		cfg.connWorkers = dispatchWorkers
 	}
-	if cfg.ConnWindow <= 0 {
-		cfg.ConnWindow = defaultConnWindow
-	}
-	if cfg.ConnWindow < cfg.ConnWorkers {
-		// Every worker needs a slot to be able to hold a request; clamp
-		// to the worker count rather than overriding an explicit bound.
-		cfg.ConnWindow = cfg.ConnWorkers
+	if cfg.connWindow <= 0 {
+		cfg.connWindow = dispatchWindow
 	}
 	part := partition.SplitOpts(g, cfg.Shards, cfg.Strategy, partition.Options{Locality: cfg.Locality})
 	owned := cfg.Owned
@@ -180,8 +173,8 @@ func NewServer(g *graph.Graph, cfg ServerConfig) *Server {
 		part:       part,
 		numNodes:   g.NumNodes(),
 		contentDim: g.ContentDim(),
-		workers:    cfg.ConnWorkers,
-		window:     cfg.ConnWindow,
+		workers:    cfg.connWorkers,
+		window:     cfg.connWindow,
 		advertise:  cfg.Advertise,
 		walDir:     cfg.WALDir,
 		fsync:      cfg.Fsync,
@@ -480,7 +473,7 @@ func (s *Server) AnnounceTo(peer string, timeout time.Duration) error {
 	if s.advertise == "" {
 		return errors.New("rpc: AnnounceTo on a server without an advertise address")
 	}
-	cl := newClient(peer, ClientConfig{Conns: 1, Timeout: timeout})
+	cl := newClient(peer, ClientConfig{conns: 1, Timeout: timeout})
 	defer cl.Close()
 	theirs, err := cl.members(s.advertise)
 	if err != nil {
@@ -926,7 +919,7 @@ func (s *Server) fanClient(peer string) *client {
 	}
 	cl := s.fanClients[peer]
 	if cl == nil {
-		cl = newClient(peer, ClientConfig{Conns: 1})
+		cl = newClient(peer, ClientConfig{conns: 1})
 		s.fanClients[peer] = cl
 	}
 	return cl

@@ -37,13 +37,11 @@ type Config struct {
 	Seed       uint64
 	TrainSteps int // warm-up training steps before export; 0 exports the initial model
 
-	Shards    int
-	Strategy  partition.Strategy
-	Remote    []string // zoomer-shard addresses; empty = in-process
-	RPCConns  int
-	RPCWindow int
+	Shards   int
+	Strategy partition.Strategy
+	Remote   []string // zoomer-shard addresses; empty = in-process
 
-	Serve serve.Config // worker pool / cache sizing; zero fields defaulted
+	Workers int // serving workers; 0 takes serve.DefaultConfig's
 }
 
 // ErrWorldSkew reports that the dialed shard servers hold a different
@@ -60,10 +58,9 @@ type Backend struct {
 }
 
 // Connect reaches g's graph store. With remote addresses it dials the
-// zoomer-shard cluster (ccfg bounds the per-server connection pool) and
-// refuses one that holds a different world than g; without, it
-// partitions g in-process under ecfg.
-func Connect(g *graph.Graph, ecfg engine.Config, remote []string, ccfg rpc.ClientConfig) (*Backend, error) {
+// zoomer-shard cluster and refuses one that holds a different world
+// than g; without, it partitions g in-process under ecfg.
+func Connect(g *graph.Graph, ecfg engine.Config, remote []string) (*Backend, error) {
 	if len(remote) == 0 {
 		return &Backend{Engine: engine.New(g, ecfg)}, nil
 	}
@@ -71,7 +68,7 @@ func Connect(g *graph.Graph, ecfg engine.Config, remote []string, ccfg rpc.Clien
 	for i, a := range remote {
 		addrs[i] = strings.TrimSpace(a)
 	}
-	cluster, err := rpc.DialClusterWith(ccfg, addrs...)
+	cluster, err := rpc.DialClusterWith(rpc.ClientConfig{}, addrs...)
 	if err != nil {
 		return nil, err
 	}
@@ -216,28 +213,15 @@ func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
 
 	logf("exporting serving weights and building index...")
 	emb := serve.NewEmbedder(model.ExportServing())
-	b, err := Connect(w.Graph, engine.Config{Shards: cfg.Shards, Strategy: cfg.Strategy, Locality: true},
-		cfg.Remote, rpc.ClientConfig{Conns: cfg.RPCConns, Window: cfg.RPCWindow})
+	b, err := Connect(w.Graph, engine.Config{Shards: cfg.Shards, Strategy: cfg.Strategy, Locality: true}, cfg.Remote)
 	if err != nil {
 		return nil, err
 	}
 	logf("engine: %s", b)
 
 	scfg := serve.DefaultConfig()
-	if cfg.Serve.Workers > 0 {
-		scfg.Workers = cfg.Serve.Workers
-	}
-	if cfg.Serve.CacheK > 0 {
-		scfg.CacheK = cfg.Serve.CacheK
-	}
-	if cfg.Serve.TopK > 0 {
-		scfg.TopK = cfg.Serve.TopK
-	}
-	if cfg.Serve.NProbe > 0 {
-		scfg.NProbe = cfg.Serve.NProbe
-	}
-	if cfg.Serve.QueueSize > 0 {
-		scfg.QueueSize = cfg.Serve.QueueSize
+	if cfg.Workers > 0 {
+		scfg.Workers = cfg.Workers
 	}
 	scfg.Seed = cfg.Seed + 10
 	st := Assemble(b, emb, w.Graph.NodesOfType(graph.Item), scfg, cfg.Seed+3)

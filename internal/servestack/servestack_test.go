@@ -130,7 +130,7 @@ func TestBuildRemoteWorldSkew(t *testing.T) {
 	}
 	// The trainer's path: Connect alone refuses the same way.
 	w := core.BuildWorld(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
-	be, err := Connect(w.Graph, engine.Config{}, cfg.Remote, rpc.ClientConfig{})
+	be, err := Connect(w.Graph, engine.Config{}, cfg.Remote)
 	if !errors.Is(err, ErrWorldSkew) || be != nil {
 		t.Fatalf("Connect: got backend %v, err %v; want ErrWorldSkew", be, err)
 	}
