@@ -52,10 +52,11 @@ endef
 # Fault-injection suite under the race detector: server kill/restart and
 # churn, replica failover mid-batch, rolling upgrade, zero-replica
 # degradation, dynamic membership (a partition handed to a server the
-# client never dialed included), stalled-member refresh, circuit
-# breaker (open/decay/waiter adoption), mux in-flight kill.
+# client never dialed included), stalled-member refresh, append fan-out
+# past a dead or silent sibling, circuit breaker (open/decay/waiter
+# adoption), mux in-flight kill.
 chaos:
-	$(call run_listed,TestShardFailureAndReconnect|TestNoPartialResultsUnderChurn|TestClientPoolConcurrency|TestMuxInFlightFailure|TestMuxSharedConnectionHammer|TestKillReplicaMidBatch|TestKillReplicaMidBulkRead|TestLiveHandoffBulkRead|TestZeroHealthyReplicasTyped|TestRollingUpgrade|TestMembershipDiscovery|TestRedirectBindsServerNeverDialed|TestRefreshSkipsStalledServer|TestReplicatedClusterSpreadsLoad|TestCircuit,./internal/rpc/)
+	$(call run_listed,TestShardFailureAndReconnect|TestNoPartialResultsUnderChurn|TestClientPoolConcurrency|TestMuxInFlightFailure|TestMuxSharedConnectionHammer|TestKillReplicaMidBatch|TestKillReplicaMidBulkRead|TestLiveHandoffBulkRead|TestZeroHealthyReplicasTyped|TestRollingUpgrade|TestMembershipDiscovery|TestRedirectBindsServerNeverDialed|TestRefreshSkipsStalledServer|TestFanoutSkipsDeadSibling|TestFanoutBoundsSilentSibling|TestReplicatedClusterSpreadsLoad|TestCircuit,./internal/rpc/)
 	$(call run_listed,TestReplica,./internal/engine/)
 
 # Durable-ingest crash suite under the race detector: kill -9 a child

@@ -35,7 +35,8 @@ type Admin struct {
 // NewAdmin returns an unconnected admin session for the server at addr.
 // opTimeout bounds each admin operation once the server has proven
 // reachable; an acquire blocks while the server builds the partition's
-// alias tables, far beyond the RPC default.
+// alias tables, far beyond the RPC default (defaultTimeout, which a
+// zero opTimeout takes).
 func NewAdmin(addr string, opTimeout time.Duration) *Admin {
 	return &Admin{addr: addr, opTimeout: opTimeout}
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -45,6 +46,7 @@ type Cluster struct {
 	clients []*client
 	byAddr  map[string]int           // dialed address → clients index
 	pending map[string]struct{}      // discovered addresses awaiting validation
+	failed  map[string]time.Time     // addresses whose adoption probe failed, by when
 	stubs   map[stubKey]*RemoteShard // reused across refreshes to keep counters
 
 	refreshMu sync.Mutex // serializes poll→install so a stale view never overwrites a fresher one
@@ -70,7 +72,9 @@ func (c *Cluster) stub(server int, sh ShardInfo) *RemoteShard {
 }
 
 // noteMembers records server addresses from a routing-epoch poll's
-// member view for validation within the same refresh.
+// member view for validation within the same refresh. An address whose
+// probe failed less than breakerDecay ago is not noted again, so a bogus
+// member costs one probe per decay, not one per discover round.
 func (c *Cluster) noteMembers(addrs []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -79,6 +83,9 @@ func (c *Cluster) noteMembers(addrs []string) {
 			continue
 		}
 		if _, ok := c.byAddr[a]; ok {
+			continue
+		}
+		if at, ok := c.failed[a]; ok && time.Since(at) < breakerDecay {
 			continue
 		}
 		c.pending[a] = struct{}{}
@@ -108,34 +115,42 @@ func (c *Cluster) snapshotClients() []*client {
 
 // adoptPending validates every noted address with a short-deadline
 // probe — reachability plus the graph-shape handshake — and adopts the
-// ones that check out. Unreachable or mismatched addresses are logged
-// and dropped (a member view naming a bogus server must not poison the
-// cluster); they re-enter pending if discovered again.
+// ones that check out. The probes run concurrently under one
+// pollTimeout. Unreachable or mismatched addresses are logged and
+// dropped (a member view naming a bogus server must not poison the
+// cluster); they re-enter pending if discovered again after
+// breakerDecay.
 func (c *Cluster) adoptPending() {
 	c.mu.Lock()
-	if len(c.pending) == 0 {
-		c.mu.Unlock()
-		return
-	}
+	maps.DeleteFunc(c.failed, func(_ string, at time.Time) bool { return time.Since(at) >= breakerDecay })
 	pend := make([]string, 0, len(c.pending))
 	for a := range c.pending {
 		pend = append(pend, a)
 	}
 	c.pending = make(map[string]struct{})
 	c.mu.Unlock()
+	if len(pend) == 0 {
+		return
+	}
 	sort.Strings(pend) // deterministic adoption → deterministic client order
-	for _, addr := range pend {
-		probe := newClient(addr, ClientConfig{conns: 1, Timeout: c.pollTimeout})
+	errs := within(len(pend), c.pollTimeout, func(i int) error {
+		probe := newClient(pend[i], ClientConfig{conns: 1, Timeout: c.pollTimeout})
+		defer probe.Close()
 		info, err := probe.Info()
-		probe.Close()
 		if err == nil {
 			err = c.Info.sameGraph(info)
 		}
-		if err != nil {
-			logf("rpc: cluster: dropping discovered member %s: %v", addr, err)
+		return err
+	}, func(int) error { return fmt.Errorf("probe timed out after %v", c.pollTimeout) })
+	for i, addr := range pend {
+		if errs[i] == nil {
+			c.addClient(addr)
 			continue
 		}
-		c.addClient(addr)
+		logf("rpc: cluster: dropping discovered member %s: %v", addr, errs[i])
+		c.mu.Lock()
+		c.failed[addr] = time.Now()
+		c.mu.Unlock()
 	}
 }
 
@@ -146,44 +161,50 @@ type pollRes struct {
 	err     error
 }
 
-// pollServers polls every client's routing epoch concurrently, each
-// bounded by pollTimeout independently of the call Timeout: one dead or
-// stalled server costs the refresh at most pollTimeout, never a hang.
-// A timed-out slot reports the timeout; its goroutine finishes (and is
+// within runs fn(i) for every i in [0, n) concurrently and returns the
+// results in index order, waiting at most d: a slot that has not
+// answered by then reports late(i), and its goroutine finishes (and is
 // discarded) in the background, writing only its private channel.
-func (c *Cluster) pollServers(clients []*client) []pollRes {
-	results := make([]pollRes, len(clients))
+func within[T any](n int, d time.Duration, fn, late func(i int) T) []T {
+	results := make([]T, n)
+	answered := make([]bool, n)
 	type landed struct {
-		idx int
-		res pollRes
+		i int
+		r T
 	}
-	ch := make(chan landed, len(clients))
-	for si, cl := range clients {
-		go func(si int, cl *client) {
-			var r pollRes
-			_, r.owned, r.members, r.err = cl.routingEpoch()
-			ch <- landed{idx: si, res: r}
-		}(si, cl)
+	ch := make(chan landed, n)
+	for i := 0; i < n; i++ {
+		go func(i int) { ch <- landed{i, fn(i)} }(i)
 	}
-	timer := time.NewTimer(c.pollTimeout)
+	timer := time.NewTimer(d)
 	defer timer.Stop()
-	got := 0
-	for got < len(clients) {
+	for got := 0; got < n; got++ {
 		select {
 		case l := <-ch:
-			results[l.idx] = l.res
-			got++
+			results[l.i], answered[l.i] = l.r, true
 		case <-timer.C:
-			for si := range results {
-				if results[si].owned == nil && results[si].err == nil {
-					results[si].err = fmt.Errorf("%w: %s: ownership poll timed out after %v",
-						ErrShardUnavailable, clients[si].Addr(), c.pollTimeout)
+			for i := range results {
+				if !answered[i] {
+					results[i] = late(i)
 				}
 			}
 			return results
 		}
 	}
 	return results
+}
+
+// pollServers polls every client's routing epoch concurrently, each
+// bounded by pollTimeout independently of the call Timeout: one dead or
+// stalled server costs the refresh at most pollTimeout, never a hang.
+func (c *Cluster) pollServers(clients []*client) []pollRes {
+	return within(len(clients), c.pollTimeout, func(i int) (r pollRes) {
+		_, r.owned, r.members, r.err = clients[i].routingEpoch()
+		return r
+	}, func(i int) pollRes {
+		return pollRes{err: fmt.Errorf("%w: %s: ownership poll timed out after %v",
+			ErrShardUnavailable, clients[i].Addr(), c.pollTimeout)}
+	})
 }
 
 // refresh re-resolves which servers own each partition by polling every
@@ -280,6 +301,7 @@ func DialClusterWith(cfg ClientConfig, addrs ...string) (*Cluster, error) {
 		pollTimeout: defaultPollTimeout,
 		byAddr:      make(map[string]int),
 		pending:     make(map[string]struct{}),
+		failed:      make(map[string]time.Time),
 		stubs:       make(map[stubKey]*RemoteShard),
 	}
 	fail := func(err error) (*Cluster, error) {

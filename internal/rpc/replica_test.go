@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -457,7 +458,8 @@ func TestRollingUpgrade(t *testing.T) {
 // refresh is bounded per server: a stalled member (accepts and
 // handshakes, then swallows frames) is timed out, logged and skipped —
 // the refresh completes on the healthy server's answer instead of
-// hanging.
+// hanging — and it is probed once: neither a later discover round nor
+// the next refresh within breakerDecay probes it again.
 func TestRefreshSkipsStalledServer(t *testing.T) {
 	g := buildGraph(t)
 	srvA, addrA := startReplicaServer(t, g, 2, []int{0, 1})
@@ -476,8 +478,15 @@ func TestRefreshSkipsStalledServer(t *testing.T) {
 	if err := cluster.refresh(); err != nil {
 		t.Fatalf("refresh with a stalled member: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("refresh took %v with one stalled member (per-server bound not applied)", elapsed)
+	if elapsed := time.Since(start); elapsed > 2*cluster.pollTimeout {
+		t.Fatalf("refresh took %v with one stalled member, want ≤ %v", elapsed, 2*cluster.pollTimeout)
+	}
+	start = time.Now()
+	if err := cluster.refresh(); err != nil {
+		t.Fatalf("second refresh with a stalled member: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed >= cluster.pollTimeout/2 {
+		t.Fatalf("second refresh took %v, want < %v (the failed member was probed again)", elapsed, cluster.pollTimeout/2)
 	}
 
 	// The healthy binding still serves.
@@ -485,5 +494,91 @@ func TestRefreshSkipsStalledServer(t *testing.T) {
 	out := make([]graph.NodeID, 4)
 	if _, err := cluster.Engine.TrySampleNeighborsIntoBy(0, out, r, time.Time{}); err != nil {
 		t.Fatalf("draw after refresh: %v", err)
+	}
+}
+
+// startRefuser listens on a loopback address and closes every accepted
+// connection at once — a sibling that is up at the TCP level and never
+// completes a handshake. The counter is the dials it saw.
+func startRefuser(t *testing.T) (addr string, dials *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	dials = new(atomic.Int64)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			c.Close()
+		}
+	}()
+	return ln.Addr().String(), dials
+}
+
+// A dead sibling stops costing appends once its fan-out circuit opens:
+// the primary dials it at most a circuit's worth of times, logs the
+// outage once, and counts every copy it missed as replica lag.
+func TestFanoutSkipsDeadSibling(t *testing.T) {
+	g := buildGraph(t)
+	srv, addr := startReplicaServer(t, g, 1, []int{0})
+	dead, dials := startRefuser(t)
+	srv.addMembers(dead)
+	var logged atomic.Int64
+	old := logf
+	logf = func(string, ...any) { logged.Add(1) }
+	t.Cleanup(func() { logf = old })
+
+	cl := newClient(addr, ClientConfig{})
+	t.Cleanup(func() { cl.Close() })
+	const appends = 50
+	for i := 1; i <= appends; i++ {
+		if res, _, err := cl.appendOnce(0, uint64(i), ingestRecord(g, i), false); err != nil || res != appendApplied {
+			t.Fatalf("append %d: result %d, err %v", i, res, err)
+		}
+	}
+	t.Logf("%d appends: %d dials of the dead sibling, %d log lines", appends, dials.Load(), logged.Load())
+	if n := dials.Load(); n > 4 {
+		t.Errorf("%d dials of the dead sibling over %d appends, want ≤ 4", n, appends)
+	}
+	if n := logged.Load(); n > 2 {
+		t.Errorf("%d fan-out log lines over %d appends, want ≤ 2", n, appends)
+	}
+	if lag := srv.ReplicaLag(); lag != appends {
+		t.Errorf("replica lag %d, want %d", lag, appends)
+	}
+}
+
+// A silent sibling (handshakes, then swallows every frame) bounds each
+// copy by the fan-out deadline and is skipped once its circuit opens, so
+// the primary's acks do not wait out the RPC timeout per append.
+func TestFanoutBoundsSilentSibling(t *testing.T) {
+	g := buildGraph(t)
+	srv, addr := startReplicaServer(t, g, 1, []int{0})
+	bh := startBlackhole(t, "127.0.0.1:0")
+	t.Cleanup(bh.kill)
+	srv.addMembers(bh.ln.Addr().String())
+	old := logf
+	logf = func(string, ...any) {}
+	t.Cleanup(func() { logf = old })
+
+	cl := newClient(addr, ClientConfig{})
+	t.Cleanup(func() { cl.Close() })
+	const appends = 20
+	start := time.Now()
+	for i := 1; i <= appends; i++ {
+		if res, _, err := cl.appendOnce(0, uint64(i), ingestRecord(g, i), false); err != nil || res != appendApplied {
+			t.Fatalf("append %d: result %d, err %v", i, res, err)
+		}
+	}
+	elapsed := time.Since(start)
+	t.Logf("%d appends with a silent sibling took %v", appends, elapsed)
+	if elapsed >= 4*time.Second {
+		t.Fatalf("%d appends took %v with a silent sibling, want < 4s", appends, elapsed)
 	}
 }

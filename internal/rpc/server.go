@@ -109,7 +109,7 @@ type Server struct {
 	ingMu      sync.Mutex
 	ingests    map[int]*shardIngest
 	fanMu      sync.Mutex
-	fanClients map[string]*client
+	fanPeers   map[string]*fanPeer
 	replicaLag atomic.Int64
 
 	mu     sync.Mutex
@@ -410,19 +410,19 @@ func (s *Server) Close() error {
 		}
 	}
 	s.fanMu.Lock()
-	fans := s.fanClients
-	s.fanClients = nil
+	fans := s.fanPeers
+	s.fanPeers = nil
 	s.fanMu.Unlock()
-	for _, cl := range fans {
-		cl.Close()
+	for _, fp := range fans {
+		fp.Close()
 	}
 	return nil
 }
 
-// ReplicaLag reports how many append fan-out copies could not be
-// delivered to a replica sibling (after per-copy retry) — each one is a
-// record a sibling will only regain by replaying its own WAL or being
-// re-acquired.
+// ReplicaLag reports how many append fan-out copies were not delivered
+// to a replica sibling, failed or skipped while its circuit was open —
+// each one is a record a sibling will only regain by replaying its own
+// WAL or being re-acquired.
 func (s *Server) ReplicaLag() int64 { return s.replicaLag.Load() }
 
 // OpCount reports how many requests of one op this server has served —
@@ -909,29 +909,42 @@ func (s *Server) handleAppend(o *ownership, payload []byte, sc *serverConn) ([]b
 	return appendAppendResult(sc.begin(statusOK), appendApplied, seq), nil
 }
 
-// fanClient returns (creating on first use) the cached client for
-// fan-out copies to peer.
-func (s *Server) fanClient(peer string) *client {
-	s.fanMu.Lock()
-	defer s.fanMu.Unlock()
-	if s.fanClients == nil {
-		s.fanClients = make(map[string]*client)
-	}
-	cl := s.fanClients[peer]
-	if cl == nil {
-		cl = newClient(peer, ClientConfig{conns: 1})
-		s.fanClients[peer] = cl
-	}
-	return cl
+// fanoutTimeout bounds each fan-out copy, dial included: the primary
+// acks only after its fan-out, so a silent sibling must cost an append
+// no more than this.
+const fanoutTimeout = 500 * time.Millisecond
+
+// fanPeer is the cached fan-out client for one sibling; down marks an
+// outage that has been logged and has not ended.
+type fanPeer struct {
+	*client
+	down atomic.Bool
 }
 
-// fanoutAppend forwards one applied record to every known sibling with
-// bounded retry. A sibling that redirects (does not serve the shard) is
+// fanPeer returns (creating on first use) the fan-out client for peer.
+func (s *Server) fanPeer(peer string) *fanPeer {
+	s.fanMu.Lock()
+	defer s.fanMu.Unlock()
+	if s.fanPeers == nil {
+		s.fanPeers = make(map[string]*fanPeer)
+	}
+	fp := s.fanPeers[peer]
+	if fp == nil {
+		fp = &fanPeer{client: newClient(peer, ClientConfig{conns: 1, Timeout: fanoutTimeout})}
+		s.fanPeers[peer] = fp
+	}
+	return fp
+}
+
+// fanoutAppend forwards one applied record to every known sibling, one
+// attempt each. A sibling that redirects (does not serve the shard) is
 // not a replica and is skipped; one that answers gap is lagging (it
 // missed earlier records) and will catch up from its own WAL or a
-// re-acquire; transport failures get one fresh-connection retry. Lag and
-// delivery failures feed the replicaLag counter and the log — durability
-// of the primary's ack never depends on sibling delivery.
+// re-acquire; one whose circuit is open is not called at all, so a dead
+// or silent sibling costs an append nothing once its circuit opens.
+// Every copy not delivered counts in replicaLag, and each sibling's
+// outage is logged once, when it starts — durability of the primary's
+// ack never depends on sibling delivery.
 func (s *Server) fanoutAppend(shard int, seq uint64, edges []ingest.Edge) {
 	if s.advertise == "" {
 		return
@@ -940,25 +953,26 @@ func (s *Server) fanoutAppend(shard int, seq uint64, edges []ingest.Edge) {
 		if peer == s.advertise {
 			continue
 		}
-		cl := s.fanClient(peer)
-		var lastErr error
-		delivered := false
-		for attempt := 0; attempt < 2 && !delivered; attempt++ {
-			res, peerSeq, err := cl.appendOnce(shard, seq, edges, true)
-			switch {
-			case err == nil && (res == appendApplied || res == appendDup):
-				delivered = true
-			case err == nil: // gap: the sibling is behind
-				lastErr = fmt.Errorf("replica behind at seq %d", peerSeq)
-			case errors.Is(err, engine.ErrWrongEpoch):
-				delivered = true // not a replica of this shard; nothing to forward
-			default:
-				lastErr = err
-			}
-		}
-		if !delivered {
+		fp := s.fanPeer(peer)
+		if !fp.Healthy() {
 			s.replicaLag.Add(1)
-			logf("rpc: append fan-out to %s (shard %d, seq %d) failed: %v", peer, shard, seq, lastErr)
+			continue
+		}
+		res, peerSeq, err := fp.appendOnce(shard, seq, edges, true)
+		switch {
+		case err == nil && res == appendGap:
+			err = fmt.Errorf("replica behind at seq %d", peerSeq)
+		case errors.Is(err, engine.ErrWrongEpoch):
+			err = nil // not a replica of this shard; nothing to forward
+		}
+		if err == nil {
+			fp.down.Store(false)
+			continue
+		}
+		s.replicaLag.Add(1)
+		if !fp.down.Swap(true) {
+			logf("rpc: append fan-out to %s (shard %d, seq %d) failed; its missed copies count as replica lag until one lands: %v",
+				peer, shard, seq, err)
 		}
 	}
 }
