@@ -63,7 +63,8 @@ go test -run '^$' -bench 'BenchmarkTrainStep' -benchtime 20x -benchmem ./interna
 go test -run '^$' -bench 'BenchmarkFailoverFirstDraw' -benchtime 50x ./internal/rpc/ 2>/dev/null | tee -a "$TMP" >&2
 go test -run '^$' -bench 'BenchmarkFailoverDeadReplica' -benchmem ./internal/rpc/ 2>/dev/null | tee -a "$TMP" >&2
 # Write path: WAL append throughput (fsync-batched group commit) and the
-# delta layer — copy-on-write apply and post-compaction mixture draws.
+# delta layer — copy-on-write apply (run pushes and merges) and draws
+# over a node's base and runs.
 go test -run '^$' -bench 'BenchmarkWALAppend' -benchmem ./internal/ingest/ | tee -a "$TMP" >&2
 go test -run '^$' -bench 'BenchmarkDeltaApply|BenchmarkDeltaSample' -benchmem ./internal/engine/ | tee -a "$TMP" >&2
 go test -run '^$' -bench 'BenchmarkAblationAlias' -benchmem . | tee -a "$TMP" >&2

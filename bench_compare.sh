@@ -37,11 +37,13 @@ command -v python3 >/dev/null || { echo "error: python3 required" >&2; exit 1; }
 # noise, hence 1.60; their allocations are pinned by
 # TestRemoteHotPathDoesNotAllocate instead. BenchmarkRemoteAppend grows
 # the delta overlays every iteration, so it runs a fixed count, as in
-# bench.sh.
+# bench.sh. BenchmarkDeltaApply is the write path's apply: its live=N
+# cases hold a steady overlay size, hot=4096 one node's whole growth.
 GATED='
 .                  ^BenchmarkHotPath                                      200ms  1.20  0
 ./internal/tensor  ^Benchmark(Dot|MatVec|Axpy)                            200ms  1.20  0
 ./internal/ann     ^Benchmark(CoarseScan|SearchInto|SearchIntoRig)$       200ms  1.20  0
+./internal/engine  ^BenchmarkDeltaApply$                                  200ms  1.20  -
 ./internal/rpc     ^Benchmark(RPCRoundTrip|Remote(Batch|Tree|ReadNodes))  200ms  1.60  -
 ./internal/rpc     ^BenchmarkRemoteAppend$                                1000x  1.60  -
 '

@@ -300,7 +300,7 @@ func runAdmin(addr, acquire, release string, status bool, timeout time.Duration)
 		for _, sh := range owned {
 			fmt.Printf("  partition %d: %d nodes, %d edges\n", sh.ID, sh.Nodes, sh.Edges)
 			if ing := sh.Ingest; ing != nil && ing.Seq > 0 {
-				fmt.Printf("    ingest: seq %d, %d delta edges over %d nodes, %d compactions, %d WAL segments, %d fsyncs\n",
+				fmt.Printf("    ingest: seq %d, %d delta edges over %d nodes, %d run merges, %d WAL segments, %d fsyncs\n",
 					ing.Seq, ing.DeltaEdges, ing.DeltaNodes, ing.Compactions, ing.WALSegments, ing.Fsyncs)
 			}
 		}

@@ -289,12 +289,9 @@ func (ix *Index) SearchInto(query tensor.Vec, topK, nprobe int, sc *SearchScratc
 	// probes lists 0 … nprobe-1. Keys are distinct, so no list is probed
 	// twice. Probing every list needs no coarse scan: the result does not
 	// depend on the probe order.
-	probe := sc.probe[:nprobe]
-	if nprobe == nlists {
-		for c := range probe {
-			probe[c] = int32(c)
-		}
-	} else {
+	var probe []int32 // nil: every list, in list order
+	if nprobe < nlists {
+		probe = sc.probe[:nprobe]
 		cscore, best := sc.scores[:nlists], sc.keys[:0]
 		tensor.MatVec(&ix.centroids, q, cscore)
 		for c, s := range cscore {
@@ -318,7 +315,11 @@ func (ix *Index) SearchInto(query tensor.Vec, topK, nprobe int, sc *SearchScratc
 	}
 
 	keys := sc.keys[:0]
-	for _, c := range probe {
+	for p := range nprobe {
+		c := p
+		if probe != nil {
+			c = int(probe[p])
+		}
 		ranks := ix.ranks[c]
 		if len(keys)+len(ranks) > cap(keys) {
 			selectSmallest(keys, topK)
@@ -421,7 +422,14 @@ func partition(a []uint64) int {
 
 // SearchExact scans every vector — the brute-force reference used to
 // measure recall in tests and benchmarks. It probes every list through a
-// fresh scratch, so the returned slice is independently owned.
+// fresh scratch sized for that alone (no coarse scan, so no probe list
+// and a score buffer of the largest list), so the returned slice is
+// independently owned.
 func (ix *Index) SearchExact(query tensor.Vec, topK int) []Result {
-	return ix.SearchInto(query, topK, ix.centroids.Rows, ix.NewSearchScratch())
+	rows := 0
+	for _, l := range ix.lists {
+		rows = max(rows, l.Rows)
+	}
+	sc := &SearchScratch{q: make(tensor.Vec, ix.centroids.Cols), scores: make([]float32, rows)}
+	return ix.SearchInto(query, topK, ix.centroids.Rows, sc)
 }

@@ -16,26 +16,23 @@ import (
 // immutable CSR base. Appended edges accumulate in per-node overlays
 // published behind one atomic pointer — the same snapshot-swap pattern
 // the routing layer uses for handoff — so the lock-free 0-alloc read
-// path never sees a lock: a draw loads the current view once and
-// samples a two-component mixture (base adjacency vs. pending deltas by
-// weight mass). Once a node's pending list reaches compactThreshold the
-// apply path folds base + deltas into one merged alias table, keeping
-// per-draw cost flat as a node keeps growing. A view indexes overlays
-// by local row in fixed chunks shared between views, so an apply copies
-// the chunks it touches — not every live overlay — and a read indexes
-// two slices.
+// path never sees a lock. A node's appended edges are covered by a short
+// stack of runs, each an alias table over a range of them (Bentley and
+// Saxe's logarithmic method): an apply pushes one run over a record's
+// new edges and merges the two newest runs while the older is at most
+// twice the newer, so run sizes more than double towards the oldest, a
+// node holds at most ⌈log₂ n⌉+1 runs, and each edge is rebuilt into a
+// table O(log n) times. A draw takes one Float64 over the base mass plus
+// every run's, picks the base CSR table or a run by it, and makes one
+// alias draw. A view indexes overlays by local row in fixed chunks
+// shared between views, so an apply copies the chunks it touches — not
+// every live overlay — and a read indexes two slices.
 //
 // Applies are strictly sequenced (seq = last+1) and every structure the
-// apply builds is a pure function of the applied record stream, so
-// replaying the same WAL prefix — after a crash, on a replica, in a
-// test — reproduces the exact view and bit-identical draws per ingest
-// epoch (epoch = applied sequence number).
-
-// compactThreshold is the pending-delta count at which a node's overlay
-// is folded into one merged alias table. It must stay a deterministic
-// function of the applied stream (never time- or load-based): replica
-// and replay equivalence depend on it.
-const compactThreshold = 16
+// apply builds is a pure function of the applied record stream, record
+// boundaries included, so replaying the same WAL prefix — after a crash,
+// on a replica, in a test — reproduces the exact view and bit-identical
+// draws per ingest epoch (epoch = applied sequence number).
 
 // Typed append failures, matched with errors.Is.
 var (
@@ -80,8 +77,8 @@ type IngestStats struct {
 	Seq         uint64 // last applied sequence number (= ingest epoch)
 	DeltaNodes  int    // nodes with a live overlay
 	DeltaEdges  uint64 // appended edges in the current view
-	Compactions uint64
-	WALSegments int // 0 when the backend has no WAL
+	Compactions uint64 // delta run merges
+	WALSegments int    // 0 when the backend has no WAL
 	Fsyncs      uint64
 	FsyncNanos  uint64
 	FsyncHist   []uint64 // aligned with ingest.FsyncBounds (+Inf last); nil when unavailable
@@ -127,29 +124,23 @@ func (dv *deltaView) overlay(li int32) *nodeOverlay {
 // publication; `all` may share a backing array across views (an apply
 // only ever writes past the published length).
 type nodeOverlay struct {
-	all []graph.Edge // every appended edge for this node, in apply order
-
-	// merged: alias table over base adjacency + all[:compactedLen];
-	// nil until the first compaction (draws then mix the base CSR table
-	// with the pending table instead).
-	merged       []graph.Edge
-	mergedProb   []float64
-	mergedAlias  []int32
-	mergedW      float64
-	compactedLen int
-
-	// pending: alias table over all[compactedLen:].
-	pendProb  []float64
-	pendAlias []int32
-	pendW     float64
+	all  []graph.Edge // every appended edge for this node, in apply order
+	runs []deltaRun   // oldest first, covering all exactly; never empty
 
 	// baseW is the base adjacency's weight mass under the same
 	// degenerate-weight fallback buildTables applied (uniform = degree).
-	// Unused (draws go through merged) once merged is non-nil.
 	baseW float64
 }
 
-func (ov *nodeOverlay) pending() []graph.Edge { return ov.all[ov.compactedLen:] }
+// deltaRun is one alias table over an overlay's all[lo:hi]. end is the
+// cumulative mass baseW + Σ w of this and every older run, so the newest
+// run's end is the node's whole mass.
+type deltaRun struct {
+	lo, hi int32
+	end    float64
+	prob   []float64
+	alias  []int32
+}
 
 // LastAppliedSeq returns the sequence number of the newest applied
 // append (0 before any).
@@ -273,12 +264,7 @@ func (s *Shard) applyLocked(seq uint64, edges []ingest.Edge) error {
 		next.edges++
 	}
 	for _, li := range touched {
-		ov := next.overlay(li)
-		if len(ov.pending()) >= compactThreshold {
-			s.compactOverlay(li, ov)
-			next.compactions++
-		}
-		s.rebuildPending(ov)
+		next.compactions += s.pushRun(next.overlay(li))
 	}
 	s.delta.Store(&next)
 	return nil
@@ -297,117 +283,84 @@ func (s *Shard) cloneOverlay(li int32, old *nodeOverlay) *nodeOverlay {
 	return &cp
 }
 
-// baseDegenerate reports whether buildTables fell back to uniform
-// weights for the adjacency spanning [lo, hi) (alias.BuildInto rejects
-// negative weights and all-zero mass).
-func (s *Shard) baseDegenerate(lo, hi int32) bool {
-	if lo == hi {
-		return false
-	}
+// baseWeightSpan returns the weight mass buildTables assigned to the
+// base adjacency spanning [lo, hi): the raw sum, or the degree when
+// alias.BuildInto rejected the raw weights (a negative weight or an
+// all-zero mass) and buildTables fell back to uniform.
+func (s *Shard) baseWeightSpan(lo, hi int32) float64 {
 	sum := 0.0
 	for _, e := range s.store.Edges[lo:hi] {
 		if e.Weight < 0 {
-			return true
+			return float64(hi - lo)
 		}
 		sum += float64(e.Weight)
 	}
-	return sum == 0
-}
-
-// baseWeightSpan returns the weight mass buildTables assigned to the
-// base adjacency spanning [lo, hi): the raw sum, or the degree when the
-// raw weights were degenerate (matching the uniform fallback).
-func (s *Shard) baseWeightSpan(lo, hi int32) float64 {
-	if lo == hi {
-		return 0
-	}
-	if s.baseDegenerate(lo, hi) {
+	if sum == 0 {
 		return float64(hi - lo)
-	}
-	sum := 0.0
-	for _, e := range s.store.Edges[lo:hi] {
-		sum += float64(e.Weight)
 	}
 	return sum
 }
 
-// compactOverlay folds base + every applied delta into one merged alias
-// table; subsequent draws stop consulting the base CSR table for this
-// node. Deterministic: depends only on the base arrays and ov.all.
-func (s *Shard) compactOverlay(li int32, ov *nodeOverlay) {
-	lo, hi := s.store.Offsets[li], s.store.Offsets[li+1]
-	base := s.store.Edges[lo:hi]
+// pushRun covers the edges this apply appended to ov with one new run,
+// merged with the newest runs while the older of the two newest is at
+// most twice the newer. A merge rebuilds the merged range's table from
+// its weights, so the cascade builds one table, over its final range;
+// the merges are counted, not built. Runs a merge leaves alone are
+// shared with older views.
+func (s *Shard) pushRun(ov *nodeOverlay) (merges uint64) {
+	hi, k := int32(len(ov.all)), len(ov.runs)
+	lo := int32(0)
+	if k > 0 {
+		lo = ov.runs[k-1].hi
+	}
+	for ; k > 0 && ov.runs[k-1].hi-ov.runs[k-1].lo <= 2*(hi-lo); k-- {
+		lo = ov.runs[k-1].lo
+		merges++
+	}
+	end := ov.baseW
+	if k > 0 {
+		end = ov.runs[k-1].end
+	}
 
-	merged := make([]graph.Edge, 0, len(base)+len(ov.all))
-	merged = append(merged, base...)
-	merged = append(merged, ov.all...)
-	weights := make([]float64, len(merged))
-	uniformBase := s.baseDegenerate(lo, hi)
-	for i, e := range merged {
-		if i < len(base) && uniformBase {
-			weights[i] = 1 // preserve the degenerate-base uniform fallback
-		} else {
-			weights[i] = float64(e.Weight)
-		}
+	n := int(hi - lo)
+	if cap(s.runWeights) < n {
+		s.runWeights, s.runStack = make([]float64, n), make([]int32, n)
 	}
-	ov.merged = merged
-	ov.mergedProb = make([]float64, len(merged))
-	ov.mergedAlias = make([]int32, len(merged))
-	stack := make([]int32, len(merged))
-	alias.MustBuildInto(ov.mergedProb, ov.mergedAlias, weights, stack)
-	ov.mergedW = 0
-	for _, w := range weights {
-		ov.mergedW += w
-	}
-	ov.compactedLen = len(ov.all)
-	ov.baseW = 0
-}
-
-// rebuildPending rebuilds the alias table over the uncompacted tail.
-func (s *Shard) rebuildPending(ov *nodeOverlay) {
-	pend := ov.pending()
-	if len(pend) == 0 {
-		ov.pendProb, ov.pendAlias, ov.pendW = nil, nil, 0
-		return
-	}
-	weights := make([]float64, len(pend))
-	w := 0.0
-	for i, e := range pend {
+	weights := s.runWeights[:n]
+	for i, e := range ov.all[lo:hi] {
 		weights[i] = float64(e.Weight)
-		w += float64(e.Weight)
+		end += weights[i]
 	}
-	ov.pendProb = make([]float64, len(pend))
-	ov.pendAlias = make([]int32, len(pend))
-	stack := make([]int32, len(pend))
-	alias.MustBuildInto(ov.pendProb, ov.pendAlias, weights, stack)
-	ov.pendW = w
+	run := deltaRun{lo: lo, hi: hi, end: end, prob: make([]float64, n), alias: make([]int32, n)}
+	alias.MustBuildInto(run.prob, run.alias, weights, s.runStack[:n])
+	s.runBuilt += uint64(n)
+
+	ov.runs = append(slices.Clip(ov.runs[:k]), run)
+	return merges
 }
 
-// sampleOverlay draws len(out) neighbors for a node with live deltas:
-// a weighted two-component mixture between the compacted table (or the
-// base CSR table pre-compaction) and the pending-delta table. Runs on
-// the read hot path — no allocation, no locks.
+// sampleOverlay draws len(out) neighbors for a node with live deltas.
+// Each draw scales one Float64 to the node's whole mass (base plus every
+// run) to pick the base CSR table or one run, then makes one alias draw
+// in it. Runs on the read hot path — no allocation, no locks.
 func (s *Shard) sampleOverlay(ov *nodeOverlay, lo, hi int32, out []graph.NodeID, r *rng.RNG) {
-	for i := range out {
-		out[i] = s.drawOverlay(ov, lo, hi, r)
-	}
-}
-
-func (s *Shard) drawOverlay(ov *nodeOverlay, lo, hi int32, r *rng.RNG) graph.NodeID {
-	if ov.merged != nil {
-		if ov.pendW == 0 || r.Float64()*(ov.mergedW+ov.pendW) < ov.mergedW {
-			return ov.merged[alias.SampleFrom(ov.mergedProb, ov.mergedAlias, r)].To
+	runs, last := ov.runs, len(ov.runs)-1
+	baseW, total := ov.baseW, runs[last].end
+	prob, aliasIdx := s.prob[lo:hi], s.alias[lo:hi]
+	for j := range out {
+		x := r.Float64() * total
+		if x < baseW {
+			out[j] = s.store.Edges[int(lo)+alias.SampleFrom(prob, aliasIdx, r)].To
+			continue
 		}
-		pend := ov.pending()
-		return pend[alias.SampleFrom(ov.pendProb, ov.pendAlias, r)].To
+		// Oldest first: the oldest run is the largest, so the walk is short.
+		i := 0
+		for i < last && x >= runs[i].end {
+			i++
+		}
+		run := &runs[i]
+		out[j] = ov.all[int(run.lo)+alias.SampleFrom(run.prob, run.alias, r)].To
 	}
-	if ov.baseW > 0 && (ov.pendW == 0 || r.Float64()*(ov.baseW+ov.pendW) < ov.baseW) {
-		prob := s.prob[lo:hi]
-		aliasIdx := s.alias[lo:hi]
-		return s.store.Edges[int(lo)+alias.SampleFrom(prob, aliasIdx, r)].To
-	}
-	pend := ov.pending()
-	return pend[alias.SampleFrom(ov.pendProb, ov.pendAlias, r)].To
 }
 
 // overlayAt returns local row li's live overlay, or nil. One atomic

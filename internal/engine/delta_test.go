@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -155,8 +157,8 @@ func TestAppendValidationTyped(t *testing.T) {
 }
 
 // genAppendStream builds the deterministic record stream used by the
-// replay-equivalence tests: many edges funneled at ego (to cross the
-// compaction threshold repeatedly) plus scattered edges elsewhere.
+// replay-equivalence tests: many edges funneled at ego (to merge its
+// runs repeatedly) plus scattered edges elsewhere.
 func genAppendStream(ego, lone graph.NodeID, n int) [][]ingest.Edge {
 	recs := make([][]ingest.Edge, n)
 	for i := range recs {
@@ -198,7 +200,7 @@ func TestAppendReplayBitIdentical(t *testing.T) {
 		t.Fatalf("IngestStats diverged: %+v vs %+v", dA, dB)
 	}
 	if dA.Compactions == 0 {
-		t.Fatalf("stream of %d records never compacted (threshold %d) — test lost its teeth", len(stream), compactThreshold)
+		t.Fatalf("stream of %d records never merged a run — test lost its teeth", len(stream))
 	}
 
 	out1 := make([]graph.NodeID, 8)
@@ -218,20 +220,31 @@ func TestAppendReplayBitIdentical(t *testing.T) {
 }
 
 func TestAppendSampleNoAlloc(t *testing.T) {
-	e, ego, _, _, lone := deltaWorld(t, 1)
+	e, ego, heavy, _, lone := deltaWorld(t, 1)
 	sh := e.Shard(0)
-	// Drive ego past the compaction threshold and leave a pending tail,
-	// so the draw exercises the merged+pending mixture; lone stays
-	// pre-compaction (base+pending mixture).
-	stream := genAppendStream(ego, lone, compactThreshold+5)
-	for seq, rec := range stream {
+	// ego gains one-edge records (runs beside its base), lone a few
+	// (runs alone); heavy gets records of 31, 15, 7, 3 and 1 edges, none
+	// of which merges, so its draws walk a stack of five runs.
+	for seq, rec := range genAppendStream(ego, lone, 21) {
 		if _, _, err := sh.ApplyAppend(uint64(seq)+1, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for _, size := range []int{31, 15, 7, 3, 1} {
+		rec := make([]ingest.Edge, size)
+		for i := range rec {
+			rec[i] = ingest.Edge{Src: heavy, Dst: graph.NodeID(i % 4), Type: graph.Click, Weight: float32(i%3) + 1}
+		}
+		if _, err := sh.AppendEdges(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs := len(sh.overlayAt(sh.part.Local(heavy)).runs); runs < 5 {
+		t.Fatalf("heavy carries %d runs, want >= 5", runs)
+	}
 	r := rng.New(11)
 	out := make([]graph.NodeID, 16)
-	for _, id := range []graph.NodeID{ego, lone} {
+	for _, id := range []graph.NodeID{ego, lone, heavy} {
 		id := id
 		if allocs := testing.AllocsPerRun(200, func() {
 			sh.SampleNeighborsInto(id, out, r)
@@ -277,12 +290,127 @@ func TestAppendBatchPathConsistent(t *testing.T) {
 	}
 }
 
-// BenchmarkDeltaApply measures the copy-on-write apply path (including
-// periodic compactions) of one 2-edge record on a 4096-node shard that
-// already carries `live` overlays. Every 256 applies the shard is reset
-// to that starting view outside the timer, so the two touched nodes'
-// growth — and with it the compaction cost — stays bounded and the
-// cases differ only in how many other overlays are live.
+// hubWorld builds a one-shard world whose node 0 has 64 base neighbors
+// (1..64) of weights 1..7, node 65 has four all-zero-weight base edges
+// (to 66..69, so its table is the uniform fallback) and node 70 is
+// isolated; 128 nodes in all.
+func hubWorld(t testing.TB) *Engine {
+	t.Helper()
+	b := graph.NewBuilder()
+	for i := 0; i < 128; i++ {
+		b.AddNode(graph.Item, nil, nil)
+	}
+	for i := 1; i <= 64; i++ {
+		b.AddUndirected(0, graph.NodeID(i), graph.Click, float32(i%7+1))
+	}
+	for i := 66; i <= 69; i++ {
+		b.AddUndirected(65, graph.NodeID(i), graph.Click, 0)
+	}
+	return New(b.Build(), Config{Shards: 1})
+}
+
+// TestOverlayDrawsFollowWeights checks the overlay mixture itself, which
+// the replay and batch-vs-single tests cannot see: after stages of 1, 2,
+// 3, 7, 16, 100 and 1000 records — one-edge and multi-edge, so the run
+// stacks pass through many merge states — every neighbor's share of
+// 200 000 draws must lie within 5σ of its weight over the node's whole
+// mass. It covers a weighted degree-64 base, an all-zero-weight base
+// (uniform fallback) and a node isolated at birth.
+func TestOverlayDrawsFollowWeights(t *testing.T) {
+	const draws = 200000
+	e := hubWorld(t)
+	sh := e.Shard(0)
+	nodes := []graph.NodeID{0, 65, 70}
+	applied := 0
+	r := rng.New(17)
+	out := make([]graph.NodeID, 1000)
+	for _, stage := range []int{1, 2, 3, 7, 16, 100, 1000} {
+		for ; applied < stage; applied++ {
+			var rec []ingest.Edge
+			for j, src := range nodes {
+				x := uint64(applied*len(nodes)+j)*0x9e3779b97f4a7c15 + 1
+				m := 1
+				if x>>60%4 == 0 {
+					m = 2 + int(x>>40%13)
+				}
+				for k := 0; k < m; k++ {
+					y := x + uint64(k)*0xbf58476d1ce4e5b9
+					rec = append(rec, ingest.Edge{Src: src, Dst: graph.NodeID(y >> 33 % 128), Type: graph.Click, Weight: float32(y>>50%29)*0.5 + 0.25})
+				}
+			}
+			if _, err := sh.AppendEdges(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range nodes {
+			// Neighbors lists base then appended edges. Appended weights
+			// are positive, so a zero weight is node 65's all-zero base,
+			// which draws uniformly: each of its edges weighs 1.
+			want := map[graph.NodeID]float64{}
+			total := 0.0
+			for _, edge := range e.Neighbors(id) {
+				w := float64(edge.Weight)
+				if w == 0 {
+					w = 1
+				}
+				want[edge.To] += w
+				total += w
+			}
+			got := map[graph.NodeID]int{}
+			for n := 0; n < draws; n += len(out) {
+				sh.SampleNeighborsInto(id, out, r)
+				for _, to := range out {
+					got[to]++
+				}
+			}
+			for to := range got {
+				if want[to] == 0 {
+					t.Fatalf("stage %d node %d: drew %d, not a neighbor", stage, id, to)
+				}
+			}
+			for to, w := range want {
+				p := w / total
+				mean, sigma := draws*p, math.Sqrt(draws*p*(1-p))
+				if d := math.Abs(float64(got[to]) - mean); d > 5*sigma {
+					t.Fatalf("stage %d node %d: neighbor %d drawn %d times, want %.0f ± 5×%.1f (runs %d)",
+						stage, id, to, got[to], mean, sigma, len(sh.overlayAt(sh.part.Local(id)).runs))
+				}
+			}
+		}
+	}
+}
+
+// TestAppendWorkIsAmortized counts the apply path's table work rather
+// than timing it: 4096 one-edge records to one node must never leave
+// more than ⌈log₂ n⌉+1 runs, and the alias entries built must stay
+// within 2·n·⌈log₂ n⌉. Rebuilding the node's history every few records
+// would build O(n²).
+func TestAppendWorkIsAmortized(t *testing.T) {
+	const n = 4096
+	e, ego, _, light, _ := deltaWorld(t, 1)
+	sh := e.Shard(0)
+	li := sh.part.Local(ego)
+	for i := 1; i <= n; i++ {
+		if _, err := sh.AppendEdges([]ingest.Edge{{Src: ego, Dst: light, Type: graph.Click, Weight: float32(i%3) + 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if runs, limit := len(sh.overlayAt(li).runs), bits.Len(uint(i-1))+1; runs > limit {
+			t.Fatalf("after %d edges: %d runs, want <= %d", i, runs, limit)
+		}
+	}
+	if limit := uint64(2 * n * bits.Len(n-1)); sh.runBuilt > limit {
+		t.Fatalf("%d one-edge appends built %d alias entries, want <= %d", n, sh.runBuilt, limit)
+	}
+}
+
+// BenchmarkDeltaApply measures the copy-on-write apply path, run
+// pushes and merges included. live=N applies one 2-edge record on a
+// 4096-node shard that already carries N overlays; every 256 applies
+// the shard is reset to that starting view outside the timer, so the
+// cases differ only in how many other overlays are live. hot=4096 is the
+// growth case: one iteration applies 4096 one-edge records to a single
+// degree-64 node, from an empty overlay, so its cost is the whole
+// history's table work (O(n log n) edges built, not O(n²)).
 func BenchmarkDeltaApply(b *testing.B) {
 	const nodes, reset = 4096, 256
 	for _, live := range []int{2, 2000} {
@@ -320,10 +448,28 @@ func BenchmarkDeltaApply(b *testing.B) {
 			}
 		})
 	}
+	b.Run("hot=4096", func(b *testing.B) {
+		const hot = 4096
+		sh := hubWorld(b).Shard(0)
+		rec := make([]ingest.Edge, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			sh.delta.Store(nil)
+			b.StartTimer()
+			for j := 0; j < hot; j++ {
+				rec[0] = ingest.Edge{Src: 0, Dst: graph.NodeID(j%64 + 1), Type: graph.Click, Weight: float32(j%5) + 1}
+				if _, err := sh.AppendEdges(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
-// BenchmarkDeltaSample measures post-compaction mixture draws against a
-// node with live deltas — the post-ingest read hot path.
+// BenchmarkDeltaSample measures draws against a node with live deltas —
+// its base table plus a stack of runs — the post-ingest read hot path.
 func BenchmarkDeltaSample(b *testing.B) {
 	e, ego, _, _, lone := deltaWorld(b, 1)
 	sh := e.Shard(0)

@@ -34,9 +34,13 @@ type Shard struct {
 	tableCount atomic.Int64
 
 	// delta is the current overlay snapshot (nil before any append);
-	// deltaMu serializes writers only.
-	delta   atomic.Pointer[deltaView]
-	deltaMu sync.Mutex
+	// deltaMu serializes writers only and guards the run-build scratch
+	// and the count of alias entries applies have built.
+	delta      atomic.Pointer[deltaView]
+	deltaMu    sync.Mutex
+	runWeights []float64
+	runStack   []int32
+	runBuilt   uint64
 
 	requests atomic.Int64 // nodes served: one per sample, the group size per visit
 }

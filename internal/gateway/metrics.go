@@ -59,7 +59,7 @@ func trimFloat(f float64) string {
 
 // writeIngest emits the per-shard write-path rows when an ingest source
 // is wired: WAL sequence (= ingest epoch), delta overlay sizes,
-// compaction counters, WAL segment counts, and the fsync latency
+// run-merge counters, WAL segment counts, and the fsync latency
 // histogram in cumulative le-labelled form.
 func (m *metrics) writeIngest(w io.Writer) {
 	if m.ingest == nil {
@@ -84,7 +84,7 @@ func (m *metrics) writeIngest(w io.Writer) {
 	for _, st := range rows {
 		fmt.Fprintf(w, "zoomer_ingest_delta_edges{shard=\"%d\"} %d\n", st.Shard, st.DeltaEdges)
 	}
-	fmt.Fprintf(w, "# HELP zoomer_ingest_compactions_total Alias-table compactions per shard.\n")
+	fmt.Fprintf(w, "# HELP zoomer_ingest_compactions_total Delta run merges per shard.\n")
 	fmt.Fprintf(w, "# TYPE zoomer_ingest_compactions_total counter\n")
 	for _, st := range rows {
 		fmt.Fprintf(w, "zoomer_ingest_compactions_total{shard=\"%d\"} %d\n", st.Shard, st.Compactions)

@@ -321,7 +321,7 @@ func decodeEpoch(body []byte) (epoch uint64, owned []ShardInfo, members []string
 }
 
 // ingestRowSize is the fixed part of one encoded ingest row: shard, seq,
-// delta nodes/edges, compactions, WAL segments, fsync count and nanos,
+// delta nodes/edges, run merges, WAL segments, fsync count and nanos,
 // and the histogram's bucket count.
 const ingestRowSize = 4 + 8 + 4 + 8 + 8 + 4 + 8 + 8 + 4
 
