@@ -5,14 +5,24 @@
 // operations and obtains exact gradients with Backward.
 //
 // The design is a dynamic tape ("define-by-run"): each operation appends a
-// node holding its output value and a closure that propagates the output
-// gradient to the operation's inputs. Backward walks the tape in reverse.
-// Gradients accumulate, so shared subexpressions and parameter reuse work
-// naturally.
+// node holding its output value, its op kind and its operands. Backward
+// walks the tape in reverse and propagates each node's gradient to its
+// operands with one switch over op kinds. Gradients accumulate, so shared
+// subexpressions and parameter reuse work naturally.
+//
+// A tape owns its memory. Node values, gradients, the nodes themselves
+// and the operand lists of variadic ops are carved, zeroed, from chunked
+// slabs, and Reset rewinds the slabs for the next forward/backward cycle.
+// A training loop holds one tape for the whole run, so a step in steady
+// state allocates nothing here. The price is a lifetime: a node, its Val
+// and its gradient are valid until the tape's next Reset, and callers
+// that keep a value past it copy it out.
 //
 // Parameters live outside the tape (see package nn); they join a forward
 // pass via Tape.Watch, which wires a persistent gradient buffer into the
 // tape so that optimizers can read accumulated gradients after Backward.
+// Embedding tables join via Tape.Gather, which scatters row gradients
+// into a GradSink.
 package ad
 
 import (
@@ -22,19 +32,60 @@ import (
 	"zoomer/internal/tensor"
 )
 
-// Node is one value in a computation graph: an output matrix plus the
-// machinery to propagate gradients to its inputs. Nodes are created only
-// through Tape methods.
+// opKind is the operation that produced a node; Backward switches on it.
+type opKind uint8
+
+const (
+	opLeaf opKind = iota // Const and Watch: nothing to propagate
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opScale
+	opMatMul
+	opAddBias
+	opConcatCols
+	opConcatRows
+	opSoftmaxRows
+	opSigmoid
+	opTanh
+	opReLU
+	opLeakyReLU
+	opSqrt
+	opSumAll
+	opMeanRows
+	opBCE
+	opFocalBCE
+	opTranspose
+	opScaleBy
+	opGather
+)
+
+// Node is one value in a computation graph: an output matrix plus what
+// Backward needs to propagate its gradient to its operands. Nodes are
+// created only through Tape methods and live until the tape's next Reset.
 type Node struct {
 	// Val is the forward value. It must not be mutated after creation.
-	Val *tensor.Matrix
-	// Grad is dL/dVal, allocated lazily during Backward (or supplied by
-	// Watch for parameter nodes).
-	Grad *tensor.Matrix
+	Val tensor.Matrix
+	// grad is dL/dVal, carved lazily during Backward (or the parameter's
+	// persistent buffer, for Watch).
+	grad []float32
 
+	a, b      *Node
+	ins       []*Node // ConcatCols/ConcatRows operands
+	aux       *aux    // Gather's and the losses' operands
 	tape      *Tape
+	alpha     float32 // Scale and LeakyReLU
+	op        opKind
 	needsGrad bool
-	back      func() // propagate n.Grad into input nodes; nil for leaves
+}
+
+// aux holds the operands of the ops whose operands are not nodes.
+type aux struct {
+	ids     []int32   // Gather's rows
+	sink    GradSink  // Gather's gradient destination
+	targets []float32 // the losses' labels
+	gamma   float64   // FocalBCEWithLogits
 }
 
 // Rows returns the row count of the node's value.
@@ -51,36 +102,159 @@ func (n *Node) Scalar() float32 {
 	return n.Val.Data[0]
 }
 
-func (n *Node) ensureGrad() *tensor.Matrix {
-	if n.Grad == nil {
-		n.Grad = tensor.NewMatrix(n.Val.Rows, n.Val.Cols)
+func (n *Node) ensureGrad() []float32 {
+	if n.grad == nil {
+		n.grad = n.tape.matrix(n.Val.Rows, n.Val.Cols).Data
 	}
-	return n.Grad
+	return n.grad
 }
 
-// Tape records operations for reverse-mode differentiation. A Tape is for
-// a single forward/backward cycle; allocate a fresh one per training step.
-// Tapes are not safe for concurrent use.
+// gradMatrix is n's gradient as a matrix of n's shape.
+func (n *Node) gradMatrix() tensor.Matrix {
+	return tensor.Matrix{Rows: n.Val.Rows, Cols: n.Val.Cols, Data: n.ensureGrad()}
+}
+
+// row returns row i of a matrix of n's shape stored in data.
+func (n *Node) row(data []float32, i int) []float32 {
+	c := n.Val.Cols
+	return data[i*c : (i+1)*c]
+}
+
+// GradSink receives the gradient of rows gathered from storage outside
+// the tape (Tape.Gather): an embedding table's sparse gradient.
+type GradSink interface {
+	// AddRowGrad accumulates grad into the gradient of row id. grad is
+	// only valid during the call.
+	AddRowGrad(id int32, grad []float32)
+}
+
+// Slab chunk lengths, in elements: the most a chunk holds unless one take
+// needs more. A tape's first chunk is 1/64 of that, and each further chunk
+// doubles, so a one-off inference tape stays small; chunks are kept and
+// reused by every later cycle.
+const (
+	floatChunk = 1 << 16
+	nodeChunk  = 1 << 10
+	ptrChunk   = 1 << 12
+	idChunk    = 1 << 12
+)
+
+// slab hands out zeroed slices carved from chunks it keeps across rewinds.
+type slab[T any] struct {
+	chunks [][]T
+	size   int // the chunk length cap
+	cur    int // chunk being carved; len(chunks) before the first take
+	off    int // next free element of chunks[cur]
+}
+
+func (s *slab[T]) take(n int) []T {
+	if s.cur < len(s.chunks) && s.off+n <= len(s.chunks[s.cur]) {
+		out := s.chunks[s.cur][s.off : s.off+n : s.off+n]
+		s.off += n
+		clear(out)
+		return out
+	}
+	if s.cur < len(s.chunks) {
+		s.cur++
+	}
+	if s.cur == len(s.chunks) || len(s.chunks[s.cur]) < n {
+		size := s.size / 64
+		if s.cur > 0 {
+			size = min(s.size, 2*len(s.chunks[s.cur-1]))
+		}
+		c := make([]T, max(size, n))
+		if s.cur == len(s.chunks) {
+			s.chunks = append(s.chunks, c)
+		} else {
+			s.chunks[s.cur] = c
+		}
+	}
+	out := s.chunks[s.cur][:n:n]
+	s.off = n
+	clear(out)
+	return out
+}
+
+func (s *slab[T]) rewind() { s.cur, s.off = 0, 0 }
+
+// Tape records operations for reverse-mode differentiation, one
+// forward/backward cycle at a time: Reset starts the next cycle and
+// invalidates every node, value and gradient of the previous one. Tapes
+// are not safe for concurrent use.
 type Tape struct {
-	nodes []*Node
+	nodes  []*Node // creation order, the order Backward reverses
+	store  slab[Node]
+	auxes  slab[aux]
+	floats slab[float32]
+	ptrs   slab[*Node]
+	ids    slab[int32]
+	bytes  int
 }
 
 // NewTape returns an empty tape.
-func NewTape() *Tape { return &Tape{} }
+func NewTape() *Tape {
+	return &Tape{
+		store:  slab[Node]{size: nodeChunk},
+		auxes:  slab[aux]{size: nodeChunk},
+		floats: slab[float32]{size: floatChunk},
+		ptrs:   slab[*Node]{size: ptrChunk},
+		ids:    slab[int32]{size: idChunk},
+	}
+}
 
-// Len reports the number of recorded nodes, useful for memory accounting
-// in the efficiency experiments.
+// Reset rewinds the tape for a new cycle, keeping its memory. Every node
+// recorded so far, with its Val and gradient, is invalid afterwards.
+func (t *Tape) Reset() {
+	t.nodes = t.nodes[:0]
+	t.store.rewind()
+	t.auxes.rewind()
+	t.floats.rewind()
+	t.ptrs.rewind()
+	t.ids.rewind()
+	t.bytes = 0
+}
+
+// Len reports the number of nodes recorded since the last Reset, useful
+// for memory accounting in the efficiency experiments.
 func (t *Tape) Len() int { return len(t.nodes) }
 
-func (t *Tape) record(val *tensor.Matrix, needsGrad bool, back func()) *Node {
-	n := &Node{Val: val, tape: t, needsGrad: needsGrad, back: back}
+// Bytes reports the bytes of node values and gradients carved since the
+// last Reset: the tape's working set for the cycle, independent of how
+// its slabs happen to be chunked.
+func (t *Tape) Bytes() int { return t.bytes }
+
+// Nodes returns a list of n nil node pointers carved from the tape, valid
+// until Reset: scratch for models that gather operands (per-type
+// neighbor embeddings, per-example rows) before a variadic op.
+func (t *Tape) Nodes(n int) []*Node { return t.ptrs.take(n) }
+
+// matrix carves a zeroed rows x cols matrix from the tape.
+func (t *Tape) matrix(rows, cols int) tensor.Matrix {
+	if rows < 0 || cols < 0 {
+		panic("ad: negative matrix dimension")
+	}
+	t.bytes += 4 * rows * cols
+	return tensor.Matrix{Rows: rows, Cols: cols, Data: t.floats.take(rows * cols)}
+}
+
+// node records a new op node over a, b with a carved, zeroed rows x cols
+// value.
+func (t *Tape) node(op opKind, rows, cols int, needsGrad bool, a, b *Node) *Node {
+	n := t.leaf(t.matrix(rows, cols), needsGrad)
+	n.op, n.a, n.b = op, a, b
+	return n
+}
+
+func (t *Tape) leaf(val tensor.Matrix, needsGrad bool) *Node {
+	n := &t.store.take(1)[0]
+	n.Val, n.tape, n.needsGrad = val, t, needsGrad
 	t.nodes = append(t.nodes, n)
 	return n
 }
 
 // Const introduces a matrix that does not require gradients.
 func (t *Tape) Const(m *tensor.Matrix) *Node {
-	return t.record(m, false, nil)
+	return t.leaf(*m, false)
 }
 
 // Watch introduces a parameter: val is the parameter storage and grad the
@@ -90,9 +264,24 @@ func (t *Tape) Watch(val, grad *tensor.Matrix) *Node {
 	if val.Rows != grad.Rows || val.Cols != grad.Cols {
 		panic("ad: Watch value/grad shape mismatch")
 	}
-	n := t.record(val, true, nil)
-	n.Grad = grad
+	n := t.leaf(*val, true)
+	n.grad = grad.Data
 	return n
+}
+
+// Gather introduces the rows ids of table as a len(ids) x table.Cols
+// node. The rows are copied, and so are the ids; when sink is non-nil,
+// Backward hands it each gathered row's gradient, in row order.
+func (t *Tape) Gather(table *tensor.Matrix, ids []int32, sink GradSink) *Node {
+	out := t.node(opGather, len(ids), table.Cols, sink != nil, nil, nil)
+	for i, id := range ids {
+		copy(out.Val.Row(i), table.Row(int(id)))
+	}
+	out.aux = &t.auxes.take(1)[0]
+	out.aux.ids = t.ids.take(len(ids))
+	copy(out.aux.ids, ids)
+	out.aux.sink = sink
+	return out
 }
 
 // Backward runs reverse-mode accumulation from root, which must be a 1x1
@@ -106,23 +295,224 @@ func (t *Tape) Backward(root *Node) {
 	if root.Val.Rows != 1 || root.Val.Cols != 1 {
 		panic(fmt.Sprintf("ad: Backward root must be scalar, got %dx%d", root.Val.Rows, root.Val.Cols))
 	}
-	root.ensureGrad().Data[0] = 1
+	root.ensureGrad()[0] = 1
 	for i := len(t.nodes) - 1; i >= 0; i-- {
 		n := t.nodes[i]
-		if n.back != nil && n.Grad != nil && n.needsGrad {
-			n.back()
+		if n.op != opLeaf && n.grad != nil && n.needsGrad {
+			n.backward()
 		}
 	}
 }
 
-func anyNeedsGrad(nodes ...*Node) bool {
-	for _, n := range nodes {
-		if n.needsGrad {
-			return true
+// backward propagates n's gradient into its operands: for each op the same
+// per-element float operations, in the same order, as its forward
+// definition below implies.
+func (n *Node) backward() {
+	a, b, og := n.a, n.b, n.grad
+	switch n.op {
+	case opAdd:
+		if a.needsGrad {
+			addTo(a.ensureGrad(), og)
 		}
+		if b.needsGrad {
+			addTo(b.ensureGrad(), og)
+		}
+	case opSub:
+		if a.needsGrad {
+			addTo(a.ensureGrad(), og)
+		}
+		if b.needsGrad {
+			g := b.ensureGrad()
+			for i := range g {
+				g[i] -= og[i]
+			}
+		}
+	case opMul:
+		if a.needsGrad {
+			g := a.ensureGrad()
+			for i := range g {
+				g[i] += og[i] * b.Val.Data[i]
+			}
+		}
+		if b.needsGrad {
+			g := b.ensureGrad()
+			for i := range g {
+				g[i] += og[i] * a.Val.Data[i]
+			}
+		}
+	case opDiv:
+		if a.needsGrad {
+			g := a.ensureGrad()
+			for i := range g {
+				g[i] += og[i] / guardDenom(b.Val.Data[i])
+			}
+		}
+		if b.needsGrad {
+			g := b.ensureGrad()
+			for i := range g {
+				g[i] -= og[i] * n.Val.Data[i] / guardDenom(b.Val.Data[i])
+			}
+		}
+	case opScale:
+		g := a.ensureGrad()
+		for i := range g {
+			g[i] += n.alpha * og[i]
+		}
+	case opMatMul:
+		dout := n.gradMatrix()
+		if a.needsGrad {
+			ga := a.gradMatrix()
+			tensor.GemmAcc(&ga, &dout, &b.Val, false, true)
+		}
+		if b.needsGrad {
+			gb := b.gradMatrix()
+			tensor.GemmAcc(&gb, &a.Val, &dout, true, false)
+		}
+	case opAddBias:
+		if a.needsGrad {
+			addTo(a.ensureGrad(), og)
+		}
+		if b.needsGrad {
+			g := b.ensureGrad()
+			for i := 0; i < n.Rows(); i++ {
+				row := n.row(og, i)
+				for j := range row {
+					g[j] += row[j]
+				}
+			}
+		}
+	case opConcatCols:
+		off := 0
+		for _, in := range n.ins {
+			if in.needsGrad {
+				g := in.ensureGrad()
+				for i := 0; i < n.Rows(); i++ {
+					grow := n.row(og, i)[off : off+in.Cols()]
+					dst := in.row(g, i)
+					for j := range dst {
+						dst[j] += grow[j]
+					}
+				}
+			}
+			off += in.Cols()
+		}
+	case opConcatRows:
+		cols, off := n.Cols(), 0
+		for _, in := range n.ins {
+			if in.needsGrad {
+				addTo(in.ensureGrad(), og[off*cols:(off+in.Rows())*cols])
+			}
+			off += in.Rows()
+		}
+	case opSoftmaxRows:
+		g := a.ensureGrad()
+		for i := 0; i < a.Rows(); i++ {
+			y := n.Val.Row(i)
+			dy := n.row(og, i)
+			var dot float64
+			for j := range y {
+				dot += float64(y[j]) * float64(dy[j])
+			}
+			dst := a.row(g, i)
+			for j := range y {
+				dst[j] += y[j] * (dy[j] - float32(dot))
+			}
+		}
+	case opSigmoid:
+		g, y := a.ensureGrad(), n.Val.Data
+		for i := range g {
+			g[i] += og[i] * (y[i] * (1 - y[i]))
+		}
+	case opTanh:
+		g, y := a.ensureGrad(), n.Val.Data
+		for i := range g {
+			g[i] += og[i] * (1 - y[i]*y[i])
+		}
+	case opReLU, opLeakyReLU:
+		neg := float32(0)
+		if n.op == opLeakyReLU {
+			neg = n.alpha
+		}
+		g, x := a.ensureGrad(), a.Val.Data
+		for i := range g {
+			d := neg
+			if x[i] > 0 {
+				d = 1
+			}
+			g[i] += og[i] * d
+		}
+	case opSqrt:
+		g, y := a.ensureGrad(), n.Val.Data
+		for i := range g {
+			g[i] += og[i] * (1 / (2 * y[i]))
+		}
+	case opSumAll:
+		g, d := a.ensureGrad(), og[0]
+		for i := range g {
+			g[i] += d
+		}
+	case opMeanRows:
+		g, inv := a.ensureGrad(), 1/float32(a.Rows())
+		for i := 0; i < a.Rows(); i++ {
+			dst := a.row(g, i)
+			for j := range dst {
+				dst[j] += og[j] * inv
+			}
+		}
+	case opBCE:
+		g := a.ensureGrad()
+		targets := n.aux.targets
+		scale := og[0] / float32(len(targets))
+		for i, x := range a.Val.Data {
+			g[i] += scale * (tensor.Sigmoid(x) - targets[i])
+		}
+	case opFocalBCE:
+		g := a.ensureGrad()
+		targets := n.aux.targets
+		scale := float64(og[0]) / float64(len(targets))
+		for i, x := range a.Val.Data {
+			_, grad := focalTerm(x, targets[i], n.aux.gamma)
+			g[i] += float32(scale * grad)
+		}
+	case opTranspose:
+		g := a.ensureGrad()
+		for i := 0; i < n.Rows(); i++ {
+			for j := 0; j < n.Cols(); j++ {
+				g[j*a.Cols()+i] += og[i*n.Cols()+j]
+			}
+		}
+	case opScaleBy:
+		// a is the 1x1 scalar, b the scaled matrix.
+		if b.needsGrad {
+			g, s := b.ensureGrad(), a.Val.Data[0]
+			for i := range g {
+				g[i] += s * og[i]
+			}
+		}
+		if a.needsGrad {
+			var acc float64
+			for i, v := range b.Val.Data {
+				acc += float64(v) * float64(og[i])
+			}
+			a.ensureGrad()[0] += float32(acc)
+		}
+	case opGather:
+		for i, id := range n.aux.ids {
+			n.aux.sink.AddRowGrad(id, n.row(og, i))
+		}
+	default:
+		panic(fmt.Sprintf("ad: no backward for op %d", n.op))
 	}
-	return false
 }
+
+// addTo accumulates src into dst element-wise.
+func addTo(dst, src []float32) {
+	for i := range dst {
+		dst[i] += src[i]
+	}
+}
+
+func anyNeedsGrad(a, b *Node) bool { return a.needsGrad || b.needsGrad }
 
 func sameShape(a, b *Node) {
 	if a.Val.Rows != b.Val.Rows || a.Val.Cols != b.Val.Cols {
@@ -133,24 +523,9 @@ func sameShape(a, b *Node) {
 // Add returns a + b (same shape).
 func (t *Tape) Add(a, b *Node) *Node {
 	sameShape(a, b)
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
-	for i := range val.Data {
-		val.Data[i] = a.Val.Data[i] + b.Val.Data[i]
-	}
-	out := t.record(val, anyNeedsGrad(a, b), nil)
-	out.back = func() {
-		if a.needsGrad {
-			g := a.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i]
-			}
-		}
-		if b.needsGrad {
-			g := b.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i]
-			}
-		}
+	out := t.node(opAdd, a.Rows(), a.Cols(), anyNeedsGrad(a, b), a, b)
+	for i := range out.Val.Data {
+		out.Val.Data[i] = a.Val.Data[i] + b.Val.Data[i]
 	}
 	return out
 }
@@ -158,24 +533,9 @@ func (t *Tape) Add(a, b *Node) *Node {
 // Sub returns a - b (same shape).
 func (t *Tape) Sub(a, b *Node) *Node {
 	sameShape(a, b)
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
-	for i := range val.Data {
-		val.Data[i] = a.Val.Data[i] - b.Val.Data[i]
-	}
-	out := t.record(val, anyNeedsGrad(a, b), nil)
-	out.back = func() {
-		if a.needsGrad {
-			g := a.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i]
-			}
-		}
-		if b.needsGrad {
-			g := b.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] -= out.Grad.Data[i]
-			}
-		}
+	out := t.node(opSub, a.Rows(), a.Cols(), anyNeedsGrad(a, b), a, b)
+	for i := range out.Val.Data {
+		out.Val.Data[i] = a.Val.Data[i] - b.Val.Data[i]
 	}
 	return out
 }
@@ -183,24 +543,9 @@ func (t *Tape) Sub(a, b *Node) *Node {
 // Mul returns the element-wise product a * b (same shape).
 func (t *Tape) Mul(a, b *Node) *Node {
 	sameShape(a, b)
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
-	for i := range val.Data {
-		val.Data[i] = a.Val.Data[i] * b.Val.Data[i]
-	}
-	out := t.record(val, anyNeedsGrad(a, b), nil)
-	out.back = func() {
-		if a.needsGrad {
-			g := a.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i] * b.Val.Data[i]
-			}
-		}
-		if b.needsGrad {
-			g := b.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i] * a.Val.Data[i]
-			}
-		}
+	out := t.node(opMul, a.Rows(), a.Cols(), anyNeedsGrad(a, b), a, b)
+	for i := range out.Val.Data {
+		out.Val.Data[i] = a.Val.Data[i] * b.Val.Data[i]
 	}
 	return out
 }
@@ -221,60 +566,31 @@ func guardDenom(v float32) float32 {
 // div returns element-wise a / b with epsilon-guarded denominators.
 func (t *Tape) div(a, b *Node) *Node {
 	sameShape(a, b)
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
-	den := make([]float32, len(val.Data))
-	for i := range val.Data {
-		den[i] = guardDenom(b.Val.Data[i])
-		val.Data[i] = a.Val.Data[i] / den[i]
-	}
-	out := t.record(val, anyNeedsGrad(a, b), nil)
-	out.back = func() {
-		if a.needsGrad {
-			g := a.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i] / den[i]
-			}
-		}
-		if b.needsGrad {
-			g := b.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] -= out.Grad.Data[i] * val.Data[i] / den[i]
-			}
-		}
+	out := t.node(opDiv, a.Rows(), a.Cols(), anyNeedsGrad(a, b), a, b)
+	for i := range out.Val.Data {
+		out.Val.Data[i] = a.Val.Data[i] / guardDenom(b.Val.Data[i])
 	}
 	return out
 }
 
 // Scale returns alpha * a.
 func (t *Tape) Scale(alpha float32, a *Node) *Node {
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
-	for i := range val.Data {
-		val.Data[i] = alpha * a.Val.Data[i]
-	}
-	out := t.record(val, a.needsGrad, nil)
-	out.back = func() {
-		if a.needsGrad {
-			g := a.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += alpha * out.Grad.Data[i]
-			}
-		}
+	out := t.node(opScale, a.Rows(), a.Cols(), a.needsGrad, a, nil)
+	out.alpha = alpha
+	for i := range out.Val.Data {
+		out.Val.Data[i] = alpha * a.Val.Data[i]
 	}
 	return out
 }
 
-// MatMul returns a · b.
+// MatMul returns a · b, accumulated into a zeroed product in GemmAcc's
+// i-k-j order.
 func (t *Tape) MatMul(a, b *Node) *Node {
-	val := tensor.MatMul(a.Val, b.Val)
-	out := t.record(val, anyNeedsGrad(a, b), nil)
-	out.back = func() {
-		if a.needsGrad {
-			tensor.GemmAcc(a.ensureGrad(), out.Grad, b.Val, false, true)
-		}
-		if b.needsGrad {
-			tensor.GemmAcc(b.ensureGrad(), a.Val, out.Grad, true, false)
-		}
+	if a.Cols() != b.Rows() {
+		panic(fmt.Sprintf("ad: MatMul shape mismatch (%dx%d)·(%dx%d)", a.Rows(), a.Cols(), b.Rows(), b.Cols()))
 	}
+	out := t.node(opMatMul, a.Rows(), b.Cols(), anyNeedsGrad(a, b), a, b)
+	tensor.GemmAcc(&out.Val, &a.Val, &b.Val, false, false)
 	return out
 }
 
@@ -283,33 +599,27 @@ func (t *Tape) AddBias(m, bias *Node) *Node {
 	if bias.Rows() != 1 || bias.Cols() != m.Cols() {
 		panic(fmt.Sprintf("ad: AddBias bias shape %dx%d for matrix %dx%d", bias.Rows(), bias.Cols(), m.Rows(), m.Cols()))
 	}
-	val := tensor.NewMatrix(m.Rows(), m.Cols())
+	out := t.node(opAddBias, m.Rows(), m.Cols(), anyNeedsGrad(m, bias), m, bias)
 	for i := 0; i < m.Rows(); i++ {
 		row := m.Val.Row(i)
-		orow := val.Row(i)
+		orow := out.Val.Row(i)
 		for j := range orow {
 			orow[j] = row[j] + bias.Val.Data[j]
 		}
 	}
-	out := t.record(val, anyNeedsGrad(m, bias), nil)
-	out.back = func() {
-		if m.needsGrad {
-			g := m.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i]
-			}
-		}
-		if bias.needsGrad {
-			g := bias.ensureGrad()
-			for i := 0; i < out.Rows(); i++ {
-				row := out.Grad.Row(i)
-				for j := range row {
-					g.Data[j] += row[j]
-				}
-			}
-		}
-	}
 	return out
+}
+
+// operands records a variadic op's inputs in a tape-carved list and
+// reports whether any needs a gradient.
+func (t *Tape) operands(nodes []*Node) ([]*Node, bool) {
+	ins := t.ptrs.take(len(nodes))
+	copy(ins, nodes)
+	needsGrad := false
+	for _, n := range nodes {
+		needsGrad = needsGrad || n.needsGrad
+	}
+	return ins, needsGrad
 }
 
 // ConcatCols concatenates nodes horizontally; all must share a row count.
@@ -325,30 +635,15 @@ func (t *Tape) ConcatCols(nodes ...*Node) *Node {
 		}
 		total += n.Cols()
 	}
-	val := tensor.NewMatrix(rows, total)
+	ins, needsGrad := t.operands(nodes)
+	out := t.node(opConcatCols, rows, total, needsGrad, nil, nil)
+	out.ins = ins
 	off := 0
 	for _, n := range nodes {
 		for i := 0; i < rows; i++ {
-			copy(val.Row(i)[off:off+n.Cols()], n.Val.Row(i))
+			copy(out.Val.Row(i)[off:off+n.Cols()], n.Val.Row(i))
 		}
 		off += n.Cols()
-	}
-	out := t.record(val, anyNeedsGrad(nodes...), nil)
-	out.back = func() {
-		off := 0
-		for _, n := range nodes {
-			if n.needsGrad {
-				g := n.ensureGrad()
-				for i := 0; i < rows; i++ {
-					grow := out.Grad.Row(i)[off : off+n.Cols()]
-					dst := g.Row(i)
-					for j := range dst {
-						dst[j] += grow[j]
-					}
-				}
-			}
-			off += n.Cols()
-		}
 	}
 	return out
 }
@@ -366,134 +661,88 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 		}
 		total += n.Rows()
 	}
-	val := tensor.NewMatrix(total, cols)
+	ins, needsGrad := t.operands(nodes)
+	out := t.node(opConcatRows, total, cols, needsGrad, nil, nil)
+	out.ins = ins
 	off := 0
 	for _, n := range nodes {
-		copy(val.Data[off*cols:], n.Val.Data)
+		copy(out.Val.Data[off*cols:], n.Val.Data)
 		off += n.Rows()
-	}
-	out := t.record(val, anyNeedsGrad(nodes...), nil)
-	out.back = func() {
-		off := 0
-		for _, n := range nodes {
-			if n.needsGrad {
-				g := n.ensureGrad()
-				src := out.Grad.Data[off*cols : (off+n.Rows())*cols]
-				for i := range g.Data {
-					g.Data[i] += src[i]
-				}
-			}
-			off += n.Rows()
-		}
 	}
 	return out
 }
 
 // SoftmaxRows applies softmax independently to each row.
 func (t *Tape) SoftmaxRows(m *Node) *Node {
-	val := tensor.NewMatrix(m.Rows(), m.Cols())
+	out := t.node(opSoftmaxRows, m.Rows(), m.Cols(), m.needsGrad, m, nil)
 	for i := 0; i < m.Rows(); i++ {
-		tensor.Softmax(m.Val.Row(i), val.Row(i))
-	}
-	out := t.record(val, m.needsGrad, nil)
-	out.back = func() {
-		if !m.needsGrad {
-			return
-		}
-		g := m.ensureGrad()
-		for i := 0; i < m.Rows(); i++ {
-			y := val.Row(i)
-			dy := out.Grad.Row(i)
-			var dot float64
-			for j := range y {
-				dot += float64(y[j]) * float64(dy[j])
-			}
-			dst := g.Row(i)
-			for j := range y {
-				dst[j] += y[j] * (dy[j] - float32(dot))
-			}
-		}
+		tensor.Softmax(m.Val.Row(i), out.Val.Row(i))
 	}
 	return out
 }
 
-func (t *Tape) unary(a *Node, f func(float32) float32, df func(x, y float32) float32) *Node {
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
-	for i, x := range a.Val.Data {
-		val.Data[i] = f(x)
-	}
-	out := t.record(val, a.needsGrad, nil)
-	out.back = func() {
-		if !a.needsGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i := range g.Data {
-			g.Data[i] += out.Grad.Data[i] * df(a.Val.Data[i], val.Data[i])
-		}
-	}
-	return out
+// unary records an element-wise op over a; the caller fills the value.
+func (t *Tape) unary(op opKind, a *Node) (out *Node, x, y []float32) {
+	out = t.node(op, a.Rows(), a.Cols(), a.needsGrad, a, nil)
+	return out, a.Val.Data, out.Val.Data
 }
 
 // Sigmoid applies the logistic function element-wise.
 func (t *Tape) Sigmoid(a *Node) *Node {
-	return t.unary(a, tensor.Sigmoid, func(_, y float32) float32 { return y * (1 - y) })
+	out, x, y := t.unary(opSigmoid, a)
+	for i := range x {
+		y[i] = tensor.Sigmoid(x[i])
+	}
+	return out
 }
 
 // Tanh applies tanh element-wise.
 func (t *Tape) Tanh(a *Node) *Node {
-	return t.unary(a,
-		func(x float32) float32 { return float32(math.Tanh(float64(x))) },
-		func(_, y float32) float32 { return 1 - y*y })
+	out, x, y := t.unary(opTanh, a)
+	for i := range x {
+		y[i] = float32(math.Tanh(float64(x[i])))
+	}
+	return out
 }
 
 // ReLU applies max(0, x) element-wise.
 func (t *Tape) ReLU(a *Node) *Node {
-	return t.unary(a,
-		func(x float32) float32 {
-			if x > 0 {
-				return x
-			}
-			return 0
-		},
-		func(x, _ float32) float32 {
-			if x > 0 {
-				return 1
-			}
-			return 0
-		})
+	out, x, y := t.unary(opReLU, a)
+	for i := range x {
+		if x[i] > 0 {
+			y[i] = x[i]
+		}
+	}
+	return out
 }
 
 // LeakyReLU applies x>0 ? x : alpha*x element-wise (the GAT/paper
 // attention nonlinearity, conventionally alpha=0.2).
 func (t *Tape) LeakyReLU(alpha float32, a *Node) *Node {
-	return t.unary(a,
-		func(x float32) float32 {
-			if x > 0 {
-				return x
-			}
-			return alpha * x
-		},
-		func(x, _ float32) float32 {
-			if x > 0 {
-				return 1
-			}
-			return alpha
-		})
+	out, x, y := t.unary(opLeakyReLU, a)
+	out.alpha = alpha
+	for i := range x {
+		if x[i] > 0 {
+			y[i] = x[i]
+		} else {
+			y[i] = alpha * x[i]
+		}
+	}
+	return out
 }
 
 // Sqrt applies sqrt(max(x, 0) + eps) element-wise; the epsilon keeps the
 // derivative finite at zero, which matters for norm computations.
 func (t *Tape) Sqrt(a *Node) *Node {
 	const eps = 1e-12
-	return t.unary(a,
-		func(x float32) float32 {
-			if x < 0 {
-				x = 0
-			}
-			return float32(math.Sqrt(float64(x) + eps))
-		},
-		func(_, y float32) float32 { return 1 / (2 * y) })
+	out, x, y := t.unary(opSqrt, a)
+	for i, v := range x {
+		if v < 0 {
+			v = 0
+		}
+		y[i] = float32(math.Sqrt(float64(v) + eps))
+	}
+	return out
 }
 
 // sumAll reduces to a 1x1 scalar node holding the sum of all elements.
@@ -502,19 +751,8 @@ func (t *Tape) sumAll(a *Node) *Node {
 	for _, v := range a.Val.Data {
 		s += float64(v)
 	}
-	val := tensor.NewMatrix(1, 1)
-	val.Data[0] = float32(s)
-	out := t.record(val, a.needsGrad, nil)
-	out.back = func() {
-		if !a.needsGrad {
-			return
-		}
-		g := a.ensureGrad()
-		d := out.Grad.Data[0]
-		for i := range g.Data {
-			g.Data[i] += d
-		}
-	}
+	out := t.node(opSumAll, 1, 1, a.needsGrad, a, nil)
+	out.Val.Data[0] = float32(s)
 	return out
 }
 
@@ -523,29 +761,17 @@ func (t *Tape) MeanRows(a *Node) *Node {
 	if a.Rows() == 0 {
 		panic("ad: MeanRows of empty node")
 	}
-	val := tensor.NewMatrix(1, a.Cols())
+	out := t.node(opMeanRows, 1, a.Cols(), a.needsGrad, a, nil)
+	val := out.Val.Data
 	for i := 0; i < a.Rows(); i++ {
 		row := a.Val.Row(i)
 		for j, v := range row {
-			val.Data[j] += v
+			val[j] += v
 		}
 	}
 	inv := 1 / float32(a.Rows())
-	for j := range val.Data {
-		val.Data[j] *= inv
-	}
-	out := t.record(val, a.needsGrad, nil)
-	out.back = func() {
-		if !a.needsGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i := 0; i < a.Rows(); i++ {
-			dst := g.Row(i)
-			for j := range dst {
-				dst[j] += out.Grad.Data[j] * inv
-			}
-		}
+	for j := range val {
+		val[j] *= inv
 	}
 	return out
 }
@@ -568,16 +794,24 @@ func (t *Tape) CosineSim(a, b *Node) *Node {
 	return t.div(t.Dot(a, b), t.Mul(t.norm(a), t.norm(b)))
 }
 
-// Custom introduces a node with a caller-provided value and backward
-// closure, for operations with bespoke gradient handling (notably sparse
-// embedding lookups in package nn). The closure receives the output node
-// and must accumulate into the inputs it closed over.
-func (t *Tape) Custom(val *tensor.Matrix, needsGrad bool, back func(out *Node)) *Node {
-	out := t.record(val, needsGrad, nil)
-	if back != nil {
-		out.back = func() { back(out) }
-	}
+// loss records a scalar loss node over logits, with targets copied into
+// the tape.
+func (t *Tape) loss(op opKind, logits *Node, targets []float32, value float64) *Node {
+	out := t.node(op, 1, 1, logits.needsGrad, logits, nil)
+	out.Val.Data[0] = float32(value / float64(len(targets)))
+	out.aux = &t.auxes.take(1)[0]
+	out.aux.targets = t.floats.take(len(targets))
+	copy(out.aux.targets, targets)
 	return out
+}
+
+func checkLoss(name string, logits *Node, targets []float32) {
+	if n := len(logits.Val.Data); n != len(targets) {
+		panic(fmt.Sprintf("ad: %s %d logits vs %d targets", name, n, len(targets)))
+	}
+	if len(targets) == 0 {
+		panic(fmt.Sprintf("ad: %s with no samples", name))
+	}
 }
 
 // BCEWithLogits returns the mean binary cross-entropy between logits (any
@@ -585,13 +819,7 @@ func (t *Tape) Custom(val *tensor.Matrix, needsGrad bool, back func(out *Node)) 
 // the numerically stable log-sum-exp form. The gradient with respect to
 // each logit is (sigmoid(x) - z) / n.
 func (t *Tape) BCEWithLogits(logits *Node, targets []float32) *Node {
-	n := len(logits.Val.Data)
-	if n != len(targets) {
-		panic(fmt.Sprintf("ad: BCEWithLogits %d logits vs %d targets", n, len(targets)))
-	}
-	if n == 0 {
-		panic("ad: BCEWithLogits with no samples")
-	}
+	checkLoss("BCEWithLogits", logits, targets)
 	var loss float64
 	for i, x64 := range logits.Val.Data {
 		x := float64(x64)
@@ -599,20 +827,7 @@ func (t *Tape) BCEWithLogits(logits *Node, targets []float32) *Node {
 		// max(x,0) - x*z + log(1+exp(-|x|))
 		loss += math.Max(x, 0) - x*z + math.Log1p(math.Exp(-math.Abs(x)))
 	}
-	val := tensor.NewMatrix(1, 1)
-	val.Data[0] = float32(loss / float64(n))
-	out := t.record(val, logits.needsGrad, nil)
-	out.back = func() {
-		if !logits.needsGrad {
-			return
-		}
-		g := logits.ensureGrad()
-		scale := out.Grad.Data[0] / float32(n)
-		for i, x := range logits.Val.Data {
-			g.Data[i] += scale * (tensor.Sigmoid(x) - targets[i])
-		}
-	}
-	return out
+	return t.loss(opBCE, logits, targets, loss)
 }
 
 // FocalBCEWithLogits returns the mean focal binary cross-entropy
@@ -623,59 +838,41 @@ func (t *Tape) BCEWithLogits(logits *Node, targets []float32) *Node {
 //
 // Gradients are computed analytically in float64 for stability.
 func (t *Tape) FocalBCEWithLogits(logits *Node, targets []float32, gamma float64) *Node {
-	n := len(logits.Val.Data)
-	if n != len(targets) {
-		panic(fmt.Sprintf("ad: FocalBCEWithLogits %d logits vs %d targets", n, len(targets)))
-	}
-	if n == 0 {
-		panic("ad: FocalBCEWithLogits with no samples")
-	}
-	const eps = 1e-9
+	checkLoss("FocalBCEWithLogits", logits, targets)
 	var loss float64
-	grads := make([]float64, n)
-	for i, x64 := range logits.Val.Data {
-		x := float64(x64)
-		z := float64(targets[i])
-		p := 1 / (1 + math.Exp(-x))
-		p = math.Min(math.Max(p, eps), 1-eps)
-		q := 1 - p
-		logP, logQ := math.Log(p), math.Log(q)
-		loss += -z*math.Pow(q, gamma)*logP - (1-z)*math.Pow(p, gamma)*logQ
-		// d/dp of the positive term: -z [ -γ(1-p)^{γ-1} log p + (1-p)^γ / p ]
-		dpos := -z * (-gamma*math.Pow(q, gamma-1)*logP + math.Pow(q, gamma)/p)
-		// d/dp of the negative term: -(1-z) [ γ p^{γ-1} log(1-p) - p^γ/(1-p) ]
-		dneg := -(1 - z) * (gamma*math.Pow(p, gamma-1)*logQ - math.Pow(p, gamma)/q)
-		grads[i] = (dpos + dneg) * p * q // chain through dp/dx = p(1-p)
+	for i, x := range logits.Val.Data {
+		l, _ := focalTerm(x, targets[i], gamma)
+		loss += l
 	}
-	val := tensor.NewMatrix(1, 1)
-	val.Data[0] = float32(loss / float64(n))
-	out := t.record(val, logits.needsGrad, nil)
-	out.back = func() {
-		if !logits.needsGrad {
-			return
-		}
-		g := logits.ensureGrad()
-		scale := float64(out.Grad.Data[0]) / float64(n)
-		for i := range grads {
-			g.Data[i] += float32(scale * grads[i])
-		}
-	}
+	out := t.loss(opFocalBCE, logits, targets, loss)
+	out.aux.gamma = gamma
 	return out
+}
+
+// focalTerm returns one logit's focal loss and its derivative dFL/dx.
+// Forward and backward both call it, so the gradient Backward applies is
+// the one the forward pass would have computed.
+func focalTerm(x32, z32 float32, gamma float64) (loss, grad float64) {
+	const eps = 1e-9
+	x, z := float64(x32), float64(z32)
+	p := 1 / (1 + math.Exp(-x))
+	p = math.Min(math.Max(p, eps), 1-eps)
+	q := 1 - p
+	logP, logQ := math.Log(p), math.Log(q)
+	loss = -z*math.Pow(q, gamma)*logP - (1-z)*math.Pow(p, gamma)*logQ
+	// d/dp of the positive term: -z [ -γ(1-p)^{γ-1} log p + (1-p)^γ / p ]
+	dpos := -z * (-gamma*math.Pow(q, gamma-1)*logP + math.Pow(q, gamma)/p)
+	// d/dp of the negative term: -(1-z) [ γ p^{γ-1} log(1-p) - p^γ/(1-p) ]
+	dneg := -(1 - z) * (gamma*math.Pow(p, gamma-1)*logQ - math.Pow(p, gamma)/q)
+	return loss, (dpos + dneg) * p * q // chain through dp/dx = p(1-p)
 }
 
 // Transpose returns aᵀ.
 func (t *Tape) Transpose(a *Node) *Node {
-	val := tensor.Transpose(a.Val)
-	out := t.record(val, a.needsGrad, nil)
-	out.back = func() {
-		if !a.needsGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i := 0; i < out.Grad.Rows; i++ {
-			for j := 0; j < out.Grad.Cols; j++ {
-				g.Data[j*g.Cols+i] += out.Grad.Data[i*out.Grad.Cols+j]
-			}
+	out := t.node(opTranspose, a.Cols(), a.Rows(), a.needsGrad, a, nil)
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Cols(); j++ {
+			out.Val.Data[j*out.Cols()+i] = a.Val.Data[i*a.Cols()+j]
 		}
 	}
 	return out
@@ -689,25 +886,9 @@ func (t *Tape) ScaleBy(scalar, m *Node) *Node {
 		panic("ad: ScaleBy needs a 1x1 scalar node")
 	}
 	s := scalar.Val.Data[0]
-	val := tensor.NewMatrix(m.Rows(), m.Cols())
+	out := t.node(opScaleBy, m.Rows(), m.Cols(), anyNeedsGrad(scalar, m), scalar, m)
 	for i, v := range m.Val.Data {
-		val.Data[i] = s * v
-	}
-	out := t.record(val, anyNeedsGrad(scalar, m), nil)
-	out.back = func() {
-		if m.needsGrad {
-			g := m.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += s * out.Grad.Data[i]
-			}
-		}
-		if scalar.needsGrad {
-			var acc float64
-			for i, v := range m.Val.Data {
-				acc += float64(v) * float64(out.Grad.Data[i])
-			}
-			scalar.ensureGrad().Data[0] += float32(acc)
-		}
+		out.Val.Data[i] = s * v
 	}
 	return out
 }

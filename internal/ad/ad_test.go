@@ -283,33 +283,161 @@ func TestConstHasNoGrad(t *testing.T) {
 	c := tp.Const(tensor.NewMatrix(1, 1))
 	out := tp.sumAll(c)
 	tp.Backward(out)
-	if c.Grad != nil {
+	if c.grad != nil {
 		t.Fatal("constant grew a gradient")
 	}
 }
 
-func TestCustomNode(t *testing.T) {
-	// A custom square op: y = x², dy/dx = 2x.
-	param := tensor.NewMatrix(1, 3)
-	copy(param.Data, []float32{1, 2, 3})
-	grad := tensor.NewMatrix(1, 3)
-	tp := NewTape()
-	p := tp.Watch(param, grad)
-	val := tensor.NewMatrix(1, 3)
-	for i, v := range param.Data {
-		val.Data[i] = v * v
+// rowSink is a GradSink over a dense gradient matrix.
+type rowSink struct{ grad *tensor.Matrix }
+
+func (s rowSink) AddRowGrad(id int32, g []float32) {
+	dst := s.grad.Row(int(id))
+	for j := range dst {
+		dst[j] += g[j]
 	}
-	sq := tp.Custom(val, true, func(out *Node) {
-		for i := range grad.Data {
-			p.Grad.Data[i] += out.Grad.Data[i] * 2 * param.Data[i]
-		}
+}
+
+func TestGradGather(t *testing.T) {
+	// Row 2 is gathered twice and row 1 never: their gradients are the
+	// sum of two gathered rows' and zero.
+	ids := []int32{2, 0, 2, 3}
+	checkGrad(t, "gather", 4, 3, 70, func(tp *Tape, p *Node) *Node {
+		w := constMat(tp, rng.New(71), len(ids), 3)
+		grad := &tensor.Matrix{Rows: p.Rows(), Cols: p.Cols(), Data: p.grad}
+		return tp.sumAll(tp.Mul(tp.Gather(&p.Val, ids, rowSink{grad}), w))
 	})
-	tp.Backward(tp.sumAll(sq))
-	want := []float32{2, 4, 6}
-	for i := range want {
-		if grad.Data[i] != want[i] {
-			t.Fatalf("custom grad = %v, want %v", grad.Data, want)
+}
+
+func TestGatherCopiesRowsAndIDs(t *testing.T) {
+	table := &tensor.Matrix{Rows: 3, Cols: 2, Data: []float32{1, 2, 3, 4, 5, 6}}
+	grad := tensor.NewMatrix(3, 2)
+	ids := []int32{2, 0}
+	tp := NewTape()
+	n := tp.Gather(table, ids, rowSink{grad})
+	ids[0], table.Data[4] = 1, 50 // neither may reach the node
+	if want := []float32{5, 6, 1, 2}; !equalBits(n.Val.Data, want) {
+		t.Fatalf("gathered %v, want %v", n.Val.Data, want)
+	}
+	tp.Backward(tp.sumAll(n))
+	if want := []float32{1, 1, 0, 0, 1, 1}; !equalBits(grad.Data, want) {
+		t.Fatalf("row grads %v, want %v", grad.Data, want)
+	}
+	// Without a sink the rows are constants.
+	if c := tp.Gather(table, ids, nil); c.needsGrad {
+		t.Fatal("sinkless gather needs a gradient")
+	}
+}
+
+func equalBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
 		}
+	}
+	return true
+}
+
+// mlpCycle runs one forward/backward cycle of a two-layer network on tp
+// and returns the loss, the value of every node and the parameter
+// gradients.
+func mlpCycle(tp *Tape, x, w1, w2 *tensor.Matrix, targets []float32) (loss float32, vals, grads []float32) {
+	g1 := tensor.NewMatrix(w1.Rows, w1.Cols)
+	g2 := tensor.NewMatrix(w2.Rows, w2.Cols)
+	h := tp.ReLU(tp.MatMul(tp.Const(x), tp.Watch(w1, g1)))
+	hm := tp.MeanRows(tp.Transpose(h))
+	nrm := tp.Sqrt(tp.sumAll(tp.Mul(h, h)))
+	att := tp.SoftmaxRows(tp.MeanRows(tp.ConcatRows(hm, tp.ScaleBy(nrm, hm))))
+	logits := tp.MatMul(tp.Const(x), tp.Watch(w2, g2))
+	logits = tp.Add(logits, tp.Scale(0.5, tp.Transpose(att)))
+	logits = tp.AddBias(logits, tp.Tanh(tp.CosineSim(hm, att)))
+	l := tp.FocalBCEWithLogits(logits, targets, 2)
+	tp.Backward(l)
+	for _, n := range tp.nodes {
+		vals = append(vals, n.Val.Data...)
+	}
+	return l.Scalar(), vals, append(g1.Data, g2.Data...)
+}
+
+// A value or gradient carved after Reset is zero and a node carries
+// nothing of the last cycle, even when that cycle left poison in every
+// slab: a reused tape computes exactly what a fresh one does.
+func TestResetCarvesZeroedMemory(t *testing.T) {
+	r := rng.New(80)
+	rnd := func(rows, cols int) *tensor.Matrix {
+		m := tensor.NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = r.Float32()*2 - 1
+		}
+		return m
+	}
+	x, w1, w2 := rnd(5, 4), rnd(4, 5), rnd(4, 1)
+	targets := []float32{1, 0, 0, 1, 1}
+	wantLoss, wantVals, wantGrads := mlpCycle(NewTape(), x, w1, w2, targets)
+
+	tp := NewTape()
+	mlpCycle(tp, x, w1, w2, targets)
+	tp.matrix(1, floatChunk+1) // a take past the chunk cap
+	poison := float32(math.NaN())
+	stale := tensor.NewMatrix(1, 1)
+	for _, c := range tp.floats.chunks {
+		for i := range c {
+			c[i] = poison
+		}
+	}
+	for _, c := range tp.store.chunks {
+		for i := range c {
+			c[i].grad, c[i].alpha, c[i].needsGrad = stale.Data, poison, true
+		}
+	}
+	tp.Reset()
+	if tp.Len() != 0 || tp.Bytes() != 0 {
+		t.Fatalf("after Reset: %d nodes, %d bytes", tp.Len(), tp.Bytes())
+	}
+	for _, m := range []tensor.Matrix{tp.matrix(3, 7), tp.matrix(1, floatChunk+1)} {
+		for i, v := range m.Data {
+			if v != 0 {
+				t.Fatalf("carved element %d of %d = %v after Reset", i, len(m.Data), v)
+			}
+		}
+	}
+	tp.Reset()
+	loss, vals, grads := mlpCycle(tp, x, w1, w2, targets)
+	if math.Float32bits(loss) != math.Float32bits(wantLoss) || !equalBits(vals, wantVals) || !equalBits(grads, wantGrads) {
+		t.Fatalf("reused tape: loss %v, want %v (values equal %v, grads equal %v)",
+			loss, wantLoss, equalBits(vals, wantVals), equalBits(grads, wantGrads))
+	}
+	if tp.Bytes() == 0 {
+		t.Fatal("a cycle carved no bytes")
+	}
+}
+
+func TestMatMulAgainstNaive(t *testing.T) {
+	r := rng.New(99)
+	tp := NewTape()
+	a, b := constMat(tp, r, 4, 5), constMat(tp, r, 5, 3)
+	got := tp.MatMul(a, b).Val
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 3; j++ {
+			var want float64
+			for k := 0; k < 5; k++ {
+				want += float64(a.Val.At(i, k)) * float64(b.Val.At(k, j))
+			}
+			if math.Abs(float64(got.At(i, j))-want) > 1e-4 {
+				t.Fatalf("MatMul(%d,%d) = %v, want %v", i, j, got.At(i, j), want)
+			}
+		}
+	}
+}
+
+func TestTransposeInvolution(t *testing.T) {
+	tp := NewTape()
+	m := constMat(tp, rng.New(7), 3, 4)
+	if tt := tp.Transpose(tp.Transpose(m)); !equalBits(tt.Val.Data, m.Val.Data) || tt.Rows() != 3 {
+		t.Fatal("transpose twice is not identity")
 	}
 }
 
@@ -339,9 +467,11 @@ func BenchmarkForwardBackwardMLP(b *testing.B) {
 		x.Data[i] = r.Float32()
 	}
 	targets := make([]float32, 16)
+	tp := NewTape()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tp := NewTape()
+		tp.Reset()
 		h := tp.ReLU(tp.MatMul(tp.Const(x), tp.Watch(w1, g1)))
 		logits := tp.MatMul(h, tp.Watch(w2, g2))
 		loss := tp.BCEWithLogits(logits, targets)

@@ -340,17 +340,11 @@ func BenchmarkZoomerStep(b *testing.B) {
 	w := buildTinyWorld(b, 12)
 	z := NewZoomer(w.res.Graph, w.logs.Vocab(), tinyModelConfig(), 15)
 	r := rng.New(1)
-	opt := newModelOptimizer(z, 0.01)
+	tr := newTrainer(z, DefaultTrainConfig())
 	batch := w.train[:16]
-	targets := make([]float32, len(batch))
-	for i, ex := range batch {
-		targets[i] = ex.Label
-	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tp := ad.NewTape()
-		logits := z.Logits(tp, batch, r)
-		tp.Backward(tp.FocalBCEWithLogits(logits, targets, 2))
-		opt.step()
+		tr.step(batch, r)
 	}
 }

@@ -86,7 +86,7 @@ func Train(m Model, train, test []Instance, cfg TrainConfig) TrainResult {
 	start := time.Now()
 	data := append([]Instance(nil), train...)
 
-	opt := newModelOptimizer(m, cfg.LR)
+	tr := newTrainer(m, cfg)
 
 loop:
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -101,23 +101,8 @@ loop:
 			if lo >= hi {
 				break
 			}
-			batch := data[lo:hi]
-			t := ad.NewTape()
-			logits := m.Logits(t, batch, sampleRNG)
-			targets := make([]float32, len(batch))
-			for i, ex := range batch {
-				targets[i] = ex.Label
-			}
-			var loss *ad.Node
-			if cfg.FocalGamma >= 0 {
-				loss = t.FocalBCEWithLogits(logits, targets, cfg.FocalGamma)
-			} else {
-				loss = t.BCEWithLogits(logits, targets)
-			}
-			t.Backward(loss)
-			opt.step()
 			res.Steps++
-			res.FinalLoss = float64(loss.Scalar())
+			res.FinalLoss = tr.step(data[lo:hi], sampleRNG)
 			epochLoss += res.FinalLoss
 			epochSteps++
 			if cfg.OnStep != nil {
@@ -132,7 +117,7 @@ loop:
 				if len(probe) > cfg.EvalSample {
 					probe = probe[:cfg.EvalSample]
 				}
-				auc := EvalAUC(m, probe, cfg.BatchSize, probeRNG)
+				auc := evalAUC(tr.tape, m, probe, cfg.BatchSize, probeRNG)
 				if cfg.Logf != nil {
 					cfg.Logf("step %d probe AUC %.4f", res.Steps, auc)
 				}
@@ -153,33 +138,63 @@ loop:
 		}
 	}
 	res.Duration = time.Since(start)
-	res.TestAUC = EvalAUC(m, test, cfg.BatchSize, probeRNG)
+	res.TestAUC = evalAUC(tr.tape, m, test, cfg.BatchSize, probeRNG)
 	return res
 }
 
-// modelOptimizer bundles the dense Adam with sparse table updates, the
-// split the paper's PS architecture makes between dense parameters and
-// embedding rows.
-type modelOptimizer struct {
-	m     Model
-	dense *nn.Adam
-	lr    float32
+// trainer is what every step of a run reuses: one tape, reset per step,
+// the targets buffer, and the optimizers — the dense Adam beside the
+// tables' sparse updates, the split the paper's PS architecture makes
+// between dense parameters and embedding rows.
+type trainer struct {
+	m       Model
+	gamma   float64 // FocalGamma; < 0 selects plain BCE
+	lr      float32
+	tape    *ad.Tape
+	targets []float32
+	dense   *nn.Adam
+	params  []*nn.Param
+	tables  []*nn.EmbeddingTable
 }
 
-func newModelOptimizer(m Model, lr float32) *modelOptimizer {
-	return &modelOptimizer{m: m, dense: nn.NewAdam(lr), lr: lr}
-}
-
-func (o *modelOptimizer) step() {
-	o.dense.Step(o.m.DenseParams()...)
-	for _, tab := range o.m.Tables() {
-		tab.StepAdam(o.lr, 0.9, 0.999, 1e-8)
+func newTrainer(m Model, cfg TrainConfig) *trainer {
+	return &trainer{
+		m: m, gamma: cfg.FocalGamma, lr: cfg.LR, tape: ad.NewTape(),
+		dense: nn.NewAdam(cfg.LR), params: m.DenseParams(), tables: m.Tables(),
 	}
+}
+
+// step runs one optimizer step on batch and returns its loss.
+func (tr *trainer) step(batch []Instance, r *rng.RNG) float64 {
+	t := tr.tape
+	t.Reset()
+	logits := tr.m.Logits(t, batch, r)
+	tr.targets = tr.targets[:0]
+	for _, ex := range batch {
+		tr.targets = append(tr.targets, ex.Label)
+	}
+	var loss *ad.Node
+	if tr.gamma >= 0 {
+		loss = t.FocalBCEWithLogits(logits, tr.targets, tr.gamma)
+	} else {
+		loss = t.BCEWithLogits(logits, tr.targets)
+	}
+	t.Backward(loss)
+	tr.dense.Step(tr.params...)
+	for _, tab := range tr.tables {
+		tab.StepAdam(tr.lr, 0.9, 0.999, 1e-8)
+	}
+	return float64(loss.Scalar())
 }
 
 // EvalAUC scores instances with the model (forward only) and returns the
 // AUC against their labels.
 func EvalAUC(m Model, instances []Instance, batchSize int, r *rng.RNG) float64 {
+	return evalAUC(ad.NewTape(), m, instances, batchSize, r)
+}
+
+// evalAUC is EvalAUC on tape t, reset per batch.
+func evalAUC(t *ad.Tape, m Model, instances []Instance, batchSize int, r *rng.RNG) float64 {
 	if len(instances) == 0 {
 		return 0.5
 	}
@@ -193,7 +208,7 @@ func EvalAUC(m Model, instances []Instance, batchSize int, r *rng.RNG) float64 {
 		if hi > len(instances) {
 			hi = len(instances)
 		}
-		t := ad.NewTape()
+		t.Reset()
 		logits := m.Logits(t, instances[lo:hi], r)
 		for i, ex := range instances[lo:hi] {
 			scores = append(scores, float64(logits.Val.Data[i]))

@@ -172,7 +172,7 @@ func (z *Zoomer) edgeLevel(t *ad.Tape, zf, C *ad.Node, nbrs []*ad.Node, a *ad.No
 	if !z.cfg.UseEdgeAttn {
 		return t.MeanRows(stack)
 	}
-	scores := make([]*ad.Node, len(nbrs))
+	scores := t.Nodes(len(nbrs))
 	for i, zj := range nbrs {
 		cat := t.ConcatCols(zf, zj, C) // [(Z_i ‖ Z_j) ‖ Z_c]
 		scores[i] = t.LeakyReLU(0.2, t.MatMul(cat, a))
@@ -218,18 +218,29 @@ func (z *Zoomer) embedTree(t *ad.Tape, g GraphView, tree *sampling.Tree, C, a *a
 		return zf
 	}
 	// Group children by neighbor type (eq. 8 normalizes within type).
-	var byType [graph.NumNodeTypes][]*ad.Node
+	embs := t.Nodes(len(tree.Children))
+	var count [graph.NumNodeTypes]int
+	types := 0
 	for i, child := range tree.Children {
-		emb := z.embedTree(t, g, child, C, a)
+		embs[i] = z.embedTree(t, g, child, C, a)
 		nt := g.Type(tree.Edges[i].To)
-		byType[nt] = append(byType[nt], emb)
+		if count[nt] == 0 {
+			types++
+		}
+		count[nt]++
 	}
-	var perType []*ad.Node
-	for nt := 0; nt < graph.NumNodeTypes; nt++ {
-		if len(byType[nt]) == 0 {
+	perType := t.Nodes(types)[:0]
+	for nt := range graph.NumNodeTypes {
+		if count[nt] == 0 {
 			continue
 		}
-		perType = append(perType, z.edgeLevel(t, zf, C, byType[nt], a))
+		nbrs := t.Nodes(count[nt])[:0]
+		for i, emb := range embs {
+			if g.Type(tree.Edges[i].To) == graph.NodeType(nt) {
+				nbrs = append(nbrs, emb)
+			}
+		}
+		perType = append(perType, z.edgeLevel(t, zf, C, nbrs, a))
 	}
 	return t.Add(zf, z.semanticLevel(t, zf, perType))
 }
@@ -295,7 +306,7 @@ func (z *Zoomer) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
 		items[i] = ex.Item
 	}
 	rois := z.sampleROIs(rs, batch, items, r, sampling.NewScratch())
-	rows := make([]*ad.Node, len(batch))
+	rows := t.Nodes(len(batch))
 	for i, ex := range batch {
 		uq := z.uqForward(t, rs, ex.User, ex.Query, rois[i])
 		it := z.itemBase(t, rs, ex.Item)

@@ -18,11 +18,11 @@ func TestFig4a(t *testing.T) {
 			t.Fatalf("non-positive iter/s at k=%d", row.Neighbors)
 		}
 	}
-	// Cost must grow with neighbors: the last point allocates more than
-	// the first (the paper's exploding-cost motivation).
+	// Cost must grow with neighbors: the last point's tape holds more
+	// than the first's (the paper's exploding-cost motivation).
 	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-	if last.AllocMB <= first.AllocMB {
-		t.Fatalf("allocation did not grow with neighbors: %.2f -> %.2f", first.AllocMB, last.AllocMB)
+	if last.TapeMB <= first.TapeMB {
+		t.Fatalf("tape memory did not grow with neighbors: %.2f -> %.2f", first.TapeMB, last.TapeMB)
 	}
 	if last.IterPerSec >= first.IterPerSec {
 		t.Fatalf("throughput did not fall with neighbors: %.2f -> %.2f", first.IterPerSec, last.IterPerSec)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"zoomer/internal/ad"
@@ -18,7 +17,10 @@ import (
 type Fig4aRow struct {
 	Neighbors  int
 	IterPerSec float64
-	AllocMB    float64 // bytes allocated per iteration (memory-pressure proxy)
+	// TapeMB is the node values and gradients one iteration carves from
+	// its tape, in MiB: the step's working set, a pure function of the
+	// seed and the neighbor budget.
+	TapeMB float64
 }
 
 // Fig4aResult is the Fig. 4(a) series.
@@ -31,14 +33,14 @@ func (r Fig4aResult) String() string {
 		rows[i] = []string{
 			fmt.Sprint(row.Neighbors),
 			fmt.Sprintf("%.2f", row.IterPerSec),
-			fmt.Sprintf("%.1f", row.AllocMB),
+			fmt.Sprintf("%.1f", row.TapeMB),
 		}
 	}
 	return "Fig 4(a): GCN training cost vs sampled neighbors\n" +
-		table([]string{"neighbors", "iters/s", "alloc MB/iter"}, rows)
+		table([]string{"neighbors", "iters/s", "tape MB/iter"}, rows)
 }
 
-// Fig4a measures training speed and allocation for a 2-layer GCN while
+// Fig4a measures training speed and tape memory for a 2-layer GCN while
 // the per-hop neighbor budget grows — the paper's motivation that cost
 // explodes with neighborhood size.
 func Fig4a(o Options) Fig4aResult {
@@ -63,13 +65,14 @@ func Fig4a(o Options) Fig4aResult {
 		for i, ex := range batch {
 			targets[i] = ex.Label
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+		t := ad.NewTape()
+		tapeBytes := 0
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			t := ad.NewTape()
+			t.Reset()
 			logits := m.Logits(t, batch, r)
 			t.Backward(t.BCEWithLogits(logits, targets))
+			tapeBytes += t.Bytes()
 			for _, p := range m.DenseParams() {
 				p.ZeroGrad()
 			}
@@ -78,11 +81,10 @@ func Fig4a(o Options) Fig4aResult {
 			}
 		}
 		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
 		out.Rows = append(out.Rows, Fig4aRow{
 			Neighbors:  k,
 			IterPerSec: float64(iters) / elapsed.Seconds(),
-			AllocMB:    float64(m1.TotalAlloc-m0.TotalAlloc) / float64(iters) / (1 << 20),
+			TapeMB:     float64(tapeBytes) / float64(iters) / (1 << 20),
 		})
 		o.logf("fig4a k=%d done", k)
 	}

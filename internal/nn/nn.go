@@ -149,10 +149,18 @@ type EmbeddingTable struct {
 	rows *tensor.Matrix
 
 	grads map[int32][]float32
-	// Per-row Adam moments, lazily allocated.
+	// spare holds gradient rows a cleared step gave back, reused before
+	// any new row is made.
+	spare [][]float32
+	// Per-row Adam moments, carved on a row's first update from
+	// momentFree, a chunk that serves momentChunk rows.
 	adamM, adamV map[int32][]float32
+	momentFree   []float32
 	adamT        int
 }
+
+// momentChunk is how many rows' Adam moments one allocation serves.
+const momentChunk = 64
 
 // NewEmbeddingTable creates a table of vocab rows of width dim,
 // initialized uniformly in [-1/sqrt(dim), 1/sqrt(dim)].
@@ -183,25 +191,7 @@ func (e *EmbeddingTable) Row(id int32) tensor.Vec { return e.rows.Row(int(id)) }
 // Lookup gathers the rows for ids into a len(ids) x Dim node. Gradients
 // scatter back into the table's sparse gradient map.
 func (e *EmbeddingTable) Lookup(t *ad.Tape, ids []int32) *ad.Node {
-	val := tensor.NewMatrix(len(ids), e.Dim)
-	for i, id := range ids {
-		copy(val.Row(i), e.rows.Row(int(id)))
-	}
-	idsCopy := make([]int32, len(ids))
-	copy(idsCopy, ids)
-	return t.Custom(val, true, func(out *ad.Node) {
-		for i, id := range idsCopy {
-			g, ok := e.grads[id]
-			if !ok {
-				g = make([]float32, e.Dim)
-				e.grads[id] = g
-			}
-			src := out.Grad.Row(i)
-			for j := range g {
-				g[j] += src[j]
-			}
-		}
-	})
+	return t.Gather(e.rows, ids, e)
 }
 
 // LookupOne gathers a single row as a 1 x Dim node.
@@ -209,8 +199,33 @@ func (e *EmbeddingTable) LookupOne(t *ad.Tape, id int32) *ad.Node {
 	return e.Lookup(t, []int32{id})
 }
 
-// ZeroGrad discards pending sparse gradients.
-func (e *EmbeddingTable) ZeroGrad() { clear(e.grads) }
+// AddRowGrad implements ad.GradSink: it accumulates grad into row id's
+// pending sparse gradient.
+func (e *EmbeddingTable) AddRowGrad(id int32, grad []float32) {
+	g, ok := e.grads[id]
+	if !ok {
+		if n := len(e.spare); n > 0 {
+			g = e.spare[n-1]
+			e.spare = e.spare[:n-1]
+			clear(g)
+		} else {
+			g = make([]float32, e.Dim)
+		}
+		e.grads[id] = g
+	}
+	for j := range g {
+		g[j] += grad[j]
+	}
+}
+
+// ZeroGrad discards pending sparse gradients, keeping their rows for
+// reuse.
+func (e *EmbeddingTable) ZeroGrad() {
+	for _, g := range e.grads {
+		e.spare = append(e.spare, g)
+	}
+	clear(e.grads)
+}
 
 // StepAdam applies pending sparse gradients with Adam (lazy per-row
 // moments, table-global bias correction) and clears them.
@@ -223,14 +238,7 @@ func (e *EmbeddingTable) StepAdam(lr float32, beta1, beta2, eps float64) {
 	bc1 := 1 - math.Pow(beta1, float64(e.adamT))
 	bc2 := 1 - math.Pow(beta2, float64(e.adamT))
 	for id, g := range e.grads {
-		m, ok := e.adamM[id]
-		if !ok {
-			m = make([]float32, e.Dim)
-			e.adamM[id] = m
-			v := make([]float32, e.Dim)
-			e.adamV[id] = v
-		}
-		v := e.adamV[id]
+		m, v := e.moments(id)
 		row := e.rows.Row(int(id))
 		for j := range row {
 			gj := float64(g[j])
@@ -241,7 +249,22 @@ func (e *EmbeddingTable) StepAdam(lr float32, beta1, beta2, eps float64) {
 			row[j] -= float32(float64(lr) * (mj / bc1) / (math.Sqrt(vj/bc2) + eps))
 		}
 	}
-	clear(e.grads)
+	e.ZeroGrad()
+}
+
+// moments returns row id's Adam moments, zero on its first update.
+func (e *EmbeddingTable) moments(id int32) (m, v []float32) {
+	if m, ok := e.adamM[id]; ok {
+		return m, e.adamV[id]
+	}
+	d := e.Dim
+	if len(e.momentFree) < 2*d {
+		e.momentFree = make([]float32, 2*d*momentChunk)
+	}
+	m, v = e.momentFree[:d:d], e.momentFree[d:2*d:2*d]
+	e.momentFree = e.momentFree[2*d:]
+	e.adamM[id], e.adamV[id] = m, v
+	return m, v
 }
 
 // Adam is the Adam optimizer for dense parameters, with state keyed by

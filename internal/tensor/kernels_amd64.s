@@ -13,7 +13,11 @@
 //     generic code rounds the multiply before the add.
 //
 // All loops tolerate len 0 and short tails; no stack is used (NOSPLIT,
-// frame size 0).
+// frame size 0). Each main loop starts on a 32-byte boundary (PCALIGN):
+// the linker places functions only at 32-byte boundaries, so without the
+// pad an edit elsewhere in the package moves the loops relative to the
+// CPU's fetch blocks, which has read as a ~1.3x slowdown of an unchanged
+// kernel.
 
 #include "textflag.h"
 
@@ -32,6 +36,7 @@ TEXT ·dotAVX2(SB), NOSPLIT, $0-52
 	MOVQ CX, BX
 	SHRQ $2, BX
 	JZ   dot_tail_setup
+	PCALIGN $32
 dot_loop4:
 	VCVTPS2PD (SI), Y1
 	VCVTPS2PD (DI), Y2
@@ -78,6 +83,7 @@ TEXT ·dotSqAVX2(SB), NOSPLIT, $0-56
 	MOVQ CX, BX
 	SHRQ $1, BX
 	JZ   dotsq_tail
+	PCALIGN $32
 dotsq_loop2:
 	VCVTPS2PD (SI), X1
 	VCVTPS2PD (DI), X2
@@ -121,6 +127,7 @@ TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
 	MOVQ CX, BX
 	SHRQ $3, BX
 	JZ   axpy_tail_setup
+	PCALIGN $32
 axpy_loop8:
 	VMOVUPS (SI), Y1
 	VMULPS Y0, Y1, Y1
@@ -162,6 +169,7 @@ TEXT ·dotAxpyAVX2(SB), NOSPLIT, $0-84
 	MOVQ CX, BX
 	SHRQ $1, BX
 	JZ   da_tail
+	PCALIGN $32
 da_loop2:
 	VCVTPS2PD (SI), X1
 	VCVTPS2PD (DX), X2
@@ -226,6 +234,7 @@ mv4_quad:
 	MOVQ CX, BX
 	SHRQ $2, BX
 	JZ   mv4_tail_setup
+	PCALIGN $32
 mv4_loop4:
 	VCVTPS2PD (AX), Y4 // x, converted once for the four rows
 	VCVTPS2PD (R10), Y5

@@ -246,44 +246,18 @@ func MatVecT(m *Matrix, x, out Vec) {
 	}
 }
 
-// MatMul returns a·b. It panics on shape mismatch. The kernel is the
-// cache-friendly i-k-j ordering over row-major storage.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)·(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns mᵀ as a new matrix.
-func Transpose(m *Matrix) *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
 // GemmAcc accumulates dst += op(a)·op(b), where op is the optional
-// transpose selected by transA/transB. It is the workhorse of autodiff
-// backward passes, which need transposed products accumulated into
-// existing gradient buffers. It panics on shape mismatch.
+// transpose selected by transA/transB. It is the workhorse of autodiff:
+// the forward product accumulates into a zeroed output, and backward
+// passes need transposed products accumulated into existing gradient
+// buffers. It panics on shape mismatch.
+//
+// Every dst element receives its k terms in k order, each a float32
+// multiply and add rounded separately, with zero a elements skipped.
+// Where the rows of op(b) are contiguous the inner loop is Axpy over
+// one, on the Axpy kernel; otherwise (and for a one-column product)
+// each dst element is one running sum. Either way the result is
+// bit-identical across dispatch.
 func GemmAcc(dst, a, b *Matrix, transA, transB bool) {
 	ar, ac := a.Rows, a.Cols
 	if transA {
@@ -296,29 +270,74 @@ func GemmAcc(dst, a, b *Matrix, transA, transB bool) {
 	if ac != br || dst.Rows != ar || dst.Cols != bc {
 		panic(fmt.Sprintf("tensor: GemmAcc shape mismatch (%dx%d)·(%dx%d) -> (%dx%d)", ar, ac, br, bc, dst.Rows, dst.Cols))
 	}
-	at := func(i, k int) float32 {
-		if transA {
-			return a.Data[k*a.Cols+i]
-		}
-		return a.Data[i*a.Cols+k]
-	}
-	for i := 0; i < ar; i++ {
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for k := 0; k < ac; k++ {
-			av := at(i, k)
-			if av == 0 {
-				continue
-			}
-			if transB {
-				for j := 0; j < bc; j++ {
-					drow[j] += av * b.Data[j*b.Cols+k]
+	switch {
+	case bc == 1:
+		// op(b) is one column, laid out as b.Data either way: each dst
+		// element is one running sum over k.
+		bcol := b.Data[:ac]
+		for i := 0; i < ar; i++ {
+			s := dst.Data[i]
+			if transA {
+				for k, bv := range bcol {
+					if av := a.Data[k*a.Cols+i]; av != 0 {
+						s += av * bv
+					}
 				}
 			} else {
-				brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-				for j, bv := range brow {
-					drow[j] += av * bv
+				for k, av := range a.Data[i*ac : (i+1)*ac] {
+					if av != 0 {
+						s += av * bcol[k]
+					}
 				}
+			}
+			dst.Data[i] = s
+		}
+	case !transB || ac == 1:
+		// Row k of op(b) is contiguous: b's row k, or all of b when b is
+		// a transposed column.
+		for i := 0; i < ar; i++ {
+			drow := dst.Data[i*bc : (i+1)*bc]
+			for k := 0; k < ac; k++ {
+				av := a.op(i, k, transA)
+				if av == 0 {
+					continue
+				}
+				brow := b.Data[k*bc : (k+1)*bc]
+				if bc < axpyMinLen {
+					for j, bv := range brow {
+						drow[j] += av * bv
+					}
+				} else {
+					axpy(av, brow, drow)
+				}
+			}
+		}
+	default:
+		// op(a) row i against row j of b, one running sum per element.
+		for i := 0; i < ar; i++ {
+			drow := dst.Data[i*bc : (i+1)*bc]
+			for j := range drow {
+				s := drow[j]
+				for k, bv := range b.Data[j*ac : (j+1)*ac] {
+					if av := a.op(i, k, transA); av != 0 {
+						s += av * bv
+					}
+				}
+				drow[j] = s
 			}
 		}
 	}
 }
+
+// op returns element (i, k) of m, or of mᵀ when trans.
+func (m *Matrix) op(i, k int, trans bool) float32 {
+	if trans {
+		return m.Data[k*m.Cols+i]
+	}
+	return m.Data[i*m.Cols+k]
+}
+
+// axpyMinLen is the row length from which GemmAcc calls the Axpy kernel:
+// below it the call costs more than the scalar loop it replaces, which
+// computes the same bits.
+const axpyMinLen = 8

@@ -186,44 +186,6 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
-func TestMatMulAgainstNaive(t *testing.T) {
-	r := rng.New(99)
-	a := NewMatrix(4, 5)
-	b := NewMatrix(5, 3)
-	for i := range a.Data {
-		a.Data[i] = r.Float32() - 0.5
-	}
-	for i := range b.Data {
-		b.Data[i] = r.Float32() - 0.5
-	}
-	got := MatMul(a, b)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 3; j++ {
-			var want float64
-			for k := 0; k < 5; k++ {
-				want += float64(a.At(i, k)) * float64(b.At(k, j))
-			}
-			if !almostEq(got.At(i, j), float32(want), 1e-4) {
-				t.Fatalf("MatMul(%d,%d) = %v, want %v", i, j, got.At(i, j), want)
-			}
-		}
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	r := rng.New(7)
-	m := NewMatrix(3, 4)
-	for i := range m.Data {
-		m.Data[i] = r.Float32()
-	}
-	tt := Transpose(Transpose(m))
-	for i := range m.Data {
-		if m.Data[i] != tt.Data[i] {
-			t.Fatal("transpose twice is not identity")
-		}
-	}
-}
-
 func TestMatrixAccessors(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(1, 0, 7)
@@ -250,15 +212,97 @@ func BenchmarkDot128(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMul64(b *testing.B) {
+func BenchmarkGemmAcc64(b *testing.B) {
 	r := rng.New(1)
 	m := NewMatrix(64, 64)
 	for i := range m.Data {
 		m.Data[i] = r.Float32()
 	}
+	dst := NewMatrix(64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = MatMul(m, m)
+		GemmAcc(dst, m, m, false, false)
+	}
+}
+
+// matMul is the i-k-j product GemmAcc is held to: zero a elements
+// skipped, each output element a float32 multiply-add chain in k order.
+func matMul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			av := a.At(i, k)
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols; j++ {
+				out.Data[i*out.Cols+j] += av * b.At(k, j)
+			}
+		}
+	}
+	return out
+}
+
+func transpose(m *Matrix) *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
+// GemmAcc must reproduce the scalar i-k-j product bit for bit, for every
+// transpose and for rows on either side of the Axpy kernel cut-off, so a
+// training step computes the same weights under either dispatch.
+func TestGemmAccBitIdenticalToScalarProduct(t *testing.T) {
+	r := rng.New(321)
+	fill := func(m *Matrix) {
+		for i := range m.Data {
+			if r.Intn(5) == 0 {
+				continue // exercise the zero skip
+			}
+			m.Data[i] = float32(r.NormFloat64())
+		}
+	}
+	for _, shape := range [][3]int{{1, 96, 1}, {1, 1, 1}, {5, 1, 32}, {6, 1, 3}, {4, 9, 1}, {3, 5, 7}, {4, 8, 8}, {2, 32, 33}, {5, 3, 64}, {1, 17, 100}} {
+		ar, ac, bc := shape[0], shape[1], shape[2]
+		a, b, seed := NewMatrix(ar, ac), NewMatrix(ac, bc), NewMatrix(ar, bc)
+		fill(a)
+		fill(b)
+		fill(seed)
+		want := matMul(a, b)
+		for i := range want.Data {
+			want.Data[i] = seed.Data[i]
+		}
+		// Accumulating onto seed: the reference adds the same terms in the
+		// same order onto the same start values.
+		for i := 0; i < ar; i++ {
+			for k := 0; k < ac; k++ {
+				if av := a.At(i, k); av != 0 {
+					for j := 0; j < bc; j++ {
+						want.Data[i*bc+j] += av * b.At(k, j)
+					}
+				}
+			}
+		}
+		for _, tr := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+			aa, bb := a, b
+			if tr[0] {
+				aa = transpose(a)
+			}
+			if tr[1] {
+				bb = transpose(b)
+			}
+			got := seed.Clone()
+			GemmAcc(got, aa, bb, tr[0], tr[1])
+			for i := range got.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%v trans=%v: element %d = %v, want %v", shape, tr, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
 	}
 }
 
@@ -272,7 +316,7 @@ func TestGemmAccAgainstMatMul(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = r.Float32() - 0.5
 	}
-	want := MatMul(a, b)
+	want := matMul(a, b)
 
 	// No transpose.
 	dst := NewMatrix(3, 2)
@@ -290,7 +334,7 @@ func TestGemmAccAgainstMatMul(t *testing.T) {
 		}
 	}
 	// transA: aᵀ has shape 4x3; (aᵀ)ᵀ·b would mismatch, so check aᵀ·want2
-	at := Transpose(a)
+	at := transpose(a)
 	dst2 := NewMatrix(3, 2)
 	GemmAcc(dst2, at, b, true, false)
 	for i := range dst2.Data {
@@ -299,7 +343,7 @@ func TestGemmAccAgainstMatMul(t *testing.T) {
 		}
 	}
 	// transB.
-	bt := Transpose(b)
+	bt := transpose(b)
 	dst3 := NewMatrix(3, 2)
 	GemmAcc(dst3, a, bt, false, true)
 	for i := range dst3.Data {
