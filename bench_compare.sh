@@ -50,7 +50,8 @@ command -v python3 >/dev/null || { echo "error: python3 required" >&2; exit 1; }
 # BenchmarkTrainStepLocal is one 32-example training step over the
 # in-memory graph; a sample is 5 whole steps, and its budget is the
 # steady-state step's (TestTrainStepAllocs in internal/core holds the
-# same 5000) plus the run's one-time growth spread over the 5.
+# same 5000) plus the run's one-time slab growth and first-touch Adam
+# moments spread over the 5.
 GATED='
 .                  ^BenchmarkHotPath                                      200ms  1.20  0
 ./internal/tensor  ^Benchmark(Dot|MatVec|Axpy)                            200ms  1.20  0

@@ -152,15 +152,10 @@ type EmbeddingTable struct {
 	// spare holds gradient rows a cleared step gave back, reused before
 	// any new row is made.
 	spare [][]float32
-	// Per-row Adam moments, carved on a row's first update from
-	// momentFree, a chunk that serves momentChunk rows.
+	// Per-row Adam moments, lazily allocated.
 	adamM, adamV map[int32][]float32
-	momentFree   []float32
 	adamT        int
 }
-
-// momentChunk is how many rows' Adam moments one allocation serves.
-const momentChunk = 64
 
 // NewEmbeddingTable creates a table of vocab rows of width dim,
 // initialized uniformly in [-1/sqrt(dim), 1/sqrt(dim)].
@@ -238,7 +233,14 @@ func (e *EmbeddingTable) StepAdam(lr float32, beta1, beta2, eps float64) {
 	bc1 := 1 - math.Pow(beta1, float64(e.adamT))
 	bc2 := 1 - math.Pow(beta2, float64(e.adamT))
 	for id, g := range e.grads {
-		m, v := e.moments(id)
+		m, ok := e.adamM[id]
+		if !ok {
+			m = make([]float32, e.Dim)
+			e.adamM[id] = m
+			v := make([]float32, e.Dim)
+			e.adamV[id] = v
+		}
+		v := e.adamV[id]
 		row := e.rows.Row(int(id))
 		for j := range row {
 			gj := float64(g[j])
@@ -250,21 +252,6 @@ func (e *EmbeddingTable) StepAdam(lr float32, beta1, beta2, eps float64) {
 		}
 	}
 	e.ZeroGrad()
-}
-
-// moments returns row id's Adam moments, zero on its first update.
-func (e *EmbeddingTable) moments(id int32) (m, v []float32) {
-	if m, ok := e.adamM[id]; ok {
-		return m, e.adamV[id]
-	}
-	d := e.Dim
-	if len(e.momentFree) < 2*d {
-		e.momentFree = make([]float32, 2*d*momentChunk)
-	}
-	m, v = e.momentFree[:d:d], e.momentFree[d:2*d:2*d]
-	e.momentFree = e.momentFree[2*d:]
-	e.adamM[id], e.adamV[id] = m, v
-	return m, v
 }
 
 // Adam is the Adam optimizer for dense parameters, with state keyed by

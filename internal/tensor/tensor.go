@@ -254,9 +254,9 @@ func MatVecT(m *Matrix, x, out Vec) {
 //
 // Every dst element receives its k terms in k order, each a float32
 // multiply and add rounded separately, with zero a elements skipped.
-// Where the rows of op(b) are contiguous the inner loop is Axpy over
-// one, on the Axpy kernel; otherwise (and for a one-column product)
-// each dst element is one running sum. Either way the result is
+// Where the rows of op(b) are contiguous and wider than one element the
+// inner loop is Axpy over one, on the Axpy kernel; otherwise each dst
+// element is one running sum. Either way the result is
 // bit-identical across dispatch.
 func GemmAcc(dst, a, b *Matrix, transA, transB bool) {
 	ar, ac := a.Rows, a.Cols
@@ -271,49 +271,20 @@ func GemmAcc(dst, a, b *Matrix, transA, transB bool) {
 		panic(fmt.Sprintf("tensor: GemmAcc shape mismatch (%dx%d)·(%dx%d) -> (%dx%d)", ar, ac, br, bc, dst.Rows, dst.Cols))
 	}
 	switch {
-	case bc == 1:
-		// op(b) is one column, laid out as b.Data either way: each dst
-		// element is one running sum over k.
-		bcol := b.Data[:ac]
-		for i := 0; i < ar; i++ {
-			s := dst.Data[i]
-			if transA {
-				for k, bv := range bcol {
-					if av := a.Data[k*a.Cols+i]; av != 0 {
-						s += av * bv
-					}
-				}
-			} else {
-				for k, av := range a.Data[i*ac : (i+1)*ac] {
-					if av != 0 {
-						s += av * bcol[k]
-					}
-				}
-			}
-			dst.Data[i] = s
-		}
-	case !transB || ac == 1:
+	case bc > 1 && (!transB || ac == 1):
 		// Row k of op(b) is contiguous: b's row k, or all of b when b is
 		// a transposed column.
 		for i := 0; i < ar; i++ {
 			drow := dst.Data[i*bc : (i+1)*bc]
 			for k := 0; k < ac; k++ {
-				av := a.op(i, k, transA)
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[k*bc : (k+1)*bc]
-				if bc < axpyMinLen {
-					for j, bv := range brow {
-						drow[j] += av * bv
-					}
-				} else {
-					axpy(av, brow, drow)
+				if av := a.op(i, k, transA); av != 0 {
+					axpy(av, b.Data[k*bc:(k+1)*bc], drow)
 				}
 			}
 		}
 	default:
-		// op(a) row i against row j of b, one running sum per element.
+		// op(a) row i against row j of b (all of b when op(b) is one
+		// column), one running sum per element.
 		for i := 0; i < ar; i++ {
 			drow := dst.Data[i*bc : (i+1)*bc]
 			for j := range drow {
@@ -336,8 +307,3 @@ func (m *Matrix) op(i, k int, trans bool) float32 {
 	}
 	return m.Data[i*m.Cols+k]
 }
-
-// axpyMinLen is the row length from which GemmAcc calls the Axpy kernel:
-// below it the call costs more than the scalar loop it replaces, which
-// computes the same bits.
-const axpyMinLen = 8
