@@ -27,15 +27,17 @@ verify-purego:
 test:
 	go test ./...
 
-# Race-exercise the concurrent serving stack (scatter-gather and the RPC
-# client connection pool included) plus the full training stack: nn
+# Race-exercise the concurrent serving stack (scatter-gather, the RPC
+# client connection pool, and the gateway and servestack, whose HTTP
+# handler and load-generator goroutines share serve's worker states,
+# included) plus the full training stack: nn
 # optimizers, the experiments harness (incl. the cross-topology
 # equivalence suite and the dead-cluster training test), the A/B
 # replay, the ANN index build's parallel k-means passes, the world
 # build's parallel MinHash signing and LSH banding, and the open-loop
 # load generator's workers.
 race:
-	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/... ./internal/graph/... ./internal/graphbuild/... ./internal/openloop/...
+	go test -race ./internal/engine/... ./internal/serve/... ./internal/gateway/... ./internal/servestack/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/... ./internal/graph/... ./internal/graphbuild/... ./internal/openloop/...
 
 # run_listed runs `go test -race -count=1 -run NAMES PKG` after checking
 # that every |-separated name in NAMES matches a test `go test -list`
@@ -53,10 +55,11 @@ endef
 # churn, replica failover mid-batch, rolling upgrade, zero-replica
 # degradation, dynamic membership (a partition handed to a server the
 # client never dialed included), stalled-member refresh, append fan-out
-# past a dead or silent sibling, circuit breaker (open/decay/waiter
-# adoption), mux in-flight kill.
+# past a dead or silent sibling (one copy per circuit decay once it is
+# open), circuit breaker (open/half-open decay/waiter adoption), mux
+# in-flight kill.
 chaos:
-	$(call run_listed,TestShardFailureAndReconnect|TestNoPartialResultsUnderChurn|TestClientPoolConcurrency|TestMuxInFlightFailure|TestMuxSharedConnectionHammer|TestKillReplicaMidBatch|TestKillReplicaMidBulkRead|TestLiveHandoffBulkRead|TestZeroHealthyReplicasTyped|TestRollingUpgrade|TestMembershipDiscovery|TestRedirectBindsServerNeverDialed|TestRefreshSkipsStalledServer|TestFanoutSkipsDeadSibling|TestFanoutBoundsSilentSibling|TestReplicatedClusterSpreadsLoad|TestCircuit,./internal/rpc/)
+	$(call run_listed,TestShardFailureAndReconnect|TestNoPartialResultsUnderChurn|TestClientPoolConcurrency|TestMuxInFlightFailure|TestMuxSharedConnectionHammer|TestKillReplicaMidBatch|TestKillReplicaMidBulkRead|TestLiveHandoffBulkRead|TestZeroHealthyReplicasTyped|TestRollingUpgrade|TestMembershipDiscovery|TestRedirectBindsServerNeverDialed|TestRefreshSkipsStalledServer|TestFanoutSkipsDeadSibling|TestFanoutBoundsSilentSibling|TestFanoutSilentSiblingOneCopyPerDecay|TestReplicatedClusterSpreadsLoad|TestCircuit,./internal/rpc/)
 	$(call run_listed,TestReplica,./internal/engine/)
 
 # Durable-ingest crash suite under the race detector: kill -9 a child

@@ -51,11 +51,14 @@ command -v python3 >/dev/null || { echo "error: python3 required" >&2; exit 1; }
 # in-memory graph; a sample is 5 whole steps, and its budget is the
 # steady-state step's (TestTrainStepAllocs in internal/core holds the
 # same 5000) plus the run's one-time slab growth and first-touch Adam
-# moments spread over the 5.
+# moments spread over the 5. BenchmarkEndToEndRequest is one whole
+# retrieval through serve.Server.Retrieve; its one allocation is the
+# result copy handed to the caller.
 GATED='
 .                  ^BenchmarkHotPath                                      200ms  1.20  0
 ./internal/tensor  ^Benchmark(Dot|MatVec|Axpy)                            200ms  1.20  0
 ./internal/ann     ^Benchmark(CoarseScan|SearchInto|SearchIntoRig)$       200ms  1.20  0
+./internal/serve   ^BenchmarkEndToEndRequest$                             200ms  1.20  1
 ./internal/engine  ^BenchmarkDeltaApply$                                  200ms  1.20  -
 ./internal/rpc     ^Benchmark(RPCRoundTrip|Remote(Batch|Tree|ReadNodes))  200ms  1.60  -
 ./internal/rpc     ^BenchmarkRemoteAppend$                                1000x  1.60  -

@@ -1,6 +1,6 @@
 // Command zoomer-gateway is the HTTP front door of the serving stack:
 // it stands up the online tier (trimmed model, neighbor cache, ANN
-// index, worker pool) over in-process or remote shards and serves
+// index, retrieval server) over in-process or remote shards and serves
 // retrieval over HTTP with admission control, per-request deadlines,
 // load shedding and graceful drain. See docs/OPERATIONS.md for the
 // runbook and deploy/ for the containerized topology.
@@ -48,7 +48,7 @@ func main() {
 	scale := flag.String("scale", "small", "tiny | small | medium | large")
 	seed := flag.Uint64("seed", 1, "random seed (must match zoomer-shard's with -remote)")
 	trainSteps := flag.Int("train", 100, "warm-up training steps before export")
-	workers := flag.Int("workers", 4, "serving workers")
+	workers := flag.Int("workers", 4, "serve worker states: retrievals that run at once")
 	shards := flag.Int("shards", 4, "graph engine partitions (in-process mode)")
 	strategy := flag.String("partition", "hash", "node-to-shard assignment: hash | degree-balanced")
 	remote := flag.String("remote", "", "comma-separated zoomer-shard addresses (empty: in-process shards)")

@@ -1,7 +1,7 @@
 // Serving: the Fig. 9 scenario in miniature — run the online retrieval
 // service (trimmed model, async neighbor cache, IVF index) under rising
-// offered load and watch response time climb as the worker pool
-// saturates. The graph sits behind the partitioned engine: -shards sizes
+// offered load and watch response time climb once every worker state
+// is busy. The graph sits behind the partitioned engine: -shards sizes
 // the store, and the sweep prints how load spreads over the shards. With
 // -remote the partitions are served by two in-process TCP shard servers
 // and the serving tier talks to them over loopback — the full distributed
@@ -64,7 +64,8 @@ func main() {
 	}
 	// The same two calls zoomer-gateway's bring-up makes: connect the
 	// store (dialing the servers above, or partitioning in-process), then
-	// stand the tier up over it — neighbor cache, item index, worker pool.
+	// stand the tier up over it — neighbor cache, item index, retrieval
+	// server with two worker states.
 	store, err := servestack.Connect(g, engine.Config{Shards: *shards}, addrs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -84,7 +85,7 @@ func main() {
 
 	fmt.Printf("%-8s  %-12s  %-12s  %-8s  %s\n", "QPS", "mean RT", "p99 RT", "served", "shard load")
 	prev := store.Stats().RequestsPerShard
-	for i, qps := range []float64{500, 2000, 8000, 30000} {
+	for i, qps := range []float64{500, 2000, 8000, 30000, 100000} {
 		pt := tier.Offer(users, queries, qps, 300*time.Millisecond, 36+uint64(i))
 		cur := store.Stats().RequestsPerShard
 		loads := make([]int64, len(cur))

@@ -75,10 +75,10 @@ func Table4(o Options) Table4Result {
 
 // Fig9Row is one offered-load measurement.
 type Fig9Row struct {
-	QPS             float64
-	MeanRTMillis    float64
-	P99RTMillis     float64
-	Served, Dropped int64
+	QPS          float64
+	MeanRTMillis float64
+	P99RTMillis  float64
+	Served       int64
 }
 
 // Fig9Result is the RT-vs-QPS sweep.
@@ -93,11 +93,10 @@ func (r Fig9Result) String() string {
 			fmt.Sprintf("%.3f", row.MeanRTMillis),
 			fmt.Sprintf("%.3f", row.P99RTMillis),
 			fmt.Sprint(row.Served),
-			fmt.Sprint(row.Dropped),
 		}
 	}
 	return "Fig 9: online response time vs offered QPS\n" +
-		table([]string{"QPS", "mean RT (ms)", "p99 RT (ms)", "served", "dropped"}, rows)
+		table([]string{"QPS", "mean RT (ms)", "p99 RT (ms)", "served"}, rows)
 }
 
 // Fig9 reproduces the online serving measurement: the trimmed
@@ -140,7 +139,6 @@ func Fig9(o Options) Fig9Result {
 			MeanRTMillis: float64(pt.MeanRT.Microseconds()) / 1000,
 			P99RTMillis:  float64(pt.P99.Microseconds()) / 1000,
 			Served:       pt.Served,
-			Dropped:      pt.Dropped,
 		})
 		o.logf("fig9 qps=%.0f meanRT=%.3fms", qps, float64(pt.MeanRT.Microseconds())/1000)
 	}

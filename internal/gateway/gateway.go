@@ -1,28 +1,28 @@
 // Package gateway is the HTTP front door over the serve tier — the
 // network-facing layer of the §VII-E deployment story. It turns the
-// in-process worker-pool server into a service: JSON and binary
+// in-process retrieval server into a service: JSON and binary
 // retrieval endpoints, health and metrics, and admission control done
-// at the door rather than discovered in the queue.
+// at the door, the only place a request is admitted.
 //
 // Admission is three-tiered. A hard in-flight cap bounds concurrent
-// requests — beyond it the gateway answers 503 with Retry-After instead
-// of letting the queue convoy. Between the soft shed threshold and the
+// requests — beyond it the gateway answers 503 with Retry-After, the
+// one "overloaded" answer. Between the soft shed threshold and the
 // hard cap, requests are admitted in cache-only mode: the serve tier
 // answers from whatever the neighbor cache already holds, generating
 // zero backend samples, and the response is marked degraded — stale
 // neighbors beat a timeout, and the backends get headroom to recover.
 // Below the threshold, requests run the full path under a per-request
-// deadline that travels down through the serve queue, the neighbor
-// cache's miss fill, the engine's shard visit, and the RPC client's
-// per-call budget; a request that outlives its deadline is answered 504
-// with the typed engine.ErrDeadlineExceeded at whatever layer noticed.
+// deadline that travels down through the wait for a serve worker
+// state, the neighbor cache's miss fill, the engine's shard visit, and
+// the RPC client's per-call budget; a request that outlives its
+// deadline is answered 504 with the typed engine.ErrDeadlineExceeded at
+// whatever layer noticed.
 //
 // Drain is graceful by construction: Drain flips the gateway to
 // draining (healthz fails, new retrievals are refused 503), then waits
-// for in-flight requests to finish. Every admitted request is always
-// answered — the serve tier responds to each accepted submission
-// exactly once, expired ones typed — so the drain wait is bounded by
-// the slowest in-flight request, not by luck.
+// for in-flight requests to finish. A retrieval runs on its handler's
+// goroutine and always returns — expired ones typed — so the drain
+// wait is bounded by the slowest in-flight request, not by luck.
 package gateway
 
 import (
@@ -100,11 +100,6 @@ type Gateway struct {
 	draining atomic.Bool
 	met      *metrics
 
-	// respPool recycles the cap-1 response channels request handlers
-	// block on; the serve tier answers every accepted request exactly
-	// once, so a pooled channel is always empty when reused.
-	respPool sync.Pool
-
 	pickMu sync.Mutex
 	pick   *rng.RNG
 
@@ -150,7 +145,6 @@ func New(srv *serve.Server, users, queries []graph.NodeID, numNodes int, cfg Con
 		pick:     rng.New(0x9e3779b97f4a7c15),
 	}
 	g.met = newMetrics(&g.inflight, "retrieve", "retrieve_bin", "append")
-	g.respPool.New = func() any { return make(chan serve.Response, 1) }
 	return g
 }
 
@@ -338,20 +332,7 @@ func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, bin boo
 	cacheOnly := float64(n) > g.cfg.ShedFraction*float64(g.cfg.MaxInFlight)
 	deadline := start.Add(g.deadlineFor(params, r.Header))
 
-	resp := g.respPool.Get().(chan serve.Response)
-	if !g.srv.SubmitReq(serve.Request{User: user, Query: query, Deadline: deadline, CacheOnly: cacheOnly}, resp) {
-		g.respPool.Put(resp)
-		g.met.shedQueue.Add(1)
-		rm.count(http.StatusServiceUnavailable)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "overloaded: queue full", http.StatusServiceUnavailable)
-		return
-	}
-	// Every accepted request is answered exactly once — expired ones
-	// with the typed error — so this receive cannot hang a drain.
-	rsp := <-resp
-	g.respPool.Put(resp)
-
+	rsp := g.srv.Retrieve(serve.Request{User: user, Query: query, Deadline: deadline, CacheOnly: cacheOnly})
 	if rsp.Err != nil {
 		g.met.deadlineExceeded.Add(1)
 		rm.count(http.StatusGatewayTimeout)

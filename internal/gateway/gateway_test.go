@@ -24,7 +24,7 @@ import (
 )
 
 // buildGateway stands up a tiny end-to-end stack (world, trimmed model,
-// in-process engine, cache, index, worker pool) behind a Gateway and an
+// in-process engine, cache, index, retrieval server) behind a Gateway and an
 // httptest front.
 func buildGateway(t testing.TB, cfg Config) (*Gateway, *httptest.Server) {
 	t.Helper()
@@ -143,7 +143,7 @@ func TestRetrieveValidatesIDs(t *testing.T) {
 // a silent empty answer.
 func TestDeadlineExceededIsTyped(t *testing.T) {
 	_, ts := buildGateway(t, Config{})
-	// 100ns budget: expired before the worker dequeues it.
+	// 100ns budget: expired before the retrieval takes a worker state.
 	resp, body := get(t, ts.URL+"/v1/retrieve?rand=1&deadline_ms=0.0001")
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("expired deadline: got %d (%s), want 504", resp.StatusCode, body)
@@ -180,8 +180,8 @@ func TestShedDegradesToCacheOnly(t *testing.T) {
 	}
 }
 
-// Beyond the hard cap the gateway sheds with 503 + Retry-After instead
-// of queueing.
+// Beyond the hard cap the gateway sheds with 503 + Retry-After: the one
+// "overloaded" answer.
 func TestHardInFlightCapSheds(t *testing.T) {
 	gw, ts := buildGateway(t, Config{MaxInFlight: 4})
 	gw.inflight.Add(4) // pin admission at the cap
@@ -266,7 +266,18 @@ func TestDrainIsFinalUnderHammer(t *testing.T) {
 			}
 		}()
 	}
-	answered := func() int64 { return gw.srv.Served() + gw.srv.Expired() + gw.srv.Dropped() }
+	// A request the serve tier answered leaves as a 200 or a 504 on the
+	// route's own counters; a refused one leaves as a 503.
+	rm := gw.met.route("retrieve")
+	answered := func() int64 {
+		var n int64
+		for i, code := range statusCodes {
+			if code == http.StatusOK || code == http.StatusGatewayTimeout {
+				n += rm.codes[i].Load()
+			}
+		}
+		return n
+	}
 	for answered() < 50 {
 		time.Sleep(time.Millisecond)
 	}

@@ -145,7 +145,6 @@ type metrics struct {
 	inflight *atomic.Int64
 
 	shedHard         atomic.Int64 // hard cap exceeded → 503
-	shedQueue        atomic.Int64 // serve queue full → 503
 	degraded         atomic.Int64 // cache-only answers served
 	deadlineExceeded atomic.Int64 // typed 504s
 	drainRejects     atomic.Int64 // refused while draining
@@ -212,7 +211,6 @@ func (m *metrics) writeTo(w io.Writer) {
 	fmt.Fprintf(w, "# HELP zoomer_gateway_shed_total Requests shed by admission control.\n")
 	fmt.Fprintf(w, "# TYPE zoomer_gateway_shed_total counter\n")
 	fmt.Fprintf(w, "zoomer_gateway_shed_total{kind=\"inflight_cap\"} %d\n", m.shedHard.Load())
-	fmt.Fprintf(w, "zoomer_gateway_shed_total{kind=\"queue_full\"} %d\n", m.shedQueue.Load())
 	fmt.Fprintf(w, "zoomer_gateway_shed_total{kind=\"draining\"} %d\n", m.drainRejects.Load())
 	fmt.Fprintf(w, "# HELP zoomer_gateway_degraded_total Cache-only (shed-mode) answers served.\n")
 	fmt.Fprintf(w, "# TYPE zoomer_gateway_degraded_total counter\n")

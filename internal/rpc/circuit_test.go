@@ -70,9 +70,9 @@ func TestCircuitAcrossServerRestart(t *testing.T) {
 	}
 }
 
-// An idle circuit decays: after breakerDecay with no traffic the stale
-// outage information is discarded — Healthy flips back and the next
-// call dials freely (half-open) instead of failing typed.
+// An idle circuit decays to half-open: after breakerDecay with no
+// traffic Healthy flips back, and the next call is the probe — a failed
+// probe re-opens the circuit at once instead of restarting the count.
 func TestCircuitIdleDecay(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -97,19 +97,13 @@ func TestCircuitIdleDecay(t *testing.T) {
 		t.Fatal("idle circuit did not decay")
 	}
 
-	// The decayed circuit admits calls freely again: one more failure
-	// resets the count to 1 (below threshold), not straight back to open.
+	// The half-open circuit admits one probe; its failure re-opens the
+	// circuit for another breakerDecay.
 	if _, err := cl.Info(); err == nil {
 		t.Fatal("call against dead address succeeded after decay")
 	}
-	if !cl.Healthy() {
-		t.Fatal("a single post-decay failure re-opened the circuit below threshold")
-	}
-	if _, err := cl.Info(); err == nil {
-		t.Fatal("call against dead address succeeded")
-	}
 	if cl.Healthy() {
-		t.Fatal("circuit did not re-open at threshold after decay")
+		t.Fatal("a failed post-decay probe left the circuit closed")
 	}
 }
 

@@ -116,8 +116,12 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 	return cfg
 }
 
-// breakerDecay is how long the circuit stays open with no traffic before
-// the consecutive-failure count resets and calls probe freely again.
+// breakerDecay is how long an open circuit reports unhealthy after its
+// last failure. Past it the circuit is half-open: Healthy admits callers
+// again, and admit lets exactly one of them through as the probe — its
+// failure re-opens the circuit for another breakerDecay, its success
+// closes it. So a server that stays dark costs callers that consult
+// Healthy one failed call per breakerDecay, not circuitFailures.
 const breakerDecay = time.Second
 
 // client is a multiplexed-connection client to one shard server. Calls
@@ -194,13 +198,12 @@ func (cl *client) Close() error {
 // circuit is still open — fails with ErrShardUnavailable without ever
 // dialing. One dial attempt in flight per outage instead of one per
 // caller, and a recovered server admits every waiter the moment the
-// probe succeeds. The probe flag must be handed back through settle.
+// probe succeeds. The count is never reset by time alone: after
+// breakerDecay the circuit is half-open (see breakerDecay), not closed.
+// The probe flag must be handed back through settle.
 func (cl *client) admit() (probe bool, wait chan struct{}) {
 	cl.hmu.Lock()
 	defer cl.hmu.Unlock()
-	if cl.fails >= cl.cfg.failThreshold && time.Since(cl.lastErr) > breakerDecay {
-		cl.fails = 0 // decay: the outage information is stale
-	}
 	if cl.fails < cl.cfg.failThreshold {
 		return false, nil
 	}

@@ -582,3 +582,51 @@ func TestFanoutBoundsSilentSibling(t *testing.T) {
 		t.Fatalf("%d appends took %v with a silent sibling, want < 4s", appends, elapsed)
 	}
 }
+
+// Once a silent sibling's circuit is open it costs a steady append stream
+// at most one fan-out copy per breakerDecay: after the decay one copy
+// probes the sibling, and that probe's failure re-opens the circuit at
+// once rather than after circuitFailures more copies.
+func TestFanoutSilentSiblingOneCopyPerDecay(t *testing.T) {
+	g := buildGraph(t)
+	srv, addr := startReplicaServer(t, g, 1, []int{0})
+	bh := startBlackhole(t, "127.0.0.1:0")
+	t.Cleanup(bh.kill)
+	srv.addMembers(bh.ln.Addr().String())
+	old := logf
+	logf = func(string, ...any) {}
+	t.Cleanup(func() { logf = old })
+
+	cl := newClient(addr, ClientConfig{})
+	t.Cleanup(func() { cl.Close() })
+	seq := 0
+	appendOne := func() time.Duration {
+		seq++
+		start := time.Now()
+		if res, _, err := cl.appendOnce(0, uint64(seq), ingestRecord(g, seq), false); err != nil || res != appendApplied {
+			t.Fatalf("append %d: result %d, err %v", seq, res, err)
+		}
+		return time.Since(start)
+	}
+	for i := 0; i < circuitFailures; i++ {
+		appendOne() // each copy waits out fanoutTimeout, then the circuit opens
+	}
+
+	// A stalled append is one whose copy waited on the sibling.
+	stalls, lastEnd := 0, time.Now()
+	for end := lastEnd.Add(breakerDecay*5/2 + fanoutTimeout); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+		start := time.Now()
+		if appendOne() < fanoutTimeout/2 {
+			continue
+		}
+		if gap := start.Sub(lastEnd); gap < breakerDecay-100*time.Millisecond {
+			t.Fatalf("stall %d began %v after the previous one ended, want ≥ breakerDecay (%v)", stalls+1, gap, breakerDecay)
+		}
+		stalls++
+		lastEnd = time.Now()
+	}
+	t.Logf("%d stalled appends in %v of open or half-open circuit", stalls, breakerDecay*5/2+fanoutTimeout)
+	if stalls == 0 {
+		t.Fatal("the half-open circuit never probed the sibling again")
+	}
+}

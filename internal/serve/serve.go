@@ -12,7 +12,7 @@
 // served for refreshAfter, and each segment's refresher gathers what is
 // due into one scatter-gather batch per wake, i.e. one shard visit),
 // synchronous miss fills are single-flighted per id,
-// and every server worker owns an EmbedScratch and an ann.SearchScratch
+// and every worker state owns an EmbedScratch and an ann.SearchScratch
 // so request embedding and index search perform zero heap allocations at
 // steady state. Over remote shards, every refresher and miss fill shares
 // the engine's multiplexed RPC connections rather than checking one out
@@ -613,35 +613,47 @@ func (c *NeighborCache) Close() {
 
 // Config sizes the server.
 type Config struct {
-	Workers   int
-	CacheK    int // paper: 30
-	TopK      int
-	NProbe    int
+	Workers int // worker states: retrievals running at once
+	CacheK  int // paper: 30
+	TopK    int
+	NProbe  int
+	// QueueSize is ignored. Kept only because benchmark/ compiles
+	// against it — drop it in the next benchmark-only PR.
 	QueueSize int
 	Seed      uint64
 }
 
 // DefaultConfig mirrors the production description.
 func DefaultConfig() Config {
-	return Config{Workers: 4, CacheK: 30, TopK: 100, NProbe: 4, QueueSize: 4096, Seed: 1}
+	return Config{Workers: 4, CacheK: 30, TopK: 100, NProbe: 4, Seed: 1}
 }
 
-// Server is the online retrieval service: request queue, worker pool,
-// neighbor cache, embedder and ANN index.
+// Server is the online retrieval service: neighbor cache, embedder and
+// ANN index behind a pool of Workers worker states. A retrieval runs on
+// its caller's goroutine while it holds one state; the pool bounds how
+// many run at once, and the server starts no goroutine of its own.
 type Server struct {
 	cfg   Config
 	emb   *Embedder
 	cache *NeighborCache
 	index *ann.Index
 
-	queue chan request
-	wg    sync.WaitGroup
+	states chan *workerState
 
-	served, dropped, expired atomic.Int64
+	expired atomic.Int64
+}
+
+// workerState is what one running retrieval owns: the RNG its miss
+// fills draw with and the embedding and search scratches, so the
+// request path allocates nothing but its result copy.
+type workerState struct {
+	r   *rng.RNG
+	sc  *EmbedScratch
+	ssc *ann.SearchScratch
 }
 
 // Request is one retrieval request. The zero Deadline means unbounded.
-// CacheOnly is the shed mode: the worker answers from whatever the
+// CacheOnly is the shed mode: the retrieval answers from whatever the
 // neighbor cache already holds (possibly nothing) without generating
 // backend work, and marks the response Degraded.
 type Request struct {
@@ -650,15 +662,9 @@ type Request struct {
 	CacheOnly   bool
 }
 
-type request struct {
-	Request
-	enqueued time.Time
-	resp     chan Response
-}
-
-// Response is the retrieval result with end-to-end latency (queue wait
-// included). Err is set — and Items empty — when the request's deadline
-// expired before it was answered (errors.Is(Err,
+// Response is the retrieval result with end-to-end latency (the wait
+// for a worker state included). Err is set — and Items empty — when the
+// request's deadline expired before it was answered (errors.Is(Err,
 // engine.ErrDeadlineExceeded)). Degraded marks a cache-only answer.
 type Response struct {
 	Items    []ann.Result
@@ -667,110 +673,122 @@ type Response struct {
 	Degraded bool
 }
 
-// NewServer starts the worker pool. Close must be called.
+// NewServer fills the pool with cfg.Workers worker states. Close must be
+// called.
 func NewServer(emb *Embedder, cache *NeighborCache, index *ann.Index, cfg Config) *Server {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 1024
-	}
+	cfg.Workers = max(cfg.Workers, 1)
 	s := &Server{
-		cfg:   cfg,
-		emb:   emb,
-		cache: cache,
-		index: index,
-		queue: make(chan request, cfg.QueueSize),
+		cfg:    cfg,
+		emb:    emb,
+		cache:  cache,
+		index:  index,
+		states: make(chan *workerState, cfg.Workers),
 	}
-	for w := 0; w < cfg.Workers; w++ {
-		s.wg.Add(1)
-		go s.worker(uint64(w) + cfg.Seed)
+	for w := range cfg.Workers {
+		s.states <- &workerState{r: rng.New(uint64(w) + cfg.Seed), sc: emb.NewScratch(), ssc: index.NewSearchScratch()}
 	}
 	return s
 }
 
-func (s *Server) worker(seed uint64) {
-	defer s.wg.Done()
-	r := rng.New(seed)
-	sc := s.emb.NewScratch()
-	ssc := s.index.NewSearchScratch()
-	for req := range s.queue {
-		// A request whose deadline passed while it sat in the queue is
-		// answered typed, immediately — the caller has already given up,
-		// and skipping the cache reads and index search is the whole
-		// point of admission control: expired work must not consume
-		// worker time that live requests are queued behind.
-		if !req.Deadline.IsZero() && !time.Now().Before(req.Deadline) {
-			s.expired.Add(1)
-			req.resp <- Response{Err: engine.ErrDeadlineExceeded, Latency: time.Since(req.enqueued)}
-			continue
-		}
-		var eu, eq *Entry
-		if req.CacheOnly {
-			eu = s.cache.getCached(req.User)
-			eq = s.cache.getCached(req.Query)
-		} else {
-			eu = s.cache.GetBy(req.User, r, req.Deadline)
-			eq = s.cache.GetBy(req.Query, r, req.Deadline)
-		}
-		var nu, nq []graph.NodeID
-		if eu != nil {
-			nu = eu.Neighbors()
-		}
-		if eq != nil {
-			nq = eq.Neighbors()
-		}
-		uq := s.emb.UserQuery(req.User, req.Query, nu, nq, sc)
-		if eu != nil {
-			eu.Release()
-		}
-		if eq != nil {
-			eq.Release()
-		}
-		if !req.Deadline.IsZero() && !time.Now().Before(req.Deadline) {
-			// Expired during the miss fill: the index search would only
-			// delay the queue further for an answer nobody is waiting on.
-			s.expired.Add(1)
-			req.resp <- Response{Err: engine.ErrDeadlineExceeded, Latency: time.Since(req.enqueued)}
-			continue
-		}
-		found := s.index.SearchInto(uq, s.cfg.TopK, s.cfg.NProbe, ssc)
-		// The scratch-backed results are clobbered by the next request;
-		// the response escapes to the submitter, so copy once — the only
-		// allocation left on the request path.
-		items := make([]ann.Result, len(found))
-		copy(items, found)
-		s.served.Add(1)
-		req.resp <- Response{Items: items, Latency: time.Since(req.enqueued), Degraded: req.CacheOnly}
+// acquire takes a worker state, waiting no later than deadline (the zero
+// deadline waits as long as it takes); nil means the deadline passed
+// first. An uncontended call takes a free state without arming a timer.
+func (s *Server) acquire(deadline time.Time) *workerState {
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		return nil
 	}
-}
-
-// SubmitReq enqueues a full Request (deadline and shed mode included);
-// it returns false (drop) when the queue is full. Every accepted request
-// is answered on resp exactly once — expired ones with a typed Err — so
-// a caller that submitted successfully can always block on the reply.
-func (s *Server) SubmitReq(q Request, resp chan Response) bool {
 	select {
-	case s.queue <- request{Request: q, enqueued: time.Now(), resp: resp}:
-		return true
+	case ws := <-s.states:
+		return ws
 	default:
-		s.dropped.Add(1)
-		return false
+	}
+	if deadline.IsZero() {
+		return <-s.states
+	}
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	select {
+	case ws := <-s.states:
+		return ws
+	case <-t.C:
+		return nil
 	}
 }
 
-// Served reports the total requests answered with items (all time).
-func (s *Server) Served() int64 { return s.served.Load() }
+// Retrieve answers req on the caller's goroutine: two cache reads (cache
+// only in shed mode), the embedding and the index probe, under one
+// worker state. A request that gets no state before its deadline, or
+// whose deadline passes during a miss fill, is answered with the typed
+// engine.ErrDeadlineExceeded and counted in Expired. Retrieve must not
+// be called once Close has begun.
+func (s *Server) Retrieve(req Request) Response {
+	start := time.Now()
+	ws := s.acquire(req.Deadline)
+	if ws == nil {
+		return s.expire(start)
+	}
+	var eu, eq *Entry
+	if req.CacheOnly {
+		eu = s.cache.getCached(req.User)
+		eq = s.cache.getCached(req.Query)
+	} else {
+		eu = s.cache.GetBy(req.User, ws.r, req.Deadline)
+		eq = s.cache.GetBy(req.Query, ws.r, req.Deadline)
+	}
+	var nu, nq []graph.NodeID
+	if eu != nil {
+		nu = eu.Neighbors()
+	}
+	if eq != nil {
+		nq = eq.Neighbors()
+	}
+	uq := s.emb.UserQuery(req.User, req.Query, nu, nq, ws.sc)
+	if eu != nil {
+		eu.Release()
+	}
+	if eq != nil {
+		eq.Release()
+	}
+	if !req.Deadline.IsZero() && !time.Now().Before(req.Deadline) {
+		// Expired during the miss fill: nobody waits on the search.
+		s.states <- ws
+		return s.expire(start)
+	}
+	found := s.index.SearchInto(uq, s.cfg.TopK, s.cfg.NProbe, ws.ssc)
+	// The scratch-backed results are clobbered by the state's next
+	// request, so copy once — the only allocation on the request path.
+	items := make([]ann.Result, len(found))
+	copy(items, found)
+	s.states <- ws
+	return Response{Items: items, Latency: time.Since(start), Degraded: req.CacheOnly}
+}
 
-// Dropped reports the total queue-full rejections (all time).
-func (s *Server) Dropped() int64 { return s.dropped.Load() }
+func (s *Server) expire(start time.Time) Response {
+	s.expired.Add(1)
+	return Response{Err: engine.ErrDeadlineExceeded, Latency: time.Since(start)}
+}
+
+// SubmitReq sends Retrieve's answer to q on resp, which must have room
+// for it, and returns true. Kept only because benchmark/ compiles
+// against it — drop it in the next benchmark-only PR.
+func (s *Server) SubmitReq(q Request, resp chan Response) bool {
+	resp <- s.Retrieve(q)
+	return true
+}
+
+// Dropped returns 0: nothing is refused below the gateway. Kept only
+// because benchmark/ compiles against it — drop it in the next
+// benchmark-only PR.
+func (s *Server) Dropped() int64 { return 0 }
 
 // Expired reports the total requests answered typed after their
 // deadline passed (all time).
 func (s *Server) Expired() int64 { return s.expired.Load() }
 
-// Close drains and stops the workers.
+// Close waits until every in-flight retrieval has returned its worker
+// state, and keeps them all: the server answers nothing afterwards.
 func (s *Server) Close() {
-	close(s.queue)
-	s.wg.Wait()
+	for range s.cfg.Workers {
+		<-s.states
+	}
 }

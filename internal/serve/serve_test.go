@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -145,24 +146,92 @@ func TestServerServesRequests(t *testing.T) {
 	srv := NewServer(h.emb, h.cache, h.index, cfg)
 	defer srv.Close()
 
-	resp := make(chan Response, 16)
 	for i := 0; i < 10; i++ {
-		if !srv.SubmitReq(Request{User: h.users[i%len(h.users)], Query: h.queries[i%len(h.queries)]}, resp) {
-			t.Fatal("submit rejected under light load")
+		rsp := srv.Retrieve(Request{User: h.users[i%len(h.users)], Query: h.queries[i%len(h.queries)]})
+		if rsp.Err != nil || len(rsp.Items) == 0 || len(rsp.Items) > 10 {
+			t.Fatalf("request %d: %d items, err %v", i, len(rsp.Items), rsp.Err)
+		}
+		if rsp.Latency <= 0 {
+			t.Fatal("non-positive latency")
 		}
 	}
-	for i := 0; i < 10; i++ {
-		select {
-		case rsp := <-resp:
-			if len(rsp.Items) == 0 || len(rsp.Items) > 10 {
-				t.Fatalf("bad item count %d", len(rsp.Items))
-			}
-			if rsp.Latency <= 0 {
-				t.Fatal("non-positive latency")
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("response timeout")
-		}
+}
+
+// SubmitReq survives only for the benchmark rig: it answers through
+// Retrieve, on the caller's channel, and never refuses.
+func TestSubmitReqShim(t *testing.T) {
+	h := buildHarness(t)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	srv := NewServer(h.emb, h.cache, h.index, cfg)
+	defer srv.Close()
+	resp := make(chan Response, 1)
+	if !srv.SubmitReq(Request{User: h.users[0], Query: h.queries[0]}, resp) {
+		t.Fatal("SubmitReq refused a request")
+	}
+	if rsp := <-resp; rsp.Err != nil || len(rsp.Items) == 0 {
+		t.Fatalf("SubmitReq answer: %d items, err %v", len(rsp.Items), rsp.Err)
+	}
+	if srv.Dropped() != 0 {
+		t.Fatalf("Dropped() = %d, want 0", srv.Dropped())
+	}
+}
+
+// A request that gets no worker state before its deadline is answered
+// with the typed error once the deadline passes, counted as expired,
+// and its Latency covers the wait.
+func TestRetrieveNoWorkerStateBeforeDeadline(t *testing.T) {
+	h := buildHarness(t)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	srv := NewServer(h.emb, h.cache, h.index, cfg)
+	defer srv.Close()
+	held := srv.acquire(time.Time{}) // the only state, as an in-flight retrieval holds it
+	const budget = 20 * time.Millisecond
+	deadline := time.Now().Add(budget)
+	rsp := srv.Retrieve(Request{User: h.users[0], Query: h.queries[0], Deadline: deadline})
+	srv.states <- held
+	if !errors.Is(rsp.Err, engine.ErrDeadlineExceeded) || len(rsp.Items) != 0 {
+		t.Fatalf("got %d items, err %v; want the typed deadline error", len(rsp.Items), rsp.Err)
+	}
+	if time.Now().Before(deadline) {
+		t.Fatal("gave up on a worker state before the deadline")
+	}
+	// Retrieve's clock starts a few instructions after deadline was set.
+	if rsp.Latency < budget*9/10 {
+		t.Fatalf("Latency %v leaves out the %v wait for a worker state", rsp.Latency, budget)
+	}
+	if n := srv.Expired(); n != 1 {
+		t.Fatalf("Expired() = %d, want 1", n)
+	}
+	if rsp := srv.Retrieve(Request{User: h.users[0], Query: h.queries[0], Deadline: time.Now().Add(time.Minute)}); rsp.Err != nil {
+		t.Fatalf("retrieval after the state came back: %v", rsp.Err)
+	}
+}
+
+// Close is a drain: it returns only once every in-flight retrieval has
+// handed its worker state back.
+func TestCloseWaitsForInFlightRetrieval(t *testing.T) {
+	h := buildHarness(t)
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	srv := NewServer(h.emb, h.cache, h.index, cfg)
+	held := srv.acquire(time.Time{})
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a retrieval held a worker state")
+	case <-time.After(50 * time.Millisecond):
+	}
+	srv.states <- held
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the last worker state came back")
 	}
 }
 
@@ -178,15 +247,10 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 	// meanRT offers qps for 300 ms from 64 clients, each waiting for its
 	// answer, and returns the mean response time, timed from due times.
 	meanRT := func(qps float64) time.Duration {
-		const clients = 64 // fewer than queue slots: nothing is refused
-		resp := make([]chan Response, clients)
-		for c := range resp {
-			resp[c] = make(chan Response, 1)
-		}
+		const clients = 64
 		n := int(qps * 0.3)
-		r := openloop.Run(clients, n, time.Duration(float64(time.Second)/qps), func(c, slot int) bool {
-			req := Request{User: h.users[slot%len(h.users)], Query: h.queries[slot%len(h.queries)]}
-			return srv.SubmitReq(req, resp[c]) && (<-resp[c]).Err == nil
+		r := openloop.Run(clients, n, time.Duration(float64(time.Second)/qps), func(_, slot int) bool {
+			return srv.Retrieve(Request{User: h.users[slot%len(h.users)], Query: h.queries[slot%len(h.queries)]}).Err == nil
 		})
 		if r.Failed != 0 {
 			t.Fatalf("%d of %d requests failed at %.0f QPS", r.Failed, n, qps)
@@ -209,11 +273,10 @@ func BenchmarkEndToEndRequest(b *testing.B) {
 	cfg := DefaultConfig()
 	srv := NewServer(h.emb, h.cache, h.index, cfg)
 	defer srv.Close()
-	resp := make(chan Response, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.SubmitReq(Request{User: h.users[i%len(h.users)], Query: h.queries[i%len(h.queries)]}, resp)
-		<-resp
+		srv.Retrieve(Request{User: h.users[i%len(h.users)], Query: h.queries[i%len(h.queries)]})
 	}
 }
 
@@ -265,9 +328,9 @@ func TestShardedCacheConcurrency(t *testing.T) {
 	}
 }
 
-// Full-stack hammer: engine tables, sharded cache and the server worker
-// pool under concurrent submitters, then a consistency check over
-// hit/miss/refresh and served/dropped counters.
+// Full-stack hammer: engine tables, sharded cache and the server's
+// worker states under concurrent callers, then a consistency check of
+// the cache counters against the answers.
 func TestServingStackConcurrency(t *testing.T) {
 	h := buildHarness(t)
 	cfg := DefaultConfig()
@@ -276,35 +339,23 @@ func TestServingStackConcurrency(t *testing.T) {
 	srv := NewServer(h.emb, h.cache, h.index, cfg)
 	defer srv.Close()
 
-	const submitters, perSubmitter = 8, 50
-	var accepted atomic.Int64
+	const callers, perCaller = 8, 50
+	var served atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < submitters; w++ {
+	for w := 0; w < callers; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
 			r := rng.New(seed)
-			resp := make(chan Response, perSubmitter)
-			sent := 0
-			for i := 0; i < perSubmitter; i++ {
+			for i := 0; i < perCaller; i++ {
 				u := h.users[r.Intn(len(h.users))]
 				q := h.queries[r.Intn(len(h.queries))]
-				if srv.SubmitReq(Request{User: u, Query: q}, resp) {
-					sent++
-				}
-			}
-			for i := 0; i < sent; i++ {
-				select {
-				case rsp := <-resp:
-					if len(rsp.Items) == 0 {
-						t.Error("empty response under concurrency")
-					}
-				case <-time.After(10 * time.Second):
-					t.Error("response timeout")
+				if rsp := srv.Retrieve(Request{User: u, Query: q}); len(rsp.Items) == 0 {
+					t.Errorf("empty response under concurrency (err %v)", rsp.Err)
 					return
 				}
+				served.Add(1)
 			}
-			accepted.Add(int64(sent))
 		}(uint64(w + 50))
 	}
 	wg.Wait()
@@ -314,8 +365,8 @@ func TestServingStackConcurrency(t *testing.T) {
 		t.Fatal("negative cache counters")
 	}
 	// Each served request performs exactly two cache Gets.
-	if hits+misses < 2*accepted.Load() {
-		t.Fatalf("cache gets %d < 2x served %d", hits+misses, accepted.Load())
+	if hits+misses < 2*served.Load() {
+		t.Fatalf("cache gets %d < 2x served %d", hits+misses, served.Load())
 	}
 }
 

@@ -2,7 +2,7 @@
 // Connect reaches the graph store — in-process partitions or a dialed
 // zoomer-shard cluster — and carries the only world-skew check in the
 // tree; Assemble stands the serving tier up over a connected store
-// (neighbor cache, item-tower ANN index, worker pool); Build is the
+// (neighbor cache, item-tower ANN index, retrieval server); Build is the
 // whole of it for zoomer-gateway: world, warm-up training and export,
 // Connect, Assemble — one call, one Close. zoomer-train connects its
 // sharded and remote views through Connect; the Fig. 9 experiment and
@@ -41,7 +41,7 @@ type Config struct {
 	Strategy partition.Strategy
 	Remote   []string // zoomer-shard addresses; empty = in-process
 
-	Workers int // serving workers; 0 takes serve.DefaultConfig's
+	Workers int // serve worker states (retrievals at once); 0 takes serve.DefaultConfig's
 }
 
 // ErrWorldSkew reports that the dialed shard servers hold a different
@@ -140,7 +140,8 @@ func ItemIndex(items []graph.NodeID, embed func(graph.NodeID) tensor.Vec, seed u
 }
 
 // Assemble stands the serving tier up over b: the neighbor cache
-// (seeded seed), the item-tower index (seed+1) and scfg's worker pool.
+// (seeded seed), the item-tower index (seed+1) and the retrieval server
+// with scfg's worker states.
 // The returned Stack owns b.
 func Assemble(b *Backend, emb *serve.Embedder, items []graph.NodeID, scfg serve.Config, seed uint64) *Stack {
 	st := &Stack{Backend: b, Embedder: emb}
@@ -150,21 +151,19 @@ func Assemble(b *Backend, emb *serve.Embedder, items []graph.NodeID, scfg serve.
 	return st
 }
 
-// offerClients caps Offer's requests in flight: enough to keep a worker
-// pool busy, and few enough that the clients' own wake-ups leave the
-// server its cores. More would measure nothing more: past the knee a
-// backlog is charged from its due times whether it waits in the
-// server's queue or for a free client.
+// offerClients caps Offer's requests in flight: enough to keep every
+// worker state busy, and few enough that the clients' own wake-ups leave
+// the server its cores. More would measure nothing more: past the knee a
+// backlog is charged from its due times whether it waits for a worker
+// state or for a free client.
 const offerClients = 64
 
-// Offered is one open-loop run against a Stack's server. Served plus
-// Dropped (refused by a full queue, or answered with an error) is the
-// whole schedule. The response times cover every request, a refusal
-// included, timed as openloop.Run times them; with fewer clients than
-// queue slots, as at every caller, nothing is refused.
+// Offered is one open-loop run against a Stack's server. Served counts
+// the requests answered with items; the response times cover every
+// request, timed as openloop.Run times them.
 type Offered struct {
-	Served, Dropped int64
-	MeanRT, P99     time.Duration
+	Served      int64
+	MeanRT, P99 time.Duration
 }
 
 // Offer drives st.Server in-process with qps × d requests, at the
@@ -177,14 +176,10 @@ func (st *Stack) Offer(users, queries []graph.NodeID, qps float64, d time.Durati
 	for i := range reqs {
 		reqs[i] = serve.Request{User: users[r.Intn(len(users))], Query: queries[r.Intn(len(queries))]}
 	}
-	resp := make([]chan serve.Response, offerClients)
-	for w := range resp {
-		resp[w] = make(chan serve.Response, 1)
-	}
-	res := openloop.Run(offerClients, n, time.Duration(float64(time.Second)/qps), func(w, slot int) bool {
-		return st.Server.SubmitReq(reqs[slot], resp[w]) && (<-resp[w]).Err == nil
+	res := openloop.Run(offerClients, n, time.Duration(float64(time.Second)/qps), func(_, slot int) bool {
+		return st.Server.Retrieve(reqs[slot]).Err == nil
 	})
-	out := Offered{Served: int64(n - res.Failed), Dropped: int64(res.Failed), P99: openloop.Percentiles(res.Lat, 0.99)[0]}
+	out := Offered{Served: int64(n - res.Failed), P99: openloop.Percentiles(res.Lat, 0.99)[0]}
 	for _, l := range res.Lat {
 		out.MeanRT += l / time.Duration(n)
 	}
@@ -231,9 +226,9 @@ func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
 	return st, nil
 }
 
-// Close tears the stack down in reverse bring-up order: the worker pool
-// first (no new cache/engine reads), then the cache refreshers, then the
-// store. Safe to call more than once.
+// Close tears the stack down in reverse bring-up order: the server first
+// (it waits out in-flight retrievals, so no new cache/engine reads), then
+// the cache refreshers, then the store. Safe to call more than once.
 func (st *Stack) Close() {
 	st.closeOnce.Do(func() {
 		st.Server.Close()
