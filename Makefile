@@ -34,10 +34,11 @@ test:
 # optimizers, the experiments harness (incl. the cross-topology
 # equivalence suite and the dead-cluster training test), the A/B
 # replay, the ANN index build's parallel k-means passes, the world
-# build's parallel MinHash signing and LSH banding, and the open-loop
-# load generator's workers.
+# build's parallel MinHash signing and LSH banding, the open-loop
+# load generator's workers, and the metrics histograms every request
+# and fsync observes into concurrently.
 race:
-	go test -race ./internal/engine/... ./internal/serve/... ./internal/gateway/... ./internal/servestack/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/... ./internal/graph/... ./internal/graphbuild/... ./internal/openloop/...
+	go test -race ./internal/engine/... ./internal/serve/... ./internal/gateway/... ./internal/servestack/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/... ./internal/graph/... ./internal/graphbuild/... ./internal/openloop/... ./internal/obs/...
 
 # run_listed runs `go test -race -count=1 -run NAMES PKG` after checking
 # that every |-separated name in NAMES matches a test `go test -list`

@@ -84,13 +84,6 @@ type IngestStats struct {
 	FsyncHist   []uint64 // aligned with ingest.FsyncBounds (+Inf last); nil when unavailable
 }
 
-// IngestReporter is the optional observability facet of the write path.
-// The second return is false when the backend cannot currently report
-// (e.g. a remote stub that has not fetched stats yet).
-type IngestReporter interface {
-	IngestStats() (IngestStats, bool)
-}
-
 // overlayChunkBits sizes the chunks of a view's overlay table: 64 local
 // rows, 512 bytes of pointers, per chunk.
 const (
@@ -184,12 +177,12 @@ func (s *Shard) AppendEdges(edges []ingest.Edge) (uint64, error) {
 	return seq, nil
 }
 
-// IngestStats implements IngestReporter for the in-process shard (no
-// WAL fields: durability lives with the rpc server when configured).
-func (s *Shard) IngestStats() (IngestStats, bool) {
+// IngestStats reports the in-process shard's write-path row (no WAL
+// fields: durability lives with the rpc server when configured).
+func (s *Shard) IngestStats() IngestStats {
 	dv := s.delta.Load()
 	if dv == nil {
-		return IngestStats{Shard: s.id}, true
+		return IngestStats{Shard: s.id}
 	}
 	return IngestStats{
 		Shard:       s.id,
@@ -197,7 +190,7 @@ func (s *Shard) IngestStats() (IngestStats, bool) {
 		DeltaNodes:  dv.nodes,
 		DeltaEdges:  dv.edges,
 		Compactions: dv.compactions,
-	}, true
+	}
 }
 
 // ValidateAppend checks an edge batch against this shard without
@@ -373,8 +366,5 @@ func (s *Shard) overlayAt(li int32) *nodeOverlay {
 	return dv.overlay(li)
 }
 
-// ensure the facets stay implemented.
-var (
-	_ EdgeAppender   = (*Shard)(nil)
-	_ IngestReporter = (*Shard)(nil)
-)
+// ensure the write facet stays implemented.
+var _ EdgeAppender = (*Shard)(nil)

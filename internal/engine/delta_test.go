@@ -51,7 +51,7 @@ func TestAppendSamplingSeesNewEdges(t *testing.T) {
 	if frac < 0.46 || frac > 0.54 {
 		t.Fatalf("appended edge sampled %.3f of draws, want ~0.5", frac)
 	}
-	if d, _ := e.Shard(0).IngestStats(); d.Seq != 1 || d.DeltaEdges != 1 || d.DeltaNodes != 1 {
+	if d := e.Shard(0).IngestStats(); d.Seq != 1 || d.DeltaEdges != 1 || d.DeltaNodes != 1 {
 		t.Fatalf("IngestStats = %+v", d)
 	}
 }
@@ -194,8 +194,8 @@ func TestAppendReplayBitIdentical(t *testing.T) {
 		}
 	}
 
-	dA, _ := shA.IngestStats()
-	dB, _ := shB.IngestStats()
+	dA := shA.IngestStats()
+	dB := shB.IngestStats()
 	if !reflect.DeepEqual(dA, dB) {
 		t.Fatalf("IngestStats diverged: %+v vs %+v", dA, dB)
 	}

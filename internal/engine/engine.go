@@ -160,7 +160,7 @@ type ShardBackend interface {
 // handshake); Stats folds these into its per-shard view.
 type BackendStats interface {
 	Requests() int64
-	ShardSize() (nodes, edges int)
+	ShardSize() (nodes int)
 }
 
 // HealthReporter is optionally implemented by backends that track their
@@ -662,14 +662,11 @@ func (e *Engine) TrySampleNeighborsIntoBy(id graph.NodeID, out []graph.NodeID, r
 	return n, err
 }
 
-// Stats reports per-shard request counts, replica-group sizes and the
-// static partition shape.
+// Stats reports per-shard request counts and partition sizes.
 type Stats struct {
 	Shards           int
-	ReplicasPerShard []int // replica-group size of each partition
 	RequestsPerShard []int64
 	NodesPerShard    []int
-	EdgesPerShard    []int
 	// Imbalance is max/mean over RequestsPerShard (1 = perfectly even,
 	// 0 when no requests have been served).
 	Imbalance    float64
@@ -689,22 +686,20 @@ func (e *Engine) Stats() Stats {
 	var total, maxShard int64
 	for i, g := range set.groups {
 		var perShard int64
-		var nodes, edges int
+		var nodes int
 		for _, be := range g {
 			if bs, ok := be.(BackendStats); ok {
 				perShard += bs.Requests()
-				if nodes == 0 && edges == 0 {
-					nodes, edges = bs.ShardSize()
+				if nodes == 0 {
+					nodes = bs.ShardSize()
 				}
 			}
 		}
 		if s := set.locals[i]; s != nil {
 			st.CachedTables += s.Tables()
 		}
-		st.ReplicasPerShard = append(st.ReplicasPerShard, len(g))
 		st.RequestsPerShard = append(st.RequestsPerShard, perShard)
 		st.NodesPerShard = append(st.NodesPerShard, nodes)
-		st.EdgesPerShard = append(st.EdgesPerShard, edges)
 		total += perShard
 		if perShard > maxShard {
 			maxShard = perShard
@@ -744,23 +739,16 @@ func (e *Engine) Append(edges []ingest.Edge) (int, error) {
 	return e.scatter(p, srcs, &payload{edges: edges})
 }
 
-// IngestStats reports the write-path state of every partition whose
-// primary backend exposes the IngestReporter facet (in-process shards
-// always do; remote stubs once their server spoke).
+// IngestStats reports the write-path row of every partition whose
+// primary is an in-process shard. Remote partitions have none here: their
+// rows come from rpc.Cluster.IngestStats, which polls the servers live.
 func (e *Engine) IngestStats() []IngestStats {
 	set := e.bset.Load()
 	out := make([]IngestStats, 0, len(set.groups))
-	for si, g := range set.groups {
-		ir, ok := g[0].(IngestReporter)
-		if !ok {
-			continue
+	for _, g := range set.groups {
+		if s, ok := g[0].(*Shard); ok {
+			out = append(out, s.IngestStats())
 		}
-		st, ok := ir.IngestStats()
-		if !ok {
-			continue
-		}
-		st.Shard = si
-		out = append(out, st)
 	}
 	return out
 }

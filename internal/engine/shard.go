@@ -99,8 +99,8 @@ func (s *Shard) Tables() int { return int(s.tableCount.Load()) }
 // Requests reports the shard's served-node count (BackendStats).
 func (s *Shard) Requests() int64 { return s.requests.Load() }
 
-// ShardSize reports the partition's size (BackendStats).
-func (s *Shard) ShardSize() (nodes, edges int) { return s.store.NumNodes(), s.store.NumEdges() }
+// ShardSize reports the partition's node count (BackendStats).
+func (s *Shard) ShardSize() (nodes int) { return s.store.NumNodes() }
 
 // Neighbors returns the adjacency list of an owned node. Without live
 // deltas this is an immutable zero-copy view into the shard's CSR

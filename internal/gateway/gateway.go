@@ -210,26 +210,26 @@ func (g *Gateway) Drain(ctx context.Context) error {
 }
 
 // admit counts a request into in-flight and then refuses it, counted
-// back out with its 503 written, when the gateway is draining or over the
-// hard cap. Counting in before reading draining is what lets Drain trust
-// its zero: a request that still reads draining == false was counted
-// before Drain set it. An admitted request (ok) must leave with
+// back out with its 503 answered, when the gateway is draining or over
+// the hard cap. Counting in before reading draining is what lets Drain
+// trust its zero: a request that still reads draining == false was
+// counted before Drain set it. An admitted request (ok) must leave with
 // g.inflight.Add(-1); n is the in-flight count including it.
-func (g *Gateway) admit(w http.ResponseWriter, rm *routeMetrics) (n int64, ok bool) {
+func (g *Gateway) admit(w http.ResponseWriter, rm *routeMetrics, start time.Time) (n int64, ok bool) {
 	n = g.inflight.Add(1)
+	msg := "draining"
 	switch {
 	case g.draining.Load():
 		g.met.drainRejects.Add(1)
-		http.Error(w, "draining", http.StatusServiceUnavailable)
 	case n > int64(g.cfg.MaxInFlight):
 		g.met.shedHard.Add(1)
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, "overloaded: in-flight cap reached", http.StatusServiceUnavailable)
+		msg = "overloaded: in-flight cap reached"
 	default:
 		return n, true
 	}
 	g.inflight.Add(-1)
-	rm.count(http.StatusServiceUnavailable)
+	rm.fail(w, start, http.StatusServiceUnavailable, msg)
 	return n, false
 }
 
@@ -317,7 +317,7 @@ func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, bin boo
 	rm := g.met.route(route)
 	start := time.Now()
 
-	n, ok := g.admit(w, rm)
+	n, ok := g.admit(w, rm, start)
 	if !ok {
 		return
 	}
@@ -325,8 +325,7 @@ func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, bin boo
 	params := r.URL.Query() // parsed once: ids, deadline and k
 	user, query, err := g.pickIDs(params)
 	if err != nil {
-		rm.count(http.StatusBadRequest)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		rm.fail(w, start, http.StatusBadRequest, err.Error())
 		return
 	}
 	cacheOnly := float64(n) > g.cfg.ShedFraction*float64(g.cfg.MaxInFlight)
@@ -335,10 +334,8 @@ func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, bin boo
 	rsp := g.srv.Retrieve(serve.Request{User: user, Query: query, Deadline: deadline, CacheOnly: cacheOnly})
 	if rsp.Err != nil {
 		g.met.deadlineExceeded.Add(1)
-		rm.count(http.StatusGatewayTimeout)
-		rm.lat.observe(time.Since(start))
 		g.log.Debug("deadline exceeded", "route", route, "user", uint32(user), "query", uint32(query))
-		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
+		rm.fail(w, start, http.StatusGatewayTimeout, "deadline exceeded")
 		return
 	}
 	items := rsp.Items
@@ -356,8 +353,7 @@ func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, bin boo
 	} else {
 		g.writeJSON(w, user, query, rsp, items, start)
 	}
-	rm.count(http.StatusOK)
-	rm.lat.observe(time.Since(start))
+	rm.answer(http.StatusOK, start)
 }
 
 // appendEdge is one edge of a POST /v1/append request body.
@@ -397,30 +393,26 @@ func (g *Gateway) handleAppend(w http.ResponseWriter, r *http.Request) {
 	rm := g.met.route("append")
 	start := time.Now()
 	if g.app == nil {
-		rm.count(http.StatusNotFound)
-		http.Error(w, "ingest not enabled", http.StatusNotFound)
+		rm.fail(w, start, http.StatusNotFound, "ingest not enabled")
 		return
 	}
 	if r.Method != http.MethodPost {
-		rm.count(http.StatusMethodNotAllowed)
 		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "append requires POST", http.StatusMethodNotAllowed)
+		rm.fail(w, start, http.StatusMethodNotAllowed, "append requires POST")
 		return
 	}
-	if _, ok := g.admit(w, rm); !ok {
+	if _, ok := g.admit(w, rm, start); !ok {
 		return
 	}
 	defer g.inflight.Add(-1)
 
 	var req appendRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAppendBody)).Decode(&req); err != nil {
-		rm.count(http.StatusBadRequest)
-		http.Error(w, fmt.Sprintf("bad append body: %v", err), http.StatusBadRequest)
+		rm.fail(w, start, http.StatusBadRequest, fmt.Sprintf("bad append body: %v", err))
 		return
 	}
 	if len(req.Edges) == 0 {
-		rm.count(http.StatusBadRequest)
-		http.Error(w, "append body holds no edges", http.StatusBadRequest)
+		rm.fail(w, start, http.StatusBadRequest, "append body holds no edges")
 		return
 	}
 	edges := make([]ingest.Edge, len(req.Edges))
@@ -459,26 +451,21 @@ func (g *Gateway) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrBadAppend):
-			rm.count(http.StatusBadRequest)
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			rm.fail(w, start, http.StatusBadRequest, err.Error())
 		case errors.Is(err, engine.ErrShardUnavailable):
-			rm.count(http.StatusServiceUnavailable)
 			w.Header().Set("Retry-After", "1")
-			http.Error(w, "shard unavailable", http.StatusServiceUnavailable)
+			rm.fail(w, start, http.StatusServiceUnavailable, "shard unavailable")
 		default:
-			rm.count(http.StatusInternalServerError)
 			g.log.Error("append failed", "err", err, "edges", len(edges))
-			http.Error(w, "append failed", http.StatusInternalServerError)
+			rm.fail(w, start, http.StatusInternalServerError, "append failed")
 		}
-		rm.lat.observe(time.Since(start))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(&appendReply{Appended: appended, LatencyUs: time.Since(start).Microseconds()}); err != nil {
 		g.log.Debug("response write failed", "err", err)
 	}
-	rm.count(http.StatusOK)
-	rm.lat.observe(time.Since(start))
+	rm.answer(http.StatusOK, start)
 }
 
 func (g *Gateway) writeJSON(w http.ResponseWriter, user, query graph.NodeID, rsp serve.Response, items []ann.Result, start time.Time) {

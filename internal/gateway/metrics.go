@@ -1,14 +1,16 @@
 package gateway
 
 import (
-	"fmt"
 	"io"
+	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"zoomer/internal/engine"
 	"zoomer/internal/ingest"
+	"zoomer/internal/obs"
 )
 
 // latencyBounds are the histogram upper bounds in seconds, log-spaced
@@ -20,102 +22,6 @@ var latencyBounds = [...]float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5,
 }
 
-// histogram is a fixed-bucket latency histogram with atomic counters —
-// observation is lock-free and allocation-free.
-type histogram struct {
-	counts [len(latencyBounds) + 1]atomic.Int64 // last = +Inf
-	sum    atomic.Int64                         // nanoseconds
-	total  atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	s := d.Seconds()
-	i := 0
-	for i < len(latencyBounds) && s > latencyBounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sum.Add(int64(d))
-	h.total.Add(1)
-}
-
-// write emits the histogram in Prometheus text exposition format as
-// cumulative le-labelled buckets.
-func (h *histogram) write(w io.Writer, name, route string) {
-	var cum int64
-	for i, le := range latencyBounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{route=%q,le=%q} %d\n", name, route, trimFloat(le), cum)
-	}
-	cum += h.counts[len(latencyBounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{route=%q,le=\"+Inf\"} %d\n", name, route, cum)
-	fmt.Fprintf(w, "%s_sum{route=%q} %g\n", name, route, time.Duration(h.sum.Load()).Seconds())
-	fmt.Fprintf(w, "%s_count{route=%q} %d\n", name, route, h.total.Load())
-}
-
-func trimFloat(f float64) string {
-	return fmt.Sprintf("%g", f)
-}
-
-// writeIngest emits the per-shard write-path rows when an ingest source
-// is wired: WAL sequence (= ingest epoch), delta overlay sizes,
-// run-merge counters, WAL segment counts, and the fsync latency
-// histogram in cumulative le-labelled form.
-func (m *metrics) writeIngest(w io.Writer) {
-	if m.ingest == nil {
-		return
-	}
-	rows := m.ingest()
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# HELP zoomer_ingest_seq Last applied append sequence per shard (the ingest epoch).\n")
-	fmt.Fprintf(w, "# TYPE zoomer_ingest_seq gauge\n")
-	for _, st := range rows {
-		fmt.Fprintf(w, "zoomer_ingest_seq{shard=\"%d\"} %d\n", st.Shard, st.Seq)
-	}
-	fmt.Fprintf(w, "# HELP zoomer_ingest_delta_nodes Nodes with a live delta overlay per shard.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_ingest_delta_nodes gauge\n")
-	for _, st := range rows {
-		fmt.Fprintf(w, "zoomer_ingest_delta_nodes{shard=\"%d\"} %d\n", st.Shard, st.DeltaNodes)
-	}
-	fmt.Fprintf(w, "# HELP zoomer_ingest_delta_edges Appended edges in the current delta view per shard.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_ingest_delta_edges gauge\n")
-	for _, st := range rows {
-		fmt.Fprintf(w, "zoomer_ingest_delta_edges{shard=\"%d\"} %d\n", st.Shard, st.DeltaEdges)
-	}
-	fmt.Fprintf(w, "# HELP zoomer_ingest_compactions_total Delta run merges per shard.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_ingest_compactions_total counter\n")
-	for _, st := range rows {
-		fmt.Fprintf(w, "zoomer_ingest_compactions_total{shard=\"%d\"} %d\n", st.Shard, st.Compactions)
-	}
-	fmt.Fprintf(w, "# HELP zoomer_ingest_wal_segments WAL segment files per shard (0 = no WAL).\n")
-	fmt.Fprintf(w, "# TYPE zoomer_ingest_wal_segments gauge\n")
-	for _, st := range rows {
-		fmt.Fprintf(w, "zoomer_ingest_wal_segments{shard=\"%d\"} %d\n", st.Shard, st.WALSegments)
-	}
-	fmt.Fprintf(w, "# HELP zoomer_ingest_fsync_seconds WAL fsync latency per shard.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_ingest_fsync_seconds histogram\n")
-	for _, st := range rows {
-		if st.FsyncHist == nil {
-			continue
-		}
-		var cum uint64
-		for i, le := range ingest.FsyncBounds {
-			if i < len(st.FsyncHist) {
-				cum += st.FsyncHist[i]
-			}
-			fmt.Fprintf(w, "zoomer_ingest_fsync_seconds_bucket{shard=\"%d\",le=%q} %d\n", st.Shard, trimFloat(le), cum)
-		}
-		if len(st.FsyncHist) > len(ingest.FsyncBounds) {
-			cum += st.FsyncHist[len(ingest.FsyncBounds)]
-		}
-		fmt.Fprintf(w, "zoomer_ingest_fsync_seconds_bucket{shard=\"%d\",le=\"+Inf\"} %d\n", st.Shard, cum)
-		fmt.Fprintf(w, "zoomer_ingest_fsync_seconds_sum{shard=\"%d\"} %g\n", st.Shard, time.Duration(st.FsyncNanos).Seconds())
-		fmt.Fprintf(w, "zoomer_ingest_fsync_seconds_count{shard=\"%d\"} %d\n", st.Shard, st.Fsyncs)
-	}
-}
-
 // statusCodes are the response codes the gateway can emit per route.
 // Index 0 must stay 200 — the QPS gauge reads it.
 var statusCodes = [...]int{200, 400, 404, 405, 500, 503, 504}
@@ -123,16 +29,26 @@ var statusCodes = [...]int{200, 400, 404, 405, 500, 503, 504}
 // routeMetrics is one route's request counters and latency histogram.
 type routeMetrics struct {
 	codes [len(statusCodes)]atomic.Int64
-	lat   histogram
+	lat   *obs.Histogram
 }
 
-func (rm *routeMetrics) count(code int) {
+// answer counts and times one answered request. Every answer a route
+// gives, whatever its code, goes through here, so a route's latency
+// _count is the sum of its requests_total row.
+func (rm *routeMetrics) answer(code int, start time.Time) {
 	for i, c := range statusCodes {
 		if c == code {
 			rm.codes[i].Add(1)
-			return
+			break
 		}
 	}
+	rm.lat.Observe(time.Since(start))
+}
+
+// fail answers with an error status and msg, counted and timed.
+func (rm *routeMetrics) fail(w http.ResponseWriter, start time.Time, code int, msg string) {
+	http.Error(w, msg, code)
+	rm.answer(code, start)
 }
 
 // metrics is the gateway's observability surface: per-route request
@@ -172,7 +88,7 @@ func newMetrics(inflight *atomic.Int64, routes ...string) *metrics {
 		start:    time.Now(),
 	}
 	for _, r := range routes {
-		m.routes[r] = &routeMetrics{}
+		m.routes[r] = &routeMetrics{lat: obs.NewHistogram(latencyBounds[:])}
 	}
 	m.lastScrape = m.start
 	return m
@@ -180,65 +96,88 @@ func newMetrics(inflight *atomic.Int64, routes ...string) *metrics {
 
 func (m *metrics) route(name string) *routeMetrics { return m.routes[name] }
 
-// served sums 200-coded responses across routes — the numerator of the
-// scrape-interval QPS gauge.
-func (m *metrics) served() int64 {
-	var n int64
-	for _, rm := range m.routes {
-		n += rm.codes[0].Load() // statusCodes[0] == 200
+// ingestFamilies are the per-shard write-path rows printed before the
+// fsync histogram, one sample per shard each.
+var ingestFamilies = [...]struct {
+	name, typ, help string
+	value           func(engine.IngestStats) uint64
+}{
+	{"zoomer_ingest_seq", "gauge", "Last applied append sequence per shard (the ingest epoch).",
+		func(st engine.IngestStats) uint64 { return st.Seq }},
+	{"zoomer_ingest_delta_nodes", "gauge", "Nodes with a live delta overlay per shard.",
+		func(st engine.IngestStats) uint64 { return uint64(st.DeltaNodes) }},
+	{"zoomer_ingest_delta_edges", "gauge", "Appended edges in the current delta view per shard.",
+		func(st engine.IngestStats) uint64 { return st.DeltaEdges }},
+	{"zoomer_ingest_compactions_total", "counter", "Delta run merges per shard.",
+		func(st engine.IngestStats) uint64 { return st.Compactions }},
+	{"zoomer_ingest_wal_segments", "gauge", "WAL segment files per shard (0 = no WAL).",
+		func(st engine.IngestStats) uint64 { return uint64(st.WALSegments) }},
+}
+
+// writeIngest prints the per-shard write-path rows when an ingest source
+// is wired, then the fsync latency histogram of every row that carries
+// one.
+func (m *metrics) writeIngest(p *obs.Page) {
+	if m.ingest == nil {
+		return
 	}
-	return n
+	rows := m.ingest()
+	if len(rows) == 0 {
+		return
+	}
+	for _, f := range ingestFamilies {
+		p.Family(f.name, f.typ, f.help)
+		for _, st := range rows {
+			p.Sample(f.value(st), "shard", strconv.Itoa(st.Shard))
+		}
+	}
+	p.Family("zoomer_ingest_fsync_seconds", "histogram", "WAL fsync latency per shard.")
+	for _, st := range rows {
+		if st.FsyncHist != nil {
+			p.Hist(obs.Snapshot{Bounds: ingest.FsyncBounds[:], Buckets: st.FsyncHist, Sum: time.Duration(st.FsyncNanos)},
+				"shard", strconv.Itoa(st.Shard))
+		}
+	}
 }
 
 // writeTo emits the whole exposition page.
 func (m *metrics) writeTo(w io.Writer) {
-	fmt.Fprintf(w, "# HELP zoomer_gateway_requests_total Requests by route and status code.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_gateway_requests_total counter\n")
+	p := obs.NewPage(w)
+	p.Family("zoomer_gateway_requests_total", "counter", "Requests by route and status code.")
 	for _, name := range m.order {
-		rm := m.routes[name]
 		for i, code := range statusCodes {
-			fmt.Fprintf(w, "zoomer_gateway_requests_total{route=%q,code=\"%d\"} %d\n", name, code, rm.codes[i].Load())
+			p.Sample(m.routes[name].codes[i].Load(), "route", name, "code", strconv.Itoa(code))
 		}
 	}
-	fmt.Fprintf(w, "# HELP zoomer_gateway_request_seconds End-to-end request latency.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_gateway_request_seconds histogram\n")
+	p.Family("zoomer_gateway_request_seconds", "histogram", "End-to-end request latency.")
 	for _, name := range m.order {
-		m.routes[name].lat.write(w, "zoomer_gateway_request_seconds", name)
+		p.Hist(m.routes[name].lat.Snapshot(), "route", name)
 	}
-	fmt.Fprintf(w, "# HELP zoomer_gateway_inflight In-flight requests right now.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_gateway_inflight gauge\n")
-	fmt.Fprintf(w, "zoomer_gateway_inflight %d\n", m.inflight.Load())
-	fmt.Fprintf(w, "# HELP zoomer_gateway_shed_total Requests shed by admission control.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_gateway_shed_total counter\n")
-	fmt.Fprintf(w, "zoomer_gateway_shed_total{kind=\"inflight_cap\"} %d\n", m.shedHard.Load())
-	fmt.Fprintf(w, "zoomer_gateway_shed_total{kind=\"draining\"} %d\n", m.drainRejects.Load())
-	fmt.Fprintf(w, "# HELP zoomer_gateway_degraded_total Cache-only (shed-mode) answers served.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_gateway_degraded_total counter\n")
-	fmt.Fprintf(w, "zoomer_gateway_degraded_total %d\n", m.degraded.Load())
-	fmt.Fprintf(w, "# HELP zoomer_gateway_deadline_exceeded_total Requests answered with the typed deadline error.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_gateway_deadline_exceeded_total counter\n")
-	fmt.Fprintf(w, "zoomer_gateway_deadline_exceeded_total %d\n", m.deadlineExceeded.Load())
-	fmt.Fprintf(w, "# HELP zoomer_gateway_appended_edges_total Edges accepted through /v1/append.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_gateway_appended_edges_total counter\n")
-	fmt.Fprintf(w, "zoomer_gateway_appended_edges_total %d\n", m.appendedEdges.Load())
-	m.writeIngest(w)
+	p.Family("zoomer_gateway_inflight", "gauge", "In-flight requests right now.")
+	p.Sample(m.inflight.Load())
+	p.Family("zoomer_gateway_shed_total", "counter", "Requests shed by admission control.")
+	p.Sample(m.shedHard.Load(), "kind", "inflight_cap")
+	p.Sample(m.drainRejects.Load(), "kind", "draining")
+	p.Family("zoomer_gateway_degraded_total", "counter", "Cache-only (shed-mode) answers served.")
+	p.Sample(m.degraded.Load())
+	p.Family("zoomer_gateway_deadline_exceeded_total", "counter", "Requests answered with the typed deadline error.")
+	p.Sample(m.deadlineExceeded.Load())
+	p.Family("zoomer_gateway_appended_edges_total", "counter", "Edges accepted through /v1/append.")
+	p.Sample(m.appendedEdges.Load())
+	m.writeIngest(p)
 	if m.cache != nil {
 		hits, misses, refreshes := m.cache()
-		fmt.Fprintf(w, "# HELP zoomer_cache_hits_total Neighbor-cache lookups answered from a cached entry.\n")
-		fmt.Fprintf(w, "# TYPE zoomer_cache_hits_total counter\n")
-		fmt.Fprintf(w, "zoomer_cache_hits_total %d\n", hits)
-		fmt.Fprintf(w, "# HELP zoomer_cache_misses_total Neighbor-cache lookups filled synchronously from the engine.\n")
-		fmt.Fprintf(w, "# TYPE zoomer_cache_misses_total counter\n")
-		fmt.Fprintf(w, "zoomer_cache_misses_total %d\n", misses)
-		fmt.Fprintf(w, "# HELP zoomer_cache_refreshes_total Asynchronous neighbor-cache refreshes completed.\n")
-		fmt.Fprintf(w, "# TYPE zoomer_cache_refreshes_total counter\n")
-		fmt.Fprintf(w, "zoomer_cache_refreshes_total %d\n", refreshes)
+		p.Family("zoomer_cache_hits_total", "counter", "Neighbor-cache lookups answered from a cached entry.")
+		p.Sample(hits)
+		p.Family("zoomer_cache_misses_total", "counter", "Neighbor-cache lookups filled synchronously from the engine.")
+		p.Sample(misses)
+		p.Family("zoomer_cache_refreshes_total", "counter", "Asynchronous neighbor-cache refreshes completed.")
+		p.Sample(refreshes)
 	}
 	if m.load != nil {
-		fmt.Fprintf(w, "# HELP zoomer_engine_shard_requests_total Sampling and read requests served per graph shard (summed over its replica group).\n")
-		fmt.Fprintf(w, "# TYPE zoomer_engine_shard_requests_total counter\n")
+		p.Family("zoomer_engine_shard_requests_total", "counter", "Sampling and read requests served per graph shard (summed over its replica group).")
 		for shard, n := range m.load().RequestsPerShard {
-			fmt.Fprintf(w, "zoomer_engine_shard_requests_total{shard=\"%d\"} %d\n", shard, n)
+			p.Sample(n, "shard", strconv.Itoa(shard))
 		}
 	}
 
@@ -247,7 +186,10 @@ func (m *metrics) writeTo(w io.Writer) {
 	// averages over the gateway's whole lifetime.
 	m.scrapeMu.Lock()
 	now := time.Now()
-	served := m.served()
+	var served int64
+	for _, rm := range m.routes {
+		served += rm.codes[0].Load() // statusCodes[0] == 200
+	}
 	elapsed := now.Sub(m.lastScrape).Seconds()
 	qps := 0.0
 	if elapsed > 0 {
@@ -256,10 +198,8 @@ func (m *metrics) writeTo(w io.Writer) {
 	m.lastScrape = now
 	m.lastServedAtScan = served
 	m.scrapeMu.Unlock()
-	fmt.Fprintf(w, "# HELP zoomer_gateway_qps Successful answers per second over the last scrape interval.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_gateway_qps gauge\n")
-	fmt.Fprintf(w, "zoomer_gateway_qps %g\n", qps)
-	fmt.Fprintf(w, "# HELP zoomer_gateway_uptime_seconds Seconds since gateway start.\n")
-	fmt.Fprintf(w, "# TYPE zoomer_gateway_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "zoomer_gateway_uptime_seconds %g\n", time.Since(m.start).Seconds())
+	p.Family("zoomer_gateway_qps", "gauge", "Successful answers per second over the last scrape interval.")
+	p.Sample(qps)
+	p.Family("zoomer_gateway_uptime_seconds", "gauge", "Seconds since gateway start.")
+	p.Sample(time.Since(m.start).Seconds())
 }

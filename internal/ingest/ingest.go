@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"zoomer/internal/graph"
+	"zoomer/internal/obs"
 	"zoomer/internal/wire"
 )
 
@@ -133,10 +134,7 @@ type WAL struct {
 
 	lastSeq atomic.Uint64
 	records atomic.Uint64
-
-	fsyncs     atomic.Uint64
-	fsyncNanos atomic.Uint64
-	fsyncHist  [len(FsyncBounds) + 1]atomic.Uint64
+	fsync   *obs.Histogram
 
 	// test hook: simulated write failure (e.g. disk full) injected by
 	// wal tests; nil in production.
@@ -174,7 +172,7 @@ func Open(dir string, opts Options) (*WAL, []Record, error) {
 		return nil, nil, err
 	}
 
-	w := &WAL{dir: dir, opts: opts}
+	w := &WAL{dir: dir, opts: opts, fsync: obs.NewHistogram(FsyncBounds[:])}
 	w.syncCond = sync.NewCond(&w.mu)
 
 	var recovered []Record
@@ -438,7 +436,7 @@ func (w *WAL) Sync(end int64) error {
 
 		start := time.Now()
 		serr := f.Sync()
-		w.observeFsync(time.Since(start))
+		w.fsync.Observe(time.Since(start))
 
 		w.mu.Lock()
 		w.syncing = false
@@ -499,29 +497,18 @@ func (w *WAL) failLocked(err error) {
 	w.syncCond.Broadcast()
 }
 
-func (w *WAL) observeFsync(d time.Duration) {
-	w.fsyncs.Add(1)
-	w.fsyncNanos.Add(uint64(d.Nanoseconds()))
-	sec := d.Seconds()
-	i := 0
-	for i < len(FsyncBounds) && sec > FsyncBounds[i] {
-		i++
-	}
-	w.fsyncHist[i].Add(1)
-}
-
 // Stats snapshots the write-path counters. Segment count and failure
 // state take the lock briefly; counters are lock-free.
 func (w *WAL) Stats() Stats {
+	fs := w.fsync.Snapshot()
 	st := Stats{
 		LastSeq:    w.lastSeq.Load(),
 		Records:    w.records.Load(),
-		Fsyncs:     w.fsyncs.Load(),
-		FsyncNanos: w.fsyncNanos.Load(),
-		FsyncHist:  make([]uint64, len(w.fsyncHist)),
+		FsyncNanos: uint64(fs.Sum),
+		FsyncHist:  fs.Buckets,
 	}
-	for i := range w.fsyncHist {
-		st.FsyncHist[i] = w.fsyncHist[i].Load()
+	for _, c := range fs.Buckets {
+		st.Fsyncs += c
 	}
 	w.mu.Lock()
 	st.Segments = w.segments

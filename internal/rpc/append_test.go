@@ -88,12 +88,9 @@ func TestRemoteAppendRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The ingest rows travel in the v4 epoch response and surface
-	// through the engine facet.
-	if err := cluster.refresh(); err != nil {
-		t.Fatalf("refresh: %v", err)
-	}
-	rows := remote.IngestStats()
+	// The ingest rows travel in the epoch response, read by the cluster's
+	// live poll.
+	rows := cluster.IngestStats()
 	if len(rows) != shards {
 		t.Fatalf("ingest stats: %d rows, want %d", len(rows), shards)
 	}
@@ -142,7 +139,7 @@ func TestAppendIdempotencyAndResync(t *testing.T) {
 
 	// A fresh stub has no idea the shard is at 1: it probes with 1, reads
 	// the dup answer, resynchronizes and lands the record at 2.
-	rs := newRemoteShard(cl, 0, g.NumNodes(), 0)
+	rs := newRemoteShard(cl, 0, g.NumNodes())
 	seq, err := rs.AppendEdges(ingestRecord(g, 4))
 	if err != nil || seq != 2 {
 		t.Fatalf("cold-cache append: seq %d err %v", seq, err)
@@ -268,7 +265,7 @@ func TestAppendRecoveryAfterRestart(t *testing.T) {
 	srv, addr := startDurableServer(t, g, 1, nil, walDir)
 
 	cl := newClient(addr, ClientConfig{})
-	rs := newRemoteShard(cl, 0, g.NumNodes(), 0)
+	rs := newRemoteShard(cl, 0, g.NumNodes())
 	const records = 30
 	var all []ingest.Edge
 	for i := 0; i < records; i++ {
@@ -322,7 +319,7 @@ func TestAppendRecoveryAfterRestart(t *testing.T) {
 	// cold stub resyncs to records+1.
 	cl2 := newClient(addr2, ClientConfig{})
 	t.Cleanup(func() { cl2.Close() })
-	rs2 := newRemoteShard(cl2, 0, g.NumNodes(), 0)
+	rs2 := newRemoteShard(cl2, 0, g.NumNodes())
 	if seq, err := rs2.AppendEdges(ingestRecord(g, records)); err != nil || seq != records+1 {
 		t.Fatalf("post-restart append: seq %d err %v", seq, err)
 	}
@@ -424,7 +421,7 @@ func TestAppendWALWriteFailureKeepsServing(t *testing.T) {
 
 	cl := newClient(addr, ClientConfig{})
 	t.Cleanup(func() { cl.Close() })
-	rs := newRemoteShard(cl, 0, g.NumNodes(), 0)
+	rs := newRemoteShard(cl, 0, g.NumNodes())
 	if seq, err := rs.AppendEdges(ingestRecord(g, 0)); err != nil || seq != 1 {
 		t.Fatalf("seed append: seq %d err %v", seq, err)
 	}

@@ -744,18 +744,16 @@ func (cl *client) members(announce string) ([]string, error) {
 // multiplexed connections, so concurrent visits to different partitions
 // of the same server pipeline onto the same sockets.
 type RemoteShard struct {
-	cl           *client
-	shard        int
-	nodes, edges int
-	requests     atomic.Int64
+	cl       *client
+	shard    int
+	nodes    int
+	requests atomic.Int64
 
 	// write facet: appendMu serializes this stub's appends; nextSeq
 	// caches the server's sequence watermark (0 = unknown, resynced from
-	// dup/gap answers). ingStats is the shard's last observed ingest row
-	// (fed by cluster refreshes decoding epoch responses).
+	// dup/gap answers).
 	appendMu sync.Mutex
 	nextSeq  uint64
-	ingStats atomic.Pointer[engine.IngestStats]
 }
 
 // The stub plugs into the routing layer exactly like an in-process
@@ -767,20 +765,19 @@ var (
 	_ engine.VisitStarter   = (*RemoteShard)(nil)
 	_ engine.HealthReporter = (*RemoteShard)(nil)
 	_ engine.EdgeAppender   = (*RemoteShard)(nil)
-	_ engine.IngestReporter = (*RemoteShard)(nil)
 )
 
-// newRemoteShard returns a stub for partition shard behind cl. nodes and
-// edges size the partition for Stats (zero when unknown).
-func newRemoteShard(cl *client, shard, nodes, edges int) *RemoteShard {
-	return &RemoteShard{cl: cl, shard: shard, nodes: nodes, edges: edges}
+// newRemoteShard returns a stub for partition shard behind cl. nodes
+// sizes the partition for Stats (zero when unknown).
+func newRemoteShard(cl *client, shard, nodes int) *RemoteShard {
+	return &RemoteShard{cl: cl, shard: shard, nodes: nodes}
 }
 
 // Requests reports the client-side served-call count (engine.BackendStats).
 func (rs *RemoteShard) Requests() int64 { return rs.requests.Load() }
 
-// ShardSize reports the partition size from the server handshake.
-func (rs *RemoteShard) ShardSize() (nodes, edges int) { return rs.nodes, rs.edges }
+// ShardSize reports the partition's node count from the server handshake.
+func (rs *RemoteShard) ShardSize() (nodes int) { return rs.nodes }
 
 // Healthy reports whether the underlying client's failure circuit would
 // admit a call right now (engine.HealthReporter) — the engine's replica
@@ -902,22 +899,6 @@ func (rs *RemoteShard) AppendEdges(edges []ingest.Edge) (uint64, error) {
 		lastErr = errors.New("rpc: append sequence never converged")
 	}
 	return 0, fmt.Errorf("rpc: append to shard %d failed after %d attempts: %w", rs.shard, maxAttempts, lastErr)
-}
-
-// IngestStats implements engine.IngestReporter from the stub's cached
-// ingest row; false until a cluster refresh has observed one.
-func (rs *RemoteShard) IngestStats() (engine.IngestStats, bool) {
-	if st := rs.ingStats.Load(); st != nil {
-		return *st, true
-	}
-	return engine.IngestStats{}, false
-}
-
-// setIngest caches the shard's latest observed ingest row.
-func (rs *RemoteShard) setIngest(st *engine.IngestStats) {
-	if st != nil {
-		rs.ingStats.Store(st)
-	}
 }
 
 // NeighborsOf fetches id's adjacency list as a 1-id ReadNodesInto (a fresh

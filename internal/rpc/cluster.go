@@ -64,10 +64,9 @@ func (c *Cluster) stub(server int, sh ShardInfo) *RemoteShard {
 	key := stubKey{server: server, shard: sh.ID}
 	rs := c.stubs[key]
 	if rs == nil {
-		rs = newRemoteShard(c.clients[server], sh.ID, sh.Nodes, sh.Edges)
+		rs = newRemoteShard(c.clients[server], sh.ID, sh.Nodes)
 		c.stubs[key] = rs
 	}
-	rs.setIngest(sh.Ingest)
 	return rs
 }
 
@@ -348,7 +347,8 @@ func DialClusterWith(cfg ClientConfig, addrs ...string) (*Cluster, error) {
 // IngestStats polls every cluster member's routing epoch and returns one
 // write-path row per shard — from its first reachable claimant, in shard
 // order. Unreachable servers are skipped (their shards report through
-// replicas when any); cached stub rows are refreshed along the way.
+// replicas when any). This live poll is the only way remote ingest rows
+// are read.
 func (c *Cluster) IngestStats() []engine.IngestStats {
 	clients := c.snapshotClients()
 	polls := c.pollServers(clients)
@@ -361,7 +361,6 @@ func (c *Cluster) IngestStats() []engine.IngestStats {
 			if sh.Ingest == nil {
 				continue
 			}
-			c.stub(si, sh)
 			if _, ok := byShard[sh.ID]; !ok {
 				byShard[sh.ID] = *sh.Ingest
 			}

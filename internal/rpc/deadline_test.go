@@ -32,7 +32,7 @@ func TestRemoteSampleDeadlineExpiredIsTypedAndUncharged(t *testing.T) {
 	_, addr := startShardServer(t)
 	cl := newClient(addr, ClientConfig{Timeout: 2 * time.Second})
 	defer cl.Close()
-	rs := newRemoteShard(cl, 0, 0, 0)
+	rs := newRemoteShard(cl, 0, 0)
 
 	r := rng.New(21)
 	before := r.State()
@@ -61,7 +61,7 @@ func TestRemoteSampleDeadlineBitIdentical(t *testing.T) {
 	_, addr := startShardServer(t)
 	cl := newClient(addr, ClientConfig{Timeout: 2 * time.Second})
 	defer cl.Close()
-	rs := newRemoteShard(cl, 0, 0, 0)
+	rs := newRemoteShard(cl, 0, 0)
 
 	ra, rb := rng.New(33), rng.New(33)
 	a := make([]graph.NodeID, 5)
@@ -94,7 +94,7 @@ func TestRemoteSampleDeadlineBoundsWireWait(t *testing.T) {
 	defer bh.kill()
 	cl := newClient(bh.ln.Addr().String(), ClientConfig{Timeout: 30 * time.Second})
 	defer cl.Close()
-	rs := newRemoteShard(cl, 0, 0, 0)
+	rs := newRemoteShard(cl, 0, 0)
 
 	r := rng.New(5)
 	out := make([]graph.NodeID, 4)

@@ -181,7 +181,7 @@ func TestDrainedShardRedirectsTyped(t *testing.T) {
 	if epoch, err := srv.releasePartition(1); err != nil || epoch != 1 {
 		t.Fatalf("release: epoch %d, err %v", epoch, err)
 	}
-	rs := newRemoteShard(cl, 1, 0, 0)
+	rs := newRemoteShard(cl, 1, 0)
 	out := make([]graph.NodeID, 4)
 	ns := make([]int32, 1)
 	_, err := rs.SampleBatchInto([]graph.NodeID{onShard1}, []int32{0}, 9, 4, out, ns)
@@ -219,7 +219,7 @@ func TestDrainedShardRedirectsTyped(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rs.SampleBatchInto([]graph.NodeID{onShard1}, []int32{0}, 9, 4, out, ns)
 	}
-	rs0 := newRemoteShard(cl, 0, 0, 0)
+	rs0 := newRemoteShard(cl, 0, 0)
 	if _, err := rs0.SampleIntoBy(onShard0, out, r, time.Time{}); err != nil {
 		t.Fatalf("healthy shard read after redirects: %v", err)
 	}

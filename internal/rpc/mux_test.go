@@ -328,7 +328,7 @@ func TestMuxSharedConnectionHammer(t *testing.T) {
 	}
 	groups := make([][]engine.ShardBackend, info.NumShards)
 	for _, sh := range info.Owned {
-		groups[sh.ID] = []engine.ShardBackend{newRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)}
+		groups[sh.ID] = []engine.ShardBackend{newRemoteShard(cl, sh.ID, sh.Nodes)}
 	}
 	remote := engine.NewWithReplicaSets(routing, groups, info.ContentDim)
 	local := engine.New(g, engine.Config{Shards: 1})

@@ -216,7 +216,7 @@ func TestMixedLocalRemoteBackends(t *testing.T) {
 	groups[0] = []engine.ShardBackend{engine.BuildShard(part, 0, 1)}
 	groups[2] = []engine.ShardBackend{engine.BuildShard(part, 2, 1)}
 	for _, sh := range info.Owned {
-		groups[sh.ID] = []engine.ShardBackend{newRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)}
+		groups[sh.ID] = []engine.ShardBackend{newRemoteShard(cl, sh.ID, sh.Nodes)}
 	}
 	mixed := engine.NewWithReplicaSets(routing, groups, info.ContentDim)
 

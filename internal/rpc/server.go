@@ -695,7 +695,7 @@ func (s *Server) visitShard(o *ownership, op Op, gids []graph.NodeID) (*engine.S
 func (s *Server) owned(o *ownership) []ShardInfo {
 	out := make([]ShardInfo, len(o.ids))
 	for i, id := range o.ids {
-		st, _ := o.shards[id].IngestStats()
+		st := o.shards[id].IngestStats()
 		if ing := s.ingestFor(id); ing != nil && ing.wal != nil {
 			ws := ing.wal.Stats()
 			st.WALSegments, st.Fsyncs, st.FsyncNanos, st.FsyncHist = ws.Segments, ws.Fsyncs, ws.FsyncNanos, ws.FsyncHist
