@@ -107,14 +107,16 @@ gateway-smoke:
 	./deploy/gateway_smoke.sh
 
 # Run the experiments harness end to end on CI-sized budgets — a fixed
-# seed over the tiny world through the offline (table2, table3), online
-# A/B (table4) and interpretability (fig13) paths — and diff its output,
+# seed over the tiny world through the offline (table2, table3), ablation
+# (fig8: Zoomer's four variants), sampling-scale (fig11: the four sampler
+# baselines at K=2 and K=4), online A/B (table4) and interpretability
+# (fig13) paths — and diff its output,
 # with the per-experiment timings stripped, against the checked-in
 # golden file: every printed figure is seed-determined, so any change
 # to a draw, an embedding or a ranking fails here.
 EXPERIMENTS_GOLDEN := internal/experiments/testdata/experiments-check.golden
 experiments-check:
-	go run ./cmd/zoomer-experiments -exp table2,table3,table4,fig13 -quick -seed 7 > /tmp/experiments-check.out
+	go run ./cmd/zoomer-experiments -exp table2,table3,table4,fig8,fig11,fig13 -quick -seed 7 > /tmp/experiments-check.out
 	sed -E 's/^(== .*) \([0-9.]+s\) ==$$/\1 ==/' /tmp/experiments-check.out | diff -u $(EXPERIMENTS_GOLDEN) - \
 		|| { echo "experiments-check: output differs from $(EXPERIMENTS_GOLDEN)"; exit 1; }
 

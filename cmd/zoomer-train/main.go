@@ -1,9 +1,11 @@
-// Command zoomer-train trains Zoomer or a baseline on a synthetic Taobao
-// graph and reports test AUC. Training reads the graph through the
-// core.GraphView seam, so the same run can sample from the monolithic
-// in-process graph, a local sharded engine, or a remote zoomer-shard
-// cluster — with bit-identical results (see the cross-topology
-// equivalence suite in internal/experiments).
+// Command zoomer-train trains Zoomer, one of its ablation variants or a
+// baseline on a synthetic Taobao graph and reports test AUC. Every model
+// is a region spec plus a request tower on one chassis (core.Chassis),
+// built from one core.Config that the flags below set. Training reads
+// the graph through the core.GraphView seam, so the same run can sample
+// from the monolithic in-process graph, a local sharded engine, or a
+// remote zoomer-shard cluster — with bit-identical results (see the
+// cross-topology equivalence suite in internal/experiments).
 //
 // Usage:
 //
@@ -94,44 +96,21 @@ func main() {
 		fmt.Printf("engine: %s\n", b)
 	}
 
+	// One config builds every model; -model picks Zoomer's ablation
+	// variant or a baseline by name.
+	cfg := core.DefaultConfig()
+	cfg.EmbedDim, cfg.OutDim = *dim, *dim
+	cfg.Hops, cfg.FanOut = *hops, *fanout
 	v := w.Logs.Vocab()
-	var m core.Model
-	switch *model {
-	case "zoomer", "gcn", "zoomer-fe", "zoomer-fs", "zoomer-es":
-		cfg := core.DefaultConfig()
-		cfg.EmbedDim, cfg.OutDim = *dim, *dim
-		cfg.Hops, cfg.FanOut = *hops, *fanout
-		switch *model {
-		case "gcn":
-			cfg.UseFeatureProj, cfg.UseEdgeAttn, cfg.UseSemanticAttn = false, false, false
-		case "zoomer-fe":
-			cfg.UseSemanticAttn = false
-		case "zoomer-fs":
-			cfg.UseEdgeAttn = false
-		case "zoomer-es":
-			cfg.UseFeatureProj = false
+	m := baselines.New(*model, view, v, cfg, *seed+2)
+	for _, a := range core.Ablations {
+		if a.Name == *model {
+			m = core.NewZoomer(view, v, a.Apply(cfg), *seed+2)
 		}
-		m = core.NewZoomer(view, v, cfg, *seed+2)
-	default:
-		cfg := baselines.DefaultConfig()
-		cfg.EmbedDim, cfg.OutDim = *dim, *dim
-		cfg.Hops, cfg.FanOut = *hops, *fanout
-		ctor := map[string]func(core.GraphView, loggen.Vocab, baselines.Config, uint64) core.Model{
-			"graphsage":  baselines.NewGraphSAGE,
-			"pinsage":    baselines.NewPinSage,
-			"pinnersage": baselines.NewPinnerSage,
-			"pixie":      baselines.NewPixie,
-			"han":        baselines.NewHAN,
-			"gce-gnn":    baselines.NewGCEGNN,
-			"fgnn":       baselines.NewFGNN,
-			"stamp":      baselines.NewSTAMP,
-			"mccf":       baselines.NewMCCF,
-		}[*model]
-		if ctor == nil {
-			fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
-			os.Exit(2)
-		}
-		m = ctor(view, v, cfg, *seed+2)
+	}
+	if m == nil {
+		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
+		os.Exit(2)
 	}
 
 	tc := core.DefaultTrainConfig()

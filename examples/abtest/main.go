@@ -23,15 +23,12 @@ func main() {
 	g := core.EngineView{Engine: eng, M: res.Mapping}
 	train, test := res.Instances(1, 52)
 
-	zcfg := core.DefaultConfig()
-	zcfg.EmbedDim, zcfg.OutDim = 16, 16
-	zcfg.Hops, zcfg.FanOut = 1, 5
-	bcfg := baselines.DefaultConfig()
-	bcfg.EmbedDim, bcfg.OutDim = 16, 16
-	bcfg.Hops, bcfg.FanOut = 1, 5
+	cfg := core.DefaultConfig()
+	cfg.EmbedDim, cfg.OutDim = 16, 16
+	cfg.Hops, cfg.FanOut = 1, 5
 
-	zoomer := core.NewZoomer(g, logs.Vocab(), zcfg, 53)
-	pinsage := baselines.NewPinSage(g, logs.Vocab(), bcfg, 54)
+	zoomer := core.NewZoomer(g, logs.Vocab(), cfg, 53)
+	pinsage := baselines.NewPinSage(g, logs.Vocab(), cfg, 54)
 
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = 2

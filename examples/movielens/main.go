@@ -34,16 +34,13 @@ func main() {
 	view := core.EngineView{Engine: eng, M: res.Mapping}
 
 	v := logs.Vocab()
-	zcfg := core.DefaultConfig()
-	zcfg.EmbedDim, zcfg.OutDim = 16, 16
-	zcfg.Hops, zcfg.FanOut = 1, 5 // MovieLens uses one-hop aggregation
-	bcfg := baselines.DefaultConfig()
-	bcfg.EmbedDim, bcfg.OutDim = 16, 16
-	bcfg.Hops, bcfg.FanOut = 1, 5
+	mcfg := core.DefaultConfig()
+	mcfg.EmbedDim, mcfg.OutDim = 16, 16
+	mcfg.Hops, mcfg.FanOut = 1, 5 // MovieLens uses one-hop aggregation
 
 	models := []core.Model{
-		baselines.NewHAN(view, v, bcfg, 23),
-		core.NewZoomer(view, v, zcfg, 24),
+		baselines.NewHAN(view, v, mcfg, 23),
+		core.NewZoomer(view, v, mcfg, 24),
 	}
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = 2

@@ -33,8 +33,8 @@ func buildWorld(t testing.TB, seed uint64) *world {
 	}
 }
 
-func tinyCfg() Config {
-	cfg := DefaultConfig()
+func tinyCfg() core.Config {
+	cfg := core.DefaultConfig()
 	cfg.EmbedDim = 16
 	cfg.OutDim = 16
 	cfg.Hops = 1
@@ -68,6 +68,9 @@ func TestNamesAreDistinct(t *testing.T) {
 			t.Fatalf("duplicate baseline name %q", m.Name())
 		}
 		seen[m.Name()] = true
+		if b := New(m.Name(), w.res.Graph, w.logs.Vocab(), tinyCfg(), 1); b == nil || b.Name() != m.Name() {
+			t.Fatalf("New does not build %q", m.Name())
+		}
 	}
 	if len(seen) != 9 {
 		t.Fatalf("expected 9 baselines, got %d", len(seen))

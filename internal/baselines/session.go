@@ -19,25 +19,25 @@ import (
 // per-type aggregates). The key difference from Zoomer — static attention
 // independent of the request's focal interest — is exactly what the paper
 // credits its gains to.
-func NewHAN(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Model {
-	m := newChassis("han", g, v, cfg, seed)
+func NewHAN(g core.GraphView, v loggen.Vocab, cfg core.Config, seed uint64) core.Model {
 	r := rng.New(seed + 1)
 	d := cfg.EmbedDim
 	attn := nn.NewParam("han.a", 2*d, 1).XavierInit(r.Split())
 	semW := nn.NewLinear("han.semW", d, d, r.Split())
 	semQ := nn.NewParam("han.q", d, 1).XavierInit(r.Split())
-	m.extra = append([]*nn.Param{attn, semQ}, semW.Params()...)
 
-	var embed func(t *ad.Tape, tree *sampling.Tree) *ad.Node
-	embed = func(t *ad.Tape, tree *sampling.Tree) *ad.Node {
-		self := m.nodeEmb(t, tree.Node)
+	var embed func(p core.Pass, tree *sampling.Tree) *ad.Node
+	embed = func(p core.Pass, tree *sampling.Tree) *ad.Node {
+		self := p.NodeEmb(tree.Node)
 		if len(tree.Children) == 0 {
 			return self
 		}
+		t := p.T
 		a := attn.Node(t)
 		var byType [graph.NumNodeTypes][]*ad.Node
 		for i, c := range tree.Children {
-			byType[m.g.Type(tree.Edges[i].To)] = append(byType[m.g.Type(tree.Edges[i].To)], embed(t, c))
+			nt := p.G.Type(tree.Edges[i].To)
+			byType[nt] = append(byType[nt], embed(p, c))
 		}
 		var aggs []*ad.Node
 		for nt := 0; nt < graph.NumNodeTypes; nt++ {
@@ -68,76 +68,75 @@ func NewHAN(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Mode
 		}
 		return t.Add(self, combined)
 	}
+	return newModel(g, v, cfg, seed, core.Spec{
+		Name:   "han",
+		Region: core.Region{Sampler: sampling.Uniform{}, Hops: cfg.Hops, FanOut: cfg.FanOut},
+		Params: append([]*nn.Param{attn, semQ}, semW.Params()...),
+		Tower:  bothRegions(embed),
+	})
+}
 
-	s, sc := sampling.Uniform{}, sampling.NewScratch()
-	m.uqFn = func(t *ad.Tape, u, q graph.NodeID, r *rng.RNG) *ad.Node {
-		sc.Reset()
-		treeU := sampling.BuildTree(m.g, u, nil, cfg.Hops, cfg.FanOut, s, r, sc)
-		treeQ := sampling.BuildTree(m.g, q, nil, cfg.Hops, cfg.FanOut, s, r, sc)
-		return m.towerUQ.Forward(t, t.ConcatCols(embed(t, treeU), embed(t, treeQ)))
+// bothRegions is the request tower that embeds the user's and the
+// query's region the same way.
+func bothRegions(embed func(core.Pass, *sampling.Tree) *ad.Node) func(core.Pass, *sampling.Tree, *sampling.Tree) (*ad.Node, *ad.Node) {
+	return func(p core.Pass, user, query *sampling.Tree) (*ad.Node, *ad.Node) {
+		return embed(p, user), embed(p, query)
 	}
-	return m
 }
 
 // NewGCEGNN returns the Global Context Enhanced GNN baseline (Wang et al.
 // 2020): a session-local channel (interaction edges only) and a global
 // channel (all edges including similarity) are aggregated separately and
 // fused — the mechanism that lets session models exploit global item
-// transitions.
-func NewGCEGNN(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Model {
-	m := newChassis("gce-gnn", g, v, cfg, seed)
+// transitions. Its region is one hop at twice cfg's fan-out.
+func NewGCEGNN(g core.GraphView, v loggen.Vocab, cfg core.Config, seed uint64) core.Model {
 	r := rng.New(seed + 1)
 	d := cfg.EmbedDim
 	fuse := nn.NewLinear("gce.fuse", 2*d, d, r.Split())
-	m.extra = fuse.Params()
 
-	s, sc := sampling.Uniform{}, sampling.NewScratch()
-	channel := func(t *ad.Tape, tree *sampling.Tree, keep func(graph.EdgeType) bool) *ad.Node {
-		self := m.nodeEmb(t, tree.Node)
+	channel := func(p core.Pass, tree *sampling.Tree, keep func(graph.EdgeType) bool) *ad.Node {
+		self := p.NodeEmb(tree.Node)
 		var kept []*ad.Node
 		for i, c := range tree.Children {
 			if keep(tree.Edges[i].Type) {
-				kept = append(kept, m.nodeEmb(t, c.Node))
+				kept = append(kept, p.NodeEmb(c.Node))
 			}
 		}
 		if len(kept) == 0 {
 			return self
 		}
-		return t.Add(self, t.MeanRows(t.ConcatRows(kept...)))
+		return p.T.Add(self, p.T.MeanRows(p.T.ConcatRows(kept...)))
 	}
-	embed := func(t *ad.Tape, id graph.NodeID, r *rng.RNG) *ad.Node {
-		tree := sampling.BuildTree(m.g, id, nil, 1, 2*cfg.FanOut, s, r, sc)
-		local := channel(t, tree, func(e graph.EdgeType) bool { return e != graph.Similarity })
-		global := channel(t, tree, func(graph.EdgeType) bool { return true })
-		return t.ReLU(fuse.Forward(t, t.ConcatCols(local, global)))
+	embed := func(p core.Pass, tree *sampling.Tree) *ad.Node {
+		local := channel(p, tree, func(e graph.EdgeType) bool { return e != graph.Similarity })
+		global := channel(p, tree, func(graph.EdgeType) bool { return true })
+		return p.T.ReLU(fuse.Forward(p.T, p.T.ConcatCols(local, global)))
 	}
-	m.uqFn = func(t *ad.Tape, u, q graph.NodeID, r *rng.RNG) *ad.Node {
-		sc.Reset()
-		return m.towerUQ.Forward(t, t.ConcatCols(embed(t, u, r), embed(t, q, r)))
-	}
-	return m
+	return newModel(g, v, cfg, seed, core.Spec{
+		Name:   "gce-gnn",
+		Region: core.Region{Sampler: sampling.Uniform{}, Hops: 1, FanOut: 2 * cfg.FanOut},
+		Params: fuse.Params(),
+		Tower:  bothRegions(embed),
+	})
 }
 
 // NewFGNN returns the Factor Graph Neural Network baseline (Zhang et al.
 // 2019) in its session-graph reading: neighbor messages are combined with
 // a position/weight-decayed order (heavier interactions first, geometric
 // decay capturing the "latent order") through a gated fusion with the
-// self embedding.
-func NewFGNN(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Model {
-	m := newChassis("fgnn", g, v, cfg, seed)
+// self embedding. Its region is one weighted-sampled hop.
+func NewFGNN(g core.GraphView, v loggen.Vocab, cfg core.Config, seed uint64) core.Model {
 	r := rng.New(seed + 1)
 	d := cfg.EmbedDim
 	gate := nn.NewLinear("fgnn.gate", 2*d, d, r.Split())
-	m.extra = gate.Params()
 
-	s, sc := sampling.Weighted{}, sampling.NewScratch()
 	const decay = 0.7
-	embed := func(t *ad.Tape, id graph.NodeID, r *rng.RNG) *ad.Node {
-		self := m.nodeEmb(t, id)
-		tree := sampling.BuildTree(m.g, id, nil, 1, cfg.FanOut, s, r, sc)
+	embed := func(p core.Pass, tree *sampling.Tree) *ad.Node {
+		self := p.NodeEmb(tree.Node)
 		if len(tree.Children) == 0 {
 			return self
 		}
+		t := p.T
 		// Order by interaction weight (recency proxy) and decay.
 		type we struct {
 			idx int
@@ -152,7 +151,7 @@ func NewFGNN(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Mod
 		scale := float32(1)
 		var total float32
 		for _, o := range order {
-			emb := t.Scale(scale, m.nodeEmb(t, tree.Children[o.idx].Node))
+			emb := t.Scale(scale, p.NodeEmb(tree.Children[o.idx].Node))
 			if agg == nil {
 				agg = emb
 			} else {
@@ -167,36 +166,37 @@ func NewFGNN(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Mod
 		// h = g⊙self + (1-g)⊙agg
 		return t.Add(t.Mul(gv, self), t.Mul(t.Sub(one, gv), agg))
 	}
-	m.uqFn = func(t *ad.Tape, u, q graph.NodeID, r *rng.RNG) *ad.Node {
-		sc.Reset()
-		return m.towerUQ.Forward(t, t.ConcatCols(embed(t, u, r), embed(t, q, r)))
-	}
-	return m
+	return newModel(g, v, cfg, seed, core.Spec{
+		Name:   "fgnn",
+		Region: core.Region{Sampler: sampling.Weighted{}, Hops: 1, FanOut: cfg.FanOut},
+		Params: gate.Params(),
+		Tower:  bothRegions(embed),
+	})
 }
 
 // NewSTAMP returns the Short-Term Attention/Memory Priority baseline (Liu
-// et al. 2018): no graph convolution — the user's clicked-item history is
-// attended with a score conditioned on both the current query (short-term
-// interest) and the mean history (general interest).
-func NewSTAMP(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Model {
-	m := newChassis("stamp", g, v, cfg, seed)
+// et al. 2018): no graph convolution — its region is the focal points
+// alone, and the user's clicked-item history is attended with a score
+// conditioned on both the current query (short-term interest) and the
+// mean history (general interest).
+func NewSTAMP(g core.GraphView, v loggen.Vocab, cfg core.Config, seed uint64) core.Model {
 	r := rng.New(seed + 1)
 	d := cfg.EmbedDim
 	w1 := nn.NewLinear("stamp.w1", d, d, r.Split())
 	w2 := nn.NewLinear("stamp.w2", d, d, r.Split())
 	w3 := nn.NewLinear("stamp.w3", d, d, r.Split())
 	va := nn.NewParam("stamp.v", d, 1).XavierInit(r.Split())
-	m.extra = append(append(append([]*nn.Param{va}, w1.Params()...), w2.Params()...), w3.Params()...)
 
-	m.uqFn = func(t *ad.Tape, u, q graph.NodeID, r *rng.RNG) *ad.Node {
-		qEmb := m.nodeEmb(t, q)
-		history := userItemHistory(m.g, u, 2*cfg.FanOut)
+	tower := func(p core.Pass, user, query *sampling.Tree) (*ad.Node, *ad.Node) {
+		t := p.T
+		qEmb := p.NodeEmb(query.Node)
+		history := userItemHistory(p.G, user.Node, 2*cfg.FanOut)
 		if len(history) == 0 {
-			return m.towerUQ.Forward(t, t.ConcatCols(m.nodeEmb(t, u), qEmb))
+			return p.NodeEmb(user.Node), qEmb
 		}
 		embs := make([]*ad.Node, len(history))
 		for i, it := range history {
-			embs[i] = m.nodeEmb(t, it)
+			embs[i] = p.NodeEmb(it)
 		}
 		general := t.MeanRows(t.ConcatRows(embs...))
 		// Attention: α_i = vᵀ·sigmoid(W1·x_i + W2·q + W3·ms).
@@ -206,40 +206,41 @@ func NewSTAMP(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Mo
 			scores[i] = t.MatMul(t.Sigmoid(t.Add(w1.Forward(t, x), ctx)), va.Node(t))
 		}
 		alpha := t.SoftmaxRows(t.ConcatCols(scores...))
-		ma := t.MatMul(alpha, t.ConcatRows(embs...))
-		return m.towerUQ.Forward(t, t.ConcatCols(ma, qEmb))
+		return t.MatMul(alpha, t.ConcatRows(embs...)), qEmb
 	}
-	return m
+	return newModel(g, v, cfg, seed, core.Spec{
+		Name:   "stamp",
+		Params: append(append(append([]*nn.Param{va}, w1.Params()...), w2.Params()...), w3.Params()...),
+		Tower:  tower,
+	})
 }
 
 // NewMCCF returns the Multi-Component graph Convolutional Collaborative
 // Filtering baseline (Wang et al. 2020): neighbor embeddings are
 // decomposed through C component projections, each pooled separately,
 // and recombined with a learned component-attention — capturing multiple
-// latent purchase motivations.
-func NewMCCF(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Model {
-	m := newChassis("mccf", g, v, cfg, seed)
+// latent purchase motivations. Its region is one uniformly sampled hop.
+func NewMCCF(g core.GraphView, v loggen.Vocab, cfg core.Config, seed uint64) core.Model {
 	r := rng.New(seed + 1)
 	d := cfg.EmbedDim
 	const components = 2
+	var own []*nn.Param
 	comps := make([]*nn.Linear, components)
 	for c := range comps {
 		comps[c] = nn.NewLinear("mccf.comp", d, d, r.Split())
-		m.extra = append(m.extra, comps[c].Params()...)
+		own = append(own, comps[c].Params()...)
 	}
 	compQ := nn.NewParam("mccf.q", d, 1).XavierInit(r.Split())
-	m.extra = append(m.extra, compQ)
 
-	s, sc := sampling.Uniform{}, sampling.NewScratch()
-	embed := func(t *ad.Tape, id graph.NodeID, r *rng.RNG) *ad.Node {
-		self := m.nodeEmb(t, id)
-		tree := sampling.BuildTree(m.g, id, nil, 1, cfg.FanOut, s, r, sc)
+	embed := func(p core.Pass, tree *sampling.Tree) *ad.Node {
+		self := p.NodeEmb(tree.Node)
 		if len(tree.Children) == 0 {
 			return self
 		}
+		t := p.T
 		nbrs := make([]*ad.Node, len(tree.Children))
 		for i, c := range tree.Children {
-			nbrs[i] = m.nodeEmb(t, c.Node)
+			nbrs[i] = p.NodeEmb(c.Node)
 		}
 		stack := t.ConcatRows(nbrs...)
 		pooled := make([]*ad.Node, components)
@@ -251,11 +252,12 @@ func NewMCCF(g core.GraphView, v loggen.Vocab, cfg Config, seed uint64) core.Mod
 		beta := t.SoftmaxRows(t.ConcatCols(scores...))
 		return t.Add(self, t.MatMul(beta, t.ConcatRows(pooled...)))
 	}
-	m.uqFn = func(t *ad.Tape, u, q graph.NodeID, r *rng.RNG) *ad.Node {
-		sc.Reset()
-		return m.towerUQ.Forward(t, t.ConcatCols(embed(t, u, r), embed(t, q, r)))
-	}
-	return m
+	return newModel(g, v, cfg, seed, core.Spec{
+		Name:   "mccf",
+		Region: core.Region{Sampler: sampling.Uniform{}, Hops: 1, FanOut: cfg.FanOut},
+		Params: append(own, compQ),
+		Tower:  bothRegions(embed),
+	})
 }
 
 // userItemHistory collects item nodes reachable from u through click

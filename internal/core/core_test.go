@@ -126,6 +126,18 @@ func TestAblationNames(t *testing.T) {
 	if mk(false, false, false) != "gcn" {
 		t.Fatal("gcn name")
 	}
+	// The table Fig. 8 and zoomer-train read names the same variants, in
+	// the figure's order, as NewZoomer does.
+	var names []string
+	for _, a := range Ablations {
+		names = append(names, a.Name)
+		if got := mk(a.FeatureProj, a.EdgeAttn, a.SemanticAttn); got != a.Name {
+			t.Fatalf("Ablations lists %q, NewZoomer names its switches %q", a.Name, got)
+		}
+	}
+	if want := []string{"gcn", "zoomer-fe", "zoomer-fs", "zoomer-es", "zoomer"}; !slices.Equal(names, want) {
+		t.Fatalf("Ablations = %v, want %v", names, want)
+	}
 }
 
 func TestAblationVariantsRun(t *testing.T) {
@@ -277,7 +289,7 @@ func TestSlotCount(t *testing.T) {
 	fe := NewFeatureEmbedder(w.logs.Vocab(), 8, rng.New(1))
 	tp := ad.NewTape()
 	for nt, slots := range map[graph.NodeType]int{graph.User: 3, graph.Query: 2, graph.Item: 5} {
-		if H := fe.FeatureMatrix(tp, g, g.NodesOfType(nt)[0]); H.Rows() != slots {
+		if H := fe.featureMatrix(tp, g, g.NodesOfType(nt)[0]); H.Rows() != slots {
 			t.Fatalf("%v feature matrix has %d rows, want %d slots", nt, H.Rows(), slots)
 		}
 	}
@@ -290,7 +302,7 @@ func TestFeatureMatrixShapes(t *testing.T) {
 	tp := ad.NewTape()
 	for _, nt := range []graph.NodeType{graph.User, graph.Query, graph.Item} {
 		id := g.NodesOfType(nt)[0]
-		H := fe.FeatureMatrix(tp, g, id)
+		H := fe.featureMatrix(tp, g, id)
 		if H.Cols() != 8 {
 			t.Fatalf("%v feature matrix %dx%d", nt, H.Rows(), H.Cols())
 		}

@@ -2,9 +2,14 @@
 // model — focal selection (§V-B), focal-biased ROI sampling (§V-C, via
 // package sampling), and the ROI-based multi-level attention network
 // (§V-D) with its feature-projection, edge-reweighing and
-// semantic-combination levels — plus the twin-tower CTR head, the shared
-// model interface every baseline implements, and the training/evaluation
-// loop.
+// semantic-combination levels — plus the chassis every model is built
+// on, the shared model interface, and the training/evaluation loop.
+//
+// A model is a region spec plus a request tower (Spec) on the one
+// Chassis, which owns the feature embedder, the twin towers, the
+// LogitScale·cosine head and the batched pass that reads a step's
+// regions out of the graph. Zoomer and the nine baselines of package
+// baselines differ only in their specs.
 package core
 
 import (
@@ -59,10 +64,10 @@ func (fe *FeatureEmbedder) Tables() []*nn.EmbeddingTable {
 	}
 }
 
-// FeatureMatrix gathers node id's feature latent vectors as a
+// featureMatrix gathers node id's feature latent vectors as a
 // slot-count x Dim node H — the input of the feature-projection level
 // (eq. 6). Term slots average the node's title-term embeddings.
-func (fe *FeatureEmbedder) FeatureMatrix(t *ad.Tape, g GraphView, id graph.NodeID) *ad.Node {
+func (fe *FeatureEmbedder) featureMatrix(t *ad.Tape, g GraphView, id graph.NodeID) *ad.Node {
 	feats := g.Features(id)
 	switch g.Type(id) {
 	case graph.User:

@@ -26,13 +26,6 @@ type GraphView interface {
 	Type(id graph.NodeID) graph.NodeType
 }
 
-// NewStepView wraps g in the read set of one forward pass: a GraphView
-// that fetches each attribute of each node from g at most once and takes
-// the reads the pass can foresee in bulk (sampling.ReadSet). Models
-// create one per Logits or embedding call and drop it at the end — the
-// graph may change between steps, never inside one.
-func NewStepView(g GraphView) *sampling.ReadSet { return sampling.NewReadSet(g, g.Type) }
-
 // ViewBinder is implemented by models whose graph view can be swapped
 // after construction — the same trained weights then serve against a
 // different topology (e.g. per-arm engine configs in an A/B test).
@@ -104,7 +97,9 @@ func (w *World) Instances(negPerPos int, seed uint64) (train, test []Instance) {
 
 // Model is the contract shared by Zoomer and every baseline: batched logit
 // computation for training, parameter/table enumeration for optimizers,
-// and embedding export for retrieval (hit-rate and ANN serving).
+// and embedding export for retrieval (hit-rate and ANN serving). Every
+// Model in this repository is a Chassis. A model is used by one goroutine
+// at a time: its passes share one sampling scratch.
 type Model interface {
 	// Name identifies the model in experiment output.
 	Name() string

@@ -42,8 +42,8 @@ func (l legacyZoomer) uq(t *ad.Tape, u, q graph.NodeID, r *rng.RNG, sc *sampling
 	C := z.focalVector(t, z.g, u, q)
 	fc := samplingFocal(z.g, u, q)
 	sc.Reset()
-	treeU := sampling.BuildTree(z.g, u, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
-	treeQ := sampling.BuildTree(z.g, q, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
+	treeU := sampling.BuildTree(z.g, u, fc, z.cfg.Hops, z.cfg.FanOut, z.spec.Region.Sampler, r, sc)
+	treeQ := sampling.BuildTree(z.g, q, fc, z.cfg.Hops, z.cfg.FanOut, z.spec.Region.Sampler, r, sc)
 	hu := z.embedTree(t, z.g, treeU, C, z.attnUser.Node(t))
 	hq := z.embedTree(t, z.g, treeQ, C, z.attnQuery.Node(t))
 	return z.towerUQ.Forward(t, t.ConcatCols(hu, hq))

@@ -13,10 +13,11 @@ import (
 	"zoomer/internal/tensor"
 )
 
-// Config parameterizes the Zoomer model. The three Use* switches are the
-// ablation knobs of Fig. 8: disabling UseSemanticAttn yields Zoomer-FE,
-// UseEdgeAttn yields Zoomer-FS, UseFeatureProj yields Zoomer-ES, and
-// disabling all three degrades to a mean-pooling GCN.
+// Config is the one model configuration: every model — Zoomer and each
+// baseline — reads EmbedDim, OutDim, Hops, FanOut and LogitScale from
+// it. The three Use* switches and Sampler are Zoomer's fields, which the
+// baselines ignore. The switches are the ablation knobs of Fig. 8 (see
+// Ablations).
 type Config struct {
 	EmbedDim int // latent dimensionality d (paper: 128)
 	OutDim   int // tower output dimensionality
@@ -52,12 +53,46 @@ func DefaultConfig() Config {
 	}
 }
 
-// Zoomer is the paper's model: focal selection, ROI sampling, and
-// ROI-based multi-level attention feeding a twin-tower CTR head.
+// Ablation is one variant of Fig. 8's ablation study: a model name and
+// the three attention levels Zoomer runs with.
+type Ablation struct {
+	Name                                string
+	FeatureProj, EdgeAttn, SemanticAttn bool
+}
+
+// Ablations lists Fig. 8's variants, in the figure's order: disabling
+// UseSemanticAttn yields Zoomer-FE, UseEdgeAttn Zoomer-FS, UseFeatureProj
+// Zoomer-ES, and disabling all three degrades to a mean-pooling GCN.
+var Ablations = []Ablation{
+	{"gcn", false, false, false},
+	{"zoomer-fe", true, true, false},
+	{"zoomer-fs", true, false, true},
+	{"zoomer-es", false, true, true},
+	{"zoomer", true, true, true},
+}
+
+// Apply returns cfg with a's switches.
+func (a Ablation) Apply(cfg Config) Config {
+	cfg.UseFeatureProj, cfg.UseEdgeAttn, cfg.UseSemanticAttn = a.FeatureProj, a.EdgeAttn, a.SemanticAttn
+	return cfg
+}
+
+// ablationName names the variant cfg's switches select; a combination
+// Ablations does not list is "zoomer-custom".
+func ablationName(cfg Config) string {
+	for _, a := range Ablations {
+		if a.FeatureProj == cfg.UseFeatureProj && a.EdgeAttn == cfg.UseEdgeAttn && a.SemanticAttn == cfg.UseSemanticAttn {
+			return a.Name
+		}
+	}
+	return "zoomer-custom"
+}
+
+// Zoomer is the paper's model on the chassis: a focal-biased region spec,
+// and a request tower of focal selection plus ROI-based multi-level
+// attention.
 type Zoomer struct {
-	cfg Config
-	g   GraphView
-	fe  *FeatureEmbedder
+	*Chassis
 
 	// Space mappings projecting each focal-point type into the shared
 	// latent space before summation into the focal vector (§V-A).
@@ -65,12 +100,6 @@ type Zoomer struct {
 
 	// Edge-level attention vectors a (eq. 8), one per tower.
 	attnUser, attnQuery *nn.Param
-
-	towerUQ   *nn.MLP // user+query tower over [h_u ‖ h_q]
-	towerItem *nn.MLP // base item tower (§V-B: no graph attention on items)
-
-	sampler sampling.Sampler
-	name    string
 }
 
 // NewZoomer builds the model over view g (a monolithic graph, a local
@@ -82,71 +111,30 @@ func NewZoomer(g GraphView, v loggen.Vocab, cfg Config, seed uint64) *Zoomer {
 	if s == nil {
 		s = sampling.NewFocalBiased()
 	}
+	fe := NewFeatureEmbedder(v, d, r.Split())
 	z := &Zoomer{
-		cfg:       cfg,
-		g:         g,
-		fe:        NewFeatureEmbedder(v, d, r.Split()),
 		mapUser:   nn.NewLinear("focal.user", d, d, r.Split()),
 		mapQuery:  nn.NewLinear("focal.query", d, d, r.Split()),
 		attnUser:  nn.NewParam("attn.user", 3*d, 1).XavierInit(r.Split()),
 		attnQuery: nn.NewParam("attn.query", 3*d, 1).XavierInit(r.Split()),
-		towerUQ:   nn.NewMLP("tower.uq", []int{2 * d, d, cfg.OutDim}, nn.ActReLU, nn.ActNone, r.Split()),
-		towerItem: nn.NewMLP("tower.item", []int{d, d, cfg.OutDim}, nn.ActReLU, nn.ActNone, r.Split()),
-		sampler:   s,
-		name:      "zoomer",
 	}
-	if !cfg.UseFeatureProj && !cfg.UseEdgeAttn && !cfg.UseSemanticAttn {
-		z.name = "gcn"
-	} else if !cfg.UseSemanticAttn {
-		z.name = "zoomer-fe"
-	} else if !cfg.UseEdgeAttn {
-		z.name = "zoomer-fs"
-	} else if !cfg.UseFeatureProj {
-		z.name = "zoomer-es"
-	}
+	own := []*nn.Param{z.attnUser, z.attnQuery}
+	own = append(own, z.mapUser.Params()...)
+	own = append(own, z.mapQuery.Params()...)
+	z.Chassis = NewChassis(g, fe, cfg, "tower", r, Spec{
+		Name:   ablationName(cfg),
+		Region: Region{Sampler: s, Hops: cfg.Hops, FanOut: cfg.FanOut, Focal: true},
+		Params: own,
+		Tower:  z.requestTower,
+	})
 	return z
-}
-
-// Name implements Model.
-func (z *Zoomer) Name() string { return z.name }
-
-// BindView implements ViewBinder: rebinding swaps the read path (e.g.
-// onto a different engine topology) without touching trained weights.
-func (z *Zoomer) BindView(g GraphView) { z.g = g }
-
-// DenseParams implements Model.
-func (z *Zoomer) DenseParams() []*nn.Param {
-	out := []*nn.Param{z.attnUser, z.attnQuery}
-	out = append(out, z.mapUser.Params()...)
-	out = append(out, z.mapQuery.Params()...)
-	out = append(out, z.towerUQ.Params()...)
-	out = append(out, z.towerItem.Params()...)
-	return out
-}
-
-// Tables implements Model.
-func (z *Zoomer) Tables() []*nn.EmbeddingTable { return z.fe.Tables() }
-
-// samplingFocal is the static focal vector Fc of eq. (5): the sum of the
-// focal points' content features, used to score neighbors during ROI
-// construction (no learned parameters — sampling happens outside the
-// training graph).
-func samplingFocal(g GraphView, u, q graph.NodeID) tensor.Vec {
-	fc := tensor.NewVec(g.ContentDim())
-	if c := g.Content(u); c != nil {
-		tensor.Axpy(1, c, fc)
-	}
-	if c := g.Content(q); c != nil {
-		tensor.Axpy(1, c, fc)
-	}
-	return fc
 }
 
 // focalVector computes the learned focal vector (§V-A): per-type space
 // mapping of the focal points' embeddings, then summation.
 func (z *Zoomer) focalVector(t *ad.Tape, g GraphView, u, q graph.NodeID) *ad.Node {
-	eu := t.MeanRows(z.fe.FeatureMatrix(t, g, u))
-	eq := t.MeanRows(z.fe.FeatureMatrix(t, g, q))
+	eu := t.MeanRows(z.fe.featureMatrix(t, g, u))
+	eq := t.MeanRows(z.fe.featureMatrix(t, g, q))
 	return t.Add(z.mapUser.Forward(t, eu), z.mapQuery.Forward(t, eq))
 }
 
@@ -212,7 +200,7 @@ func (z *Zoomer) semanticLevel(t *ad.Tape, zf *ad.Node, perType []*ad.Node) *ad.
 // combine types semantically, with a residual connection to the ego's own
 // feature embedding.
 func (z *Zoomer) embedTree(t *ad.Tape, g GraphView, tree *sampling.Tree, C, a *ad.Node) *ad.Node {
-	H := z.fe.FeatureMatrix(t, g, tree.Node)
+	H := z.fe.featureMatrix(t, g, tree.Node)
 	zf := z.featureLevel(t, H, C)
 	if len(tree.Children) == 0 {
 		return zf
@@ -245,89 +233,14 @@ func (z *Zoomer) embedTree(t *ad.Tape, g GraphView, tree *sampling.Tree, C, a *a
 	return t.Add(zf, z.semanticLevel(t, zf, perType))
 }
 
-// itemBase is the base item model of §V-B: feature embedding through the
-// item tower, no graph attention (matching the online deployment).
-func (z *Zoomer) itemBase(t *ad.Tape, g GraphView, item graph.NodeID) *ad.Node {
-	emb := t.MeanRows(z.fe.FeatureMatrix(t, g, item))
-	return z.towerItem.Forward(t, emb)
-}
-
-// roi is one request's pair of sampled regions.
-type roi struct{ user, query *sampling.Tree }
-
-// sampleROIs is the one ROI-construction path of training and inference,
-// over every kind of view. All graph reads of the pass go through rs: the
-// focal points' content and adjacency arrive in one bulk read, the region
-// trees are built request by request in the order — and so with the RNG
-// stream — they always were (BuildTree reads one level ahead of its
-// depth-first walk), and the features of every node the embedding will
-// touch — the trees' nodes plus extra, the batch's items — arrive in one
-// last bulk read. What follows runs on slice lookups. The trees live in
-// sc until its next Reset.
-func (z *Zoomer) sampleROIs(rs *sampling.ReadSet, batch []Instance, extra []graph.NodeID, r *rng.RNG, sc *sampling.Scratch) []roi {
-	ids := make([]graph.NodeID, 0, 3*len(batch))
-	for _, ex := range batch {
-		ids = append(ids, ex.User, ex.Query)
-	}
-	rs.Prefetch(ids, graph.ReadNeighbors|graph.ReadContent)
-	if z.cfg.Hops > 0 {
-		rs.Expand(ids, z.sampler.NeighborReads())
-	}
-	rois := make([]roi, len(batch))
-	for i, ex := range batch {
-		fc := samplingFocal(rs, ex.User, ex.Query)
-		rois[i].user = sampling.BuildTree(rs, ex.User, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
-		rois[i].query = sampling.BuildTree(rs, ex.Query, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
-	}
-	ids = append(ids[:0], extra...)
-	for _, roi := range rois {
-		ids = roi.query.AppendNodes(roi.user.AppendNodes(ids))
-	}
-	rs.Prefetch(ids, graph.ReadFeatures)
-	return rois
-}
-
-// uqForward runs the user and query towers over one request's regions
-// and returns the combined user-query vector.
-func (z *Zoomer) uqForward(t *ad.Tape, g GraphView, u, q graph.NodeID, roi roi) *ad.Node {
-	C := z.focalVector(t, g, u, q)
-	hu := z.embedTree(t, g, roi.user, C, z.attnUser.Node(t))
-	hq := z.embedTree(t, g, roi.query, C, z.attnQuery.Node(t))
-	return z.towerUQ.Forward(t, t.ConcatCols(hu, hq))
-}
-
-// Logits implements Model: per-example twin-tower cosine scores scaled
-// into logits. The batch's regions are sampled first, through a read set
-// that lives for this call, then embedded.
-func (z *Zoomer) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
-	rs := NewStepView(z.g)
-	items := make([]graph.NodeID, len(batch))
-	for i, ex := range batch {
-		items[i] = ex.Item
-	}
-	rois := z.sampleROIs(rs, batch, items, r, sampling.NewScratch())
-	rows := t.Nodes(len(batch))
-	for i, ex := range batch {
-		uq := z.uqForward(t, rs, ex.User, ex.Query, rois[i])
-		it := z.itemBase(t, rs, ex.Item)
-		rows[i] = t.Scale(z.cfg.LogitScale, t.CosineSim(uq, it))
-	}
-	return t.ConcatRows(rows...)
-}
-
-// UserQueryEmbedding implements Model (inference path: forward only).
-func (z *Zoomer) UserQueryEmbedding(u, q graph.NodeID, r *rng.RNG) tensor.Vec {
-	rs := NewStepView(z.g)
-	rois := z.sampleROIs(rs, []Instance{{User: u, Query: q}}, nil, r, sampling.NewScratch())
-	out := z.uqForward(ad.NewTape(), rs, u, q, rois[0])
-	return tensor.Copy(out.Val.Row(0))
-}
-
-// ItemEmbedding implements Model.
-func (z *Zoomer) ItemEmbedding(item graph.NodeID, _ *rng.RNG) tensor.Vec {
-	t := ad.NewTape()
-	out := z.itemBase(t, z.g, item)
-	return tensor.Copy(out.Val.Row(0))
+// requestTower is Zoomer's request tower: the learned focal vector, then
+// each region embedded by multi-level attention under its own edge
+// attention vector.
+func (z *Zoomer) requestTower(p Pass, user, query *sampling.Tree) (hu, hq *ad.Node) {
+	C := z.focalVector(p.T, p.G, user.Node, query.Node)
+	hu = z.embedTree(p.T, p.G, user, C, z.attnUser.Node(p.T))
+	hq = z.embedTree(p.T, p.G, query, C, z.attnQuery.Node(p.T))
+	return hu, hq
 }
 
 // EdgeAttentionWeights exposes the trained edge-level coupling
@@ -337,12 +250,12 @@ func (z *Zoomer) ItemEmbedding(item graph.NodeID, _ *rng.RNG) tensor.Vec {
 func (z *Zoomer) EdgeAttentionWeights(ego graph.NodeID, focalU, focalQ graph.NodeID, neighbors []graph.NodeID) []float32 {
 	t := ad.NewTape()
 	C := z.focalVector(t, z.g, focalU, focalQ)
-	H := z.fe.FeatureMatrix(t, z.g, ego)
+	H := z.fe.featureMatrix(t, z.g, ego)
 	zf := z.featureLevel(t, H, C)
 	a := z.attnUser.Node(t)
 	scores := make([]*ad.Node, len(neighbors))
 	for i, nb := range neighbors {
-		Hn := z.fe.FeatureMatrix(t, z.g, nb)
+		Hn := z.fe.featureMatrix(t, z.g, nb)
 		zn := z.featureLevel(t, Hn, C)
 		scores[i] = t.LeakyReLU(0.2, t.MatMul(t.ConcatCols(zf, zn, C), a))
 	}

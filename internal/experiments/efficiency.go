@@ -49,18 +49,14 @@ func Fig10(o Options) Fig10Result {
 	for si, sc := range scales {
 		w := buildWorld(loggen.TaobaoConfig(sc, o.Seed+uint64(si)), 1, o.Seed+uint64(si))
 		v := w.logs.Vocab()
-		zcfg := o.modelConfig()
-		zcfg.FanOut = 5
-		zcfg.Hops = 2
-		bcfg := o.baselineConfig()
-		bcfg.FanOut = 5
-		bcfg.Hops = 2
+		cfg := o.modelConfig()
+		cfg.FanOut, cfg.Hops = 5, 2
 		if o.Quick {
-			zcfg.Hops, bcfg.Hops = 1, 1
+			cfg.Hops = 1
 		}
 		models := []core.Model{
-			core.NewZoomer(w.view, v, zcfg, o.Seed+1),
-			baselines.NewGCEGNN(w.view, v, bcfg, o.Seed+2),
+			core.NewZoomer(w.view, v, cfg, o.Seed+1),
+			baselines.NewGCEGNN(w.view, v, cfg, o.Seed+2),
 		}
 		for _, m := range models {
 			tc := o.trainConfig()
@@ -143,16 +139,14 @@ func Fig11(o Options) Fig11Result {
 	}
 	out := Fig11Result{Ks: ks}
 	for _, k := range ks {
-		zcfg := o.modelConfig()
-		zcfg.FanOut = k
-		bcfg := o.baselineConfig()
-		bcfg.FanOut = k
+		cfg := o.modelConfig()
+		cfg.FanOut = k
 		models := []core.Model{
-			core.NewZoomer(g, v, zcfg, o.Seed+1),
-			baselines.NewGraphSAGE(g, v, bcfg, o.Seed+2),
-			baselines.NewPixie(g, v, bcfg, o.Seed+3),
-			baselines.NewPinnerSage(g, v, bcfg, o.Seed+4),
-			baselines.NewPinSage(g, v, bcfg, o.Seed+5),
+			core.NewZoomer(g, v, cfg, o.Seed+1),
+			baselines.NewGraphSAGE(g, v, cfg, o.Seed+2),
+			baselines.NewPixie(g, v, cfg, o.Seed+3),
+			baselines.NewPinnerSage(g, v, cfg, o.Seed+4),
+			baselines.NewPinSage(g, v, cfg, o.Seed+5),
 		}
 		for _, m := range models {
 			tc := o.trainConfig()
@@ -237,10 +231,10 @@ func Fig12(o Options) Fig12Result {
 	if o.Quick {
 		full, tenth = 8, 2
 	}
-	zcfg := o.modelConfig()
-	zcfg.FanOut = tenth // ROI downscaled to ~1/10 of the baselines
-	bcfg := o.baselineConfig()
+	bcfg := o.modelConfig()
 	bcfg.FanOut = full
+	zcfg := bcfg
+	zcfg.FanOut = tenth // ROI downscaled to ~1/10 of the baselines
 
 	models := []core.Model{
 		core.NewZoomer(g, v, zcfg, o.Seed+1),

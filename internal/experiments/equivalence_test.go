@@ -121,31 +121,30 @@ func buildWorldFromLogs(logs *loggen.Logs, negPerPos int) *world {
 // equivModelCtor builds a named model over a view with a fixed seed, so
 // every topology starts from bit-identical weights.
 func equivModelCtor(name string, g core.GraphView, v loggen.Vocab) core.Model {
-	bcfg := baselines.Config{EmbedDim: 16, OutDim: 16, Hops: 1, FanOut: 4, LogitScale: 5}
+	cfg := core.DefaultConfig()
+	cfg.EmbedDim, cfg.OutDim = 16, 16
+	cfg.Hops, cfg.FanOut = 1, 4
 	switch name {
 	case "zoomer":
-		cfg := core.DefaultConfig()
-		cfg.EmbedDim, cfg.OutDim = 16, 16
-		cfg.Hops, cfg.FanOut = 1, 4
 		return core.NewZoomer(g, v, cfg, 31)
 	case "graphsage":
-		return baselines.NewGraphSAGE(g, v, bcfg, 32)
+		return baselines.NewGraphSAGE(g, v, cfg, 32)
 	case "pinsage":
-		return baselines.NewPinSage(g, v, bcfg, 33)
+		return baselines.NewPinSage(g, v, cfg, 33)
 	case "pinnersage":
-		return baselines.NewPinnerSage(g, v, bcfg, 34)
+		return baselines.NewPinnerSage(g, v, cfg, 34)
 	case "pixie":
-		return baselines.NewPixie(g, v, bcfg, 35)
+		return baselines.NewPixie(g, v, cfg, 35)
 	case "han":
-		return baselines.NewHAN(g, v, bcfg, 36)
+		return baselines.NewHAN(g, v, cfg, 36)
 	case "gce-gnn":
-		return baselines.NewGCEGNN(g, v, bcfg, 37)
+		return baselines.NewGCEGNN(g, v, cfg, 37)
 	case "fgnn":
-		return baselines.NewFGNN(g, v, bcfg, 38)
+		return baselines.NewFGNN(g, v, cfg, 38)
 	case "stamp":
-		return baselines.NewSTAMP(g, v, bcfg, 39)
+		return baselines.NewSTAMP(g, v, cfg, 39)
 	case "mccf":
-		return baselines.NewMCCF(g, v, bcfg, 40)
+		return baselines.NewMCCF(g, v, cfg, 40)
 	}
 	panic("unknown model " + name)
 }
@@ -439,7 +438,9 @@ func (v *contentCounter) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, 
 // shards on two servers, default model, 32-example batches): a step is
 // served by at most 2 000 read requests of any kind — it used to take
 // ~325 000 — the count is exactly repeatable, and no node's content
-// crosses the wire twice within a step.
+// crosses the wire twice within a step. Zoomer, a walk-sampler baseline
+// (PinSage) and a session-tower baseline (HAN) are held to it: every
+// model reads the graph through the one chassis.
 func TestRemoteStepReadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the large world")
@@ -459,29 +460,35 @@ func TestRemoteStepReadBudget(t *testing.T) {
 	}
 
 	view := &contentCounter{GraphView: core.EngineView{Engine: cluster.Engine, M: w.res.Mapping}}
-	m := core.NewZoomer(view, logs.Vocab(), core.DefaultConfig(), 3)
-	var perStep []int64
-	for rep := 0; rep < 2; rep++ {
-		r := rng.New(9)
-		for step := 0; step < 3; step++ {
-			view.content = map[graph.NodeID]int{}
-			before := reads()
-			m.Logits(ad.NewTape(), w.train[step*32:(step+1)*32], r)
-			d := reads() - before
-			if d > 2000 {
-				t.Fatalf("step %d took %d read requests, budget 2000", step, d)
-			}
-			for id, n := range view.content {
-				if n > 1 {
-					t.Fatalf("step %d: node %d's content was read %d times", step, id, n)
+	v := logs.Vocab()
+	for _, m := range []core.Model{
+		core.NewZoomer(view, v, core.DefaultConfig(), 3),
+		baselines.NewPinSage(view, v, core.DefaultConfig(), 3),
+		baselines.NewHAN(view, v, core.DefaultConfig(), 3),
+	} {
+		var perStep []int64
+		for rep := 0; rep < 2; rep++ {
+			r := rng.New(9)
+			for step := 0; step < 3; step++ {
+				view.content = map[graph.NodeID]int{}
+				before := reads()
+				m.Logits(ad.NewTape(), w.train[step*32:(step+1)*32], r)
+				d := reads() - before
+				if d > 2000 {
+					t.Fatalf("%s: step %d took %d read requests, budget 2000", m.Name(), step, d)
+				}
+				for id, n := range view.content {
+					if n > 1 {
+						t.Fatalf("%s: step %d: node %d's content was read %d times", m.Name(), step, id, n)
+					}
+				}
+				if rep == 0 {
+					perStep = append(perStep, d)
+				} else if d != perStep[step] {
+					t.Fatalf("%s: step %d took %d read requests, %d the first time", m.Name(), step, d, perStep[step])
 				}
 			}
-			if rep == 0 {
-				perStep = append(perStep, d)
-			} else if d != perStep[step] {
-				t.Fatalf("step %d took %d read requests, %d the first time", step, d, perStep[step])
-			}
 		}
+		t.Logf("%s: read requests per 32-example remote step: %v", m.Name(), perStep)
 	}
-	t.Logf("read requests per 32-example remote step: %v", perStep)
 }

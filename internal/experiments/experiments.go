@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 
-	"zoomer/internal/baselines"
 	"zoomer/internal/core"
 	"zoomer/internal/engine"
 	"zoomer/internal/graphbuild"
@@ -85,18 +84,10 @@ func (o Options) budgets() (epochs, maxSteps, batch int) {
 	return 2, 150, 16
 }
 
-// modelConfig returns the shared Zoomer configuration.
+// modelConfig returns the configuration every model — Zoomer and each
+// baseline — is built with.
 func (o Options) modelConfig() core.Config {
 	cfg := core.DefaultConfig()
-	if o.Quick {
-		cfg.EmbedDim, cfg.OutDim = 16, 16
-		cfg.Hops, cfg.FanOut = 1, 4
-	}
-	return cfg
-}
-
-func (o Options) baselineConfig() baselines.Config {
-	cfg := baselines.DefaultConfig()
 	if o.Quick {
 		cfg.EmbedDim, cfg.OutDim = 16, 16
 		cfg.Hops, cfg.FanOut = 1, 4

@@ -68,18 +68,16 @@ func Table2(o Options) Table2Result {
 	v := w.logs.Vocab()
 	g := w.view
 
-	bcfg := o.baselineConfig()
-	bcfg.Hops = 1 // MovieLens uses one-hop aggregation (§VII-A)
-	zcfg := o.modelConfig()
-	zcfg.Hops = 1
+	mcfg := o.modelConfig()
+	mcfg.Hops = 1 // MovieLens uses one-hop aggregation (§VII-A)
 
 	models := []core.Model{
-		baselines.NewGCEGNN(g, v, bcfg, o.Seed+1),
-		baselines.NewFGNN(g, v, bcfg, o.Seed+2),
-		baselines.NewSTAMP(g, v, bcfg, o.Seed+3),
-		baselines.NewMCCF(g, v, bcfg, o.Seed+4),
-		baselines.NewHAN(g, v, bcfg, o.Seed+5),
-		core.NewZoomer(g, v, zcfg, o.Seed+6),
+		baselines.NewGCEGNN(g, v, mcfg, o.Seed+1),
+		baselines.NewFGNN(g, v, mcfg, o.Seed+2),
+		baselines.NewSTAMP(g, v, mcfg, o.Seed+3),
+		baselines.NewMCCF(g, v, mcfg, o.Seed+4),
+		baselines.NewHAN(g, v, mcfg, o.Seed+5),
+		core.NewZoomer(g, v, mcfg, o.Seed+6),
 	}
 	var out Table2Result
 	for _, m := range models {
@@ -131,8 +129,7 @@ func Table3(o Options) Table3Result {
 	w := o.taobaoWorld(loggen.ScaleSmall)
 	v := w.logs.Vocab()
 	g := w.view
-	bcfg := o.baselineConfig()
-	zcfg := o.modelConfig()
+	mcfg := o.modelConfig()
 
 	ks := []int{100, 200, 300}
 	maxTests := 150
@@ -142,16 +139,16 @@ func Table3(o Options) Table3Result {
 	}
 
 	models := []core.Model{
-		baselines.NewGCEGNN(g, v, bcfg, o.Seed+1),
-		baselines.NewFGNN(g, v, bcfg, o.Seed+2),
-		baselines.NewSTAMP(g, v, bcfg, o.Seed+3),
-		baselines.NewMCCF(g, v, bcfg, o.Seed+4),
-		baselines.NewHAN(g, v, bcfg, o.Seed+5),
-		baselines.NewPinSage(g, v, bcfg, o.Seed+6),
-		baselines.NewGraphSAGE(g, v, bcfg, o.Seed+7),
-		baselines.NewPinnerSage(g, v, bcfg, o.Seed+8),
-		baselines.NewPixie(g, v, bcfg, o.Seed+9),
-		core.NewZoomer(g, v, zcfg, o.Seed+10),
+		baselines.NewGCEGNN(g, v, mcfg, o.Seed+1),
+		baselines.NewFGNN(g, v, mcfg, o.Seed+2),
+		baselines.NewSTAMP(g, v, mcfg, o.Seed+3),
+		baselines.NewMCCF(g, v, mcfg, o.Seed+4),
+		baselines.NewHAN(g, v, mcfg, o.Seed+5),
+		baselines.NewPinSage(g, v, mcfg, o.Seed+6),
+		baselines.NewGraphSAGE(g, v, mcfg, o.Seed+7),
+		baselines.NewPinnerSage(g, v, mcfg, o.Seed+8),
+		baselines.NewPixie(g, v, mcfg, o.Seed+9),
+		core.NewZoomer(g, v, mcfg, o.Seed+10),
 	}
 	items := w.res.Mapping.NodesOfType(graph.Item)
 	var out Table3Result
@@ -207,35 +204,22 @@ func (r Fig8Result) String() string {
 // semantic), Zoomer-FS (no edge), Zoomer-ES (no feature projection), and
 // full Zoomer, across the three Taobao graph scales.
 func Fig8(o Options) Fig8Result {
-	type variant struct {
-		name       string
-		fp, ea, sa bool
-	}
-	variants := []variant{
-		{"gcn", false, false, false},
-		{"zoomer-fe", true, true, false},
-		{"zoomer-fs", true, false, true},
-		{"zoomer-es", false, true, true},
-		{"zoomer", true, true, true},
-	}
 	scales := []loggen.Scale{loggen.ScaleSmall, loggen.ScaleMedium, loggen.ScaleLarge}
 	if o.Quick {
 		scales = []loggen.Scale{loggen.ScaleTiny}
 	}
 	var out Fig8Result
-	for _, v := range variants {
-		out.Variants = append(out.Variants, v.name)
+	for _, a := range core.Ablations {
+		out.Variants = append(out.Variants, a.Name)
 	}
 	for si, sc := range scales {
 		w := buildWorld(loggen.TaobaoConfig(sc, o.Seed+uint64(si)), 1, o.Seed+uint64(si))
 		out.Scales = append(out.Scales, sc.String())
-		for _, v := range variants {
-			cfg := o.modelConfig()
-			cfg.UseFeatureProj, cfg.UseEdgeAttn, cfg.UseSemanticAttn = v.fp, v.ea, v.sa
-			m := core.NewZoomer(w.view, w.logs.Vocab(), cfg, o.Seed+3)
+		for _, a := range core.Ablations {
+			m := core.NewZoomer(w.view, w.logs.Vocab(), a.Apply(o.modelConfig()), o.Seed+3)
 			auc, _, _, _ := trainAndEval(o, m, w)
-			out.Cells = append(out.Cells, Fig8Cell{Variant: v.name, Scale: sc.String(), AUC: auc})
-			o.logf("fig8 %s/%s AUC %.3f", v.name, sc, auc)
+			out.Cells = append(out.Cells, Fig8Cell{Variant: m.Name(), Scale: sc.String(), AUC: auc})
+			o.logf("fig8 %s/%s AUC %.3f", m.Name(), sc, auc)
 		}
 	}
 	return out

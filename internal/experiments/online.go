@@ -45,7 +45,7 @@ func Table4(o Options) Table4Result {
 	g := w.view
 
 	zoomer := core.NewZoomer(g, v, o.modelConfig(), o.Seed+1)
-	pinsage := baselines.NewPinSage(g, v, o.baselineConfig(), o.Seed+2)
+	pinsage := baselines.NewPinSage(g, v, o.modelConfig(), o.Seed+2)
 	tc := o.trainConfig()
 	core.Train(zoomer, w.train, nil, tc) // no test split: the A/B replay judges the channels
 	core.Train(pinsage, w.train, nil, tc)

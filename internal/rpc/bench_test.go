@@ -206,7 +206,7 @@ func BenchmarkBuildTreeRemote(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := train[i%len(train)]
-		rs := core.NewStepView(view)
+		rs := sampling.NewReadSet(view, view.Type)
 		sc.Reset()
 		sampling.BuildTree(rs, ex.User, rs.Content(ex.Query), 2, 10, fb, r, sc)
 	}

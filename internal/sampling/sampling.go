@@ -53,9 +53,9 @@ type GraphView interface {
 //
 // NeighborReads reports which attributes of the ego's neighbors Sample
 // reads beyond the adjacency list itself (the content vectors a
-// relevance score needs, say), so BuildTree can fetch them for a whole
-// frontier in one bulk read instead of leaving each Sample call to its
-// own.
+// relevance score needs, or the adjacency lists a walk steps through),
+// so BuildTree can fetch them for a whole frontier in one bulk read
+// instead of leaving each Sample call to its own.
 type Sampler interface {
 	Name() string
 	NeighborReads() graph.ReadFields
@@ -206,9 +206,11 @@ func NewImportanceWalk() *ImportanceWalk { return &ImportanceWalk{Walks: 30, Len
 // Name implements Sampler.
 func (s *ImportanceWalk) Name() string { return "importance-walk" }
 
-// NeighborReads implements Sampler: the walks read adjacency lists the
-// RNG picks, which no frontier read can anticipate.
-func (s *ImportanceWalk) NeighborReads() graph.ReadFields { return 0 }
+// NeighborReads implements Sampler: a walk's second step reads the
+// adjacency list of the neighbor its first step picked. Which ones the
+// RNG picks no frontier read can anticipate, so all of them are read in
+// bulk; lists deeper in the walks are read as the walks reach them.
+func (s *ImportanceWalk) NeighborReads() graph.ReadFields { return graph.ReadNeighbors }
 
 // Sample implements Sampler.
 func (s *ImportanceWalk) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
@@ -251,9 +253,10 @@ func NewBiasedWalk() *BiasedWalk { return &BiasedWalk{Walks: 30, Length: 4, Bias
 // Name implements Sampler.
 func (s *BiasedWalk) Name() string { return "biased-walk" }
 
-// NeighborReads implements Sampler: like ImportanceWalk, what a walk
-// reads depends on the draws.
-func (s *BiasedWalk) NeighborReads() graph.ReadFields { return 0 }
+// NeighborReads implements Sampler: like ImportanceWalk's, the walks'
+// second steps read the neighbors' adjacency lists. The content the
+// biased steps compare is read as the walks reach it.
+func (s *BiasedWalk) NeighborReads() graph.ReadFields { return graph.ReadNeighbors }
 
 // Sample implements Sampler.
 func (s *BiasedWalk) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
