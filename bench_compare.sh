@@ -51,9 +51,13 @@ command -v python3 >/dev/null || { echo "error: python3 required" >&2; exit 1; }
 # in-memory graph; a sample is 5 whole steps, and its budget is the
 # steady-state step's (TestTrainStepAllocs in internal/core holds the
 # same 5000) plus the run's one-time slab growth and first-touch Adam
-# moments spread over the 5. BenchmarkEndToEndRequest is one whole
-# retrieval through serve.Server.Retrieve; its one allocation is the
-# result copy handed to the caller.
+# moments spread over the 5. BenchmarkTrainStepRemote is the same step
+# with every graph read crossing loopback TCP to a two-server cluster:
+# it takes the loopback rows' 1.60 bound and the local step's 5000
+# budget (it read ~2 970 allocs/op at 5x when it was gated).
+# BenchmarkEndToEndRequest is one whole retrieval through
+# serve.Server.Retrieve; its one allocation is the result copy handed to
+# the caller.
 GATED='
 .                  ^BenchmarkHotPath                                      200ms  1.20  0
 ./internal/tensor  ^Benchmark(Dot|MatVec|Axpy)                            200ms  1.20  0
@@ -63,6 +67,7 @@ GATED='
 ./internal/rpc     ^Benchmark(RPCRoundTrip|Remote(Batch|Tree|ReadNodes))  200ms  1.60  -
 ./internal/rpc     ^BenchmarkRemoteAppend$                                1000x  1.60  -
 ./internal/rpc     ^BenchmarkTrainStepLocal$                              5x     1.20  5000
+./internal/rpc     ^BenchmarkTrainStepRemote$                             5x     1.60  5000
 '
 ROUNDS=7
 PROCS="$(nproc 2>/dev/null || echo 1)"

@@ -39,7 +39,6 @@ import (
 
 	"zoomer/internal/gateway"
 	"zoomer/internal/loggen"
-	"zoomer/internal/partition"
 	"zoomer/internal/servestack"
 )
 
@@ -49,8 +48,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed (must match zoomer-shard's with -remote)")
 	trainSteps := flag.Int("train", 100, "warm-up training steps before export")
 	workers := flag.Int("workers", 4, "serve worker states: retrievals that run at once")
-	shards := flag.Int("shards", 4, "graph engine partitions (in-process mode)")
-	strategy := flag.String("partition", "hash", "node-to-shard assignment: hash | degree-balanced")
 	remote := flag.String("remote", "", "comma-separated zoomer-shard addresses (empty: in-process shards)")
 	maxInFlight := flag.Int("max-inflight", 256, "hard admission cap (beyond: 503)")
 	shedFrac := flag.Float64("shed-frac", 0.75, "soft shed threshold as a fraction of max-inflight (beyond: cache-only answers)")
@@ -71,15 +68,8 @@ func main() {
 	if err != nil {
 		usage("bad -scale: %v", err)
 	}
-	strat, err := partition.ParseStrategy(*strategy)
-	if err != nil {
-		usage("bad -partition: %v", err)
-	}
 	if *trainSteps < 0 {
 		usage("bad -train %d: must be 0 (export the initial model) or more", *trainSteps)
-	}
-	if *shards < 1 && *remote == "" {
-		usage("bad -shards %d: need at least one in-process partition", *shards)
 	}
 	if *maxInFlight < 1 {
 		usage("bad -max-inflight %d: need at least one admitted request", *maxInFlight)
@@ -109,7 +99,6 @@ func main() {
 	}
 	stack, err := servestack.Build(servestack.Config{
 		Scale: sc, Seed: *seed, TrainSteps: *trainSteps,
-		Shards: *shards, Strategy: strat,
 		Remote: addrs, Workers: *workers,
 	}, func(format string, args ...any) {
 		log.Info(fmt.Sprintf(format, args...))

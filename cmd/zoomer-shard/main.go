@@ -103,7 +103,6 @@ func main() {
 	shards := flag.Int("shards", 4, "total graph partitions")
 	own := flag.String("own", "", "comma-separated shard ids this server owns (default: all)")
 	strategy := flag.String("partition", "hash", "node-to-shard assignment: hash | degree-balanced")
-	locality := flag.Bool("locality", true, "BFS-reorder each shard's rows for cache locality (must match across the cluster)")
 	walDir := flag.String("wal-dir", "", "journal graph-appends to per-shard WALs under this directory (replayed on startup)")
 	fsync := flag.Bool("fsync", true, "with -wal-dir: fsync each group-committed append before acknowledging")
 	advertise := flag.String("advertise", "", "address to announce to the cluster (enables membership + append fan-out)")
@@ -163,12 +162,15 @@ func main() {
 		g = core.BuildWorld(loggen.TaobaoConfig(sc, *seed)).Graph
 	}
 
+	// The cluster's layout is decided here and nowhere else: clients take
+	// it from the routing table. Every server renumbers its shards' rows
+	// in BFS order, so the layout is -shards and -partition alone.
 	fmt.Printf("partitioning into %d shards (%s) and building alias tables...\n", *shards, strat)
 	srv := rpc.NewServer(g, rpc.ServerConfig{
 		Shards:    *shards,
 		Strategy:  strat,
 		Owned:     owned,
-		Locality:  *locality,
+		Locality:  true,
 		Advertise: *advertise,
 		WALDir:    *walDir,
 		Fsync:     *fsync,

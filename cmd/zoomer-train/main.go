@@ -3,15 +3,15 @@
 // is a region spec plus a request tower on one chassis (core.Chassis),
 // built from one core.Config that the flags below set. Training reads
 // the graph through the core.GraphView seam, so the same run can sample
-// from the monolithic in-process graph, a local sharded engine, or a
-// remote zoomer-shard cluster — with bit-identical results (see the
-// cross-topology equivalence suite in internal/experiments).
+// from the in-memory graph or a remote zoomer-shard cluster — with
+// bit-identical results (see the cross-topology equivalence suite in
+// internal/experiments). The cluster's layout is the shard servers'
+// choice; the trainer reads it from their routing table.
 //
 // Usage:
 //
 //	zoomer-train -model zoomer -scale small -epochs 3
 //	zoomer-train -model graphsage -fanout 10 -steps 500
-//	zoomer-train -shards 4 -partition degree-balanced    # local sharded engine
 //
 // Distributed training: start shard servers with the same world
 // parameters, then point -remote at them (the runbook lives in
@@ -30,10 +30,8 @@ import (
 
 	"zoomer/internal/baselines"
 	"zoomer/internal/core"
-	"zoomer/internal/engine"
 	"zoomer/internal/graph"
 	"zoomer/internal/loggen"
-	"zoomer/internal/partition"
 	"zoomer/internal/servestack"
 )
 
@@ -48,9 +46,6 @@ func main() {
 	dim := flag.Int("dim", 32, "embedding dimensionality")
 	lr := flag.Float64("lr", 0.01, "learning rate")
 	seed := flag.Uint64("seed", 1, "random seed")
-	shards := flag.Int("shards", 0, "train over a local sharded engine with this many partitions (0 = monolithic graph)")
-	strategy := flag.String("partition", "hash", "node-to-shard assignment: hash | degree-balanced")
-	locality := flag.Bool("locality", true, "BFS shard-locality reordering (sharded engine only)")
 	remote := flag.String("remote", "", "comma-separated zoomer-shard addresses (train over the RPC engine)")
 	flag.Parse()
 
@@ -63,11 +58,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bad -scale: %v\n", err)
 		os.Exit(2)
 	}
-	strat, err := partition.ParseStrategy(*strategy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -partition: %v\n", err)
-		os.Exit(2)
-	}
 
 	fmt.Printf("generating %s world...\n", sc)
 	w := core.BuildWorld(loggen.TaobaoConfig(sc, *seed))
@@ -77,16 +67,11 @@ func main() {
 	train, test := w.Instances(1, *seed+1)
 	fmt.Printf("examples: %d train / %d test\n", len(train), len(test))
 
-	// The graph view training samples through: monolithic graph by
-	// default, a local sharded engine with -shards, a dialed cluster of
-	// zoomer-shard servers with -remote.
+	// The graph view training samples through: the in-memory graph by
+	// default, a dialed cluster of zoomer-shard servers with -remote.
 	var view core.GraphView = w.Graph
-	if *remote != "" || *shards > 0 {
-		var addrs []string
-		if *remote != "" {
-			addrs = strings.Split(*remote, ",")
-		}
-		b, err := servestack.Connect(w.Graph, engine.Config{Shards: *shards, Strategy: strat, Locality: *locality}, addrs)
+	if *remote != "" {
+		b, err := servestack.Connect(w.Graph, strings.Split(*remote, ","))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -34,7 +34,7 @@ go build -o "$WORK/zoomer-loadgen" ./cmd/zoomer-loadgen
 
 # A bad flag is a usage error at parse time: exit 2 within a second,
 # before any world is built.
-for bad in "-shards 0" "-shed-frac 2"; do
+for bad in "-max-inflight 0" "-shed-frac 2"; do
 	rc=0
 	timeout 1 "$WORK/zoomer-gateway" -scale tiny $bad >"$WORK/usage.log" 2>&1 || rc=$?
 	if [ "$rc" -ne 2 ] || grep -q "building world" "$WORK/usage.log"; then
@@ -49,8 +49,8 @@ S0=127.0.0.1:7481
 S1=127.0.0.1:7482
 GW=127.0.0.1:8491
 
-# The world must match across every process: tiny scale, seed 1, two
-# hash partitions, one per server.
+# The world must match across every process: tiny scale, seed 1. The
+# layout is the shards' own: two hash partitions, one per server.
 "$WORK/zoomer-shard" -scale tiny -seed 1 -shards 2 -own 0 \
 	-listen "$S0" >"$WORK/shard0.log" 2>&1 &
 SHARD0_PID=$!

@@ -12,14 +12,13 @@ import (
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
 	"zoomer/internal/loggen"
-	"zoomer/internal/partition"
 )
 
 func main() {
 	res := core.BuildWorld(loggen.TaobaoConfig(loggen.ScaleTiny, 51))
 	logs := res.Logs
 	// Both models train through a sharded engine view of the graph.
-	eng := engine.New(res.Graph, engine.Config{Shards: 4, Strategy: partition.Hash, Locality: true})
+	eng := engine.New(res.Graph, engine.DefaultConfig())
 	g := core.EngineView{Engine: eng, M: res.Mapping}
 	train, test := res.Instances(1, 52)
 
@@ -43,13 +42,7 @@ func main() {
 	treatment := abtest.NewModelChannel("zoomer", zoomer, items, 56)
 	traffic := abtest.TrafficFromLogs(logs, res.Mapping, 120)
 
-	// Each arm serves from its own live engine config; the read surfaces
-	// are bit-identical, so the lift isolates the models.
-	controlEng := engine.New(res.Graph, engine.Config{Shards: 2, Strategy: partition.DegreeBalanced, Locality: false})
-	out := abtest.RunArms(g, traffic,
-		abtest.Arm{Channel: control, View: core.EngineView{Engine: controlEng, M: res.Mapping}},
-		abtest.Arm{Channel: treatment, View: g},
-		abtest.DefaultConfig())
+	out := abtest.RunArms(g, traffic, control, treatment, abtest.DefaultConfig())
 	fmt.Printf("control   (pinsage): CTR %.4f  PPC %.3f  RPM %.2f\n",
 		out.Control.CTR(), out.Control.PPC(), out.Control.RPM())
 	fmt.Printf("treatment (zoomer):  CTR %.4f  PPC %.3f  RPM %.2f\n",

@@ -11,7 +11,6 @@ import (
 	"zoomer/internal/core"
 	"zoomer/internal/engine"
 	"zoomer/internal/loggen"
-	"zoomer/internal/partition"
 )
 
 func main() {
@@ -30,7 +29,7 @@ func main() {
 
 	// Train through the sharded engine — the same read path the serving
 	// tier uses; draws are bit-identical to the monolithic graph.
-	eng := engine.New(res.Graph, engine.Config{Shards: 2, Strategy: partition.Hash, Locality: true})
+	eng := engine.New(res.Graph, engine.DefaultConfig())
 	view := core.EngineView{Engine: eng, M: res.Mapping}
 
 	v := logs.Vocab()

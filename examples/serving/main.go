@@ -1,14 +1,15 @@
 // Serving: the Fig. 9 scenario in miniature — run the online retrieval
 // service (trimmed model, async neighbor cache, IVF index) under rising
 // offered load and watch response time climb once every worker state
-// is busy. The graph sits behind the partitioned engine: -shards sizes
-// the store, and the sweep prints how load spreads over the shards. With
-// -remote the partitions are served by two in-process TCP shard servers
-// and the serving tier talks to them over loopback — the full distributed
-// deployment in one binary, returning bit-identical samples to the
-// in-process engine. The tier is stood up by the calls zoomer-gateway
-// makes (servestack.Connect + Assemble), and swept by the same open-loop
-// driver as the Fig. 9 experiment (servestack's Offer).
+// is busy. The graph sits behind the partitioned engine
+// (engine.DefaultConfig's layout), and the sweep prints how load spreads
+// over the shards. With -remote the partitions are served by two
+// in-process TCP shard servers and the serving tier talks to them over
+// loopback — the full distributed deployment in one binary, returning
+// bit-identical samples to the in-process engine. The tier is stood up
+// by the calls zoomer-gateway makes (servestack.Connect + Assemble), and
+// swept by the same open-loop driver as the Fig. 9 experiment
+// (servestack's Offer).
 package main
 
 import (
@@ -28,7 +29,6 @@ import (
 )
 
 func main() {
-	shards := flag.Int("shards", 4, "graph engine partitions")
 	remote := flag.Bool("remote", false, "serve the shards over loopback TCP instead of in-process")
 	flag.Parse()
 
@@ -45,12 +45,10 @@ func main() {
 	if *remote {
 		// Two shard servers splitting the partitions, exactly as separate
 		// zoomer-shard processes would.
-		half := (*shards + 1) / 2
-		for _, owned := range [][]int{seq(0, half), seq(half, *shards)} {
-			if len(owned) == 0 {
-				continue
-			}
-			srv := rpc.NewServer(g, rpc.ServerConfig{Shards: *shards, Owned: owned})
+		shards := engine.DefaultConfig().Shards
+		half := (shards + 1) / 2
+		for _, owned := range [][]int{seq(0, half), seq(half, shards)} {
+			srv := rpc.NewServer(g, rpc.ServerConfig{Shards: shards, Owned: owned, Locality: true})
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -66,7 +64,7 @@ func main() {
 	// store (dialing the servers above, or partitioning in-process), then
 	// stand the tier up over it — neighbor cache, item index, retrieval
 	// server with two worker states.
-	store, err := servestack.Connect(g, engine.Config{Shards: *shards}, addrs)
+	store, err := servestack.Connect(g, addrs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

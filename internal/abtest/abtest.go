@@ -130,16 +130,6 @@ type Result struct {
 	CTRLift, PPCLift, RPMLift float64 // percent
 }
 
-// Arm couples a retrieval channel with the live serving configuration
-// its model reads during the replay: a distinct graph view per arm
-// (shard count, partitioning strategy, locality, or a remote cluster).
-// A nil View replays the channel against whatever view its model
-// already holds.
-type Arm struct {
-	Channel Channel
-	View    core.GraphView
-}
-
 // RunArms replays traffic through both arms under the same click and
 // pricing models. Relevance ground truth comes from the generator's
 // latent content vectors: rel = cos(user⊕query intent, item content).
@@ -147,14 +137,7 @@ type Arm struct {
 // relevance; ad prices are deterministic per item (hash-based), so the
 // two arms face identical economics. g is the ground-truth view scoring
 // relevance (monolithic graph or engine — identical reads).
-//
-// Each arm may carry its own live serving config: before an arm
-// replays, its view (when set) is bound into the channel's model, so
-// control and treatment can serve from different engine topologies.
-// Because every view is a bit-identical read surface, arms that differ
-// only in topology produce identical metrics — pinned by this
-// package's equivalence test.
-func RunArms(g core.GraphView, traffic []Request, control, treatment Arm, cfg Config) Result {
+func RunArms(g core.GraphView, traffic []Request, control, treatment Channel, cfg Config) Result {
 	r := rng.New(cfg.Seed)
 	price := func(item graph.NodeID) float64 {
 		// Stable per-item price in [0.2, 1.2).
@@ -167,13 +150,7 @@ func RunArms(g core.GraphView, traffic []Request, control, treatment Arm, cfg Co
 		tensor.Axpy(0.5, g.Content(u), intent)
 		return float64(tensor.Cosine(intent, g.Content(item)))
 	}
-	play := func(arm Arm, m *Metrics) {
-		ch := arm.Channel
-		if arm.View != nil {
-			if mc, ok := ch.(*ModelChannel); ok {
-				mc.bindView(arm.View)
-			}
-		}
+	play := func(ch Channel, m *Metrics) {
 		for _, req := range traffic {
 			items := ch.retrieve(req.User, req.Query, cfg.ListSize)
 			for pos, item := range items {
@@ -201,13 +178,4 @@ func RunArms(g core.GraphView, traffic []Request, control, treatment Arm, cfg Co
 	res.PPCLift = lift(res.Control.PPC(), res.Treatment.PPC())
 	res.RPMLift = lift(res.Control.RPM(), res.Treatment.RPM())
 	return res
-}
-
-// bindView rebinds the channel's model onto a different graph view
-// (when the model supports it), switching the arm's live serving
-// config without touching trained weights or the ANN index.
-func (c *ModelChannel) bindView(v core.GraphView) {
-	if b, ok := c.model.(core.ViewBinder); ok {
-		b.BindView(v)
-	}
 }

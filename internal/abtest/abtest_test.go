@@ -105,7 +105,7 @@ func TestRunShowsRelevanceLift(t *testing.T) {
 
 	control := &noiseChannel{items: items, r: rng.New(3)}
 	treatment := &oracleChannel{g: g, items: items}
-	out := RunArms(g, traffic, Arm{Channel: control}, Arm{Channel: treatment}, DefaultConfig())
+	out := RunArms(g, traffic, control, treatment, DefaultConfig())
 
 	if out.Control.Impressions == 0 || out.Treatment.Impressions == 0 {
 		t.Fatal("no impressions")
@@ -127,7 +127,7 @@ func TestRunNullExperiment(t *testing.T) {
 	traffic := TrafficFromLogs(logs, res.Mapping, 300)
 
 	a := &oracleChannel{g: g, items: items}
-	out := RunArms(g, traffic, Arm{Channel: a}, Arm{Channel: a}, DefaultConfig())
+	out := RunArms(g, traffic, a, a, DefaultConfig())
 	if math.Abs(out.CTRLift) > 8 {
 		t.Fatalf("null experiment shows %.1f%% CTR lift", out.CTRLift)
 	}

@@ -51,9 +51,10 @@ type Spec struct {
 // MLP towers and the LogitScale·cosine head, and the one batched pass
 // that reads a step's regions out of the graph. A model adds a Spec.
 //
-// A chassis is used by one goroutine at a time: its sampling scratch is
-// shared by every pass (the walk samplers' visit counters are only cheap
-// reused).
+// A chassis is used by one goroutine at a time: its sampling scratch and
+// its read set are shared by every pass (the walk samplers' visit
+// counters are only cheap reused, and the read set's node table is as
+// large as the graph).
 type Chassis struct {
 	spec               Spec
 	cfg                Config
@@ -61,6 +62,7 @@ type Chassis struct {
 	fe                 *FeatureEmbedder
 	towerUQ, towerItem *nn.MLP
 	sc                 *sampling.Scratch
+	rs                 *sampling.ReadSet
 }
 
 // NewChassis puts s on a chassis over view g with feature embedder fe,
@@ -75,15 +77,12 @@ func NewChassis(g GraphView, fe *FeatureEmbedder, cfg Config, towers string, r *
 		towerUQ:   nn.NewMLP(towers+".uq", []int{2 * d, d, cfg.OutDim}, nn.ActReLU, nn.ActNone, r.Split()),
 		towerItem: nn.NewMLP(towers+".item", []int{d, d, cfg.OutDim}, nn.ActReLU, nn.ActNone, r.Split()),
 		sc:        sampling.NewScratch(),
+		rs:        sampling.NewReadSet(g, g.Type),
 	}
 }
 
 // Name implements Model.
 func (c *Chassis) Name() string { return c.spec.Name }
-
-// BindView implements ViewBinder: rebinding swaps the read path (e.g.
-// onto a different engine topology) without touching trained weights.
-func (c *Chassis) BindView(g GraphView) { c.g = g }
 
 // DenseParams implements Model: the model's own parameters, then the
 // towers'.
@@ -114,12 +113,15 @@ func samplingFocal(g GraphView, u, q graph.NodeID) tensor.Vec {
 // roi is one request's pair of sampled regions.
 type roi struct{ user, query *sampling.Tree }
 
-// readSet wraps the bound view in the read set of one forward pass: a
-// GraphView that fetches each attribute of each node at most once and
-// takes the reads the pass can foresee in bulk. Every Logits or
-// embedding call makes one and drops it at the end — the graph may
-// change between passes, never inside one.
-func (c *Chassis) readSet() *sampling.ReadSet { return sampling.NewReadSet(c.g, c.g.Type) }
+// readSet returns the chassis's read set emptied for a new forward pass:
+// a GraphView over the bound view that fetches each attribute of each
+// node at most once and takes the reads the pass can foresee in bulk.
+// Every Logits or embedding call starts with it — the graph may change
+// between passes, never inside one.
+func (c *Chassis) readSet() *sampling.ReadSet {
+	c.rs.Reset()
+	return c.rs
+}
 
 // sampleROIs is the one region-construction path of every model, in
 // training and inference, over every kind of view. All graph reads of
@@ -177,8 +179,8 @@ func (c *Chassis) itemBase(t *ad.Tape, g GraphView, item graph.NodeID) *ad.Node 
 }
 
 // Logits implements Model: per-example twin-tower cosine scores scaled
-// into logits. The batch's regions are sampled first, through a read set
-// that lives for this call, then embedded.
+// into logits. The batch's regions are sampled first, through the read
+// set emptied for this call, then embedded.
 func (c *Chassis) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
 	rs := c.readSet()
 	items := make([]graph.NodeID, len(batch))

@@ -26,13 +26,6 @@ type GraphView interface {
 	Type(id graph.NodeID) graph.NodeType
 }
 
-// ViewBinder is implemented by models whose graph view can be swapped
-// after construction — the same trained weights then serve against a
-// different topology (e.g. per-arm engine configs in an A/B test).
-type ViewBinder interface {
-	BindView(GraphView)
-}
-
 // EngineView adapts an engine (local sharded or remote cluster) into a
 // GraphView. The engine serves neighbors, content and features; node
 // types are derived arithmetically from the graphbuild id layout, since

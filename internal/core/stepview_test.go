@@ -1,11 +1,14 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"zoomer/internal/ad"
 	"zoomer/internal/engine"
 	"zoomer/internal/graph"
+	"zoomer/internal/ingest"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
 	"zoomer/internal/sampling"
@@ -124,5 +127,79 @@ func TestStepViewMatchesPerNodeReads(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// fetch is one node read a view served: the node, the fields asked for
+// and, when its adjacency was among them, the list handed back.
+type fetch struct {
+	id     graph.NodeID
+	fields graph.ReadFields
+	nbrs   []graph.Edge
+}
+
+// loggedView records every read an engine view serves, in order.
+type loggedView struct {
+	EngineView
+	log []fetch
+}
+
+func (v *loggedView) Neighbors(id graph.NodeID) []graph.Edge {
+	nbrs := v.EngineView.Neighbors(id)
+	v.log = append(v.log, fetch{id, graph.ReadNeighbors, slices.Clone(nbrs)})
+	return nbrs
+}
+
+func (v *loggedView) Content(id graph.NodeID) tensor.Vec {
+	v.log = append(v.log, fetch{id: id, fields: graph.ReadContent})
+	return v.EngineView.Content(id)
+}
+
+func (v *loggedView) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, into *graph.NodeBlock) {
+	v.EngineView.ReadNodes(ids, fields, into)
+	for i, id := range ids {
+		f := fetch{id: id, fields: fields}
+		if fields&graph.ReadNeighbors != 0 {
+			f.nbrs = slices.Clone(into.Neighbors[i])
+		}
+		v.log = append(v.log, f)
+	}
+}
+
+// A chassis keeps one read set for all its passes and empties it as each
+// pass starts: an edge appended to the engine between two passes is read
+// by the second, and the second pass reads exactly what a model that
+// never ran a pass reads — nothing the first pass read survives it.
+func TestReadSetEmptiedBetweenPasses(t *testing.T) {
+	w := buildTinyWorld(t, 3)
+	eng := engine.New(w.res.Graph, engine.DefaultConfig())
+	reused := &loggedView{EngineView: EngineView{Engine: eng, M: w.res.Mapping}}
+	z := NewZoomer(reused, w.logs.Vocab(), tinyModelConfig(), 7)
+	ex := w.train[0]
+	z.UserQueryEmbedding(ex.User, ex.Query, rng.New(8))
+
+	item := w.res.Graph.NodesOfType(graph.Item)[0]
+	if _, err := eng.Append([]ingest.Edge{{Src: ex.User, Dst: item, Type: graph.Click, Weight: 1e6}}); err != nil {
+		t.Fatal(err)
+	}
+	reused.log = nil
+	got := z.UserQueryEmbedding(ex.User, ex.Query, rng.New(9))
+
+	fresh := &loggedView{EngineView: reused.EngineView}
+	want := NewZoomer(fresh, w.logs.Vocab(), tinyModelConfig(), 7).UserQueryEmbedding(ex.User, ex.Query, rng.New(9))
+	if !slices.Equal(got, want) {
+		t.Fatalf("second pass embeds %v, a fresh model %v", got, want)
+	}
+	if !reflect.DeepEqual(reused.log, fresh.log) {
+		t.Fatalf("second pass made %d reads, a fresh model %d: %v\nvs %v", len(reused.log), len(fresh.log), reused.log, fresh.log)
+	}
+	sawEdge := false
+	for _, f := range reused.log {
+		if f.id == ex.User && slices.Contains(f.nbrs, graph.Edge{To: item, Type: graph.Click, Weight: 1e6}) {
+			sawEdge = true
+		}
+	}
+	if !sawEdge {
+		t.Fatalf("second pass never read user %d's appended edge to %d", ex.User, item)
 	}
 }

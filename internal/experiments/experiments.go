@@ -19,7 +19,6 @@ import (
 	"zoomer/internal/engine"
 	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
-	"zoomer/internal/partition"
 )
 
 // Options configures an experiment run.
@@ -53,9 +52,7 @@ type world struct {
 func buildWorld(cfg loggen.Config, negPerPos int, seed uint64) *world {
 	cw := core.BuildWorld(cfg)
 	train, test := cw.Instances(negPerPos, seed+100)
-	eng := engine.New(cw.Graph, engine.Config{
-		Shards: 4, Strategy: partition.Hash, Locality: true,
-	})
+	eng := engine.New(cw.Graph, engine.DefaultConfig())
 	return &world{
 		logs:  cw.Logs,
 		res:   cw.Result,

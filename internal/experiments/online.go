@@ -7,10 +7,8 @@ import (
 	"zoomer/internal/abtest"
 	"zoomer/internal/baselines"
 	"zoomer/internal/core"
-	"zoomer/internal/engine"
 	"zoomer/internal/graph"
 	"zoomer/internal/loggen"
-	"zoomer/internal/partition"
 	"zoomer/internal/serve"
 	"zoomer/internal/servestack"
 )
@@ -59,14 +57,7 @@ func Table4(o Options) Table4Result {
 		maxTraffic = 60
 	}
 	traffic := abtest.TrafficFromLogs(w.logs, w.res.Mapping, maxTraffic)
-	// Each arm serves from its own live engine config (the paper's
-	// deployment runs channels on separate serving stacks); the views are
-	// bit-identical read surfaces, so the comparison isolates the models.
-	controlEng := engine.New(w.res.Graph, engine.Config{Shards: 2, Strategy: partition.DegreeBalanced, Locality: false})
-	res := abtest.RunArms(g, traffic,
-		abtest.Arm{Channel: control, View: core.EngineView{Engine: controlEng, M: w.res.Mapping}},
-		abtest.Arm{Channel: treatment, View: w.view},
-		abtest.DefaultConfig())
+	res := abtest.RunArms(g, traffic, control, treatment, abtest.DefaultConfig())
 	return Table4Result{
 		CTRLift: res.CTRLift, PPCLift: res.PPCLift, RPMLift: res.RPMLift,
 		Control: res.Control, Treatment: res.Treatment,

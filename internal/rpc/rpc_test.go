@@ -36,15 +36,15 @@ func startServer(t testing.TB, g *graph.Graph, cfg ServerConfig) (*Server, strin
 	return s, ln.Addr().String()
 }
 
-// startCluster spins one server per owned-set and dials them into a
-// remote engine.
+// startCluster spins one server per owned-set, each with the BFS row
+// layout zoomer-shard always runs, and dials them into a remote engine.
 func startCluster(t testing.TB, g *graph.Graph, shards int, strat partition.Strategy, layout [][]int) ([]*Server, *Cluster) {
 	t.Helper()
 	servers := make([]*Server, len(layout))
 	addrs := make([]string, len(layout))
 	for i, owned := range layout {
 		servers[i], addrs[i] = startServer(t, g, ServerConfig{
-			Shards: shards, Strategy: strat, Owned: owned,
+			Shards: shards, Strategy: strat, Owned: owned, Locality: true,
 		})
 	}
 	cluster, err := DialClusterWith(ClientConfig{}, addrs...)

@@ -11,8 +11,8 @@ import (
 // under a dozen egos, a tree node embedded after it was sampled — cost a
 // slice index, and the reads it can foresee (Prefetch, Expand) arrive in
 // bulk. It is scoped to one training or inference step over a graph that
-// does not change underneath it: nothing is evicted or invalidated, and
-// dropping the set drops everything it holds.
+// does not change underneath it: nothing is evicted or invalidated until
+// Reset empties the whole set for the next step.
 //
 // Remembered slices are the underlying view's own (an in-memory graph's
 // arrays, or one decoded copy per remote read); the set never copies.
@@ -24,8 +24,8 @@ type ReadSet struct {
 	slot  []int32 // node id -> 1 + index into nodes; 0 = nothing read yet
 	nodes []nodeAttrs
 
-	// blk receives every bulk fetch. Its arenas are never reset, which
-	// is what keeps the slices copied out of it valid for the set's life.
+	// blk receives every bulk fetch. Only Reset recycles its arenas,
+	// which is what keeps the slices copied out of it valid until then.
 	blk  graph.NodeBlock
 	miss []graph.NodeID
 	nbrs []graph.NodeID
@@ -34,6 +34,7 @@ type ReadSet struct {
 // nodeAttrs is what the set holds for one node; have marks which of the
 // attributes are present (an absent content vector is a present nil).
 type nodeAttrs struct {
+	id       graph.NodeID
 	have     graph.ReadFields
 	nbrs     []graph.Edge
 	features []int32
@@ -53,9 +54,21 @@ func (rs *ReadSet) at(id graph.NodeID) *nodeAttrs {
 	if s := rs.slot[id]; s != 0 {
 		return &rs.nodes[s-1]
 	}
-	rs.nodes = append(rs.nodes, nodeAttrs{})
+	rs.nodes = append(rs.nodes, nodeAttrs{id: id})
 	rs.slot[id] = int32(len(rs.nodes))
 	return &rs.nodes[len(rs.nodes)-1]
+}
+
+// Reset empties the set for the next step while keeping its storage:
+// only the slots of nodes read since the last Reset are cleared, and the
+// fetch block's arenas are recycled. Every slice the set handed out is
+// invalidated.
+func (rs *ReadSet) Reset() {
+	for i := range rs.nodes {
+		rs.slot[rs.nodes[i].id] = 0
+	}
+	rs.nodes = rs.nodes[:0]
+	rs.blk.Reset()
 }
 
 // NumNodes implements GraphView.

@@ -1,11 +1,12 @@
 // Package servestack is the one bring-up path over a world's graph.
-// Connect reaches the graph store — in-process partitions or a dialed
-// zoomer-shard cluster — and carries the only world-skew check in the
+// Connect reaches the graph store — in-process partitions laid out by
+// engine.DefaultConfig, or a dialed zoomer-shard cluster, whose layout
+// its servers chose — and carries the only world-skew check in the
 // tree; Assemble stands the serving tier up over a connected store
 // (neighbor cache, item-tower ANN index, retrieval server); Build is the
 // whole of it for zoomer-gateway: world, warm-up training and export,
 // Connect, Assemble — one call, one Close. zoomer-train connects its
-// sharded and remote views through Connect; the Fig. 9 experiment and
+// remote view through Connect; the Fig. 9 experiment and
 // examples/serving stand their tiers up through Assemble and sweep them
 // with Offer.
 package servestack
@@ -24,7 +25,6 @@ import (
 	"zoomer/internal/graph"
 	"zoomer/internal/loggen"
 	"zoomer/internal/openloop"
-	"zoomer/internal/partition"
 	"zoomer/internal/rng"
 	"zoomer/internal/rpc"
 	"zoomer/internal/serve"
@@ -35,13 +35,9 @@ import (
 type Config struct {
 	Scale      loggen.Scale
 	Seed       uint64
-	TrainSteps int // warm-up training steps before export; 0 exports the initial model
-
-	Shards   int
-	Strategy partition.Strategy
-	Remote   []string // zoomer-shard addresses; empty = in-process
-
-	Workers int // serve worker states (retrievals at once); 0 takes serve.DefaultConfig's
+	TrainSteps int      // warm-up training steps before export; 0 exports the initial model
+	Remote     []string // zoomer-shard addresses; empty = in-process
+	Workers    int      // serve worker states (retrievals at once); 0 takes serve.DefaultConfig's
 }
 
 // ErrWorldSkew reports that the dialed shard servers hold a different
@@ -59,10 +55,11 @@ type Backend struct {
 
 // Connect reaches g's graph store. With remote addresses it dials the
 // zoomer-shard cluster and refuses one that holds a different world
-// than g; without, it partitions g in-process under ecfg.
-func Connect(g *graph.Graph, ecfg engine.Config, remote []string) (*Backend, error) {
+// than g; without, it partitions g in-process under
+// engine.DefaultConfig.
+func Connect(g *graph.Graph, remote []string) (*Backend, error) {
 	if len(remote) == 0 {
-		return &Backend{Engine: engine.New(g, ecfg)}, nil
+		return &Backend{Engine: engine.New(g, engine.DefaultConfig())}, nil
 	}
 	addrs := make([]string, len(remote))
 	for i, a := range remote {
@@ -208,7 +205,7 @@ func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
 
 	logf("exporting serving weights and building index...")
 	emb := serve.NewEmbedder(model.ExportServing())
-	b, err := Connect(w.Graph, engine.Config{Shards: cfg.Shards, Strategy: cfg.Strategy, Locality: true}, cfg.Remote)
+	b, err := Connect(w.Graph, cfg.Remote)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 func tinyConfig() Config {
-	return Config{Scale: loggen.ScaleTiny, Seed: 1, TrainSteps: 5, Shards: 2, Strategy: partition.Hash}
+	return Config{Scale: loggen.ScaleTiny, Seed: 1, TrainSteps: 5}
 }
 
 // retrieve answers one request through the stack's server.
@@ -46,7 +46,7 @@ func TestBuildLocal(t *testing.T) {
 	if lines == 0 {
 		t.Fatal("bring-up reported no progress")
 	}
-	if st.Engine.NumShards() != 2 || st.Engine.NumNodes() != st.Graph.NumNodes() {
+	if st.Engine.NumShards() != engine.DefaultConfig().Shards || st.Engine.NumNodes() != st.Graph.NumNodes() {
 		t.Fatalf("engine has %d shards over %d nodes", st.Engine.NumShards(), st.Engine.NumNodes())
 	}
 	if r := retrieve(st); r.Err != nil || len(r.Items) == 0 {
@@ -120,7 +120,7 @@ func TestBuildRemoteWorldSkew(t *testing.T) {
 	}
 	// The trainer's path: Connect alone refuses the same way.
 	w := core.BuildWorld(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
-	be, err := Connect(w.Graph, engine.Config{}, cfg.Remote)
+	be, err := Connect(w.Graph, cfg.Remote)
 	if !errors.Is(err, ErrWorldSkew) || be != nil {
 		t.Fatalf("Connect: got backend %v, err %v; want ErrWorldSkew", be, err)
 	}
