@@ -38,7 +38,7 @@ test:
 # load generator's workers, and the metrics histograms every request
 # and fsync observes into concurrently.
 race:
-	go test -race ./internal/engine/... ./internal/serve/... ./internal/gateway/... ./internal/servestack/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/... ./internal/graph/... ./internal/graphbuild/... ./internal/openloop/... ./internal/obs/...
+	go test -race ./internal/core/... ./internal/engine/... ./internal/serve/... ./internal/gateway/... ./internal/servestack/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/experiments/... ./internal/abtest/... ./internal/ann/... ./internal/graph/... ./internal/graphbuild/... ./internal/openloop/... ./internal/obs/...
 
 # run_listed runs `go test -race -count=1 -run NAMES PKG` after checking
 # that every |-separated name in NAMES matches a test `go test -list`

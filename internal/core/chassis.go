@@ -51,18 +51,20 @@ type Spec struct {
 // MLP towers and the LogitScale·cosine head, and the one batched pass
 // that reads a step's regions out of the graph. A model adds a Spec.
 //
-// A chassis is used by one goroutine at a time: its sampling scratch and
-// its read set are shared by every pass (the walk samplers' visit
-// counters are only cheap reused, and the read set's node table is as
-// large as the graph).
+// A batch's pass has two halves, and Train runs them on two goroutines:
+// sampleBatch builds the regions of the next batch into one region
+// buffer while batchLogits embeds the current batch from the other.
+// Sampling reads only the view, the region spec and the buffer it fills;
+// the halves share no mutable state. Logits and UserQueryEmbedding run
+// on the chassis's own buffer; they and the other methods are used by
+// one goroutine at a time.
 type Chassis struct {
 	spec               Spec
 	cfg                Config
 	g                  GraphView
 	fe                 *FeatureEmbedder
 	towerUQ, towerItem *nn.MLP
-	sc                 *sampling.Scratch
-	rs                 *sampling.ReadSet
+	own                *regions
 }
 
 // NewChassis puts s on a chassis over view g with feature embedder fe,
@@ -76,8 +78,7 @@ func NewChassis(g GraphView, fe *FeatureEmbedder, cfg Config, towers string, r *
 		fe:        fe,
 		towerUQ:   nn.NewMLP(towers+".uq", []int{2 * d, d, cfg.OutDim}, nn.ActReLU, nn.ActNone, r.Split()),
 		towerItem: nn.NewMLP(towers+".item", []int{d, d, cfg.OutDim}, nn.ActReLU, nn.ActNone, r.Split()),
-		sc:        sampling.NewScratch(),
-		rs:        sampling.NewReadSet(g, g.Type),
+		own:       newRegions(g),
 	}
 }
 
@@ -113,30 +114,48 @@ func samplingFocal(g GraphView, u, q graph.NodeID) tensor.Vec {
 // roi is one request's pair of sampled regions.
 type roi struct{ user, query *sampling.Tree }
 
-// readSet returns the chassis's read set emptied for a new forward pass:
-// a GraphView over the bound view that fetches each attribute of each
-// node at most once and takes the reads the pass can foresee in bulk.
-// Every Logits or embedding call starts with it — the graph may change
-// between passes, never inside one.
-func (c *Chassis) readSet() *sampling.ReadSet {
-	c.rs.Reset()
-	return c.rs
+// regions is one batch's region buffer: the read set every graph read of
+// the batch's pass goes through, the scratch its trees live in, and the
+// trees, one roi per request. Everything in it stays valid until the
+// buffer is sampled into again.
+type regions struct {
+	rs   *sampling.ReadSet
+	sc   *sampling.Scratch
+	rois []roi
+	ids  []graph.NodeID // bulk-read staging
+}
+
+// newRegions returns an empty region buffer over view g.
+func newRegions(g GraphView) *regions {
+	return &regions{rs: sampling.NewReadSet(g, g.Type), sc: sampling.NewScratch()}
+}
+
+// newRegions implements Model.
+func (c *Chassis) newRegions() *regions { return newRegions(c.g) }
+
+// sampleBatch implements Model: the batch's regions, with the features
+// of their nodes and of the batch's items read.
+func (c *Chassis) sampleBatch(b *regions, batch []Instance, r *rng.RNG) {
+	c.sampleROIs(b, batch, true, r)
 }
 
 // sampleROIs is the one region-construction path of every model, in
-// training and inference, over every kind of view. All graph reads of
-// the pass go through rs: the focal points' adjacency (and content, for
-// a focal-biased region) arrive in one bulk read, the region trees are
-// built request by request in the order — and so with the RNG stream —
-// they always were (BuildTree reads one level ahead of its depth-first
-// walk), and the features of every node the embedding will touch — the
-// trees' nodes plus extra, the batch's items — arrive in one last bulk
-// read. What follows runs on slice lookups. The trees live in the
-// chassis's scratch until the next pass.
-func (c *Chassis) sampleROIs(rs *sampling.ReadSet, batch []Instance, extra []graph.NodeID, r *rng.RNG) []roi {
+// training and inference, over every kind of view. It empties b — the
+// graph may change between passes, never inside one — and every graph
+// read of the pass goes through b's read set: the focal points'
+// adjacency (and content, for a focal-biased region) arrive in one bulk
+// read, the region trees are built request by request in the order — and
+// so with the RNG stream — they always were (BuildTree reads one level
+// ahead of its depth-first walk), and the features of every node the
+// embedding will touch — the batch's items when items is set, then the
+// trees' nodes — arrive in one last bulk read. What follows runs on
+// slice lookups.
+func (c *Chassis) sampleROIs(b *regions, batch []Instance, items bool, r *rng.RNG) {
 	reg := c.spec.Region
-	c.sc.Reset()
-	ids := make([]graph.NodeID, 0, 3*len(batch))
+	rs := b.rs
+	rs.Reset()
+	b.sc.Reset()
+	ids := b.ids[:0]
 	for _, ex := range batch {
 		ids = append(ids, ex.User, ex.Query)
 	}
@@ -148,21 +167,27 @@ func (c *Chassis) sampleROIs(rs *sampling.ReadSet, batch []Instance, extra []gra
 	if reg.Hops > 0 {
 		rs.Expand(ids, reg.Sampler.NeighborReads())
 	}
-	rois := make([]roi, len(batch))
-	for i, ex := range batch {
+	b.rois = b.rois[:0]
+	for _, ex := range batch {
 		var fc tensor.Vec
 		if reg.Focal {
 			fc = samplingFocal(rs, ex.User, ex.Query)
 		}
-		rois[i].user = sampling.BuildTree(rs, ex.User, fc, reg.Hops, reg.FanOut, reg.Sampler, r, c.sc)
-		rois[i].query = sampling.BuildTree(rs, ex.Query, fc, reg.Hops, reg.FanOut, reg.Sampler, r, c.sc)
+		user := sampling.BuildTree(rs, ex.User, fc, reg.Hops, reg.FanOut, reg.Sampler, r, b.sc)
+		query := sampling.BuildTree(rs, ex.Query, fc, reg.Hops, reg.FanOut, reg.Sampler, r, b.sc)
+		b.rois = append(b.rois, roi{user, query})
 	}
-	ids = append(ids[:0], extra...)
-	for _, roi := range rois {
+	ids = ids[:0]
+	if items {
+		for _, ex := range batch {
+			ids = append(ids, ex.Item)
+		}
+	}
+	for _, roi := range b.rois {
 		ids = roi.query.AppendNodes(roi.user.AppendNodes(ids))
 	}
 	rs.Prefetch(ids, graph.ReadFeatures)
-	return rois
+	b.ids = ids
 }
 
 // uqForward runs the model's request tower over one request's regions
@@ -178,30 +203,29 @@ func (c *Chassis) itemBase(t *ad.Tape, g GraphView, item graph.NodeID) *ad.Node 
 	return c.towerItem.Forward(t, t.MeanRows(c.fe.featureMatrix(t, g, item)))
 }
 
-// Logits implements Model: per-example twin-tower cosine scores scaled
-// into logits. The batch's regions are sampled first, through the read
-// set emptied for this call, then embedded.
-func (c *Chassis) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
-	rs := c.readSet()
-	items := make([]graph.NodeID, len(batch))
-	for i, ex := range batch {
-		items[i] = ex.Item
-	}
-	rois := c.sampleROIs(rs, batch, items, r)
+// batchLogits implements Model: per-example twin-tower cosine scores,
+// scaled into logits, of a batch sampled into b.
+func (c *Chassis) batchLogits(t *ad.Tape, b *regions, batch []Instance) *ad.Node {
 	rows := t.Nodes(len(batch))
 	for i, ex := range batch {
-		uq := c.uqForward(t, rs, rois[i])
-		it := c.itemBase(t, rs, ex.Item)
+		uq := c.uqForward(t, b.rs, b.rois[i])
+		it := c.itemBase(t, b.rs, ex.Item)
 		rows[i] = t.Scale(c.cfg.LogitScale, t.CosineSim(uq, it))
 	}
 	return t.ConcatRows(rows...)
 }
 
+// Logits implements Model: the two halves, one after the other, on the
+// chassis's own region buffer.
+func (c *Chassis) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
+	c.sampleBatch(c.own, batch, r)
+	return c.batchLogits(t, c.own, batch)
+}
+
 // UserQueryEmbedding implements Model (inference path: forward only).
 func (c *Chassis) UserQueryEmbedding(u, q graph.NodeID, r *rng.RNG) tensor.Vec {
-	rs := c.readSet()
-	rois := c.sampleROIs(rs, []Instance{{User: u, Query: q}}, nil, r)
-	return tensor.Copy(c.uqForward(ad.NewTape(), rs, rois[0]).Val.Row(0))
+	c.sampleROIs(c.own, []Instance{{User: u, Query: q}}, false, r)
+	return tensor.Copy(c.uqForward(ad.NewTape(), c.own.rs, c.own.rois[0]).Val.Row(0))
 }
 
 // ItemEmbedding implements Model.

@@ -353,10 +353,11 @@ func BenchmarkZoomerStep(b *testing.B) {
 	z := NewZoomer(w.res.Graph, w.logs.Vocab(), tinyModelConfig(), 15)
 	r := rng.New(1)
 	tr := newTrainer(z, DefaultTrainConfig())
+	buf := z.newRegions()
 	batch := w.train[:16]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.step(batch, r)
+		serialStep(tr, buf, batch, r)
 	}
 }

@@ -91,8 +91,16 @@ func (w *World) Instances(negPerPos int, seed uint64) (train, test []Instance) {
 // Model is the contract shared by Zoomer and every baseline: batched logit
 // computation for training, parameter/table enumeration for optimizers,
 // and embedding export for retrieval (hit-rate and ANN serving). Every
-// Model in this repository is a Chassis. A model is used by one goroutine
-// at a time: its passes share one sampling scratch.
+// Model in this repository is a Chassis.
+//
+// A batch's forward pass is two halves, and Train drives them through
+// the Model it is given: sampleBatch builds the batch's regions into a
+// region buffer, batchLogits embeds them. Train samples the next batch
+// on a second goroutine while the current one is embedded, so the view
+// a model reads must be safe for concurrent reads (*graph.Graph and
+// EngineView are): a tower that reads past its prefetched regions —
+// STAMP's click history — reads the view while the next batch's
+// sampling does. Every other method is used by one goroutine at a time.
 type Model interface {
 	// Name identifies the model in experiment output.
 	Name() string
@@ -107,4 +115,14 @@ type Model interface {
 	UserQueryEmbedding(u, q graph.NodeID, r *rng.RNG) tensor.Vec
 	// ItemEmbedding returns the item-side tower output.
 	ItemEmbedding(item graph.NodeID, r *rng.RNG) tensor.Vec
+
+	// newRegions returns an empty region buffer over the model's view.
+	newRegions() *regions
+	// sampleBatch samples batch's regions into b with r, reading every
+	// graph attribute batchLogits will need. It touches nothing but b,
+	// r and the view.
+	sampleBatch(b *regions, batch []Instance, r *rng.RNG)
+	// batchLogits returns the n x 1 logits of batch, whose regions b
+	// holds. It reads no RNG.
+	batchLogits(t *ad.Tape, b *regions, batch []Instance) *ad.Node
 }

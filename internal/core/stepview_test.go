@@ -35,28 +35,42 @@ func (v perNodeView) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, into
 }
 
 // legacyZoomer is the reference the read-set path is pinned against: the
-// forward pass as it ran before — request by request, every graph read a
-// single-node call straight on the bound view, trees embedded as soon as
-// they are built, the scratch arena recycled per request.
+// forward pass as it ran before — every graph read a single-node call
+// straight on the bound view, no read set. Train drives it through its
+// own two halves, so the reference leg never runs the chassis's.
 type legacyZoomer struct{ *Zoomer }
 
-func (l legacyZoomer) uq(t *ad.Tape, u, q graph.NodeID, r *rng.RNG, sc *sampling.Scratch) *ad.Node {
+// sampleBatch builds each request's two trees in turn, reading the view
+// node by node.
+func (l legacyZoomer) sampleBatch(b *regions, batch []Instance, r *rng.RNG) {
+	b.sc.Reset()
+	b.rois = b.rois[:0]
+	for _, ex := range batch {
+		b.rois = append(b.rois, l.sample(ex.User, ex.Query, r, b.sc))
+	}
+}
+
+func (l legacyZoomer) sample(u, q graph.NodeID, r *rng.RNG, sc *sampling.Scratch) roi {
 	z := l.Zoomer
-	C := z.focalVector(t, z.g, u, q)
 	fc := samplingFocal(z.g, u, q)
-	sc.Reset()
-	treeU := sampling.BuildTree(z.g, u, fc, z.cfg.Hops, z.cfg.FanOut, z.spec.Region.Sampler, r, sc)
-	treeQ := sampling.BuildTree(z.g, q, fc, z.cfg.Hops, z.cfg.FanOut, z.spec.Region.Sampler, r, sc)
-	hu := z.embedTree(t, z.g, treeU, C, z.attnUser.Node(t))
-	hq := z.embedTree(t, z.g, treeQ, C, z.attnQuery.Node(t))
+	user := sampling.BuildTree(z.g, u, fc, z.cfg.Hops, z.cfg.FanOut, z.spec.Region.Sampler, r, sc)
+	query := sampling.BuildTree(z.g, q, fc, z.cfg.Hops, z.cfg.FanOut, z.spec.Region.Sampler, r, sc)
+	return roi{user, query}
+}
+
+func (l legacyZoomer) uq(t *ad.Tape, roi roi) *ad.Node {
+	z := l.Zoomer
+	C := z.focalVector(t, z.g, roi.user.Node, roi.query.Node)
+	hu := z.embedTree(t, z.g, roi.user, C, z.attnUser.Node(t))
+	hq := z.embedTree(t, z.g, roi.query, C, z.attnQuery.Node(t))
 	return z.towerUQ.Forward(t, t.ConcatCols(hu, hq))
 }
 
-func (l legacyZoomer) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
-	sc := sampling.NewScratch()
+// batchLogits embeds request by request, reading the view node by node.
+func (l legacyZoomer) batchLogits(t *ad.Tape, b *regions, batch []Instance) *ad.Node {
 	rows := make([]*ad.Node, len(batch))
 	for i, ex := range batch {
-		uq := l.uq(t, ex.User, ex.Query, r, sc)
+		uq := l.uq(t, b.rois[i])
 		it := l.itemBase(t, l.g, ex.Item)
 		rows[i] = t.Scale(l.cfg.LogitScale, t.CosineSim(uq, it))
 	}
@@ -64,7 +78,7 @@ func (l legacyZoomer) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node 
 }
 
 func (l legacyZoomer) UserQueryEmbedding(u, q graph.NodeID, r *rng.RNG) tensor.Vec {
-	out := l.uq(ad.NewTape(), u, q, r, sampling.NewScratch())
+	out := l.uq(ad.NewTape(), l.sample(u, q, r, sampling.NewScratch()))
 	return tensor.Copy(out.Val.Row(0))
 }
 

@@ -8,12 +8,20 @@ import (
 	"zoomer/internal/rng"
 )
 
+// serialStep samples batch into b, then steps on it: one training step
+// with nothing overlapped.
+func serialStep(tr *trainer, b *regions, batch []Instance, r *rng.RNG) float64 {
+	tr.m.sampleBatch(b, batch, r)
+	return tr.step(batch, b)
+}
+
 // trainSteps runs n optimizer steps of a fresh default-config Zoomer over
 // w and returns the loss trace and the model. With fresh set, every step
 // gets a new tape instead of the trainer's reused one.
 func trainSteps(w *tinyWorld, n int, fresh bool) ([]float64, *Zoomer) {
 	z := NewZoomer(w.res.Graph, w.logs.Vocab(), DefaultConfig(), 21)
 	tr := newTrainer(z, DefaultTrainConfig())
+	buf := z.newRegions()
 	r := rng.New(22)
 	losses := make([]float64, n)
 	for i := range losses {
@@ -21,7 +29,7 @@ func trainSteps(w *tinyWorld, n int, fresh bool) ([]float64, *Zoomer) {
 			tr.tape = ad.NewTape()
 		}
 		lo := (i * 32) % (len(w.train) - 32)
-		losses[i] = tr.step(w.train[lo:lo+32], r)
+		losses[i] = serialStep(tr, buf, w.train[lo:lo+32], r)
 	}
 	return losses, z
 }
@@ -68,11 +76,12 @@ func TestTrainStepAllocs(t *testing.T) {
 	w := buildTinyWorld(t, 32)
 	z := NewZoomer(w.res.Graph, w.logs.Vocab(), DefaultConfig(), 23)
 	tr := newTrainer(z, DefaultTrainConfig())
+	buf := z.newRegions()
 	r := rng.New(24)
 	step := 0
 	next := func() {
 		lo := (step * 32) % (len(w.train) - 32)
-		tr.step(w.train[lo:lo+32], r)
+		serialStep(tr, buf, w.train[lo:lo+32], r)
 		step++
 	}
 	for range 20 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"zoomer/internal/baselines"
@@ -197,20 +198,21 @@ func (r Fig12Result) String() string {
 // graph view. A model reads a node's features exactly when it embeds the
 // node, and a step's read set fetches each node once, so the count per
 // step is the number of distinct subgraph nodes the step embeds.
-// Training is single-threaded, so a plain counter does.
+// Training samples the next batch while a tower may still read, so the
+// counter is atomic.
 type embedCounter struct {
 	core.GraphView
-	n int
+	n atomic.Int64
 }
 
 func (c *embedCounter) Features(id graph.NodeID) []int32 {
-	c.n++
+	c.n.Add(1)
 	return c.GraphView.Features(id)
 }
 
 func (c *embedCounter) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, into *graph.NodeBlock) {
 	if fields&graph.ReadFeatures != 0 {
-		c.n += len(ids)
+		c.n.Add(int64(len(ids)))
 	}
 	c.GraphView.ReadNodes(ids, fields, into)
 }
@@ -254,8 +256,8 @@ func Fig12(o Options) Fig12Result {
 		}
 		// Count the training steps only: the closing evaluation reads
 		// through the same view.
-		start, embedded := g.n, 0
-		tc.OnStep = func(int, float64) { embedded = g.n - start }
+		start, embedded := g.n.Load(), int64(0)
+		tc.OnStep = func(int, float64) { embedded = g.n.Load() - start }
 		res := core.Train(m, w.train, w.test, tc)
 		if m.Name() == "zoomer" {
 			zoomerTime = res.Duration
