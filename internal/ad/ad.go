@@ -21,8 +21,31 @@
 // Parameters live outside the tape (see package nn); they join a forward
 // pass via Tape.Watch, which wires a persistent gradient buffer into the
 // tape so that optimizers can read accumulated gradients after Backward.
-// Embedding tables join via Tape.Gather, which scatters row gradients
-// into a GradSink.
+// Embedding tables join via Tape.GatherSlots, which scatters row
+// gradients into a GradSink.
+//
+// Zoomer's per-node chains are fused ops, one node each where the
+// compositions of primitive ops they replace recorded from 4 (a user's
+// feature matrix) to 3m+4 (edge attention over m rows):
+//
+//   - GatherSlots: a node's feature matrix, one row per slot, each
+//     gathered from its own table, a Mean slot averaging its rows
+//     (ConcatRows over a gather per slot, MeanRows over a Mean slot's).
+//   - SlotAttention: softmax(H·cᵀ/√d)·H, the feature level (MatMul,
+//     transposes, Scale, SoftmaxRows, MatMul).
+//   - EdgeAttention: softmax_j(LeakyReLU([q ‖ k_j ‖ c]·a))·K over one
+//     neighbor type, the edge level (per row ConcatCols, MatMul and
+//     LeakyReLU; ConcatCols, SoftmaxRows, ConcatRows and MatMul).
+//
+// A fused op is bit-identical to its composition. Its forward does the
+// composition's float ops on the same operands in the same order,
+// GemmAcc's zero-skipped serial sums and Axpy-kernel rows included. Its
+// backward replays, for every gradient buffer it touches, the adds the
+// reversed composition made, in their order: an intermediate gradient
+// the composition carved fresh is 0 + x, never x, because of −0; sibling
+// rows are walked last to first; and sinks get their AddRowGrad calls in
+// the composition's order. TestFusedOpsMatchComposition holds each op to
+// its composition, written in the primitive ops, bit for bit.
 package ad
 
 import (
@@ -59,6 +82,9 @@ const (
 	opTranspose
 	opScaleBy
 	opGather
+	opGatherSlots
+	opSlotAttention
+	opEdgeAttention
 )
 
 // Node is one value in a computation graph: an output matrix plus what
@@ -72,19 +98,22 @@ type Node struct {
 	grad []float32
 
 	a, b      *Node
-	ins       []*Node // ConcatCols/ConcatRows operands
-	aux       *aux    // Gather's and the losses' operands
+	ins       []*Node // ConcatCols/ConcatRows operands; EdgeAttention's a, then its rows
+	aux       *aux    // the gathers', the losses' and the attention ops' operands
 	tape      *Tape
-	alpha     float32 // Scale and LeakyReLU
+	alpha     float32 // Scale's factor; LeakyReLU's and EdgeAttention's slope
 	op        opKind
 	needsGrad bool
 }
 
 // aux holds the operands of the ops whose operands are not nodes.
 type aux struct {
-	ids     []int32   // Gather's rows
-	sink    GradSink  // Gather's gradient destination
+	ids     []int32   // gather's rows
+	sink    GradSink  // gather's gradient destination
+	slots   []Slot    // GatherSlots' slots, their IDs copied into the tape
 	targets []float32 // the losses' labels
+	weights []float32 // the attention ops' softmax weights
+	scores  []float32 // EdgeAttention's scores before LeakyReLU
 	gamma   float64   // FocalBCEWithLogits
 }
 
@@ -121,7 +150,7 @@ func (n *Node) row(data []float32, i int) []float32 {
 }
 
 // GradSink receives the gradient of rows gathered from storage outside
-// the tape (Tape.Gather): an embedding table's sparse gradient.
+// the tape (Tape.GatherSlots): an embedding table's sparse gradient.
 type GradSink interface {
 	// AddRowGrad accumulates grad into the gradient of row id. grad is
 	// only valid during the call.
@@ -188,7 +217,10 @@ type Tape struct {
 	floats slab[float32]
 	ptrs   slab[*Node]
 	ids    slab[int32]
+	slots  slab[Slot]
 	bytes  int
+	// scr is the fused ops' backward scratch, reused by each.
+	scr []float32
 }
 
 // NewTape returns an empty tape.
@@ -199,6 +231,7 @@ func NewTape() *Tape {
 		floats: slab[float32]{size: floatChunk},
 		ptrs:   slab[*Node]{size: ptrChunk},
 		ids:    slab[int32]{size: idChunk},
+		slots:  slab[Slot]{size: nodeChunk},
 	}
 }
 
@@ -211,6 +244,7 @@ func (t *Tape) Reset() {
 	t.floats.rewind()
 	t.ptrs.rewind()
 	t.ids.rewind()
+	t.slots.rewind()
 	t.bytes = 0
 }
 
@@ -269,10 +303,21 @@ func (t *Tape) Watch(val, grad *tensor.Matrix) *Node {
 	return n
 }
 
-// Gather introduces the rows ids of table as a len(ids) x table.Cols
+// scratch returns n floats of the tape's backward scratch, contents
+// arbitrary.
+func (t *Tape) scratch(n int) []float32 {
+	if cap(t.scr) < n {
+		t.scr = make([]float32, n)
+	}
+	return t.scr[:n]
+}
+
+// gather introduces the rows ids of table as a len(ids) x table.Cols
 // node. The rows are copied, and so are the ids; when sink is non-nil,
 // Backward hands it each gathered row's gradient, in row order.
-func (t *Tape) Gather(table *tensor.Matrix, ids []int32, sink GradSink) *Node {
+// GatherSlots is the gather models use; this one is the primitive its
+// composition is written in.
+func (t *Tape) gather(table *tensor.Matrix, ids []int32, sink GradSink) *Node {
 	out := t.node(opGather, len(ids), table.Cols, sink != nil, nil, nil)
 	for i, id := range ids {
 		copy(out.Val.Row(i), table.Row(int(id)))
@@ -409,13 +454,10 @@ func (n *Node) backward() {
 		for i := 0; i < a.Rows(); i++ {
 			y := n.Val.Row(i)
 			dy := n.row(og, i)
-			var dot float64
-			for j := range y {
-				dot += float64(y[j]) * float64(dy[j])
-			}
+			dot := softmaxDot(y, dy)
 			dst := a.row(g, i)
 			for j := range y {
-				dst[j] += y[j] * (dy[j] - float32(dot))
+				dst[j] += y[j] * (dy[j] - dot)
 			}
 		}
 	case opSigmoid:
@@ -500,9 +542,25 @@ func (n *Node) backward() {
 		for i, id := range n.aux.ids {
 			n.aux.sink.AddRowGrad(id, n.row(og, i))
 		}
+	case opGatherSlots:
+		n.gatherSlotsBackward()
+	case opSlotAttention:
+		n.slotAttentionBackward()
+	case opEdgeAttention:
+		n.edgeAttentionBackward()
 	default:
 		panic(fmt.Sprintf("ad: no backward for op %d", n.op))
 	}
+}
+
+// softmaxDot is y·dy in float64, rounded: the term SoftmaxRows' backward
+// subtracts from each dy.
+func softmaxDot(y, dy []float32) float32 {
+	var dot float64
+	for j := range y {
+		dot += float64(y[j]) * float64(dy[j])
+	}
+	return float32(dot)
 }
 
 // addTo accumulates src into dst element-wise.
@@ -867,8 +925,9 @@ func focalTerm(x32, z32 float32, gamma float64) (loss, grad float64) {
 	return loss, (dpos + dneg) * p * q // chain through dp/dx = p(1-p)
 }
 
-// Transpose returns aᵀ.
-func (t *Tape) Transpose(a *Node) *Node {
+// transpose returns aᵀ: a primitive SlotAttention's composition is
+// written in.
+func (t *Tape) transpose(a *Node) *Node {
 	out := t.node(opTranspose, a.Cols(), a.Rows(), a.needsGrad, a, nil)
 	for i := 0; i < a.Rows(); i++ {
 		for j := 0; j < a.Cols(); j++ {

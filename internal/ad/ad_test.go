@@ -305,7 +305,7 @@ func TestGradGather(t *testing.T) {
 	checkGrad(t, "gather", 4, 3, 70, func(tp *Tape, p *Node) *Node {
 		w := constMat(tp, rng.New(71), len(ids), 3)
 		grad := &tensor.Matrix{Rows: p.Rows(), Cols: p.Cols(), Data: p.grad}
-		return tp.sumAll(tp.Mul(tp.Gather(&p.Val, ids, rowSink{grad}), w))
+		return tp.sumAll(tp.Mul(tp.gather(&p.Val, ids, rowSink{grad}), w))
 	})
 }
 
@@ -314,7 +314,7 @@ func TestGatherCopiesRowsAndIDs(t *testing.T) {
 	grad := tensor.NewMatrix(3, 2)
 	ids := []int32{2, 0}
 	tp := NewTape()
-	n := tp.Gather(table, ids, rowSink{grad})
+	n := tp.gather(table, ids, rowSink{grad})
 	ids[0], table.Data[4] = 1, 50 // neither may reach the node
 	if want := []float32{5, 6, 1, 2}; !equalBits(n.Val.Data, want) {
 		t.Fatalf("gathered %v, want %v", n.Val.Data, want)
@@ -324,7 +324,7 @@ func TestGatherCopiesRowsAndIDs(t *testing.T) {
 		t.Fatalf("row grads %v, want %v", grad.Data, want)
 	}
 	// Without a sink the rows are constants.
-	if c := tp.Gather(table, ids, nil); c.needsGrad {
+	if c := tp.gather(table, ids, nil); c.needsGrad {
 		t.Fatal("sinkless gather needs a gradient")
 	}
 }
@@ -348,11 +348,11 @@ func mlpCycle(tp *Tape, x, w1, w2 *tensor.Matrix, targets []float32) (loss float
 	g1 := tensor.NewMatrix(w1.Rows, w1.Cols)
 	g2 := tensor.NewMatrix(w2.Rows, w2.Cols)
 	h := tp.ReLU(tp.MatMul(tp.Const(x), tp.Watch(w1, g1)))
-	hm := tp.MeanRows(tp.Transpose(h))
+	hm := tp.MeanRows(tp.transpose(h))
 	nrm := tp.Sqrt(tp.sumAll(tp.Mul(h, h)))
 	att := tp.SoftmaxRows(tp.MeanRows(tp.ConcatRows(hm, tp.ScaleBy(nrm, hm))))
 	logits := tp.MatMul(tp.Const(x), tp.Watch(w2, g2))
-	logits = tp.Add(logits, tp.Scale(0.5, tp.Transpose(att)))
+	logits = tp.Add(logits, tp.Scale(0.5, tp.transpose(att)))
 	logits = tp.AddBias(logits, tp.Tanh(tp.CosineSim(hm, att)))
 	l := tp.FocalBCEWithLogits(logits, targets, 2)
 	tp.Backward(l)
@@ -436,7 +436,7 @@ func TestMatMulAgainstNaive(t *testing.T) {
 func TestTransposeInvolution(t *testing.T) {
 	tp := NewTape()
 	m := constMat(tp, rng.New(7), 3, 4)
-	if tt := tp.Transpose(tp.Transpose(m)); !equalBits(tt.Val.Data, m.Val.Data) || tt.Rows() != 3 {
+	if tt := tp.transpose(tp.transpose(m)); !equalBits(tt.Val.Data, m.Val.Data) || tt.Rows() != 3 {
 		t.Fatal("transpose twice is not identity")
 	}
 }
@@ -482,7 +482,7 @@ func BenchmarkForwardBackwardMLP(b *testing.B) {
 func TestGradTranspose(t *testing.T) {
 	checkGrad(t, "transpose", 2, 3, 60, func(tp *Tape, p *Node) *Node {
 		w := constMat(tp, rng.New(61), 3, 2)
-		return tp.sumAll(tp.Mul(tp.Transpose(p), w))
+		return tp.sumAll(tp.Mul(tp.transpose(p), w))
 	})
 }
 

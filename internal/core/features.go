@@ -66,31 +66,18 @@ func (fe *FeatureEmbedder) Tables() []*nn.EmbeddingTable {
 
 // featureMatrix gathers node id's feature latent vectors as a
 // slot-count x Dim node H — the input of the feature-projection level
-// (eq. 6). Term slots average the node's title-term embeddings.
+// (eq. 6) — in one op. Term slots average the node's title-term
+// embeddings.
 func (fe *FeatureEmbedder) featureMatrix(t *ad.Tape, g GraphView, id graph.NodeID) *ad.Node {
-	feats := g.Features(id)
+	f := g.Features(id)
 	switch g.Type(id) {
 	case graph.User:
-		return t.ConcatRows(
-			fe.UserID.LookupOne(t, feats[0]),
-			fe.Gender.LookupOne(t, feats[1]),
-			fe.Member.LookupOne(t, feats[2]),
-		)
-	case graph.Query:
-		// feats = [category, terms...]
-		return t.ConcatRows(
-			fe.Category.LookupOne(t, feats[0]),
-			t.MeanRows(fe.Term.Lookup(t, feats[1:])),
-		)
-	case graph.Item:
-		// feats = [id, category, brand, shop, terms...]
-		return t.ConcatRows(
-			fe.ItemID.LookupOne(t, feats[0]),
-			fe.Category.LookupOne(t, feats[1]),
-			fe.Brand.LookupOne(t, feats[2]),
-			fe.Shop.LookupOne(t, feats[3]),
-			t.MeanRows(fe.Term.Lookup(t, feats[4:])),
-		)
+		return t.GatherSlots(fe.UserID.Slot(f[:1], false), fe.Gender.Slot(f[1:2], false), fe.Member.Slot(f[2:3], false))
+	case graph.Query: // [category, terms...]
+		return t.GatherSlots(fe.Category.Slot(f[:1], false), fe.Term.Slot(f[1:], true))
+	case graph.Item: // [id, category, brand, shop, terms...]
+		return t.GatherSlots(fe.ItemID.Slot(f[:1], false), fe.Category.Slot(f[1:2], false),
+			fe.Brand.Slot(f[2:3], false), fe.Shop.Slot(f[3:4], false), fe.Term.Slot(f[4:], true))
 	default:
 		panic(fmt.Sprintf("core: unknown node type %v", g.Type(id)))
 	}

@@ -72,24 +72,34 @@ func TestTapeReuseMatchesFreshTape(t *testing.T) {
 // BenchmarkTrainStepLocal. The step used to make ~758 000.
 const stepAllocBudget = 5000
 
+// stepTapeBudget bounds the nodes one steady-state 32-example step
+// records on its tape, ~3 % over the ~28 150 (at most) the fused gather
+// and attention ops leave. Before them a step recorded ~100 400.
+const stepTapeBudget = 29000
+
 func TestTrainStepAllocs(t *testing.T) {
 	w := buildTinyWorld(t, 32)
 	z := NewZoomer(w.res.Graph, w.logs.Vocab(), DefaultConfig(), 23)
 	tr := newTrainer(z, DefaultTrainConfig())
 	buf := z.newRegions()
 	r := rng.New(24)
-	step := 0
+	step, nodes, bytes := 0, 0, 0
 	next := func() {
 		lo := (step * 32) % (len(w.train) - 32)
 		serialStep(tr, buf, w.train[lo:lo+32], r)
 		step++
+		nodes, bytes = max(nodes, tr.tape.Len()), max(bytes, tr.tape.Bytes())
 	}
 	for range 20 {
 		next() // grow the tape's slabs and the tables' moment state
 	}
+	nodes, bytes = 0, 0
 	allocs := testing.AllocsPerRun(10, next)
-	t.Logf("%.0f allocations per step, tape %d nodes, %d bytes", allocs, tr.tape.Len(), tr.tape.Bytes())
+	t.Logf("%.0f allocations per step, tape up to %d nodes and %d bytes", allocs, nodes, bytes)
 	if allocs > stepAllocBudget {
 		t.Fatalf("a steady-state step makes %.0f allocations, budget %d", allocs, stepAllocBudget)
+	}
+	if nodes > stepTapeBudget {
+		t.Fatalf("a steady-state step records %d tape nodes, budget %d", nodes, stepTapeBudget)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"io"
-	"math"
 
 	"zoomer/internal/ad"
 	"zoomer/internal/graph"
@@ -145,10 +144,7 @@ func (z *Zoomer) featureLevel(t *ad.Tape, H, C *ad.Node) *ad.Node {
 	if !z.cfg.UseFeatureProj {
 		return t.MeanRows(H)
 	}
-	// scores = H·Cᵀ/√d  (n x 1), softmaxed across slots.
-	scores := t.Scale(1/float32(math.Sqrt(float64(z.cfg.EmbedDim))), t.MatMul(H, t.Transpose(C)))
-	w := t.SoftmaxRows(t.Transpose(scores)) // 1 x n
-	return t.MatMul(w, H)                   // 1 x d: Σ w_i · H_i
+	return t.SlotAttention(H, C) // softmax(H·Cᵀ/√d)·H
 }
 
 // edgeLevel applies eq. (8)–(9) to one neighbor type: focal-conditioned
@@ -156,18 +152,14 @@ func (z *Zoomer) featureLevel(t *ad.Tape, H, C *ad.Node) *ad.Node {
 // feature-level embedding, C the focal vector, a the attention vector.
 // With the ablation off it mean-pools the neighbors.
 func (z *Zoomer) edgeLevel(t *ad.Tape, zf, C *ad.Node, nbrs []*ad.Node, a *ad.Node) *ad.Node {
-	stack := t.ConcatRows(nbrs...)
 	if !z.cfg.UseEdgeAttn {
-		return t.MeanRows(stack)
+		return t.MeanRows(t.ConcatRows(nbrs...))
 	}
-	scores := t.Nodes(len(nbrs))
-	for i, zj := range nbrs {
-		cat := t.ConcatCols(zf, zj, C) // [(Z_i ‖ Z_j) ‖ Z_c]
-		scores[i] = t.LeakyReLU(0.2, t.MatMul(cat, a))
-	}
-	w := t.SoftmaxRows(t.ConcatCols(scores...)) // 1 x m
-	return t.MatMul(w, stack)                   // Σ e_ij · Z_j
+	return t.EdgeAttention(leakySlope, zf, C, a, nbrs) // Σ_j e_ij · Z_j
 }
+
+// leakySlope is the edge level's LeakyReLU slope (GAT's 0.2).
+const leakySlope = 0.2
 
 // semanticLevel applies eq. (10)–(11): per-type aggregates are combined
 // with weights cos(ego, aggregate). With the ablation off it mean-pools
@@ -250,17 +242,12 @@ func (z *Zoomer) requestTower(p Pass, user, query *sampling.Tree) (hu, hq *ad.No
 func (z *Zoomer) EdgeAttentionWeights(ego graph.NodeID, focalU, focalQ graph.NodeID, neighbors []graph.NodeID) []float32 {
 	t := ad.NewTape()
 	C := z.focalVector(t, z.g, focalU, focalQ)
-	H := z.fe.featureMatrix(t, z.g, ego)
-	zf := z.featureLevel(t, H, C)
-	a := z.attnUser.Node(t)
-	scores := make([]*ad.Node, len(neighbors))
+	zf := z.featureLevel(t, z.fe.featureMatrix(t, z.g, ego), C)
+	nbrs := t.Nodes(len(neighbors))
 	for i, nb := range neighbors {
-		Hn := z.fe.featureMatrix(t, z.g, nb)
-		zn := z.featureLevel(t, Hn, C)
-		scores[i] = t.LeakyReLU(0.2, t.MatMul(t.ConcatCols(zf, zn, C), a))
+		nbrs[i] = z.featureLevel(t, z.fe.featureMatrix(t, z.g, nb), C)
 	}
-	w := t.SoftmaxRows(t.ConcatCols(scores...))
-	return tensor.Copy(w.Val.Row(0))
+	return tensor.Copy(t.EdgeAttention(leakySlope, zf, C, z.attnUser.Node(t), nbrs).AttentionWeights())
 }
 
 // Save writes a checkpoint of all trainable state (dense parameters and

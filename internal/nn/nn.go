@@ -143,17 +143,24 @@ func (m *MLP) Params() []*Param {
 // accumulation: only rows looked up during a step carry gradients, and
 // Adam moment state is allocated per-row on first touch — the structure of
 // the paper's parameter-server embedding storage.
+//
+// Pending gradients and Adam moments live in flat slabs, found through
+// dense row→slot indexes (one int32 per vocabulary row).
 type EmbeddingTable struct {
 	Name string
 	Dim  int
 	rows *tensor.Matrix
 
-	grads map[int32][]float32
-	// spare holds gradient rows a cleared step gave back, reused before
-	// any new row is made.
-	spare [][]float32
-	// Per-row Adam moments, lazily allocated.
-	adamM, adamV map[int32][]float32
+	// Pending sparse gradients: row id's is slot gradAt[id]-1 of grads
+	// (0: none), touched lists those rows in slot order. ZeroGrad keeps
+	// grads' memory for the next step.
+	gradAt  []int32
+	touched []int32
+	grads   []float32
+	// Per-row Adam moments, allocated on a row's first update: row id's
+	// are slot momentAt[id]-1 of adamM and adamV (0: none yet).
+	momentAt     []int32
+	adamM, adamV []float32
 	adamT        int
 }
 
@@ -164,10 +171,10 @@ func NewEmbeddingTable(name string, vocab, dim int, r *rng.RNG) *EmbeddingTable 
 		panic("nn: embedding table needs positive vocab and dim")
 	}
 	e := &EmbeddingTable{
-		Name:  name,
-		Dim:   dim,
-		rows:  tensor.NewMatrix(vocab, dim),
-		grads: make(map[int32][]float32),
+		Name:   name,
+		Dim:    dim,
+		rows:   tensor.NewMatrix(vocab, dim),
+		gradAt: make([]int32, vocab),
 	}
 	limit := float32(1 / math.Sqrt(float64(dim)))
 	for i := range e.rows.Data {
@@ -183,64 +190,64 @@ func (e *EmbeddingTable) Vocab() int { return e.rows.Rows }
 // inference-time embedding export.
 func (e *EmbeddingTable) Row(id int32) tensor.Vec { return e.rows.Row(int(id)) }
 
-// Lookup gathers the rows for ids into a len(ids) x Dim node. Gradients
-// scatter back into the table's sparse gradient map.
-func (e *EmbeddingTable) Lookup(t *ad.Tape, ids []int32) *ad.Node {
-	return t.Gather(e.rows, ids, e)
+// Slot names row ids[0] or, with mean, the mean of rows ids as one slot
+// of ad.Tape.GatherSlots. Gradients scatter back into the table's
+// pending sparse gradients.
+func (e *EmbeddingTable) Slot(ids []int32, mean bool) ad.Slot {
+	return ad.Slot{Table: e.rows, IDs: ids, Sink: e, Mean: mean}
 }
 
-// LookupOne gathers a single row as a 1 x Dim node.
-func (e *EmbeddingTable) LookupOne(t *ad.Tape, id int32) *ad.Node {
-	return e.Lookup(t, []int32{id})
+// slot returns the Dim-wide row k of a slot-indexed slab.
+func (e *EmbeddingTable) slot(slab []float32, k int32) []float32 {
+	return slab[int(k)*e.Dim : int(k+1)*e.Dim]
 }
 
 // AddRowGrad implements ad.GradSink: it accumulates grad into row id's
 // pending sparse gradient.
 func (e *EmbeddingTable) AddRowGrad(id int32, grad []float32) {
-	g, ok := e.grads[id]
-	if !ok {
-		if n := len(e.spare); n > 0 {
-			g = e.spare[n-1]
-			e.spare = e.spare[:n-1]
-			clear(g)
-		} else {
-			g = make([]float32, e.Dim)
-		}
-		e.grads[id] = g
+	k := e.gradAt[id]
+	if k == 0 {
+		e.touched = append(e.touched, id)
+		e.grads = append(e.grads, make([]float32, e.Dim)...)
+		k = int32(len(e.touched))
+		e.gradAt[id] = k
 	}
+	g := e.slot(e.grads, k-1)
 	for j := range g {
 		g[j] += grad[j]
 	}
 }
 
-// ZeroGrad discards pending sparse gradients, keeping their rows for
+// ZeroGrad discards pending sparse gradients, keeping their memory for
 // reuse.
 func (e *EmbeddingTable) ZeroGrad() {
-	for _, g := range e.grads {
-		e.spare = append(e.spare, g)
+	for _, id := range e.touched {
+		e.gradAt[id] = 0
 	}
-	clear(e.grads)
+	e.touched = e.touched[:0]
+	e.grads = e.grads[:0]
 }
 
 // StepAdam applies pending sparse gradients with Adam (lazy per-row
-// moments, table-global bias correction) and clears them.
+// moments, table-global bias correction) and clears them. Each row's
+// update reads only that row's gradient and moments, so the order the
+// rows are visited in does not change a bit.
 func (e *EmbeddingTable) StepAdam(lr float32, beta1, beta2, eps float64) {
-	if e.adamM == nil {
-		e.adamM = make(map[int32][]float32)
-		e.adamV = make(map[int32][]float32)
+	if e.momentAt == nil {
+		e.momentAt = make([]int32, e.Vocab())
 	}
 	e.adamT++
 	bc1 := 1 - math.Pow(beta1, float64(e.adamT))
 	bc2 := 1 - math.Pow(beta2, float64(e.adamT))
-	for id, g := range e.grads {
-		m, ok := e.adamM[id]
-		if !ok {
-			m = make([]float32, e.Dim)
-			e.adamM[id] = m
-			v := make([]float32, e.Dim)
-			e.adamV[id] = v
+	for i, id := range e.touched {
+		k := e.momentAt[id]
+		if k == 0 {
+			e.adamM = append(e.adamM, make([]float32, e.Dim)...)
+			e.adamV = append(e.adamV, make([]float32, e.Dim)...)
+			k = int32(len(e.adamM) / e.Dim)
+			e.momentAt[id] = k
 		}
-		v := e.adamV[id]
+		g, m, v := e.slot(e.grads, int32(i)), e.slot(e.adamM, k-1), e.slot(e.adamV, k-1)
 		row := e.rows.Row(int(id))
 		for j := range row {
 			gj := float64(g[j])

@@ -142,11 +142,28 @@ func TestMLPLearnsXOR(t *testing.T) {
 	}
 }
 
+// lookup gathers rows ids of e, one slot each.
+func lookup(tp *ad.Tape, e *EmbeddingTable, ids ...int32) *ad.Node {
+	slots := make([]ad.Slot, len(ids))
+	for i := range ids {
+		slots[i] = e.Slot(ids[i:i+1], false)
+	}
+	return tp.GatherSlots(slots...)
+}
+
+// pendingGrad returns row id's pending gradient, nil when it has none.
+func pendingGrad(e *EmbeddingTable, id int32) []float32 {
+	if k := e.gradAt[id]; k > 0 {
+		return e.slot(e.grads, k-1)
+	}
+	return nil
+}
+
 func TestEmbeddingLookupValues(t *testing.T) {
 	r := rng.New(7)
 	e := NewEmbeddingTable("emb", 10, 4, r)
 	tp := ad.NewTape()
-	n := e.Lookup(tp, []int32{3, 7, 3})
+	n := lookup(tp, e, 3, 7, 3)
 	if n.Rows() != 3 || n.Cols() != 4 {
 		t.Fatalf("lookup shape %dx%d", n.Rows(), n.Cols())
 	}
@@ -162,20 +179,20 @@ func TestEmbeddingSparseGradAccumulation(t *testing.T) {
 	e := NewEmbeddingTable("emb", 10, 2, r)
 	tp := ad.NewTape()
 	// id 3 appears twice: its gradient must be doubled.
-	n := e.Lookup(tp, []int32{3, 5, 3})
+	n := lookup(tp, e, 3, 5, 3)
 	loss := sum(tp, n)
 	tp.Backward(loss)
-	if len(e.grads) != 2 {
-		t.Fatalf("touched rows = %d, want 2", len(e.grads))
+	if len(e.touched) != 2 {
+		t.Fatalf("touched rows = %d, want 2", len(e.touched))
 	}
-	if g := e.grads[3]; g[0] != 2 || g[1] != 2 {
+	if g := pendingGrad(e, 3); g[0] != 2 || g[1] != 2 {
 		t.Fatalf("grad for repeated id = %v, want [2 2]", g)
 	}
-	if g := e.grads[5]; g[0] != 1 || g[1] != 1 {
+	if g := pendingGrad(e, 5); g[0] != 1 || g[1] != 1 {
 		t.Fatalf("grad for single id = %v, want [1 1]", g)
 	}
 	// Untouched rows must not appear.
-	if _, ok := e.grads[0]; ok {
+	if pendingGrad(e, 0) != nil {
 		t.Fatal("untouched row has gradient")
 	}
 }
@@ -185,7 +202,7 @@ func TestEmbeddingStepAdamMovesAgainstGradient(t *testing.T) {
 	e := NewEmbeddingTable("emb", 4, 3, r)
 	before := tensor.Copy(e.Row(2))
 	tp := ad.NewTape()
-	tp.Backward(sum(tp, e.LookupOne(tp, 2)))
+	tp.Backward(sum(tp, lookup(tp, e, 2)))
 	e.StepAdam(0.01, 0.9, 0.999, 1e-8)
 	after := e.Row(2)
 	for j := range after {
@@ -204,7 +221,7 @@ func TestEmbeddingStepAdamTouchesOnlyGradientRows(t *testing.T) {
 	before := tensor.Copy(e.Row(1))
 	otherBefore := tensor.Copy(e.Row(0))
 	tp := ad.NewTape()
-	tp.Backward(sum(tp, e.LookupOne(tp, 1)))
+	tp.Backward(sum(tp, lookup(tp, e, 1)))
 	e.StepAdam(0.1, 0.9, 0.999, 1e-8)
 	after := e.Row(1)
 	for j := range after {
@@ -218,7 +235,7 @@ func TestEmbeddingStepAdamTouchesOnlyGradientRows(t *testing.T) {
 			t.Fatal("Adam touched a row without a gradient")
 		}
 	}
-	if len(e.grads) != 0 {
+	if len(e.touched) != 0 {
 		t.Fatal("StepAdam did not clear gradients")
 	}
 }
@@ -234,7 +251,7 @@ func TestEmbeddingTrainsToSeparateClasses(t *testing.T) {
 	}
 	for step := 0; step < 200; step++ {
 		tp := ad.NewTape()
-		emb := e.Lookup(tp, []int32{0, 1})
+		emb := lookup(tp, e, 0, 1)
 		logits := tp.MatMul(emb, tp.Const(probe))
 		loss := tp.BCEWithLogits(logits, []float32{1, 0})
 		tp.Backward(loss)
@@ -280,12 +297,12 @@ func TestZeroGradTable(t *testing.T) {
 	r := rng.New(13)
 	e := NewEmbeddingTable("emb", 3, 2, r)
 	tp := ad.NewTape()
-	tp.Backward(sum(tp, e.LookupOne(tp, 0)))
-	if len(e.grads) == 0 {
+	tp.Backward(sum(tp, lookup(tp, e, 0)))
+	if len(e.touched) == 0 {
 		t.Fatal("no touched rows after backward")
 	}
 	e.ZeroGrad()
-	if len(e.grads) != 0 {
+	if len(e.touched) != 0 {
 		t.Fatal("ZeroGrad left rows")
 	}
 }
@@ -300,7 +317,7 @@ func BenchmarkEmbeddingLookupBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tp := ad.NewTape()
-		n := e.Lookup(tp, ids)
+		n := lookup(tp, e, ids...)
 		tp.Backward(sum(tp, n))
 		e.ZeroGrad()
 	}
