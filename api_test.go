@@ -2,11 +2,16 @@ package main_test
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"sort"
@@ -18,49 +23,101 @@ import (
 // non-test caller in another package, one "<pkg>.<Name> <reason>" per line.
 const apiAllowlist = "testdata/api-allowlist.txt"
 
-// apiPackage is one directory's non-test Go files: the exported names it
-// declares (internal/ packages only) and the names it selects from others.
+// apiPackage is one package's non-test Go files, type-checked: the
+// exported names it declares (internal/ packages only) and what its
+// identifiers and selectors resolve to.
 type apiPackage struct {
 	dir      string
 	internal bool
 	// decls maps "Name" or "Type.Method" to the declaration's surface:
 	// the type expressions a caller of that name gets to see.
 	decls map[string][]ast.Expr
-	// uses holds "importpath.Name" for every pkg.Name selector.
-	uses map[string]bool
-	// sels holds the Sel of every selector expression, for methods.
-	sels map[string]bool
+	types *types.Package
+	info  *types.Info
 }
 
 // TestExportedNamesHaveCallers holds every exported package-level name
 // of an internal/ package (funcs, types, vars, consts) and every exported
 // method to a caller in a non-test file of another package: internal/,
-// cmd/, examples/ or the benchmark/ rig, a module of its own. A pkg.Name
-// selector reaches a name; any .Name selector outside the package reaches
-// a method of that name; a type is also reached when it appears in the
-// signature or exported fields of a reached name. The rest must be
-// listed, with a reason, in testdata/api-allowlist.txt — and a listed name
-// that has since gained a caller, or is gone, fails too.
+// cmd/, examples/ or the benchmark/ rig, a module of its own. Names are
+// resolved with go/types. A reference resolving to a package-level name
+// reaches it; a selector resolving to a method reaches that method, and
+// one resolving to an interface method reaches every method of that name
+// whose type implements the interface, as the standard library's calls
+// through fmt.Stringer, error and errors' Is and Unwrap do. A type is
+// also reached when it appears in the signature or exported fields of a
+// reached name. The rest must be listed, with a reason, in testdata/api-allowlist.txt — and
+// a listed name that has since gained a caller, or is gone, fails too.
 func TestExportedNamesHaveCallers(t *testing.T) {
-	pkgs := parseAPITree(t, ".")
+	pkgs := loadAPITree(t)
 	allow := readAPIAllowlist(t)
 
-	usedByOther := func(p *apiPackage, key string) bool {
-		for _, q := range pkgs {
-			if q == p {
-				continue
-			}
-			if _, method, ok := strings.Cut(key, "."); ok {
-				if q.sels[method] {
-					return true
+	// usedBy["pkgpath.Name"] or usedBy["pkgpath.Type.Method"] holds the
+	// other packages that reach a name.
+	usedBy := map[string]map[*types.Package]bool{}
+	use := func(obj types.Object, from *types.Package) {
+		if obj.Pkg() == nil || obj.Pkg() == from {
+			return
+		}
+		key := obj.Pkg().Path() + "." + obj.Name()
+		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+			key = obj.Pkg().Path() + "." + receiverTypeName(fn.Origin()) + "." + obj.Name()
+		}
+		if usedBy[key] == nil {
+			usedBy[key] = map[*types.Package]bool{}
+		}
+		usedBy[key][from] = true
+	}
+	// named lists every package-level type of the tree and a pointer to
+	// it: the method sets an interface call can land in.
+	var named []types.Type
+	for _, q := range pkgs {
+		for _, name := range q.types.Scope().Names() {
+			if tn, ok := q.types.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams() == nil {
+					named = append(named, n, types.NewPointer(n))
 				}
-			} else if q.uses["zoomer/"+p.dir+"."+key] {
-				return true
 			}
 		}
-		return false
 	}
-
+	// An interface call reaches the method of that name of every type
+	// implementing the interface, promoted ones included.
+	implementers := map[*types.Interface][]*types.MethodSet{}
+	callThrough := func(iface *types.Interface, name string, from *types.Package) {
+		sets, ok := implementers[iface]
+		if !ok {
+			for _, typ := range named {
+				if !types.IsInterface(typ) && types.Implements(typ, iface) {
+					sets = append(sets, types.NewMethodSet(typ))
+				}
+			}
+			implementers[iface] = sets
+		}
+		for _, ms := range sets {
+			if m := ms.Lookup(nil, name); m != nil {
+				use(m.Obj(), from)
+			}
+		}
+	}
+	for _, q := range pkgs {
+		for _, obj := range q.info.Uses {
+			if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+				use(obj, q.types)
+			}
+		}
+		for _, sel := range q.info.Selections {
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				if iface, ok := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface); ok {
+					callThrough(iface, fn.Name(), q.types)
+				} else {
+					use(fn, q.types)
+				}
+			}
+		}
+	}
+	for _, iface := range stdCalls() {
+		callThrough(iface, iface.Method(0).Name(), nil)
+	}
 	total := 0
 	var missing []string
 	seenAllow := map[string]bool{}
@@ -72,7 +129,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		var work []string
 		for key := range p.decls {
 			total++
-			if usedByOther(p, key) {
+			if len(usedBy[p.types.Path()+"."+key]) > 0 {
 				reached[key] = true
 				work = append(work, key)
 			}
@@ -121,75 +178,122 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	t.Logf("%d exported names under internal/, %d allowlisted", total, len(allow))
 }
 
-// parseAPITree parses the non-test Go files of every package under root,
-// the benchmark/ module included, keyed by directory.
-func parseAPITree(t *testing.T, root string) []*apiPackage {
+// stdCalls are the one-method interfaces through which the standard
+// library, whose files the gate does not scan, calls methods of the tree:
+// fmt's Stringer and error, and the Is and Unwrap that errors.Is and
+// errors.As look for.
+func stdCalls() []*types.Interface {
+	errType := types.Universe.Lookup("error").Type()
+	tuple := func(ts ...types.Type) *types.Tuple {
+		vars := make([]*types.Var, len(ts))
+		for i, typ := range ts {
+			vars[i] = types.NewParam(token.NoPos, nil, "", typ)
+		}
+		return types.NewTuple(vars...)
+	}
+	method := func(name string, params, results *types.Tuple) *types.Interface {
+		sig := types.NewSignatureType(nil, nil, nil, params, results, false)
+		return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, name, sig)}, nil).Complete()
+	}
+	str := types.Typ[types.String]
+	return []*types.Interface{
+		method("String", tuple(), tuple(str)),
+		method("Error", tuple(), tuple(str)),
+		method("Is", tuple(errType), tuple(types.Typ[types.Bool])),
+		method("Unwrap", tuple(), tuple(errType)),
+	}
+}
+
+// receiverTypeName is the name of a method's receiver's base type.
+func receiverTypeName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	if named, ok := recv.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
+}
+
+// loadAPITree type-checks the non-test Go files of every package of the
+// module and of the benchmark/ module, whose deps include this one's, in
+// `go list -deps` order. The standard library is type-checked from
+// source, with cgo off so no C toolchain is needed.
+func loadAPITree(t *testing.T) []*apiPackage {
 	t.Helper()
+	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
-	byDir := map[string]*apiPackage{}
-	err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	std := importer.ForCompiler(fset, "source", nil)
+	checked := map[string]*apiPackage{}
+	var pkgs []*apiPackage
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p.types, nil
 		}
-		if d.IsDir() {
-			if name := d.Name(); file != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(file))
-		p := byDir[dir]
-		if p == nil {
-			p = &apiPackage{
-				dir:      dir,
-				internal: strings.HasPrefix(dir, "internal/"),
-				decls:    map[string][]ast.Expr{},
-				uses:     map[string]bool{},
-				sels:     map[string]bool{},
-			}
-			byDir[dir] = p
-		}
-		p.add(f)
-		return nil
-	})
+		return std.Import(path)
+	})}
+	root, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs := make([]*apiPackage, 0, len(byDir))
-	for _, p := range byDir {
-		pkgs = append(pkgs, p)
+	for _, mod := range []string{".", "benchmark"} {
+		cmd := exec.Command("go", "list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard", "./...")
+		cmd.Dir = mod
+		cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list in %s: %v", mod, err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(out))
+		for dec.More() {
+			var lp struct {
+				ImportPath, Dir string
+				GoFiles         []string
+				Standard        bool
+			}
+			if err := dec.Decode(&lp); err != nil {
+				t.Fatal(err)
+			}
+			if lp.Standard || checked[lp.ImportPath] != nil {
+				continue
+			}
+			rel, err := filepath.Rel(root, lp.Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &apiPackage{
+				dir:   filepath.ToSlash(rel),
+				decls: map[string][]ast.Expr{},
+				info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}},
+			}
+			p.internal = strings.HasPrefix(p.dir, "internal/")
+			var files []*ast.File
+			for _, name := range lp.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.add(f)
+				files = append(files, f)
+			}
+			if p.types, err = conf.Check(lp.ImportPath, fset, files, p.info); err != nil {
+				t.Fatalf("type-checking %s: %v", lp.ImportPath, err)
+			}
+			checked[lp.ImportPath] = p
+			pkgs = append(pkgs, p)
+		}
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].dir < pkgs[j].dir })
 	return pkgs
 }
 
-// add records one file's exported declarations and selectors.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// add records one file's exported declarations.
 func (p *apiPackage) add(f *ast.File) {
-	imports := map[string]string{}
-	for _, imp := range f.Imports {
-		ipath := strings.Trim(imp.Path.Value, `"`)
-		name := path.Base(ipath)
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		imports[name] = ipath
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			p.sels[sel.Sel.Name] = true
-			if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-				p.uses[imports[x.Name]+"."+sel.Sel.Name] = true
-			}
-		}
-		return true
-	})
 	if !p.internal {
 		return
 	}

@@ -48,13 +48,16 @@ command -v python3 >/dev/null || { echo "error: python3 required" >&2; exit 1; }
 # bench.sh. BenchmarkDeltaApply is the write path's apply: its live=N
 # cases hold a steady overlay size, hot=4096 one node's whole growth.
 # BenchmarkTrainStepLocal is one 32-example training step over the
-# in-memory graph; a sample is 5 whole steps, and its budget is the
-# steady-state step's (TestTrainStepAllocs in internal/core holds the
-# same 5000) plus the run's one-time slab growth and first-touch Adam
-# moments spread over the 5. BenchmarkTrainStepRemote is the same step
+# in-memory graph; a sample is 5 steady-state steps, timed and counted
+# after 3 untimed warm-up steps (benchTrainSteps), so each timed step's
+# sampling overlaps the step before it, and the first batch's serial
+# sampling, the tape's slab growth and most first-touch Adam moments
+# fall outside the sample. Its budget is the steady-state step's
+# (TestTrainStepAllocs in internal/core holds the same 5000; ~30
+# allocs/op read on 2 cores). BenchmarkTrainStepRemote is the same step
 # with every graph read crossing loopback TCP to a two-server cluster:
 # it takes the loopback rows' 1.60 bound and the local step's 5000
-# budget (it read ~2 970 allocs/op at 5x when it was gated).
+# budget (~31 allocs/op).
 # BenchmarkEndToEndRequest is one whole retrieval through
 # serve.Server.Retrieve; its one allocation is the result copy handed to
 # the caller.

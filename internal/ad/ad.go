@@ -789,9 +789,9 @@ func (t *Tape) LeakyReLU(alpha float32, a *Node) *Node {
 	return out
 }
 
-// Sqrt applies sqrt(max(x, 0) + eps) element-wise; the epsilon keeps the
+// sqrt applies sqrt(max(x, 0) + eps) element-wise; the epsilon keeps the
 // derivative finite at zero, which matters for norm computations.
-func (t *Tape) Sqrt(a *Node) *Node {
+func (t *Tape) sqrt(a *Node) *Node {
 	const eps = 1e-12
 	out, x, y := t.unary(opSqrt, a)
 	for i, v := range x {
@@ -834,14 +834,14 @@ func (t *Tape) MeanRows(a *Node) *Node {
 	return out
 }
 
-// Dot returns the scalar inner product of two 1xN (or Nx1) nodes.
-func (t *Tape) Dot(a, b *Node) *Node {
+// dot returns the scalar inner product of two 1xN (or Nx1) nodes.
+func (t *Tape) dot(a, b *Node) *Node {
 	return t.sumAll(t.Mul(a, b))
 }
 
 // norm returns the scalar Euclidean norm of a node's elements.
 func (t *Tape) norm(a *Node) *Node {
-	return t.Sqrt(t.sumAll(t.Mul(a, a)))
+	return t.sqrt(t.sumAll(t.Mul(a, a)))
 }
 
 // CosineSim returns the scalar cosine similarity of two same-shape nodes,
@@ -849,7 +849,7 @@ func (t *Tape) norm(a *Node) *Node {
 // semantic-combination weight of eq. (10).
 func (t *Tape) CosineSim(a, b *Node) *Node {
 	sameShape(a, b)
-	return t.div(t.Dot(a, b), t.Mul(t.norm(a), t.norm(b)))
+	return t.div(t.dot(a, b), t.Mul(t.norm(a), t.norm(b)))
 }
 
 // loss records a scalar loss node over logits, with targets copied into

@@ -180,7 +180,7 @@ func TestGradSqrtNormCosine(t *testing.T) {
 		for i := range one.Data {
 			one.Data[i] = 1
 		}
-		return tp.sumAll(tp.Sqrt(tp.Add(sq, tp.Const(one))))
+		return tp.sumAll(tp.sqrt(tp.Add(sq, tp.Const(one))))
 	})
 	checkGrad(t, "norm", 1, 4, 35, func(tp *Tape, p *Node) *Node {
 		return tp.norm(p)
@@ -199,7 +199,7 @@ func TestGradReductions(t *testing.T) {
 	})
 	checkGrad(t, "dot", 1, 5, 41, func(tp *Tape, p *Node) *Node {
 		b := constMat(tp, rng.New(42), 1, 5)
-		return tp.Dot(p, b)
+		return tp.dot(p, b)
 	})
 }
 
@@ -349,7 +349,7 @@ func mlpCycle(tp *Tape, x, w1, w2 *tensor.Matrix, targets []float32) (loss float
 	g2 := tensor.NewMatrix(w2.Rows, w2.Cols)
 	h := tp.ReLU(tp.MatMul(tp.Const(x), tp.Watch(w1, g1)))
 	hm := tp.MeanRows(tp.transpose(h))
-	nrm := tp.Sqrt(tp.sumAll(tp.Mul(h, h)))
+	nrm := tp.sqrt(tp.sumAll(tp.Mul(h, h)))
 	att := tp.SoftmaxRows(tp.MeanRows(tp.ConcatRows(hm, tp.ScaleBy(nrm, hm))))
 	logits := tp.MatMul(tp.Const(x), tp.Watch(w2, g2))
 	logits = tp.Add(logits, tp.Scale(0.5, tp.transpose(att)))
@@ -424,10 +424,10 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		for j := 0; j < 3; j++ {
 			var want float64
 			for k := 0; k < 5; k++ {
-				want += float64(a.Val.At(i, k)) * float64(b.Val.At(k, j))
+				want += float64(a.Val.Row(i)[k]) * float64(b.Val.Row(k)[j])
 			}
-			if math.Abs(float64(got.At(i, j))-want) > 1e-4 {
-				t.Fatalf("MatMul(%d,%d) = %v, want %v", i, j, got.At(i, j), want)
+			if math.Abs(float64(got.Row(i)[j])-want) > 1e-4 {
+				t.Fatalf("MatMul(%d,%d) = %v, want %v", i, j, got.Row(i)[j], want)
 			}
 		}
 	}

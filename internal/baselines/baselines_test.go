@@ -117,7 +117,7 @@ func TestForwardBackwardAllBaselines(t *testing.T) {
 			for i := range before {
 				before[i] = slices.Clone(tab.Row(int32(i)))
 			}
-			tab.StepAdam(0.01, 0.9, 0.999, 1e-8)
+			tab.StepAdam(0.01)
 			for i, row := range before {
 				sparseOK = sparseOK || !slices.Equal(row, tab.Row(int32(i)))
 			}

@@ -94,7 +94,7 @@ func (c *Chassis) DenseParams() []*nn.Param {
 }
 
 // Tables implements Model.
-func (c *Chassis) Tables() []*nn.EmbeddingTable { return c.fe.Tables() }
+func (c *Chassis) Tables() []*nn.EmbeddingTable { return c.fe.tables() }
 
 // samplingFocal is the static focal vector Fc of eq. (5): the sum of the
 // focal points' content features, used to score neighbors during ROI

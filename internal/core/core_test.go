@@ -93,7 +93,7 @@ func TestZoomerBackwardProducesGrads(t *testing.T) {
 		for i := range before {
 			before[i] = slices.Clone(tab.Row(int32(i)))
 		}
-		tab.StepAdam(0.01, 0.9, 0.999, 1e-8)
+		tab.StepAdam(0.01)
 		for i, row := range before {
 			anySparse = anySparse || !slices.Equal(row, tab.Row(int32(i)))
 		}
@@ -190,7 +190,6 @@ func TestTrainTargetAUCStopsEarly(t *testing.T) {
 	cfg.LR = 0.02
 	cfg.TargetAUC = 0.55
 	cfg.EvalEvery = 20
-	cfg.EvalSample = 200
 	cfg.MaxSteps = 400
 	res := Train(z, w.train, w.test, cfg)
 	if !res.ReachedTarget && res.Steps >= 400 {
@@ -307,8 +306,8 @@ func TestFeatureMatrixShapes(t *testing.T) {
 			t.Fatalf("%v feature matrix %dx%d", nt, H.Rows(), H.Cols())
 		}
 	}
-	if len(fe.Tables()) != 8 {
-		t.Fatalf("table count %d", len(fe.Tables()))
+	if len(fe.tables()) != 8 {
+		t.Fatalf("table count %d", len(fe.tables()))
 	}
 }
 

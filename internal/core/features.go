@@ -34,13 +34,6 @@ type FeatureEmbedder struct {
 	Term                          *nn.EmbeddingTable
 }
 
-// Feature-slot counts per node type (title terms collapse to one slot).
-const (
-	userSlots  = 3 // id, gender, membership
-	querySlots = 2 // category, terms
-	itemSlots  = 5 // id, category, brand, shop, terms
-)
-
 // NewFeatureEmbedder allocates tables sized by the world's vocabulary.
 func NewFeatureEmbedder(v loggen.Vocab, dim int, r *rng.RNG) *FeatureEmbedder {
 	return &FeatureEmbedder{
@@ -56,8 +49,8 @@ func NewFeatureEmbedder(v loggen.Vocab, dim int, r *rng.RNG) *FeatureEmbedder {
 	}
 }
 
-// Tables returns every embedding table for optimizer registration.
-func (fe *FeatureEmbedder) Tables() []*nn.EmbeddingTable {
+// tables returns every embedding table for optimizer registration.
+func (fe *FeatureEmbedder) tables() []*nn.EmbeddingTable {
 	return []*nn.EmbeddingTable{
 		fe.UserID, fe.Gender, fe.Member,
 		fe.ItemID, fe.Category, fe.Brand, fe.Shop, fe.Term,
@@ -66,18 +59,25 @@ func (fe *FeatureEmbedder) Tables() []*nn.EmbeddingTable {
 
 // featureMatrix gathers node id's feature latent vectors as a
 // slot-count x Dim node H — the input of the feature-projection level
-// (eq. 6) — in one op. Term slots average the node's title-term
-// embeddings.
+// (eq. 6) — in one op.
 func (fe *FeatureEmbedder) featureMatrix(t *ad.Tape, g GraphView, id graph.NodeID) *ad.Node {
+	s, n := fe.slots(g, id)
+	return t.GatherSlots(s[:n]...)
+}
+
+// slots returns node id's Table I feature slots in s[:n], one per
+// feature space of its type; the title terms collapse to one slot, the
+// mean of their rows. The array keeps a per-node read off the heap.
+func (fe *FeatureEmbedder) slots(g GraphView, id graph.NodeID) (s [5]ad.Slot, n int) {
 	f := g.Features(id)
 	switch g.Type(id) {
-	case graph.User:
-		return t.GatherSlots(fe.UserID.Slot(f[:1], false), fe.Gender.Slot(f[1:2], false), fe.Member.Slot(f[2:3], false))
+	case graph.User: // [id, gender, membership]
+		return [5]ad.Slot{fe.UserID.Slot(f[:1], false), fe.Gender.Slot(f[1:2], false), fe.Member.Slot(f[2:3], false)}, 3
 	case graph.Query: // [category, terms...]
-		return t.GatherSlots(fe.Category.Slot(f[:1], false), fe.Term.Slot(f[1:], true))
+		return [5]ad.Slot{fe.Category.Slot(f[:1], false), fe.Term.Slot(f[1:], true)}, 2
 	case graph.Item: // [id, category, brand, shop, terms...]
-		return t.GatherSlots(fe.ItemID.Slot(f[:1], false), fe.Category.Slot(f[1:2], false),
-			fe.Brand.Slot(f[2:3], false), fe.Shop.Slot(f[3:4], false), fe.Term.Slot(f[4:], true))
+		return [5]ad.Slot{fe.ItemID.Slot(f[:1], false), fe.Category.Slot(f[1:2], false),
+			fe.Brand.Slot(f[2:3], false), fe.Shop.Slot(f[3:4], false), fe.Term.Slot(f[4:], true)}, 5
 	default:
 		panic(fmt.Sprintf("core: unknown node type %v", g.Type(id)))
 	}

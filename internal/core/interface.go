@@ -38,10 +38,6 @@ type EngineView struct {
 // Type implements GraphView via the mapping's id-range arithmetic.
 func (v EngineView) Type(id graph.NodeID) graph.NodeType { return v.M.Type(id) }
 
-// NodesOfType enumerates node ids of type t (id order), mirroring
-// graph.Graph's accessor for experiment code that runs over engines.
-func (v EngineView) NodesOfType(t graph.NodeType) []graph.NodeID { return v.M.NodesOfType(t) }
-
 // Instance is one CTR example in graph-node space.
 type Instance struct {
 	User, Query, Item graph.NodeID

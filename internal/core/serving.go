@@ -109,36 +109,19 @@ func (z *Zoomer) ExportServing() *ServingWeights {
 // directly from the tables (no tape) — the serving-time static node
 // embedding.
 func (z *Zoomer) baseEmbedding(id graph.NodeID) tensor.Vec {
-	fe := z.fe
-	feats := z.g.Features(id)
-	out := tensor.NewVec(fe.Dim)
-	switch z.g.Type(id) {
-	case graph.User:
-		tensor.Axpy(1, fe.UserID.Row(feats[0]), out)
-		tensor.Axpy(1, fe.Gender.Row(feats[1]), out)
-		tensor.Axpy(1, fe.Member.Row(feats[2]), out)
-		tensor.Scale(1.0/userSlots, out)
-	case graph.Query:
-		tensor.Axpy(1, fe.Category.Row(feats[0]), out)
-		terms := feats[1:]
-		tv := tensor.NewVec(fe.Dim)
-		for _, tid := range terms {
-			tensor.Axpy(1, fe.Term.Row(tid), tv)
+	slots, n := z.fe.slots(z.g, id)
+	out := tensor.NewVec(z.fe.Dim)
+	for _, sl := range slots[:n] {
+		if !sl.Mean {
+			tensor.Axpy(1, sl.Table.Row(int(sl.IDs[0])), out)
+			continue
 		}
-		tensor.Axpy(1.0/float32(len(terms)), tv, out)
-		tensor.Scale(1.0/querySlots, out)
-	case graph.Item:
-		tensor.Axpy(1, fe.ItemID.Row(feats[0]), out)
-		tensor.Axpy(1, fe.Category.Row(feats[1]), out)
-		tensor.Axpy(1, fe.Brand.Row(feats[2]), out)
-		tensor.Axpy(1, fe.Shop.Row(feats[3]), out)
-		terms := feats[4:]
-		tv := tensor.NewVec(fe.Dim)
-		for _, tid := range terms {
-			tensor.Axpy(1, fe.Term.Row(tid), tv)
+		sum := tensor.NewVec(z.fe.Dim)
+		for _, id := range sl.IDs {
+			tensor.Axpy(1, sl.Table.Row(int(id)), sum)
 		}
-		tensor.Axpy(1.0/float32(len(terms)), tv, out)
-		tensor.Scale(1.0/itemSlots, out)
+		tensor.Axpy(1/float32(len(sl.IDs)), sum, out)
 	}
+	tensor.Scale(1/float32(n), out)
 	return out
 }

@@ -12,24 +12,28 @@ import (
 	"zoomer/internal/tensor"
 )
 
-// TrainConfig drives the training loop. The defaults mirror §VII-A:
-// focal cross-entropy with weight 2, Adam, batch training over sampled
-// subgraphs.
+// §VII-A's focal weight, and how many test instances (the first ones) a
+// TargetAUC probe scores.
+const (
+	focalGamma = 2
+	evalSample = 512
+)
+
+// TrainConfig drives the training loop: Adam over minibatches of sampled
+// subgraphs, as in §VII-A.
 type TrainConfig struct {
-	BatchSize  int
-	Epochs     int
-	LR         float32
-	FocalGamma float64 // < 0 selects plain BCE
-	Seed       uint64
+	BatchSize int
+	Epochs    int
+	LR        float32
+	Seed      uint64
 
 	// MaxSteps bounds total steps across epochs (0 = unbounded).
 	MaxSteps int
 	// TargetAUC, when > 0, stops training once a periodic probe on the
 	// test set reaches it — the protocol of the Fig. 10/12 efficiency
 	// experiments ("achieving AUC equals 0.6 as a goal").
-	TargetAUC  float64
-	EvalEvery  int // steps between probes (default 50)
-	EvalSample int // probe size (default 512)
+	TargetAUC float64
+	EvalEvery int // steps between probes (default 50)
 
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
@@ -48,13 +52,11 @@ type TrainConfig struct {
 // experiments.
 func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{
-		BatchSize:  32,
-		Epochs:     5,
-		LR:         0.01,
-		FocalGamma: 2,
-		Seed:       1,
-		EvalEvery:  50,
-		EvalSample: 512,
+		BatchSize: 32,
+		Epochs:    5,
+		LR:        0.01,
+		Seed:      1,
+		EvalEvery: 50,
 	}
 }
 
@@ -85,9 +87,6 @@ func Train(m Model, train, test []Instance, cfg TrainConfig) TrainResult {
 	}
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 50
-	}
-	if cfg.EvalSample <= 0 {
-		cfg.EvalSample = 512
 	}
 	r := rng.New(cfg.Seed)
 	sampleRNG := r.Split()
@@ -131,8 +130,8 @@ func Train(m Model, train, test []Instance, cfg TrainConfig) TrainResult {
 			}
 			if cfg.TargetAUC > 0 && res.Steps%cfg.EvalEvery == 0 {
 				probe := test
-				if len(probe) > cfg.EvalSample {
-					probe = probe[:cfg.EvalSample]
+				if len(probe) > evalSample {
+					probe = probe[:evalSample]
 				}
 				if probes == nil {
 					probes = newPipeline(m)
@@ -232,8 +231,6 @@ func sampleAhead(m Model, b *regions, batch []Instance, r *rng.RNG, done chan<- 
 // between dense parameters and embedding rows.
 type trainer struct {
 	m       Model
-	gamma   float64 // FocalGamma; < 0 selects plain BCE
-	lr      float32
 	tape    *ad.Tape
 	targets []float32
 	dense   *nn.Adam
@@ -243,7 +240,7 @@ type trainer struct {
 
 func newTrainer(m Model, cfg TrainConfig) *trainer {
 	return &trainer{
-		m: m, gamma: cfg.FocalGamma, lr: cfg.LR, tape: ad.NewTape(),
+		m: m, tape: ad.NewTape(),
 		dense: nn.NewAdam(cfg.LR), params: m.DenseParams(), tables: m.Tables(),
 	}
 }
@@ -258,16 +255,11 @@ func (tr *trainer) step(batch []Instance, b *regions) float64 {
 	for _, ex := range batch {
 		tr.targets = append(tr.targets, ex.Label)
 	}
-	var loss *ad.Node
-	if tr.gamma >= 0 {
-		loss = t.FocalBCEWithLogits(logits, tr.targets, tr.gamma)
-	} else {
-		loss = t.BCEWithLogits(logits, tr.targets)
-	}
+	loss := t.FocalBCEWithLogits(logits, tr.targets, focalGamma)
 	t.Backward(loss)
 	tr.dense.Step(tr.params...)
 	for _, tab := range tr.tables {
-		tab.StepAdam(tr.lr, 0.9, 0.999, 1e-8)
+		tab.StepAdam(tr.dense.LR)
 	}
 	return float64(loss.Scalar())
 }

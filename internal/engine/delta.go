@@ -43,8 +43,6 @@ var (
 	// ErrBadAppend rejects malformed edges (foreign src, out-of-range
 	// endpoint, non-positive or non-finite weight, unknown type).
 	ErrBadAppend = errors.New("engine: invalid append edge")
-	// errAppendUnsupported marks a backend with no append facet.
-	errAppendUnsupported = errors.New("engine: backend does not support append")
 )
 
 // seqGapError reports an out-of-order append and the sequence number
@@ -61,15 +59,6 @@ func (e *seqGapError) Error() string {
 
 // Is reports errors.Is membership in the errSeqGap class.
 func (e *seqGapError) Is(target error) bool { return target == errSeqGap }
-
-// EdgeAppender is the optional write facet of a ShardBackend: local
-// shards apply directly, remote stubs forward over the graph-append op.
-// AppendEdges atomically applies one batch (all edges must belong to
-// this backend's partition) and returns the sequence number it was
-// applied under.
-type EdgeAppender interface {
-	AppendEdges(edges []ingest.Edge) (seq uint64, err error)
-}
 
 // IngestStats describes one shard's write-path state for observability.
 type IngestStats struct {
@@ -165,7 +154,7 @@ func (s *Shard) ApplyAppend(seq uint64, edges []ingest.Edge) (applied bool, last
 	return true, seq, nil
 }
 
-// AppendEdges implements EdgeAppender for the in-process shard: it
+// AppendEdges implements ShardBackend for the in-process shard: it
 // sequences the batch itself (local engines have no concurrent writer).
 func (s *Shard) AppendEdges(edges []ingest.Edge) (uint64, error) {
 	s.deltaMu.Lock()
@@ -365,6 +354,3 @@ func (s *Shard) overlayAt(li int32) *nodeOverlay {
 	}
 	return dv.overlay(li)
 }
-
-// ensure the write facet stays implemented.
-var _ EdgeAppender = (*Shard)(nil)

@@ -51,7 +51,7 @@ func TestAppendSamplingSeesNewEdges(t *testing.T) {
 	if frac < 0.46 || frac > 0.54 {
 		t.Fatalf("appended edge sampled %.3f of draws, want ~0.5", frac)
 	}
-	if d := e.Shard(0).IngestStats(); d.Seq != 1 || d.DeltaEdges != 1 || d.DeltaNodes != 1 {
+	if d := e.Backend(0).(*Shard).IngestStats(); d.Seq != 1 || d.DeltaEdges != 1 || d.DeltaNodes != 1 {
 		t.Fatalf("IngestStats = %+v", d)
 	}
 }
@@ -102,7 +102,7 @@ func TestAppendIsolatedNodeGainsEdges(t *testing.T) {
 
 func TestApplyAppendIdempotentAndGapTyped(t *testing.T) {
 	e, ego, _, _, lone := deltaWorld(t, 1)
-	sh := e.Shard(0)
+	sh := e.Backend(0).(*Shard)
 	edges := []ingest.Edge{{Src: ego, Dst: lone, Type: graph.Click, Weight: 1}}
 
 	applied, last, err := sh.ApplyAppend(1, edges)
@@ -138,7 +138,7 @@ func TestAppendValidationTyped(t *testing.T) {
 	if e.ShardOf(foreign) == si {
 		t.Skip("could not find a foreign node in 2 shards")
 	}
-	sh := e.Shard(si)
+	sh := e.Backend(si).(*Shard)
 	cases := []ingest.Edge{
 		{Src: foreign, Dst: ego, Type: graph.Click, Weight: 1},        // wrong shard
 		{Src: ego, Dst: 9999, Type: graph.Click, Weight: 1},           // out of range
@@ -180,7 +180,7 @@ func TestAppendReplayBitIdentical(t *testing.T) {
 	// for bit at every prefix length — the property WAL recovery rests on.
 	eA, egoA, _, _, loneA := deltaWorld(t, 1)
 	eB, _, _, _, _ := deltaWorld(t, 1)
-	shA, shB := eA.Shard(0), eB.Shard(0)
+	shA, shB := eA.Backend(0).(*Shard), eB.Backend(0).(*Shard)
 	stream := genAppendStream(egoA, loneA, 100)
 
 	for seq, rec := range stream {
@@ -221,7 +221,7 @@ func TestAppendReplayBitIdentical(t *testing.T) {
 
 func TestAppendSampleNoAlloc(t *testing.T) {
 	e, ego, heavy, _, lone := deltaWorld(t, 1)
-	sh := e.Shard(0)
+	sh := e.Backend(0).(*Shard)
 	// ego gains one-edge records (runs beside its base), lone a few
 	// (runs alone); heavy gets records of 31, 15, 7, 3 and 1 edges, none
 	// of which merges, so its draws walk a stack of five runs.
@@ -258,7 +258,7 @@ func TestAppendBatchPathConsistent(t *testing.T) {
 	// The scatter-gather batch path must produce the same draws as the
 	// single-node path for overlaid nodes (same derived-stream contract).
 	e, ego, _, _, lone := deltaWorld(t, 1)
-	sh := e.Shard(0)
+	sh := e.Backend(0).(*Shard)
 	stream := genAppendStream(ego, lone, 40)
 	for seq, rec := range stream {
 		if _, _, err := sh.ApplyAppend(uint64(seq)+1, rec); err != nil {
@@ -319,7 +319,7 @@ func hubWorld(t testing.TB) *Engine {
 func TestOverlayDrawsFollowWeights(t *testing.T) {
 	const draws = 200000
 	e := hubWorld(t)
-	sh := e.Shard(0)
+	sh := e.Backend(0).(*Shard)
 	nodes := []graph.NodeID{0, 65, 70}
 	applied := 0
 	r := rng.New(17)
@@ -388,7 +388,7 @@ func TestOverlayDrawsFollowWeights(t *testing.T) {
 func TestAppendWorkIsAmortized(t *testing.T) {
 	const n = 4096
 	e, ego, _, light, _ := deltaWorld(t, 1)
-	sh := e.Shard(0)
+	sh := e.Backend(0).(*Shard)
 	li := sh.part.Local(ego)
 	for i := 1; i <= n; i++ {
 		if _, err := sh.AppendEdges([]ingest.Edge{{Src: ego, Dst: light, Type: graph.Click, Weight: float32(i%3) + 1}}); err != nil {
@@ -422,7 +422,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 			for i := 0; i < nodes; i += 2 {
 				gb.AddUndirected(graph.NodeID(i), graph.NodeID(i+1), graph.Click, 1)
 			}
-			sh := New(gb.Build(), Config{Shards: 1}).Shard(0)
+			sh := New(gb.Build(), Config{Shards: 1}).Backend(0).(*Shard)
 			for id := 0; id < live; id++ {
 				rec := []ingest.Edge{{Src: graph.NodeID(id), Dst: graph.NodeID(nodes - 1 - id), Type: graph.Click, Weight: 1}}
 				if _, err := sh.AppendEdges(rec); err != nil {
@@ -450,7 +450,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 	b.Run("hot=4096", func(b *testing.B) {
 		const hot = 4096
-		sh := hubWorld(b).Shard(0)
+		sh := hubWorld(b).Backend(0).(*Shard)
 		rec := make([]ingest.Edge, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -472,7 +472,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 // its base table plus a stack of runs — the post-ingest read hot path.
 func BenchmarkDeltaSample(b *testing.B) {
 	e, ego, _, _, lone := deltaWorld(b, 1)
-	sh := e.Shard(0)
+	sh := e.Backend(0).(*Shard)
 	stream := genAppendStream(ego, lone, 64)
 	for seq, rec := range stream {
 		if _, _, err := sh.ApplyAppend(uint64(seq)+1, rec); err != nil {

@@ -126,9 +126,10 @@ func retryable(err error) bool {
 
 // ShardBackend is one partition's store as the routing layer sees it —
 // the in-process *Shard over its partition's arrays (which never fails)
-// or an RPC stub over the wire (which can): the single-sample read, and
-// the two group calls the scatter-gather paths issue once per owning
-// shard, each of which an RPC backend serves in one round trip.
+// or an RPC stub over the wire (which can): the single-sample read, the
+// two group calls the scatter-gather paths issue once per owning shard,
+// each of which an RPC backend serves in one round trip, the append, and
+// what Stats and the replica pick read.
 //
 // SampleIntoBy fills out with weighted neighbor draws of id from r's
 // stream and returns len(out), or 0 for an isolated node. deadline bounds
@@ -148,35 +149,34 @@ func retryable(err error) bool {
 // requested attributes of node gids[j] go to entry pos[j] of into's
 // columns (entry j when pos is nil), which the caller has sized. A
 // backend that copies carves the copies from into's arenas.
+//
+// AppendEdges atomically applies one batch (all edges must belong to
+// this backend's partition) and returns the sequence number it was
+// applied under: local shards apply directly, remote stubs forward over
+// the graph-append op.
+//
+// Requests and ShardSize report the served-request count and partition
+// size (a remote stub from its client-side counter and the server
+// handshake); Stats folds these into its per-shard view.
+//
+// Healthy reports transport health (the RPC stub's, from its client's
+// consecutive-failure circuit; an in-process shard is always healthy).
+// The replica pick consults it so steady-state traffic flows around a
+// replica whose circuit is open instead of paying a failed attempt per
+// call. When every replica of a group reports unhealthy the pick falls
+// through to the rotation slot unchanged, so the circuit's single-probe
+// recovery path still sees traffic.
 type ShardBackend interface {
 	SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error)
 	SampleBatchInto(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (int, error)
 	ReadNodesInto(gids []graph.NodeID, pos []int32, fields graph.ReadFields, into *graph.NodeBlock) error
-}
-
-// BackendStats is optionally implemented by backends that can report
-// their served-request count and partition size (the in-process Shard
-// does, and remote stubs do from their client-side counter and the server
-// handshake); Stats folds these into its per-shard view.
-type BackendStats interface {
+	AppendEdges(edges []ingest.Edge) (seq uint64, err error)
 	Requests() int64
 	ShardSize() (nodes int)
+	Healthy() bool
 }
 
-// HealthReporter is optionally implemented by backends that track their
-// transport health (the RPC stub does, from its client's consecutive-
-// failure circuit). The replica pick consults it so steady-state traffic
-// flows around a replica whose circuit is open instead of paying a
-// failed attempt per call; a backend without the facet is always
-// considered healthy. When every replica of a group reports unhealthy
-// the pick falls through to the rotation slot unchanged, so the circuit's
-// single-probe recovery path still sees traffic.
-type HealthReporter interface{ Healthy() bool }
-
-var (
-	_ ShardBackend = (*Shard)(nil)
-	_ BackendStats = (*Shard)(nil)
-)
+var _ ShardBackend = (*Shard)(nil)
 
 // Config sizes the engine.
 type Config struct {
@@ -230,7 +230,7 @@ func (set *backendSet) pick(si int, g []ShardBackend) int {
 		if i >= len(g) {
 			i -= len(g)
 		}
-		if h, ok := g[i].(HealthReporter); !ok || h.Healthy() {
+		if g[i].Healthy() {
 			return i
 		}
 	}
@@ -547,10 +547,6 @@ func (e *Engine) Routing() *partition.Routing { return e.routing }
 // O(1) arithmetic (hash partitioning) or one array read (degree-balanced).
 func (e *Engine) ShardOf(id graph.NodeID) int { return e.routing.Owner(id) }
 
-// Shard returns the in-process store currently serving one partition,
-// nil when that partition is served by a remote backend.
-func (e *Engine) Shard(i int) *Shard { return e.bset.Load().locals[i] }
-
 // Backend returns partition i's primary store as the routing layer
 // currently holds it (the live ownership view; a handoff swaps it).
 func (e *Engine) Backend(i int) ShardBackend { return e.bset.Load().groups[i][0] }
@@ -589,7 +585,7 @@ func (e *Engine) readOne(id graph.NodeID, fields graph.ReadFields) *graph.NodeBl
 // remote backend).
 func (e *Engine) Neighbors(id graph.NodeID) []graph.Edge {
 	if sh := e.bset.Load().locals[e.routing.Owner(id)]; sh != nil {
-		return sh.Neighbors(id)
+		return sh.neighbors(id)
 	}
 	return e.readOne(id, graph.ReadNeighbors).Neighbors[0]
 }
@@ -597,7 +593,7 @@ func (e *Engine) Neighbors(id graph.NodeID) []graph.Edge {
 // Content returns the node's content vector from its owning shard.
 func (e *Engine) Content(id graph.NodeID) tensor.Vec {
 	if sh := e.bset.Load().locals[e.routing.Owner(id)]; sh != nil {
-		return sh.Content(id)
+		return sh.content(id)
 	}
 	return e.readOne(id, graph.ReadContent).Content[0]
 }
@@ -605,7 +601,7 @@ func (e *Engine) Content(id graph.NodeID) tensor.Vec {
 // Features returns the node's categorical features from its owning shard.
 func (e *Engine) Features(id graph.NodeID) []int32 {
 	if sh := e.bset.Load().locals[e.routing.Owner(id)]; sh != nil {
-		return sh.Features(id)
+		return sh.features(id)
 	}
 	return e.readOne(id, graph.ReadFeatures).Features[0]
 }
@@ -674,10 +670,9 @@ type Stats struct {
 }
 
 // Stats snapshots load counters. A partition's request count is the sum
-// over its replica group of what each member reports through
-// BackendStats (an in-process shard its own counter, a remote stub its
-// client-side one; zero for a backend without the facet), and its size is
-// the first one a member reports. CachedTables counts the precomputed
+// over its replica group of what each member reports (an in-process
+// shard its own counter, a remote stub its client-side one), and its
+// size is the first non-zero one a member reports. CachedTables counts the precomputed
 // per-adjacency tables (every owned node with degree > 0) of in-process
 // shards.
 func (e *Engine) Stats() Stats {
@@ -688,15 +683,13 @@ func (e *Engine) Stats() Stats {
 		var perShard int64
 		var nodes int
 		for _, be := range g {
-			if bs, ok := be.(BackendStats); ok {
-				perShard += bs.Requests()
-				if nodes == 0 {
-					nodes = bs.ShardSize()
-				}
+			perShard += be.Requests()
+			if nodes == 0 {
+				nodes = be.ShardSize()
 			}
 		}
 		if s := set.locals[i]; s != nil {
-			st.CachedTables += s.Tables()
+			st.CachedTables += s.tables()
 		}
 		st.RequestsPerShard = append(st.RequestsPerShard, perShard)
 		st.NodesPerShard = append(st.NodesPerShard, nodes)

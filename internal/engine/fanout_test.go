@@ -77,6 +77,10 @@ func (sb *slowBackend) AppendEdges(edges []ingest.Edge) (uint64, error) {
 	return uint64(len(sb.appended)), nil
 }
 
+func (sb *slowBackend) Requests() int64        { return 0 }
+func (sb *slowBackend) ShardSize() (nodes int) { return 0 }
+func (sb *slowBackend) Healthy() bool          { return true }
+
 // slowStarterBackend additionally implements VisitStarter, exercising
 // the async overlap path: Start launches the visit, Await joins it.
 type slowStarterBackend struct {

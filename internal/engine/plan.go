@@ -68,7 +68,7 @@ type visitPlan struct {
 // scatter-gather operations differ in: a sample batch draws into out/ns
 // from sub-streams keyed by (base, entry index); a bulk read (into != nil)
 // fills the entries of a graph.NodeBlock; an append (edges != nil) hands
-// each visit's edges, in batch order, to the partition's EdgeAppender.
+// each visit's edges, in batch order, to the partition's AppendEdges.
 type payload struct {
 	base uint64
 	k    int
@@ -98,15 +98,11 @@ func (c *payload) run(be ShardBackend, gids []graph.NodeID, idx []int32) (int, e
 	case c.into != nil:
 		return 0, be.ReadNodesInto(gids, idx, c.fields, c.into)
 	case c.edges != nil:
-		ap, ok := be.(EdgeAppender)
-		if !ok {
-			return 0, errAppendUnsupported
-		}
 		batch := make([]ingest.Edge, len(idx))
 		for j, i := range idx {
 			batch[j] = c.edges[i]
 		}
-		_, err := ap.AppendEdges(batch)
+		_, err := be.AppendEdges(batch)
 		return len(batch), err
 	}
 	return be.SampleBatchInto(gids, idx, c.base, c.k, c.out, c.ns)

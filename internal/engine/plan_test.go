@@ -236,7 +236,7 @@ func TestAppendOneRecordPerOwner(t *testing.T) {
 	for i := range edges {
 		edges[i] = ingest.Edge{Src: src, Dst: graph.NodeID(i % g.NumNodes()), Type: graph.Click, Weight: 1}
 	}
-	sh := e.Shard(e.ShardOf(src))
+	sh := e.Backend(e.ShardOf(src)).(*Shard)
 	before := sh.LastAppliedSeq()
 	if n, err := e.Append(edges); err != nil || n != len(edges) {
 		t.Fatalf("applied %d of %d edges: %v", n, len(edges), err)

@@ -14,13 +14,13 @@ func (s *Shard) ReadNodesInto(gids []graph.NodeID, pos []int32, fields graph.Rea
 			i = int(pos[j])
 		}
 		if fields&graph.ReadNeighbors != 0 {
-			into.Neighbors[i] = s.Neighbors(id)
+			into.Neighbors[i] = s.neighbors(id)
 		}
 		if fields&graph.ReadFeatures != 0 {
-			into.Features[i] = s.Features(id)
+			into.Features[i] = s.features(id)
 		}
 		if fields&graph.ReadContent != 0 {
-			into.Content[i] = s.Content(id)
+			into.Content[i] = s.content(id)
 		}
 	}
 	return nil

@@ -22,7 +22,7 @@ import (
 type flakyBackend struct {
 	sh        *Shard
 	failing   atomic.Bool // calls return a transport failure
-	unhealthy atomic.Bool // HealthReporter says avoid me
+	unhealthy atomic.Bool // Healthy says avoid me
 	calls     atomic.Int64
 	lastDL    time.Time // deadline of the last sample (single-goroutine tests only)
 }
@@ -65,6 +65,10 @@ func (fb *flakyBackend) AppendEdges(edges []ingest.Edge) (uint64, error) {
 }
 
 func (fb *flakyBackend) Healthy() bool { return !fb.unhealthy.Load() }
+
+// The wrapper counts no requests and knows no partition size.
+func (fb *flakyBackend) Requests() int64        { return 0 }
+func (fb *flakyBackend) ShardSize() (nodes int) { return 0 }
 
 // replicaFixture builds an engine whose every partition is served by a
 // replica group of two flaky wrappers over the same store, plus a plain

@@ -93,19 +93,22 @@ func (s *Shard) buildTables(lo, hi int) {
 	s.tableCount.Add(int64(built))
 }
 
-// Tables returns the number of precomputed per-adjacency alias tables.
-func (s *Shard) Tables() int { return int(s.tableCount.Load()) }
+// tables returns the number of precomputed per-adjacency alias tables.
+func (s *Shard) tables() int { return int(s.tableCount.Load()) }
 
-// Requests reports the shard's served-node count (BackendStats).
+// Requests reports the shard's served-node count (ShardBackend).
 func (s *Shard) Requests() int64 { return s.requests.Load() }
 
-// ShardSize reports the partition's node count (BackendStats).
+// ShardSize reports the partition's node count (ShardBackend).
 func (s *Shard) ShardSize() (nodes int) { return s.store.NumNodes() }
 
-// Neighbors returns the adjacency list of an owned node. Without live
+// Healthy implements ShardBackend: an in-process shard never fails.
+func (s *Shard) Healthy() bool { return true }
+
+// neighbors returns the adjacency list of an owned node. Without live
 // deltas this is an immutable zero-copy view into the shard's CSR
 // slice; a node with appended edges gets a freshly built combined copy.
-func (s *Shard) Neighbors(id graph.NodeID) []graph.Edge {
+func (s *Shard) neighbors(id graph.NodeID) []graph.Edge {
 	li := s.part.Local(id)
 	base := s.store.Edges[s.store.Offsets[li]:s.store.Offsets[li+1]]
 	ov := s.overlayAt(li)
@@ -117,13 +120,13 @@ func (s *Shard) Neighbors(id graph.NodeID) []graph.Edge {
 	return append(out, ov.all...)
 }
 
-// Content returns the node's content vector.
-func (s *Shard) Content(id graph.NodeID) tensor.Vec {
+// content returns the node's content vector.
+func (s *Shard) content(id graph.NodeID) tensor.Vec {
 	return s.store.Content[s.part.Local(id)]
 }
 
-// Features returns the node's categorical features.
-func (s *Shard) Features(id graph.NodeID) []int32 {
+// features returns the node's categorical features.
+func (s *Shard) features(id graph.NodeID) []int32 {
 	return s.store.Features[s.part.Local(id)]
 }
 

@@ -88,8 +88,8 @@ type Fig11Result struct {
 	Rows []Fig11Row
 }
 
-// AUC returns the value for (model, k).
-func (r Fig11Result) AUC(model string, k int) float64 {
+// auc returns the value for (model, k).
+func (r Fig11Result) auc(model string, k int) float64 {
 	for _, row := range r.Rows {
 		if row.Model == model && row.K == k {
 			return row.AUC
@@ -121,7 +121,7 @@ func (r Fig11Result) String() string {
 	for _, m := range r.models() {
 		cells := []string{m}
 		for _, k := range r.Ks {
-			cells = append(cells, fmt.Sprintf("%.3f", r.AUC(m, k)))
+			cells = append(cells, fmt.Sprintf("%.3f", r.auc(m, k)))
 		}
 		rows = append(rows, cells)
 	}

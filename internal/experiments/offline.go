@@ -176,8 +176,8 @@ type Fig8Result struct {
 	Cells    []Fig8Cell
 }
 
-// AUC returns the cell value for (variant, scale).
-func (r Fig8Result) AUC(variant, scale string) float64 {
+// auc returns the cell value for (variant, scale).
+func (r Fig8Result) auc(variant, scale string) float64 {
 	for _, c := range r.Cells {
 		if c.Variant == variant && c.Scale == scale {
 			return c.AUC
@@ -193,7 +193,7 @@ func (r Fig8Result) String() string {
 	for i, v := range r.Variants {
 		cells := []string{v}
 		for _, s := range r.Scales {
-			cells = append(cells, fmt.Sprintf("%.3f", r.AUC(v, s)))
+			cells = append(cells, fmt.Sprintf("%.3f", r.auc(v, s)))
 		}
 		rows[i] = cells
 	}

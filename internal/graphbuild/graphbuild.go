@@ -71,9 +71,6 @@ func (m Mapping) QueryNode(q int) graph.NodeID { return graph.NodeID(m.Users + q
 // ItemNode returns the graph node id of item i.
 func (m Mapping) ItemNode(i int) graph.NodeID { return graph.NodeID(m.Users + m.Queries + i) }
 
-// NumNodes returns the total node count of the built graph.
-func (m Mapping) NumNodes() int { return m.Users + m.Queries + m.Items }
-
 // Type derives a node's type from the builder's id layout (users first,
 // then queries, then items). Engine shards carry no per-node type data,
 // so remote views recover types through this arithmetic instead of a

@@ -232,13 +232,12 @@ func (e *EmbeddingTable) ZeroGrad() {
 // moments, table-global bias correction) and clears them. Each row's
 // update reads only that row's gradient and moments, so the order the
 // rows are visited in does not change a bit.
-func (e *EmbeddingTable) StepAdam(lr float32, beta1, beta2, eps float64) {
+func (e *EmbeddingTable) StepAdam(lr float32) {
 	if e.momentAt == nil {
 		e.momentAt = make([]int32, e.Vocab())
 	}
 	e.adamT++
-	bc1 := 1 - math.Pow(beta1, float64(e.adamT))
-	bc2 := 1 - math.Pow(beta2, float64(e.adamT))
+	step := newAdamStep(lr, e.adamT)
 	for i, id := range e.touched {
 		k := e.momentAt[id]
 		if k == 0 {
@@ -247,39 +246,54 @@ func (e *EmbeddingTable) StepAdam(lr float32, beta1, beta2, eps float64) {
 			k = int32(len(e.adamM) / e.Dim)
 			e.momentAt[id] = k
 		}
-		g, m, v := e.slot(e.grads, int32(i)), e.slot(e.adamM, k-1), e.slot(e.adamV, k-1)
-		row := e.rows.Row(int(id))
-		for j := range row {
-			gj := float64(g[j])
-			mj := beta1*float64(m[j]) + (1-beta1)*gj
-			vj := beta2*float64(v[j]) + (1-beta2)*gj*gj
-			m[j] = float32(mj)
-			v[j] = float32(vj)
-			row[j] -= float32(float64(lr) * (mj / bc1) / (math.Sqrt(vj/bc2) + eps))
-		}
+		step.update(e.rows.Row(int(id)), e.slot(e.grads, int32(i)), e.slot(e.adamM, k-1), e.slot(e.adamV, k-1))
 	}
 	e.ZeroGrad()
+}
+
+// Adam's moment decay rates and denominator epsilon. They are typed:
+// an untyped 1-beta1 would fold to float64(0.1), not 1-float64(0.9).
+const (
+	beta1 float64 = 0.9
+	beta2 float64 = 0.999
+	eps   float64 = 1e-8
+)
+
+// adamStep is the one Adam update rule, the dense optimizer's and the
+// tables' alike, at one step: its learning rate and bias corrections.
+type adamStep struct{ lr, bc1, bc2 float64 }
+
+// newAdamStep returns step t's (from 1) rule at learning rate lr.
+func newAdamStep(lr float32, t int) adamStep {
+	return adamStep{lr: float64(lr), bc1: 1 - math.Pow(beta1, float64(t)), bc2: 1 - math.Pow(beta2, float64(t))}
+}
+
+// update moves the weights w against gradient g, updating the first and
+// second moments m and v in place.
+func (s adamStep) update(w, g, m, v []float32) {
+	for j := range w {
+		gj := float64(g[j])
+		mj := beta1*float64(m[j]) + (1-beta1)*gj
+		vj := beta2*float64(v[j]) + (1-beta2)*gj*gj
+		m[j] = float32(mj)
+		v[j] = float32(vj)
+		w[j] -= float32(s.lr * (mj / s.bc1) / (math.Sqrt(vj/s.bc2) + eps))
+	}
 }
 
 // Adam is the Adam optimizer for dense parameters, with state keyed by
 // parameter identity so one optimizer can drive a whole model.
 type Adam struct {
-	LR           float32
-	Beta1, Beta2 float64
-	Eps          float64
-	WeightDecay  float32
+	LR float32
 
 	t     int
 	state map[*Param]*adamState
 }
 
-type adamState struct{ m, v *tensor.Matrix }
+type adamState struct{ m, v []float32 }
 
-// NewAdam returns an Adam optimizer with standard defaults
-// (beta1=0.9, beta2=0.999, eps=1e-8).
-func NewAdam(lr float32) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-}
+// NewAdam returns an Adam optimizer with learning rate lr.
+func NewAdam(lr float32) *Adam { return &Adam{LR: lr} }
 
 // Step applies and clears gradients for the given dense parameters.
 func (a *Adam) Step(params ...*Param) {
@@ -287,25 +301,14 @@ func (a *Adam) Step(params ...*Param) {
 		a.state = make(map[*Param]*adamState)
 	}
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	step := newAdamStep(a.LR, a.t)
 	for _, p := range params {
 		st, ok := a.state[p]
 		if !ok {
-			st = &adamState{
-				m: tensor.NewMatrix(p.Val.Rows, p.Val.Cols),
-				v: tensor.NewMatrix(p.Val.Rows, p.Val.Cols),
-			}
+			st = &adamState{make([]float32, len(p.Val.Data)), make([]float32, len(p.Val.Data))}
 			a.state[p] = st
 		}
-		for i := range p.Val.Data {
-			g := float64(p.Grad.Data[i] + a.WeightDecay*p.Val.Data[i])
-			m := a.Beta1*float64(st.m.Data[i]) + (1-a.Beta1)*g
-			v := a.Beta2*float64(st.v.Data[i]) + (1-a.Beta2)*g*g
-			st.m.Data[i] = float32(m)
-			st.v.Data[i] = float32(v)
-			p.Val.Data[i] -= float32(float64(a.LR) * (m / bc1) / (math.Sqrt(v/bc2) + a.Eps))
-			p.Grad.Data[i] = 0
-		}
+		step.update(p.Val.Data, p.Grad.Data, st.m, st.v)
+		p.ZeroGrad()
 	}
 }

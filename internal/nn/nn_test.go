@@ -11,11 +11,14 @@ import (
 
 // sum reduces n to the scalar Σ n, whose gradient is one everywhere.
 func sum(tp *ad.Tape, n *ad.Node) *ad.Node {
-	ones := tensor.NewMatrix(n.Rows(), n.Cols())
-	for i := range ones.Data {
-		ones.Data[i] = 1
+	ones := func(rows, cols int) *ad.Node {
+		m := tensor.NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = 1
+		}
+		return tp.Const(m)
 	}
-	return tp.Dot(n, tp.Const(ones))
+	return tp.MatMul(tp.MatMul(ones(1, n.Rows()), n), ones(n.Cols(), 1))
 }
 
 func TestParamNodeAccumulatesGrad(t *testing.T) {
@@ -168,7 +171,7 @@ func TestEmbeddingLookupValues(t *testing.T) {
 		t.Fatalf("lookup shape %dx%d", n.Rows(), n.Cols())
 	}
 	for j := 0; j < 4; j++ {
-		if n.Val.At(0, j) != e.Row(3)[j] || n.Val.At(2, j) != e.Row(3)[j] {
+		if n.Val.Row(0)[j] != e.Row(3)[j] || n.Val.Row(2)[j] != e.Row(3)[j] {
 			t.Fatal("lookup row mismatch")
 		}
 	}
@@ -203,7 +206,7 @@ func TestEmbeddingStepAdamMovesAgainstGradient(t *testing.T) {
 	before := tensor.Copy(e.Row(2))
 	tp := ad.NewTape()
 	tp.Backward(sum(tp, lookup(tp, e, 2)))
-	e.StepAdam(0.01, 0.9, 0.999, 1e-8)
+	e.StepAdam(0.01)
 	after := e.Row(2)
 	for j := range after {
 		if after[j] >= before[j] {
@@ -222,7 +225,7 @@ func TestEmbeddingStepAdamTouchesOnlyGradientRows(t *testing.T) {
 	otherBefore := tensor.Copy(e.Row(0))
 	tp := ad.NewTape()
 	tp.Backward(sum(tp, lookup(tp, e, 1)))
-	e.StepAdam(0.1, 0.9, 0.999, 1e-8)
+	e.StepAdam(0.1)
 	after := e.Row(1)
 	for j := range after {
 		want := before[j] - 0.1
@@ -255,7 +258,7 @@ func TestEmbeddingTrainsToSeparateClasses(t *testing.T) {
 		logits := tp.MatMul(emb, tp.Const(probe))
 		loss := tp.BCEWithLogits(logits, []float32{1, 0})
 		tp.Backward(loss)
-		e.StepAdam(0.05, 0.9, 0.999, 1e-8)
+		e.StepAdam(0.05)
 	}
 	score := func(id int32) float32 {
 		var s float32
@@ -266,17 +269,6 @@ func TestEmbeddingTrainsToSeparateClasses(t *testing.T) {
 	}
 	if !(score(0) > 1 && score(1) < -1) {
 		t.Fatalf("embeddings did not separate: pos=%v neg=%v", score(0), score(1))
-	}
-}
-
-func TestAdamWeightDecayShrinks(t *testing.T) {
-	p := NewParam("w", 1, 1)
-	p.Val.Data[0] = 1
-	opt := NewAdam(0.1)
-	opt.WeightDecay = 0.5
-	opt.Step(p) // grad 0, decay pulls toward zero
-	if p.Val.Data[0] >= 1 {
-		t.Fatalf("weight decay did not shrink: %v", p.Val.Data[0])
 	}
 }
 

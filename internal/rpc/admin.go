@@ -24,12 +24,12 @@ const (
 
 // Admin is a deadline-bounded admin session with one shard server: every
 // operation either completes or fails typed within its bounds, never
-// hanging on an unreachable server. Construct with NewAdmin, then
-// Connect before issuing commands.
+// hanging on an unreachable server. Construct with NewAdmin; each
+// command connects first.
 type Admin struct {
 	addr      string
 	opTimeout time.Duration
-	cl        *client // long-deadline client; non-nil after a successful Connect
+	cl        *client // long-deadline client; non-nil after a successful connect
 }
 
 // NewAdmin returns an unconnected admin session for the server at addr.
@@ -41,12 +41,12 @@ func NewAdmin(addr string, opTimeout time.Duration) *Admin {
 	return &Admin{addr: addr, opTimeout: opTimeout}
 }
 
-// Connect proves the server reachable with bounded, backed-off probes —
+// connect proves the server reachable with bounded, backed-off probes —
 // each a short-deadline handshake, so a dead server costs adminAttempts
 // × adminProbeTimeout plus backoff, not one opTimeout per command — then
 // opens the long-deadline operation client. Exhausting the probes
 // fails with an error matching ErrAdminDeadline.
-func (a *Admin) Connect() error {
+func (a *Admin) connect() error {
 	if a.cl != nil {
 		return nil
 	}
@@ -72,7 +72,7 @@ func (a *Admin) Connect() error {
 // Reassign sends one acquire/release command (see client.Reassign),
 // bounded by opTimeout.
 func (a *Admin) Reassign(shard int, acquire bool) (uint64, error) {
-	if err := a.Connect(); err != nil {
+	if err := a.connect(); err != nil {
 		return 0, err
 	}
 	return a.cl.Reassign(shard, acquire)
@@ -81,7 +81,7 @@ func (a *Admin) Reassign(shard int, acquire bool) (uint64, error) {
 // Status polls the server's routing epoch, owned partitions and member
 // view, bounded by opTimeout.
 func (a *Admin) Status() (epoch uint64, owned []ShardInfo, members []string, err error) {
-	if err := a.Connect(); err != nil {
+	if err := a.connect(); err != nil {
 		return 0, nil, nil, err
 	}
 	return a.cl.routingEpoch()

@@ -760,11 +760,8 @@ type RemoteShard struct {
 // shard, and advertises the facet the engine's visit plan overlaps
 // visits with.
 var (
-	_ engine.ShardBackend   = (*RemoteShard)(nil)
-	_ engine.BackendStats   = (*RemoteShard)(nil)
-	_ engine.VisitStarter   = (*RemoteShard)(nil)
-	_ engine.HealthReporter = (*RemoteShard)(nil)
-	_ engine.EdgeAppender   = (*RemoteShard)(nil)
+	_ engine.ShardBackend = (*RemoteShard)(nil)
+	_ engine.VisitStarter = (*RemoteShard)(nil)
 )
 
 // newRemoteShard returns a stub for partition shard behind cl. nodes
@@ -773,14 +770,14 @@ func newRemoteShard(cl *client, shard, nodes int) *RemoteShard {
 	return &RemoteShard{cl: cl, shard: shard, nodes: nodes}
 }
 
-// Requests reports the client-side served-call count (engine.BackendStats).
+// Requests reports the client-side served-call count (engine.ShardBackend).
 func (rs *RemoteShard) Requests() int64 { return rs.requests.Load() }
 
 // ShardSize reports the partition's node count from the server handshake.
 func (rs *RemoteShard) ShardSize() (nodes int) { return rs.nodes }
 
 // Healthy reports whether the underlying client's failure circuit would
-// admit a call right now (engine.HealthReporter) — the engine's replica
+// admit a call right now (engine.ShardBackend) — the engine's replica
 // picker steers reads away from an unhealthy stub.
 func (rs *RemoteShard) Healthy() bool { return rs.cl.Healthy() }
 
@@ -845,7 +842,7 @@ func (rs *RemoteShard) StartReadNodes(gids []graph.NodeID, pos []int32, fields g
 	return rs.cl.startVisit(visit{op: OpReadNodes, gids: gids, idx: pos, fields: fields, blk: into})
 }
 
-// AppendEdges implements engine.EdgeAppender over the graph-append op:
+// AppendEdges implements engine.ShardBackend over the graph-append op:
 // exactly-once in effect over an at-least-once wire. The stub assigns
 // the next sequence number from its cache and retries with the SAME
 // number across transport failures, so a retry of a delivered-but-

@@ -330,10 +330,6 @@ func (s *Server) releasePartition(id int) (uint64, error) {
 	return next.epoch, nil
 }
 
-// Epoch returns the server's current routing epoch (0 until the first
-// reassignment).
-func (s *Server) Epoch() uint64 { return s.own.Load().epoch }
-
 // Start begins accepting connections on ln (ownership transfers to the
 // server; Close closes it). It returns immediately.
 func (s *Server) Start(ln net.Listener) {

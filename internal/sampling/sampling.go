@@ -62,6 +62,24 @@ type Sampler interface {
 	Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge
 }
 
+// candidates applies the per-hop budget every sampler shares. With
+// done it returns the sample itself: nothing for k <= 0 or an isolated
+// ego, and every neighbor, in adjacency order, when there are at most k.
+// Otherwise it returns the ego's adjacency list to choose k from.
+func candidates(g GraphView, ego graph.NodeID, k int, sc *Scratch) (nbrs []graph.Edge, done bool) {
+	if k <= 0 {
+		return nil, true
+	}
+	nbrs = g.Neighbors(ego)
+	if len(nbrs) == 0 {
+		return nil, true
+	}
+	if len(nbrs) <= k {
+		return append(sc.outBuf(len(nbrs)), nbrs...), true
+	}
+	return nbrs, false
+}
+
 // RelevanceFunc scores a neighbor's content against the focal vector.
 type RelevanceFunc func(focal, neighbor tensor.Vec) float32
 
@@ -86,15 +104,9 @@ func (s *FocalBiased) NeighborReads() graph.ReadFields { return graph.ReadConten
 // Sample implements Sampler. With a nil focal it degrades to weight-ranked
 // selection (relevance indistinguishable), keeping behavior total.
 func (s *FocalBiased) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
-	if k <= 0 {
-		return nil
-	}
-	nbrs := g.Neighbors(ego)
-	if len(nbrs) == 0 {
-		return nil
-	}
-	if len(nbrs) <= k {
-		return append(sc.outBuf(len(nbrs)), nbrs...)
+	nbrs, done := candidates(g, ego, k, sc)
+	if done {
+		return nbrs
 	}
 	ss := sc.scoredBuf(len(nbrs))
 	if focal == nil {
@@ -126,15 +138,9 @@ func (Uniform) NeighborReads() graph.ReadFields { return 0 }
 
 // Sample implements Sampler.
 func (Uniform) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
-	if k <= 0 {
-		return nil
-	}
-	nbrs := g.Neighbors(ego)
-	if len(nbrs) == 0 {
-		return nil
-	}
-	if len(nbrs) <= k {
-		return append(sc.outBuf(len(nbrs)), nbrs...)
+	nbrs, done := candidates(g, ego, k, sc)
+	if done {
+		return nbrs
 	}
 	// Partial Fisher-Yates over an index view.
 	idx := sc.idxBuf(len(nbrs))
@@ -164,15 +170,9 @@ func (Weighted) NeighborReads() graph.ReadFields { return 0 }
 
 // Sample implements Sampler.
 func (Weighted) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
-	if k <= 0 {
-		return nil
-	}
-	nbrs := g.Neighbors(ego)
-	if len(nbrs) == 0 {
-		return nil
-	}
-	if len(nbrs) <= k {
-		return append(sc.outBuf(len(nbrs)), nbrs...)
+	nbrs, done := candidates(g, ego, k, sc)
+	if done {
+		return nbrs
 	}
 	weights, prob, aliasIx, stack := sc.aliasBufs(len(nbrs))
 	for i, e := range nbrs {
@@ -214,15 +214,9 @@ func (s *ImportanceWalk) NeighborReads() graph.ReadFields { return graph.ReadNei
 
 // Sample implements Sampler.
 func (s *ImportanceWalk) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
-	if k <= 0 {
-		return nil
-	}
-	nbrs := g.Neighbors(ego)
-	if len(nbrs) == 0 {
-		return nil
-	}
-	if len(nbrs) <= k {
-		return append(sc.outBuf(len(nbrs)), nbrs...)
+	nbrs, done := candidates(g, ego, k, sc)
+	if done {
+		return nbrs
 	}
 	sc.visitsFor(g.NumNodes())
 	for w := 0; w < s.Walks; w++ {
@@ -260,15 +254,9 @@ func (s *BiasedWalk) NeighborReads() graph.ReadFields { return graph.ReadNeighbo
 
 // Sample implements Sampler.
 func (s *BiasedWalk) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
-	if k <= 0 {
-		return nil
-	}
-	nbrs := g.Neighbors(ego)
-	if len(nbrs) == 0 {
-		return nil
-	}
-	if len(nbrs) <= k {
-		return append(sc.outBuf(len(nbrs)), nbrs...)
+	nbrs, done := candidates(g, ego, k, sc)
+	if done {
+		return nbrs
 	}
 	sc.visitsFor(g.NumNodes())
 	for w := 0; w < s.Walks; w++ {
@@ -319,15 +307,9 @@ func (s *ClusterImportance) NeighborReads() graph.ReadFields { return graph.Read
 // baseline, not a serving-path component, so it only borrows the
 // scratch's output buffer.
 func (s *ClusterImportance) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
-	if k <= 0 {
-		return nil
-	}
-	nbrs := g.Neighbors(ego)
-	if len(nbrs) == 0 {
-		return nil
-	}
-	if len(nbrs) <= k {
-		return append(sc.outBuf(len(nbrs)), nbrs...)
+	nbrs, done := candidates(g, ego, k, sc)
+	if done {
+		return nbrs
 	}
 	type cluster struct {
 		centroid tensor.Vec

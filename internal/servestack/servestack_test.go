@@ -70,7 +70,7 @@ func TestBuildRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Engine.Backend(0) == nil || st.Engine.Shard(0) != nil {
+	if _, local := st.Engine.Backend(0).(*engine.Shard); st.Engine.Backend(0) == nil || local {
 		t.Fatal("remote stack is serving from in-process shards")
 	}
 	if r := retrieve(st); r.Err != nil || len(r.Items) == 0 {

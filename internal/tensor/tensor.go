@@ -200,12 +200,6 @@ func (m *Matrix) Row(i int) Vec {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// At returns the element at (i, j).
-func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at (i, j).
-func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)

@@ -188,18 +188,18 @@ func TestMatVec(t *testing.T) {
 
 func TestMatrixAccessors(t *testing.T) {
 	m := NewMatrix(2, 2)
-	m.Set(1, 0, 7)
-	if m.At(1, 0) != 7 {
+	m.Row(1)[0] = 7
+	if m.Row(1)[0] != 7 {
 		t.Fatal("Set/At mismatch")
 	}
 	row := m.Row(1)
 	row[1] = 9
-	if m.At(1, 1) != 9 {
+	if m.Row(1)[1] != 9 {
 		t.Fatal("Row is not a live view")
 	}
 	c := m.Clone()
-	c.Set(0, 0, 5)
-	if m.At(0, 0) == 5 {
+	c.Row(0)[0] = 5
+	if m.Row(0)[0] == 5 {
 		t.Fatal("Clone aliases original")
 	}
 }
@@ -231,12 +231,12 @@ func matMul(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for k := 0; k < a.Cols; k++ {
-			av := a.At(i, k)
+			av := a.Row(i)[k]
 			if av == 0 {
 				continue
 			}
 			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += av * b.At(k, j)
+				out.Data[i*out.Cols+j] += av * b.Row(k)[j]
 			}
 		}
 	}
@@ -247,7 +247,7 @@ func transpose(m *Matrix) *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
+			out.Row(j)[i] = m.Row(i)[j]
 		}
 	}
 	return out
@@ -280,9 +280,9 @@ func TestGemmAccBitIdenticalToScalarProduct(t *testing.T) {
 		// same order onto the same start values.
 		for i := 0; i < ar; i++ {
 			for k := 0; k < ac; k++ {
-				if av := a.At(i, k); av != 0 {
+				if av := a.Row(i)[k]; av != 0 {
 					for j := 0; j < bc; j++ {
-						want.Data[i*bc+j] += av * b.At(k, j)
+						want.Data[i*bc+j] += av * b.Row(k)[j]
 					}
 				}
 			}
