@@ -14,7 +14,6 @@ import (
 	"zoomer/internal/graphbuild"
 	"zoomer/internal/loggen"
 	"zoomer/internal/rng"
-	"zoomer/internal/sampling"
 	"zoomer/internal/tensor"
 )
 
@@ -135,8 +134,9 @@ func BenchmarkFig13Interpretability(b *testing.B) {
 // --- Design-choice ablations (DESIGN.md §5) ------------------------------
 
 // BenchmarkAblationRelevanceScore compares the paper's eq. (5) Tanimoto
-// relevance against the cosine replacement it mentions, on the sampler's
-// hot path.
+// relevance, through the fused kernel the focal-biased sampler scores
+// with, against the cosine replacement it mentions, over one ego's
+// neighbor content.
 func BenchmarkAblationRelevanceScore(b *testing.B) {
 	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
 	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
@@ -149,22 +149,27 @@ func BenchmarkAblationRelevanceScore(b *testing.B) {
 		}
 	}
 	focal := tensor.Copy(g.Content(ego))
-	for _, bc := range []struct {
-		name string
-		rel  sampling.RelevanceFunc
-	}{
-		{"tanimoto-eq5", nil},
-		{"cosine", tensor.Cosine},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			s := &sampling.FocalBiased{Relevance: bc.rel}
-			r := rng.New(2)
-			sc := sampling.NewScratch()
-			for i := 0; i < b.N; i++ {
-				_ = s.Sample(g, ego, focal, 5, r, sc)
-			}
-		})
+	var content []tensor.Vec
+	for _, e := range g.Neighbors(ego) {
+		content = append(content, g.Content(e.To))
 	}
+	var sink float32
+	b.Run("tanimoto-eq5", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fsq := tensor.SqNorm(focal)
+			for _, c := range content {
+				sink += tensor.TanimotoWithSqNorm(focal, fsq, c)
+			}
+		}
+	})
+	b.Run("cosine", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, c := range content {
+				sink += tensor.Cosine(focal, c)
+			}
+		}
+	})
+	_ = sink
 }
 
 // BenchmarkAblationAlias compares the graph engine's O(1) alias-table

@@ -38,8 +38,8 @@ func main() {
 	fmt.Printf("zoomer AUC %.3f | pinsage AUC %.3f\n", zres.TestAUC, pres.TestAUC)
 
 	items := res.Mapping.NodesOfType(graph.Item)
-	control := abtest.NewModelChannel("pinsage", pinsage, items, 55)
-	treatment := abtest.NewModelChannel("zoomer", zoomer, items, 56)
+	control := abtest.NewModelChannel(pinsage, items, 55)
+	treatment := abtest.NewModelChannel(zoomer, items, 56)
 	traffic := abtest.TrafficFromLogs(logs, res.Mapping, 120)
 
 	out := abtest.RunArms(g, traffic, control, treatment, abtest.DefaultConfig())

@@ -26,7 +26,6 @@ import (
 
 // Channel retrieves a ranked item list for a request.
 type Channel interface {
-	Name() string
 	retrieve(u, q graph.NodeID, k int) []graph.NodeID
 }
 
@@ -34,7 +33,6 @@ type Channel interface {
 // index over its item embeddings. Like its RNG, its search scratch makes
 // a channel single-goroutine.
 type ModelChannel struct {
-	name   string
 	model  core.Model
 	index  *ann.Index
 	r      *rng.RNG
@@ -44,14 +42,11 @@ type ModelChannel struct {
 
 // NewModelChannel indexes the model's item embeddings and returns a
 // retrieval channel.
-func NewModelChannel(name string, m core.Model, items []graph.NodeID, seed uint64) *ModelChannel {
+func NewModelChannel(m core.Model, items []graph.NodeID, seed uint64) *ModelChannel {
 	r := rng.New(seed)
 	ix := servestack.ItemIndex(items, func(it graph.NodeID) tensor.Vec { return m.ItemEmbedding(it, r) }, seed+1)
-	return &ModelChannel{name: name, model: m, index: ix, r: r, sc: ix.NewSearchScratch(), nprobe: 4}
+	return &ModelChannel{model: m, index: ix, r: r, sc: ix.NewSearchScratch(), nprobe: 4}
 }
-
-// Name implements Channel.
-func (c *ModelChannel) Name() string { return c.name }
 
 // retrieve implements Channel.
 func (c *ModelChannel) retrieve(u, q graph.NodeID, k int) []graph.NodeID {

@@ -56,7 +56,6 @@ type oracleChannel struct {
 	items []graph.NodeID
 }
 
-func (o *oracleChannel) Name() string { return "oracle" }
 func (o *oracleChannel) retrieve(u, q graph.NodeID, k int) []graph.NodeID {
 	intent := tensor.Copy(o.g.Content(q))
 	tensor.Axpy(0.5, o.g.Content(u), intent)
@@ -87,7 +86,6 @@ type noiseChannel struct {
 	r     *rng.RNG
 }
 
-func (n *noiseChannel) Name() string { return "noise" }
 func (n *noiseChannel) retrieve(u, q graph.NodeID, k int) []graph.NodeID {
 	out := make([]graph.NodeID, k)
 	for i := range out {
@@ -142,10 +140,7 @@ func TestModelChannel(t *testing.T) {
 	// An untrained model still exercises the full channel path.
 	// (Training-quality comparisons live in the Table IV harness.)
 	m := newTestModel(t, g, logs)
-	ch := NewModelChannel("zoomer", m, items, 6)
-	if ch.Name() != "zoomer" {
-		t.Fatal("name")
-	}
+	ch := NewModelChannel(m, items, 6)
 	out := ch.retrieve(g.NodesOfType(graph.User)[0], g.NodesOfType(graph.Query)[0], 10)
 	if len(out) == 0 || len(out) > 10 {
 		t.Fatalf("retrieved %d items", len(out))

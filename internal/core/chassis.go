@@ -111,18 +111,17 @@ func samplingFocal(g GraphView, u, q graph.NodeID) tensor.Vec {
 	return fc
 }
 
-// roi is one request's pair of sampled regions.
-type roi struct{ user, query *sampling.Tree }
-
 // regions is one batch's region buffer: the read set every graph read of
 // the batch's pass goes through, the scratch its trees live in, and the
-// trees, one roi per request. Everything in it stays valid until the
+// trees, two per request — request i's user region is trees[2i], its
+// query region trees[2i+1]. Everything in it stays valid until the
 // buffer is sampled into again.
 type regions struct {
-	rs   *sampling.ReadSet
-	sc   *sampling.Scratch
-	rois []roi
-	ids  []graph.NodeID // bulk-read staging
+	rs     *sampling.ReadSet
+	sc     *sampling.Scratch
+	trees  []*sampling.Tree
+	ids    []graph.NodeID // the focal points, then bulk-read staging
+	focals []tensor.Vec   // each focal point's focal vector
 }
 
 // newRegions returns an empty region buffer over view g.
@@ -142,14 +141,13 @@ func (c *Chassis) sampleBatch(b *regions, batch []Instance, r *rng.RNG) {
 // sampleROIs is the one region-construction path of every model, in
 // training and inference, over every kind of view. It empties b — the
 // graph may change between passes, never inside one — and every graph
-// read of the pass goes through b's read set: the focal points'
-// adjacency (and content, for a focal-biased region) arrive in one bulk
-// read, the region trees are built request by request in the order — and
-// so with the RNG stream — they always were (BuildTree reads one level
-// ahead of its depth-first walk), and the features of every node the
-// embedding will touch — the batch's items when items is set, then the
-// trees' nodes — arrive in one last bulk read. What follows runs on
-// slice lookups.
+// read of the pass goes through b's read set: for a focal-biased region
+// the focal points' content arrives in one bulk read, with the adjacency
+// lists the first level samples riding along; the batch's trees are
+// built as one forest, level by level (BuildForest readies each level in
+// bulk); and the features of every node the embedding will touch — the
+// batch's items when items is set, then the trees' nodes — arrive in one
+// last bulk read. What follows runs on slice lookups.
 func (c *Chassis) sampleROIs(b *regions, batch []Instance, items bool, r *rng.RNG) {
 	reg := c.spec.Region
 	rs := b.rs
@@ -159,41 +157,34 @@ func (c *Chassis) sampleROIs(b *regions, batch []Instance, items bool, r *rng.RN
 	for _, ex := range batch {
 		ids = append(ids, ex.User, ex.Query)
 	}
-	fields := graph.ReadNeighbors
+	var focals []tensor.Vec
 	if reg.Focal {
-		fields |= graph.ReadContent
-	}
-	rs.Prefetch(ids, fields)
-	if reg.Hops > 0 {
-		rs.Expand(ids, reg.Sampler.NeighborReads())
-	}
-	b.rois = b.rois[:0]
-	for _, ex := range batch {
-		var fc tensor.Vec
-		if reg.Focal {
-			fc = samplingFocal(rs, ex.User, ex.Query)
+		rs.Prefetch(ids, graph.ReadNeighbors|graph.ReadContent)
+		focals = b.focals[:0]
+		for _, ex := range batch {
+			fc := samplingFocal(rs, ex.User, ex.Query)
+			focals = append(focals, fc, fc)
 		}
-		user := sampling.BuildTree(rs, ex.User, fc, reg.Hops, reg.FanOut, reg.Sampler, r, b.sc)
-		query := sampling.BuildTree(rs, ex.Query, fc, reg.Hops, reg.FanOut, reg.Sampler, r, b.sc)
-		b.rois = append(b.rois, roi{user, query})
+		b.focals = focals
 	}
+	b.trees = sampling.BuildForest(rs, ids, focals, reg.Hops, reg.FanOut, reg.Sampler, r, b.sc)
 	ids = ids[:0]
 	if items {
 		for _, ex := range batch {
 			ids = append(ids, ex.Item)
 		}
 	}
-	for _, roi := range b.rois {
-		ids = roi.query.AppendNodes(roi.user.AppendNodes(ids))
+	for _, t := range b.trees {
+		ids = t.AppendNodes(ids)
 	}
 	rs.Prefetch(ids, graph.ReadFeatures)
 	b.ids = ids
 }
 
-// uqForward runs the model's request tower over one request's regions
+// uqForward runs the model's request tower over request i's regions in b
 // and the request-side MLP over its output.
-func (c *Chassis) uqForward(t *ad.Tape, g GraphView, roi roi) *ad.Node {
-	hu, hq := c.spec.Tower(Pass{T: t, G: g, fe: c.fe}, roi.user, roi.query)
+func (c *Chassis) uqForward(t *ad.Tape, b *regions, i int) *ad.Node {
+	hu, hq := c.spec.Tower(Pass{T: t, G: b.rs, fe: c.fe}, b.trees[2*i], b.trees[2*i+1])
 	return c.towerUQ.Forward(t, t.ConcatCols(hu, hq))
 }
 
@@ -208,7 +199,7 @@ func (c *Chassis) itemBase(t *ad.Tape, g GraphView, item graph.NodeID) *ad.Node 
 func (c *Chassis) batchLogits(t *ad.Tape, b *regions, batch []Instance) *ad.Node {
 	rows := t.Nodes(len(batch))
 	for i, ex := range batch {
-		uq := c.uqForward(t, b.rs, b.rois[i])
+		uq := c.uqForward(t, b, i)
 		it := c.itemBase(t, b.rs, ex.Item)
 		rows[i] = t.Scale(c.cfg.LogitScale, t.CosineSim(uq, it))
 	}
@@ -225,7 +216,7 @@ func (c *Chassis) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
 // UserQueryEmbedding implements Model (inference path: forward only).
 func (c *Chassis) UserQueryEmbedding(u, q graph.NodeID, r *rng.RNG) tensor.Vec {
 	c.sampleROIs(c.own, []Instance{{User: u, Query: q}}, false, r)
-	return tensor.Copy(c.uqForward(ad.NewTape(), c.own.rs, c.own.rois[0]).Val.Row(0))
+	return tensor.Copy(c.uqForward(ad.NewTape(), c.own, 0).Val.Row(0))
 }
 
 // ItemEmbedding implements Model.

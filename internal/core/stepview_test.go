@@ -40,29 +40,25 @@ func (v perNodeView) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, into
 // own two halves, so the reference leg never runs the chassis's.
 type legacyZoomer struct{ *Zoomer }
 
-// sampleBatch builds each request's two trees in turn, reading the view
-// node by node.
+// sampleBatch builds the batch's trees as one forest over the bound
+// view: the same draws as the chassis's, read node by node.
 func (l legacyZoomer) sampleBatch(b *regions, batch []Instance, r *rng.RNG) {
+	z := l.Zoomer
 	b.sc.Reset()
-	b.rois = b.rois[:0]
+	b.ids, b.focals = b.ids[:0], b.focals[:0]
 	for _, ex := range batch {
-		b.rois = append(b.rois, l.sample(ex.User, ex.Query, r, b.sc))
+		fc := samplingFocal(z.g, ex.User, ex.Query)
+		b.ids = append(b.ids, ex.User, ex.Query)
+		b.focals = append(b.focals, fc, fc)
 	}
+	b.trees = sampling.BuildForest(z.g, b.ids, b.focals, z.cfg.Hops, z.cfg.FanOut, z.spec.Region.Sampler, r, b.sc)
 }
 
-func (l legacyZoomer) sample(u, q graph.NodeID, r *rng.RNG, sc *sampling.Scratch) roi {
+func (l legacyZoomer) uq(t *ad.Tape, user, query *sampling.Tree) *ad.Node {
 	z := l.Zoomer
-	fc := samplingFocal(z.g, u, q)
-	user := sampling.BuildTree(z.g, u, fc, z.cfg.Hops, z.cfg.FanOut, z.spec.Region.Sampler, r, sc)
-	query := sampling.BuildTree(z.g, q, fc, z.cfg.Hops, z.cfg.FanOut, z.spec.Region.Sampler, r, sc)
-	return roi{user, query}
-}
-
-func (l legacyZoomer) uq(t *ad.Tape, roi roi) *ad.Node {
-	z := l.Zoomer
-	C := z.focalVector(t, z.g, roi.user.Node, roi.query.Node)
-	hu := z.embedTree(t, z.g, roi.user, C, z.attnUser.Node(t))
-	hq := z.embedTree(t, z.g, roi.query, C, z.attnQuery.Node(t))
+	C := z.focalVector(t, z.g, user.Node, query.Node)
+	hu := z.embedTree(t, z.g, user, C, z.attnUser.Node(t))
+	hq := z.embedTree(t, z.g, query, C, z.attnQuery.Node(t))
 	return z.towerUQ.Forward(t, t.ConcatCols(hu, hq))
 }
 
@@ -70,7 +66,7 @@ func (l legacyZoomer) uq(t *ad.Tape, roi roi) *ad.Node {
 func (l legacyZoomer) batchLogits(t *ad.Tape, b *regions, batch []Instance) *ad.Node {
 	rows := make([]*ad.Node, len(batch))
 	for i, ex := range batch {
-		uq := l.uq(t, b.rois[i])
+		uq := l.uq(t, b.trees[2*i], b.trees[2*i+1])
 		it := l.itemBase(t, l.g, ex.Item)
 		rows[i] = t.Scale(l.cfg.LogitScale, t.CosineSim(uq, it))
 	}
@@ -78,8 +74,9 @@ func (l legacyZoomer) batchLogits(t *ad.Tape, b *regions, batch []Instance) *ad.
 }
 
 func (l legacyZoomer) UserQueryEmbedding(u, q graph.NodeID, r *rng.RNG) tensor.Vec {
-	out := l.uq(ad.NewTape(), l.sample(u, q, r, sampling.NewScratch()))
-	return tensor.Copy(out.Val.Row(0))
+	b := &regions{sc: sampling.NewScratch()}
+	l.sampleBatch(b, []Instance{{User: u, Query: q}}, r)
+	return tensor.Copy(l.uq(ad.NewTape(), b.trees[0], b.trees[1]).Val.Row(0))
 }
 
 // stepTrace is what a short training run leaves behind.
@@ -122,22 +119,22 @@ func TestStepViewMatchesPerNodeReads(t *testing.T) {
 			cfg.Sampler, cfg.Hops, cfg.FanOut = s, hops, 3
 			want := traceRun(legacyZoomer{NewZoomer(perNodeView{g}, w.logs.Vocab(), cfg, 7)}, w)
 			if len(want.losses) == 0 {
-				t.Fatalf("%s: empty reference trace", s.Name())
+				t.Fatalf("%T: empty reference trace", s)
 			}
 			for name, view := range views {
 				got := traceRun(NewZoomer(view, w.logs.Vocab(), cfg, 7), w)
 				for i := range want.losses {
 					if got.losses[i] != want.losses[i] {
-						t.Fatalf("%s hops=%d over %s: step %d loss %v != %v", s.Name(), hops, name, i, got.losses[i], want.losses[i])
+						t.Fatalf("%T hops=%d over %s: step %d loss %v != %v", s, hops, name, i, got.losses[i], want.losses[i])
 					}
 				}
 				for i := range want.uq {
 					if got.uq[i] != want.uq[i] {
-						t.Fatalf("%s hops=%d over %s: embedding dim %d differs", s.Name(), hops, name, i)
+						t.Fatalf("%T hops=%d over %s: embedding dim %d differs", s, hops, name, i)
 					}
 				}
 				if got.rng != want.rng {
-					t.Fatalf("%s hops=%d over %s: RNG consumed differently", s.Name(), hops, name)
+					t.Fatalf("%T hops=%d over %s: RNG consumed differently", s, hops, name)
 				}
 			}
 		}

@@ -328,12 +328,12 @@ func TestSamplerEquivalenceAcrossTopologies(t *testing.T) {
 			gotLoss, gotEmb := run(s, topo.view)
 			for i := range wantLoss {
 				if gotLoss[i] != wantLoss[i] {
-					t.Fatalf("%s/%s: step %d loss %v != %v", s.Name(), topo.name, i, gotLoss[i], wantLoss[i])
+					t.Fatalf("%T/%s: step %d loss %v != %v", s, topo.name, i, gotLoss[i], wantLoss[i])
 				}
 			}
 			for i := range wantEmb {
 				if gotEmb[i] != wantEmb[i] {
-					t.Fatalf("%s/%s: embedding dim %d differs", s.Name(), topo.name, i)
+					t.Fatalf("%T/%s: embedding dim %d differs", s, topo.name, i)
 				}
 			}
 		}
@@ -436,11 +436,13 @@ func (v *contentCounter) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, 
 // TestRemoteStepReadBudget pins where the remote training step's saving
 // sits, at the benchmark rig's configuration (large world, four hash
 // shards on two servers, default model, 32-example batches): a step is
-// served by at most 2 000 read requests of any kind — it used to take
-// ~325 000 — the count is exactly repeatable, and no node's content
-// crosses the wire twice within a step. Zoomer, a walk-sampler baseline
-// (PinSage) and a session-tower baseline (HAN) are held to it: every
-// model reads the graph through the one chassis.
+// served by a fixed handful of read requests per sampled level — it used
+// to take ~325 000, and ~490 while the trees were built one at a time —
+// the count is exactly repeatable, and no node's content crosses the
+// wire twice within a step. Zoomer, a walk-sampler baseline (PinSage,
+// whose walks still read as they step) and a session-tower baseline
+// (HAN) are each held to their own ceiling: every model reads the graph
+// through the one chassis.
 func TestRemoteStepReadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the large world")
@@ -461,11 +463,15 @@ func TestRemoteStepReadBudget(t *testing.T) {
 
 	view := &contentCounter{GraphView: core.EngineView{Engine: cluster.Engine, M: w.res.Mapping}}
 	v := logs.Vocab()
-	for _, m := range []core.Model{
-		core.NewZoomer(view, v, core.DefaultConfig(), 3),
-		baselines.NewPinSage(view, v, core.DefaultConfig(), 3),
-		baselines.NewHAN(view, v, core.DefaultConfig(), 3),
+	for _, tc := range []struct {
+		m       core.Model
+		ceiling int64
+	}{
+		{core.NewZoomer(view, v, core.DefaultConfig(), 3), 32},
+		{baselines.NewPinSage(view, v, core.DefaultConfig(), 3), 640},
+		{baselines.NewHAN(view, v, core.DefaultConfig(), 3), 32},
 	} {
+		m := tc.m
 		var perStep []int64
 		for rep := 0; rep < 2; rep++ {
 			r := rng.New(9)
@@ -474,8 +480,8 @@ func TestRemoteStepReadBudget(t *testing.T) {
 				before := reads()
 				m.Logits(ad.NewTape(), w.train[step*32:(step+1)*32], r)
 				d := reads() - before
-				if d > 2000 {
-					t.Fatalf("%s: step %d took %d read requests, budget 2000", m.Name(), step, d)
+				if d > tc.ceiling {
+					t.Fatalf("%s: step %d took %d read requests, budget %d", m.Name(), step, d, tc.ceiling)
 				}
 				for id, n := range view.content {
 					if n > 1 {

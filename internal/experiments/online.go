@@ -49,8 +49,8 @@ func Table4(o Options) Table4Result {
 	core.Train(pinsage, w.train, nil, tc)
 
 	items := w.res.Mapping.NodesOfType(graph.Item)
-	control := abtest.NewModelChannel("pinsage", pinsage, items, o.Seed+3)
-	treatment := abtest.NewModelChannel("zoomer", zoomer, items, o.Seed+4)
+	control := abtest.NewModelChannel(pinsage, items, o.Seed+3)
+	treatment := abtest.NewModelChannel(zoomer, items, o.Seed+4)
 
 	maxTraffic := 400
 	if o.Quick {

@@ -9,10 +9,11 @@ import (
 // attribute of every node is fetched from the underlying view at most
 // once, so the reads one forward pass repeats — a hub's content scored
 // under a dozen egos, a tree node embedded after it was sampled — cost a
-// slice index, and the reads it can foresee (Prefetch, Expand) arrive in
-// bulk. It is scoped to one training or inference step over a graph that
-// does not change underneath it: nothing is evicted or invalidated until
-// Reset empties the whole set for the next step.
+// slice index, and the reads it can foresee (Prefetch, and BuildForest's
+// per-level expand) arrive in bulk. It is scoped to one training or
+// inference step over a graph that does not change underneath it:
+// nothing is evicted or invalidated until Reset empties the whole set for
+// the next step.
 //
 // Remembered slices are the underlying view's own (an in-memory graph's
 // arrays, or one decoded copy per remote read); the set never copies.
@@ -28,7 +29,7 @@ type ReadSet struct {
 	// which is what keeps the slices copied out of it valid until then.
 	blk  graph.NodeBlock
 	miss []graph.NodeID
-	nbrs []graph.NodeID
+	ids  []graph.NodeID // expand's staging
 }
 
 // nodeAttrs is what the set holds for one node; have marks which of the
@@ -156,20 +157,24 @@ func (rs *ReadSet) Prefetch(ids []graph.NodeID, fields graph.ReadFields) {
 	}
 }
 
-// Expand readies the set for sampling every node of frontier: their
+// expand readies the set for sampling every node of a level: their
 // adjacency lists in one bulk read, then — when the sampler scores
-// neighbors by nbrFields (Sampler.NeighborReads) — those attributes of
+// neighbors by nbrFields (Sampler.neighborReads) — those attributes of
 // every listed neighbor in a second.
-func (rs *ReadSet) Expand(frontier []graph.NodeID, nbrFields graph.ReadFields) {
-	rs.Prefetch(frontier, graph.ReadNeighbors)
+func (rs *ReadSet) expand(level []branch, nbrFields graph.ReadFields) {
+	rs.ids = rs.ids[:0]
+	for _, b := range level {
+		rs.ids = append(rs.ids, b.t.Node)
+	}
+	rs.Prefetch(rs.ids, graph.ReadNeighbors)
 	if nbrFields == 0 {
 		return
 	}
-	rs.nbrs = rs.nbrs[:0]
-	for _, id := range frontier {
-		for _, e := range rs.nodes[rs.slot[id]-1].nbrs {
-			rs.nbrs = append(rs.nbrs, e.To)
+	rs.ids = rs.ids[:0]
+	for _, b := range level {
+		for _, e := range rs.nodes[rs.slot[b.t.Node]-1].nbrs {
+			rs.ids = append(rs.ids, e.To)
 		}
 	}
-	rs.Prefetch(rs.nbrs, nbrFields)
+	rs.Prefetch(rs.ids, nbrFields)
 }

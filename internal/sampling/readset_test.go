@@ -34,6 +34,7 @@ type countingView struct {
 	*graph.Graph
 	singles      int
 	bulks        int
+	nbrBulks     int // bulk reads that fetched adjacency lists
 	contentReads map[graph.NodeID]int
 	nbrReads     map[graph.NodeID]int
 }
@@ -56,6 +57,9 @@ func (v *countingView) Content(id graph.NodeID) tensor.Vec {
 
 func (v *countingView) ReadNodes(ids []graph.NodeID, fields graph.ReadFields, into *graph.NodeBlock) {
 	v.bulks++
+	if fields&graph.ReadNeighbors != 0 {
+		v.nbrBulks++
+	}
 	for _, id := range ids {
 		if fields&graph.ReadNeighbors != 0 {
 			v.nbrReads[id]++
@@ -154,19 +158,19 @@ func TestBuildTreeOverReadSetIsBitIdentical(t *testing.T) {
 				cv := newCountingView(g)
 				got := BuildTree(NewReadSet(cv, nil), ego, focal, hops, 4, s, rg, NewScratch())
 				if !treesEqual(want, got) {
-					t.Fatalf("%s hops=%d ego=%d: tree differs over the read set", s.Name(), hops, ego)
+					t.Fatalf("%T hops=%d ego=%d: tree differs over the read set", s, hops, ego)
 				}
 				if rw.State() != rg.State() {
-					t.Fatalf("%s hops=%d ego=%d: RNG consumed differently", s.Name(), hops, ego)
+					t.Fatalf("%T hops=%d ego=%d: RNG consumed differently", s, hops, ego)
 				}
 				for id, n := range cv.contentReads {
 					if n > 1 {
-						t.Fatalf("%s hops=%d ego=%d: node %d content fetched %d times", s.Name(), hops, ego, id, n)
+						t.Fatalf("%T hops=%d ego=%d: node %d content fetched %d times", s, hops, ego, id, n)
 					}
 				}
 				for id, n := range cv.nbrReads {
 					if n > 1 {
-						t.Fatalf("%s hops=%d ego=%d: node %d adjacency fetched %d times", s.Name(), hops, ego, id, n)
+						t.Fatalf("%T hops=%d ego=%d: node %d adjacency fetched %d times", s, hops, ego, id, n)
 					}
 				}
 			}
@@ -174,9 +178,9 @@ func TestBuildTreeOverReadSetIsBitIdentical(t *testing.T) {
 	}
 }
 
-// The focal-biased tree reads a frontier at a time: per interior node one
-// bulk read for its children's adjacency and one for their candidates'
-// content, instead of one read per candidate.
+// The focal-biased tree reads a level at a time: per level one bulk read
+// for its nodes' adjacency and one for their candidates' content,
+// instead of one read per node or candidate.
 func TestBuildTreeReadsFrontiersInBulk(t *testing.T) {
 	g := randomGraph(300, 3)
 	cv := newCountingView(g)
@@ -185,9 +189,8 @@ func TestBuildTreeReadsFrontiersInBulk(t *testing.T) {
 	if len(tree.AppendNodes(nil)) < 1+5+5 {
 		t.Fatalf("tree has %d nodes", len(tree.AppendNodes(nil)))
 	}
-	// Root: its adjacency (single read) and its candidates' content (one
-	// bulk). Then one Expand for the five children: two bulks.
-	if cv.singles != 1 || cv.bulks != 3 {
-		t.Fatalf("2-hop tree took %d single and %d bulk reads, want 1 and 3", cv.singles, cv.bulks)
+	// Level 0, the root: two bulks. Level 1, its five children: two bulks.
+	if cv.singles != 0 || cv.bulks != 4 {
+		t.Fatalf("2-hop tree took %d single and %d bulk reads, want 0 and 4", cv.singles, cv.bulks)
 	}
 }

@@ -7,7 +7,8 @@
 //
 // All samplers answer the same question: given an ego node, an optional
 // focal vector, and a budget k, which neighbors enter the sampled
-// subgraph? Multi-hop ROI construction is layered on top by BuildTree.
+// subgraph? Multi-hop ROI construction is layered on top by BuildForest,
+// which samples a batch's regions level by level.
 //
 // Every sampler threads a caller-owned *Scratch (see scratch.go) through
 // its hot path, so the steady state allocates nothing; the scratch is
@@ -51,14 +52,13 @@ type GraphView interface {
 // it and is valid only until the sampler's next call with the same
 // scratch — callers that retain edges must copy them.
 //
-// NeighborReads reports which attributes of the ego's neighbors Sample
+// neighborReads reports which attributes of the ego's neighbors Sample
 // reads beyond the adjacency list itself (the content vectors a
 // relevance score needs, or the adjacency lists a walk steps through),
-// so BuildTree can fetch them for a whole frontier in one bulk read
+// so BuildForest can fetch them for a whole level in one bulk read
 // instead of leaving each Sample call to its own.
 type Sampler interface {
-	Name() string
-	NeighborReads() graph.ReadFields
+	neighborReads() graph.ReadFields
 	Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge
 }
 
@@ -80,26 +80,18 @@ func candidates(g GraphView, ego graph.NodeID, k int, sc *Scratch) (nbrs []graph
 	return nbrs, false
 }
 
-// RelevanceFunc scores a neighbor's content against the focal vector.
-type RelevanceFunc func(focal, neighbor tensor.Vec) float32
-
 // FocalBiased is Zoomer's sampler: it scores every neighbor's content
-// vector against the focal vector and keeps the top-k, deterministically
-// preserving the neighbors most relevant to the request's focal interest.
-// A nil Relevance selects the paper's eq. (5) score through a fused
-// kernel that hoists the focal norm out of the neighbor loop.
-type FocalBiased struct {
-	Relevance RelevanceFunc
-}
+// vector against the focal vector with the paper's eq. (5) relevance —
+// through a fused kernel that hoists the focal norm out of the neighbor
+// loop — and keeps the top-k, deterministically preserving the neighbors
+// most relevant to the request's focal interest.
+type FocalBiased struct{}
 
 // NewFocalBiased returns the sampler with the paper's eq. (5) relevance.
 func NewFocalBiased() *FocalBiased { return &FocalBiased{} }
 
-// Name implements Sampler.
-func (s *FocalBiased) Name() string { return "focal-biased" }
-
-// NeighborReads implements Sampler: every neighbor's content is scored.
-func (s *FocalBiased) NeighborReads() graph.ReadFields { return graph.ReadContent }
+// neighborReads implements Sampler: every neighbor's content is scored.
+func (s *FocalBiased) neighborReads() graph.ReadFields { return graph.ReadContent }
 
 // Sample implements Sampler. With a nil focal it degrades to weight-ranked
 // selection (relevance indistinguishable), keeping behavior total.
@@ -113,14 +105,11 @@ func (s *FocalBiased) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k 
 		for i, e := range nbrs {
 			ss[i] = scoredEdge{e, e.Weight}
 		}
-	} else if content := sc.neighborContent(g, nbrs); s.Relevance == nil {
+	} else {
+		content := sc.neighborContent(g, nbrs)
 		fsq := tensor.SqNorm(focal)
 		for i, e := range nbrs {
 			ss[i] = scoredEdge{e, tensor.TanimotoWithSqNorm(focal, fsq, content[i])}
-		}
-	} else {
-		for i, e := range nbrs {
-			ss[i] = scoredEdge{e, s.Relevance(focal, content[i])}
 		}
 	}
 	return sc.topEdges(ss, k)
@@ -130,11 +119,8 @@ func (s *FocalBiased) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k 
 // replacement (all neighbors when degree <= k).
 type Uniform struct{}
 
-// Name implements Sampler.
-func (Uniform) Name() string { return "uniform" }
-
-// NeighborReads implements Sampler: the adjacency list is all it reads.
-func (Uniform) NeighborReads() graph.ReadFields { return 0 }
+// neighborReads implements Sampler: the adjacency list is all it reads.
+func (Uniform) neighborReads() graph.ReadFields { return 0 }
 
 // Sample implements Sampler.
 func (Uniform) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
@@ -162,11 +148,8 @@ func (Uniform) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng
 // neighbors may return.
 type Weighted struct{}
 
-// Name implements Sampler.
-func (Weighted) Name() string { return "weighted" }
-
-// NeighborReads implements Sampler: the adjacency list is all it reads.
-func (Weighted) NeighborReads() graph.ReadFields { return 0 }
+// neighborReads implements Sampler: the adjacency list is all it reads.
+func (Weighted) neighborReads() graph.ReadFields { return 0 }
 
 // Sample implements Sampler.
 func (Weighted) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
@@ -203,14 +186,11 @@ type ImportanceWalk struct {
 // NewImportanceWalk returns the sampler with PinSage-like defaults.
 func NewImportanceWalk() *ImportanceWalk { return &ImportanceWalk{Walks: 30, Length: 3} }
 
-// Name implements Sampler.
-func (s *ImportanceWalk) Name() string { return "importance-walk" }
-
-// NeighborReads implements Sampler: a walk's second step reads the
+// neighborReads implements Sampler: a walk's second step reads the
 // adjacency list of the neighbor its first step picked. Which ones the
 // RNG picks no frontier read can anticipate, so all of them are read in
 // bulk; lists deeper in the walks are read as the walks reach them.
-func (s *ImportanceWalk) NeighborReads() graph.ReadFields { return graph.ReadNeighbors }
+func (s *ImportanceWalk) neighborReads() graph.ReadFields { return graph.ReadNeighbors }
 
 // Sample implements Sampler.
 func (s *ImportanceWalk) Sample(g GraphView, ego graph.NodeID, _ tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
@@ -244,13 +224,10 @@ type BiasedWalk struct {
 // NewBiasedWalk returns the sampler with Pixie-like defaults.
 func NewBiasedWalk() *BiasedWalk { return &BiasedWalk{Walks: 30, Length: 4, Bias: 0.7} }
 
-// Name implements Sampler.
-func (s *BiasedWalk) Name() string { return "biased-walk" }
-
-// NeighborReads implements Sampler: like ImportanceWalk's, the walks'
+// neighborReads implements Sampler: like ImportanceWalk's, the walks'
 // second steps read the neighbors' adjacency lists. The content the
 // biased steps compare is read as the walks reach it.
-func (s *BiasedWalk) NeighborReads() graph.ReadFields { return graph.ReadNeighbors }
+func (s *BiasedWalk) neighborReads() graph.ReadFields { return graph.ReadNeighbors }
 
 // Sample implements Sampler.
 func (s *BiasedWalk) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
@@ -296,11 +273,8 @@ type ClusterImportance struct {
 // NewClusterImportance returns the sampler with PinnerSage-like defaults.
 func NewClusterImportance() *ClusterImportance { return &ClusterImportance{SimThreshold: 0.6} }
 
-// Name implements Sampler.
-func (s *ClusterImportance) Name() string { return "cluster-importance" }
-
-// NeighborReads implements Sampler: every neighbor's content is clustered.
-func (s *ClusterImportance) NeighborReads() graph.ReadFields { return graph.ReadContent }
+// neighborReads implements Sampler: every neighbor's content is clustered.
+func (s *ClusterImportance) neighborReads() graph.ReadFields { return graph.ReadContent }
 
 // Sample implements Sampler. Clustering is inherently allocation-heavy
 // (centroids are materialized per call); this sampler is an offline
@@ -390,37 +364,55 @@ func (t *Tree) AppendNodes(ids []graph.NodeID) []graph.NodeID {
 }
 
 // BuildTree expands hops levels from ego with the given sampler and
-// per-hop budget k. Focal biasing (when the sampler uses it) applies at
-// every hop, matching the paper's ROI construction where relevance to the
-// focal governs the whole sampled region.
-//
-// The tree is carved out of the caller's scratch arena, which is
-// required: steady-state construction allocates nothing, and the tree
-// stays valid until sc.Reset().
-//
-// Over a *ReadSet the expansion reads one level ahead: once a node's
-// edges are sampled, everything its children's Sample calls will read is
-// fetched in bulk before the first child is visited. The depth-first
-// Sample order — and with it the RNG stream — is the same over any view.
+// per-hop budget k: a forest of one (see BuildForest).
 func BuildTree(g GraphView, ego graph.NodeID, focal tensor.Vec, hops, k int, s Sampler, r *rng.RNG, sc *Scratch) *Tree {
-	rs, _ := g.(*ReadSet)
-	return buildTree(g, rs, ego, focal, hops, k, s, r, sc)
+	return BuildForest(g, []graph.NodeID{ego}, []tensor.Vec{focal}, hops, k, s, r, sc)[0]
 }
 
-func buildTree(g GraphView, rs *ReadSet, ego graph.NodeID, focal tensor.Vec, hops, k int, s Sampler, r *rng.RNG, sc *Scratch) *Tree {
-	t := sc.newTree(ego)
-	if hops == 0 {
-		return t
+// BuildForest expands hops levels below every ego with the given sampler
+// and per-hop budget k, and returns one tree per ego. focals[i] biases
+// egos[i]'s whole tree, matching the paper's ROI construction where
+// relevance to the focal governs the whole sampled region; a nil focals
+// biases none.
+//
+// Every node of a level is sampled, in ego order, before any node of the
+// next: that order fixes the RNG stream, and it is the same over any
+// view. Over a *ReadSet each level is readied before its first Sample
+// call, its adjacency lists and what the sampler reads of their
+// neighbors each in one bulk read, so a batch's regions cost a fixed
+// number of reads per level.
+//
+// The trees and the returned slice are carved out of the caller's
+// scratch arena, which is required: steady-state construction allocates
+// nothing, and the forest stays valid until sc.Reset().
+func BuildForest(g GraphView, egos []graph.NodeID, focals []tensor.Vec, hops, k int, s Sampler, r *rng.RNG, sc *Scratch) []*Tree {
+	roots := sc.kidSlice(len(egos))
+	sc.level = sc.level[:0]
+	for i, ego := range egos {
+		roots[i] = sc.newTree(ego)
+		sc.level = append(sc.level, branch{t: roots[i]})
+		if focals != nil {
+			sc.level[i].focal = focals[i]
+		}
 	}
-	// The sampler's result lives in scratch buffers that the recursive
-	// calls below will clobber; move it into the arena first.
-	t.Edges = sc.cloneEdges(s.Sample(g, ego, focal, k, r, sc))
-	t.Children = sc.kidSlice(len(t.Edges))
-	if rs != nil && hops > 1 {
-		rs.Expand(sc.edgeTargets(t.Edges), s.NeighborReads())
+	rs, _ := g.(*ReadSet)
+	for ; hops > 0; hops-- {
+		if rs != nil {
+			rs.expand(sc.level, s.neighborReads())
+		}
+		sc.next = sc.next[:0]
+		for _, b := range sc.level {
+			t := b.t
+			// The sampler's result lives in scratch buffers that the next
+			// Sample call clobbers; move it into the arena first.
+			t.Edges = sc.cloneEdges(s.Sample(g, t.Node, b.focal, k, r, sc))
+			t.Children = sc.kidSlice(len(t.Edges))
+			for i, e := range t.Edges {
+				t.Children[i] = sc.newTree(e.To)
+				sc.next = append(sc.next, branch{t.Children[i], b.focal})
+			}
+		}
+		sc.level, sc.next = sc.next, sc.level
 	}
-	for i, e := range t.Edges {
-		t.Children[i] = buildTree(g, rs, e.To, focal, hops-1, k, s, r, sc)
-	}
-	return t
+	return roots
 }

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"slices"
 	"testing"
 
 	"zoomer/internal/graph"
@@ -49,18 +50,18 @@ func TestSamplerContracts(t *testing.T) {
 		for _, k := range []int{1, 5, 19, 20, 50} {
 			out := s.Sample(g, ego, focal, k, r, NewScratch())
 			if len(out) > k && k < 20 {
-				t.Fatalf("%s returned %d > k=%d", s.Name(), len(out), k)
+				t.Fatalf("%T returned %d > k=%d", s, len(out), k)
 			}
 			if k >= 20 && len(out) != 20 {
-				t.Fatalf("%s with k>=degree returned %d, want all 20", s.Name(), len(out))
+				t.Fatalf("%T with k>=degree returned %d, want all 20", s, len(out))
 			}
 			seen := map[graph.NodeID]bool{}
 			for _, e := range out {
 				if !nbrSet[e.To] {
-					t.Fatalf("%s returned non-neighbor %d", s.Name(), e.To)
+					t.Fatalf("%T returned non-neighbor %d", s, e.To)
 				}
 				if seen[e.To] {
-					t.Fatalf("%s returned duplicate %d", s.Name(), e.To)
+					t.Fatalf("%T returned duplicate %d", s, e.To)
 				}
 				seen[e.To] = true
 			}
@@ -259,6 +260,86 @@ func TestBuildTreeShape(t *testing.T) {
 	}
 }
 
+// recordingSampler samples like Uniform and records every ego it is
+// asked to sample, in call order.
+type recordingSampler struct {
+	Uniform
+	calls []graph.NodeID
+}
+
+func (s *recordingSampler) Sample(g GraphView, ego graph.NodeID, focal tensor.Vec, k int, r *rng.RNG, sc *Scratch) []graph.Edge {
+	s.calls = append(s.calls, ego)
+	return s.Uniform.Sample(g, ego, focal, k, r, sc)
+}
+
+// BuildForest samples level by level: every node of a level, in ego
+// order, before any node of the next; and over a read set each level's
+// adjacency lists arrive in one bulk read, with no single-node read.
+func TestBuildForestSamplesLevelByLevel(t *testing.T) {
+	g := randomGraph(300, 5)
+	egos := []graph.NodeID{3, 17, 40, 3}
+	const hops = 3
+	cv := newCountingView(g)
+	s := &recordingSampler{}
+	forest := BuildForest(NewReadSet(cv, nil), egos, nil, hops, 3, s, rng.New(6), NewScratch())
+	var want []graph.NodeID
+	level := forest
+	for h := 0; h < hops; h++ {
+		var next []*Tree
+		for _, t := range level {
+			want = append(want, t.Node)
+			next = append(next, t.Children...)
+		}
+		level = next
+	}
+	if !slices.Equal(s.calls, want) {
+		t.Fatalf("Sample called on %v, want level order %v", s.calls, want)
+	}
+	if cv.singles != 0 || cv.nbrBulks != hops {
+		t.Fatalf("%d-level forest took %d single reads and %d adjacency bulk reads, want 0 and %d", hops, cv.singles, cv.nbrBulks, hops)
+	}
+}
+
+// FocalBiased and ClusterImportance draw nothing from the RNG, so a
+// forest builds exactly the trees one BuildTree call per ego builds, at
+// any depth — the property Zoomer's unchanged traces rest on. At one hop
+// level order is depth-first order, so there every sampler's forest
+// matches its trees and leaves the RNG where they leave it.
+func TestForestMatchesTreeByTree(t *testing.T) {
+	g := randomGraph(300, 6)
+	egos := []graph.NodeID{0, 17, 5, 123, 17}
+	focals := make([]tensor.Vec, len(egos))
+	for i := range focals {
+		focals[i] = tensor.Vec{0.3, 0.1 * float32(i), 0.9, 0.4}
+	}
+	for _, s := range allSamplers() {
+		var rngFree bool
+		switch s.(type) {
+		case *FocalBiased, *ClusterImportance:
+			rngFree = true
+		}
+		for hops := 1; hops <= 3; hops++ {
+			if hops > 1 && !rngFree {
+				continue
+			}
+			rf, rt := rng.New(8), rng.New(8)
+			forest := BuildForest(g, egos, focals, hops, 4, s, rf, NewScratch())
+			sc := NewScratch()
+			for i, ego := range egos {
+				if tree := BuildTree(g, ego, focals[i], hops, 4, s, rt, sc); !treesEqual(forest[i], tree) {
+					t.Fatalf("%T hops=%d ego %d: the forest's tree differs from BuildTree's", s, hops, ego)
+				}
+			}
+			if rf.State() != rt.State() {
+				t.Fatalf("%T hops=%d: the forest consumed the RNG differently", s, hops)
+			}
+			if rngFree && rf.State() != rng.New(8).State() {
+				t.Fatalf("%T hops=%d: drew from the RNG", s, hops)
+			}
+		}
+	}
+}
+
 func TestBuildTreeZeroHops(t *testing.T) {
 	g, ego, focal := starGraph(5)
 	tree := BuildTree(g, ego, focal, 0, 3, NewFocalBiased(), rng.New(10), NewScratch())
@@ -274,7 +355,7 @@ func TestIsolatedNode(t *testing.T) {
 	for _, s := range allSamplers() {
 		out := s.Sample(g, iso, tensor.Vec{1}, 5, rng.New(11), NewScratch())
 		if len(out) != 0 {
-			t.Fatalf("%s sampled from isolated node", s.Name())
+			t.Fatalf("%T sampled from isolated node", s)
 		}
 	}
 }
@@ -286,7 +367,7 @@ func TestNonPositiveKReturnsNil(t *testing.T) {
 	for _, s := range allSamplers() {
 		for _, k := range []int{0, -1, -100} {
 			if out := s.Sample(g, ego, focal, k, rng.New(12), NewScratch()); out != nil {
-				t.Fatalf("%s with k=%d returned %v, want nil", s.Name(), k, out)
+				t.Fatalf("%T with k=%d returned %v, want nil", s, k, out)
 			}
 		}
 	}
@@ -310,16 +391,16 @@ func TestScratchParity(t *testing.T) {
 				want := s.Sample(st.g, st.ego, st.focal, k, rng.New(seed), NewScratch())
 				got := s.Sample(st.g, st.ego, st.focal, k, rng.New(seed), sc)
 				if len(got) != len(want) {
-					t.Fatalf("round %d star %d %s: reused scratch len %d vs fresh len %d", round, si, s.Name(), len(got), len(want))
+					t.Fatalf("round %d star %d %T: reused scratch len %d vs fresh len %d", round, si, s, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("round %d star %d %s: reused scratch diverges at %d: %v vs %v", round, si, s.Name(), i, got[i], want[i])
+						t.Fatalf("round %d star %d %T: reused scratch diverges at %d: %v vs %v", round, si, s, i, got[i], want[i])
 					}
 				}
 				for id, v := range sc.visits {
 					if v != 0 {
-						t.Fatalf("round %d star %d %s: visit counter of node %d left at %d", round, si, s.Name(), id, v)
+						t.Fatalf("round %d star %d %T: visit counter of node %d left at %d", round, si, s, id, v)
 					}
 				}
 			}
@@ -341,7 +422,7 @@ func TestBuildTreeScratchParity(t *testing.T) {
 				want := BuildTree(st.g, st.ego, st.focal, 2, 6, s, rng.New(seed), NewScratch())
 				got := BuildTree(st.g, st.ego, st.focal, 2, 6, s, rng.New(seed), sc)
 				if !treesEqual(want, got) {
-					t.Fatalf("round %d star %d %s: tree on a reset scratch diverges from a fresh-scratch tree", round, si, s.Name())
+					t.Fatalf("round %d star %d %T: tree on a reset scratch diverges from a fresh-scratch tree", round, si, s)
 				}
 			}
 		}

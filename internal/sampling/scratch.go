@@ -13,7 +13,13 @@ type scoredEdge struct {
 	score float32
 }
 
-// Scratch holds every reusable buffer the samplers and BuildTree need, so
+// branch is a tree node to sample, with its region's focal vector.
+type branch struct {
+	t     *Tree
+	focal tensor.Vec
+}
+
+// Scratch holds every reusable buffer the samplers and BuildForest need, so
 // steady-state ROI construction performs no heap allocation: scoring and
 // selection buffers, slice-backed visit counters for the walk samplers,
 // alias-construction workspace, and an arena for the sampled trees.
@@ -21,7 +27,7 @@ type scoredEdge struct {
 // A Scratch is not safe for concurrent use; give each worker its own,
 // exactly like *rng.RNG. Slices returned by Sample are backed by the
 // Scratch and remain valid only until its next Sample call; trees
-// returned by BuildTree are backed by the arena and remain valid until
+// returned by BuildForest are backed by the arena and remain valid until
 // Reset. The scratch is required: every call takes one the caller owns,
 // and a nil *Scratch panics at first use.
 type Scratch struct {
@@ -52,6 +58,9 @@ type Scratch struct {
 	treesUsed int
 	edgeArena []graph.Edge
 	kidArena  []*Tree
+
+	// BuildForest's level being sampled and the one it fills.
+	level, next []branch
 }
 
 // NewScratch returns an empty scratch; buffers are grown on first use and
@@ -59,7 +68,7 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // Reset recycles the tree arena. All trees previously returned from
-// BuildTree with this scratch are invalidated; per-sampler buffers need
+// BuildForest with this scratch are invalidated; per-sampler buffers need
 // no reset and are excluded.
 func (sc *Scratch) Reset() {
 	sc.treesUsed = 0
@@ -101,21 +110,15 @@ func (sc *Scratch) seenBuf(n int) []bool {
 	return s
 }
 
-// edgeTargets lists the neighbor ids of an adjacency list (valid until
-// the next call).
-func (sc *Scratch) edgeTargets(es []graph.Edge) []graph.NodeID {
-	sc.ids = sc.ids[:0]
-	for _, e := range es {
-		sc.ids = append(sc.ids, e.To)
-	}
-	return sc.ids
-}
-
 // neighborContent reads the content vector of every neighbor in one bulk
 // read; entry i belongs to nbrs[i]. Valid until the next call.
 func (sc *Scratch) neighborContent(g GraphView, nbrs []graph.Edge) []tensor.Vec {
+	sc.ids = sc.ids[:0]
+	for _, e := range nbrs {
+		sc.ids = append(sc.ids, e.To)
+	}
 	sc.blk.Reset()
-	g.ReadNodes(sc.edgeTargets(nbrs), graph.ReadContent, &sc.blk)
+	g.ReadNodes(sc.ids, graph.ReadContent, &sc.blk)
 	return sc.blk.Content
 }
 
